@@ -1,0 +1,327 @@
+package routing
+
+import (
+	"bufio"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"stochroute/internal/graph"
+	"stochroute/internal/hist"
+	"stochroute/internal/hybrid"
+	"stochroute/internal/netgen"
+	"stochroute/internal/traj"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/pbr_golden.txt from the current search")
+
+const goldenFile = "testdata/pbr_golden.txt"
+
+// goldenFixture is the frozen substrate of the PBR goldens: a 14×14
+// grid, a 4-slice world whose slice 1 is peaked, and a trained hybrid
+// model per slice (estimator + classifier, so extensions take the pair
+// lookup → classifier → estimate path as well as convolution).
+type goldenFixture struct {
+	g       *graph.Graph
+	set     *hybrid.ModelSet
+	alt     *ALT
+	queries []netgen.Query
+}
+
+var (
+	goldenOnce sync.Once
+	goldenFix  *goldenFixture
+	goldenErr  error
+)
+
+const goldenSlices = 4
+
+func goldenSetup(t testing.TB) *goldenFixture {
+	t.Helper()
+	// The table holds float bits of a model trained in-process; Go only
+	// guarantees unfused multiply-adds (hence identical bits) on amd64.
+	if runtime.GOARCH != "amd64" {
+		t.Skip("PBR goldens are frozen for amd64 float arithmetic")
+	}
+	goldenOnce.Do(func() { goldenFix, goldenErr = buildGoldenFixture() })
+	if goldenErr != nil {
+		t.Fatalf("golden fixture: %v", goldenErr)
+	}
+	return goldenFix
+}
+
+func buildGoldenFixture() (*goldenFixture, error) {
+	ncfg := netgen.DefaultConfig()
+	ncfg.Rows, ncfg.Cols = 14, 14
+	ncfg.CellMeters = 130
+	ncfg.Seed = 77
+	g, err := netgen.Generate(ncfg)
+	if err != nil {
+		return nil, err
+	}
+	wcfg := traj.DefaultWorldConfig()
+	wcfg.Seed = 78
+	wcfg.SlicePriors, err = traj.PeakedSlicePriors(wcfg.ModePrior, goldenSlices, 1, 0.6)
+	if err != nil {
+		return nil, err
+	}
+	world, err := traj.NewWorld(g, wcfg)
+	if err != nil {
+		return nil, err
+	}
+	trajs, err := traj.GenerateTrajectories(world, traj.WalkConfig{
+		NumTrajectories: 8000, MinEdges: 4, MaxEdges: 20, Seed: 79,
+		RouteFraction: 0.7, NumRoutes: 150, RouteJitter: 0.25,
+		Slices: goldenSlices,
+	})
+	if err != nil {
+		return nil, err
+	}
+	cfg := hybrid.DefaultConfig()
+	cfg.Width = wcfg.BucketWidth
+	cfg.MinPairObs = 10
+	cfg.TrainPairs, cfg.TestPairs = 300, 60
+	cfg.Estimator.Hidden = []int{16}
+	cfg.Estimator.Train.Epochs = 4
+	cfg.PrefixRows = 300
+	cfg.MaxBuckets = 256
+	cfg.Slices = goldenSlices
+	sobs := traj.NewSlicedObservations(g, cfg.Width, goldenSlices)
+	sobs.Collect(trajs)
+	set, _, err := hybrid.TrainSlices(g, sobs, traj.SplitBySlice(trajs, goldenSlices), nil, cfg)
+	if err != nil {
+		return nil, err
+	}
+	alt, err := BuildALT(g, set.MinEdgeTimeAcrossSlices, SelectLandmarks(g, nil, 6))
+	if err != nil {
+		return nil, err
+	}
+	queries, err := netgen.NewWorkloadGen(g, 80).SampleCategory(netgen.DistanceCategory{LoKm: 0.6, HiKm: 1.6}, 64)
+	if err != nil {
+		return nil, err
+	}
+	return &goldenFixture{g: g, set: set, alt: alt, queries: queries}, nil
+}
+
+// goldenConfig is one search shape of the table. Every config runs over
+// every query, classic (the slice-1 model, departure-slice routing) or
+// time-expanded (departing a minute before a slice boundary so trips
+// change models mid-search).
+type goldenConfig struct {
+	name     string
+	expanded bool
+	alt      bool
+	seed     bool // SeedPath = mean-cost path, SwitchMargin 0.02
+	tune     func(*Options)
+}
+
+// The ablations explode without their pruning; the deterministic
+// anytime cutoff bounds them and puts MaxExpansions under the goldens.
+const goldenAblationCap = 400
+
+func goldenConfigs() []goldenConfig {
+	shapes := []goldenConfig{
+		{name: "default"},
+		{name: "alt", alt: true},
+		{name: "frontier1", tune: func(o *Options) { o.MaxFrontier = 1 }},
+		{name: "frontier2", tune: func(o *Options) { o.MaxFrontier = 2 }},
+		{name: "frontier8-alt", alt: true, tune: func(o *Options) { o.MaxFrontier = 8 }},
+		{name: "no-potential", tune: func(o *Options) { o.DisablePotentialPruning = true; o.MaxExpansions = goldenAblationCap }},
+		{name: "no-pivot", tune: func(o *Options) { o.DisablePivotPruning = true; o.MaxExpansions = goldenAblationCap }},
+		{name: "no-dominance", tune: func(o *Options) { o.DisableDominancePruning = true; o.MaxExpansions = goldenAblationCap }},
+		{name: "seeded", seed: true},
+		{name: "seeded-alt-frontier2", seed: true, alt: true, tune: func(o *Options) { o.MaxFrontier = 2 }},
+	}
+	var out []goldenConfig
+	for _, expanded := range []bool{false, true} {
+		for _, s := range shapes {
+			s.expanded = expanded
+			if expanded {
+				s.name = "expanded-" + s.name
+			} else {
+				s.name = "classic-" + s.name
+			}
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// plainTemporalView hides a temporal coster's scratch capability, like
+// plainView does for a classic one.
+type plainTemporalView struct {
+	plainView
+	tc hybrid.TemporalCoster
+}
+
+func (p plainTemporalView) SliceAtElapsed(el float64) int { return p.tc.SliceAtElapsed(el) }
+func (p plainTemporalView) MinEdgeTimeWithin(e graph.EdgeID, horizon float64) float64 {
+	return p.tc.MinEdgeTimeWithin(e, horizon)
+}
+func (p plainTemporalView) ExtendElapsed(el float64, v *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
+	return p.tc.ExtendElapsed(el, v, lastEdge, next)
+}
+
+// goldenQuery assembles the coster and options of one (config, query)
+// cell. plain selects the plain-Coster path over the same model.
+func (f *goldenFixture) goldenQuery(cfg goldenConfig, qi int, plain bool) (hybrid.Coster, graph.VertexID, graph.VertexID, Options, error) {
+	q := f.queries[qi]
+	const classicSlice = 1
+	// Budgets around the mean-cost route's mean travel time put the
+	// arrival probabilities mid-range, where every pruning has work.
+	meanPath, meanTime, err := MeanCostPath(f.g, f.set.At(classicSlice).KB, q.Source, q.Dest)
+	if err != nil {
+		return nil, 0, 0, Options{}, err
+	}
+	opts := Options{Budget: []float64{0.9, 1, 1.15}[qi%3] * meanTime}
+	var coster hybrid.Coster
+	if cfg.expanded {
+		// One minute before the peaked slice begins, or before it ends.
+		opts.Departure = traj.SliceStart(1+qi%2, goldenSlices) - 60
+		opts.TimeExpanded = true
+		tc := f.set.TimeExpandedCoster(opts.Departure, nil)
+		coster = tc
+		if plain {
+			coster = plainTemporalView{plainView{tc}, tc}
+		}
+	} else {
+		opts.Departure = traj.SliceMid(classicSlice, goldenSlices)
+		coster = f.set.At(classicSlice)
+		if plain {
+			coster = plainView{coster}
+		}
+	}
+	if cfg.alt {
+		opts.Potentials = f.alt
+	}
+	if cfg.seed {
+		opts.SeedPath = meanPath
+		opts.SwitchMargin = 0.02
+	}
+	if cfg.tune != nil {
+		cfg.tune(&opts)
+	}
+	return coster, q.Source, q.Dest, opts, nil
+}
+
+// goldenRow renders everything the table freezes about one search:
+// route, float bits of probability and distribution, slice sequence
+// and the five search counters.
+func goldenRow(cfg goldenConfig, qi int, res *Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s %d found=%t complete=%t prob=%016x", cfg.name, qi, res.Found, res.Complete, math.Float64bits(res.Prob))
+	if res.Dist != nil {
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, p := range res.Dist.P {
+			bits := math.Float64bits(p)
+			for i := range buf {
+				buf[i] = byte(bits >> (8 * i))
+			}
+			h.Write(buf[:])
+		}
+		fmt.Fprintf(&b, " min=%016x n=%d p=%016x", math.Float64bits(res.Dist.Min), len(res.Dist.P), h.Sum64())
+	}
+	b.WriteString(" path=")
+	for i, e := range res.Path {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(int(e)))
+	}
+	b.WriteString(" slices=")
+	for _, s := range res.SliceSeq {
+		b.WriteString(strconv.Itoa(s))
+	}
+	fmt.Fprintf(&b, " exp=%d gen=%d pot=%d piv=%d dom=%d",
+		res.Expansions, res.GeneratedLabels, res.PrunedPotential, res.PrunedPivot, res.PrunedDominance)
+	return b.String()
+}
+
+func readGolden(t testing.TB) []string {
+	t.Helper()
+	fh, err := os.Open(goldenFile)
+	if err != nil {
+		t.Fatalf("%v (regenerate with go test ./internal/routing -run TestPBRGolden -update)", err)
+	}
+	defer fh.Close()
+	var rows []string
+	sc := bufio.NewScanner(fh)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	for sc.Scan() {
+		rows = append(rows, sc.Text())
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// TestPBRGolden pins the search itself, not twin against twin: every
+// (config, query) cell must reproduce the frozen route, probability
+// and distribution bits, slice sequence and counters on both the
+// ScratchCoster and the plain-Coster path.
+func TestPBRGolden(t *testing.T) {
+	f := goldenSetup(t)
+	configs := goldenConfigs()
+	if *updateGolden {
+		var out strings.Builder
+		for _, cfg := range configs {
+			for qi := range f.queries {
+				c, src, dst, opts, err := f.goldenQuery(cfg, qi, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := PBR(f.g, c, src, dst, opts)
+				if err != nil {
+					t.Fatalf("%s query %d: %v", cfg.name, qi, err)
+				}
+				out.WriteString(goldenRow(cfg, qi, res))
+				out.WriteByte('\n')
+			}
+		}
+		if err := os.MkdirAll(filepath.Dir(goldenFile), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenFile, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := readGolden(t)
+	f.set.At(1).ResetCounters()
+	if len(want) != len(configs)*len(f.queries) {
+		t.Fatalf("golden table has %d rows, want %d", len(want), len(configs)*len(f.queries))
+	}
+	for ci, cfg := range configs {
+		for qi := range f.queries {
+			for _, plain := range []bool{false, true} {
+				c, src, dst, opts, err := f.goldenQuery(cfg, qi, plain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := PBR(f.g, c, src, dst, opts)
+				if err != nil {
+					t.Fatalf("%s query %d plain=%t: %v", cfg.name, qi, plain, err)
+				}
+				if got := goldenRow(cfg, qi, res); got != want[ci*len(f.queries)+qi] {
+					t.Fatalf("plain=%t:\n got  %s\n want %s", plain, got, want[ci*len(f.queries)+qi])
+				}
+			}
+		}
+	}
+	// A fixture that only ever convolved (or only estimated) would leave
+	// half of the cost model outside the goldens.
+	if conv, est := f.set.At(1).DecisionCounts(); conv == 0 || est == 0 {
+		t.Fatalf("fixture decisions convolved=%d estimated=%d: want both", conv, est)
+	} else {
+		t.Logf("slice-1 model decisions: %d convolved, %d estimated", conv, est)
+	}
+}
