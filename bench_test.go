@@ -233,7 +233,7 @@ func BenchmarkE8AnytimeCurve(b *testing.B) {
 // BenchmarkRoutingPBR measures one full hybrid-model PBR query with
 // allocation reporting — the kernel-efficiency benchmark of the
 // distribution pipeline. Run with -benchmem to watch allocs/op; the
-// allocation-free cost kernel (hist.Arena + hybrid.ScratchCoster) is
+// pooled search workspace (labels, heap, frontiers, hist.Arena) is
 // what keeps this number flat as budgets grow.
 func BenchmarkRoutingPBR(b *testing.B) {
 	s := getBenchSetup(b)

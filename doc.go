@@ -62,15 +62,22 @@
 //     activation buffers + predicted-conditional storage). The trained
 //     Model, the ConvolutionCoster baseline and the WithStats counting
 //     view all implement it; plain Costers keep working untouched.
-//   - internal/routing capability-detects the ScratchCoster in PBR:
-//     label distributions then live in a pooled arena, labels killed by
-//     pruning recycle their buffers immediately, and only the winning
-//     pivot distribution is cloned out to the heap. The kernel path is
-//     bit-identical to the plain path — same routes, probabilities and
-//     telemetry — enforced by equivalence tests at every layer.
+//   - internal/routing runs every PBR search on a pooled workspace
+//     that owns the scratch, the label slice, the priority heap and
+//     the dominance frontiers (a generation-stamped table over a flat
+//     entry slab — no map, nothing to sweep between searches). With a
+//     ScratchCoster the label distributions live in the workspace's
+//     arena too and labels killed by pruning recycle their buffers
+//     immediately; a plain Coster's distributions come from the heap
+//     and the workspace drops them on release. The two are
+//     bit-identical — same routes, probabilities and telemetry —
+//     enforced by frozen goldens and equivalence tests at every layer.
 //
-// The result is an order-of-magnitude drop in allocations per query
-// (see BenchmarkRoutingPBR with -benchmem), which is what lets one
+// A warmed search therefore allocates only what escapes it: the
+// Result, the per-request coster view, and — at each pivot
+// improvement — a clone of the pivot's distribution and its edge path.
+// TestRouteSteadyStateAllocs holds a routed query to 64 allocations at
+// steady state (typically one or two dozen), which is what lets one
 // engine serve batch traffic at scale.
 //
 // # The preprocessing layer: ALT landmark potentials

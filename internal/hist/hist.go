@@ -540,40 +540,72 @@ func (h *Hist) CapBuckets(maxBuckets int) *Hist {
 // grid offset) and reports whether CDF_a(x) >= CDF_b(x) at every grid
 // point (aGE) and the converse (bGE). aGE && bGE means the CDFs are
 // equal everywhere within tolerance. This is the single-pass primitive
-// behind stochastic-dominance pruning.
+// behind stochastic-dominance pruning: one call answers both "a
+// dominates b" and "b dominates a".
+//
+// The walk is split at the support boundaries — the head where only
+// the earlier-starting histogram has mass, the overlap, the tail of
+// whichever ends later — so no bucket pays a range check; grid points
+// where neither has mass (a gap between disjoint supports) change
+// neither running sum and are skipped. Each sum still adds its masses
+// in index order, so the verdict is the one a point-by-point walk of
+// the common grid gives.
 func CompareCDF(a, b *Hist) (aGE, bGE bool) {
-	const tol = 1e-12
-	w := a.Width
-	offA := 0
-	offB := int(math.Round((b.Min - a.Min) / w))
-	lo := 0
-	if offB < lo {
-		lo = offB
-	}
-	hiA := offA + len(a.P) - 1
-	hiB := offB + len(b.P) - 1
-	hi := hiA
-	if hiB > hi {
-		hi = hiB
-	}
+	pa, pb := a.P, b.P
+	// b's first bucket sits offB grid points after a's.
+	offB := int(math.Round((b.Min - a.Min) / a.Width))
 	aGE, bGE = true, true
 	ca, cb := 0.0, 0.0
-	for i := lo; i <= hi; i++ {
-		if j := i - offA; j >= 0 && j < len(a.P) {
-			ca += a.P[j]
+	ia, ib := 0, 0
+	if offB > 0 {
+		for ia = 0; ia < len(pa) && ia < offB; ia++ {
+			ca += pa[ia]
+			if aGE, bGE = cdfStep(ca, cb, aGE, bGE); !aGE && !bGE {
+				return
+			}
 		}
-		if j := i - offB; j >= 0 && j < len(b.P) {
-			cb += b.P[j]
+	} else {
+		for ib = 0; ib < len(pb) && ib < -offB; ib++ {
+			cb += pb[ib]
+			if aGE, bGE = cdfStep(ca, cb, aGE, bGE); !aGE && !bGE {
+				return
+			}
 		}
-		if ca < cb-tol {
-			aGE = false
-		}
-		if cb < ca-tol {
-			bGE = false
-		}
-		if !aGE && !bGE {
+	}
+	// Disjoint supports leave the earlier histogram consumed and the
+	// overlap empty.
+	n := min(len(pa)-ia, len(pb)-ib)
+	oa, ob := pa[ia:ia+n], pb[ib:ib+n]
+	for k := range oa {
+		ca += oa[k]
+		cb += ob[k]
+		if aGE, bGE = cdfStep(ca, cb, aGE, bGE); !aGE && !bGE {
 			return
 		}
+	}
+	for _, p := range pa[ia+n:] {
+		ca += p
+		if aGE, bGE = cdfStep(ca, cb, aGE, bGE); !aGE && !bGE {
+			return
+		}
+	}
+	for _, p := range pb[ib+n:] {
+		cb += p
+		if aGE, bGE = cdfStep(ca, cb, aGE, bGE); !aGE && !bGE {
+			return
+		}
+	}
+	return aGE, bGE
+}
+
+// cdfStep folds the running sums at one grid point into the verdict.
+func cdfStep(ca, cb float64, aGE, bGE bool) (bool, bool) {
+	const tol = 1e-12
+	if ca < cb-tol {
+		aGE = false
+	}
+	if cb < ca-tol {
+		bGE = false
 	}
 	return aGE, bGE
 }

@@ -195,3 +195,85 @@ func TestQuickCapBucketsKeepsMassAndCDFPrefix(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// compareCDFPointwise is the point-by-point walk of the common grid
+// that CompareCDF's peeled loops replace; it stays here as the
+// reference the property test compares against.
+func compareCDFPointwise(a, b *Hist) (aGE, bGE bool) {
+	const tol = 1e-12
+	offB := int(math.Round((b.Min - a.Min) / a.Width))
+	lo, hi := min(0, offB), max(len(a.P), offB+len(b.P))-1
+	aGE, bGE = true, true
+	ca, cb := 0.0, 0.0
+	for i := lo; i <= hi; i++ {
+		if i >= 0 && i < len(a.P) {
+			ca += a.P[i]
+		}
+		if j := i - offB; j >= 0 && j < len(b.P) {
+			cb += b.P[j]
+		}
+		if ca < cb-tol {
+			aGE = false
+		}
+		if cb < ca-tol {
+			bGE = false
+		}
+		if !aGE && !bGE {
+			return
+		}
+	}
+	return aGE, bGE
+}
+
+// TestQuickCompareCDFMatchesPointwise: on random pairs — b starting
+// before, at or after a, overlapping, nested or disjoint, equal, and
+// differing by less than the 1e-12 tolerance — the peeled CompareCDF
+// gives the pointwise verdict, and one fused call decides dominance
+// pruning exactly as the former DominatesOrEqual-then-Dominates pair
+// of passes did.
+func TestQuickCompareCDFMatchesPointwise(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		a := randHist(r, 2, 14)
+		var b *Hist
+		switch r.Intn(5) {
+		case 0: // anywhere on the grid
+			b = randHist(r, 2, 14)
+		case 1: // disjoint, on either side
+			b = randHist(r, 2, 14)
+			gap := float64(len(a.P)+len(b.P)+r.Intn(4)) * 2
+			if r.Intn(2) == 0 {
+				gap = -gap
+			}
+			b.Min = a.Min + gap
+		case 2: // equal CDFs
+			b = a.Clone()
+		case 3: // inside the tolerance
+			b = a.Clone()
+			b.P[r.Intn(len(b.P))] += (r.Float64() - 0.5) * 1.8e-12
+		default: // same shape, shifted by a few buckets either way
+			b = a.Clone()
+			b.Min += float64(r.Intn(7)-3) * 2
+		}
+		for _, pair := range [][2]*Hist{{a, b}, {b, a}} {
+			other, nd := pair[0], pair[1]
+			aGE, bGE := CompareCDF(other, nd)
+			if wa, wb := compareCDFPointwise(other, nd); aGE != wa || bGE != wb {
+				t.Logf("seed %d: CompareCDF = (%v,%v), pointwise (%v,%v)", seed, aGE, bGE, wa, wb)
+				return false
+			}
+			// The two-pass decision of pruning (d), on the reference.
+			otherGE, _ := compareCDFPointwise(other, nd)
+			ndGE, ndLE := compareCDFPointwise(nd, other)
+			wantDominated, wantKill := otherGE, !otherGE && ndGE && !ndLE
+			if dominated, kill := aGE, !aGE && bGE; dominated != wantDominated || kill != wantKill {
+				t.Logf("seed %d: fused (dominated=%v kill=%v), two-pass (%v,%v)", seed, dominated, kill, wantDominated, wantKill)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Error(err)
+	}
+}

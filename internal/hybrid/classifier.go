@@ -42,11 +42,12 @@ type Classifier struct {
 }
 
 // PredictDependent reports whether the pair should be treated as
-// dependent (use estimation).
+// dependent (use estimation). It runs once per classified extension of
+// a search and allocates nothing.
 func (c *Classifier) PredictDependent(ps PairStats) bool {
-	row := ClassifierFeatures(ps)
-	c.Scaler.TransformRow(row)
-	return c.LR.Predict(row, c.Threshold)
+	row := classifierRow(ps)
+	c.Scaler.TransformRow(row[:])
+	return c.LR.Predict(row[:], c.Threshold)
 }
 
 // TrainClassifier fits the classifier from chi-square dependence labels

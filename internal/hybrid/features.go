@@ -112,7 +112,14 @@ func AppendFeatures(dst []float64, kb *KnowledgeBase, virtual *hist.Hist, next g
 // ClassifierFeatures is the input vector of the convolve-vs-estimate
 // classifier: pure pair-dependence statistics.
 func ClassifierFeatures(ps PairStats) []float64 {
-	return []float64{
+	row := classifierRow(ps)
+	return row[:]
+}
+
+// classifierRow is ClassifierFeatures as an array, which the query
+// path keeps on the stack.
+func classifierRow(ps PairStats) [NumClassifierFeatures]float64 {
+	return [NumClassifierFeatures]float64{
 		ps.Corr,
 		math.Abs(ps.Corr),
 		ps.MI,

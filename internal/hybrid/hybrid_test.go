@@ -490,6 +490,39 @@ func mustPair(t *testing.T, kb *KnowledgeBase, k traj.PairKey) PairStats {
 	return ps
 }
 
+// TestPairIndexMatchesPairMap: the per-first-edge pair index answers
+// every (first, second) — present, absent, non-adjacent, out of range —
+// exactly like the map keyed by traj.PairKey that it replaced, rebuilt
+// here from the same observations.
+func TestPairIndexMatchesPairMap(t *testing.T) {
+	e := getEnv(t)
+	const minPairObs = 12 // as getEnv builds the knowledge base
+	want := make(map[traj.PairKey]PairStats)
+	for k, list := range e.obs.Pairs {
+		if len(list) < minPairObs {
+			continue
+		}
+		ps := PairStats{Count: len(list), MI: e.obs.PairMutualInformation(k, 3)}
+		if corr, err := e.obs.PairCorrelation(k); err == nil {
+			ps.Corr = corr
+		}
+		want[k] = ps
+	}
+	if len(want) == 0 || e.kb.NumPairs() != len(want) {
+		t.Fatalf("NumPairs = %d, want %d (> 0)", e.kb.NumPairs(), len(want))
+	}
+	n := graph.EdgeID(e.g.NumEdges())
+	for first := graph.EdgeID(-1); first <= n; first++ {
+		for second := graph.EdgeID(-1); second <= n; second++ {
+			got, ok := e.kb.Pair(first, second)
+			exp, expOK := want[traj.PairKey{First: first, Second: second}]
+			if ok != expOK || got != exp {
+				t.Fatalf("Pair(%d,%d) = %+v,%v; map has %+v,%v", first, second, got, ok, exp, expOK)
+			}
+		}
+	}
+}
+
 func TestPairWithoutDataConvolves(t *testing.T) {
 	m, _ := getModel(t)
 	e := getEnv(t)

@@ -155,8 +155,14 @@ func (m *Model) Width() float64 { return m.KB.Width }
 // (false), per the configured mode and classifier. Pairs without data
 // always convolve, as the paper prescribes.
 func (m *Model) ShouldEstimate(lastEdge, next graph.EdgeID) bool {
-	ps, ok := m.KB.Pair(lastEdge, next)
-	if !ok {
+	return m.shouldEstimate(m.KB.Pair(lastEdge, next))
+}
+
+// shouldEstimate is ShouldEstimate on an already looked-up pair, so an
+// extension reads the pair table once for both the decision and the
+// estimator's features.
+func (m *Model) shouldEstimate(ps PairStats, hasPair bool) bool {
+	if !hasPair {
 		return false
 	}
 	switch m.Mode {
@@ -186,9 +192,9 @@ func (m *Model) Extend(virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hi
 // extend is the counter-free hybrid step shared by Extend and the
 // per-request counting coster.
 func (m *Model) extend(virtual *hist.Hist, lastEdge, next graph.EdgeID) (out *hist.Hist, estimated bool) {
-	if m.ShouldEstimate(lastEdge, next) {
+	ps, has := m.KB.Pair(lastEdge, next)
+	if m.shouldEstimate(ps, has) {
 		estimated = true
-		ps, has := m.KB.Pair(lastEdge, next)
 		out = m.Estimator.EstimateExtend(m.KB, virtual, next, ps, has)
 	} else {
 		out = hist.MustConvolve(virtual, m.KB.Edge(next).Marginal)
@@ -221,9 +227,9 @@ func (m *Model) ExtendInto(s *Scratch, virtual *hist.Hist, lastEdge, next graph.
 // extendInto is the counter-free scratch-aware hybrid step shared by
 // ExtendInto and the per-request counting coster.
 func (m *Model) extendInto(s *Scratch, virtual *hist.Hist, lastEdge, next graph.EdgeID) (out *hist.Hist, estimated bool) {
-	if m.ShouldEstimate(lastEdge, next) {
+	ps, has := m.KB.Pair(lastEdge, next)
+	if m.shouldEstimate(ps, has) {
 		estimated = true
-		ps, has := m.KB.Pair(lastEdge, next)
 		out = m.Estimator.EstimateExtendInto(s, m.KB, virtual, next, ps, has)
 	} else {
 		out = convolveIntoArena(s, virtual, m.KB.Edge(next).Marginal)

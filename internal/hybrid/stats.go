@@ -51,7 +51,15 @@ type KnowledgeBase struct {
 	Width float64 // global histogram grid width, seconds
 
 	edges []EdgeStats // indexed by EdgeID
-	pairs map[traj.PairKey]PairStats
+
+	// The pair table, grouped by first edge: the pairs whose first edge
+	// is e are pairSecond/pairStats[pairStart[e]:pairStart[e+1]]. A
+	// group holds at most the out-degree of e's head vertex, so Pair is
+	// an index and a scan of a few entries — no hashing on the query
+	// path.
+	pairStart  []int32 // len NumEdges+1
+	pairSecond []graph.EdgeID
+	pairStats  []PairStats
 
 	// FallbackFactor is the global mean ratio of observed mean travel
 	// time to free-flow time, used to synthesise marginals for edges
@@ -82,7 +90,6 @@ func BuildKnowledgeBase(g *graph.Graph, obs *traj.ObservationStore, width float6
 		g:     g,
 		Width: width,
 		edges: make([]EdgeStats, g.NumEdges()),
-		pairs: make(map[traj.PairKey]PairStats, len(obs.Pairs)),
 	}
 
 	// Pass 1: travel-time / free-flow ratio profiles — one per road
@@ -179,8 +186,26 @@ func BuildKnowledgeBase(g *graph.Graph, obs *traj.ObservationStore, width float6
 		}
 	}
 
+	// Pairs with data, grouped by first edge: count each group, turn
+	// the counts into group starts, then fill the groups.
+	withData := func(k traj.PairKey, list []traj.PairObs) bool {
+		return len(list) >= minPairObs && int(k.First) >= 0 && int(k.First) < g.NumEdges()
+	}
+	kb.pairStart = make([]int32, g.NumEdges()+1)
 	for k, list := range obs.Pairs {
-		if len(list) < minPairObs {
+		if withData(k, list) {
+			kb.pairStart[k.First+1]++
+		}
+	}
+	for e := 0; e < g.NumEdges(); e++ {
+		kb.pairStart[e+1] += kb.pairStart[e]
+	}
+	n := kb.pairStart[g.NumEdges()]
+	kb.pairSecond = make([]graph.EdgeID, n)
+	kb.pairStats = make([]PairStats, n)
+	next := append([]int32(nil), kb.pairStart[:g.NumEdges()]...)
+	for k, list := range obs.Pairs {
+		if !withData(k, list) {
 			continue
 		}
 		ps := PairStats{Count: len(list)}
@@ -188,7 +213,9 @@ func BuildKnowledgeBase(g *graph.Graph, obs *traj.ObservationStore, width float6
 			ps.Corr = corr
 		}
 		ps.MI = obs.PairMutualInformation(k, 3)
-		kb.pairs[k] = ps
+		i := next[k.First]
+		next[k.First]++
+		kb.pairSecond[i], kb.pairStats[i] = k.Second, ps
 	}
 	return kb, nil
 }
@@ -202,12 +229,20 @@ func (kb *KnowledgeBase) Edge(e graph.EdgeID) EdgeStats { return kb.edges[e] }
 // Pair returns the statistics of the (first, second) pair and whether the
 // pair has enough data to be in the table.
 func (kb *KnowledgeBase) Pair(first, second graph.EdgeID) (PairStats, bool) {
-	ps, ok := kb.pairs[traj.PairKey{First: first, Second: second}]
-	return ps, ok
+	if int(first) < 0 || int(first) >= len(kb.edges) {
+		return PairStats{}, false
+	}
+	lo, hi := kb.pairStart[first], kb.pairStart[first+1]
+	for i, s := range kb.pairSecond[lo:hi] {
+		if s == second {
+			return kb.pairStats[int(lo)+i], true
+		}
+	}
+	return PairStats{}, false
 }
 
 // NumPairs returns the number of pairs with data.
-func (kb *KnowledgeBase) NumPairs() int { return len(kb.pairs) }
+func (kb *KnowledgeBase) NumPairs() int { return len(kb.pairSecond) }
 
 // MinEdgeTime returns the optimistic (smallest possible) travel time of
 // e known to the model.

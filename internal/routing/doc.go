@@ -11,8 +11,11 @@
 // conditions on the incoming edge, so (vertex, lastEdge) — not vertex
 // alone — is the search state), its travel-time distribution, and a
 // parent link for path reconstruction. Labels are stored in one
-// append-only arena ([]label) and referenced by index; the priority
-// queue orders expansion by optimistic arrival time dist.Min + h(v).
+// append-only slice and referenced by index; the priority queue orders
+// expansion by optimistic arrival time dist.Min + h(v). Labels, queue
+// and dominance frontiers belong to a pooled per-search workspace
+// (workspace.go), so the loop itself allocates nothing once the
+// workspace has grown to the search's size.
 //
 // The kernel relies on the following invariants; anything touching
 // pbr.go must preserve them:
@@ -20,7 +23,7 @@
 //   - Label distributions are immutable once pushed. The search may
 //     read them (CDF, dominance comparisons, cost shifting) any number
 //     of times, but only the extension step creates new distributions.
-//     On the allocation-free path the floats live in a per-search
+//     With a ScratchCoster the floats live in the workspace's
 //     hist.Arena; a label's buffer is recycled ONLY when the label is
 //     provably dead (killed by dominance, evicted from a full
 //     frontier, or pruned before ever being pushed) and nothing else
@@ -50,12 +53,16 @@
 //     between labels whose FUTURE extensions are priced identically —
 //     see the time-expanded rules below. Frontiers are capped at
 //     MaxFrontier entries (weakest upper bound evicted), which bounds
-//     memory but is another source of heuristic incompleteness.
+//     memory but is another source of heuristic incompleteness. One
+//     hist.CompareCDF pass per frontier pair decides both directions.
 //   - Expansion order is deterministic: priorities, tie-breaking and
 //     frontier contents depend only on the inputs, never on wall
-//     clock or map iteration order (the frontier map is keyed lookup
-//     only; its iteration order never influences results). This is
-//     what makes the bit-identical equivalence tests meaningful.
+//     clock or storage layout. A frontier keeps its entries in
+//     arrival order — compacted in place, appended at the end, the
+//     evicted entry replaced by the last — wherever the store puts
+//     them; the table is keyed lookup only. This is what makes the
+//     frozen goldens (testdata/pbr_golden.txt) and the bit-identical
+//     equivalence tests meaningful.
 //
 // # Time-expanded search
 //

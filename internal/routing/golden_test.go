@@ -2,6 +2,7 @@ package routing
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -17,6 +18,7 @@ import (
 	"stochroute/internal/graph"
 	"stochroute/internal/hist"
 	"stochroute/internal/hybrid"
+	"stochroute/internal/israce"
 	"stochroute/internal/netgen"
 	"stochroute/internal/traj"
 )
@@ -295,24 +297,13 @@ func TestPBRGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := readGolden(t)
+	gt := loadGolden(t)
 	f.set.At(1).ResetCounters()
-	if len(want) != len(configs)*len(f.queries) {
-		t.Fatalf("golden table has %d rows, want %d", len(want), len(configs)*len(f.queries))
-	}
-	for ci, cfg := range configs {
-		for qi := range f.queries {
+	for ci := range gt.configs {
+		for qi := 0; qi < len(f.queries); qi += goldenStride() {
 			for _, plain := range []bool{false, true} {
-				c, src, dst, opts, err := f.goldenQuery(cfg, qi, plain)
-				if err != nil {
+				if err := gt.check(ci, qi, plain, pooledSearch); err != nil {
 					t.Fatal(err)
-				}
-				res, err := PBR(f.g, c, src, dst, opts)
-				if err != nil {
-					t.Fatalf("%s query %d plain=%t: %v", cfg.name, qi, plain, err)
-				}
-				if got := goldenRow(cfg, qi, res); got != want[ci*len(f.queries)+qi] {
-					t.Fatalf("plain=%t:\n got  %s\n want %s", plain, got, want[ci*len(f.queries)+qi])
 				}
 			}
 		}
@@ -321,7 +312,124 @@ func TestPBRGolden(t *testing.T) {
 	// half of the cost model outside the goldens.
 	if conv, est := f.set.At(1).DecisionCounts(); conv == 0 || est == 0 {
 		t.Fatalf("fixture decisions convolved=%d estimated=%d: want both", conv, est)
-	} else {
-		t.Logf("slice-1 model decisions: %d convolved, %d estimated", conv, est)
 	}
+}
+
+// goldenStride thins the query axis under the race detector, which
+// slows a search tenfold and has nothing to find in a single-goroutine
+// replay; the plain build checks every row.
+func goldenStride() int {
+	if israce.Enabled {
+		return 4
+	}
+	return 1
+}
+
+// goldenTable is the fixture together with its frozen rows.
+type goldenTable struct {
+	*goldenFixture
+	configs []goldenConfig
+	want    []string
+}
+
+func loadGolden(t testing.TB) *goldenTable {
+	t.Helper()
+	gt := &goldenTable{goldenFixture: goldenSetup(t), configs: goldenConfigs(), want: readGolden(t)}
+	if len(gt.want) != len(gt.configs)*len(gt.queries) {
+		t.Fatalf("golden table has %d rows, want %d", len(gt.want), len(gt.configs)*len(gt.queries))
+	}
+	return gt
+}
+
+type searchFunc func(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, opts Options) (*Result, error)
+
+func pooledSearch(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, opts Options) (*Result, error) {
+	return PBR(g, c, source, dest, opts)
+}
+
+// check answers cell (config ci, query qi) with search and compares
+// the answer with the frozen row.
+func (gt *goldenTable) check(ci, qi int, plain bool, search searchFunc) error {
+	cfg := gt.configs[ci]
+	c, src, dst, opts, err := gt.goldenQuery(cfg, qi, plain)
+	if err != nil {
+		return err
+	}
+	res, err := search(gt.g, c, src, dst, opts)
+	if err != nil {
+		return fmt.Errorf("%s query %d plain=%t: %w", cfg.name, qi, plain, err)
+	}
+	if got, want := goldenRow(cfg, qi, res), gt.want[ci*len(gt.queries)+qi]; got != want {
+		return fmt.Errorf("plain=%t:\n got  %s\n want %s", plain, got, want)
+	}
+	return nil
+}
+
+// TestWorkspaceReuseAcrossSearchShapes runs one workspace through a
+// sequence of searches that differ in everything it retains — frontier
+// cap, slice keying, arena versus heap distributions — and that
+// outgrow its frontier table mid-search. Every answer must match the
+// goldens, and a released workspace must hold no label distribution:
+// on the plain-Coster path those are heap histograms, one of them the
+// caller's Result.Dist, which a pooled workspace must not pin.
+func TestWorkspaceReuseAcrossSearchShapes(t *testing.T) {
+	gt := loadGolden(t)
+	ws := new(workspace)
+	grewMidSearch := false
+	onWorkspace := func(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, opts Options) (*Result, error) {
+		before := len(ws.frontiers.slots)
+		res, err := ws.search(context.Background(), g, c, source, dest, opts)
+		if before > 0 && len(ws.frontiers.slots) > before {
+			grewMidSearch = true
+		}
+		ws.release()
+		for i, lb := range ws.labels[:cap(ws.labels)] {
+			if lb.dist != nil {
+				t.Fatalf("released workspace still references the distribution of label %d", i)
+			}
+		}
+		return res, err
+	}
+	step := 0
+	for qi := 0; qi < len(gt.queries); qi += 2 * goldenStride() {
+		for ci, cfg := range gt.configs {
+			switch strings.TrimPrefix(strings.TrimPrefix(cfg.name, "classic-"), "expanded-") {
+			case "default", "frontier1", "frontier2", "frontier8-alt":
+			default:
+				continue
+			}
+			step++
+			if err := gt.check(ci, qi, step%2 == 0, onWorkspace); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !grewMidSearch {
+		t.Error("no search outgrew the frontier table it inherited; the fixture no longer covers mid-search growth")
+	}
+}
+
+// TestPBRConcurrentSearchesMatchGoldens has several goroutines route
+// at once through PBR, so pooled workspaces change hands between
+// searches of different shapes while the cost models are shared. Every
+// answer must still be the frozen one; run with -race -count=10.
+func TestPBRConcurrentSearchesMatchGoldens(t *testing.T) {
+	gt := loadGolden(t)
+	const workers = 6
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Worker w takes every workers-th cell of a thinned table.
+			for cell := w; cell < len(gt.want); cell += workers * 7 {
+				ci, qi := cell/len(gt.queries), cell%len(gt.queries)
+				if err := gt.check(ci, qi, cell%2 == 1, pooledSearch); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

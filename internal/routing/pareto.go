@@ -68,8 +68,8 @@ func ParetoRoutes(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, 
 		return nil, ErrUnreachable
 	}
 
-	arena := make([]label, 0, 1024)
-	frontiers := make(map[frontierKey][]frontierEntry)
+	var arena []label
+	var frontiers frontierStore
 	var pq pqueue.Heap[int32]
 	var destLabels []int32
 
@@ -110,8 +110,8 @@ func ParetoRoutes(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, 
 			if nd.Min+h[ne.To] > opts.Horizon {
 				continue
 			}
-			key := frontierKey{vertex: ne.To, lastEdge: next}
-			entries := frontiers[key]
+			fs := frontiers.slot(next, 0, maxFrontier)
+			entries := frontiers.entries(fs)
 			dominated := false
 			keep := entries[:0]
 			for _, fe := range entries {
@@ -119,23 +119,24 @@ func ParetoRoutes(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, 
 				if other.dead {
 					continue
 				}
-				if other.dist.DominatesOrEqual(nd) {
+				otherGE, ndGE := hist.CompareCDF(other.dist, nd)
+				if otherGE {
 					dominated = true
 					keep = append(keep, fe)
 					continue
 				}
-				if nd.Dominates(other.dist) {
+				if ndGE {
 					other.dead = true
 					continue
 				}
 				keep = append(keep, fe)
 			}
+			fs.n = int32(len(keep))
 			if dominated || len(keep) >= maxFrontier {
-				frontiers[key] = keep
 				continue
 			}
 			push(ne.To, next, nd, idx)
-			frontiers[key] = append(keep, frontierEntry{labelIdx: int32(len(arena) - 1)})
+			frontiers.push(fs, frontierEntry{labelIdx: int32(len(arena) - 1)}, maxFrontier)
 		}
 	}
 
@@ -170,10 +171,8 @@ func ParetoRoutes(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, 
 	}
 	out := make([]ParetoRoute, 0, len(skyline))
 	for _, idx := range skyline {
-		out = append(out, ParetoRoute{
-			Path: reconstructPath(arena, idx),
-			Dist: arena[idx].dist,
-		})
+		path, _ := reconstruct(arena, idx, false)
+		out = append(out, ParetoRoute{Path: path, Dist: arena[idx].dist})
 	}
 	return out, nil
 }

@@ -5,15 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"stochroute/internal/graph"
 	"stochroute/internal/hist"
 	"stochroute/internal/hybrid"
 	"stochroute/internal/obs"
-	"stochroute/internal/pqueue"
 )
 
 // Options configures one Probabilistic Budget Routing query.
@@ -160,7 +157,8 @@ type Result struct {
 	// ArenaBytes is the retained byte footprint of the pooled search
 	// arena this query ran on (hist.Arena.Bytes measured at release) —
 	// the per-query memory telemetry behind the search_arena_bytes
-	// histogram. 0 when the search took the plain heap path.
+	// histogram. 0 when the coster has no scratch capability, so its
+	// distributions never touched the arena.
 	ArenaBytes int64
 }
 
@@ -181,41 +179,6 @@ type label struct {
 	slice   int32
 }
 
-// scratchPool recycles the per-search cost-kernel scratch (histogram
-// arena + estimator buffers) across queries: a warmed scratch makes
-// the whole label loop allocation-free. Each PBR call takes one
-// scratch for its duration and resets it on the way out, so pooled
-// scratches never serve two searches at once.
-var scratchPool = sync.Pool{New: func() any { return new(hybrid.Scratch) }}
-
-// arenaInUse tracks the retained bytes of every scratch arena currently
-// checked out of scratchPool by an in-flight search. Each search adds
-// its scratch's footprint at checkout and subtracts the same amount at
-// release, so the gauge is exact (never drifts) and growth during a
-// search becomes visible at that arena's next checkout.
-var arenaInUse atomic.Int64
-
-// ArenaBytesInUse reports the total retained bytes of search arenas
-// checked out by in-flight PBR queries — the routing pool's live memory
-// footprint, surfaced as the arena_bytes_inuse gauge and in /stats.
-func ArenaBytesInUse() int64 { return arenaInUse.Load() }
-
-type frontierKey struct {
-	vertex   graph.VertexID
-	lastEdge graph.EdgeID
-	// slice partitions the frontier by the labels' next-extension
-	// slice under time-expanded search: two labels facing different
-	// future cost models are incomparable, so dominance never crosses
-	// a slice boundary. Always 0 for classic searches, which keeps
-	// their frontier grouping — and hence the whole search — unchanged.
-	slice int32
-}
-
-type frontierEntry struct {
-	labelIdx int32
-	ub       float64
-}
-
 // PBR answers a Probabilistic Budget Routing query: among source→dest
 // paths, find one maximising the probability of arriving within
 // opts.Budget, using the cost model c (the hybrid model or a baseline).
@@ -226,13 +189,17 @@ type frontierEntry struct {
 // the current pivot path is returned once the limit expires
 // (Result.Complete = false).
 //
-// When c implements hybrid.ScratchCoster (the hybrid model and the
-// convolution baseline do), the search runs on the allocation-free
-// cost kernel: label distributions live in a pooled per-search
-// hist.Arena, labels proven dead recycle their buffers, and pivot
-// pruning reads shifted CDFs without cloning. The kernel path computes
-// bit-identical results to the plain Coster path — same route, same
-// probability, same telemetry — it only changes where the floats live.
+// Every search runs on a pooled workspace that owns its labels, its
+// priority heap and its dominance frontiers, so a warmed search
+// allocates only what escapes it: the Result, a clone of the pivot's
+// distribution and its path at each pivot improvement. When c
+// implements hybrid.ScratchCoster (the hybrid model and the convolution
+// baseline do), the label distributions live in the workspace's
+// hist.Arena as well — labels proven dead recycle their buffers and
+// pivot pruning reads shifted CDFs without cloning; a plain Coster
+// returns heap histograms instead. Both compute bit-identical results —
+// same route, same probability, same telemetry — the capability only
+// changes where the floats live.
 //
 // When opts.TimeExpanded is set and c implements hybrid.TemporalCoster
 // (the time-sliced ModelSet façade does), every extension re-selects
@@ -257,6 +224,16 @@ func PBR(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, opts Opti
 // a zero-allocation no-op, so this is the function the engine calls
 // unconditionally.
 func PBRCtx(ctx context.Context, g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, opts Options) (*Result, error) {
+	ws := scratchPool.Get().(*workspace)
+	res, err := ws.search(ctx, g, c, source, dest, opts)
+	ws.release()
+	scratchPool.Put(ws)
+	return res, err
+}
+
+// search is one PBR query on this workspace, which must be fresh or
+// released since its previous search.
+func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, opts Options) (*Result, error) {
 	start := time.Now()
 	if opts.Budget <= 0 || math.IsNaN(opts.Budget) {
 		return nil, fmt.Errorf("routing: PBR with invalid budget %v", opts.Budget)
@@ -350,28 +327,24 @@ func PBRCtx(ctx context.Context, g *graph.Graph, c hybrid.Coster, source, dest g
 		return nil, ErrUnreachable
 	}
 
-	// The allocation-free kernel path: when the coster can extend into
-	// caller-owned storage, label distributions live in a pooled
-	// per-search arena and dead labels recycle their buffers. Plain
-	// Costers (baselines, test doubles) take the heap path below. A
-	// time-expanded search needs the combined capability
-	// (hybrid.TemporalScratchCoster, which the ModelSet façade has);
-	// a temporal coster without it falls back to the heap path.
+	// When the coster can extend into caller-owned storage, label
+	// distributions live in the workspace's arena and dead labels
+	// recycle their buffers; plain Costers (baselines, test doubles)
+	// return heap histograms. A time-expanded search needs the combined
+	// capability (hybrid.TemporalScratchCoster, which the ModelSet
+	// façade has); a temporal coster without it gets heap histograms.
 	sc, useScratch := c.(hybrid.ScratchCoster)
 	tsc, haveTSC := c.(hybrid.TemporalScratchCoster)
 	if useTemporal && !haveTSC {
 		useScratch = false
 	}
-	var scratch *hybrid.Scratch
+	scratch := &ws.scratch
 	if useScratch {
-		scratch = scratchPool.Get().(*hybrid.Scratch)
 		checkedOut := scratch.Arena.Bytes()
 		arenaInUse.Add(checkedOut)
 		defer func() {
 			res.ArenaBytes = scratch.Arena.Bytes()
 			arenaInUse.Add(-checkedOut)
-			scratch.Reset()
-			scratchPool.Put(scratch)
 		}()
 	}
 	initialHist := func(e graph.EdgeID) *hist.Hist {
@@ -402,10 +375,6 @@ func PBRCtx(ctx context.Context, g *graph.Graph, c hybrid.Coster, source, dest g
 			scratch.Arena.Recycle(d)
 		}
 	}
-
-	labels := make([]label, 0, 1024)
-	frontiers := make(map[frontierKey][]frontierEntry)
-	var pq pqueue.Heap[int32]
 
 	// Pivot: the most promising complete path found so far (b). Its
 	// distribution escapes the search (Result.Dist), so on the kernel
@@ -463,9 +432,8 @@ func PBRCtx(ctx context.Context, g *graph.Graph, c hybrid.Coster, source, dest g
 	// mean selecting its next extension's slice — both zero for classic
 	// searches — and hv the already-evaluated potential of v.
 	push := func(v graph.VertexID, last graph.EdgeID, d *hist.Hist, parent int32, costSlice int32, elapsed, hv float64) {
-		labels = append(labels, label{vertex: v, lastEdge: last, dist: d, parent: parent, slice: costSlice, elapsed: elapsed})
-		idx := int32(len(labels) - 1)
-		pq.Push(d.Min+hv, idx)
+		ws.labels = append(ws.labels, label{vertex: v, lastEdge: last, dist: d, parent: parent, slice: costSlice, elapsed: elapsed})
+		ws.pq.Push(d.Min+hv, int32(len(ws.labels)-1))
 		res.GeneratedLabels++
 	}
 
@@ -504,9 +472,9 @@ func PBRCtx(ctx context.Context, g *graph.Graph, c hybrid.Coster, source, dest g
 	}
 
 	_, esp := obs.StartSpan(ctx, "expand")
-	for pq.Len() > 0 {
-		idx, prio, _ := pq.Pop()
-		lb := &labels[idx]
+	for ws.pq.Len() > 0 {
+		idx, prio, _ := ws.pq.Pop()
+		lb := &ws.labels[idx]
 		if lb.dead {
 			continue
 		}
@@ -539,17 +507,14 @@ func PBRCtx(ctx context.Context, g *graph.Graph, c hybrid.Coster, source, dest g
 				if useScratch {
 					pivotDist = lb.dist.Clone()
 				}
-				pivotPath = reconstructPath(labels, idx)
-				if useTemporal {
-					pivotSlices = reconstructSlices(labels, idx)
-				}
+				pivotPath, pivotSlices = reconstruct(ws.labels, idx, useTemporal)
 			}
 			// Positive edge times mean re-leaving the destination can
 			// never improve the arrival distribution; do not expand.
 			continue
 		}
 
-		if len(labels) > maxLabels {
+		if len(ws.labels) > maxLabels {
 			err := fmt.Errorf("routing: PBR exceeded %d labels; raise MaxLabels or tighten the budget", maxLabels)
 			esp.SetError(err)
 			esp.End()
@@ -613,21 +578,23 @@ func PBRCtx(ctx context.Context, g *graph.Graph, c hybrid.Coster, source, dest g
 			// on this frontier, but the guard keeps the invariant
 			// explicit).
 			if !opts.DisableDominancePruning {
-				key := frontierKey{vertex: ne.To, lastEdge: next, slice: nextSlice}
-				entries := frontiers[key]
+				fs := ws.frontiers.slot(next, nextSlice, maxFrontier)
+				entries := ws.frontiers.entries(fs)
 				dominated := false
 				keep := entries[:0]
 				for _, fe := range entries {
-					other := &labels[fe.labelIdx]
+					other := &ws.labels[fe.labelIdx]
 					if other.dead {
 						continue
 					}
-					if other.dist.DominatesOrEqual(nd) {
+					// One pass decides both directions.
+					otherGE, ndGE := hist.CompareCDF(other.dist, nd)
+					if otherGE {
 						dominated = true
 						keep = append(keep, fe)
 						continue
 					}
-					if nd.Dominates(other.dist) {
+					if ndGE {
 						other.dead = true
 						if fe.labelIdx != idx {
 							recycle(other.dist)
@@ -638,8 +605,8 @@ func PBRCtx(ctx context.Context, g *graph.Graph, c hybrid.Coster, source, dest g
 					}
 					keep = append(keep, fe)
 				}
+				fs.n = int32(len(keep))
 				if dominated {
-					frontiers[key] = keep
 					res.PrunedDominance++
 					recycle(nd)
 					continue
@@ -653,23 +620,22 @@ func PBRCtx(ctx context.Context, g *graph.Graph, c hybrid.Coster, source, dest g
 						}
 					}
 					if worstUB >= ub {
-						frontiers[key] = keep
 						res.PrunedDominance++
 						recycle(nd)
 						continue
 					}
-					evict := &labels[keep[worst].labelIdx]
+					evict := &ws.labels[keep[worst].labelIdx]
 					evict.dead = true
 					if keep[worst].labelIdx != idx {
 						recycle(evict.dist)
 						evict.dist = nil
 					}
 					keep[worst] = keep[len(keep)-1]
-					keep = keep[:len(keep)-1]
+					fs.n--
 					res.PrunedDominance++
 				}
 				push(ne.To, next, nd, idx, expSlice, newElapsed, hTo)
-				frontiers[key] = append(keep, frontierEntry{labelIdx: int32(len(labels) - 1), ub: ub})
+				ws.frontiers.push(fs, frontierEntry{labelIdx: int32(len(ws.labels) - 1), ub: ub}, maxFrontier)
 			} else {
 				push(ne.To, next, nd, idx, expSlice, newElapsed, hTo)
 			}
@@ -683,7 +649,7 @@ func PBRCtx(ctx context.Context, g *graph.Graph, c hybrid.Coster, source, dest g
 		esp.SetInt("pruned_dominance", int64(res.PrunedDominance))
 		esp.End()
 	}
-	if pq.Len() == 0 {
+	if ws.pq.Len() == 0 {
 		res.Complete = true
 	}
 
@@ -720,28 +686,24 @@ func PBRCtx(ctx context.Context, g *graph.Graph, c hybrid.Coster, source, dest g
 	return res, nil
 }
 
-func reconstructPath(arena []label, idx int32) []graph.EdgeID {
-	var rev []graph.EdgeID
-	for i := idx; i >= 0; i = arena[i].parent {
-		rev = append(rev, arena[i].lastEdge)
+// reconstruct walks the parent chain of label idx once to count it and
+// once to fill the exact-size edge path — and, for a time-expanded
+// search, the slice whose model costed each edge — back to front.
+func reconstruct(labels []label, idx int32, withSlices bool) (path []graph.EdgeID, sliceSeq []int) {
+	n := 0
+	for i := idx; i >= 0; i = labels[i].parent {
+		n++
 	}
-	out := make([]graph.EdgeID, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
+	path = make([]graph.EdgeID, n)
+	if withSlices {
+		sliceSeq = make([]int, n)
 	}
-	return out
-}
-
-// reconstructSlices mirrors reconstructPath for Result.SliceSeq: each
-// label records the slice whose model costed its last edge.
-func reconstructSlices(arena []label, idx int32) []int {
-	var rev []int
-	for i := idx; i >= 0; i = arena[i].parent {
-		rev = append(rev, int(arena[i].slice))
+	for i := idx; i >= 0; i = labels[i].parent {
+		n--
+		path[n] = labels[i].lastEdge
+		if withSlices {
+			sliceSeq[n] = int(labels[i].slice)
+		}
 	}
-	out := make([]int, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
+	return path, sliceSeq
 }
