@@ -556,20 +556,18 @@ func CompareCDF(a, b *Hist) (aGE, bGE bool) {
 	offB := int(math.Round((b.Min - a.Min) / a.Width))
 	aGE, bGE = true, true
 	ca, cb := 0.0, 0.0
+	// Head: at most one of the two loops runs.
 	ia, ib := 0, 0
-	if offB > 0 {
-		for ia = 0; ia < len(pa) && ia < offB; ia++ {
-			ca += pa[ia]
-			if aGE, bGE = cdfStep(ca, cb, aGE, bGE); !aGE && !bGE {
-				return
-			}
+	for ; ia < len(pa) && ia < offB; ia++ {
+		ca += pa[ia]
+		if aGE, bGE = cdfStep(ca, cb, aGE, bGE); !aGE && !bGE {
+			return
 		}
-	} else {
-		for ib = 0; ib < len(pb) && ib < -offB; ib++ {
-			cb += pb[ib]
-			if aGE, bGE = cdfStep(ca, cb, aGE, bGE); !aGE && !bGE {
-				return
-			}
+	}
+	for ; ib < len(pb) && ib < -offB; ib++ {
+		cb += pb[ib]
+		if aGE, bGE = cdfStep(ca, cb, aGE, bGE); !aGE && !bGE {
+			return
 		}
 	}
 	// Disjoint supports leave the earlier histogram consumed and the

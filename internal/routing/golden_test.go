@@ -3,6 +3,7 @@ package routing
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -224,10 +225,7 @@ func goldenRow(cfg goldenConfig, qi int, res *Result) string {
 		h := fnv.New64a()
 		var buf [8]byte
 		for _, p := range res.Dist.P {
-			bits := math.Float64bits(p)
-			for i := range buf {
-				buf[i] = byte(bits >> (8 * i))
-			}
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
 			h.Write(buf[:])
 		}
 		fmt.Fprintf(&b, " min=%016x n=%d p=%016x", math.Float64bits(res.Dist.Min), len(res.Dist.P), h.Sum64())
@@ -278,15 +276,11 @@ func TestPBRGolden(t *testing.T) {
 		var out strings.Builder
 		for _, cfg := range configs {
 			for qi := range f.queries {
-				c, src, dst, opts, err := f.goldenQuery(cfg, qi, false)
+				row, err := f.answer(cfg, qi, false, PBR)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := PBR(f.g, c, src, dst, opts)
-				if err != nil {
-					t.Fatalf("%s query %d: %v", cfg.name, qi, err)
-				}
-				out.WriteString(goldenRow(cfg, qi, res))
+				out.WriteString(row)
 				out.WriteByte('\n')
 			}
 		}
@@ -302,7 +296,7 @@ func TestPBRGolden(t *testing.T) {
 	for ci := range gt.configs {
 		for qi := 0; qi < len(f.queries); qi += goldenStride() {
 			for _, plain := range []bool{false, true} {
-				if err := gt.check(ci, qi, plain, pooledSearch); err != nil {
+				if err := gt.check(ci, qi, plain, PBR); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -341,25 +335,31 @@ func loadGolden(t testing.TB) *goldenTable {
 	return gt
 }
 
+// searchFunc is the signature of PBR; tests substitute a search on a
+// workspace of their own.
 type searchFunc func(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, opts Options) (*Result, error)
 
-func pooledSearch(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, opts Options) (*Result, error) {
-	return PBR(g, c, source, dest, opts)
+// answer runs cell (cfg, query qi) through search and renders the row.
+func (f *goldenFixture) answer(cfg goldenConfig, qi int, plain bool, search searchFunc) (string, error) {
+	c, src, dst, opts, err := f.goldenQuery(cfg, qi, plain)
+	if err != nil {
+		return "", err
+	}
+	res, err := search(f.g, c, src, dst, opts)
+	if err != nil {
+		return "", fmt.Errorf("%s query %d plain=%t: %w", cfg.name, qi, plain, err)
+	}
+	return goldenRow(cfg, qi, res), nil
 }
 
-// check answers cell (config ci, query qi) with search and compares
-// the answer with the frozen row.
+// check compares the answer to cell (config ci, query qi) with the
+// frozen row.
 func (gt *goldenTable) check(ci, qi int, plain bool, search searchFunc) error {
-	cfg := gt.configs[ci]
-	c, src, dst, opts, err := gt.goldenQuery(cfg, qi, plain)
+	got, err := gt.answer(gt.configs[ci], qi, plain, search)
 	if err != nil {
 		return err
 	}
-	res, err := search(gt.g, c, src, dst, opts)
-	if err != nil {
-		return fmt.Errorf("%s query %d plain=%t: %w", cfg.name, qi, plain, err)
-	}
-	if got, want := goldenRow(cfg, qi, res), gt.want[ci*len(gt.queries)+qi]; got != want {
+	if want := gt.want[ci*len(gt.queries)+qi]; got != want {
 		return fmt.Errorf("plain=%t:\n got  %s\n want %s", plain, got, want)
 	}
 	return nil
@@ -424,7 +424,7 @@ func TestPBRConcurrentSearchesMatchGoldens(t *testing.T) {
 			// Worker w takes every workers-th cell of a thinned table.
 			for cell := w; cell < len(gt.want); cell += workers * 7 {
 				ci, qi := cell/len(gt.queries), cell%len(gt.queries)
-				if err := gt.check(ci, qi, cell%2 == 1, pooledSearch); err != nil {
+				if err := gt.check(ci, qi, cell%2 == 1, PBR); err != nil {
 					t.Error(err)
 					return
 				}

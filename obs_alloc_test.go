@@ -3,6 +3,7 @@ package stochroute
 import (
 	"testing"
 
+	"stochroute/internal/israce"
 	"stochroute/internal/obs"
 	"stochroute/internal/routing"
 )
@@ -12,6 +13,9 @@ import (
 // not add a single allocation per query over the uninstrumented path —
 // the telemetry is atomics on pre-registered series, nothing more.
 func TestRouteMetricsZeroExtraAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("under the race detector sync.Pool drops Puts at random; allocation counts of two runs differ by pool refills")
+	}
 	e := testEngine(t)
 	qs, err := e.SampleQueries(0.5, 1.2, 3, 9)
 	if err != nil {
