@@ -2,10 +2,10 @@
 // (exit 1) when any exported identifier in the given packages lacks a
 // doc comment, listing every offender as file:line. CI runs it over
 // the packages whose exported surface is a contract for contributors
-// (internal/traj, internal/routing, internal/hybrid); run it locally
-// the same way:
+// (internal/traj, internal/routing, internal/hybrid, internal/httpsvc);
+// run it locally the same way:
 //
-//	go run ./cmd/doclint internal/traj internal/routing internal/hybrid
+//	go run ./cmd/doclint internal/traj internal/routing internal/hybrid internal/httpsvc
 //
 // The rules mirror `revive`'s exported check, without the dependency:
 //

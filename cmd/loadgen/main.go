@@ -62,7 +62,12 @@
 // /debug/traces and prints the slowest span trees plus an aggregate
 // per-phase time breakdown — where the tail latency actually went,
 // phase by phase, next to the latency quantiles above it. Requires the
-// server to run with -span-sample > 0.
+// server to run with -span-sample > 0. -addr may be a gateway: the
+// gateway and its replicas serve the same /debug/traces shape
+// (internal/httpsvc), the gateway's trees show the proxy hop with the
+// replica it dispatched to, and a replica's tree for the same request
+// carries the same trace_id — fetch it from that replica's
+// /debug/traces?trace_id=... for the search phases.
 package main
 
 import (
@@ -81,6 +86,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"stochroute/internal/httpsvc"
 	"stochroute/internal/obs"
 )
 
@@ -153,7 +159,7 @@ func main() {
 	batch := flag.Int("batch", 0, "POST this many queries per request to /route/batch (0 = single GET /route calls)")
 	departsFlag := flag.String("departs", "", "comma-separated departure sweep (seconds since midnight); reports per-departure p50/p99 and hit rate")
 	expand := flag.Bool("expand", false, "request time-expanded routing (per-edge slice selection; bypasses the route cache)")
-	traces := flag.Int("traces", 0, "force-trace 1 in N requests (sampled traceparent) and print the slowest span trees from /debug/traces after the run (0 disables)")
+	traces := flag.Int("traces", 0, "force-trace 1 in N requests (sampled traceparent) and print the slowest span trees from /debug/traces after the run (0 disables); against a gateway the trees show the proxy hop, and each replica's tree for the same request shares its trace_id")
 	seed := flag.Int64("seed", 1, "workload seed")
 	flag.Parse()
 	if *n <= 0 || *c <= 0 || *numQueries <= 0 {
@@ -303,29 +309,12 @@ func main() {
 	}
 }
 
-// traceSpan / traceEntry mirror the server's /debug/traces rendering
-// (internal/server/traces.go).
-type traceSpan struct {
-	Name       string       `json:"name"`
-	StartMS    float64      `json:"start_ms"`
-	DurationMS float64      `json:"duration_ms"`
-	Error      string       `json:"error"`
-	Children   []*traceSpan `json:"children"`
-}
-
-type traceEntry struct {
-	TraceID    string     `json:"trace_id"`
-	RequestID  string     `json:"request_id"`
-	Endpoint   string     `json:"endpoint"`
-	DurationMS float64    `json:"duration_ms"`
-	Root       *traceSpan `json:"root"`
-}
-
 // reportTraces fetches the span trees the server recorded for this run
 // and prints (a) an aggregate per-phase breakdown — total and mean time
 // per span name across every retained trace, the "where does a request
 // spend its time" table — and (b) the slowest individual trees as
-// waterfalls. Requires serve -span-sample; a 404 just notes that.
+// waterfalls. Requires serve (or gateway) -span-sample; a 404 just
+// notes that.
 func reportTraces(client *http.Client, addr string) {
 	resp, err := client.Get(addr + "/debug/traces?n=256")
 	if err != nil {
@@ -339,12 +328,10 @@ func reportTraces(client *http.Client, addr string) {
 		return
 	}
 	if resp.StatusCode != http.StatusOK {
-		log.Printf("span trees unavailable (/debug/traces: %s; run serve with -span-sample > 0)", resp.Status)
+		log.Printf("span trees unavailable (/debug/traces: %s; run serve / gateway with -span-sample > 0)", resp.Status)
 		return
 	}
-	var tr struct {
-		Traces []traceEntry `json:"traces"`
-	}
+	var tr httpsvc.TracesResponse
 	if err := json.Unmarshal(payload, &tr); err != nil {
 		log.Printf("span trees unavailable (/debug/traces: %v)", err)
 		return
@@ -360,8 +347,8 @@ func reportTraces(client *http.Client, addr string) {
 		total float64
 	}
 	phases := map[string]*phase{}
-	var walk func(s *traceSpan)
-	walk = func(s *traceSpan) {
+	var walk func(s *httpsvc.TraceSpan)
+	walk = func(s *httpsvc.TraceSpan) {
 		if s == nil {
 			return
 		}
@@ -414,11 +401,14 @@ func reportTraces(client *http.Client, addr string) {
 }
 
 // printSpanTree renders one span subtree as an indented waterfall.
-func printSpanTree(s *traceSpan, indent string) {
+func printSpanTree(s *httpsvc.TraceSpan, indent string) {
 	if s == nil {
 		return
 	}
 	line := fmt.Sprintf("%s%-14s +%.3fms %.3fms", indent, s.Name, s.StartMS, s.DurationMS)
+	if rep, ok := s.Attrs["replica"]; ok { // a gateway proxy hop
+		line += fmt.Sprintf(" replica=%v", rep)
+	}
 	if s.Error != "" {
 		line += " ERROR: " + s.Error
 	}

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"stochroute/internal/httpsvc"
 	"stochroute/internal/obs"
 )
 
@@ -84,23 +85,23 @@ func (g *Gateway) handleRouteBatch(w http.ResponseWriter, r *http.Request) error
 	start := time.Now()
 	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBatchBytes+1))
 	if err != nil {
-		return badRequest("read body: %v", err)
+		return httpsvc.BadRequest("read body: %v", err)
 	}
 	if int64(len(body)) > g.cfg.MaxBatchBytes {
-		return &httpError{code: http.StatusRequestEntityTooLarge, msg: "request body too large"}
+		return &httpsvc.Error{Code: http.StatusRequestEntityTooLarge, Msg: "request body too large"}
 	}
 	var req gwBatchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return badRequest("parse body: %v", err)
+		return httpsvc.BadRequest("parse body: %v", err)
 	}
 	if len(req.Queries) == 0 {
-		return badRequest("queries: empty batch")
+		return httpsvc.BadRequest("queries: empty batch")
 	}
 	keys := make([]uint64, len(req.Queries))
 	for i, raw := range req.Queries {
 		var q gwBatchQuery
 		if err := json.Unmarshal(raw, &q); err != nil {
-			return badRequest("queries[%d]: %v", i, err)
+			return httpsvc.BadRequest("queries[%d]: %v", i, err)
 		}
 		keys[i] = KeyForPair(q.Source, q.Dest)
 	}
@@ -122,7 +123,7 @@ func (g *Gateway) handleRouteBatch(w http.ResponseWriter, r *http.Request) error
 		for _, i := range pending {
 			owner := g.ring.OwnerAlive(keys[i], g.routable)
 			if owner < 0 {
-				return &httpError{code: http.StatusServiceUnavailable, msg: "no live replicas"}
+				return &httpsvc.Error{Code: http.StatusServiceUnavailable, Msg: "no live replicas"}
 			}
 			grp := groups[owner]
 			if grp == nil {
@@ -147,7 +148,7 @@ func (g *Gateway) handleRouteBatch(w http.ResponseWriter, r *http.Request) error
 				mu.Lock()
 				defer mu.Unlock()
 				if err != nil {
-					var he *httpError
+					var he *httpsvc.Error
 					if errors.As(err, &he) {
 						if httpErr == nil {
 							httpErr = he
@@ -160,13 +161,13 @@ func (g *Gateway) handleRouteBatch(w http.ResponseWriter, r *http.Request) error
 					// cascade down marks across the fleet.
 					if clientCaused(r.Context(), err) {
 						if httpErr == nil {
-							httpErr = &httpError{code: statusClientClosedRequest, msg: "client closed request"}
+							httpErr = &httpsvc.Error{Code: statusClientClosedRequest, Msg: "client closed request"}
 						}
 						return
 					}
 					if isTimeout(err) {
 						if httpErr == nil {
-							httpErr = &httpError{code: http.StatusGatewayTimeout, msg: fmt.Sprintf("replica %s: %v", grp.rep.id, err)}
+							httpErr = &httpsvc.Error{Code: http.StatusGatewayTimeout, Msg: fmt.Sprintf("replica %s: %v", grp.rep.id, err)}
 						}
 						return
 					}
@@ -188,9 +189,9 @@ func (g *Gateway) handleRouteBatch(w http.ResponseWriter, r *http.Request) error
 		pending = retry
 	}
 	if len(pending) > 0 {
-		return &httpError{code: http.StatusBadGateway, msg: "all replicas failed"}
+		return &httpsvc.Error{Code: http.StatusBadGateway, Msg: "all replicas failed"}
 	}
-	return writeJSON(w, &gwBatchResponse{
+	return httpsvc.WriteJSON(w, &gwBatchResponse{
 		Results:   results,
 		CacheHits: cacheHits,
 		RuntimeMS: float64(time.Since(start).Microseconds()) / 1000.0,
@@ -198,7 +199,7 @@ func (g *Gateway) handleRouteBatch(w http.ResponseWriter, r *http.Request) error
 }
 
 // dispatchBatch posts one sub-batch to its owner. A replica-level HTTP
-// error comes back as *httpError with the replica's status and its
+// error comes back as *httpsvc.Error with the replica's status and its
 // queries[i] indices rewritten to the client's original positions; any
 // other error is a transport failure the caller fails over.
 func (g *Gateway) dispatchBatch(ctx context.Context, grp *batchGroup) (*replicaBatchResponse, error) {
@@ -231,7 +232,7 @@ func (g *Gateway) dispatchBatch(ctx context.Context, grp *batchGroup) (*replicaB
 	if resp.StatusCode != http.StatusOK {
 		msg := readErrorMessage(resp.Body)
 		msg = remapQueryIndices(msg, grp.orig)
-		return nil, &httpError{code: resp.StatusCode, msg: fmt.Sprintf("replica %s: %s", grp.rep.id, msg)}
+		return nil, &httpsvc.Error{Code: resp.StatusCode, Msg: fmt.Sprintf("replica %s: %s", grp.rep.id, msg)}
 	}
 	var sub replicaBatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {

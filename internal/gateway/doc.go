@@ -54,10 +54,23 @@
 // gateway batch answer is bit-identical to the same batch against a
 // single replica.
 //
-// Telemetry reuses internal/obs end to end: per-replica request,
-// error, latency, failover and ingest-delivery series plus
-// gateway_replica_healthy/degraded gauges on /metrics, and traceparent
-// propagation so a sampled gateway trace and the replica's span tree
-// for the same request share one trace ID across /debug/traces on
-// both processes.
+// # HTTP chassis and telemetry
+//
+// Every endpoint is mounted on internal/httpsvc, the chassis the
+// replicas mount too; its package documentation is the one statement
+// of the per-request protocol (method check, X-Request-ID, trace
+// sampling, request accounting, the {"error": "..."} shape, /metrics,
+// /debug/traces). Two things are the gateway's own: an unexpected
+// handler error is a 502, and a relay that dies after the replica's
+// status line is on the wire returns httpsvc.Aborted — counted,
+// logged to Config.LogW, nothing appended to the partial body.
+//
+// On /metrics the gateway adds per-replica request, error, latency,
+// failover and ingest-delivery series plus
+// gateway_replica_healthy/degraded gauges. A sampled request's "proxy"
+// (or "proxy/batch") span carries the replica it was dispatched to and
+// its span ID travels to that replica as the traceparent parent, so
+// /debug/traces on both processes show one trace ID: the gateway's
+// tree names the hop, the replica's tree (parent_span_id = the proxy
+// span) the search under it.
 package gateway

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"stochroute/internal/httpsvc"
 	"stochroute/internal/obs"
 )
 
@@ -134,22 +135,18 @@ type Gateway struct {
 	reps  []*replica
 	index map[string]int // replica ID -> position
 	ring  *Ring
-	mux   *http.ServeMux
+	// svc is the shared HTTP chassis: the mux, the per-request wrapper
+	// protocol, request accounting, /metrics and /debug/traces.
+	svc *httpsvc.Service
 
 	client      *http.Client
 	probeClient *http.Client
 
-	reg    *obs.Registry
-	gm     *obs.GatewayMetrics
-	tracer *obs.Tracer
-	stats  map[string]*endpointMetrics
+	gm *obs.GatewayMetrics
 
-	started   time.Time
-	inflight  atomic.Int64
 	downSince []atomic.Int64 // unix ms of last down transition, 0 = never
 
 	startOnce sync.Once
-	logMu     sync.Mutex
 }
 
 // New assembles a Gateway over the configured fleet. Background work
@@ -164,13 +161,17 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	ids := make([]string, len(cfg.Replicas))
 	g := &Gateway{
-		cfg:       cfg,
-		index:     make(map[string]int, len(cfg.Replicas)),
-		mux:       http.NewServeMux(),
-		reg:       cfg.Metrics,
-		tracer:    cfg.Tracer,
-		stats:     make(map[string]*endpointMetrics),
-		started:   time.Now(),
+		cfg:   cfg,
+		index: make(map[string]int, len(cfg.Replicas)),
+		svc: httpsvc.New(httpsvc.Options{
+			Name:           "gateway",
+			Metrics:        cfg.Metrics,
+			DisableMetrics: cfg.DisableMetrics,
+			Tracer:         cfg.Tracer,
+			// An untyped handler failure is a backend's, not ours.
+			FallbackStatus: http.StatusBadGateway,
+			LogW:           cfg.LogW,
+		}),
 		downSince: make([]atomic.Int64, len(cfg.Replicas)),
 	}
 	for i, rc := range cfg.Replicas {
@@ -194,41 +195,31 @@ func New(cfg Config) (*Gateway, error) {
 		g.client = &http.Client{Timeout: cfg.RequestTimeout}
 	}
 	g.probeClient = &http.Client{Timeout: cfg.ProbeTimeout}
-	g.gm = obs.NewGatewayMetrics(g.reg, ids)
+	g.gm = obs.NewGatewayMetrics(cfg.Metrics, ids)
 	for i := range g.reps {
 		// Optimistic until the first probe round corrects it: Start
 		// probes synchronously before the listener opens.
 		g.gm.SetHealth(i, true, false)
 		rep := g.reps[i]
-		g.reg.GaugeFunc("gateway_ingest_queue_depth",
+		cfg.Metrics.GaugeFunc("gateway_ingest_queue_depth",
 			"Ingest batches waiting in the replica's fan-out queue.",
 			func() float64 { return float64(len(rep.queue)) }, obs.L("replica", rep.id))
-		g.reg.GaugeFunc("gateway_ingest_queue_bytes",
+		cfg.Metrics.GaugeFunc("gateway_ingest_queue_bytes",
 			"Raw-body bytes waiting in the replica's fan-out queue.",
 			func() float64 { return float64(rep.queuedBytes.Load()) }, obs.L("replica", rep.id))
 	}
-	g.reg.GaugeFunc("gateway_replicas",
+	cfg.Metrics.GaugeFunc("gateway_replicas",
 		"Configured fleet size.", func() float64 { return float64(len(g.reps)) })
-	g.reg.GaugeFunc("uptime_seconds", "Seconds since the gateway started.",
-		func() float64 { return time.Since(g.started).Seconds() })
-	g.reg.GaugeFunc("inflight_requests", "Requests currently being served.",
-		func() float64 { return float64(g.inflight.Load()) })
 
-	g.handle("/route", http.MethodGet, g.handleKeyed)
-	g.handle("/route/anytime", http.MethodGet, g.handleKeyed)
-	g.handle("/alternatives", http.MethodGet, g.handleKeyed)
-	g.handle("/pairsum", http.MethodGet, g.handleKeyed)
-	g.handle("/sample", http.MethodGet, g.handleKeyed)
-	g.handle("/route/batch", http.MethodPost, g.handleRouteBatch)
-	g.handle("/ingest", http.MethodPost, g.handleIngest)
-	g.handle("/healthz", http.MethodGet, g.handleHealthz)
-	g.handle("/stats", http.MethodGet, g.handleStats)
-	if !cfg.DisableMetrics {
-		g.handle("/metrics", http.MethodGet, g.handleMetrics)
-	}
-	if g.tracer.Enabled() {
-		g.handle("/debug/traces", http.MethodGet, g.handleDebugTraces)
-	}
+	g.svc.Handle("/route", http.MethodGet, g.handleKeyed)
+	g.svc.Handle("/route/anytime", http.MethodGet, g.handleKeyed)
+	g.svc.Handle("/alternatives", http.MethodGet, g.handleKeyed)
+	g.svc.Handle("/pairsum", http.MethodGet, g.handleKeyed)
+	g.svc.Handle("/sample", http.MethodGet, g.handleKeyed)
+	g.svc.Handle("/route/batch", http.MethodPost, g.handleRouteBatch)
+	g.svc.Handle("/ingest", http.MethodPost, g.handleIngest)
+	g.svc.Handle("/healthz", http.MethodGet, g.handleHealthz)
+	g.svc.Handle("/stats", http.MethodGet, g.handleStats)
 	return g, nil
 }
 
@@ -261,132 +252,13 @@ func (g *Gateway) probeLoop(ctx context.Context) {
 }
 
 // Handler returns the HTTP handler serving the gateway API.
-func (g *Gateway) Handler() http.Handler { return g.mux }
+func (g *Gateway) Handler() http.Handler { return g.svc.Handler() }
 
 // Serve starts the background workers and runs the gateway on addr
 // until ctx is cancelled, then shuts down gracefully.
 func (g *Gateway) Serve(ctx context.Context, addr string) error {
 	g.Start(ctx)
-	hs := &http.Server{
-		Addr:              addr,
-		Handler:           g.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shutdownCtx); err != nil {
-			return err
-		}
-		<-errc
-		return nil
-	}
-}
-
-func (g *Gateway) logf(format string, args ...any) {
-	if g.cfg.LogW == nil {
-		return
-	}
-	g.logMu.Lock()
-	defer g.logMu.Unlock()
-	fmt.Fprintf(g.cfg.LogW, "gateway: "+format+"\n", args...)
-}
-
-// endpointMetrics mirrors internal/server's per-endpoint accounting
-// (same family names, the gateway's own registry) so fleet dashboards
-// read gateway and replica traffic through one set of series names.
-type endpointMetrics struct {
-	requests *obs.Counter
-	errors   *obs.Counter
-	latency  *obs.Histogram
-}
-
-// handle registers an endpoint with request accounting, an X-Request-ID
-// echo, and root-span sampling — the same wrapper protocol
-// internal/server applies, so a request traced at the gateway carries
-// one trace ID across both processes.
-func (g *Gateway) handle(pattern, method string, h func(http.ResponseWriter, *http.Request) error) {
-	l := obs.L("endpoint", pattern)
-	em := &endpointMetrics{
-		requests: g.reg.Counter("http_requests_total", "HTTP requests served, by endpoint.", l),
-		errors:   g.reg.Counter("http_request_errors_total", "HTTP requests answered with an error status, by endpoint.", l),
-		latency:  g.reg.Histogram("http_request_duration_seconds", "Wall-clock request latency, by endpoint.", obs.LatencyBuckets(), l),
-	}
-	g.stats[pattern] = em
-	traceable := pattern != "/debug/traces" && pattern != "/metrics"
-	g.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != method {
-			w.Header().Set("Allow", method)
-			writeError(w, http.StatusMethodNotAllowed, "method not allowed")
-			return
-		}
-		start := time.Now()
-		rid := r.Header.Get("X-Request-ID")
-		if rid == "" {
-			rid = obs.NewRequestID()
-		}
-		w.Header().Set("X-Request-ID", rid)
-		var root *obs.Span
-		if traceable {
-			tp, ok := obs.ParseTraceparent(r.Header.Get("traceparent"))
-			if g.tracer.ShouldSample(ok && tp.Sampled) {
-				var ctx context.Context
-				ctx, root = g.tracer.StartRequest(r.Context(), pattern, rid, tp)
-				r = r.WithContext(ctx)
-				w.Header().Set("Traceparent", obs.FormatTraceparent(root.TraceID(), root.WireID(), true))
-			}
-		}
-		em.requests.Inc()
-		g.inflight.Add(1)
-		defer g.inflight.Add(-1)
-		err := h(w, r)
-		em.latency.Observe(time.Since(start).Seconds())
-		if err != nil {
-			em.errors.Inc()
-			root.SetError(err)
-			var ra *relayAbort
-			var he *httpError
-			switch {
-			case errors.As(err, &ra):
-				// Headers and part of the body are already on the wire;
-				// a JSON error appended now would corrupt both. Log only.
-				g.logf("%s: %v", pattern, ra)
-			case errors.As(err, &he):
-				writeError(w, he.code, he.msg)
-			default:
-				writeError(w, http.StatusBadGateway, err.Error())
-			}
-		}
-		g.tracer.Finish(root)
-	})
-}
-
-// httpError carries a client-visible status through a handler return.
-type httpError struct {
-	code int
-	msg  string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) error {
-	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-func writeJSON(w http.ResponseWriter, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	return json.NewEncoder(w).Encode(v)
+	return httpsvc.Serve(ctx, addr, g.Handler())
 }
 
 // --- consistent-hash routed endpoints --------------------------------
@@ -404,7 +276,7 @@ func routingKey(r *http.Request) (uint64, error) {
 	case "/pairsum":
 		first, second := q.Get("first"), q.Get("second")
 		if first == "" || second == "" {
-			return 0, badRequest("first/second: both edge IDs are required")
+			return 0, httpsvc.BadRequest("first/second: both edge IDs are required")
 		}
 		return KeyForString(first + ">" + second), nil
 	case "/sample":
@@ -419,7 +291,7 @@ func routingKey(r *http.Request) (uint64, error) {
 			dst = q.Get("to")
 		}
 		if src == "" || dst == "" {
-			return 0, badRequest("missing source/from and dest/to")
+			return 0, httpsvc.BadRequest("missing source/from and dest/to")
 		}
 		return KeyForString(src + ">" + dst), nil
 	}
@@ -465,16 +337,16 @@ func (g *Gateway) handleKeyed(w http.ResponseWriter, r *http.Request) error {
 	for attempt := 0; attempt <= len(g.reps); attempt++ {
 		idx := g.ring.OwnerAlive(key, g.routable)
 		if idx < 0 {
-			return &httpError{code: http.StatusServiceUnavailable, msg: "no live replicas"}
+			return &httpsvc.Error{Code: http.StatusServiceUnavailable, Msg: "no live replicas"}
 		}
 		rep := g.reps[idx]
 		resp, err := g.dispatch(ctx, rep, r)
 		if err != nil {
 			if clientCaused(ctx, err) {
-				return &httpError{code: statusClientClosedRequest, msg: "client closed request"}
+				return &httpsvc.Error{Code: statusClientClosedRequest, Msg: "client closed request"}
 			}
 			if isTimeout(err) {
-				return &httpError{code: http.StatusGatewayTimeout, msg: fmt.Sprintf("replica %s: %v", rep.id, err)}
+				return &httpsvc.Error{Code: http.StatusGatewayTimeout, Msg: fmt.Sprintf("replica %s: %v", rep.id, err)}
 			}
 			g.markFailed(rep, err)
 			continue
@@ -485,11 +357,13 @@ func (g *Gateway) handleKeyed(w http.ResponseWriter, r *http.Request) error {
 				// not the replica's error.
 				g.gm.DispatchError(g.index[rep.id])
 			}
-			return &relayAbort{replica: rep.id, err: err}
+			// The status line is already on the wire: count and log,
+			// append nothing (see httpsvc.Aborted).
+			return &httpsvc.Aborted{Err: fmt.Errorf("relay from replica %s aborted mid-body: %w", rep.id, err)}
 		}
 		return nil
 	}
-	return &httpError{code: http.StatusBadGateway, msg: "all replicas failed"}
+	return &httpsvc.Error{Code: http.StatusBadGateway, Msg: "all replicas failed"}
 }
 
 // dispatch forwards one GET to rep, carrying the request identity
@@ -532,21 +406,6 @@ func copyRequestHeaders(dst *http.Request, src *http.Request) {
 		}
 	}
 }
-
-// relayAbort wraps an io.Copy failure after WriteHeader: the status
-// line and headers are already on the wire, so appending a JSON error
-// would corrupt the partial body. The handle wrapper counts and logs
-// it but writes nothing further.
-type relayAbort struct {
-	replica string
-	err     error
-}
-
-func (e *relayAbort) Error() string {
-	return fmt.Sprintf("relay from replica %s aborted mid-body: %v", e.replica, e.err)
-}
-
-func (e *relayAbort) Unwrap() error { return e.err }
 
 // relay copies a replica response to the client, stamping X-Replica
 // with the gateway's identity for the backend when the replica did not
@@ -604,7 +463,7 @@ type gatewayHealth struct {
 func (g *Gateway) fleetHealth() *gatewayHealth {
 	out := &gatewayHealth{
 		Replicas: make([]replicaHealth, len(g.reps)),
-		UptimeS:  time.Since(g.started).Seconds(),
+		UptimeS:  g.svc.Uptime().Seconds(),
 	}
 	for i, rep := range g.reps {
 		st := rep.State()
@@ -645,7 +504,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		return json.NewEncoder(w).Encode(h)
 	}
-	return writeJSON(w, h)
+	return httpsvc.WriteJSON(w, h)
 }
 
 // replicaStatsEntry joins a replica's health view with its counter
@@ -655,27 +514,22 @@ type replicaStatsEntry struct {
 	obs.GatewayReplicaStats
 }
 
-type endpointStatsEntry struct {
-	Requests uint64 `json:"requests"`
-	Errors   uint64 `json:"errors"`
-}
-
 type gatewayStats struct {
-	UptimeS   float64                       `json:"uptime_s"`
-	Inflight  int64                         `json:"inflight"`
-	Status    string                        `json:"status"`
-	Replicas  []replicaStatsEntry           `json:"replicas"`
-	Endpoints map[string]endpointStatsEntry `json:"endpoints"`
+	UptimeS   float64                          `json:"uptime_s"`
+	Inflight  int64                            `json:"inflight"`
+	Status    string                           `json:"status"`
+	Replicas  []replicaStatsEntry              `json:"replicas"`
+	Endpoints map[string]httpsvc.EndpointStats `json:"endpoints"`
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) error {
 	h := g.fleetHealth()
 	out := &gatewayStats{
 		UptimeS:   h.UptimeS,
-		Inflight:  g.inflight.Load(),
+		Inflight:  g.svc.Inflight(),
 		Status:    h.Status,
 		Replicas:  make([]replicaStatsEntry, len(g.reps)),
-		Endpoints: make(map[string]endpointStatsEntry, len(g.stats)),
+		Endpoints: g.svc.EndpointStats(),
 	}
 	for i := range g.reps {
 		out.Replicas[i] = replicaStatsEntry{
@@ -683,23 +537,5 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) error {
 			GatewayReplicaStats: g.gm.ReplicaStats(i),
 		}
 	}
-	for pattern, em := range g.stats {
-		out.Endpoints[pattern] = endpointStatsEntry{
-			Requests: em.requests.Value(),
-			Errors:   em.errors.Value(),
-		}
-	}
-	return writeJSON(w, out)
-}
-
-// handleMetrics serves the gateway registry's Prometheus exposition
-// (OpenMetrics with exemplars under the matching Accept header, like
-// the replicas' /metrics).
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) error {
-	if strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text") {
-		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		return g.reg.WriteOpenMetrics(w)
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	return g.reg.WriteText(w)
+	return httpsvc.WriteJSON(w, out)
 }

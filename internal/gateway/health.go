@@ -86,7 +86,7 @@ func (g *Gateway) setState(rep *replica, next ReplicaState, reason string) {
 	}
 	idx := g.index[rep.id]
 	g.gm.SetHealth(idx, next != StateDown, next == StateDegraded)
-	g.logf("replica %s: %s -> %s (%s)", rep.id, prev, next, reason)
+	g.svc.Logf("replica %s: %s -> %s (%s)", rep.id, prev, next, reason)
 	if next == StateDown {
 		g.downSince[idx].Store(time.Now().UnixMilli())
 	}

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"time"
+
+	"stochroute/internal/httpsvc"
 )
 
 // ingestAck mirrors the replica /ingest response shape so streaming
@@ -46,18 +48,18 @@ type ingestProbe struct {
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxIngestBytes+1))
 	if err != nil {
-		return badRequest("read body: %v", err)
+		return httpsvc.BadRequest("read body: %v", err)
 	}
 	if int64(len(body)) > g.cfg.MaxIngestBytes {
-		return &httpError{code: http.StatusRequestEntityTooLarge, msg: "request body too large"}
+		return &httpsvc.Error{Code: http.StatusRequestEntityTooLarge, Msg: "request body too large"}
 	}
 	var probe ingestProbe
 	dec := json.NewDecoder(bytes.NewReader(body))
 	if err := dec.Decode(&probe); err != nil {
-		return badRequest("parse body: %v", err)
+		return httpsvc.BadRequest("parse body: %v", err)
 	}
 	if len(probe.Trajectories) == 0 {
-		return badRequest("trajectories: empty batch")
+		return httpsvc.BadRequest("trajectories: empty batch")
 	}
 
 	ack := ingestAck{Accepted: len(probe.Trajectories)}
@@ -68,7 +70,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) error {
 		}
 		if !g.enqueueIngest(rep, body) {
 			g.gm.IngestDropped(i)
-			g.logf("replica %s: ingest queue full, batch dropped", rep.id)
+			g.svc.Logf("replica %s: ingest queue full, batch dropped", rep.id)
 			ack.Dropped++
 			continue
 		}
@@ -77,9 +79,9 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	}
 	ack.ModelEpoch = maxEpoch
 	if ack.Enqueued == 0 {
-		return &httpError{code: http.StatusServiceUnavailable, msg: "all replica ingest queues full"}
+		return &httpsvc.Error{Code: http.StatusServiceUnavailable, Msg: "all replica ingest queues full"}
 	}
-	return writeJSON(w, &ack)
+	return httpsvc.WriteJSON(w, &ack)
 }
 
 // enqueueIngest admits one raw body into rep's delivery queue if both
@@ -140,7 +142,7 @@ func (g *Gateway) ingestWorker(ctx context.Context, rep *replica) {
 		}
 		if !delivered {
 			g.gm.IngestDropped(idx)
-			g.logf("replica %s: ingest batch dropped after %d attempts", rep.id, g.cfg.IngestAttempts)
+			g.svc.Logf("replica %s: ingest batch dropped after %d attempts", rep.id, g.cfg.IngestAttempts)
 		}
 	}
 }
@@ -164,7 +166,7 @@ func (g *Gateway) deliverIngest(ctx context.Context, rep *replica, body []byte) 
 		return false
 	}
 	if resp.StatusCode >= 400 {
-		g.logf("replica %s: ingest batch rejected with status %d (not retryable)", rep.id, resp.StatusCode)
+		g.svc.Logf("replica %s: ingest batch rejected with status %d (not retryable)", rep.id, resp.StatusCode)
 	}
 	return true
 }

@@ -6,9 +6,13 @@
 //
 // # API
 //
-// All endpoints return JSON; errors come back as {"error": "..."} with
-// a 4xx/5xx status. Query endpoints are GET and accept either vertex
-// IDs (source=, dest=) or WGS84 coordinates (from=lat,lon, to=lat,lon)
+// Every endpoint is mounted on the HTTP chassis the fleet gateway
+// shares (internal/httpsvc), whose package documentation is the one
+// statement of the per-request protocol: method check, X-Request-ID,
+// X-Replica (Config.ReplicaID), trace sampling, request accounting and
+// the {"error": "..."} failure shape (an unexpected handler error is a
+// 500 here). Query endpoints are GET and accept either vertex IDs
+// (source=, dest=) or WGS84 coordinates (from=lat,lon, to=lat,lon)
 // snapped to the nearest vertex.
 //
 // Temporal routing: the backend's cost model is partitioned into K
@@ -205,9 +209,7 @@
 //   - uptime_seconds, inflight_requests, degraded, arena_bytes_inuse
 //     — scrape-time gauges; degraded mirrors /healthz.
 //
-// Per-query tracing: every request gets an X-Request-ID — the
-// client's own or a minted one — echoed on the response before the
-// handler runs. /route and /route/anytime requests slower than
+// Per-query logging: /route and /route/anytime requests slower than
 // Config.SlowQueryThreshold emit one structured slog line (msg
 // "slow_query", level WARN); Config.TraceSample additionally traces 1
 // in N requests regardless of latency (msg "query_trace", level
@@ -221,18 +223,13 @@
 //
 // # Span tracing and /debug/traces
 //
-// When Config.Tracer is set, the server samples requests into span
-// trees: the handle wrapper opens a root span named after the endpoint
-// pattern, stores it in the request context, and every layer below
-// contributes children via obs.StartSpan — which is a zero-allocation
-// no-op for the unsampled majority, so the hot path is identical with
-// and without a tracer. Sampling is 1-in-N (the tracer's rate) plus
-// every request whose inbound W3C traceparent header has the sampled
-// flag set; /metrics and /debug/traces themselves are never sampled,
-// so scrapes cannot displace request traces from the bounded store.
-// Sampled responses carry a Traceparent header echoing the trace ID
-// and root span, and the trace records the request's X-Request-ID, so
-// client, log line and span tree all join on both identifiers.
+// When Config.Tracer is set, the chassis samples requests into span
+// trees (1-in-N plus every sampled inbound traceparent; see
+// internal/httpsvc) and puts the root span, named after the endpoint
+// pattern, in the request context. Every layer below contributes
+// children via obs.StartSpan — a zero-allocation no-op for the
+// unsampled majority, so the hot path is identical with and without a
+// tracer.
 //
 // Span taxonomy (name — parent — attributes):
 //
@@ -259,11 +256,10 @@
 //     trajectories; children "build-kb", "train", "swap" (epoch). Find
 //     them with /debug/traces?endpoint=rebuild.
 //
-// GET /debug/traces (registered only when tracing is on) returns the
-// most recent trees newest-first as JSON, filterable by n, request_id,
-// trace_id, endpoint, min_ms and errors=true; the store keeps slow
-// (over its threshold) and error traces in a separate annex so they
-// survive the main ring cycling. Exemplars close the metrics↔traces
+// GET /debug/traces is the chassis's (filters and response shape:
+// httpsvc.TracesResponse); the store keeps slow (over its threshold)
+// and error traces in a separate annex so they survive the main ring
+// cycling. Exemplars close the metrics↔traces
 // loop: scraping /metrics with Accept: application/openmetrics-text
 // renders route_latency_seconds buckets annotated with
 // `# {trace_id="..."}`, and that ID resolves via

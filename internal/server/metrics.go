@@ -1,38 +1,12 @@
 package server
 
 import (
-	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"stochroute/internal/obs"
 	"stochroute/internal/routing"
 )
-
-// endpointMetrics is one endpoint's request accounting, backed by the
-// metrics registry so /stats and /metrics read the SAME atomic
-// counters — there is exactly one source of truth per endpoint and
-// every access goes through the registry's accessors.
-type endpointMetrics struct {
-	requests *obs.Counter
-	errors   *obs.Counter
-	latency  *obs.Histogram
-}
-
-// newEndpointMetrics registers (or re-binds, idempotently) the
-// per-endpoint request, error and latency families for pattern.
-func newEndpointMetrics(reg *obs.Registry, pattern string) *endpointMetrics {
-	l := obs.L("endpoint", pattern)
-	return &endpointMetrics{
-		requests: reg.Counter("http_requests_total",
-			"HTTP requests served, by endpoint.", l),
-		errors: reg.Counter("http_request_errors_total",
-			"HTTP requests answered with an error status, by endpoint.", l),
-		latency: reg.Histogram("http_request_duration_seconds",
-			"Wall-clock request latency, by endpoint.", obs.LatencyBuckets(), l),
-	}
-}
 
 // routeLatencyMetrics is the route-serving latency broken down the way
 // a dashboard wants to slice it: per time-of-day slice, cache hit vs
@@ -63,38 +37,13 @@ func newRouteLatencyMetrics(reg *obs.Registry, slices int) *routeLatencyMetrics 
 	return m
 }
 
-// observe records one route request's latency. Out-of-range slices
-// clamp (defensive; the serving path always passes a valid slice).
-func (m *routeLatencyMetrics) observe(slice int, hit, expanded bool, d time.Duration) {
-	if m == nil {
-		return
-	}
-	if slice < 0 {
-		slice = 0
-	}
-	if slice >= len(m.h) {
-		slice = len(m.h) - 1
-	}
-	hi, ei := 0, 0
-	if hit {
-		hi = 1
-	}
-	if expanded {
-		ei = 1
-	}
-	m.h[slice][hi][ei].Observe(d.Seconds())
-}
-
-// observeEx is observe plus an exemplar: when the request was sampled
-// (traceID != ""), the landing bucket remembers the trace ID so a
-// latency spike on /metrics links straight to a span tree in
-// /debug/traces. Unsampled requests ("" trace ID) take the plain
-// allocation-free Observe path.
-func (m *routeLatencyMetrics) observeEx(slice int, hit, expanded bool, d time.Duration, traceID string) {
-	if traceID == "" {
-		m.observe(slice, hit, expanded, d)
-		return
-	}
+// observe records one route request's latency. When the request was
+// sampled (traceID != "") the landing bucket also remembers the trace
+// ID as its exemplar, so a latency spike on /metrics links straight to
+// a span tree in /debug/traces; unsampled requests take the histogram's
+// allocation-free path. Out-of-range slices clamp (defensive; the
+// serving path always passes a valid slice).
+func (m *routeLatencyMetrics) observe(slice int, hit, expanded bool, d time.Duration, traceID string) {
 	if m == nil {
 		return
 	}
@@ -114,20 +63,17 @@ func (m *routeLatencyMetrics) observeEx(slice int, hit, expanded bool, d time.Du
 	m.h[slice][hi][ei].ObserveWithExemplar(d.Seconds(), traceID)
 }
 
-// initMetrics registers the server-level scrape-time series: uptime,
-// in-flight gauge, the two-level epoch series (the global model epoch
-// plus one gauge per slice — a dashboard sees exactly which slice
-// hot-swapped and when), the degraded flag, the routing pool's arena
-// footprint, and the per-slice cache counters, all read lazily at
-// scrape time from the structures that already own the values.
+// initMetrics registers the server-level scrape-time series (uptime
+// and the in-flight gauge are the chassis's): the two-level epoch
+// series (the global model epoch plus one gauge per slice — a
+// dashboard sees exactly which slice hot-swapped and when), the
+// degraded flag, the routing pool's arena footprint, and the per-slice
+// cache counters, all read lazily at scrape time from the structures
+// that already own the values.
 func (s *Server) initMetrics(k int) {
-	reg := s.reg
+	reg := s.cfg.Metrics
 	s.routeLat = newRouteLatencyMetrics(reg, k)
 	s.runtime = obs.RegisterRuntimeMetrics(reg)
-	reg.GaugeFunc("uptime_seconds", "Seconds since the server started.",
-		func() float64 { return time.Since(s.started).Seconds() })
-	reg.GaugeFunc("inflight_requests", "Requests currently being served.",
-		func() float64 { return float64(s.inflight.Load()) })
 	reg.GaugeFunc("model_epoch",
 		"Global model generation: advances on every slice hot swap.",
 		func() float64 { return float64(s.backend.ModelEpoch()) })
@@ -168,23 +114,4 @@ func (s *Server) initMetrics(k int) {
 		registerCache(s.routes[i].Stats, obs.L("cache", "route"), obs.L("slice", slice))
 		registerCache(s.pairs[i].Stats, obs.L("cache", "pair"), obs.L("slice", slice))
 	}
-}
-
-// handleMetrics serves the Prometheus text exposition. Scrapers that
-// Accept application/openmetrics-text get the OpenMetrics rendering,
-// whose histogram buckets carry exemplar trace IDs; everyone else gets
-// the plain 0.0.4 exposition, byte-identical to what PR 6 served.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
-	if strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text") {
-		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		return s.reg.WriteOpenMetrics(w)
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	return s.reg.WriteText(w)
-}
-
-// requestID returns the X-Request-ID the handle wrapper stamped on the
-// response (the client's, or a freshly minted one).
-func requestID(w http.ResponseWriter) string {
-	return w.Header().Get("X-Request-ID")
 }

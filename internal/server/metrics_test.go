@@ -341,25 +341,6 @@ func TestTraceSampleOnCacheHit(t *testing.T) {
 	}
 }
 
-// TestDisableMetrics leaves /metrics unregistered while /stats still
-// reads the registry-backed counters.
-func TestDisableMetrics(t *testing.T) {
-	s := New(newFakeBackend(t), Config{DisableMetrics: true})
-	h := s.Handler()
-	get(t, h, "/route?source=1&dest=2&budget=100")
-	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusNotFound {
-		t.Errorf("/metrics with DisableMetrics: status %d, want 404", rec.Code)
-	}
-	_, stats := get(t, h, "/stats")
-	route := stats["endpoints"].(map[string]any)["/route"].(map[string]any)
-	if route["requests"].(float64) != 1 {
-		t.Errorf("stats counters broken without /metrics: %v", route)
-	}
-}
-
 // kbTarget adapts a fakeBackend into an ingest.Target with a real
 // knowledge base, so the drift monitor has marginals to score against.
 type kbTarget struct {

@@ -2,25 +2,21 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"log/slog"
 	"math"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"stochroute/internal/geo"
 	"stochroute/internal/graph"
 	"stochroute/internal/hist"
+	"stochroute/internal/httpsvc"
 	"stochroute/internal/ingest"
 	"stochroute/internal/netgen"
 	"stochroute/internal/obs"
 	"stochroute/internal/routing"
-	"stochroute/internal/traj"
 )
 
 // Backend is the routing surface the server exposes over HTTP. Its
@@ -176,26 +172,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// routeKey identifies one cacheable routing query.
-type routeKey struct {
-	src, dst graph.VertexID
-	bucket   uint64
-}
-
-// routeEntry is a cached complete route: the chosen path and its full
-// travel-time distribution, from which any budget in the key's bucket
-// recomputes its exact on-time probability, plus the model epoch that
-// computed it (also the entry's cache-validity tag).
-type routeEntry struct {
-	path  []graph.EdgeID
-	dist  *hist.Hist
-	epoch uint64
-}
-
-type pairKey struct {
-	first, second graph.EdgeID
-}
-
 // Server is the concurrent routing service: an http.Handler answering
 // Probabilistic Budget Routing queries over a shared Backend, with
 // per-time-of-day-slice sharded LRU caches for complete route results
@@ -207,26 +183,20 @@ type pairKey struct {
 type Server struct {
 	backend Backend
 	cfg     Config
-	mux     *http.ServeMux
+	// svc is the shared HTTP chassis: the mux, the per-request wrapper
+	// protocol, request accounting, /metrics and /debug/traces.
+	svc *httpsvc.Service
 
 	// routes[s] / pairs[s] cache slice s's results (length
 	// backend.NumSlices()).
 	routes []*ShardedLRU[routeKey, routeEntry]
 	pairs  []*ShardedLRU[pairKey, *hist.Hist]
 
-	started  time.Time
-	inflight atomic.Int64
-	stats    map[string]*endpointMetrics
-
-	// reg backs both /metrics and /stats; trace emits slow-query /
-	// sampled trace lines; routeLat is the pre-registered
-	// route_latency_seconds family; tracer samples span trees into the
-	// /debug/traces store; runtime is the shared Go-runtime sampler
-	// behind the go_* series and /stats.
-	reg      *obs.Registry
+	// trace emits slow-query / sampled trace lines; routeLat is the
+	// pre-registered route_latency_seconds family; runtime is the shared
+	// Go-runtime sampler behind the go_* series and /stats.
 	trace    *obs.TraceLog
 	routeLat *routeLatencyMetrics
-	tracer   *obs.Tracer
 	runtime  *obs.RuntimeStats
 }
 
@@ -257,13 +227,16 @@ func New(backend Backend, cfg Config) *Server {
 	s := &Server{
 		backend: backend,
 		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		routes:  make([]*ShardedLRU[routeKey, routeEntry], k),
-		pairs:   make([]*ShardedLRU[pairKey, *hist.Hist], k),
-		started: time.Now(),
-		stats:   make(map[string]*endpointMetrics),
-		reg:     cfg.Metrics,
-		tracer:  cfg.Tracer,
+		svc: httpsvc.New(httpsvc.Options{
+			Name:           "server",
+			Metrics:        cfg.Metrics,
+			DisableMetrics: cfg.DisableMetrics,
+			Tracer:         cfg.Tracer,
+			FallbackStatus: http.StatusInternalServerError,
+			ReplicaID:      cfg.ReplicaID,
+		}),
+		routes: make([]*ShardedLRU[routeKey, routeEntry], k),
+		pairs:  make([]*ShardedLRU[pairKey, *hist.Hist], k),
 	}
 	for i := 0; i < k; i++ {
 		s.routes[i] = NewShardedLRU[routeKey, routeEntry](cfg.CacheShards, perSliceCapacity(cfg.RouteCache, k))
@@ -277,164 +250,29 @@ func New(backend Backend, cfg Config) *Server {
 		}
 		s.trace = obs.NewTraceLog(logger, cfg.SlowQueryThreshold, cfg.TraceSample)
 	}
-	s.handle("/route", http.MethodGet, s.handleRoute)
-	s.handle("/route/anytime", http.MethodGet, s.handleRouteAnytime)
+	s.svc.Handle("/route", http.MethodGet, s.handleRoute)
+	s.svc.Handle("/route/anytime", http.MethodGet, s.handleRouteAnytime)
 	if cfg.MaxBatch > 0 {
-		s.handle("/route/batch", http.MethodPost, s.handleRouteBatch)
+		s.svc.Handle("/route/batch", http.MethodPost, s.handleRouteBatch)
 	}
-	s.handle("/alternatives", http.MethodGet, s.handleAlternatives)
-	s.handle("/pairsum", http.MethodGet, s.handlePairSum)
-	s.handle("/sample", http.MethodGet, s.handleSample)
-	s.handle("/healthz", http.MethodGet, s.handleHealthz)
-	s.handle("/stats", http.MethodGet, s.handleStats)
+	s.svc.Handle("/alternatives", http.MethodGet, s.handleAlternatives)
+	s.svc.Handle("/pairsum", http.MethodGet, s.handlePairSum)
+	s.svc.Handle("/sample", http.MethodGet, s.handleSample)
+	s.svc.Handle("/healthz", http.MethodGet, s.handleHealthz)
+	s.svc.Handle("/stats", http.MethodGet, s.handleStats)
 	if cfg.Ingestor != nil {
-		s.handle("/ingest", http.MethodPost, s.handleIngest)
-	}
-	if !cfg.DisableMetrics {
-		s.handle("/metrics", http.MethodGet, s.handleMetrics)
-	}
-	if s.tracer.Enabled() {
-		s.handle("/debug/traces", http.MethodGet, s.handleDebugTraces)
+		s.svc.Handle("/ingest", http.MethodPost, s.handleIngest)
 	}
 	return s
 }
 
 // Handler returns the HTTP handler serving the API.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.svc.Handler() }
 
 // Serve runs the API on addr until ctx is cancelled, then shuts down
 // gracefully, draining in-flight requests for up to 5 seconds.
 func (s *Server) Serve(ctx context.Context, addr string) error {
-	hs := &http.Server{
-		Addr:              addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shutdownCtx); err != nil {
-			return err
-		}
-		<-errc // always http.ErrServerClosed after Shutdown
-		return nil
-	}
-}
-
-// handle registers an endpoint with request accounting (counts, errors
-// and a latency histogram in the metrics registry — /stats and
-// /metrics read the same atomics), restricted to one HTTP method.
-// Every request gets an X-Request-ID stamped on the response before the
-// handler runs: the client's own, or a freshly minted one, so a slow
-// query's log line is joinable with the response the client saw.
-//
-// When a tracer is configured, the wrapper is also where sampling
-// happens: a request is traced when the tracer's 1-in-N counter fires
-// or its inbound W3C traceparent carries the sampled flag. A traced
-// request gets a root span in its context (handlers and the backend
-// hang phase spans off it via obs.StartSpan) and a response traceparent
-// header naming our trace so the caller can find it in /debug/traces;
-// unsampled requests skip all of it — no context wrap, no allocation.
-func (s *Server) handle(pattern, method string, h func(http.ResponseWriter, *http.Request) error) {
-	em := newEndpointMetrics(s.reg, pattern)
-	s.stats[pattern] = em
-	// Tracing /debug/traces itself would fill the store with scrape
-	// noise the moment someone looks at it.
-	traceable := pattern != "/debug/traces" && pattern != "/metrics"
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != method {
-			w.Header().Set("Allow", method)
-			writeError(w, http.StatusMethodNotAllowed, "method not allowed")
-			return
-		}
-		start := time.Now()
-		rid := r.Header.Get("X-Request-ID")
-		if rid == "" {
-			rid = obs.NewRequestID()
-		}
-		w.Header().Set("X-Request-ID", rid)
-		if s.cfg.ReplicaID != "" {
-			w.Header().Set("X-Replica", s.cfg.ReplicaID)
-		}
-		var root *obs.Span
-		if traceable {
-			tp, ok := obs.ParseTraceparent(r.Header.Get("traceparent"))
-			if s.tracer.ShouldSample(ok && tp.Sampled) {
-				var ctx context.Context
-				ctx, root = s.tracer.StartRequest(r.Context(), pattern, rid, tp)
-				r = r.WithContext(ctx)
-				w.Header().Set("Traceparent", obs.FormatTraceparent(root.TraceID(), root.WireID(), true))
-			}
-		}
-		em.requests.Inc()
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
-		err := h(w, r)
-		em.latency.Observe(time.Since(start).Seconds())
-		if err != nil {
-			em.errors.Inc()
-			root.SetError(err)
-			var he *httpError
-			if errors.As(err, &he) {
-				writeError(w, he.code, he.msg)
-			} else {
-				writeError(w, http.StatusInternalServerError, err.Error())
-			}
-		}
-		s.tracer.Finish(root)
-	})
-}
-
-// httpError carries a client-visible status code through a handler
-// return.
-type httpError struct {
-	code int
-	msg  string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) error {
-	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-func writeJSON(w http.ResponseWriter, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	return json.NewEncoder(w).Encode(v)
-}
-
-// decodeJSON reads a request body into v with the two hardenings every
-// JSON endpoint gets: the body is wrapped in http.MaxBytesReader so an
-// oversized payload fails fast instead of ballooning memory, and
-// unknown fields are rejected so malformed clients hear about their
-// mistake instead of being silently half-ignored.
-func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return &httpError{code: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
-		}
-		return badRequest("invalid JSON body: %v", err)
-	}
-	if dec.More() {
-		return badRequest("trailing data after JSON body")
-	}
-	return nil
+	return httpsvc.Serve(ctx, addr, s.Handler())
 }
 
 // --- request parsing -------------------------------------------------
@@ -446,30 +284,30 @@ func (s *Server) vertexParam(r *http.Request, idKey, coordKey string) (graph.Ver
 	if raw := r.URL.Query().Get(idKey); raw != "" {
 		id, err := strconv.Atoi(raw)
 		if err != nil {
-			return graph.NoVertex, badRequest("%s: not an integer: %q", idKey, raw)
+			return graph.NoVertex, httpsvc.BadRequest("%s: not an integer: %q", idKey, raw)
 		}
 		if id < 0 || id >= g.NumVertices() {
-			return graph.NoVertex, badRequest("%s: vertex %d out of range [0, %d)", idKey, id, g.NumVertices())
+			return graph.NoVertex, httpsvc.BadRequest("%s: vertex %d out of range [0, %d)", idKey, id, g.NumVertices())
 		}
 		return graph.VertexID(id), nil
 	}
 	if raw := r.URL.Query().Get(coordKey); raw != "" {
 		parts := strings.Split(raw, ",")
 		if len(parts) != 2 {
-			return graph.NoVertex, badRequest("%s: want lat,lon, got %q", coordKey, raw)
+			return graph.NoVertex, httpsvc.BadRequest("%s: want lat,lon, got %q", coordKey, raw)
 		}
 		lat, err1 := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
 		lon, err2 := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
 		if err1 != nil || err2 != nil || !(geo.Point{Lat: lat, Lon: lon}).Valid() {
-			return graph.NoVertex, badRequest("%s: invalid coordinate %q", coordKey, raw)
+			return graph.NoVertex, httpsvc.BadRequest("%s: invalid coordinate %q", coordKey, raw)
 		}
 		v := s.backend.NearestVertex(lat, lon)
 		if v == graph.NoVertex {
-			return graph.NoVertex, badRequest("%s: no vertex near %q", coordKey, raw)
+			return graph.NoVertex, httpsvc.BadRequest("%s: no vertex near %q", coordKey, raw)
 		}
 		return v, nil
 	}
-	return graph.NoVertex, badRequest("missing %s (vertex ID) or %s (lat,lon)", idKey, coordKey)
+	return graph.NoVertex, httpsvc.BadRequest("missing %s (vertex ID) or %s (lat,lon)", idKey, coordKey)
 }
 
 func (s *Server) endpointsParam(r *http.Request) (src, dst graph.VertexID, err error) {
@@ -480,49 +318,13 @@ func (s *Server) endpointsParam(r *http.Request) (src, dst graph.VertexID, err e
 	return
 }
 
-func floatParam(r *http.Request, key string, def float64) (float64, error) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, badRequest("%s: not a finite number: %q", key, raw)
-	}
-	return v, nil
-}
-
-func intParam(r *http.Request, key string, def int) (int, error) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, badRequest("%s: not an integer: %q", key, raw)
-	}
-	return v, nil
-}
-
-func boolParam(r *http.Request, key string, def bool) (bool, error) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseBool(raw)
-	if err != nil {
-		return false, badRequest("%s: not a boolean: %q", key, raw)
-	}
-	return v, nil
-}
-
 func (s *Server) budgetParam(r *http.Request) (float64, error) {
-	budget, err := floatParam(r, "budget", 0)
+	budget, err := httpsvc.FloatParam(r, "budget", 0)
 	if err != nil {
 		return 0, err
 	}
 	if budget <= 0 {
-		return 0, badRequest("budget: must be a positive number of seconds")
+		return 0, httpsvc.BadRequest("budget: must be a positive number of seconds")
 	}
 	return budget, nil
 }
@@ -532,12 +334,12 @@ func (s *Server) budgetParam(r *http.Request) (float64, error) {
 // time-homogeneous behaviour). Values beyond one day wrap; negatives
 // are rejected.
 func (s *Server) departParam(r *http.Request) (float64, error) {
-	depart, err := floatParam(r, "depart", 0)
+	depart, err := httpsvc.FloatParam(r, "depart", 0)
 	if err != nil {
 		return 0, err
 	}
 	if depart < 0 {
-		return 0, badRequest("depart: must be a non-negative number of seconds since midnight")
+		return 0, httpsvc.BadRequest("depart: must be a non-negative number of seconds since midnight")
 	}
 	return depart, nil
 }
@@ -547,860 +349,6 @@ func (s *Server) bucketOf(budget float64) uint64 {
 		return uint64(budget / s.cfg.BudgetBucketSeconds)
 	}
 	return math.Float64bits(budget)
-}
-
-// --- route endpoints -------------------------------------------------
-
-// routeResponse is the JSON answer of /route and /route/anytime.
-type routeResponse struct {
-	Source graph.VertexID `json:"source"`
-	Dest   graph.VertexID `json:"dest"`
-	Budget float64        `json:"budget_s"`
-	// Depart echoes the requested departure (seconds since midnight)
-	// and Slice the time-of-day slice whose cost model answered (the
-	// departure slice for a time-expanded answer).
-	Depart float64 `json:"depart_s,omitempty"`
-	Slice  int     `json:"slice,omitempty"`
-	// TimeExpanded marks an answer computed with per-extension slice
-	// lookup; SliceSeq is then the per-edge slice sequence of the
-	// returned path (slice_seq[i] costed path[i]).
-	TimeExpanded    bool           `json:"time_expanded,omitempty"`
-	SliceSeq        []int          `json:"slice_seq,omitempty"`
-	Found           bool           `json:"found"`
-	Complete        bool           `json:"complete"`
-	Prob            float64        `json:"prob"`
-	MeanSeconds     float64        `json:"mean_s,omitempty"`
-	Path            []graph.EdgeID `json:"path,omitempty"`
-	Expansions      int            `json:"expansions,omitempty"`
-	GeneratedLabels int            `json:"generated_labels,omitempty"`
-	Convolved       int            `json:"convolved,omitempty"`
-	Estimated       int            `json:"estimated,omitempty"`
-	// ModelEpoch is the model generation that computed the answer, so
-	// clients can correlate responses with hot swaps.
-	ModelEpoch uint64  `json:"model_epoch"`
-	RuntimeMS  float64 `json:"runtime_ms"`
-	Cached     bool    `json:"cached"`
-}
-
-func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) error {
-	return s.routeCommon(w, r, 0)
-}
-
-func (s *Server) handleRouteAnytime(w http.ResponseWriter, r *http.Request) error {
-	limitMS, err := intParam(r, "limit_ms", 1000)
-	if err != nil {
-		return err
-	}
-	if limitMS <= 0 {
-		return badRequest("limit_ms: must be positive")
-	}
-	limit := time.Duration(limitMS) * time.Millisecond
-	if limit > s.cfg.RequestTimeout {
-		limit = s.cfg.RequestTimeout
-	}
-	return s.routeCommon(w, r, limit)
-}
-
-// routeCommon answers a budget-routing query; limit > 0 marks an
-// anytime request. The departure parameter selects the time-of-day
-// slice (and thus the per-slice cache and cost model) before anything
-// else happens. Cache protocol: complete found results are stored in
-// the slice's cache under (source, dest, budget bucket) holding the
-// path and its full distribution; a hit — including for anytime
-// requests, since a proven optimum is at least as good as any cutoff
-// search — recomputes the exact probability for the request's budget
-// from the cached distribution. Incomplete (cut-off) results are never
-// stored.
-//
-// Hot-swap protocol: the slice cache's validity epoch is advanced to
-// that slice's serving epoch at every request, and entries are tagged
-// with the slice epoch of the model that computed them
-// (RouteResult.ModelEpoch — the search may already run on a newer
-// model than the one observed at request start). A hit therefore
-// always carries the current slice generation's answer: once a swap of
-// *this* slice bumps its epoch, every pre-swap entry is invalid and
-// the next request recomputes — while the other slices' caches stay
-// warm.
-//
-// time_expanded=true requests bypass the cache in both directions: a
-// time-expanded answer varies continuously with the exact departure
-// (the point where the trip crosses a slice boundary moves with it),
-// so slice-keyed entries would conflate genuinely different answers —
-// and the answer may consult several slices' models, so it could only
-// be validated against the global epoch, not the slice epoch the cache
-// uses. Time-expanded responses therefore always recompute and report
-// cached=false.
-func (s *Server) routeCommon(w http.ResponseWriter, r *http.Request, limit time.Duration) error {
-	start := time.Now()
-	src, dst, err := s.endpointsParam(r)
-	if err != nil {
-		return err
-	}
-	budget, err := s.budgetParam(r)
-	if err != nil {
-		return err
-	}
-	depart, err := s.departParam(r)
-	if err != nil {
-		return err
-	}
-	expanded, err := boolParam(r, "time_expanded", false)
-	if err != nil {
-		return err
-	}
-
-	endpoint := "/route"
-	if limit > 0 {
-		endpoint = "/route/anytime"
-	}
-	// ctx carries the request's root span when this request was sampled
-	// (see handle); traceID doubles as the sampling flag — "" means
-	// every span call below is a free no-op.
-	ctx := r.Context()
-	traceID := obs.SpanFromContext(ctx).TraceID()
-
-	_, ssp := obs.StartSpan(ctx, "slice-select")
-	slice := s.backend.SliceOf(depart)
-	epoch := s.backend.SliceEpoch(slice)
-	if expanded {
-		epoch = s.backend.ModelEpoch()
-	}
-	cache := s.routes[slice]
-	cache.AdvanceEpoch(s.backend.SliceEpoch(slice))
-	if ssp != nil {
-		ssp.SetInt("slice", int64(slice))
-		ssp.SetInt("epoch", int64(epoch))
-		ssp.SetBool("time_expanded", expanded)
-		ssp.End()
-	}
-
-	_, csp := obs.StartSpan(ctx, "cache-lookup")
-	if !expanded {
-		key := routeKey{src: src, dst: dst, bucket: s.bucketOf(budget)}
-		if entry, ok := cache.Get(key); ok {
-			csp.SetBool("hit", true)
-			csp.End()
-			w.Header().Set("X-Cache", "hit")
-			lat := time.Since(start)
-			s.routeLat.observeEx(slice, true, false, lat, traceID)
-			s.trace.Record(&obs.QueryTrace{
-				RequestID: requestID(w),
-				Endpoint:  endpoint,
-				Source:    int64(src),
-				Dest:      int64(dst),
-				BudgetS:   budget,
-				DepartS:   depart,
-				Slice:     slice,
-				Epoch:     entry.epoch,
-				CacheHit:  true,
-				Found:     true,
-				Complete:  true,
-				Prob:      entry.dist.CDF(budget),
-				Latency:   lat,
-			})
-			_, esp := obs.StartSpan(ctx, "encode")
-			encErr := writeJSON(w, &routeResponse{
-				Source:      src,
-				Dest:        dst,
-				Budget:      budget,
-				Depart:      depart,
-				Slice:       slice,
-				Found:       true,
-				Complete:    true,
-				Prob:        entry.dist.CDF(budget),
-				MeanSeconds: entry.dist.Mean(),
-				Path:        entry.path,
-				ModelEpoch:  entry.epoch,
-				RuntimeMS:   msSince(start),
-				Cached:      true,
-			})
-			esp.End()
-			return encErr
-		}
-	}
-	if csp != nil {
-		csp.SetBool("hit", false)
-		csp.SetBool("bypass", expanded) // time-expanded: cache not consulted
-		csp.End()
-	}
-	w.Header().Set("X-Cache", "miss")
-
-	opts := routing.Options{Budget: budget, Departure: depart, TimeExpanded: expanded, MaxDuration: s.cfg.RequestTimeout}
-	if limit > 0 {
-		opts.MaxDuration = limit
-	}
-	res, err := s.backend.RouteCtx(ctx, src, dst, opts)
-	if errors.Is(err, routing.ErrUnreachable) {
-		return writeJSON(w, &routeResponse{
-			Source: src, Dest: dst, Budget: budget, Depart: depart, Slice: slice,
-			TimeExpanded: expanded,
-			Complete:     true, ModelEpoch: epoch, RuntimeMS: msSince(start),
-		})
-	}
-	if err != nil {
-		return err
-	}
-	if !expanded && res.Found && res.Complete {
-		key := routeKey{src: src, dst: dst, bucket: s.bucketOf(budget)}
-		cache.PutAt(key, routeEntry{path: res.Path, dist: res.Dist, epoch: res.ModelEpoch}, res.ModelEpoch)
-	}
-	lat := time.Since(start)
-	s.routeLat.observeEx(res.Slice, false, expanded, lat, traceID)
-	s.trace.Record(&obs.QueryTrace{
-		RequestID:       requestID(w),
-		Endpoint:        endpoint,
-		Source:          int64(src),
-		Dest:            int64(dst),
-		BudgetS:         budget,
-		DepartS:         depart,
-		Slice:           res.Slice,
-		Epoch:           res.ModelEpoch,
-		TimeExpanded:    expanded,
-		Found:           res.Found,
-		Complete:        res.Complete,
-		Prob:            res.Prob,
-		Expansions:      res.Expansions,
-		GeneratedLabels: res.GeneratedLabels,
-		PrunedPotential: res.PrunedPotential,
-		PrunedPivot:     res.PrunedPivot,
-		PrunedDominance: res.PrunedDominance,
-		Convolved:       res.NumConvolved,
-		Estimated:       res.NumEstimated,
-		ArenaBytes:      res.ArenaBytes,
-		Latency:         lat,
-	})
-	out := &routeResponse{
-		Source:          src,
-		Dest:            dst,
-		Budget:          budget,
-		Depart:          depart,
-		Slice:           res.Slice,
-		TimeExpanded:    expanded,
-		SliceSeq:        res.SliceSeq,
-		Found:           res.Found,
-		Complete:        res.Complete,
-		Prob:            res.Prob,
-		Path:            res.Path,
-		Expansions:      res.Expansions,
-		GeneratedLabels: res.GeneratedLabels,
-		Convolved:       res.NumConvolved,
-		Estimated:       res.NumEstimated,
-		ModelEpoch:      res.ModelEpoch,
-		RuntimeMS:       msSince(start),
-	}
-	if res.Dist != nil {
-		out.MeanSeconds = res.Dist.Mean()
-	}
-	_, esp := obs.StartSpan(ctx, "encode")
-	encErr := writeJSON(w, out)
-	esp.End()
-	return encErr
-}
-
-// --- batched routing -------------------------------------------------
-
-// batchQueryRequest is one query of a POST /route/batch body. Endpoints
-// are vertex IDs; clients resolving coordinates use /route's from/to
-// form or snap once via /sample. Depart (seconds since midnight,
-// optional, default 0) selects the per-query time-of-day slice, so one
-// batch can mix peak and off-peak queries; TimeExpanded (optional)
-// switches that item to per-extension slice lookup, exactly like
-// /route's time_expanded parameter.
-type batchQueryRequest struct {
-	Source       int     `json:"source"`
-	Dest         int     `json:"dest"`
-	Budget       float64 `json:"budget_s"`
-	Depart       float64 `json:"depart_s"`
-	TimeExpanded bool    `json:"time_expanded"`
-}
-
-type batchRequest struct {
-	Queries []batchQueryRequest `json:"queries"`
-}
-
-// batchItemResponse is one per-query answer: the same shape as /route
-// plus an error string for queries that individually failed (the batch
-// as a whole still succeeds).
-type batchItemResponse struct {
-	routeResponse
-	Error string `json:"error,omitempty"`
-}
-
-type batchResponse struct {
-	Results   []batchItemResponse `json:"results"`
-	CacheHits int                 `json:"cache_hits"`
-	RuntimeMS float64             `json:"runtime_ms"`
-}
-
-// handleRouteBatch answers many budget-routing queries in one request.
-// The body is hardened like every JSON endpoint (size cap, unknown
-// fields rejected) and fully validated up front — a malformed query
-// fails the whole batch with a 400 naming its index, exactly as the
-// same query would have failed /route.
-//
-// Cache protocol per item: the item's departure selects its
-// time-of-day slice, and that slice's route cache is consulted under
-// the same epoch-validated (source, dest, budget bucket) key /route
-// uses; hits recompute the exact probability for the item's budget,
-// and only the misses are handed to the backend — which answers them
-// against one model snapshot on a bounded worker pool. Complete found
-// results are stored back, so mixed hot/cold batches warm the cache
-// for /route and vice versa.
-//
-// The whole batch shares ONE deadline (RequestTimeout from request
-// start) and the request context: however many queries a batch packs,
-// it can never pin the worker pool longer than a single slow /route
-// call, and a client that disconnects stops the batch at the next
-// query boundary.
-func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) error {
-	start := time.Now()
-	var req batchRequest
-	if err := decodeJSON(w, r, s.cfg.MaxBatchBytes, &req); err != nil {
-		return err
-	}
-	if len(req.Queries) == 0 {
-		return badRequest("queries: empty batch")
-	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		return badRequest("queries: batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch)
-	}
-	// Whole-batch validation: a malformed query 400s the entire batch,
-	// so the error names BOTH the offending index and the offending
-	// field (queries[i].<field>) — a client replaying thousands of
-	// items must be able to find the bad value without bisecting.
-	g := s.backend.Graph()
-	for i, q := range req.Queries {
-		if q.Source < 0 || q.Source >= g.NumVertices() {
-			return badRequest("queries[%d].source: vertex %d out of range [0, %d)", i, q.Source, g.NumVertices())
-		}
-		if q.Dest < 0 || q.Dest >= g.NumVertices() {
-			return badRequest("queries[%d].dest: vertex %d out of range [0, %d)", i, q.Dest, g.NumVertices())
-		}
-		if q.Budget <= 0 || math.IsNaN(q.Budget) || math.IsInf(q.Budget, 0) {
-			return badRequest("queries[%d].budget_s: must be a positive number of seconds, got %v", i, q.Budget)
-		}
-		if q.Depart < 0 || math.IsNaN(q.Depart) || math.IsInf(q.Depart, 0) {
-			return badRequest("queries[%d].depart_s: must be a non-negative number of seconds since midnight, got %v", i, q.Depart)
-		}
-	}
-
-	// Advance every slice cache touched by the batch to its slice's
-	// serving epoch once, up front.
-	touched := make(map[int]bool)
-	for _, q := range req.Queries {
-		touched[s.backend.SliceOf(q.Depart)] = true
-	}
-	for slice := range touched {
-		s.routes[slice].AdvanceEpoch(s.backend.SliceEpoch(slice))
-	}
-
-	// The batch's trace context: every item hangs its own child span off
-	// the one root (cache hits spanned here, misses spanned by the
-	// backend's executor), and every per-item latency observation below
-	// carries the batch's trace as its exemplar — so one request ID and
-	// one trace cover the whole batch, with per-item resolution inside.
-	ctx := r.Context()
-	traceID := obs.SpanFromContext(ctx).TraceID()
-
-	out := &batchResponse{Results: make([]batchItemResponse, len(req.Queries))}
-	var misses []routing.BatchQuery
-	var missIdx []int
-	for i, q := range req.Queries {
-		itemStart := time.Now()
-		src, dst := graph.VertexID(q.Source), graph.VertexID(q.Dest)
-		slice := s.backend.SliceOf(q.Depart)
-		resp := &out.Results[i].routeResponse
-		resp.Source, resp.Dest, resp.Budget = src, dst, q.Budget
-		resp.Depart, resp.Slice = q.Depart, slice
-		resp.TimeExpanded = q.TimeExpanded
-		// Time-expanded items bypass the cache both ways, for the same
-		// reasons /route does (see routeCommon).
-		if !q.TimeExpanded {
-			key := routeKey{src: src, dst: dst, bucket: s.bucketOf(q.Budget)}
-			if entry, ok := s.routes[slice].Get(key); ok {
-				resp.Found = true
-				resp.Complete = true
-				resp.Prob = entry.dist.CDF(q.Budget)
-				resp.MeanSeconds = entry.dist.Mean()
-				resp.Path = entry.path
-				resp.ModelEpoch = entry.epoch
-				resp.Cached = true
-				out.CacheHits++
-				if _, hitSpan := obs.StartSpan(ctx, "batch-item"); hitSpan != nil {
-					hitSpan.SetInt("index", int64(i))
-					hitSpan.SetInt("source", int64(q.Source))
-					hitSpan.SetInt("dest", int64(q.Dest))
-					hitSpan.SetBool("cached", true)
-					hitSpan.End()
-				}
-				s.routeLat.observeEx(slice, true, false, time.Since(itemStart), traceID)
-				continue
-			}
-		}
-		misses = append(misses, routing.BatchQuery{
-			Source: src,
-			Dest:   dst,
-			Opts: routing.Options{Budget: q.Budget, Departure: q.Depart, TimeExpanded: q.TimeExpanded,
-				Deadline: start.Add(s.cfg.RequestTimeout)},
-		})
-		missIdx = append(missIdx, i)
-	}
-
-	items := s.backend.RouteBatch(ctx, misses, s.cfg.BatchWorkers)
-	for k, item := range items {
-		i := missIdx[k]
-		q := misses[k]
-		resp := &out.Results[i].routeResponse
-		// Per-item latency: the executor timed each miss individually
-		// (BatchItem.Elapsed), so batch items land in the same
-		// route_latency_seconds series as /route requests — tagged with
-		// the batch's trace exemplar. Items the executor never started
-		// (context cancelled) have no latency to report.
-		if item.Elapsed > 0 {
-			itemSlice := resp.Slice
-			if item.Result != nil {
-				itemSlice = item.Result.Slice
-			}
-			s.routeLat.observeEx(itemSlice, false, q.Opts.TimeExpanded, item.Elapsed, traceID)
-		}
-		switch {
-		case errors.Is(item.Err, routing.ErrUnreachable):
-			resp.Complete = true
-			resp.ModelEpoch = item.Epoch
-		case item.Err != nil:
-			out.Results[i].Error = item.Err.Error()
-			resp.ModelEpoch = item.Epoch
-		default:
-			res := item.Result
-			if !q.Opts.TimeExpanded && res.Found && res.Complete {
-				key := routeKey{src: q.Source, dst: q.Dest, bucket: s.bucketOf(q.Opts.Budget)}
-				s.routes[res.Slice].PutAt(key, routeEntry{path: res.Path, dist: res.Dist, epoch: res.ModelEpoch}, res.ModelEpoch)
-			}
-			resp.Slice = res.Slice
-			resp.SliceSeq = res.SliceSeq
-			resp.Found = res.Found
-			resp.Complete = res.Complete
-			resp.Prob = res.Prob
-			resp.Path = res.Path
-			resp.Expansions = res.Expansions
-			resp.GeneratedLabels = res.GeneratedLabels
-			resp.Convolved = res.NumConvolved
-			resp.Estimated = res.NumEstimated
-			resp.ModelEpoch = res.ModelEpoch
-			if res.Dist != nil {
-				resp.MeanSeconds = res.Dist.Mean()
-			}
-		}
-	}
-	out.RuntimeMS = msSince(start)
-	return writeJSON(w, out)
-}
-
-// --- alternatives ----------------------------------------------------
-
-type alternativeResponse struct {
-	Path        []graph.EdgeID `json:"path"`
-	MeanSeconds float64        `json:"mean_s"`
-	MinSeconds  float64        `json:"min_s"`
-	Prob        float64        `json:"prob,omitempty"`
-}
-
-type alternativesResponse struct {
-	Source    graph.VertexID        `json:"source"`
-	Dest      graph.VertexID        `json:"dest"`
-	Horizon   float64               `json:"horizon_s"`
-	Routes    []alternativeResponse `json:"routes"`
-	RuntimeMS float64               `json:"runtime_ms"`
-}
-
-func (s *Server) handleAlternatives(w http.ResponseWriter, r *http.Request) error {
-	start := time.Now()
-	src, dst, err := s.endpointsParam(r)
-	if err != nil {
-		return err
-	}
-	horizon, err := floatParam(r, "horizon", 0)
-	if err != nil {
-		return err
-	}
-	if horizon <= 0 {
-		return badRequest("horizon: must be a positive number of seconds")
-	}
-	maxRoutes, err := intParam(r, "max", 8)
-	if err != nil {
-		return err
-	}
-	if maxRoutes <= 0 || maxRoutes > s.cfg.MaxAlternatives {
-		return badRequest("max: must be in [1, %d]", s.cfg.MaxAlternatives)
-	}
-	// budget is optional: when present each skyline member also reports
-	// its on-time probability at that budget.
-	budget, err := floatParam(r, "budget", 0)
-	if err != nil {
-		return err
-	}
-	routes, err := s.backend.AlternativeRoutes(src, dst, horizon, maxRoutes)
-	if errors.Is(err, routing.ErrUnreachable) {
-		return writeJSON(w, &alternativesResponse{
-			Source: src, Dest: dst, Horizon: horizon,
-			Routes: []alternativeResponse{}, RuntimeMS: msSince(start),
-		})
-	}
-	if err != nil {
-		return err
-	}
-	out := &alternativesResponse{
-		Source:  src,
-		Dest:    dst,
-		Horizon: horizon,
-		Routes:  make([]alternativeResponse, 0, len(routes)),
-	}
-	for _, rt := range routes {
-		ar := alternativeResponse{
-			Path:        rt.Path,
-			MeanSeconds: rt.Dist.Mean(),
-			MinSeconds:  rt.Dist.Min,
-		}
-		if budget > 0 {
-			ar.Prob = rt.Dist.CDF(budget)
-		}
-		out.Routes = append(out.Routes, ar)
-	}
-	out.RuntimeMS = msSince(start)
-	return writeJSON(w, out)
-}
-
-// --- pair sums -------------------------------------------------------
-
-type pairSumResponse struct {
-	First       graph.EdgeID `json:"first"`
-	Second      graph.EdgeID `json:"second"`
-	Depart      float64      `json:"depart_s,omitempty"`
-	Slice       int          `json:"slice,omitempty"`
-	Min         float64      `json:"min_s"`
-	Width       float64      `json:"width_s"`
-	P           []float64    `json:"p"`
-	MeanSeconds float64      `json:"mean_s"`
-	Cached      bool         `json:"cached"`
-}
-
-func (s *Server) handlePairSum(w http.ResponseWriter, r *http.Request) error {
-	g := s.backend.Graph()
-	first, err := intParam(r, "first", -1)
-	if err != nil {
-		return err
-	}
-	second, err := intParam(r, "second", -1)
-	if err != nil {
-		return err
-	}
-	if first < 0 || first >= g.NumEdges() || second < 0 || second >= g.NumEdges() {
-		return badRequest("first/second: edge IDs must be in [0, %d)", g.NumEdges())
-	}
-	depart, err := s.departParam(r)
-	if err != nil {
-		return err
-	}
-	// Pair sums depend on the slice's model too: tag entries with the
-	// slice epoch observed before computing. The model that actually
-	// answers is at least that new, so a tag admitted as current is
-	// never stale.
-	slice := s.backend.SliceOf(depart)
-	epoch := s.backend.SliceEpoch(slice)
-	cache := s.pairs[slice]
-	cache.AdvanceEpoch(epoch)
-	key := pairKey{first: graph.EdgeID(first), second: graph.EdgeID(second)}
-	h, cached := cache.Get(key)
-	if !cached {
-		h, err = s.backend.PairSumAt(slice, key.first, key.second)
-		if err != nil {
-			return badRequest("%v", err)
-		}
-		cache.PutAt(key, h, epoch)
-	}
-	if cached {
-		w.Header().Set("X-Cache", "hit")
-	} else {
-		w.Header().Set("X-Cache", "miss")
-	}
-	return writeJSON(w, &pairSumResponse{
-		First:       key.first,
-		Second:      key.second,
-		Depart:      depart,
-		Slice:       slice,
-		Min:         h.Min,
-		Width:       h.Width,
-		P:           h.P,
-		MeanSeconds: h.Mean(),
-		Cached:      cached,
-	})
-}
-
-// --- workload sampling ----------------------------------------------
-
-type sampleQuery struct {
-	Source      graph.VertexID `json:"source"`
-	Dest        graph.VertexID `json:"dest"`
-	DistKm      float64        `json:"dist_km"`
-	OptimisticS float64        `json:"optimistic_s"`
-	// Depart echoes the request's depart parameter (with its slice), so
-	// a load generator can sample one workload per time-of-day slice
-	// and replay the queries against the matching slice.
-	Depart float64 `json:"depart_s,omitempty"`
-	Slice  int     `json:"slice,omitempty"`
-}
-
-type sampleResponse struct {
-	Queries []sampleQuery `json:"queries"`
-}
-
-// handleSample draws routing queries from the backend's workload
-// generator, annotated with their optimistic travel time so clients
-// (cmd/loadgen) can derive realistic budgets without the graph.
-func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) error {
-	n, err := intParam(r, "n", 32)
-	if err != nil {
-		return err
-	}
-	depart, err := s.departParam(r)
-	if err != nil {
-		return err
-	}
-	if n <= 0 || n > s.cfg.MaxSample {
-		return badRequest("n: must be in [1, %d]", s.cfg.MaxSample)
-	}
-	loKm, err := floatParam(r, "lo_km", 0.5)
-	if err != nil {
-		return err
-	}
-	hiKm, err := floatParam(r, "hi_km", 2.0)
-	if err != nil {
-		return err
-	}
-	if loKm < 0 || hiKm <= loKm {
-		return badRequest("lo_km/hi_km: want 0 <= lo_km < hi_km")
-	}
-	seed, err := intParam(r, "seed", 1)
-	if err != nil {
-		return err
-	}
-	qs, err := s.backend.SampleQueries(loKm, hiKm, n, uint64(seed))
-	if err != nil && len(qs) == 0 {
-		return badRequest("%v", err)
-	}
-	out := &sampleResponse{Queries: make([]sampleQuery, 0, len(qs))}
-	for _, q := range qs {
-		opt, err := s.backend.OptimisticTime(q.Source, q.Dest)
-		if err != nil {
-			continue // unreachable pair; not a useful load query
-		}
-		out.Queries = append(out.Queries, sampleQuery{
-			Source:      q.Source,
-			Dest:        q.Dest,
-			DistKm:      q.DistKm,
-			OptimisticS: opt,
-			Depart:      depart,
-			Slice:       s.backend.SliceOf(depart),
-		})
-	}
-	return writeJSON(w, out)
-}
-
-// --- ingestion -------------------------------------------------------
-
-// ingestTrajectory is one trip in a POST /ingest body: a contiguous
-// edge sequence with the observed per-edge travel times and an
-// optional departure timestamp (seconds since midnight, default 0)
-// that buckets the trip into its time-of-day slice.
-type ingestTrajectory struct {
-	Edges  []graph.EdgeID `json:"edges"`
-	Times  []float64      `json:"times"`
-	Depart float64        `json:"depart"`
-}
-
-type ingestRequest struct {
-	Trajectories []ingestTrajectory `json:"trajectories"`
-}
-
-type ingestResponse struct {
-	Accepted   int    `json:"accepted"`
-	Rejected   int    `json:"rejected"`
-	ModelEpoch uint64 `json:"model_epoch"`
-	Rebuilding bool   `json:"rebuilding"`
-}
-
-// handleIngest feeds a trajectory batch to the ingestion subsystem.
-// Invalid trajectories are counted per batch, never fatal; the
-// response reports the split plus the current model epoch so a
-// streaming client (cmd/replay) can watch its data take effect.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
-	var req ingestRequest
-	if err := decodeJSON(w, r, s.cfg.MaxIngestBytes, &req); err != nil {
-		return err
-	}
-	if len(req.Trajectories) == 0 {
-		return badRequest("trajectories: empty batch")
-	}
-	trs := make([]traj.Trajectory, len(req.Trajectories))
-	for i, tr := range req.Trajectories {
-		trs[i] = traj.Trajectory{Edges: tr.Edges, Times: tr.Times, Departure: tr.Depart}
-	}
-	accepted, rejected := s.cfg.Ingestor.IngestCtx(r.Context(), trs)
-	st := s.cfg.Ingestor.Status()
-	return writeJSON(w, &ingestResponse{
-		Accepted:   accepted,
-		Rejected:   rejected,
-		ModelEpoch: s.backend.ModelEpoch(),
-		Rebuilding: st.Rebuilding,
-	})
-}
-
-// --- health and stats ------------------------------------------------
-
-type healthResponse struct {
-	Status     string `json:"status"`
-	Vertices   int    `json:"vertices"`
-	Edges      int    `json:"edges"`
-	ModelEpoch uint64 `json:"model_epoch"`
-	// Slices is the time-of-day slice count of the serving cost model;
-	// SliceEpochs is each slice's serving generation, indexed by slice.
-	Slices      int      `json:"slices"`
-	SliceEpochs []uint64 `json:"slice_epochs"`
-	UptimeS     float64  `json:"uptime_s"`
-	// Degraded is true while any slice's drift monitor has fired but no
-	// rebuild has swapped that slice since: the server still answers,
-	// knowingly on a stale model. Always false without an ingestor.
-	Degraded bool `json:"degraded"`
-	// Replica is this instance's fleet identity (Config.ReplicaID);
-	// omitted for a standalone server.
-	Replica string `json:"replica,omitempty"`
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
-	g := s.backend.Graph()
-	return writeJSON(w, &healthResponse{
-		Status:      "ok",
-		Vertices:    g.NumVertices(),
-		Edges:       g.NumEdges(),
-		ModelEpoch:  s.backend.ModelEpoch(),
-		Slices:      s.backend.NumSlices(),
-		SliceEpochs: s.backend.SliceEpochs(),
-		UptimeS:     time.Since(s.started).Seconds(),
-		Degraded:    s.cfg.Ingestor != nil && s.cfg.Ingestor.Degraded(),
-		Replica:     s.cfg.ReplicaID,
-	})
-}
-
-type endpointStatsResponse struct {
-	Requests uint64 `json:"requests"`
-	Errors   uint64 `json:"errors"`
-}
-
-type statsResponse struct {
-	UptimeS    float64 `json:"uptime_s"`
-	Inflight   int64   `json:"inflight"`
-	ModelEpoch uint64  `json:"model_epoch"`
-	// Slices is the time-of-day slice count; SliceEpochs each slice's
-	// serving generation (a per-slice hot swap advances exactly one
-	// entry).
-	Slices      int                              `json:"slices"`
-	SliceEpochs []uint64                         `json:"slice_epochs"`
-	Endpoints   map[string]endpointStatsResponse `json:"endpoints"`
-	// RouteCache / PairCache aggregate across slices; the per-slice
-	// breakdowns show which slice's cache a swap invalidated.
-	RouteCache       CacheStats   `json:"route_cache"`
-	PairCache        CacheStats   `json:"pair_cache"`
-	RouteCacheSlices []CacheStats `json:"route_cache_slices,omitempty"`
-	PairCacheSlices  []CacheStats `json:"pair_cache_slices,omitempty"`
-	Convolved        uint64       `json:"convolved_total"`
-	Estimated        uint64       `json:"estimated_total"`
-	// ArenaBytesInUse is the retained footprint of search arenas
-	// currently checked out by in-flight queries (the same value
-	// /metrics exports as arena_bytes_inuse).
-	ArenaBytesInUse int64 `json:"arena_bytes_inuse"`
-	// Ingest reports the write path's counters (absent when ingestion
-	// is disabled), including its per-slice drift/rebuild breakdown;
-	// LastSwapUnixMS within it is the time of the last model hot swap.
-	Ingest *ingest.Status `json:"ingest,omitempty"`
-	// Runtime is the Go runtime's health snapshot — the same sampler
-	// that backs the go_* series on /metrics.
-	Runtime runtimeStatsResponse `json:"runtime"`
-}
-
-// runtimeStatsResponse is the /stats view of the Go runtime sampler.
-type runtimeStatsResponse struct {
-	Goroutines     int     `json:"goroutines"`
-	HeapInuseBytes uint64  `json:"heap_inuse_bytes"`
-	GCPauseTotalS  float64 `json:"gc_pause_total_s"`
-	GCCycles       uint32  `json:"gc_cycles"`
-	GOMAXPROCS     int     `json:"gomaxprocs"`
-}
-
-// sumCacheStats aggregates per-slice cache stats; Epoch reports the
-// newest slice epoch.
-func sumCacheStats(caches []*ShardedLRU[routeKey, routeEntry], pairs []*ShardedLRU[pairKey, *hist.Hist]) (route, pair CacheStats, routeSlices, pairSlices []CacheStats) {
-	fold := func(total *CacheStats, s CacheStats) {
-		total.Hits += s.Hits
-		total.Misses += s.Misses
-		total.Evictions += s.Evictions
-		total.Invalidations += s.Invalidations
-		total.Entries += s.Entries
-		total.Capacity += s.Capacity
-		if s.Epoch > total.Epoch {
-			total.Epoch = s.Epoch
-		}
-	}
-	routeSlices = make([]CacheStats, len(caches))
-	for i, c := range caches {
-		routeSlices[i] = c.Stats()
-		fold(&route, routeSlices[i])
-	}
-	pairSlices = make([]CacheStats, len(pairs))
-	for i, c := range pairs {
-		pairSlices[i] = c.Stats()
-		fold(&pair, pairSlices[i])
-	}
-	return route, pair, routeSlices, pairSlices
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
-	conv, est := s.backend.DecisionCounts()
-	routeStats, pairStats, routeSlices, pairSlices := sumCacheStats(s.routes, s.pairs)
-	out := &statsResponse{
-		UptimeS:         time.Since(s.started).Seconds(),
-		Inflight:        s.inflight.Load(),
-		ModelEpoch:      s.backend.ModelEpoch(),
-		Slices:          s.backend.NumSlices(),
-		SliceEpochs:     s.backend.SliceEpochs(),
-		Endpoints:       make(map[string]endpointStatsResponse, len(s.stats)),
-		RouteCache:      routeStats,
-		PairCache:       pairStats,
-		Convolved:       conv,
-		Estimated:       est,
-		ArenaBytesInUse: routing.ArenaBytesInUse(),
-	}
-	if s.backend.NumSlices() > 1 {
-		out.RouteCacheSlices = routeSlices
-		out.PairCacheSlices = pairSlices
-	}
-	if s.cfg.Ingestor != nil {
-		st := s.cfg.Ingestor.Status()
-		out.Ingest = &st
-	}
-	out.Runtime = runtimeStatsResponse{
-		Goroutines:     s.runtime.Goroutines(),
-		HeapInuseBytes: s.runtime.HeapInuseBytes(),
-		GCPauseTotalS:  s.runtime.GCPauseTotalSeconds(),
-		GCCycles:       s.runtime.GCCycles(),
-		GOMAXPROCS:     s.runtime.GOMAXPROCS(),
-	}
-	for pattern, em := range s.stats {
-		out.Endpoints[pattern] = endpointStatsResponse{
-			Requests: em.requests.Value(),
-			Errors:   em.errors.Value(),
-		}
-	}
-	return writeJSON(w, out)
 }
 
 func msSince(t time.Time) float64 {

@@ -500,23 +500,6 @@ func TestConcurrentHandlers(t *testing.T) {
 	}
 }
 
-func TestServeGracefulShutdown(t *testing.T) {
-	s := New(newFakeBackend(t), Config{})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- s.Serve(ctx, "127.0.0.1:0") }()
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("graceful shutdown returned %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not shut down")
-	}
-}
-
 // ingestTargetStub adapts a fakeBackend into an ingest.Target whose
 // SwapModel just bumps the backend epoch. Drift stays disabled in the
 // tests that use it, so the nil knowledge base is never touched.

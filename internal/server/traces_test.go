@@ -176,45 +176,6 @@ func TestTracingEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTracingInboundTraceparent: a sampled inbound traceparent forces
-// tracing even when the tracer's own sampling would skip the request,
-// and the stored trace adopts the caller's trace ID.
-func TestTracingInboundTraceparent(t *testing.T) {
-	fb := newFakeBackend(t)
-	// sample 1 in 1e6: only the forced header should trace.
-	tracer := obs.NewTracer(obs.NewSpanStore(16, 0), 1000000)
-	s := New(fb, Config{Tracer: tracer})
-	h := s.Handler()
-
-	traceID := obs.NewTraceID()
-	req := httptest.NewRequest(http.MethodGet, "/route?source=1&dest=2&budget=100", nil)
-	req.Header.Set("traceparent", obs.FormatTraceparent(traceID, "00f067aa0ba902b7", true))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	got := tracer.Store().Find(traceID)
-	if got == nil {
-		t.Fatal("forced traceparent did not produce a stored trace")
-	}
-	if got.ParentSpan != "00f067aa0ba902b7" {
-		t.Errorf("parent span = %q", got.ParentSpan)
-	}
-	tp, ok := obs.ParseTraceparent(rec.Header().Get("Traceparent"))
-	if !ok || tp.TraceID != traceID {
-		t.Errorf("response traceparent %q does not continue trace %s", rec.Header().Get("Traceparent"), traceID)
-	}
-
-	// An unsampled request: no Traceparent response header, no trace.
-	req2 := httptest.NewRequest(http.MethodGet, "/route?source=3&dest=4&budget=100", nil)
-	rec2 := httptest.NewRecorder()
-	h.ServeHTTP(rec2, req2)
-	if rec2.Header().Get("Traceparent") != "" {
-		t.Error("unsampled request must not advertise a trace")
-	}
-}
-
 // TestTracingBatchPerItemSpans: every batch item gets its own batch-item
 // span under the /route/batch root — cache hits spanned by the server,
 // misses by the backend — and per-item latency observations land in the
@@ -272,35 +233,6 @@ func TestTracingBatchPerItemSpans(t *testing.T) {
 	}
 	if !sawCached || !sawSearch {
 		t.Errorf("batch spans incomplete: cached=%v searched=%v (%v)", sawCached, sawSearch, items)
-	}
-}
-
-// TestDebugTracesDisabled: without a tracer the endpoint does not exist.
-func TestDebugTracesDisabled(t *testing.T) {
-	s := New(newFakeBackend(t), Config{})
-	req := httptest.NewRequest(http.MethodGet, "/debug/traces", nil)
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusNotFound {
-		t.Errorf("/debug/traces without a tracer: status %d, want 404", rec.Code)
-	}
-}
-
-// TestTracesScrapeNotTraced: the trace and metrics scrape endpoints are
-// never themselves sampled — scrapes must not displace request traces
-// from the bounded store.
-func TestTracesScrapeNotTraced(t *testing.T) {
-	fb := newFakeBackend(t)
-	tracer := obs.NewTracer(obs.NewSpanStore(16, 0), 1)
-	s := New(fb, Config{Tracer: tracer})
-	h := s.Handler()
-	for i := 0; i < 5; i++ {
-		debugTraces(t, h, "")
-		mreq := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-		h.ServeHTTP(httptest.NewRecorder(), mreq)
-	}
-	if n := len(tracer.Store().Snapshot()); n != 0 {
-		t.Errorf("scrape endpoints produced %d traces, want 0", n)
 	}
 }
 
