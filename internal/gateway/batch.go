@@ -207,19 +207,21 @@ func (g *Gateway) dispatchBatch(ctx context.Context, grp *batchGroup) (*replicaB
 	if err != nil {
 		return nil, err
 	}
+	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, grp.rep.url+"/route/batch", bytes.NewReader(payload))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(httpsvc.HeaderContentType, "application/json")
 	_, psp := obs.StartSpan(ctx, "proxy/batch")
 	if psp != nil {
 		psp.SetStr("replica", grp.rep.id)
 		psp.SetInt("items", int64(len(grp.queries)))
-		req.Header.Set("traceparent", obs.FormatTraceparent(psp.TraceID(), psp.WireID(), true))
+		req.Header.Set(httpsvc.HeaderTraceparent, obs.FormatTraceparent(psp.TraceID(), psp.WireID(), true))
 	}
 	t0 := time.Now()
-	resp, err := g.client.Do(req)
+	resp, err := g.roundTrip(req)
 	g.gm.Request(g.index[grp.rep.id], time.Since(t0), err != nil)
 	if psp != nil {
 		psp.SetError(err)

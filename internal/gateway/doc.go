@@ -54,6 +54,31 @@
 // gateway batch answer is bit-identical to the same batch against a
 // single replica.
 //
+// # Transport
+//
+// Everything the gateway sends to its fleet — proxied queries,
+// sub-batches, ingest deliveries, health probes — goes through one
+// http.Transport the gateway owns (newTransport), by RoundTrip rather
+// than through net/http's client type: a replica never redirects and
+// the gateway keeps no cookies, so the client layer added only
+// per-request bookkeeping. The pool parks up to 64 keep-alive connections per
+// replica (http.DefaultTransport's 2 made a fleet under three
+// concurrent requests per replica re-dial continuously), shares
+// nothing with other HTTP users in the process, looks up no proxy and
+// does not advertise gzip, which no replica sends. Time limits are
+// context deadlines, set per request: RequestTimeout spans a dispatch
+// from dial to the last relayed body byte, ProbeTimeout one probe.
+// When the context given to Start ends, the parked connections are
+// closed.
+//
+// A proxied GET is derived, not rebuilt: the replica's base URL is
+// parsed once in New, each dispatch copies it and attaches the inbound
+// path and raw query, forwards the identity headers (X-Request-ID,
+// Accept, Content-Type, traceparent) and relays the answer's
+// Content-Type, X-Cache and X-Replica through the value slices they
+// arrived in (see internal/httpsvc on header keys), and the ring key
+// is hashed straight out of the raw query.
+//
 // # HTTP chassis and telemetry
 //
 // Every endpoint is mounted on internal/httpsvc, the chassis the

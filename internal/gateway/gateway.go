@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,8 +76,6 @@ type Config struct {
 	// the chosen replica, so the replica's own span tree joins the
 	// gateway's root span. Nil leaves tracing off.
 	Tracer *obs.Tracer
-	// Client optionally overrides the dispatch HTTP client.
-	Client *http.Client
 	// LogW receives state-transition and delivery-failure lines (nil
 	// silences them).
 	LogW io.Writer
@@ -139,8 +138,9 @@ type Gateway struct {
 	// protocol, request accounting, /metrics and /debug/traces.
 	svc *httpsvc.Service
 
-	client      *http.Client
-	probeClient *http.Client
+	// transport carries every request the gateway sends to its fleet
+	// (see newTransport).
+	transport *http.Transport
 
 	gm *obs.GatewayMetrics
 
@@ -183,18 +183,14 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		g.index[rc.ID] = i
 		ids[i] = rc.ID
-		g.reps = append(g.reps, &replica{
-			id:    rc.ID,
-			url:   strings.TrimRight(rc.URL, "/"),
-			queue: make(chan []byte, cfg.IngestQueue),
-		})
+		rep, err := newReplica(rc, cfg.IngestQueue)
+		if err != nil {
+			return nil, fmt.Errorf("gateway: replica %d: %w", i, err)
+		}
+		g.reps = append(g.reps, rep)
 	}
 	g.ring = NewRing(ids, cfg.VNodes)
-	g.client = cfg.Client
-	if g.client == nil {
-		g.client = &http.Client{Timeout: cfg.RequestTimeout}
-	}
-	g.probeClient = &http.Client{Timeout: cfg.ProbeTimeout}
+	g.transport = newTransport()
 	g.gm = obs.NewGatewayMetrics(cfg.Metrics, ids)
 	for i := range g.reps {
 		// Optimistic until the first probe round corrects it: Start
@@ -226,11 +222,17 @@ func New(cfg Config) (*Gateway, error) {
 // Start runs one synchronous probe round (so routing never begins on
 // an unverified fleet view) and launches the background prober and the
 // per-replica ingest delivery workers. All of them stop when ctx is
-// cancelled. Start is idempotent.
+// cancelled, and the gateway's idle connections to the fleet are
+// closed. Start is idempotent.
 func (g *Gateway) Start(ctx context.Context) {
 	g.startOnce.Do(func() {
-		g.probeAll()
-		go g.probeLoop(ctx)
+		g.probeAll(ctx)
+		go func() {
+			g.probeLoop(ctx)
+			// Nothing more will be sent: release the parked connections
+			// rather than leaving them to the idle timeout.
+			g.transport.CloseIdleConnections()
+		}()
 		for _, rep := range g.reps {
 			go g.ingestWorker(ctx, rep)
 		}
@@ -246,7 +248,7 @@ func (g *Gateway) probeLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			g.probeAll()
+			g.probeAll(ctx)
 		}
 	}
 }
@@ -269,31 +271,31 @@ func (g *Gateway) Serve(ctx context.Context, addr string) error {
 // always lands on the same replica and its route cache stays hot for
 // that key range. /pairsum keys on the edge pair, /sample on its full
 // parameter set (same sample workload -> same replica -> one snap of
-// the RNG stream).
+// the RNG stream). A pair hashes as the string "a>b" would, fed to the
+// hash piecewise out of the raw query.
 func routingKey(r *http.Request) (uint64, error) {
-	q := r.URL.Query()
 	switch r.URL.Path {
 	case "/pairsum":
-		first, second := q.Get("first"), q.Get("second")
+		first, second := httpsvc.QueryParam(r, "first"), httpsvc.QueryParam(r, "second")
 		if first == "" || second == "" {
 			return 0, httpsvc.BadRequest("first/second: both edge IDs are required")
 		}
-		return KeyForString(first + ">" + second), nil
+		return keyForPairStrings(first, second), nil
 	case "/sample":
 		return KeyForString(r.URL.RawQuery), nil
 	default:
-		src := q.Get("source")
+		src := httpsvc.QueryParam(r, "source")
 		if src == "" {
-			src = q.Get("from")
+			src = httpsvc.QueryParam(r, "from")
 		}
-		dst := q.Get("dest")
+		dst := httpsvc.QueryParam(r, "dest")
 		if dst == "" {
-			dst = q.Get("to")
+			dst = httpsvc.QueryParam(r, "to")
 		}
 		if src == "" || dst == "" {
 			return 0, httpsvc.BadRequest("missing source/from and dest/to")
 		}
-		return KeyForString(src + ">" + dst), nil
+		return keyForPairStrings(src, dst), nil
 	}
 }
 
@@ -323,71 +325,91 @@ func isTimeout(err error) bool {
 }
 
 // handleKeyed answers one consistent-hash routed GET: resolve the
-// ring owner among live replicas, dispatch, and on a transport failure
-// mark the replica down and fail over to the next live owner — the
-// client sees one answer or one error, never a partial. Client-caused
-// failures (disconnect, timeout) end the request without touching
-// replica state.
+// ring owner among live replicas, proxy, and on a transport failure
+// fail over to the next live owner — the client sees one answer or one
+// error, never a partial.
 func (g *Gateway) handleKeyed(w http.ResponseWriter, r *http.Request) error {
 	key, err := routingKey(r)
 	if err != nil {
 		return err
 	}
-	ctx := r.Context()
 	for attempt := 0; attempt <= len(g.reps); attempt++ {
 		idx := g.ring.OwnerAlive(key, g.routable)
 		if idx < 0 {
 			return &httpsvc.Error{Code: http.StatusServiceUnavailable, Msg: "no live replicas"}
 		}
-		rep := g.reps[idx]
-		resp, err := g.dispatch(ctx, rep, r)
-		if err != nil {
-			if clientCaused(ctx, err) {
-				return &httpsvc.Error{Code: statusClientClosedRequest, Msg: "client closed request"}
-			}
-			if isTimeout(err) {
-				return &httpsvc.Error{Code: http.StatusGatewayTimeout, Msg: fmt.Sprintf("replica %s: %v", rep.id, err)}
-			}
-			g.markFailed(rep, err)
-			continue
+		if failover, err := g.proxy(w, r, g.reps[idx]); !failover {
+			return err
 		}
-		if err := relay(w, resp, rep.id); err != nil {
-			if ctx.Err() == nil {
-				// The replica died mid-body; the client hanging up is
-				// not the replica's error.
-				g.gm.DispatchError(g.index[rep.id])
-			}
-			// The status line is already on the wire: count and log,
-			// append nothing (see httpsvc.Aborted).
-			return &httpsvc.Aborted{Err: fmt.Errorf("relay from replica %s aborted mid-body: %w", rep.id, err)}
-		}
-		return nil
 	}
 	return &httpsvc.Error{Code: http.StatusBadGateway, Msg: "all replicas failed"}
 }
 
-// dispatch forwards one GET to rep, carrying the request identity
-// (X-Request-ID, Accept) and the trace context: when the gateway
-// sampled this request, the replica receives a traceparent naming the
-// gateway's trace with a fresh proxy span as parent, so the replica's
-// span tree joins the gateway's waterfall in /debug/traces.
-func (g *Gateway) dispatch(ctx context.Context, rep *replica, r *http.Request) (*http.Response, error) {
-	u := rep.url + r.URL.Path
-	if r.URL.RawQuery != "" {
-		u += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+// proxy forwards r to rep and relays the answer, dispatch and body
+// together under one RequestTimeout deadline. failover reports a
+// transport failure before anything was relayed: rep is marked down
+// and the caller may try the next owner. Otherwise err is the
+// request's outcome; client-caused failures (disconnect, timeout) end
+// the request without touching replica state.
+func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, rep *replica) (failover bool, err error) {
+	ctx := r.Context()
+	dctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
+	defer cancel()
+	resp, err := g.dispatch(dctx, rep, r)
 	if err != nil {
-		return nil, err
+		if clientCaused(ctx, err) {
+			return false, &httpsvc.Error{Code: statusClientClosedRequest, Msg: "client closed request"}
+		}
+		if isTimeout(err) {
+			return false, &httpsvc.Error{Code: http.StatusGatewayTimeout, Msg: fmt.Sprintf("replica %s: %v", rep.id, err)}
+		}
+		g.markFailed(rep, err)
+		return true, nil
 	}
-	copyRequestHeaders(req, r)
+	if err := relay(w, resp, rep); err != nil {
+		if ctx.Err() == nil {
+			// The replica died mid-body; the client hanging up is
+			// not the replica's error.
+			g.gm.DispatchError(g.index[rep.id])
+		}
+		// The status line is already on the wire: count and log,
+		// append nothing (see httpsvc.Aborted).
+		return false, &httpsvc.Aborted{Err: fmt.Errorf("relay from replica %s aborted mid-body: %w", rep.id, err)}
+	}
+	return false, nil
+}
+
+// forwardedHeaders are the identity headers a replica should see; the
+// inbound traceparent passes through unless the gateway's own sampling
+// replaces it in dispatch.
+var forwardedHeaders = [...]string{httpsvc.HeaderRequestID, httpsvc.HeaderAccept, httpsvc.HeaderContentType, httpsvc.HeaderTraceparent}
+
+// dispatch forwards one GET to rep, carrying the request identity
+// (forwardedHeaders) and the trace context: when the gateway sampled
+// this request, the replica receives a traceparent naming the
+// gateway's trace with a fresh proxy span as parent, so the replica's
+// span tree joins the gateway's waterfall in /debug/traces. The
+// outbound request is the replica's template under ctx with the
+// inbound path and query on a copy of its parsed base URL; nothing is
+// formatted or re-parsed, and the header values are the inbound
+// request's own slices.
+func (g *Gateway) dispatch(ctx context.Context, rep *replica, r *http.Request) (*http.Response, error) {
+	u := *rep.get.URL
+	u.Path += r.URL.Path
+	u.RawQuery = r.URL.RawQuery
+	req := rep.get.WithContext(ctx)
+	req.URL = &u
+	req.Header = make(http.Header, len(forwardedHeaders))
+	for _, key := range forwardedHeaders {
+		httpsvc.ShareHeader(req.Header, r.Header, key)
+	}
 	_, psp := obs.StartSpan(ctx, "proxy")
 	if psp != nil {
 		psp.SetStr("replica", rep.id)
-		req.Header.Set("traceparent", obs.FormatTraceparent(psp.TraceID(), psp.WireID(), true))
+		req.Header[httpsvc.HeaderTraceparent] = []string{obs.FormatTraceparent(psp.TraceID(), psp.WireID(), true)}
 	}
 	t0 := time.Now()
-	resp, err := g.client.Do(req)
+	resp, err := g.roundTrip(req)
 	g.gm.Request(g.index[rep.id], time.Since(t0), err != nil)
 	if psp != nil {
 		psp.SetError(err)
@@ -396,29 +418,54 @@ func (g *Gateway) dispatch(ctx context.Context, rep *replica, r *http.Request) (
 	return resp, err
 }
 
-// copyRequestHeaders forwards the identity headers a replica should
-// see; the inbound traceparent passes through unless the gateway's own
-// sampling replaces it in dispatch.
-func copyRequestHeaders(dst *http.Request, src *http.Request) {
-	for _, h := range [...]string{"X-Request-ID", "Accept", "Content-Type", "traceparent"} {
-		if v := src.Header.Get(h); v != "" {
-			dst.Header.Set(h, v)
-		}
+// idleConnsPerReplica is how many keep-alive connections the gateway
+// parks per replica between requests. The gateway bounds neither its
+// own concurrency nor its clients', and a request that finds no parked
+// connection dials: at net/http's default of 2, a fleet under a third
+// concurrent request per replica closes and re-dials continuously. 64
+// parked sockets per replica is small next to the dials it saves.
+const idleConnsPerReplica = 64
+
+// newTransport builds the connection pool the gateway sends everything
+// through: dispatches, sub-batches, ingest deliveries and probes. It is
+// the gateway's own, not http.DefaultTransport, so no other HTTP user
+// in the process competes for its connections or inherits its
+// settings. Replicas are peers addressed directly (no proxy lookup)
+// and answer small uncompressed JSON, so the transport does not
+// advertise gzip it would only have to undo. It sets no timeouts of its
+// own: every request carries a context deadline (RequestTimeout,
+// ProbeTimeout) that also bounds its dial.
+func newTransport() *http.Transport {
+	return &http.Transport{
+		MaxIdleConnsPerHost: idleConnsPerReplica,
+		IdleConnTimeout:     90 * time.Second,
+		DisableCompression:  true,
 	}
 }
 
-// relay copies a replica response to the client, stamping X-Replica
-// with the gateway's identity for the backend when the replica did not
-// identify itself.
-func relay(w http.ResponseWriter, resp *http.Response, replicaID string) error {
-	defer resp.Body.Close()
-	for _, h := range [...]string{"Content-Type", "X-Cache", "X-Replica"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
+// roundTrip sends one request to a replica. A failure is wrapped the
+// way net/http's client wraps one — method and URL in front — so a 504
+// body or a markFailed log line names the replica address that failed.
+func (g *Gateway) roundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := g.transport.RoundTrip(req)
+	if err != nil {
+		op := req.Method[:1] + strings.ToLower(req.Method[1:])
+		return nil, &url.Error{Op: op, URL: req.URL.String(), Err: err}
 	}
-	if w.Header().Get("X-Replica") == "" {
-		w.Header().Set("X-Replica", replicaID)
+	return resp, nil
+}
+
+// relay copies a replica response to the client: status, body, and the
+// Content-Type, X-Cache and X-Replica headers through the upstream
+// response's own value slices. A replica that did not identify itself
+// is named by the gateway.
+func relay(w http.ResponseWriter, resp *http.Response, rep *replica) error {
+	defer resp.Body.Close()
+	h := w.Header()
+	httpsvc.ShareHeader(h, resp.Header, httpsvc.HeaderContentType)
+	httpsvc.ShareHeader(h, resp.Header, httpsvc.HeaderCache)
+	if !httpsvc.ShareHeader(h, resp.Header, httpsvc.HeaderReplica) {
+		h[httpsvc.HeaderReplica] = rep.idHeader
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, err := io.Copy(w, resp.Body)

@@ -1,9 +1,11 @@
 package gateway
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,6 +46,13 @@ func (s ReplicaState) String() string {
 type replica struct {
 	id  string
 	url string // normalized base URL, no trailing slash
+	// get is the template of every proxied GET: method, host and
+	// protocol fields filled in once, URL the parsed base. dispatch
+	// derives each request from it and never writes to it.
+	get *http.Request
+	// idHeader is the X-Replica value slice relayed for a replica that
+	// does not name itself; nothing may write through it.
+	idHeader []string
 
 	state atomic.Int32  // ReplicaState
 	fails atomic.Int32  // consecutive probe failures
@@ -60,6 +69,25 @@ type replica struct {
 	// when it disagrees with the fleet config ("" while they agree) —
 	// written by the prober, surfaced in the gateway's /healthz.
 	reportedID atomic.Value // string
+}
+
+// newReplica validates one fleet entry and builds its runtime record.
+func newReplica(rc Replica, ingestQueue int) (*replica, error) {
+	base := strings.TrimRight(rc.URL, "/")
+	get, err := http.NewRequest(http.MethodGet, base, nil)
+	if err != nil {
+		return nil, err
+	}
+	if get.URL.Host == "" {
+		return nil, fmt.Errorf("URL %q names no host", rc.URL)
+	}
+	return &replica{
+		id:       rc.ID,
+		url:      base,
+		get:      get,
+		idHeader: []string{rc.ID},
+		queue:    make(chan []byte, ingestQueue),
+	}, nil
 }
 
 // mismatch reads the replica's self-reported identity when it
@@ -118,10 +146,19 @@ type healthzView struct {
 
 // probe performs one health check of rep and applies the outcome to
 // the three-state view.
-func (g *Gateway) probe(rep *replica) {
-	resp, err := g.probeClient.Get(rep.url + "/healthz")
+func (g *Gateway) probe(ctx context.Context, rep *replica) {
+	pctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, rep.url+"/healthz", nil)
 	if err != nil {
 		g.probeFailed(rep, err)
+		return
+	}
+	resp, err := g.roundTrip(req)
+	if err != nil {
+		if ctx.Err() == nil { // a probe cut short by shutdown says nothing about the replica
+			g.probeFailed(rep, err)
+		}
 		return
 	}
 	defer resp.Body.Close()
@@ -168,13 +205,13 @@ func (g *Gateway) probeFailed(rep *replica, err error) {
 // probeAll probes every replica concurrently and waits for the round
 // to finish — used for the synchronous round at Start so the gateway
 // never begins routing on an unverified fleet view.
-func (g *Gateway) probeAll() {
+func (g *Gateway) probeAll(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, rep := range g.reps {
 		wg.Add(1)
 		go func(rep *replica) {
 			defer wg.Done()
-			g.probe(rep)
+			g.probe(ctx, rep)
 		}(rep)
 	}
 	wg.Wait()

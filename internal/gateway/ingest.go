@@ -151,12 +151,14 @@ func (g *Gateway) ingestWorker(ctx context.Context, rep *replica) {
 // 5xx answers are retryable; a 4xx means the batch itself is bad and
 // would fail identically forever, so it counts as delivered-and-done.
 func (g *Gateway) deliverIngest(ctx context.Context, rep *replica, body []byte) bool {
+	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.url+"/ingest", bytes.NewReader(body))
 	if err != nil {
 		return false
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := g.client.Do(req)
+	req.Header.Set(httpsvc.HeaderContentType, "application/json")
+	resp, err := g.roundTrip(req)
 	if err != nil {
 		return false
 	}

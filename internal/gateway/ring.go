@@ -105,31 +105,26 @@ func (r *Ring) OwnerAlive(key uint64, alive func(int) bool) int {
 // in its upper bits, and ring ordering is dominated by exactly those
 // bits — without mixing, vnode positions cluster and the key split
 // drifts tens of percent from uniform.
-func hashString(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+func hashString(s string) uint64 { return mix64(fnvFold(fnvOffset64, s)) }
+
+// FNV-1a, 64 bit: fnvFold folds s into the running state h, so a key
+// made of several pieces hashes without being concatenated first.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvFold[S string | []byte](h uint64, s S) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= prime64
+		h *= fnvPrime64
 	}
-	return mix64(h)
+	return h
 }
 
-// hashBytes is hashString over a byte slice.
-func hashBytes(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return mix64(h)
+// keyForPairStrings is hashString(a + ">" + b).
+func keyForPairStrings(a, b string) uint64 {
+	return mix64(fnvFold(fnvFold(fnvFold(fnvOffset64, a), ">"), b))
 }
 
 // mix64 is the splitmix64 finalization step: full-avalanche mixing so
@@ -151,7 +146,7 @@ func KeyForPair(source, dest int) uint64 {
 	b := strconv.AppendInt(buf[:0], int64(source), 10)
 	b = append(b, '>')
 	b = strconv.AppendInt(b, int64(dest), 10)
-	return hashBytes(b)
+	return mix64(fnvFold(fnvOffset64, b))
 }
 
 // KeyForString hashes an arbitrary request identity (e.g. a /pairsum

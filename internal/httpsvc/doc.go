@@ -38,6 +38,32 @@
 //     (500 on a replica, 502 on the gateway, whose untyped failures are
 //     its backends').
 //
+// # Parameters and header keys
+//
+// Two rules keep the per-request path from re-doing work, and every
+// handler on either service follows them.
+//
+// Query parameters are read with QueryParam, or IntParam, FloatParam
+// and BoolParam on top of it, never through the URL's Query method:
+// that parses the whole query string into a fresh url.Values map on
+// every call, and a handler reading five parameters paid for five
+// maps. QueryParam scans the raw query for the one key and returns
+// what that map's Get(key) would — first value wins, a pair that is
+// malformed or contains ';' is skipped — as a sub-string of the query
+// when nothing needs decoding. FuzzRawQuery holds it to net/url's
+// answer.
+//
+// Headers the fleet protocol names are read and written as map entries
+// under the Header* constants, which spell each key in net/http's
+// canonical form (X-Request-Id, Traceparent: the form already on the
+// wire, and what Get("X-Request-ID") looks up after canonicalising its
+// argument on every call). A value that is the same for every response
+// (X-Replica, Content-Type, X-Cache) is one shared slice, and a value
+// passed along from another message (the client's request ID, a
+// relayed upstream header) is shared with ShareHeader; such slices are
+// never written through. Header names in prose keep their familiar
+// spelling: header keys are case-insensitive to every peer.
+//
 // # Mounted endpoints
 //
 // GET /metrics serves obs.Registry.Handler: the Prometheus 0.0.4 text

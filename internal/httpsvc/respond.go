@@ -37,7 +37,7 @@ func (e *Aborted) Error() string { return e.Err.Error() }
 func (e *Aborted) Unwrap() error { return e.Err }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()[HeaderContentType] = jsonContentType
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
@@ -45,8 +45,16 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 // WriteJSON answers 200 (or whatever status was already set) with v
 // encoded as JSON.
 func WriteJSON(w http.ResponseWriter, v any) error {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()[HeaderContentType] = jsonContentType
 	return json.NewEncoder(w).Encode(v)
+}
+
+// WriteJSONBytes answers 200 (or whatever status was already set) with
+// a JSON document the caller has already encoded.
+func WriteJSONBytes(w http.ResponseWriter, doc []byte) error {
+	w.Header()[HeaderContentType] = jsonContentType
+	_, err := w.Write(doc)
+	return err
 }
 
 // DecodeJSON reads a request body into v with the two hardenings every
@@ -74,7 +82,7 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) e
 
 // FloatParam parses an optional finite float query parameter.
 func FloatParam(r *http.Request, key string, def float64) (float64, error) {
-	raw := r.URL.Query().Get(key)
+	raw := QueryParam(r, key)
 	if raw == "" {
 		return def, nil
 	}
@@ -87,7 +95,7 @@ func FloatParam(r *http.Request, key string, def float64) (float64, error) {
 
 // IntParam parses an optional integer query parameter.
 func IntParam(r *http.Request, key string, def int) (int, error) {
-	raw := r.URL.Query().Get(key)
+	raw := QueryParam(r, key)
 	if raw == "" {
 		return def, nil
 	}
@@ -100,7 +108,7 @@ func IntParam(r *http.Request, key string, def int) (int, error) {
 
 // BoolParam parses an optional boolean query parameter.
 func BoolParam(r *http.Request, key string, def bool) (bool, error) {
-	raw := r.URL.Query().Get(key)
+	raw := QueryParam(r, key)
 	if raw == "" {
 		return def, nil
 	}

@@ -50,9 +50,12 @@ type Service struct {
 	opts      Options
 	mux       *http.ServeMux
 	endpoints map[string]*endpoint
-	started   time.Time
-	inflight  atomic.Int64
-	logMu     sync.Mutex
+	// replicaHeader is the X-Replica value slice every response shares
+	// (nil without a ReplicaID); nothing may write through it.
+	replicaHeader []string
+	started       time.Time
+	inflight      atomic.Int64
+	logMu         sync.Mutex
 }
 
 // New builds a Service and mounts /metrics (unless disabled) and, with
@@ -63,6 +66,9 @@ func New(opts Options) *Service {
 		mux:       http.NewServeMux(),
 		endpoints: make(map[string]*endpoint),
 		started:   time.Now(),
+	}
+	if opts.ReplicaID != "" {
+		s.replicaHeader = []string{opts.ReplicaID}
 	}
 	opts.Metrics.GaugeFunc("uptime_seconds", "Seconds since the "+opts.Name+" started.",
 		func() float64 { return s.Uptime().Seconds() })
@@ -161,22 +167,21 @@ func (e *endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	rid := r.Header.Get("X-Request-ID")
-	if rid == "" {
-		rid = obs.NewRequestID()
+	h := w.Header()
+	if !ShareHeader(h, r.Header, HeaderRequestID) {
+		h[HeaderRequestID] = []string{obs.NewRequestID()}
 	}
-	w.Header().Set("X-Request-ID", rid)
-	if s.opts.ReplicaID != "" {
-		w.Header().Set("X-Replica", s.opts.ReplicaID)
+	if s.replicaHeader != nil {
+		h[HeaderReplica] = s.replicaHeader
 	}
 	var root *obs.Span
 	if e.traceable {
-		tp, ok := obs.ParseTraceparent(r.Header.Get("traceparent"))
+		tp, ok := obs.ParseTraceparent(HeaderValue(r.Header, HeaderTraceparent))
 		if s.opts.Tracer.ShouldSample(ok && tp.Sampled) {
 			var ctx context.Context
-			ctx, root = s.opts.Tracer.StartRequest(r.Context(), e.pattern, rid, tp)
+			ctx, root = s.opts.Tracer.StartRequest(r.Context(), e.pattern, h[HeaderRequestID][0], tp)
 			r = r.WithContext(ctx)
-			w.Header().Set("Traceparent", obs.FormatTraceparent(root.TraceID(), root.WireID(), true))
+			h[HeaderTraceparent] = []string{obs.FormatTraceparent(root.TraceID(), root.WireID(), true)}
 		}
 	}
 	e.requests.Inc()

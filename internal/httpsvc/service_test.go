@@ -40,24 +40,35 @@ func TestAbortedWritesNothing(t *testing.T) {
 
 // TestUnsampledRequestAllocs pins the wrapper's own cost on the path
 // every unsampled request takes, with a tracer configured but not
-// firing: net/http canonicalising "X-Request-ID" (read and stamp) and
-// "traceparent" (read), and the stamped header's value slice — four
-// allocations, as before the chassis was shared. A context wrap, a
-// per-request closure or a ResponseWriter wrapper would show as a
-// fifth.
+// firing. Headers are read and stamped under their canonical keys, so
+// nothing is canonicalised, and the client's request ID is echoed
+// through its own value slice: zero allocations. A request without an
+// ID pays for the minted string and its slice. A context wrap, a
+// per-request closure, a ResponseWriter wrapper or a non-canonical
+// header key would show as one more.
 func TestUnsampledRequestAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	s := New(Options{Name: "svc", Metrics: obs.NewRegistry(), FallbackStatus: http.StatusInternalServerError,
-		Tracer: obs.NewTracer(obs.NewSpanStore(4, 0), 0)})
+		Tracer: obs.NewTracer(obs.NewSpanStore(4, 0), 0), ReplicaID: "r1"})
 	s.Handle("/noop", http.MethodGet, func(http.ResponseWriter, *http.Request) error { return nil })
+	e := s.endpoints["/noop"]
+	w := &headerOnlyWriter{h: make(http.Header)}
+
 	req := httptest.NewRequest(http.MethodGet, "/noop", nil)
 	req.Header.Set("X-Request-ID", "fixed")
-	w := &headerOnlyWriter{h: make(http.Header)}
-	e := s.endpoints["/noop"]
-	if allocs := testing.AllocsPerRun(200, func() { e.ServeHTTP(w, req) }); allocs > 4 {
-		t.Errorf("unsampled request costs %v allocs in the wrapper, want <= 4", allocs)
+	req.Header.Set("traceparent", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00") // unsampled
+	if allocs := testing.AllocsPerRun(200, func() { e.ServeHTTP(w, req) }); allocs != 0 {
+		t.Errorf("unsampled request with its own ID costs %v allocs in the wrapper, want 0", allocs)
+	}
+	if w.h.Get("X-Request-ID") != "fixed" || w.h.Get("X-Replica") != "r1" || w.h.Get("Traceparent") != "" {
+		t.Errorf("stamped headers = %v, want the echoed ID, the replica and no Traceparent", w.h)
+	}
+
+	anonymous := httptest.NewRequest(http.MethodGet, "/noop", nil)
+	if allocs := testing.AllocsPerRun(200, func() { e.ServeHTTP(w, anonymous) }); allocs > 2 {
+		t.Errorf("unsampled request without an ID costs %v allocs in the wrapper, want <= 2", allocs)
 	}
 }
 

@@ -101,8 +101,7 @@ func (s *Service) handleDebugTraces(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return err
 	}
-	q := r.URL.Query()
-	rid, traceID, endpoint := q.Get("request_id"), q.Get("trace_id"), q.Get("endpoint")
+	rid, traceID, endpoint := QueryParam(r, "request_id"), QueryParam(r, "trace_id"), QueryParam(r, "endpoint")
 
 	all := store.Snapshot()
 	out := &TracesResponse{

@@ -182,5 +182,5 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) error 
 		}
 	}
 	out.RuntimeMS = msSince(start)
-	return httpsvc.WriteJSON(w, out)
+	return writeAppended(w, out.appendJSON)
 }

@@ -132,11 +132,7 @@ func (s *Server) handlePairSum(w http.ResponseWriter, r *http.Request) error {
 		}
 		cache.PutAt(key, h, epoch)
 	}
-	if cached {
-		w.Header().Set("X-Cache", "hit")
-	} else {
-		w.Header().Set("X-Cache", "miss")
-	}
+	markCache(w, cached)
 	return httpsvc.WriteJSON(w, &pairSumResponse{
 		First:       key.first,
 		Second:      key.second,

@@ -18,6 +18,22 @@ type routeKey struct {
 	bucket   uint64
 }
 
+// cacheHit / cacheMiss are the X-Cache value slices every response
+// shares; nothing may write through them.
+var (
+	cacheHit  = []string{"hit"}
+	cacheMiss = []string{"miss"}
+)
+
+// markCache stamps the X-Cache header of a cacheable endpoint.
+func markCache(w http.ResponseWriter, hit bool) {
+	v := cacheMiss
+	if hit {
+		v = cacheHit
+	}
+	w.Header()[httpsvc.HeaderCache] = v
+}
+
 // routeEntry is a cached complete route: the chosen path and its full
 // travel-time distribution, from which any budget in the key's bucket
 // recomputes its exact on-time probability, plus the model epoch that
@@ -195,7 +211,9 @@ func (s *Server) routeCommon(w http.ResponseWriter, r *http.Request, limit time.
 		ssp.End()
 	}
 
-	out := &routeResponse{Source: src, Dest: dst, Budget: budget, Depart: depart, Slice: slice, TimeExpanded: expanded}
+	// out lives on the stack: it is filled, appended into a pooled
+	// buffer by writeAppended, and gone.
+	out := routeResponse{Source: src, Dest: dst, Budget: budget, Depart: depart, Slice: slice, TimeExpanded: expanded}
 	_, csp := obs.StartSpan(ctx, "cache-lookup")
 	var entry routeEntry
 	hit := false
@@ -210,12 +228,11 @@ func (s *Server) routeCommon(w http.ResponseWriter, r *http.Request, limit time.
 		csp.End()
 	}
 
+	markCache(w, hit)
 	var res *routing.Result
 	if hit {
-		w.Header().Set("X-Cache", "hit")
 		out.fromEntry(entry)
 	} else {
-		w.Header().Set("X-Cache", "miss")
 		opts := routing.Options{Budget: budget, Departure: depart, TimeExpanded: expanded, MaxDuration: s.cfg.RequestTimeout}
 		if limit > 0 {
 			opts.MaxDuration = limit
@@ -223,7 +240,7 @@ func (s *Server) routeCommon(w http.ResponseWriter, r *http.Request, limit time.
 		res, err = s.backend.RouteCtx(ctx, src, dst, opts)
 		if errors.Is(err, routing.ErrUnreachable) {
 			out.Complete, out.ModelEpoch, out.RuntimeMS = true, epoch, msSince(start)
-			return httpsvc.WriteJSON(w, out)
+			return writeAppended(w, out.appendJSON)
 		}
 		if err != nil {
 			return err
@@ -236,7 +253,7 @@ func (s *Server) routeCommon(w http.ResponseWriter, r *http.Request, limit time.
 	s.routeLat.observe(out.Slice, hit, expanded, lat, traceID)
 	if s.trace != nil {
 		qt := obs.QueryTrace{
-			RequestID:       w.Header().Get("X-Request-ID"), // stamped by the chassis
+			RequestID:       httpsvc.HeaderValue(w.Header(), httpsvc.HeaderRequestID), // stamped by the chassis
 			Endpoint:        endpoint,
 			Source:          int64(src),
 			Dest:            int64(dst),
@@ -263,7 +280,7 @@ func (s *Server) routeCommon(w http.ResponseWriter, r *http.Request, limit time.
 	}
 	out.RuntimeMS = msSince(start)
 	_, esp := obs.StartSpan(ctx, "encode")
-	encErr := httpsvc.WriteJSON(w, out)
+	encErr := writeAppended(w, out.appendJSON)
 	esp.End()
 	return encErr
 }

@@ -281,7 +281,7 @@ func (s *Server) Serve(ctx context.Context, addr string) error {
 // as a "lat,lon" coordinate (coordKey) snapped to the nearest vertex.
 func (s *Server) vertexParam(r *http.Request, idKey, coordKey string) (graph.VertexID, error) {
 	g := s.backend.Graph()
-	if raw := r.URL.Query().Get(idKey); raw != "" {
+	if raw := httpsvc.QueryParam(r, idKey); raw != "" {
 		id, err := strconv.Atoi(raw)
 		if err != nil {
 			return graph.NoVertex, httpsvc.BadRequest("%s: not an integer: %q", idKey, raw)
@@ -291,7 +291,7 @@ func (s *Server) vertexParam(r *http.Request, idKey, coordKey string) (graph.Ver
 		}
 		return graph.VertexID(id), nil
 	}
-	if raw := r.URL.Query().Get(coordKey); raw != "" {
+	if raw := httpsvc.QueryParam(r, coordKey); raw != "" {
 		parts := strings.Split(raw, ",")
 		if len(parts) != 2 {
 			return graph.NoVertex, httpsvc.BadRequest("%s: want lat,lon, got %q", coordKey, raw)
