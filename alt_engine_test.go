@@ -1,6 +1,7 @@
 package stochroute
 
 import (
+	"context"
 	"testing"
 )
 
@@ -81,7 +82,7 @@ func TestEngineSetLandmarks(t *testing.T) {
 				{"classic", RouteOptions{Budget: 1.35 * optimistic}},
 				{"time-expanded", RouteOptions{Budget: 1.35 * optimistic, Departure: 43150, TimeExpanded: true}},
 			} {
-				res, err := e.RouteWithOptions(q.Source, q.Dest, v.opts)
+				res, err := e.RouteCtx(context.Background(), q.Source, q.Dest, v.opts)
 				if err != nil {
 					t.Fatalf("%s: %v", v.label, err)
 				}

@@ -13,7 +13,7 @@ import (
 )
 
 // TestEngineRouteBatchMatchesSequential: a batched answer must be
-// item-for-item identical to sequential RouteWithOptions calls — same
+// item-for-item identical to sequential RouteCtx calls — same
 // path, bit-equal probability, same epoch stamp — including error
 // items, which must not disturb their neighbours.
 func TestEngineRouteBatchMatchesSequential(t *testing.T) {
@@ -57,7 +57,7 @@ func TestEngineRouteBatchMatchesSequential(t *testing.T) {
 		if it.Err != nil {
 			t.Fatalf("item %d: %v", i, it.Err)
 		}
-		want, err := e.RouteWithOptions(q.Source, q.Dest, q.Opts)
+		want, err := e.RouteCtx(context.Background(), q.Source, q.Dest, q.Opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,8 @@
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (see the experiment index in DESIGN.md §4). The benchmarks
-// run on the Small substrate so `go test -bench=.` completes in minutes;
-// cmd/experiments regenerates the full tables at medium/large scale.
+// evaluation (the E1–E8 section banners of internal/exp are the
+// experiment index). The benchmarks run on the Small substrate so
+// `go test -bench=.` completes in minutes; cmd/experiments regenerates
+// the full tables at medium/large scale.
 package stochroute
 
 import (
@@ -172,8 +173,8 @@ func BenchmarkE6Efficiency(b *testing.B) {
 }
 
 // BenchmarkE7Ablation measures the search cost with each pruning (and
-// classifier mode) ablated — the design-choice benchmarks DESIGN.md §6
-// calls out.
+// classifier mode) ablated — the prunings internal/routing/doc.go
+// states the invariants of.
 func BenchmarkE7Ablation(b *testing.B) {
 	s := getBenchSetup(b)
 	cats := exp.Categories(s.Scale)
@@ -255,9 +256,8 @@ func BenchmarkRoutingPBR(b *testing.B) {
 // so PBRCtx records its potentials/seed-path/expand phase spans and the
 // finished trace lands in a span store. The delta against
 // BenchmarkRoutingPBR is the full per-query cost of span tracing — a
-// handful of small allocations (trace, root, three phase spans, attrs)
-// that CI bounds so instrumentation creep is caught the same way
-// kernel allocation creep is.
+// handful of small allocations (trace, root, three phase spans, attrs);
+// TestRouteSteadyStateAllocs holds the ceiling.
 func BenchmarkRoutingPBRTraced(b *testing.B) {
 	s := getBenchSetup(b)
 	cats := exp.Categories(s.Scale)

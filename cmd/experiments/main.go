@@ -1,6 +1,6 @@
 // Command experiments regenerates every table of the paper's empirical
-// study on the synthetic substrate (see DESIGN.md §4 for the experiment
-// index and EXPERIMENTS.md for recorded outcomes).
+// study on the synthetic substrate (the E1–E8 section banners of
+// internal/exp are the experiment index).
 //
 // Usage:
 //

@@ -1,7 +1,7 @@
 // Command gentraj simulates vehicle trajectories over a generated
 // network using the traffic world model (the stand-in for GPS fleet
 // data) and writes them in the SRT2 binary format (each trip carries a
-// departure timestamp; SRT1 files remain readable everywhere).
+// departure timestamp).
 //
 // Usage:
 //

@@ -1,4 +1,4 @@
-// Command replay streams an SRT1 trajectory file into a running
+// Command replay streams an SRT2 trajectory file into a running
 // routing service's POST /ingest endpoint at a configurable rate — the
 // way a fleet's map-matched GPS feed would arrive in production. It is
 // the client half of the online-learning loop: stream enough shifted
@@ -30,7 +30,7 @@ func main() {
 	log.SetPrefix("replay: ")
 
 	addr := flag.String("addr", "http://127.0.0.1:8080", "base URL of the routing service")
-	trajPath := flag.String("traj", "trips.srt", "trajectory file (SRT1) to stream")
+	trajPath := flag.String("traj", "trips.srt", "trajectory file (SRT2) to stream")
 	rate := flag.Float64("rate", 100, "trajectories per second (0 = as fast as possible)")
 	batch := flag.Int("batch", 64, "trajectories per POST /ingest request")
 	loops := flag.Int("loops", 1, "times to stream the whole file")

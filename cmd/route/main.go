@@ -10,19 +10,20 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
+	"stochroute"
 	"stochroute/internal/geo"
-	"stochroute/internal/graph"
-	"stochroute/internal/hybrid"
 	"stochroute/internal/routing"
-	"stochroute/internal/traj"
 )
 
 // summariseSlices compresses a per-edge slice sequence into run-length
@@ -66,126 +67,87 @@ func parseLatLon(s string) (geo.Point, error) {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("route: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
-	netPath := flag.String("net", "net.srg", "network file (SRG1)")
-	trajPath := flag.String("traj", "trips.srt", "trajectory file (SRT1), used to rebuild edge statistics")
-	modelPath := flag.String("model", "model.srhm", "trained model file (SRHM)")
-	from := flag.String("from", "", "source as lat,lon")
-	to := flag.String("to", "", "destination as lat,lon")
-	budget := flag.Float64("budget", 600, "time budget in seconds")
-	depart := flag.Float64("depart", 0, "departure time in seconds since midnight (selects the time-of-day slice of a sliced model)")
-	expand := flag.Bool("expand", false, "time-expanded routing: re-select the slice model per edge from departure + accumulated mean cost (long trips cross slice boundaries mid-search)")
-	limit := flag.Duration("limit", 0, "anytime wall-clock limit (0 = run to optimality)")
-	width := flag.Float64("width", 2, "histogram grid width in seconds")
-	minObs := flag.Int("min-obs", 20, "minimum pair observations")
-	flag.Parse()
+// run answers the query the arguments describe and prints the answer to
+// stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("route", flag.ContinueOnError)
+	netPath := fs.String("net", "net.srg", "network file (SRG1)")
+	trajPath := fs.String("traj", "trips.srt", "trajectory file (SRT2), used to rebuild edge statistics")
+	modelPath := fs.String("model", "model.srhm", "trained model file (SRH2)")
+	from := fs.String("from", "", "source as lat,lon")
+	to := fs.String("to", "", "destination as lat,lon")
+	budget := fs.Float64("budget", 600, "time budget in seconds")
+	depart := fs.Float64("depart", 0, "departure time in seconds since midnight (selects the time-of-day slice of a sliced model)")
+	expand := fs.Bool("expand", false, "time-expanded routing: re-select the slice model per edge from departure + accumulated mean cost (long trips cross slice boundaries mid-search)")
+	limit := fs.Duration("limit", 0, "anytime wall-clock limit (0 = run to optimality)")
+	width := fs.Float64("width", 2, "histogram grid width in seconds")
+	minObs := fs.Int("min-obs", 20, "minimum pair observations")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *from == "" || *to == "" {
-		log.Fatal("both -from and -to are required (lat,lon)")
+		return errors.New("both -from and -to are required (lat,lon)")
 	}
 	src, err := parseLatLon(*from)
 	if err != nil {
-		log.Fatalf("-from: %v", err)
+		return fmt.Errorf("-from: %w", err)
 	}
 	dst, err := parseLatLon(*to)
 	if err != nil {
-		log.Fatalf("-to: %v", err)
+		return fmt.Errorf("-to: %w", err)
 	}
 
-	f, err := os.Open(*netPath)
+	eng, _, err := stochroute.OpenEngine(*netPath, *trajPath, *modelPath, *width, *minObs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	g, err := graph.Read(f)
-	f.Close()
-	if err != nil {
-		log.Fatal(err)
+	g := eng.Graph()
+	slice := eng.SliceOf(*depart)
+	if eng.NumSlices() > 1 {
+		fmt.Fprintf(stdout, "departure %.0fs -> time slice %d of %d\n", *depart, slice, eng.NumSlices())
 	}
-	tf, err := os.Open(*trajPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	trs, err := traj.ReadTrajectoryStream(tf, g)
-	tf.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	mf, err := os.Open(*modelPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	set, err := hybrid.ReadModelSet(mf)
-	mf.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	// The departure picks the serving slice; only that slice's
-	// knowledge base is rebuilt (from the trips departing in it) —
-	// unless the search is time-expanded, in which case any slice may
-	// serve an edge and every slice's knowledge base is needed.
-	slice := set.SliceOf(*depart)
-	obs := traj.NewSlicedObservations(g, *width, set.K())
-	obs.Collect(trs)
-	rebuild := []int{slice}
-	if *expand {
-		rebuild = rebuild[:0]
-		for s := 0; s < set.K(); s++ {
-			rebuild = append(rebuild, s)
-		}
-	}
-	for _, s := range rebuild {
-		kb, err := hybrid.BuildKnowledgeBase(g, obs.Slice(s), *width, *minObs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := set.At(s).AttachKB(kb); err != nil {
-			log.Fatal(err)
-		}
-	}
-	model := set.At(slice)
-	kb := model.KB
-	if set.K() > 1 {
-		fmt.Printf("departure %.0fs -> time slice %d of %d\n", *depart, slice, set.K())
-	}
+	s := eng.NearestVertex(src.Lat, src.Lon)
+	d := eng.NearestVertex(dst.Lat, dst.Lon)
+	fmt.Fprintf(stdout, "source %v -> vertex %d %v\n", src, s, g.Point(s))
+	fmt.Fprintf(stdout, "dest   %v -> vertex %d %v\n", dst, d, g.Point(d))
 
-	idx := graph.NewGridIndex(g, 500)
-	s := idx.Nearest(src)
-	d := idx.Nearest(dst)
-	fmt.Printf("source %v -> vertex %d %v\n", src, s, g.Point(s))
-	fmt.Printf("dest   %v -> vertex %d %v\n", dst, d, g.Point(d))
-
-	var coster hybrid.Coster = model
-	if *expand {
-		coster = set.TimeExpandedCoster(*depart, nil)
-	}
-	res, err := routing.PBR(g, coster, s, d, routing.Options{
+	res, err := eng.RouteCtx(context.Background(), s, d, stochroute.RouteOptions{
 		Budget:       *budget,
 		Departure:    *depart,
 		TimeExpanded: *expand,
 		MaxDuration:  *limit,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !res.Found {
-		log.Fatal("no path found within the budget")
+		return errors.New("no path found within the budget")
 	}
-	fmt.Printf("\nbudget routing (t = %.0fs):\n", *budget)
-	fmt.Printf("  P(on time) = %.3f   edges = %d   mean = %.0fs\n",
+	fmt.Fprintf(stdout, "\nbudget routing (t = %.0fs):\n", *budget)
+	fmt.Fprintf(stdout, "  P(on time) = %.3f   edges = %d   mean = %.0fs\n",
 		res.Prob, len(res.Path), res.Dist.Mean())
-	fmt.Printf("  expansions = %d, labels = %d, runtime = %v, complete = %v\n",
+	fmt.Fprintf(stdout, "  expansions = %d, labels = %d, runtime = %v, complete = %v\n",
 		res.Expansions, res.GeneratedLabels, res.Runtime.Round(time.Millisecond), res.Complete)
 	if len(res.SliceSeq) > 0 {
-		fmt.Printf("  slice sequence = %v\n", summariseSlices(res.SliceSeq))
+		fmt.Fprintf(stdout, "  slice sequence = %v\n", summariseSlices(res.SliceSeq))
 	}
 
-	basePath, baseMean, err := routing.MeanCostPath(g, kb, s, d)
+	// The baseline is the departure slice's: its mean-cost path, costed
+	// by its model.
+	basePath, baseMean, err := routing.MeanCostPath(g, eng.SliceKnowledgeBase(slice), s, d)
 	if err == nil {
-		baseDist, err := hybrid.PathCost(model, basePath)
+		baseDist, err := eng.PathDistributionAt(*depart, basePath)
 		if err == nil {
-			fmt.Printf("\nmean-cost baseline:\n")
-			fmt.Printf("  P(on time) = %.3f   edges = %d   mean = %.0fs\n",
+			fmt.Fprintf(stdout, "\nmean-cost baseline:\n")
+			fmt.Fprintf(stdout, "  P(on time) = %.3f   edges = %d   mean = %.0fs\n",
 				baseDist.ProbWithinBudget(*budget), len(basePath), baseMean)
 		}
 	}
+	return nil
 }

@@ -21,15 +21,16 @@
 //
 // Observability: GET /metrics serves the Prometheus text exposition
 // (disable with -metrics=false); -slow-query-ms logs a structured
-// slow_query line for every route request over the threshold, and
-// -trace-sample 100 traces 1 in 100 requests regardless of latency.
-// Both kinds of line carry the request's X-Request-ID, which the
-// server echoes to the client, so logs join to responses exactly.
+// slow_query line for every route request over the threshold. The line
+// carries the request's X-Request-ID, which the server echoes to the
+// client, so logs join to responses exactly.
 //
-// With -span-sample N the service additionally records a phase-level
-// span tree for 1 in N requests (and for every request arriving with a
-// sampled W3C traceparent header), retains the most recent -trace-store
-// of them — slow and error traces preferentially — and serves them as
+// With -span-sample N the service records a phase-level span tree for
+// 1 in N requests (and for every request arriving with a sampled W3C
+// traceparent header) — the query, the slice and epoch that served it,
+// the cache outcome and the search counters ride on the spans —
+// retains the most recent -trace-store of them, those over
+// -slow-query-ms and error traces preferentially, and serves them as
 // JSON on GET /debug/traces. Background rebuilds are always traced.
 // Scrapers that Accept application/openmetrics-text get latency
 // histogram buckets annotated with exemplar trace IDs that resolve in
@@ -59,7 +60,6 @@ import (
 	"time"
 
 	"stochroute"
-	"stochroute/internal/graph"
 	"stochroute/internal/hybrid"
 	"stochroute/internal/ingest"
 	"stochroute/internal/obs"
@@ -80,8 +80,8 @@ func main() {
 
 	addr := flag.String("addr", ":8080", "listen address")
 	netPath := flag.String("net", "net.srg", "network file (SRG1)")
-	trajPath := flag.String("traj", "trips.srt", "trajectory file (SRT1), used to rebuild edge statistics")
-	modelPath := flag.String("model", "model.srhm", "trained model file (SRHM)")
+	trajPath := flag.String("traj", "trips.srt", "trajectory file (SRT2), used to rebuild edge statistics")
+	modelPath := flag.String("model", "model.srhm", "trained model file (SRH2)")
 	width := flag.Float64("width", 2, "histogram grid width in seconds")
 	minObs := flag.Int("min-obs", 20, "minimum pair observations")
 	landmarks := flag.Int("landmarks", 0, "ALT landmarks: precompute this many landmark distance tables per model generation so queries skip the per-query backward Dijkstra (0 disables; 16 is a good OSM-scale default)")
@@ -97,7 +97,6 @@ func main() {
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request search timeout")
 	routeCache := flag.Int("route-cache", 4096, "route cache entries (negative disables)")
 	pairCache := flag.Int("pair-cache", 16384, "pair-sum cache entries (negative disables)")
-	shards := flag.Int("cache-shards", 16, "cache lock shards")
 	bucket := flag.Float64("budget-bucket", 15, "route cache budget bucket in seconds (0 = exact budgets)")
 
 	ingestOn := flag.Bool("ingest", true, "enable POST /ingest with drift-triggered background retraining")
@@ -116,7 +115,6 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this separate loopback address (e.g. 127.0.0.1:6060); empty disables")
 	metricsOn := flag.Bool("metrics", true, "serve the Prometheus text exposition on GET /metrics")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log a structured slow_query line for route requests over this latency (0 disables)")
-	traceSample := flag.Int("trace-sample", 0, "additionally trace 1 in N route requests as query_trace lines (0 disables)")
 	spanSample := flag.Int("span-sample", 0, "record a span tree for 1 in N requests on GET /debug/traces (0 disables span tracing; sampled traceparent headers always trace)")
 	traceStore := flag.Int("trace-store", 256, "completed traces retained for /debug/traces (plus a slow/error annex)")
 	replicaID := flag.String("replica-id", "", "fleet identity: stamp every response with this X-Replica header and report it in /healthz, so cmd/gateway can attribute and verify this replica (empty = standalone)")
@@ -153,7 +151,7 @@ func main() {
 		hybridCfg = hybrid.DefaultConfig()
 		hybridCfg.Width = *width
 		hybridCfg.MinPairObs = *minObs
-		eng, seedTrajs, err = loadEngine(*netPath, *trajPath, *modelPath, *width, *minObs)
+		eng, seedTrajs, err = stochroute.OpenEngine(*netPath, *trajPath, *modelPath, *width, *minObs)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -228,7 +226,6 @@ func main() {
 		RequestTimeout:      *timeout,
 		RouteCache:          *routeCache,
 		PairCache:           *pairCache,
-		CacheShards:         *shards,
 		BudgetBucketSeconds: *bucket,
 		MaxBatch:            *maxBatch,
 		BatchWorkers:        *batchWorkers,
@@ -237,7 +234,6 @@ func main() {
 		Metrics:             reg,
 		DisableMetrics:      !*metricsOn,
 		SlowQueryThreshold:  time.Duration(*slowQueryMS) * time.Millisecond,
-		TraceSample:         *traceSample,
 		TraceLogger:         slog.New(slog.NewJSONHandler(os.Stderr, nil)),
 		Tracer:              tracer,
 		ReplicaID:           *replicaID,
@@ -248,9 +244,8 @@ func main() {
 	if *metricsOn {
 		log.Print("metrics: GET /metrics enabled (Prometheus text exposition)")
 	}
-	if *slowQueryMS > 0 || *traceSample > 0 {
-		log.Printf("tracing: slow-query threshold %dms, sample 1/%d (structured lines on stderr)",
-			*slowQueryMS, *traceSample)
+	if *slowQueryMS > 0 {
+		log.Printf("slow queries: route requests of %dms or more log a structured slow_query line on stderr", *slowQueryMS)
 	}
 	if tracer.Enabled() {
 		log.Printf("spans: GET /debug/traces enabled (sampling 1/%d requests, retaining %d traces)",
@@ -297,41 +292,4 @@ func startPprof(addr string) {
 			log.Printf("pprof server: %v", err)
 		}
 	}()
-}
-
-// loadEngine assembles an engine from saved artifacts: the network, the
-// trajectories (to rebuild the per-slice knowledge bases the models
-// bind to, and to seed the ingestion aggregate) and the trained model
-// — a classic single-model SRHM file or a multi-slice SRH2 set, whose
-// slice count the engine adopts. Nothing is retrained.
-func loadEngine(netPath, trajPath, modelPath string, width float64, minObs int) (*stochroute.Engine, []traj.Trajectory, error) {
-	f, err := os.Open(netPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := graph.Read(f)
-	f.Close()
-	if err != nil {
-		return nil, nil, err
-	}
-	tf, err := os.Open(trajPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	trs, err := traj.ReadTrajectoryStream(tf, g)
-	tf.Close()
-	if err != nil {
-		return nil, nil, err
-	}
-	mf, err := os.Open(modelPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	set, err := hybrid.ReadModelSet(mf)
-	mf.Close()
-	if err != nil {
-		return nil, nil, err
-	}
-	eng, err := stochroute.NewEngineWithModelSet(g, trs, width, minObs, set)
-	return eng, trs, err
 }

@@ -1,7 +1,7 @@
 // Command train fits the Hybrid Model (distribution estimator +
 // convolve-vs-estimate classifier) from a network and trajectory file,
 // reports the paper's KL-divergence evaluation on held-out pairs, and
-// writes the model in the SRHM binary format.
+// writes the model set in the SRH2 binary format.
 //
 // Usage:
 //
@@ -9,8 +9,8 @@
 //
 // With -slices k one model is trained per time-of-day slice on that
 // slice's trajectories (bucketed by departure timestamp) and the
-// output is a multi-slice SRH2 model set; cmd/serve and cmd/route load
-// either format.
+// output is a k-slice set; cmd/serve and cmd/route adopt the file's
+// slice count.
 package main
 
 import (
@@ -31,7 +31,7 @@ func main() {
 	log.SetPrefix("train: ")
 
 	netPath := flag.String("net", "net.srg", "input network file (SRG1)")
-	trajPath := flag.String("traj", "trips.srt", "input trajectory file (SRT1)")
+	trajPath := flag.String("traj", "trips.srt", "input trajectory file (SRT2)")
 	out := flag.String("out", "model.srhm", "output model file")
 	trainPairs := flag.Int("train-pairs", 4000, "training edge pairs (paper: 4000)")
 	testPairs := flag.Int("test-pairs", 1000, "held-out test edge pairs (paper: 1000)")

@@ -97,8 +97,8 @@
 // The tables are model-derived state, so they live in the epoch-tagged
 // snapshot and follow its lifecycle: every swap path — SwapModel,
 // SwapSliceModel (only the affected slice's tables plus the
-// min-across-slices tables rebuild), SwapModelSet, LoadModel — rebuilds
-// what the incoming models invalidate before publishing, on the swap
+// min-across-slices tables rebuild), LoadModel — rebuilds what the
+// incoming models invalidate before publishing, on the swap
 // path rather than the query path. Time-expanded queries use tables
 // built on the pointwise-min-across-slices metric, which stays
 // admissible for every horizon; departure-slice queries use their
@@ -141,20 +141,18 @@
 // participates:
 //
 //   - Trajectories carry a departure timestamp (traj.Trajectory.
-//     Departure, persisted by the SRT2 codec; legacy SRT1 files load
-//     with departure 0), the synthetic world can give each slice its
-//     own congestion mode prior (traj.WorldConfig.SlicePriors,
-//     traj.PeakedSlicePriors), and observations aggregate per slice
-//     over a shared edge grid (traj.SlicedObservations).
+//     Departure, persisted by the SRT2 codec), the synthetic world can
+//     give each slice its own congestion mode prior
+//     (traj.WorldConfig.SlicePriors, traj.PeakedSlicePriors), and
+//     observations aggregate per slice over a shared edge grid
+//     (traj.SlicedObservations).
 //   - One hybrid model is trained per slice on that slice's data
-//     (hybrid.TrainSlices) and the set persists as a multi-slice SRHM
-//     v2 file — a v1 file loads as a 1-slice set, and a 1-slice set
-//     writes byte-identical v1.
+//     (hybrid.TrainSlices) and the set persists as one SRH2 file; the
+//     classic time-homogeneous model is the set with K = 1.
 //   - A query's RouteOptions.Departure selects the slice exactly once,
 //     before the (unchanged, allocation-free) PBR kernel runs; results
-//     are stamped with the slice and the slice's epoch. Legacy SRT1
-//     trajectory files load with departure 0; concatenated recordings
-//     that mix codec generations stream through
+//     are stamped with the slice and the slice's epoch. Concatenated
+//     recordings (`cat monday.srt tuesday.srt`) load through
 //     traj.ReadTrajectoryStream.
 //
 // # Time-expanded routing
@@ -201,10 +199,9 @@
 // the unit internal/ingest publishes through when one slice's drift
 // monitor fires — advances only that slice's epoch, so an AM-peak
 // rebuild leaves the night model, its epoch and its caches untouched;
-// SwapModelSet and LoadModel advance every slice at once. Every
-// RouteResult is stamped with the epoch that answered it: the slice's
-// epoch for departure-slice queries, the global epoch for
-// time-expanded ones.
+// LoadModel advances every slice at once. Every RouteResult is stamped
+// with the epoch that answered it: the slice's epoch for
+// departure-slice queries, the global epoch for time-expanded ones.
 //
 // The serving layer (internal/server) leans on exactly that split: it
 // keeps one sharded LRU route cache and one pair-sum cache PER SLICE
@@ -234,23 +231,24 @@
 // and when. The instrumentation is allocation-free on the query path:
 // counters are single atomic adds on pre-registered series, and
 // attaching search metrics adds zero allocations per routed query
-// (gated by TestRouteMetricsZeroExtraAllocs and
-// BenchmarkMetricsHotPath in CI).
+// (gated by TestRouteMetricsZeroExtraAllocs and obs's
+// TestHotPathZeroAllocs).
 //
-// Per-query tracing rides the same path: requests slower than the
-// server's slow-query threshold (and an optional 1-in-N sample) emit
-// one structured log/slog line carrying the request's X-Request-ID —
-// accepted from the client or minted, always echoed on the response —
-// with the full query identity and search counters, so a slow response
-// observed by a client joins to the server's view of the same request.
-// internal/server/doc.go catalogues the metric names, label
-// conventions and the trace line schema.
+// Slow-query logging rides the same path: a route request at or over
+// the server's slow-query threshold emits one structured log/slog line
+// carrying the request's X-Request-ID — accepted from the client or
+// minted, always echoed on the response — with the full query identity
+// and search counters, so a slow response observed by a client joins
+// to the server's view of the same request. internal/server/doc.go
+// catalogues the metric names, label conventions and the line's
+// schema.
 //
 // Span-based tracing (obs.Tracer) goes one level deeper: a sampled
 // request carries a root span through context.Context, and every layer
-// it crosses contributes timed child spans — the server's slice-select,
-// cache-lookup and encode phases, the engine's search span (with the
-// per-query counters as attributes), and inside it the PBR kernel's
+// it crosses contributes timed child spans — the server's slice-select
+// (with the query itself as attributes), cache-lookup and encode
+// phases, the engine's search span (with the per-query counters and
+// outcome as attributes), and inside it the PBR kernel's
 // potentials/seed-path/expand phases (routing.PBRCtx). Background
 // rebuilds are always traced as root "rebuild" with build-kb/train/swap
 // children. Finished trees land in a bounded lock-free store —
@@ -262,8 +260,9 @@
 // exemplar, so a latency spike on a dashboard links straight to the
 // span tree that explains it. The unsampled path is free: StartSpan on
 // a span-free context returns a nil span whose every method is a no-op,
-// gated at zero allocations per query by BenchmarkSpanUnsampledHotPath
-// and bounded under sampling by BenchmarkRoutingPBRTraced in CI.
+// gated at zero allocations per query by obs's
+// TestSpanUnsampledZeroAlloc and bounded under sampling by
+// TestRouteSteadyStateAllocs.
 //
 // # Quick start
 //

@@ -88,10 +88,10 @@ func newSliceEpochs(k int, epoch uint64) []uint64 {
 
 // Engine is the assembled system: a road network, the trained Hybrid
 // Model over it, and the query algorithms. The whole query surface —
-// Route, RouteAnytime, RouteWithOptions, AlternativeRoutes,
-// PathDistribution, PairSum and friends — is read-only and safe for
-// any number of concurrent goroutines on one shared Engine; decision
-// telemetry is kept per-request and in atomic lifetime totals.
+// Route, RouteCtx, RouteBatch, AlternativeRoutes, PathDistribution,
+// PairSumAt and friends — is read-only and safe for any number of
+// concurrent goroutines on one shared Engine; decision telemetry is
+// kept per-request and in atomic lifetime totals.
 //
 // The serving model lives behind an epoch-tagged atomic pointer:
 // SwapModel (and LoadModel, which is built on it) atomically publishes
@@ -200,23 +200,13 @@ func NewEngineFromObservations(g *Graph, trajs []Trajectory, cfg hybrid.Config, 
 	return eng, nil
 }
 
-// NewEngineWithModel assembles an engine over an existing graph,
-// trajectory set and an already-trained model — the serving path:
-// the knowledge base is rebuilt from the observations and the model is
-// attached to it, with no training and no evaluation (Report is nil).
-// The model's grid width must match width.
-func NewEngineWithModel(g *Graph, trajs []Trajectory, width float64, minPairObs int, model *Model) (*Engine, error) {
-	if model == nil {
-		return nil, errors.New("stochroute: nil model")
-	}
-	return NewEngineWithModelSet(g, trajs, width, minPairObs, hybrid.SingleModelSet(model))
-}
-
-// NewEngineWithModelSet is NewEngineWithModel for a time-sliced model
-// set (for example one read back with hybrid.ReadModelSet): the
-// trajectories are bucketed by departure slice, one knowledge base is
-// rebuilt per slice, and each slice's model is attached to its own —
-// with no training and no evaluation.
+// NewEngineWithModelSet assembles an engine over an existing graph,
+// trajectory set and an already-trained model set (for example one read
+// back with hybrid.ReadModelSet) — the serving path: the trajectories
+// are bucketed by departure slice, one knowledge base is rebuilt per
+// slice, and each slice's model is attached to its own, with no
+// training and no evaluation (Report is nil). The set's grid width must
+// match width.
 func NewEngineWithModelSet(g *Graph, trajs []Trajectory, width float64, minPairObs int, set *hybrid.ModelSet) (*Engine, error) {
 	if g == nil || g.NumVertices() == 0 {
 		return nil, errors.New("stochroute: nil or empty graph")
@@ -261,11 +251,6 @@ func (e *Engine) ModelSet() *hybrid.ModelSet { return e.current.Load().set }
 // slice.
 func (e *Engine) SliceModel(slice int) *Model { return e.current.Load().set.At(slice) }
 
-// KnowledgeBase returns the per-edge/per-pair statistics of the
-// currently serving model generation (slice 0's for a time-sliced
-// engine).
-func (e *Engine) KnowledgeBase() *KnowledgeBase { return e.current.Load().kb0() }
-
 // SliceKnowledgeBase returns the currently serving knowledge base of
 // one time-of-day slice.
 func (e *Engine) SliceKnowledgeBase(slice int) *KnowledgeBase {
@@ -274,12 +259,8 @@ func (e *Engine) SliceKnowledgeBase(slice int) *KnowledgeBase {
 
 // Observations returns the observation aggregate the currently serving
 // model generation was derived from (slice 0's store for a time-sliced
-// engine; see SlicedObservations for the whole aggregate).
+// engine).
 func (e *Engine) Observations() *ObservationStore { return e.current.Load().obs.Slice(0) }
-
-// SlicedObservations returns the whole per-slice observation aggregate
-// of the currently serving generation.
-func (e *Engine) SlicedObservations() *traj.SlicedObservations { return e.current.Load().obs }
 
 // NumSlices returns the number of time-of-day slices the engine's cost
 // model is partitioned into (1 = time-homogeneous).
@@ -416,42 +397,16 @@ func (e *Engine) swapSliceLocked(slice int, model *Model, obs *ObservationStore)
 	return next.epoch, nil
 }
 
-// SwapModelSet atomically publishes a whole new model set (every
-// slice's model with its knowledge base attached), bumping the global
-// epoch and every slice's epoch to it. The set's slice count must
-// match the serving set's. obs optionally replaces the observation
-// aggregate (nil keeps the previous one).
-func (e *Engine) SwapModelSet(set *hybrid.ModelSet, obs *traj.SlicedObservations) (uint64, error) {
-	e.swapMu.Lock()
-	defer e.swapMu.Unlock()
-	return e.swapSetLocked(set, obs)
-}
-
-// swapSetLocked publishes a whole set as the next generation, shared
-// by SwapModelSet and LoadModel. Callers hold e.swapMu.
-func (e *Engine) swapSetLocked(set *hybrid.ModelSet, obs *traj.SlicedObservations) (uint64, error) {
+// swapSetLocked publishes a whole new model set as the next generation,
+// bumping the global epoch and every slice's epoch to it. The caller
+// (LoadModel) holds e.swapMu, has checked that the set's slice count
+// matches the serving set's and has attached the serving knowledge
+// bases to it; the observation aggregate carries over.
+func (e *Engine) swapSetLocked(set *hybrid.ModelSet) error {
 	prev := e.current.Load()
-	if set == nil || set.K() == 0 {
-		return 0, errors.New("stochroute: SwapModelSet with empty set")
-	}
-	if set.K() != prev.set.K() {
-		return 0, fmt.Errorf("stochroute: SwapModelSet with %d slices, serving %d", set.K(), prev.set.K())
-	}
-	for s := 0; s < set.K(); s++ {
-		kb := set.At(s).KB
-		if kb == nil {
-			return 0, fmt.Errorf("stochroute: SwapModelSet slice %d has no knowledge base attached", s)
-		}
-		if g := kb.Graph(); g == nil || g.NumVertices() != e.graph.NumVertices() || g.NumEdges() != e.graph.NumEdges() {
-			return 0, fmt.Errorf("stochroute: SwapModelSet slice %d knowledge base built over a different graph", s)
-		}
-	}
-	if obs == nil {
-		obs = prev.obs
-	}
 	next := &modelSnapshot{
 		set:           set,
-		obs:           obs,
+		obs:           prev.obs,
 		epoch:         prev.epoch + 1,
 		sliceEpochs:   newSliceEpochs(set.K(), prev.epoch+1),
 		swappedAt:     time.Now(),
@@ -472,12 +427,12 @@ func (e *Engine) swapSetLocked(set *hybrid.ModelSet, obs *traj.SlicedObservation
 	if prev.alt != nil {
 		alt, err := e.buildAltSet(set, prev.alt.landmarks)
 		if err != nil {
-			return 0, fmt.Errorf("stochroute: ALT rebuild: %w", err)
+			return fmt.Errorf("stochroute: ALT rebuild: %w", err)
 		}
 		next.alt = alt
 	}
 	e.current.Store(next)
-	return next.epoch, nil
+	return nil
 }
 
 // SetLandmarks enables ALT landmark potentials for every subsequent
@@ -597,30 +552,23 @@ func (e *Engine) NearestVertex(lat, lon float64) VertexID {
 // (non-anytime) search: the returned path maximises the model's
 // probability of arriving within budget seconds.
 func (e *Engine) Route(source, dest VertexID, budget float64) (*RouteResult, error) {
-	return e.RouteWithOptions(source, dest, RouteOptions{Budget: budget})
+	return e.RouteCtx(context.Background(), source, dest, RouteOptions{Budget: budget})
 }
 
-// RouteAnytime is Route with a wall-clock limit: when the limit expires
-// the current pivot path is returned (Result.Complete reports whether
-// the search finished).
-func (e *Engine) RouteAnytime(source, dest VertexID, budget float64, limit time.Duration) (*RouteResult, error) {
-	return e.RouteWithOptions(source, dest, RouteOptions{Budget: budget, MaxDuration: limit})
-}
-
-// RouteWithOptions exposes every knob of the budget-routing search. The
-// result carries per-request cost-model telemetry (NumConvolved /
-// NumEstimated) collected race-free even when many queries run at once,
-// plus the ModelEpoch of the generation that answered it.
-func (e *Engine) RouteWithOptions(source, dest VertexID, opts RouteOptions) (*RouteResult, error) {
-	return e.routeOnSnapshot(context.Background(), e.current.Load(), source, dest, opts)
-}
-
-// RouteCtx is RouteWithOptions with trace-context propagation: when ctx
-// carries a sampled span (the serving layer's root span), the query
-// emits a "search" child span annotated with the slice, epoch and
-// search counters, and the PBR kernel adds its phase spans beneath it.
-// With an unsampled context it is byte-for-byte RouteWithOptions —
-// the span API collapses to a zero-allocation no-op.
+// RouteCtx exposes every knob of the budget-routing search
+// (RouteOptions.MaxDuration makes it anytime: when the limit expires the
+// current pivot path is returned and Result.Complete reports whether
+// the search finished). The result carries per-request cost-model
+// telemetry (NumConvolved / NumEstimated) collected race-free even when
+// many queries run at once, plus the ModelEpoch of the generation that
+// answered it.
+//
+// ctx propagates the trace context: when it carries a sampled span (the
+// serving layer's root span), the query emits a "search" child span
+// annotated with the slice, epoch and search counters, and the PBR
+// kernel adds its phase spans beneath it. With an unsampled context
+// (context.Background() included) the span API collapses to a
+// zero-allocation no-op.
 func (e *Engine) RouteCtx(ctx context.Context, source, dest VertexID, opts RouteOptions) (*RouteResult, error) {
 	return e.routeOnSnapshot(ctx, e.current.Load(), source, dest, opts)
 }
@@ -675,6 +623,7 @@ func (e *Engine) routeOnSnapshot(ctx context.Context, cur *modelSnapshot, source
 		sp.SetInt("estimated", int64(qs.Estimated))
 		sp.SetInt("arena_bytes", res.ArenaBytes)
 		sp.SetBool("found", res.Found)
+		sp.SetBool("complete", res.Complete)
 		sp.SetFloat("prob", res.Prob)
 		sp.End()
 	}
@@ -790,15 +739,10 @@ func (e *Engine) DecisionCounts() (convolved, estimated uint64) {
 	return cur.baseConvolved + conv, cur.baseEstimated + est
 }
 
-// PairSum returns the model's distribution for traversing the adjacent
-// edge pair (first, second) — the hot unit of the paper's evaluation,
-// served (and cached) by internal/server. Slice 0's model answers; use
-// PairSumAt for an explicit time-of-day slice.
-func (e *Engine) PairSum(first, second EdgeID) (*Hist, error) {
-	return e.current.Load().model0().PairSumEstimate(first, second)
-}
-
-// PairSumAt is PairSum under one time-of-day slice's serving model.
+// PairSumAt returns the distribution for traversing the adjacent edge
+// pair (first, second) under one time-of-day slice's serving model —
+// the hot unit of the paper's evaluation, served (and cached) by
+// internal/server.
 func (e *Engine) PairSumAt(slice int, first, second EdgeID) (*Hist, error) {
 	return e.current.Load().set.At(slice).PairSumEstimate(first, second)
 }
@@ -898,9 +842,42 @@ func LoadGraph(path string) (*Graph, error) {
 	return graph.Read(f)
 }
 
-// SaveModel writes the currently serving model set to path — the SRHM
-// v1 binary format for a 1-slice engine (unchanged from the classic
-// artifact), SRH2 for a time-sliced one.
+// OpenEngine assembles an engine from saved artifacts: the network
+// (SaveGraph, cmd/gennet), the trajectories (cmd/gentraj; one file or
+// several concatenated) and the trained model set (SaveModel,
+// cmd/train), whose slice count the engine adopts. The per-slice
+// knowledge bases the models bind to are rebuilt from the trajectories;
+// nothing is retrained. The trajectories are returned as well, for a
+// caller that seeds an ingestion aggregate with them.
+func OpenEngine(netPath, trajPath, modelPath string, width float64, minPairObs int) (*Engine, []Trajectory, error) {
+	g, err := LoadGraph(netPath)
+	if err != nil {
+		return nil, nil, fmt.Errorf("stochroute: %s: %w", netPath, err)
+	}
+	tf, err := os.Open(trajPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	trs, err := traj.ReadTrajectoryStream(tf, g)
+	tf.Close()
+	if err != nil {
+		return nil, nil, fmt.Errorf("stochroute: %s: %w", trajPath, err)
+	}
+	mf, err := os.Open(modelPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	set, err := hybrid.ReadModelSet(mf)
+	mf.Close()
+	if err != nil {
+		return nil, nil, fmt.Errorf("stochroute: %s: %w", modelPath, err)
+	}
+	eng, err := NewEngineWithModelSet(g, trs, width, minPairObs, set)
+	return eng, trs, err
+}
+
+// SaveModel writes the currently serving model set to path in the SRH2
+// binary format (a time-homogeneous engine is the set with one slice).
 func (e *Engine) SaveModel(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -916,9 +893,9 @@ func (e *Engine) SaveModel(path string) error {
 // LoadModel hot-swaps in a model (set) written by SaveModel, attaching
 // each slice's model to that slice's currently serving knowledge base
 // and bumping the model epoch. The file's slice count must match the
-// engine's (a v1 file is a 1-slice set). A loaded model with
-// MaxBuckets == 0 (unlimited support) inherits the previous model's
-// cap. Safe to call while queries are in flight.
+// engine's. A loaded model with MaxBuckets == 0 (unlimited support)
+// inherits the previous model's cap. Safe to call while queries are in
+// flight.
 func (e *Engine) LoadModel(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -948,8 +925,7 @@ func (e *Engine) LoadModel(path string) error {
 			m.MaxBuckets = cur.set.At(s).MaxBuckets
 		}
 	}
-	_, err = e.swapSetLocked(set, nil)
-	return err
+	return e.swapSetLocked(set)
 }
 
 // AlternativeRoute is one member of the stochastic skyline.
@@ -964,16 +940,6 @@ func (e *Engine) AlternativeRoutes(source, dest VertexID, horizon float64, maxRo
 		Horizon:   horizon,
 		MaxRoutes: maxRoutes,
 	})
-}
-
-// RankedAlternatives generates the k best mean-cost candidate paths
-// (Yen's algorithm) and ranks them by the hybrid model's on-time
-// probability at the given budget — the k-shortest-paths baseline.
-func (e *Engine) RankedAlternatives(source, dest VertexID, budget float64, k int) ([]routing.ScoredPath, error) {
-	cur := e.current.Load()
-	return routing.KSPBudgetRouting(e.graph, cur.model0(), func(id EdgeID) float64 {
-		return cur.kb0().Edge(id).Mean
-	}, source, dest, budget, k)
 }
 
 // PairExample returns the hybrid, convolution and (when a world is

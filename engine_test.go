@@ -1,6 +1,7 @@
 package stochroute
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -95,7 +96,7 @@ func TestEngineRouteAnytime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RouteAnytime(q.Source, q.Dest, 1.35*optimistic, 10*time.Second)
+	res, err := e.RouteCtx(context.Background(), q.Source, q.Dest, RouteOptions{Budget: 1.35 * optimistic, MaxDuration: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,18 +334,6 @@ func TestEngineAlternativeRoutes(t *testing.T) {
 			if routes[i].Dist.Dominates(routes[j].Dist) || routes[j].Dist.Dominates(routes[i].Dist) {
 				t.Errorf("skyline members %d and %d dominate each other", i, j)
 			}
-		}
-	}
-	scored, err := e.RankedAlternatives(q.Source, q.Dest, 1.35*optimistic, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scored) == 0 {
-		t.Fatal("no ranked alternatives")
-	}
-	for i := 1; i < len(scored); i++ {
-		if scored[i].Prob > scored[i-1].Prob+1e-12 {
-			t.Error("ranked alternatives not sorted by probability")
 		}
 	}
 }

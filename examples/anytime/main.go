@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -41,11 +42,15 @@ func main() {
 	budget := 1.35 * optimistic
 	fmt.Printf("\nquery: %.1f km straight line, budget %.0fs\n\n", q.DistKm, budget)
 
+	ctx := context.Background()
 	// Wall-clock anytime limits, then the unlimited search.
 	limits := []time.Duration{2 * time.Millisecond, 10 * time.Millisecond, 50 * time.Millisecond, 0}
 	fmt.Printf("%-12s %-10s %-12s %-10s %s\n", "limit", "P(on time)", "expansions", "complete", "runtime")
 	for _, limit := range limits {
-		res, err := engine.RouteAnytime(q.Source, q.Dest, budget, limit)
+		res, err := engine.RouteCtx(ctx, q.Source, q.Dest, stochroute.RouteOptions{
+			Budget:      budget,
+			MaxDuration: limit,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -64,7 +69,7 @@ func main() {
 	// Deterministic expansion budgets (the benchmark mode).
 	fmt.Println("\nexpansion-budget mode (machine independent):")
 	for _, exp := range []int{100, 500, 2500, 0} {
-		res, err := engine.RouteWithOptions(q.Source, q.Dest, stochroute.RouteOptions{
+		res, err := engine.RouteCtx(ctx, q.Source, q.Dest, stochroute.RouteOptions{
 			Budget:        budget,
 			MaxExpansions: exp,
 		})

@@ -200,7 +200,7 @@ func RunKLEval(s *Setup, out io.Writer) error {
 
 // AnytimeExpansions returns the expansion budgets standing in for the
 // paper's 1/5/10-second anytime limits (deterministic, machine
-// independent; see DESIGN.md §2). Index order: P1, P5, P10.
+// independent). Index order: P1, P5, P10.
 func AnytimeExpansions(scale Scale) []int {
 	switch scale {
 	case Small:
@@ -239,7 +239,8 @@ type QualityConfig struct {
 	BudgetQuantile float64
 }
 
-// DefaultQualityConfig mirrors DESIGN.md.
+// DefaultQualityConfig is the protocol cmd/experiments runs: deadlines
+// at the 0.6 quantile.
 func DefaultQualityConfig() QualityConfig { return QualityConfig{BudgetQuantile: 0.6} }
 
 // switchMarginFor returns the decisive-switch margin for a query whose

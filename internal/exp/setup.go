@@ -1,7 +1,7 @@
 // Package exp is the experiment harness: it regenerates every table of
-// the paper's empirical study (see the experiment index in DESIGN.md and
-// the recorded outcomes in EXPERIMENTS.md) on top of the synthetic
-// substrate.
+// the paper's empirical study on top of the synthetic substrate; the
+// E1–E8 section banners in experiments.go and anytime.go are the
+// experiment index.
 package exp
 
 import (

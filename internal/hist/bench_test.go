@@ -61,11 +61,9 @@ func BenchmarkConvolveInto512x16(b *testing.B) {
 	}
 }
 
-// BenchmarkConvolveIntoDense is the CI-gated kernel benchmark: a fully
-// dense 512x64 convolution, the shape the vectorized scaled-accumulate
-// is built for. Its twin BenchmarkConvolveIntoDenseScalar runs the
-// pre-vectorization reference kernel on identical inputs; CI gates the
-// ratio between the two (machine-independent, unlike absolute ns/op).
+// BenchmarkConvolveIntoDense is the kernel benchmark: a fully dense
+// 512x64 convolution, the shape the vectorized scaled-accumulate is
+// built for.
 func BenchmarkConvolveIntoDense(b *testing.B) {
 	x, y := benchPair(512, 64)
 	var arena Arena
@@ -76,17 +74,6 @@ func BenchmarkConvolveIntoDense(b *testing.B) {
 		if err := ConvolveInto(dst, x, y); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkConvolveIntoDenseScalar(b *testing.B) {
-	x, y := benchPair(512, 64)
-	var arena Arena
-	dst := arena.NewHist(0, 0, len(x.P)+len(y.P)-1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		convolveIntoScalarRef(dst, x, y)
 	}
 }
 

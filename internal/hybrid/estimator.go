@@ -26,7 +26,8 @@ type EstimatorConfig struct {
 	Train ml.TrainConfig
 }
 
-// DefaultEstimatorConfig mirrors DESIGN.md.
+// DefaultEstimatorConfig is the estimator hybrid.DefaultConfig trains:
+// 4 bands × 24 conditional buckets behind two hidden layers of 64.
 func DefaultEstimatorConfig() EstimatorConfig {
 	return EstimatorConfig{
 		Bands:       4,

@@ -628,13 +628,14 @@ func TestModelPersistRoundTrip(t *testing.T) {
 	m, _ := getModel(t)
 	e := getEnv(t)
 	var buf bytes.Buffer
-	if err := WriteModel(&buf, m); err != nil {
+	if err := WriteModelSet(&buf, SingleModelSet(m)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadModel(&buf)
+	set, err := ReadModelSet(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := set.At(0)
 	if err := got.AttachKB(e.kb); err != nil {
 		t.Fatal(err)
 	}
@@ -661,23 +662,23 @@ func TestModelPersistRoundTrip(t *testing.T) {
 }
 
 func TestModelPersistErrors(t *testing.T) {
-	if err := WriteModel(&bytes.Buffer{}, &Model{}); err == nil {
+	if err := WriteModelSet(&bytes.Buffer{}, SingleModelSet(&Model{})); err == nil {
 		t.Error("incomplete model should error")
 	}
-	if _, err := ReadModel(bytes.NewReader([]byte("nope"))); err == nil {
+	if _, err := ReadModelSet(bytes.NewReader([]byte("nope"))); err == nil {
 		t.Error("bad magic should error")
 	}
 	m, _ := getModel(t)
 	var buf bytes.Buffer
-	if err := WriteModel(&buf, m); err != nil {
+	if err := WriteModelSet(&buf, SingleModelSet(m)); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadModel(&buf)
+	loaded, err := ReadModelSet(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wrongKB := &KnowledgeBase{Width: 999}
-	if err := loaded.AttachKB(wrongKB); err == nil {
+	if err := loaded.At(0).AttachKB(wrongKB); err == nil {
 		t.Error("width mismatch should error")
 	}
 }

@@ -2,6 +2,9 @@ package hybrid
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"strings"
 	"testing"
 
 	"stochroute/internal/hist"
@@ -61,27 +64,104 @@ func ms2(t *testing.T) *ModelSet {
 	return set
 }
 
-// TestModelSetPersistV1Compat: a 1-slice set writes the classic SRHM
-// bytes (so old tooling keeps working) and a classic v1 stream loads
-// as a 1-slice set.
-func TestModelSetPersistV1Compat(t *testing.T) {
+// TestModelSetPersistSingleSlice: a classic time-homogeneous model is
+// the SRH2 set with K = 1, and it survives the write/read cycle
+// bit-identically — hyper-parameters, classifier threshold and mode,
+// and every learned weight (a second write reproduces the bytes).
+func TestModelSetPersistSingleSlice(t *testing.T) {
 	m, _ := getModel(t)
-	var v1, setBytes bytes.Buffer
-	if err := WriteModel(&v1, m); err != nil {
+	var first bytes.Buffer
+	if err := WriteModelSet(&first, SingleModelSet(m)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteModelSet(&setBytes, SingleModelSet(m)); err != nil {
-		t.Fatal(err)
+	if !bytes.HasPrefix(first.Bytes(), []byte("SRH2\x01\x00\x00\x00")) {
+		t.Fatalf("1-slice set must be written as SRH2 with K = 1, got header %q", first.Bytes()[:8])
 	}
-	if !bytes.Equal(v1.Bytes(), setBytes.Bytes()) {
-		t.Fatal("1-slice set must serialise byte-identically to the v1 format")
-	}
-	set, err := ReadModelSet(bytes.NewReader(v1.Bytes()))
+	set, err := ReadModelSet(bytes.NewReader(first.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if set.K() != 1 {
-		t.Fatalf("v1 stream loaded as %d slices", set.K())
+		t.Fatalf("K = 1 file loaded as %d slices", set.K())
+	}
+	got := set.At(0)
+	if got.MaxBuckets != m.MaxBuckets || got.Mode != m.Mode {
+		t.Errorf("MaxBuckets/Mode = %d/%v, want %d/%v", got.MaxBuckets, got.Mode, m.MaxBuckets, m.Mode)
+	}
+	if got.Classifier.Threshold != m.Classifier.Threshold {
+		t.Errorf("threshold = %v, want %v", got.Classifier.Threshold, m.Classifier.Threshold)
+	}
+	if got.Estimator.Width != m.Estimator.Width || got.Estimator.Cfg.Bands != m.Estimator.Cfg.Bands ||
+		got.Estimator.Cfg.CondBuckets != m.Estimator.Cfg.CondBuckets {
+		t.Errorf("estimator shape = %v %+v, want %v %+v", got.Estimator.Width, got.Estimator.Cfg, m.Estimator.Width, m.Estimator.Cfg)
+	}
+	var second bytes.Buffer
+	if err := WriteModelSet(&second, set); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("re-serialising the loaded set changed the bytes: a weight did not round-trip")
+	}
+}
+
+// TestModelSetPersistRejectsSRHM: the retired single-model format fails
+// with the error that names it and the command that regenerates the
+// file — never "bad magic", never by parsing the body as a slice count.
+func TestModelSetPersistRejectsSRHM(t *testing.T) {
+	m, _ := getModel(t)
+	var cur bytes.Buffer
+	if err := WriteModelSet(&cur, SingleModelSet(m)); err != nil {
+		t.Fatal(err)
+	}
+	// What the retired writer emitted: its magic, then one model body.
+	retired := append([]byte("SRHM"), cur.Bytes()[8:]...)
+	for name, img := range map[string][]byte{"whole file": retired, "magic only": []byte("SRHM")} {
+		set, err := ReadModelSet(bytes.NewReader(img))
+		if !errors.Is(err, ErrSRHMRetired) || set != nil {
+			t.Errorf("%s: ReadModelSet = %v, %v; want nil, ErrSRHMRetired", name, set, err)
+		}
+	}
+	for _, want := range []string{"SRHM", "cmd/train", "SRH2"} {
+		if !strings.Contains(ErrSRHMRetired.Error(), want) {
+			t.Errorf("retirement error %q does not mention %s", ErrSRHMRetired, want)
+		}
+	}
+}
+
+// TestModelSetPersistBounds: truncated files and implausible counts —
+// the bounds ReadModelSet holds against untrusted bytes — still fail.
+func TestModelSetPersistBounds(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteModelSet(&buf, ms2(t)); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	for _, n := range []int{0, 3, 4, 7, 8, 20, len(full) / 2, len(full) - 1} {
+		if _, err := ReadModelSet(bytes.NewReader(full[:n])); err == nil {
+			t.Errorf("file truncated to %d of %d bytes should error", n, len(full))
+		}
+	}
+	withK := func(k uint32) []byte {
+		img := append([]byte{}, full...)
+		binary.LittleEndian.PutUint32(img[4:], k)
+		return img
+	}
+	for _, k := range []uint32{0, 257, 1 << 31} {
+		_, err := ReadModelSet(bytes.NewReader(withK(k)))
+		if err == nil || !strings.Contains(err.Error(), "implausible slice count") {
+			t.Errorf("K = %d: err = %v, want implausible slice count", k, err)
+		}
+	}
+	// A count larger than the bodies present is a truncation.
+	if _, err := ReadModelSet(bytes.NewReader(withK(3))); err == nil {
+		t.Error("K = 3 over two bodies should error")
+	}
+	// An estimator shape outside its bounds: bands is the uint32 after
+	// width (8), max buckets (4) and mode (1) of the first body.
+	img := append([]byte{}, full...)
+	binary.LittleEndian.PutUint32(img[8+13:], 65)
+	if _, err := ReadModelSet(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "implausible estimator shape") {
+		t.Errorf("65 bands: err = %v, want implausible estimator shape", err)
 	}
 }
 

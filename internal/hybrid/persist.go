@@ -10,28 +10,24 @@ import (
 	"stochroute/internal/ml"
 )
 
-// Binary model file formats. The knowledge bases are not stored — they
+// Binary model file format. The knowledge bases are not stored — they
 // are derived data, rebuilt from the graph and trajectory files in
 // seconds — so a model file stays small and can be attached to any
 // compatible knowledge base via AttachKB.
 //
-// SRHM (v1) holds one time-homogeneous model: magic then the model
-// body (hyper-parameters + learned weights).
-//
-// SRH2 (v2) holds a time-sliced ModelSet: magic, K uint32, then K v1
-// model bodies, one per slice. WriteModelSet emits v1 for a 1-slice
-// set — byte-identical to the classic format — and v2 otherwise;
-// ReadModelSet accepts both, loading a v1 file as a 1-slice set.
-var (
-	modelMagic    = [4]byte{'S', 'R', 'H', 'M'}
-	modelSetMagic = [4]byte{'S', 'R', 'H', '2'}
-)
+// SRH2 holds a time-sliced ModelSet: magic, K uint32, then K model
+// bodies (hyper-parameters + learned weights), one per slice. A
+// time-homogeneous model is the set with K = 1.
+var modelSetMagic = [4]byte{'S', 'R', 'H', '2'}
 
-// writeModelBody serialises one model's trained components (everything
-// after the magic of a v1 file).
+// ErrSRHMRetired is what reading a file of the retired single-model
+// SRHM format fails with.
+var ErrSRHMRetired = errors.New("hybrid: SRHM model files are retired; retrain with cmd/train, which writes SRH2")
+
+// writeModelBody serialises one model's trained components.
 func writeModelBody(bw *bufio.Writer, m *Model) error {
 	if m.Estimator == nil || m.Classifier == nil {
-		return errors.New("hybrid: WriteModel on incomplete model")
+		return errors.New("hybrid: WriteModelSet on incomplete model")
 	}
 	le := binary.LittleEndian
 	hdr := []any{
@@ -111,42 +107,10 @@ func readModelBody(br *bufio.Reader) (*Model, error) {
 	}, nil
 }
 
-// WriteModel serialises the model's trained components in the v1
-// format.
-func WriteModel(w io.Writer, m *Model) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(modelMagic[:]); err != nil {
-		return err
-	}
-	if err := writeModelBody(bw, m); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadModel deserialises a v1 model written by WriteModel. The returned
-// model has no knowledge base; call AttachKB before routing with it.
-func ReadModel(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("hybrid: read magic: %w", err)
-	}
-	if magic != modelMagic {
-		return nil, errors.New("hybrid: bad magic (not an SRHM file)")
-	}
-	return readModelBody(br)
-}
-
-// WriteModelSet serialises a time-sliced model set: the v1 format for a
-// 1-slice set (so classic tools keep reading it) and the SRH2 format
-// otherwise.
+// WriteModelSet serialises a model set in the SRH2 format.
 func WriteModelSet(w io.Writer, ms *ModelSet) error {
 	if ms == nil || ms.K() == 0 {
 		return errors.New("hybrid: WriteModelSet on empty set")
-	}
-	if ms.K() == 1 {
-		return WriteModel(w, ms.At(0))
 	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(modelSetMagic[:]); err != nil {
@@ -163,9 +127,9 @@ func WriteModelSet(w io.Writer, ms *ModelSet) error {
 	return bw.Flush()
 }
 
-// ReadModelSet deserialises a model set written by WriteModelSet, or a
-// classic v1 file as a 1-slice set. The returned models have no
-// knowledge bases; attach one per slice before routing.
+// ReadModelSet deserialises a model set written by WriteModelSet. The
+// returned models have no knowledge bases; attach one per slice before
+// routing. A file in the retired SRHM format fails with ErrSRHMRetired.
 func ReadModelSet(r io.Reader) (*ModelSet, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -173,32 +137,28 @@ func ReadModelSet(r io.Reader) (*ModelSet, error) {
 		return nil, fmt.Errorf("hybrid: read magic: %w", err)
 	}
 	switch magic {
-	case modelMagic:
+	case modelSetMagic:
+	case [4]byte{'S', 'R', 'H', 'M'}:
+		return nil, ErrSRHMRetired
+	default:
+		return nil, errors.New("hybrid: bad magic (not an SRH2 file)")
+	}
+	var k uint32
+	if err := binary.Read(br, binary.LittleEndian, &k); err != nil {
+		return nil, err
+	}
+	if k == 0 || k > 256 {
+		return nil, fmt.Errorf("hybrid: implausible slice count %d", k)
+	}
+	models := make([]*Model, k)
+	for s := uint32(0); s < k; s++ {
 		m, err := readModelBody(br)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("hybrid: slice %d: %w", s, err)
 		}
-		return SingleModelSet(m), nil
-	case modelSetMagic:
-		var k uint32
-		if err := binary.Read(br, binary.LittleEndian, &k); err != nil {
-			return nil, err
-		}
-		if k == 0 || k > 256 {
-			return nil, fmt.Errorf("hybrid: implausible slice count %d", k)
-		}
-		models := make([]*Model, k)
-		for s := uint32(0); s < k; s++ {
-			m, err := readModelBody(br)
-			if err != nil {
-				return nil, fmt.Errorf("hybrid: slice %d: %w", s, err)
-			}
-			models[s] = m
-		}
-		return NewModelSet(models)
-	default:
-		return nil, errors.New("hybrid: bad magic (not an SRHM/SRH2 file)")
+		models[s] = m
 	}
+	return NewModelSet(models)
 }
 
 // AttachKB binds a (re)built knowledge base to a loaded model. It

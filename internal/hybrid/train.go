@@ -61,7 +61,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// EvalReport is the paper's model-quality evaluation (E4 in DESIGN.md):
+// EvalReport is the paper's model-quality evaluation (E4 in internal/exp):
 // mean KL divergence to ground truth over the held-out test pairs, for
 // the hybrid model, convolution, and always-estimate.
 type EvalReport struct {

@@ -41,7 +41,7 @@
 //
 // A failed rebuild (for example, too few pairs with support yet) is
 // counted and logged but never disturbs the serving model. Use
-// cmd/replay to stream a recorded SRT1/SRT2 trajectory file through
+// cmd/replay to stream a recorded SRT2 trajectory file through
 // POST /ingest at a configurable rate and exercise the whole pipeline;
 // Status reports every counter both in aggregate and per slice.
 package ingest

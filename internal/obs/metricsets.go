@@ -43,7 +43,7 @@ type SearchSample struct {
 // SearchMetrics holds the engine's per-slice search telemetry
 // histograms. Children are registered up front and held in arrays
 // indexed by slice, so Observe is pure atomics — zero allocations
-// (BenchmarkMetricsHotPath proves it).
+// (TestHotPathZeroAllocs proves it).
 //
 // A nil *SearchMetrics records nothing, so the engine can be run
 // uninstrumented.

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"io"
-	"log/slog"
 	"math"
 	"strings"
 	"testing"
@@ -201,16 +199,14 @@ func TestHistogramDeltaAndQuantile(t *testing.T) {
 }
 
 // TestHotPathZeroAllocs proves the full per-query instrumentation
-// record — endpoint counter, latency histogram, search sample, and a
-// trace that is not selected — performs zero allocations.
+// record — endpoint counter, latency histogram and search sample —
+// performs zero allocations.
 func TestHotPathZeroAllocs(t *testing.T) {
 	r := NewRegistry()
 	reqs := r.Counter("http_requests_total", "Reqs.", L("endpoint", "/route"))
 	lat := r.Histogram("route_latency_seconds", "Lat.", LatencyBuckets(),
 		L("slice", "0"), L("cache", "miss"), L("time_expanded", "false"))
 	sm := NewSearchMetrics(r, 4)
-	tl := NewTraceLog(slog.New(slog.NewTextHandler(io.Discard, nil)), time.Second, 1000000)
-	tr := QueryTrace{RequestID: "x", Latency: time.Millisecond}
 	sample := SearchSample{Slice: 2, Expansions: 120, GeneratedLabels: 300,
 		PrunedPotential: 10, PrunedPivot: 20, PrunedDominance: 30,
 		Convolved: 5, Estimated: 95, ArenaBytes: 1 << 17}
@@ -218,51 +214,10 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		reqs.Inc()
 		lat.Observe(0.004)
 		sm.Observe(sample)
-		tl.Record(&tr)
 	})
 	if allocs != 0 {
 		t.Fatalf("hot-path instrumentation allocates %.1f allocs/op, want 0", allocs)
 	}
-}
-
-// TestTraceLogPolicies checks the slow-query and sampling policies and
-// the attribute set of emitted lines.
-func TestTraceLogPolicies(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewJSONHandler(&buf, nil))
-
-	// Slow-query policy only.
-	tl := NewTraceLog(logger, 10*time.Millisecond, 0)
-	tl.Record(&QueryTrace{RequestID: "fast", Latency: time.Millisecond})
-	if buf.Len() != 0 {
-		t.Fatalf("fast query emitted a line: %s", buf.String())
-	}
-	tl.Record(&QueryTrace{RequestID: "slow-1", Latency: 20 * time.Millisecond,
-		Source: 3, Dest: 9, Slice: 1, Expansions: 42, CacheHit: true})
-	line := buf.String()
-	for _, want := range []string{`"msg":"slow_query"`, `"request_id":"slow-1"`,
-		`"src":3`, `"dst":9`, `"slice":1`, `"expansions":42`, `"cache_hit":true`} {
-		if !strings.Contains(line, want) {
-			t.Errorf("slow-query line missing %s: %s", want, line)
-		}
-	}
-
-	// Sampling policy: 1-in-2 emits on every second record.
-	buf.Reset()
-	tl = NewTraceLog(logger, 0, 2)
-	for i := 0; i < 4; i++ {
-		tl.Record(&QueryTrace{RequestID: "s", Latency: time.Microsecond})
-	}
-	if got := strings.Count(buf.String(), `"msg":"query_trace"`); got != 2 {
-		t.Errorf("1-in-2 sampling emitted %d lines over 4 records, want 2", got)
-	}
-
-	// Disabled trace log is nil and records nothing.
-	if NewTraceLog(logger, 0, 0) != nil {
-		t.Error("fully disabled TraceLog should be nil")
-	}
-	var nilTL *TraceLog
-	nilTL.Record(&QueryTrace{}) // must not panic
 }
 
 func TestNewRequestID(t *testing.T) {
@@ -315,29 +270,4 @@ func TestIngestMetricsRecorders(t *testing.T) {
 	nilM.Accepted(1)
 	nilM.Swap(0)
 	nilM.RebuildDuration(0, time.Second)
-}
-
-// BenchmarkMetricsHotPath is the CI-gated proof that a full per-query
-// instrumentation record (endpoint counter + latency histogram + the
-// eight per-slice search histograms + an unselected trace) allocates
-// nothing. The CI bench step fails the build if allocs/op > 0.
-func BenchmarkMetricsHotPath(b *testing.B) {
-	r := NewRegistry()
-	reqs := r.Counter("http_requests_total", "Reqs.", L("endpoint", "/route"))
-	lat := r.Histogram("route_latency_seconds", "Lat.", LatencyBuckets(),
-		L("slice", "0"), L("cache", "miss"), L("time_expanded", "false"))
-	sm := NewSearchMetrics(r, 4)
-	tl := NewTraceLog(slog.New(slog.NewTextHandler(io.Discard, nil)), time.Second, 1<<30)
-	tr := QueryTrace{RequestID: "bench", Latency: time.Millisecond}
-	sample := SearchSample{Slice: 1, Expansions: 120, GeneratedLabels: 300,
-		PrunedPotential: 10, PrunedPivot: 20, PrunedDominance: 30,
-		Convolved: 5, Estimated: 95, ArenaBytes: 1 << 17}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reqs.Inc()
-		lat.Observe(0.004)
-		sm.Observe(sample)
-		tl.Record(&tr)
-	}
 }

@@ -1,14 +1,14 @@
 // Package obs is the repo's observability layer: a stdlib-only metrics
 // registry (atomic counters, gauges and fixed-bucket histograms) with a
-// Prometheus-text-format exporter, plus a structured per-query trace
-// facility with a slow-query log.
+// Prometheus-text-format exporter, plus the span tracer (span.go,
+// tracer.go, spanstore.go).
 //
 // The design goal is zero allocations on the instrumented hot path.
 // All allocation happens at registration time: a metric child is looked
 // up once (by name + label set), held as a pointer, and every Inc/Add/
 // Set/Observe after that is a handful of atomic operations — no maps,
-// no label rendering, no interface boxing. BenchmarkMetricsHotPath
-// proves the property and CI gates on it.
+// no label rendering, no interface boxing. TestHotPathZeroAllocs
+// asserts the property.
 //
 // Exposition is deterministic: families sorted by name, children sorted
 // by rendered label set, histograms emitted as cumulative _bucket{le=}

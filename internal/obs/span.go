@@ -13,8 +13,8 @@ import (
 // request is NOT sampled, every call in this file is a no-op that
 // allocates nothing — StartSpan returns the context untouched and a nil
 // *Span, and all *Span methods are nil-safe. The routing hot path calls
-// these functions unconditionally; CI gates prove the unsampled cost is
-// zero allocations.
+// these functions unconditionally; TestSpanUnsampledZeroAlloc proves the
+// unsampled cost is zero allocations.
 //
 // Concurrency contract: spans may be STARTED from multiple goroutines
 // sharing one trace (batch workers), which is why Trace guards its span

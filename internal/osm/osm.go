@@ -1,7 +1,7 @@
 // Package osm parses OpenStreetMap XML extracts into road graphs. The
 // paper's evaluation uses the Danish OSM network; this parser keeps the
 // real-data ingestion path alive even though the test suite and benches
-// run on synthetic networks (see DESIGN.md §2).
+// run on synthetic networks.
 //
 // Only the subset of OSM needed for routing is understood: <node>
 // elements with id/lat/lon, and <way> elements whose highway tag maps to

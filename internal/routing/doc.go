@@ -1,8 +1,8 @@
 // Package routing implements the query algorithms of the paper:
 // Probabilistic Budget Routing (PBR) with the paper's four prunings
 // and the anytime extension, plus the classical baselines (Dijkstra
-// mean-cost routing, free-flow paths, Yen's k-shortest-paths ranking)
-// and the stochastic skyline (ParetoRoutes).
+// mean-cost routing, free-flow paths) and the stochastic skyline
+// (ParetoRoutes).
 //
 // # The label search
 //

@@ -71,7 +71,7 @@
 //     skipped, never fatal) and folded into the ingestion subsystem's
 //     per-slice aggregates (internal/ingest); the acknowledgement
 //     reports the accepted/rejected split and the current model epoch.
-//     Stream a recorded SRT1/SRT2 file through this endpoint with
+//     Stream a recorded SRT2 file through this endpoint with
 //     cmd/replay.
 //   - /healthz — liveness, graph size, the global model epoch, the
 //     slice count, every slice's serving epoch, uptime, and a degraded
@@ -209,17 +209,17 @@
 //   - uptime_seconds, inflight_requests, degraded, arena_bytes_inuse
 //     — scrape-time gauges; degraded mirrors /healthz.
 //
-// Per-query logging: /route and /route/anytime requests slower than
-// Config.SlowQueryThreshold emit one structured slog line (msg
-// "slow_query", level WARN); Config.TraceSample additionally traces 1
-// in N requests regardless of latency (msg "query_trace", level
-// INFO). Both carry the same attrs: request_id, endpoint, src, dst,
-// budget_s, depart_s, slice, epoch, time_expanded, cache_hit, found,
-// complete, prob, expansions, generated_labels, pruned_potential,
-// pruned_pivot, pruned_dominance, convolved, estimated, arena_bytes,
-// latency_ms — enough to reconstruct why THIS request was slow
-// (cache miss? pruning collapse? giant arena?) without reproducing
-// it.
+// Slow-query logging: a /route or /route/anytime request that takes
+// Config.SlowQueryThreshold or longer emits one structured slog line
+// (msg "slow_query", level WARN) to Config.TraceLogger with the attrs
+// request_id, endpoint, src, dst, budget_s, depart_s, slice, epoch,
+// time_expanded, cache_hit, found, complete, prob, expansions,
+// generated_labels, pruned_potential, pruned_pivot, pruned_dominance,
+// convolved, estimated, arena_bytes, latency_ms — enough to
+// reconstruct why THIS request was slow (cache miss? pruning collapse?
+// giant arena?) without reproducing it. There is no second sampler:
+// the 1-in-N view of ordinary requests is the span tracer's, below,
+// whose spans carry the same query identity and counters.
 //
 // # Span tracing and /debug/traces
 //
@@ -235,13 +235,14 @@
 //
 //   - "/route" etc. — root — the endpoint pattern; error status from
 //     the handler's error return.
-//   - "slice-select" — root — slice, epoch, time_expanded: departure →
-//     slice mapping and epoch advance.
+//   - "slice-select" — root — source, dest, budget_s, depart_s (the
+//     query as parsed), slice, epoch, time_expanded: departure → slice
+//     mapping and epoch advance.
 //   - "cache-lookup" — root — hit; bypass=true when time-expanded
 //     skipped the cache.
 //   - "search" — root (from Engine.RouteCtx) — slice, epoch,
 //     time_expanded, expansions, generated_labels, convolved,
-//     estimated, arena_bytes, found, prob.
+//     estimated, arena_bytes, found, complete, prob.
 //   - "potentials", "seed-path", "expand" — search (from
 //     routing.PBRCtx) — the kernel phases; expand carries the pruning
 //     counters.

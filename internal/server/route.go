@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"errors"
+	"log/slog"
 	"net/http"
 	"time"
 
@@ -186,10 +188,6 @@ func (s *Server) routeCommon(w http.ResponseWriter, r *http.Request, limit time.
 		return err
 	}
 
-	endpoint := "/route"
-	if limit > 0 {
-		endpoint = "/route/anytime"
-	}
 	// ctx carries the request's root span when this request was sampled
 	// (see httpsvc); traceID doubles as the sampling flag — "" means
 	// every span call below is a free no-op.
@@ -205,6 +203,10 @@ func (s *Server) routeCommon(w http.ResponseWriter, r *http.Request, limit time.
 	cache := s.routes[slice]
 	cache.AdvanceEpoch(s.backend.SliceEpoch(slice))
 	if ssp != nil {
+		ssp.SetInt("source", int64(src))
+		ssp.SetInt("dest", int64(dst))
+		ssp.SetFloat("budget_s", budget)
+		ssp.SetFloat("depart_s", depart)
 		ssp.SetInt("slice", int64(slice))
 		ssp.SetInt("epoch", int64(epoch))
 		ssp.SetBool("time_expanded", expanded)
@@ -251,36 +253,51 @@ func (s *Server) routeCommon(w http.ResponseWriter, r *http.Request, limit time.
 
 	lat := time.Since(start)
 	s.routeLat.observe(out.Slice, hit, expanded, lat, traceID)
-	if s.trace != nil {
-		qt := obs.QueryTrace{
-			RequestID:       httpsvc.HeaderValue(w.Header(), httpsvc.HeaderRequestID), // stamped by the chassis
-			Endpoint:        endpoint,
-			Source:          int64(src),
-			Dest:            int64(dst),
-			BudgetS:         budget,
-			DepartS:         depart,
-			Slice:           out.Slice,
-			Epoch:           out.ModelEpoch,
-			TimeExpanded:    expanded,
-			CacheHit:        hit,
-			Found:           out.Found,
-			Complete:        out.Complete,
-			Prob:            out.Prob,
-			Expansions:      out.Expansions,
-			GeneratedLabels: out.GeneratedLabels,
-			Convolved:       out.Convolved,
-			Estimated:       out.Estimated,
-			Latency:         lat,
-		}
-		if res != nil {
-			qt.PrunedPotential, qt.PrunedPivot, qt.PrunedDominance = res.PrunedPotential, res.PrunedPivot, res.PrunedDominance
-			qt.ArenaBytes = res.ArenaBytes
-		}
-		s.trace.Record(&qt)
+	if lat >= s.cfg.SlowQueryThreshold {
+		s.logSlowQuery(w, limit > 0, &out, res, hit, lat)
 	}
 	out.RuntimeMS = msSince(start)
 	_, esp := obs.StartSpan(ctx, "encode")
 	encErr := writeAppended(w, out.appendJSON)
 	esp.End()
 	return encErr
+}
+
+// logSlowQuery writes the slow_query line of one answered request: the
+// query, the outcome and — for a fresh search (res non-nil) — the
+// pruning and arena counters the response does not carry. request_id is
+// the X-Request-ID the chassis stamped on w, so the line joins to the
+// client's copy of the response.
+func (s *Server) logSlowQuery(w http.ResponseWriter, anytime bool, out *routeResponse, res *routing.Result, hit bool, lat time.Duration) {
+	endpoint := "/route"
+	if anytime {
+		endpoint = "/route/anytime"
+	}
+	if res == nil {
+		res = &routing.Result{}
+	}
+	s.cfg.TraceLogger.LogAttrs(context.Background(), slog.LevelWarn, "slow_query",
+		slog.String("request_id", httpsvc.HeaderValue(w.Header(), httpsvc.HeaderRequestID)),
+		slog.String("endpoint", endpoint),
+		slog.Int64("src", int64(out.Source)),
+		slog.Int64("dst", int64(out.Dest)),
+		slog.Float64("budget_s", out.Budget),
+		slog.Float64("depart_s", out.Depart),
+		slog.Int("slice", out.Slice),
+		slog.Uint64("epoch", out.ModelEpoch),
+		slog.Bool("time_expanded", out.TimeExpanded),
+		slog.Bool("cache_hit", hit),
+		slog.Bool("found", out.Found),
+		slog.Bool("complete", out.Complete),
+		slog.Float64("prob", out.Prob),
+		slog.Int("expansions", out.Expansions),
+		slog.Int("generated_labels", out.GeneratedLabels),
+		slog.Int("pruned_potential", res.PrunedPotential),
+		slog.Int("pruned_pivot", res.PrunedPivot),
+		slog.Int("pruned_dominance", res.PrunedDominance),
+		slog.Int("convolved", out.Convolved),
+		slog.Int("estimated", out.Estimated),
+		slog.Int64("arena_bytes", res.ArenaBytes),
+		slog.Float64("latency_ms", float64(lat)/float64(time.Millisecond)),
+	)
 }

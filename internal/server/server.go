@@ -73,8 +73,6 @@ type Config struct {
 	// PairCache is the pair-sum estimate cache capacity in entries
 	// (default 16384, negative disables).
 	PairCache int
-	// CacheShards is the lock-shard count of each cache (default 16).
-	CacheShards int
 	// BudgetBucketSeconds quantises the budget in route cache keys: two
 	// requests for the same (source, dest) whose budgets fall in the
 	// same bucket share one cached path, with the on-time probability
@@ -111,16 +109,11 @@ type Config struct {
 	// still maintained — /stats reads them through the same registry.
 	DisableMetrics bool
 	// SlowQueryThreshold makes every /route and /route/anytime request
-	// slower than this emit one structured slow_query log line
-	// (<= 0 disables the policy).
+	// at least this slow emit one structured slow_query log line
+	// (<= 0 disables it).
 	SlowQueryThreshold time.Duration
-	// TraceSample additionally traces one in every N route requests as
-	// a query_trace line regardless of latency (1 = every request,
-	// <= 0 disables sampling).
-	TraceSample int
-	// TraceLogger is the slog destination of slow-query and trace
-	// lines; nil falls back to slog.Default() when either policy is
-	// enabled.
+	// TraceLogger is the slog destination of slow_query lines; nil
+	// falls back to slog.Default().
 	TraceLogger *slog.Logger
 	// Tracer enables span-based tracing: sampled requests (the tracer's
 	// 1-in-N head sampling, or any request carrying a sampled W3C
@@ -148,9 +141,6 @@ func (c Config) withDefaults() Config {
 	if c.PairCache == 0 {
 		c.PairCache = 16384
 	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 16
-	}
 	if c.BudgetBucketSeconds == 0 {
 		c.BudgetBucketSeconds = 15
 	}
@@ -168,6 +158,14 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxIngestBytes <= 0 {
 		c.MaxIngestBytes = 8 << 20
+	}
+	// Disabled is the largest Duration, so the request path pays one
+	// compare whether or not the slow_query line is on.
+	if c.SlowQueryThreshold <= 0 {
+		c.SlowQueryThreshold = math.MaxInt64
+	}
+	if c.TraceLogger == nil {
+		c.TraceLogger = slog.Default()
 	}
 	return c
 }
@@ -192,13 +190,15 @@ type Server struct {
 	routes []*ShardedLRU[routeKey, routeEntry]
 	pairs  []*ShardedLRU[pairKey, *hist.Hist]
 
-	// trace emits slow-query / sampled trace lines; routeLat is the
-	// pre-registered route_latency_seconds family; runtime is the shared
-	// Go-runtime sampler behind the go_* series and /stats.
-	trace    *obs.TraceLog
+	// routeLat is the pre-registered route_latency_seconds family;
+	// runtime is the shared Go-runtime sampler behind the go_* series
+	// and /stats.
 	routeLat *routeLatencyMetrics
 	runtime  *obs.RuntimeStats
 }
+
+// cacheShards is the lock-shard count of every result cache.
+const cacheShards = 16
 
 // perSliceCapacity splits a total cache capacity over k slices (at
 // least 1 entry each; <= 0 stays "disabled").
@@ -239,17 +239,10 @@ func New(backend Backend, cfg Config) *Server {
 		pairs:  make([]*ShardedLRU[pairKey, *hist.Hist], k),
 	}
 	for i := 0; i < k; i++ {
-		s.routes[i] = NewShardedLRU[routeKey, routeEntry](cfg.CacheShards, perSliceCapacity(cfg.RouteCache, k))
-		s.pairs[i] = NewShardedLRU[pairKey, *hist.Hist](cfg.CacheShards, perSliceCapacity(cfg.PairCache, k))
+		s.routes[i] = NewShardedLRU[routeKey, routeEntry](cacheShards, perSliceCapacity(cfg.RouteCache, k))
+		s.pairs[i] = NewShardedLRU[pairKey, *hist.Hist](cacheShards, perSliceCapacity(cfg.PairCache, k))
 	}
 	s.initMetrics(k)
-	if cfg.SlowQueryThreshold > 0 || cfg.TraceSample > 0 {
-		logger := cfg.TraceLogger
-		if logger == nil {
-			logger = slog.Default()
-		}
-		s.trace = obs.NewTraceLog(logger, cfg.SlowQueryThreshold, cfg.TraceSample)
-	}
 	s.svc.Handle("/route", http.MethodGet, s.handleRoute)
 	s.svc.Handle("/route/anytime", http.MethodGet, s.handleRouteAnytime)
 	if cfg.MaxBatch > 0 {

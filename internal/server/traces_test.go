@@ -176,6 +176,38 @@ func TestTracingEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTracingRouteCarriesTheQuery: a sampled /route's slice-select span
+// names the query itself — endpoints, budget, departure — beside the
+// slice and epoch that serve it, so the span tree alone says what was
+// asked (what the retired 1-in-N query_trace log line carried).
+func TestTracingRouteCarriesTheQuery(t *testing.T) {
+	fb := newFakeBackendSlices(t, 2)
+	s := New(fb, Config{Tracer: obs.NewTracer(obs.NewSpanStore(16, 0), 1)})
+	h := s.Handler()
+
+	req := httptest.NewRequest(http.MethodGet, "/route?source=3&dest=4&budget=87.5&depart=50000", nil)
+	req.Header.Set("X-Request-ID", "what-was-asked")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("route status %d: %s", rec.Code, rec.Body.String())
+	}
+	traces := tracesOf(t, debugTraces(t, h, "?request_id=what-was-asked"))
+	if len(traces) != 1 {
+		t.Fatalf("want 1 trace, got %d", len(traces))
+	}
+	attrs := childByName(t, traces[0]["root"].(map[string]any), "slice-select")["attrs"].(map[string]any)
+	want := map[string]any{
+		"source": float64(3), "dest": float64(4), "budget_s": 87.5, "depart_s": float64(50000),
+		"slice": float64(fb.SliceOf(50000)), "epoch": float64(fb.SliceEpoch(fb.SliceOf(50000))), "time_expanded": false,
+	}
+	for k, v := range want {
+		if attrs[k] != v {
+			t.Errorf("slice-select attr %s = %v, want %v (attrs: %v)", k, attrs[k], v, attrs)
+		}
+	}
+}
+
 // TestTracingBatchPerItemSpans: every batch item gets its own batch-item
 // span under the /route/batch root — cache hits spanned by the server,
 // misses by the backend — and per-item latency observations land in the

@@ -11,33 +11,25 @@ import (
 	"stochroute/internal/graph"
 )
 
-// Binary trajectory file formats, so cmd/gentraj output can feed
-// cmd/train, cmd/route and cmd/replay.
-//
-// SRT1 (legacy, time-homogeneous):
-//
-//	magic  [4]byte "SRT1"
-//	n      uint32  trajectory count
-//	per trajectory: m uint32; m × (edge uint32, time float64)
-//
-// SRT2 (temporal) prepends each trajectory with its departure
-// timestamp in seconds since local midnight:
+// Binary trajectory file format, so cmd/gentraj output can feed
+// cmd/train, cmd/route, cmd/serve and cmd/replay. SRT2 is the one
+// format written and read:
 //
 //	magic  [4]byte "SRT2"
 //	n      uint32  trajectory count
 //	per trajectory: depart float64; m uint32; m × (edge uint32, time float64)
 //
-// WriteTrajectories always emits SRT2; ReadTrajectories accepts both,
-// giving SRT1 trips the zero departure (slice 0 of any partition).
-var (
-	trajMagicV1 = [4]byte{'S', 'R', 'T', '1'}
-	trajMagicV2 = [4]byte{'S', 'R', 'T', '2'}
-)
+// depart is the trip's departure in seconds since local midnight.
+var trajMagic = [4]byte{'S', 'R', 'T', '2'}
+
+// ErrSRT1Retired is what reading a file of the retired SRT1 format (no
+// departure timestamps; no tool has written it since SRT2) fails with.
+var ErrSRT1Retired = errors.New("traj: SRT1 trajectory files are retired; regenerate the file with cmd/gentraj, which writes SRT2")
 
 // WriteTrajectories serialises trajectories in the SRT2 format.
 func WriteTrajectories(w io.Writer, trs []Trajectory) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(trajMagicV2[:]); err != nil {
+	if _, err := bw.Write(trajMagic[:]); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint32(len(trs))); err != nil {
@@ -69,31 +61,19 @@ func WriteTrajectories(w io.Writer, trs []Trajectory) error {
 	return bw.Flush()
 }
 
-// ReadTrajectories deserialises one trajectory file written by
-// WriteTrajectories — either format generation — validating edge IDs
-// against g (pass nil to skip). SRT1 trips get departure 0. The reader
-// is consumed through an internal buffer, so only the FIRST segment of
-// a concatenated stream is returned; use ReadTrajectoryStream to drain
-// a stream of several back-to-back files.
-func ReadTrajectories(r io.Reader, g *graph.Graph) ([]Trajectory, error) {
-	return readSegment(bufio.NewReader(r), g)
-}
-
-// ReadTrajectoryStream deserialises a stream of concatenated
-// trajectory files — any mix of SRT1 and SRT2 segments back to back,
-// e.g. `cat monday.srt tuesday.srt` of recordings from different
-// format generations — until EOF, validating edge IDs against g (pass
-// nil to skip). SRT1 trips get departure 0, exactly as in
-// ReadTrajectories; trips keep stream order across segment boundaries.
-// A truncated or corrupt segment fails the whole read.
+// ReadTrajectoryStream deserialises a trajectory file, or a stream of
+// several back to back (e.g. `cat monday.srt tuesday.srt`), until EOF,
+// validating edge IDs against g (pass nil to skip). Trips keep stream
+// order across segment boundaries. A truncated or corrupt segment — or
+// one in the retired SRT1 format (ErrSRT1Retired) — fails the whole
+// read.
 func ReadTrajectoryStream(r io.Reader, g *graph.Graph) ([]Trajectory, error) {
 	br := bufio.NewReader(r)
 	var out []Trajectory
 	for seg := 0; ; seg++ {
 		if _, err := br.Peek(1); err == io.EOF {
 			if seg == 0 {
-				// An empty stream is not a trajectory file; surface the
-				// same error a bare ReadTrajectories would.
+				// An empty stream is not a trajectory file.
 				return nil, fmt.Errorf("traj: read magic: %w", io.ErrUnexpectedEOF)
 			}
 			return out, nil
@@ -108,19 +88,18 @@ func ReadTrajectoryStream(r io.Reader, g *graph.Graph) ([]Trajectory, error) {
 	}
 }
 
-// readSegment decodes one SRT1/SRT2 file image from br.
+// readSegment decodes one SRT2 file image from br.
 func readSegment(br *bufio.Reader, g *graph.Graph) ([]Trajectory, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("traj: read magic: %w", err)
 	}
-	temporal := false
 	switch magic {
-	case trajMagicV1:
-	case trajMagicV2:
-		temporal = true
+	case trajMagic:
+	case [4]byte{'S', 'R', 'T', '1'}:
+		return nil, ErrSRT1Retired
 	default:
-		return nil, errors.New("traj: bad magic (not an SRT1/SRT2 file)")
+		return nil, errors.New("traj: bad magic (not an SRT2 file)")
 	}
 	var n uint32
 	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
@@ -132,13 +111,11 @@ func readSegment(br *bufio.Reader, g *graph.Graph) ([]Trajectory, error) {
 	out := make([]Trajectory, 0, n)
 	for i := uint32(0); i < n; i++ {
 		var tr Trajectory
-		if temporal {
-			if err := binary.Read(br, binary.LittleEndian, &tr.Departure); err != nil {
-				return nil, fmt.Errorf("traj: trajectory %d departure: %w", i, err)
-			}
-			if math.IsNaN(tr.Departure) || math.IsInf(tr.Departure, 0) || tr.Departure < 0 {
-				return nil, fmt.Errorf("traj: trajectory %d has invalid departure %v", i, tr.Departure)
-			}
+		if err := binary.Read(br, binary.LittleEndian, &tr.Departure); err != nil {
+			return nil, fmt.Errorf("traj: trajectory %d departure: %w", i, err)
+		}
+		if math.IsNaN(tr.Departure) || math.IsInf(tr.Departure, 0) || tr.Departure < 0 {
+			return nil, fmt.Errorf("traj: trajectory %d has invalid departure %v", i, tr.Departure)
 		}
 		var m uint32
 		if err := binary.Read(br, binary.LittleEndian, &m); err != nil {

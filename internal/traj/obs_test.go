@@ -200,7 +200,7 @@ func TestTrajectoryCodecRoundTrip(t *testing.T) {
 	if err := WriteTrajectories(&buf, trs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTrajectories(&buf, w.Graph())
+	got, err := ReadTrajectoryStream(&buf, w.Graph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,10 +217,10 @@ func TestTrajectoryCodecRoundTrip(t *testing.T) {
 }
 
 func TestTrajectoryCodecErrors(t *testing.T) {
-	if _, err := ReadTrajectories(bytes.NewReader([]byte("BAD!")), nil); err == nil {
+	if _, err := ReadTrajectoryStream(bytes.NewReader([]byte("BAD!")), nil); err == nil {
 		t.Error("bad magic should error")
 	}
-	if _, err := ReadTrajectories(bytes.NewReader(nil), nil); err == nil {
+	if _, err := ReadTrajectoryStream(bytes.NewReader(nil), nil); err == nil {
 		t.Error("empty input should error")
 	}
 	// Edge ID beyond the graph.
@@ -230,7 +230,7 @@ func TestTrajectoryCodecErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := testWorld(t, nil)
-	if _, err := ReadTrajectories(&buf, w.Graph()); err == nil {
+	if _, err := ReadTrajectoryStream(&buf, w.Graph()); err == nil {
 		t.Error("out-of-range edge should error on validated read")
 	}
 }

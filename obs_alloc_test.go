@@ -1,6 +1,7 @@
 package stochroute
 
 import (
+	"context"
 	"testing"
 
 	"stochroute/internal/israce"
@@ -9,7 +10,7 @@ import (
 )
 
 // TestRouteMetricsZeroExtraAllocs is the observability hot-path gate at
-// the engine level: attaching search metrics to RouteWithOptions must
+// the engine level: attaching search metrics to RouteCtx must
 // not add a single allocation per query over the uninstrumented path —
 // the telemetry is atomics on pre-registered series, nothing more.
 func TestRouteMetricsZeroExtraAllocs(t *testing.T) {
@@ -30,7 +31,7 @@ func TestRouteMetricsZeroExtraAllocs(t *testing.T) {
 
 	run := func() float64 {
 		return testing.AllocsPerRun(30, func() {
-			if _, err := e.RouteWithOptions(q.Source, q.Dest, opts); err != nil {
+			if _, err := e.RouteCtx(context.Background(), q.Source, q.Dest, opts); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -9,7 +9,7 @@ import (
 )
 
 // TestSingleSliceEquivalence is the temporal refactor's degeneracy
-// proof: on a 1-slice engine (the default), RouteWithOptions with ANY
+// proof: on a 1-slice engine (the default), RouteCtx with ANY
 // departure must be bit-identical — route, probability, distribution
 // and telemetry — to the pre-refactor query path, which is a direct
 // PBR search on the serving model. Slice selection must be a pure
@@ -42,7 +42,7 @@ func TestSingleSliceEquivalence(t *testing.T) {
 		}
 
 		for _, depart := range departures {
-			got, err := e.RouteWithOptions(q.Source, q.Dest, RouteOptions{Budget: budget, Departure: depart})
+			got, err := e.RouteCtx(context.Background(), q.Source, q.Dest, RouteOptions{Budget: budget, Departure: depart})
 			if err != nil {
 				t.Fatalf("query %d depart %v: %v", qi, depart, err)
 			}
@@ -118,7 +118,7 @@ func TestSingleSliceBatchEquivalence(t *testing.T) {
 		if it.Epoch != e.ModelEpoch() {
 			t.Errorf("item %d: epoch %d != %d", i, it.Epoch, e.ModelEpoch())
 		}
-		want, err := e.RouteWithOptions(queries[i].Source, queries[i].Dest, queries[i].Opts)
+		want, err := e.RouteCtx(context.Background(), queries[i].Source, queries[i].Dest, queries[i].Opts)
 		if err != nil {
 			t.Fatal(err)
 		}

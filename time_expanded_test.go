@@ -80,11 +80,11 @@ func TestTimeExpandedK1Equivalence(t *testing.T) {
 		}
 		for _, depart := range []float64{0, 6 * 3600, 43100, 86000} {
 			budget := 1.5 * opt
-			want, err := e.RouteWithOptions(q.Source, q.Dest, RouteOptions{Budget: budget, Departure: depart})
+			want, err := e.RouteCtx(context.Background(), q.Source, q.Dest, RouteOptions{Budget: budget, Departure: depart})
 			if err != nil {
 				t.Fatalf("query %d: classic: %v", qi, err)
 			}
-			got, err := e.RouteWithOptions(q.Source, q.Dest, RouteOptions{Budget: budget, Departure: depart, TimeExpanded: true})
+			got, err := e.RouteCtx(context.Background(), q.Source, q.Dest, RouteOptions{Budget: budget, Departure: depart, TimeExpanded: true})
 			if err != nil {
 				t.Fatalf("query %d: time-expanded: %v", qi, err)
 			}
@@ -247,11 +247,11 @@ func TestTimeExpandedShortTripEquivalence(t *testing.T) {
 			if depart+1.3*budget+e.Model().Width() >= traj.SliceStart(slice+1, e.NumSlices()) {
 				t.Fatalf("test setup: horizon leaves slice %d", slice)
 			}
-			want, err := e.RouteWithOptions(q.Source, q.Dest, RouteOptions{Budget: budget, Departure: depart})
+			want, err := e.RouteCtx(context.Background(), q.Source, q.Dest, RouteOptions{Budget: budget, Departure: depart})
 			if err != nil {
 				t.Fatalf("slice %d query %d: classic: %v", slice, qi, err)
 			}
-			got, err := e.RouteWithOptions(q.Source, q.Dest, RouteOptions{Budget: budget, Departure: depart, TimeExpanded: true})
+			got, err := e.RouteCtx(context.Background(), q.Source, q.Dest, RouteOptions{Budget: budget, Departure: depart, TimeExpanded: true})
 			if err != nil {
 				t.Fatalf("slice %d query %d: expanded: %v", slice, qi, err)
 			}
@@ -284,7 +284,7 @@ func TestTimeExpandedCrossesBoundaryAccuracy(t *testing.T) {
 	// First pass: measure the trip's mean under the time-expanded
 	// model from a mid-peak departure, then place the departure so the
 	// trip straddles the slice 0 -> slice 1 boundary.
-	probe, err := e.RouteWithOptions(q.Source, q.Dest, RouteOptions{Budget: budget, Departure: traj.SliceMid(0, k), TimeExpanded: true})
+	probe, err := e.RouteCtx(context.Background(), q.Source, q.Dest, RouteOptions{Budget: budget, Departure: traj.SliceMid(0, k), TimeExpanded: true})
 	if err != nil || !probe.Found {
 		t.Fatalf("probe route: err=%v found=%v", err, probe != nil && probe.Found)
 	}
@@ -295,7 +295,7 @@ func TestTimeExpandedCrossesBoundaryAccuracy(t *testing.T) {
 		t.Fatalf("trip mean %.0fs too long for the slice layout", meanTrip)
 	}
 
-	res, err := e.RouteWithOptions(q.Source, q.Dest, RouteOptions{Budget: budget, Departure: depart, TimeExpanded: true})
+	res, err := e.RouteCtx(context.Background(), q.Source, q.Dest, RouteOptions{Budget: budget, Departure: depart, TimeExpanded: true})
 	if err != nil || !res.Found {
 		t.Fatalf("boundary route: err=%v", err)
 	}

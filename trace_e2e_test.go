@@ -45,9 +45,9 @@ func TestEngineRouteCtxSpans(t *testing.T) {
 	for _, a := range search.Span.Attrs() {
 		attrs[a.Key] = a.Value()
 	}
-	if attrs["found"] != res.Found || attrs["expansions"] != int64(res.Expansions) {
-		t.Errorf("search attrs %v disagree with result (found=%v expansions=%d)",
-			attrs, res.Found, res.Expansions)
+	if attrs["found"] != res.Found || attrs["complete"] != res.Complete || attrs["expansions"] != int64(res.Expansions) {
+		t.Errorf("search attrs %v disagree with result (found=%v complete=%v expansions=%d)",
+			attrs, res.Found, res.Complete, res.Expansions)
 	}
 	phases := map[string]bool{}
 	for _, c := range search.Children {
@@ -59,7 +59,7 @@ func TestEngineRouteCtxSpans(t *testing.T) {
 
 	// The same query without a sampled context must be allocation-
 	// identical to the untraced path: no trace, no spans.
-	res2, err := e.RouteWithOptions(qs[0].Source, qs[0].Dest, RouteOptions{Budget: opt * 1.5})
+	res2, err := e.RouteCtx(context.Background(), qs[0].Source, qs[0].Dest, RouteOptions{Budget: opt * 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
