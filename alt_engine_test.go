@@ -113,9 +113,9 @@ func TestEngineSetLandmarks(t *testing.T) {
 	compare("alt-enabled", exact, run())
 
 	// A model hot swap must rebuild the tables before publishing; the
-	// swapped-in clone shares the serving model's statistics, so answers
+	// swapped-in model shares the serving model's statistics, so answers
 	// stay bit-identical and ALT stays on.
-	if _, err := e.SwapModel(e.Model().CloneForConcurrentUse(), nil); err != nil {
+	if _, err := e.SwapModel(sameWeightsModel(e.Model()), nil); err != nil {
 		t.Fatal(err)
 	}
 	if e.Landmarks() != 12 {

@@ -90,7 +90,7 @@ func TestEngineRouteBatchMatchesSequential(t *testing.T) {
 // pooled scratch kernel under the server's concurrency.
 func TestRouteBatchHTTPMatchesSequentialRoute(t *testing.T) {
 	e := testEngine(t)
-	srv := server.New(e, server.Config{RouteCache: -1, PairCache: -1})
+	srv := server.New(e, server.Config{RouteCache: -1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

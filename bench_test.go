@@ -408,7 +408,7 @@ func BenchmarkConcurrentRouting(b *testing.B) {
 	}
 
 	b.Run("server/uncached", func(b *testing.B) {
-		srv := server.New(e, server.Config{RouteCache: -1, PairCache: -1})
+		srv := server.New(e, server.Config{RouteCache: -1})
 		serveAll(b, srv.Handler())
 	})
 

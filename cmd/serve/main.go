@@ -96,7 +96,6 @@ func main() {
 
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request search timeout")
 	routeCache := flag.Int("route-cache", 4096, "route cache entries (negative disables)")
-	pairCache := flag.Int("pair-cache", 16384, "pair-sum cache entries (negative disables)")
 	bucket := flag.Float64("budget-bucket", 15, "route cache budget bucket in seconds (0 = exact budgets)")
 
 	ingestOn := flag.Bool("ingest", true, "enable POST /ingest with drift-triggered background retraining")
@@ -225,7 +224,6 @@ func main() {
 	srv := server.New(eng, server.Config{
 		RequestTimeout:      *timeout,
 		RouteCache:          *routeCache,
-		PairCache:           *pairCache,
 		BudgetBucketSeconds: *bucket,
 		MaxBatch:            *maxBatch,
 		BatchWorkers:        *batchWorkers,

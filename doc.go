@@ -61,17 +61,18 @@
 //     into a per-search hybrid.Scratch (arena + feature vector + MLP
 //     activation buffers + predicted-conditional storage). The trained
 //     Model, the ConvolutionCoster baseline and the WithStats counting
-//     view all implement it; plain Costers keep working untouched.
+//     view all implement it, each form bit-identical to its heap
+//     sibling (which PathCost and the skyline still call).
 //   - internal/routing runs every PBR search on a pooled workspace
 //     that owns the scratch, the label slice, the priority heap and
 //     the dominance frontiers (a generation-stamped table over a flat
-//     entry slab — no map, nothing to sweep between searches). With a
-//     ScratchCoster the label distributions live in the workspace's
-//     arena too and labels killed by pruning recycle their buffers
-//     immediately; a plain Coster's distributions come from the heap
-//     and the workspace drops them on release. The two are
-//     bit-identical — same routes, probabilities and telemetry —
-//     enforced by frozen goldens and equivalence tests at every layer.
+//     entry slab — no map, nothing to sweep between searches). Label
+//     distributions live in the workspace's arena, and labels killed
+//     by pruning recycle their buffers immediately. There is one
+//     search path: a Coster without the capability (a test double)
+//     has the histograms it returns copied into the arena by a
+//     twelve-line adapter, and answers the same bits — the frozen
+//     goldens check the classic shapes both ways.
 //
 // A warmed search therefore allocates only what escapes it: the
 // Result, the per-request coster view, and — at each pivot
@@ -162,8 +163,8 @@
 // one slice's model prices the whole trip. RouteOptions.TimeExpanded
 // closes it — when a search label is extended along an edge, the cost
 // model is re-selected from the slice at departure + the label's
-// accumulated mean cost (hybrid.TemporalCoster, implemented by the
-// ModelSet façade), so long trips transition from peak to off-peak
+// accumulated mean cost (hybrid.TemporalScratchCoster, implemented by
+// the ModelSet façade), so long trips transition from peak to off-peak
 // models mid-search. The machinery, layer by layer:
 //
 //   - internal/hybrid: ModelSet.TimeExpandedCoster returns a
@@ -204,15 +205,15 @@
 // departure-slice queries, the global epoch for time-expanded ones.
 //
 // The serving layer (internal/server) leans on exactly that split: it
-// keeps one sharded LRU route cache and one pair-sum cache PER SLICE
-// (capacity total/K each), each validated against its own slice's
-// epoch, so a peak-slice swap invalidates only the peak caches in O(1)
-// while every other slice stays warm. Time-expanded answers are never
-// cached — they vary continuously with the exact departure and would
-// need global-epoch validation — so time_expanded=true requests always
-// measure raw search cost. depart= and time_expanded= are accepted on
-// /route, /route/anytime and per item on /route/batch; /healthz and
-// /stats report per-slice epochs, cache and drift counters.
+// keeps one sharded LRU route cache PER SLICE (capacity total/K each),
+// each validated against its own slice's epoch, so a peak-slice swap
+// invalidates only the peak cache in O(1) while every other slice stays
+// warm. Time-expanded answers are never cached — they vary continuously
+// with the exact departure and would need global-epoch validation — so
+// time_expanded=true requests always measure raw search cost. depart=
+// and time_expanded= are accepted on /route, /route/anytime and per
+// item on /route/batch; /healthz and /stats report per-slice epochs,
+// cache and drift counters.
 //
 // # Observability
 //

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,6 +85,17 @@ func newSliceEpochs(k int, epoch uint64) []uint64 {
 		out[i] = epoch
 	}
 	return out
+}
+
+// successor starts the next generation: a copy of s one epoch on, with
+// a fresh swap time and slice epochs of its own to advance. A publisher
+// then states only what it replaces; everything else carries over.
+func (s *modelSnapshot) successor() *modelSnapshot {
+	next := *s
+	next.epoch = s.epoch + 1
+	next.swappedAt = time.Now()
+	next.sliceEpochs = slices.Clone(s.sliceEpochs)
+	return &next
 }
 
 // Engine is the assembled system: a road network, the trained Hybrid
@@ -361,15 +373,8 @@ func (e *Engine) swapSliceLocked(slice int, model *Model, obs *ObservationStore)
 		cp.ReplaceSlice(slice, obs)
 		nextObs = cp
 	}
-	next := &modelSnapshot{
-		set:           set,
-		obs:           nextObs,
-		epoch:         prev.epoch + 1,
-		sliceEpochs:   append([]uint64(nil), prev.sliceEpochs...),
-		swappedAt:     time.Now(),
-		baseConvolved: prev.baseConvolved,
-		baseEstimated: prev.baseEstimated,
-	}
+	next := prev.successor()
+	next.set, next.obs = set, nextObs
 	next.sliceEpochs[slice] = next.epoch
 	// With ALT enabled, rebuild only the swapped slice's tables (plus
 	// the min-metric table, which depends on every slice) against the
@@ -377,11 +382,9 @@ func (e *Engine) swapSliceLocked(slice int, model *Model, obs *ObservationStore)
 	// new models with stale potentials. Untouched slices keep their
 	// tables.
 	if prev.alt != nil {
-		alt, err := e.rebuildAltSlice(prev.alt, set, slice)
-		if err != nil {
-			return 0, fmt.Errorf("stochroute: ALT rebuild for slice %d: %w", slice, err)
+		if next.alt, err = e.buildAlt(set, prev.alt.landmarks, prev); err != nil {
+			return 0, err
 		}
-		next.alt = alt
 	}
 	// Fold the retiring model's lifetime decision counters into the
 	// new snapshot's base so DecisionCounts keeps counting across
@@ -404,15 +407,9 @@ func (e *Engine) swapSliceLocked(slice int, model *Model, obs *ObservationStore)
 // bases to it; the observation aggregate carries over.
 func (e *Engine) swapSetLocked(set *hybrid.ModelSet) error {
 	prev := e.current.Load()
-	next := &modelSnapshot{
-		set:           set,
-		obs:           prev.obs,
-		epoch:         prev.epoch + 1,
-		sliceEpochs:   newSliceEpochs(set.K(), prev.epoch+1),
-		swappedAt:     time.Now(),
-		baseConvolved: prev.baseConvolved,
-		baseEstimated: prev.baseEstimated,
-	}
+	next := prev.successor()
+	next.set = set
+	next.sliceEpochs = newSliceEpochs(set.K(), next.epoch)
 	for s := 0; s < prev.set.K(); s++ {
 		if retiring := prev.set.At(s); retiring != set.At(s) {
 			conv, est := retiring.DecisionCounts()
@@ -421,15 +418,14 @@ func (e *Engine) swapSetLocked(set *hybrid.ModelSet) error {
 			set.At(s).ResetCounters()
 		}
 	}
-	// A whole-set swap invalidates every slice's tables: rebuild all of
-	// them (same landmarks — selection depends only on the graph) before
+	// A whole-set swap invalidates every slice's tables: rebuild them
+	// (same landmarks — selection depends only on the graph) before
 	// publishing.
 	if prev.alt != nil {
-		alt, err := e.buildAltSet(set, prev.alt.landmarks)
-		if err != nil {
-			return fmt.Errorf("stochroute: ALT rebuild: %w", err)
+		var err error
+		if next.alt, err = e.buildAlt(set, prev.alt.landmarks, prev); err != nil {
+			return err
 		}
-		next.alt = alt
 	}
 	e.current.Store(next)
 	return nil
@@ -462,21 +458,13 @@ func (e *Engine) SetLandmarks(count int) error {
 			return errors.New("stochroute: SetLandmarks found no landmark candidates")
 		}
 		var err error
-		alt, err = e.buildAltSet(prev.set, lms)
-		if err != nil {
+		if alt, err = e.buildAlt(prev.set, lms, nil); err != nil {
 			return err
 		}
 	}
-	next := &modelSnapshot{
-		set:           prev.set,
-		obs:           prev.obs,
-		epoch:         prev.epoch + 1,
-		sliceEpochs:   newSliceEpochs(prev.set.K(), prev.epoch+1),
-		swappedAt:     time.Now(),
-		alt:           alt,
-		baseConvolved: prev.baseConvolved,
-		baseEstimated: prev.baseEstimated,
-	}
+	next := prev.successor()
+	next.sliceEpochs = newSliceEpochs(prev.set.K(), next.epoch)
+	next.alt = alt
 	e.current.Store(next)
 	return nil
 }
@@ -490,51 +478,38 @@ func (e *Engine) Landmarks() int {
 	return 0
 }
 
-// buildAltSet builds the full per-slice + min-metric table set for a
-// model set, reusing an existing landmark selection.
-func (e *Engine) buildAltSet(set *hybrid.ModelSet, lms []graph.VertexID) (*altTables, error) {
+// buildAlt builds the per-slice and min-metric ALT tables of set over
+// the landmarks lms. With prev non-nil — the serving generation, whose
+// tables must be over the same landmarks — a slice still served by the
+// model prev served keeps prev's table, so a per-slice swap rebuilds
+// that slice alone; the min-metric table depends on every slice and is
+// kept only when all of them were.
+func (e *Engine) buildAlt(set *hybrid.ModelSet, lms []graph.VertexID, prev *modelSnapshot) (*altTables, error) {
 	at := &altTables{landmarks: lms, slices: make([]*routing.ALT, set.K())}
-	for s := 0; s < set.K(); s++ {
+	kept := 0
+	for s := range at.slices {
+		if prev != nil && prev.set.At(s) == set.At(s) {
+			at.slices[s] = prev.alt.slices[s]
+			kept++
+			continue
+		}
 		t, err := routing.BuildALT(e.graph, set.At(s).MinEdgeTime, lms)
 		if err != nil {
 			return nil, fmt.Errorf("stochroute: ALT tables for slice %d: %w", s, err)
 		}
 		at.slices[s] = t
 	}
-	if set.K() == 1 {
+	switch {
+	case set.K() == 1:
 		at.min = at.slices[0]
-	} else {
+	case kept == set.K():
+		at.min = prev.alt.min
+	default:
 		t, err := routing.BuildALT(e.graph, set.MinEdgeTimeAcrossSlices, lms)
 		if err != nil {
 			return nil, fmt.Errorf("stochroute: min-metric ALT tables: %w", err)
 		}
 		at.min = t
-	}
-	return at, nil
-}
-
-// rebuildAltSlice is the per-slice-swap rebuild: only the swapped
-// slice's tables and the min-metric tables (which depend on every
-// slice) are rebuilt; the other slices share the previous generation's
-// tables.
-func (e *Engine) rebuildAltSlice(prev *altTables, set *hybrid.ModelSet, slice int) (*altTables, error) {
-	at := &altTables{
-		landmarks: prev.landmarks,
-		slices:    append([]*routing.ALT(nil), prev.slices...),
-	}
-	t, err := routing.BuildALT(e.graph, set.At(slice).MinEdgeTime, prev.landmarks)
-	if err != nil {
-		return nil, err
-	}
-	at.slices[slice] = t
-	if set.K() == 1 {
-		at.min = at.slices[0]
-	} else {
-		mt, err := routing.BuildALT(e.graph, set.MinEdgeTimeAcrossSlices, prev.landmarks)
-		if err != nil {
-			return nil, err
-		}
-		at.min = mt
 	}
 	return at, nil
 }

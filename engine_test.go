@@ -6,9 +6,14 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"stochroute/internal/hybrid"
+	"stochroute/internal/traj"
 )
 
 var (
@@ -431,7 +436,7 @@ func TestEngineHotSwapDuringQueries(t *testing.T) {
 	}
 
 	startEpoch := e.ModelEpoch()
-	clone := e.Model().CloneForConcurrentUse()
+	clone := sameWeightsModel(e.Model())
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -490,6 +495,52 @@ func TestEngineHotSwapDuringQueries(t *testing.T) {
 	if conv+est == 0 {
 		t.Error("lifetime decision totals should survive the swap")
 	}
+}
+
+// TestSnapshotSuccessorCarriesEveryField: a modelSnapshot field is
+// either carried into the next generation by successor() or on the
+// short list of what a new generation resets. A field added to the
+// struct and forgotten by one publisher — the bug hand-copied literals
+// invite — fails here.
+func TestSnapshotSuccessorCarriesEveryField(t *testing.T) {
+	prev := &modelSnapshot{
+		set:           &hybrid.ModelSet{},
+		obs:           &traj.SlicedObservations{},
+		epoch:         7,
+		sliceEpochs:   []uint64{3, 7},
+		swappedAt:     time.Unix(1, 0),
+		alt:           &altTables{},
+		baseConvolved: 11,
+		baseEstimated: 13,
+	}
+	next := prev.successor()
+	reset := map[string]bool{"epoch": true, "swappedAt": true, "sliceEpochs": true}
+	pv, nv := reflect.ValueOf(prev).Elem(), reflect.ValueOf(next).Elem()
+	for i := 0; i < pv.NumField(); i++ {
+		name := pv.Type().Field(i).Name
+		if pv.Field(i).IsZero() {
+			t.Fatalf("the fixture leaves %s zero; set it, so the test can tell carried from dropped", name)
+		}
+		if !reset[name] && !nv.Field(i).Equal(pv.Field(i)) {
+			t.Errorf("successor() does not carry %s, and it is not on the reset list", name)
+		}
+	}
+	if next.epoch != prev.epoch+1 {
+		t.Errorf("epoch %d, want %d", next.epoch, prev.epoch+1)
+	}
+	if !next.swappedAt.After(prev.swappedAt) {
+		t.Errorf("swappedAt %v is not fresh", next.swappedAt)
+	}
+	if !slices.Equal(next.sliceEpochs, prev.sliceEpochs) || &next.sliceEpochs[0] == &prev.sliceEpochs[0] {
+		t.Errorf("sliceEpochs %v: want a copy of %v the successor can advance", next.sliceEpochs, prev.sliceEpochs)
+	}
+}
+
+// sameWeightsModel is a second Model over m's knowledge base and
+// learned weights: a distinct generation to swap in that answers the
+// same bits.
+func sameWeightsModel(m *Model) *Model {
+	return &Model{KB: m.KB, Estimator: m.Estimator, Classifier: m.Classifier, Mode: m.Mode, MaxBuckets: m.MaxBuckets}
 }
 
 func TestEngineSwapModelValidation(t *testing.T) {

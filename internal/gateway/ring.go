@@ -18,8 +18,7 @@ import (
 // recovers its points are simply consulted again, reclaiming exactly
 // its old range.
 type Ring struct {
-	points   []ringPoint
-	replicas int
+	points []ringPoint
 }
 
 // ringPoint is one virtual node: a position on the ring and the
@@ -41,10 +40,7 @@ func NewRing(ids []string, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{
-		points:   make([]ringPoint, 0, len(ids)*vnodes),
-		replicas: len(ids),
-	}
+	r := &Ring{points: make([]ringPoint, 0, len(ids)*vnodes)}
 	for i, id := range ids {
 		for v := 0; v < vnodes; v++ {
 			h := hashString(id + "#" + strconv.Itoa(v))
@@ -59,9 +55,6 @@ func NewRing(ids []string, vnodes int) *Ring {
 	})
 	return r
 }
-
-// Replicas returns the fleet size the ring was built for.
-func (r *Ring) Replicas() int { return r.replicas }
 
 // Owner returns the replica owning key: the replica of the first ring
 // point at or after key, wrapping at the top. -1 on an empty ring.

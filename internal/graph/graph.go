@@ -168,13 +168,6 @@ func (g *Graph) BBox() geo.BBox {
 	return b
 }
 
-// EdgeDistanceMeters returns the straight-line distance between the two
-// endpoints of e (not the polyline length).
-func (g *Graph) EdgeDistanceMeters(e EdgeID) float64 {
-	ed := g.edges[e]
-	return geo.Haversine(g.points[ed.From], g.points[ed.To])
-}
-
 // TotalLengthMeters returns the summed length of all edges.
 func (g *Graph) TotalLengthMeters() float64 {
 	total := 0.0
@@ -210,23 +203,6 @@ func (g *Graph) EdgePairs(skipUTurns bool) []EdgePair {
 		}
 	}
 	return pairs
-}
-
-// NumEdgePairs counts adjacent edge pairs without materialising them.
-func (g *Graph) NumEdgePairs(skipUTurns bool) int {
-	n := 0
-	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
-		for _, e1 := range g.In(v) {
-			from := g.edges[e1].From
-			for _, e2 := range g.Out(v) {
-				if skipUTurns && g.edges[e2].To == from {
-					continue
-				}
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // Builder accumulates vertices and edges and produces an immutable Graph.

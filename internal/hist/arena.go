@@ -93,13 +93,6 @@ func (a *Arena) Alloc(n int) []float64 {
 	}
 }
 
-// AllocZeroed is Alloc with the returned buffer cleared.
-func (a *Arena) AllocZeroed(n int) []float64 {
-	buf := a.Alloc(n)
-	clear(buf)
-	return buf
-}
-
 // Free recycles a buffer previously returned by Alloc (identified by
 // its capacity class) for reuse by later Allocs. Freeing a buffer the
 // caller does not exclusively own corrupts whichever histogram still

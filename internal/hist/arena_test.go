@@ -86,34 +86,48 @@ func TestQuickCDFShiftedMatchesShiftCDF(t *testing.T) {
 	}
 }
 
-// TestQuickInPlaceVariantsMatch pins each in-place mutator to its
-// allocating sibling.
+// TestQuickInPlaceVariantsMatch states what the in-place mutators
+// promise: truncation preserves the CDF at every support point up to
+// the cut and the total mass, capping keeps the prefix below the cap
+// and the total mass within the bucket limit, and TrimInPlace is Trim
+// bit for bit (the one mutator whose allocating sibling is kept, for
+// right-sizing resident marginals).
 func TestQuickInPlaceVariantsMatch(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		h := randHist(r, 2, 24)
 
 		cut := h.Min + r.Float64()*(h.MaxValue()-h.Min+8)
-		want := h.TruncateAbove(cut)
 		got := h.Clone().TruncateAboveInPlace(cut)
-		if !histsEqual(want, got) {
-			t.Log("TruncateAboveInPlace mismatch")
+		if math.Abs(got.TotalMass()-h.TotalMass()) > 1e-12 {
+			t.Log("TruncateAboveInPlace changed the total mass")
 			return false
+		}
+		for i := range h.P {
+			if v := h.Value(i); v <= cut && got.CDF(v) != h.CDF(v) {
+				t.Logf("TruncateAboveInPlace changed CDF(%v) below the cut %v", v, cut)
+				return false
+			}
 		}
 
 		capN := 1 + r.Intn(len(h.P)+4)
-		want = h.CapBuckets(capN)
 		got = h.Clone().CapBucketsInPlace(capN)
-		if !histsEqual(want, got) {
-			t.Log("CapBucketsInPlace mismatch")
+		if len(got.P) > capN || math.Abs(got.TotalMass()-h.TotalMass()) > 1e-12 {
+			t.Log("CapBucketsInPlace exceeded the cap or changed the total mass")
 			return false
+		}
+		for i := 0; i < len(got.P)-1; i++ {
+			if got.P[i] != h.P[i] {
+				t.Log("CapBucketsInPlace changed a bucket below the cap")
+				return false
+			}
 		}
 
 		// Sprinkle dust so Trim has something to remove.
 		dusty := h.Clone()
 		dusty.P[0] = massEpsilon / 2
 		dusty.P[len(dusty.P)-1] = massEpsilon / 3
-		want = dusty.Clone().Trim()
+		want := dusty.Clone().Trim()
 		got = dusty.Clone().TrimInPlace()
 		if !histsEqual(want, got) {
 			t.Log("TrimInPlace mismatch")
@@ -145,12 +159,11 @@ func TestArenaAllocRecycleReset(t *testing.T) {
 		t.Error("Alloc after Free did not recycle the buffer")
 	}
 
-	// AllocZeroed clears recycled contents.
+	// NewHistZeroed clears recycled contents.
 	a.Free(b2)
-	b3 := a.AllocZeroed(16)
-	for i, v := range b3 {
+	for i, v := range a.NewHistZeroed(0, 1, 16).P {
 		if v != 0 {
-			t.Fatalf("AllocZeroed[%d] = %v", i, v)
+			t.Fatalf("NewHistZeroed P[%d] = %v", i, v)
 		}
 	}
 

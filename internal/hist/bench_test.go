@@ -101,15 +101,6 @@ func BenchmarkKL(b *testing.B) {
 	}
 }
 
-func BenchmarkTruncateAbove(b *testing.B) {
-	x, _ := benchPair(512, 8)
-	cut := x.Min + 600
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = x.TruncateAbove(cut)
-	}
-}
-
 func BenchmarkFromSamples(b *testing.B) {
 	r := rng.New(2)
 	samples := make([]float64, 200)

@@ -146,9 +146,6 @@ func (h *Hist) Clone() *Hist {
 	return &Hist{Min: h.Min, Width: h.Width, P: p}
 }
 
-// Len returns the number of support points.
-func (h *Hist) Len() int { return len(h.P) }
-
 // Value returns the i-th support point.
 func (h *Hist) Value(i int) float64 { return h.Min + float64(i)*h.Width }
 
@@ -294,7 +291,7 @@ func (h *Hist) cdfFrom(min, x float64) float64 {
 
 // CDFAt returns the cumulative mass through support index i — the
 // prefix-sum primitive under CDF and CDFShifted. The scan exits at
-// min(i, Len()-1), so left-tail queries (the common case under budget
+// min(i, len(P)-1), so left-tail queries (the common case under budget
 // routing, where budgets sit well inside the support) touch only the
 // prefix they need. Negative i returns 0; i past the support returns 1.
 func (h *Hist) CDFAt(i int) float64 {
@@ -521,21 +518,6 @@ func (h *Hist) Rebucket(newMin, newWidth float64) (*Hist, error) {
 	return &Hist{Min: newMin, Width: newWidth, P: p}, nil
 }
 
-// CapBuckets limits the support to at most maxBuckets points by
-// aggregating tail mass into the last kept bucket. Long routing searches
-// use this to bound per-label memory. The result keeps total mass.
-func (h *Hist) CapBuckets(maxBuckets int) *Hist {
-	if maxBuckets <= 0 || len(h.P) <= maxBuckets {
-		return h
-	}
-	p := make([]float64, maxBuckets)
-	copy(p, h.P[:maxBuckets])
-	for _, m := range h.P[maxBuckets:] {
-		p[maxBuckets-1] += m
-	}
-	return &Hist{Min: h.Min, Width: h.Width, P: p}
-}
-
 // CompareCDF aligns a and b on their common grid (equal widths, same
 // grid offset) and reports whether CDF_a(x) >= CDF_b(x) at every grid
 // point (aGE) and the converse (bGE). aGE && bGE means the CDFs are
@@ -624,40 +606,19 @@ func (h *Hist) DominatesOrEqual(other *Hist) bool {
 	return aGE
 }
 
-// TruncateAbove aggregates all probability mass at support points
-// strictly greater than x into the first support point above x,
+// TruncateAboveInPlace aggregates all probability mass at support
+// points strictly greater than x into the first support point above x,
 // preserving CDF(v) for every v <= x. Budget routing uses this to bound
 // label memory: mass beyond the budget never affects the objective.
-// If the whole support lies above x (or below), h is returned unchanged.
-func (h *Hist) TruncateAbove(x float64) *Hist {
-	if h.MaxValue() <= x || h.Min > x {
-		return h
-	}
-	// First index with Value(idx) > x.
-	idx := int(math.Floor((x-h.Min)/h.Width)) + 1
-	if idx >= len(h.P) {
-		return h
-	}
-	p := make([]float64, idx+1)
-	copy(p, h.P[:idx])
-	tail := 0.0
-	for _, m := range h.P[idx:] {
-		tail += m
-	}
-	p[idx] = tail
-	return &Hist{Min: h.Min, Width: h.Width, P: p}
-}
-
-// TruncateAboveInPlace is TruncateAbove mutating h instead of
-// allocating: the tail mass is folded into the first support point
-// above x and the mass slice is shortened in place (capacity is
-// retained for reuse). The arithmetic matches TruncateAbove exactly.
-// It returns h. Only use on histograms the caller exclusively owns,
-// e.g. arena-backed search labels.
+// h is mutated — the mass slice is shortened in place, its capacity
+// retained for reuse — and returned; if the whole support lies above x
+// (or below), it is left unchanged. Only use on histograms the caller
+// exclusively owns, e.g. arena-backed search labels.
 func (h *Hist) TruncateAboveInPlace(x float64) *Hist {
 	if h.MaxValue() <= x || h.Min > x {
 		return h
 	}
+	// First index with Value(idx) > x.
 	idx := int(math.Floor((x-h.Min)/h.Width)) + 1
 	if idx >= len(h.P) {
 		return h
@@ -671,10 +632,11 @@ func (h *Hist) TruncateAboveInPlace(x float64) *Hist {
 	return h
 }
 
-// CapBucketsInPlace is CapBuckets mutating h instead of allocating:
-// tail mass past maxBuckets aggregates into the last kept bucket and
-// the slice is shortened in place. The arithmetic matches CapBuckets
-// exactly. It returns h. Only use on exclusively owned histograms.
+// CapBucketsInPlace limits the support to at most maxBuckets points by
+// aggregating tail mass into the last kept bucket, keeping total mass.
+// Long routing searches use this to bound per-label memory. h is
+// mutated — the mass slice is shortened in place — and returned. Only
+// use on exclusively owned histograms.
 func (h *Hist) CapBucketsInPlace(maxBuckets int) *Hist {
 	if maxBuckets <= 0 || len(h.P) <= maxBuckets {
 		return h

@@ -244,26 +244,26 @@ func TestRebucket(t *testing.T) {
 
 func TestCapBuckets(t *testing.T) {
 	h := New(0, 1, []float64{0.1, 0.2, 0.3, 0.2, 0.1, 0.1})
-	c := h.CapBuckets(3)
+	c := h.Clone().CapBucketsInPlace(3)
 	if len(c.P) != 3 {
-		t.Fatalf("CapBuckets len = %d", len(c.P))
+		t.Fatalf("CapBucketsInPlace len = %d", len(c.P))
 	}
 	if !almostEqual(c.TotalMass(), 1, 1e-12) {
-		t.Errorf("CapBuckets lost mass")
+		t.Errorf("CapBucketsInPlace lost mass")
 	}
 	if !almostEqual(c.P[2], 0.3+0.2+0.1+0.1, 1e-12) {
 		t.Errorf("tail not aggregated: %v", c.P)
 	}
-	if got := h.CapBuckets(10); got != h {
-		t.Error("CapBuckets should be a no-op when under the cap")
+	if got := h.Clone().CapBucketsInPlace(10); !histsEqual(got, h) {
+		t.Error("CapBucketsInPlace should be a no-op when under the cap")
 	}
 }
 
 func TestTruncateAbove(t *testing.T) {
 	h := New(0, 1, []float64{0.2, 0.2, 0.2, 0.2, 0.2}) // 0..4
-	tr := h.TruncateAbove(2)
+	tr := h.Clone().TruncateAboveInPlace(2)
 	if len(tr.P) != 4 {
-		t.Fatalf("TruncateAbove len = %d: %v", len(tr.P), tr)
+		t.Fatalf("TruncateAboveInPlace len = %d: %v", len(tr.P), tr)
 	}
 	// CDF preserved at and below the cutoff.
 	for _, x := range []float64{0, 1, 2} {
@@ -275,10 +275,10 @@ func TestTruncateAbove(t *testing.T) {
 		t.Errorf("mass lost: %v", tr.TotalMass())
 	}
 	// No-ops.
-	if got := h.TruncateAbove(10); got != h {
+	if got := h.Clone().TruncateAboveInPlace(10); !histsEqual(got, h) {
 		t.Error("truncate above support should be a no-op")
 	}
-	if got := h.TruncateAbove(-1); got != h {
+	if got := h.Clone().TruncateAboveInPlace(-1); !histsEqual(got, h) {
 		t.Error("truncate below support should be a no-op")
 	}
 }

@@ -146,7 +146,7 @@ func TestQuickTruncatePreservesObjective(t *testing.T) {
 		r := rng.New(seed)
 		h := randHist(r, 2, 20)
 		budget := h.Min + r.Float64()*(h.MaxValue()-h.Min)
-		tr := h.TruncateAbove(budget)
+		tr := h.Clone().TruncateAboveInPlace(budget)
 		if math.Abs(tr.TotalMass()-1) > 1e-9 {
 			return false
 		}
@@ -176,7 +176,7 @@ func TestQuickCapBucketsKeepsMassAndCDFPrefix(t *testing.T) {
 		r := rng.New(seed)
 		h := randHist(r, 2, 24)
 		cap := 1 + r.Intn(len(h.P))
-		c := h.CapBuckets(cap)
+		c := h.Clone().CapBucketsInPlace(cap)
 		if len(c.P) > cap {
 			return false
 		}

@@ -176,53 +176,6 @@ func TestKnowledgeBaseCategoryPriors(t *testing.T) {
 	}
 }
 
-func TestModelCloneForConcurrentUse(t *testing.T) {
-	m, _ := getModel(t)
-	e := getEnv(t)
-	pairs := e.obs.PairsWithSupport(20)
-	if len(pairs) == 0 {
-		t.Skip("no pairs")
-	}
-	clone := m.CloneForConcurrentUse()
-	for _, k := range pairs[:min(len(pairs), 10)] {
-		a, err := m.PairSumEstimate(k.First, k.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := clone.PairSumEstimate(k.First, k.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tv, err := hist.TotalVariation(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tv > 1e-12 {
-			t.Fatalf("clone disagrees on pair %v by TV %v", k, tv)
-		}
-	}
-	// Clones run concurrently without racing (exercised further by
-	// exp's parallel harness under -race).
-	done := make(chan error, 4)
-	for w := 0; w < 4; w++ {
-		c := m.CloneForConcurrentUse()
-		go func() {
-			for _, k := range pairs[:min(len(pairs), 20)] {
-				if _, err := c.PairSumEstimate(k.First, k.Second); err != nil {
-					done <- err
-					return
-				}
-			}
-			done <- nil
-		}()
-	}
-	for w := 0; w < 4; w++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestSharedModelConcurrentQueries(t *testing.T) {
 	// The query path is read-only: many goroutines on ONE model (no
 	// clones) must produce exactly the serial answers, race-free.

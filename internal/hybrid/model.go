@@ -57,7 +57,7 @@ func (c *ConvolutionCoster) InitialHist(e graph.EdgeID) *hist.Hist {
 func (c *ConvolutionCoster) Extend(virtual *hist.Hist, _, next graph.EdgeID) *hist.Hist {
 	out := hist.MustConvolve(virtual, c.KB.Edge(next).Marginal)
 	if c.MaxBuckets > 0 {
-		out = out.CapBuckets(c.MaxBuckets)
+		out.CapBucketsInPlace(c.MaxBuckets)
 	}
 	return out
 }
@@ -200,7 +200,7 @@ func (m *Model) extend(virtual *hist.Hist, lastEdge, next graph.EdgeID) (out *hi
 		out = hist.MustConvolve(virtual, m.KB.Edge(next).Marginal)
 	}
 	if m.MaxBuckets > 0 {
-		out = out.CapBuckets(m.MaxBuckets)
+		out.CapBucketsInPlace(m.MaxBuckets)
 	}
 	return out, estimated
 }
@@ -286,24 +286,6 @@ func (c *countingCoster) tally(estimated bool) {
 		c.qs.Convolved++
 		c.m.numConvolved.Add(1)
 	}
-}
-
-// CloneForConcurrentUse returns a model sharing this model's learned
-// weights and knowledge base but with private decision counters.
-//
-// Deprecated: the query path is now read-only (the estimator uses the
-// network's pure inference pass and the counters are atomic), so a
-// single Model can be shared by any number of goroutines. The method
-// remains for callers that want isolated decision counters.
-func (m *Model) CloneForConcurrentUse() *Model {
-	out := &Model{
-		KB:         m.KB,
-		Estimator:  m.Estimator,
-		Classifier: m.Classifier,
-		Mode:       m.Mode,
-		MaxBuckets: m.MaxBuckets,
-	}
-	return out
 }
 
 // PairSumEstimate returns the model's distribution for traversing the

@@ -38,7 +38,7 @@ func TestModelSetValidation(t *testing.T) {
 		t.Error("out-of-range WithSlice should error")
 	}
 	set := ms2(t)
-	clone := m.CloneForConcurrentUse()
+	clone := &Model{KB: m.KB, Estimator: m.Estimator, Classifier: m.Classifier, Mode: m.Mode, MaxBuckets: m.MaxBuckets}
 	next, err := set.WithSlice(1, clone)
 	if err != nil {
 		t.Fatal(err)

@@ -38,12 +38,11 @@ func (s *Scratch) Reset() {
 	s.Arena.Reset()
 }
 
-// ScratchCoster is the optional capability contract of the
-// allocation-free cost kernel: a Coster that can additionally extend
-// path distributions into caller-owned scratch storage. Routing
-// capability-detects it (plain Costers — baselines, test doubles,
-// third-party implementations — keep working through Extend) and, when
-// present, runs the whole label loop out of the search's Scratch.
+// ScratchCoster is the contract of the allocation-free cost kernel: a
+// Coster that can additionally extend path distributions into
+// caller-owned scratch storage. The routing search runs its whole label
+// loop on it, out of the search's Scratch; a Coster without the
+// capability (a test double) is adapted by copying what Extend returns.
 //
 // The contract mirrors Coster exactly: InitialHistInto ≡ InitialHist
 // and ExtendInto ≡ Extend, bit for bit, except that the returned

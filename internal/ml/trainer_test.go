@@ -42,11 +42,11 @@ func TestFitLearnsXOR(t *testing.T) {
 	probs := Softmax(net.Forward(x))
 	for i := 0; i < 4; i++ {
 		wantClass := 0
-		if y.At(i, 1) == 1 {
+		if y.Row(i)[1] == 1 {
 			wantClass = 1
 		}
 		gotClass := 0
-		if probs.At(i, 1) > probs.At(i, 0) {
+		if probs.Row(i)[1] > probs.Row(i)[0] {
 			gotClass = 1
 		}
 		if gotClass != wantClass {
@@ -63,9 +63,9 @@ func TestFitRegression(t *testing.T) {
 	y := NewMatrix(n, 1)
 	for i := 0; i < n; i++ {
 		a, b := r.Normal(0, 1), r.Normal(0, 1)
-		x.Set(i, 0, a)
-		x.Set(i, 1, b)
-		y.Set(i, 0, 2*a-b+1)
+		x.Row(i)[0] = a
+		x.Row(i)[1] = b
+		y.Row(i)[0] = 2*a - b + 1
 	}
 	net, _ := NewMLP([]int{2, 16, 1}, rng.New(5))
 	cfg := TrainConfig{Epochs: 150, BatchSize: 32, LearningRate: 3e-3, ValFraction: 0.15, Patience: 25, Seed: 1}
@@ -118,9 +118,9 @@ func TestFitEarlyStoppingRestoresBest(t *testing.T) {
 	y := NewMatrix(n, 1)
 	for i := 0; i < n; i++ {
 		for j := 0; j < 3; j++ {
-			x.Set(i, j, r.Normal(0, 1))
+			x.Row(i)[j] = r.Normal(0, 1)
 		}
-		y.Set(i, 0, x.At(i, 0)+0.1*r.Normal(0, 1))
+		y.Row(i)[0] = x.Row(i)[0] + 0.1*r.Normal(0, 1)
 	}
 	net, _ := NewMLP([]int{3, 8, 1}, rng.New(2))
 	cfg := TrainConfig{Epochs: 400, BatchSize: 16, LearningRate: 5e-3, ValFraction: 0.25, Patience: 10, Seed: 4}
@@ -146,9 +146,9 @@ func TestOptimizersDescend(t *testing.T) {
 		y := NewMatrix(n, 1)
 		for i := 0; i < n; i++ {
 			a, b := r.Normal(0, 1), r.Normal(0, 1)
-			x.Set(i, 0, a)
-			x.Set(i, 1, b)
-			y.Set(i, 0, 2*a-b)
+			x.Row(i)[0] = a
+			x.Row(i)[1] = b
+			y.Row(i)[0] = 2*a - b
 		}
 		net, _ := NewMLP([]int{2, 1}, rng.New(3))
 		return net, x, y

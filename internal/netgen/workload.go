@@ -92,16 +92,3 @@ func (w *WorkloadGen) SampleCategory(cat DistanceCategory, n int) ([]Query, erro
 	}
 	return queries, nil
 }
-
-// SampleAll draws n queries for each paper category.
-func (w *WorkloadGen) SampleAll(n int) (map[string][]Query, error) {
-	out := make(map[string][]Query)
-	for _, cat := range PaperCategories() {
-		qs, err := w.SampleCategory(cat, n)
-		if err != nil {
-			return nil, err
-		}
-		out[cat.String()] = qs
-	}
-	return out, nil
-}

@@ -399,19 +399,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add adds d to the gauge value (CAS loop; safe under contention).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -509,28 +496,6 @@ func (h *Histogram) ObserveWithExemplar(v float64, traceID string) {
 		h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: v, Time: time.Now()})
 	}
 	h.Observe(v)
-}
-
-// Exemplars returns the current exemplar for each bucket that has one.
-func (h *Histogram) Exemplars() []Exemplar {
-	if h == nil {
-		return nil
-	}
-	out := make([]Exemplar, 0, len(h.exemplars))
-	for i := range h.exemplars {
-		if e := h.exemplars[i].Load(); e != nil {
-			out = append(out, *e)
-		}
-	}
-	return out
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Sum returns the sum of all observed values.

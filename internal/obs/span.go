@@ -238,16 +238,6 @@ func (t *Trace) Duration() time.Duration {
 // Err reports whether any span in the trace recorded an error.
 func (t *Trace) Err() bool { return t.err }
 
-// Root returns the trace's root span.
-func (t *Trace) Root() *Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.spans) == 0 {
-		return nil
-	}
-	return t.spans[0]
-}
-
 // SpanNode is one node of the parent/child tree that Tree rebuilds from
 // the flat span list.
 type SpanNode struct {

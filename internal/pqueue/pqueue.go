@@ -124,13 +124,6 @@ func (h *IndexedHeap) Reset(n int) {
 	}
 }
 
-// Contains reports whether key is currently queued.
-func (h *IndexedHeap) Contains(key int) bool { return h.pos[key] >= 0 }
-
-// Priority returns the queued priority of key; only meaningful if
-// Contains(key).
-func (h *IndexedHeap) Priority(key int) float64 { return h.prio[key] }
-
 // PushOrDecrease inserts key with the given priority, or lowers its
 // priority if already present and the new priority is smaller. It returns
 // true if the heap changed.

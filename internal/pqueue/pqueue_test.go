@@ -95,15 +95,17 @@ func TestIndexedHeapBasic(t *testing.T) {
 	h.PushOrDecrease(3, 5.0)
 	h.PushOrDecrease(7, 2.0)
 	h.PushOrDecrease(1, 8.0)
-	if !h.Contains(3) || h.Contains(2) {
-		t.Error("Contains wrong")
+	for _, want := range []struct {
+		key  int
+		prio float64
+	}{{7, 2.0}, {3, 5.0}, {1, 8.0}} {
+		key, prio, ok := h.Pop()
+		if !ok || key != want.key || prio != want.prio {
+			t.Errorf("Pop = (%d, %v, %t), want (%d, %v)", key, prio, ok, want.key, want.prio)
+		}
 	}
-	key, prio, ok := h.Pop()
-	if !ok || key != 7 || prio != 2.0 {
-		t.Errorf("Pop = (%d, %v)", key, prio)
-	}
-	if h.Contains(7) {
-		t.Error("popped key should not be contained")
+	if _, _, ok := h.Pop(); ok {
+		t.Error("Pop on a drained heap reported a key")
 	}
 }
 

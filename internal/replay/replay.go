@@ -27,9 +27,6 @@ type Options struct {
 	Rate float64
 	// Batch is the number of trajectories per POST (default 64).
 	Batch int
-	// Client optionally overrides the HTTP client (default: 30s
-	// timeout).
-	Client *http.Client
 	// LogW receives progress lines (nil silences them).
 	LogW io.Writer
 }
@@ -73,10 +70,7 @@ func Stream(ctx context.Context, trs []traj.Trajectory, opts Options) (*Report, 
 	if opts.Batch <= 0 {
 		opts.Batch = 64
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
+	client := &http.Client{Timeout: 30 * time.Second}
 	logf := func(string, ...any) {}
 	if opts.LogW != nil {
 		logf = func(format string, args ...any) { fmt.Fprintf(opts.LogW, format+"\n", args...) }

@@ -91,14 +91,6 @@ func (r *RNG) Intn(n int) int {
 	return int(m)
 }
 
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: Int63n with non-positive n")
-	}
-	return int64(r.Uint64() % uint64(n)) // negligible bias for n << 2^64
-}
-
 // Range returns a uniform float64 in [lo, hi).
 func (r *RNG) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
@@ -119,11 +111,6 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 			return mean + stddev*u*math.Sqrt(-2*math.Log(s)/s)
 		}
 	}
-}
-
-// LogNormal returns exp(N(mu, sigma²)).
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
 }
 
 // Exponential returns a draw from Exp(rate). It panics if rate <= 0.

@@ -64,9 +64,6 @@ type altMemo struct {
 
 var _ PotentialSource = (*ALT)(nil)
 
-// Landmarks returns the landmark vertices the tables were built from.
-func (t *ALT) Landmarks() []graph.VertexID { return t.landmarks }
-
 // TableBytes returns the memory footprint of the distance tables.
 func (t *ALT) TableBytes() int64 {
 	return int64(len(t.fromLm)+len(t.toLm)) * 8

@@ -12,10 +12,13 @@
 // alone — is the search state), its travel-time distribution, and a
 // parent link for path reconstruction. Labels are stored in one
 // append-only slice and referenced by index; the priority queue orders
-// expansion by optimistic arrival time dist.Min + h(v). Labels, queue
-// and dominance frontiers belong to a pooled per-search workspace
-// (workspace.go), so the loop itself allocates nothing once the
-// workspace has grown to the search's size.
+// expansion by optimistic arrival time dist.Min + h(v). Labels, their
+// distributions, queue and dominance frontiers belong to a pooled
+// per-search workspace (workspace.go), so the loop itself allocates
+// nothing once the workspace has grown to the search's size. There is
+// one search path: it runs on hybrid.ScratchCoster, and a Coster
+// without that capability is adapted to it (heapCoster in pbr.go copies
+// what it returns into the arena).
 //
 // The kernel relies on the following invariants; anything touching
 // pbr.go must preserve them:
@@ -23,13 +26,12 @@
 //   - Label distributions are immutable once pushed. The search may
 //     read them (CDF, dominance comparisons, cost shifting) any number
 //     of times, but only the extension step creates new distributions.
-//     With a ScratchCoster the floats live in the workspace's
-//     hist.Arena; a label's buffer is recycled ONLY when the label is
-//     provably dead (killed by dominance, evicted from a full
-//     frontier, or pruned before ever being pushed) and nothing else
-//     references it. The pivot distribution escapes the search as
-//     Result.Dist, so it is cloned out of the arena at every pivot
-//     improvement.
+//     The floats live in the workspace's hist.Arena; a label's buffer
+//     is recycled ONLY when the label is provably dead (killed by
+//     dominance, evicted from a full frontier, or pruned before ever
+//     being pushed) and nothing else references it. The pivot
+//     distribution escapes the search as Result.Dist, so it is cloned
+//     out of the arena at every pivot improvement.
 //   - Labels are truncated above the horizon budget*1.3. Truncation
 //     aggregates tail mass at the first support point above the
 //     horizon; it preserves CDF(v) for every v <= horizon, so the
@@ -67,8 +69,8 @@
 // # Time-expanded search
 //
 // With Options.TimeExpanded set and a coster implementing
-// hybrid.TemporalCoster, the cost model may change mid-search: an
-// extension is priced by the slice at departure + the label's
+// hybrid.TemporalScratchCoster, the cost model may change mid-search:
+// an extension is priced by the slice at departure + the label's
 // accumulated mean cost (label.elapsed, the mean of its distribution
 // at creation). The classic invariants gain three time-expanded
 // clauses:
@@ -76,7 +78,7 @@
 //   - Slice lookups are clamped to the horizon budget*1.3 + width, so
 //     the set of slices the search can consult is known up front;
 //     potentials use min-over-reachable-slices bounds
-//     (TemporalCoster.MinEdgeTimeWithin) and therefore remain
+//     (TemporalScratchCoster.MinEdgeTimeWithin) and therefore remain
 //     admissible across every model an extension can be priced by.
 //   - Dominance frontiers are additionally keyed by the labels'
 //     next-extension slice: stochastic dominance at equal state says

@@ -11,9 +11,10 @@ import (
 	"stochroute/internal/traj"
 )
 
-// plainView hides a coster's ScratchCoster capability, forcing PBR
-// onto the heap (plain-Coster) path. Equivalence tests run the same
-// query through both paths and demand bit-identical results.
+// plainView hides a coster's ScratchCoster capability, so PBR takes
+// it in through heapCoster like any plain Coster. The goldens and the
+// test below run the same query both ways and demand bit-identical
+// results.
 type plainView struct {
 	c hybrid.Coster
 }
@@ -27,8 +28,7 @@ func (p plainView) Width() float64                     { return p.c.Width() }
 
 // requireEqualResults asserts two PBR results are the same search:
 // identical route, bit-identical probability and distribution, and
-// identical telemetry (the kernel refactor may only change where the
-// floats live, never what the search does).
+// identical telemetry.
 func requireEqualResults(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if a.Found != b.Found || a.Complete != b.Complete {
@@ -69,12 +69,11 @@ func requireEqualResults(t *testing.T, label string, a, b *Result) {
 }
 
 // TestPBRScratchKernelEquivalence runs randomized graphs, budgets and
-// search options through the arena-backed kernel path and the plain
-// heap path and demands bit-identical routes, probabilities,
-// distributions and telemetry. This is the safety net under the
-// allocation-free refactor: any divergence — a recycled buffer read
-// after free, a kernel whose arithmetic drifts — shows up here as a
-// hard failure.
+// search options with the convolution coster extending straight into
+// the arena and with the same coster as a plain Coster, its heap
+// results copied in by heapCoster, and demands bit-identical routes,
+// probabilities, distributions and telemetry: ExtendInto ≡ Extend at
+// search level, and the copy changes nothing.
 func TestPBRScratchKernelEquivalence(t *testing.T) {
 	for _, seed := range []uint64{3, 11, 42} {
 		seed := seed

@@ -106,7 +106,7 @@ func ParetoRoutes(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, 
 			if ne.To == parentVertex || math.IsInf(h[ne.To], 1) {
 				continue
 			}
-			nd := c.Extend(lb.dist, lb.lastEdge, next).TruncateAbove(opts.Horizon)
+			nd := c.Extend(lb.dist, lb.lastEdge, next).TruncateAboveInPlace(opts.Horizon)
 			if nd.Min+h[ne.To] > opts.Horizon {
 				continue
 			}

@@ -33,12 +33,13 @@ type Options struct {
 	// the slice at departure + the label's accumulated mean cost
 	// instead of the departure slice alone, so long trips transition
 	// from peak to off-peak models mid-search. The mode engages only
-	// when the coster implements hybrid.TemporalCoster (the ModelSet
-	// façade does); plain costers ignore the flag. With it on, labels
-	// whose next extension falls in different slices never compete on
-	// a dominance frontier, potentials use a bound admissible across
-	// every slice reachable within the search horizon, and
-	// Result.SliceSeq reports the slice sequence of the chosen path.
+	// when the coster implements hybrid.TemporalScratchCoster (the
+	// ModelSet façade does); other costers ignore the flag. With it
+	// on, labels whose next extension falls in different slices never
+	// compete on a dominance frontier, potentials use a bound
+	// admissible across every slice reachable within the search
+	// horizon, and Result.SliceSeq reports the slice sequence of the
+	// chosen path.
 	// False is bit-identical to the departure-slice path, and so is
 	// true on a 1-slice model or a trip whose horizon stays inside its
 	// departure slice.
@@ -157,8 +158,7 @@ type Result struct {
 	// ArenaBytes is the retained byte footprint of the pooled search
 	// arena this query ran on (hist.Arena.Bytes measured at release) —
 	// the per-query memory telemetry behind the search_arena_bytes
-	// histogram. 0 when the coster has no scratch capability, so its
-	// distributions never touched the arena.
+	// histogram.
 	ArenaBytes int64
 }
 
@@ -190,25 +190,24 @@ type label struct {
 // (Result.Complete = false).
 //
 // Every search runs on a pooled workspace that owns its labels, its
-// priority heap and its dominance frontiers, so a warmed search
+// priority heap, its dominance frontiers and, in its hist.Arena, every
+// label distribution — labels proven dead recycle their buffers and
+// pivot pruning reads shifted CDFs without cloning — so a warmed search
 // allocates only what escapes it: the Result, a clone of the pivot's
-// distribution and its path at each pivot improvement. When c
+// distribution and its path at each pivot improvement. A coster that
 // implements hybrid.ScratchCoster (the hybrid model and the convolution
-// baseline do), the label distributions live in the workspace's
-// hist.Arena as well — labels proven dead recycle their buffers and
-// pivot pruning reads shifted CDFs without cloning; a plain Coster
-// returns heap histograms instead. Both compute bit-identical results —
-// same route, same probability, same telemetry — the capability only
-// changes where the floats live.
+// baseline do) extends straight into the arena; one that does not (a
+// test double) has the histograms it returns copied in by heapCoster,
+// which changes where the floats live and nothing else.
 //
-// When opts.TimeExpanded is set and c implements hybrid.TemporalCoster
-// (the time-sliced ModelSet façade does), every extension re-selects
-// its cost model from the departure plus the label's accumulated mean
-// cost, dominance frontiers are partitioned by the labels'
-// next-extension slice, potentials use a bound admissible across every
-// reachable slice, and Result.SliceSeq reports the slice sequence of
-// the chosen path. See Options.TimeExpanded for the exact equivalence
-// guarantees.
+// When opts.TimeExpanded is set and c implements
+// hybrid.TemporalScratchCoster (the time-sliced ModelSet façade does),
+// every extension re-selects its cost model from the departure plus the
+// label's accumulated mean cost, dominance frontiers are partitioned by
+// the labels' next-extension slice, potentials use a bound admissible
+// across every reachable slice, and Result.SliceSeq reports the slice
+// sequence of the chosen path. See Options.TimeExpanded for the exact
+// equivalence guarantees.
 //
 // PBR is PBRCtx with an empty context: no span tree, zero tracing cost.
 func PBR(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, opts Options) (*Result, error) {
@@ -264,9 +263,15 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 	// bands condition on) survives, close enough to bound label memory.
 	truncateAt := opts.Budget * 1.3
 
+	// Label distributions live in the workspace's arena; a coster that
+	// cannot extend into caller-owned storage enters through heapCoster.
+	sc, ok := c.(hybrid.ScratchCoster)
+	if !ok {
+		sc = heapCoster{c}
+	}
 	// Time-expanded slice lookup (see Options.TimeExpanded): engaged
 	// only when requested AND the coster has the temporal capability.
-	tc, useTemporal := c.(hybrid.TemporalCoster)
+	tc, useTemporal := c.(hybrid.TemporalScratchCoster)
 	useTemporal = useTemporal && opts.TimeExpanded
 	// hlim bounds every slice lookup of the search: truncation keeps a
 	// label's support — and therefore its mean — within one bucket of
@@ -327,58 +332,29 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 		return nil, ErrUnreachable
 	}
 
-	// When the coster can extend into caller-owned storage, label
-	// distributions live in the workspace's arena and dead labels
-	// recycle their buffers; plain Costers (baselines, test doubles)
-	// return heap histograms. A time-expanded search needs the combined
-	// capability (hybrid.TemporalScratchCoster, which the ModelSet
-	// façade has); a temporal coster without it gets heap histograms.
-	sc, useScratch := c.(hybrid.ScratchCoster)
-	tsc, haveTSC := c.(hybrid.TemporalScratchCoster)
-	if useTemporal && !haveTSC {
-		useScratch = false
-	}
 	scratch := &ws.scratch
-	if useScratch {
-		checkedOut := scratch.Arena.Bytes()
-		arenaInUse.Add(checkedOut)
-		defer func() {
-			res.ArenaBytes = scratch.Arena.Bytes()
-			arenaInUse.Add(-checkedOut)
-		}()
-	}
-	initialHist := func(e graph.EdgeID) *hist.Hist {
-		if useScratch {
-			return sc.InitialHistInto(scratch, e)
-		}
-		return c.InitialHist(e)
-	}
+	checkedOut := scratch.Arena.Bytes()
+	arenaInUse.Add(checkedOut)
+	defer func() {
+		res.ArenaBytes = scratch.Arena.Bytes()
+		arenaInUse.Add(-checkedOut)
+	}()
 	// extend appends next to a partial path; elapsed — the extended
 	// label's accumulated mean cost — selects the slice model under
 	// time-expanded lookup and is ignored otherwise.
 	extend := func(elapsed float64, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
 		if useTemporal {
-			if useScratch {
-				return tsc.ExtendElapsedInto(scratch, clampEl(elapsed), virtual, lastEdge, next).TruncateAboveInPlace(truncateAt)
-			}
-			return tc.ExtendElapsed(clampEl(elapsed), virtual, lastEdge, next).TruncateAbove(truncateAt)
+			return tc.ExtendElapsedInto(scratch, clampEl(elapsed), virtual, lastEdge, next).TruncateAboveInPlace(truncateAt)
 		}
-		if useScratch {
-			return sc.ExtendInto(scratch, virtual, lastEdge, next).TruncateAboveInPlace(truncateAt)
-		}
-		return c.Extend(virtual, lastEdge, next).TruncateAbove(truncateAt)
+		return sc.ExtendInto(scratch, virtual, lastEdge, next).TruncateAboveInPlace(truncateAt)
 	}
 	// recycle returns a dead label's mass buffer to the arena. Callers
 	// must only recycle distributions nothing else references.
-	recycle := func(d *hist.Hist) {
-		if useScratch {
-			scratch.Arena.Recycle(d)
-		}
-	}
+	recycle := scratch.Arena.Recycle
 
 	// Pivot: the most promising complete path found so far (b). Its
-	// distribution escapes the search (Result.Dist), so on the kernel
-	// path it is cloned out of the arena at every improvement.
+	// distribution escapes the search (Result.Dist), so it is cloned
+	// out of the arena at every improvement.
 	havePivot := false
 	var pivotPath []graph.EdgeID
 	var pivotDist *hist.Hist
@@ -401,7 +377,7 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 			seedSlices = make([]int, len(opts.SeedPath))
 			seedSlices[0] = sliceAt(0)
 		}
-		sd := initialHist(opts.SeedPath[0])
+		sd := sc.InitialHistInto(scratch, opts.SeedPath[0])
 		for i := 1; i < len(opts.SeedPath); i++ {
 			elapsed := 0.0
 			if useTemporal {
@@ -414,12 +390,9 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 		}
 		havePivot = true
 		pivotPath = append([]graph.EdgeID(nil), opts.SeedPath...)
-		pivotDist = sd
+		pivotDist = sd.Clone()
+		recycle(sd)
 		pivotSlices = seedSlices
-		if useScratch {
-			pivotDist = sd.Clone()
-			recycle(sd)
-		}
 		pivotProb = pivotDist.CDF(opts.Budget)
 		ssp.SetInt("edges", int64(len(opts.SeedPath)))
 		ssp.SetFloat("prob", pivotProb)
@@ -455,7 +428,7 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 		if math.IsInf(hTo, 1) {
 			continue
 		}
-		d := initialHist(e)
+		d := sc.InitialHistInto(scratch, e)
 		elapsed := 0.0
 		if useTemporal {
 			elapsed = d.Mean()
@@ -503,10 +476,7 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 				// Clone out of the arena: the label may be killed (and
 				// its buffer recycled) later, and the pivot outlives
 				// the search as Result.Dist.
-				pivotDist = lb.dist
-				if useScratch {
-					pivotDist = lb.dist.Clone()
-				}
+				pivotDist = lb.dist.Clone()
 				pivotPath, pivotSlices = reconstruct(ws.labels, idx, useTemporal)
 			}
 			// Positive edge times mean re-leaving the destination can
@@ -684,6 +654,20 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 	res.Path = pivotPath
 	res.SliceSeq = pivotSlices
 	return res, nil
+}
+
+// heapCoster gives a Coster without the scratch capability the
+// contract the search runs on, by copying each histogram it returns
+// into the arena. The copy is exact, so such a coster answers the same
+// bits it would if it implemented hybrid.ScratchCoster itself.
+type heapCoster struct{ hybrid.Coster }
+
+func (h heapCoster) InitialHistInto(s *hybrid.Scratch, e graph.EdgeID) *hist.Hist {
+	return s.Arena.CloneHist(h.InitialHist(e))
+}
+
+func (h heapCoster) ExtendInto(s *hybrid.Scratch, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
+	return s.Arena.CloneHist(h.Extend(virtual, lastEdge, next))
 }
 
 // reconstruct walks the parent chain of label idx once to count it and

@@ -13,11 +13,9 @@ import (
 // workspace is everything one PBR search owns besides its Result: the
 // cost-kernel scratch (histogram arena + estimator buffers), the label
 // slice, the priority heap and the dominance frontiers. Workspaces are
-// pooled, so a warmed one runs the whole label loop without allocating
-// — on the plain-Coster path too, where only the distributions the
-// coster itself returns come from the heap. A workspace serves one
-// search at a time; its memory is proportional to the largest search it
-// has run, never to the graph.
+// pooled, so a warmed one runs the whole label loop without allocating.
+// A workspace serves one search at a time; its memory is proportional
+// to the largest search it has run, never to the graph.
 type workspace struct {
 	scratch   hybrid.Scratch
 	labels    []label
@@ -33,9 +31,8 @@ type workspace struct {
 var scratchPool = sync.Pool{New: func() any { return new(workspace) }}
 
 // release readies the workspace for the next search. Clearing the
-// labels drops their distribution pointers: on the plain-Coster path
-// those are heap histograms (one of them the caller's Result.Dist)
-// that a pooled workspace must not keep alive.
+// labels drops their distribution pointers, which the arena reset has
+// just invalidated.
 func (ws *workspace) release() {
 	ws.scratch.Reset()
 	clear(ws.labels)

@@ -19,7 +19,7 @@ import (
 // served again. Epochs only move forward.
 //
 // A nil *ShardedLRU is a valid, permanently empty cache: Get misses,
-// Put is a no-op, Stats is zero. The server uses that to represent
+// PutAt is a no-op, Stats is zero. The server uses that to represent
 // "caching disabled" without branching at every call site.
 type ShardedLRU[K comparable, V any] struct {
 	seed   maphash.Seed
@@ -77,15 +77,6 @@ func (c *ShardedLRU[K, V]) shard(key K) *lruShard[K, V] {
 	return &c.shards[maphash.Comparable(c.seed, key)%uint64(len(c.shards))]
 }
 
-// Epoch returns the cache's current validity epoch (0 until the first
-// AdvanceEpoch).
-func (c *ShardedLRU[K, V]) Epoch() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.epoch.Load()
-}
-
 // AdvanceEpoch moves the validity epoch forward to e (monotonic: older
 // values are ignored), instantly invalidating every entry tagged with
 // an earlier epoch. Stale entries are reclaimed lazily — on the Get
@@ -113,17 +104,9 @@ func (c *ShardedLRU[K, V]) Get(key K) (V, bool) {
 	return c.shard(key).get(key, c.epoch.Load())
 }
 
-// Put inserts or refreshes key tagged with the current epoch, evicting
-// the shard's least recently used entry when the shard is full.
-func (c *ShardedLRU[K, V]) Put(key K, value V) {
-	if c == nil {
-		return
-	}
-	c.shard(key).put(key, value, c.epoch.Load())
-}
-
-// PutAt is Put with an explicit epoch tag: the epoch of the model
-// generation that actually computed value. A tag older than the
+// PutAt inserts or refreshes key, evicting the shard's least recently
+// used entry when the shard is full. epoch tags the entry with the
+// model generation that actually computed value. A tag older than the
 // current epoch is admitted but can never be served — it is
 // invalidated on first touch — so a result computed just before a swap
 // never leaks past it.

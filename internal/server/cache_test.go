@@ -11,12 +11,12 @@ func TestShardedLRUBasic(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Error("empty cache should miss")
 	}
-	c.Put("a", 1)
-	c.Put("b", 2)
+	c.PutAt("a", 1, 0)
+	c.PutAt("b", 2, 0)
 	if v, ok := c.Get("a"); !ok || v != 1 {
 		t.Errorf("Get(a) = %v, %v", v, ok)
 	}
-	c.Put("a", 10) // refresh
+	c.PutAt("a", 10, 0) // refresh
 	if v, _ := c.Get("a"); v != 10 {
 		t.Errorf("refreshed value = %v", v)
 	}
@@ -32,11 +32,11 @@ func TestShardedLRUBasic(t *testing.T) {
 func TestShardedLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	// One shard makes the recency order deterministic.
 	c := NewShardedLRU[int, int](1, 3)
-	c.Put(1, 1)
-	c.Put(2, 2)
-	c.Put(3, 3)
-	c.Get(1)    // 1 becomes MRU; LRU order now 2, 3, 1
-	c.Put(4, 4) // evicts 2
+	c.PutAt(1, 1, 0)
+	c.PutAt(2, 2, 0)
+	c.PutAt(3, 3, 0)
+	c.Get(1)         // 1 becomes MRU; LRU order now 2, 3, 1
+	c.PutAt(4, 4, 0) // evicts 2
 	if _, ok := c.Get(2); ok {
 		t.Error("2 should have been evicted")
 	}
@@ -52,7 +52,7 @@ func TestShardedLRUEvictsLeastRecentlyUsed(t *testing.T) {
 
 func TestShardedLRUNilIsDisabled(t *testing.T) {
 	var c *ShardedLRU[int, int]
-	c.Put(1, 1)
+	c.PutAt(1, 1, 0)
 	if _, ok := c.Get(1); ok {
 		t.Error("nil cache should never hit")
 	}
@@ -68,7 +68,7 @@ func TestShardedLRUShardCapping(t *testing.T) {
 	// More shards than capacity must not create zero-capacity shards.
 	c := NewShardedLRU[int, int](64, 5)
 	for i := 0; i < 100; i++ {
-		c.Put(i, i)
+		c.PutAt(i, i, 0)
 		if _, ok := c.Get(i); !ok {
 			t.Fatalf("just-inserted key %d missing", i)
 		}
@@ -88,7 +88,7 @@ func TestShardedLRUConcurrent(t *testing.T) {
 					t.Errorf("key %d holds %d", k, v)
 					return
 				}
-				c.Put(k, k)
+				c.PutAt(k, k, 0)
 			}
 		}(w)
 	}
@@ -102,7 +102,7 @@ func TestShardedLRUConcurrent(t *testing.T) {
 func BenchmarkShardedLRUGet(b *testing.B) {
 	c := NewShardedLRU[int, int](16, 4096)
 	for i := 0; i < 4096; i++ {
-		c.Put(i, i)
+		c.PutAt(i, i, 0)
 	}
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
@@ -121,7 +121,7 @@ func BenchmarkShardedLRUMixed(b *testing.B) {
 				i := 0
 				for pb.Next() {
 					if i%4 == 0 {
-						c.Put(i%8192, i)
+						c.PutAt(i%8192, i, 0)
 					} else {
 						c.Get(i % 8192)
 					}
@@ -134,7 +134,7 @@ func BenchmarkShardedLRUMixed(b *testing.B) {
 
 func TestShardedLRUEpochInvalidation(t *testing.T) {
 	c := NewShardedLRU[int, string](4, 32)
-	c.Put(1, "old")
+	c.PutAt(1, "old", 0)
 	if v, ok := c.Get(1); !ok || v != "old" {
 		t.Fatalf("Get(1) = %q, %v", v, ok)
 	}
@@ -160,14 +160,14 @@ func TestShardedLRUEpochInvalidation(t *testing.T) {
 
 	// Epochs never move backwards.
 	c.AdvanceEpoch(2)
-	if c.Epoch() != 5 {
-		t.Errorf("epoch regressed to %d", c.Epoch())
+	if e := c.Stats().Epoch; e != 5 {
+		t.Errorf("epoch regressed to %d", e)
 	}
 
 	// Nil cache: epoch ops are no-ops.
 	var nilCache *ShardedLRU[int, string]
 	nilCache.AdvanceEpoch(9)
-	if nilCache.Epoch() != 0 {
+	if nilCache.Stats().Epoch != 0 {
 		t.Error("nil cache should report epoch 0")
 	}
 }

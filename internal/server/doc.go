@@ -60,7 +60,8 @@
 //     stochastic skyline of mutually non-dominated routes within the
 //     time horizon.
 //   - /pairsum?first=&second= — the hybrid model's travel-time
-//     distribution for one adjacent edge pair.
+//     distribution for one adjacent edge pair, computed per request
+//     (one initial histogram, one extension).
 //   - /sample?n=&lo_km=&hi_km=&seed= — routing queries drawn from the
 //     workload generator, annotated with optimistic travel times (the
 //     input cmd/loadgen replays).
@@ -111,29 +112,24 @@
 // kernel: the model implements hybrid.ScratchCoster (the capability
 // contract for extending distributions into caller-owned storage), so
 // PBR keeps its label histograms in a pooled per-search arena instead
-// of allocating per extension — the kernel is bit-identical to the
-// plain path, it only changes where the floats live. /route/batch
-// additionally amortises snapshot loading and scheduling across its
-// items via Engine.RouteBatch, whose single-snapshot guarantee is what
-// makes per-item cache tagging sound under concurrent hot swaps.
+// of allocating per extension. /route/batch additionally amortises
+// snapshot loading and scheduling across its items via
+// Engine.RouteBatch, whose single-snapshot guarantee is what makes
+// per-item cache tagging sound under concurrent hot swaps.
 //
 // # Caching and model hot swaps
 //
-// Two families of sharded LRU caches (ShardedLRU), one instance per
-// time-of-day slice, absorb hot traffic — keying the caches on slice
-// means peak and off-peak answers never collide, and each slice's
-// cache validates against its own serving generation:
-//
-//   - Route results are keyed on (source, dest, budget bucket) within
-//     their slice's cache, where the budget is quantised to
-//     Config.BudgetBucketSeconds. Only complete, found searches are
-//     stored — the entry holds the path and its full travel-time
-//     distribution, and every hit recomputes the exact on-time
-//     probability for the request's budget from that distribution, so
-//     bucketing only ever coarsens which search ran, never the
-//     reported probability.
-//   - Pair-sum estimates are keyed on the (first, second) edge pair
-//     within their slice's cache.
+// Sharded LRU route caches (ShardedLRU), one instance per time-of-day
+// slice, absorb hot traffic — keying the caches on slice means peak and
+// off-peak answers never collide, and each slice's cache validates
+// against its own serving generation. Route results are keyed on
+// (source, dest, budget bucket) within their slice's cache, where the
+// budget is quantised to Config.BudgetBucketSeconds. Only complete,
+// found searches are stored — the entry holds the path and its full
+// travel-time distribution, and every hit recomputes the exact on-time
+// probability for the request's budget from that distribution, so
+// bucketing only ever coarsens which search ran, never the reported
+// probability.
 //
 // Every cache is epoch-validated: entries are tagged with the slice
 // epoch that computed them, the slice cache's validity epoch advances
@@ -176,7 +172,7 @@
 // Label conventions: endpoint is the mux pattern ("/route",
 // "/route/batch", ...); slice is the time-of-day slice index as a
 // decimal string; cache is "hit"|"miss" on route_latency_seconds and
-// the cache family ("route"|"pair") on cache_* series;
+// the cache family ("route", the only one) on cache_* series;
 // time_expanded is "true"|"false". Metric catalogue:
 //
 //   - http_requests_total, http_request_errors_total,

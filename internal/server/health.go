@@ -3,7 +3,6 @@ package server
 import (
 	"net/http"
 
-	"stochroute/internal/hist"
 	"stochroute/internal/httpsvc"
 	"stochroute/internal/ingest"
 	"stochroute/internal/routing"
@@ -53,12 +52,10 @@ type statsResponse struct {
 	Slices      int                              `json:"slices"`
 	SliceEpochs []uint64                         `json:"slice_epochs"`
 	Endpoints   map[string]httpsvc.EndpointStats `json:"endpoints"`
-	// RouteCache / PairCache aggregate across slices; the per-slice
-	// breakdowns show which slice's cache a swap invalidated.
+	// RouteCache aggregates across slices; the per-slice breakdown
+	// shows which slice's cache a swap invalidated.
 	RouteCache       CacheStats   `json:"route_cache"`
-	PairCache        CacheStats   `json:"pair_cache"`
 	RouteCacheSlices []CacheStats `json:"route_cache_slices,omitempty"`
-	PairCacheSlices  []CacheStats `json:"pair_cache_slices,omitempty"`
 	Convolved        uint64       `json:"convolved_total"`
 	Estimated        uint64       `json:"estimated_total"`
 	// ArenaBytesInUse is the retained footprint of search arenas
@@ -85,8 +82,11 @@ type runtimeStatsResponse struct {
 
 // sumCacheStats aggregates per-slice cache stats; Epoch reports the
 // newest slice epoch.
-func sumCacheStats(caches []*ShardedLRU[routeKey, routeEntry], pairs []*ShardedLRU[pairKey, *hist.Hist]) (route, pair CacheStats, routeSlices, pairSlices []CacheStats) {
-	fold := func(total *CacheStats, s CacheStats) {
+func sumCacheStats(caches []*ShardedLRU[routeKey, routeEntry]) (total CacheStats, slices []CacheStats) {
+	slices = make([]CacheStats, len(caches))
+	for i, c := range caches {
+		s := c.Stats()
+		slices[i] = s
 		total.Hits += s.Hits
 		total.Misses += s.Misses
 		total.Evictions += s.Evictions
@@ -97,22 +97,12 @@ func sumCacheStats(caches []*ShardedLRU[routeKey, routeEntry], pairs []*ShardedL
 			total.Epoch = s.Epoch
 		}
 	}
-	routeSlices = make([]CacheStats, len(caches))
-	for i, c := range caches {
-		routeSlices[i] = c.Stats()
-		fold(&route, routeSlices[i])
-	}
-	pairSlices = make([]CacheStats, len(pairs))
-	for i, c := range pairs {
-		pairSlices[i] = c.Stats()
-		fold(&pair, pairSlices[i])
-	}
-	return route, pair, routeSlices, pairSlices
+	return total, slices
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 	conv, est := s.backend.DecisionCounts()
-	routeStats, pairStats, routeSlices, pairSlices := sumCacheStats(s.routes, s.pairs)
+	routeStats, routeSlices := sumCacheStats(s.routes)
 	out := &statsResponse{
 		UptimeS:         s.svc.Uptime().Seconds(),
 		Inflight:        s.svc.Inflight(),
@@ -121,14 +111,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 		SliceEpochs:     s.backend.SliceEpochs(),
 		Endpoints:       s.svc.EndpointStats(),
 		RouteCache:      routeStats,
-		PairCache:       pairStats,
 		Convolved:       conv,
 		Estimated:       est,
 		ArenaBytesInUse: routing.ArenaBytesInUse(),
 	}
 	if s.backend.NumSlices() > 1 {
 		out.RouteCacheSlices = routeSlices
-		out.PairCacheSlices = pairSlices
 	}
 	if s.cfg.Ingestor != nil {
 		st := s.cfg.Ingestor.Status()

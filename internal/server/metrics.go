@@ -112,6 +112,5 @@ func (s *Server) initMetrics(k int) {
 	for i := 0; i < k; i++ {
 		slice := strconv.Itoa(i)
 		registerCache(s.routes[i].Stats, obs.L("cache", "route"), obs.L("slice", slice))
-		registerCache(s.pairs[i].Stats, obs.L("cache", "pair"), obs.L("slice", slice))
 	}
 }

@@ -128,7 +128,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	sampleValue(t, samples, "arena_bytes_inuse", nil)
 	sampleValue(t, samples, "inflight_requests", nil)
-	sampleValue(t, samples, "cache_entries", map[string]string{"cache": "pair", "slice": "1"})
+	sampleValue(t, samples, "cache_entries", map[string]string{"cache": "route", "slice": "1"})
 
 	// A per-slice hot swap moves slice_epoch for that slice only.
 	fb.bumpSlice(1)

@@ -42,8 +42,8 @@ func (s *Server) handleAlternatives(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return err
 	}
-	if maxRoutes <= 0 || maxRoutes > s.cfg.MaxAlternatives {
-		return httpsvc.BadRequest("max: must be in [1, %d]", s.cfg.MaxAlternatives)
+	if maxRoutes <= 0 || maxRoutes > maxAlternatives {
+		return httpsvc.BadRequest("max: must be in [1, %d]", maxAlternatives)
 	}
 	// budget is optional: when present each skyline member also reports
 	// its on-time probability at that budget.
@@ -82,10 +82,6 @@ func (s *Server) handleAlternatives(w http.ResponseWriter, r *http.Request) erro
 	return httpsvc.WriteJSON(w, out)
 }
 
-type pairKey struct {
-	first, second graph.EdgeID
-}
-
 type pairSumResponse struct {
 	First       graph.EdgeID `json:"first"`
 	Second      graph.EdgeID `json:"second"`
@@ -95,7 +91,6 @@ type pairSumResponse struct {
 	Width       float64      `json:"width_s"`
 	P           []float64    `json:"p"`
 	MeanSeconds float64      `json:"mean_s"`
-	Cached      bool         `json:"cached"`
 }
 
 func (s *Server) handlePairSum(w http.ResponseWriter, r *http.Request) error {
@@ -115,34 +110,22 @@ func (s *Server) handlePairSum(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	// Pair sums depend on the slice's model too: tag entries with the
-	// slice epoch observed before computing. The model that actually
-	// answers is at least that new, so a tag admitted as current is
-	// never stale.
+	// One initial histogram and one extension under the departure
+	// slice's model: cheap enough to compute per request.
 	slice := s.backend.SliceOf(depart)
-	epoch := s.backend.SliceEpoch(slice)
-	cache := s.pairs[slice]
-	cache.AdvanceEpoch(epoch)
-	key := pairKey{first: graph.EdgeID(first), second: graph.EdgeID(second)}
-	h, cached := cache.Get(key)
-	if !cached {
-		h, err = s.backend.PairSumAt(slice, key.first, key.second)
-		if err != nil {
-			return httpsvc.BadRequest("%v", err)
-		}
-		cache.PutAt(key, h, epoch)
+	h, err := s.backend.PairSumAt(slice, graph.EdgeID(first), graph.EdgeID(second))
+	if err != nil {
+		return httpsvc.BadRequest("%v", err)
 	}
-	markCache(w, cached)
 	return httpsvc.WriteJSON(w, &pairSumResponse{
-		First:       key.first,
-		Second:      key.second,
+		First:       graph.EdgeID(first),
+		Second:      graph.EdgeID(second),
 		Depart:      depart,
 		Slice:       slice,
 		Min:         h.Min,
 		Width:       h.Width,
 		P:           h.P,
 		MeanSeconds: h.Mean(),
-		Cached:      cached,
 	})
 }
 
@@ -174,8 +157,8 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	if n <= 0 || n > s.cfg.MaxSample {
-		return httpsvc.BadRequest("n: must be in [1, %d]", s.cfg.MaxSample)
+	if n <= 0 || n > maxSample {
+		return httpsvc.BadRequest("n: must be in [1, %d]", maxSample)
 	}
 	loKm, err := httpsvc.FloatParam(r, "lo_km", 0.5)
 	if err != nil {

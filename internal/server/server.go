@@ -70,20 +70,12 @@ type Config struct {
 	// RouteCache is the route result cache capacity in entries
 	// (default 4096, negative disables).
 	RouteCache int
-	// PairCache is the pair-sum estimate cache capacity in entries
-	// (default 16384, negative disables).
-	PairCache int
 	// BudgetBucketSeconds quantises the budget in route cache keys: two
 	// requests for the same (source, dest) whose budgets fall in the
 	// same bucket share one cached path, with the on-time probability
 	// recomputed exactly from the cached distribution per request
 	// (default 15s; <= 0 keys on the exact budget).
 	BudgetBucketSeconds float64
-	// MaxAlternatives caps the skyline size a client may request
-	// (default 16).
-	MaxAlternatives int
-	// MaxSample caps the query count of one /sample call (default 512).
-	MaxSample int
 	// MaxBatch caps the query count of one POST /route/batch request
 	// (default 256, negative disables the endpoint).
 	MaxBatch int
@@ -138,17 +130,8 @@ func (c Config) withDefaults() Config {
 	if c.RouteCache == 0 {
 		c.RouteCache = 4096
 	}
-	if c.PairCache == 0 {
-		c.PairCache = 16384
-	}
 	if c.BudgetBucketSeconds == 0 {
 		c.BudgetBucketSeconds = 15
-	}
-	if c.MaxAlternatives <= 0 {
-		c.MaxAlternatives = 16
-	}
-	if c.MaxSample <= 0 {
-		c.MaxSample = 512
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 256
@@ -172,12 +155,11 @@ func (c Config) withDefaults() Config {
 
 // Server is the concurrent routing service: an http.Handler answering
 // Probabilistic Budget Routing queries over a shared Backend, with
-// per-time-of-day-slice sharded LRU caches for complete route results
-// and hot pair-sum estimates. Keying the caches on slice means two
-// things: queries for different departure slices never collide on one
-// entry, and each slice's cache is epoch-validated against *its own*
-// slice's serving generation — a rebuild of the AM-peak model
-// invalidates only the AM-peak cache.
+// per-time-of-day-slice sharded LRU caches for complete route results.
+// Keying the caches on slice means two things: queries for different
+// departure slices never collide on one entry, and each slice's cache
+// is epoch-validated against *its own* slice's serving generation — a
+// rebuild of the AM-peak model invalidates only the AM-peak cache.
 type Server struct {
 	backend Backend
 	cfg     Config
@@ -185,10 +167,8 @@ type Server struct {
 	// protocol, request accounting, /metrics and /debug/traces.
 	svc *httpsvc.Service
 
-	// routes[s] / pairs[s] cache slice s's results (length
-	// backend.NumSlices()).
+	// routes[s] caches slice s's results (length backend.NumSlices()).
 	routes []*ShardedLRU[routeKey, routeEntry]
-	pairs  []*ShardedLRU[pairKey, *hist.Hist]
 
 	// routeLat is the pre-registered route_latency_seconds family;
 	// runtime is the shared Go-runtime sampler behind the go_* series
@@ -197,8 +177,14 @@ type Server struct {
 	runtime  *obs.RuntimeStats
 }
 
-// cacheShards is the lock-shard count of every result cache.
-const cacheShards = 16
+const (
+	// cacheShards is the lock-shard count of every result cache.
+	cacheShards = 16
+	// maxAlternatives caps the skyline size a client may request.
+	maxAlternatives = 16
+	// maxSample caps the query count of one /sample call.
+	maxSample = 512
+)
 
 // perSliceCapacity splits a total cache capacity over k slices (at
 // least 1 entry each; <= 0 stays "disabled").
@@ -236,11 +222,9 @@ func New(backend Backend, cfg Config) *Server {
 			ReplicaID:      cfg.ReplicaID,
 		}),
 		routes: make([]*ShardedLRU[routeKey, routeEntry], k),
-		pairs:  make([]*ShardedLRU[pairKey, *hist.Hist], k),
 	}
 	for i := 0; i < k; i++ {
 		s.routes[i] = NewShardedLRU[routeKey, routeEntry](cacheShards, perSliceCapacity(cfg.RouteCache, k))
-		s.pairs[i] = NewShardedLRU[pairKey, *hist.Hist](cacheShards, perSliceCapacity(cfg.PairCache, k))
 	}
 	s.initMetrics(k)
 	s.svc.Handle("/route", http.MethodGet, s.handleRoute)

@@ -10,53 +10,6 @@ import (
 	"math"
 )
 
-// Summary holds streaming univariate moments (Welford's algorithm).
-type Summary struct {
-	N    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates x into the summary.
-func (s *Summary) Add(x float64) {
-	if s.N == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	s.N++
-	d := x - s.mean
-	s.mean += d / float64(s.N)
-	s.m2 += d * (x - s.mean)
-}
-
-// Mean returns the running mean (0 when empty).
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Variance returns the sample variance (0 when N < 2).
-func (s *Summary) Variance() float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.N-1)
-}
-
-// Std returns the sample standard deviation.
-func (s *Summary) Std() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest observed value (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observed value (0 when empty).
-func (s *Summary) Max() float64 { return s.max }
-
 // Pearson returns the Pearson correlation coefficient of the paired
 // samples x and y, or an error if lengths differ, fewer than two pairs
 // exist, or either side is constant.
@@ -273,89 +226,4 @@ func gammaContinuedFraction(a, x float64) float64 {
 		}
 	}
 	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// KolmogorovSmirnov returns the two-sample KS statistic between sorted-or-
-// unsorted samples a and b (it sorts copies), and an asymptotic p-value.
-func KolmogorovSmirnov(a, b []float64) (stat, pvalue float64, err error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, 0, errors.New("stats: KS with empty sample")
-	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sortFloats(as)
-	sortFloats(bs)
-	i, j := 0, 0
-	d := 0.0
-	for i < len(as) && j < len(bs) {
-		if as[i] <= bs[j] {
-			i++
-		} else {
-			j++
-		}
-		fa := float64(i) / float64(len(as))
-		fb := float64(j) / float64(len(bs))
-		if diff := math.Abs(fa - fb); diff > d {
-			d = diff
-		}
-	}
-	ne := float64(len(as)) * float64(len(bs)) / float64(len(as)+len(bs))
-	lambda := (math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d
-	// Kolmogorov distribution tail sum.
-	p := 0.0
-	for k := 1; k <= 100; k++ {
-		term := 2 * math.Pow(-1, float64(k-1)) * math.Exp(-2*lambda*lambda*float64(k*k))
-		p += term
-		if math.Abs(term) < 1e-12 {
-			break
-		}
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	return d, p, nil
-}
-
-func sortFloats(s []float64) {
-	// insertion sort is fine for the modest sample sizes used in tests;
-	// but use a simple quicksort for robustness on larger inputs.
-	quicksort(s, 0, len(s)-1)
-}
-
-func quicksort(s []float64, lo, hi int) {
-	for lo < hi {
-		if hi-lo < 12 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && s[j] < s[j-1]; j-- {
-					s[j], s[j-1] = s[j-1], s[j]
-				}
-			}
-			return
-		}
-		p := s[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for s[i] < p {
-				i++
-			}
-			for s[j] > p {
-				j--
-			}
-			if i <= j {
-				s[i], s[j] = s[j], s[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			quicksort(s, lo, j)
-			lo = i
-		} else {
-			quicksort(s, i, hi)
-			hi = j
-		}
-	}
 }

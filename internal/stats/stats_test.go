@@ -9,33 +9,6 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestSummary(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if s.N != 8 {
-		t.Errorf("N = %d", s.N)
-	}
-	if !almostEqual(s.Mean(), 5, 1e-12) {
-		t.Errorf("Mean = %v", s.Mean())
-	}
-	// Sample variance of this classic dataset is 32/7.
-	if !almostEqual(s.Variance(), 32.0/7, 1e-12) {
-		t.Errorf("Variance = %v", s.Variance())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Variance() != 0 {
-		t.Error("empty summary should be zero")
-	}
-}
-
 func TestPearson(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	yPerfect := []float64{2, 4, 6, 8, 10}
@@ -205,38 +178,5 @@ func TestMutualInformation(t *testing.T) {
 	}
 	if mi := MutualInformation(NewContingencyTable(2, 2)); mi != 0 {
 		t.Errorf("empty MI = %v", mi)
-	}
-}
-
-func TestKolmogorovSmirnov(t *testing.T) {
-	r := rng.New(9)
-	same1 := make([]float64, 400)
-	same2 := make([]float64, 400)
-	for i := range same1 {
-		same1[i] = r.Normal(0, 1)
-		same2[i] = r.Normal(0, 1)
-	}
-	stat, p, err := KolmogorovSmirnov(same1, same2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.01 {
-		t.Errorf("same-distribution KS rejected: stat=%v p=%v", stat, p)
-	}
-
-	shifted := make([]float64, 400)
-	for i := range shifted {
-		shifted[i] = r.Normal(1.5, 1)
-	}
-	stat, p, err = KolmogorovSmirnov(same1, shifted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p > 0.001 || stat < 0.3 {
-		t.Errorf("shifted KS not detected: stat=%v p=%v", stat, p)
-	}
-
-	if _, _, err := KolmogorovSmirnov(nil, same1); err == nil {
-		t.Error("empty sample should error")
 	}
 }

@@ -106,9 +106,6 @@ func (s *ObservationStore) Snapshot() *ObservationStore {
 	return cp
 }
 
-// Graph returns the road network the observations are over.
-func (s *ObservationStore) Graph() *graph.Graph { return s.g }
-
 // NumEdgeObservations returns the total count of edge traversals seen.
 func (s *ObservationStore) NumEdgeObservations() int {
 	n := 0

@@ -16,7 +16,7 @@ func testObs(t *testing.T, w *World, nTraj int) *ObservationStore {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := NewObservationStore(w.Graph(), w.Config().BucketWidth)
+	obs := NewObservationStore(w.Graph(), w.cfg.BucketWidth)
 	obs.Collect(trs)
 	return obs
 }
@@ -27,7 +27,7 @@ func TestCollectCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := NewObservationStore(w.Graph(), w.Config().BucketWidth)
+	obs := NewObservationStore(w.Graph(), w.cfg.BucketWidth)
 	obs.Collect(trs)
 	if got := obs.NumEdgeObservations(); got != 50 {
 		t.Errorf("edge observations = %d, want 50", got)
@@ -44,7 +44,7 @@ func TestCollectCounts(t *testing.T) {
 func TestEdgeHistMatchesMarginal(t *testing.T) {
 	w := testWorld(t, nil)
 	obs := testObs(t, w, 8000)
-	width := w.Config().BucketWidth
+	width := w.cfg.BucketWidth
 	checked := 0
 	for e, samples := range obs.Edge {
 		if len(samples) < 100 {
@@ -245,7 +245,7 @@ func TestMergeEquivalentToCollect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	width := w.Config().BucketWidth
+	width := w.cfg.BucketWidth
 	whole := NewObservationStore(w.Graph(), width)
 	whole.Collect(trs)
 
@@ -300,7 +300,7 @@ func TestSnapshotStableUnderLaterMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	width := w.Config().BucketWidth
+	width := w.cfg.BucketWidth
 	store := NewObservationStore(w.Graph(), width)
 	store.Collect(trs[:20])
 	snap := store.Snapshot()
@@ -317,7 +317,7 @@ func TestSnapshotStableUnderLaterMerges(t *testing.T) {
 	if store.NumEdgeObservations() <= wantObs {
 		t.Errorf("original store did not grow past %d", wantObs)
 	}
-	if snap.Graph() != store.Graph() || snap.Width != store.Width {
+	if snap.g != store.g || snap.Width != store.Width {
 		t.Error("snapshot lost graph/width identity")
 	}
 }

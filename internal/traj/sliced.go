@@ -29,9 +29,6 @@ func NewSlicedObservations(g *graph.Graph, width float64, k int) *SlicedObservat
 // K returns the number of time-of-day slices.
 func (so *SlicedObservations) K() int { return so.k }
 
-// Graph returns the road network the observations are over.
-func (so *SlicedObservations) Graph() *graph.Graph { return so.stores[0].Graph() }
-
 // Width returns the shared travel-time grid width.
 func (so *SlicedObservations) Width() float64 { return so.stores[0].Width }
 
@@ -42,9 +39,6 @@ func (so *SlicedObservations) Slice(i int) *ObservationStore { return so.stores[
 // age-out path). The caller owns synchronisation, as with every other
 // mutation.
 func (so *SlicedObservations) ReplaceSlice(i int, s *ObservationStore) { so.stores[i] = s }
-
-// SliceFor maps a departure timestamp to its slice index.
-func (so *SlicedObservations) SliceFor(depart float64) int { return SliceIndex(depart, so.k) }
 
 // Collect ingests trajectories, bucketing each by its departure slice.
 func (so *SlicedObservations) Collect(trs []Trajectory) {
@@ -57,29 +51,6 @@ func (so *SlicedObservations) Collect(trs []Trajectory) {
 			so.stores[SliceIndex(bucket[0].Departure, so.k)].Collect(bucket)
 		}
 	}
-}
-
-// Merge folds other's per-slice observations into so as append-only
-// updates (see ObservationStore.Merge). Both aggregates must have the
-// same slice count, graph and grid width.
-func (so *SlicedObservations) Merge(other *SlicedObservations) {
-	if other == nil {
-		return
-	}
-	for i := range so.stores {
-		so.stores[i].Merge(other.stores[i])
-	}
-}
-
-// Snapshot returns a point-in-time copy of every slice's store that
-// stays stable while the original keeps absorbing updates (see
-// ObservationStore.Snapshot for the aliasing contract).
-func (so *SlicedObservations) Snapshot() *SlicedObservations {
-	cp := &SlicedObservations{k: so.k, stores: make([]*ObservationStore, so.k)}
-	for i, s := range so.stores {
-		cp.stores[i] = s.Snapshot()
-	}
-	return cp
 }
 
 // NumEdgeObservations returns the total edge-traversal count across all

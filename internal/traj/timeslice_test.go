@@ -162,13 +162,13 @@ func TestSlicedObservationsBucketsByDeparture(t *testing.T) {
 		t.Fatal("sliced generation never assigned a departure")
 	}
 
-	so := NewSlicedObservations(w.Graph(), w.Config().BucketWidth, 4)
+	so := NewSlicedObservations(w.Graph(), w.cfg.BucketWidth, 4)
 	so.Collect(trs)
 	buckets := SplitBySlice(trs, 4)
 	totalTrips := 0
 	for s, bucket := range buckets {
 		totalTrips += len(bucket)
-		want := NewObservationStore(w.Graph(), w.Config().BucketWidth)
+		want := NewObservationStore(w.Graph(), w.cfg.BucketWidth)
 		want.Collect(bucket)
 		if got := so.Slice(s).NumEdgeObservations(); got != want.NumEdgeObservations() {
 			t.Errorf("slice %d has %d observations, want %d", s, got, want.NumEdgeObservations())
@@ -178,13 +178,8 @@ func TestSlicedObservationsBucketsByDeparture(t *testing.T) {
 		t.Errorf("split lost trajectories: %d != %d", totalTrips, len(trs))
 	}
 
-	// Snapshot stays stable while the original keeps growing.
-	snap := so.Snapshot()
-	before := snap.NumEdgeObservations()
+	before := so.NumEdgeObservations()
 	so.Collect(trs)
-	if snap.NumEdgeObservations() != before {
-		t.Error("snapshot grew with the original")
-	}
 	if so.NumEdgeObservations() != 2*before {
 		t.Errorf("double collect = %d observations, want %d", so.NumEdgeObservations(), 2*before)
 	}

@@ -27,15 +27,6 @@ type Trajectory struct {
 // k-slice partition of the day.
 func (t *Trajectory) Slice(k int) int { return SliceIndex(t.Departure, k) }
 
-// TotalTime returns the summed travel time of the trajectory.
-func (t *Trajectory) TotalTime() float64 {
-	total := 0.0
-	for _, x := range t.Times {
-		total += x
-	}
-	return total
-}
-
 // Validate checks edge contiguity against g.
 func (t *Trajectory) Validate(g *graph.Graph) error {
 	if len(t.Edges) != len(t.Times) {

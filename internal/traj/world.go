@@ -238,9 +238,6 @@ func NewWorld(g *graph.Graph, cfg WorldConfig) (*World, error) {
 // Graph returns the underlying road graph.
 func (w *World) Graph() *graph.Graph { return w.g }
 
-// Config returns the world configuration.
-func (w *World) Config() WorldConfig { return w.cfg }
-
 // NumModes returns the number of latent congestion modes.
 func (w *World) NumModes() int { return len(w.cfg.ModeFactors) }
 

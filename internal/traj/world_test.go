@@ -63,7 +63,7 @@ func TestWorldConfigValidation(t *testing.T) {
 
 func TestModeTimesOnGridAndSeparated(t *testing.T) {
 	w := testWorld(t, nil)
-	width := w.Config().BucketWidth
+	width := w.cfg.BucketWidth
 	for e := 0; e < w.Graph().NumEdges(); e++ {
 		for m := 0; m < w.NumModes(); m++ {
 			tm := w.ModeTime(graph.EdgeID(e), m)
@@ -94,8 +94,8 @@ func TestEdgeMarginalIsNormalizedWithPriorMasses(t *testing.T) {
 		for m := 0; m < w.NumModes(); m++ {
 			tm := w.ModeTime(graph.EdgeID(e), m)
 			idx := int(math.Round((tm - marg.Min) / marg.Width))
-			if math.Abs(marg.P[idx]-w.Config().ModePrior[m]) > 1e-12 {
-				t.Fatalf("edge %d mode %d mass %v, want %v", e, m, marg.P[idx], w.Config().ModePrior[m])
+			if math.Abs(marg.P[idx]-w.cfg.ModePrior[m]) > 1e-12 {
+				t.Fatalf("edge %d mode %d mass %v, want %v", e, m, marg.P[idx], w.cfg.ModePrior[m])
 			}
 		}
 	}
@@ -143,7 +143,7 @@ func TestPairModeJointStickiness(t *testing.T) {
 	if depV == graph.NoVertex || indV == graph.NoVertex {
 		t.Skip("world lacks one of the vertex kinds")
 	}
-	pi := w.Config().ModePrior
+	pi := w.cfg.ModePrior
 
 	jDep := w.PairModeJoint(depV)
 	jInd := w.PairModeJoint(indV)

@@ -6,11 +6,9 @@ import (
 	"sync"
 	"testing"
 
-	"stochroute/internal/graph"
 	"stochroute/internal/hist"
 	"stochroute/internal/hybrid"
 	"stochroute/internal/netgen"
-	"stochroute/internal/routing"
 	"stochroute/internal/traj"
 )
 
@@ -362,58 +360,5 @@ func TestTimeExpandedCrossesBoundaryAccuracy(t *testing.T) {
 	if math.Abs(expandedDist.Mean()-truth.Mean()) >= math.Abs(departDist.Mean()-truth.Mean()) {
 		t.Fatalf("expanded mean error %.1fs not below departure-slice mean error %.1fs",
 			math.Abs(expandedDist.Mean()-truth.Mean()), math.Abs(departDist.Mean()-truth.Mean()))
-	}
-}
-
-// temporalPlainView hides the scratch half of a TemporalScratchCoster,
-// forcing PBR's time-expanded search onto the heap path.
-type temporalPlainView struct {
-	tc hybrid.TemporalCoster
-}
-
-func (p temporalPlainView) InitialHist(e graph.EdgeID) *hist.Hist { return p.tc.InitialHist(e) }
-func (p temporalPlainView) Extend(v *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
-	return p.tc.Extend(v, lastEdge, next)
-}
-func (p temporalPlainView) MinEdgeTime(e graph.EdgeID) float64 { return p.tc.MinEdgeTime(e) }
-func (p temporalPlainView) Width() float64                     { return p.tc.Width() }
-func (p temporalPlainView) SliceAtElapsed(elapsed float64) int {
-	return p.tc.SliceAtElapsed(elapsed)
-}
-func (p temporalPlainView) MinEdgeTimeWithin(e graph.EdgeID, horizon float64) float64 {
-	return p.tc.MinEdgeTimeWithin(e, horizon)
-}
-func (p temporalPlainView) ExtendElapsed(elapsed float64, v *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
-	return p.tc.ExtendElapsed(elapsed, v, lastEdge, next)
-}
-
-// TestTimeExpandedScratchKernelEquivalence: the time-expanded search on
-// the allocation-free kernel must be bit-identical to the same search
-// on the heap path, slice sequence included — the arena only changes
-// where the floats live.
-func TestTimeExpandedScratchKernelEquivalence(t *testing.T) {
-	e := expandedTestEngine(t)
-	set := e.ModelSet()
-	q, opt := longPeakQuery(t, e)
-	boundary := traj.SliceStart(1, e.NumSlices())
-	for _, depart := range []float64{boundary - 600, boundary - 120, traj.SliceMid(0, e.NumSlices())} {
-		opts := routing.Options{Budget: 2.5 * opt, Departure: depart, TimeExpanded: true}
-		kernel, err := routing.PBR(e.Graph(), set.TimeExpandedCoster(depart, nil), q.Source, q.Dest, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, err := routing.PBR(e.Graph(), temporalPlainView{set.TimeExpandedCoster(depart, nil)}, q.Source, q.Dest, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameSearch(t, "temporal kernel vs heap", kernel, plain)
-		if len(kernel.SliceSeq) != len(plain.SliceSeq) {
-			t.Fatalf("slice seq lengths %d vs %d", len(kernel.SliceSeq), len(plain.SliceSeq))
-		}
-		for i := range kernel.SliceSeq {
-			if kernel.SliceSeq[i] != plain.SliceSeq[i] {
-				t.Fatalf("slice seq differs at %d: %d vs %d", i, kernel.SliceSeq[i], plain.SliceSeq[i])
-			}
-		}
 	}
 }
