@@ -113,7 +113,9 @@
 // number of goroutines on one shared Engine: the hybrid estimator uses
 // the network's pure inference pass, and decision telemetry lives in
 // per-request structs (hybrid.QueryStats, surfaced as
-// RouteResult.NumConvolved/NumEstimated) plus atomic lifetime totals.
+// RouteResult.NumConvolved/NumEstimated — extensions built, which
+// excludes children the search pruned from the parent label before
+// costing them) plus atomic lifetime totals.
 // Earlier versions required serialising Route calls or cloning models
 // per goroutine; that caveat is gone.
 //

@@ -20,7 +20,11 @@ type Coster interface {
 	// next to a path whose distribution is virtual and whose final edge
 	// is lastEdge.
 	Extend(virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist
-	// MinEdgeTime returns an admissible lower bound on e's travel time.
+	// MinEdgeTime returns an admissible lower bound on e's travel time:
+	// every extension over e adds at least this much to every support
+	// point, i.e. Extend(virtual, _, e) is, in distribution, no earlier
+	// than virtual shifted by MinEdgeTime(e). The routing search prunes
+	// on the parent label alone by this guarantee.
 	MinEdgeTime(e graph.EdgeID) float64
 	// Width returns the histogram grid width.
 	Width() float64

@@ -1,8 +1,10 @@
 package hybrid
 
 import (
+	"math"
 	"testing"
 
+	"stochroute/internal/graph"
 	"stochroute/internal/hist"
 	"stochroute/internal/traj"
 )
@@ -177,5 +179,68 @@ func TestExtendElapsedIntoMatchesExtendElapsed(t *testing.T) {
 	}
 	if crossed == 0 {
 		t.Fatal("no chain crossed the slice boundary")
+	}
+}
+
+// TestMinEdgeTimeWithinMatchesSweep checks the bound against a sweep of
+// the interval it stands for — the minimum over every slice SliceOf
+// reports between depart and depart+horizon — on a K = 4 set whose
+// slices disagree on every edge's optimistic time, for departures
+// either side of midnight and horizons from inside one slice to beyond
+// a day. The search asks per out-edge, so the call must not allocate,
+// re-memoising a new horizon included.
+func TestMinEdgeTimeWithinMatchesSweep(t *testing.T) {
+	e := getEnv(t)
+	const k = 4
+	models := make([]*Model, k)
+	for s := range models {
+		// One knowledge base per slice, the optimistic times staggered so
+		// that no two slices agree on every edge.
+		kb := *e.kb
+		kb.edges = append([]EdgeStats(nil), e.kb.edges...)
+		for id := range kb.edges {
+			kb.edges[id].MinTime += float64((id+s)%k) * kb.Width
+		}
+		models[s] = &Model{KB: &kb}
+	}
+	set, err := NewModelSet(models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dur := traj.SliceDuration(k)
+	differ := 0
+	for _, depart := range []float64{0, 60, dur - 60, 2*dur + 1, traj.DaySeconds - 30, -45, traj.DaySeconds + dur/2} {
+		for _, horizon := range []float64{-5, 0, 59, 60, 61, dur, 2.5 * dur, traj.DaySeconds - 1, 2 * traj.DaySeconds} {
+			tc := set.TimeExpandedCoster(depart, nil)
+			reach := map[int]bool{set.SliceOf(depart + max(horizon, 0)): true}
+			for el := 0.0; el < horizon; el += 30 {
+				reach[set.SliceOf(depart+el)] = true
+			}
+			for id := 0; id < e.g.NumEdges(); id += 7 {
+				edge := graph.EdgeID(id)
+				want := math.Inf(1)
+				for s := range reach {
+					want = math.Min(want, set.At(s).MinEdgeTime(edge))
+				}
+				if got := tc.MinEdgeTimeWithin(edge, horizon); got != want {
+					t.Fatalf("depart %v horizon %v edge %d: MinEdgeTimeWithin = %v, sweep over slices %v = %v",
+						depart, horizon, id, got, reach, want)
+				}
+				if want != tc.MinEdgeTime(edge) {
+					differ++
+				}
+			}
+		}
+	}
+	if differ == 0 {
+		t.Fatal("the bound never differed from the all-slice minimum; the fixture's slices agree everywhere")
+	}
+	tc := set.TimeExpandedCoster(dur-60, nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		tc.MinEdgeTimeWithin(3, 59)
+		tc.MinEdgeTimeWithin(3, 3*dur)
+	})
+	if allocs != 0 {
+		t.Errorf("MinEdgeTimeWithin allocates %v per pair of calls", allocs)
 	}
 }

@@ -38,8 +38,10 @@ type TemporalScratchCoster interface {
 
 	// MinEdgeTimeWithin returns an admissible lower bound on e's travel
 	// time under every slice the trip can consult while its elapsed
-	// mean stays within horizon seconds of departure. The routing
-	// potentials are built from this bound so that potential and pivot
+	// mean stays within horizon seconds of departure — Coster.MinEdgeTime's
+	// guarantee for ExtendElapsed at every elapsed up to horizon. The
+	// routing potentials are built from this bound, and the search's
+	// parent-side tests shift by it, so that potential and pivot
 	// pruning stay conservative across every model the search can
 	// actually reach; when the horizon stays inside the departure
 	// slice, the bound degenerates to that slice's MinEdgeTime and the
@@ -84,12 +86,14 @@ type timeExpandedCoster struct {
 	depart float64
 	qs     *QueryStats
 
-	// minWithin memoises the slice set reachable within the last
-	// requested horizon: minSlices[i] is true when slice i's model can
-	// be consulted. Recomputed when the horizon changes (in practice
-	// once per query).
+	// The slices reachable within the last requested horizon are a
+	// contiguous run (mod K) from the departure slice: minFirst is that
+	// slice, minCrossed the number of boundaries the horizon crosses
+	// after it. Recomputed when the horizon changes (in practice once
+	// per query).
 	minHorizon float64
-	minSlices  []bool
+	minFirst   int
+	minCrossed int
 	haveMin    bool
 }
 
@@ -131,54 +135,47 @@ func (tc *timeExpandedCoster) SliceAtElapsed(elapsed float64) int {
 
 // MinEdgeTimeWithin implements TemporalScratchCoster: the minimum of
 // MinEdgeTime across the slices overlapped by
-// [depart, depart+horizon], memoised per horizon.
+// [depart, depart+horizon], memoised per horizon. The search calls it
+// per out-edge, so it allocates nothing.
 func (tc *timeExpandedCoster) MinEdgeTimeWithin(e graph.EdgeID, horizon float64) float64 {
 	if !tc.haveMin || tc.minHorizon != horizon {
 		tc.memoiseSlicesWithin(horizon)
 	}
+	k := tc.set.K()
 	min := math.Inf(1)
-	for i, in := range tc.minSlices {
-		if !in {
-			continue
-		}
-		if t := tc.set.At(i).MinEdgeTime(e); t < min {
+	for i := 0; i <= tc.minCrossed; i++ {
+		if t := tc.set.At((tc.minFirst + i) % k).MinEdgeTime(e); t < min {
 			min = t
 		}
 	}
 	return min
 }
 
-// memoiseSlicesWithin marks the slices whose model a trip departing at
-// tc.depart can consult before its elapsed mean exceeds horizon.
+// memoiseSlicesWithin records the run of slices whose model a trip
+// departing at tc.depart can consult before its elapsed mean exceeds
+// horizon.
 func (tc *timeExpandedCoster) memoiseSlicesWithin(horizon float64) {
 	k := tc.set.K()
-	tc.minSlices = make([]bool, k)
 	tc.minHorizon = horizon
 	tc.haveMin = true
+	tc.minFirst = tc.departSlice()
 	if horizon < 0 {
 		horizon = 0
 	}
 	if k == 1 || horizon >= traj.DaySeconds {
-		for i := range tc.minSlices {
-			tc.minSlices[i] = true
-		}
+		tc.minCrossed = k - 1
 		return
 	}
-	dur := traj.SliceDuration(k)
-	first := tc.departSlice()
 	// Count slice boundaries crossed within the horizon, starting from
 	// the departure's offset into its slice.
 	into := math.Mod(tc.depart, traj.DaySeconds)
 	if into < 0 {
 		into += traj.DaySeconds
 	}
-	into -= traj.SliceStart(first, k)
-	crossed := int((into + horizon) / dur)
-	if crossed >= k {
-		crossed = k - 1
-	}
-	for i := 0; i <= crossed; i++ {
-		tc.minSlices[(first+i)%k] = true
+	into -= traj.SliceStart(tc.minFirst, k)
+	tc.minCrossed = int((into + horizon) / traj.SliceDuration(k))
+	if tc.minCrossed >= k {
+		tc.minCrossed = k - 1
 	}
 }
 

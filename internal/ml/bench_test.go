@@ -61,3 +61,24 @@ func BenchmarkPredictSingle(b *testing.B) {
 		_ = GroupedSoftmax(net.Forward(x), 4)
 	}
 }
+
+// inferRowSink keeps BenchmarkInferRow's result alive.
+var inferRowSink []float64
+
+// BenchmarkInferRow times the pass a query actually runs: one row
+// through the estimator's shape on a warm scratch. One input in eight is
+// zero, the share captured on city_search rows; the ReLUs zero about
+// half of each hidden layer on their own.
+func BenchmarkInferRow(b *testing.B) {
+	net, x, _ := benchNet(b)
+	row := x.Row(0)
+	for i := 0; i < len(row); i += 8 {
+		row[i] = 0
+	}
+	var s InferScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inferRowSink = net.InferRow(&s, row)
+	}
+}

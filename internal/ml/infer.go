@@ -38,15 +38,7 @@ func (n *Network) InferRow(s *InferScratch, row []float64) []float64 {
 			for j := range out {
 				out[j] = 0
 			}
-			for k, av := range cur {
-				if av == 0 {
-					continue
-				}
-				wrow := layer.W.Data[k*outCols : (k+1)*outCols]
-				for j, wv := range wrow {
-					out[j] += av * wv
-				}
-			}
+			mulAddRows(out, cur, layer.W.Data)
 			for j, bv := range layer.B.Data {
 				out[j] += bv
 			}
@@ -73,6 +65,47 @@ func (n *Network) InferRow(s *InferScratch, row []float64) []float64 {
 		}
 	}
 	return cur
+}
+
+// mulAddRows accumulates in·W into out, W being the row-major
+// len(in) × len(out) weight matrix w. Zero inputs are skipped; the
+// non-zero ones are folded four at a time, in ascending row order, as
+// one left-associated scaled accumulate
+//
+//	out[j] + a0·w0[j] + a1·w1[j] + a2·w2[j] + a3·w3[j]
+//
+// so each output costs one load and one store per four multiply-adds
+// instead of one of each per multiply-add (hist.convolveDense's trick).
+// Go evaluates the sum left to right and does not fuse multiply-adds on
+// amd64, so every output adds the same products in the same order as a
+// row-at-a-time pass: the result is bit-identical to MatMul's.
+func mulAddRows(out, in, w []float64) {
+	cols := len(out)
+	var a [4]float64
+	var rows [4][]float64
+	n := 0
+	for k, av := range in {
+		if av == 0 {
+			continue
+		}
+		a[n], rows[n] = av, w[k*cols:(k+1)*cols]
+		if n++; n < 4 {
+			continue
+		}
+		n = 0
+		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+		w0, w1, w2, w3 := rows[0][:cols], rows[1][:cols], rows[2][:cols], rows[3][:cols]
+		for j := range out {
+			out[j] = out[j] + a0*w0[j] + a1*w1[j] + a2*w2[j] + a3*w3[j]
+		}
+	}
+	// Fewer than four non-zero inputs are left: finish row-wise.
+	for i := 0; i < n; i++ {
+		av := a[i]
+		for j, wv := range rows[i][:cols] {
+			out[j] += av * wv
+		}
+	}
 }
 
 // GroupedSoftmaxRow is the in-place single-row form of GroupedSoftmax:

@@ -13,19 +13,3 @@ func MeanCostPath(g *graph.Graph, kb *hybrid.KnowledgeBase, source, dest graph.V
 		return kb.Edge(e).Mean
 	}, source, dest)
 }
-
-// FreeFlowPath is Dijkstra over free-flow (speed-limit) travel times,
-// the textbook shortest-travel-time route ignoring congestion entirely.
-func FreeFlowPath(g *graph.Graph, source, dest graph.VertexID) ([]graph.EdgeID, float64, error) {
-	return Dijkstra(g, func(e graph.EdgeID) float64 {
-		return g.Edge(e).FreeFlowSeconds()
-	}, source, dest)
-}
-
-// ConvolutionPBR runs probabilistic budget routing with the
-// convolution-only cost model: the stochastic-routing baseline that
-// assumes spatial independence.
-func ConvolutionPBR(g *graph.Graph, kb *hybrid.KnowledgeBase, source, dest graph.VertexID, opts Options) (*Result, error) {
-	coster := &hybrid.ConvolutionCoster{KB: kb, MaxBuckets: 512}
-	return PBR(g, coster, source, dest, opts)
-}

@@ -147,20 +147,6 @@ var potentialsPool = sync.Pool{New: func() any {
 	return ps
 }}
 
-// PathVertices expands an edge path into the visited vertex sequence
-// (source first). An empty path yields nil.
-func PathVertices(g *graph.Graph, edges []graph.EdgeID) []graph.VertexID {
-	if len(edges) == 0 {
-		return nil
-	}
-	out := make([]graph.VertexID, 0, len(edges)+1)
-	out = append(out, g.Edge(edges[0]).From)
-	for _, e := range edges {
-		out = append(out, g.Edge(e).To)
-	}
-	return out
-}
-
 // ValidatePath checks that edges form a contiguous source→dest path.
 func ValidatePath(g *graph.Graph, edges []graph.EdgeID, source, dest graph.VertexID) error {
 	if len(edges) == 0 {

@@ -108,18 +108,11 @@ func TestReversePotentialsUnreachableIsInf(t *testing.T) {
 	}
 }
 
-func TestPathVerticesAndValidate(t *testing.T) {
+func TestValidatePath(t *testing.T) {
 	g, w := buildWeightedDiamond(t)
 	path, _, err := Dijkstra(g, func(e graph.EdgeID) float64 { return w[e] }, 0, 3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	vs := PathVertices(g, path)
-	if len(vs) != 3 || vs[0] != 0 || vs[2] != 3 {
-		t.Errorf("PathVertices = %v", vs)
-	}
-	if PathVertices(g, nil) != nil {
-		t.Error("empty path should give nil vertices")
 	}
 	if err := ValidatePath(g, nil, 0, 0); err != nil {
 		t.Errorf("empty path with s==d: %v", err)

@@ -1,8 +1,7 @@
 // Package routing implements the query algorithms of the paper:
 // Probabilistic Budget Routing (PBR) with the paper's four prunings
-// and the anytime extension, plus the classical baselines (Dijkstra
-// mean-cost routing, free-flow paths) and the stochastic skyline
-// (ParetoRoutes).
+// and the anytime extension, plus the classical baseline (Dijkstra
+// mean-cost routing) and the stochastic skyline (ParetoRoutes).
 //
 // # The label search
 //
@@ -48,6 +47,26 @@
 //     non-monotone estimator they are heuristic (the estimate of an
 //     extension can fall below the bound), which is why Options
 //     supports SeedPath warm starts and ablation switches.
+//   - Both tests run twice per out-edge e = (v, w) of the label being
+//     expanded: first on the parent, shifted by m = MinEdgeTime(e) —
+//     parent.Min + m + h(w) > budget, then
+//     parent.CDFShifted(budget, m + h(w)) <= pivot — and again on the
+//     child as above. The parent-side forms are implied, not new
+//     rules: every extension over e is, in distribution, no earlier
+//     than its parent shifted by m (a convolution's support starts at
+//     parent.Min + m, the estimator's conditionals are offsets >= 0
+//     from it, truncation keeps the prefix below the horizon exact,
+//     and the bucket cap collapses a child's tail only where its
+//     equally capped parent, shifted, has already reached 1 — every
+//     label has been through the cap except a first edge's marginal,
+//     which is far narrower than any cap in use;
+//     TestExtensionIsAtLeastParentShifted states it, up to 1e-9 of
+//     renormalisation and rounding), so a child whose parent fails
+//     shifted by m fails the same test itself. extend runs only for
+//     children both parent-side tests let through; the labels pushed,
+//     their order and every counter are those of a search that built
+//     every child first (testdata/pbr_golden.txt), while the
+//     extensions built are fewer (testdata/pbr_work_golden.txt).
 //   - Dominance pruning (d) maintains a Pareto frontier per (vertex,
 //     lastEdge): a new label is dropped if an existing one
 //     first-order stochastically dominates it, and kills existing
@@ -79,7 +98,8 @@
 //     the set of slices the search can consult is known up front;
 //     potentials use min-over-reachable-slices bounds
 //     (TemporalScratchCoster.MinEdgeTimeWithin) and therefore remain
-//     admissible across every model an extension can be priced by.
+//     admissible across every model an extension can be priced by;
+//     the parent-side tests shift by the same bound.
 //   - Dominance frontiers are additionally keyed by the labels'
 //     next-extension slice: stochastic dominance at equal state says
 //     nothing about labels whose remaining trip will be priced by

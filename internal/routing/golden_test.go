@@ -23,9 +23,12 @@ import (
 	"stochroute/internal/traj"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/pbr_golden.txt from the current search")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/pbr_golden.txt and testdata/pbr_work_golden.txt from the current search")
 
-const goldenFile = "testdata/pbr_golden.txt"
+const (
+	goldenFile     = "testdata/pbr_golden.txt"
+	workGoldenFile = "testdata/pbr_work_golden.txt"
+)
 
 // goldenFixture is the frozen substrate of the PBR goldens: a 14×14
 // grid, a 4-slice world whose slice 1 is peaked, and a trained hybrid
@@ -53,6 +56,13 @@ func goldenSetup(t testing.TB) *goldenFixture {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("PBR goldens are frozen for amd64 float arithmetic")
 	}
+	return trainedFixture(t)
+}
+
+// trainedFixture is the goldens' substrate for tests that do not compare
+// float bits and so run on every architecture.
+func trainedFixture(t testing.TB) *goldenFixture {
+	t.Helper()
 	goldenOnce.Do(func() { goldenFix, goldenErr = buildGoldenFixture() })
 	if goldenErr != nil {
 		t.Fatalf("golden fixture: %v", goldenErr)
@@ -160,8 +170,9 @@ func goldenConfigs() []goldenConfig {
 // goldenQuery assembles the coster and options of one (config, query)
 // cell. plain hands a classic cell's model to the search as a plain
 // Coster, which enters through heapCoster; a temporal coster has no
-// plain form, so expanded cells ignore it.
-func (f *goldenFixture) goldenQuery(cfg goldenConfig, qi int, plain bool) (hybrid.Coster, graph.VertexID, graph.VertexID, Options, error) {
+// plain form, so expanded cells ignore it. A non-nil qs tallies the
+// cell's convolve / estimate decisions.
+func (f *goldenFixture) goldenQuery(cfg goldenConfig, qi int, plain bool, qs *hybrid.QueryStats) (hybrid.Coster, graph.VertexID, graph.VertexID, Options, error) {
 	q := f.queries[qi]
 	const classicSlice = 1
 	// Budgets around the mean-cost route's mean travel time put the
@@ -176,10 +187,10 @@ func (f *goldenFixture) goldenQuery(cfg goldenConfig, qi int, plain bool) (hybri
 		// One minute before the peaked slice begins, or before it ends.
 		opts.Departure = traj.SliceStart(1+qi%2, goldenSlices) - 60
 		opts.TimeExpanded = true
-		coster = f.set.TimeExpandedCoster(opts.Departure, nil)
+		coster = f.set.TimeExpandedCoster(opts.Departure, qs)
 	} else {
 		opts.Departure = traj.SliceMid(classicSlice, goldenSlices)
-		coster = f.set.At(classicSlice)
+		coster = f.set.At(classicSlice).WithStats(qs)
 		if plain {
 			coster = plainView{coster}
 		}
@@ -294,6 +305,44 @@ func TestPBRGolden(t *testing.T) {
 	}
 }
 
+// TestPBRWorkGolden freezes what the answers cost: per search shape, the
+// extensions built — convolved and estimated — summed over the 64
+// queries. The answer table cannot see work the search does and throws
+// away; this one fails when such work comes back (or more of it goes).
+// Rewritten by -update, like the answer table.
+func TestPBRWorkGolden(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("a single-goroutine replay of the whole table: nothing for the race detector, tenfold the time")
+	}
+	f := goldenSetup(t)
+	var got strings.Builder
+	for _, cfg := range goldenConfigs() {
+		var qs hybrid.QueryStats
+		for qi := range f.queries {
+			c, src, dst, opts, err := f.goldenQuery(cfg, qi, false, &qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := PBR(f.g, c, src, dst, opts); err != nil {
+				t.Fatalf("%s query %d: %v", cfg.name, qi, err)
+			}
+		}
+		fmt.Fprintf(&got, "%s convolved=%d estimated=%d\n", cfg.name, qs.Convolved, qs.Estimated)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(workGoldenFile, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(workGoldenFile)
+	if err != nil {
+		t.Fatalf("%v (regenerate with go test ./internal/routing -run TestPBRWorkGolden -update)", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("extensions built differ from %s:\n got\n%s want\n%s", workGoldenFile, got.String(), want)
+	}
+}
+
 // goldenStride thins the query axis under the race detector, which
 // slows a search tenfold and has nothing to find in a single-goroutine
 // replay; the plain build checks every row.
@@ -326,7 +375,7 @@ type searchFunc func(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexI
 
 // answer runs cell (cfg, query qi) through search and renders the row.
 func (f *goldenFixture) answer(cfg goldenConfig, qi int, plain bool, search searchFunc) (string, error) {
-	c, src, dst, opts, err := f.goldenQuery(cfg, qi, plain)
+	c, src, dst, opts, err := f.goldenQuery(cfg, qi, plain, nil)
 	if err != nil {
 		return "", err
 	}

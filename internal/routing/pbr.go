@@ -126,10 +126,12 @@ type Result struct {
 	PrunedDominance int
 	Runtime         time.Duration
 
-	// Cost-model telemetry: how many hybrid extensions convolved vs.
-	// estimated while answering this query. PBR itself cannot observe
-	// the cost model's decisions; callers that route through
-	// hybrid.Model.WithStats (as Engine does) fill these in.
+	// Cost-model telemetry: how many extensions the search BUILT while
+	// answering this query, by convolution and by the estimator. A
+	// child the parent-side prunings rule out is never costed, so it
+	// is in a Pruned* counter above and in neither of these. PBR itself
+	// cannot observe the cost model's decisions; callers that route
+	// through hybrid.Model.WithStats (as Engine does) fill these in.
 	NumConvolved int
 	NumEstimated int
 
@@ -507,6 +509,23 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 			hTo := hAt(ne.To)
 			if math.IsInf(hTo, 1) {
 				continue
+			}
+			// Parent-side forms of (a) and (b)+(c): every extension over
+			// next is, in distribution, at least lb.dist shifted by
+			// minEdge(next) (the Coster.MinEdgeTime contract), so a
+			// parent that fails either test shifted that far has a child
+			// that fails the same test below — decided without building
+			// the child.
+			if havePivot {
+				m := minEdge(next)
+				if !opts.DisablePotentialPruning && lb.dist.Min+m+hTo > opts.Budget {
+					res.PrunedPotential++
+					continue
+				}
+				if !opts.DisablePivotPruning && upperBound(lb.dist, m+hTo) <= pivotProb {
+					res.PrunedPivot++
+					continue
+				}
 			}
 			nd := extend(lb.elapsed, lb.dist, lb.lastEdge, next)
 

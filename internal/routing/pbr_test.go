@@ -323,36 +323,3 @@ func TestPBRBeatsOrMatchesMeanPathOnModelProb(t *testing.T) {
 		}
 	}
 }
-
-func TestFreeFlowPath(t *testing.T) {
-	g, _ := testSubstrate(t)
-	path, cost, err := FreeFlowPath(g, 0, graph.VertexID(g.NumVertices()-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost <= 0 || len(path) == 0 {
-		t.Errorf("freeflow: cost=%v len=%d", cost, len(path))
-	}
-	if err := ValidatePath(g, path, 0, graph.VertexID(g.NumVertices()-1)); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestConvolutionPBRSmoke(t *testing.T) {
-	g, kb := testSubstrate(t)
-	d := graph.VertexID(g.NumVertices() - 1)
-	_, optimistic, err := Dijkstra(g, kb.MinEdgeTime, 0, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ConvolutionPBR(g, kb, 0, d, Options{Budget: 1.4 * optimistic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found {
-		t.Error("no path found")
-	}
-	if err := res.Dist.Validate(); err != nil {
-		t.Errorf("result distribution invalid: %v", err)
-	}
-}

@@ -37,7 +37,10 @@
 //   - /route?source=&dest=&budget=[&depart=][&time_expanded=] — full
 //     budget-routing search: the path maximising P(arrival within
 //     budget seconds) departing at depart. Responses carry
-//     model_epoch, the generation that answered.
+//     model_epoch, the generation that answered, and the search's
+//     telemetry; convolved and estimated count the extensions the
+//     search BUILT — a child the parent-side prunings rule out is
+//     never costed, so it is in neither.
 //   - /route/anytime?...&limit_ms= — the anytime variant: the best
 //     pivot path found within the wall-clock limit.
 //   - /route/batch (POST, up to Config.MaxBatch queries) — the batched
@@ -82,8 +85,9 @@
 //   - /stats — request counts, cache effectiveness (aggregate plus
 //     per-slice breakdowns including epoch invalidations), in-flight
 //     gauge, global and per-slice model epochs, the engine's lifetime
-//     convolve/estimate decision totals, and — when ingestion is
-//     enabled — the write path's counters: accepted/rejected,
+//     convolved_total / estimated_total (extensions built, by kind;
+//     children pruned before costing are in neither), and — when
+//     ingestion is enabled — the write path's counters: accepted/rejected,
 //     aggregate size, drift events, last drift score, rebuilds and
 //     the last-swap timestamp, each also broken down per slice (so a
 //     peak-hour drift event is attributable to its slice). Also
@@ -196,7 +200,10 @@
 //     search_pruned_dominance, search_convolved, search_estimated,
 //     search_arena_bytes {slice} (histograms) and
 //     search_time_expanded_total — the engine's per-query search
-//     telemetry (Engine.SetSearchMetrics).
+//     telemetry (Engine.SetSearchMetrics). search_convolved and
+//     search_estimated are extensions built per query: the pruned_*
+//     histograms include children ruled out from the parent label
+//     alone, which were never costed and are in neither.
 //   - ingest_accepted_total, ingest_rejected_total,
 //     ingest_seeded_total, ingest_folded_total {slice},
 //     ingest_drift_score {slice}, ingest_drift_events_total {slice},
