@@ -89,6 +89,8 @@ func main() {
 		} else {
 			fmt.Printf("knowledge base: %d pairs with >= %d observations\n", set.At(s).KB.NumPairs(), cfg.MinPairObs)
 		}
+		observed, edges, distinct := set.At(s).KB.EdgeCoverage()
+		fmt.Printf("observed %d of %d edges, %d distinct marginals\n", observed, edges, distinct)
 		fmt.Printf("evaluation on %d held-out pairs (ground truth: empirical joint distributions):\n", report.TestPairs)
 		fmt.Printf("  KL(hybrid)        = %.4f\n", report.MeanKLHybrid)
 		fmt.Printf("  KL(convolution)   = %.4f\n", report.MeanKLConv)

@@ -191,12 +191,13 @@ func NewEngineFromObservations(g *Graph, trajs []Trajectory, cfg hybrid.Config, 
 		return nil, fmt.Errorf("stochroute: training: %w", err)
 	}
 	for s, report := range reports {
+		observed, edges, distinct := set.At(s).KB.EdgeCoverage()
 		if k > 1 {
-			fmt.Fprintf(logW, "stochroute: slice %d: %d trajectories, %d pairs, KL(hybrid)=%.4f KL(conv)=%.4f on %d held-out pairs\n",
-				s, len(bySlice[s]), set.At(s).KB.NumPairs(), report.MeanKLHybrid, report.MeanKLConv, report.TestPairs)
+			fmt.Fprintf(logW, "stochroute: slice %d: %d trajectories, %d pairs, observed %d of %d edges, %d distinct marginals, KL(hybrid)=%.4f KL(conv)=%.4f on %d held-out pairs\n",
+				s, len(bySlice[s]), set.At(s).KB.NumPairs(), observed, edges, distinct, report.MeanKLHybrid, report.MeanKLConv, report.TestPairs)
 		} else {
-			fmt.Fprintf(logW, "stochroute: KL(hybrid)=%.4f KL(conv)=%.4f on %d held-out pairs\n",
-				report.MeanKLHybrid, report.MeanKLConv, report.TestPairs)
+			fmt.Fprintf(logW, "stochroute: observed %d of %d edges, %d distinct marginals, KL(hybrid)=%.4f KL(conv)=%.4f on %d held-out pairs\n",
+				observed, edges, distinct, report.MeanKLHybrid, report.MeanKLConv, report.TestPairs)
 		}
 	}
 	eng := &Engine{

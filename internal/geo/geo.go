@@ -55,20 +55,6 @@ func ApproxDistance(a, b Point) float64 {
 	return math.Sqrt(x*x+y*y) * EarthRadiusMeters
 }
 
-// InitialBearing returns the initial great-circle bearing from a to b,
-// in degrees clockwise from north, normalised to [0, 360).
-func InitialBearing(a, b Point) float64 {
-	la1, la2 := radians(a.Lat), radians(b.Lat)
-	dLon := radians(b.Lon - a.Lon)
-	y := math.Sin(dLon) * math.Cos(la2)
-	x := math.Cos(la1)*math.Sin(la2) - math.Sin(la1)*math.Cos(la2)*math.Cos(dLon)
-	brg := degrees(math.Atan2(y, x))
-	if brg < 0 {
-		brg += 360
-	}
-	return brg
-}
-
 // Destination returns the point reached by travelling distMeters from p on
 // the given initial bearing (degrees clockwise from north).
 func Destination(p Point, bearingDeg, distMeters float64) Point {

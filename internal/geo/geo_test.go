@@ -68,24 +68,6 @@ func TestDestinationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInitialBearingCardinal(t *testing.T) {
-	origin := Point{57.0, 9.9}
-	tests := []struct {
-		bearing float64
-	}{{0}, {90}, {180}, {270}}
-	for _, tt := range tests {
-		target := Destination(origin, tt.bearing, 1000)
-		got := InitialBearing(origin, target)
-		diff := math.Abs(got - tt.bearing)
-		if diff > 180 {
-			diff = 360 - diff
-		}
-		if diff > 0.5 {
-			t.Errorf("InitialBearing toward %v° = %v°", tt.bearing, got)
-		}
-	}
-}
-
 func TestPointValid(t *testing.T) {
 	valid := []Point{{0, 0}, {90, 180}, {-90, -180}, {57, 9.9}}
 	for _, p := range valid {

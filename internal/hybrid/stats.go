@@ -16,9 +16,15 @@
 //  2. a binary classifier (logistic regression) that decides, per
 //     intersection, whether to use convolution (independent pair) or
 //     estimation (dependent pair).
+//
+// Where there is no data the model falls back to a per-edge prior
+// marginal. Priors are interned per BuildKnowledgeBase call: edges whose
+// priors have the same content share one *hist.Hist, so every marginal
+// the knowledge base hands out is read-only.
 package hybrid
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 
@@ -30,8 +36,13 @@ import (
 // EdgeStats is what the model knows about a single edge from
 // observations (or from the free-flow fallback when unobserved).
 type EdgeStats struct {
-	Marginal *hist.Hist // empirical travel-time distribution
-	MinTime  float64    // smallest observed travel time (optimistic bound)
+	// Marginal is the edge's travel-time distribution: the empirical
+	// histogram shrunk toward the prior, or the prior itself when Count
+	// is 0. It is shared between edges (unobserved edges with the same
+	// prior content hold the same pointer) and read-only: clone it,
+	// convolve from it or measure it, never write to it.
+	Marginal *hist.Hist
+	MinTime  float64 // smallest observed travel time (optimistic bound)
 	Mean     float64
 	Std      float64
 	Count    int // observation count; 0 means free-flow fallback
@@ -92,98 +103,32 @@ func BuildKnowledgeBase(g *graph.Graph, obs *traj.ObservationStore, width float6
 		edges: make([]EdgeStats, g.NumEdges()),
 	}
 
-	// Pass 1: travel-time / free-flow ratio profiles — one per road
-	// category plus a global fallback — and the mean ratio
-	// (FallbackFactor). Congestion shapes differ sharply by road class
-	// (motorways are tight, residential streets heavy-tailed), so a
-	// class-agnostic prior would make rarely observed side streets look
-	// as reliable as arterials.
-	global := newRatioProfile()
-	byCat := make([]*ratioProfile, graph.NumRoadCategories)
-	for c := range byCat {
-		byCat[c] = newRatioProfile()
-	}
-	ratioSum, ratioN := 0.0, 0
-	for e := 0; e < g.NumEdges(); e++ {
-		id := graph.EdgeID(e)
-		samples := obs.Edge[id]
-		if len(samples) == 0 {
-			continue
-		}
-		ed := g.Edge(id)
-		ff := ed.FreeFlowSeconds()
-		if ff <= 0 {
-			continue
-		}
-		// Weight each edge equally regardless of its sample count so
-		// heavily travelled edges do not dominate the profile.
-		inc := 1 / float64(len(samples))
-		mean := 0.0
-		catProfile := global
-		if int(ed.Category) < len(byCat) {
-			catProfile = byCat[ed.Category]
-		}
-		for _, s := range samples {
-			global.add(s/ff, inc)
-			catProfile.add(s/ff, inc)
-			mean += s
-		}
-		ratioSum += mean / float64(len(samples)) / ff
-		ratioN++
-	}
-	kb.FallbackFactor = 1.3
-	if ratioN > 0 {
-		kb.FallbackFactor = ratioSum / float64(ratioN)
-	}
-	if global.total == 0 {
-		// No observations at all: a coarse congestion shape around the
-		// fallback factor.
-		global.add(kb.FallbackFactor*0.85, 0.55)
-		global.add(kb.FallbackFactor, 0.3)
-		global.add(kb.FallbackFactor*1.3, 0.15)
-	}
-	// A category profile needs the equivalent of a few dozen edges of
-	// evidence before it overrides the global shape.
-	const minProfileWeight = 25.0
-	profileFor := func(cat graph.RoadCategory) *ratioProfile {
-		if int(cat) < len(byCat) && byCat[cat].total >= minProfileWeight {
-			return byCat[cat]
-		}
-		return global
-	}
+	profileFor, fallback := ratioProfiles(g, obs)
+	kb.FallbackFactor = fallback
 
 	// Pass 2: per-edge marginals with shrinkage toward the profile.
+	priors := priorTable{width: width, byKey: make(map[string]EdgeStats)}
 	for e := 0; e < g.NumEdges(); e++ {
 		id := graph.EdgeID(e)
 		ed := g.Edge(id)
-		ff := ed.FreeFlowSeconds()
-		prior := profileFor(ed.Category).scaledHist(ff, width)
+		kb.edges[e] = priors.project(profileFor(ed.Category), ed.FreeFlowSeconds())
 		samples := obs.Edge[id]
-		var marginal *hist.Hist
 		if len(samples) == 0 {
-			marginal = prior
-		} else {
-			empirical, err := hist.FromSamples(samples, width)
-			if err != nil {
-				return nil, err
-			}
-			n := float64(len(samples))
-			marginal, err = hist.Mixture(
-				[]*hist.Hist{empirical, prior},
-				[]float64{n / (n + ShrinkageK), ShrinkageK / (n + ShrinkageK)},
-			)
-			if err != nil {
-				return nil, err
-			}
-			marginal = marginal.Trim()
+			continue // the prior is all the model knows
 		}
-		kb.edges[e] = EdgeStats{
-			Marginal: marginal,
-			MinTime:  marginal.Min,
-			Mean:     marginal.Mean(),
-			Std:      marginal.Std(),
-			Count:    len(samples),
+		empirical, err := hist.FromSamples(samples, width)
+		if err != nil {
+			return nil, err
 		}
+		n := float64(len(samples))
+		marginal, err := hist.Mixture(
+			[]*hist.Hist{empirical, kb.edges[e].Marginal},
+			[]float64{n / (n + ShrinkageK), ShrinkageK / (n + ShrinkageK)},
+		)
+		if err != nil {
+			return nil, err
+		}
+		kb.edges[e] = statsOf(marginal.Trim(), len(samples))
 	}
 
 	// Pairs with data, grouped by first edge: count each group, turn
@@ -223,7 +168,8 @@ func BuildKnowledgeBase(g *graph.Graph, obs *traj.ObservationStore, width float6
 // Graph returns the underlying road graph.
 func (kb *KnowledgeBase) Graph() *graph.Graph { return kb.g }
 
-// Edge returns the statistics of edge e.
+// Edge returns the statistics of edge e. Its Marginal is shared between
+// edges and read-only (see EdgeStats).
 func (kb *KnowledgeBase) Edge(e graph.EdgeID) EdgeStats { return kb.edges[e] }
 
 // Pair returns the statistics of the (first, second) pair and whether the
@@ -244,9 +190,86 @@ func (kb *KnowledgeBase) Pair(first, second graph.EdgeID) (PairStats, bool) {
 // NumPairs returns the number of pairs with data.
 func (kb *KnowledgeBase) NumPairs() int { return len(kb.pairSecond) }
 
+// EdgeCoverage reports how much of the network the data reaches: edges
+// with an observation, all edges, and the distinct marginal histograms
+// held — one per observed edge plus the priors the others share.
+func (kb *KnowledgeBase) EdgeCoverage() (observed, edges, distinctMarginals int) {
+	priors := make(map[*hist.Hist]struct{})
+	for i := range kb.edges {
+		if kb.edges[i].Count > 0 {
+			observed++
+		} else {
+			priors[kb.edges[i].Marginal] = struct{}{}
+		}
+	}
+	return observed, len(kb.edges), observed + len(priors)
+}
+
 // MinEdgeTime returns the optimistic (smallest possible) travel time of
 // e known to the model.
 func (kb *KnowledgeBase) MinEdgeTime(e graph.EdgeID) float64 { return kb.edges[e].MinTime }
+
+// ratioProfiles is pass 1 of BuildKnowledgeBase: travel-time / free-flow
+// ratio profiles — one per road category plus a global fallback — and
+// the mean ratio (FallbackFactor). Congestion shapes differ sharply by
+// road class (motorways are tight, residential streets heavy-tailed), so
+// a class-agnostic prior would make rarely observed side streets look as
+// reliable as arterials.
+func ratioProfiles(g *graph.Graph, obs *traj.ObservationStore) (profileFor func(graph.RoadCategory) *ratioProfile, fallback float64) {
+	global := newRatioProfile()
+	byCat := make([]*ratioProfile, graph.NumRoadCategories)
+	for c := range byCat {
+		byCat[c] = newRatioProfile()
+	}
+	ratioSum, ratioN := 0.0, 0
+	for e := 0; e < g.NumEdges(); e++ {
+		id := graph.EdgeID(e)
+		samples := obs.Edge[id]
+		if len(samples) == 0 {
+			continue
+		}
+		ed := g.Edge(id)
+		ff := ed.FreeFlowSeconds()
+		if ff <= 0 {
+			continue
+		}
+		// Weight each edge equally regardless of its sample count so
+		// heavily travelled edges do not dominate the profile.
+		inc := 1 / float64(len(samples))
+		mean := 0.0
+		catProfile := global
+		if int(ed.Category) < len(byCat) {
+			catProfile = byCat[ed.Category]
+		}
+		for _, s := range samples {
+			global.add(s/ff, inc)
+			catProfile.add(s/ff, inc)
+			mean += s
+		}
+		ratioSum += mean / float64(len(samples)) / ff
+		ratioN++
+	}
+	fallback = 1.3
+	if ratioN > 0 {
+		fallback = ratioSum / float64(ratioN)
+	}
+	if global.total == 0 {
+		// No observations at all: a coarse congestion shape around the
+		// fallback factor.
+		global.add(fallback*0.85, 0.55)
+		global.add(fallback, 0.3)
+		global.add(fallback*1.3, 0.15)
+	}
+	// A category profile needs the equivalent of a few dozen edges of
+	// evidence before it overrides the global shape.
+	const minProfileWeight = 25.0
+	return func(cat graph.RoadCategory) *ratioProfile {
+		if int(cat) < len(byCat) && byCat[cat].total >= minProfileWeight {
+			return byCat[cat]
+		}
+		return global
+	}, fallback
+}
 
 // ratioProfile is a coarse histogram over travel-time / free-flow
 // ratios, the network-wide congestion shape used as the shrinkage prior.
@@ -282,35 +305,64 @@ func (p *ratioProfile) add(ratio, weight float64) {
 	p.total += weight
 }
 
-// scaledHist projects the ratio profile onto the absolute travel-time
-// grid for an edge with the given free-flow time.
-func (p *ratioProfile) scaledHist(freeFlow, width float64) *hist.Hist {
+// statsOf measures an edge's marginal.
+func statsOf(marginal *hist.Hist, count int) EdgeStats {
+	return EdgeStats{Marginal: marginal, MinTime: marginal.Min, Mean: marginal.Mean(), Std: marginal.Std(), Count: count}
+}
+
+// priorTable interns the prior marginals of one BuildKnowledgeBase call
+// by content, as the statistics of an edge without data: a ratio profile
+// projected onto the free-flow times of a hundred thousand edges yields
+// a few hundred distinct histograms. It lives for one call because the
+// profiles change with the data.
+type priorTable struct {
+	width float64
+	byKey map[string]EdgeStats
+	buf   []float64 // dense projection, reused
+	key   []byte    // first grid index, then the mass bits of buf; reused
+}
+
+// project returns the ratio profile p projected onto the absolute
+// travel-time grid for an edge with the given free-flow time. Every
+// step from ratio bucket to grid index is monotone, so the indices
+// arrive in ascending order: the first one starts the support, the
+// buffer only grows at its end, and each grid point sums its masses in
+// the order a per-index accumulator would — equal content, equal bits.
+func (t *priorTable) project(p *ratioProfile, freeFlow float64) EdgeStats {
+	width := t.width
 	if freeFlow <= 0 {
 		freeFlow = width
 	}
-	masses := make(map[int]float64)
-	lo, hi := math.MaxInt32, math.MinInt32
+	t.buf = t.buf[:0]
+	lo := 0
 	for i, m := range p.mass {
 		if m == 0 {
 			continue
 		}
 		ratio := ratioGridMin + float64(i)*ratioGridStep
-		t := math.Max(width, math.Round(ratio*freeFlow/width)*width)
-		idx := int(math.Round(t / width))
-		masses[idx] += m
-		if idx < lo {
+		at := math.Max(width, math.Round(ratio*freeFlow/width)*width)
+		idx := int(math.Round(at / width))
+		if len(t.buf) == 0 {
 			lo = idx
 		}
-		if idx > hi {
-			hi = idx
+		for len(t.buf) <= idx-lo {
+			t.buf = append(t.buf, 0)
 		}
+		t.buf[idx-lo] += m
 	}
-	if len(masses) == 0 {
-		return hist.Delta(math.Max(width, freeFlow), width)
+	if len(t.buf) == 0 {
+		// An empty profile has no shape to share: all mass at the
+		// free-flow time.
+		return statsOf(hist.Delta(math.Max(width, freeFlow), width), 0)
 	}
-	out := make([]float64, hi-lo+1)
-	for idx, m := range masses {
-		out[idx-lo] = m
+	t.key = binary.LittleEndian.AppendUint64(t.key[:0], uint64(lo))
+	for _, m := range t.buf {
+		t.key = binary.LittleEndian.AppendUint64(t.key, math.Float64bits(m))
 	}
-	return hist.New(float64(lo)*width, width, out).Normalize()
+	st, ok := t.byKey[string(t.key)]
+	if !ok {
+		st = statsOf(hist.New(float64(lo)*width, width, append([]float64(nil), t.buf...)).Normalize(), 0)
+		t.byKey[string(t.key)] = st
+	}
+	return st
 }

@@ -41,15 +41,6 @@ func (h *Heap[T]) Pop() (item T, prio float64, ok bool) {
 	return top.item, top.prio, true
 }
 
-// Peek returns the smallest-priority item without removing it.
-func (h *Heap[T]) Peek() (item T, prio float64, ok bool) {
-	if len(h.items) == 0 {
-		var zero T
-		return zero, 0, false
-	}
-	return h.items[0].item, h.items[0].prio, true
-}
-
 // Reset empties the heap, retaining capacity.
 func (h *Heap[T]) Reset() { h.items = h.items[:0] }
 

@@ -24,22 +24,6 @@ func TestHeapOrdering(t *testing.T) {
 	}
 }
 
-func TestHeapPeek(t *testing.T) {
-	var h Heap[int]
-	if _, _, ok := h.Peek(); ok {
-		t.Error("Peek on empty heap should report !ok")
-	}
-	h.Push(5, 50)
-	h.Push(2, 20)
-	item, prio, ok := h.Peek()
-	if !ok || item != 20 || prio != 2 {
-		t.Errorf("Peek = (%d, %v, %v)", item, prio, ok)
-	}
-	if h.Len() != 2 {
-		t.Errorf("Peek should not remove; len = %d", h.Len())
-	}
-}
-
 func TestHeapSortsRandomInput(t *testing.T) {
 	f := func(prios []float64) bool {
 		var h Heap[int]

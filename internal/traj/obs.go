@@ -115,16 +115,6 @@ func (s *ObservationStore) NumEdgeObservations() int {
 	return n
 }
 
-// EdgeHist returns the empirical marginal histogram of edge e on the
-// given grid width, or an error if e has no observations.
-func (s *ObservationStore) EdgeHist(e graph.EdgeID, width float64) (*hist.Hist, error) {
-	samples, ok := s.Edge[e]
-	if !ok || len(samples) == 0 {
-		return nil, fmt.Errorf("traj: edge %d has no observations", e)
-	}
-	return hist.FromSamples(samples, width)
-}
-
 // PairSumHist returns the empirical histogram of T1+T2 for the pair, or
 // an error without observations.
 func (s *ObservationStore) PairSumHist(k PairKey, width float64) (*hist.Hist, error) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"stochroute/internal/graph"
-	"stochroute/internal/hist"
 )
 
 func testObs(t *testing.T, w *World, nTraj int) *ObservationStore {
@@ -41,43 +40,9 @@ func TestCollectCounts(t *testing.T) {
 	}
 }
 
-func TestEdgeHistMatchesMarginal(t *testing.T) {
-	w := testWorld(t, nil)
-	obs := testObs(t, w, 8000)
-	width := w.cfg.BucketWidth
-	checked := 0
-	for e, samples := range obs.Edge {
-		if len(samples) < 100 {
-			continue
-		}
-		h, err := obs.EdgeHist(e, width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth := w.EdgeMarginal(e)
-		d, err := hist.TotalVariation(h, truth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d > 0.2 {
-			t.Errorf("edge %d empirical marginal TV %v from truth (n=%d)", e, d, len(samples))
-		}
-		checked++
-		if checked > 20 {
-			break
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no edges with enough observations")
-	}
-}
-
-func TestEdgeHistErrors(t *testing.T) {
+func TestPairSumHistErrors(t *testing.T) {
 	w := testWorld(t, nil)
 	obs := NewObservationStore(w.Graph(), 2)
-	if _, err := obs.EdgeHist(0, 2); err == nil {
-		t.Error("edge without observations should error")
-	}
 	if _, err := obs.PairSumHist(PairKey{0, 1}, 2); err == nil {
 		t.Error("pair without observations should error")
 	}

@@ -40,17 +40,12 @@ func (t *Trajectory) Validate(g *graph.Graph) error {
 	return nil
 }
 
-// SampleTraversal draws the observed travel time of edge e given the
-// previous edge's latent mode (-1 for the first edge of a trip), and
-// returns the drawn time together with e's mode for chaining. via is the
-// intersection crossed between the previous edge and e (ignored when
-// prevMode < 0).
-func (w *World) SampleTraversal(r *rng.RNG, e graph.EdgeID, via graph.VertexID, prevMode int) (t float64, mode int) {
-	return w.SampleTraversalAt(r, e, via, prevMode, 0)
-}
-
-// SampleTraversalAt is SampleTraversal under the mode prior of the
-// given time-of-day slice (the trip's departure slice).
+// SampleTraversalAt draws the observed travel time of edge e given the
+// previous edge's latent mode (-1 for the first edge of a trip) under
+// the mode prior of the given time-of-day slice (the trip's departure
+// slice), and returns the drawn time together with e's mode for
+// chaining. via is the intersection crossed between the previous edge
+// and e (ignored when prevMode < 0).
 func (w *World) SampleTraversalAt(r *rng.RNG, e graph.EdgeID, via graph.VertexID, prevMode, slice int) (t float64, mode int) {
 	prior := w.ModePriorAt(slice)
 	if prevMode < 0 {

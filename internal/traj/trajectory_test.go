@@ -1,7 +1,6 @@
 package traj
 
 import (
-	"math"
 	"testing"
 
 	"stochroute/internal/graph"
@@ -91,48 +90,6 @@ func TestTrajectoryTimesComeFromModeValues(t *testing.T) {
 			if !found {
 				t.Fatalf("trajectory %d hop %d time %v not a mode value of edge %d", i, j, tr.Times[j], e)
 			}
-		}
-	}
-}
-
-func TestSampleTraversalStickiness(t *testing.T) {
-	w := testWorld(t, func(c *WorldConfig) { c.DependentVertexProb = 1; c.Stickiness = 0.9 })
-	g := w.Graph()
-	r := rng.New(77)
-	// Pick any edge and a via vertex that is dependent.
-	e := graph.EdgeID(0)
-	via := g.Edge(e).From
-	same := 0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		_, mode := w.SampleTraversal(r, e, via, 2) // previous mode = 2 (rare prior)
-		if mode == 2 {
-			same++
-		}
-	}
-	// P(same) = stick + (1-stick)*pi[2] = 0.9 + 0.1*0.15 = 0.915.
-	got := float64(same) / n
-	if math.Abs(got-0.915) > 0.01 {
-		t.Errorf("mode carry-over frequency %v, want ~0.915", got)
-	}
-}
-
-func TestSampleTraversalFreshDraw(t *testing.T) {
-	w := testWorld(t, func(c *WorldConfig) { c.DependentVertexProb = 0 })
-	g := w.Graph()
-	r := rng.New(78)
-	e := graph.EdgeID(0)
-	via := g.Edge(e).From
-	counts := make([]int, w.NumModes())
-	const n = 30000
-	for i := 0; i < n; i++ {
-		_, mode := w.SampleTraversal(r, e, via, 2)
-		counts[mode]++
-	}
-	for m, c := range counts {
-		want := w.cfg.ModePrior[m]
-		if got := float64(c) / n; math.Abs(got-want) > 0.01 {
-			t.Errorf("mode %d frequency %v, want %v", m, got, want)
 		}
 	}
 }

@@ -271,23 +271,6 @@ func (w *World) ModeTime(e graph.EdgeID, m int) float64 {
 // congestion modes of consecutive edges.
 func (w *World) IsDependentVertex(v graph.VertexID) bool { return w.depVertex[v] }
 
-// MinEdgeTime returns the smallest travel time edge e can ever take,
-// including downward noise: the optimistic per-edge bound used by the
-// routing potentials.
-func (w *World) MinEdgeTime(e graph.EdgeID) float64 {
-	m := w.NumModes()
-	min := w.modeTime[int(e)*m]
-	for mode := 1; mode < m; mode++ {
-		if t := w.modeTime[int(e)*m+mode]; t < min {
-			min = t
-		}
-	}
-	if w.cfg.NoiseProb > 0 {
-		min -= w.cfg.BucketWidth
-	}
-	return min
-}
-
 // noisePMF returns the ±1-bucket traversal noise as (offsets in buckets,
 // probabilities).
 func (w *World) noisePMF() ([]int, []float64) {
