@@ -41,7 +41,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	replicas := flag.String("replicas", "", "fleet as comma-separated id=url pairs, e.g. r1=http://localhost:8081,r2=http://localhost:8082 (required); ids must match each replica's -replica-id")
-	vnodes := flag.Int("vnodes", gateway.DefaultVNodes, "virtual nodes per replica on the consistent-hash ring")
 	probeEvery := flag.Duration("probe-interval", 2*time.Second, "health-probe period")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe timeout")
 	downAfter := flag.Int("down-after", 2, "consecutive probe failures before a replica is marked down (request-path transport failures mark it down immediately)")
@@ -66,7 +65,6 @@ func main() {
 
 	gw, err := gateway.New(gateway.Config{
 		Replicas:         fleet,
-		VNodes:           *vnodes,
 		ProbeInterval:    *probeEvery,
 		ProbeTimeout:     *probeTimeout,
 		DownAfter:        *downAfter,
@@ -86,7 +84,7 @@ func main() {
 	defer stop()
 
 	log.Printf("gateway: fronting %d replicas on %s (%d vnodes each, probe every %v)",
-		len(fleet), *addr, *vnodes, *probeEvery)
+		len(fleet), *addr, gateway.DefaultVNodes, *probeEvery)
 	if err := gw.Serve(ctx, *addr); err != nil {
 		log.Fatal(err)
 	}

@@ -38,7 +38,9 @@
 //   - internal/ingest — the write path: streaming trajectory ingestion
 //     with drift detection and background retraining, published
 //     through the engine's epoch-tagged model hot swap (exercise it
-//     end to end with cmd/replay against POST /ingest)
+//     end to end with cmd/replay against POST /ingest). Its aggregate
+//     is the accepted trajectories; each rebuild derives its own
+//     observation store from them
 //   - internal/exp — the harness that regenerates every table of the
 //     paper's evaluation
 //
@@ -115,7 +117,9 @@
 // per-request structs (hybrid.QueryStats, surfaced as
 // RouteResult.NumConvolved/NumEstimated — extensions built, which
 // excludes children the search pruned from the parent label before
-// costing them) plus atomic lifetime totals.
+// costing them), which the engine adds to its lifetime totals
+// (Engine.DecisionCounts) once per answered routing query; a model
+// holds no mutable state on the query path.
 // Earlier versions required serialising Route calls or cloning models
 // per goroutine; that caveat is gone.
 //
@@ -128,10 +132,11 @@
 // The serving model itself lives behind an epoch-tagged atomic
 // pointer: Engine.SwapModel (used by internal/ingest after a
 // background rebuild, and by LoadModel) publishes a new model
-// generation without pausing queries. In-flight queries finish on the
-// snapshot they started with, new queries see the new generation, and
-// every RouteResult carries the ModelEpoch that answered it so callers
-// and caches can tell generations apart.
+// generation without pausing queries and without writing to the model
+// it is handed. In-flight queries finish on the snapshot they started
+// with, new queries see the new generation, and every RouteResult
+// carries the ModelEpoch that answered it so callers and caches can
+// tell generations apart.
 //
 // # Time-of-day slices
 //

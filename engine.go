@@ -52,13 +52,6 @@ type modelSnapshot struct {
 	// queries keep using the tables that match the models they started
 	// on.
 	alt *altTables
-
-	// baseConvolved/baseEstimated carry the decision totals of every
-	// retired generation, folded in at swap time, so DecisionCounts is
-	// one snapshot read — the fold and the publish are a single atomic
-	// pointer store, never transiently double-counted.
-	baseConvolved uint64
-	baseEstimated uint64
 }
 
 // altTables is one generation's ALT landmark preprocessing (see
@@ -103,7 +96,8 @@ func (s *modelSnapshot) successor() *modelSnapshot {
 // Route, RouteCtx, RouteBatch, AlternativeRoutes, PathDistribution,
 // PairSumAt and friends — is read-only and safe for any number of
 // concurrent goroutines on one shared Engine; decision telemetry is
-// kept per-request and in atomic lifetime totals.
+// kept per request and added to the engine's lifetime totals once per
+// answered query.
 //
 // The serving model lives behind an epoch-tagged atomic pointer:
 // SwapModel (and LoadModel, which is built on it) atomically publishes
@@ -125,6 +119,11 @@ type Engine struct {
 	// behind an atomic pointer so attaching or detaching the recorder
 	// never races the query path.
 	searchMetrics atomic.Pointer[obs.SearchMetrics]
+
+	// convolved and estimated are the lifetime decision totals: each
+	// answered routing query adds its own counts once (routeOnSnapshot).
+	convolved atomic.Uint64
+	estimated atomic.Uint64
 
 	// Report is the KL-divergence evaluation captured during training
 	// (slice 0's report for a time-sliced engine).
@@ -387,16 +386,6 @@ func (e *Engine) swapSliceLocked(slice int, model *Model, obs *ObservationStore)
 			return 0, err
 		}
 	}
-	// Fold the retiring model's lifetime decision counters into the
-	// new snapshot's base so DecisionCounts keeps counting across
-	// swaps. (Queries still in flight on the old model may add a few
-	// more decisions after this read; those are lost from the total.)
-	if retiring := prev.set.At(slice); retiring != model {
-		conv, est := retiring.DecisionCounts()
-		next.baseConvolved += conv
-		next.baseEstimated += est
-		model.ResetCounters()
-	}
 	e.current.Store(next)
 	return next.epoch, nil
 }
@@ -411,14 +400,6 @@ func (e *Engine) swapSetLocked(set *hybrid.ModelSet) error {
 	next := prev.successor()
 	next.set = set
 	next.sliceEpochs = newSliceEpochs(set.K(), next.epoch)
-	for s := 0; s < prev.set.K(); s++ {
-		if retiring := prev.set.At(s); retiring != set.At(s) {
-			conv, est := retiring.DecisionCounts()
-			next.baseConvolved += conv
-			next.baseEstimated += est
-			set.At(s).ResetCounters()
-		}
-	}
 	// A whole-set swap invalidates every slice's tables: rebuild them
 	// (same landmarks — selection depends only on the graph) before
 	// publishing.
@@ -587,6 +568,8 @@ func (e *Engine) routeOnSnapshot(ctx context.Context, cur *modelSnapshot, source
 	}
 	res.NumConvolved = qs.Convolved
 	res.NumEstimated = qs.Estimated
+	e.convolved.Add(uint64(qs.Convolved))
+	e.estimated.Add(uint64(qs.Estimated))
 	res.ModelEpoch = cur.epochFor(slice, opts)
 	res.Slice = slice
 	if sp != nil {
@@ -706,13 +689,13 @@ func (e *Engine) RouteBatch(ctx context.Context, queries []routing.BatchQuery, w
 	return out
 }
 
-// DecisionCounts returns the engine's lifetime convolve/estimate totals
-// across every query answered so far, including by model generations
-// since retired by SwapModel.
+// DecisionCounts returns the engine's lifetime convolve/estimate
+// totals: the sum of NumConvolved / NumEstimated over every routing
+// query answered so far (single, batched or time-expanded), whichever
+// model generation answered it. PairSumAt and PathDistribution are not
+// routing queries and do not count.
 func (e *Engine) DecisionCounts() (convolved, estimated uint64) {
-	cur := e.current.Load()
-	conv, est := cur.set.DecisionCounts()
-	return cur.baseConvolved + conv, cur.baseEstimated + est
+	return e.convolved.Load(), e.estimated.Load()
 }
 
 // PairSumAt returns the distribution for traversing the adjacent edge

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -409,13 +410,22 @@ func TestNewEngineFromObservationsValidation(t *testing.T) {
 	}
 }
 
-// TestEngineHotSwapDuringQueries exercises the epoch-tagged model swap
-// while queries run (the -race gate for SwapModel): answers must stay
-// correct throughout, and post-swap results must carry the new epoch.
-// The swapped-in model shares the serving model's weights, so every
-// answer — old or new generation — must equal the serial baseline.
+// TestEngineHotSwapDuringQueries exercises the epoch-tagged model swaps
+// while queries run (the -race gate for SwapSliceModel and LoadModel):
+// answers must stay correct throughout, and post-swap results must
+// carry the new epoch. The swapped-in and the loaded model share the
+// serving model's weights, so every answer — whichever generation gave
+// it — must equal the serial baseline. The engine's lifetime decision
+// totals must grow by exactly what the answered queries report,
+// in-flight queries on a retiring generation included.
 func TestEngineHotSwapDuringQueries(t *testing.T) {
 	e := testEngine(t)
+	conv0, est0 := e.DecisionCounts()
+	var conv, est atomic.Uint64
+	answered := func(res *RouteResult) {
+		conv.Add(uint64(res.NumConvolved))
+		est.Add(uint64(res.NumEstimated))
+	}
 	qs, err := e.SampleQueries(0.4, 1.2, 4, 51)
 	if err != nil {
 		t.Fatal(err)
@@ -432,11 +442,16 @@ func TestEngineHotSwapDuringQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		answered(res)
 		want[i] = res.Prob
 	}
 
 	startEpoch := e.ModelEpoch()
 	clone := sameWeightsModel(e.Model())
+	saved := filepath.Join(t.TempDir(), "model.srhm")
+	if err := e.SaveModel(saved); err != nil {
+		t.Fatal(err)
+	}
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -452,11 +467,12 @@ func TestEngineHotSwapDuringQueries(t *testing.T) {
 					errs[w] = err
 					return
 				}
+				answered(res)
 				if res.Prob != want[k] {
 					errs[w] = fmt.Errorf("worker %d: prob %v != serial %v (epoch %d)", w, res.Prob, want[k], res.ModelEpoch)
 					return
 				}
-				if res.ModelEpoch != startEpoch && res.ModelEpoch != startEpoch+1 {
+				if res.ModelEpoch < startEpoch || res.ModelEpoch > startEpoch+2 {
 					errs[w] = fmt.Errorf("worker %d: unexpected epoch %d", w, res.ModelEpoch)
 					return
 				}
@@ -464,13 +480,17 @@ func TestEngineHotSwapDuringQueries(t *testing.T) {
 		}(w)
 	}
 
-	epoch, err := e.SwapModel(clone, nil)
+	epoch, err := e.SwapSliceModel(0, clone, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if epoch != startEpoch+1 {
 		t.Errorf("swap returned epoch %d, want %d", epoch, startEpoch+1)
 	}
+	if err := e.LoadModel(saved); err != nil {
+		t.Fatal(err)
+	}
+	epoch++
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -488,12 +508,16 @@ func TestEngineHotSwapDuringQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	answered(res)
 	if res.ModelEpoch != epoch {
 		t.Errorf("post-swap route carries epoch %d, want %d", res.ModelEpoch, epoch)
 	}
-	conv, est := e.DecisionCounts()
-	if conv+est == 0 {
-		t.Error("lifetime decision totals should survive the swap")
+	if conv.Load() == 0 || est.Load() == 0 {
+		t.Fatalf("the queries report %d convolved, %d estimated: nothing to count", conv.Load(), est.Load())
+	}
+	if c, s := e.DecisionCounts(); c-conv0 != conv.Load() || s-est0 != est.Load() {
+		t.Errorf("DecisionCounts grew by (%d, %d) across two swaps; the answered queries report (%d, %d)",
+			c-conv0, s-est0, conv.Load(), est.Load())
 	}
 }
 
@@ -504,14 +528,12 @@ func TestEngineHotSwapDuringQueries(t *testing.T) {
 // invite — fails here.
 func TestSnapshotSuccessorCarriesEveryField(t *testing.T) {
 	prev := &modelSnapshot{
-		set:           &hybrid.ModelSet{},
-		obs:           &traj.SlicedObservations{},
-		epoch:         7,
-		sliceEpochs:   []uint64{3, 7},
-		swappedAt:     time.Unix(1, 0),
-		alt:           &altTables{},
-		baseConvolved: 11,
-		baseEstimated: 13,
+		set:         &hybrid.ModelSet{},
+		obs:         &traj.SlicedObservations{},
+		epoch:       7,
+		sliceEpochs: []uint64{3, 7},
+		swappedAt:   time.Unix(1, 0),
+		alt:         &altTables{},
 	}
 	next := prev.successor()
 	reset := map[string]bool{"epoch": true, "swappedAt": true, "sliceEpochs": true}

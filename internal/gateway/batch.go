@@ -56,6 +56,9 @@ type batchGroup struct {
 	queries []json.RawMessage // item bytes, same order as orig
 }
 
+// maxBatchBytes caps one /route/batch request body.
+const maxBatchBytes = 1 << 20
+
 // queryIndexRE matches the per-item position a replica names in its
 // batch validation errors, so the gateway can remap sub-batch positions
 // back to the client's original indices.
@@ -83,11 +86,11 @@ var queryIndexRE = regexp.MustCompile(`queries\[(\d+)\]`)
 // to the client's indices — the same contract the replica itself has.
 func (g *Gateway) handleRouteBatch(w http.ResponseWriter, r *http.Request) error {
 	start := time.Now()
-	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBatchBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBytes+1))
 	if err != nil {
 		return httpsvc.BadRequest("read body: %v", err)
 	}
-	if int64(len(body)) > g.cfg.MaxBatchBytes {
+	if len(body) > maxBatchBytes {
 		return &httpsvc.Error{Code: http.StatusRequestEntityTooLarge, Msg: "request body too large"}
 	}
 	var req gwBatchRequest

@@ -33,9 +33,6 @@ type Config struct {
 	// Replicas is the fleet, in a stable order: ring points, metric
 	// labels and /stats entries are all keyed by these IDs.
 	Replicas []Replica
-	// VNodes is the per-replica virtual-node count of the consistent-
-	// hash ring (default DefaultVNodes).
-	VNodes int
 	// ProbeInterval is the health-probe period (default 2s).
 	ProbeInterval time.Duration
 	// ProbeTimeout caps one /healthz probe (default 1s).
@@ -46,8 +43,6 @@ type Config struct {
 	DownAfter int
 	// RequestTimeout caps one proxied dispatch (default 15s).
 	RequestTimeout time.Duration
-	// MaxBatchBytes caps one /route/batch request body (default 1 MiB).
-	MaxBatchBytes int64
 	// MaxIngestBytes caps one /ingest request body (default 8 MiB).
 	MaxIngestBytes int64
 	// IngestQueue is each replica's fan-out queue depth in batches
@@ -82,9 +77,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
@@ -96,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 15 * time.Second
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 1 << 20
 	}
 	if c.MaxIngestBytes <= 0 {
 		c.MaxIngestBytes = 8 << 20
@@ -189,7 +178,7 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		g.reps = append(g.reps, rep)
 	}
-	g.ring = NewRing(ids, cfg.VNodes)
+	g.ring = NewRing(ids, DefaultVNodes)
 	g.transport = newTransport()
 	g.gm = obs.NewGatewayMetrics(cfg.Metrics, ids)
 	for i := range g.reps {

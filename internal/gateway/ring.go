@@ -6,9 +6,9 @@ import (
 )
 
 // Ring is a consistent-hash ring over a fixed replica fleet. Each
-// replica owns VNodes points on the ring (hashes of "id#v"), so key
-// ranges interleave finely and a down replica's load spreads across
-// every survivor instead of dumping onto one neighbour.
+// replica owns DefaultVNodes points on the ring (hashes of "id#v"), so
+// key ranges interleave finely and a down replica's load spreads
+// across every survivor instead of dumping onto one neighbour.
 //
 // The ring itself is immutable after construction: health is an input
 // to lookup (OwnerAlive's alive predicate), not ring state. That is
@@ -28,9 +28,11 @@ type ringPoint struct {
 	replica int
 }
 
-// DefaultVNodes is the per-replica virtual-node count used when a
-// Config leaves VNodes zero: high enough that the key split across a
-// small fleet stays within a few percent of uniform.
+// DefaultVNodes is the per-replica virtual-node count of every
+// gateway's ring: high enough that the key split across a small fleet
+// stays within a few percent of uniform, and a constant because two
+// gateways of one fleet that disagreed on it would route the same key
+// to different replicas.
 const DefaultVNodes = 256
 
 // NewRing builds the ring for the given replica IDs. vnodes <= 0 uses

@@ -299,29 +299,6 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
-// ConnectedComponent returns the vertices reachable from start following
-// forward edges (weakly useful for sanity checks; strongly connected
-// checks combine forward and backward reachability).
-func (g *Graph) ConnectedComponent(start VertexID) []VertexID {
-	seen := make([]bool, g.NumVertices())
-	stack := []VertexID{start}
-	seen[start] = true
-	var out []VertexID
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, v)
-		for _, e := range g.Out(v) {
-			to := g.edges[e].To
-			if !seen[to] {
-				seen[to] = true
-				stack = append(stack, to)
-			}
-		}
-	}
-	return out
-}
-
 // LargestStronglyReachableFrom returns the set of vertices v such that
 // start can reach v and v can reach start (the strongly connected
 // component containing start), as a boolean mask.

@@ -166,18 +166,6 @@ func TestEdgePairsUTurns(t *testing.T) {
 	}
 }
 
-func TestConnectedComponent(t *testing.T) {
-	g, _ := buildDiamond(t)
-	comp := g.ConnectedComponent(0)
-	if len(comp) != 4 {
-		t.Errorf("component from 0 = %v", comp)
-	}
-	comp = g.ConnectedComponent(3)
-	if len(comp) != 1 {
-		t.Errorf("component from sink = %v", comp)
-	}
-}
-
 func TestLargestStronglyReachableFrom(t *testing.T) {
 	// Two vertices strongly connected, a third only reachable forward.
 	b := NewBuilder(3, 4)

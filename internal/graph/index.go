@@ -142,31 +142,6 @@ func (idx *GridIndex) Nearest(p geo.Point) VertexID {
 	return best
 }
 
-// Within returns all vertices within radiusMeters of p.
-func (idx *GridIndex) Within(p geo.Point, radiusMeters float64) []VertexID {
-	if idx.g.NumVertices() == 0 {
-		return nil
-	}
-	var out []VertexID
-	latR := radiusMeters / 111132.0
-	lonR := radiusMeters / (111320.0 * math.Cos(p.Lat*math.Pi/180))
-	loR := idx.clampRow(int((p.Lat - latR - idx.bbox.MinLat) / idx.cellLat))
-	hiR := idx.clampRow(int((p.Lat + latR - idx.bbox.MinLat) / idx.cellLat))
-	loC := idx.clampCol(int((p.Lon - lonR - idx.bbox.MinLon) / idx.cellLon))
-	hiC := idx.clampCol(int((p.Lon + lonR - idx.bbox.MinLon) / idx.cellLon))
-	for r := loR; r <= hiR; r++ {
-		for c := loC; c <= hiC; c++ {
-			cell := r*idx.cols + c
-			for _, v := range idx.cellVtx[idx.cellIdx[cell]:idx.cellIdx[cell+1]] {
-				if geo.Haversine(p, idx.g.Point(v)) <= radiusMeters {
-					out = append(out, v)
-				}
-			}
-		}
-	}
-	return out
-}
-
 // CellRepresentatives returns one vertex per non-empty grid cell (the
 // lowest-numbered vertex in each cell, so the result is deterministic).
 // It gives landmark selection and similar sampling passes a spatially
@@ -180,24 +155,4 @@ func (idx *GridIndex) CellRepresentatives() []VertexID {
 		}
 	}
 	return out
-}
-
-func (idx *GridIndex) clampRow(r int) int {
-	if r < 0 {
-		return 0
-	}
-	if r >= idx.rows {
-		return idx.rows - 1
-	}
-	return r
-}
-
-func (idx *GridIndex) clampCol(c int) int {
-	if c < 0 {
-		return 0
-	}
-	if c >= idx.cols {
-		return idx.cols - 1
-	}
-	return c
 }

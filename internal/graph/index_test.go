@@ -57,31 +57,6 @@ func TestNearestEmptyGraph(t *testing.T) {
 	if got := idx.Nearest(geo.Point{Lat: 57, Lon: 9.9}); got != NoVertex {
 		t.Errorf("Nearest on empty graph = %v", got)
 	}
-	if got := idx.Within(geo.Point{Lat: 57, Lon: 9.9}, 100); got != nil {
-		t.Errorf("Within on empty graph = %v", got)
-	}
-}
-
-func TestWithinRadius(t *testing.T) {
-	g := buildRandomGraph(t, 400, 3)
-	idx := NewGridIndex(g, 200)
-	center := geo.Point{Lat: 57.025, Lon: 9.925}
-	const radius = 800.0
-	got := idx.Within(center, radius)
-	want := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		if geo.Haversine(center, g.Point(VertexID(v))) <= radius {
-			want++
-		}
-	}
-	if len(got) != want {
-		t.Errorf("Within found %d vertices, brute force %d", len(got), want)
-	}
-	for _, v := range got {
-		if geo.Haversine(center, g.Point(v)) > radius {
-			t.Errorf("vertex %d outside radius", v)
-		}
-	}
 }
 
 func TestNearestSingleVertex(t *testing.T) {

@@ -236,8 +236,7 @@ func TestWithStatsCountsPerRequest(t *testing.T) {
 	if len(pairs) == 0 {
 		t.Skip("no pairs")
 	}
-	m.ResetCounters()
-	var qs QueryStats
+	var qs, other QueryStats
 	c := m.WithStats(&qs)
 	k := pairs[0]
 	if _, err := PathCost(c, []graph.EdgeID{k.First, k.Second}); err != nil {
@@ -246,9 +245,13 @@ func TestWithStatsCountsPerRequest(t *testing.T) {
 	if qs.Convolved+qs.Estimated != 1 {
 		t.Errorf("per-request stats counted %d decisions, want 1", qs.Convolved+qs.Estimated)
 	}
-	conv, est := m.DecisionCounts()
-	if int(conv) != qs.Convolved || int(est) != qs.Estimated {
-		t.Errorf("lifetime totals (%d,%d) disagree with request stats %+v", conv, est, qs)
+	// A second request's view of the same model counts its own
+	// decisions and nobody else's.
+	if _, err := PathCost(m.WithStats(&other), []graph.EdgeID{k.First, k.Second}); err != nil {
+		t.Fatal(err)
+	}
+	if other != qs {
+		t.Errorf("a second request over the same path counted %+v, the first %+v", other, qs)
 	}
 	if got := m.WithStats(nil); got != Coster(m) {
 		t.Error("WithStats(nil) should return the model itself")
@@ -372,9 +375,11 @@ func TestModelExtendProducesValidDistributions(t *testing.T) {
 	if len(pairs) == 0 {
 		t.Skip("no pairs")
 	}
-	m.ResetCounters()
-	for _, k := range pairs[:min(len(pairs), 100)] {
-		out, err := m.PairSumEstimate(k.First, k.Second)
+	var qs QueryStats
+	c := m.WithStats(&qs)
+	n := min(len(pairs), 100)
+	for _, k := range pairs[:n] {
+		out, err := PathCost(c, []graph.EdgeID{k.First, k.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,8 +392,8 @@ func TestModelExtendProducesValidDistributions(t *testing.T) {
 			t.Fatalf("pair (%d,%d) min %v below optimistic bound %v", k.First, k.Second, out.Min, minBound)
 		}
 	}
-	if conv, est := m.DecisionCounts(); conv+est == 0 {
-		t.Error("decision counters not updated")
+	if qs.Convolved+qs.Estimated != n {
+		t.Errorf("%d extensions counted %+v", n, qs)
 	}
 }
 
@@ -410,22 +415,21 @@ func TestModelModes(t *testing.T) {
 	prev := m.Mode
 	defer func() { m.Mode = prev }()
 
-	m.Mode = AlwaysConvolve
-	m.ResetCounters()
-	if _, err := m.PairSumEstimate(k.First, k.Second); err != nil {
-		t.Fatal(err)
+	decide := func() (qs QueryStats) {
+		t.Helper()
+		if _, err := PathCost(m.WithStats(&qs), []graph.EdgeID{k.First, k.Second}); err != nil {
+			t.Fatal(err)
+		}
+		return qs
 	}
-	if conv, est := m.DecisionCounts(); est != 0 || conv != 1 {
-		t.Errorf("AlwaysConvolve counters: est=%d conv=%d", est, conv)
+	m.Mode = AlwaysConvolve
+	if qs := decide(); qs != (QueryStats{Convolved: 1}) {
+		t.Errorf("AlwaysConvolve decided %+v", qs)
 	}
 
 	m.Mode = AlwaysEstimate
-	m.ResetCounters()
-	if _, err := m.PairSumEstimate(k.First, k.Second); err != nil {
-		t.Fatal(err)
-	}
-	if conv, est := m.DecisionCounts(); est != 1 {
-		t.Errorf("AlwaysEstimate counters: est=%d conv=%d", est, conv)
+	if qs := decide(); qs != (QueryStats{Estimated: 1}) {
+		t.Errorf("AlwaysEstimate decided %+v", qs)
 	}
 
 	m.Mode = Auto

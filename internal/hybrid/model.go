@@ -3,7 +3,6 @@ package hybrid
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"stochroute/internal/graph"
 	"stochroute/internal/hist"
@@ -99,11 +98,12 @@ func (c *ConvolutionCoster) Width() float64 { return c.KB.Width }
 // Model is the trained Hybrid Model: knowledge base + estimator +
 // classifier. It implements Coster.
 //
-// The query path (InitialHist, Extend, PairSumEstimate, PathCost) is
-// read-only apart from the lifetime decision counters, which are
-// atomic; a single Model therefore serves any number of concurrent
-// routing queries. Mutating fields (Mode, MaxBuckets, AttachKB) must
-// not race with in-flight queries.
+// The query path (InitialHist, Extend, PairSumEstimate, PathCost) has
+// no mutable state: a query writes nothing to the model, so a single
+// Model serves any number of concurrent routing queries and a swap
+// hands one over untouched. Decisions are counted by whoever asks, in
+// a QueryStats of their own (WithStats). Mutating fields (Mode,
+// MaxBuckets, AttachKB) must not race with in-flight queries.
 type Model struct {
 	KB         *KnowledgeBase
 	Estimator  *Estimator
@@ -112,35 +112,27 @@ type Model struct {
 	// MaxBuckets caps per-distribution support during routing
 	// (0 = unlimited).
 	MaxBuckets int
-
-	// Lifetime decision counters, maintained atomically across all
-	// concurrent queries. They power the ablation reporting; read them
-	// with DecisionCounts. For per-query counts, route through
-	// WithStats instead.
-	numConvolved atomic.Uint64
-	numEstimated atomic.Uint64
 }
 
 // QueryStats accumulates per-request decision counts: how many hybrid
 // extensions convolved versus estimated while answering one query. A
 // QueryStats must not be shared across concurrently executing queries
-// (each request gets its own; the Model's lifetime totals are atomic
-// and separate).
+// (each request gets its own).
 type QueryStats struct {
 	Convolved int
 	Estimated int
 }
 
-// DecisionCounts returns the lifetime convolve/estimate decision totals
-// across all queries answered by this model.
-func (m *Model) DecisionCounts() (convolved, estimated uint64) {
-	return m.numConvolved.Load(), m.numEstimated.Load()
-}
-
-// ResetCounters zeroes the lifetime decision counters.
-func (m *Model) ResetCounters() {
-	m.numConvolved.Store(0)
-	m.numEstimated.Store(0)
+// tally records one extension decision; a nil QueryStats counts
+// nothing.
+func (qs *QueryStats) tally(estimated bool) {
+	switch {
+	case qs == nil:
+	case estimated:
+		qs.Estimated++
+	default:
+		qs.Convolved++
+	}
 }
 
 // InitialHist implements Coster.
@@ -181,20 +173,14 @@ func (m *Model) shouldEstimate(ps PairStats, hasPair bool) bool {
 
 // Extend implements Coster: the hybrid step. The classifier picks
 // convolution or estimation at this intersection. Safe for concurrent
-// use; the decision is tallied into the model's atomic lifetime
-// counters.
+// use.
 func (m *Model) Extend(virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
-	out, estimated := m.extend(virtual, lastEdge, next)
-	if estimated {
-		m.numEstimated.Add(1)
-	} else {
-		m.numConvolved.Add(1)
-	}
+	out, _ := m.extend(virtual, lastEdge, next)
 	return out
 }
 
-// extend is the counter-free hybrid step shared by Extend and the
-// per-request counting coster.
+// extend is the hybrid step, reporting which way the decision went to
+// the per-request counting costers.
 func (m *Model) extend(virtual *hist.Hist, lastEdge, next graph.EdgeID) (out *hist.Hist, estimated bool) {
 	ps, has := m.KB.Pair(lastEdge, next)
 	if m.shouldEstimate(ps, has) {
@@ -216,20 +202,13 @@ func (m *Model) InitialHistInto(s *Scratch, e graph.EdgeID) *hist.Hist {
 
 // ExtendInto implements ScratchCoster: the hybrid step writing into
 // the search's scratch, bit-identical to Extend but allocation-free
-// once the scratch is warm. The decision is tallied into the model's
-// atomic lifetime counters, exactly like Extend.
+// once the scratch is warm.
 func (m *Model) ExtendInto(s *Scratch, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
-	out, estimated := m.extendInto(s, virtual, lastEdge, next)
-	if estimated {
-		m.numEstimated.Add(1)
-	} else {
-		m.numConvolved.Add(1)
-	}
+	out, _ := m.extendInto(s, virtual, lastEdge, next)
 	return out
 }
 
-// extendInto is the counter-free scratch-aware hybrid step shared by
-// ExtendInto and the per-request counting coster.
+// extendInto is extend writing into the search's scratch.
 func (m *Model) extendInto(s *Scratch, virtual *hist.Hist, lastEdge, next graph.EdgeID) (out *hist.Hist, estimated bool) {
 	ps, has := m.KB.Pair(lastEdge, next)
 	if m.shouldEstimate(ps, has) {
@@ -248,7 +227,7 @@ func (m *Model) extendInto(s *Scratch, virtual *hist.Hist, lastEdge, next graph.
 // every Extend decision into qs. The view is meant to live for one
 // request: hand each routing query its own QueryStats and the queries
 // can run concurrently while still reporting per-request convolve vs.
-// estimate counts. The model's lifetime totals keep accumulating too.
+// estimate counts. Nothing else counts them: the model keeps no totals.
 func (m *Model) WithStats(qs *QueryStats) Coster {
 	if qs == nil {
 		return m
@@ -268,7 +247,7 @@ func (c *countingCoster) Width() float64                        { return c.m.Wid
 
 func (c *countingCoster) Extend(virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
 	out, estimated := c.m.extend(virtual, lastEdge, next)
-	c.tally(estimated)
+	c.qs.tally(estimated)
 	return out
 }
 
@@ -278,18 +257,8 @@ func (c *countingCoster) InitialHistInto(s *Scratch, e graph.EdgeID) *hist.Hist 
 
 func (c *countingCoster) ExtendInto(s *Scratch, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
 	out, estimated := c.m.extendInto(s, virtual, lastEdge, next)
-	c.tally(estimated)
+	c.qs.tally(estimated)
 	return out
-}
-
-func (c *countingCoster) tally(estimated bool) {
-	if estimated {
-		c.qs.Estimated++
-		c.m.numEstimated.Add(1)
-	} else {
-		c.qs.Convolved++
-		c.m.numConvolved.Add(1)
-	}
 }
 
 // PairSumEstimate returns the model's distribution for traversing the

@@ -109,17 +109,6 @@ func (ms *ModelSet) MinEdgeTimeAcrossSlices(e graph.EdgeID) float64 {
 	return min
 }
 
-// DecisionCounts sums the lifetime convolve/estimate decision totals
-// across every slice's model.
-func (ms *ModelSet) DecisionCounts() (convolved, estimated uint64) {
-	for _, m := range ms.models {
-		c, e := m.DecisionCounts()
-		convolved += c
-		estimated += e
-	}
-	return convolved, estimated
-}
-
 // TrainSlices runs the full training pipeline once per time-of-day
 // slice (cfg.Slices of them): each slice gets its own knowledge base
 // built from its slice of the observation aggregate and its own

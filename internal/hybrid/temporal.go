@@ -192,38 +192,20 @@ func (tc *timeExpandedCoster) ExtendInto(s *Scratch, virtual *hist.Hist, lastEdg
 }
 
 // ExtendElapsed implements TemporalScratchCoster: the hybrid step
-// under the model of SliceAtElapsed(elapsed), tallied into that model's
-// lifetime counters and the per-request stats.
+// under the model of SliceAtElapsed(elapsed), tallied into the
+// per-request stats.
 func (tc *timeExpandedCoster) ExtendElapsed(elapsed float64, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
-	m := tc.set.At(tc.SliceAtElapsed(elapsed))
-	out, estimated := m.extend(virtual, lastEdge, next)
-	tc.tally(m, estimated)
+	out, estimated := tc.set.At(tc.SliceAtElapsed(elapsed)).extend(virtual, lastEdge, next)
+	tc.qs.tally(estimated)
 	return out
 }
 
 // ExtendElapsedInto implements TemporalScratchCoster: ExtendElapsed
 // writing into the search's scratch, bit for bit.
 func (tc *timeExpandedCoster) ExtendElapsedInto(s *Scratch, elapsed float64, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
-	m := tc.set.At(tc.SliceAtElapsed(elapsed))
-	out, estimated := m.extendInto(s, virtual, lastEdge, next)
-	tc.tally(m, estimated)
+	out, estimated := tc.set.At(tc.SliceAtElapsed(elapsed)).extendInto(s, virtual, lastEdge, next)
+	tc.qs.tally(estimated)
 	return out
-}
-
-// tally records one extension decision into the serving model's atomic
-// lifetime counters and, when attached, the per-request stats.
-func (tc *timeExpandedCoster) tally(m *Model, estimated bool) {
-	if estimated {
-		m.numEstimated.Add(1)
-		if tc.qs != nil {
-			tc.qs.Estimated++
-		}
-	} else {
-		m.numConvolved.Add(1)
-		if tc.qs != nil {
-			tc.qs.Convolved++
-		}
-	}
 }
 
 // PathCostElapsed computes the travel-time distribution of a full path

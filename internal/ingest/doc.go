@@ -10,11 +10,11 @@
 //
 //   - Ingestor accepts trajectory batches (via the Go API or the
 //     server's POST /ingest endpoint), validates them against the road
-//     graph, and folds each into its departure slice's incremental
-//     observation aggregate — append-only traj.ObservationStore merges
-//     inside a traj.SlicedObservations, never a rebuild from scratch.
-//     Ingestion is cheap and synchronous; everything expensive happens
-//     in the background.
+//     graph, and appends each to its departure slice's aggregate. The
+//     aggregate is the trajectories themselves — the paper's one input
+//     — and nothing derived from them is kept beside it: ingestion is
+//     a validation pass and a slice append under the lock, and
+//     everything expensive happens in the background.
 //
 //   - One DriftMonitor per time-of-day slice watches a sliding window
 //     of that slice's fresh observations and compares per-edge
@@ -28,12 +28,15 @@
 //
 //   - The rebuild runs in a background goroutine (at most one in
 //     flight per slice; different slices may rebuild concurrently)
-//     over a point-in-time snapshot of the slice's aggregate
-//     (ingestion continues concurrently): it re-derives the slice's
+//     over an O(1) view of the slice's aggregate as of the trigger
+//     (ingestion and age-out continue concurrently and never reach
+//     into it): it collects the slice's traj.ObservationStore from
+//     that view — one Collect per rebuild, about 8 µs per trajectory,
+//     bounded by Config.MaxTrajectories — re-derives the slice's
 //     knowledge-base histograms, retrains the estimation network and
-//     the convolve-vs-estimate classifier, and publishes the result
-//     through Target.SwapSliceModel — the engine's epoch-tagged atomic
-//     hot swap, advancing only that slice's epoch. Queries in flight
+//     the convolve-vs-estimate classifier, and publishes model and
+//     store through Target.SwapSliceModel — the engine's epoch-tagged
+//     atomic hot swap, advancing only that slice's epoch. Queries in flight
 //     finish on the old generation; new queries in that slice see the
 //     new epoch, the serving layer's per-slice result cache
 //     invalidates on the bump, and the other slices keep serving their
@@ -43,5 +46,7 @@
 // counted and logged but never disturbs the serving model. Use
 // cmd/replay to stream a recorded SRT2 trajectory file through
 // POST /ingest at a configurable rate and exercise the whole pipeline;
-// Status reports every counter both in aggregate and per slice.
+// Status reports every counter both in aggregate and per slice: the
+// per-slice table is the subsystem's state, the aggregates are its
+// sums and maxima.
 package ingest

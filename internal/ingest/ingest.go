@@ -59,10 +59,9 @@ type Config struct {
 	MinRebuildTrajectories int
 	// MaxTrajectories bounds each slice's cumulative aggregate
 	// (default 50000, negative = unbounded). Past the bound the oldest
-	// half of that slice ages out and its aggregate is recollected
-	// from the retained tail, keeping memory and rebuild cost flat on
-	// a long-running service and letting post-drift data displace the
-	// old regime instead of being forever diluted by it.
+	// half of that slice ages out, keeping memory and rebuild cost flat
+	// on a long-running service and letting post-drift data displace
+	// the old regime instead of being forever diluted by it.
 	MaxTrajectories int
 	// Metrics, when set, receives the subsystem's telemetry: fold and
 	// validation counters, per-slice drift scores and events, hot-swap
@@ -150,27 +149,30 @@ type Status struct {
 }
 
 // Ingestor is the streaming write path: it validates incoming
-// trajectories, folds them into per-time-of-day-slice incremental
-// observation aggregates, monitors each slice for drift against that
-// slice's serving model, and rebuilds + hot-swaps individual slices in
-// the background when their triggers fire — AM-peak drift retrains
-// only the AM-peak model while the other slices keep serving their
-// generation. All methods are safe for concurrent use.
+// trajectories, appends them to their time-of-day slice's aggregate,
+// monitors each slice for drift against that slice's serving model,
+// and rebuilds + hot-swaps individual slices in the background when
+// their triggers fire — AM-peak drift retrains only the AM-peak model
+// while the other slices keep serving their generation. All methods
+// are safe for concurrent use.
 type Ingestor struct {
 	target Target
 	cfg    Config
 	logf   func(format string, args ...any)
 	k      int
 
-	mu           sync.Mutex
-	obs          *traj.SlicedObservations // cumulative append-only aggregate
-	trajs        [][]traj.Trajectory      // cumulative accepted trajectories per slice
-	drift        []*DriftMonitor          // one window per slice
-	sinceRebuild []int
-	rebuilding   []bool
-	driftPending []bool        // drift fired, no swap yet (mu-guarded)
-	slices       []SliceStatus // per-slice counters (mu-guarded)
-	rebuildWG    sync.WaitGroup
+	mu sync.Mutex
+	// trajs is the aggregate: every accepted trajectory per slice
+	// (after any age-out). A rebuild derives its observation store
+	// from it; edgeObs is Σ len(tr.Edges) over it.
+	trajs   [][]traj.Trajectory
+	edgeObs int
+	drift   []*DriftMonitor // one window per slice
+	// slices is the only per-slice state: triggers read it, Status
+	// copies it and derives the totals. Its Trajectories field is
+	// filled in by Status from len(trajs[s]).
+	slices    []SliceStatus
+	rebuildWG sync.WaitGroup
 
 	metrics *obs.IngestMetrics // nil = recording disabled
 
@@ -178,11 +180,8 @@ type Ingestor struct {
 	rejected       atomic.Uint64
 	seeded         atomic.Uint64
 	prunes         atomic.Uint64
-	rebuilds       atomic.Uint64
 	rebuildErrors  atomic.Uint64
-	driftEvents    atomic.Uint64
 	lastDriftScore atomic.Uint64 // math.Float64bits
-	lastSwapUnixMS atomic.Int64
 }
 
 // New assembles an ingestor over target. Progress lines go to logW
@@ -198,18 +197,14 @@ func New(target Target, cfg Config, logW io.Writer) *Ingestor {
 		k = 1
 	}
 	in := &Ingestor{
-		target:       target,
-		cfg:          cfg,
-		logf:         logf,
-		k:            k,
-		obs:          traj.NewSlicedObservations(target.Graph(), cfg.Hybrid.Width, k),
-		trajs:        make([][]traj.Trajectory, k),
-		drift:        make([]*DriftMonitor, k),
-		sinceRebuild: make([]int, k),
-		rebuilding:   make([]bool, k),
-		driftPending: make([]bool, k),
-		slices:       make([]SliceStatus, k),
-		metrics:      cfg.Metrics,
+		target:  target,
+		cfg:     cfg,
+		logf:    logf,
+		k:       k,
+		trajs:   make([][]traj.Trajectory, k),
+		drift:   make([]*DriftMonitor, k),
+		slices:  make([]SliceStatus, k),
+		metrics: cfg.Metrics,
 	}
 	for s := range in.drift {
 		in.drift[s] = NewDriftMonitor(cfg.Drift, cfg.Hybrid.Width)
@@ -229,7 +224,7 @@ func (in *Ingestor) Seed(trs []traj.Trajectory) (accepted, rejected int) {
 	return in.fold(context.Background(), trs, false)
 }
 
-// Ingest validates and folds a batch of trajectories into their
+// Ingest validates a batch of trajectories and appends them to their
 // departure slices' aggregates, feeds the per-slice drift monitors,
 // and — when a slice's drift or trajectory-count trigger fires and no
 // rebuild of that slice is in flight — kicks off a background rebuild
@@ -253,7 +248,6 @@ func (in *Ingestor) IngestCtx(ctx context.Context, trs []traj.Trajectory) (accep
 type sliceRebuild struct {
 	slice  int
 	reason string
-	obs    *traj.ObservationStore
 	trajs  []traj.Trajectory
 }
 
@@ -261,12 +255,14 @@ func (in *Ingestor) fold(ctx context.Context, trs []traj.Trajectory, live bool) 
 	g := in.target.Graph()
 	_, vsp := obs.StartSpan(ctx, "ingest-validate")
 	valid := make([]traj.Trajectory, 0, len(trs))
+	edges := 0
 	for i := range trs {
 		if err := validateTrajectory(g, &trs[i]); err != nil {
 			rejected++
 			continue
 		}
 		valid = append(valid, trs[i])
+		edges += len(trs[i].Edges)
 	}
 	accepted = len(valid)
 	if vsp != nil {
@@ -286,50 +282,35 @@ func (in *Ingestor) fold(ctx context.Context, trs []traj.Trajectory, live bool) 
 	if accepted == 0 {
 		return
 	}
-	// Bucket by departure slice and build the per-slice deltas outside
-	// the lock; merging them in is cheap.
 	_, fsp := obs.StartSpan(ctx, "ingest-fold")
 	buckets := traj.SplitBySlice(valid, in.k)
-	deltas := make([]*traj.ObservationStore, in.k)
-	for s, bucket := range buckets {
-		if len(bucket) == 0 {
-			continue
-		}
-		deltas[s] = traj.NewObservationStore(g, in.cfg.Hybrid.Width)
-		deltas[s].Collect(bucket)
-	}
-
 	var pending []sliceRebuild
 	in.mu.Lock()
+	in.edgeObs += edges
 	for s, bucket := range buckets {
 		if len(bucket) == 0 {
 			continue
 		}
-		in.obs.Slice(s).Merge(deltas[s])
 		in.metrics.Folded(s, uint64(len(bucket)))
 		in.trajs[s] = append(in.trajs[s], bucket...)
-		in.slices[s].Trajectories = len(in.trajs[s])
 		if in.cfg.MaxTrajectories > 0 && len(in.trajs[s]) > in.cfg.MaxTrajectories {
 			in.pruneLocked(s)
 		}
 		if !live {
 			continue
 		}
-		in.sinceRebuild[s] += len(bucket)
-		in.slices[s].SinceRebuild = in.sinceRebuild[s]
+		st := &in.slices[s]
+		st.SinceRebuild += len(bucket)
 		for i := range bucket {
 			in.drift[s].Observe(&bucket[i])
 		}
 		trigger, reason := in.checkTriggersLocked(ctx, s)
-		if trigger && !in.rebuilding[s] && len(in.trajs[s]) >= in.cfg.MinRebuildTrajectories {
-			in.rebuilding[s] = true
-			in.slices[s].Rebuilding = true
-			in.sinceRebuild[s] = 0
-			in.slices[s].SinceRebuild = 0
+		if trigger && !st.Rebuilding && len(in.trajs[s]) >= in.cfg.MinRebuildTrajectories {
+			st.Rebuilding = true
+			st.SinceRebuild = 0
 			pending = append(pending, sliceRebuild{
 				slice:  s,
 				reason: reason,
-				obs:    in.obs.Slice(s).Snapshot(),
 				// O(1) snapshot: in.trajs[s] is append-only between
 				// prunes (appends past the clamped cap never enter this
 				// view) and pruneLocked replaces the slice wholesale,
@@ -353,24 +334,19 @@ func (in *Ingestor) fold(ctx context.Context, trs []traj.Trajectory, live bool) 
 }
 
 // pruneLocked ages out the oldest half of slice s's aggregate once it
-// exceeds Config.MaxTrajectories: the newest half is retained and the
-// slice's observation store is recollected from it. A rebuild snapshot
-// taken earlier keeps its own maps and slice, so an in-flight rebuild
-// is unaffected. The recollect runs under in.mu and stalls concurrent
-// Ingest calls briefly, but only once per MaxTrajectories/2 accepted
-// trajectories in that slice — amortised it is a small fraction of the
-// per-batch merge cost. Callers hold in.mu.
+// exceeds Config.MaxTrajectories: the newest half is copied to a fresh
+// backing array, so a rebuild's view taken earlier keeps the old one
+// and an in-flight rebuild is unaffected. Callers hold in.mu.
 func (in *Ingestor) pruneLocked(s int) {
 	keep := in.cfg.MaxTrajectories / 2
 	if keep < 1 {
 		keep = 1
 	}
 	dropped := len(in.trajs[s]) - keep
-	in.trajs[s] = append([]traj.Trajectory(nil), in.trajs[s][len(in.trajs[s])-keep:]...)
-	obs := traj.NewObservationStore(in.target.Graph(), in.cfg.Hybrid.Width)
-	obs.Collect(in.trajs[s])
-	in.obs.ReplaceSlice(s, obs)
-	in.slices[s].Trajectories = keep
+	for i := range in.trajs[s][:dropped] {
+		in.edgeObs -= len(in.trajs[s][i].Edges)
+	}
+	in.trajs[s] = append([]traj.Trajectory(nil), in.trajs[s][dropped:]...)
 	in.prunes.Add(1)
 	in.metrics.Pruned(1)
 	in.logf("ingest: slice %d aggregate pruned: dropped %d oldest trajectories, retained %d", s, dropped, keep)
@@ -396,34 +372,32 @@ func (in *Ingestor) checkTriggersLocked(ctx context.Context, s int) (bool, strin
 		in.slices[s].LastDriftScore = rep.Score
 		in.metrics.DriftScore(s, rep.Score)
 		if rep.Fired {
-			in.driftEvents.Add(1)
 			in.slices[s].DriftEvents++
 			in.metrics.DriftEvent(s)
 			// The slice is now knowingly stale: degraded until a rebuild
 			// swaps a fresh generation in (even if one is already in
 			// flight — it predates this evidence).
-			in.driftPending[s] = true
 			in.slices[s].DriftPending = true
 			in.logf("ingest: slice %d drift fired: %d/%d edges past threshold (max JS %.3f, mean %.3f)",
 				s, rep.Drifted, rep.Checked, rep.MaxDivergence, rep.MeanDivergence)
 			return true, "drift"
 		}
 	}
-	if in.cfg.Drift.RebuildEvery > 0 && in.sinceRebuild[s] >= in.cfg.Drift.RebuildEvery {
+	if in.cfg.Drift.RebuildEvery > 0 && in.slices[s].SinceRebuild >= in.cfg.Drift.RebuildEvery {
 		return true, "trajectory count"
 	}
 	return false, ""
 }
 
-// rebuild re-derives one slice's knowledge base and retrains that
-// slice's hybrid model on a snapshot of its aggregate, then hot-swaps
-// it into the target — only that slice's epoch advances. Runs in its
-// own goroutine; at most one rebuild per slice is in flight (different
+// rebuild collects one slice's observation store from the view of its
+// aggregate taken at the trigger, re-derives the slice's knowledge base
+// and retrains its hybrid model on it, then hot-swaps model and store
+// into the target — only that slice's epoch advances. Runs in its own
+// goroutine; at most one rebuild per slice is in flight (different
 // slices may rebuild concurrently).
 func (in *Ingestor) rebuild(p sliceRebuild) {
 	defer func() {
 		in.mu.Lock()
-		in.rebuilding[p.slice] = false
 		in.slices[p.slice].Rebuilding = false
 		in.mu.Unlock()
 		in.rebuildWG.Done()
@@ -439,21 +413,23 @@ func (in *Ingestor) rebuild(p sliceRebuild) {
 	root.SetInt("trajectories", int64(len(p.trajs)))
 	err := func() error {
 		_, ksp := obs.StartSpan(rctx, "build-kb")
-		kb, err := hybrid.BuildKnowledgeBase(in.target.Graph(), p.obs, in.cfg.Hybrid.Width, in.cfg.Hybrid.MinPairObs)
+		store := traj.NewObservationStore(in.target.Graph(), in.cfg.Hybrid.Width)
+		store.Collect(p.trajs)
+		kb, err := hybrid.BuildKnowledgeBase(in.target.Graph(), store, in.cfg.Hybrid.Width, in.cfg.Hybrid.MinPairObs)
 		ksp.SetError(err)
 		ksp.End()
 		if err != nil {
 			return err
 		}
 		_, tsp := obs.StartSpan(rctx, "train")
-		model, report, err := hybrid.Train(kb, p.obs, p.trajs, nil, in.cfg.Hybrid)
+		model, report, err := hybrid.Train(kb, store, p.trajs, nil, in.cfg.Hybrid)
 		tsp.SetError(err)
 		tsp.End()
 		if err != nil {
 			return err
 		}
 		_, wsp := obs.StartSpan(rctx, "swap")
-		epoch, err := in.target.SwapSliceModel(p.slice, model, p.obs)
+		epoch, err := in.target.SwapSliceModel(p.slice, model, store)
 		if err != nil {
 			wsp.SetError(err)
 			wsp.End()
@@ -461,14 +437,11 @@ func (in *Ingestor) rebuild(p sliceRebuild) {
 		}
 		wsp.SetInt("epoch", int64(epoch))
 		wsp.End()
-		now := time.Now().UnixMilli()
-		in.lastSwapUnixMS.Store(now)
 		in.mu.Lock()
-		in.slices[p.slice].LastSwapUnixMS = now
+		in.slices[p.slice].LastSwapUnixMS = time.Now().UnixMilli()
 		in.slices[p.slice].Rebuilds++
 		// A fresh generation is serving: whatever drift evidence was
 		// pending for this slice has been answered.
-		in.driftPending[p.slice] = false
 		in.slices[p.slice].DriftPending = false
 		in.mu.Unlock()
 		in.metrics.Swap(p.slice)
@@ -485,9 +458,7 @@ func (in *Ingestor) rebuild(p sliceRebuild) {
 		in.metrics.RebuildError()
 		in.logf("ingest: slice %d rebuild (%s) failed after %s: %v",
 			p.slice, p.reason, time.Since(start).Round(time.Millisecond), err)
-		return
 	}
-	in.rebuilds.Add(1)
 }
 
 // WaitRebuilds blocks until every rebuild kicked off by prior Ingest
@@ -495,41 +466,35 @@ func (in *Ingestor) rebuild(p sliceRebuild) {
 // call it concurrently with Ingest.
 func (in *Ingestor) WaitRebuilds() { in.rebuildWG.Wait() }
 
-// Status snapshots the subsystem's counters.
+// Status snapshots the subsystem's counters. The per-slice table is
+// the state; every scalar that has a per-slice counterpart is its sum,
+// maximum or disjunction.
 func (in *Ingestor) Status() Status {
+	st := Status{
+		Accepted:        in.accepted.Load(),
+		Rejected:        in.rejected.Load(),
+		Seeded:          in.seeded.Load(),
+		AggregatePrunes: in.prunes.Load(),
+		RebuildErrors:   in.rebuildErrors.Load(),
+		LastDriftScore:  math.Float64frombits(in.lastDriftScore.Load()),
+	}
 	in.mu.Lock()
-	trajs := 0
-	since := 0
-	rebuilding := false
-	degraded := false
-	for s := range in.trajs {
-		trajs += len(in.trajs[s])
-		if in.sinceRebuild[s] > since {
-			since = in.sinceRebuild[s]
-		}
-		rebuilding = rebuilding || in.rebuilding[s]
-		degraded = degraded || in.driftPending[s]
+	st.EdgeObservations = in.edgeObs
+	st.Slices = append([]SliceStatus(nil), in.slices...)
+	for s := range st.Slices {
+		st.Slices[s].Trajectories = len(in.trajs[s])
 	}
-	edgeObs := in.obs.NumEdgeObservations()
-	slices := append([]SliceStatus(nil), in.slices...)
 	in.mu.Unlock()
-	return Status{
-		Accepted:         in.accepted.Load(),
-		Rejected:         in.rejected.Load(),
-		Seeded:           in.seeded.Load(),
-		Trajectories:     trajs,
-		EdgeObservations: edgeObs,
-		AggregatePrunes:  in.prunes.Load(),
-		SinceRebuild:     since,
-		Rebuilding:       rebuilding,
-		Rebuilds:         in.rebuilds.Load(),
-		RebuildErrors:    in.rebuildErrors.Load(),
-		DriftEvents:      in.driftEvents.Load(),
-		LastDriftScore:   math.Float64frombits(in.lastDriftScore.Load()),
-		LastSwapUnixMS:   in.lastSwapUnixMS.Load(),
-		Degraded:         degraded,
-		Slices:           slices,
+	for _, sl := range st.Slices {
+		st.Trajectories += sl.Trajectories
+		st.SinceRebuild = max(st.SinceRebuild, sl.SinceRebuild)
+		st.Rebuilding = st.Rebuilding || sl.Rebuilding
+		st.Rebuilds += sl.Rebuilds
+		st.DriftEvents += sl.DriftEvents
+		st.LastSwapUnixMS = max(st.LastSwapUnixMS, sl.LastSwapUnixMS)
+		st.Degraded = st.Degraded || sl.DriftPending
 	}
+	return st
 }
 
 // Degraded reports whether any slice's drift monitor has fired without
@@ -540,8 +505,8 @@ func (in *Ingestor) Status() Status {
 func (in *Ingestor) Degraded() bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	for _, p := range in.driftPending {
-		if p {
+	for s := range in.slices {
+		if in.slices[s].DriftPending {
 			return true
 		}
 	}

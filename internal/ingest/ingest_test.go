@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -22,10 +23,23 @@ type fakeTarget struct {
 	kb         map[int]*hybrid.KnowledgeBase // by slice; nil entries fall back to kb[0]
 	epoch      uint64
 	swapped    *hybrid.Model
-	swapSlices []int // slice of every SwapSliceModel call, in order
+	swappedObs *traj.ObservationStore // the store the last swapped model was trained on
+	swapSlices []int                  // slice of every SwapSliceModel call, in order
+	// beforeGraph, when set, runs at the top of every Graph call — a
+	// rebuild's first call into the target, so a test can hold one
+	// there.
+	beforeGraph func()
 }
 
-func (t *fakeTarget) Graph() *graph.Graph { return t.g }
+func (t *fakeTarget) Graph() *graph.Graph {
+	t.mu.Lock()
+	hook := t.beforeGraph
+	t.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
+	return t.g
+}
 
 func (t *fakeTarget) NumSlices() int {
 	if t.slices < 2 {
@@ -56,7 +70,7 @@ func (t *fakeTarget) SwapSliceModel(slice int, m *hybrid.Model, obs *traj.Observ
 		t.kb = make(map[int]*hybrid.KnowledgeBase)
 	}
 	t.kb[slice] = m.KB
-	t.swapped = m
+	t.swapped, t.swappedObs = m, obs
 	t.swapSlices = append(t.swapSlices, slice)
 	t.epoch++
 	return t.epoch, nil
@@ -153,6 +167,37 @@ func departingIn(trs []traj.Trajectory, s, k int) []traj.Trajectory {
 	return out
 }
 
+// edgeCount is Σ len(tr.Edges): what Status().EdgeObservations must
+// read for an aggregate holding exactly trs.
+func edgeCount(trs []traj.Trajectory) (n int) {
+	for i := range trs {
+		n += len(trs[i].Edges)
+	}
+	return n
+}
+
+// requireTotalsFromSlices: every Status scalar with a per-slice
+// counterpart is that column's sum, maximum or disjunction.
+func requireTotalsFromSlices(t *testing.T, st Status) {
+	t.Helper()
+	var want Status
+	for _, sl := range st.Slices {
+		want.Trajectories += sl.Trajectories
+		want.SinceRebuild = max(want.SinceRebuild, sl.SinceRebuild)
+		want.Rebuilding = want.Rebuilding || sl.Rebuilding
+		want.Rebuilds += sl.Rebuilds
+		want.DriftEvents += sl.DriftEvents
+		want.LastSwapUnixMS = max(want.LastSwapUnixMS, sl.LastSwapUnixMS)
+		want.Degraded = want.Degraded || sl.DriftPending
+	}
+	if st.Trajectories != want.Trajectories || st.SinceRebuild != want.SinceRebuild ||
+		st.Rebuilding != want.Rebuilding || st.Rebuilds != want.Rebuilds ||
+		st.DriftEvents != want.DriftEvents || st.LastSwapUnixMS != want.LastSwapUnixMS ||
+		st.Degraded != want.Degraded {
+		t.Errorf("status totals %+v are not derived from its slices (want %+v)", st, want)
+	}
+}
+
 func TestIngestValidation(t *testing.T) {
 	fx := testFixture(t)
 	tgt := &fakeTarget{g: fx.g, kb: map[int]*hybrid.KnowledgeBase{0: fx.kb}, epoch: 1}
@@ -212,7 +257,7 @@ func discontinuous(g *graph.Graph, tr traj.Trajectory) traj.Trajectory {
 }
 
 // TestIngestAggregateMatchesCollect: folding batches through Ingest
-// must build exactly the aggregate one Collect would.
+// must size the aggregate exactly as one Collect of the whole would.
 func TestIngestAggregateMatchesCollect(t *testing.T) {
 	fx := testFixture(t)
 	tgt := &fakeTarget{g: fx.g, kb: map[int]*hybrid.KnowledgeBase{0: fx.kb}, epoch: 1}
@@ -229,11 +274,9 @@ func TestIngestAggregateMatchesCollect(t *testing.T) {
 		}
 		in.Ingest(trs[lo:hi])
 	}
-	whole := traj.NewObservationStore(fx.g, fx.width)
-	whole.Collect(trs)
 	st := in.Status()
-	if st.EdgeObservations != whole.NumEdgeObservations() {
-		t.Errorf("aggregate has %d edge observations, want %d", st.EdgeObservations, whole.NumEdgeObservations())
+	if st.EdgeObservations != edgeCount(trs) {
+		t.Errorf("aggregate has %d edge observations, want %d", st.EdgeObservations, edgeCount(trs))
 	}
 	if st.Trajectories != len(trs) {
 		t.Errorf("aggregate has %d trajectories, want %d", st.Trajectories, len(trs))
@@ -367,7 +410,7 @@ func TestSeedCountersAndAggregateBound(t *testing.T) {
 		t.Fatalf("Seed = %d/%d", accepted, rejected)
 	}
 	st := in.Status()
-	if st.Seeded != 50 || st.Accepted != 0 || st.Trajectories != 50 {
+	if st.Seeded != 50 || st.Accepted != 0 || st.Trajectories != 50 || st.EdgeObservations != edgeCount(fx.trajs[:50]) {
 		t.Errorf("after seed: %+v", st)
 	}
 
@@ -382,12 +425,61 @@ func TestSeedCountersAndAggregateBound(t *testing.T) {
 	if st.Accepted != 100 || st.Seeded != 50 {
 		t.Errorf("counters after prune: %+v", st)
 	}
-	// The recollected store must exactly match the retained tail.
+	if want := edgeCount(fx.trajs[100:150]); st.EdgeObservations != want {
+		t.Errorf("aggregate has %d observations, want %d (retained tail only)", st.EdgeObservations, want)
+	}
+}
+
+// TestRebuildTrainsOnTheAggregateAtItsTrigger: a rebuild triggered at
+// trajectory n trains on exactly the first n of its slice, however
+// much is ingested — and aged out — before it gets to collect them.
+func TestRebuildTrainsOnTheAggregateAtItsTrigger(t *testing.T) {
+	fx := testFixture(t)
+	const n = 200
+	tgt := &fakeTarget{g: fx.g, kb: map[int]*hybrid.KnowledgeBase{0: fx.kb}, epoch: 1}
+	in := New(tgt, Config{
+		Hybrid:                 lightHybridConfig(fx.width),
+		Drift:                  DriftConfig{Window: -1, RebuildEvery: n},
+		MinRebuildTrajectories: n,
+		MaxTrajectories:        300,
+	}, nil)
+
+	// Hold the rebuild at its first call into the target: the second
+	// Graph call (the first is the triggering Ingest's own).
+	held, release := make(chan struct{}), make(chan struct{})
+	calls := 0
+	tgt.beforeGraph = func() {
+		tgt.mu.Lock()
+		calls++
+		second := calls == 2
+		tgt.mu.Unlock()
+		if second {
+			close(held)
+			<-release
+		}
+	}
+	in.Ingest(fx.trajs[:n])
+	<-held
+	for lo := n; lo < 350; lo += 50 { // crosses MaxTrajectories: the first 200 age out
+		in.Ingest(fx.trajs[lo : lo+50])
+	}
+	st := in.Status()
+	if st.AggregatePrunes != 1 || st.Trajectories != 150 || st.EdgeObservations != edgeCount(fx.trajs[200:350]) || !st.Rebuilding {
+		t.Fatalf("while the rebuild is held: %+v", st)
+	}
+	close(release)
+	in.WaitRebuilds()
+
+	if st := in.Status(); st.Rebuilds != 1 || st.RebuildErrors != 0 || st.Rebuilding {
+		t.Fatalf("after the rebuild: %+v", st)
+	}
 	want := traj.NewObservationStore(fx.g, fx.width)
-	want.Collect(fx.trajs[100:150])
-	if st.EdgeObservations != want.NumEdgeObservations() {
-		t.Errorf("aggregate has %d observations, want %d (retained tail only)",
-			st.EdgeObservations, want.NumEdgeObservations())
+	want.Collect(fx.trajs[:n])
+	got := tgt.swappedObs
+	if !reflect.DeepEqual(got.Edge, want.Edge) || !reflect.DeepEqual(got.Pairs, want.Pairs) {
+		t.Errorf("rebuild trained on %d edge observations over %d edges, %d pairs; the first %d trajectories hold %d over %d, %d",
+			got.NumEdgeObservations(), len(got.Edge), len(got.Pairs),
+			n, want.NumEdgeObservations(), len(want.Edge), len(want.Pairs))
 	}
 }
 
@@ -424,6 +516,7 @@ func TestPerSliceDriftRebuild(t *testing.T) {
 	in.WaitRebuilds()
 
 	st := in.Status()
+	requireTotalsFromSlices(t, st)
 	if st.DriftEvents == 0 || st.Rebuilds == 0 {
 		t.Fatalf("peak slice never rebuilt: %+v", st)
 	}

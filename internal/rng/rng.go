@@ -113,44 +113,6 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	}
 }
 
-// Exponential returns a draw from Exp(rate). It panics if rate <= 0.
-func (r *RNG) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exponential with non-positive rate")
-	}
-	return -math.Log(1-r.Float64()) / rate
-}
-
-// Gamma returns a draw from Gamma(shape, scale) using Marsaglia–Tsang.
-// It panics if shape <= 0 or scale <= 0.
-func (r *RNG) Gamma(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("rng: Gamma with non-positive parameter")
-	}
-	if shape < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) * U^(1/a).
-		u := r.Float64()
-		return r.Gamma(shape+1, scale) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1.0 / math.Sqrt(9*d)
-	for {
-		x := r.Normal(0, 1)
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v * scale
-		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v * scale
-		}
-	}
-}
-
 // Categorical returns an index drawn from the (not necessarily
 // normalised) non-negative weight vector w. It panics if all weights are
 // zero or any weight is negative.
@@ -200,22 +162,4 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Sample returns k distinct indices drawn uniformly from [0, n) in random
-// order. It panics if k > n or k < 0.
-func (r *RNG) Sample(n, k int) []int {
-	if k < 0 || k > n {
-		panic("rng: Sample with k out of range")
-	}
-	// Partial Fisher–Yates.
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := 0; i < k; i++ {
-		j := i + r.Intn(n-i)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p[:k]
 }

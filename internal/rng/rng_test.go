@@ -108,61 +108,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := New(13)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		x := r.Exponential(0.5)
-		if x < 0 {
-			t.Fatalf("Exponential returned %v", x)
-		}
-		sum += x
-	}
-	if mean := sum / n; math.Abs(mean-2) > 0.05 {
-		t.Errorf("exponential mean %v, want ~2", mean)
-	}
-}
-
-func TestGammaMoments(t *testing.T) {
-	r := New(17)
-	const n = 100000
-	shape, scale := 3.0, 2.0
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		x := r.Gamma(shape, scale)
-		if x <= 0 {
-			t.Fatalf("Gamma returned %v", x)
-		}
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean-shape*scale) > 0.1 {
-		t.Errorf("gamma mean %v, want %v", mean, shape*scale)
-	}
-	if math.Abs(variance-shape*scale*scale) > 0.5 {
-		t.Errorf("gamma variance %v, want %v", variance, shape*scale*scale)
-	}
-}
-
-func TestGammaSmallShape(t *testing.T) {
-	r := New(19)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		x := r.Gamma(0.5, 1)
-		if x < 0 {
-			t.Fatalf("Gamma(0.5) returned %v", x)
-		}
-		sum += x
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.03 {
-		t.Errorf("gamma(0.5,1) mean %v, want ~0.5", mean)
-	}
-}
-
 func TestCategoricalProportions(t *testing.T) {
 	r := New(23)
 	w := []float64{1, 2, 3, 4}
@@ -203,34 +148,6 @@ func TestPermIsPermutation(t *testing.T) {
 		}
 		seen[v] = true
 	}
-}
-
-func TestSampleDistinct(t *testing.T) {
-	r := New(31)
-	s := r.Sample(50, 10)
-	if len(s) != 10 {
-		t.Fatalf("Sample returned %d items", len(s))
-	}
-	seen := map[int]bool{}
-	for _, v := range s {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Sample invalid: %v", s)
-		}
-		seen[v] = true
-	}
-	// Full sample is a permutation.
-	if got := len(r.Sample(5, 5)); got != 5 {
-		t.Errorf("Sample(5,5) length %d", got)
-	}
-}
-
-func TestSamplePanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Sample(3, 4) should panic")
-		}
-	}()
-	New(1).Sample(3, 4)
 }
 
 func TestBoolProbability(t *testing.T) {

@@ -285,7 +285,6 @@ func TestPBRGolden(t *testing.T) {
 		}
 	}
 	gt := loadGolden(t)
-	f.set.At(1).ResetCounters()
 	for ci := range gt.configs {
 		for qi := 0; qi < len(f.queries); qi += goldenStride() {
 			for _, plain := range []bool{false, true} {
@@ -300,8 +299,18 @@ func TestPBRGolden(t *testing.T) {
 	}
 	// A fixture that only ever convolved (or only estimated) would leave
 	// half of the cost model outside the goldens.
-	if conv, est := f.set.At(1).DecisionCounts(); conv == 0 || est == 0 {
-		t.Fatalf("fixture decisions convolved=%d estimated=%d: want both", conv, est)
+	var qs hybrid.QueryStats
+	for qi := 0; qi < len(f.queries); qi += goldenStride() {
+		c, src, dst, opts, err := f.goldenQuery(gt.configs[0], qi, false, &qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := PBR(f.g, c, src, dst, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if qs.Convolved == 0 || qs.Estimated == 0 {
+		t.Fatalf("fixture decisions %+v: want both", qs)
 	}
 }
 

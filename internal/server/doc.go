@@ -86,7 +86,12 @@
 //     per-slice breakdowns including epoch invalidations), in-flight
 //     gauge, global and per-slice model epochs, the engine's lifetime
 //     convolved_total / estimated_total (extensions built, by kind;
-//     children pruned before costing are in neither), and — when
+//     children pruned before costing are in neither): the sum of the
+//     per-answer convolved / estimated fields over every routing query
+//     answered so far — /route, /route/anytime and /route/batch items,
+//     cache misses only — exact across model swaps. /pairsum,
+//     /alternatives and background retraining build extensions too but
+//     are not routing queries and do not count. And — when
 //     ingestion is enabled — the write path's counters: accepted/rejected,
 //     aggregate size, drift events, last drift score, rebuilds and
 //     the last-swap timestamp, each also broken down per slice (so a
@@ -106,8 +111,9 @@
 //
 // The whole query path is read-only: the hybrid model's estimator runs
 // the network's pure inference pass, and decision telemetry is kept in
-// per-request structs (hybrid.QueryStats) plus atomic lifetime totals,
-// so one engine serves any number of concurrent requests with no
+// per-request structs (hybrid.QueryStats) that the engine adds to its
+// lifetime totals once per answered query — the model itself is never
+// written — so one engine serves any number of concurrent requests with no
 // locking and identical answers to serial execution. (Earlier versions
 // required serialising Route calls or cloning models per goroutine;
 // that caveat is gone.)

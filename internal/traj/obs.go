@@ -26,6 +26,13 @@ type PairObs struct {
 // ObservationStore aggregates what the learners are allowed to see:
 // per-edge travel-time samples and per-pair joint samples, exactly the
 // information content of the paper's map-matched GPS trajectories.
+//
+// A store is built by Collect and read-only afterwards: the knowledge
+// base, the trainer and the engine snapshot that hold one never write
+// to it, so it needs no lock and is never copied. One Collect carves
+// every new key's samples out of two shared blocks (one []float64, one
+// []PairObs) at exact capacity; a later Collect appending to such a key
+// reallocates that key alone.
 type ObservationStore struct {
 	g     *graph.Graph
 	Edge  map[graph.EdgeID][]float64
@@ -48,8 +55,59 @@ func NewObservationStore(g *graph.Graph, width float64) *ObservationStore {
 	}
 }
 
-// Collect ingests trajectories.
+// Collect ingests trajectories: count, carve, append. The counting pass
+// sizes every key the store does not hold yet, so those keys share one
+// allocation per sample kind instead of growing one by one; the append
+// pass then stores the samples in trajectory order, exactly as plain
+// appends would.
 func (s *ObservationStore) Collect(trs []Trajectory) {
+	edgeN := make([]int32, s.g.NumEdges())
+	pairN := make(map[PairKey]int)
+	for i := range trs {
+		tr := &trs[i]
+		for j, e := range tr.Edges {
+			// An edge outside the graph is kept, as ever; it just
+			// grows by plain appends.
+			if uint(e) < uint(len(edgeN)) {
+				edgeN[e]++
+			}
+			if j > 0 {
+				pairN[PairKey{First: tr.Edges[j-1], Second: e}]++
+			}
+		}
+	}
+	total := 0
+	for e, n := range edgeN {
+		if _, held := s.Edge[graph.EdgeID(e)]; n == 0 || held {
+			edgeN[e] = 0
+			continue
+		}
+		total += int(n)
+	}
+	// Each new key gets buf[:0:n]: the capacity stops at the key's own
+	// count, so an append past it reallocates instead of writing into
+	// the neighbouring key's samples.
+	times := make([]float64, total)
+	for e, n := range edgeN {
+		if n > 0 {
+			s.Edge[graph.EdgeID(e)] = times[:0:n]
+			times = times[n:]
+		}
+	}
+	total = 0
+	for k, n := range pairN {
+		if _, held := s.Pairs[k]; held {
+			delete(pairN, k)
+			continue
+		}
+		total += n
+	}
+	joint := make([]PairObs, total)
+	for k, n := range pairN {
+		s.Pairs[k] = joint[:0:n]
+		joint = joint[n:]
+	}
+
 	for i := range trs {
 		tr := &trs[i]
 		for j, e := range tr.Edges {
@@ -60,50 +118,6 @@ func (s *ObservationStore) Collect(trs []Trajectory) {
 			}
 		}
 	}
-}
-
-// Merge folds other's observations into s as an append-only update:
-// per-edge samples and per-pair joint samples are appended, never
-// rewritten, so a long-lived aggregate can absorb a stream of small
-// deltas without rebuilding from scratch. Both stores must be over the
-// same graph and grid width. Merging the deltas of any partition of a
-// trajectory set yields exactly the store Collect builds from the whole
-// set (sample order within an edge may differ, which no consumer
-// depends on).
-func (s *ObservationStore) Merge(other *ObservationStore) {
-	if other == nil {
-		return
-	}
-	for e, samples := range other.Edge {
-		s.Edge[e] = append(s.Edge[e], samples...)
-	}
-	for k, obs := range other.Pairs {
-		s.Pairs[k] = append(s.Pairs[k], obs...)
-	}
-}
-
-// Snapshot returns a point-in-time copy of the store that stays stable
-// while the original keeps absorbing Collect/Merge updates — the view a
-// background model rebuild trains on while ingestion continues. The
-// maps are copied; the sample slices are shared with their capacity
-// clamped, so appends on either side can never write into the other's
-// visible range. Snapshot and concurrent mutation of the same store
-// must still be externally synchronised (the ingest subsystem holds its
-// mutex across both).
-func (s *ObservationStore) Snapshot() *ObservationStore {
-	cp := &ObservationStore{
-		g:     s.g,
-		Edge:  make(map[graph.EdgeID][]float64, len(s.Edge)),
-		Pairs: make(map[PairKey][]PairObs, len(s.Pairs)),
-		Width: s.Width,
-	}
-	for e, samples := range s.Edge {
-		cp.Edge[e] = samples[:len(samples):len(samples)]
-	}
-	for k, obs := range s.Pairs {
-		cp.Pairs[k] = obs[:len(obs):len(obs)]
-	}
-	return cp
 }
 
 // NumEdgeObservations returns the total count of edge traversals seen.
@@ -271,13 +285,7 @@ func clusterBucketer(samples []float64, maxClusters int, width float64) (func(fl
 	}
 	sort.Float64s(cuts)
 	n := len(cuts) + 1
-	return func(x float64) int {
-		b := sort.SearchFloat64s(cuts, x)
-		// SearchFloat64s returns the first index with cuts[i] >= x;
-		// values equal to a boundary belong to the cluster below it.
-		if b < len(cuts) && x == cuts[b] {
-			return b
-		}
-		return b
-	}, n
+	// SearchFloat64s returns the first index with cuts[i] >= x, so a
+	// value equal to a boundary belongs to the cluster below it.
+	return func(x float64) int { return sort.SearchFloat64s(cuts, x) }, n
 }

@@ -2,9 +2,11 @@ package traj
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"stochroute/internal/graph"
+	"stochroute/internal/netgen"
 )
 
 func testObs(t *testing.T, w *World, nTraj int) *ObservationStore {
@@ -200,89 +202,155 @@ func TestTrajectoryCodecErrors(t *testing.T) {
 	}
 }
 
-// TestMergeEquivalentToCollect: merging the per-batch deltas of any
-// partition of a trajectory set must yield exactly the aggregate that
-// one Collect over the whole set builds — the invariant the streaming
-// ingest subsystem relies on.
-func TestMergeEquivalentToCollect(t *testing.T) {
-	w := testWorld(t, nil)
-	trs, err := GenerateTrajectories(w, WalkConfig{NumTrajectories: 60, MinEdges: 4, MaxEdges: 12, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	width := w.cfg.BucketWidth
-	whole := NewObservationStore(w.Graph(), width)
-	whole.Collect(trs)
-
-	merged := NewObservationStore(w.Graph(), width)
-	for lo := 0; lo < len(trs); lo += 7 {
-		hi := lo + 7
-		if hi > len(trs) {
-			hi = len(trs)
-		}
-		delta := NewObservationStore(w.Graph(), width)
-		delta.Collect(trs[lo:hi])
-		merged.Merge(delta)
-	}
-
-	if got, want := merged.NumEdgeObservations(), whole.NumEdgeObservations(); got != want {
-		t.Fatalf("merged edge observations = %d, want %d", got, want)
-	}
-	if len(merged.Edge) != len(whole.Edge) || len(merged.Pairs) != len(whole.Pairs) {
-		t.Fatalf("merged store shape (%d edges, %d pairs) != whole (%d, %d)",
-			len(merged.Edge), len(merged.Pairs), len(whole.Edge), len(whole.Pairs))
-	}
-	// Batches arrive in order here, so even sample order must match.
-	for e, want := range whole.Edge {
-		got := merged.Edge[e]
-		if len(got) != len(want) {
-			t.Fatalf("edge %d: %d samples, want %d", e, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("edge %d sample %d: %v != %v", e, i, got[i], want[i])
-			}
-		}
-	}
-	for k, want := range whole.Pairs {
-		got := merged.Pairs[k]
-		if len(got) != len(want) {
-			t.Fatalf("pair %v: %d obs, want %d", k, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("pair %v obs %d: %v != %v", k, i, got[i], want[i])
+// appendCollect is the reference Collect is checked against: one plain
+// append per sample, no counting pass, no shared storage.
+func appendCollect(edge map[graph.EdgeID][]float64, pairs map[PairKey][]PairObs, trs []Trajectory) {
+	for i := range trs {
+		tr := &trs[i]
+		for j, e := range tr.Edges {
+			edge[e] = append(edge[e], tr.Times[j])
+			if j > 0 {
+				k := PairKey{First: tr.Edges[j-1], Second: e}
+				pairs[k] = append(pairs[k], PairObs{T1: tr.Times[j-1], T2: tr.Times[j]})
 			}
 		}
 	}
 }
 
-// TestSnapshotStableUnderLaterMerges: a snapshot must keep serving the
-// counts it was taken at while the original absorbs further deltas.
-func TestSnapshotStableUnderLaterMerges(t *testing.T) {
+func requireSameSamples(t *testing.T, s *ObservationStore, edge map[graph.EdgeID][]float64, pairs map[PairKey][]PairObs) {
+	t.Helper()
+	if len(s.Edge) != len(edge) || len(s.Pairs) != len(pairs) {
+		t.Fatalf("store has %d edges, %d pairs; reference %d, %d", len(s.Edge), len(s.Pairs), len(edge), len(pairs))
+	}
+	for e, want := range edge {
+		if !slices.Equal(s.Edge[e], want) {
+			t.Fatalf("edge %d: samples %v, want %v", e, s.Edge[e], want)
+		}
+	}
+	for k, want := range pairs {
+		if !slices.Equal(s.Pairs[k], want) {
+			t.Fatalf("pair %v: samples %v, want %v", k, s.Pairs[k], want)
+		}
+	}
+}
+
+// TestCollectMatchesAppendReference: the carved Collect holds the same
+// keys with the same samples in the same order as one append per
+// sample, on a fresh store and when a second Collect lands on keys the
+// first one carved.
+func TestCollectMatchesAppendReference(t *testing.T) {
 	w := testWorld(t, nil)
-	trs, err := GenerateTrajectories(w, WalkConfig{NumTrajectories: 40, MinEdges: 4, MaxEdges: 10, Seed: 9})
+	for _, seed := range []uint64{5, 9, 33} {
+		trs, err := GenerateTrajectories(w, WalkConfig{NumTrajectories: 300, MinEdges: 1, MaxEdges: 12, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := NewObservationStore(w.Graph(), w.cfg.BucketWidth)
+		edge, pairs := map[graph.EdgeID][]float64{}, map[PairKey][]PairObs{}
+		for _, part := range [][]Trajectory{trs[:200], trs[200:], trs[:50]} {
+			store.Collect(part)
+			appendCollect(edge, pairs, part)
+			requireSameSamples(t, store, edge, pairs)
+		}
+	}
+}
+
+// TestCollectKeysDoNotShareCapacity: every key's samples end at their
+// own capacity, so appending to one key — what a later Collect does —
+// never changes another key's samples although one block backs them
+// all.
+func TestCollectKeysDoNotShareCapacity(t *testing.T) {
+	w := testWorld(t, nil)
+	trs, err := GenerateTrajectories(w, WalkConfig{NumTrajectories: 200, MinEdges: 2, MaxEdges: 10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	width := w.cfg.BucketWidth
-	store := NewObservationStore(w.Graph(), width)
-	store.Collect(trs[:20])
-	snap := store.Snapshot()
-	wantObs := snap.NumEdgeObservations()
+	store := NewObservationStore(w.Graph(), w.cfg.BucketWidth)
+	store.Collect(trs)
+	edge, pairs := map[graph.EdgeID][]float64{}, map[PairKey][]PairObs{}
+	appendCollect(edge, pairs, trs)
 
-	delta := NewObservationStore(w.Graph(), width)
-	delta.Collect(trs[20:])
-	store.Merge(delta)
-	store.Collect(trs[:5]) // in-place appends into possibly shared arrays
+	for e := range edge {
+		if len(store.Edge[e]) != cap(store.Edge[e]) {
+			t.Fatalf("edge %d: len %d, cap %d", e, len(store.Edge[e]), cap(store.Edge[e]))
+		}
+		store.Edge[e] = append(store.Edge[e], -1)
+		edge[e] = append(edge[e], -1)
+	}
+	for k := range pairs {
+		if len(store.Pairs[k]) != cap(store.Pairs[k]) {
+			t.Fatalf("pair %v: len %d, cap %d", k, len(store.Pairs[k]), cap(store.Pairs[k]))
+		}
+		store.Pairs[k] = append(store.Pairs[k], PairObs{-1, -1})
+		pairs[k] = append(pairs[k], PairObs{-1, -1})
+	}
+	requireSameSamples(t, store, edge, pairs)
+}
 
-	if got := snap.NumEdgeObservations(); got != wantObs {
-		t.Errorf("snapshot grew from %d to %d observations after later merges", wantObs, got)
+// collectBenchInput is the city fixture's shape: 6 000 default walks on
+// a 60 x 60 grid.
+func collectBenchInput(tb testing.TB) (*graph.Graph, []Trajectory) {
+	tb.Helper()
+	ncfg := netgen.DefaultConfig()
+	ncfg.Rows, ncfg.Cols = 60, 60
+	g, err := netgen.Generate(ncfg)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if store.NumEdgeObservations() <= wantObs {
-		t.Errorf("original store did not grow past %d", wantObs)
+	w, err := NewWorld(g, DefaultWorldConfig())
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if snap.g != store.g || snap.Width != store.Width {
-		t.Error("snapshot lost graph/width identity")
+	walk := DefaultWalkConfig()
+	walk.NumTrajectories = 6000
+	trs, err := GenerateTrajectories(w, walk)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g, trs
+}
+
+func BenchmarkCollect(b *testing.B) {
+	g, trs := collectBenchInput(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewObservationStore(g, 2).Collect(trs)
+	}
+}
+
+// TestCollectAllocationCeiling: a Collect allocates per block and per
+// map growth step, not per key (129 591 allocations for this input
+// before the carve).
+func TestCollectAllocationCeiling(t *testing.T) {
+	g, trs := collectBenchInput(t)
+	allocs := testing.AllocsPerRun(1, func() { NewObservationStore(g, 2).Collect(trs) })
+	t.Logf("Collect of %d trajectories: %.0f allocations", len(trs), allocs)
+	if allocs > 2000 {
+		t.Errorf("Collect of %d trajectories made %.0f allocations, want <= 2000", len(trs), allocs)
+	}
+}
+
+// TestClusterBucketerBoundaries: a value equal to a cut lands in the
+// cluster below it, anything above lands in the next, and a single
+// distinct value is one cluster.
+func TestClusterBucketerBoundaries(t *testing.T) {
+	// Width 2: gaps > 3 split, so {10, 12} | {20, 22} | {40}; the cuts
+	// sit after 12 and after 22.
+	bucket, n := clusterBucketer([]float64{10, 12, 20, 22, 40, 12, 22}, 3, 2)
+	if n != 3 {
+		t.Fatalf("clusters = %d, want 3", n)
+	}
+	for _, tc := range []struct {
+		x    float64
+		want int
+	}{{10, 0}, {12, 0}, {12.5, 1}, {20, 1}, {22, 1}, {23, 2}, {40, 2}} {
+		if got := bucket(tc.x); got != tc.want {
+			t.Errorf("bucket(%v) = %d, want %d", tc.x, got, tc.want)
+		}
+	}
+	bucket, n = clusterBucketer([]float64{7, 7, 7}, 3, 2)
+	if n != 1 || bucket(7) != 0 {
+		t.Errorf("single distinct value: %d clusters, bucket(7) = %d; want 1, 0", n, bucket(7))
 	}
 }

@@ -53,16 +53,6 @@ func (so *SlicedObservations) Collect(trs []Trajectory) {
 	}
 }
 
-// NumEdgeObservations returns the total edge-traversal count across all
-// slices.
-func (so *SlicedObservations) NumEdgeObservations() int {
-	n := 0
-	for _, s := range so.stores {
-		n += s.NumEdgeObservations()
-	}
-	return n
-}
-
 // SplitBySlice partitions trajectories by departure slice under a
 // k-slice partition of the day. The result always has k buckets;
 // trajectory order within a bucket follows the input. The trajectories

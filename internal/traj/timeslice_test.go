@@ -142,8 +142,7 @@ func TestSRT2RoundTripProperty(t *testing.T) {
 
 // TestSlicedObservationsBucketsByDeparture: collecting a mixed-slice
 // trajectory set must route every trip into its departure slice, with
-// per-slice stores matching a manual split, and merge/snapshot
-// behaving like the flat store's.
+// per-slice stores matching a manual split.
 func TestSlicedObservationsBucketsByDeparture(t *testing.T) {
 	w := testWorld(t, nil)
 	trs, err := GenerateTrajectories(w, WalkConfig{
@@ -178,10 +177,16 @@ func TestSlicedObservationsBucketsByDeparture(t *testing.T) {
 		t.Errorf("split lost trajectories: %d != %d", totalTrips, len(trs))
 	}
 
-	before := so.NumEdgeObservations()
+	total := func() (n int) {
+		for s := 0; s < so.K(); s++ {
+			n += so.Slice(s).NumEdgeObservations()
+		}
+		return n
+	}
+	before := total()
 	so.Collect(trs)
-	if so.NumEdgeObservations() != 2*before {
-		t.Errorf("double collect = %d observations, want %d", so.NumEdgeObservations(), 2*before)
+	if total() != 2*before {
+		t.Errorf("double collect = %d observations, want %d", total(), 2*before)
 	}
 }
 
