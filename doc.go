@@ -102,7 +102,12 @@
 // SwapSliceModel (only the affected slice's tables plus the
 // min-across-slices tables rebuild), LoadModel — rebuilds what the
 // incoming models invalidate before publishing, on the swap
-// path rather than the query path. Time-expanded queries use tables
+// path rather than the query path. The sweeps of one table run on every
+// core (internal/par), as do the per-slice observation stores, knowledge
+// bases and training runs of a generation built from trajectories
+// (NewEngineFromObservations, NewEngineWithModelSet); a generation holds
+// the same bits however many cores built it, and queries in flight keep
+// the previous one meanwhile. Time-expanded queries use tables
 // built on the pointwise-min-across-slices metric, which stays
 // admissible for every horizon; departure-slice queries use their
 // slice's own, tighter tables. Callers with custom preprocessing can

@@ -18,6 +18,7 @@ import (
 	"stochroute/internal/hybrid"
 	"stochroute/internal/netgen"
 	"stochroute/internal/obs"
+	"stochroute/internal/par"
 	"stochroute/internal/routing"
 	"stochroute/internal/traj"
 )
@@ -229,14 +230,20 @@ func NewEngineWithModelSet(g *Graph, trajs []Trajectory, width float64, minPairO
 	k := set.K()
 	obs := traj.NewSlicedObservations(g, width, k)
 	obs.Collect(trajs)
-	for s := 0; s < k; s++ {
+	// The slices' knowledge bases are independent of one another and each
+	// attaches to its own model, so they build concurrently.
+	err := par.For(k, func(s int) error {
 		kb, err := hybrid.BuildKnowledgeBase(g, obs.Slice(s), width, minPairObs)
 		if err != nil {
-			return nil, fmt.Errorf("stochroute: slice %d knowledge base: %w", s, err)
+			return fmt.Errorf("stochroute: slice %d knowledge base: %w", s, err)
 		}
 		if err := set.At(s).AttachKB(kb); err != nil {
-			return nil, fmt.Errorf("stochroute: slice %d: %w", s, err)
+			return fmt.Errorf("stochroute: slice %d: %w", s, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	eng := &Engine{
 		graph: g,
@@ -424,8 +431,9 @@ func (e *Engine) swapSetLocked(set *hybrid.ModelSet) error {
 // queries to exact per-query backward-Dijkstra potentials.
 //
 // Preprocessing runs under the swap lock — queries in flight keep
-// serving the previous generation and are never blocked. The epoch
-// bumps like any other swap, so result caches keyed on it revalidate.
+// serving the previous generation and are never blocked. Each table's
+// sweeps use every core (GOMAXPROCS) while they do. The epoch bumps
+// like any other swap, so result caches keyed on it revalidate.
 func (e *Engine) SetLandmarks(count int) error {
 	if count < 0 {
 		return fmt.Errorf("stochroute: SetLandmarks with negative count %d", count)

@@ -9,6 +9,7 @@ import (
 	"stochroute/internal/hist"
 	"stochroute/internal/hybrid"
 	"stochroute/internal/netgen"
+	"stochroute/internal/par"
 	"stochroute/internal/routing"
 )
 
@@ -273,7 +274,7 @@ func RunQuality(s *Setup, cfg QualityConfig, out io.Writer) ([]QualityRow, error
 		}
 		outcomes := make([]queryOutcome, len(qs))
 		catName := cat.String()
-		err := forEachQuery(len(qs), func(i int) error {
+		err := par.For(len(qs), func(i int) error {
 			q := qs[i]
 			basePath, _, err := routing.MeanCostPath(s.Graph, s.KB, q.Source, q.Dest)
 			if err != nil {

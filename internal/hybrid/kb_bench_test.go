@@ -40,3 +40,27 @@ func BenchmarkBuildKnowledgeBase(b *testing.B) {
 	g, obs, width := sparseSubstrate(b)
 	b.Run("sparse", run(g, obs, width))
 }
+
+// BenchmarkTrainSlices trains four slice models over the sparse network
+// — a few dozen commuter routes driven 6 000 times, everything else
+// priors: the shape of a serving generation's build, where each slice's
+// knowledge base covers 45 000 edges and its training set a few hundred
+// pairs. The slices train concurrently, which -cpu 1,2 shows.
+func BenchmarkTrainSlices(b *testing.B) {
+	const slices = 4
+	ncfg, wcfg := sparseConfigs()
+	g, trajs := walkedSubstrate(b, ncfg, wcfg, traj.WalkConfig{
+		NumTrajectories: 6000, MinEdges: 4, MaxEdges: 20, Seed: 34,
+		RouteFraction: 0.95, NumRoutes: 60, RouteJitter: 0.2, Slices: slices,
+	})
+	cfg := quickSlicedConfig(wcfg.BucketWidth, slices)
+	sobs := traj.NewSlicedObservations(g, cfg.Width, slices)
+	sobs.Collect(trajs)
+	bySlice := traj.SplitBySlice(trajs, slices)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := TrainSlices(g, sobs, bySlice, nil, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

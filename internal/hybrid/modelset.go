@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"stochroute/internal/graph"
+	"stochroute/internal/par"
 	"stochroute/internal/traj"
 )
 
@@ -15,7 +16,10 @@ import (
 // slice's Model, and the returned Model implements the unchanged
 // Coster/ScratchCoster contracts, so the routing kernel below never
 // sees time. A 1-slice set is bit-identical to serving the single
-// model directly.
+// model directly. The slices are independent of one another — none reads
+// another's knowledge base, weights or observations — which is what lets
+// TrainSlices train them concurrently and an online rebuild replace one
+// (WithSlice) while the rest keep serving.
 type ModelSet struct {
 	models []*Model
 }
@@ -116,6 +120,14 @@ func (ms *ModelSet) MinEdgeTimeAcrossSlices(e graph.EdgeID) float64 {
 // (cfg.Slices). trajsBySlice is the matching partition of the training
 // trajectories (see traj.SplitBySlice). Returns the set plus one
 // evaluation report per slice.
+//
+// The slices train concurrently (par.For: GOMAXPROCS workers at most),
+// each run single-threaded. A slice's model and report depend only on
+// that slice's observations and trajectories, g and cfg — every run
+// seeds its own generator from cfg.Seed — so the set is the same bits on
+// any number of cores, and when slices fail the error is the lowest
+// failing slice's. A non-nil oracle is consulted from several goroutines
+// at once and must be safe for that.
 func TrainSlices(g *graph.Graph, sobs *traj.SlicedObservations, trajsBySlice [][]traj.Trajectory, oracle Oracle, cfg Config) (*ModelSet, []*EvalReport, error) {
 	k := traj.NumSlices(cfg.Slices)
 	if sobs.K() != k {
@@ -126,17 +138,19 @@ func TrainSlices(g *graph.Graph, sobs *traj.SlicedObservations, trajsBySlice [][
 	}
 	models := make([]*Model, k)
 	reports := make([]*EvalReport, k)
-	for s := 0; s < k; s++ {
+	err := par.For(k, func(s int) error {
 		kb, err := BuildKnowledgeBase(g, sobs.Slice(s), cfg.Width, cfg.MinPairObs)
 		if err != nil {
-			return nil, nil, fmt.Errorf("hybrid: slice %d knowledge base: %w", s, err)
+			return fmt.Errorf("hybrid: slice %d knowledge base: %w", s, err)
 		}
-		model, report, err := Train(kb, sobs.Slice(s), trajsBySlice[s], oracle, cfg)
+		models[s], reports[s], err = Train(kb, sobs.Slice(s), trajsBySlice[s], oracle, cfg)
 		if err != nil {
-			return nil, nil, fmt.Errorf("hybrid: slice %d training: %w", s, err)
+			return fmt.Errorf("hybrid: slice %d training: %w", s, err)
 		}
-		models[s] = model
-		reports[s] = report
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	set, err := NewModelSet(models)
 	if err != nil {

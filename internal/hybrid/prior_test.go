@@ -116,7 +116,7 @@ func TestPriorTableMatchesReference(t *testing.T) {
 		}
 		// One table across every profile, as in a build: content that
 		// collides must be content that is equal.
-		table := priorTable{width: width, byKey: make(map[string]EdgeStats)}
+		table := newPriorTable(width)
 		for name, p := range profiles {
 			for _, ff := range ffs {
 				want := referenceScaledHist(p, ff, width)
@@ -166,18 +166,33 @@ func goldenSubstrate(t testing.TB) (*graph.Graph, *traj.SlicedObservations, floa
 // nine edges in ten have no observation, so their marginals are priors.
 func sparseSubstrate(t testing.TB) (*graph.Graph, *traj.ObservationStore, float64) {
 	t.Helper()
-	ncfg := netgen.DefaultConfig()
-	ncfg.Rows, ncfg.Cols = 110, 110
-	ncfg.Seed = 31
-	wcfg := traj.DefaultWorldConfig()
-	wcfg.Seed = 32
+	ncfg, wcfg := sparseConfigs()
 	g, sobs, width := observedSubstrate(t, ncfg, wcfg, traj.WalkConfig{
 		NumTrajectories: 300, MinEdges: 4, MaxEdges: 14, Seed: 33, Slices: 1,
 	})
 	return g, sobs.Slice(0), width
 }
 
+func sparseConfigs() (netgen.Config, traj.WorldConfig) {
+	ncfg := netgen.DefaultConfig()
+	ncfg.Rows, ncfg.Cols = 110, 110
+	ncfg.Seed = 31
+	wcfg := traj.DefaultWorldConfig()
+	wcfg.Seed = 32
+	return ncfg, wcfg
+}
+
 func observedSubstrate(t testing.TB, ncfg netgen.Config, wcfg traj.WorldConfig, walk traj.WalkConfig) (*graph.Graph, *traj.SlicedObservations, float64) {
+	t.Helper()
+	g, trajs := walkedSubstrate(t, ncfg, wcfg, walk)
+	sobs := traj.NewSlicedObservations(g, wcfg.BucketWidth, walk.Slices)
+	sobs.Collect(trajs)
+	return g, sobs, wcfg.BucketWidth
+}
+
+// walkedSubstrate is the part of observedSubstrate before the stores: a
+// generated network and the trajectories simulated over it.
+func walkedSubstrate(t testing.TB, ncfg netgen.Config, wcfg traj.WorldConfig, walk traj.WalkConfig) (*graph.Graph, []traj.Trajectory) {
 	t.Helper()
 	g, err := netgen.Generate(ncfg)
 	if err != nil {
@@ -191,9 +206,7 @@ func observedSubstrate(t testing.TB, ncfg netgen.Config, wcfg traj.WorldConfig, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	sobs := traj.NewSlicedObservations(g, wcfg.BucketWidth, walk.Slices)
-	sobs.Collect(trajs)
-	return g, sobs, wcfg.BucketWidth
+	return g, trajs
 }
 
 // checkAgainstReference builds the knowledge base and compares every

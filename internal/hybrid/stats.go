@@ -107,7 +107,7 @@ func BuildKnowledgeBase(g *graph.Graph, obs *traj.ObservationStore, width float6
 	kb.FallbackFactor = fallback
 
 	// Pass 2: per-edge marginals with shrinkage toward the profile.
-	priors := priorTable{width: width, byKey: make(map[string]EdgeStats)}
+	priors := newPriorTable(width)
 	for e := 0; e < g.NumEdges(); e++ {
 		id := graph.EdgeID(e)
 		ed := g.Edge(id)
@@ -318,8 +318,21 @@ func statsOf(marginal *hist.Hist, count int) EdgeStats {
 type priorTable struct {
 	width float64
 	byKey map[string]EdgeStats
-	buf   []float64 // dense projection, reused
-	key   []byte    // first grid index, then the mass bits of buf; reused
+	byArg map[priorArg]EdgeStats // what project returned for these arguments
+	buf   []float64              // dense projection, reused
+	key   []byte                 // first grid index, then the mass bits of buf; reused
+}
+
+func newPriorTable(width float64) *priorTable {
+	return &priorTable{width: width, byKey: make(map[string]EdgeStats), byArg: make(map[priorArg]EdgeStats)}
+}
+
+// priorArg is project's argument list as a map key: the two directions
+// of a two-way street ask for the same projection, which halves the
+// projections of a build.
+type priorArg struct {
+	p        *ratioProfile
+	freeFlow uint64 // float bits
 }
 
 // project returns the ratio profile p projected onto the absolute
@@ -329,6 +342,10 @@ type priorTable struct {
 // buffer only grows at its end, and each grid point sums its masses in
 // the order a per-index accumulator would — equal content, equal bits.
 func (t *priorTable) project(p *ratioProfile, freeFlow float64) EdgeStats {
+	arg := priorArg{p, math.Float64bits(freeFlow)}
+	if st, ok := t.byArg[arg]; ok {
+		return st
+	}
 	width := t.width
 	if freeFlow <= 0 {
 		freeFlow = width
@@ -364,5 +381,6 @@ func (t *priorTable) project(p *ratioProfile, freeFlow float64) EdgeStats {
 		st = statsOf(hist.New(float64(lo)*width, width, append([]float64(nil), t.buf...)).Normalize(), 0)
 		t.byKey[string(t.key)] = st
 	}
+	t.byArg[arg] = st
 	return st
 }

@@ -3,14 +3,13 @@
 // feed-forward net with a softmax head trained against target histograms
 // with a cross-entropy/KL objective) and the convolve-vs-estimate binary
 // classifier (logistic regression). It provides dense matrices,
-// layers, losses, optimisers, a mini-batch trainer with early stopping,
+// layers, a loss, an optimiser, a mini-batch trainer with early stopping,
 // feature scaling, metrics, and binary model serialisation.
 package ml
 
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Matrix is a dense row-major float64 matrix.
@@ -165,14 +164,4 @@ func (m *Matrix) SubRows(idx []int) *Matrix {
 		copy(out.Row(i), m.Row(r))
 	}
 	return out
-}
-
-// HasNaN reports whether any element is NaN or infinite.
-func (m *Matrix) HasNaN() bool {
-	for _, v := range m.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-	}
-	return false
 }

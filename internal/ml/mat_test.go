@@ -99,18 +99,3 @@ func TestCloneZeroApplyScale(t *testing.T) {
 		t.Error("Zero wrong")
 	}
 }
-
-func TestHasNaN(t *testing.T) {
-	m := NewMatrix(1, 2)
-	if m.HasNaN() {
-		t.Error("zero matrix has no NaN")
-	}
-	m.Row(0)[1] = math.NaN()
-	if !m.HasNaN() {
-		t.Error("NaN not detected")
-	}
-	m.Row(0)[1] = math.Inf(1)
-	if !m.HasNaN() {
-		t.Error("Inf not detected")
-	}
-}

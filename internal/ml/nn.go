@@ -173,7 +173,7 @@ type Network struct {
 // NewMLP builds a multi-layer perceptron with the given layer sizes
 // (sizes[0] inputs through sizes[len-1] outputs) and ReLU activations
 // between dense layers. The output layer is linear (logits); pair with
-// SoftmaxCrossEntropy for distribution targets.
+// GroupedSoftmaxCrossEntropy for distribution targets.
 func NewMLP(sizes []int, r *rng.RNG) (*Network, error) {
 	if len(sizes) < 2 {
 		return nil, errors.New("ml: NewMLP needs at least input and output sizes")
@@ -245,70 +245,4 @@ func (n *Network) Grads() []*Matrix {
 		out = append(out, l.Grads()...)
 	}
 	return out
-}
-
-// Softmax converts each row of logits to a probability vector, with the
-// usual max-subtraction for numerical stability.
-func Softmax(logits *Matrix) *Matrix {
-	out := logits.Clone()
-	for i := 0; i < out.Rows; i++ {
-		row := out.Row(i)
-		max := row[0]
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-		sum := 0.0
-		for j, v := range row {
-			e := math.Exp(v - max)
-			row[j] = e
-			sum += e
-		}
-		for j := range row {
-			row[j] /= sum
-		}
-	}
-	return out
-}
-
-// SoftmaxCrossEntropy computes the mean cross-entropy between
-// softmax(logits) and target rows (which may be soft distributions, as
-// when training against histograms), returning the loss and the gradient
-// wrt logits. Minimising cross-entropy with soft targets is equivalent
-// to minimising KL(target ‖ prediction), the paper's quality metric.
-func SoftmaxCrossEntropy(logits, target *Matrix) (loss float64, grad *Matrix) {
-	if logits.Rows != target.Rows || logits.Cols != target.Cols {
-		panic("ml: SoftmaxCrossEntropy shape mismatch")
-	}
-	probs := Softmax(logits)
-	grad = NewMatrix(logits.Rows, logits.Cols)
-	invN := 1 / float64(logits.Rows)
-	for i := 0; i < logits.Rows; i++ {
-		prow := probs.Row(i)
-		trow := target.Row(i)
-		grow := grad.Row(i)
-		for j := range prow {
-			if trow[j] > 0 {
-				loss -= trow[j] * math.Log(math.Max(prow[j], 1e-300))
-			}
-			grow[j] = (prow[j] - trow[j]) * invN
-		}
-	}
-	return loss * invN, grad
-}
-
-// MSE computes mean squared error and its gradient wrt predictions.
-func MSE(pred, target *Matrix) (loss float64, grad *Matrix) {
-	if pred.Rows != target.Rows || pred.Cols != target.Cols {
-		panic("ml: MSE shape mismatch")
-	}
-	grad = NewMatrix(pred.Rows, pred.Cols)
-	n := float64(len(pred.Data))
-	for i, p := range pred.Data {
-		d := p - target.Data[i]
-		loss += d * d
-		grad.Data[i] = 2 * d / n
-	}
-	return loss / n, grad
 }

@@ -7,38 +7,6 @@ import (
 	"stochroute/internal/rng"
 )
 
-func TestSoftmaxRowsSumToOne(t *testing.T) {
-	logits, _ := FromRows([][]float64{{1, 2, 3}, {-5, 0, 5}, {1000, 1000, 1000}})
-	p := Softmax(logits)
-	for i := 0; i < p.Rows; i++ {
-		sum := 0.0
-		for _, v := range p.Row(i) {
-			if v < 0 || v > 1 {
-				t.Fatalf("softmax out of range: %v", v)
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-12 {
-			t.Errorf("row %d sums to %v", i, sum)
-		}
-	}
-	// Larger logits get larger probabilities.
-	if p.Row(0)[0] >= p.Row(0)[2] {
-		t.Error("softmax ordering violated")
-	}
-}
-
-func TestSoftmaxNumericalStability(t *testing.T) {
-	logits, _ := FromRows([][]float64{{1e30, -1e30, 0}})
-	p := Softmax(logits)
-	if p.HasNaN() {
-		t.Fatal("softmax produced NaN on extreme logits")
-	}
-	if math.Abs(p.Row(0)[0]-1) > 1e-9 {
-		t.Errorf("extreme softmax = %v", p.Row(0))
-	}
-}
-
 // numericalGradient estimates dLoss/dParam by central differences.
 func numericalGradient(net *Network, x, y *Matrix, loss LossFunc, param *Matrix, idx int) float64 {
 	const eps = 1e-5
@@ -74,52 +42,6 @@ func gradCheck(t *testing.T, net *Network, x, y *Matrix, loss LossFunc) {
 	if checked < 10 {
 		t.Fatalf("only %d gradient entries checked", checked)
 	}
-}
-
-func TestGradientCheckMSE(t *testing.T) {
-	r := rng.New(1)
-	net, err := NewMLP([]int{4, 6, 3}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := NewMatrix(5, 4)
-	y := NewMatrix(5, 3)
-	for i := range x.Data {
-		x.Data[i] = r.Normal(0, 1)
-	}
-	for i := range y.Data {
-		y.Data[i] = r.Normal(0, 1)
-	}
-	gradCheck(t, net, x, y, MSE)
-}
-
-func TestGradientCheckSoftmaxCE(t *testing.T) {
-	r := rng.New(2)
-	net, err := NewMLP([]int{5, 8, 4}, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := NewMatrix(6, 5)
-	for i := range x.Data {
-		x.Data[i] = r.Normal(0, 1)
-	}
-	// Soft targets (distributions).
-	y := NewMatrix(6, 4)
-	for i := 0; i < y.Rows; i++ {
-		row := y.Row(i)
-		sum := 0.0
-		for j := range row {
-			row[j] = r.Float64()
-			sum += row[j]
-		}
-		for j := range row {
-			row[j] /= sum
-		}
-	}
-	loss := func(out, target *Matrix) (float64, *Matrix) {
-		return SoftmaxCrossEntropy(out, target)
-	}
-	gradCheck(t, net, x, y, loss)
 }
 
 func TestGradientCheckGroupedSoftmax(t *testing.T) {
@@ -158,14 +80,16 @@ func TestGradientCheckTanh(t *testing.T) {
 		NewDense(3, 5, r), &Tanh{}, NewDense(5, 2, r),
 	}}
 	x := NewMatrix(4, 3)
-	y := NewMatrix(4, 2)
 	for i := range x.Data {
 		x.Data[i] = r.Normal(0, 1)
 	}
-	for i := range y.Data {
-		y.Data[i] = r.Normal(0, 1)
+	// Soft two-class targets.
+	y := NewMatrix(4, 2)
+	for i := 0; i < y.Rows; i++ {
+		p := r.Float64()
+		y.Row(i)[0], y.Row(i)[1] = p, 1-p
 	}
-	gradCheck(t, net, x, y, MSE)
+	gradCheck(t, net, x, y, GroupedSoftmaxCrossEntropy(1))
 }
 
 func TestNewMLPValidation(t *testing.T) {

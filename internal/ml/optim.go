@@ -2,47 +2,6 @@ package ml
 
 import "math"
 
-// Optimizer updates network parameters from accumulated gradients.
-type Optimizer interface {
-	// Step applies one update given parallel parameter and gradient
-	// tensor lists, then the caller is expected to zero the gradients.
-	Step(params, grads []*Matrix)
-}
-
-// SGD is stochastic gradient descent with optional momentum and L2
-// weight decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-
-	velocity [][]float64
-}
-
-// NewSGD returns plain SGD with the given learning rate.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Step implements Optimizer.
-func (o *SGD) Step(params, grads []*Matrix) {
-	if o.velocity == nil && o.Momentum != 0 {
-		o.velocity = make([][]float64, len(params))
-		for i, p := range params {
-			o.velocity[i] = make([]float64, len(p.Data))
-		}
-	}
-	for i, p := range params {
-		g := grads[i]
-		for j := range p.Data {
-			gj := g.Data[j] + o.WeightDecay*p.Data[j]
-			if o.Momentum != 0 {
-				o.velocity[i][j] = o.Momentum*o.velocity[i][j] + gj
-				gj = o.velocity[i][j]
-			}
-			p.Data[j] -= o.LR * gj
-		}
-	}
-}
-
 // Adam is the Adam optimiser (Kingma & Ba) with optional weight decay.
 type Adam struct {
 	LR          float64
@@ -61,7 +20,8 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step implements Optimizer.
+// Step applies one update given parallel parameter and gradient tensor
+// lists; the caller then zeroes the gradients.
 func (o *Adam) Step(params, grads []*Matrix) {
 	if o.m == nil {
 		o.m = make([][]float64, len(params))

@@ -7,11 +7,34 @@ import (
 	"stochroute/internal/rng"
 )
 
+// softmaxCE is the trainer's loss in every test here: one softmax over
+// the whole output row against a (soft) target distribution.
+var softmaxCE = GroupedSoftmaxCrossEntropy(1)
+
 // xorDataset returns the classic non-linearly-separable problem.
 func xorDataset() (*Matrix, *Matrix) {
 	x, _ := FromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}})
 	y, _ := FromRows([][]float64{{1, 0}, {0, 1}, {0, 1}, {1, 0}})
 	return x, y
+}
+
+// logisticDataset draws n rows of `in` standard-normal inputs with the
+// soft two-class target (p, 1−p), p = σ(logit(inputs, noise)), and
+// returns them with the mean entropy of the targets — the floor of the
+// cross-entropy, reached when the prediction equals the target.
+func logisticDataset(r *rng.RNG, n, in int, logit func(x []float64, noise float64) float64) (x, y *Matrix, entropy float64) {
+	x = NewMatrix(n, in)
+	y = NewMatrix(n, 2)
+	for i := 0; i < n; i++ {
+		row := x.Row(i)
+		for j := range row {
+			row[j] = r.Normal(0, 1)
+		}
+		p := 1 / (1 + math.Exp(-logit(row, r.Normal(0, 1))))
+		y.Row(i)[0], y.Row(i)[1] = p, 1-p
+		entropy -= p*math.Log(p) + (1-p)*math.Log(1-p)
+	}
+	return x, y, entropy / float64(n)
 }
 
 func TestFitLearnsXOR(t *testing.T) {
@@ -31,15 +54,14 @@ func TestFitLearnsXOR(t *testing.T) {
 	xm, _ := FromRows(xs)
 	ym, _ := FromRows(ys)
 	cfg := TrainConfig{Epochs: 200, BatchSize: 16, LearningRate: 5e-3, ValFraction: 0.1, Patience: 50, Seed: 3}
-	loss := func(out, target *Matrix) (float64, *Matrix) { return SoftmaxCrossEntropy(out, target) }
-	res, err := Fit(net, xm, ym, loss, cfg)
+	res, err := Fit(net, xm, ym, softmaxCE, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Epochs == 0 {
 		t.Fatal("no epochs ran")
 	}
-	probs := Softmax(net.Forward(x))
+	probs := GroupedSoftmax(net.Forward(x), 1)
 	for i := 0; i < 4; i++ {
 		wantClass := 0
 		if y.Row(i)[1] == 1 {
@@ -56,25 +78,20 @@ func TestFitLearnsXOR(t *testing.T) {
 }
 
 func TestFitRegression(t *testing.T) {
-	// y = 2a - b + 1.
-	r := rng.New(11)
-	const n = 400
-	x := NewMatrix(n, 2)
-	y := NewMatrix(n, 1)
-	for i := 0; i < n; i++ {
-		a, b := r.Normal(0, 1), r.Normal(0, 1)
-		x.Row(i)[0] = a
-		x.Row(i)[1] = b
-		y.Row(i)[0] = 2*a - b + 1
-	}
-	net, _ := NewMLP([]int{2, 16, 1}, rng.New(5))
+	// Regress a distribution on its inputs: the target's log-odds are
+	// 2a - b + 1, which the net can represent exactly, so the validation
+	// cross-entropy must come down to the targets' own entropy.
+	x, y, entropy := logisticDataset(rng.New(11), 400, 2, func(x []float64, _ float64) float64 { return 2*x[0] - x[1] + 1 })
+	net, _ := NewMLP([]int{2, 16, 2}, rng.New(5))
 	cfg := TrainConfig{Epochs: 150, BatchSize: 32, LearningRate: 3e-3, ValFraction: 0.15, Patience: 25, Seed: 1}
-	res, err := Fit(net, x, y, MSE, cfg)
+	res, err := Fit(net, x, y, softmaxCE, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BestVal > 0.05 {
-		t.Errorf("regression val loss %v, want < 0.05", res.BestVal)
+	// The validation rows' entropy differs a little from the whole
+	// set's; 0.05 nats covers that and the fit.
+	if excess := res.BestVal - entropy; excess > 0.05 {
+		t.Errorf("regression val loss %v is %v above the targets' entropy %v, want < 0.05", res.BestVal, excess, entropy)
 	}
 }
 
@@ -82,49 +99,41 @@ func TestFitErrors(t *testing.T) {
 	net, _ := NewMLP([]int{2, 2}, rng.New(1))
 	x := NewMatrix(3, 2)
 	y := NewMatrix(4, 2)
-	if _, err := Fit(net, x, y, MSE, DefaultTrainConfig()); err == nil {
+	if _, err := Fit(net, x, y, softmaxCE, DefaultTrainConfig()); err == nil {
 		t.Error("row mismatch should error")
 	}
-	if _, err := Fit(net, NewMatrix(0, 2), NewMatrix(0, 2), MSE, DefaultTrainConfig()); err == nil {
+	if _, err := Fit(net, NewMatrix(0, 2), NewMatrix(0, 2), softmaxCE, DefaultTrainConfig()); err == nil {
 		t.Error("empty data should error")
 	}
 	cfg := DefaultTrainConfig()
 	cfg.Epochs = 0
-	if _, err := Fit(net, NewMatrix(2, 2), NewMatrix(2, 2), MSE, cfg); err == nil {
+	if _, err := Fit(net, NewMatrix(2, 2), NewMatrix(2, 2), softmaxCE, cfg); err == nil {
 		t.Error("zero epochs should error")
 	}
 }
 
 func TestFitDivergenceDetected(t *testing.T) {
-	// Inputs so large that the very first squared error overflows to
-	// +Inf: Fit must report divergence instead of looping on Inf.
-	net, _ := NewMLP([]int{1, 1}, rng.New(1))
+	// A feature that is not finite makes every logit ±Inf or NaN and the
+	// very first loss NaN: Fit must report divergence instead of looping
+	// on it.
+	net, _ := NewMLP([]int{1, 2}, rng.New(1))
 	x := NewMatrix(4, 1)
-	y := NewMatrix(4, 1)
-	for i := range x.Data {
-		x.Data[i] = 1e200
-		y.Data[i] = -1e200
+	y := NewMatrix(4, 2)
+	for i := 0; i < x.Rows; i++ {
+		x.Row(i)[0] = math.Inf(1)
+		y.Row(i)[i%2] = 1
 	}
 	cfg := TrainConfig{Epochs: 5, BatchSize: 2, LearningRate: 1e-3, Seed: 1}
-	if _, err := Fit(net, x, y, MSE, cfg); err == nil {
+	if _, err := Fit(net, x, y, softmaxCE, cfg); err == nil {
 		t.Error("exploding training should be reported")
 	}
 }
 
 func TestFitEarlyStoppingRestoresBest(t *testing.T) {
-	r := rng.New(13)
-	const n = 120
-	x := NewMatrix(n, 3)
-	y := NewMatrix(n, 1)
-	for i := 0; i < n; i++ {
-		for j := 0; j < 3; j++ {
-			x.Row(i)[j] = r.Normal(0, 1)
-		}
-		y.Row(i)[0] = x.Row(i)[0] + 0.1*r.Normal(0, 1)
-	}
-	net, _ := NewMLP([]int{3, 8, 1}, rng.New(2))
+	x, y, _ := logisticDataset(rng.New(13), 120, 3, func(x []float64, noise float64) float64 { return x[0] + 0.1*noise })
+	net, _ := NewMLP([]int{3, 8, 2}, rng.New(2))
 	cfg := TrainConfig{Epochs: 400, BatchSize: 16, LearningRate: 5e-3, ValFraction: 0.25, Patience: 10, Seed: 4}
-	res, err := Fit(net, x, y, MSE, cfg)
+	res, err := Fit(net, x, y, softmaxCE, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,28 +146,18 @@ func TestFitEarlyStoppingRestoresBest(t *testing.T) {
 }
 
 func TestOptimizersDescend(t *testing.T) {
-	// Both optimisers must monotonically-ish reduce loss on a
-	// well-conditioned linear problem.
-	build := func() (*Network, *Matrix, *Matrix) {
-		r := rng.New(21)
-		const n = 200
-		x := NewMatrix(n, 2)
-		y := NewMatrix(n, 1)
-		for i := 0; i < n; i++ {
-			a, b := r.Normal(0, 1), r.Normal(0, 1)
-			x.Row(i)[0] = a
-			x.Row(i)[1] = b
-			y.Row(i)[0] = 2*a - b
-		}
-		net, _ := NewMLP([]int{2, 1}, rng.New(3))
-		return net, x, y
-	}
-	train := func(opt Optimizer) (first, last float64) {
-		net, x, y := build()
+	// Adam — the one optimiser — must take a well-conditioned problem
+	// (a linear net, targets it can represent) most of the way from its
+	// starting loss to the floor, with and without weight decay.
+	x, y, entropy := logisticDataset(rng.New(21), 200, 2, func(x []float64, _ float64) float64 { return 2*x[0] - x[1] })
+	decayed := NewAdam(0.05)
+	decayed.WeightDecay = 1e-4
+	for name, opt := range map[string]*Adam{"adam": NewAdam(0.05), "adam+weight-decay": decayed} {
+		net, _ := NewMLP([]int{2, 2}, rng.New(3))
+		var first, last float64
 		for epoch := 0; epoch < 120; epoch++ {
 			net.ZeroGrads()
-			out := net.Forward(x)
-			l, grad := MSE(out, y)
+			l, grad := softmaxCE(net.Forward(x), y)
 			if epoch == 0 {
 				first = l
 			}
@@ -166,42 +165,8 @@ func TestOptimizersDescend(t *testing.T) {
 			net.Backward(grad)
 			opt.Step(net.Params(), net.Grads())
 		}
-		return first, last
-	}
-	for name, opt := range map[string]Optimizer{
-		"adam": NewAdam(0.05),
-		"sgd":  NewSGD(0.1),
-	} {
-		first, last := train(opt)
-		if last > first/10 {
-			t.Errorf("%s barely descended: %v -> %v", name, first, last)
+		if last-entropy > (first-entropy)/10 {
+			t.Errorf("%s barely descended: %v -> %v (floor %v)", name, first, last, entropy)
 		}
-	}
-}
-
-func TestSGDMomentumRuns(t *testing.T) {
-	net, _ := NewMLP([]int{2, 4, 1}, rng.New(1))
-	opt := &SGD{LR: 0.01, Momentum: 0.9, WeightDecay: 1e-4}
-	x := NewMatrix(8, 2)
-	y := NewMatrix(8, 1)
-	r := rng.New(2)
-	for i := range x.Data {
-		x.Data[i] = r.Normal(0, 1)
-	}
-	first := -1.0
-	var last float64
-	for epoch := 0; epoch < 50; epoch++ {
-		net.ZeroGrads()
-		out := net.Forward(x)
-		l, grad := MSE(out, y)
-		if first < 0 {
-			first = l
-		}
-		last = l
-		net.Backward(grad)
-		opt.Step(net.Params(), net.Grads())
-	}
-	if last >= first {
-		t.Errorf("momentum SGD did not descend: %v -> %v", first, last)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"stochroute/internal/geo"
 	"stochroute/internal/graph"
+	"stochroute/internal/par"
 	"stochroute/internal/pqueue"
 )
 
@@ -130,10 +131,26 @@ func SelectLandmarks(g *graph.Graph, candidates []graph.VertexID, count int) []g
 // under the optimistic weights w and assembles the distance tables. The
 // weights must be the same metric — or a lower bound of the metric — that
 // later searches consult, or the resulting potentials lose admissibility.
-// Weights must be non-negative and finite.
+//
+// w is read once per edge, in edge order, before any sweep starts; a
+// negative or NaN weight fails the build there, naming the lowest such
+// edge. +Inf is a weight, not an error: it closes the edge, and what only
+// closed edges reach is unreachable, which the tables record as +Inf and
+// the potentials understand. The 2L sweeps are independent jobs run
+// through par.For — each fills its own scratch and writes only its own
+// column of one table — so the tables hold the same bits on any number of
+// cores.
 func BuildALT(g *graph.Graph, w WeightFunc, landmarks []graph.VertexID) (*ALT, error) {
 	if len(landmarks) == 0 {
 		return nil, errors.New("routing: BuildALT needs at least one landmark")
+	}
+	weights := make([]float64, g.NumEdges())
+	for e := range weights {
+		we := w(graph.EdgeID(e))
+		if we < 0 || math.IsNaN(we) {
+			return nil, fmt.Errorf("routing: negative or NaN weight %v on edge %d", we, e)
+		}
+		weights[e] = we
 	}
 	n := g.NumVertices()
 	l := len(landmarks)
@@ -143,22 +160,28 @@ func BuildALT(g *graph.Graph, w WeightFunc, landmarks []graph.VertexID) (*ALT, e
 		fromLm:    make([]float64, n*l),
 		toLm:      make([]float64, n*l),
 	}
-	dist := make([]float64, n)
-	pq := pqueue.NewIndexedHeap(n)
-	for i, lm := range landmarks {
-		if err := landmarkSweep(g, w, lm, false, dist, pq); err != nil {
-			return nil, err
-		}
-		for v := 0; v < n; v++ {
-			t.fromLm[v*l+i] = dist[v]
-		}
-		if err := landmarkSweep(g, w, lm, true, dist, pq); err != nil {
-			return nil, err
-		}
-		for v := 0; v < n; v++ {
-			t.toLm[v*l+i] = dist[v]
-		}
+	type sweepScratch struct {
+		dist []float64
+		pq   *pqueue.IndexedHeap
 	}
+	scratch := sync.Pool{New: func() any {
+		return &sweepScratch{dist: make([]float64, n), pq: pqueue.NewIndexedHeap(n)}
+	}}
+	// Job 2i is landmark i's forward sweep, job 2i+1 its backward one;
+	// with the weights checked above a sweep has no way to fail.
+	_ = par.For(2*l, func(job int) error {
+		i, backward, table := job/2, job%2 == 1, t.fromLm
+		if backward {
+			table = t.toLm
+		}
+		sc := scratch.Get().(*sweepScratch)
+		landmarkSweep(g, weights, landmarks[i], backward, sc.dist, sc.pq)
+		for v, d := range sc.dist {
+			table[v*l+i] = d
+		}
+		scratch.Put(sc)
+		return nil
+	})
 	t.memoPool.New = func() any {
 		m := &altMemo{
 			t:      t,
@@ -174,8 +197,9 @@ func BuildALT(g *graph.Graph, w WeightFunc, landmarks []graph.VertexID) (*ALT, e
 }
 
 // landmarkSweep fills dist with single-source shortest-path distances
-// from (forward) or to (backward) root, reusing the caller's scratch.
-func landmarkSweep(g *graph.Graph, w WeightFunc, root graph.VertexID, backward bool, dist []float64, pq *pqueue.IndexedHeap) error {
+// from (forward) or to (backward) root under the per-edge weights, which
+// BuildALT has already validated, reusing the caller's scratch.
+func landmarkSweep(g *graph.Graph, weights []float64, root graph.VertexID, backward bool, dist []float64, pq *pqueue.IndexedHeap) {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
@@ -195,23 +219,18 @@ func landmarkSweep(g *graph.Graph, w WeightFunc, root graph.VertexID, backward b
 			edges = g.Out(v)
 		}
 		for _, e := range edges {
-			we := w(e)
-			if we < 0 || math.IsNaN(we) {
-				return fmt.Errorf("routing: negative or NaN weight %v on edge %d", we, e)
-			}
 			var to graph.VertexID
 			if backward {
 				to = g.Edge(e).From
 			} else {
 				to = g.Edge(e).To
 			}
-			if nd := d + we; nd < dist[to] {
+			if nd := d + weights[e]; nd < dist[to] {
 				dist[to] = nd
 				pq.PushOrDecrease(int(to), nd)
 			}
 		}
 	}
-	return nil
 }
 
 // Potentials implements PotentialSource. The returned function memoises

@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"stochroute/internal/geo"
@@ -61,6 +63,107 @@ func TestBuildALTErrors(t *testing.T) {
 	bad := func(graph.EdgeID) float64 { return -1 }
 	if _, err := BuildALT(g, bad, []graph.VertexID{0}); err == nil {
 		t.Fatal("BuildALT with negative weights succeeded")
+	}
+	// The weights are checked once, in edge order, before any sweep: the
+	// error names the lowest offending edge wherever the landmarks are
+	// and however many workers would have swept.
+	for _, tc := range []struct {
+		name string
+		bad  map[graph.EdgeID]float64
+		want string
+	}{
+		{"negative before NaN", map[graph.EdgeID]float64{5: -2.5, 9: math.NaN()}, "routing: negative or NaN weight -2.5 on edge 5"},
+		{"NaN before negative", map[graph.EdgeID]float64{3: math.NaN(), 7: -1}, "routing: negative or NaN weight NaN on edge 3"},
+		{"last edge", map[graph.EdgeID]float64{graph.EdgeID(g.NumEdges() - 1): -1}, fmt.Sprintf("routing: negative or NaN weight -1 on edge %d", g.NumEdges()-1)},
+	} {
+		w := func(e graph.EdgeID) float64 {
+			if v, ok := tc.bad[e]; ok {
+				return v
+			}
+			return kb.MinEdgeTime(e)
+		}
+		for _, procs := range []int{1, 4} {
+			_, err := buildALTAt(procs, g, w, []graph.VertexID{graph.VertexID(g.NumVertices() - 1), 0})
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s, GOMAXPROCS %d: err = %v, want %q", tc.name, procs, err, tc.want)
+			}
+		}
+	}
+}
+
+// buildALTAt builds under the given GOMAXPROCS and restores the setting.
+func buildALTAt(procs int, g *graph.Graph, w WeightFunc, lms []graph.VertexID) (*ALT, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return BuildALT(g, w, lms)
+}
+
+// TestBuildALTBitIdenticalAcrossWorkers: each sweep writes one column of
+// one table from scratch of its own, so one worker running the 2L sweeps
+// in order and four running them side by side fill the same tables — on
+// a slice's own metric and on the min-across-slices one — and either way
+// the weight function is read exactly once per edge.
+func TestBuildALTBitIdenticalAcrossWorkers(t *testing.T) {
+	g, set := testModelSet(t)
+	lms := SelectLandmarks(g, nil, 8)
+	for name, metric := range map[string]WeightFunc{
+		"slice metric":      set.At(1).MinEdgeTime,
+		"min across slices": set.MinEdgeTimeAcrossSlices,
+	} {
+		var want *ALT
+		for _, procs := range []int{1, 4} {
+			reads := make([]int, g.NumEdges())
+			got, err := buildALTAt(procs, g, func(e graph.EdgeID) float64 { reads[e]++; return metric(e) }, lms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e, n := range reads {
+				if n != 1 {
+					t.Fatalf("%s, GOMAXPROCS %d: weight of edge %d read %d times", name, procs, e, n)
+				}
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range want.fromLm {
+				// == on purpose: an unreachable +Inf must match too, and no
+				// entry is NaN.
+				if got.fromLm[i] != want.fromLm[i] || got.toLm[i] != want.toLm[i] {
+					t.Fatalf("%s: table entry %d (vertex %d, landmark %d) differs between 1 and %d workers: from %v / %v, to %v / %v",
+						name, i, i/len(lms), i%len(lms), procs, want.fromLm[i], got.fromLm[i], want.toLm[i], got.toLm[i])
+				}
+			}
+		}
+	}
+}
+
+// TestBuildALTInfiniteWeightClosesEdge: +Inf is a weight BuildALT
+// accepts. The edge is never relaxed, and a vertex only it led to is as
+// unreachable as one in another component.
+func TestBuildALTInfiniteWeightClosesEdge(t *testing.T) {
+	b := graph.NewBuilder(2, 2)
+	a0 := b.AddVertex(geo.Point{Lat: 0, Lon: 0})
+	a1 := b.AddVertex(geo.Point{Lat: 0, Lon: 0.001})
+	out, _, err := b.AddBidirectional(graph.Edge{From: a0, To: a1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := b.Build()
+	w := func(e graph.EdgeID) float64 {
+		if e == out {
+			return math.Inf(1)
+		}
+		return 10
+	}
+	alt, err := BuildALT(g, w, []graph.VertexID{a0})
+	if err != nil {
+		t.Fatalf("BuildALT with a +Inf weight: %v", err)
+	}
+	if d := alt.fromLm[a1]; !math.IsInf(d, 1) {
+		t.Errorf("dist(a0 → a1) = %v over the closed edge, want +Inf", d)
+	}
+	if d := alt.toLm[a1]; d != 10 {
+		t.Errorf("dist(a1 → a0) = %v over the open edge, want 10", d)
 	}
 }
 
@@ -351,6 +454,26 @@ func TestPBRALTUnreachableParity(t *testing.T) {
 		res, err := PBR(g, coster, a0, a1, Options{Budget: 1000, Potentials: alt})
 		if err != nil || !res.Found {
 			t.Fatalf("%s: reachable query failed: %v", tc.name, err)
+		}
+	}
+}
+
+// BenchmarkBuildALT builds one table of 8 landmarks on a 60 × 60 grid
+// (3 600 vertices, the city fixture's size) under free-flow weights: 16
+// sweeps, which -cpu 1,2 shows spread over the cores.
+func BenchmarkBuildALT(b *testing.B) {
+	ncfg := netgen.DefaultConfig()
+	ncfg.Rows, ncfg.Cols = 60, 60
+	g, err := netgen.Generate(ncfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lms := SelectLandmarks(g, nil, 8)
+	w := func(e graph.EdgeID) float64 { return g.Edge(e).FreeFlowSeconds() }
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := BuildALT(g, w, lms); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -134,7 +134,12 @@
 //   - BuildALT runs 2L Dijkstras — forward from and backward to each
 //     landmark ℓ — and stores dist(ℓ→v) and dist(v→ℓ) for every vertex
 //     in flat transposed tables. This is preprocessing: once per model
-//     generation, never per query.
+//     generation, never per query. The weight function is materialised
+//     first — read once per edge into an array, a negative or NaN weight
+//     rejected there — so a relaxation is an array read, not a call into
+//     the cost model. The 2L sweeps are then independent jobs handed to
+//     internal/par: each fills scratch of its own and writes one column
+//     of one table, so the tables are the same bits on one core or many.
 //   - A query's potential is the triangle-inequality bound
 //     max(dist(v→ℓ) − dist(t→ℓ), dist(ℓ→t) − dist(ℓ→v)) maximised over
 //     landmarks and clamped at zero, memoised per vertex. Every path

@@ -2,6 +2,7 @@ package traj
 
 import (
 	"stochroute/internal/graph"
+	"stochroute/internal/par"
 )
 
 // SlicedObservations is the temporal observation aggregate: one
@@ -40,17 +41,20 @@ func (so *SlicedObservations) Slice(i int) *ObservationStore { return so.stores[
 // mutation.
 func (so *SlicedObservations) ReplaceSlice(i int, s *ObservationStore) { so.stores[i] = s }
 
-// Collect ingests trajectories, bucketing each by its departure slice.
+// Collect ingests trajectories, bucketing each by its departure slice:
+// one sequential SplitBySlice, then every slice's store collects its own
+// bucket, concurrently (par.For). A store sees its trajectories in input
+// order whatever the worker count, so it holds the same samples in the
+// same order.
 func (so *SlicedObservations) Collect(trs []Trajectory) {
-	if so.k == 1 {
-		so.stores[0].Collect(trs)
-		return
-	}
-	for _, bucket := range SplitBySlice(trs, so.k) {
-		if len(bucket) > 0 {
-			so.stores[SliceIndex(bucket[0].Departure, so.k)].Collect(bucket)
+	buckets := SplitBySlice(trs, so.k)
+	// Collecting cannot fail.
+	_ = par.For(so.k, func(s int) error {
+		if len(buckets[s]) > 0 {
+			so.stores[s].Collect(buckets[s])
 		}
-	}
+		return nil
+	})
 }
 
 // SplitBySlice partitions trajectories by departure slice under a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"stochroute/internal/graph"
@@ -187,6 +188,38 @@ func TestSlicedObservationsBucketsByDeparture(t *testing.T) {
 	so.Collect(trs)
 	if total() != 2*before {
 		t.Errorf("double collect = %d observations, want %d", total(), 2*before)
+	}
+}
+
+// TestSlicedCollectSameSamplesAcrossWorkers: the slices' stores fill
+// concurrently, each from its own bucket in input order, so one worker
+// and four leave every slice with the keys, samples and sample order of
+// one append per sample over that slice's trajectories — on fresh stores
+// and when a second Collect lands on them.
+func TestSlicedCollectSameSamplesAcrossWorkers(t *testing.T) {
+	w := testWorld(t, nil)
+	const k = 4
+	trs, err := GenerateTrajectories(w, WalkConfig{
+		NumTrajectories: 600, MinEdges: 2, MaxEdges: 12, Seed: 7, Slices: k,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		so := NewSlicedObservations(w.Graph(), w.cfg.BucketWidth, k)
+		edge, pairs := make([]map[graph.EdgeID][]float64, k), make([]map[PairKey][]PairObs, k)
+		for s := range edge {
+			edge[s], pairs[s] = map[graph.EdgeID][]float64{}, map[PairKey][]PairObs{}
+		}
+		for _, part := range [][]Trajectory{trs[:400], trs[400:]} {
+			so.Collect(part)
+			for s, bucket := range SplitBySlice(part, k) {
+				appendCollect(edge[s], pairs[s], bucket)
+				requireSameSamples(t, so.Slice(s), edge[s], pairs[s])
+			}
+		}
 	}
 }
 

@@ -38,7 +38,6 @@ var reachAllow = []struct{ pkg, decl, reason string }{
 // fails the gate until it leaves the list; the list only shrinks.
 var reachDeferred = map[string][]string{
 	"internal/hist": {"Wasserstein1", "Hist.Scale", "Hist.Rebucket", "Hist.Mode", "Hist.SampleValue", "Hist.Entropy", "Hist.ExpectedOvershoot", "Hist.ConditionalValueAtRisk", "Hist.OnTimeThenEarliest"},
-	"internal/ml":   {"Matrix.HasNaN", "Softmax", "SoftmaxCrossEntropy", "MSE", "Optimizer", "SGD", "NewSGD", "SGD.Step"},
 }
 
 // TestInternalReachable is the membership rule for non-test code under

@@ -3,6 +3,7 @@ package stochroute
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -360,5 +361,47 @@ func TestTimeExpandedCrossesBoundaryAccuracy(t *testing.T) {
 	if math.Abs(expandedDist.Mean()-truth.Mean()) >= math.Abs(departDist.Mean()-truth.Mean()) {
 		t.Fatalf("expanded mean error %.1fs not below departure-slice mean error %.1fs",
 			math.Abs(expandedDist.Mean()-truth.Mean()), math.Abs(departDist.Mean()-truth.Mean()))
+	}
+}
+
+// TestNewEngineWithModelSetSameAnswerAcrossWorkers: the per-slice
+// knowledge bases, the slices' observation stores and the landmark
+// sweeps are built side by side when there are cores for it. An engine
+// assembled on one core and one assembled on four must be the same
+// engine: a boundary-crossing time-expanded query and a classic one get
+// the same path, the same distribution bits and the same search counters
+// from both.
+func TestNewEngineWithModelSetSameAnswerAcrossWorkers(t *testing.T) {
+	var want []*RouteResult
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		e, err := buildExpandedTestEngine()
+		if err == nil {
+			err = e.SetLandmarks(6)
+		}
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		q, opt := longPeakQuery(t, e)
+		depart := traj.SliceStart(1, e.NumSlices()) - opt
+		var got []*RouteResult
+		for _, opts := range []RouteOptions{
+			{Budget: 1.5 * opt, Departure: depart, TimeExpanded: true},
+			{Budget: 1.5 * opt, Departure: depart},
+		} {
+			res, err := e.RouteCtx(context.Background(), q.Source, q.Dest, opts)
+			if err != nil || !res.Found {
+				t.Fatalf("GOMAXPROCS %d: route: err=%v", procs, err)
+			}
+			got = append(got, res)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range want {
+			requireSameSearch(t, "engine built on four cores vs on one", got[i], want[i])
+		}
 	}
 }
