@@ -118,6 +118,9 @@ func main() {
 	traceStore := flag.Int("trace-store", 256, "completed traces retained for /debug/traces (plus a slow/error annex)")
 	replicaID := flag.String("replica-id", "", "fleet identity: stamp every response with this X-Replica header and report it in /healthz, so cmd/gateway can attribute and verify this replica (empty = standalone)")
 	flag.Parse()
+	if err := traj.CheckWidth(*width); err != nil {
+		log.Fatalf("-width: %v", err)
+	}
 
 	if *pprofAddr != "" {
 		startPprof(*pprofAddr)

@@ -42,6 +42,9 @@ func main() {
 	landmarks := flag.Int("landmarks", 0, "dry-run ALT landmark preprocessing after training and report its cost (what cmd/serve -landmarks=N will pay per model generation; 0 skips)")
 	verbose := flag.Bool("v", false, "log training progress")
 	flag.Parse()
+	if err := traj.CheckWidth(*width); err != nil {
+		log.Fatalf("-width: %v", err)
+	}
 
 	f, err := os.Open(*netPath)
 	if err != nil {

@@ -158,7 +158,12 @@
 //     give each slice its own congestion mode prior
 //     (traj.WorldConfig.SlicePriors, traj.PeakedSlicePriors), and
 //     observations aggregate per slice over a shared edge grid
-//     (traj.SlicedObservations).
+//     (traj.SlicedObservations). A slice's traj.ObservationStore keeps
+//     counts on that grid, not samples: per edge a count vector over its
+//     grid steps, per adjacent pair its joint counts. The knowledge
+//     base, training and the drift monitor read only those counts, so a
+//     store — and every model built from it — is the same whatever the
+//     order the trajectories arrived in.
 //   - One hybrid model is trained per slice on that slice's data
 //     (hybrid.TrainSlices) and the set persists as one SRH2 file; the
 //     classic time-homogeneous model is the set with K = 1.

@@ -171,13 +171,17 @@ func BuildEngine(cfg Config, logW io.Writer) (*Engine, error) {
 // NewEngineFromObservations builds an engine over an existing graph and
 // trajectory set (e.g. a parsed OSM network with map-matched GPS
 // trajectories). Ground truth for the training evaluation is then the
-// held-out empirical pair distributions, as in the paper.
+// held-out empirical pair distributions, as in the paper. A trajectory
+// that fails Trajectory.Validate against g fails the build.
 func NewEngineFromObservations(g *Graph, trajs []Trajectory, cfg hybrid.Config, logW io.Writer) (*Engine, error) {
 	if logW == nil {
 		logW = io.Discard
 	}
 	if g == nil || g.NumVertices() == 0 {
 		return nil, errors.New("stochroute: nil or empty graph")
+	}
+	if err := checkObservations(g, trajs, cfg.Width); err != nil {
+		return nil, err
 	}
 	k := traj.NumSlices(cfg.Slices)
 	obs := traj.NewSlicedObservations(g, cfg.Width, k)
@@ -219,13 +223,17 @@ func NewEngineFromObservations(g *Graph, trajs []Trajectory, cfg hybrid.Config, 
 // are bucketed by departure slice, one knowledge base is rebuilt per
 // slice, and each slice's model is attached to its own, with no
 // training and no evaluation (Report is nil). The set's grid width must
-// match width.
+// match width, and every trajectory must pass Trajectory.Validate
+// against g.
 func NewEngineWithModelSet(g *Graph, trajs []Trajectory, width float64, minPairObs int, set *hybrid.ModelSet) (*Engine, error) {
 	if g == nil || g.NumVertices() == 0 {
 		return nil, errors.New("stochroute: nil or empty graph")
 	}
 	if set == nil || set.K() == 0 {
 		return nil, errors.New("stochroute: nil or empty model set")
+	}
+	if err := checkObservations(g, trajs, width); err != nil {
+		return nil, err
 	}
 	k := set.K()
 	obs := traj.NewSlicedObservations(g, width, k)
@@ -254,6 +262,20 @@ func NewEngineWithModelSet(g *Graph, trajs []Trajectory, width float64, minPairO
 		sliceEpochs: newSliceEpochs(k, 1), swappedAt: time.Now(),
 	})
 	return eng, nil
+}
+
+// checkObservations checks the grid width and every trajectory before
+// the observation stores bin them on that grid.
+func checkObservations(g *Graph, trajs []Trajectory, width float64) error {
+	if err := traj.CheckWidth(width); err != nil {
+		return fmt.Errorf("stochroute: %w", err)
+	}
+	for i := range trajs {
+		if err := trajs[i].Validate(g); err != nil {
+			return fmt.Errorf("stochroute: trajectory %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Graph returns the engine's road network.

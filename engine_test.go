@@ -410,6 +410,34 @@ func TestNewEngineFromObservationsValidation(t *testing.T) {
 	}
 }
 
+// TestEngineConstructorsRejectBadTrajectories: a trajectory the
+// observation stores cannot bin — a NaN, infinite or day-long time, an
+// edge outside the graph — fails both constructors with an error, for a
+// sliced build too, and never panics.
+func TestEngineConstructorsRejectBadTrajectories(t *testing.T) {
+	e := testEngine(t)
+	g := e.Graph()
+	good := e.Observations().Width * 3
+	cfg := DefaultConfig().Hybrid
+	for name, bad := range map[string]Trajectory{
+		"NaN time":           {Edges: []EdgeID{0}, Times: []float64{math.NaN()}},
+		"infinite time":      {Edges: []EdgeID{0}, Times: []float64{math.Inf(1)}},
+		"time past the day":  {Edges: []EdgeID{0}, Times: []float64{traj.MaxTravelTime * 2}},
+		"edge outside graph": {Edges: []EdgeID{EdgeID(g.NumEdges())}, Times: []float64{good}},
+	} {
+		trs := []Trajectory{{Edges: []EdgeID{0}, Times: []float64{good}}, bad}
+		for _, k := range []int{1, 4} {
+			cfg.Slices = k
+			if _, err := NewEngineFromObservations(g, trs, cfg, nil); err == nil {
+				t.Errorf("%s: NewEngineFromObservations with %d slices accepted it", name, k)
+			}
+		}
+		if _, err := NewEngineWithModelSet(g, trs, cfg.Width, cfg.MinPairObs, e.ModelSet()); err == nil {
+			t.Errorf("%s: NewEngineWithModelSet accepted it", name)
+		}
+	}
+}
+
 // TestEngineHotSwapDuringQueries exercises the epoch-tagged model swaps
 // while queries run (the -race gate for SwapSliceModel and LoadModel):
 // answers must stay correct throughout, and post-swap results must

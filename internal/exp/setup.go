@@ -182,13 +182,14 @@ func Build(scale Scale, logW io.Writer) (*Setup, error) {
 	}
 	obs := traj.NewObservationStore(g, worldCfg.BucketWidth)
 	obs.Collect(trajs)
-	logf("exp: %d edge observations over %d edges, %d pairs observed",
-		obs.NumEdgeObservations(), len(obs.Edge), len(obs.Pairs))
 
 	kb, err := hybrid.BuildKnowledgeBase(g, obs, hybCfg.Width, hybCfg.MinPairObs)
 	if err != nil {
 		return nil, fmt.Errorf("exp: knowledge base: %w", err)
 	}
+	observed, _, _ := kb.EdgeCoverage()
+	logf("exp: %d edge observations over %d edges, %d pairs observed",
+		obs.NumEdgeObservations(), observed, len(obs.PairsWithSupport(1)))
 	logf("exp: knowledge base has %d pairs with >= %d observations", kb.NumPairs(), hybCfg.MinPairObs)
 
 	logf("exp: training hybrid model (%d/%d protocol)...", hybCfg.TrainPairs, hybCfg.TestPairs)

@@ -338,21 +338,9 @@ func (h *Hist) Shift(delta float64) *Hist {
 	return out
 }
 
-// Scale returns the distribution of X·factor, re-gridded onto width
-// h.Width·factor. factor must be positive.
-func (h *Hist) Scale(factor float64) *Hist {
-	if factor <= 0 {
-		panic("hist: Scale with non-positive factor")
-	}
-	out := h.Clone()
-	out.Min *= factor
-	out.Width *= factor
-	return out
-}
-
 // Convolve returns the distribution of X + Y assuming independence, the
 // classical path-cost combination step. Both histograms must share the
-// same width; use Rebucket first if they do not. The result has
+// same width. The result has
 // Min = a.Min + b.Min and len(a)+len(b)-1 support points, matching the
 // paper's worked example (H1 ⊗ H2 = {30: .25, 35: .5, 40: .25}).
 func Convolve(a, b *Hist) (*Hist, error) {
@@ -483,39 +471,6 @@ func MustConvolve(a, b *Hist) *Hist {
 		panic(err)
 	}
 	return out
-}
-
-// Rebucket re-grids the histogram onto a new width whose buckets are
-// aligned at newMin (support points newMin + i·newWidth). Mass at each
-// old support point is assigned to the nearest new support point.
-// It returns an error if newWidth <= 0 or any mass would fall before
-// newMin.
-func (h *Hist) Rebucket(newMin, newWidth float64) (*Hist, error) {
-	if newWidth <= 0 {
-		return nil, fmt.Errorf("hist: Rebucket with invalid width %v", newWidth)
-	}
-	maxIdx := 0
-	for i := range h.P {
-		if h.P[i] == 0 {
-			continue
-		}
-		j := int(math.Round((h.Value(i) - newMin) / newWidth))
-		if j < 0 {
-			return nil, fmt.Errorf("hist: Rebucket value %v before newMin %v", h.Value(i), newMin)
-		}
-		if j > maxIdx {
-			maxIdx = j
-		}
-	}
-	p := make([]float64, maxIdx+1)
-	for i := range h.P {
-		if h.P[i] == 0 {
-			continue
-		}
-		j := int(math.Round((h.Value(i) - newMin) / newWidth))
-		p[j] += h.P[i]
-	}
-	return &Hist{Min: newMin, Width: newWidth, P: p}, nil
 }
 
 // CompareCDF aligns a and b on their common grid (equal widths, same
@@ -689,30 +644,6 @@ func (h *Hist) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// Mode returns the support value with the highest mass.
-func (h *Hist) Mode() float64 {
-	best, bestP := 0, -1.0
-	for i, p := range h.P {
-		if p > bestP {
-			best, bestP = i, p
-		}
-	}
-	return h.Value(best)
-}
-
-// SampleValue draws one value from the distribution given a uniform
-// variate u in [0,1).
-func (h *Hist) SampleValue(u float64) float64 {
-	acc := 0.0
-	for i, p := range h.P {
-		acc += p
-		if u < acc {
-			return h.Value(i)
-		}
-	}
-	return h.MaxValue()
 }
 
 // Mixture returns the mixture distribution sum_i w[i]·hs[i], re-gridded

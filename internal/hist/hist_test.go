@@ -185,17 +185,6 @@ func TestShift(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	h := New(10, 5, []float64{0.5, 0.5})
-	s := h.Scale(2)
-	if s.Min != 20 || s.Width != 10 {
-		t.Errorf("Scale: %v", s)
-	}
-	if !almostEqual(s.Mean(), 2*h.Mean(), 1e-12) {
-		t.Errorf("Scale mean %v", s.Mean())
-	}
-}
-
 func TestConvolveErrors(t *testing.T) {
 	h := New(0, 1, []float64{1})
 	if _, err := Convolve(nil, h); err == nil {
@@ -219,26 +208,6 @@ func TestConvolveMeanAdditivity(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Errorf("convolution not normalised: %v", err)
-	}
-}
-
-func TestRebucket(t *testing.T) {
-	h := New(10, 1, []float64{0.25, 0.25, 0.25, 0.25}) // 10..13
-	r, err := h.Rebucket(10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Width != 2 || r.Min != 10 {
-		t.Fatalf("Rebucket = %v", r)
-	}
-	if !almostEqual(r.TotalMass(), 1, 1e-12) {
-		t.Errorf("Rebucket lost mass: %v", r.TotalMass())
-	}
-	if _, err := h.Rebucket(11, 2); err == nil {
-		t.Error("Rebucket with mass before newMin should error")
-	}
-	if _, err := h.Rebucket(10, 0); err == nil {
-		t.Error("Rebucket with zero width should error")
 	}
 }
 
@@ -356,22 +325,6 @@ func TestNormalizePanicsOnZeroMass(t *testing.T) {
 		}
 	}()
 	New(0, 1, []float64{0, 0}).Normalize()
-}
-
-func TestModeAndSample(t *testing.T) {
-	h := New(0, 1, []float64{0.1, 0.7, 0.2})
-	if m := h.Mode(); m != 1 {
-		t.Errorf("Mode = %v", m)
-	}
-	if v := h.SampleValue(0.05); v != 0 {
-		t.Errorf("SampleValue(0.05) = %v", v)
-	}
-	if v := h.SampleValue(0.5); v != 1 {
-		t.Errorf("SampleValue(0.5) = %v", v)
-	}
-	if v := h.SampleValue(0.99); v != 2 {
-		t.Errorf("SampleValue(0.99) = %v", v)
-	}
 }
 
 func TestStringElidesTinyMass(t *testing.T) {

@@ -1,84 +1,7 @@
 package hist
 
-import "math"
-
-// Additional distribution functionals used by the routing extensions:
-// risk measures beyond P(X <= t).
-
-// Entropy returns the Shannon entropy of the distribution in nats.
-func (h *Hist) Entropy() float64 {
-	e := 0.0
-	for _, p := range h.P {
-		if p > 0 {
-			e -= p * math.Log(p)
-		}
-	}
-	if e < 0 {
-		return 0
-	}
-	return e
-}
-
-// ExpectedOvershoot returns E[max(X - t, 0)]: the expected lateness
-// beyond the deadline t in seconds. Zero when all mass is within budget.
-func (h *Hist) ExpectedOvershoot(t float64) float64 {
-	s := 0.0
-	for i, p := range h.P {
-		if v := h.Value(i); v > t {
-			s += p * (v - t)
-		}
-	}
-	return s
-}
-
-// ConditionalValueAtRisk returns E[X | X >= VaR_q], the expected travel
-// time over the worst (1-q) tail — the CVaR risk measure at level q in
-// (0, 1). For q close to 1 it approaches the maximum support value.
-func (h *Hist) ConditionalValueAtRisk(q float64) float64 {
-	if q <= 0 {
-		return h.Mean()
-	}
-	if q >= 1 {
-		return h.MaxValue()
-	}
-	cut := h.Quantile(q)
-	mass, sum := 0.0, 0.0
-	for i, p := range h.P {
-		if v := h.Value(i); v >= cut {
-			mass += p
-			sum += p * v
-		}
-	}
-	if mass == 0 {
-		return h.MaxValue()
-	}
-	return sum / mass
-}
-
 // InterquantileRange returns Quantile(hi) - Quantile(lo), a robust
 // spread measure.
 func (h *Hist) InterquantileRange(lo, hi float64) float64 {
 	return h.Quantile(hi) - h.Quantile(lo)
-}
-
-// OnTimeThenEarliest compares two distributions lexicographically for
-// budget routing tie-breaks: higher P(<=t) wins; ties go to the smaller
-// mean. Returns +1 if h is better, -1 if other is better, 0 if equal.
-func (h *Hist) OnTimeThenEarliest(other *Hist, t float64) int {
-	const tol = 1e-12
-	pa, pb := h.CDF(t), other.CDF(t)
-	switch {
-	case pa > pb+tol:
-		return 1
-	case pb > pa+tol:
-		return -1
-	}
-	ma, mb := h.Mean(), other.Mean()
-	switch {
-	case ma < mb-tol:
-		return 1
-	case mb < ma-tol:
-		return -1
-	}
-	return 0
 }

@@ -1,61 +1,6 @@
 package hist
 
-import (
-	"math"
-	"testing"
-)
-
-func TestEntropy(t *testing.T) {
-	if e := Delta(5, 1).Entropy(); e != 0 {
-		t.Errorf("delta entropy = %v", e)
-	}
-	u := Uniform(0, 1, 4)
-	if e := u.Entropy(); math.Abs(e-math.Log(4)) > 1e-12 {
-		t.Errorf("uniform-4 entropy = %v, want ln 4", e)
-	}
-	// Uniform maximises entropy for a fixed support size.
-	skewed := New(0, 1, []float64{0.7, 0.1, 0.1, 0.1})
-	if skewed.Entropy() >= u.Entropy() {
-		t.Error("skewed entropy should be below uniform")
-	}
-}
-
-func TestExpectedOvershoot(t *testing.T) {
-	h := New(0, 1, []float64{0.5, 0, 0.5}) // values 0 and 2
-	if o := h.ExpectedOvershoot(2); o != 0 {
-		t.Errorf("overshoot at max = %v", o)
-	}
-	if o := h.ExpectedOvershoot(1); math.Abs(o-0.5) > 1e-12 {
-		t.Errorf("overshoot(1) = %v, want 0.5", o)
-	}
-	if o := h.ExpectedOvershoot(-1); math.Abs(o-(0.5*1+0.5*3)) > 1e-12 {
-		t.Errorf("overshoot(-1) = %v, want 2", o)
-	}
-}
-
-func TestConditionalValueAtRisk(t *testing.T) {
-	h := New(0, 1, []float64{0.25, 0.25, 0.25, 0.25}) // 0..3
-	// VaR(0.75) = 2 (first value with CDF >= 0.75), so the conditional
-	// tail is {2, 3} with mean 2.5.
-	if c := h.ConditionalValueAtRisk(0.75); math.Abs(c-2.5) > 1e-12 {
-		t.Errorf("CVaR(0.75) = %v, want 2.5", c)
-	}
-	if c := h.ConditionalValueAtRisk(0); math.Abs(c-h.Mean()) > 1e-12 {
-		t.Errorf("CVaR(0) = %v, want mean", c)
-	}
-	if c := h.ConditionalValueAtRisk(1); c != h.MaxValue() {
-		t.Errorf("CVaR(1) = %v, want max", c)
-	}
-	// CVaR is monotone in q and at least the mean.
-	prev := h.Mean() - 1e-12
-	for _, q := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-		c := h.ConditionalValueAtRisk(q)
-		if c < prev-1e-12 {
-			t.Errorf("CVaR not monotone at q=%v", q)
-		}
-		prev = c
-	}
-}
+import "testing"
 
 func TestInterquantileRange(t *testing.T) {
 	h := New(0, 1, []float64{0.25, 0.25, 0.25, 0.25})
@@ -64,25 +9,5 @@ func TestInterquantileRange(t *testing.T) {
 	}
 	if r := Delta(5, 1).InterquantileRange(0.1, 0.9); r != 0 {
 		t.Errorf("delta IQR = %v", r)
-	}
-}
-
-func TestOnTimeThenEarliest(t *testing.T) {
-	fast := New(0, 1, []float64{0.9, 0.1})
-	slow := New(0, 1, []float64{0.1, 0.9})
-	if fast.OnTimeThenEarliest(slow, 0) != 1 {
-		t.Error("fast should win at t=0")
-	}
-	if slow.OnTimeThenEarliest(fast, 0) != -1 {
-		t.Error("slow should lose at t=0")
-	}
-	// Equal CDF at t, tie broken by mean.
-	a := New(0, 1, []float64{0.5, 0.5, 0})
-	b := New(0, 1, []float64{0.5, 0, 0.5})
-	if a.OnTimeThenEarliest(b, 0) != 1 {
-		t.Error("equal P(<=0), smaller mean should win")
-	}
-	if a.OnTimeThenEarliest(a.Clone(), 5) != 0 {
-		t.Error("identical distributions should tie")
 	}
 }

@@ -162,9 +162,9 @@ func clipConditional(p []float64) {
 
 // buildEstimatorDataset converts the training pairs into (features,
 // weighted band-conditional target) rows. For pair (e1, e2) the virtual
-// edge is e1's empirical marginal; the target bins each joint
-// observation's T2 into (band of T1, offset of T2 from e2's optimistic
-// time).
+// edge is e1's empirical marginal; the target bins each joint count's
+// T2 into (band of T1, offset of T2 from e2's optimistic time), T1 and
+// T2 being the cell's grid steps in seconds.
 func buildEstimatorDataset(kb *KnowledgeBase, obs *traj.ObservationStore, pairs []traj.PairKey, cfg EstimatorConfig) (x, y *ml.Matrix, err error) {
 	if len(pairs) == 0 {
 		return nil, nil, errors.New("hybrid: no training pairs for estimator")
@@ -179,23 +179,23 @@ func buildEstimatorDataset(kb *KnowledgeBase, obs *traj.ObservationStore, pairs 
 		copy(x.Row(i), feats)
 
 		base2 := kb.Edge(k.Second).MinTime
-		list := obs.Pairs[k]
-		if len(list) == 0 {
+		cells := obs.Joint(k)
+		if len(cells) == 0 {
 			return nil, nil, fmt.Errorf("hybrid: training pair (%d,%d) has no observations", k.First, k.Second)
 		}
 		row := y.Row(i)
-		for _, o := range list {
-			b := BandOfValue(marg1, o.T1, cfg.Bands)
-			off := int((o.T2-base2)/kb.Width + 0.5)
+		for _, c := range cells {
+			b := BandOfValue(marg1, float64(c.I1)*kb.Width, cfg.Bands)
+			off := int((float64(c.I2)*kb.Width-base2)/kb.Width + 0.5)
 			if off < 0 {
 				off = 0
 			}
 			if off >= cfg.CondBuckets {
 				off = cfg.CondBuckets - 1
 			}
-			row[b*cfg.CondBuckets+off]++
+			row[b*cfg.CondBuckets+off] += float64(c.N)
 		}
-		total := float64(len(list))
+		total := float64(cells.Total())
 		for j := range row {
 			row[j] /= total
 		}

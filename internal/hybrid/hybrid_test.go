@@ -455,11 +455,8 @@ func TestPairIndexMatchesPairMap(t *testing.T) {
 	e := getEnv(t)
 	const minPairObs = 12 // as getEnv builds the knowledge base
 	want := make(map[traj.PairKey]PairStats)
-	for k, list := range e.obs.Pairs {
-		if len(list) < minPairObs {
-			continue
-		}
-		ps := PairStats{Count: len(list), MI: e.obs.PairMutualInformation(k, 3)}
+	for _, k := range e.obs.PairsWithSupport(minPairObs) {
+		ps := PairStats{Count: e.obs.Joint(k).Total(), MI: e.obs.PairMutualInformation(k, 3)}
 		if corr, err := e.obs.PairCorrelation(k); err == nil {
 			ps.Corr = corr
 		}

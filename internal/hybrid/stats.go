@@ -25,7 +25,7 @@ package hybrid
 
 import (
 	"encoding/binary"
-	"errors"
+	"fmt"
 	"math"
 
 	"stochroute/internal/graph"
@@ -86,16 +86,16 @@ type KnowledgeBase struct {
 // their fake reliability.
 const ShrinkageK = 15.0
 
-// BuildKnowledgeBase extracts edge and pair statistics from obs. Edge
-// marginals are shrunk toward a global profile of travel-time/free-flow
-// ratios learned from all observed edges; edges without any observations
-// receive the pure profile scaled to their free-flow time. Pairs with
-// fewer than minPairObs observations are not entered into the pair table
-// (the classifier then defaults to convolution, as the paper does for
-// pairs without data).
+// BuildKnowledgeBase extracts edge and pair statistics from obs, whose
+// grid width must be width. Edge marginals are shrunk toward a global
+// profile of travel-time/free-flow ratios learned from all observed
+// edges; edges without any observations receive the pure profile scaled
+// to their free-flow time. Pairs with fewer than minPairObs observations
+// are not entered into the pair table (the classifier then defaults to
+// convolution, as the paper does for pairs without data).
 func BuildKnowledgeBase(g *graph.Graph, obs *traj.ObservationStore, width float64, minPairObs int) (*KnowledgeBase, error) {
-	if width <= 0 {
-		return nil, errors.New("hybrid: BuildKnowledgeBase with non-positive width")
+	if width != obs.Width {
+		return nil, fmt.Errorf("hybrid: BuildKnowledgeBase with width %v over observations on a %v grid", width, obs.Width)
 	}
 	kb := &KnowledgeBase{
 		g:     g,
@@ -106,61 +106,41 @@ func BuildKnowledgeBase(g *graph.Graph, obs *traj.ObservationStore, width float6
 	profileFor, fallback := ratioProfiles(g, obs)
 	kb.FallbackFactor = fallback
 
-	// Pass 2: per-edge marginals with shrinkage toward the profile.
+	// Pass 2: per-edge marginals with shrinkage toward the profile. An
+	// edge without data keeps the prior.
 	priors := newPriorTable(width)
-	for e := 0; e < g.NumEdges(); e++ {
-		id := graph.EdgeID(e)
-		ed := g.Edge(id)
+	for e := range kb.edges {
+		ed := g.Edge(graph.EdgeID(e))
 		kb.edges[e] = priors.project(profileFor(ed.Category), ed.FreeFlowSeconds())
-		samples := obs.Edge[id]
-		if len(samples) == 0 {
-			continue // the prior is all the model knows
-		}
-		empirical, err := hist.FromSamples(samples, width)
-		if err != nil {
-			return nil, err
-		}
-		n := float64(len(samples))
+	}
+	for e, counts := range obs.Edges() {
+		n := float64(counts.Total())
 		marginal, err := hist.Mixture(
-			[]*hist.Hist{empirical, kb.edges[e].Marginal},
+			[]*hist.Hist{counts.Hist(width), kb.edges[e].Marginal},
 			[]float64{n / (n + ShrinkageK), ShrinkageK / (n + ShrinkageK)},
 		)
 		if err != nil {
 			return nil, err
 		}
-		kb.edges[e] = statsOf(marginal.Trim(), len(samples))
+		kb.edges[e] = statsOf(marginal.Trim(), counts.Total())
 	}
 
-	// Pairs with data, grouped by first edge: count each group, turn
-	// the counts into group starts, then fill the groups.
-	withData := func(k traj.PairKey, list []traj.PairObs) bool {
-		return len(list) >= minPairObs && int(k.First) >= 0 && int(k.First) < g.NumEdges()
-	}
+	// Pairs with data arrive grouped by first edge, each group in the
+	// order of its second edges: the table's own layout.
+	pairs := obs.PairsWithSupport(minPairObs)
 	kb.pairStart = make([]int32, g.NumEdges()+1)
-	for k, list := range obs.Pairs {
-		if withData(k, list) {
-			kb.pairStart[k.First+1]++
-		}
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		kb.pairStart[e+1] += kb.pairStart[e]
-	}
-	n := kb.pairStart[g.NumEdges()]
-	kb.pairSecond = make([]graph.EdgeID, n)
-	kb.pairStats = make([]PairStats, n)
-	next := append([]int32(nil), kb.pairStart[:g.NumEdges()]...)
-	for k, list := range obs.Pairs {
-		if !withData(k, list) {
-			continue
-		}
-		ps := PairStats{Count: len(list)}
+	kb.pairSecond = make([]graph.EdgeID, len(pairs))
+	kb.pairStats = make([]PairStats, len(pairs))
+	for i, k := range pairs {
+		ps := PairStats{Count: obs.Joint(k).Total(), MI: obs.PairMutualInformation(k, 3)}
 		if corr, err := obs.PairCorrelation(k); err == nil {
 			ps.Corr = corr
 		}
-		ps.MI = obs.PairMutualInformation(k, 3)
-		i := next[k.First]
-		next[k.First]++
+		kb.pairStart[k.First+1]++
 		kb.pairSecond[i], kb.pairStats[i] = k.Second, ps
+	}
+	for e := 0; e < g.NumEdges(); e++ {
+		kb.pairStart[e+1] += kb.pairStart[e]
 	}
 	return kb, nil
 }
@@ -222,12 +202,7 @@ func ratioProfiles(g *graph.Graph, obs *traj.ObservationStore) (profileFor func(
 		byCat[c] = newRatioProfile()
 	}
 	ratioSum, ratioN := 0.0, 0
-	for e := 0; e < g.NumEdges(); e++ {
-		id := graph.EdgeID(e)
-		samples := obs.Edge[id]
-		if len(samples) == 0 {
-			continue
-		}
+	for id, counts := range obs.Edges() {
 		ed := g.Edge(id)
 		ff := ed.FreeFlowSeconds()
 		if ff <= 0 {
@@ -235,18 +210,24 @@ func ratioProfiles(g *graph.Graph, obs *traj.ObservationStore) (profileFor func(
 		}
 		// Weight each edge equally regardless of its sample count so
 		// heavily travelled edges do not dominate the profile.
-		inc := 1 / float64(len(samples))
+		n := counts.Total()
+		inc := 1 / float64(n)
 		mean := 0.0
 		catProfile := global
 		if int(ed.Category) < len(byCat) {
 			catProfile = byCat[ed.Category]
 		}
-		for _, s := range samples {
-			global.add(s/ff, inc)
-			catProfile.add(s/ff, inc)
-			mean += s
+		// One add per observation, as over a sample list: the masses
+		// keep a sample list's bits.
+		for i, k := range counts.Counts {
+			s := float64(counts.Lo+i) * obs.Width
+			for ; k > 0; k-- {
+				global.add(s/ff, inc)
+				catProfile.add(s/ff, inc)
+				mean += s
+			}
 		}
-		ratioSum += mean / float64(len(samples)) / ff
+		ratioSum += mean / float64(n) / ff
 		ratioN++
 	}
 	fallback = 1.3

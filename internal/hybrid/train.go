@@ -225,7 +225,7 @@ func Evaluate(model *Model, obs *traj.ObservationStore, oracle Oracle, testPairs
 	const eps = 1e-6
 
 	for _, k := range testPairs {
-		truth, err := pairTruth(obs, oracle, k, kb.Width)
+		truth, err := pairTruth(obs, oracle, k)
 		if err != nil {
 			return nil, err
 		}
@@ -286,9 +286,9 @@ func Evaluate(model *Model, obs *traj.ObservationStore, oracle Oracle, testPairs
 	return report, nil
 }
 
-func pairTruth(obs *traj.ObservationStore, oracle Oracle, k traj.PairKey, width float64) (*hist.Hist, error) {
+func pairTruth(obs *traj.ObservationStore, oracle Oracle, k traj.PairKey) (*hist.Hist, error) {
 	if oracle != nil {
 		return oracle.PairTruth(k)
 	}
-	return obs.PairSumHist(k, width)
+	return obs.PairSumHist(k)
 }

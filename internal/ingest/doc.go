@@ -16,10 +16,11 @@
 //     a validation pass and a slice append under the lock, and
 //     everything expensive happens in the background.
 //
-//   - One DriftMonitor per time-of-day slice watches a sliding window
-//     of that slice's fresh observations and compares per-edge
-//     empirical travel-time histograms against the slice's serving
-//     marginals with the Jensen–Shannon divergence (internal/hist).
+//   - One DriftMonitor per time-of-day slice keeps a window of that
+//     slice's accepted trajectories; a full window is collected into an
+//     observation store, and its per-edge histograms are compared, in
+//     edge order, against the slice's serving marginals with the
+//     Jensen–Shannon divergence (internal/hist).
 //     When enough edges drift past the configured threshold — or
 //     unconditionally every DriftConfig.RebuildEvery accepted
 //     trajectories in that slice — a rebuild of that slice triggers.
@@ -31,7 +32,7 @@
 //     over an O(1) view of the slice's aggregate as of the trigger
 //     (ingestion and age-out continue concurrently and never reach
 //     into it): it collects the slice's traj.ObservationStore from
-//     that view — one Collect per rebuild, about 8 µs per trajectory,
+//     that view — one Collect per rebuild, about 5 µs per trajectory,
 //     bounded by Config.MaxTrajectories — re-derives the slice's
 //     knowledge-base histograms, retrains the estimation network and
 //     the convolve-vs-estimate classifier, and publishes model and

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"stochroute/internal/graph"
 	"stochroute/internal/hist"
 	"stochroute/internal/hybrid"
 	"stochroute/internal/traj"
@@ -70,59 +69,50 @@ type DriftReport struct {
 	Fired bool
 }
 
-// DriftMonitor accumulates fresh per-edge travel-time samples over a
-// window of accepted trajectories and scores them against the serving
-// model's marginals. It is not safe for concurrent use; the Ingestor
-// serialises access under its mutex.
+// DriftMonitor keeps the window of accepted trajectories and scores it
+// against the serving model's marginals once it is full. It is not safe
+// for concurrent use; the Ingestor serialises access under its mutex.
 type DriftMonitor struct {
-	cfg   DriftConfig
-	width float64
-	fresh map[graph.EdgeID][]float64
-	seen  int
+	cfg    DriftConfig
+	width  float64
+	window []traj.Trajectory
 }
 
 // NewDriftMonitor returns a monitor on the given histogram grid width
 // (which must match the serving knowledge base's width).
 func NewDriftMonitor(cfg DriftConfig, width float64) *DriftMonitor {
-	return &DriftMonitor{
-		cfg:   cfg.withDefaults(),
-		width: width,
-		fresh: make(map[graph.EdgeID][]float64),
-	}
+	return &DriftMonitor{cfg: cfg.withDefaults(), width: width}
 }
 
 // Enabled reports whether drift detection is on.
 func (m *DriftMonitor) Enabled() bool { return m.cfg.Window > 0 }
 
-// Observe folds one accepted trajectory into the current window.
+// Observe adds one accepted trajectory to the current window.
 func (m *DriftMonitor) Observe(tr *traj.Trajectory) {
-	if !m.Enabled() {
-		return
+	if m.Enabled() {
+		m.window = append(m.window, *tr)
 	}
-	for i, e := range tr.Edges {
-		m.fresh[e] = append(m.fresh[e], tr.Times[i])
-	}
-	m.seen++
 }
 
 // Ready reports whether the window is full and should be evaluated.
-func (m *DriftMonitor) Ready() bool { return m.Enabled() && m.seen >= m.cfg.Window }
+func (m *DriftMonitor) Ready() bool { return m.Enabled() && len(m.window) >= m.cfg.Window }
 
-// Evaluate scores the current window against kb's per-edge marginals
-// and resets the window. Edges whose fresh histogram cannot be
-// compared (too few samples, grid mismatch) are skipped.
+// Evaluate collects the window into an observation store, scores it
+// against kb's per-edge marginals edge by edge in ID order — so one
+// window always gets one report — and resets the window. Edges with
+// fewer than MinEdgeObs traversals, or whose histogram cannot be
+// compared (grid mismatch), are skipped.
 func (m *DriftMonitor) Evaluate(kb *hybrid.KnowledgeBase) DriftReport {
+	fresh := traj.NewObservationStore(kb.Graph(), m.width)
+	fresh.Collect(m.window)
+	m.window = nil
 	var rep DriftReport
 	sum := 0.0
-	for e, samples := range m.fresh {
-		if len(samples) < m.cfg.MinEdgeObs {
+	for e, counts := range fresh.Edges() {
+		if counts.Total() < m.cfg.MinEdgeObs {
 			continue
 		}
-		freshHist, err := hist.FromSamples(samples, m.width)
-		if err != nil {
-			continue
-		}
-		js, err := hist.JS(freshHist, kb.Edge(e).Marginal)
+		js, err := hist.JS(counts.Hist(m.width), kb.Edge(e).Marginal)
 		if err != nil {
 			continue
 		}
@@ -140,7 +130,5 @@ func (m *DriftMonitor) Evaluate(kb *hybrid.KnowledgeBase) DriftReport {
 		rep.MeanDivergence = sum / float64(rep.Checked)
 	}
 	rep.Fired = rep.Checked >= m.cfg.MinEdges && rep.Score >= m.cfg.DriftedFrac
-	m.fresh = make(map[graph.EdgeID][]float64)
-	m.seen = 0
 	return rep
 }

@@ -214,6 +214,9 @@ func TestIngestValidation(t *testing.T) {
 		{Edges: []graph.EdgeID{-1}, Times: []float64{3}},                                // negative edge
 		{Edges: good.Edges, Times: negateFirst(good.Times)},                             // negative time
 		{Edges: good.Edges, Times: nanFirst(good.Times)},                                // NaN time
+		{Edges: good.Edges[:1], Times: []float64{math.Inf(1)}},                          // infinite time
+		{Edges: good.Edges[:1], Times: []float64{traj.MaxTravelTime * 2}},               // time past the day
+		{Edges: good.Edges[:1], Times: []float64{1e10}},                                 // step past the int32 grid
 		discontinuous(fx.g, good),                                                       // broken hop
 	}
 	accepted, rejected := in.Ingest(append([]traj.Trajectory{good}, bad...))
@@ -319,6 +322,46 @@ func TestDriftMonitor(t *testing.T) {
 	}
 }
 
+// TestDriftMonitorDeterministic: one window always gets one report, bit
+// for bit, however often it is scored — the per-edge divergences are
+// summed in edge order.
+func TestDriftMonitorDeterministic(t *testing.T) {
+	fx := testFixture(t)
+	window := shifted(fx.trajs[300:700], 1.5)
+	var first DriftReport
+	for i := 0; i < 50; i++ {
+		m := NewDriftMonitor(DriftConfig{Window: len(window)}, fx.width)
+		for j := range window {
+			m.Observe(&window[j])
+		}
+		rep := m.Evaluate(fx.kb)
+		if i == 0 {
+			if first = rep; rep.Checked < 20 {
+				t.Fatalf("the window compares only %d edges", rep.Checked)
+			}
+			continue
+		}
+		if rep.Checked != first.Checked || rep.Drifted != first.Drifted || rep.Fired != first.Fired ||
+			math.Float64bits(rep.Score) != math.Float64bits(first.Score) ||
+			math.Float64bits(rep.MaxDivergence) != math.Float64bits(first.MaxDivergence) ||
+			math.Float64bits(rep.MeanDivergence) != math.Float64bits(first.MeanDivergence) {
+			t.Fatalf("evaluation %d of the same window: %+v, first %+v", i, rep, first)
+		}
+	}
+}
+
+// busiestEdge returns the edge with the most observations in obs.
+func busiestEdge(obs *traj.ObservationStore) graph.EdgeID {
+	var busiest graph.EdgeID = -1
+	most := 0
+	for e, counts := range obs.Edges() {
+		if n := counts.Total(); n > most {
+			busiest, most = e, n
+		}
+	}
+	return busiest
+}
+
 // TestRebuildAndHotSwap is the subsystem's core loop: stream shifted
 // trajectories, watch the drift trigger fire, and verify the
 // background rebuild trains a model on the new data and swaps it in
@@ -358,13 +401,7 @@ func TestRebuildAndHotSwap(t *testing.T) {
 	// The rebuilt knowledge base must reflect the doubled travel
 	// times: pick a well-observed edge and compare marginal means.
 	newKB := tgt.SliceKnowledgeBase(0)
-	var busiest graph.EdgeID = -1
-	most := 0
-	for e, samples := range fx.obs.Edge {
-		if len(samples) > most {
-			busiest, most = e, len(samples)
-		}
-	}
+	busiest := busiestEdge(fx.obs)
 	oldMean := fx.kb.Edge(busiest).Marginal.Mean()
 	newMean := newKB.Edge(busiest).Marginal.Mean()
 	if newMean < oldMean*1.5 {
@@ -476,10 +513,10 @@ func TestRebuildTrainsOnTheAggregateAtItsTrigger(t *testing.T) {
 	want := traj.NewObservationStore(fx.g, fx.width)
 	want.Collect(fx.trajs[:n])
 	got := tgt.swappedObs
-	if !reflect.DeepEqual(got.Edge, want.Edge) || !reflect.DeepEqual(got.Pairs, want.Pairs) {
-		t.Errorf("rebuild trained on %d edge observations over %d edges, %d pairs; the first %d trajectories hold %d over %d, %d",
-			got.NumEdgeObservations(), len(got.Edge), len(got.Pairs),
-			n, want.NumEdgeObservations(), len(want.Edge), len(want.Pairs))
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("rebuild trained on %d edge observations, %d pairs; the first %d trajectories hold %d, %d",
+			got.NumEdgeObservations(), len(got.PairsWithSupport(1)),
+			n, want.NumEdgeObservations(), len(want.PairsWithSupport(1)))
 	}
 }
 
@@ -549,13 +586,7 @@ func TestPerSliceDriftRebuild(t *testing.T) {
 
 	// The peak slice's rebuilt knowledge base reflects the doubled
 	// times; slice 0 still serves the original.
-	var busiest graph.EdgeID = -1
-	most := 0
-	for e, samples := range fx.obs.Edge {
-		if len(samples) > most {
-			busiest, most = e, len(samples)
-		}
-	}
+	busiest := busiestEdge(fx.obs)
 	oldMean := fx.kb.Edge(busiest).Marginal.Mean()
 	if newMean := tgt.SliceKnowledgeBase(peak).Edge(busiest).Marginal.Mean(); newMean < oldMean*1.5 {
 		t.Errorf("peak slice marginal mean %v does not reflect the 2x shift from %v", newMean, oldMean)

@@ -53,10 +53,10 @@ func NewContingencyTable(rows, cols int) *ContingencyTable {
 	return &ContingencyTable{Rows: rows, Cols: cols, Counts: make([]float64, rows*cols)}
 }
 
-// Add increments cell (i, j) by one observation.
-func (t *ContingencyTable) Add(i, j int) {
-	t.Counts[i*t.Cols+j]++
-	t.Total++
+// Add adds n observations to cell (i, j).
+func (t *ContingencyTable) Add(i, j int, n float64) {
+	t.Counts[i*t.Cols+j] += n
+	t.Total += n
 }
 
 // At returns the count in cell (i, j).

@@ -83,7 +83,7 @@ func TestChiSquareIndependenceDetectsDependence(t *testing.T) {
 	tab := NewContingencyTable(3, 3)
 	for i := 0; i < 3; i++ {
 		for n := 0; n < 30; n++ {
-			tab.Add(i, i)
+			tab.Add(i, i, 1)
 		}
 	}
 	res, err := ChiSquareIndependence(tab)
@@ -105,7 +105,7 @@ func TestChiSquareIndependenceAcceptsIndependence(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		tab := NewContingencyTable(3, 3)
 		for n := 0; n < 200; n++ {
-			tab.Add(r.Intn(3), r.Intn(3))
+			tab.Add(r.Intn(3), r.Intn(3), 1)
 		}
 		res, err := ChiSquareIndependence(tab)
 		if err != nil {
@@ -127,7 +127,7 @@ func TestChiSquareIndependenceErrors(t *testing.T) {
 	}
 	tab := NewContingencyTable(3, 3)
 	for n := 0; n < 10; n++ {
-		tab.Add(0, 0) // single cell: 1 live row, 1 live col
+		tab.Add(0, 0, 1) // single cell: 1 live row, 1 live col
 	}
 	if _, err := ChiSquareIndependence(tab); err == nil {
 		t.Error("degenerate table should error")
@@ -138,10 +138,10 @@ func TestChiSquareDropsEmptyRows(t *testing.T) {
 	tab := NewContingencyTable(5, 5)
 	// Only rows/cols 0 and 4 are used.
 	for n := 0; n < 25; n++ {
-		tab.Add(0, 0)
-		tab.Add(4, 4)
-		tab.Add(0, 4)
-		tab.Add(4, 0)
+		tab.Add(0, 0, 1)
+		tab.Add(4, 4, 1)
+		tab.Add(0, 4, 1)
+		tab.Add(4, 0, 1)
 	}
 	res, err := ChiSquareIndependence(tab)
 	if err != nil {
@@ -159,8 +159,8 @@ func TestMutualInformation(t *testing.T) {
 	// Perfect dependence over 2 symbols: MI = ln 2.
 	tab := NewContingencyTable(2, 2)
 	for n := 0; n < 50; n++ {
-		tab.Add(0, 0)
-		tab.Add(1, 1)
+		tab.Add(0, 0, 1)
+		tab.Add(1, 1, 1)
 	}
 	if mi := MutualInformation(tab); !almostEqual(mi, math.Ln2, 1e-9) {
 		t.Errorf("MI = %v, want ln 2", mi)
@@ -168,10 +168,10 @@ func TestMutualInformation(t *testing.T) {
 	// Independence: MI = 0.
 	ind := NewContingencyTable(2, 2)
 	for n := 0; n < 25; n++ {
-		ind.Add(0, 0)
-		ind.Add(0, 1)
-		ind.Add(1, 0)
-		ind.Add(1, 1)
+		ind.Add(0, 0, 1)
+		ind.Add(0, 1, 1)
+		ind.Add(1, 0, 1)
+		ind.Add(1, 1, 1)
 	}
 	if mi := MutualInformation(ind); !almostEqual(mi, 0, 1e-9) {
 		t.Errorf("independent MI = %v", mi)

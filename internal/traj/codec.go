@@ -63,7 +63,8 @@ func WriteTrajectories(w io.Writer, trs []Trajectory) error {
 
 // ReadTrajectoryStream deserialises a trajectory file, or a stream of
 // several back to back (e.g. `cat monday.srt tuesday.srt`), until EOF,
-// validating edge IDs against g (pass nil to skip). Trips keep stream
+// checking every trajectory with Validate against g (pass nil to check
+// the times only). Trips keep stream
 // order across segment boundaries. A truncated or corrupt segment — or
 // one in the retired SRT1 format (ErrSRT1Retired) — fails the whole
 // read.
@@ -114,9 +115,6 @@ func readSegment(br *bufio.Reader, g *graph.Graph) ([]Trajectory, error) {
 		if err := binary.Read(br, binary.LittleEndian, &tr.Departure); err != nil {
 			return nil, fmt.Errorf("traj: trajectory %d departure: %w", i, err)
 		}
-		if math.IsNaN(tr.Departure) || math.IsInf(tr.Departure, 0) || tr.Departure < 0 {
-			return nil, fmt.Errorf("traj: trajectory %d has invalid departure %v", i, tr.Departure)
-		}
 		var m uint32
 		if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
 			return nil, fmt.Errorf("traj: trajectory %d length: %w", i, err)
@@ -134,18 +132,10 @@ func readSegment(br *bufio.Reader, g *graph.Graph) ([]Trajectory, error) {
 			if err := binary.Read(br, binary.LittleEndian, &tr.Times[j]); err != nil {
 				return nil, err
 			}
-			if g != nil && int(e) >= g.NumEdges() {
-				return nil, fmt.Errorf("traj: trajectory %d references edge %d outside graph", i, e)
-			}
-			if math.IsNaN(tr.Times[j]) || tr.Times[j] < 0 {
-				return nil, fmt.Errorf("traj: trajectory %d has invalid time %v", i, tr.Times[j])
-			}
 			tr.Edges[j] = graph.EdgeID(e)
 		}
-		if g != nil {
-			if err := tr.Validate(g); err != nil {
-				return nil, err
-			}
+		if err := tr.Validate(g); err != nil {
+			return nil, fmt.Errorf("trajectory %d: %w", i, err)
 		}
 		out = append(out, tr)
 	}

@@ -152,7 +152,9 @@ func TestReadTrajectoryStreamErrors(t *testing.T) {
 
 // TestReadTrajectoryStreamBounds: every bound the decoder holds against
 // untrusted bytes — counts and lengths it would otherwise allocate for,
-// non-finite or negative departures and times, edges outside the graph.
+// non-finite or negative departures, times outside [0, MaxTravelTime]
+// (whose grid step the observation store could not hold), edges outside
+// the graph.
 func TestReadTrajectoryStreamBounds(t *testing.T) {
 	le := binary.LittleEndian
 	// image assembles an SRT2 file claiming n trajectories, followed by
@@ -169,8 +171,10 @@ func TestReadTrajectoryStreamBounds(t *testing.T) {
 		return buf.Bytes()
 	}
 	g := testWorld(t, nil).Graph()
-	if _, err := ReadTrajectoryStream(bytes.NewReader(image(1, 60, 1, 0, 2.5)), g); err != nil {
-		t.Fatalf("the well-formed image must decode: %v", err)
+	for _, tm := range []float64{2.5, MaxTravelTime} {
+		if _, err := ReadTrajectoryStream(bytes.NewReader(image(1, 60, 1, 0, tm)), g); err != nil {
+			t.Fatalf("the well-formed image with time %v must decode: %v", tm, err)
+		}
 	}
 	for _, tc := range []struct {
 		name string
@@ -183,8 +187,12 @@ func TestReadTrajectoryStreamBounds(t *testing.T) {
 		{"infinite departure", image(1, math.Inf(1), 1, 0, 2.5), "invalid departure"},
 		{"negative departure", image(1, -1, 1, 0, 2.5), "invalid departure"},
 		{"NaN time", image(1, 60, 1, 0, math.NaN()), "invalid time"},
+		{"infinite time", image(1, 60, 1, 0, math.Inf(1)), "invalid time"},
 		{"negative time", image(1, 60, 1, 0, -2.5), "invalid time"},
+		{"time past MaxTravelTime", image(1, 60, 1, 0, math.Nextafter(MaxTravelTime, math.Inf(1))), "invalid time"},
+		{"time past the int32 grid", image(1, 60, 1, 0, 1e10), "invalid time"},
 		{"edge outside graph", image(1, 60, 1, uint32(g.NumEdges()), 2.5), "outside graph"},
+		{"edge past int32", image(1, 60, 1, 1<<31, 2.5), "outside graph"},
 	} {
 		_, err := ReadTrajectoryStream(bytes.NewReader(tc.img), g)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

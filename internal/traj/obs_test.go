@@ -2,11 +2,14 @@ package traj
 
 import (
 	"bytes"
-	"slices"
+	"math"
+	"runtime"
 	"testing"
 
 	"stochroute/internal/graph"
+	"stochroute/internal/hist"
 	"stochroute/internal/netgen"
+	"stochroute/internal/stats"
 )
 
 func testObs(t *testing.T, w *World, nTraj int) *ObservationStore {
@@ -34,8 +37,8 @@ func TestCollectCounts(t *testing.T) {
 		t.Errorf("edge observations = %d, want 50", got)
 	}
 	pairObs := 0
-	for _, list := range obs.Pairs {
-		pairObs += len(list)
+	for _, k := range obs.PairsWithSupport(1) {
+		pairObs += obs.Joint(k).Total()
 	}
 	if pairObs != 40 { // 4 pairs per 5-edge trajectory
 		t.Errorf("pair observations = %d, want 40", pairObs)
@@ -45,7 +48,7 @@ func TestCollectCounts(t *testing.T) {
 func TestPairSumHistErrors(t *testing.T) {
 	w := testWorld(t, nil)
 	obs := NewObservationStore(w.Graph(), 2)
-	if _, err := obs.PairSumHist(PairKey{0, 1}, 2); err == nil {
+	if _, err := obs.PairSumHist(PairKey{0, 1}); err == nil {
 		t.Error("pair without observations should error")
 	}
 }
@@ -55,8 +58,8 @@ func TestPairsWithSupportSortedAndThresholded(t *testing.T) {
 	obs := testObs(t, w, 1500)
 	pairs := obs.PairsWithSupport(10)
 	for i, k := range pairs {
-		if len(obs.Pairs[k]) < 10 {
-			t.Fatalf("pair %v has %d < 10 observations", k, len(obs.Pairs[k]))
+		if n := obs.Joint(k).Total(); n < 10 {
+			t.Fatalf("pair %v has %d < 10 observations", k, n)
 		}
 		if i > 0 {
 			prev := pairs[i-1]
@@ -202,42 +205,123 @@ func TestTrajectoryCodecErrors(t *testing.T) {
 	}
 }
 
-// appendCollect is the reference Collect is checked against: one plain
-// append per sample, no counting pass, no shared storage.
-func appendCollect(edge map[graph.EdgeID][]float64, pairs map[PairKey][]PairObs, trs []Trajectory) {
+// sampleLists is the reference Collect is checked against: every sample
+// kept in a list, one plain append per observation.
+type sampleLists struct {
+	edge  map[graph.EdgeID][]float64
+	pairs map[PairKey][][2]float64
+}
+
+func newSampleLists() *sampleLists {
+	return &sampleLists{edge: map[graph.EdgeID][]float64{}, pairs: map[PairKey][][2]float64{}}
+}
+
+func (r *sampleLists) add(trs []Trajectory) {
 	for i := range trs {
 		tr := &trs[i]
 		for j, e := range tr.Edges {
-			edge[e] = append(edge[e], tr.Times[j])
+			r.edge[e] = append(r.edge[e], tr.Times[j])
 			if j > 0 {
 				k := PairKey{First: tr.Edges[j-1], Second: e}
-				pairs[k] = append(pairs[k], PairObs{T1: tr.Times[j-1], T2: tr.Times[j]})
+				r.pairs[k] = append(r.pairs[k], [2]float64{tr.Times[j-1], tr.Times[j]})
 			}
 		}
 	}
 }
 
-func requireSameSamples(t *testing.T, s *ObservationStore, edge map[graph.EdgeID][]float64, pairs map[PairKey][]PairObs) {
-	t.Helper()
-	if len(s.Edge) != len(edge) || len(s.Pairs) != len(pairs) {
-		t.Fatalf("store has %d edges, %d pairs; reference %d, %d", len(s.Edge), len(s.Pairs), len(edge), len(pairs))
+func sameHistBits(a, b *hist.Hist) bool {
+	if math.Float64bits(a.Min) != math.Float64bits(b.Min) || a.Width != b.Width || len(a.P) != len(b.P) {
+		return false
 	}
-	for e, want := range edge {
-		if !slices.Equal(s.Edge[e], want) {
-			t.Fatalf("edge %d: samples %v, want %v", e, s.Edge[e], want)
+	for i := range a.P {
+		if math.Float64bits(a.P[i]) != math.Float64bits(b.P[i]) {
+			return false
 		}
 	}
-	for k, want := range pairs {
-		if !slices.Equal(s.Pairs[k], want) {
-			t.Fatalf("pair %v: samples %v, want %v", k, s.Pairs[k], want)
+	return true
+}
+
+// requireMatchesSamples: the store holds the binned counts of the
+// reference's samples, and its histograms and correlations are the
+// sample lists' — hist.FromSamples' bits, stats.Pearson within 1e-12.
+func requireMatchesSamples(t *testing.T, s *ObservationStore, ref *sampleLists) {
+	t.Helper()
+	step := func(x float64) int { return int(math.Floor(x / s.Width)) }
+	edges := 0
+	for e, got := range s.Edges() {
+		edges++
+		samples := ref.edge[e]
+		want := make(map[int]int32)
+		for _, x := range samples {
+			want[step(x)]++
+		}
+		for i, n := range got.Counts {
+			if n != want[got.Lo+i] {
+				t.Fatalf("edge %d: %d at step %d, samples have %d", e, n, got.Lo+i, want[got.Lo+i])
+			}
+			delete(want, got.Lo+i)
+		}
+		if len(want) > 0 || got.Counts[0] == 0 || got.Counts[len(got.Counts)-1] == 0 {
+			t.Fatalf("edge %d: counts %+v do not span the samples' steps exactly", e, got)
+		}
+		fromSamples, err := hist.FromSamples(samples, s.Width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := got.Hist(s.Width); !sameHistBits(h, fromSamples) {
+			t.Fatalf("edge %d: histogram %v, FromSamples %v", e, h, fromSamples)
+		}
+	}
+	if edges != len(ref.edge) || s.NumEdgeObservations() != countSamples(ref.edge) {
+		t.Fatalf("store has %d edges, %d observations; reference %d, %d", edges, s.NumEdgeObservations(), len(ref.edge), countSamples(ref.edge))
+	}
+
+	keys := s.PairsWithSupport(1)
+	if len(keys) != len(ref.pairs) {
+		t.Fatalf("store has %d pairs, reference %d", len(keys), len(ref.pairs))
+	}
+	for _, k := range keys {
+		samples := ref.pairs[k]
+		want := make(map[[2]int32]int32)
+		var t1, t2, sums []float64
+		for _, o := range samples {
+			want[[2]int32{int32(step(o[0])), int32(step(o[1]))}]++
+			t1, t2, sums = append(t1, o[0]), append(t2, o[1]), append(sums, o[0]+o[1])
+		}
+		cells := s.Joint(k)
+		if len(cells) != len(want) || cells.Total() != len(samples) {
+			t.Fatalf("pair %v: %d cells over %d observations, samples give %d over %d", k, len(cells), cells.Total(), len(want), len(samples))
+		}
+		for i, c := range cells {
+			if c.N != want[[2]int32{c.I1, c.I2}] || (i > 0 && (cells[i-1].I1 > c.I1 || cells[i-1].I1 == c.I1 && cells[i-1].I2 >= c.I2)) {
+				t.Fatalf("pair %v: cells %v, samples give %v (ascending)", k, cells, want)
+			}
+		}
+		refSum, err := hist.FromSamples(sums, s.Width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, err := s.PairSumHist(k); err != nil || !sameHistBits(h, refSum) {
+			t.Fatalf("pair %v: PairSumHist %v (%v), FromSamples %v", k, h, err, refSum)
+		}
+		refCorr, refErr := stats.Pearson(t1, t2)
+		corr, err := s.PairCorrelation(k)
+		if (err == nil) != (refErr == nil) || math.Abs(corr-refCorr) > 1e-12 {
+			t.Fatalf("pair %v: correlation %v (%v), Pearson %v (%v)", k, corr, err, refCorr, refErr)
 		}
 	}
 }
 
-// TestCollectMatchesAppendReference: the carved Collect holds the same
-// keys with the same samples in the same order as one append per
-// sample, on a fresh store and when a second Collect lands on keys the
-// first one carved.
+func countSamples(edge map[graph.EdgeID][]float64) (n int) {
+	for _, v := range edge {
+		n += len(v)
+	}
+	return n
+}
+
+// TestCollectMatchesAppendReference: the store is what sample lists
+// built by one append per sample give, on a fresh store and when later
+// Collects add to it.
 func TestCollectMatchesAppendReference(t *testing.T) {
 	w := testWorld(t, nil)
 	for _, seed := range []uint64{5, 9, 33} {
@@ -246,45 +330,46 @@ func TestCollectMatchesAppendReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		store := NewObservationStore(w.Graph(), w.cfg.BucketWidth)
-		edge, pairs := map[graph.EdgeID][]float64{}, map[PairKey][]PairObs{}
+		ref := newSampleLists()
 		for _, part := range [][]Trajectory{trs[:200], trs[200:], trs[:50]} {
 			store.Collect(part)
-			appendCollect(edge, pairs, part)
-			requireSameSamples(t, store, edge, pairs)
+			ref.add(part)
+			requireMatchesSamples(t, store, ref)
 		}
 	}
 }
 
-// TestCollectKeysDoNotShareCapacity: every key's samples end at their
-// own capacity, so appending to one key — what a later Collect does —
-// never changes another key's samples although one block backs them
-// all.
-func TestCollectKeysDoNotShareCapacity(t *testing.T) {
-	w := testWorld(t, nil)
-	trs, err := GenerateTrajectories(w, WalkConfig{NumTrajectories: 200, MinEdges: 2, MaxEdges: 10, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewObservationStore(w.Graph(), w.cfg.BucketWidth)
-	store.Collect(trs)
-	edge, pairs := map[graph.EdgeID][]float64{}, map[PairKey][]PairObs{}
-	appendCollect(edge, pairs, trs)
-
-	for e := range edge {
-		if len(store.Edge[e]) != cap(store.Edge[e]) {
-			t.Fatalf("edge %d: len %d, cap %d", e, len(store.Edge[e]), cap(store.Edge[e]))
+// TestNewObservationStoreRejectsBadWidth: a store bins on its width, so
+// a width that is not positive and finite, or so fine that the grid step
+// of MaxTravelTime overflows an int32, is refused.
+func TestNewObservationStoreRejectsBadWidth(t *testing.T) {
+	g := testGraph(t)
+	for _, width := range []float64{0, -2, math.NaN(), math.Inf(1), math.Inf(-1), 4e-5, 1e-6} {
+		if CheckWidth(width) == nil {
+			t.Errorf("CheckWidth(%v) accepted", width)
 		}
-		store.Edge[e] = append(store.Edge[e], -1)
-		edge[e] = append(edge[e], -1)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewObservationStore with width %v did not panic", width)
+				}
+			}()
+			NewObservationStore(g, width)
+		}()
 	}
-	for k := range pairs {
-		if len(store.Pairs[k]) != cap(store.Pairs[k]) {
-			t.Fatalf("pair %v: len %d, cap %d", k, len(store.Pairs[k]), cap(store.Pairs[k]))
+	if err := CheckWidth(0.5); err != nil {
+		t.Errorf("CheckWidth(0.5) = %v", err)
+	}
+	// At the finest width allowed, the longest travel time still lands on
+	// a grid step of its own.
+	store := NewObservationStore(g, MaxTravelTime/math.MaxInt32*(1+1e-9))
+	e := graph.EdgeID(0)
+	store.Collect([]Trajectory{{Edges: []graph.EdgeID{e}, Times: []float64{MaxTravelTime}}})
+	for id, c := range store.Edges() {
+		if id != e || c.Lo < 0 || c.Total() != 1 {
+			t.Errorf("edge %d counts at step %d, total %d", id, c.Lo, c.Total())
 		}
-		store.Pairs[k] = append(store.Pairs[k], PairObs{-1, -1})
-		pairs[k] = append(pairs[k], PairObs{-1, -1})
 	}
-	requireSameSamples(t, store, edge, pairs)
 }
 
 // collectBenchInput is the city fixture's shape: 6 000 default walks on
@@ -310,13 +395,26 @@ func collectBenchInput(tb testing.TB) (*graph.Graph, []Trajectory) {
 	return g, trs
 }
 
+// BenchmarkCollect builds the city fixture's store. Beside the usual
+// -benchmem columns it reports the heap bytes the store retains.
 func BenchmarkCollect(b *testing.B) {
 	g, trs := collectBenchInput(b)
+	var store *ObservationStore
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewObservationStore(g, 2).Collect(trs)
+	for b.Loop() {
+		store = NewObservationStore(g, 2)
+		store.Collect(trs)
 	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.HeapAlloc)-float64(before.HeapAlloc), "retained-B")
+	// The input must outlive the second reading, or its release would
+	// be subtracted from the store's size.
+	runtime.KeepAlive(trs)
+	runtime.KeepAlive(store)
 }
 
 // TestCollectAllocationCeiling: a Collect allocates per block and per
@@ -331,26 +429,30 @@ func TestCollectAllocationCeiling(t *testing.T) {
 	}
 }
 
-// TestClusterBucketerBoundaries: a value equal to a cut lands in the
+// TestClusterBucketerBoundaries: a step equal to a cut lands in the
 // cluster below it, anything above lands in the next, and a single
-// distinct value is one cluster.
+// distinct step is one cluster.
 func TestClusterBucketerBoundaries(t *testing.T) {
-	// Width 2: gaps > 3 split, so {10, 12} | {20, 22} | {40}; the cuts
-	// sit after 12 and after 22.
-	bucket, n := clusterBucketer([]float64{10, 12, 20, 22, 40, 12, 22}, 3, 2)
+	// Gaps of two or more steps split, so {5, 6} | {10, 11} | {20}; the
+	// cuts sit after 6 and after 11.
+	bucket, n := clusterBucketer([]int32{5, 6, 10, 11, 20}, 3)
 	if n != 3 {
 		t.Fatalf("clusters = %d, want 3", n)
 	}
 	for _, tc := range []struct {
-		x    float64
+		x    int32
 		want int
-	}{{10, 0}, {12, 0}, {12.5, 1}, {20, 1}, {22, 1}, {23, 2}, {40, 2}} {
+	}{{5, 0}, {6, 0}, {7, 1}, {10, 1}, {11, 1}, {12, 2}, {20, 2}} {
 		if got := bucket(tc.x); got != tc.want {
 			t.Errorf("bucket(%v) = %d, want %d", tc.x, got, tc.want)
 		}
 	}
-	bucket, n = clusterBucketer([]float64{7, 7, 7}, 3, 2)
+	// Two clusters at most: the wider gap (11 to 20) wins.
+	if bucket, n = clusterBucketer([]int32{5, 6, 10, 11, 20}, 2); n != 2 || bucket(10) != 0 || bucket(20) != 1 {
+		t.Errorf("two clusters: %d, bucket(10) = %d, bucket(20) = %d; want 2, 0, 1", n, bucket(10), bucket(20))
+	}
+	bucket, n = clusterBucketer([]int32{7}, 3)
 	if n != 1 || bucket(7) != 0 {
-		t.Errorf("single distinct value: %d clusters, bucket(7) = %d; want 1, 0", n, bucket(7))
+		t.Errorf("single distinct step: %d clusters, bucket(7) = %d; want 1, 0", n, bucket(7))
 	}
 }

@@ -43,16 +43,13 @@ func (so *SlicedObservations) ReplaceSlice(i int, s *ObservationStore) { so.stor
 
 // Collect ingests trajectories, bucketing each by its departure slice:
 // one sequential SplitBySlice, then every slice's store collects its own
-// bucket, concurrently (par.For). A store sees its trajectories in input
-// order whatever the worker count, so it holds the same samples in the
-// same order.
+// bucket, concurrently (par.For). A store holds counts, so it is the
+// same whatever the worker count.
 func (so *SlicedObservations) Collect(trs []Trajectory) {
 	buckets := SplitBySlice(trs, so.k)
 	// Collecting cannot fail.
 	_ = par.For(so.k, func(s int) error {
-		if len(buckets[s]) > 0 {
-			so.stores[s].Collect(buckets[s])
-		}
+		so.stores[s].Collect(buckets[s])
 		return nil
 	})
 }

@@ -192,10 +192,10 @@ func TestSlicedObservationsBucketsByDeparture(t *testing.T) {
 }
 
 // TestSlicedCollectSameSamplesAcrossWorkers: the slices' stores fill
-// concurrently, each from its own bucket in input order, so one worker
-// and four leave every slice with the keys, samples and sample order of
-// one append per sample over that slice's trajectories — on fresh stores
-// and when a second Collect lands on them.
+// concurrently, each from its own bucket, and one worker and four leave
+// every slice with the counts of one append per sample over that slice's
+// trajectories — on fresh stores and when a second Collect lands on
+// them.
 func TestSlicedCollectSameSamplesAcrossWorkers(t *testing.T) {
 	w := testWorld(t, nil)
 	const k = 4
@@ -209,15 +209,15 @@ func TestSlicedCollectSameSamplesAcrossWorkers(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		so := NewSlicedObservations(w.Graph(), w.cfg.BucketWidth, k)
-		edge, pairs := make([]map[graph.EdgeID][]float64, k), make([]map[PairKey][]PairObs, k)
-		for s := range edge {
-			edge[s], pairs[s] = map[graph.EdgeID][]float64{}, map[PairKey][]PairObs{}
+		ref := make([]*sampleLists, k)
+		for s := range ref {
+			ref[s] = newSampleLists()
 		}
 		for _, part := range [][]Trajectory{trs[:400], trs[400:]} {
 			so.Collect(part)
 			for s, bucket := range SplitBySlice(part, k) {
-				appendCollect(edge[s], pairs[s], bucket)
-				requireSameSamples(t, so.Slice(s), edge[s], pairs[s])
+				ref[s].add(bucket)
+				requireMatchesSamples(t, so.Slice(s), ref[s])
 			}
 		}
 	}

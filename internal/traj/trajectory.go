@@ -27,13 +27,36 @@ type Trajectory struct {
 // k-slice partition of the day.
 func (t *Trajectory) Slice(k int) int { return SliceIndex(t.Departure, k) }
 
-// Validate checks edge contiguity against g.
+// MaxTravelTime is the longest travel time, in seconds, a trajectory may
+// record on one edge: one day. The observation store counts times on a
+// grid of int32 steps, and CheckWidth keeps this bound's step in range.
+const MaxTravelTime = DaySeconds
+
+// Validate reports whether the trajectory can be taken in: as many times
+// as edges, a finite non-negative departure, every edge an edge of g,
+// every travel time in [0, MaxTravelTime], and every hop contiguous. An
+// empty trajectory is valid; it carries no observation. With a nil g
+// only the times are checked.
 func (t *Trajectory) Validate(g *graph.Graph) error {
 	if len(t.Edges) != len(t.Times) {
-		return errors.New("traj: trajectory edges/times length mismatch")
+		return fmt.Errorf("traj: %d edges but %d times", len(t.Edges), len(t.Times))
 	}
-	for i := 1; i < len(t.Edges); i++ {
-		if g.Edge(t.Edges[i-1]).To != g.Edge(t.Edges[i]).From {
+	if !(t.Departure >= 0) || math.IsInf(t.Departure, 1) {
+		return fmt.Errorf("traj: invalid departure %v", t.Departure)
+	}
+	for i, x := range t.Times {
+		if !(x >= 0 && x <= MaxTravelTime) {
+			return fmt.Errorf("traj: invalid time %v at hop %d", x, i)
+		}
+	}
+	if g == nil {
+		return nil
+	}
+	for i, e := range t.Edges {
+		if e < 0 || int(e) >= g.NumEdges() {
+			return fmt.Errorf("traj: edge %d outside graph", e)
+		}
+		if i > 0 && g.Edge(t.Edges[i-1]).To != g.Edge(e).From {
 			return fmt.Errorf("traj: trajectory discontinuous at hop %d", i)
 		}
 	}

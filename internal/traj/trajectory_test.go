@@ -1,6 +1,7 @@
 package traj
 
 import (
+	"math"
 	"testing"
 
 	"stochroute/internal/graph"
@@ -181,8 +182,28 @@ func TestTrajectoryValidate(t *testing.T) {
 	if err := good.Validate(g); err != nil {
 		t.Errorf("single-edge trajectory invalid: %v", err)
 	}
-	bad := Trajectory{Edges: []graph.EdgeID{0, 0}, Times: []float64{5}}
-	if err := bad.Validate(g); err == nil {
-		t.Error("length mismatch should error")
+	if err := (&Trajectory{}).Validate(g); err != nil {
+		t.Errorf("empty trajectory invalid: %v", err)
+	}
+	for name, bad := range map[string]Trajectory{
+		"length mismatch":   {Edges: []graph.EdgeID{0, 0}, Times: []float64{5}},
+		"NaN departure":     {Edges: []graph.EdgeID{0}, Times: []float64{5}, Departure: math.NaN()},
+		"NaN time":          {Edges: []graph.EdgeID{0}, Times: []float64{math.NaN()}},
+		"infinite time":     {Edges: []graph.EdgeID{0}, Times: []float64{math.Inf(1)}},
+		"negative time":     {Edges: []graph.EdgeID{0}, Times: []float64{-1}},
+		"time past the day": {Edges: []graph.EdgeID{0}, Times: []float64{MaxTravelTime + 1}},
+		"edge outside":      {Edges: []graph.EdgeID{graph.EdgeID(g.NumEdges())}, Times: []float64{5}},
+		"negative edge":     {Edges: []graph.EdgeID{-1}, Times: []float64{5}},
+	} {
+		if err := bad.Validate(g); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// Without a graph only the times are checked.
+	if err := (&Trajectory{Edges: []graph.EdgeID{-1}, Times: []float64{5}}).Validate(nil); err != nil {
+		t.Errorf("nil graph: %v", err)
+	}
+	if err := (&Trajectory{Edges: []graph.EdgeID{0}, Times: []float64{math.NaN()}}).Validate(nil); err == nil {
+		t.Error("nil graph: NaN time accepted")
 	}
 }

@@ -37,7 +37,7 @@ var reachAllow = []struct{ pkg, decl, reason string }{
 // they use is listed too. An entry that is gone, or reached again,
 // fails the gate until it leaves the list; the list only shrinks.
 var reachDeferred = map[string][]string{
-	"internal/hist": {"Wasserstein1", "Hist.Scale", "Hist.Rebucket", "Hist.Mode", "Hist.SampleValue", "Hist.Entropy", "Hist.ExpectedOvershoot", "Hist.ConditionalValueAtRisk", "Hist.OnTimeThenEarliest"},
+	"internal/hist": {"Wasserstein1"},
 }
 
 // TestInternalReachable is the membership rule for non-test code under
