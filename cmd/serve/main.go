@@ -107,7 +107,7 @@ func main() {
 	rebuildTrainPairs := flag.Int("rebuild-train-pairs", 0, "training pairs per background rebuild (0 = default)")
 	rebuildTestPairs := flag.Int("rebuild-test-pairs", 0, "held-out pairs per background rebuild (0 = default)")
 	rebuildPrefixRows := flag.Int("rebuild-prefix-rows", -1, "virtual-edge phase-2 rows per rebuild (-1 = default, 0 disables the phase)")
-	maxTrajectories := flag.Int("max-trajectories", 50000, "aggregate bound: past this the oldest half ages out (negative = unbounded)")
+	maxTrajectories := flag.Int("max-trajectories", 50000, "per-slice aggregate bound in trajectories: past half of it a second count store starts, and past all of it that store takes over, so the older half ages out (negative = unbounded)")
 	maxIngestBytes := flag.Int64("max-ingest-bytes", 8<<20, "largest accepted /ingest body")
 	maxBatch := flag.Int("max-batch", 256, "largest accepted /route/batch query count (negative disables the endpoint)")
 	batchWorkers := flag.Int("batch-workers", 0, "worker pool per /route/batch request (0 = GOMAXPROCS)")

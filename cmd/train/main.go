@@ -77,8 +77,7 @@ func main() {
 	}
 
 	k := traj.NumSlices(*slices)
-	obs := traj.NewSlicedObservations(g, *width, k)
-	obs.Collect(trs)
+	obs := traj.CollectSlices(g, *width, k, trs)
 	bySlice := traj.SplitBySlice(trs, k)
 
 	set, reports, err := hybrid.TrainSlices(g, obs, bySlice, nil, cfg)

@@ -38,9 +38,9 @@
 //   - internal/ingest — the write path: streaming trajectory ingestion
 //     with drift detection and background retraining, published
 //     through the engine's epoch-tagged model hot swap (exercise it
-//     end to end with cmd/replay against POST /ingest). Its aggregate
-//     is the accepted trajectories; each rebuild derives its own
-//     observation store from them
+//     end to end with cmd/replay against POST /ingest). /ingest appends
+//     to a pending batch; a rebuild folds only that batch onto the
+//     slice's counts, which carry a seeded prefix sample
 //   - internal/exp — the harness that regenerates every table of the
 //     paper's evaluation
 //
@@ -158,7 +158,7 @@
 //     give each slice its own congestion mode prior
 //     (traj.WorldConfig.SlicePriors, traj.PeakedSlicePriors), and
 //     observations aggregate per slice over a shared edge grid
-//     (traj.SlicedObservations). A slice's traj.ObservationStore keeps
+//     (traj.CollectSlices). A slice's traj.ObservationStore keeps
 //     counts on that grid, not samples: per edge a count vector over its
 //     grid steps, per adjacent pair its joint counts. The knowledge
 //     base, training and the drift monitor read only those counts, so a

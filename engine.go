@@ -25,7 +25,7 @@ import (
 
 // modelSnapshot is one immutable serving generation: the time-sliced
 // model set (each slice's model with its attached knowledge base), the
-// sliced observation aggregate they were derived from, and the epoch
+// per-slice observation stores they were derived from, and the epoch
 // bookkeeping. Queries load the snapshot once and use it consistently
 // throughout, so a concurrent swap can never hand half a query the old
 // model and half the new one.
@@ -40,7 +40,7 @@ import (
 // pre-temporal behaviour.
 type modelSnapshot struct {
 	set         *hybrid.ModelSet
-	obs         *traj.SlicedObservations
+	obs         []*traj.ObservationStore // by slice
 	epoch       uint64
 	sliceEpochs []uint64
 	swappedAt   time.Time
@@ -184,8 +184,7 @@ func NewEngineFromObservations(g *Graph, trajs []Trajectory, cfg hybrid.Config, 
 		return nil, err
 	}
 	k := traj.NumSlices(cfg.Slices)
-	obs := traj.NewSlicedObservations(g, cfg.Width, k)
-	obs.Collect(trajs)
+	obs := traj.CollectSlices(g, cfg.Width, k, trajs)
 	bySlice := traj.SplitBySlice(trajs, k)
 	if k > 1 {
 		fmt.Fprintf(logW, "stochroute: training %d time-of-day slice models\n", k)
@@ -236,12 +235,11 @@ func NewEngineWithModelSet(g *Graph, trajs []Trajectory, width float64, minPairO
 		return nil, err
 	}
 	k := set.K()
-	obs := traj.NewSlicedObservations(g, width, k)
-	obs.Collect(trajs)
+	obs := traj.CollectSlices(g, width, k, trajs)
 	// The slices' knowledge bases are independent of one another and each
 	// attaches to its own model, so they build concurrently.
 	err := par.For(k, func(s int) error {
-		kb, err := hybrid.BuildKnowledgeBase(g, obs.Slice(s), width, minPairObs)
+		kb, err := hybrid.BuildKnowledgeBase(g, obs[s], width, minPairObs)
 		if err != nil {
 			return fmt.Errorf("stochroute: slice %d knowledge base: %w", s, err)
 		}
@@ -301,7 +299,7 @@ func (e *Engine) SliceKnowledgeBase(slice int) *KnowledgeBase {
 // Observations returns the observation aggregate the currently serving
 // model generation was derived from (slice 0's store for a time-sliced
 // engine).
-func (e *Engine) Observations() *ObservationStore { return e.current.Load().obs.Slice(0) }
+func (e *Engine) Observations() *ObservationStore { return e.current.Load().obs[0] }
 
 // NumSlices returns the number of time-of-day slices the engine's cost
 // model is partitioned into (1 = time-homogeneous).
@@ -389,21 +387,14 @@ func (e *Engine) swapSliceLocked(slice int, model *Model, obs *ObservationStore)
 	if err != nil {
 		return 0, err
 	}
-	nextObs := prev.obs
-	if obs != nil {
-		// Copy-on-write at the wrapper level only: published
-		// generations are immutable, so the untouched slices' stores
-		// are shared with the previous snapshot and just the swapped
-		// slice's store is replaced — O(K), never O(samples).
-		cp := traj.NewSlicedObservations(e.graph, prev.obs.Width(), prev.obs.K())
-		for i := 0; i < prev.obs.K(); i++ {
-			cp.ReplaceSlice(i, prev.obs.Slice(i))
-		}
-		cp.ReplaceSlice(slice, obs)
-		nextObs = cp
-	}
 	next := prev.successor()
-	next.set, next.obs = set, nextObs
+	next.set = set
+	if obs != nil {
+		// Published generations are immutable: the untouched slices'
+		// stores are shared with the previous snapshot.
+		next.obs = slices.Clone(prev.obs)
+		next.obs[slice] = obs
+	}
 	next.sliceEpochs[slice] = next.epoch
 	// With ALT enabled, rebuild only the swapped slice's tables (plus
 	// the min-metric table, which depends on every slice) against the

@@ -22,50 +22,28 @@ import (
 //	edges   ne × (from uint32, to uint32, len float64, cat uint8, speed float64)
 var graphMagic = [4]byte{'S', 'R', 'G', '1'}
 
+// edgeRecord is an edge as the file lays it out; encoding/binary packs
+// its fields without padding.
+type edgeRecord struct {
+	From, To uint32
+	Length   float64
+	Cat      uint8
+	Speed    float64
+}
+
 // WriteTo serialises the graph.
 func (g *Graph) WriteTo(w io.Writer) (int64, error) {
+	edges := make([]edgeRecord, len(g.edges))
+	for i, e := range g.edges {
+		edges[i] = edgeRecord{uint32(e.From), uint32(e.To), e.LengthMeters, uint8(e.Category), e.SpeedKmh}
+	}
 	bw := bufio.NewWriter(w)
 	var n int64
-	write := func(v any) error {
+	for _, v := range []any{graphMagic, uint32(len(g.points)), uint32(len(edges)), g.points, edges} {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
+			return n, err
 		}
 		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(graphMagic); err != nil {
-		return n, err
-	}
-	if err := write(uint32(g.NumVertices())); err != nil {
-		return n, err
-	}
-	if err := write(uint32(g.NumEdges())); err != nil {
-		return n, err
-	}
-	for _, p := range g.points {
-		if err := write(p.Lat); err != nil {
-			return n, err
-		}
-		if err := write(p.Lon); err != nil {
-			return n, err
-		}
-	}
-	for _, e := range g.edges {
-		if err := write(uint32(e.From)); err != nil {
-			return n, err
-		}
-		if err := write(uint32(e.To)); err != nil {
-			return n, err
-		}
-		if err := write(e.LengthMeters); err != nil {
-			return n, err
-		}
-		if err := write(uint8(e.Category)); err != nil {
-			return n, err
-		}
-		if err := write(e.SpeedKmh); err != nil {
-			return n, err
-		}
 	}
 	return n, bw.Flush()
 }
@@ -80,56 +58,39 @@ func Read(r io.Reader) (*Graph, error) {
 	if magic != graphMagic {
 		return nil, errors.New("graph: bad magic (not an SRG1 file)")
 	}
-	var nv, ne uint32
-	if err := binary.Read(br, binary.LittleEndian, &nv); err != nil {
-		return nil, fmt.Errorf("graph: read vertex count: %w", err)
+	var counts [2]uint32 // nv, ne
+	if err := binary.Read(br, binary.LittleEndian, &counts); err != nil {
+		return nil, fmt.Errorf("graph: read counts: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &ne); err != nil {
-		return nil, fmt.Errorf("graph: read edge count: %w", err)
-	}
+	nv, ne := counts[0], counts[1]
 	const maxCount = 1 << 28
 	if nv > maxCount || ne > maxCount {
 		return nil, fmt.Errorf("graph: implausible counts nv=%d ne=%d", nv, ne)
 	}
-	b := NewBuilder(int(nv), int(ne))
+	// The counts are only claims: reserve nothing for them, and grow as
+	// the bytes behind them arrive.
+	b := NewBuilder(0, 0)
 	for i := uint32(0); i < nv; i++ {
-		var lat, lon float64
-		if err := binary.Read(br, binary.LittleEndian, &lat); err != nil {
+		var p geo.Point
+		if err := binary.Read(br, binary.LittleEndian, &p); err != nil {
 			return nil, fmt.Errorf("graph: read vertex %d: %w", i, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &lon); err != nil {
-			return nil, fmt.Errorf("graph: read vertex %d: %w", i, err)
-		}
-		if math.IsNaN(lat) || math.IsNaN(lon) {
+		if math.IsNaN(p.Lat) || math.IsNaN(p.Lon) {
 			return nil, fmt.Errorf("graph: vertex %d has NaN coordinates", i)
 		}
-		b.AddVertex(geo.Point{Lat: lat, Lon: lon})
+		b.AddVertex(p)
 	}
 	for i := uint32(0); i < ne; i++ {
-		var from, to uint32
-		var length, speed float64
-		var cat uint8
-		if err := binary.Read(br, binary.LittleEndian, &from); err != nil {
-			return nil, fmt.Errorf("graph: read edge %d: %w", i, err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &to); err != nil {
-			return nil, fmt.Errorf("graph: read edge %d: %w", i, err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &length); err != nil {
-			return nil, fmt.Errorf("graph: read edge %d: %w", i, err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &cat); err != nil {
-			return nil, fmt.Errorf("graph: read edge %d: %w", i, err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &speed); err != nil {
+		var e edgeRecord
+		if err := binary.Read(br, binary.LittleEndian, &e); err != nil {
 			return nil, fmt.Errorf("graph: read edge %d: %w", i, err)
 		}
 		if _, err := b.AddEdge(Edge{
-			From:         VertexID(from),
-			To:           VertexID(to),
-			LengthMeters: length,
-			Category:     RoadCategory(cat),
-			SpeedKmh:     speed,
+			From:         VertexID(e.From),
+			To:           VertexID(e.To),
+			LengthMeters: e.Length,
+			Category:     RoadCategory(e.Cat),
+			SpeedKmh:     e.Speed,
 		}); err != nil {
 			return nil, fmt.Errorf("graph: edge %d: %w", i, err)
 		}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -53,5 +54,21 @@ func TestGraphReadErrors(t *testing.T) {
 	data := buf.Bytes()
 	if _, err := Read(bytes.NewReader(data[:len(data)-4])); err == nil {
 		t.Error("truncated input should error")
+	}
+}
+
+// TestGraphReadForgedHeader: a 12-byte header claiming 2²⁸ vertices and
+// edges fails on the missing bytes without reserving room for them.
+func TestGraphReadForgedHeader(t *testing.T) {
+	forged := []byte("SRG1\x00\x00\x00\x10\x00\x00\x00\x10")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(forged))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a forged header decoded")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("a %d-byte forged header allocated %d bytes", len(forged), alloc)
 	}
 }

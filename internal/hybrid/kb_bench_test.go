@@ -35,8 +35,8 @@ func BenchmarkBuildKnowledgeBase(b *testing.B) {
 			b.ReportMetric(float64(after.HeapAlloc)-float64(before.HeapAlloc), "retained-B")
 		}
 	}
-	g, sobs, width := goldenSubstrate(b)
-	b.Run("dense", run(g, sobs.Slice(1), width))
+	g, stores, width := goldenSubstrate(b)
+	b.Run("dense", run(g, stores[1], width))
 	g, obs, width := sparseSubstrate(b)
 	b.Run("sparse", run(g, obs, width))
 }
@@ -54,12 +54,11 @@ func BenchmarkTrainSlices(b *testing.B) {
 		RouteFraction: 0.95, NumRoutes: 60, RouteJitter: 0.2, Slices: slices,
 	})
 	cfg := quickSlicedConfig(wcfg.BucketWidth, slices)
-	sobs := traj.NewSlicedObservations(g, cfg.Width, slices)
-	sobs.Collect(trajs)
+	stores := traj.CollectSlices(g, cfg.Width, slices, trajs)
 	bySlice := traj.SplitBySlice(trajs, slices)
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, _, err := TrainSlices(g, sobs, bySlice, nil, cfg); err != nil {
+		if _, _, err := TrainSlices(g, stores, bySlice, nil, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -115,11 +115,12 @@ func (ms *ModelSet) MinEdgeTimeAcrossSlices(e graph.EdgeID) float64 {
 
 // TrainSlices runs the full training pipeline once per time-of-day
 // slice (cfg.Slices of them): each slice gets its own knowledge base
-// built from its slice of the observation aggregate and its own
-// trained model. Slice counts must match: sobs.K() == NumSlices
-// (cfg.Slices). trajsBySlice is the matching partition of the training
-// trajectories (see traj.SplitBySlice). Returns the set plus one
-// evaluation report per slice.
+// built from its store of the observation aggregate and its own
+// trained model. Slice counts must match: len(stores) == NumSlices
+// (cfg.Slices); traj.CollectSlices builds the stores. trajsBySlice is
+// the matching partition of the training trajectories (see
+// traj.SplitBySlice). Returns the set plus one evaluation report per
+// slice.
 //
 // The slices train concurrently (par.For: GOMAXPROCS workers at most),
 // each run single-threaded. A slice's model and report depend only on
@@ -128,10 +129,10 @@ func (ms *ModelSet) MinEdgeTimeAcrossSlices(e graph.EdgeID) float64 {
 // any number of cores, and when slices fail the error is the lowest
 // failing slice's. A non-nil oracle is consulted from several goroutines
 // at once and must be safe for that.
-func TrainSlices(g *graph.Graph, sobs *traj.SlicedObservations, trajsBySlice [][]traj.Trajectory, oracle Oracle, cfg Config) (*ModelSet, []*EvalReport, error) {
+func TrainSlices(g *graph.Graph, stores []*traj.ObservationStore, trajsBySlice [][]traj.Trajectory, oracle Oracle, cfg Config) (*ModelSet, []*EvalReport, error) {
 	k := traj.NumSlices(cfg.Slices)
-	if sobs.K() != k {
-		return nil, nil, fmt.Errorf("hybrid: %d-slice observations for %d-slice training", sobs.K(), k)
+	if len(stores) != k {
+		return nil, nil, fmt.Errorf("hybrid: %d-slice observations for %d-slice training", len(stores), k)
 	}
 	if len(trajsBySlice) != k {
 		return nil, nil, fmt.Errorf("hybrid: %d trajectory buckets for %d-slice training", len(trajsBySlice), k)
@@ -139,11 +140,11 @@ func TrainSlices(g *graph.Graph, sobs *traj.SlicedObservations, trajsBySlice [][
 	models := make([]*Model, k)
 	reports := make([]*EvalReport, k)
 	err := par.For(k, func(s int) error {
-		kb, err := BuildKnowledgeBase(g, sobs.Slice(s), cfg.Width, cfg.MinPairObs)
+		kb, err := BuildKnowledgeBase(g, stores[s], cfg.Width, cfg.MinPairObs)
 		if err != nil {
 			return fmt.Errorf("hybrid: slice %d knowledge base: %w", s, err)
 		}
-		models[s], reports[s], err = Train(kb, sobs.Slice(s), trajsBySlice[s], oracle, cfg)
+		models[s], reports[s], err = Train(kb, stores[s], trajsBySlice[s], oracle, cfg)
 		if err != nil {
 			return fmt.Errorf("hybrid: slice %d training: %w", s, err)
 		}

@@ -53,9 +53,8 @@ func quickSlicedConfig(width float64, slices int) Config {
 // restores the setting.
 func trainSlicesAt(procs int, g *graph.Graph, trajs []traj.Trajectory, cfg Config) (*ModelSet, []*EvalReport, error) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	sobs := traj.NewSlicedObservations(g, cfg.Width, cfg.Slices)
-	sobs.Collect(trajs)
-	return TrainSlices(g, sobs, traj.SplitBySlice(trajs, cfg.Slices), nil, cfg)
+	stores := traj.CollectSlices(g, cfg.Width, cfg.Slices, trajs)
+	return TrainSlices(g, stores, traj.SplitBySlice(trajs, cfg.Slices), nil, cfg)
 }
 
 // TestTrainSlicesBitIdenticalAcrossWorkers: a slice's model depends on

@@ -136,9 +136,9 @@ func goldenConfigs(t testing.TB) (netgen.Config, traj.WorldConfig, traj.WalkConf
 	}
 }
 
-// goldenSubstrate rebuilds the graph and sliced observations under the
-// PBR goldens.
-func goldenSubstrate(t testing.TB) (*graph.Graph, *traj.SlicedObservations, float64) {
+// goldenSubstrate rebuilds the graph and per-slice stores under the PBR
+// goldens.
+func goldenSubstrate(t testing.TB) (*graph.Graph, []*traj.ObservationStore, float64) {
 	t.Helper()
 	ncfg, wcfg, walk := goldenConfigs(t)
 	return observedSubstrate(t, ncfg, wcfg, walk)
@@ -149,8 +149,8 @@ func goldenSubstrate(t testing.TB) (*graph.Graph, *traj.SlicedObservations, floa
 func sparseSubstrate(t testing.TB) (*graph.Graph, *traj.ObservationStore, float64) {
 	t.Helper()
 	ncfg, wcfg, walk := sparseWalkConfigs()
-	g, sobs, width := observedSubstrate(t, ncfg, wcfg, walk)
-	return g, sobs.Slice(0), width
+	g, stores, width := observedSubstrate(t, ncfg, wcfg, walk)
+	return g, stores[0], width
 }
 
 func sparseConfigs() (netgen.Config, traj.WorldConfig) {
@@ -177,12 +177,10 @@ func cityConfigs() (netgen.Config, traj.WorldConfig, traj.WalkConfig) {
 	return ncfg, traj.DefaultWorldConfig(), walk
 }
 
-func observedSubstrate(t testing.TB, ncfg netgen.Config, wcfg traj.WorldConfig, walk traj.WalkConfig) (*graph.Graph, *traj.SlicedObservations, float64) {
+func observedSubstrate(t testing.TB, ncfg netgen.Config, wcfg traj.WorldConfig, walk traj.WalkConfig) (*graph.Graph, []*traj.ObservationStore, float64) {
 	t.Helper()
 	g, trajs := walkedSubstrate(t, ncfg, wcfg, walk)
-	sobs := traj.NewSlicedObservations(g, wcfg.BucketWidth, walk.Slices)
-	sobs.Collect(trajs)
-	return g, sobs, wcfg.BucketWidth
+	return g, traj.CollectSlices(g, wcfg.BucketWidth, walk.Slices, trajs), wcfg.BucketWidth
 }
 
 // walkedSubstrate is the part of observedSubstrate before the stores: a
@@ -470,10 +468,9 @@ func checkAgainstReference(t *testing.T, label string, g *graph.Graph, obs *traj
 func TestKnowledgeBaseMatchesPerEdgeReference(t *testing.T) {
 	check := func(label string, ncfg netgen.Config, wcfg traj.WorldConfig, walk traj.WalkConfig) (g *graph.Graph, unobserved, distinct int) {
 		g, trajs := walkedSubstrate(t, ncfg, wcfg, walk)
-		sobs := traj.NewSlicedObservations(g, wcfg.BucketWidth, walk.Slices)
-		sobs.Collect(trajs)
-		for s, bucket := range traj.SplitBySlice(trajs, sobs.K()) {
-			_, u, d := checkAgainstReference(t, fmt.Sprintf("%s slice %d", label, s), g, sobs.Slice(s), bucket)
+		stores := traj.CollectSlices(g, wcfg.BucketWidth, walk.Slices, trajs)
+		for s, bucket := range traj.SplitBySlice(trajs, len(stores)) {
+			_, u, d := checkAgainstReference(t, fmt.Sprintf("%s slice %d", label, s), g, stores[s], bucket)
 			unobserved, distinct = unobserved+u, distinct+d
 		}
 		return g, unobserved, distinct

@@ -75,10 +75,9 @@ func TestKnowledgeBaseMarginalsAreNeverMutated(t *testing.T) {
 	cfg.PrefixRows = 300
 	cfg.MaxBuckets = 256
 	cfg.Slices = slices
-	sobs := traj.NewSlicedObservations(g, cfg.Width, slices)
-	sobs.Collect(trajs)
+	stores := traj.CollectSlices(g, cfg.Width, slices, trajs)
 	bySlice := traj.SplitBySlice(trajs, slices)
-	set, _, err := hybrid.TrainSlices(g, sobs, bySlice, nil, cfg)
+	set, _, err := hybrid.TrainSlices(g, stores, bySlice, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +159,7 @@ func TestKnowledgeBaseMarginalsAreNeverMutated(t *testing.T) {
 	}
 	unchanged("ParetoRoutes")
 
-	if _, _, err := hybrid.Train(set.At(0).KB, sobs.Slice(0), bySlice[0], nil, cfg); err != nil {
+	if _, _, err := hybrid.Train(set.At(0).KB, stores[0], bySlice[0], nil, cfg); err != nil {
 		t.Fatal(err)
 	}
 	unchanged("Train")

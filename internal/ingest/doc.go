@@ -10,38 +10,35 @@
 //
 //   - Ingestor accepts trajectory batches (via the Go API or the
 //     server's POST /ingest endpoint), validates them against the road
-//     graph, and appends each to its departure slice's aggregate. The
-//     aggregate is the trajectories themselves — the paper's one input
-//     — and nothing derived from them is kept beside it: ingestion is
-//     a validation pass and a slice append under the lock, and
-//     everything expensive happens in the background.
+//     graph, and appends each to its departure slice's pending batch —
+//     all it does under the lock. A slice's aggregate is what the paper
+//     builds its model from, edge and edge-pair travel-time counts (the
+//     traj.ObservationStore the engine serves), plus a seeded uniform
+//     sample of hybrid.Config.PrefixRows trajectories for the
+//     estimator's prefix phase, and the pending batch.
 //
 //   - One DriftMonitor per time-of-day slice keeps a window of that
 //     slice's accepted trajectories; a full window is collected into an
 //     observation store, and its per-edge histograms are compared, in
 //     edge order, against the slice's serving marginals with the
-//     Jensen–Shannon divergence (internal/hist).
-//     When enough edges drift past the configured threshold — or
-//     unconditionally every DriftConfig.RebuildEvery accepted
-//     trajectories in that slice — a rebuild of that slice triggers.
-//     A rush-hour regime change therefore fires exactly the rush-hour
-//     monitor; the night slice never notices.
+//     Jensen–Shannon divergence (internal/hist). When enough edges
+//     drift past the configured threshold — or unconditionally every
+//     DriftConfig.RebuildEvery accepted trajectories in that slice — a
+//     rebuild of that slice triggers, so a rush-hour regime change
+//     fires exactly the rush-hour monitor.
 //
-//   - The rebuild runs in a background goroutine (at most one in
-//     flight per slice; different slices may rebuild concurrently)
-//     over an O(1) view of the slice's aggregate as of the trigger
-//     (ingestion and age-out continue concurrently and never reach
-//     into it): it collects the slice's traj.ObservationStore from
-//     that view — one Collect per rebuild, about 5 µs per trajectory,
-//     bounded by Config.MaxTrajectories — re-derives the slice's
-//     knowledge-base histograms, retrains the estimation network and
-//     the convolve-vs-estimate classifier, and publishes model and
-//     store through Target.SwapSliceModel — the engine's epoch-tagged
-//     atomic hot swap, advancing only that slice's epoch. Queries in flight
-//     finish on the old generation; new queries in that slice see the
-//     new epoch, the serving layer's per-slice result cache
-//     invalidates on the bump, and the other slices keep serving their
-//     generation with warm caches.
+//   - A trigger hands the pending batch to a background rebuild (at
+//     most one in flight per slice). It folds only that batch onto a
+//     copy of the slice's counts, off the lock, and publishes the result
+//     as the slice's aggregate even if training then fails. From that
+//     one object it re-derives the slice's knowledge base, retrains the
+//     estimation network (the prefix phase walks the sample) and the
+//     convolve-vs-estimate classifier, and publishes model and store
+//     through Target.SwapSliceModel — the engine's epoch-tagged atomic
+//     hot swap, advancing only that slice's epoch: queries in flight
+//     finish on the old generation, the serving layer's per-slice result
+//     cache invalidates, and the other slices keep their generation.
+//     Config.MaxTrajectories ages counts out without subtracting any.
 //
 // A failed rebuild (for example, too few pairs with support yet) is
 // counted and logged but never disturbs the serving model. Use

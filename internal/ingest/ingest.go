@@ -1,11 +1,12 @@
 package ingest
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"stochroute/internal/graph"
 	"stochroute/internal/hybrid"
 	"stochroute/internal/obs"
+	"stochroute/internal/rng"
 	"stochroute/internal/traj"
 )
 
@@ -58,11 +60,12 @@ type Config struct {
 	// retraining on a handful of trajectories would replace a good
 	// model with noise.
 	MinRebuildTrajectories int
-	// MaxTrajectories bounds each slice's cumulative aggregate
-	// (default 50000, negative = unbounded). Past the bound the oldest
-	// half of that slice ages out, keeping memory and rebuild cost flat
-	// on a long-running service and letting post-drift data displace
-	// the old regime instead of being forever diluted by it.
+	// MaxTrajectories bounds each slice's aggregate in trajectories
+	// (default 50000, negative = unbounded), keeping memory and rebuild
+	// cost flat and letting post-drift data displace the old regime.
+	// Counts are never subtracted: past half the bound a second store
+	// receives the same folds, and takes over when a fold would pass the
+	// bound; pending trajectories past it alone keep their newest half.
 	MaxTrajectories int
 	// Metrics, when set, receives the subsystem's telemetry: fold and
 	// validation counters, per-slice drift scores and events, hot-swap
@@ -92,7 +95,9 @@ func (c Config) withDefaults() Config {
 // surfaced by the server's /stats endpoint next to the slice's serving
 // epoch.
 type SliceStatus struct {
-	// Trajectories sizes the slice's cumulative aggregate.
+	// Trajectories sizes the slice's cumulative aggregate: the
+	// trajectories its counts hold, the batch a rebuild is folding onto
+	// them and those accepted since.
 	Trajectories int `json:"trajectories"`
 	// SinceRebuild counts accepted trajectories in this slice since
 	// its last rebuild trigger.
@@ -123,8 +128,9 @@ type Status struct {
 	Rejected uint64 `json:"rejected"`
 	Seeded   uint64 `json:"seeded"`
 	// Trajectories and EdgeObservations size the cumulative aggregate
-	// (seeded + live, after any age-out, summed across slices);
-	// AggregatePrunes counts MaxTrajectories age-outs.
+	// (seeded + live, after any age-out, summed across slices) as the
+	// slices' Trajectories do; AggregatePrunes counts MaxTrajectories
+	// age-outs.
 	Trajectories     int    `json:"trajectories"`
 	EdgeObservations int    `json:"edge_observations"`
 	AggregatePrunes  uint64 `json:"aggregate_prunes"`
@@ -162,16 +168,14 @@ type Ingestor struct {
 	logf   func(format string, args ...any)
 	k      int
 
-	mu sync.Mutex
-	// trajs is the aggregate: every accepted trajectory per slice
-	// (after any age-out). A rebuild derives its observation store
-	// from it; edgeObs is Σ len(tr.Edges) over it.
-	trajs   [][]traj.Trajectory
-	edgeObs int
-	drift   []*DriftMonitor // one window per slice
-	// slices is the only per-slice state: triggers read it, Status
-	// copies it and derives the totals. Its Trajectories field is
-	// filled in by Status from len(trajs[s]).
+	empty *folded // what every run starts from; folds never write to it
+
+	mu    sync.Mutex
+	aggs  []sliceAggregate // the aggregate, one per slice
+	drift []*DriftMonitor  // one window per slice
+	// slices is the per-slice status: triggers read it, Status copies
+	// it and derives the totals. Its Trajectories field is filled in by
+	// Status from aggs.
 	slices    []SliceStatus
 	rebuildWG sync.WaitGroup
 
@@ -198,20 +202,88 @@ func New(target Target, cfg Config, logW io.Writer) *Ingestor {
 		k = 1
 	}
 	in := &Ingestor{
-		target:  target,
-		cfg:     cfg,
-		logf:    logf,
-		k:       k,
-		trajs:   make([][]traj.Trajectory, k),
+		target: target,
+		cfg:    cfg,
+		logf:   logf,
+		k:      k,
+		empty: &folded{
+			store:  traj.NewObservationStore(target.Graph(), cfg.Hybrid.Width),
+			sample: reservoir{r: *rng.New(cfg.Hybrid.Seed).Split("prefix sample")},
+		},
+		aggs:    make([]sliceAggregate, k),
 		drift:   make([]*DriftMonitor, k),
 		slices:  make([]SliceStatus, k),
 		metrics: cfg.Metrics,
 	}
 	for s := range in.drift {
+		in.aggs[s].counted = in.empty
 		in.drift[s] = NewDriftMonitor(cfg.Drift, cfg.Hybrid.Width)
 	}
 	return in
 }
+
+// sliceAggregate is one slice's aggregate, oldest first: the counts the
+// last rebuild folded, the batch a rebuild is folding onto them, and the
+// trajectories accepted since (pending, which with that batch is what
+// uncounted sizes). young, from the first fold after counted passes
+// half of MaxTrajectories, receives the same folds.
+type sliceAggregate struct {
+	counted, young *folded
+	pending        []traj.Trajectory
+	uncounted      tally
+}
+
+// folded is a run of trajectories as a rebuild keeps it: the store the
+// engine serves, the prefix sample the learner walks, and its size.
+type folded struct {
+	store  *traj.ObservationStore
+	sample reservoir
+	tally
+}
+
+// fold returns f with batch added and leaves f as it was.
+func (f *folded) fold(batch []traj.Trajectory, sampleSize int) *folded {
+	store := *f.store
+	store.Collect(batch)
+	return &folded{store: &store, sample: f.sample.offer(batch, sampleSize), tally: f.plus(tallyOf(batch))}
+}
+
+// reservoir is a seeded uniform sample of the trajectories offered to
+// it (Vitter's Algorithm R): every one, in arrival order, until it holds
+// size; then the n-th offered (from 0) takes a uniformly drawn slot with
+// probability size/(n+1). It depends only on the order of the offers.
+type reservoir struct {
+	items []traj.Trajectory
+	seen  int
+	r     rng.RNG
+}
+
+// offer returns the reservoir after trs and leaves res as it was.
+func (res reservoir) offer(trs []traj.Trajectory, size int) reservoir {
+	res.items = slices.Clone(res.items)
+	for i := range trs {
+		if len(res.items) < size {
+			res.items = append(res.items, trs[i])
+		} else if j := res.r.Intn(res.seen + 1); j < size {
+			res.items[j] = trs[i]
+		}
+		res.seen++
+	}
+	return res
+}
+
+// tally counts trajectories and the edge traversals they hold.
+type tally struct{ trajs, edges int }
+
+func tallyOf(trs []traj.Trajectory) tally {
+	t := tally{trajs: len(trs)}
+	for i := range trs {
+		t.edges += len(trs[i].Edges)
+	}
+	return t
+}
+
+func (t tally) plus(u tally) tally { return tally{t.trajs + u.trajs, t.edges + u.edges} }
 
 // NumSlices returns the number of time-of-day slices the ingestor
 // partitions its aggregate into (the target's slice count).
@@ -244,26 +316,27 @@ func (in *Ingestor) IngestCtx(ctx context.Context, trs []traj.Trajectory) (accep
 	return in.fold(ctx, trs, true)
 }
 
-// sliceRebuild is one pending background rebuild decided under the
-// mutex and launched after it is released.
+// sliceRebuild is a background rebuild decided under the mutex and
+// launched after it: the batch, and the slice's counts to fold it onto.
 type sliceRebuild struct {
-	slice  int
-	reason string
-	trajs  []traj.Trajectory
+	slice          int
+	reason         string
+	counted, young *folded
+	batch          []traj.Trajectory
 }
 
 func (in *Ingestor) fold(ctx context.Context, trs []traj.Trajectory, live bool) (accepted, rejected int) {
 	g := in.target.Graph()
 	_, vsp := obs.StartSpan(ctx, "ingest-validate")
 	valid := make([]traj.Trajectory, 0, len(trs))
-	edges := 0
 	for i := range trs {
-		if err := validateTrajectory(g, &trs[i]); err != nil {
+		// An empty trip, or one Validate rejects, would corrupt the
+		// aggregate.
+		if len(trs[i].Edges) == 0 || trs[i].Validate(g) != nil {
 			rejected++
 			continue
 		}
 		valid = append(valid, trs[i])
-		edges += len(trs[i].Edges)
 	}
 	accepted = len(valid)
 	if vsp != nil {
@@ -287,15 +360,22 @@ func (in *Ingestor) fold(ctx context.Context, trs []traj.Trajectory, live bool) 
 	buckets := traj.SplitBySlice(valid, in.k)
 	var pending []sliceRebuild
 	in.mu.Lock()
-	in.edgeObs += edges
 	for s, bucket := range buckets {
 		if len(bucket) == 0 {
 			continue
 		}
 		in.metrics.Folded(s, uint64(len(bucket)))
-		in.trajs[s] = append(in.trajs[s], bucket...)
-		if in.cfg.MaxTrajectories > 0 && len(in.trajs[s]) > in.cfg.MaxTrajectories {
-			in.pruneLocked(s)
+		a := &in.aggs[s]
+		a.pending = append(a.pending, bucket...)
+		a.uncounted = a.uncounted.plus(tallyOf(bucket))
+		if bound := in.cfg.MaxTrajectories; bound > 0 && len(a.pending) > bound {
+			// Everything older than the newest half ages out: the counts,
+			// and a batch a rebuild is folding (it trains on it but does
+			// not publish it). A fresh array frees what is dropped.
+			keep, empty := max(bound/2, 1), *in.empty
+			in.agedOut(s, a.counted.trajs+a.uncounted.trajs-keep, keep)
+			a.pending = append([]traj.Trajectory(nil), a.pending[len(a.pending)-keep:]...)
+			a.counted, a.young, a.uncounted = &empty, nil, tallyOf(a.pending)
 		}
 		if !live {
 			continue
@@ -306,19 +386,11 @@ func (in *Ingestor) fold(ctx context.Context, trs []traj.Trajectory, live bool) 
 			in.drift[s].Observe(&bucket[i])
 		}
 		trigger, reason := in.checkTriggersLocked(ctx, s)
-		if trigger && !st.Rebuilding && len(in.trajs[s]) >= in.cfg.MinRebuildTrajectories {
+		if trigger && !st.Rebuilding && a.counted.trajs+a.uncounted.trajs >= in.cfg.MinRebuildTrajectories {
 			st.Rebuilding = true
 			st.SinceRebuild = 0
-			pending = append(pending, sliceRebuild{
-				slice:  s,
-				reason: reason,
-				// O(1) snapshot: in.trajs[s] is append-only between
-				// prunes (appends past the clamped cap never enter this
-				// view) and pruneLocked replaces the slice wholesale,
-				// leaving an outstanding snapshot on the old backing
-				// array.
-				trajs: in.trajs[s][:len(in.trajs[s]):len(in.trajs[s])],
-			})
+			pending = append(pending, sliceRebuild{slice: s, reason: reason, counted: a.counted, young: a.young, batch: a.pending})
+			a.pending = nil
 		}
 	}
 	in.mu.Unlock()
@@ -334,23 +406,11 @@ func (in *Ingestor) fold(ctx context.Context, trs []traj.Trajectory, live bool) 
 	return
 }
 
-// pruneLocked ages out the oldest half of slice s's aggregate once it
-// exceeds Config.MaxTrajectories: the newest half is copied to a fresh
-// backing array, so a rebuild's view taken earlier keeps the old one
-// and an in-flight rebuild is unaffected. Callers hold in.mu.
-func (in *Ingestor) pruneLocked(s int) {
-	keep := in.cfg.MaxTrajectories / 2
-	if keep < 1 {
-		keep = 1
-	}
-	dropped := len(in.trajs[s]) - keep
-	for i := range in.trajs[s][:dropped] {
-		in.edgeObs -= len(in.trajs[s][i].Edges)
-	}
-	in.trajs[s] = append([]traj.Trajectory(nil), in.trajs[s][dropped:]...)
+// agedOut counts and logs one age-out of slice s.
+func (in *Ingestor) agedOut(s, dropped, kept int) {
 	in.prunes.Add(1)
 	in.metrics.Pruned(1)
-	in.logf("ingest: slice %d aggregate pruned: dropped %d oldest trajectories, retained %d", s, dropped, keep)
+	in.logf("ingest: slice %d aggregate pruned: dropped %d oldest trajectories, retained %d", s, dropped, kept)
 }
 
 // checkTriggersLocked evaluates slice s's drift window (when full) and
@@ -390,12 +450,45 @@ func (in *Ingestor) checkTriggersLocked(ctx context.Context, s int) (bool, strin
 	return false, ""
 }
 
-// rebuild collects one slice's observation store from the view of its
-// aggregate taken at the trigger, re-derives the slice's knowledge base
-// and retrains its hybrid model on it, then hot-swaps model and store
-// into the target — only that slice's epoch advances. Runs in its own
-// goroutine; at most one rebuild per slice is in flight (different
-// slices may rebuild concurrently).
+// foldBatch folds a rebuild's batch onto the counts its slice held at
+// the trigger, off the lock, and publishes the result as the slice's
+// aggregate unless an age-out dropped those counts meanwhile. Nothing
+// is subtracted: when the fold would pass MaxTrajectories, the young
+// run takes over (or, should even that pass it, the batch alone).
+func (in *Ingestor) foldBatch(p sliceRebuild) *folded {
+	bound, size := in.cfg.MaxTrajectories, in.cfg.Hybrid.PrefixRows
+	onto, young := p.counted, p.young
+	aged := bound > 0 && onto.trajs+len(p.batch) > bound
+	if aged {
+		onto, young = cmp.Or(young, in.empty), nil
+		if onto.trajs+len(p.batch) > bound {
+			onto = in.empty
+		}
+	}
+	if bound > 0 && young == nil && onto.trajs > bound/2 {
+		young = in.empty
+	}
+	next := onto.fold(p.batch, size)
+	if young != nil {
+		young = young.fold(p.batch, size)
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if a := &in.aggs[p.slice]; a.counted == p.counted {
+		if aged {
+			in.agedOut(p.slice, p.counted.trajs+len(p.batch)-next.trajs, next.trajs)
+		}
+		a.counted, a.young, a.uncounted = next, young, tallyOf(a.pending)
+	}
+	return next
+}
+
+// rebuild folds one slice's batch onto its counts (foldBatch),
+// re-derives the slice's knowledge base and retrains its hybrid model
+// on the result, then hot-swaps model and store into the target — only
+// that slice's epoch advances. Runs in its own goroutine; at most one
+// rebuild per slice is in flight (different slices may rebuild
+// concurrently).
 func (in *Ingestor) rebuild(p sliceRebuild) {
 	defer func() {
 		in.mu.Lock()
@@ -411,26 +504,27 @@ func (in *Ingestor) rebuild(p sliceRebuild) {
 	rctx, root := in.cfg.Tracer.StartBackground("rebuild", obs.NewRequestID())
 	root.SetInt("slice", int64(p.slice))
 	root.SetStr("reason", p.reason)
-	root.SetInt("trajectories", int64(len(p.trajs)))
 	err := func() error {
 		_, ksp := obs.StartSpan(rctx, "build-kb")
-		store := traj.NewObservationStore(in.target.Graph(), in.cfg.Hybrid.Width)
-		store.Collect(p.trajs)
-		kb, err := hybrid.BuildKnowledgeBase(in.target.Graph(), store, in.cfg.Hybrid.Width, in.cfg.Hybrid.MinPairObs)
+		g := in.target.Graph()
+		next := in.foldBatch(p)
+		ksp.SetInt("folded", int64(len(p.batch)))
+		root.SetInt("trajectories", int64(next.trajs))
+		kb, err := hybrid.BuildKnowledgeBase(g, next.store, in.cfg.Hybrid.Width, in.cfg.Hybrid.MinPairObs)
 		ksp.SetError(err)
 		ksp.End()
 		if err != nil {
 			return err
 		}
 		_, tsp := obs.StartSpan(rctx, "train")
-		model, report, err := hybrid.Train(kb, store, p.trajs, nil, in.cfg.Hybrid)
+		model, report, err := hybrid.Train(kb, next.store, next.sample.items, nil, in.cfg.Hybrid)
 		tsp.SetError(err)
 		tsp.End()
 		if err != nil {
 			return err
 		}
 		_, wsp := obs.StartSpan(rctx, "swap")
-		epoch, err := in.target.SwapSliceModel(p.slice, model, store)
+		epoch, err := in.target.SwapSliceModel(p.slice, model, next.store)
 		if err != nil {
 			wsp.SetError(err)
 			wsp.End()
@@ -448,7 +542,7 @@ func (in *Ingestor) rebuild(p sliceRebuild) {
 		in.metrics.Swap(p.slice)
 		in.metrics.RebuildDuration(p.slice, time.Since(start))
 		in.logf("ingest: slice %d rebuild (%s): trained on %d trajectories in %s (KL hybrid %.4f vs conv %.4f); slice serving epoch %d",
-			p.slice, p.reason, len(p.trajs), time.Since(start).Round(time.Millisecond),
+			p.slice, p.reason, next.trajs, time.Since(start).Round(time.Millisecond),
 			report.MeanKLHybrid, report.MeanKLConv, epoch)
 		return nil
 	}()
@@ -480,10 +574,11 @@ func (in *Ingestor) Status() Status {
 		LastDriftScore:  math.Float64frombits(in.lastDriftScore.Load()),
 	}
 	in.mu.Lock()
-	st.EdgeObservations = in.edgeObs
 	st.Slices = append([]SliceStatus(nil), in.slices...)
-	for s := range st.Slices {
-		st.Slices[s].Trajectories = len(in.trajs[s])
+	for s, a := range in.aggs {
+		t := a.counted.plus(a.uncounted)
+		st.Slices[s].Trajectories = t.trajs
+		st.EdgeObservations += t.edges
 	}
 	in.mu.Unlock()
 	for _, sl := range st.Slices {
@@ -512,13 +607,4 @@ func (in *Ingestor) Degraded() bool {
 		}
 	}
 	return false
-}
-
-// validateTrajectory rejects anything that could corrupt the aggregate:
-// an empty trip, and whatever traj.Trajectory.Validate rejects.
-func validateTrajectory(g *graph.Graph, tr *traj.Trajectory) error {
-	if len(tr.Edges) == 0 {
-		return errors.New("ingest: empty trajectory")
-	}
-	return tr.Validate(g)
 }

@@ -1,8 +1,10 @@
 package ingest
 
 import (
+	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -497,17 +499,19 @@ func TestRebuildTrainsOnTheAggregateAtItsTrigger(t *testing.T) {
 	}
 	in.Ingest(fx.trajs[:n])
 	<-held
-	for lo := n; lo < 350; lo += 50 { // crosses MaxTrajectories: the first 200 age out
+	for lo := n; lo < 550; lo += 50 { // 350 pending cross MaxTrajectories: all but the newest 150 age out
 		in.Ingest(fx.trajs[lo : lo+50])
 	}
 	st := in.Status()
-	if st.AggregatePrunes != 1 || st.Trajectories != 150 || st.EdgeObservations != edgeCount(fx.trajs[200:350]) || !st.Rebuilding {
+	if st.AggregatePrunes != 1 || st.Trajectories != 150 || st.EdgeObservations != edgeCount(fx.trajs[400:550]) || !st.Rebuilding {
 		t.Fatalf("while the rebuild is held: %+v", st)
 	}
 	close(release)
 	in.WaitRebuilds()
 
-	if st := in.Status(); st.Rebuilds != 1 || st.RebuildErrors != 0 || st.Rebuilding {
+	// The age-out happened during the fold: the fold is trained on but
+	// not published, so the aggregate is still the newest 150.
+	if st := in.Status(); st.Rebuilds != 1 || st.RebuildErrors != 0 || st.Rebuilding || st.Trajectories != 150 {
 		t.Fatalf("after the rebuild: %+v", st)
 	}
 	want := traj.NewObservationStore(fx.g, fx.width)
@@ -593,5 +597,166 @@ func TestPerSliceDriftRebuild(t *testing.T) {
 	}
 	if tgt.SliceKnowledgeBase(0) != fx.kb {
 		t.Error("slice 0's knowledge base must be untouched")
+	}
+}
+
+// modelBytes serialises m as a one-slice model set.
+func modelBytes(t *testing.T, m *hybrid.Model) []byte {
+	t.Helper()
+	set, err := hybrid.NewModelSet([]*hybrid.Model{m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := hybrid.WriteModelSet(&buf, set); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// collectAll is one Collect of trs onto a fresh store.
+func collectAll(fx *fixture, trs []traj.Trajectory) *traj.ObservationStore {
+	store := traj.NewObservationStore(fx.g, fx.width)
+	store.Collect(trs)
+	return store
+}
+
+// TestRebuiltModelsMatchTrainingOnEverything: a rebuild folds only its
+// batch, yet with PrefixRows 0 — or while the slice holds no more than
+// PrefixRows trajectories, so the prefix sample is every trajectory in
+// arrival order — each model it swaps in serialises to the bytes of
+// hybrid.Train over one Collect of everything ingested so far, which is
+// what a rebuild that re-collected the whole aggregate trained.
+func TestRebuiltModelsMatchTrainingOnEverything(t *testing.T) {
+	fx := testFixture(t)
+	for _, tc := range []struct{ prefixRows, n int }{{0, 600}, {450, 450}} {
+		cfg := lightHybridConfig(fx.width)
+		cfg.PrefixRows = tc.prefixRows
+		tgt := &fakeTarget{g: fx.g, kb: map[int]*hybrid.KnowledgeBase{0: fx.kb}, epoch: 1}
+		in := New(tgt, Config{
+			Hybrid:                 cfg,
+			Drift:                  DriftConfig{Window: -1, RebuildEvery: 50},
+			MinRebuildTrajectories: 200,
+		}, nil)
+		in.Seed(fx.trajs[:150])
+		for _, hi := range []int{200, 250, 350, 450, 600} {
+			if hi > tc.n {
+				break
+			}
+			in.Ingest(fx.trajs[in.Status().Trajectories:hi])
+			in.WaitRebuilds()
+			all := fx.trajs[:hi]
+			want := collectAll(fx, all)
+			kb, err := hybrid.BuildKnowledgeBase(fx.g, want, cfg.Width, cfg.MinPairObs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model, _, err := hybrid.Train(kb, want, all, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := in.Status(); st.Rebuilds == 0 || st.RebuildErrors != 0 {
+				t.Fatalf("PrefixRows %d, %d trajectories: %+v", tc.prefixRows, hi, st)
+			}
+			if !reflect.DeepEqual(tgt.swappedObs, want) {
+				t.Fatalf("PrefixRows %d, %d trajectories: the swapped store is not one Collect of them", tc.prefixRows, hi)
+			}
+			if !bytes.Equal(modelBytes(t, tgt.swapped), modelBytes(t, model)) {
+				t.Fatalf("PrefixRows %d, %d trajectories: the swapped model differs from training on all of them", tc.prefixRows, hi)
+			}
+		}
+	}
+}
+
+// TestPrefixSampleIgnoresBatchesAndTiming: the prefix sample a slice's
+// counts carry is the reservoir of the trajectories those counts hold,
+// offered in arrival order, however the stream was cut into batches,
+// whenever the rebuilds ran and on however many cores.
+func TestPrefixSampleIgnoresBatchesAndTiming(t *testing.T) {
+	fx := testFixture(t)
+	stream := fx.trajs[:601]
+	const size = 120
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		procs, batch int
+		wait         bool // for each rebuild before the next batch
+	}{{1, 50, true}, {4, 13, false}, {2, 170, false}, {1, 7, false}, {4, 600, true}} {
+		runtime.GOMAXPROCS(tc.procs)
+		cfg := lightHybridConfig(fx.width)
+		cfg.PrefixRows = size
+		tgt := &fakeTarget{g: fx.g, kb: map[int]*hybrid.KnowledgeBase{0: fx.kb}, epoch: 1}
+		in := New(tgt, Config{
+			Hybrid:                 cfg,
+			Drift:                  DriftConfig{Window: -1, RebuildEvery: 1},
+			MinRebuildTrajectories: 1,
+		}, nil)
+		for lo := 0; lo < 600; lo += tc.batch {
+			in.Ingest(stream[lo:min(lo+tc.batch, 600)])
+			if tc.wait {
+				in.WaitRebuilds()
+			}
+		}
+		// The last trajectory triggers a fold of whatever is pending.
+		in.WaitRebuilds()
+		in.Ingest(stream[600:])
+		in.WaitRebuilds()
+		in.mu.Lock()
+		counted := in.aggs[0].counted
+		in.mu.Unlock()
+		if counted.trajs != len(stream) {
+			t.Fatalf("%+v: the counts hold %d trajectories, want %d", tc, counted.trajs, len(stream))
+		}
+		want := in.empty.sample.offer(stream, size)
+		if !reflect.DeepEqual(counted.sample, want) {
+			t.Errorf("%+v: the sample differs from offering the stream in one batch", tc)
+		}
+		if len(want.items) != size || reflect.DeepEqual(want.items, stream[:size]) {
+			t.Errorf("%+v: the sample holds %d trajectories, want %d not all among the first", tc, len(want.items), size)
+		}
+		if !reflect.DeepEqual(counted.store, collectAll(fx, stream)) {
+			t.Errorf("%+v: the counts are not one Collect of the stream", tc)
+		}
+	}
+}
+
+// TestAgeOutKeepsTheNewest: folds onto a bounded slice never subtract,
+// yet after every fold the aggregate holds at most MaxTrajectories, and
+// they are the newest: its store is one Collect of the last
+// Status().Trajectories trajectories ingested, and nothing older. How
+// many it keeps follows the young store: started at the first fold past
+// half the bound, taking over when a fold would pass the bound, and
+// itself dropped when even it would.
+func TestAgeOutKeepsTheNewest(t *testing.T) {
+	fx := testFixture(t)
+	const bound = 250
+	tgt := &fakeTarget{g: fx.g, kb: map[int]*hybrid.KnowledgeBase{0: fx.kb}, epoch: 1}
+	in := New(tgt, Config{
+		Hybrid:                 lightHybridConfig(fx.width),
+		Drift:                  DriftConfig{Window: -1, RebuildEvery: 1},
+		MinRebuildTrajectories: 1,
+		MaxTrajectories:        bound,
+	}, nil)
+	hi := 0
+	for _, step := range []struct{ batch, kept int }{
+		{40, 40}, {90, 130}, {140, 140}, {60, 200}, {200, 200}, {30, 230}, {70, 100}, {70, 170},
+	} {
+		in.Ingest(fx.trajs[hi : hi+step.batch])
+		hi += step.batch
+		in.WaitRebuilds()
+		st := in.Status()
+		if st.Trajectories > bound || st.Trajectories != step.kept {
+			t.Fatalf("after %d trajectories the aggregate holds %d, want %d (bound %d)", hi, st.Trajectories, step.kept, bound)
+		}
+		kept := fx.trajs[hi-st.Trajectories : hi]
+		in.mu.Lock()
+		counted := in.aggs[0].counted
+		in.mu.Unlock()
+		if counted.trajs != st.Trajectories || st.EdgeObservations != edgeCount(kept) ||
+			!reflect.DeepEqual(counted.store, collectAll(fx, kept)) {
+			t.Fatalf("after %d trajectories: the counts hold %d, want the newest %d", hi, counted.trajs, st.Trajectories)
+		}
+	}
+	if st := in.Status(); st.AggregatePrunes != 3 {
+		t.Errorf("%d age-outs, want 3", st.AggregatePrunes)
 	}
 }

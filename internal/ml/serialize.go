@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"stochroute/internal/rng"
 )
 
 // Binary model format ("SRML"): enough structure to rebuild an MLP with
@@ -80,7 +78,6 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 		return nil, fmt.Errorf("ml: implausible layer count %d", nLayers)
 	}
 	net := &Network{}
-	dummy := rng.New(0)
 	for i := uint32(0); i < nLayers; i++ {
 		kind, err := br.ReadByte()
 		if err != nil {
@@ -95,17 +92,21 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 			if err := binary.Read(br, binary.LittleEndian, &out); err != nil {
 				return nil, err
 			}
-			if in == 0 || out == 0 || in > 1<<20 || out > 1<<20 {
+			if in == 0 || out == 0 || uint64(in)*uint64(out) > 1<<24 {
 				return nil, fmt.Errorf("ml: implausible dense dims %dx%d", in, out)
 			}
-			d := NewDense(int(in), int(out), dummy)
-			if err := readFloats(br, d.W.Data); err != nil {
+			w, err := readFloats(br, int(in*out))
+			if err != nil {
 				return nil, err
 			}
-			if err := readFloats(br, d.B.Data); err != nil {
+			b, err := readFloats(br, int(out))
+			if err != nil {
 				return nil, err
 			}
-			net.Layers = append(net.Layers, d)
+			net.Layers = append(net.Layers, &Dense{
+				W: &Matrix{Rows: int(in), Cols: int(out), Data: w}, B: &Matrix{Rows: 1, Cols: int(out), Data: b},
+				gW: NewMatrix(int(in), int(out)), gB: NewMatrix(1, int(out)),
+			})
 		case 1:
 			net.Layers = append(net.Layers, &ReLU{})
 		case 2:
@@ -137,14 +138,15 @@ func ReadScaler(r io.Reader) (*StandardScaler, error) {
 	if n > 1<<20 {
 		return nil, fmt.Errorf("ml: implausible scaler width %d", n)
 	}
-	s := &StandardScaler{Mean: make([]float64, n), Std: make([]float64, n)}
-	if err := readFloats(r, s.Mean); err != nil {
+	mean, err := readFloats(r, int(n))
+	if err != nil {
 		return nil, err
 	}
-	if err := readFloats(r, s.Std); err != nil {
+	std, err := readFloats(r, int(n))
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return &StandardScaler{Mean: mean, Std: std}, nil
 }
 
 // WriteLogReg serialises a logistic regression.
@@ -167,16 +169,11 @@ func ReadLogReg(r io.Reader) (*LogisticRegression, error) {
 	if n > 1<<20 {
 		return nil, fmt.Errorf("ml: implausible logreg width %d", n)
 	}
-	m := &LogisticRegression{W: make([]float64, n)}
-	if err := readFloats(r, m.W); err != nil {
+	w, err := readFloats(r, int(n)+1) // the weights, then the bias
+	if err != nil {
 		return nil, err
 	}
-	b := make([]float64, 1)
-	if err := readFloats(r, b); err != nil {
-		return nil, err
-	}
-	m.B = b[0]
-	return m, nil
+	return &LogisticRegression{W: w[:n:n], B: w[n]}, nil
 }
 
 func writeFloats(w io.Writer, fs []float64) error {
@@ -188,13 +185,16 @@ func writeFloats(w io.Writer, fs []float64) error {
 	return err
 }
 
-func readFloats(r io.Reader, fs []float64) error {
-	buf := make([]byte, 8*len(fs))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
+// readFloats reads n float64s. n comes from a header, so it is only a
+// claim: the result grows as the bytes behind it arrive.
+func readFloats(r io.Reader, n int) ([]float64, error) {
+	var fs []float64
+	var b [8]byte
+	for len(fs) < n {
+		if _, err := io.ReadFull(r, b[:]); err != nil {
+			return nil, err
+		}
+		fs = append(fs, math.Float64frombits(binary.LittleEndian.Uint64(b[:])))
 	}
-	for i := range fs {
-		fs[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return nil
+	return fs, nil
 }

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"stochroute/internal/rng"
@@ -52,6 +53,27 @@ func TestNetworkReadErrors(t *testing.T) {
 	data := buf.Bytes()
 	if _, err := ReadNetwork(bytes.NewReader(data[:len(data)-3])); err == nil {
 		t.Error("truncated weights should error")
+	}
+}
+
+// TestNetworkReadForgedHeader: a 17-byte file claiming one 2²⁰ × 2²⁰
+// dense layer is refused, and one claiming a layer within the bound
+// fails on the missing weights; neither reserves room for them.
+func TestNetworkReadForgedHeader(t *testing.T) {
+	for _, forged := range []string{
+		"SRML\x01\x00\x00\x00\x00\x00\x00\x10\x00\x00\x00\x10\x00", // 2²⁰ × 2²⁰
+		"SRML\x01\x00\x00\x00\x00\x00\x10\x00\x00\x00\x10\x00\x00", // 2¹² × 2¹²
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadNetwork(bytes.NewReader([]byte(forged)))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("the forged header %q decoded", forged)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("the %d-byte forged header %q allocated %d bytes", len(forged), forged, alloc)
+		}
 	}
 }
 

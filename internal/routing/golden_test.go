@@ -106,9 +106,8 @@ func buildGoldenFixture() (*goldenFixture, error) {
 	cfg.PrefixRows = 300
 	cfg.MaxBuckets = 256
 	cfg.Slices = goldenSlices
-	sobs := traj.NewSlicedObservations(g, cfg.Width, goldenSlices)
-	sobs.Collect(trajs)
-	set, _, err := hybrid.TrainSlices(g, sobs, traj.SplitBySlice(trajs, goldenSlices), nil, cfg)
+	stores := traj.CollectSlices(g, cfg.Width, goldenSlices, trajs)
+	set, _, err := hybrid.TrainSlices(g, stores, traj.SplitBySlice(trajs, goldenSlices), nil, cfg)
 	if err != nil {
 		return nil, err
 	}

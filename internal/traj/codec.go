@@ -89,7 +89,9 @@ func ReadTrajectoryStream(r io.Reader, g *graph.Graph) ([]Trajectory, error) {
 	}
 }
 
-// readSegment decodes one SRT2 file image from br.
+// readSegment decodes one SRT2 file image from br. The counts in a
+// header are only claims: nothing is reserved for them, and the result
+// grows as the bytes behind them arrive.
 func readSegment(br *bufio.Reader, g *graph.Graph) ([]Trajectory, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -109,30 +111,24 @@ func readSegment(br *bufio.Reader, g *graph.Graph) ([]Trajectory, error) {
 	if n > 1<<26 {
 		return nil, fmt.Errorf("traj: implausible trajectory count %d", n)
 	}
-	out := make([]Trajectory, 0, n)
+	var out []Trajectory
+	var rec [12]byte // a trajectory's (depart, m), then each (edge, time)
+	le := binary.LittleEndian
 	for i := uint32(0); i < n; i++ {
-		var tr Trajectory
-		if err := binary.Read(br, binary.LittleEndian, &tr.Departure); err != nil {
-			return nil, fmt.Errorf("traj: trajectory %d departure: %w", i, err)
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
+			return nil, fmt.Errorf("traj: trajectory %d header: %w", i, err)
 		}
-		var m uint32
-		if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
-			return nil, fmt.Errorf("traj: trajectory %d length: %w", i, err)
-		}
+		tr := Trajectory{Departure: math.Float64frombits(le.Uint64(rec[:]))}
+		m := le.Uint32(rec[8:])
 		if m > 1<<20 {
 			return nil, fmt.Errorf("traj: implausible trajectory length %d", m)
 		}
-		tr.Edges = make([]graph.EdgeID, m)
-		tr.Times = make([]float64, m)
-		for j := uint32(0); j < m; j++ {
-			var e uint32
-			if err := binary.Read(br, binary.LittleEndian, &e); err != nil {
+		for ; m > 0; m-- {
+			if _, err := io.ReadFull(br, rec[:]); err != nil {
 				return nil, err
 			}
-			if err := binary.Read(br, binary.LittleEndian, &tr.Times[j]); err != nil {
-				return nil, err
-			}
-			tr.Edges[j] = graph.EdgeID(e)
+			tr.Edges = append(tr.Edges, graph.EdgeID(le.Uint32(rec[:])))
+			tr.Times = append(tr.Times, math.Float64frombits(le.Uint64(rec[4:])))
 		}
 		if err := tr.Validate(g); err != nil {
 			return nil, fmt.Errorf("trajectory %d: %w", i, err)

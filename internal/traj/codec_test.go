@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"stochroute/internal/graph"
+	"stochroute/internal/israce"
+	"stochroute/internal/netgen"
 )
 
 // encodeSRT1 hand-assembles a file image in the retired SRT1 format —
@@ -148,6 +151,57 @@ func TestReadTrajectoryStreamErrors(t *testing.T) {
 			t.Errorf("stream truncated to %d of %d bytes should error", n, len(full))
 		}
 	}
+}
+
+// bytesAllocated returns the heap bytes f allocates.
+func bytesAllocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzReadTrajectoryStream: whatever the bytes, the SRT2 reader does not
+// panic, allocates in proportion to the input — not to the counts its
+// headers claim —, returns only trajectories that pass Validate, and
+// reads back what it writes of them. The seed corpus is in
+// testdata/fuzz/FuzzReadTrajectoryStream.
+func FuzzReadTrajectoryStream(f *testing.F) {
+	ncfg := netgen.DefaultConfig()
+	ncfg.Rows, ncfg.Cols = 3, 3
+	g, err := netgen.Generate(ncfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var trs []Trajectory
+		var err error
+		alloc := bytesAllocated(func() { trs, err = ReadTrajectoryStream(bytes.NewReader(data), g) })
+		if !israce.Enabled && alloc > 64*uint64(len(data))+64<<10 {
+			t.Fatalf("%d input bytes allocated %d bytes", len(data), alloc)
+		}
+		if err != nil {
+			if trs != nil {
+				t.Fatalf("%d trajectories beside the error %v", len(trs), err)
+			}
+			return
+		}
+		for i := range trs {
+			if err := trs[i].Validate(g); err != nil {
+				t.Fatalf("trajectory %d: %v", i, err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteTrajectories(&buf, trs); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadTrajectoryStream(&buf, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameTrajectories(t, back, trs)
+	})
 }
 
 // TestReadTrajectoryStreamBounds: every bound the decoder holds against

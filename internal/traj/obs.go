@@ -87,7 +87,7 @@ func (c JointCounts) Total() int {
 //
 // Collect adds to the store. A store is read-only once collected: the
 // knowledge base, the trainer and the engine snapshot that hold one
-// never write to it, so it needs no lock and is never copied.
+// never write to it, so it needs no lock.
 type ObservationStore struct {
 	g *graph.Graph
 	// Width is the grid width in seconds.
@@ -166,10 +166,12 @@ type pairObs struct {
 // validates trajectories where they enter it (the engine constructors,
 // the ingestor and the SRT2 reader).
 //
-// The store is rebuilt from its held counts and the new observations:
-// edge counts go straight to their grid step; pair observations are
-// grouped by first edge with a counting sort, then sorted and merged
-// within each group.
+// The store is rebuilt into fresh arrays from its held counts and the
+// new observations: edge counts go straight to their grid step; pair
+// observations are grouped by first edge with a counting sort, then
+// sorted and merged within each group. Collect never writes into the
+// arrays it held, so next := *held; next.Collect(batch) folds a batch
+// while held goes on being read, unchanged.
 func (s *ObservationStore) Collect(trs []Trajectory) {
 	if len(trs) == 0 {
 		return

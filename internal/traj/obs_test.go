@@ -3,12 +3,15 @@ package traj
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"stochroute/internal/graph"
 	"stochroute/internal/hist"
 	"stochroute/internal/netgen"
+	"stochroute/internal/rng"
 	"stochroute/internal/stats"
 )
 
@@ -335,6 +338,48 @@ func TestCollectMatchesAppendReference(t *testing.T) {
 			store.Collect(part)
 			ref.add(part)
 			requireMatchesSamples(t, store, ref)
+		}
+	}
+}
+
+// TestCollectFoldsOntoCopies: folding any split of a trajectory list
+// through copy-and-Collect steps (next := *held; next.Collect(part))
+// ends DeepEqual to one Collect of the whole, and Collect never writes
+// into the arrays a copy shares: every store a step started from — read
+// concurrently with the fold, which -race checks — still equals one
+// Collect of its own prefix.
+func TestCollectFoldsOntoCopies(t *testing.T) {
+	w := testWorld(t, nil)
+	trs, err := GenerateTrajectories(w, WalkConfig{NumTrajectories: 300, MinEdges: 1, MaxEdges: 12, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collect := func(part []Trajectory) *ObservationStore {
+		s := NewObservationStore(w.Graph(), w.cfg.BucketWidth)
+		s.Collect(part)
+		return s
+	}
+	r := rng.New(4)
+	for round := 0; round < 12; round++ {
+		cuts := []int{0, len(trs)}
+		for k := r.Intn(6); k > 0; k-- {
+			cuts = append(cuts, r.Intn(len(trs)+1))
+		}
+		slices.Sort(cuts)
+		held := []*ObservationStore{collect(nil)}
+		for i := 1; i < len(cuts); i++ {
+			prev := held[i-1]
+			read := make(chan int)
+			go func() { read <- prev.NumEdgeObservations() + len(prev.PairsWithSupport(1)) }()
+			next := *prev
+			next.Collect(trs[cuts[i-1]:cuts[i]])
+			<-read
+			held = append(held, &next)
+		}
+		for i, s := range held {
+			if !reflect.DeepEqual(s, collect(trs[:cuts[i]])) {
+				t.Fatalf("round %d, cuts %v: the store after %d trajectories is not one Collect of them", round, cuts, cuts[i])
+			}
 		}
 	}
 }

@@ -162,15 +162,17 @@ func TestSlicedObservationsBucketsByDeparture(t *testing.T) {
 		t.Fatal("sliced generation never assigned a departure")
 	}
 
-	so := NewSlicedObservations(w.Graph(), w.cfg.BucketWidth, 4)
-	so.Collect(trs)
+	stores := CollectSlices(w.Graph(), w.cfg.BucketWidth, 4, trs)
 	buckets := SplitBySlice(trs, 4)
+	if len(stores) != 4 {
+		t.Fatalf("%d stores for 4 slices", len(stores))
+	}
 	totalTrips := 0
 	for s, bucket := range buckets {
 		totalTrips += len(bucket)
 		want := NewObservationStore(w.Graph(), w.cfg.BucketWidth)
 		want.Collect(bucket)
-		if got := so.Slice(s).NumEdgeObservations(); got != want.NumEdgeObservations() {
+		if got := stores[s].NumEdgeObservations(); got != want.NumEdgeObservations() {
 			t.Errorf("slice %d has %d observations, want %d", s, got, want.NumEdgeObservations())
 		}
 	}
@@ -179,13 +181,15 @@ func TestSlicedObservationsBucketsByDeparture(t *testing.T) {
 	}
 
 	total := func() (n int) {
-		for s := 0; s < so.K(); s++ {
-			n += so.Slice(s).NumEdgeObservations()
+		for _, s := range stores {
+			n += s.NumEdgeObservations()
 		}
 		return n
 	}
 	before := total()
-	so.Collect(trs)
+	for s, bucket := range buckets {
+		stores[s].Collect(bucket)
+	}
 	if total() != 2*before {
 		t.Errorf("double collect = %d observations, want %d", total(), 2*before)
 	}
@@ -194,8 +198,8 @@ func TestSlicedObservationsBucketsByDeparture(t *testing.T) {
 // TestSlicedCollectSameSamplesAcrossWorkers: the slices' stores fill
 // concurrently, each from its own bucket, and one worker and four leave
 // every slice with the counts of one append per sample over that slice's
-// trajectories — on fresh stores and when a second Collect lands on
-// them.
+// trajectories — on fresh stores and when a second part is folded onto
+// copies of them.
 func TestSlicedCollectSameSamplesAcrossWorkers(t *testing.T) {
 	w := testWorld(t, nil)
 	const k = 4
@@ -208,17 +212,18 @@ func TestSlicedCollectSameSamplesAcrossWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		so := NewSlicedObservations(w.Graph(), w.cfg.BucketWidth, k)
+		stores := CollectSlices(w.Graph(), w.cfg.BucketWidth, k, trs[:400])
 		ref := make([]*sampleLists, k)
-		for s := range ref {
+		for s, bucket := range SplitBySlice(trs[:400], k) {
 			ref[s] = newSampleLists()
+			ref[s].add(bucket)
+			requireMatchesSamples(t, stores[s], ref[s])
 		}
-		for _, part := range [][]Trajectory{trs[:400], trs[400:]} {
-			so.Collect(part)
-			for s, bucket := range SplitBySlice(part, k) {
-				ref[s].add(bucket)
-				requireMatchesSamples(t, so.Slice(s), ref[s])
-			}
+		for s, bucket := range SplitBySlice(trs[400:], k) {
+			next := *stores[s]
+			next.Collect(bucket)
+			ref[s].add(bucket)
+			requireMatchesSamples(t, &next, ref[s])
 		}
 	}
 }

@@ -47,8 +47,6 @@ type (
 	Trajectory = traj.Trajectory
 	// ObservationStore is the trajectory-derived training data.
 	ObservationStore = traj.ObservationStore
-	// SlicedObservations buckets observations by time-of-day slice.
-	SlicedObservations = traj.SlicedObservations
 	// Model is the trained Hybrid Model (estimation + classifier).
 	Model = hybrid.Model
 	// ModelSet is the time-sliced cost model: one Model per

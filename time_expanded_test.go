@@ -176,11 +176,10 @@ func buildExpandedTestEngine() (*Engine, error) {
 		return nil, err
 	}
 	width := wcfg.BucketWidth
-	obs := traj.NewSlicedObservations(g, width, K)
-	obs.Collect(trajs)
+	obs := traj.CollectSlices(g, width, K, trajs)
 	models := make([]*hybrid.Model, K)
 	for s := 0; s < K; s++ {
-		kb, err := hybrid.BuildKnowledgeBase(g, obs.Slice(s), width, 10)
+		kb, err := hybrid.BuildKnowledgeBase(g, obs[s], width, 10)
 		if err != nil {
 			return nil, err
 		}
