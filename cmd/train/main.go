@@ -103,9 +103,9 @@ func main() {
 
 	// ALT preprocessing dry run: build the same landmark tables
 	// cmd/serve -landmarks would build for this model set and report
-	// what each generation swap will cost in wall clock and memory. The
-	// tables themselves are serve-time state and are not written to the
-	// model file.
+	// what each generation swap will cost in wall clock and memory
+	// (float32 tables: 2·L·V·4 B each). The tables themselves are
+	// serve-time state and are not written to the model file.
 	if *landmarks > 0 {
 		lms := routing.SelectLandmarks(g, nil, *landmarks)
 		total := time.Duration(0)
@@ -119,7 +119,7 @@ func main() {
 			d := time.Since(t0)
 			total += d
 			bytes += alt.TableBytes()
-			fmt.Printf("alt: slice %d tables: %d landmarks in %v (%.1f MB)\n",
+			fmt.Printf("alt: slice %d tables: %d landmarks in %v (%.1f MB, float32)\n",
 				s, len(lms), d.Round(time.Millisecond), float64(alt.TableBytes())/(1<<20))
 		}
 		if set.K() > 1 {
@@ -131,7 +131,7 @@ func main() {
 			d := time.Since(t0)
 			total += d
 			bytes += alt.TableBytes()
-			fmt.Printf("alt: min-across-slices tables: %v (%.1f MB)\n", d.Round(time.Millisecond), float64(alt.TableBytes())/(1<<20))
+			fmt.Printf("alt: min-across-slices tables: %v (%.1f MB, float32)\n", d.Round(time.Millisecond), float64(alt.TableBytes())/(1<<20))
 		}
 		fmt.Printf("alt: total preprocessing %v, %.1f MB resident — paid once per model generation at serve time\n",
 			total.Round(time.Millisecond), float64(bytes)/(1<<20))

@@ -91,11 +91,12 @@
 // dominates the query. Engine.SetLandmarks(L) (cmd/serve -landmarks)
 // moves that work to preprocessing: L landmarks are selected by
 // farthest-point traversal over the spatial grid, 2L Dijkstras per
-// slice model build landmark distance tables (routing.BuildALT), and
-// queries bound remaining cost by the triangle inequality instead of
-// running Dijkstra — identical answers (potentials prune, they never
-// price; equivalence is bit-exact and tested), ≥5x faster queries at
-// the million-edge scale (BenchmarkRoutingPBROSM).
+// slice model build landmark distance tables (routing.BuildALT; float32,
+// 2·L·V·4 B each, exact on the grid-aligned minimum times a knowledge
+// base holds), and queries bound remaining cost by the triangle
+// inequality instead of running Dijkstra — identical answers (potentials
+// prune, they never price; equivalence is bit-exact and tested), ≥5x
+// faster queries at the million-edge scale (BenchmarkRoutingPBROSM).
 //
 // The tables are model-derived state, so they live in the epoch-tagged
 // snapshot and follow its lifecycle: every swap path — SwapModel,

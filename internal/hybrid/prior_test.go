@@ -94,7 +94,7 @@ func TestPriorTableMatchesReference(t *testing.T) {
 		for name, p := range profiles {
 			for _, ff := range ffs {
 				want := referenceScaledHist(p, ff, width)
-				got := table.project(p, ff)
+				got := table.stats[table.project(p, ff)]
 				label := fmt.Sprintf("%s, width %v, free-flow %v", name, width, ff)
 				distsBitEqual(t, label, got.Marginal, want)
 				if bitsDiffer(got.MinTime, want.Min) || bitsDiffer(got.Mean, want.Mean()) || bitsDiffer(got.Std, want.Std()) || got.Count != 0 {
@@ -102,7 +102,7 @@ func TestPriorTableMatchesReference(t *testing.T) {
 				}
 				// An empty profile is a Delta at the free-flow time, which
 				// nothing can share.
-				if again := table.project(p, ff); again.Marginal != got.Marginal && name != "empty" {
+				if again := table.stats[table.project(p, ff)]; again.Marginal != got.Marginal && name != "empty" {
 					t.Errorf("%s: a second projection returned a different histogram", label)
 				}
 			}
@@ -399,6 +399,18 @@ func checkAgainstReference(t *testing.T, label string, g *graph.Graph, obs *traj
 		t.Errorf("%s: EdgeCoverage = (%d, %d, %d), want (%d, %d, %d)", label,
 			observed, edges, distinct, g.NumEdges()-unobserved, g.NumEdges(), g.NumEdges()-unobserved+len(priors))
 	}
+	// The statistics table holds the distinct entries and nothing else:
+	// every entry is some edge's.
+	if len(kb.stats) != distinct {
+		t.Errorf("%s: %d statistics entries, %d distinct marginals", label, len(kb.stats), distinct)
+	}
+	referenced := make([]bool, len(kb.stats))
+	for _, i := range kb.statOf {
+		referenced[i] = true
+	}
+	if i := slices.Index(referenced, false); i >= 0 {
+		t.Errorf("%s: statistics entry %d of %d is no edge's", label, i, len(kb.stats))
+	}
 
 	var tablePairs []traj.PairKey
 	for k, samples := range ref.pairs {
@@ -517,8 +529,11 @@ func TestKnowledgeBaseIsAFunctionOfTheMultiset(t *testing.T) {
 		"two calls": build(trajs[:3000], trajs[3000:]),
 		"both":      build(permuted[5000:], permuted[:5000]),
 	} {
-		for e := range want.edges {
-			a, b := got.edges[e], want.edges[e]
+		if !slices.Equal(got.statOf, want.statOf) || len(got.stats) != len(want.stats) {
+			t.Fatalf("%s: statistics table layout differs", name)
+		}
+		for e := range want.statOf {
+			a, b := got.Edge(graph.EdgeID(e)), want.Edge(graph.EdgeID(e))
 			distsBitEqual(t, fmt.Sprintf("%s edge %d", name, e), a.Marginal, b.Marginal)
 			if bitsDiffer(a.MinTime, b.MinTime) || bitsDiffer(a.Mean, b.Mean) || bitsDiffer(a.Std, b.Std) || a.Count != b.Count {
 				t.Fatalf("%s edge %d: %+v, want %+v", name, e, a, b)

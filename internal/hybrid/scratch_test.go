@@ -182,6 +182,19 @@ func TestExtendElapsedIntoMatchesExtendElapsed(t *testing.T) {
 	}
 }
 
+// uninterned returns a copy of kb in which every edge has a statistics
+// entry of its own, stats[e] for edge e, so a test can change one edge's
+// without the edges that share it.
+func uninterned(kb *KnowledgeBase) *KnowledgeBase {
+	out := *kb
+	out.stats = make([]EdgeStats, len(kb.statOf))
+	out.statOf = make([]int32, len(kb.statOf))
+	for e := range out.statOf {
+		out.stats[e], out.statOf[e] = kb.Edge(graph.EdgeID(e)), int32(e)
+	}
+	return &out
+}
+
 // TestMinEdgeTimeWithinMatchesSweep checks the bound against a sweep of
 // the interval it stands for — the minimum over every slice SliceOf
 // reports between depart and depart+horizon — on a K = 4 set whose
@@ -196,12 +209,11 @@ func TestMinEdgeTimeWithinMatchesSweep(t *testing.T) {
 	for s := range models {
 		// One knowledge base per slice, the optimistic times staggered so
 		// that no two slices agree on every edge.
-		kb := *e.kb
-		kb.edges = append([]EdgeStats(nil), e.kb.edges...)
-		for id := range kb.edges {
-			kb.edges[id].MinTime += float64((id+s)%k) * kb.Width
+		kb := uninterned(e.kb)
+		for id := range kb.stats {
+			kb.stats[id].MinTime += float64((id+s)%k) * kb.Width
 		}
-		models[s] = &Model{KB: &kb}
+		models[s] = &Model{KB: kb}
 	}
 	set, err := NewModelSet(models)
 	if err != nil {

@@ -19,8 +19,8 @@
 //
 // Where there is no data the model falls back to a per-edge prior
 // marginal. Priors are interned per BuildKnowledgeBase call: edges whose
-// priors have the same content share one *hist.Hist, so every marginal
-// the knowledge base hands out is read-only.
+// priors have the same content share one EdgeStats entry, marginal
+// included, so every entry the knowledge base hands out is read-only.
 package hybrid
 
 import (
@@ -34,7 +34,10 @@ import (
 )
 
 // EdgeStats is what the model knows about a single edge from
-// observations (or from the free-flow fallback when unobserved).
+// observations (or from the free-flow fallback when unobserved). A
+// knowledge base stores one entry per observed edge and one per distinct
+// prior, shared by every unobserved edge whose prior has that content;
+// like Marginal, an entry is read-only once built.
 type EdgeStats struct {
 	// Marginal is the edge's travel-time distribution: the empirical
 	// histogram shrunk toward the prior, or the prior itself when Count
@@ -61,7 +64,13 @@ type KnowledgeBase struct {
 	g     *graph.Graph
 	Width float64 // global histogram grid width, seconds
 
-	edges []EdgeStats // indexed by EdgeID
+	// Edge e's statistics are stats[statOf[e]]. stats holds exactly the
+	// entries some edge refers to, in order of first reference: one per
+	// observed edge, plus each interned prior an unobserved edge uses —
+	// a few hundred for a hundred thousand edges without data.
+	stats    []EdgeStats
+	statOf   []int32 // indexed by EdgeID
+	observed int     // edges with an observation
 
 	// The pair table, grouped by first edge: the pairs whose first edge
 	// is e are pairSecond/pairStats[pairStart[e]:pairStart[e+1]]. A
@@ -98,32 +107,52 @@ func BuildKnowledgeBase(g *graph.Graph, obs *traj.ObservationStore, width float6
 		return nil, fmt.Errorf("hybrid: BuildKnowledgeBase with width %v over observations on a %v grid", width, obs.Width)
 	}
 	kb := &KnowledgeBase{
-		g:     g,
-		Width: width,
-		edges: make([]EdgeStats, g.NumEdges()),
+		g:      g,
+		Width:  width,
+		statOf: make([]int32, g.NumEdges()),
 	}
 
 	profileFor, fallback := ratioProfiles(g, obs)
 	kb.FallbackFactor = fallback
 
 	// Pass 2: per-edge marginals with shrinkage toward the profile. An
-	// edge without data keeps the prior.
+	// edge without data keeps the prior; an edge with data gets an entry
+	// of its own.
 	priors := newPriorTable(width)
-	for e := range kb.edges {
+	for e := range kb.statOf {
 		ed := g.Edge(graph.EdgeID(e))
-		kb.edges[e] = priors.project(profileFor(ed.Category), ed.FreeFlowSeconds())
+		kb.statOf[e] = priors.project(profileFor(ed.Category), ed.FreeFlowSeconds())
 	}
+	kb.stats = priors.stats
 	for e, counts := range obs.Edges() {
 		n := float64(counts.Total())
 		marginal, err := hist.Mixture(
-			[]*hist.Hist{counts.Hist(width), kb.edges[e].Marginal},
+			[]*hist.Hist{counts.Hist(width), kb.stats[kb.statOf[e]].Marginal},
 			[]float64{n / (n + ShrinkageK), ShrinkageK / (n + ShrinkageK)},
 		)
 		if err != nil {
 			return nil, err
 		}
-		kb.edges[e] = statsOf(marginal.Trim(), counts.Total())
+		kb.statOf[e] = int32(len(kb.stats))
+		kb.stats = append(kb.stats, statsOf(marginal.Trim(), counts.Total()))
+		kb.observed++
 	}
+	// Drop the priors only observed edges had, and renumber the rest in
+	// order of first reference.
+	renumber := make([]int32, len(kb.stats)) // new index + 1; 0 = unreferenced
+	kept := int32(0)
+	for _, i := range kb.statOf {
+		if renumber[i] == 0 {
+			kept++
+			renumber[i] = kept
+		}
+	}
+	stats := make([]EdgeStats, kept)
+	for e, i := range kb.statOf {
+		kb.statOf[e] = renumber[i] - 1
+		stats[kb.statOf[e]] = kb.stats[i]
+	}
+	kb.stats = stats
 
 	// Pairs with data arrive grouped by first edge, each group in the
 	// order of its second edges: the table's own layout.
@@ -150,12 +179,12 @@ func (kb *KnowledgeBase) Graph() *graph.Graph { return kb.g }
 
 // Edge returns the statistics of edge e. Its Marginal is shared between
 // edges and read-only (see EdgeStats).
-func (kb *KnowledgeBase) Edge(e graph.EdgeID) EdgeStats { return kb.edges[e] }
+func (kb *KnowledgeBase) Edge(e graph.EdgeID) EdgeStats { return kb.stats[kb.statOf[e]] }
 
 // Pair returns the statistics of the (first, second) pair and whether the
 // pair has enough data to be in the table.
 func (kb *KnowledgeBase) Pair(first, second graph.EdgeID) (PairStats, bool) {
-	if int(first) < 0 || int(first) >= len(kb.edges) {
+	if int(first) < 0 || int(first) >= len(kb.statOf) {
 		return PairStats{}, false
 	}
 	lo, hi := kb.pairStart[first], kb.pairStart[first+1]
@@ -174,20 +203,12 @@ func (kb *KnowledgeBase) NumPairs() int { return len(kb.pairSecond) }
 // with an observation, all edges, and the distinct marginal histograms
 // held — one per observed edge plus the priors the others share.
 func (kb *KnowledgeBase) EdgeCoverage() (observed, edges, distinctMarginals int) {
-	priors := make(map[*hist.Hist]struct{})
-	for i := range kb.edges {
-		if kb.edges[i].Count > 0 {
-			observed++
-		} else {
-			priors[kb.edges[i].Marginal] = struct{}{}
-		}
-	}
-	return observed, len(kb.edges), observed + len(priors)
+	return kb.observed, len(kb.statOf), len(kb.stats)
 }
 
 // MinEdgeTime returns the optimistic (smallest possible) travel time of
 // e known to the model.
-func (kb *KnowledgeBase) MinEdgeTime(e graph.EdgeID) float64 { return kb.edges[e].MinTime }
+func (kb *KnowledgeBase) MinEdgeTime(e graph.EdgeID) float64 { return kb.stats[kb.statOf[e]].MinTime }
 
 // ratioProfiles is pass 1 of BuildKnowledgeBase: travel-time / free-flow
 // ratio profiles — one per road category plus a global fallback — and
@@ -294,18 +315,19 @@ func statsOf(marginal *hist.Hist, count int) EdgeStats {
 // priorTable interns the prior marginals of one BuildKnowledgeBase call
 // by content, as the statistics of an edge without data: a ratio profile
 // projected onto the free-flow times of a hundred thousand edges yields
-// a few hundred distinct histograms. It lives for one call because the
-// profiles change with the data.
+// a few hundred distinct entries of stats. It lives for one call because
+// the profiles change with the data.
 type priorTable struct {
 	width float64
-	byKey map[string]EdgeStats
-	byArg map[priorArg]EdgeStats // what project returned for these arguments
-	buf   []float64              // dense projection, reused
-	key   []byte                 // first grid index, then the mass bits of buf; reused
+	stats []EdgeStats
+	byKey map[string]int32   // index into stats
+	byArg map[priorArg]int32 // what project returned for these arguments
+	buf   []float64          // dense projection, reused
+	key   []byte             // first grid index, then the mass bits of buf; reused
 }
 
 func newPriorTable(width float64) *priorTable {
-	return &priorTable{width: width, byKey: make(map[string]EdgeStats), byArg: make(map[priorArg]EdgeStats)}
+	return &priorTable{width: width, byKey: make(map[string]int32), byArg: make(map[priorArg]int32)}
 }
 
 // priorArg is project's argument list as a map key: the two directions
@@ -316,16 +338,17 @@ type priorArg struct {
 	freeFlow uint64 // float bits
 }
 
-// project returns the ratio profile p projected onto the absolute
-// travel-time grid for an edge with the given free-flow time. Every
-// step from ratio bucket to grid index is monotone, so the indices
-// arrive in ascending order: the first one starts the support, the
-// buffer only grows at its end, and each grid point sums its masses in
-// the order a per-index accumulator would — equal content, equal bits.
-func (t *priorTable) project(p *ratioProfile, freeFlow float64) EdgeStats {
+// project returns the index in stats of the ratio profile p projected
+// onto the absolute travel-time grid for an edge with the given
+// free-flow time. Every step from ratio bucket to grid index is
+// monotone, so the indices arrive in ascending order: the first one
+// starts the support, the buffer only grows at its end, and each grid
+// point sums its masses in the order a per-index accumulator would —
+// equal content, equal bits.
+func (t *priorTable) project(p *ratioProfile, freeFlow float64) int32 {
 	arg := priorArg{p, math.Float64bits(freeFlow)}
-	if st, ok := t.byArg[arg]; ok {
-		return st
+	if i, ok := t.byArg[arg]; ok {
+		return i
 	}
 	width := t.width
 	if freeFlow <= 0 {
@@ -351,17 +374,19 @@ func (t *priorTable) project(p *ratioProfile, freeFlow float64) EdgeStats {
 	if len(t.buf) == 0 {
 		// An empty profile has no shape to share: all mass at the
 		// free-flow time.
-		return statsOf(hist.Delta(math.Max(width, freeFlow), width), 0)
+		t.stats = append(t.stats, statsOf(hist.Delta(math.Max(width, freeFlow), width), 0))
+		return int32(len(t.stats) - 1)
 	}
 	t.key = binary.LittleEndian.AppendUint64(t.key[:0], uint64(lo))
 	for _, m := range t.buf {
 		t.key = binary.LittleEndian.AppendUint64(t.key, math.Float64bits(m))
 	}
-	st, ok := t.byKey[string(t.key)]
+	i, ok := t.byKey[string(t.key)]
 	if !ok {
-		st = statsOf(hist.New(float64(lo)*width, width, append([]float64(nil), t.buf...)).Normalize(), 0)
-		t.byKey[string(t.key)] = st
+		i = int32(len(t.stats))
+		t.stats = append(t.stats, statsOf(hist.New(float64(lo)*width, width, append([]float64(nil), t.buf...)).Normalize(), 0))
+		t.byKey[string(t.key)] = i
 	}
-	t.byArg[arg] = st
-	return st
+	t.byArg[arg] = i
+	return i
 }

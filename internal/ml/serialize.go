@@ -74,7 +74,10 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 	if err := binary.Read(br, binary.LittleEndian, &nLayers); err != nil {
 		return nil, err
 	}
-	if nLayers > 1<<16 {
+	// A network here has a handful of layers. The bound keeps a file of
+	// one-byte activation layers from allocating more than in proportion
+	// to its size: each costs a layer value and a slot in Layers.
+	if nLayers > 1<<10 {
 		return nil, fmt.Errorf("ml: implausible layer count %d", nLayers)
 	}
 	net := &Network{}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"stochroute/internal/israce"
 	"stochroute/internal/rng"
 )
 
@@ -75,6 +76,51 @@ func TestNetworkReadForgedHeader(t *testing.T) {
 			t.Errorf("the %d-byte forged header %q allocated %d bytes", len(forged), forged, alloc)
 		}
 	}
+}
+
+// bytesAllocated returns the heap bytes f allocates.
+func bytesAllocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzReadNetwork: whatever the bytes, the SRML reader does not panic,
+// allocates in proportion to the input — not to the dimensions its
+// headers claim —, and reads back what WriteNetwork makes of any network
+// it returns, to the same encoding. The seed corpus is in
+// testdata/fuzz/FuzzReadNetwork.
+func FuzzReadNetwork(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var net *Network
+		var err error
+		alloc := bytesAllocated(func() { net, err = ReadNetwork(bytes.NewReader(data)) })
+		if !israce.Enabled && alloc > 64*uint64(len(data))+64<<10 {
+			t.Fatalf("%d input bytes allocated %d bytes", len(data), alloc)
+		}
+		if err != nil {
+			if net != nil {
+				t.Fatalf("a network beside the error %v", err)
+			}
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteNetwork(&first, net); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadNetwork(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("reading back a written network: %v", err)
+		}
+		if err := WriteNetwork(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("write→read→write changed the encoding: %x → %x", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 func TestScalerRoundTrip(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"stochroute/internal/geo"
@@ -40,16 +41,28 @@ type PotentialSource interface {
 // flops per vertex per query (memoised), replacing the full backward
 // Dijkstra that exact potentials pay per query.
 //
+// The tables hold float32, 2·L·V·4 B in all. Each distance is rounded to
+// the nearest float32, and the build records the largest rounding error
+// over the finite entries as slack; a potential is the bound above less
+// 2·slack, clamped at zero, because each of its two terms reads two
+// rounded entries. Rounding every entry down would not do: the
+// destination's entry is subtracted, so it would have to round up. On a
+// grid-aligned metric every distance is an integer below 2²⁴, slack is
+// 0 and every potential has the bits of a float64 table's. A finite
+// distance beyond float32 range fails the build; it is never stored as
+// +Inf, which would read as unreachable.
+//
 // An ALT instance is immutable after BuildALT and safe for concurrent
 // queries.
 type ALT struct {
 	g         *graph.Graph
 	landmarks []graph.VertexID
 	// Transposed flat tables of length V*L, indexed [v*L + i]: the L
-	// landmark distances of one vertex are contiguous, so the per-query
-	// bound loop touches one cache line pair per vertex.
-	fromLm []float64 // fromLm[v*L+i] = dist(landmarks[i] → v)
-	toLm   []float64 // toLm[v*L+i]   = dist(v → landmarks[i])
+	// landmark distances of one vertex are contiguous — at L = 8 a row is
+	// half a cache line.
+	fromLm []float32 // fromLm[v*L+i] = dist(landmarks[i] → v), rounded
+	toLm   []float32 // toLm[v*L+i]   = dist(v → landmarks[i]), rounded
+	slack  float64   // largest |float32(d) − d| over the finite entries
 
 	memoPool sync.Pool // *altMemo, per-query scratch
 }
@@ -67,7 +80,7 @@ var _ PotentialSource = (*ALT)(nil)
 
 // TableBytes returns the memory footprint of the distance tables.
 func (t *ALT) TableBytes() int64 {
-	return int64(len(t.fromLm)+len(t.toLm)) * 8
+	return int64(len(t.fromLm)+len(t.toLm)) * 4
 }
 
 // SelectLandmarks picks count landmarks from candidates by deterministic
@@ -136,10 +149,10 @@ func SelectLandmarks(g *graph.Graph, candidates []graph.VertexID, count int) []g
 // negative or NaN weight fails the build there, naming the lowest such
 // edge. +Inf is a weight, not an error: it closes the edge, and what only
 // closed edges reach is unreachable, which the tables record as +Inf and
-// the potentials understand. The 2L sweeps are independent jobs run
-// through par.For — each fills its own scratch and writes only its own
-// column of one table — so the tables hold the same bits on any number of
-// cores.
+// the potentials understand. A finite distance above math.MaxFloat32
+// fails the build. The 2L sweeps are independent jobs run through
+// par.For — each fills its own scratch and writes only its own column of
+// one table — so the tables hold the same bits on any number of cores.
 func BuildALT(g *graph.Graph, w WeightFunc, landmarks []graph.VertexID) (*ALT, error) {
 	if len(landmarks) == 0 {
 		return nil, errors.New("routing: BuildALT needs at least one landmark")
@@ -157,8 +170,8 @@ func BuildALT(g *graph.Graph, w WeightFunc, landmarks []graph.VertexID) (*ALT, e
 	t := &ALT{
 		g:         g,
 		landmarks: append([]graph.VertexID(nil), landmarks...),
-		fromLm:    make([]float64, n*l),
-		toLm:      make([]float64, n*l),
+		fromLm:    make([]float32, n*l),
+		toLm:      make([]float32, n*l),
 	}
 	type sweepScratch struct {
 		dist []float64
@@ -168,20 +181,33 @@ func BuildALT(g *graph.Graph, w WeightFunc, landmarks []graph.VertexID) (*ALT, e
 		return &sweepScratch{dist: make([]float64, n), pq: pqueue.NewIndexedHeap(n)}
 	}}
 	// Job 2i is landmark i's forward sweep, job 2i+1 its backward one;
-	// with the weights checked above a sweep has no way to fail.
-	_ = par.For(2*l, func(job int) error {
+	// with the weights checked above a sweep fails only on a distance
+	// float32 cannot hold.
+	slack := make([]float64, 2*l) // per job
+	err := par.For(2*l, func(job int) error {
 		i, backward, table := job/2, job%2 == 1, t.fromLm
 		if backward {
 			table = t.toLm
 		}
 		sc := scratch.Get().(*sweepScratch)
+		defer scratch.Put(sc)
 		landmarkSweep(g, weights, landmarks[i], backward, sc.dist, sc.pq)
 		for v, d := range sc.dist {
-			table[v*l+i] = d
+			if d > math.MaxFloat32 && !math.IsInf(d, 1) {
+				return fmt.Errorf("routing: distance %v between landmark %d and vertex %d exceeds float32 range", d, landmarks[i], v)
+			}
+			table[v*l+i] = float32(d)
+			// An unreachable vertex's error is NaN, which > rejects.
+			if e := math.Abs(float64(float32(d)) - d); e > slack[job] {
+				slack[job] = e
+			}
 		}
-		scratch.Put(sc)
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	t.slack = slices.Max(slack)
 	t.memoPool.New = func() any {
 		m := &altMemo{
 			t:      t,
@@ -239,8 +265,9 @@ func landmarkSweep(g *graph.Graph, weights []float64, root graph.VertexID, backw
 func (t *ALT) Potentials(dest graph.VertexID) (PotentialFunc, func()) {
 	m := t.memoPool.Get().(*altMemo)
 	l := len(t.landmarks)
-	copy(m.destTo, t.toLm[int(dest)*l:int(dest)*l+l])
-	copy(m.destFr, t.fromLm[int(dest)*l:int(dest)*l+l])
+	for i := range l {
+		m.destTo[i], m.destFr[i] = float64(t.toLm[int(dest)*l+i]), float64(t.fromLm[int(dest)*l+i])
+	}
 	for i := range m.h {
 		m.h[i] = -1
 	}
@@ -255,7 +282,10 @@ func (t *ALT) Potentials(dest graph.VertexID) (PotentialFunc, func()) {
 // cannot reach ℓ but dest can, or ℓ reaches v but not dest, then v
 // cannot reach dest), a finite minuend with an infinite subtrahend
 // yields −Inf, and Inf−Inf yields NaN; the `>` comparison rejects both
-// −Inf and NaN because it is false for them.
+// −Inf and NaN because it is false for them. The bound is taken in
+// float64 over the float32 entries and less twice the tables' slack
+// (see ALT), which leaves +Inf infinite and, at slack 0, every bit as
+// it is.
 func (m *altMemo) potential(v graph.VertexID) float64 {
 	if h := m.h[v]; h >= 0 {
 		return h
@@ -266,13 +296,14 @@ func (m *altMemo) potential(v graph.VertexID) float64 {
 	frRow := m.t.fromLm[off : off+l]
 	h := 0.0
 	for i := 0; i < l; i++ {
-		if b := toRow[i] - m.destTo[i]; b > h {
+		if b := float64(toRow[i]) - m.destTo[i]; b > h {
 			h = b
 		}
-		if b := m.destFr[i] - frRow[i]; b > h {
+		if b := m.destFr[i] - float64(frRow[i]); b > h {
 			h = b
 		}
 	}
+	h = max(h-2*m.t.slack, 0)
 	m.h[v] = h
 	return h
 }

@@ -11,6 +11,8 @@ import (
 	"stochroute/internal/hist"
 	"stochroute/internal/hybrid"
 	"stochroute/internal/netgen"
+	"stochroute/internal/pqueue"
+	"stochroute/internal/rng"
 	"stochroute/internal/traj"
 )
 
@@ -125,6 +127,9 @@ func TestBuildALTBitIdenticalAcrossWorkers(t *testing.T) {
 				want = got
 				continue
 			}
+			if got.slack != want.slack {
+				t.Fatalf("%s: slack %v with 1 worker, %v with %d", name, want.slack, got.slack, procs)
+			}
 			for i := range want.fromLm {
 				// == on purpose: an unreachable +Inf must match too, and no
 				// entry is NaN.
@@ -159,7 +164,7 @@ func TestBuildALTInfiniteWeightClosesEdge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildALT with a +Inf weight: %v", err)
 	}
-	if d := alt.fromLm[a1]; !math.IsInf(d, 1) {
+	if d := alt.fromLm[a1]; !math.IsInf(float64(d), 1) {
 		t.Errorf("dist(a0 → a1) = %v over the closed edge, want +Inf", d)
 	}
 	if d := alt.toLm[a1]; d != 10 {
@@ -460,7 +465,8 @@ func TestPBRALTUnreachableParity(t *testing.T) {
 
 // BenchmarkBuildALT builds one table of 8 landmarks on a 60 × 60 grid
 // (3 600 vertices, the city fixture's size) under free-flow weights: 16
-// sweeps, which -cpu 1,2 shows spread over the cores.
+// sweeps, which -cpu 1,2 shows spread over the cores. table-B is the
+// tables' TableBytes.
 func BenchmarkBuildALT(b *testing.B) {
 	ncfg := netgen.DefaultConfig()
 	ncfg.Rows, ncfg.Cols = 60, 60
@@ -470,10 +476,178 @@ func BenchmarkBuildALT(b *testing.B) {
 	}
 	lms := SelectLandmarks(g, nil, 8)
 	w := func(e graph.EdgeID) float64 { return g.Edge(e).FreeFlowSeconds() }
+	var alt *ALT
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := BuildALT(g, w, lms); err != nil {
+		if alt, err = BuildALT(g, w, lms); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.ReportMetric(float64(alt.TableBytes()), "table-B")
+}
+
+// randomWeightedGraph is a random directed graph of n vertices and about
+// 3n edges, each with a random multiplier k in [1, 300]; one edge is the
+// closed edge the metrics built on it give +Inf.
+func randomWeightedGraph(r *rng.RNG, n int) (g *graph.Graph, k []int, closed graph.EdgeID) {
+	b := graph.NewBuilder(n, 3*n)
+	for v := 0; v < n; v++ {
+		b.AddVertex(geo.Point{Lat: 0.01 * r.Float64(), Lon: 0.01 * r.Float64()})
+	}
+	for b.NumVertices() > 1 && len(k) < 3*n {
+		from, to := graph.VertexID(r.Intn(n)), graph.VertexID(r.Intn(n))
+		if from == to {
+			continue
+		}
+		if _, err := b.AddEdge(graph.Edge{From: from, To: to}); err != nil {
+			panic(err)
+		}
+		k = append(k, 1+r.Intn(300))
+	}
+	return b.Build(), k, graph.EdgeID(r.Intn(len(k)))
+}
+
+// TestALTFloat32Admissible: on random graphs whose weights (k/3, k·0.1)
+// no float32 holds, the rounded tables' potentials, less twice their
+// slack, stay below the exact ones for every vertex and destination,
+// with 1, 4 and 8 landmarks and a closed edge. The same graphs under
+// integer weights (2k) round nothing: slack is 0.
+func TestALTFloat32Admissible(t *testing.T) {
+	r := rng.New(2801)
+	rounded := 0
+	for trial := 0; trial < 12; trial++ {
+		g, k, closed := randomWeightedGraph(r, 2+r.Intn(39))
+		nonDyadic := func(e graph.EdgeID) float64 {
+			switch {
+			case e == closed:
+				return math.Inf(1)
+			case e%2 == 0:
+				return float64(k[e]) / 3
+			}
+			return float64(k[e]) * 0.1
+		}
+		integer := func(e graph.EdgeID) float64 {
+			if e == closed {
+				return math.Inf(1)
+			}
+			return float64(2 * k[e])
+		}
+		for _, l := range []int{1, 4, 8} {
+			lms := SelectLandmarks(g, nil, l)
+			for name, w := range map[string]WeightFunc{"non-dyadic": nonDyadic, "integer": integer} {
+				alt, err := BuildALT(g, w, lms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case name == "integer" && alt.slack != 0:
+					t.Fatalf("trial %d, L %d: integer weights rounded, slack %v", trial, l, alt.slack)
+				case alt.slack > 0:
+					rounded++
+				}
+				for dest := range g.NumVertices() {
+					exact := ReversePotentials(g, w, graph.VertexID(dest))
+					fn, release := alt.Potentials(graph.VertexID(dest))
+					for v := range g.NumVertices() {
+						h := fn(graph.VertexID(v))
+						if h < 0 || math.IsNaN(h) {
+							t.Fatalf("trial %d, %s, L %d, dest %d: h(%d) = %v", trial, name, l, dest, v, h)
+						}
+						if !math.IsInf(exact[v], 1) && h > exact[v]+1e-9 {
+							t.Fatalf("trial %d, %s, L %d, dest %d: h(%d) = %v exceeds exact %v (slack %v)",
+								trial, name, l, dest, v, h, exact[v], alt.slack)
+						}
+					}
+					release()
+				}
+			}
+		}
+	}
+	if rounded == 0 {
+		t.Fatal("no non-dyadic table rounded an entry; the test checks nothing the float64 tables did not")
+	}
+}
+
+// float64Bound is the ALT bound over float64 tables, the formula the
+// float32 tables replaced: from[i] and to[i] are landmark i's forward and
+// backward distances.
+func float64Bound(from, to [][]float64, v, dest graph.VertexID) float64 {
+	h := 0.0
+	for i := range from {
+		if b := to[i][v] - to[i][dest]; b > h {
+			h = b
+		}
+		if b := from[i][dest] - from[i][v]; b > h {
+			h = b
+		}
+	}
+	return h
+}
+
+// TestALTFloat32MatchesFloat64: on the goldens' substrate every distance
+// is a sum of grid-aligned minimum times, which float32 holds exactly, so
+// slack is 0 and every potential — on a slice's own metric and on the
+// min-across-slices one — is == the float64 tables' bound.
+func TestALTFloat32MatchesFloat64(t *testing.T) {
+	f := trainedFixture(t)
+	g, n := f.g, f.g.NumVertices()
+	lms := SelectLandmarks(g, nil, 8)
+	for name, w := range map[string]WeightFunc{
+		"slice metric":      f.set.At(1).MinEdgeTime,
+		"min across slices": f.set.MinEdgeTimeAcrossSlices,
+	} {
+		alt, err := BuildALT(g, w, lms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alt.slack != 0 {
+			t.Fatalf("%s: slack %v on a grid-aligned metric", name, alt.slack)
+		}
+		weights := make([]float64, g.NumEdges())
+		for e := range weights {
+			weights[e] = w(graph.EdgeID(e))
+		}
+		from, to := make([][]float64, len(lms)), make([][]float64, len(lms))
+		for i, lm := range lms {
+			from[i], to[i] = make([]float64, n), make([]float64, n)
+			landmarkSweep(g, weights, lm, false, from[i], pqueue.NewIndexedHeap(n))
+			landmarkSweep(g, weights, lm, true, to[i], pqueue.NewIndexedHeap(n))
+		}
+		for _, dest := range []graph.VertexID{0, graph.VertexID(n / 2), graph.VertexID(n - 1)} {
+			fn, release := alt.Potentials(dest)
+			for v := range graph.VertexID(n) {
+				if got, want := fn(v), float64Bound(from, to, v, dest); got != want {
+					t.Fatalf("%s, dest %d: h(%d) = %v, float64 tables %v", name, dest, v, got, want)
+				}
+			}
+			release()
+		}
+	}
+}
+
+// TestBuildALTOverflow: a finite distance float32 cannot hold fails the
+// build, naming the lowest landmark sweep that met it, on any number of
+// workers; it never becomes a +Inf that would read as unreachable.
+func TestBuildALTOverflow(t *testing.T) {
+	b := graph.NewBuilder(3, 4)
+	var vs [3]graph.VertexID
+	for i := range vs {
+		vs[i] = b.AddVertex(geo.Point{Lat: 0, Lon: 0.001 * float64(i)})
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := b.AddBidirectional(graph.Edge{From: vs[i], To: vs[i+1]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := b.Build()
+	w := func(graph.EdgeID) float64 { return 2e38 } // two hops pass MaxFloat32
+	const want = "routing: distance 4e+38 between landmark 0 and vertex 2 exceeds float32 range"
+	for _, procs := range []int{1, 4} {
+		if _, err := buildALTAt(procs, g, w, []graph.VertexID{vs[0], vs[2]}); err == nil || err.Error() != want {
+			t.Errorf("GOMAXPROCS %d: err = %v, want %q", procs, err, want)
+		}
+	}
+	if _, err := BuildALT(g, w, []graph.VertexID{vs[1]}); err != nil {
+		t.Errorf("one hop from the middle vertex is within range: %v", err)
 	}
 }

@@ -140,6 +140,20 @@
 //     the cost model. The 2L sweeps are then independent jobs handed to
 //     internal/par: each fills scratch of its own and writes one column
 //     of one table, so the tables are the same bits on one core or many.
+//   - The tables hold float32: 2·L·V·4 B, half of float64's. A sweep
+//     rounds each distance to the nearest float32 and records the
+//     largest rounding error of its finite entries; the table's slack is
+//     the largest over its sweeps, and a potential is the bound below
+//     less 2·slack, clamped at zero — each term of the bound reads two
+//     rounded entries. Rounding every entry down, the obvious
+//     alternative, is not admissible: the destination's entry is the
+//     subtrahend, which would have to round up. Every minimum time of a
+//     knowledge base lies on its Width grid, so on the metrics the engine
+//     builds on every distance is an integer below 2²⁴, slack is 0 and
+//     the potentials have the bits float64 tables gave
+//     (TestALTFloat32MatchesFloat64). A finite distance above
+//     math.MaxFloat32 fails the build with an error rather than turn
+//     into a +Inf that would read as unreachable.
 //   - A query's potential is the triangle-inequality bound
 //     max(dist(v→ℓ) − dist(t→ℓ), dist(ℓ→t) − dist(ℓ→v)) maximised over
 //     landmarks and clamped at zero, memoised per vertex. Every path
