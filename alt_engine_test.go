@@ -2,7 +2,15 @@ package stochroute
 
 import (
 	"context"
+	"math"
+	"slices"
 	"testing"
+
+	"stochroute/internal/graph"
+	"stochroute/internal/hybrid"
+	"stochroute/internal/netgen"
+	"stochroute/internal/routing"
+	"stochroute/internal/traj"
 )
 
 // sameRouteResult asserts two engine answers describe the same route,
@@ -130,4 +138,112 @@ func TestEngineSetLandmarks(t *testing.T) {
 		t.Fatalf("Landmarks() = %d after disable, want 0", e.Landmarks())
 	}
 	compare("alt-disabled", exact, run())
+}
+
+// TestEngineSliceSwapKeepsAndSharesALTTables: on a four-slice engine a
+// per-slice swap leaves every untouched slice's table where it was
+// (pointer-equal), and after it any two of the five tables — the four
+// slices' and the min-across one — are one table exactly when their
+// metrics are equal bit for bit. Slice 2 takes a model over slice 0's
+// knowledge base, which must share slice 0's table, then one over a
+// congested world's, whose metric no other slice has.
+func TestEngineSliceSwapKeepsAndSharesALTTables(t *testing.T) {
+	const k = 4
+	ncfg := netgen.DefaultConfig()
+	ncfg.Rows, ncfg.Cols = 12, 12
+	ncfg.CellMeters = 130
+	g, err := netgen.Generate(ncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulate := func(prior []float64, seed uint64) ([]Trajectory, float64) {
+		wcfg := traj.DefaultWorldConfig()
+		wcfg.ModePrior = prior
+		w, err := traj.NewWorld(g, wcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs, err := traj.GenerateTrajectories(w, traj.WalkConfig{NumTrajectories: 2000, MinEdges: 4, MaxEdges: 16, Seed: seed, Slices: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return trs, wcfg.BucketWidth
+	}
+	trs, width := simulate(traj.DefaultWorldConfig().ModePrior, 5)
+	obs := traj.CollectSlices(g, width, k, trs)
+	models := make([]*hybrid.Model, k)
+	for s := range models {
+		kb, err := hybrid.BuildKnowledgeBase(g, obs[s], width, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[s] = &hybrid.Model{KB: kb}
+	}
+	set, err := hybrid.NewModelSet(models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngineWithModelSet(g, trs, width, 10, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetLandmarks(6); err != nil {
+		t.Fatal(err)
+	}
+	jammedTrips, _ := simulate([]float64{0, 0.5, 0.5}, 6)
+	jammedKB, err := hybrid.BuildKnowledgeBase(g, traj.CollectSlices(g, width, 1, jammedTrips)[0], width, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bitsOf := func(w routing.WeightFunc) []uint64 {
+		out := make([]uint64, g.NumEdges())
+		for e := range out {
+			out[e] = math.Float64bits(w(graph.EdgeID(e)))
+		}
+		return out
+	}
+	swapSlice2 := func(stage string, kb *KnowledgeBase) *routing.ALTSet {
+		t.Helper()
+		before := e.current.Load().alt
+		if _, err := e.SwapSliceModel(2, &Model{KB: kb}, nil); err != nil {
+			t.Fatal(err)
+		}
+		cur := e.current.Load()
+		after := cur.alt
+		for s := range k {
+			if s != 2 && after.Slice(s) != before.Slice(s) {
+				t.Errorf("%s: untouched slice %d's table was replaced", stage, s)
+			}
+		}
+		metrics := []routing.WeightFunc{cur.set.MinEdgeTimeAcrossSlices}
+		tables := []*routing.ALT{after.Min()}
+		for s := range k {
+			metrics = append(metrics, cur.set.At(s).MinEdgeTime)
+			tables = append(tables, after.Slice(s))
+		}
+		bits := make([][]uint64, len(metrics))
+		for i, m := range metrics {
+			bits[i] = bitsOf(m)
+		}
+		for i := range tables {
+			for j := range i {
+				if shared, equal := tables[i] == tables[j], slices.Equal(bits[i], bits[j]); shared != equal {
+					t.Errorf("%s: tables %d and %d (0 is the min-across one): shared %v, metrics equal bit for bit %v", stage, i, j, shared, equal)
+				}
+			}
+		}
+		return after
+	}
+
+	if after := swapSlice2("slice 0's knowledge base", e.SliceKnowledgeBase(0)); after.Slice(2) != after.Slice(0) {
+		t.Fatal("slice 2 over slice 0's knowledge base has a table of its own")
+	}
+	jammed := bitsOf(jammedKB.MinEdgeTime)
+	for s := range k {
+		if slices.Equal(jammed, bitsOf(e.SliceKnowledgeBase(s).MinEdgeTime)) {
+			t.Fatalf("the congested knowledge base has slice %d's metric; the test needs one no slice has", s)
+		}
+	}
+	swapSlice2("a congested knowledge base", jammedKB)
 }

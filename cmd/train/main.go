@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"time"
 
 	"stochroute/internal/graph"
@@ -38,7 +39,7 @@ func main() {
 	minObs := flag.Int("min-obs", 20, "minimum joint observations for a pair to count as having data")
 	width := flag.Float64("width", 2, "histogram grid width in seconds")
 	epochs := flag.Int("epochs", 120, "estimator training epochs")
-	slices := flag.Int("slices", 1, "time-of-day slices: train one model per slice (1 = single time-homogeneous model)")
+	numSlices := flag.Int("slices", 1, "time-of-day slices: train one model per slice (1 = single time-homogeneous model)")
 	landmarks := flag.Int("landmarks", 0, "dry-run ALT landmark preprocessing after training and report its cost (what cmd/serve -landmarks=N will pay per model generation; 0 skips)")
 	verbose := flag.Bool("v", false, "log training progress")
 	flag.Parse()
@@ -71,12 +72,12 @@ func main() {
 	cfg.MinPairObs = *minObs
 	cfg.Estimator.Train.Epochs = *epochs
 	cfg.Estimator.Train.Verbose = *verbose
-	cfg.Slices = *slices
+	cfg.Slices = *numSlices
 	if *verbose {
 		cfg.Estimator.Train.Logf = log.Printf
 	}
 
-	k := traj.NumSlices(*slices)
+	k := traj.NumSlices(*numSlices)
 	obs := traj.CollectSlices(g, *width, k, trs)
 	bySlice := traj.SplitBySlice(trs, k)
 
@@ -101,40 +102,33 @@ func main() {
 			report.ClassifierConfusion.Accuracy(), report.ClassifierConfusion.F1(), report.ClassifierAUC)
 	}
 
-	// ALT preprocessing dry run: build the same landmark tables
-	// cmd/serve -landmarks would build for this model set and report
+	// ALT preprocessing dry run: build the landmark tables cmd/serve
+	// -landmarks builds for this model set — through the engine's own
+	// helper, so the landmarks and the sharing are the same — and report
 	// what each generation swap will cost in wall clock and memory
-	// (float32 tables: 2·L·V·4 B each). The tables themselves are
-	// serve-time state and are not written to the model file.
+	// (float32 tables: 2·L·V·4 B each, one per distinct metric). The
+	// tables themselves are serve-time state and are not written to the
+	// model file.
 	if *landmarks > 0 {
-		lms := routing.SelectLandmarks(g, nil, *landmarks)
-		total := time.Duration(0)
+		t0 := time.Now()
+		alt, err := routing.NewALTSet(g, set, *landmarks)
+		if err != nil {
+			log.Fatal(err)
+		}
+		d := time.Since(t0)
+		tables := alt.Tables()
 		var bytes int64
-		for s := 0; s < set.K(); s++ {
-			t0 := time.Now()
-			alt, err := routing.BuildALT(g, set.At(s).MinEdgeTime, lms)
-			if err != nil {
-				log.Fatal(err)
-			}
-			d := time.Since(t0)
-			total += d
-			bytes += alt.TableBytes()
-			fmt.Printf("alt: slice %d tables: %d landmarks in %v (%.1f MB, float32)\n",
-				s, len(lms), d.Round(time.Millisecond), float64(alt.TableBytes())/(1<<20))
+		for _, t := range tables {
+			bytes += t.TableBytes()
 		}
-		if set.K() > 1 {
-			t0 := time.Now()
-			alt, err := routing.BuildALT(g, set.MinEdgeTimeAcrossSlices, lms)
-			if err != nil {
-				log.Fatal(err)
-			}
-			d := time.Since(t0)
-			total += d
-			bytes += alt.TableBytes()
-			fmt.Printf("alt: min-across-slices tables: %v (%.1f MB, float32)\n", d.Round(time.Millisecond), float64(alt.TableBytes())/(1<<20))
+		tableOf := make([]int, set.K())
+		for s := range tableOf {
+			tableOf[s] = slices.Index(tables, alt.Slice(s))
 		}
-		fmt.Printf("alt: total preprocessing %v, %.1f MB resident — paid once per model generation at serve time\n",
-			total.Round(time.Millisecond), float64(bytes)/(1<<20))
+		fmt.Printf("alt: %d landmarks, table by slice %v, min-across-slices table %d\n",
+			len(alt.Landmarks()), tableOf, slices.Index(tables, alt.Min()))
+		fmt.Printf("alt: %d distinct table(s) built in %v, %.1f MB resident (float32) — paid once per model generation at serve time\n",
+			len(tables), d.Round(time.Millisecond), float64(bytes)/(1<<20))
 	}
 
 	of, err := os.Create(*out)

@@ -91,9 +91,11 @@
 // dominates the query. Engine.SetLandmarks(L) (cmd/serve -landmarks)
 // moves that work to preprocessing: L landmarks are selected by
 // farthest-point traversal over the spatial grid, 2L Dijkstras per
-// slice model build landmark distance tables (routing.BuildALT; float32,
-// 2·L·V·4 B each, exact on the grid-aligned minimum times a knowledge
-// base holds), and queries bound remaining cost by the triangle
+// distinct metric among the slice models' minimum times and their min
+// across slices build landmark distance tables (routing.ALTSet over
+// routing.BuildALT; float32, 2·L·V·4 B each, exact on the grid-aligned
+// minimum times a knowledge base holds; metrics equal bit for bit share
+// one table), and queries bound remaining cost by the triangle
 // inequality instead of running Dijkstra — identical answers (potentials
 // prune, they never price; equivalence is bit-exact and tested), ≥5x
 // faster queries at the million-edge scale (BenchmarkRoutingPBROSM).
@@ -104,8 +106,9 @@
 // min-across-slices tables rebuild), LoadModel — rebuilds what the
 // incoming models invalidate before publishing, on the swap
 // path rather than the query path. The sweeps of one table run on every
-// core (internal/par), as do the per-slice observation stores, knowledge
-// bases and training runs of a generation built from trajectories
+// core (internal/par), as do the route pool of the trajectory simulator
+// (BuildEngine) and the per-slice observation stores, knowledge bases
+// and training runs of a generation built from trajectories
 // (NewEngineFromObservations, NewEngineWithModelSet); a generation holds
 // the same bits however many cores built it, and queries in flight keep
 // the previous one meanwhile. Time-expanded queries use tables

@@ -46,26 +46,14 @@ type modelSnapshot struct {
 	swappedAt   time.Time
 
 	// alt holds the generation's ALT landmark preprocessing (nil when
-	// disabled, the default). Tables are derived from the snapshot's
-	// models, so they live and die with the snapshot: every swap path
-	// rebuilds the affected tables *before* publishing — preprocessing
-	// cost lands on the swap, never on the query path — and in-flight
-	// queries keep using the tables that match the models they started
-	// on.
-	alt *altTables
-}
-
-// altTables is one generation's ALT landmark preprocessing (see
-// routing.BuildALT): per-slice distance tables built on each slice
-// model's optimistic edge times, serving departure-slice queries, and
-// one table built on the min-across-slices metric, serving
-// time-expanded queries (whose potentials must stay admissible for
-// every slice the search can consult). For a 1-slice engine min aliases
-// slices[0] — one build, not two.
-type altTables struct {
-	landmarks []graph.VertexID
-	slices    []*routing.ALT
-	min       *routing.ALT
+	// disabled, the default): a table per slice model and one on the
+	// min-across-slices metric, one per distinct metric (see
+	// routing.ALTSet). Tables are derived from the snapshot's models, so
+	// they live and die with the snapshot: every swap path rebuilds the
+	// affected tables *before* publishing — preprocessing cost lands on
+	// the swap, never on the query path — and in-flight queries keep
+	// using the tables that match the models they started on.
+	alt *routing.ALTSet
 }
 
 // model0 and kb0 are the slice-0 view: the whole model for 1-slice
@@ -402,7 +390,7 @@ func (e *Engine) swapSliceLocked(slice int, model *Model, obs *ObservationStore)
 	// new models with stale potentials. Untouched slices keep their
 	// tables.
 	if prev.alt != nil {
-		if next.alt, err = e.buildAlt(set, prev.alt.landmarks, prev); err != nil {
+		if next.alt, err = prev.alt.Rebuild(set); err != nil {
 			return 0, err
 		}
 	}
@@ -425,7 +413,7 @@ func (e *Engine) swapSetLocked(set *hybrid.ModelSet) error {
 	// publishing.
 	if prev.alt != nil {
 		var err error
-		if next.alt, err = e.buildAlt(set, prev.alt.landmarks, prev); err != nil {
+		if next.alt, err = prev.alt.Rebuild(set); err != nil {
 			return err
 		}
 	}
@@ -434,12 +422,14 @@ func (e *Engine) swapSetLocked(set *hybrid.ModelSet) error {
 }
 
 // SetLandmarks enables ALT landmark potentials for every subsequent
-// query: count landmarks are selected by farthest-point traversal over
-// the spatial grid's cell representatives, 2·count Dijkstras per slice
-// model (plus the min-across-slices tables on a multi-slice engine)
-// build the distance tables, and the result is published as a new
-// serving generation. From then on every swap path rebuilds the
-// affected tables before publishing, keeping potentials admissible
+// query and publishes them as a new serving generation. count landmarks
+// are selected by farthest-point traversal over a spatial grid's cell
+// representatives, and each distinct metric among the slice models'
+// optimistic edge times and their min across slices gets one table of
+// 2·count Dijkstras (routing.NewALTSet, the helper cmd/train -landmarks
+// measures with); slices whose metrics are equal bit for bit share it.
+// From then on every swap path rebuilds the affected tables before
+// publishing (routing.ALTSet.Rebuild), keeping potentials admissible
 // against whatever models are serving. count 0 disables ALT and returns
 // queries to exact per-query backward-Dijkstra potentials.
 //
@@ -454,15 +444,11 @@ func (e *Engine) SetLandmarks(count int) error {
 	e.swapMu.Lock()
 	defer e.swapMu.Unlock()
 	prev := e.current.Load()
-	var alt *altTables
+	var alt *routing.ALTSet
 	if count > 0 {
-		lms := routing.SelectLandmarks(e.graph, e.index.CellRepresentatives(), count)
-		if len(lms) == 0 {
-			return errors.New("stochroute: SetLandmarks found no landmark candidates")
-		}
 		var err error
-		if alt, err = e.buildAlt(prev.set, lms, nil); err != nil {
-			return err
+		if alt, err = routing.NewALTSet(e.graph, prev.set, count); err != nil {
+			return fmt.Errorf("stochroute: SetLandmarks: %w", err)
 		}
 	}
 	next := prev.successor()
@@ -476,45 +462,9 @@ func (e *Engine) SetLandmarks(count int) error {
 // (0 when ALT is disabled).
 func (e *Engine) Landmarks() int {
 	if at := e.current.Load().alt; at != nil {
-		return len(at.landmarks)
+		return len(at.Landmarks())
 	}
 	return 0
-}
-
-// buildAlt builds the per-slice and min-metric ALT tables of set over
-// the landmarks lms. With prev non-nil — the serving generation, whose
-// tables must be over the same landmarks — a slice still served by the
-// model prev served keeps prev's table, so a per-slice swap rebuilds
-// that slice alone; the min-metric table depends on every slice and is
-// kept only when all of them were.
-func (e *Engine) buildAlt(set *hybrid.ModelSet, lms []graph.VertexID, prev *modelSnapshot) (*altTables, error) {
-	at := &altTables{landmarks: lms, slices: make([]*routing.ALT, set.K())}
-	kept := 0
-	for s := range at.slices {
-		if prev != nil && prev.set.At(s) == set.At(s) {
-			at.slices[s] = prev.alt.slices[s]
-			kept++
-			continue
-		}
-		t, err := routing.BuildALT(e.graph, set.At(s).MinEdgeTime, lms)
-		if err != nil {
-			return nil, fmt.Errorf("stochroute: ALT tables for slice %d: %w", s, err)
-		}
-		at.slices[s] = t
-	}
-	switch {
-	case set.K() == 1:
-		at.min = at.slices[0]
-	case kept == set.K():
-		at.min = prev.alt.min
-	default:
-		t, err := routing.BuildALT(e.graph, set.MinEdgeTimeAcrossSlices, lms)
-		if err != nil {
-			return nil, fmt.Errorf("stochroute: min-metric ALT tables: %w", err)
-		}
-		at.min = t
-	}
-	return at, nil
 }
 
 // World returns the synthetic ground-truth world, or nil for engines
@@ -576,9 +526,9 @@ func (e *Engine) routeOnSnapshot(ctx context.Context, cur *modelSnapshot, source
 	// pass their own PotentialSource keep it.
 	if opts.Potentials == nil && cur.alt != nil {
 		if opts.TimeExpanded {
-			opts.Potentials = cur.alt.min
+			opts.Potentials = cur.alt.Min()
 		} else {
-			opts.Potentials = cur.alt.slices[slice]
+			opts.Potentials = cur.alt.Slice(slice)
 		}
 	}
 	res, err := routing.PBRCtx(sctx, e.graph, coster, source, dest, opts)

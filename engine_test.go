@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"stochroute/internal/hybrid"
+	"stochroute/internal/routing"
 	"stochroute/internal/traj"
 )
 
@@ -561,7 +562,7 @@ func TestSnapshotSuccessorCarriesEveryField(t *testing.T) {
 		epoch:       7,
 		sliceEpochs: []uint64{3, 7},
 		swappedAt:   time.Unix(1, 0),
-		alt:         &altTables{},
+		alt:         &routing.ALTSet{},
 	}
 	next := prev.successor()
 	reset := map[string]bool{"epoch": true, "swappedAt": true, "sliceEpochs": true}

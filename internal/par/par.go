@@ -1,7 +1,8 @@
 // Package par is the one worker pool of the build path: the independent
-// units of a model generation — per-slice observation stores, knowledge
-// bases and training runs, per-landmark distance sweeps — run through
-// For, so what a build produces never depends on how many cores built it.
+// units of a model generation — route-pool attempts of the trajectory
+// simulator, per-slice observation stores, knowledge bases and training
+// runs, per-landmark distance sweeps — run through For, so what a build
+// produces never depends on how many cores built it.
 package par
 
 import (

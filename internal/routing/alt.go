@@ -157,6 +157,16 @@ func BuildALT(g *graph.Graph, w WeightFunc, landmarks []graph.VertexID) (*ALT, e
 	if len(landmarks) == 0 {
 		return nil, errors.New("routing: BuildALT needs at least one landmark")
 	}
+	weights, err := edgeWeights(g, w)
+	if err != nil {
+		return nil, err
+	}
+	return buildALT(g, weights, landmarks)
+}
+
+// edgeWeights reads w once per edge, in edge order, into a vector,
+// failing on the lowest edge whose weight is negative or NaN.
+func edgeWeights(g *graph.Graph, w WeightFunc) ([]float64, error) {
 	weights := make([]float64, g.NumEdges())
 	for e := range weights {
 		we := w(graph.EdgeID(e))
@@ -165,6 +175,11 @@ func BuildALT(g *graph.Graph, w WeightFunc, landmarks []graph.VertexID) (*ALT, e
 		}
 		weights[e] = we
 	}
+	return weights, nil
+}
+
+// buildALT is BuildALT on weights edgeWeights has read and checked.
+func buildALT(g *graph.Graph, weights []float64, landmarks []graph.VertexID) (*ALT, error) {
 	n := g.NumVertices()
 	l := len(landmarks)
 	t := &ALT{
@@ -181,7 +196,7 @@ func BuildALT(g *graph.Graph, w WeightFunc, landmarks []graph.VertexID) (*ALT, e
 		return &sweepScratch{dist: make([]float64, n), pq: pqueue.NewIndexedHeap(n)}
 	}}
 	// Job 2i is landmark i's forward sweep, job 2i+1 its backward one;
-	// with the weights checked above a sweep fails only on a distance
+	// with the weights already checked a sweep fails only on a distance
 	// float32 cannot hold.
 	slack := make([]float64, 2*l) // per job
 	err := par.For(2*l, func(job int) error {

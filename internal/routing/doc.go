@@ -154,6 +154,18 @@
 //     (TestALTFloat32MatchesFloat64). A finite distance above
 //     math.MaxFloat32 fails the build with an error rather than turn
 //     into a +Inf that would read as unreachable.
+//   - ALTSet is one model set's tables: one per slice model and one on
+//     the min-across-slices metric, built over landmarks NewALTSet
+//     selects from a 500 m grid's cell representatives. Each metric is
+//     read into a vector once; metrics equal bit for bit
+//     (math.Float64bits) share one table, which is exact because a table
+//     depends only on its metric and landmarks and never changes. On the
+//     metro fixture slices 0–2 have one metric and slice 3 the min's, so
+//     five tables are two. Rebuild serves a swap: a slice whose model is
+//     unchanged keeps its table, and every other metric is compared with
+//     the kept ones and those built before it. The engine and cmd/train's
+//     -landmarks dry run both go through ALTSet, so what the dry run
+//     reports is what serving holds.
 //   - A query's potential is the triangle-inequality bound
 //     max(dist(v→ℓ) − dist(t→ℓ), dist(ℓ→t) − dist(ℓ→v)) maximised over
 //     landmarks and clamped at zero, memoised per vertex. Every path

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"stochroute/internal/graph"
+	"stochroute/internal/par"
 	"stochroute/internal/pqueue"
 	"stochroute/internal/rng"
 )
@@ -152,6 +154,13 @@ func DefaultWalkConfig() WalkConfig {
 // MinEdges are discarded and retried; the function errors if the graph
 // cannot support walks of the requested length.
 func GenerateTrajectories(w *World, cfg WalkConfig) ([]Trajectory, error) {
+	return generateTrajectories(w, cfg, buildRoutePool)
+}
+
+// generateTrajectories is GenerateTrajectories with its route pool built
+// by routePool, so a test can hold the trips against a serial reference
+// pool builder.
+func generateTrajectories(w *World, cfg WalkConfig, routePool func(*World, *rng.RNG, WalkConfig) [][]graph.EdgeID) ([]Trajectory, error) {
 	if cfg.NumTrajectories <= 0 {
 		return nil, errors.New("traj: NumTrajectories must be positive")
 	}
@@ -198,7 +207,7 @@ func GenerateTrajectories(w *World, cfg WalkConfig) ([]Trajectory, error) {
 
 	var pool [][]graph.EdgeID
 	if cfg.RouteFraction > 0 {
-		pool = buildRoutePool(w, r.Split("routes"), cfg)
+		pool = routePool(w, r.Split("routes"), cfg)
 	}
 
 	out := make([]Trajectory, 0, cfg.NumTrajectories)
@@ -257,8 +266,21 @@ func traverseRoute(w *World, r *rng.RNG, route []graph.EdgeID, slice int) Trajec
 }
 
 // buildRoutePool computes diverse sensible routes: shortest paths under
-// per-route jittered free-flow weights between random endpoint pairs.
-// Routes shorter than MinEdges are discarded.
+// per-route jittered free-flow weights between random endpoint pairs,
+// at most numRoutes*3 attempts for numRoutes routes. Routes shorter than
+// MinEdges are discarded.
+//
+// An attempt draws |E| jitter factors and then its two endpoints from r,
+// so once it knows where in r's stream it starts it needs nothing from
+// any other attempt. A serial pass records each attempt's generator
+// state and endpoints and advances r with the very calls the attempt
+// makes (Intn may reject and draw again, so its draws cannot be
+// counted); the Dijkstras then run as par.For jobs, each re-drawing its
+// weights from the recorded state into a worker's reused routeSearch.
+// Routes are accepted in attempt order and a batch holds no more
+// attempts than routes still missing, so the pool ends at the attempt a
+// one-at-a-time loop ends at and holds the same routes on any number of
+// cores.
 func buildRoutePool(w *World, r *rng.RNG, cfg WalkConfig) [][]graph.EdgeID {
 	g := w.g
 	numRoutes := cfg.NumRoutes
@@ -273,41 +295,82 @@ func buildRoutePool(w *World, r *rng.RNG, cfg WalkConfig) [][]graph.EdgeID {
 	for e := range freeflow {
 		freeflow[e] = g.Edge(graph.EdgeID(e)).FreeFlowSeconds()
 	}
+	type attempt struct {
+		state    rng.RNG // r at the attempt's first draw
+		src, dst graph.VertexID
+	}
+	searches := sync.Pool{New: func() any { return newRouteSearch(g) }}
 	var pool [][]graph.EdgeID
-	weights := make([]float64, g.NumEdges())
-	for attempt := 0; attempt < numRoutes*3 && len(pool) < numRoutes; attempt++ {
-		for e := range weights {
-			weights[e] = freeflow[e] * r.Range(1-jitter, 1+jitter)
+	for started, maxAttempts := 0, numRoutes*3; started < maxAttempts && len(pool) < numRoutes; {
+		n := min(numRoutes-len(pool), maxAttempts-started)
+		started += n
+		batch := make([]attempt, n)
+		for i := range batch {
+			batch[i].state = *r
+			for range freeflow {
+				r.Range(1-jitter, 1+jitter)
+			}
+			batch[i].src = graph.VertexID(r.Intn(g.NumVertices()))
+			batch[i].dst = graph.VertexID(r.Intn(g.NumVertices()))
 		}
-		src := graph.VertexID(r.Intn(g.NumVertices()))
-		dst := graph.VertexID(r.Intn(g.NumVertices()))
-		if src == dst {
-			continue
-		}
-		route := shortestPath(g, weights, src, dst)
-		if len(route) >= cfg.MinEdges {
-			pool = append(pool, route)
+		routes := make([][]graph.EdgeID, n)
+		// A route search cannot fail.
+		_ = par.For(n, func(i int) error {
+			a := &batch[i]
+			if a.src == a.dst {
+				return nil
+			}
+			s := searches.Get().(*routeSearch)
+			defer searches.Put(s)
+			draws := a.state
+			for e, ff := range freeflow {
+				s.weights[e] = ff * draws.Range(1-jitter, 1+jitter)
+			}
+			routes[i] = s.shortestPath(g, a.src, a.dst)
+			return nil
+		})
+		for _, route := range routes {
+			if len(route) >= cfg.MinEdges {
+				pool = append(pool, route)
+			}
 		}
 	}
 	return pool
 }
 
-// shortestPath is a compact Dijkstra over explicit edge weights (the
+// routeSearch is one worker's Dijkstra state for route-pool attempts,
+// reused from attempt to attempt.
+type routeSearch struct {
+	weights []float64 // per edge, the attempt's jittered free-flow times
+	dist    []float64
+	via     []graph.EdgeID // the edge that settled each reached vertex
+	pq      *pqueue.IndexedHeap
+}
+
+func newRouteSearch(g *graph.Graph) *routeSearch {
+	return &routeSearch{
+		weights: make([]float64, g.NumEdges()),
+		dist:    make([]float64, g.NumVertices()),
+		via:     make([]graph.EdgeID, g.NumVertices()),
+		pq:      pqueue.NewIndexedHeap(g.NumVertices()),
+	}
+}
+
+// shortestPath is a compact Dijkstra from src to dst over s.weights (the
 // routing package sits above traj in the dependency order, so a local
-// implementation avoids an import cycle).
-func shortestPath(g *graph.Graph, weights []float64, src, dst graph.VertexID) []graph.EdgeID {
+// implementation avoids an import cycle). It returns nil when dst is
+// unreachable.
+func (s *routeSearch) shortestPath(g *graph.Graph, src, dst graph.VertexID) []graph.EdgeID {
 	const inf = math.MaxFloat64
-	dist := make([]float64, g.NumVertices())
-	via := make([]graph.EdgeID, g.NumVertices())
+	dist, via := s.dist, s.via
 	for i := range dist {
 		dist[i] = inf
-		via[i] = graph.NoEdge
 	}
 	dist[src] = 0
-	pq := pqueue.NewIndexedHeap(g.NumVertices())
-	pq.PushOrDecrease(int(src), 0)
-	for pq.Len() > 0 {
-		vi, d, _ := pq.Pop()
+	s.pq.Reset(len(dist))
+	s.pq.PushOrDecrease(int(src), 0)
+	for s.pq.Len() > 0 {
+		vi, d, _ := s.pq.Pop()
 		v := graph.VertexID(vi)
 		if d > dist[v] {
 			continue
@@ -317,23 +380,24 @@ func shortestPath(g *graph.Graph, weights []float64, src, dst graph.VertexID) []
 		}
 		for _, e := range g.Out(v) {
 			to := g.Edge(e).To
-			if nd := d + weights[e]; nd < dist[to] {
+			if nd := d + s.weights[e]; nd < dist[to] {
 				dist[to] = nd
 				via[to] = e
-				pq.PushOrDecrease(int(to), nd)
+				s.pq.PushOrDecrease(int(to), nd)
 			}
 		}
 	}
 	if dist[dst] == inf {
 		return nil
 	}
-	var rev []graph.EdgeID
+	hops := 0
 	for v := dst; v != src; v = g.Edge(via[v]).From {
-		rev = append(rev, via[v])
+		hops++
 	}
-	out := make([]graph.EdgeID, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
+	out := make([]graph.EdgeID, hops)
+	for v := dst; v != src; v = g.Edge(via[v]).From {
+		hops--
+		out[hops] = via[v]
 	}
 	return out
 }

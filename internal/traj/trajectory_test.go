@@ -158,14 +158,14 @@ func TestRoutePoolPathsAreShortestish(t *testing.T) {
 		}
 		return s
 	}
-	weights := make([]float64, g.NumEdges())
-	for e := range weights {
-		weights[e] = g.Edge(graph.EdgeID(e)).FreeFlowSeconds()
+	s := newRouteSearch(g)
+	for e := range s.weights {
+		s.weights[e] = g.Edge(graph.EdgeID(e)).FreeFlowSeconds()
 	}
 	for i, route := range pool[:10] {
 		src := g.Edge(route[0]).From
 		dst := g.Edge(route[len(route)-1]).To
-		opt := shortestPath(g, weights, src, dst)
+		opt := s.shortestPath(g, src, dst)
 		if opt == nil {
 			t.Fatalf("route %d endpoints unreachable", i)
 		}
