@@ -203,20 +203,8 @@ func buildEstimatorDataset(kb *KnowledgeBase, obs *traj.ObservationStore, pairs 
 	return x, y, nil
 }
 
-// TrainEstimator fits the estimation model on the given pairs.
-func TrainEstimator(kb *KnowledgeBase, obs *traj.ObservationStore, pairs []traj.PairKey, cfg EstimatorConfig) (*Estimator, ml.TrainResult, error) {
-	var zero ml.TrainResult
-	if err := cfg.Validate(); err != nil {
-		return nil, zero, err
-	}
-	x, y, err := buildEstimatorDataset(kb, obs, pairs, cfg)
-	if err != nil {
-		return nil, zero, err
-	}
-	return trainEstimatorOn(kb, x, y, cfg)
-}
-
-// trainEstimatorOn fits a fresh estimator on an assembled dataset.
+// trainEstimatorOn fits a fresh estimator on an assembled dataset; x
+// and y are read, never written.
 func trainEstimatorOn(kb *KnowledgeBase, x, y *ml.Matrix, cfg EstimatorConfig) (*Estimator, ml.TrainResult, error) {
 	var zero ml.TrainResult
 	scaler, err := ml.FitScaler(x)

@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"math"
+	"slices"
 
 	"stochroute/internal/ml"
 	"stochroute/internal/rng"
@@ -25,67 +26,83 @@ import (
 // rows from trajectory prefixes, using the phase-1 model to compute
 // virtual distributions and to skip extensions the classifier would
 // convolve anyway.
+//
+// A trajectory's prefix ends are drawn first; neither the decision nor
+// the costing consumes r. Then one pass through the scratch kernel
+// extends the trajectory's path up to its longest drawn prefix and
+// reads each prefix's distribution on the way, so every edge is
+// extended once per trajectory. InitialHistInto and ExtendInto are
+// bit-identical to PathCost's steps, so the rows are what PathCost
+// gives; they are emitted in the order the ends were drawn.
 func buildPrefixDataset(model *Model, trajs []traj.Trajectory, cfg EstimatorConfig, maxRows, perTrajectory int, r *rng.RNG) (x, y *ml.Matrix) {
 	if maxRows <= 0 || len(trajs) == 0 {
 		return nil, nil
 	}
 	kb := model.KB
-	outDim := cfg.Bands * cfg.CondBuckets
-	var rows [][]float64
-	var targets [][]float64
-
-	order := r.Perm(len(trajs))
-	for _, ti := range order {
-		if len(rows) >= maxRows {
+	var (
+		feats   []float64 // the rows' features, NumFeatures per row
+		targets []int     // each row's one-hot index, band·CondBuckets + offset
+		ends    []int     // this trajectory's prefix ends, in draw order
+		s       Scratch
+	)
+	for _, ti := range r.Perm(len(trajs)) {
+		if len(targets) >= maxRows {
 			break
 		}
 		tr := &trajs[ti]
 		if len(tr.Edges) < 3 {
 			continue
 		}
-		taken := 0
 		// Sample prefix end positions (the index of the "next" edge).
-		for attempts := 0; attempts < 2*perTrajectory && taken < perTrajectory && len(rows) < maxRows; attempts++ {
+		ends = ends[:0]
+		for attempts := 0; attempts < 2*perTrajectory && len(ends) < perTrajectory && len(targets)+len(ends) < maxRows; attempts++ {
 			i := 2 + r.Intn(len(tr.Edges)-2)
-			last := tr.Edges[i-1]
-			next := tr.Edges[i]
-			if !model.ShouldEstimate(last, next) {
-				continue
+			if model.ShouldEstimate(tr.Edges[i-1], tr.Edges[i]) {
+				ends = append(ends, i)
 			}
-			virtual, err := PathCost(model, tr.Edges[:i])
-			if err != nil {
-				continue
+		}
+		if len(ends) == 0 {
+			continue
+		}
+		first := len(targets)
+		feats = append(feats, make([]float64, len(ends)*NumFeatures)...)
+		targets = append(targets, make([]int, len(ends))...)
+		longest := slices.Max(ends)
+
+		s.Reset()
+		virtual := model.InitialHistInto(&s, tr.Edges[0])
+		prefixSum := 0.0
+		for k := 1; ; k++ {
+			// virtual is the distribution of tr.Edges[:k].
+			prefixSum += tr.Times[k-1]
+			for j, i := range ends {
+				if i != k {
+					continue
+				}
+				next := tr.Edges[i]
+				band := BandOfValue(virtual, prefixSum, cfg.Bands)
+				off := int(math.Round((tr.Times[i] - kb.Edge(next).MinTime) / kb.Width))
+				off = min(max(off, 0), cfg.CondBuckets-1)
+				ps, hasPair := kb.Pair(tr.Edges[i-1], next)
+				s.feats = AppendFeatures(s.feats[:0], kb, virtual, next, ps, hasPair)
+				copy(feats[(first+j)*NumFeatures:], s.feats)
+				targets[first+j] = band*cfg.CondBuckets + off
 			}
-			prefixSum := 0.0
-			for _, t := range tr.Times[:i] {
-				prefixSum += t
+			if k == longest {
+				break
 			}
-			band := BandOfValue(virtual, prefixSum, cfg.Bands)
-			base := kb.Edge(next).MinTime
-			off := int(math.Round((tr.Times[i] - base) / kb.Width))
-			if off < 0 {
-				off = 0
-			}
-			if off >= cfg.CondBuckets {
-				off = cfg.CondBuckets - 1
-			}
-			ps, hasPair := kb.Pair(last, next)
-			feats := Features(kb, virtual, next, ps, hasPair)
-			target := make([]float64, outDim)
-			target[band*cfg.CondBuckets+off] = 1
-			rows = append(rows, feats)
-			targets = append(targets, target)
-			taken++
+			extended := model.ExtendInto(&s, virtual, tr.Edges[k-1], tr.Edges[k])
+			s.Arena.Recycle(virtual)
+			virtual = extended
 		}
 	}
-	if len(rows) == 0 {
+	if len(targets) == 0 {
 		return nil, nil
 	}
-	x = ml.NewMatrix(len(rows), NumFeatures)
-	y = ml.NewMatrix(len(targets), outDim)
-	for i := range rows {
-		copy(x.Row(i), rows[i])
-		copy(y.Row(i), targets[i])
+	x = &ml.Matrix{Rows: len(targets), Cols: NumFeatures, Data: feats}
+	y = ml.NewMatrix(len(targets), cfg.Bands*cfg.CondBuckets)
+	for i, c := range targets {
+		y.Row(i)[c] = 1
 	}
 	return x, y
 }

@@ -123,7 +123,14 @@ func Train(kb *KnowledgeBase, obs *traj.ObservationStore, trajs []traj.Trajector
 	trainPairs := pairs[:nTrain]
 	testPairs := pairs[nTrain : nTrain+nTest]
 
-	est, trainRes, err := TrainEstimator(kb, obs, trainPairs, cfg.Estimator)
+	if err := cfg.Estimator.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("hybrid: estimator training: %w", err)
+	}
+	pairX, pairY, err := buildEstimatorDataset(kb, obs, trainPairs, cfg.Estimator)
+	if err != nil {
+		return nil, nil, fmt.Errorf("hybrid: estimator training: %w", err)
+	}
+	est, trainRes, err := trainEstimatorOn(kb, pairX, pairY, cfg.Estimator)
 	if err != nil {
 		return nil, nil, fmt.Errorf("hybrid: estimator training: %w", err)
 	}
@@ -140,7 +147,7 @@ func Train(kb *KnowledgeBase, obs *traj.ObservationStore, trajs []traj.Trajector
 		MaxBuckets: cfg.MaxBuckets,
 	}
 
-	// Virtual-edge second phase: augment the pair dataset with
+	// Virtual-edge second phase: augment phase 1's pair rows with
 	// prefix-harvested examples computed under the phase-1 model, then
 	// retrain the estimator from scratch on the union.
 	if cfg.PrefixRows > 0 && len(trajs) > 0 {
@@ -151,10 +158,6 @@ func Train(kb *KnowledgeBase, obs *traj.ObservationStore, trajs []traj.Trajector
 		px, py := buildPrefixDataset(model, trajs, cfg.Estimator,
 			cfg.PrefixRows, perTraj, rng.New(cfg.Seed^0xf00d))
 		if px != nil {
-			pairX, pairY, err := buildEstimatorDataset(kb, obs, trainPairs, cfg.Estimator)
-			if err != nil {
-				return nil, nil, fmt.Errorf("hybrid: phase-2 pair dataset: %w", err)
-			}
 			est2, res2, err := trainEstimatorOn(kb, concatRows(pairX, px), concatRows(pairY, py), cfg.Estimator)
 			if err != nil {
 				return nil, nil, fmt.Errorf("hybrid: phase-2 training: %w", err)

@@ -29,23 +29,26 @@ func benchNet(b *testing.B) (*Network, *Matrix, *Matrix) {
 
 func BenchmarkForwardBatch64(b *testing.B) {
 	net, x, _ := benchNet(b)
+	step := newTrainStep(net, nil, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = net.Forward(x)
+		_ = step.forward(x)
 	}
 }
 
+// BenchmarkTrainStepBatch64 times one of Fit's mini-batch steps on the
+// estimator's shape: gather 64 rows, forward, loss, backward, Adam. A
+// warm step allocates nothing (TestTrainStepAllocFree gates it).
 func BenchmarkTrainStepBatch64(b *testing.B) {
 	net, x, y := benchNet(b)
-	opt := NewAdam(1e-3)
-	loss := GroupedSoftmaxCrossEntropy(4)
+	step := newTrainStep(net, GroupedSoftmaxCrossEntropy(4), NewAdam(1e-3))
+	rows := make([]int, x.Rows)
+	for i := range rows {
+		rows[i] = i
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		net.ZeroGrads()
-		out := net.Forward(x)
-		_, grad := loss(out, y)
-		net.Backward(grad)
-		opt.Step(net.Params(), net.Grads())
+		step.run(x, y, rows)
 	}
 }
 
@@ -58,7 +61,7 @@ func BenchmarkPredictSingle(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = GroupedSoftmax(net.Forward(x), 4)
+		_ = GroupedSoftmax(new(Matrix), net.Infer(x), 4)
 	}
 }
 

@@ -5,38 +5,21 @@ import (
 	"math"
 )
 
-// GroupedSoftmax applies an independent softmax to each of `groups`
-// equal-width blocks of every row. The hybrid estimator uses this to
-// predict one conditional distribution per quantile band of the
-// incoming virtual edge.
-func GroupedSoftmax(logits *Matrix, groups int) *Matrix {
+// GroupedSoftmax writes into dst, reusing its storage, an independent
+// softmax of each of `groups` equal-width blocks of every row of logits,
+// and returns dst. The hybrid estimator uses this to predict one
+// conditional distribution per quantile band of the incoming virtual
+// edge. Each row's arithmetic is GroupedSoftmaxRow's.
+func GroupedSoftmax(dst, logits *Matrix, groups int) *Matrix {
 	if groups <= 0 || logits.Cols%groups != 0 {
 		panic(fmt.Sprintf("ml: GroupedSoftmax cols %d not divisible by groups %d", logits.Cols, groups))
 	}
-	width := logits.Cols / groups
-	out := logits.Clone()
-	for i := 0; i < out.Rows; i++ {
-		row := out.Row(i)
-		for g := 0; g < groups; g++ {
-			block := row[g*width : (g+1)*width]
-			max := block[0]
-			for _, v := range block {
-				if v > max {
-					max = v
-				}
-			}
-			sum := 0.0
-			for j, v := range block {
-				e := math.Exp(v - max)
-				block[j] = e
-				sum += e
-			}
-			for j := range block {
-				block[j] /= sum
-			}
-		}
+	dst.reshape(logits.Rows, logits.Cols)
+	copy(dst.Data, logits.Data)
+	for i := 0; i < dst.Rows; i++ {
+		GroupedSoftmaxRow(dst.Row(i), groups)
 	}
-	return out
+	return dst
 }
 
 // GroupedSoftmaxCrossEntropy is the loss for grouped-softmax outputs
@@ -44,19 +27,19 @@ func GroupedSoftmax(logits *Matrix, groups int) *Matrix {
 // weight w_g (not necessarily 1), so blocks with more observed mass
 // contribute proportionally. The gradient wrt the logits of block g is
 // softmax_g·w_g − target_g, which reduces to ordinary softmax CE when
-// w_g = 1.
+// w_g = 1. The softmax is computed in the gradient's buffer and turned
+// into the gradient element by element; the returned LossFunc keeps no
+// state, so concurrent Fits may share it.
 func GroupedSoftmaxCrossEntropy(groups int) LossFunc {
-	return func(logits, target *Matrix) (float64, *Matrix) {
+	return func(logits, target, grad *Matrix) float64 {
 		if logits.Rows != target.Rows || logits.Cols != target.Cols {
 			panic("ml: GroupedSoftmaxCrossEntropy shape mismatch")
 		}
 		width := logits.Cols / groups
-		probs := GroupedSoftmax(logits, groups)
-		grad := NewMatrix(logits.Rows, logits.Cols)
+		GroupedSoftmax(grad, logits, groups)
 		loss := 0.0
 		invN := 1 / float64(logits.Rows)
 		for i := 0; i < logits.Rows; i++ {
-			prow := probs.Row(i)
 			trow := target.Row(i)
 			grow := grad.Row(i)
 			for g := 0; g < groups; g++ {
@@ -65,13 +48,14 @@ func GroupedSoftmaxCrossEntropy(groups int) LossFunc {
 					blockMass += trow[j]
 				}
 				for j := g * width; j < (g+1)*width; j++ {
+					p := grow[j]
 					if trow[j] > 0 {
-						loss -= trow[j] * math.Log(math.Max(prow[j], 1e-300))
+						loss -= trow[j] * math.Log(math.Max(p, 1e-300))
 					}
-					grow[j] = (prow[j]*blockMass - trow[j]) * invN
+					grow[j] = (p*blockMass - trow[j]) * invN
 				}
 			}
 		}
-		return loss * invN, grad
+		return loss * invN
 	}
 }

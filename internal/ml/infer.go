@@ -19,10 +19,9 @@ func growRow(buf []float64, n int) []float64 {
 
 // InferRow runs one input row through the network and returns the
 // output activations, allocating nothing once the scratch is warm. It
-// computes exactly what Infer computes for a 1-row batch — the
-// accumulation order of every dot product matches MatMul — so the two
-// paths are bit-identical; the per-request serving path uses InferRow,
-// training and batch evaluation keep using Infer/Forward.
+// computes exactly what Infer computes for a 1-row batch — both run the
+// same kernel, mulAddRows — so the two paths are bit-identical; the
+// per-request serving path uses InferRow, training runs Forward.
 //
 // The returned slice is owned by the scratch and valid only until the
 // next InferRow call with the same scratch.
@@ -68,17 +67,23 @@ func (n *Network) InferRow(s *InferScratch, row []float64) []float64 {
 }
 
 // mulAddRows accumulates in·W into out, W being the row-major
-// len(in) × len(out) weight matrix w. Zero inputs are skipped; the
-// non-zero ones are folded four at a time, in ascending row order, as
-// one left-associated scaled accumulate
+// len(in) × len(out) matrix w. It is the package's one product kernel:
+// InferRow calls it per layer, matMulAdd per row of the left operand —
+// for x·W, and on a transposed operand for a training step's xᵀ·g and
+// g·Wᵀ.
+//
+// Zero inputs are skipped; the non-zero ones are folded four at a time,
+// in ascending row order, as one left-associated scaled accumulate
 //
 //	out[j] + a0·w0[j] + a1·w1[j] + a2·w2[j] + a3·w3[j]
 //
 // so each output costs one load and one store per four multiply-adds
 // instead of one of each per multiply-add (hist.convolveDense's trick).
 // Go evaluates the sum left to right and does not fuse multiply-adds on
-// amd64, so every output adds the same products in the same order as a
-// row-at-a-time pass: the result is bit-identical to MatMul's.
+// amd64, so every output adds the same non-zero products in the same
+// order as a row-at-a-time pass. Skipping a zero input is exact on
+// finite w: its products are ±0, and a sum that starts at +0 never
+// becomes −0 under round-to-nearest, so adding them changes no bit.
 func mulAddRows(out, in, w []float64) {
 	cols := len(out)
 	var a [4]float64
@@ -108,10 +113,10 @@ func mulAddRows(out, in, w []float64) {
 	}
 }
 
-// GroupedSoftmaxRow is the in-place single-row form of GroupedSoftmax:
-// each of `groups` equal-width blocks of row is turned into an
-// independent softmax distribution. The per-block arithmetic matches
-// GroupedSoftmax exactly.
+// GroupedSoftmaxRow turns each of `groups` equal-width blocks of row,
+// in place, into an independent softmax distribution. GroupedSoftmax
+// runs it on every row of a matrix, so the serving path and the
+// training loss share its arithmetic.
 func GroupedSoftmaxRow(row []float64, groups int) {
 	if groups <= 0 || len(row)%groups != 0 {
 		panic("ml: GroupedSoftmaxRow length not divisible by groups")

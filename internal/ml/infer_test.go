@@ -110,7 +110,7 @@ func TestGroupedSoftmaxRowMatchesGroupedSoftmax(t *testing.T) {
 			row[i] = r.Normal(0, 3)
 		}
 		m := &Matrix{Rows: 1, Cols: len(row), Data: append([]float64(nil), row...)}
-		want := GroupedSoftmax(m, 3).Row(0)
+		want := GroupedSoftmax(new(Matrix), m, 3).Row(0)
 		got := append([]float64(nil), row...)
 		GroupedSoftmaxRow(got, 3)
 		for j := range want {

@@ -5,6 +5,13 @@
 // classifier (logistic regression). It provides dense matrices,
 // layers, a loss, an optimiser, a mini-batch trainer with early stopping,
 // feature scaling, metrics, and binary model serialisation.
+//
+// Every matrix product goes through one kernel, mulAddRows (infer.go):
+// a layer's forward pass x·W row by row, the training step's weight
+// gradient xᵀ·g and input gradient g·Wᵀ on a transposed operand, and
+// the single-row serving pass InferRow. The memory a training step
+// writes belongs to its Fit call, not to the network: a warm step
+// allocates nothing, and a trained network holds only its parameters.
 package ml
 
 import (
@@ -59,69 +66,47 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// MatMul returns a·b. It panics on dimension mismatch (programming
-// error, not data error).
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("ml: MatMul %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+// matMulInto sets out = a·b, reusing out's storage, and returns out. It
+// panics on dimension mismatch (programming error, not data error).
+func matMulInto(out, a, b *Matrix) *Matrix {
+	out.reshape(a.Rows, b.Cols)
+	out.Zero()
+	return matMulAdd(out, a, b)
+}
+
+// matMulAdd adds a·b into out, one row of a at a time through
+// mulAddRows, and returns out. Started from a zeroed out, each element
+// is the sum of the non-zero products a[i][k]·b[k][j] in ascending k,
+// starting from +0. The products xᵀ·g and g·Wᵀ of a training step run
+// here too, on a transposed operand (transposeInto): the one kernel
+// serves every product of the package.
+func matMulAdd(out, a, b *Matrix) *Matrix {
+	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
+		panic(fmt.Sprintf("ml: matMulAdd %dx%d · %dx%d into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
-	out := NewMatrix(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
+		mulAddRows(out.Row(i), a.Row(i), b.Data)
 	}
 	return out
 }
 
-// MatMulATB returns aᵀ·b without materialising the transpose.
-func MatMulATB(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("ml: MatMulATB %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(a.Cols, b.Cols)
-	for r := 0; r < a.Rows; r++ {
-		arow := a.Data[r*a.Cols : (r+1)*a.Cols]
-		brow := b.Data[r*b.Cols : (r+1)*b.Cols]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+// transposeInto sets dst = mᵀ, reusing dst's storage, and returns dst.
+func transposeInto(dst, m *Matrix) *Matrix {
+	dst.reshape(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			dst.Data[j*dst.Cols+i] = v
 		}
 	}
-	return out
+	return dst
 }
 
-// MatMulABT returns a·bᵀ without materialising the transpose.
-func MatMulABT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("ml: MatMulABT %dx%d ·ᵀ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			s := 0.0
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			out.Data[i*out.Cols+j] = s
-		}
-	}
-	return out
+// reshape makes m a rows×cols matrix on its own storage when that is
+// large enough. The contents are left as they were: callers overwrite
+// them.
+func (m *Matrix) reshape(rows, cols int) {
+	m.Rows, m.Cols = rows, cols
+	m.Data = growRow(m.Data, rows*cols)
 }
 
 // AddRowVectorInPlace adds the 1×cols vector v to every row of m.
@@ -137,16 +122,17 @@ func (m *Matrix) AddRowVectorInPlace(v []float64) {
 	}
 }
 
-// ColSums returns the per-column sums of m.
-func (m *Matrix) ColSums() []float64 {
-	out := make([]float64, m.Cols)
+// AddColSums adds the per-column sums of m into dst, row by row in
+// order: from a zeroed dst, dst[j] is column j's sum.
+func (m *Matrix) AddColSums(dst []float64) {
+	if len(dst) != m.Cols {
+		panic("ml: AddColSums length mismatch")
+	}
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out[j] += v
+		for j, v := range m.Row(i) {
+			dst[j] += v
 		}
 	}
-	return out
 }
 
 // Apply replaces every element x with f(x) in place and returns m.
@@ -158,10 +144,13 @@ func (m *Matrix) Apply(f func(float64) float64) *Matrix {
 }
 
 // SubRows returns the sub-matrix consisting of the given row indices.
-func (m *Matrix) SubRows(idx []int) *Matrix {
-	out := NewMatrix(len(idx), m.Cols)
+func (m *Matrix) SubRows(idx []int) *Matrix { return m.subRowsInto(new(Matrix), idx) }
+
+// subRowsInto is SubRows into dst's storage.
+func (m *Matrix) subRowsInto(dst *Matrix, idx []int) *Matrix {
+	dst.reshape(len(idx), m.Cols)
 	for i, r := range idx {
-		copy(out.Row(i), m.Row(r))
+		copy(dst.Row(i), m.Row(r))
 	}
-	return out
+	return dst
 }

@@ -8,7 +8,7 @@ import (
 func TestMatMul(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
 	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := MatMul(a, b)
+	c := matMulInto(new(Matrix), a, b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
@@ -27,13 +27,13 @@ func TestMatMulPanicsOnShapeMismatch(t *testing.T) {
 	}()
 	a := NewMatrix(2, 3)
 	b := NewMatrix(2, 3)
-	MatMul(a, b)
+	matMulInto(new(Matrix), a, b)
 }
 
 func TestMatMulATB(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}}) // 3x2
-	b, _ := FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}}) // 3x2
-	got := MatMulATB(a, b)                                // 2x2 = aᵀ·b
+	a, _ := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})               // 3x2
+	b, _ := FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})               // 3x2
+	got := matMulAdd(NewMatrix(2, 2), transposeInto(new(Matrix), a), b) // aᵀ·b
 	want := [][]float64{{1*1 + 3*0 + 5*1, 1*0 + 3*1 + 5*1}, {2*1 + 4*0 + 6*1, 2*0 + 4*1 + 6*1}}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
@@ -45,9 +45,9 @@ func TestMatMulATB(t *testing.T) {
 }
 
 func TestMatMulABT(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2, 3}})            // 1x3
-	b, _ := FromRows([][]float64{{4, 5, 6}, {1, 1, 1}}) // 2x3
-	got := MatMulABT(a, b)                              // 1x2
+	a, _ := FromRows([][]float64{{1, 2, 3}})                         // 1x3
+	b, _ := FromRows([][]float64{{4, 5, 6}, {1, 1, 1}})              // 2x3
+	got := matMulInto(new(Matrix), a, transposeInto(new(Matrix), b)) // a·bᵀ, 1x2
 	if got.Row(0)[0] != 32 || got.Row(0)[1] != 6 {
 		t.Errorf("ABT = %v", got.Data)
 	}
@@ -64,7 +64,8 @@ func TestFromRowsErrors(t *testing.T) {
 
 func TestColSumsAndAddRowVector(t *testing.T) {
 	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	sums := m.ColSums()
+	sums := make([]float64, 2)
+	m.AddColSums(sums)
 	if sums[0] != 4 || sums[1] != 6 {
 		t.Errorf("ColSums = %v", sums)
 	}

@@ -10,23 +10,22 @@ import (
 // numericalGradient estimates dLoss/dParam by central differences.
 func numericalGradient(net *Network, x, y *Matrix, loss LossFunc, param *Matrix, idx int) float64 {
 	const eps = 1e-5
+	var grad Matrix
 	orig := param.Data[idx]
 	param.Data[idx] = orig + eps
-	lp, _ := loss(net.Forward(x), y)
+	lp := loss(net.Infer(x), y, &grad)
 	param.Data[idx] = orig - eps
-	lm, _ := loss(net.Forward(x), y)
+	lm := loss(net.Infer(x), y, &grad)
 	param.Data[idx] = orig
 	return (lp - lm) / (2 * eps)
 }
 
 func gradCheck(t *testing.T, net *Network, x, y *Matrix, loss LossFunc) {
 	t.Helper()
-	net.ZeroGrads()
-	out := net.Forward(x)
-	_, grad := loss(out, y)
-	net.Backward(grad)
-	params := net.Params()
-	grads := net.Grads()
+	step := newTrainStep(net, loss, nil)
+	loss(step.forward(x), y, &step.grad)
+	step.backward(&step.grad)
+	params, grads := step.params, step.grads
 	checked := 0
 	for pi, p := range params {
 		for idx := 0; idx < len(p.Data); idx += 1 + len(p.Data)/7 {
@@ -120,7 +119,7 @@ func TestGroupedSoftmaxPanicsOnBadGroups(t *testing.T) {
 			t.Error("indivisible groups should panic")
 		}
 	}()
-	GroupedSoftmax(NewMatrix(1, 5), 2)
+	GroupedSoftmax(new(Matrix), NewMatrix(1, 5), 2)
 }
 
 func TestGroupedSoftmaxEachGroupNormalised(t *testing.T) {
@@ -129,7 +128,7 @@ func TestGroupedSoftmaxEachGroupNormalised(t *testing.T) {
 	for i := range logits.Data {
 		logits.Data[i] = r.Normal(0, 3)
 	}
-	p := GroupedSoftmax(logits, 3)
+	p := GroupedSoftmax(new(Matrix), logits, 3)
 	for i := 0; i < p.Rows; i++ {
 		for g := 0; g < 3; g++ {
 			sum := 0.0
@@ -145,13 +144,14 @@ func TestGroupedSoftmaxEachGroupNormalised(t *testing.T) {
 
 func TestReLUMasksNegative(t *testing.T) {
 	relu := &ReLU{}
+	var s TrainScratch
 	x, _ := FromRows([][]float64{{-1, 0, 2}})
-	out := relu.Forward(x)
+	out := relu.Forward(&s, x)
 	if out.Row(0)[0] != 0 || out.Row(0)[1] != 0 || out.Row(0)[2] != 2 {
 		t.Errorf("ReLU forward = %v", out.Data)
 	}
 	grad, _ := FromRows([][]float64{{1, 1, 1}})
-	back := relu.Backward(grad)
+	back := relu.Backward(&s, grad, nil, true)
 	if back.Row(0)[0] != 0 || back.Row(0)[2] != 1 {
 		t.Errorf("ReLU backward = %v", back.Data)
 	}

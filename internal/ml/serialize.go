@@ -108,7 +108,6 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 			}
 			net.Layers = append(net.Layers, &Dense{
 				W: &Matrix{Rows: int(in), Cols: int(out), Data: w}, B: &Matrix{Rows: 1, Cols: int(out), Data: b},
-				gW: NewMatrix(int(in), int(out)), gB: NewMatrix(1, int(out)),
 			})
 		case 1:
 			net.Layers = append(net.Layers, &ReLU{})

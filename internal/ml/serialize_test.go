@@ -30,8 +30,8 @@ func TestNetworkRoundTrip(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = r.Normal(0, 1)
 	}
-	a := net.Forward(x)
-	b := got.Forward(x)
+	a := net.Infer(x)
+	b := got.Infer(x)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatalf("forward output differs at %d: %v vs %v", i, a.Data[i], b.Data[i])

@@ -8,9 +8,10 @@ import (
 	"stochroute/internal/rng"
 )
 
-// LossFunc computes a scalar loss and the gradient wrt the network
-// output for a batch.
-type LossFunc func(output, target *Matrix) (float64, *Matrix)
+// LossFunc computes a scalar loss for a batch and writes the gradient
+// wrt the network output into grad, reusing grad's storage. A LossFunc
+// keeps no state between calls, so concurrent Fits may share one.
+type LossFunc func(output, target, grad *Matrix) float64
 
 // TrainConfig parameterises Fit.
 type TrainConfig struct {
@@ -47,9 +48,88 @@ type TrainResult struct {
 	StoppedEarly bool
 }
 
+// trainStep is one training run's working memory and its mini-batch
+// step: a TrainScratch per layer, a gradient tensor per parameter, the
+// gathered batch and the loss gradient. The network holds none of it,
+// so once the run drops its trainStep the network is what a freshly
+// read one would be. Every buffer is the step's own, so once each has
+// grown to the batch size a step allocates nothing.
+type trainStep struct {
+	layers        []Layer
+	scratch       []TrainScratch
+	layerGrads    [][]*Matrix // per layer, parallel to its Params
+	params, grads []*Matrix   // parallel to Network.Params
+	opt           *Adam
+	loss          LossFunc
+	bx, by, grad  Matrix
+}
+
+func newTrainStep(net *Network, loss LossFunc, opt *Adam) *trainStep {
+	s := &trainStep{
+		layers:     net.Layers,
+		scratch:    make([]TrainScratch, len(net.Layers)),
+		layerGrads: make([][]*Matrix, len(net.Layers)),
+		params:     net.Params(),
+		opt:        opt,
+		loss:       loss,
+	}
+	for i, l := range net.Layers {
+		for _, p := range l.Params() {
+			g := NewMatrix(p.Rows, p.Cols)
+			s.layerGrads[i] = append(s.layerGrads[i], g)
+			s.grads = append(s.grads, g)
+		}
+	}
+	return s
+}
+
+// forward runs the batch through every layer. The result aliases the
+// step's buffers and is valid until the next forward; x must not change
+// until the matching backward has returned.
+func (s *trainStep) forward(x *Matrix) *Matrix {
+	for i, l := range s.layers {
+		x = l.Forward(&s.scratch[i], x)
+	}
+	return x
+}
+
+// backward propagates the output gradient of the last forward's batch
+// through every layer, adding the parameter gradients into s.grads.
+// Nothing reads the first layer's input gradient, so it is not computed.
+func (s *trainStep) backward(gradOut *Matrix) {
+	for i := len(s.layers) - 1; i >= 0; i-- {
+		gradOut = s.layers[i].Backward(&s.scratch[i], gradOut, s.layerGrads[i], i > 0)
+	}
+}
+
+// run gathers rows of (x, y), runs them forward, takes the loss, runs
+// its gradient backward and lets Adam update the parameters. It returns
+// the batch's loss; one that is not finite is returned before any
+// parameter moves.
+func (s *trainStep) run(x, y *Matrix, rows []int) float64 {
+	x.subRowsInto(&s.bx, rows)
+	y.subRowsInto(&s.by, rows)
+	for _, g := range s.grads {
+		g.Zero()
+	}
+	l := s.loss(s.forward(&s.bx), &s.by, &s.grad)
+	if math.IsNaN(l) || math.IsInf(l, 0) {
+		return l
+	}
+	s.backward(&s.grad)
+	s.opt.Step(s.params, s.grads)
+	return l
+}
+
+// eval returns the loss on (x, y) without training.
+func (s *trainStep) eval(x, y *Matrix) float64 {
+	return s.loss(s.forward(x), y, &s.grad)
+}
+
 // Fit trains net on (x, y) with Adam, mini-batching and early stopping
 // on a held-out validation split. It returns an error on shape problems
-// or non-finite losses (diverged training).
+// or non-finite losses (diverged training). Its working memory belongs
+// to the call: the trained network holds only its parameters.
 func Fit(net *Network, x, y *Matrix, loss LossFunc, cfg TrainConfig) (TrainResult, error) {
 	var res TrainResult
 	if x.Rows != y.Rows {
@@ -85,8 +165,9 @@ func Fit(net *Network, x, y *Matrix, loss LossFunc, cfg TrainConfig) (TrainResul
 
 	opt := NewAdam(cfg.LearningRate)
 	opt.WeightDecay = cfg.WeightDecay
+	step := newTrainStep(net, loss, opt)
 	best := math.Inf(1)
-	bestParams := snapshot(net)
+	bestParams := snapshot(step.params)
 	sinceBest := 0
 
 	order := make([]int, xt.Rows)
@@ -102,16 +183,10 @@ func Fit(net *Network, x, y *Matrix, loss LossFunc, cfg TrainConfig) (TrainResul
 			if end > len(order) {
 				end = len(order)
 			}
-			bx := xt.SubRows(order[start:end])
-			by := yt.SubRows(order[start:end])
-			net.ZeroGrads()
-			out := net.Forward(bx)
-			l, grad := loss(out, by)
+			l := step.run(xt, yt, order[start:end])
 			if math.IsNaN(l) || math.IsInf(l, 0) {
 				return res, fmt.Errorf("ml: training diverged at epoch %d (loss %v)", epoch, l)
 			}
-			net.Backward(grad)
-			opt.Step(net.Params(), net.Grads())
 			trainLoss += l
 			batches++
 		}
@@ -121,12 +196,11 @@ func Fit(net *Network, x, y *Matrix, loss LossFunc, cfg TrainConfig) (TrainResul
 
 		valLoss := trainLoss
 		if xv != nil {
-			out := net.Forward(xv)
-			valLoss, _ = loss(out, yv)
+			valLoss = step.eval(xv, yv)
 		}
 		if valLoss < best-1e-9 {
 			best = valLoss
-			bestParams = snapshot(net)
+			copyParams(bestParams, step.params)
 			sinceBest = 0
 		} else {
 			sinceBest++
@@ -139,22 +213,22 @@ func Fit(net *Network, x, y *Matrix, loss LossFunc, cfg TrainConfig) (TrainResul
 			break
 		}
 	}
-	restore(net, bestParams)
+	copyParams(step.params, bestParams)
 	res.BestVal = best
 	return res, nil
 }
 
-func snapshot(net *Network) [][]float64 {
-	params := net.Params()
-	out := make([][]float64, len(params))
+func snapshot(params []*Matrix) []*Matrix {
+	out := make([]*Matrix, len(params))
 	for i, p := range params {
-		out[i] = append([]float64(nil), p.Data...)
+		out[i] = p.Clone()
 	}
 	return out
 }
 
-func restore(net *Network, snap [][]float64) {
-	for i, p := range net.Params() {
-		copy(p.Data, snap[i])
+// copyParams copies every tensor of src into the parallel one of dst.
+func copyParams(dst, src []*Matrix) {
+	for i, p := range src {
+		copy(dst[i].Data, p.Data)
 	}
 }

@@ -61,7 +61,7 @@ func TestFitLearnsXOR(t *testing.T) {
 	if res.Epochs == 0 {
 		t.Fatal("no epochs ran")
 	}
-	probs := GroupedSoftmax(net.Forward(x), 1)
+	probs := GroupedSoftmax(new(Matrix), net.Infer(x), 1)
 	for i := 0; i < 4; i++ {
 		wantClass := 0
 		if y.Row(i)[1] == 1 {
@@ -150,20 +150,22 @@ func TestOptimizersDescend(t *testing.T) {
 	// (a linear net, targets it can represent) most of the way from its
 	// starting loss to the floor, with and without weight decay.
 	x, y, entropy := logisticDataset(rng.New(21), 200, 2, func(x []float64, _ float64) float64 { return 2*x[0] - x[1] })
+	all := make([]int, x.Rows)
+	for i := range all {
+		all[i] = i
+	}
 	decayed := NewAdam(0.05)
 	decayed.WeightDecay = 1e-4
 	for name, opt := range map[string]*Adam{"adam": NewAdam(0.05), "adam+weight-decay": decayed} {
 		net, _ := NewMLP([]int{2, 2}, rng.New(3))
+		step := newTrainStep(net, softmaxCE, opt)
 		var first, last float64
 		for epoch := 0; epoch < 120; epoch++ {
-			net.ZeroGrads()
-			l, grad := softmaxCE(net.Forward(x), y)
+			l := step.run(x, y, all)
 			if epoch == 0 {
 				first = l
 			}
 			last = l
-			net.Backward(grad)
-			opt.Step(net.Params(), net.Grads())
 		}
 		if last-entropy > (first-entropy)/10 {
 			t.Errorf("%s barely descended: %v -> %v (floor %v)", name, first, last, entropy)
