@@ -123,7 +123,7 @@ func TestEngineSetLandmarks(t *testing.T) {
 	// A model hot swap must rebuild the tables before publishing; the
 	// swapped-in model shares the serving model's statistics, so answers
 	// stay bit-identical and ALT stays on.
-	if _, err := e.SwapModel(sameWeightsModel(e.Model()), nil); err != nil {
+	if _, err := e.SwapSliceModel(0, sameWeightsModel(e.SliceModel(0)), nil); err != nil {
 		t.Fatal(err)
 	}
 	if e.Landmarks() != 12 {

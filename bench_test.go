@@ -322,14 +322,12 @@ func BenchmarkHybridExtend(b *testing.B) {
 	if len(pairs) == 0 {
 		b.Skip("no pairs")
 	}
-	virtuals := make([]*hist.Hist, len(pairs))
-	for i, k := range pairs {
-		virtuals[i] = s.Model.InitialHist(k.First)
-	}
+	var scratch hybrid.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := pairs[i%len(pairs)]
-		_ = s.Model.Extend(virtuals[i%len(pairs)], k.First, k.Second)
+		_ = s.Model.ExtendInto(&scratch, s.KB.Edge(k.First).Marginal, k.First, k.Second)
+		scratch.Reset()
 	}
 }
 
@@ -443,7 +441,7 @@ func BenchmarkIngest(b *testing.B) {
 		Drift:                  ingest.DriftConfig{Window: -1},
 		MinRebuildTrajectories: 1 << 30,
 	}
-	cfg.Hybrid.Width = e.Model().Width()
+	cfg.Hybrid.Width = e.SliceModel(0).Width()
 	in := ingest.New(e, cfg, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

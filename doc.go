@@ -21,8 +21,8 @@
 //     (ConvolveInto, CDFShifted, the In-Place mutators) and the
 //     per-search Arena that owns the flat float64 storage behind every
 //     routing label
-//   - internal/graph, internal/netgen, internal/osm — the road-network
-//     substrate: CSR graphs, a synthetic city generator, an OSM parser
+//   - internal/graph, internal/netgen — the road-network substrate: CSR
+//     graphs and a synthetic city generator
 //   - internal/traj — the traffic world model and trajectory simulation
 //     standing in for GPS fleet data, including the time-of-day
 //     machinery: departure timestamps (SRT2 codec), per-slice world
@@ -58,23 +58,25 @@
 //     shifting without cloning), TruncateAboveInPlace /
 //     CapBucketsInPlace / TrimInPlace — and a per-search hist.Arena
 //     owning flat []float64 blocks with size-class recycling.
-//   - internal/hybrid extends the Coster contract with the OPTIONAL
-//     hybrid.ScratchCoster capability: ExtendInto/InitialHistInto write
-//     into a per-search hybrid.Scratch (arena + feature vector + MLP
-//     activation buffers + predicted-conditional storage). The trained
-//     Model, the ConvolutionCoster baseline and the WithStats counting
-//     view all implement it, each form bit-identical to its heap
-//     sibling (which PathCost and the skyline still call).
-//   - internal/routing runs every PBR search on a pooled workspace
-//     that owns the scratch, the label slice, the priority heap and
-//     the dominance frontiers (a generation-stamped table over a flat
-//     entry slab — no map, nothing to sweep between searches). Label
-//     distributions live in the workspace's arena, and labels killed
-//     by pruning recycle their buffers immediately. There is one
-//     search path: a Coster without the capability (a test double)
-//     has the histograms it returns copied into the arena by a
-//     twelve-line adapter, and answers the same bits — the frozen
-//     goldens check the classic shapes both ways.
+//   - internal/hybrid's Coster contract is the kernel itself: one
+//     implementation of an extension, InitialHistInto / ExtendInto
+//     writing into a per-search hybrid.Scratch (an arena, a feature
+//     vector, MLP activation buffers and predicted-conditional
+//     storage). The trained Model, the ConvolutionCoster baseline, the
+//     WithStats counting view and the time-expanded coster implement
+//     it. Callers that cost a path outside a search — PathCost,
+//     PathCostElapsed, PairSumEstimate, and through them
+//     PathDistributionAt, ConvolutionDistribution, PairSumAt and
+//     training's evaluation — run on a pooled Scratch and clone out the
+//     one histogram they return; the tests pin the kernel to an
+//     independent heap copy of the step, bit for bit.
+//   - internal/routing runs every PBR search, and the skyline
+//     (ParetoRoutes), on a pooled workspace that owns the scratch, the
+//     label slice, the priority heap and the dominance frontiers (a
+//     generation-stamped table over a flat entry slab — no map,
+//     nothing to sweep between searches). Label distributions live in
+//     the workspace's arena, and labels killed by pruning recycle their
+//     buffers immediately.
 //
 // A warmed search therefore allocates only what escapes it: the
 // Result, the per-request coster view, and — at each pivot
@@ -101,9 +103,9 @@
 // faster queries at the million-edge scale (BenchmarkRoutingPBROSM).
 //
 // The tables are model-derived state, so they live in the epoch-tagged
-// snapshot and follow its lifecycle: every swap path — SwapModel,
-// SwapSliceModel (only the affected slice's tables plus the
-// min-across-slices tables rebuild), LoadModel — rebuilds what the
+// snapshot and follow its lifecycle: every swap path — SwapSliceModel
+// (only the affected slice's tables plus the min-across-slices tables
+// rebuild), LoadModel — rebuilds what the
 // incoming models invalidate before publishing, on the swap
 // path rather than the query path. The sweeps of one table run on every
 // core (internal/par), as do the route pool of the trajectory simulator
@@ -139,8 +141,8 @@
 // it as POST /route/batch with per-item cache reuse.
 //
 // The serving model itself lives behind an epoch-tagged atomic
-// pointer: Engine.SwapModel (used by internal/ingest after a
-// background rebuild, and by LoadModel) publishes a new model
+// pointer: Engine.SwapSliceModel (used by internal/ingest after a
+// background rebuild) and LoadModel publish a new model
 // generation without pausing queries and without writing to the model
 // it is handed. In-flight queries finish on the snapshot they started
 // with, new queries see the new generation, and every RouteResult
@@ -191,8 +193,7 @@
 //   - internal/hybrid: ModelSet.TimeExpandedCoster returns a
 //     per-query hybrid.TemporalScratchCoster — per-extension slice
 //     selection layered on the unchanged allocation-free kernel
-//     contracts (ExtendElapsed / ExtendElapsedInto mirror Extend /
-//     ExtendInto bit for bit at elapsed 0).
+//     (ExtendElapsedInto is ExtendInto bit for bit at elapsed 0).
 //   - internal/routing: labels carry their accumulated mean; dominance
 //     frontiers are partitioned by next-extension slice (labels facing
 //     different future models never compete); potentials use bounds

@@ -82,19 +82,19 @@ func (s *modelSnapshot) successor() *modelSnapshot {
 
 // Engine is the assembled system: a road network, the trained Hybrid
 // Model over it, and the query algorithms. The whole query surface —
-// Route, RouteCtx, RouteBatch, AlternativeRoutes, PathDistribution,
+// Route, RouteCtx, RouteBatch, AlternativeRoutes, PathDistributionAt,
 // PairSumAt and friends — is read-only and safe for any number of
 // concurrent goroutines on one shared Engine; decision telemetry is
 // kept per request and added to the engine's lifetime totals once per
 // answered query.
 //
 // The serving model lives behind an epoch-tagged atomic pointer:
-// SwapModel (and LoadModel, which is built on it) atomically publishes
-// a new model generation while queries are in flight. In-flight
-// queries finish on the snapshot they started with; new queries see
-// the new epoch. Every RouteResult is stamped with the epoch that
-// answered it so callers (and the serving layer's caches) can
-// correlate answers with model generations.
+// SwapSliceModel and LoadModel atomically publish a new model
+// generation while queries are in flight. In-flight queries finish on
+// the snapshot they started with; new queries see the new epoch. Every
+// RouteResult is stamped with the epoch that answered it so callers
+// (and the serving layer's caches) can correlate answers with model
+// generations.
 type Engine struct {
 	graph *graph.Graph
 	index *graph.GridIndex
@@ -267,10 +267,6 @@ func checkObservations(g *Graph, trajs []Trajectory, width float64) error {
 // Graph returns the engine's road network.
 func (e *Engine) Graph() *Graph { return e.graph }
 
-// Model returns the currently serving hybrid model (slice 0's model
-// for a time-sliced engine — the whole model when NumSlices is 1).
-func (e *Engine) Model() *Model { return e.current.Load().model0() }
-
 // ModelSet returns the currently serving time-sliced model set.
 func (e *Engine) ModelSet() *hybrid.ModelSet { return e.current.Load().set }
 
@@ -327,27 +323,19 @@ func (e *Engine) LastSwap() (epoch uint64, at time.Time) {
 	return cur.epoch, cur.swappedAt
 }
 
-// SwapModel atomically publishes model (with its attached knowledge
-// base) as the next serving generation of *slice 0* and returns the
-// new global epoch — for a 1-slice engine this replaces the whole
-// serving model, exactly the pre-temporal contract. obs optionally
-// records the observation aggregate the model was rebuilt from (nil
-// keeps the previous aggregate). In-flight queries finish on the
-// snapshot they started with; queries that start after SwapModel
-// returns see the new model and carry the new epoch in their
-// RouteResult. Safe to call while any number of queries run.
-func (e *Engine) SwapModel(model *Model, obs *ObservationStore) (uint64, error) {
-	return e.SwapSliceModel(0, model, obs)
-}
-
 // SwapSliceModel atomically publishes model (with its attached
 // knowledge base) as the next serving generation of one time-of-day
-// slice, leaving every other slice's model — and epoch — untouched.
-// This is the hot-swap unit of per-slice online rebuilds: an AM-peak
-// drift rebuild replaces only the AM-peak model while the night slice
-// keeps serving its generation. Returns the new global epoch (which is
-// also the swapped slice's new SliceEpoch). obs optionally records the
-// slice's rebuilt observation store (nil keeps the previous one).
+// slice, leaving every other slice's model — and epoch — untouched;
+// for a 1-slice engine, SwapSliceModel(0, …) replaces the whole serving
+// model. This is the hot-swap unit of per-slice online rebuilds: an
+// AM-peak drift rebuild replaces only the AM-peak model while the night
+// slice keeps serving its generation. Returns the new global epoch
+// (which is also the swapped slice's new SliceEpoch). obs optionally
+// records the slice's rebuilt observation store (nil keeps the previous
+// one). In-flight queries finish on the snapshot they started with;
+// queries that start after SwapSliceModel returns see the new model and
+// carry the new epoch in their RouteResult. Safe to call while any
+// number of queries run.
 func (e *Engine) SwapSliceModel(slice int, model *Model, obs *ObservationStore) (uint64, error) {
 	e.swapMu.Lock()
 	defer e.swapMu.Unlock()
@@ -358,14 +346,14 @@ func (e *Engine) SwapSliceModel(slice int, model *Model, obs *ObservationStore) 
 // hold e.swapMu.
 func (e *Engine) swapSliceLocked(slice int, model *Model, obs *ObservationStore) (uint64, error) {
 	if model == nil {
-		return 0, errors.New("stochroute: SwapModel with nil model")
+		return 0, errors.New("stochroute: SwapSliceModel with nil model")
 	}
 	kb := model.KB
 	if kb == nil {
-		return 0, errors.New("stochroute: SwapModel with no knowledge base attached")
+		return 0, errors.New("stochroute: SwapSliceModel with no knowledge base attached")
 	}
 	if g := kb.Graph(); g == nil || g.NumVertices() != e.graph.NumVertices() || g.NumEdges() != e.graph.NumEdges() {
-		return 0, errors.New("stochroute: SwapModel knowledge base built over a different graph")
+		return 0, errors.New("stochroute: SwapSliceModel knowledge base built over a different graph")
 	}
 	prev := e.current.Load()
 	if slice < 0 || slice >= prev.set.K() {
@@ -663,8 +651,8 @@ func (e *Engine) RouteBatch(ctx context.Context, queries []routing.BatchQuery, w
 // DecisionCounts returns the engine's lifetime convolve/estimate
 // totals: the sum of NumConvolved / NumEstimated over every routing
 // query answered so far (single, batched or time-expanded), whichever
-// model generation answered it. PairSumAt and PathDistribution are not
-// routing queries and do not count.
+// model generation answered it. PairSumAt and PathDistributionAt are
+// not routing queries and do not count.
 func (e *Engine) DecisionCounts() (convolved, estimated uint64) {
 	return e.convolved.Load(), e.estimated.Load()
 }
@@ -690,33 +678,57 @@ func (e *Engine) OptimisticTime(source, dest VertexID) (float64, error) {
 	return t, err
 }
 
-// PathDistribution computes the hybrid travel-time distribution of an
-// explicit edge path via the iterative virtual-edge procedure (slice
-// 0's model).
-func (e *Engine) PathDistribution(edges []EdgeID) (*Hist, error) {
-	return hybrid.PathCost(e.current.Load().model0(), edges)
+// checkPath reports why edges is not a path of the engine's graph: it
+// is empty, names an edge outside [0, NumEdges), or has two consecutive
+// edges that do not meet.
+func (e *Engine) checkPath(edges []EdgeID) error {
+	if len(edges) == 0 {
+		return errors.New("stochroute: empty path")
+	}
+	n := e.graph.NumEdges()
+	for i, id := range edges {
+		if id < 0 || int(id) >= n {
+			return fmt.Errorf("stochroute: path edge %d is %d, outside [0, %d)", i, id, n)
+		}
+		if i > 0 && e.graph.Edge(edges[i-1]).To != e.graph.Edge(id).From {
+			return fmt.Errorf("stochroute: path edges %d and %d do not meet", i-1, i)
+		}
+	}
+	return nil
 }
 
-// PathDistributionAt is PathDistribution under the serving model of the
-// slice a departure timestamp falls in.
+// PathDistributionAt computes the hybrid travel-time distribution of an
+// explicit edge path via the iterative virtual-edge procedure, under
+// the serving model of the slice a departure timestamp falls in
+// (PathDistributionAt(0, …) is slice 0's model).
 func (e *Engine) PathDistributionAt(depart float64, edges []EdgeID) (*Hist, error) {
+	if err := e.checkPath(edges); err != nil {
+		return nil, err
+	}
 	cur := e.current.Load()
 	return hybrid.PathCost(cur.set.At(cur.set.SliceOf(depart)), edges)
 }
 
-// PathDistributionExpanded is PathDistribution under time-expanded
+// PathDistributionExpanded is PathDistributionAt under time-expanded
 // slice selection: each edge of the path is costed by the serving
 // model of the slice the trip's accumulated mean cost has reached —
 // how a RouteOptions.TimeExpanded search would cost the same path. It
 // also returns the per-edge slice sequence (slices[i] costed
-// edges[i]). For a 1-slice engine it is identical to PathDistribution.
+// edges[i]). For a 1-slice engine it is identical to
+// PathDistributionAt.
 func (e *Engine) PathDistributionExpanded(depart float64, edges []EdgeID) (*Hist, []int, error) {
+	if err := e.checkPath(edges); err != nil {
+		return nil, nil, err
+	}
 	return hybrid.PathCostElapsed(e.current.Load().set.TimeExpandedCoster(depart, nil), edges)
 }
 
 // ConvolutionDistribution computes the same path's distribution under
 // the independence assumption — the baseline the paper improves on.
 func (e *Engine) ConvolutionDistribution(edges []EdgeID) (*Hist, error) {
+	if err := e.checkPath(edges); err != nil {
+		return nil, err
+	}
 	cur := e.current.Load()
 	return hybrid.PathCost(&hybrid.ConvolutionCoster{KB: cur.kb0(), MaxBuckets: cur.model0().MaxBuckets}, edges)
 }
@@ -724,6 +736,9 @@ func (e *Engine) ConvolutionDistribution(edges []EdgeID) (*Hist, error) {
 // TrueDistribution returns the oracle distribution of a path under the
 // synthetic world, or an error for engines without a world.
 func (e *Engine) TrueDistribution(edges []EdgeID) (*Hist, error) {
+	if err := e.checkPath(edges); err != nil {
+		return nil, err
+	}
 	if e.world == nil {
 		return nil, errors.New("stochroute: engine has no ground-truth world")
 	}
@@ -736,6 +751,9 @@ func (e *Engine) TrueDistribution(edges []EdgeID) (*Hist, error) {
 // midnight (see traj.World.PathTruthExpanded), plus the per-edge slice
 // sequence the oracle traversed. Errors for engines without a world.
 func (e *Engine) TrueDistributionExpanded(depart float64, edges []EdgeID) (*Hist, []int, error) {
+	if err := e.checkPath(edges); err != nil {
+		return nil, nil, err
+	}
 	if e.world == nil {
 		return nil, nil, errors.New("stochroute: engine has no ground-truth world")
 	}

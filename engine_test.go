@@ -125,7 +125,7 @@ func TestEnginePathDistributions(t *testing.T) {
 	if meanCost <= 0 {
 		t.Errorf("mean cost %v", meanCost)
 	}
-	hyb, err := e.PathDistribution(path)
+	hyb, err := e.PathDistributionAt(0, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +145,89 @@ func TestEnginePathDistributions(t *testing.T) {
 	// Means should be in the same ballpark as the deterministic mean cost.
 	if hyb.Mean() < meanCost*0.5 || hyb.Mean() > meanCost*2 {
 		t.Errorf("hybrid mean %v far from weight-sum %v", hyb.Mean(), meanCost)
+	}
+}
+
+// TestEnginePathFacadeRejectsNonPaths: every method that costs an
+// explicit path answers an empty path, an edge ID outside the graph and
+// two edges that do not meet with an error, never a panic or a
+// distribution; a real path gets the bits the cost model gives it.
+func TestEnginePathFacadeRejectsNonPaths(t *testing.T) {
+	e := testEngine(t)
+	g := e.Graph()
+	qs, err := e.SampleQueries(0.5, 1.5, 1, 44)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, _, err := e.MeanRoute(qs[0].Source, qs[0].Dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apart := EdgeID(1)
+	for g.Edge(0).To == g.Edge(apart).From {
+		apart++
+	}
+	n := EdgeID(g.NumEdges())
+	dists := map[string]func([]EdgeID) (*Hist, error){
+		"PathDistributionAt": func(p []EdgeID) (*Hist, error) { return e.PathDistributionAt(0, p) },
+		"PathDistributionExpanded": func(p []EdgeID) (*Hist, error) {
+			h, _, err := e.PathDistributionExpanded(0, p)
+			return h, err
+		},
+		"ConvolutionDistribution": e.ConvolutionDistribution,
+		"TrueDistribution":        e.TrueDistribution,
+		"TrueDistributionExpanded": func(p []EdgeID) (*Hist, error) {
+			h, _, err := e.TrueDistributionExpanded(0, p)
+			return h, err
+		},
+	}
+	bad := map[string][]EdgeID{
+		"nil":               nil,
+		"empty":             {},
+		"id NumEdges":       {n},
+		"id past the end":   {path[0], n + 5},
+		"negative id":       {-1},
+		"edges do not meet": {0, apart},
+	}
+	for name, dist := range dists {
+		for what, p := range bad {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s(%s) panicked: %v", name, what, r)
+					}
+				}()
+				if h, err := dist(p); err == nil {
+					t.Errorf("%s(%s) = %v, want an error", name, what, h)
+				}
+			}()
+		}
+	}
+
+	want := map[string]*Hist{}
+	if want["PathDistributionAt"], err = hybrid.PathCost(e.SliceModel(0), path); err != nil {
+		t.Fatal(err)
+	}
+	if want["PathDistributionExpanded"], _, err = hybrid.PathCostElapsed(e.ModelSet().TimeExpandedCoster(0, nil), path); err != nil {
+		t.Fatal(err)
+	}
+	if want["ConvolutionDistribution"], err = hybrid.PathCost(&hybrid.ConvolutionCoster{KB: e.SliceKnowledgeBase(0), MaxBuckets: e.SliceModel(0).MaxBuckets}, path); err != nil {
+		t.Fatal(err)
+	}
+	if want["TrueDistribution"], err = e.World().PathTruth(path); err != nil {
+		t.Fatal(err)
+	}
+	if want["TrueDistributionExpanded"], _, err = e.World().PathTruthExpanded(0, path); err != nil {
+		t.Fatal(err)
+	}
+	for name, dist := range dists {
+		got, err := dist(path)
+		if err != nil {
+			t.Fatalf("%s of a real path: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want[name]) {
+			t.Errorf("%s of a real path changed its bits", name)
+		}
 	}
 }
 
@@ -177,7 +260,7 @@ func TestEngineConcurrentQueriesMatchSerial(t *testing.T) {
 		if !res.Found {
 			t.Fatalf("no path for %v", q)
 		}
-		dist, err := e.PathDistribution(res.Path)
+		dist, err := e.PathDistributionAt(0, res.Path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +289,7 @@ func TestEngineConcurrentQueriesMatchSerial(t *testing.T) {
 					errs[w] = fmt.Errorf("worker %d query %d: path differs from serial", w, i)
 					return
 				}
-				dist, err := e.PathDistribution(res.Path)
+				dist, err := e.PathDistributionAt(0, res.Path)
 				if err != nil {
 					errs[w] = err
 					return
@@ -476,7 +559,7 @@ func TestEngineHotSwapDuringQueries(t *testing.T) {
 	}
 
 	startEpoch := e.ModelEpoch()
-	clone := sameWeightsModel(e.Model())
+	clone := sameWeightsModel(e.SliceModel(0))
 	saved := filepath.Join(t.TempDir(), "model.srhm")
 	if err := e.SaveModel(saved); err != nil {
 		t.Fatal(err)
@@ -602,11 +685,11 @@ func sameWeightsModel(m *Model) *Model {
 
 func TestEngineSwapModelValidation(t *testing.T) {
 	e := testEngine(t)
-	if _, err := e.SwapModel(nil, nil); err == nil {
+	if _, err := e.SwapSliceModel(0, nil, nil); err == nil {
 		t.Error("nil model accepted")
 	}
 	orphan := &Model{}
-	if _, err := e.SwapModel(orphan, nil); err == nil {
+	if _, err := e.SwapSliceModel(0, orphan, nil); err == nil {
 		t.Error("model without knowledge base accepted")
 	}
 }

@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	baseDist, err := engine.PathDistribution(basePath)
+	baseDist, err := engine.PathDistributionAt(0, basePath)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -62,41 +62,19 @@ type Estimator struct {
 	Width  float64 // histogram grid width the model was trained on
 }
 
-// Predict returns the band-conditional distributions for one feature
-// vector: a Bands×CondBuckets matrix of probabilities, each row a
-// distribution over travel-time offsets (in buckets) from the outgoing
-// edge's optimistic time.
+// predictInto returns the band-conditional distributions for one
+// feature vector: Bands views of CondBuckets probabilities each, every
+// row a distribution over travel-time offsets (in buckets) from the
+// outgoing edge's optimistic time. Row scaling happens in place on the
+// caller-owned feature vector, the MLP runs its allocation-free row
+// inference pass through the scratch's activation buffers, and the
+// clipped conditionals live in s.condBuf. The returned views are valid
+// until the next predictInto with the same scratch.
 //
 // Softmax outputs are clipped below clipAbs/clipRel·max and
 // renormalised: a softmax never emits exact zeros, and the spurious
 // smear — harmless on a single pair — compounds into a systematic
 // rightward drift over the dozens of extensions of a long path.
-//
-// Predict is read-only (it uses the network's allocation-free row
-// inference pass, which is bit-identical to the batched Infer) and safe
-// for concurrent use. The per-search serving path is predictInto, which
-// computes the same values into scratch buffers; Predict allocates
-// fresh ones.
-func (e *Estimator) Predict(features []float64) [][]float64 {
-	row := append([]float64(nil), features...)
-	e.Scaler.TransformRow(row)
-	var s ml.InferScratch
-	logits := e.Net.InferRow(&s, row)
-	ml.GroupedSoftmaxRow(logits, e.Cfg.Bands)
-	out := make([][]float64, e.Cfg.Bands)
-	for b := 0; b < e.Cfg.Bands; b++ {
-		cond := append([]float64(nil), logits[b*e.Cfg.CondBuckets:(b+1)*e.Cfg.CondBuckets]...)
-		clipConditional(cond)
-		out[b] = cond
-	}
-	return out
-}
-
-// predictInto is Predict writing into the scratch's buffers: row
-// scaling happens in place on the caller-owned feature vector, the MLP
-// runs through the scratch's activation buffers, and the clipped
-// conditionals live in s.condBuf. The returned views are valid until
-// the next predictInto with the same scratch.
 func (e *Estimator) predictInto(s *Scratch, row []float64) [][]float64 {
 	e.Scaler.TransformRow(row)
 	logits := e.Net.InferRow(&s.infer, row)
@@ -120,7 +98,7 @@ func (e *Estimator) predictInto(s *Scratch, row []float64) [][]float64 {
 	return s.conds
 }
 
-// Clipping thresholds for predicted conditionals (see Predict).
+// Clipping thresholds for predicted conditionals (see predictInto).
 const (
 	clipAbs = 0.004
 	clipRel = 0.02
@@ -241,25 +219,12 @@ func concatRows(a, b *ml.Matrix) *ml.Matrix {
 	return out
 }
 
-// EstimateExtend combines the virtual distribution with the outgoing
-// edge using the band-conditional predictions: the result is
+// EstimateExtendInto combines the virtual distribution with the
+// outgoing edge using the band-conditional predictions: the result is
 // Σ_bands (virtual|band) ⊗ conditional(band), i.e. the estimated
-// dependent joint cost of pre-path + edge.
-func (e *Estimator) EstimateExtend(kb *KnowledgeBase, virtual *hist.Hist, next graph.EdgeID, ps PairStats, hasPair bool) *hist.Hist {
-	feats := Features(kb, virtual, next, ps, hasPair)
-	conds := e.Predict(feats)
-	parts := BandWeights(virtual, e.Cfg.Bands)
-	h := hist.New(virtual.Min+kb.Edge(next).MinTime, kb.Width,
-		make([]float64, len(virtual.P)+e.Cfg.CondBuckets-1))
-	e.accumulateBands(h, conds, parts, virtual)
-	return h.Trim()
-}
-
-// EstimateExtendInto is EstimateExtend through the scratch: features,
-// MLP activations, conditionals and band partitions reuse the
-// scratch's buffers and the result lives in its arena. The arithmetic
-// is shared with EstimateExtend, so both paths produce bit-identical
-// distributions.
+// dependent joint cost of pre-path + edge. Features, MLP activations,
+// conditionals and band partitions reuse the scratch's buffers and the
+// result lives in its arena.
 func (e *Estimator) EstimateExtendInto(s *Scratch, kb *KnowledgeBase, virtual *hist.Hist, next graph.EdgeID, ps PairStats, hasPair bool) *hist.Hist {
 	s.feats = AppendFeatures(s.feats[:0], kb, virtual, next, ps, hasPair)
 	conds := e.predictInto(s, s.feats)

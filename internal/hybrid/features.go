@@ -130,24 +130,14 @@ func classifierRow(ps PairStats) [NumClassifierFeatures]float64 {
 // NumClassifierFeatures is the classifier input dimension.
 const NumClassifierFeatures = 4
 
-// BandWeights partitions the distribution v into `bands` quantile bands
-// by the midpoint rule and returns, per band, the (possibly zero) mass
-// and the sub-distribution (unnormalised: sub-hist masses sum to the
-// band mass). Degenerate distributions put all mass in band 0.
-//
-// Each part's P aliases v's mass vector (the midpoint rule assigns
-// bands to contiguous index ranges, so a band is a sub-slice): treat
-// parts as read-only views that are valid while v is.
-func BandWeights(v *hist.Hist, bands int) []BandPart {
-	return BandWeightsInto(make([]BandPart, 0, bands), v, bands)
-}
-
-// BandWeightsInto is BandWeights appending into dst (usually dst[:0] of
-// a per-search scratch) — the allocation-free form for the hot query
-// path. The band index of the midpoint rule is non-decreasing along the
-// support (each step advances the cumulative midpoint by half the
-// neighbouring masses), so every band covers a contiguous index range
-// and its P can alias v.P directly.
+// BandWeightsInto partitions the distribution v into `bands` quantile
+// bands by the midpoint rule and returns, per band, the (possibly zero)
+// mass and the sub-distribution (unnormalised: sub-hist masses sum to
+// the band mass). Degenerate distributions put all mass in band 0. The
+// parts are appended into dst (usually dst[:0] of a per-search
+// scratch), and each part's P aliases v.P: the midpoint rule's band
+// index never decreases along the support, so a band is a contiguous
+// sub-slice. Treat parts as read-only views that are valid while v is.
 func BandWeightsInto(dst []BandPart, v *hist.Hist, bands int) []BandPart {
 	for len(dst) < bands {
 		dst = append(dst, BandPart{})
@@ -193,7 +183,7 @@ type BandPart struct {
 }
 
 // BandOfValue returns the quantile band (by the same midpoint rule as
-// BandWeights) that the realised value t of distribution v falls in.
+// BandWeightsInto) that the realised value t of distribution v falls in.
 // Used at training time to band observed incoming travel times.
 func BandOfValue(v *hist.Hist, t float64, bands int) int {
 	idx := int(math.Round((t - v.Min) / v.Width))

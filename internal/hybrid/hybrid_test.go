@@ -273,7 +273,7 @@ func TestKnowledgeBaseMinTimeIsAdmissible(t *testing.T) {
 
 func TestBandWeightsPartition(t *testing.T) {
 	h := hist.New(10, 2, []float64{0.1, 0.2, 0.3, 0.2, 0.1, 0.1})
-	parts := BandWeights(h, 4)
+	parts := BandWeightsInto(nil, h, 4)
 	if len(parts) != 4 {
 		t.Fatalf("got %d parts", len(parts))
 	}
@@ -298,7 +298,7 @@ func TestBandWeightsDegenerate(t *testing.T) {
 	// middle band — and BandOfValue must agree, or training labels and
 	// inference bands would diverge.
 	h := hist.Delta(42, 2)
-	parts := BandWeights(h, 4)
+	parts := BandWeightsInto(nil, h, 4)
 	wantBand := BandOfValue(h, 42, 4)
 	if parts[wantBand].Mass != 1 {
 		t.Errorf("degenerate mass not in band %d: %+v", wantBand, parts)
@@ -312,7 +312,7 @@ func TestBandWeightsDegenerate(t *testing.T) {
 
 func TestBandOfValueConsistentWithBandWeights(t *testing.T) {
 	h := hist.New(0, 1, []float64{0.25, 0.25, 0.25, 0.25})
-	parts := BandWeights(h, 4)
+	parts := BandWeightsInto(nil, h, 4)
 	for i := range h.P {
 		v := h.Value(i)
 		b := BandOfValue(h, v, 4)
@@ -520,10 +520,7 @@ func TestPathCostMatchesManualIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manual := m.InitialHist(path[0])
-	for i := 1; i < len(path); i++ {
-		manual = m.Extend(manual, path[i-1], path[i])
-	}
+	manual, _ := refPathCost(m, path)
 	tv, err := hist.TotalVariation(got, manual)
 	if err != nil {
 		t.Fatal(err)
@@ -554,7 +551,8 @@ func TestPairSumEstimateAdjacencyError(t *testing.T) {
 func TestConvolutionCoster(t *testing.T) {
 	e := getEnv(t)
 	c := &ConvolutionCoster{KB: e.kb, MaxBuckets: 64}
-	h := c.InitialHist(0)
+	var s Scratch
+	h := c.InitialHistInto(&s, 0)
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +564,7 @@ func TestConvolutionCoster(t *testing.T) {
 	if next == graph.NoEdge {
 		t.Skip("no outgoing edge")
 	}
-	out := c.Extend(h, 0, next)
+	out := c.ExtendInto(&s, h, 0, next)
 	if err := out.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -8,22 +8,29 @@ import (
 	"stochroute/internal/hist"
 )
 
-// Coster turns edge sequences into travel-time distributions. It is the
-// interface the routing algorithms program against; implementations are
-// the paper's hybrid model and the convolution-only baseline.
+// Coster is the cost kernel the routing algorithms program against: it
+// turns edge sequences into travel-time distributions one extension at
+// a time, writing every distribution into the caller's Scratch.
+// Implementations are the paper's hybrid model (Model, its WithStats
+// view, the time-expanded coster) and the convolution-only baseline.
+//
+// A returned histogram's storage belongs to s and is valid until
+// s.Reset; a caller that keeps one clones it out first. The virtual
+// argument of ExtendInto is read only, so the caller may recycle it
+// afterwards if nothing else references it.
 type Coster interface {
-	// InitialHist returns the travel-time distribution of a path
+	// InitialHistInto returns the travel-time distribution of a path
 	// consisting of the single edge e.
-	InitialHist(e graph.EdgeID) *hist.Hist
-	// Extend returns the distribution of the path obtained by appending
-	// next to a path whose distribution is virtual and whose final edge
-	// is lastEdge.
-	Extend(virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist
+	InitialHistInto(s *Scratch, e graph.EdgeID) *hist.Hist
+	// ExtendInto returns the distribution of the path obtained by
+	// appending next to a path whose distribution is virtual and whose
+	// final edge is lastEdge.
+	ExtendInto(s *Scratch, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist
 	// MinEdgeTime returns an admissible lower bound on e's travel time:
 	// every extension over e adds at least this much to every support
-	// point, i.e. Extend(virtual, _, e) is, in distribution, no earlier
-	// than virtual shifted by MinEdgeTime(e). The routing search prunes
-	// on the parent label alone by this guarantee.
+	// point, i.e. ExtendInto(s, virtual, _, e) is, in distribution, no
+	// earlier than virtual shifted by MinEdgeTime(e). The routing search
+	// prunes on the parent label alone by this guarantee.
 	MinEdgeTime(e graph.EdgeID) float64
 	// Width returns the histogram grid width.
 	Width() float64
@@ -31,16 +38,21 @@ type Coster interface {
 
 // PathCost computes the travel-time distribution of a full path with the
 // paper's iterative procedure: the path so far is a virtual edge that is
-// repeatedly combined with the next edge.
+// repeatedly combined with the next edge. It runs on a pooled scratch
+// and returns a heap histogram of its own.
 func PathCost(c Coster, edges []graph.EdgeID) (*hist.Hist, error) {
 	if len(edges) == 0 {
 		return nil, errors.New("hybrid: PathCost on empty path")
 	}
-	h := c.InitialHist(edges[0])
-	for i := 1; i < len(edges); i++ {
-		h = c.Extend(h, edges[i-1], edges[i])
-	}
-	return h, nil
+	return onScratch(func(s *Scratch) *hist.Hist {
+		h := c.InitialHistInto(s, edges[0])
+		for i := 1; i < len(edges); i++ {
+			next := c.ExtendInto(s, h, edges[i-1], edges[i])
+			s.Arena.Recycle(h)
+			h = next
+		}
+		return h
+	}), nil
 }
 
 // ConvolutionCoster is the classical baseline: every extension assumes
@@ -51,27 +63,12 @@ type ConvolutionCoster struct {
 	MaxBuckets int
 }
 
-// InitialHist implements Coster.
-func (c *ConvolutionCoster) InitialHist(e graph.EdgeID) *hist.Hist {
-	return c.KB.Edge(e).Marginal.Clone()
-}
-
-// Extend implements Coster.
-func (c *ConvolutionCoster) Extend(virtual *hist.Hist, _, next graph.EdgeID) *hist.Hist {
-	out := hist.MustConvolve(virtual, c.KB.Edge(next).Marginal)
-	if c.MaxBuckets > 0 {
-		out.CapBucketsInPlace(c.MaxBuckets)
-	}
-	return out
-}
-
-// InitialHistInto implements ScratchCoster.
+// InitialHistInto implements Coster.
 func (c *ConvolutionCoster) InitialHistInto(s *Scratch, e graph.EdgeID) *hist.Hist {
 	return s.Arena.CloneHist(c.KB.Edge(e).Marginal)
 }
 
-// ExtendInto implements ScratchCoster: the convolution step into arena
-// storage, bit-identical to Extend.
+// ExtendInto implements Coster: the convolution step.
 func (c *ConvolutionCoster) ExtendInto(s *Scratch, virtual *hist.Hist, _, next graph.EdgeID) *hist.Hist {
 	out := convolveIntoArena(s, virtual, c.KB.Edge(next).Marginal)
 	if c.MaxBuckets > 0 {
@@ -98,12 +95,13 @@ func (c *ConvolutionCoster) Width() float64 { return c.KB.Width }
 // Model is the trained Hybrid Model: knowledge base + estimator +
 // classifier. It implements Coster.
 //
-// The query path (InitialHist, Extend, PairSumEstimate, PathCost) has
-// no mutable state: a query writes nothing to the model, so a single
-// Model serves any number of concurrent routing queries and a swap
-// hands one over untouched. Decisions are counted by whoever asks, in
-// a QueryStats of their own (WithStats). Mutating fields (Mode,
-// MaxBuckets, AttachKB) must not race with in-flight queries.
+// The query path (InitialHistInto, ExtendInto, PairSumEstimate,
+// PathCost) has no mutable state: a query writes nothing to the model,
+// so a single Model serves any number of concurrent routing queries,
+// each on a scratch of its own, and a swap hands one over untouched.
+// Decisions are counted by whoever asks, in a QueryStats of their own
+// (WithStats). Mutating fields (Mode, MaxBuckets, AttachKB) must not
+// race with in-flight queries.
 type Model struct {
 	KB         *KnowledgeBase
 	Estimator  *Estimator
@@ -133,11 +131,6 @@ func (qs *QueryStats) tally(estimated bool) {
 	default:
 		qs.Convolved++
 	}
-}
-
-// InitialHist implements Coster.
-func (m *Model) InitialHist(e graph.EdgeID) *hist.Hist {
-	return m.KB.Edge(e).Marginal.Clone()
 }
 
 // MinEdgeTime implements Coster.
@@ -171,44 +164,22 @@ func (m *Model) shouldEstimate(ps PairStats, hasPair bool) bool {
 	}
 }
 
-// Extend implements Coster: the hybrid step. The classifier picks
-// convolution or estimation at this intersection. Safe for concurrent
-// use.
-func (m *Model) Extend(virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
-	out, _ := m.extend(virtual, lastEdge, next)
-	return out
-}
-
-// extend is the hybrid step, reporting which way the decision went to
-// the per-request counting costers.
-func (m *Model) extend(virtual *hist.Hist, lastEdge, next graph.EdgeID) (out *hist.Hist, estimated bool) {
-	ps, has := m.KB.Pair(lastEdge, next)
-	if m.shouldEstimate(ps, has) {
-		estimated = true
-		out = m.Estimator.EstimateExtend(m.KB, virtual, next, ps, has)
-	} else {
-		out = hist.MustConvolve(virtual, m.KB.Edge(next).Marginal)
-	}
-	if m.MaxBuckets > 0 {
-		out.CapBucketsInPlace(m.MaxBuckets)
-	}
-	return out, estimated
-}
-
-// InitialHistInto implements ScratchCoster.
+// InitialHistInto implements Coster.
 func (m *Model) InitialHistInto(s *Scratch, e graph.EdgeID) *hist.Hist {
 	return s.Arena.CloneHist(m.KB.Edge(e).Marginal)
 }
 
-// ExtendInto implements ScratchCoster: the hybrid step writing into
-// the search's scratch, bit-identical to Extend but allocation-free
-// once the scratch is warm.
+// ExtendInto implements Coster: the hybrid step. The classifier picks
+// convolution or estimation at this intersection. Safe for concurrent
+// use with distinct scratches, and allocation-free once the scratch is
+// warm.
 func (m *Model) ExtendInto(s *Scratch, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
 	out, _ := m.extendInto(s, virtual, lastEdge, next)
 	return out
 }
 
-// extendInto is extend writing into the search's scratch.
+// extendInto is the hybrid step, reporting which way the decision went
+// to the per-request counting costers.
 func (m *Model) extendInto(s *Scratch, virtual *hist.Hist, lastEdge, next graph.EdgeID) (out *hist.Hist, estimated bool) {
 	ps, has := m.KB.Pair(lastEdge, next)
 	if m.shouldEstimate(ps, has) {
@@ -224,7 +195,7 @@ func (m *Model) extendInto(s *Scratch, virtual *hist.Hist, lastEdge, next graph.
 }
 
 // WithStats returns a Coster view of the model that additionally tallies
-// every Extend decision into qs. The view is meant to live for one
+// every ExtendInto decision into qs. The view is meant to live for one
 // request: hand each routing query its own QueryStats and the queries
 // can run concurrently while still reporting per-request convolve vs.
 // estimate counts. Nothing else counts them: the model keeps no totals.
@@ -241,15 +212,8 @@ type countingCoster struct {
 	qs *QueryStats
 }
 
-func (c *countingCoster) InitialHist(e graph.EdgeID) *hist.Hist { return c.m.InitialHist(e) }
-func (c *countingCoster) MinEdgeTime(e graph.EdgeID) float64    { return c.m.MinEdgeTime(e) }
-func (c *countingCoster) Width() float64                        { return c.m.Width() }
-
-func (c *countingCoster) Extend(virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
-	out, estimated := c.m.extend(virtual, lastEdge, next)
-	c.qs.tally(estimated)
-	return out
-}
+func (c *countingCoster) MinEdgeTime(e graph.EdgeID) float64 { return c.m.MinEdgeTime(e) }
+func (c *countingCoster) Width() float64                     { return c.m.Width() }
 
 func (c *countingCoster) InitialHistInto(s *Scratch, e graph.EdgeID) *hist.Hist {
 	return c.m.InitialHistInto(s, e)
@@ -261,6 +225,15 @@ func (c *countingCoster) ExtendInto(s *Scratch, virtual *hist.Hist, lastEdge, ne
 	return out
 }
 
+// InitialHist and Extend are the view's ScratchCoster heap forms, for
+// the benchmark harness's traced coster only (see ScratchCoster).
+func (c *countingCoster) InitialHist(e graph.EdgeID) *hist.Hist {
+	return onScratch(func(s *Scratch) *hist.Hist { return c.InitialHistInto(s, e) })
+}
+func (c *countingCoster) Extend(v *hist.Hist, last, next graph.EdgeID) *hist.Hist {
+	return onScratch(func(s *Scratch) *hist.Hist { return c.ExtendInto(s, v, last, next) })
+}
+
 // PairSumEstimate returns the model's distribution for traversing the
 // two-edge path (first, second) — the unit the paper evaluates with KL
 // divergence.
@@ -269,13 +242,11 @@ func (m *Model) PairSumEstimate(first, second graph.EdgeID) (*hist.Hist, error) 
 	if g.Edge(first).To != g.Edge(second).From {
 		return nil, fmt.Errorf("hybrid: edges %d and %d are not adjacent", first, second)
 	}
-	return m.Extend(m.InitialHist(first), first, second), nil
+	return PathCost(m, []graph.EdgeID{first, second})
 }
 
 var (
 	_ Coster        = (*ConvolutionCoster)(nil)
 	_ Coster        = (*Model)(nil)
-	_ ScratchCoster = (*ConvolutionCoster)(nil)
-	_ ScratchCoster = (*Model)(nil)
 	_ ScratchCoster = (*countingCoster)(nil)
 )

@@ -13,9 +13,9 @@ import (
 // its attached per-slice knowledge base) per time-of-day slice, behind
 // a single façade. Slice selection happens exactly once per query —
 // SliceOf maps a departure timestamp to a slice, At returns that
-// slice's Model, and the returned Model implements the unchanged
-// Coster/ScratchCoster contracts, so the routing kernel below never
-// sees time. A 1-slice set is bit-identical to serving the single
+// slice's Model, and the returned Model is a plain Coster, so the
+// routing kernel below never sees time (TimeExpandedCoster is the
+// exception a search asks for). A 1-slice set is bit-identical to serving the single
 // model directly. The slices are independent of one another — none reads
 // another's knowledge base, weights or observations — which is what lets
 // TrainSlices train them concurrently and an online rebuild replace one

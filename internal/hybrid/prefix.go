@@ -32,8 +32,8 @@ import (
 // extends the trajectory's path up to its longest drawn prefix and
 // reads each prefix's distribution on the way, so every edge is
 // extended once per trajectory. InitialHistInto and ExtendInto are
-// bit-identical to PathCost's steps, so the rows are what PathCost
-// gives; they are emitted in the order the ends were drawn.
+// PathCost's own steps, so the rows are what PathCost gives; they are
+// emitted in the order the ends were drawn.
 func buildPrefixDataset(model *Model, trajs []traj.Trajectory, cfg EstimatorConfig, maxRows, perTrajectory int, r *rng.RNG) (x, y *ml.Matrix) {
 	if maxRows <= 0 || len(trajs) == 0 {
 		return nil, nil

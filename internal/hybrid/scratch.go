@@ -1,6 +1,8 @@
 package hybrid
 
 import (
+	"sync"
+
 	"stochroute/internal/graph"
 	"stochroute/internal/hist"
 	"stochroute/internal/ml"
@@ -38,19 +40,28 @@ func (s *Scratch) Reset() {
 	s.Arena.Reset()
 }
 
-// ScratchCoster is the contract of the allocation-free cost kernel: a
-// Coster that can additionally extend path distributions into
-// caller-owned scratch storage. The routing search runs its whole label
-// loop on it, out of the search's Scratch; a Coster without the
-// capability (a test double) is adapted by copying what Extend returns.
-//
-// The contract mirrors Coster exactly: InitialHistInto ≡ InitialHist
-// and ExtendInto ≡ Extend, bit for bit, except that the returned
-// histogram's storage belongs to s and is only valid until s.Reset.
-// The virtual argument of ExtendInto is treated read-only, so the
-// caller may recycle it afterwards if nothing else references it.
+// scratchPool serves the callers that cost a path outside a search
+// (PathCost, PathCostElapsed, PairSumEstimate); a search brings a
+// scratch of its own.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// onScratch runs f on a pooled scratch and returns a heap clone of the
+// histogram f produces, the one value that outlives the scratch.
+func onScratch(f func(s *Scratch) *hist.Hist) *hist.Hist {
+	s := scratchPool.Get().(*Scratch)
+	out := f(s).Clone()
+	s.Reset()
+	scratchPool.Put(s)
+	return out
+}
+
+// ScratchCoster is a Coster that also answers on the heap: InitialHist
+// and Extend are InitialHistInto and ExtendInto on a pooled scratch,
+// the result cloned out. Only the benchmark harness's traced coster
+// still depends on these heap forms; no code in this module calls them,
+// and they go once that harness wraps a Coster.
 type ScratchCoster interface {
 	Coster
-	InitialHistInto(s *Scratch, e graph.EdgeID) *hist.Hist
-	ExtendInto(s *Scratch, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist
+	InitialHist(e graph.EdgeID) *hist.Hist
+	Extend(virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist
 }

@@ -10,24 +10,26 @@ import (
 )
 
 // TemporalScratchCoster is the optional capability contract of
-// time-expanded routing: a ScratchCoster whose cost model may change as
-// trip time accumulates. A ScratchCoster answers every extension with
-// one model — for a time-sliced engine, the model of the departure
-// slice — so a long rush-hour trip keeps paying peak costs hours after
-// congestion clears. A TemporalScratchCoster instead re-selects the
-// serving model per extension from the departure plus the label's
-// accumulated mean cost, so long trips transition smoothly from peak to
-// off-peak models mid-search.
+// time-expanded routing: a Coster whose cost model may change as trip
+// time accumulates. A Coster answers every extension with one model —
+// for a time-sliced engine, the model of the departure slice — so a
+// long rush-hour trip keeps paying peak costs hours after congestion
+// clears. A TemporalScratchCoster instead re-selects the serving model
+// per extension from the departure plus the label's accumulated mean
+// cost, so long trips transition smoothly from peak to off-peak models
+// mid-search.
 //
-// The routing kernel capability-detects this interface exactly like
-// ScratchCoster, and takes the time-expanded path only when
-// Options.TimeExpanded is set AND the coster implements it; any other
-// coster is routed classically.
+// The routing kernel takes the time-expanded path only when
+// Options.TimeExpanded is set AND the coster implements this
+// interface; any other coster is routed classically.
 //
-// The contract mirrors ScratchCoster: ExtendElapsed(0, ...) must be
-// bit-identical to Extend, and on a 1-slice model ExtendElapsed is
-// bit-identical to Extend for EVERY elapsed value, which is what makes
-// K=1 time-expanded searches provably equal to the classic path.
+// ExtendElapsedInto(s, 0, ...) must be bit-identical to ExtendInto, and
+// on a 1-slice model ExtendElapsedInto is bit-identical to ExtendInto
+// for EVERY elapsed value, which is what makes K=1 time-expanded
+// searches provably equal to the classic path. The heap forms the
+// interface carries through ScratchCoster, and ExtendElapsed, are kept
+// for the benchmark harness's traced coster only; no code in this
+// module calls them.
 type TemporalScratchCoster interface {
 	ScratchCoster
 
@@ -39,7 +41,7 @@ type TemporalScratchCoster interface {
 	// MinEdgeTimeWithin returns an admissible lower bound on e's travel
 	// time under every slice the trip can consult while its elapsed
 	// mean stays within horizon seconds of departure — Coster.MinEdgeTime's
-	// guarantee for ExtendElapsed at every elapsed up to horizon. The
+	// guarantee for ExtendElapsedInto at every elapsed up to horizon. The
 	// routing potentials are built from this bound, and the search's
 	// parent-side tests shift by it, so that potential and pivot
 	// pruning stay conservative across every model the search can
@@ -48,15 +50,14 @@ type TemporalScratchCoster interface {
 	// whole search is bit-identical to departure-slice routing.
 	MinEdgeTimeWithin(e graph.EdgeID, horizon float64) float64
 
-	// ExtendElapsed is Extend under the model of
+	// ExtendElapsed is the heap form of ExtendElapsedInto (see above).
+	ExtendElapsed(elapsed float64, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist
+
+	// ExtendElapsedInto is ExtendInto under the model of
 	// SliceAtElapsed(elapsed): the distribution of the path obtained by
 	// appending next to a path whose distribution is virtual, whose
 	// final edge is lastEdge, and whose accumulated mean cost is
-	// elapsed.
-	ExtendElapsed(elapsed float64, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist
-
-	// ExtendElapsedInto is ExtendElapsed writing into the search's
-	// scratch, bit for bit — the form the routing kernel calls.
+	// elapsed — the form the routing kernel calls.
 	ExtendElapsedInto(s *Scratch, elapsed float64, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist
 }
 
@@ -64,9 +65,9 @@ type TemporalScratchCoster interface {
 // departing at depart seconds since midnight: every extension
 // re-selects the serving slice from depart plus the accumulated mean
 // cost the routing search hands it, so the cost model follows the trip
-// across slice boundaries. The base Coster methods (InitialHist,
-// Extend) answer under the departure slice, making the first edge of
-// every trip — and, on a 1-slice set, everything — identical to the
+// across slice boundaries. The base Coster methods (InitialHistInto,
+// ExtendInto) answer under the departure slice, making the first edge
+// of every trip — and, on a 1-slice set, everything — identical to the
 // classic slice-at-departure path.
 //
 // qs optionally collects per-request decision telemetry exactly like
@@ -103,13 +104,7 @@ func (tc *timeExpandedCoster) departSlice() int { return tc.set.SliceOf(tc.depar
 // Width implements Coster.
 func (tc *timeExpandedCoster) Width() float64 { return tc.set.At(0).Width() }
 
-// InitialHist implements Coster under the departure slice's model.
-func (tc *timeExpandedCoster) InitialHist(e graph.EdgeID) *hist.Hist {
-	return tc.set.At(tc.departSlice()).InitialHist(e)
-}
-
-// InitialHistInto implements ScratchCoster under the departure slice's
-// model.
+// InitialHistInto implements Coster under the departure slice's model.
 func (tc *timeExpandedCoster) InitialHistInto(s *Scratch, e graph.EdgeID) *hist.Hist {
 	return tc.set.At(tc.departSlice()).InitialHistInto(s, e)
 }
@@ -179,33 +174,31 @@ func (tc *timeExpandedCoster) memoiseSlicesWithin(horizon float64) {
 	}
 }
 
-// Extend implements Coster: the departure slice's hybrid step,
-// equivalent to ExtendElapsed(0, ...).
-func (tc *timeExpandedCoster) Extend(virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
-	return tc.ExtendElapsed(0, virtual, lastEdge, next)
-}
-
-// ExtendInto implements ScratchCoster, equivalent to
+// ExtendInto implements Coster, equivalent to
 // ExtendElapsedInto(s, 0, ...).
 func (tc *timeExpandedCoster) ExtendInto(s *Scratch, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
 	return tc.ExtendElapsedInto(s, 0, virtual, lastEdge, next)
 }
 
-// ExtendElapsed implements TemporalScratchCoster: the hybrid step
+// ExtendElapsedInto implements TemporalScratchCoster: the hybrid step
 // under the model of SliceAtElapsed(elapsed), tallied into the
 // per-request stats.
-func (tc *timeExpandedCoster) ExtendElapsed(elapsed float64, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
-	out, estimated := tc.set.At(tc.SliceAtElapsed(elapsed)).extend(virtual, lastEdge, next)
-	tc.qs.tally(estimated)
-	return out
-}
-
-// ExtendElapsedInto implements TemporalScratchCoster: ExtendElapsed
-// writing into the search's scratch, bit for bit.
 func (tc *timeExpandedCoster) ExtendElapsedInto(s *Scratch, elapsed float64, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
 	out, estimated := tc.set.At(tc.SliceAtElapsed(elapsed)).extendInto(s, virtual, lastEdge, next)
 	tc.qs.tally(estimated)
 	return out
+}
+
+// InitialHist, Extend and ExtendElapsed are the heap forms, for the
+// benchmark harness's traced coster only (see TemporalScratchCoster).
+func (tc *timeExpandedCoster) InitialHist(e graph.EdgeID) *hist.Hist {
+	return onScratch(func(s *Scratch) *hist.Hist { return tc.InitialHistInto(s, e) })
+}
+func (tc *timeExpandedCoster) Extend(v *hist.Hist, last, next graph.EdgeID) *hist.Hist {
+	return onScratch(func(s *Scratch) *hist.Hist { return tc.ExtendInto(s, v, last, next) })
+}
+func (tc *timeExpandedCoster) ExtendElapsed(el float64, v *hist.Hist, last, next graph.EdgeID) *hist.Hist {
+	return onScratch(func(s *Scratch) *hist.Hist { return tc.ExtendElapsedInto(s, el, v, last, next) })
 }
 
 // PathCostElapsed computes the travel-time distribution of a full path
@@ -221,13 +214,18 @@ func PathCostElapsed(c TemporalScratchCoster, edges []graph.EdgeID) (*hist.Hist,
 		return nil, nil, errors.New("hybrid: PathCostElapsed on empty path")
 	}
 	slices := make([]int, len(edges))
-	slices[0] = c.SliceAtElapsed(0)
-	h := c.InitialHist(edges[0])
-	for i := 1; i < len(edges); i++ {
-		elapsed := h.Mean()
-		slices[i] = c.SliceAtElapsed(elapsed)
-		h = c.ExtendElapsed(elapsed, h, edges[i-1], edges[i])
-	}
+	h := onScratch(func(s *Scratch) *hist.Hist {
+		slices[0] = c.SliceAtElapsed(0)
+		h := c.InitialHistInto(s, edges[0])
+		for i := 1; i < len(edges); i++ {
+			elapsed := h.Mean()
+			slices[i] = c.SliceAtElapsed(elapsed)
+			next := c.ExtendElapsedInto(s, elapsed, h, edges[i-1], edges[i])
+			s.Arena.Recycle(h)
+			h = next
+		}
+		return h
+	})
 	return h, slices, nil
 }
 

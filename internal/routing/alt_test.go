@@ -405,15 +405,11 @@ func TestPBRALTTimeExpandedBitIdentity(t *testing.T) {
 // exists so unreachability tests need no trained model.
 type unitCoster struct{ w float64 }
 
-func (u unitCoster) InitialHist(graph.EdgeID) *hist.Hist {
-	return hist.New(u.w, u.w, []float64{1})
+func (u unitCoster) InitialHistInto(s *hybrid.Scratch, _ graph.EdgeID) *hist.Hist {
+	return s.Arena.CloneHist(hist.New(u.w, u.w, []float64{1}))
 }
-func (u unitCoster) Extend(v *hist.Hist, _, next graph.EdgeID) *hist.Hist {
-	out, err := hist.Convolve(v, u.InitialHist(next))
-	if err != nil {
-		panic(err)
-	}
-	return out
+func (u unitCoster) ExtendInto(s *hybrid.Scratch, v *hist.Hist, _, _ graph.EdgeID) *hist.Hist {
+	return s.Arena.CloneHist(hist.New(v.Min+u.w, u.w, v.P))
 }
 func (u unitCoster) MinEdgeTime(graph.EdgeID) float64 { return u.w }
 func (u unitCoster) Width() float64                   { return u.w }

@@ -15,9 +15,9 @@
 // distributions, queue and dominance frontiers belong to a pooled
 // per-search workspace (workspace.go), so the loop itself allocates
 // nothing once the workspace has grown to the search's size. There is
-// one search path: it runs on hybrid.ScratchCoster, and a Coster
-// without that capability is adapted to it (heapCoster in pbr.go copies
-// what it returns into the arena).
+// one search path, on hybrid.Coster: every extension is written straight
+// into the workspace's arena. ParetoRoutes runs on the same pooled
+// workspace and clones its skyline's distributions out before release.
 //
 // The kernel relies on the following invariants; anything touching
 // pbr.go must preserve them:

@@ -167,11 +167,8 @@ func goldenConfigs() []goldenConfig {
 }
 
 // goldenQuery assembles the coster and options of one (config, query)
-// cell. plain hands a classic cell's model to the search as a plain
-// Coster, which enters through heapCoster; a temporal coster has no
-// plain form, so expanded cells ignore it. A non-nil qs tallies the
-// cell's convolve / estimate decisions.
-func (f *goldenFixture) goldenQuery(cfg goldenConfig, qi int, plain bool, qs *hybrid.QueryStats) (hybrid.Coster, graph.VertexID, graph.VertexID, Options, error) {
+// cell. A non-nil qs tallies the cell's convolve / estimate decisions.
+func (f *goldenFixture) goldenQuery(cfg goldenConfig, qi int, qs *hybrid.QueryStats) (hybrid.Coster, graph.VertexID, graph.VertexID, Options, error) {
 	q := f.queries[qi]
 	const classicSlice = 1
 	// Budgets around the mean-cost route's mean travel time put the
@@ -190,9 +187,6 @@ func (f *goldenFixture) goldenQuery(cfg goldenConfig, qi int, plain bool, qs *hy
 	} else {
 		opts.Departure = traj.SliceMid(classicSlice, goldenSlices)
 		coster = f.set.At(classicSlice).WithStats(qs)
-		if plain {
-			coster = plainView{coster}
-		}
 	}
 	if cfg.alt {
 		opts.Potentials = f.alt
@@ -259,8 +253,7 @@ func readGolden(t testing.TB) []string {
 
 // TestPBRGolden pins the search itself, not twin against twin: every
 // (config, query) cell must reproduce the frozen route, probability
-// and distribution bits, slice sequence and counters — and the classic
-// cells once more through a plain Coster.
+// and distribution bits, slice sequence and counters.
 func TestPBRGolden(t *testing.T) {
 	f := goldenSetup(t)
 	configs := goldenConfigs()
@@ -268,7 +261,7 @@ func TestPBRGolden(t *testing.T) {
 		var out strings.Builder
 		for _, cfg := range configs {
 			for qi := range f.queries {
-				row, err := f.answer(cfg, qi, false, PBR)
+				row, err := f.answer(cfg, qi, PBR)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -286,13 +279,8 @@ func TestPBRGolden(t *testing.T) {
 	gt := loadGolden(t)
 	for ci := range gt.configs {
 		for qi := 0; qi < len(f.queries); qi += goldenStride() {
-			for _, plain := range []bool{false, true} {
-				if plain && gt.configs[ci].expanded {
-					continue
-				}
-				if err := gt.check(ci, qi, plain, PBR); err != nil {
-					t.Fatal(err)
-				}
+			if err := gt.check(ci, qi, PBR); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -300,7 +288,7 @@ func TestPBRGolden(t *testing.T) {
 	// half of the cost model outside the goldens.
 	var qs hybrid.QueryStats
 	for qi := 0; qi < len(f.queries); qi += goldenStride() {
-		c, src, dst, opts, err := f.goldenQuery(gt.configs[0], qi, false, &qs)
+		c, src, dst, opts, err := f.goldenQuery(gt.configs[0], qi, &qs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +315,7 @@ func TestPBRWorkGolden(t *testing.T) {
 	for _, cfg := range goldenConfigs() {
 		var qs hybrid.QueryStats
 		for qi := range f.queries {
-			c, src, dst, opts, err := f.goldenQuery(cfg, qi, false, &qs)
+			c, src, dst, opts, err := f.goldenQuery(cfg, qi, &qs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -382,27 +370,27 @@ func loadGolden(t testing.TB) *goldenTable {
 type searchFunc func(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, opts Options) (*Result, error)
 
 // answer runs cell (cfg, query qi) through search and renders the row.
-func (f *goldenFixture) answer(cfg goldenConfig, qi int, plain bool, search searchFunc) (string, error) {
-	c, src, dst, opts, err := f.goldenQuery(cfg, qi, plain, nil)
+func (f *goldenFixture) answer(cfg goldenConfig, qi int, search searchFunc) (string, error) {
+	c, src, dst, opts, err := f.goldenQuery(cfg, qi, nil)
 	if err != nil {
 		return "", err
 	}
 	res, err := search(f.g, c, src, dst, opts)
 	if err != nil {
-		return "", fmt.Errorf("%s query %d plain=%t: %w", cfg.name, qi, plain, err)
+		return "", fmt.Errorf("%s query %d: %w", cfg.name, qi, err)
 	}
 	return goldenRow(cfg, qi, res), nil
 }
 
 // check compares the answer to cell (config ci, query qi) with the
 // frozen row.
-func (gt *goldenTable) check(ci, qi int, plain bool, search searchFunc) error {
-	got, err := gt.answer(gt.configs[ci], qi, plain, search)
+func (gt *goldenTable) check(ci, qi int, search searchFunc) error {
+	got, err := gt.answer(gt.configs[ci], qi, search)
 	if err != nil {
 		return err
 	}
 	if want := gt.want[ci*len(gt.queries)+qi]; got != want {
-		return fmt.Errorf("plain=%t:\n got  %s\n want %s", plain, got, want)
+		return fmt.Errorf("\n got  %s\n want %s", got, want)
 	}
 	return nil
 }
@@ -438,7 +426,7 @@ func TestWorkspaceReuseAcrossSearchShapes(t *testing.T) {
 			default:
 				continue
 			}
-			if err := gt.check(ci, qi, false, onWorkspace); err != nil {
+			if err := gt.check(ci, qi, onWorkspace); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -451,24 +439,69 @@ func TestWorkspaceReuseAcrossSearchShapes(t *testing.T) {
 // TestPBRConcurrentSearchesMatchGoldens has several goroutines route
 // at once through PBR, so pooled workspaces change hands between
 // searches of different shapes while the cost models are shared. Every
-// answer must still be the frozen one; run with -race -count=10.
+// answer must still be the frozen one; run with -race -count=10. The
+// workers also enumerate skylines, which run on the same pooled
+// workspaces, and each must equal the serial one.
 func TestPBRConcurrentSearchesMatchGoldens(t *testing.T) {
 	gt := loadGolden(t)
+	const skylines = 8
+	serial := make([]string, skylines)
+	for qi := range serial {
+		var err error
+		if serial[qi], err = gt.skyline(qi); err != nil || serial[qi] == "" {
+			t.Fatalf("skyline of query %d: %q, %v", qi, serial[qi], err)
+		}
+	}
 	const workers = 6
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Worker w takes every workers-th cell of a thinned table.
-			for cell := w; cell < len(gt.want); cell += workers * 7 {
+			// Worker w takes every workers-th cell of a thinned table, and
+			// a skyline after every fourth.
+			for i, cell := 0, w; cell < len(gt.want); i, cell = i+1, cell+workers*7 {
 				ci, qi := cell/len(gt.queries), cell%len(gt.queries)
-				if err := gt.check(ci, qi, cell%2 == 1, PBR); err != nil {
+				if err := gt.check(ci, qi, PBR); err != nil {
 					t.Error(err)
+					return
+				}
+				if i%4 != 0 {
+					continue
+				}
+				sq := (w + i) % skylines
+				if got, err := gt.skyline(sq); err != nil || got != serial[sq] {
+					t.Errorf("skyline of query %d under concurrency: %v\n got  %s\n want %s", sq, err, got, serial[sq])
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// skyline renders ParetoRoutes' answer to query qi under the classic
+// cells' model: every route's path and distribution bits.
+func (f *goldenFixture) skyline(qi int) (string, error) {
+	q := f.queries[qi]
+	m := f.set.At(1)
+	_, meanTime, err := MeanCostPath(f.g, m.KB, q.Source, q.Dest)
+	if err != nil {
+		return "", err
+	}
+	routes, err := ParetoRoutes(f.g, m, q.Source, q.Dest, ParetoOptions{Horizon: 1.3 * meanTime, MaxRoutes: 4, MaxExpansions: 300})
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	for _, r := range routes {
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, p := range append([]float64{r.Dist.Min}, r.Dist.P...) {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
+			h.Write(buf[:])
+		}
+		fmt.Fprintf(&b, "%v %016x; ", r.Path, h.Sum64())
+	}
+	return b.String(), nil
 }

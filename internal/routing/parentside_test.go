@@ -89,11 +89,11 @@ func TestExtensionIsAtLeastParentShifted(t *testing.T) {
 		}
 		classic := []struct {
 			name string
-			c    hybrid.ScratchCoster
+			c    hybrid.Coster
 		}{
 			{"convolution", &hybrid.ConvolutionCoster{KB: base[0].KB, MaxBuckets: maxBuckets}},
-			{"hybrid", model(0, hybrid.Auto).WithStats(&qs).(hybrid.ScratchCoster)},
-			{"always-estimate", model(0, hybrid.AlwaysEstimate).WithStats(&qs).(hybrid.ScratchCoster)},
+			{"hybrid", model(0, hybrid.Auto).WithStats(&qs)},
+			{"always-estimate", model(0, hybrid.AlwaysEstimate).WithStats(&qs)},
 		}
 		for trial := 0; trial < 400; trial++ {
 			parent := randomParent().CapBucketsInPlace(maxBuckets)

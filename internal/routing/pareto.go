@@ -9,7 +9,6 @@ import (
 	"stochroute/internal/graph"
 	"stochroute/internal/hist"
 	"stochroute/internal/hybrid"
-	"stochroute/internal/pqueue"
 )
 
 // ParetoRoute is one non-dominated route: no other found route is at
@@ -68,27 +67,29 @@ func ParetoRoutes(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, 
 		return nil, ErrUnreachable
 	}
 
-	var arena []label
-	var frontiers frontierStore
-	var pq pqueue.Heap[int32]
+	// The search runs on a pooled PBR workspace; the skyline's
+	// distributions are cloned out of its arena before release.
+	ws := scratchPool.Get().(*workspace)
+	defer scratchPool.Put(ws)
+	defer ws.release()
 	var destLabels []int32
 
 	push := func(v graph.VertexID, last graph.EdgeID, d *hist.Hist, parent int32) {
-		arena = append(arena, label{vertex: v, lastEdge: last, dist: d, parent: parent})
-		pq.Push(d.Min+h[v], int32(len(arena)-1))
+		ws.labels = append(ws.labels, label{vertex: v, lastEdge: last, dist: d, parent: parent})
+		ws.pq.Push(d.Min+h[v], int32(len(ws.labels)-1))
 	}
 	for _, e := range g.Out(source) {
 		to := g.Edge(e).To
 		if math.IsInf(h[to], 1) {
 			continue
 		}
-		push(to, e, c.InitialHist(e), -1)
+		push(to, e, c.InitialHistInto(&ws.scratch, e), -1)
 	}
 
 	expansions := 0
-	for pq.Len() > 0 && expansions < maxExpansions {
-		idx, prio, _ := pq.Pop()
-		lb := &arena[idx]
+	for ws.pq.Len() > 0 && expansions < maxExpansions {
+		idx, prio, _ := ws.pq.Pop()
+		lb := &ws.labels[idx]
 		if lb.dead {
 			continue
 		}
@@ -106,16 +107,17 @@ func ParetoRoutes(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, 
 			if ne.To == parentVertex || math.IsInf(h[ne.To], 1) {
 				continue
 			}
-			nd := c.Extend(lb.dist, lb.lastEdge, next).TruncateAboveInPlace(opts.Horizon)
+			nd := c.ExtendInto(&ws.scratch, lb.dist, lb.lastEdge, next).TruncateAboveInPlace(opts.Horizon)
 			if nd.Min+h[ne.To] > opts.Horizon {
+				ws.scratch.Arena.Recycle(nd)
 				continue
 			}
-			fs := frontiers.slot(next, 0, maxFrontier)
-			entries := frontiers.entries(fs)
+			fs := ws.frontiers.slot(next, 0, maxFrontier)
+			entries := ws.frontiers.entries(fs)
 			dominated := false
 			keep := entries[:0]
 			for _, fe := range entries {
-				other := &arena[fe.labelIdx]
+				other := &ws.labels[fe.labelIdx]
 				if other.dead {
 					continue
 				}
@@ -133,21 +135,22 @@ func ParetoRoutes(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, 
 			}
 			fs.n = int32(len(keep))
 			if dominated || len(keep) >= maxFrontier {
+				ws.scratch.Arena.Recycle(nd)
 				continue
 			}
 			push(ne.To, next, nd, idx)
-			frontiers.push(fs, frontierEntry{labelIdx: int32(len(arena) - 1)}, maxFrontier)
+			ws.frontiers.push(fs, frontierEntry{labelIdx: int32(len(ws.labels) - 1)}, maxFrontier)
 		}
 	}
 
 	// Global skyline over all destination labels.
 	var skyline []int32
 	for _, idx := range destLabels {
-		d := arena[idx].dist
+		d := ws.labels[idx].dist
 		dominated := false
 		keep := skyline[:0]
 		for _, s := range skyline {
-			sd := arena[s].dist
+			sd := ws.labels[s].dist
 			if sd.DominatesOrEqual(d) {
 				dominated = true
 				keep = append(keep, s)
@@ -164,15 +167,15 @@ func ParetoRoutes(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, 
 		}
 	}
 	sort.Slice(skyline, func(a, b int) bool {
-		return arena[skyline[a]].dist.Mean() < arena[skyline[b]].dist.Mean()
+		return ws.labels[skyline[a]].dist.Mean() < ws.labels[skyline[b]].dist.Mean()
 	})
 	if len(skyline) > maxRoutes {
 		skyline = skyline[:maxRoutes]
 	}
 	out := make([]ParetoRoute, 0, len(skyline))
 	for _, idx := range skyline {
-		path, _ := reconstruct(arena, idx, false)
-		out = append(out, ParetoRoute{Path: path, Dist: arena[idx].dist})
+		path, _ := reconstruct(ws.labels, idx, false)
+		out = append(out, ParetoRoute{Path: path, Dist: ws.labels[idx].dist.Clone()})
 	}
 	return out, nil
 }

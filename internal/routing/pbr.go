@@ -137,9 +137,9 @@ type Result struct {
 
 	// ModelEpoch identifies the model generation that answered the
 	// query, for engines that hot-swap models while serving (see
-	// Engine.SwapModel). For a time-sliced engine this is the *slice's*
-	// epoch — the generation of the per-slice model that actually
-	// answered. PBR itself does not know about epochs; the engine
+	// Engine.SwapSliceModel). For a time-sliced engine this is the
+	// *slice's* epoch — the generation of the per-slice model that
+	// actually answered. PBR itself does not know about epochs; the engine
 	// stamps it. 0 means "not tracked".
 	ModelEpoch uint64
 
@@ -196,11 +196,8 @@ type label struct {
 // label distribution — labels proven dead recycle their buffers and
 // pivot pruning reads shifted CDFs without cloning — so a warmed search
 // allocates only what escapes it: the Result, a clone of the pivot's
-// distribution and its path at each pivot improvement. A coster that
-// implements hybrid.ScratchCoster (the hybrid model and the convolution
-// baseline do) extends straight into the arena; one that does not (a
-// test double) has the histograms it returns copied in by heapCoster,
-// which changes where the floats live and nothing else.
+// distribution and its path at each pivot improvement. The coster
+// extends straight into the arena (the hybrid.Coster contract).
 //
 // When opts.TimeExpanded is set and c implements
 // hybrid.TemporalScratchCoster (the time-sliced ModelSet façade does),
@@ -265,12 +262,6 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 	// bands condition on) survives, close enough to bound label memory.
 	truncateAt := opts.Budget * 1.3
 
-	// Label distributions live in the workspace's arena; a coster that
-	// cannot extend into caller-owned storage enters through heapCoster.
-	sc, ok := c.(hybrid.ScratchCoster)
-	if !ok {
-		sc = heapCoster{c}
-	}
 	// Time-expanded slice lookup (see Options.TimeExpanded): engaged
 	// only when requested AND the coster has the temporal capability.
 	tc, useTemporal := c.(hybrid.TemporalScratchCoster)
@@ -348,7 +339,7 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 		if useTemporal {
 			return tc.ExtendElapsedInto(scratch, clampEl(elapsed), virtual, lastEdge, next).TruncateAboveInPlace(truncateAt)
 		}
-		return sc.ExtendInto(scratch, virtual, lastEdge, next).TruncateAboveInPlace(truncateAt)
+		return c.ExtendInto(scratch, virtual, lastEdge, next).TruncateAboveInPlace(truncateAt)
 	}
 	// recycle returns a dead label's mass buffer to the arena. Callers
 	// must only recycle distributions nothing else references.
@@ -379,7 +370,7 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 			seedSlices = make([]int, len(opts.SeedPath))
 			seedSlices[0] = sliceAt(0)
 		}
-		sd := sc.InitialHistInto(scratch, opts.SeedPath[0])
+		sd := c.InitialHistInto(scratch, opts.SeedPath[0])
 		for i := 1; i < len(opts.SeedPath); i++ {
 			elapsed := 0.0
 			if useTemporal {
@@ -430,7 +421,7 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 		if math.IsInf(hTo, 1) {
 			continue
 		}
-		d := sc.InitialHistInto(scratch, e)
+		d := c.InitialHistInto(scratch, e)
 		elapsed := 0.0
 		if useTemporal {
 			elapsed = d.Mean()
@@ -673,20 +664,6 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 	res.Path = pivotPath
 	res.SliceSeq = pivotSlices
 	return res, nil
-}
-
-// heapCoster gives a Coster without the scratch capability the
-// contract the search runs on, by copying each histogram it returns
-// into the arena. The copy is exact, so such a coster answers the same
-// bits it would if it implemented hybrid.ScratchCoster itself.
-type heapCoster struct{ hybrid.Coster }
-
-func (h heapCoster) InitialHistInto(s *hybrid.Scratch, e graph.EdgeID) *hist.Hist {
-	return s.Arena.CloneHist(h.InitialHist(e))
-}
-
-func (h heapCoster) ExtendInto(s *hybrid.Scratch, virtual *hist.Hist, lastEdge, next graph.EdgeID) *hist.Hist {
-	return s.Arena.CloneHist(h.Extend(virtual, lastEdge, next))
 }
 
 // reconstruct walks the parent chain of label idx once to count it and

@@ -20,9 +20,11 @@ type fixedCoster struct {
 	width float64
 }
 
-func (c *fixedCoster) InitialHist(e graph.EdgeID) *hist.Hist { return c.hists[e].Clone() }
-func (c *fixedCoster) Extend(v *hist.Hist, _, next graph.EdgeID) *hist.Hist {
-	return hist.MustConvolve(v, c.hists[next])
+func (c *fixedCoster) InitialHistInto(s *hybrid.Scratch, e graph.EdgeID) *hist.Hist {
+	return s.Arena.CloneHist(c.hists[e])
+}
+func (c *fixedCoster) ExtendInto(s *hybrid.Scratch, v *hist.Hist, _, next graph.EdgeID) *hist.Hist {
+	return s.Arena.CloneHist(hist.MustConvolve(v, c.hists[next]))
 }
 func (c *fixedCoster) MinEdgeTime(e graph.EdgeID) float64 { return c.hists[e].Min }
 func (c *fixedCoster) Width() float64                     { return c.width }

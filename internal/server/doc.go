@@ -119,10 +119,11 @@
 // that caveat is gone.)
 //
 // Under the handlers, every search runs on the allocation-free cost
-// kernel: the model implements hybrid.ScratchCoster (the capability
-// contract for extending distributions into caller-owned storage), so
-// PBR keeps its label histograms in a pooled per-search arena instead
-// of allocating per extension. /route/batch additionally amortises
+// kernel: the model implements hybrid.Coster, whose one form of an
+// extension writes into caller-owned storage, so PBR — and the
+// /alternatives skyline — keep their label histograms in a pooled
+// per-search arena instead of allocating per extension; /pairsum costs
+// its pair on a pooled scratch too. /route/batch additionally amortises
 // snapshot loading and scheduling across its items via
 // Engine.RouteBatch, whose single-snapshot guarantee is what makes
 // per-item cache tagging sound under concurrent hot swaps.

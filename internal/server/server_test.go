@@ -501,7 +501,7 @@ func TestConcurrentHandlers(t *testing.T) {
 }
 
 // ingestTargetStub adapts a fakeBackend into an ingest.Target whose
-// SwapModel just bumps the backend epoch. Drift stays disabled in the
+// SwapSliceModel just bumps the backend epoch. Drift stays disabled in the
 // tests that use it, so the nil knowledge base is never touched.
 type ingestTargetStub struct {
 	fb *fakeBackend

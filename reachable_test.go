@@ -22,7 +22,6 @@ import (
 // counts as a root, so what it alone uses stays too. An empty decl
 // names the whole package.
 var reachAllow = []struct{ pkg, decl, reason string }{
-	{"internal/osm", "", "the paper's real-data input path; parked in ROADMAP until an extract is in the repository"},
 	{"internal/traj", "World.EdgeMarginal", "analytic truth of the generator; reference implementation tests compare against"},
 	{"internal/traj", "World.EdgeMarginalAt", "analytic truth per departure slice; reference implementation"},
 	{"internal/traj", "World.PairModeJoint", "analytic truth of the pair dependence; reference implementation"},

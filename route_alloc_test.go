@@ -51,7 +51,7 @@ func TestRouteSteadyStateAllocs(t *testing.T) {
 				t.Errorf("query %d expanded=%t: %v allocs per search, ceiling %d", qi, expanded, n, maxRouteAllocs)
 			}
 
-			coster := hybrid.Coster(e.Model())
+			coster := hybrid.Coster(e.SliceModel(0))
 			if expanded {
 				coster = e.ModelSet().TimeExpandedCoster(0, nil)
 			}

@@ -35,7 +35,7 @@ func TestSingleSliceEquivalence(t *testing.T) {
 		// per-request decision stats — exactly what Engine.Route did
 		// before slices existed.
 		var wantStats hybrid.QueryStats
-		want, err := routing.PBR(e.Graph(), e.Model().WithStats(&wantStats), q.Source, q.Dest,
+		want, err := routing.PBR(e.Graph(), e.SliceModel(0).WithStats(&wantStats), q.Source, q.Dest,
 			routing.Options{Budget: budget})
 		if err != nil {
 			t.Fatalf("query %d: direct PBR: %v", qi, err)

@@ -242,7 +242,7 @@ func TestTimeExpandedShortTripEquivalence(t *testing.T) {
 			budget := 1.5 * opt
 			// The search horizon (1.3 x budget plus one bucket) must fit
 			// inside the departure slice for the equivalence to be exact.
-			if depart+1.3*budget+e.Model().Width() >= traj.SliceStart(slice+1, e.NumSlices()) {
+			if depart+1.3*budget+e.SliceModel(0).Width() >= traj.SliceStart(slice+1, e.NumSlices()) {
 				t.Fatalf("test setup: horizon leaves slice %d", slice)
 			}
 			want, err := e.RouteCtx(context.Background(), q.Source, q.Dest, RouteOptions{Budget: budget, Departure: depart})
