@@ -464,15 +464,37 @@ func BenchmarkConvolve(b *testing.B) {
 	}
 }
 
-// BenchmarkDominance measures the stochastic-dominance comparison used by
-// pruning (d).
+// BenchmarkDominance measures the three verdicts pruning (d) asks of a
+// frontier pair, on 128-bucket histograms: a proved dominator, whose
+// CompareCDF walks every grid point; an incomparable pair, whose CDFs
+// cross a few points in and end the walk there; and the one-sided kill
+// check a child runs once it is dominated, failing at the entry's
+// first grid point.
 func BenchmarkDominance(b *testing.B) {
-	x := hist.Uniform(100, 2, 128)
-	y := hist.Uniform(102, 2, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = hist.CompareCDF(x, y)
-	}
+	early := hist.Uniform(100, 2, 128)
+	late := hist.Uniform(102, 2, 128)
+	steep := hist.Uniform(110, 2, 64)
+	b.Run("dominated", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if aGE, bGE := hist.CompareCDF(early, late); !aGE || bGE {
+				b.Fatal("early does not dominate late")
+			}
+		}
+	})
+	b.Run("incomparable", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if aGE, bGE := hist.CompareCDF(early, steep); aGE || bGE {
+				b.Fatal("early and steep are comparable")
+			}
+		}
+	})
+	b.Run("kill-check", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if late.DominatesOrEqual(early) {
+				b.Fatal("late dominates early")
+			}
+		}
+	})
 }
 
 // osmScaleFixture is the OSM-scale proving ground for ALT: a

@@ -61,15 +61,33 @@ func Uniform(min, width float64, n int) *Hist {
 	return &Hist{Min: min, Width: width, P: p}
 }
 
+// maxSupport is the most support points a constructor builds: the
+// largest buffer an Arena recycles.
+const maxSupport = 1 << arenaMaxClass
+
+// validWidth reports whether width is finite and positive.
+func validWidth(width float64) bool {
+	return width > 0 && !math.IsInf(width, 1)
+}
+
+// supportTooWide reports whether a support whose last point sits span
+// widths after its first — a NaN span included — has more than
+// maxSupport points.
+func supportTooWide(span float64) bool {
+	return !(span >= 0 && span < maxSupport)
+}
+
 // FromSamples builds a normalised histogram from raw travel-time samples
 // with the given bucket width. Bucket boundaries are aligned to multiples
 // of width so that histograms built from different sample sets share a
-// grid. It returns an error if samples is empty or width <= 0.
+// grid. It returns an error if samples is empty, a sample is not finite,
+// width is not finite and positive, or the support would span more than
+// 1<<20 buckets.
 func FromSamples(samples []float64, width float64) (*Hist, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("hist: FromSamples with no samples")
 	}
-	if width <= 0 || math.IsNaN(width) {
+	if !validWidth(width) {
 		return nil, fmt.Errorf("hist: FromSamples with invalid width %v", width)
 	}
 	lo, hi := samples[0], samples[0]
@@ -85,7 +103,11 @@ func FromSamples(samples []float64, width float64) (*Hist, error) {
 		}
 	}
 	min := math.Floor(lo/width) * width
-	n := int(math.Floor((hi-min)/width)) + 1
+	span := math.Floor((hi - min) / width)
+	if supportTooWide(span) {
+		return nil, fmt.Errorf("hist: FromSamples support [%v, %v] spans more than %d buckets of width %v", lo, hi, maxSupport, width)
+	}
+	n := int(span) + 1
 	p := make([]float64, n)
 	inc := 1 / float64(len(samples))
 	for _, s := range samples {
@@ -104,30 +126,39 @@ func FromSamples(samples []float64, width float64) (*Hist, error) {
 // FromPairs builds a normalised histogram from explicit (value, weight)
 // pairs, e.g. the literal tables in the paper. Values must lie on a
 // common grid of the given width; each value is snapped to the nearest
-// grid point. It returns an error on empty input, non-positive width, or
-// negative weights.
+// grid point. It returns an error on empty input, a width that is not
+// finite and positive, a value that is not finite, a weight that is
+// negative or not finite, a zero or overflowing total weight, or a
+// support that would span more than 1<<20 buckets.
 func FromPairs(pairs map[float64]float64, width float64) (*Hist, error) {
 	if len(pairs) == 0 {
 		return nil, errors.New("hist: FromPairs with no pairs")
 	}
-	if width <= 0 {
+	if !validWidth(width) {
 		return nil, fmt.Errorf("hist: FromPairs with invalid width %v", width)
 	}
 	vals := make([]float64, 0, len(pairs))
 	total := 0.0
 	for v, w := range pairs {
-		if w < 0 || math.IsNaN(w) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("hist: FromPairs with non-finite value %v", v)
+		}
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 1) {
 			return nil, fmt.Errorf("hist: FromPairs with invalid weight %v", w)
 		}
 		vals = append(vals, v)
 		total += w
 	}
-	if total <= 0 {
-		return nil, errors.New("hist: FromPairs with zero total weight")
+	if total <= 0 || math.IsInf(total, 1) {
+		return nil, fmt.Errorf("hist: FromPairs with total weight %v", total)
 	}
 	sort.Float64s(vals)
 	min := vals[0] // grid anchored at the smallest value
-	maxIdx := int(math.Round((vals[len(vals)-1] - min) / width))
+	span := math.Round((vals[len(vals)-1] - min) / width)
+	if supportTooWide(span) {
+		return nil, fmt.Errorf("hist: FromPairs values [%v, %v] span more than %d buckets of width %v", min, vals[len(vals)-1], maxSupport, width)
+	}
+	maxIdx := int(span)
 	p := make([]float64, maxIdx+1)
 	for v, w := range pairs {
 		i := int(math.Round((v - min) / width))
@@ -473,92 +504,144 @@ func MustConvolve(a, b *Hist) *Hist {
 	return out
 }
 
-// CompareCDF aligns a and b on their common grid (equal widths, same
-// grid offset) and reports whether CDF_a(x) >= CDF_b(x) at every grid
-// point (aGE) and the converse (bGE). aGE && bGE means the CDFs are
-// equal everywhere within tolerance. This is the single-pass primitive
-// behind stochastic-dominance pruning: one call answers both "a
-// dominates b" and "b dominates a".
+// cdfTol is the slack of the CDF comparisons: a running sum may trail
+// the other by up to cdfTol and still count as at least it.
+const cdfTol = 1e-12
+
+// gridOffset returns how many grid points b's first bucket sits after
+// a's. It is math.Round of the exact ratio whenever that ratio lies
+// within 0.25 of an integer — which the comparisons' precondition
+// (equal widths, same grid offset) guarantees — and costs a Floor, an
+// instruction on amd64, instead of Round's bit manipulation.
+func gridOffset(a, b *Hist) int {
+	return int(math.Floor((b.Min-a.Min)/a.Width + 0.5))
+}
+
+// CompareCDF aligns a and b on their common grid and reports whether
+// CDF_a(x) >= CDF_b(x) - 1e-12 at every grid point (aGE) and the
+// converse (bGE). aGE && bGE means the CDFs are equal everywhere within
+// tolerance. This is the single-pass primitive behind stochastic-
+// dominance pruning: one call answers both "a dominates b" and "b
+// dominates a".
+//
+// Precondition: a and b have the same width, their Mins differ by a
+// whole number of widths up to rounding (within a quarter width), and
+// every mass is non-negative and finite.
 //
 // The walk is split at the support boundaries — the head where only
 // the earlier-starting histogram has mass, the overlap, the tail of
 // whichever ends later — so no bucket pays a range check; grid points
 // where neither has mass (a gap between disjoint supports) change
-// neither running sum and are skipped. Each sum still adds its masses
-// in index order, so the verdict is the one a point-by-point walk of
-// the common grid gives.
+// neither running sum and are skipped. Each sum adds its masses in
+// index order, so the verdict is the one a point-by-point walk of the
+// common grid gives. Masses are non-negative, so each running sum only
+// grows. Where one side alone adds mass (the head, the tails), its own
+// verdict cannot fail and the other's is decided by one test at the
+// stretch's last point; and once the overlap settles one verdict, the
+// walk goes on testing only the other.
 func CompareCDF(a, b *Hist) (aGE, bGE bool) {
 	pa, pb := a.P, b.P
-	// b's first bucket sits offB grid points after a's.
-	offB := int(math.Round((b.Min - a.Min) / a.Width))
-	aGE, bGE = true, true
 	ca, cb := 0.0, 0.0
-	// Head: at most one of the two loops runs.
-	ia, ib := 0, 0
-	for ; ia < len(pa) && ia < offB; ia++ {
-		ca += pa[ia]
-		if aGE, bGE = cdfStep(ca, cb, aGE, bGE); !aGE && !bGE {
-			return
+	if off := gridOffset(a, b); off > 0 {
+		n := min(off, len(pa))
+		ca = addUp(ca, pa[:n])
+		pa = pa[n:]
+		if cb < ca-cdfTol {
+			return geFrom(pa, pb, ca, cb), false
 		}
-	}
-	for ; ib < len(pb) && ib < -offB; ib++ {
-		cb += pb[ib]
-		if aGE, bGE = cdfStep(ca, cb, aGE, bGE); !aGE && !bGE {
-			return
+	} else if off < 0 {
+		n := min(-off, len(pb))
+		cb = addUp(cb, pb[:n])
+		pb = pb[n:]
+		if ca < cb-cdfTol {
+			return false, geFrom(pb, pa, cb, ca)
 		}
 	}
 	// Disjoint supports leave the earlier histogram consumed and the
 	// overlap empty.
-	n := min(len(pa)-ia, len(pb)-ib)
-	oa, ob := pa[ia:ia+n], pb[ib:ib+n]
+	n := min(len(pa), len(pb))
+	oa, ob := pa[:n], pb[:n]
 	for k := range oa {
 		ca += oa[k]
 		cb += ob[k]
-		if aGE, bGE = cdfStep(ca, cb, aGE, bGE); !aGE && !bGE {
-			return
+		// At most one verdict fails at one grid point.
+		if ca < cb-cdfTol {
+			return false, geFrom(pb[k+1:], pa[k+1:], cb, ca)
+		}
+		if cb < ca-cdfTol {
+			return geFrom(pa[k+1:], pb[k+1:], ca, cb), false
 		}
 	}
-	for _, p := range pa[ia+n:] {
-		ca += p
-		if aGE, bGE = cdfStep(ca, cb, aGE, bGE); !aGE && !bGE {
-			return
-		}
+	if len(pa) > n {
+		return true, !(cb < addUp(ca, pa[n:])-cdfTol)
 	}
-	for _, p := range pb[ib+n:] {
-		cb += p
-		if aGE, bGE = cdfStep(ca, cb, aGE, bGE); !aGE && !bGE {
-			return
-		}
+	if len(pb) > n {
+		return !(ca < addUp(cb, pb[n:])-cdfTol), true
 	}
-	return aGE, bGE
+	return true, true
 }
 
-// cdfStep folds the running sums at one grid point into the verdict.
-func cdfStep(ca, cb float64, aGE, bGE bool) (bool, bool) {
-	const tol = 1e-12
-	if ca < cb-tol {
-		aGE = false
+// geFrom continues a one-sided walk from aligned grid positions whose
+// running sums are ca and cb and whose verdict held at the last grid
+// point walked: it reports whether ca >= cb - 1e-12 at every point
+// still ahead, returning at the first point where that fails. Only one
+// of the two tails is non-empty; in pa's, ca only grows and the verdict
+// holds, and in pb's, cb only grows and the last point decides.
+func geFrom(pa, pb []float64, ca, cb float64) bool {
+	n := min(len(pa), len(pb))
+	oa, ob := pa[:n], pb[:n]
+	for k := range oa {
+		ca += oa[k]
+		cb += ob[k]
+		if ca < cb-cdfTol {
+			return false
+		}
 	}
-	if cb < ca-tol {
-		bGE = false
+	return !(ca < addUp(cb, pb[n:])-cdfTol)
+}
+
+// addUp returns c plus the masses of p, added in index order.
+func addUp(c float64, p []float64) float64 {
+	for _, m := range p {
+		c += m
 	}
-	return aGE, bGE
+	return c
 }
 
 // Dominates reports whether h first-order stochastically dominates other
 // in the travel-time sense: h is at least as likely to have arrived by
 // every deadline, i.e. CDF_h(x) >= CDF_other(x) for all x, with strict
-// inequality somewhere.
+// inequality somewhere. CompareCDF's precondition applies.
 func (h *Hist) Dominates(other *Hist) bool {
 	aGE, bGE := CompareCDF(h, other)
 	return aGE && !bGE
 }
 
 // DominatesOrEqual is Dominates without the strictness requirement; it
-// also holds when the two distributions are CDF-identical.
+// also holds when the two distributions are CDF-identical. Its verdict
+// is exactly CompareCDF(h, other)'s aGE — the same running sums, the
+// same test, the same precondition — but the walk is one-sided: it
+// returns at the first grid point where h's CDF falls below other's,
+// which, when other starts earlier, is usually other's first bucket.
 func (h *Hist) DominatesOrEqual(other *Hist) bool {
-	aGE, _ := CompareCDF(h, other)
-	return aGE
+	pa, pb := h.P, other.P
+	ca, cb := 0.0, 0.0
+	if off := gridOffset(h, other); off > 0 {
+		// h's head: ca only grows, so the verdict holds throughout.
+		n := min(off, len(pa))
+		ca = addUp(ca, pa[:n])
+		pa = pa[n:]
+	} else if off < 0 {
+		n := min(-off, len(pb))
+		for _, m := range pb[:n] {
+			cb += m
+			if ca < cb-cdfTol {
+				return false
+			}
+		}
+		pb = pb[n:]
+	}
+	return geFrom(pa, pb, ca, cb)
 }
 
 // TruncateAboveInPlace aggregates all probability mass at support

@@ -1,6 +1,7 @@
 package hist
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -95,6 +96,86 @@ func TestFromPairsErrors(t *testing.T) {
 	}
 	if _, err := FromPairs(map[float64]float64{1: 0}, 1); err == nil {
 		t.Error("zero total weight should error")
+	}
+}
+
+// TestConstructorsRejectBadInput: a width, value or weight that is not
+// finite, or a support wider than 1<<20 buckets, is an error from
+// FromSamples and FromPairs — never a panic, never NaN mass — and valid
+// input, up to the widest support allowed, builds the same bits as
+// before.
+func TestConstructorsRejectBadInput(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	build := func(name string, f func() (*Hist, error)) (h *Hist, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("%s panicked: %v", name, r)
+				err = errors.New("panic")
+			}
+		}()
+		return f()
+	}
+	samples := func(s []float64, width float64) func() (*Hist, error) {
+		return func() (*Hist, error) { return FromSamples(s, width) }
+	}
+	pairs := func(p map[float64]float64, width float64) func() (*Hist, error) {
+		return func() (*Hist, error) { return FromPairs(p, width) }
+	}
+	wide := float64(maxSupport)
+	bad := []struct {
+		name string
+		f    func() (*Hist, error)
+	}{
+		{"FromSamples +Inf width", samples([]float64{1, 2, 3}, inf)},
+		{"FromSamples tiny width", samples([]float64{1, 2, 3}, 1e-300)},
+		{"FromSamples NaN width", samples([]float64{1, 2, 3}, nan)},
+		{"FromSamples -Inf width", samples([]float64{1, 2, 3}, -inf)},
+		{"FromSamples 1<<20+1 buckets", samples([]float64{0, wide}, 1)},
+		{"FromSamples overflowing span", samples([]float64{-1e308, 1e308}, 1e-10)},
+		{"FromPairs NaN width", pairs(map[float64]float64{1: 1}, nan)},
+		{"FromPairs +Inf width", pairs(map[float64]float64{1: 1, 2: 1}, inf)},
+		{"FromPairs NaN value", pairs(map[float64]float64{nan: 1, 2: 1}, 1)},
+		{"FromPairs -Inf value", pairs(map[float64]float64{-inf: 1, 2: 1}, 1)},
+		{"FromPairs span 1e18", pairs(map[float64]float64{0: 1, 1e18: 1}, 1)},
+		{"FromPairs 1<<20+1 buckets", pairs(map[float64]float64{0: 1, wide: 1}, 1)},
+		{"FromPairs +Inf weight", pairs(map[float64]float64{1: inf, 2: 1}, 1)},
+		{"FromPairs NaN weight", pairs(map[float64]float64{1: nan, 2: 1}, 1)},
+		{"FromPairs overflowing total", pairs(map[float64]float64{1: 1e308, 2: 1e308}, 1)},
+	}
+	for _, c := range bad {
+		if h, err := build(c.name, c.f); err == nil {
+			t.Errorf("%s = %v, want an error", c.name, h)
+		}
+	}
+
+	third, sixth := 1.0/3, 1.0/6
+	last := make([]float64, maxSupport)
+	last[0], last[maxSupport-1] = 0.5, 0.5
+	good := []struct {
+		name string
+		f    func() (*Hist, error)
+		want *Hist
+	}{
+		{"FromSamples 1 2 3", samples([]float64{1, 2, 3}, 1), New(1, 1, []float64{third, third, third})},
+		{"FromSamples widths of 2", samples([]float64{10, 10, 12, 14, 14, 14}, 2), New(10, 2, []float64{sixth + sixth, sixth, sixth + sixth + sixth})},
+		{"FromSamples 1<<20 buckets", samples([]float64{0, wide - 1}, 1), New(0, 1, last)},
+		{"FromPairs paper table", pairs(map[float64]float64{10: 0.5, 15: 0.5}, 5), New(10, 5, []float64{0.5, 0.5})},
+		{"FromPairs gap", pairs(map[float64]float64{0: 1, 3: 2, 4: 1}, 1), New(0, 1, []float64{0.25, 0, 0, 0.5, 0.25})},
+		{"FromPairs 1<<20 buckets", pairs(map[float64]float64{0: 1, wide - 1: 1}, 1), New(0, 1, last)},
+	}
+	for _, c := range good {
+		h, err := build(c.name, c.f)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		same := h.Min == c.want.Min && h.Width == c.want.Width && len(h.P) == len(c.want.P)
+		for i := 0; same && i < len(h.P); i++ {
+			same = math.Float64bits(h.P[i]) == math.Float64bits(c.want.P[i])
+		}
+		if !same {
+			t.Errorf("%s: Min %v Width %v %d buckets, want Min %v Width %v %d buckets, the same mass bits", c.name, h.Min, h.Width, len(h.P), c.want.Min, c.want.Width, len(c.want.P))
+		}
 	}
 }
 

@@ -226,17 +226,21 @@ func compareCDFPointwise(a, b *Hist) (aGE, bGE bool) {
 }
 
 // TestQuickCompareCDFMatchesPointwise: on random pairs — b starting
-// before, at or after a, overlapping, nested or disjoint, equal, and
-// differing by less than the 1e-12 tolerance — the peeled CompareCDF
-// gives the pointwise verdict, and one fused call decides dominance
-// pruning exactly as the former DominatesOrEqual-then-Dominates pair
-// of passes did.
+// before, at or after a, overlapping, nested or disjoint, equal,
+// differing by less than the 1e-12 tolerance, carrying a different
+// total mass (so a tail's last point decides), or starting a few ulps
+// off a whole number of widths (the grid offset's precondition) — the
+// peeled CompareCDF and the one-sided DominatesOrEqual each give the
+// pointwise verdict, and both forms of pruning (d)'s decision — one
+// fused call before the child is dominated, the two one-sided checks
+// after — decide exactly as the former DominatesOrEqual-then-Dominates
+// pair of passes did.
 func TestQuickCompareCDFMatchesPointwise(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		a := randHist(r, 2, 14)
 		var b *Hist
-		switch r.Intn(5) {
+		switch r.Intn(7) {
 		case 0: // anywhere on the grid
 			b = randHist(r, 2, 14)
 		case 1: // disjoint, on either side
@@ -251,6 +255,23 @@ func TestQuickCompareCDFMatchesPointwise(t *testing.T) {
 		case 3: // inside the tolerance
 			b = a.Clone()
 			b.P[r.Intn(len(b.P))] += (r.Float64() - 0.5) * 1.8e-12
+		case 4: // a different total mass: a's plus some past its end, or a's rescaled
+			b = a.Clone()
+			if r.Intn(2) == 0 {
+				b.P = append(b.P, make([]float64, r.Intn(3))...)
+				b.P = append(b.P, r.Float64()*1e-9)
+			} else {
+				for i := range b.P {
+					b.P[i] *= 0.98 + 0.04*r.Float64()
+				}
+			}
+		case 5: // a whole number of widths away, plus or minus a few ulps
+			b = randHist(r, 2, 14)
+			b.Min = a.Min + float64(r.Intn(9)-4)*2
+			dir := math.Inf(1 - 2*r.Intn(2))
+			for range 1 + r.Intn(4) {
+				b.Min = math.Nextafter(b.Min, dir)
+			}
 		default: // same shape, shifted by a few buckets either way
 			b = a.Clone()
 			b.Min += float64(r.Intn(7)-3) * 2
@@ -262,12 +283,21 @@ func TestQuickCompareCDFMatchesPointwise(t *testing.T) {
 				t.Logf("seed %d: CompareCDF = (%v,%v), pointwise (%v,%v)", seed, aGE, bGE, wa, wb)
 				return false
 			}
+			if ndGE, otherGE := nd.DominatesOrEqual(other), other.DominatesOrEqual(nd); ndGE != bGE || otherGE != aGE {
+				t.Logf("seed %d: DominatesOrEqual = (%v,%v), CompareCDF (%v,%v)", seed, otherGE, ndGE, aGE, bGE)
+				return false
+			}
 			// The two-pass decision of pruning (d), on the reference.
 			otherGE, _ := compareCDFPointwise(other, nd)
 			ndGE, ndLE := compareCDFPointwise(nd, other)
 			wantDominated, wantKill := otherGE, !otherGE && ndGE && !ndLE
 			if dominated, kill := aGE, !aGE && bGE; dominated != wantDominated || kill != wantKill {
 				t.Logf("seed %d: fused (dominated=%v kill=%v), two-pass (%v,%v)", seed, dominated, kill, wantDominated, wantKill)
+				return false
+			}
+			// Once dominated, the kill alone, one side at a time.
+			if kill := nd.DominatesOrEqual(other) && !other.DominatesOrEqual(nd); kill != (ndGE && !otherGE) {
+				t.Logf("seed %d: one-sided kill %v, reference %v", seed, kill, ndGE && !otherGE)
 				return false
 			}
 		}

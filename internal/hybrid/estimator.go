@@ -237,7 +237,9 @@ func (e *Estimator) EstimateExtendInto(s *Scratch, kb *KnowledgeBase, virtual *h
 
 // accumulateBands adds Σ_bands (virtual|band) ⊗ conditional(band) into
 // h's (zeroed) mass vector on the common output grid, whose largest
-// index is (len(virtual)-1) + (CondBuckets-1).
+// index is (len(virtual)-1) + (CondBuckets-1). Each conditional is
+// walked over its non-zero window only: clipping zeroes its tails, and
+// a zero term would add +0 to a non-negative sum, which moves no bit.
 func (e *Estimator) accumulateBands(h *hist.Hist, conds [][]float64, parts []BandPart, virtual *hist.Hist) {
 	out := h.P
 	width := h.Width // == kb.Width: the grid every routing histogram lives on
@@ -245,14 +247,23 @@ func (e *Estimator) accumulateBands(h *hist.Hist, conds [][]float64, parts []Ban
 		if part.Mass <= 0 || part.P == nil {
 			continue
 		}
-		offPart := int((part.Min-virtual.Min)/width + 0.5)
 		cond := conds[b]
+		lo, hi := 0, len(cond)
+		for lo < hi && cond[lo] == 0 {
+			lo++
+		}
+		for hi > lo && cond[hi-1] == 0 {
+			hi--
+		}
+		cond = cond[lo:hi]
+		offPart := int((part.Min-virtual.Min)/width+0.5) + lo
 		for i, pm := range part.P {
 			if pm == 0 {
 				continue
 			}
+			row := out[offPart+i : offPart+i+len(cond)]
 			for j, cm := range cond {
-				out[offPart+i+j] += pm * cm
+				row[j] += pm * cm
 			}
 		}
 	}

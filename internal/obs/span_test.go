@@ -138,11 +138,20 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",
 		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
 		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		// Version 00 is exactly 55 characters; only a later version may
+		// carry more fields.
+		"00-12345678901234567890123456789012-1234567890123456-01-what-the-future-will-be-like",
+		"00-12345678901234567890123456789012-1234567890123456-01-",
+		"cc-12345678901234567890123456789012-1234567890123456-01.what-the-future-will-be-like",
 	}
 	for _, h := range invalid {
 		if _, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) accepted an invalid header", h)
 		}
+	}
+	future := "cc-12345678901234567890123456789012-1234567890123456-01-what-the-future-will-be-like"
+	if tp, ok := ParseTraceparent(future); !ok || tp.TraceID != "12345678901234567890123456789012" || tp.SpanID != "1234567890123456" || !tp.Sampled {
+		t.Errorf("ParseTraceparent(%q) = %+v, %v; a later version may carry more fields", future, tp, ok)
 	}
 	// A sampled inbound header adopts the caller's IDs.
 	tr := newTestTracer(16, 0)
@@ -155,6 +164,31 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if got.ParentSpan != "00f067aa0ba902b7" {
 		t.Errorf("parent span = %q", got.ParentSpan)
 	}
+}
+
+// FuzzParseTraceparent: whatever the header, the parser does not panic
+// and does not allocate, and a header it accepts names IDs that
+// FormatTraceparent renders into a version-00 header parsing back to
+// the same fields. The seed corpus is in
+// testdata/fuzz/FuzzParseTraceparent.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, h string) {
+		var tp Traceparent
+		var ok bool
+		if n := testing.AllocsPerRun(1, func() { tp, ok = ParseTraceparent(h) }); n != 0 {
+			t.Fatalf("ParseTraceparent(%q) allocates %v times", h, n)
+		}
+		if !ok {
+			if tp != (Traceparent{}) {
+				t.Fatalf("ParseTraceparent(%q) rejected the header but returned %+v", h, tp)
+			}
+			return
+		}
+		formatted := FormatTraceparent(tp.TraceID, tp.SpanID, tp.Sampled)
+		if back, ok := ParseTraceparent(formatted); !ok || back != tp {
+			t.Fatalf("ParseTraceparent(%q) = %+v, but its re-formatted header %q parses as %+v, %v", h, tp, formatted, back, ok)
+		}
+	})
 }
 
 func TestSpanStoreRetention(t *testing.T) {

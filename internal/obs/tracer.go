@@ -158,11 +158,12 @@ type Traceparent struct {
 	Sampled bool
 }
 
-// ParseTraceparent parses a traceparent header. It accepts any
-// non-"ff" version whose layout matches version 00 (per the spec's
-// forward-compatibility rule) and rejects all-zero IDs. The second
-// return is false when the header is absent or malformed; parsing never
-// allocates.
+// ParseTraceparent parses a traceparent header. Version 00 is exactly
+// 55 characters. Any higher non-"ff" version is read by version 00's
+// layout and may carry more fields after the flags, as "-…" (the
+// spec's forward-compatibility rule). All-zero IDs are rejected. The
+// second return is false when the header is absent or malformed;
+// parsing never allocates.
 func ParseTraceparent(h string) (Traceparent, bool) {
 	// 2 (version) + 1 + 32 (trace-id) + 1 + 16 (parent-id) + 1 + 2 (flags)
 	if len(h) < 55 {
@@ -171,10 +172,10 @@ func ParseTraceparent(h string) (Traceparent, bool) {
 	if h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return Traceparent{}, false
 	}
-	if len(h) > 55 && h[55] != '-' {
+	ver := h[:2]
+	if len(h) > 55 && (ver == "00" || h[55] != '-') {
 		return Traceparent{}, false
 	}
-	ver := h[:2]
 	if !isLowerHex(ver) || ver == "ff" {
 		return Traceparent{}, false
 	}

@@ -74,8 +74,14 @@
 //     between labels whose FUTURE extensions are priced identically —
 //     see the time-expanded rules below. Frontiers are capped at
 //     MaxFrontier entries (weakest upper bound evicted), which bounds
-//     memory but is another source of heuristic incompleteness. One
-//     hist.CompareCDF pass per frontier pair decides both directions.
+//     memory but is another source of heuristic incompleteness. Until
+//     some entry dominates the new label, one hist.CompareCDF pass per
+//     frontier pair decides both directions. After that only a kill is
+//     left to decide, so the rest of the loop asks the label's one-sided
+//     DominatesOrEqual first — it usually fails within a few grid
+//     points — and the entry's only when that holds (frontierVerdict).
+//     The loop never stops at the first dominator: a dominated label
+//     can still kill a later entry.
 //   - Expansion order is deterministic: priorities, tie-breaking and
 //     frontier contents depend only on the inputs, never on wall
 //     clock or storage layout. A frontier keeps its entries in

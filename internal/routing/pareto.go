@@ -121,13 +121,8 @@ func ParetoRoutes(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, 
 				if other.dead {
 					continue
 				}
-				otherGE, ndGE := hist.CompareCDF(other.dist, nd)
-				if otherGE {
-					dominated = true
-					keep = append(keep, fe)
-					continue
-				}
-				if ndGE {
+				var kill bool
+				if dominated, kill = frontierVerdict(other.dist, nd, dominated); kill {
 					other.dead = true
 					continue
 				}
@@ -150,13 +145,8 @@ func ParetoRoutes(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, 
 		dominated := false
 		keep := skyline[:0]
 		for _, s := range skyline {
-			sd := ws.labels[s].dist
-			if sd.DominatesOrEqual(d) {
-				dominated = true
-				keep = append(keep, s)
-				continue
-			}
-			if d.Dominates(sd) {
+			var kill bool
+			if dominated, kill = frontierVerdict(ws.labels[s].dist, d, dominated); kill {
 				continue
 			}
 			keep = append(keep, s)

@@ -567,14 +567,8 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 					if other.dead {
 						continue
 					}
-					// One pass decides both directions.
-					otherGE, ndGE := hist.CompareCDF(other.dist, nd)
-					if otherGE {
-						dominated = true
-						keep = append(keep, fe)
-						continue
-					}
-					if ndGE {
+					var kill bool
+					if dominated, kill = frontierVerdict(other.dist, nd, dominated); kill {
 						other.dead = true
 						if fe.labelIdx != idx {
 							recycle(other.dist)
@@ -664,6 +658,21 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 	res.Path = pivotPath
 	res.SliceSeq = pivotSlices
 	return res, nil
+}
+
+// frontierVerdict folds one frontier entry into pruning (d)'s verdict on
+// a new label nd: whether nd is dominated — already (dominated), or by
+// other, whose CDF is at least nd's at every grid point — and whether
+// nd kills other: nd's CDF at least other's, and not the converse.
+// Until nd is dominated one CompareCDF pass answers both. After, only
+// the kill is left, so nd's one-sided check runs first and other's only
+// when it holds; the decisions are CompareCDF's bit for bit.
+func frontierVerdict(other, nd *hist.Hist, dominated bool) (nowDominated, kill bool) {
+	if dominated {
+		return true, nd.DominatesOrEqual(other) && !other.DominatesOrEqual(nd)
+	}
+	otherGE, ndGE := hist.CompareCDF(other, nd)
+	return otherGE, ndGE && !otherGE
 }
 
 // reconstruct walks the parent chain of label idx once to count it and

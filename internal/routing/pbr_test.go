@@ -10,6 +10,7 @@ import (
 	"stochroute/internal/hist"
 	"stochroute/internal/hybrid"
 	"stochroute/internal/netgen"
+	"stochroute/internal/rng"
 	"stochroute/internal/traj"
 )
 
@@ -322,6 +323,43 @@ func TestPBRBeatsOrMatchesMeanPathOnModelProb(t *testing.T) {
 		meanProb := meanDist.ProbWithinBudget(budget)
 		if res.Prob < meanProb-1e-9 {
 			t.Errorf("query %d: PBR prob %v below mean-path prob %v", qi, res.Prob, meanProb)
+		}
+	}
+}
+
+// TestFrontierVerdictMatchesCompareCDF: on random pairs — unrelated,
+// shifted copies, equal copies — frontierVerdict reaches the decision
+// one CompareCDF pass per pair reaches, whether or not the new label is
+// already dominated: dominated is kept, or set when the entry's CDF is
+// at least the label's, and the entry dies exactly when the label's CDF
+// is at least the entry's and not the converse.
+func TestFrontierVerdictMatchesCompareCDF(t *testing.T) {
+	r := rng.New(7)
+	random := func() *hist.Hist {
+		p := make([]float64, 1+r.Intn(12))
+		for i := range p {
+			p[i] = r.Float64()
+		}
+		return hist.New(float64(r.Intn(20))*2, 2, p).Normalize()
+	}
+	for i := range 6000 {
+		other := random()
+		var nd *hist.Hist
+		switch i % 3 {
+		case 0:
+			nd = random()
+		case 1:
+			nd = other.Shift(float64(r.Intn(5)-2) * 2)
+		default:
+			nd = other.Clone()
+		}
+		otherGE, ndGE := hist.CompareCDF(other, nd)
+		for _, dominated := range []bool{false, true} {
+			gotDominated, gotKill := frontierVerdict(other, nd, dominated)
+			if gotDominated != (dominated || otherGE) || gotKill != (ndGE && !otherGE) {
+				t.Fatalf("pair %d, dominated %v: frontierVerdict = (%v, %v), CompareCDF says (%v, %v)",
+					i, dominated, gotDominated, gotKill, dominated || otherGE, ndGE && !otherGE)
+			}
 		}
 	}
 }

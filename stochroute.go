@@ -75,6 +75,9 @@ func NewHist(min, width float64, p []float64) *Hist { return hist.New(min, width
 
 // NewHistFromPairs builds a normalised distribution from explicit
 // (value, weight) pairs on a common grid, like the tables in the paper.
+// Bad input — a width, value or weight that is not finite, a negative
+// weight, a support wider than 1<<20 buckets — is an error, never a
+// panic.
 func NewHistFromPairs(pairs map[float64]float64, width float64) (*Hist, error) {
 	return hist.FromPairs(pairs, width)
 }
