@@ -214,7 +214,7 @@ func main() {
 				RebuildEvery:  *rebuildEvery,
 			},
 			MaxTrajectories: *maxTrajectories,
-			Metrics:         obs.NewIngestMetrics(reg, eng.NumSlices()),
+			Metrics:         reg,
 			Tracer:          tracer,
 		}, os.Stderr)
 		if len(seedTrajs) > 0 {

@@ -138,7 +138,7 @@ func newFleetReplica(t *testing.T, id string, withIngest bool) *fleetReplica {
 			Hybrid:                 retrain,
 			Drift:                  ingest.DriftConfig{Window: 250, MinEdgeObs: 6},
 			MinRebuildTrajectories: 300,
-			Metrics:                obs.NewIngestMetrics(reg, eng.NumSlices()),
+			Metrics:                reg,
 		}, io.Discard)
 	}
 	srv := server.New(eng, server.Config{Metrics: reg, Ingestor: ing, ReplicaID: id})

@@ -81,7 +81,7 @@ func TestOnlineIngestDriftRebuildSwapE2E(t *testing.T) {
 			MinEdgeObs: 6,
 		},
 		MinRebuildTrajectories: 300,
-		Metrics:                obs.NewIngestMetrics(reg, eng.NumSlices()),
+		Metrics:                reg,
 	}, io.Discard)
 
 	srv := server.New(eng, server.Config{Ingestor: ing, Metrics: reg})

@@ -143,9 +143,9 @@ func (g *Gateway) handleRouteBatch(w http.ResponseWriter, r *http.Request) error
 			httpErr error
 			wg      sync.WaitGroup
 		)
-		for owner, grp := range groups {
+		for _, grp := range groups {
 			wg.Add(1)
-			go func(owner int, grp *batchGroup) {
+			go func(grp *batchGroup) {
 				defer wg.Done()
 				sub, err := g.dispatchBatch(r.Context(), grp)
 				mu.Lock()
@@ -178,12 +178,12 @@ func (g *Gateway) handleRouteBatch(w http.ResponseWriter, r *http.Request) error
 					retry = append(retry, grp.orig...)
 					return
 				}
-				g.gm.BatchItems(owner, len(grp.orig))
+				grp.rep.batchItems.Add(uint64(len(grp.orig)))
 				cacheHits += sub.CacheHits
 				for k, pos := range grp.orig {
 					results[pos] = attributeReplica(sub.Results[k], grp.rep.id)
 				}
-			}(owner, grp)
+			}(grp)
 		}
 		wg.Wait()
 		if httpErr != nil {
@@ -225,7 +225,7 @@ func (g *Gateway) dispatchBatch(ctx context.Context, grp *batchGroup) (*replicaB
 	}
 	t0 := time.Now()
 	resp, err := g.roundTrip(req)
-	g.gm.Request(g.index[grp.rep.id], time.Since(t0), err != nil)
+	grp.rep.dispatched(time.Since(t0), err)
 	if psp != nil {
 		psp.SetError(err)
 		psp.End()

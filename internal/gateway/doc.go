@@ -90,12 +90,45 @@
 // status line is on the wire returns httpsvc.Aborted — counted,
 // logged to Config.LogW, nothing appended to the partial body.
 //
-// On /metrics the gateway adds per-replica request, error, latency,
-// failover and ingest-delivery series plus
-// gateway_replica_healthy/degraded gauges. A sampled request's "proxy"
-// (or "proxy/batch") span carries the replica it was dispatched to and
-// its span ID travels to that replica as the traceparent parent, so
-// /debug/traces on both processes show one trace ID: the gateway's
-// tree names the hop, the replica's tree (parent_span_id = the proxy
-// span) the search under it.
+// Each replica owns its series, registered under its replica label
+// when the gateway is built. /stats reports the values of those same
+// counters, and the health gauges read the replica's state at scrape
+// time, so a dispatch, a failover or an ingest delivery is counted
+// once and the two views agree. Each bullet of the catalogue names its
+// families before the dash; TestMetricCataloguesMatchRegistries
+// (package stochroute) holds the list to what New registers.
+// Metric catalogue:
+//
+//   - http_requests_total, http_request_errors_total,
+//     http_request_duration_seconds {endpoint}, uptime_seconds,
+//     inflight_requests — the chassis's, as on a replica.
+//   - gateway_replicas — the configured fleet size.
+//   - gateway_replica_healthy {replica}, gateway_replica_degraded
+//     {replica} — 1 or 0 from the replica's state: healthy reads 1
+//     unless the replica is down, degraded reads 1 only while it is
+//     degraded.
+//   - gateway_replica_requests_total {replica},
+//     gateway_replica_errors_total {replica},
+//     gateway_replica_latency_seconds {replica} — every dispatch (a
+//     proxied GET or a sub-batch); errors are transport failures,
+//     including a relay cut off mid-body.
+//   - gateway_failovers_total {replica} — requests re-routed away from
+//     the replica after a dispatch failure.
+//   - gateway_batch_items_total {replica} — scatter/gather items the
+//     replica answered.
+//   - gateway_ingest_enqueued_total {replica},
+//     gateway_ingest_delivered_total {replica},
+//     gateway_ingest_retries_total {replica},
+//     gateway_ingest_dropped_total {replica},
+//     gateway_ingest_queue_depth {replica},
+//     gateway_ingest_queue_bytes {replica} — the ingest fan-out:
+//     dropped counts a full queue at enqueue and a batch out of
+//     attempts, so enqueued = delivered + dropped-after-attempts + what
+//     is still queued or in flight.
+//
+// A sampled request's "proxy" (or "proxy/batch") span carries the
+// replica it was dispatched to and its span ID travels to that replica
+// as the traceparent parent, so /debug/traces on both processes show
+// one trace ID: the gateway's tree names the hop, the replica's tree
+// (parent_span_id = the proxy span) the search under it.
 package gateway

@@ -340,7 +340,7 @@ func TestRelayAbortMidBody(t *testing.T) {
 	if !strings.Contains(logbuf.String(), "aborted mid-body") {
 		t.Errorf("relay abort was not logged: %q", logbuf.String())
 	}
-	if errs := gw.gm.ReplicaStats(0).Errors; errs == 0 {
+	if errs := gw.reps[0].errors.Value(); errs == 0 {
 		t.Error("mid-body replica death not counted as a replica error")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"net/url"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stochroute/internal/httpsvc"
@@ -119,10 +118,9 @@ func (c Config) withDefaults() Config {
 // fan-out and scatter/gather batching. See the package documentation
 // for the routing and failover protocol.
 type Gateway struct {
-	cfg   Config
-	reps  []*replica
-	index map[string]int // replica ID -> position
-	ring  *Ring
+	cfg  Config
+	reps []*replica
+	ring *Ring
 	// svc is the shared HTTP chassis: the mux, the per-request wrapper
 	// protocol, request accounting, /metrics and /debug/traces.
 	svc *httpsvc.Service
@@ -130,10 +128,6 @@ type Gateway struct {
 	// transport carries every request the gateway sends to its fleet
 	// (see newTransport).
 	transport *http.Transport
-
-	gm *obs.GatewayMetrics
-
-	downSince []atomic.Int64 // unix ms of last down transition, 0 = never
 
 	startOnce sync.Once
 }
@@ -150,8 +144,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	ids := make([]string, len(cfg.Replicas))
 	g := &Gateway{
-		cfg:   cfg,
-		index: make(map[string]int, len(cfg.Replicas)),
+		cfg: cfg,
 		svc: httpsvc.New(httpsvc.Options{
 			Name:           "gateway",
 			Metrics:        cfg.Metrics,
@@ -161,18 +154,21 @@ func New(cfg Config) (*Gateway, error) {
 			FallbackStatus: http.StatusBadGateway,
 			LogW:           cfg.LogW,
 		}),
-		downSince: make([]atomic.Int64, len(cfg.Replicas)),
 	}
+	seen := make(map[string]bool, len(cfg.Replicas))
 	for i, rc := range cfg.Replicas {
 		if rc.ID == "" || rc.URL == "" {
 			return nil, fmt.Errorf("gateway: replica %d: ID and URL are required", i)
 		}
-		if _, dup := g.index[rc.ID]; dup {
+		if seen[rc.ID] {
 			return nil, fmt.Errorf("gateway: duplicate replica ID %q", rc.ID)
 		}
-		g.index[rc.ID] = i
+		seen[rc.ID] = true
 		ids[i] = rc.ID
-		rep, err := newReplica(rc, cfg.IngestQueue)
+		// A replica starts healthy, optimistic until the first probe
+		// round corrects it: Start probes synchronously before the
+		// listener opens.
+		rep, err := newReplica(rc, cfg.IngestQueue, cfg.Metrics)
 		if err != nil {
 			return nil, fmt.Errorf("gateway: replica %d: %w", i, err)
 		}
@@ -180,19 +176,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.ring = NewRing(ids, DefaultVNodes)
 	g.transport = newTransport()
-	g.gm = obs.NewGatewayMetrics(cfg.Metrics, ids)
-	for i := range g.reps {
-		// Optimistic until the first probe round corrects it: Start
-		// probes synchronously before the listener opens.
-		g.gm.SetHealth(i, true, false)
-		rep := g.reps[i]
-		cfg.Metrics.GaugeFunc("gateway_ingest_queue_depth",
-			"Ingest batches waiting in the replica's fan-out queue.",
-			func() float64 { return float64(len(rep.queue)) }, obs.L("replica", rep.id))
-		cfg.Metrics.GaugeFunc("gateway_ingest_queue_bytes",
-			"Raw-body bytes waiting in the replica's fan-out queue.",
-			func() float64 { return float64(rep.queuedBytes.Load()) }, obs.L("replica", rep.id))
-	}
 	cfg.Metrics.GaugeFunc("gateway_replicas",
 		"Configured fleet size.", func() float64 { return float64(len(g.reps)) })
 
@@ -359,7 +342,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, rep *replica) (f
 		if ctx.Err() == nil {
 			// The replica died mid-body; the client hanging up is
 			// not the replica's error.
-			g.gm.DispatchError(g.index[rep.id])
+			rep.errors.Inc()
 		}
 		// The status line is already on the wire: count and log,
 		// append nothing (see httpsvc.Aborted).
@@ -399,7 +382,7 @@ func (g *Gateway) dispatch(ctx context.Context, rep *replica, r *http.Request) (
 	}
 	t0 := time.Now()
 	resp, err := g.roundTrip(req)
-	g.gm.Request(g.index[rep.id], time.Since(t0), err != nil)
+	rep.dispatched(time.Since(t0), err)
 	if psp != nil {
 		psp.SetError(err)
 		psp.End()
@@ -510,7 +493,7 @@ func (g *Gateway) fleetHealth() *gatewayHealth {
 			ModelEpoch:      rep.epoch.Load(),
 			QueueDepth:      len(rep.queue),
 			QueueBytes:      rep.queuedBytes.Load(),
-			DownSinceUnixMS: g.downSince[i].Load(),
+			DownSinceUnixMS: rep.downSince.Load(),
 			ReportedID:      rep.mismatch(),
 		}
 		switch st {
@@ -547,7 +530,33 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 // snapshot for /stats.
 type replicaStatsEntry struct {
 	replicaHealth
-	obs.GatewayReplicaStats
+	replicaCounts
+}
+
+// replicaCounts is one replica's counters as /stats reports them: the
+// values of the series /metrics renders under its replica label.
+type replicaCounts struct {
+	Requests        uint64 `json:"requests"`
+	Errors          uint64 `json:"errors"`
+	Failovers       uint64 `json:"failovers"`
+	IngestEnqueued  uint64 `json:"ingest_enqueued"`
+	IngestDelivered uint64 `json:"ingest_delivered"`
+	IngestRetries   uint64 `json:"ingest_retries"`
+	IngestDropped   uint64 `json:"ingest_dropped"`
+	BatchItems      uint64 `json:"batch_items"`
+}
+
+func (r *replica) counts() replicaCounts {
+	return replicaCounts{
+		Requests:        r.requests.Value(),
+		Errors:          r.errors.Value(),
+		Failovers:       r.failovers.Value(),
+		IngestEnqueued:  r.ingestEnqueued.Value(),
+		IngestDelivered: r.ingestDelivered.Value(),
+		IngestRetries:   r.ingestRetries.Value(),
+		IngestDropped:   r.ingestDropped.Value(),
+		BatchItems:      r.batchItems.Value(),
+	}
 }
 
 type gatewayStats struct {
@@ -567,11 +576,8 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) error {
 		Replicas:  make([]replicaStatsEntry, len(g.reps)),
 		Endpoints: g.svc.EndpointStats(),
 	}
-	for i := range g.reps {
-		out.Replicas[i] = replicaStatsEntry{
-			replicaHealth:       h.Replicas[i],
-			GatewayReplicaStats: g.gm.ReplicaStats(i),
-		}
+	for i, rep := range g.reps {
+		out.Replicas[i] = replicaStatsEntry{replicaHealth: h.Replicas[i], replicaCounts: rep.counts()}
 	}
 	return httpsvc.WriteJSON(w, out)
 }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"stochroute/internal/obs"
 )
 
 // ReplicaState is the balancer's three-state view of one replica.
@@ -40,9 +42,9 @@ func (s ReplicaState) String() string {
 }
 
 // replica is one backend's runtime record: identity, health state, the
-// ingest fan-out queue, and the probe bookkeeping. State is written by
-// the prober goroutine and by request-path failure marking, and read
-// by every request — all through atomics.
+// ingest fan-out queue, the probe bookkeeping and its series. State is
+// written by the prober goroutine and by request-path failure marking,
+// and read by every request — all through atomics.
 type replica struct {
 	id  string
 	url string // normalized base URL, no trailing slash
@@ -69,10 +71,21 @@ type replica struct {
 	// when it disagrees with the fleet config ("" while they agree) —
 	// written by the prober, surfaced in the gateway's /healthz.
 	reportedID atomic.Value // string
+	// downSince is the unix ms of the last down transition (0 = never).
+	downSince atomic.Int64
+
+	// The replica's series, registered under its replica label. /stats
+	// reads these counters and /metrics renders them, so every dispatch,
+	// failover and ingest delivery is counted once.
+	requests, errors, failovers, batchItems                       *obs.Counter
+	ingestEnqueued, ingestDelivered, ingestRetries, ingestDropped *obs.Counter
+	latency                                                       *obs.Histogram
 }
 
-// newReplica validates one fleet entry and builds its runtime record.
-func newReplica(rc Replica, ingestQueue int) (*replica, error) {
+// newReplica validates one fleet entry, builds its runtime record and
+// registers its series in reg. The health gauges and the queue gauges
+// read the record at scrape time.
+func newReplica(rc Replica, ingestQueue int, reg *obs.Registry) (*replica, error) {
 	base := strings.TrimRight(rc.URL, "/")
 	get, err := http.NewRequest(http.MethodGet, base, nil)
 	if err != nil {
@@ -81,13 +94,62 @@ func newReplica(rc Replica, ingestQueue int) (*replica, error) {
 	if get.URL.Host == "" {
 		return nil, fmt.Errorf("URL %q names no host", rc.URL)
 	}
-	return &replica{
+	l := obs.L("replica", rc.ID)
+	r := &replica{
 		id:       rc.ID,
 		url:      base,
 		get:      get,
 		idHeader: []string{rc.ID},
 		queue:    make(chan []byte, ingestQueue),
-	}, nil
+		requests: reg.Counter("gateway_replica_requests_total",
+			"Requests the gateway dispatched to the replica.", l),
+		errors: reg.Counter("gateway_replica_errors_total",
+			"Dispatches to the replica that failed at the transport layer.", l),
+		failovers: reg.Counter("gateway_failovers_total",
+			"Requests re-routed away from the replica after a dispatch failure or down mark.", l),
+		batchItems: reg.Counter("gateway_batch_items_total",
+			"Scatter/gather batch items dispatched to the replica.", l),
+		ingestEnqueued: reg.Counter("gateway_ingest_enqueued_total",
+			"Ingest batches enqueued for delivery to the replica.", l),
+		ingestDelivered: reg.Counter("gateway_ingest_delivered_total",
+			"Ingest batches delivered to the replica (including after retries).", l),
+		ingestRetries: reg.Counter("gateway_ingest_retries_total",
+			"Ingest delivery attempts that failed and were retried with backoff.", l),
+		ingestDropped: reg.Counter("gateway_ingest_dropped_total",
+			"Ingest batches abandoned: queue full at enqueue or retry budget exhausted.", l),
+		latency: reg.Histogram("gateway_replica_latency_seconds",
+			"Wall-clock latency of replica dispatches, by replica.", obs.LatencyBuckets(), l),
+	}
+	reg.GaugeFunc("gateway_replica_healthy",
+		"1 while the replica is routable (healthy or degraded), 0 while it is down.",
+		func() float64 { return oneIf(r.State() != StateDown) }, l)
+	reg.GaugeFunc("gateway_replica_degraded",
+		"1 while the replica reports itself degraded (drift fired, no swap since).",
+		func() float64 { return oneIf(r.State() == StateDegraded) }, l)
+	reg.GaugeFunc("gateway_ingest_queue_depth",
+		"Ingest batches waiting in the replica's fan-out queue.",
+		func() float64 { return float64(len(r.queue)) }, l)
+	reg.GaugeFunc("gateway_ingest_queue_bytes",
+		"Raw-body bytes waiting in the replica's fan-out queue.",
+		func() float64 { return float64(r.queuedBytes.Load()) }, l)
+	return r, nil
+}
+
+func oneIf(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// dispatched records one dispatch to the replica: its latency, and an
+// error when it failed at the transport layer.
+func (r *replica) dispatched(d time.Duration, err error) {
+	r.requests.Inc()
+	r.latency.Observe(d.Seconds())
+	if err != nil {
+		r.errors.Inc()
+	}
 }
 
 // mismatch reads the replica's self-reported identity when it
@@ -105,18 +167,16 @@ func (g *Gateway) routable(i int) bool {
 	return g.reps[i].State() != StateDown
 }
 
-// setState publishes a state transition, updating the health gauges
-// and logging the change exactly once per transition.
+// setState publishes a state transition, logging the change exactly
+// once per transition.
 func (g *Gateway) setState(rep *replica, next ReplicaState, reason string) {
 	prev := ReplicaState(rep.state.Swap(int32(next)))
 	if prev == next {
 		return
 	}
-	idx := g.index[rep.id]
-	g.gm.SetHealth(idx, next != StateDown, next == StateDegraded)
 	g.svc.Logf("replica %s: %s -> %s (%s)", rep.id, prev, next, reason)
 	if next == StateDown {
-		g.downSince[idx].Store(time.Now().UnixMilli())
+		rep.downSince.Store(time.Now().UnixMilli())
 	}
 }
 
@@ -128,7 +188,7 @@ func (g *Gateway) setState(rep *replica, next ReplicaState, reason string) {
 // must filter client-caused and timeout errors first (clientCaused,
 // isTimeout): only genuine transport failures may change fleet state.
 func (g *Gateway) markFailed(rep *replica, err error) {
-	g.gm.Failover(g.index[rep.id])
+	rep.failovers.Inc()
 	g.setState(rep, StateDown, fmt.Sprintf("dispatch failed: %v", err))
 }
 

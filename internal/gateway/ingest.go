@@ -64,17 +64,17 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) error {
 
 	ack := ingestAck{Accepted: len(probe.Trajectories)}
 	var maxEpoch uint64
-	for i, rep := range g.reps {
+	for _, rep := range g.reps {
 		if e := rep.epoch.Load(); e > maxEpoch {
 			maxEpoch = e
 		}
 		if !g.enqueueIngest(rep, body) {
-			g.gm.IngestDropped(i)
+			rep.ingestDropped.Inc()
 			g.svc.Logf("replica %s: ingest queue full, batch dropped", rep.id)
 			ack.Dropped++
 			continue
 		}
-		g.gm.IngestEnqueued(i)
+		rep.ingestEnqueued.Inc()
 		ack.Enqueued++
 	}
 	ack.ModelEpoch = maxEpoch
@@ -113,7 +113,6 @@ func (g *Gateway) enqueueIngest(rep *replica, body []byte) bool {
 // dropped (counted) so one permanently-dead replica cannot wedge its
 // queue forever.
 func (g *Gateway) ingestWorker(ctx context.Context, rep *replica) {
-	idx := g.index[rep.id]
 	for {
 		var body []byte
 		select {
@@ -126,11 +125,11 @@ func (g *Gateway) ingestWorker(ctx context.Context, rep *replica) {
 		backoff := g.cfg.IngestBackoff
 		for attempt := 1; attempt <= g.cfg.IngestAttempts; attempt++ {
 			if g.deliverIngest(ctx, rep, body) {
-				g.gm.IngestDelivered(idx)
+				rep.ingestDelivered.Inc()
 				delivered = true
 				break
 			}
-			g.gm.IngestRetry(idx)
+			rep.ingestRetries.Inc()
 			select {
 			case <-ctx.Done():
 				return
@@ -141,7 +140,7 @@ func (g *Gateway) ingestWorker(ctx context.Context, rep *replica) {
 			}
 		}
 		if !delivered {
-			g.gm.IngestDropped(idx)
+			rep.ingestDropped.Inc()
 			g.svc.Logf("replica %s: ingest batch dropped after %d attempts", rep.id, g.cfg.IngestAttempts)
 		}
 	}

@@ -2,11 +2,14 @@ package ingest
 
 import (
 	"bytes"
+	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
 	"stochroute/internal/hybrid"
 	"stochroute/internal/obs"
+	"stochroute/internal/traj"
 )
 
 // TestDegradedWhileDriftPending: a drift firing with no possible
@@ -51,7 +54,7 @@ func TestDegradedClearsOnSwapAndMetrics(t *testing.T) {
 		Hybrid:                 lightHybridConfig(fx.width),
 		Drift:                  DriftConfig{Window: 200, MinEdgeObs: 6},
 		MinRebuildTrajectories: 150,
-		Metrics:                obs.NewIngestMetrics(reg, 1),
+		Metrics:                reg,
 	}, nil)
 
 	shift := shifted(fx.trajs, 2)
@@ -104,5 +107,87 @@ func TestDegradedClearsOnSwapAndMetrics(t *testing.T) {
 	}
 	if !strings.Contains(exposition, "ingest_drift_score") {
 		t.Error("drift score gauge missing from exposition")
+	}
+}
+
+// TestStatusReadsItsSeries: every count Status reports is the series
+// /metrics renders, on every slice, including the slices and the
+// counters nothing has moved (children are registered up front).
+// Seeds, rejections, an age-out, a drift swap on one slice and a
+// refused swap on the other all happen before the comparison.
+func TestStatusReadsItsSeries(t *testing.T) {
+	fx := testFixture(t)
+	const K, peak = 2, 1
+	tgt := &fakeTarget{g: fx.g, slices: K, kb: map[int]*hybrid.KnowledgeBase{0: fx.kb}, epoch: 1,
+		refuse: map[int]error{0: errors.New("swap refused")}}
+	reg := obs.NewRegistry()
+	in := New(tgt, Config{
+		Hybrid:                 lightHybridConfig(fx.width),
+		Drift:                  DriftConfig{Window: 200, MinEdgeObs: 6, RebuildEvery: 300},
+		MinRebuildTrajectories: 150,
+		MaxTrajectories:        200,
+		Metrics:                reg,
+	}, nil)
+
+	in.Seed(departingIn(fx.trajs[600:650], 0, K))
+	in.Ingest([]traj.Trajectory{{}})
+	// Slice 0 sees serving-distribution traffic: no drift, an age-out
+	// past 200 pending, then a count-triggered rebuild whose swap fails.
+	// Slice 1 sees doubled times: drift fires and its rebuild swaps.
+	quiet := departingIn(fx.trajs[:300], 0, K)
+	stream := departingIn(shifted(fx.trajs[300:600], 2), peak, K)
+	for lo := 0; lo < 300; lo += 50 {
+		in.Ingest(quiet[lo : lo+50])
+		in.Ingest(stream[lo : lo+50])
+	}
+	in.WaitRebuilds()
+	st := in.Status()
+
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]float64{}
+	for _, s := range samples {
+		series[s.Name+"|"+s.Label("slice")] = s.Value
+	}
+	check := func(name, slice string, want float64) {
+		t.Helper()
+		if got, ok := series[name+"|"+slice]; !ok || got != want {
+			t.Errorf("%s{slice=%q} = %v (present %v), Status says %v", name, slice, got, ok, want)
+		}
+	}
+	check("ingest_accepted_total", "", float64(st.Accepted))
+	check("ingest_rejected_total", "", float64(st.Rejected))
+	check("ingest_seeded_total", "", float64(st.Seeded))
+	check("ingest_aggregate_prunes_total", "", float64(st.AggregatePrunes))
+	check("ingest_rebuild_errors_total", "", float64(st.RebuildErrors))
+	folded := 0.0
+	for s, sl := range st.Slices {
+		l := strconv.Itoa(s)
+		check("swap_total", l, float64(sl.Rebuilds))
+		check("ingest_rebuild_seconds_count", l, float64(sl.Rebuilds))
+		check("ingest_drift_events_total", l, float64(sl.DriftEvents))
+		check("ingest_drift_score", l, sl.LastDriftScore)
+		folded += series["ingest_folded_total|"+l]
+	}
+	if want := float64(st.Seeded + st.Accepted); folded != want {
+		t.Errorf("Σ ingest_folded_total = %v, want seeded + accepted = %v", folded, want)
+	}
+
+	// Every event above happened, so no check compared two zeros by
+	// accident.
+	if st.Seeded != 50 || st.Accepted != 600 || st.Rejected != 1 || st.AggregatePrunes == 0 || st.RebuildErrors == 0 {
+		t.Errorf("scenario did not run as planned: %+v", st)
+	}
+	if sl := st.Slices[peak]; sl.Rebuilds == 0 || sl.DriftEvents == 0 || sl.LastDriftScore == 0 {
+		t.Errorf("slice %d did not drift and swap: %+v", peak, sl)
+	}
+	if sl := st.Slices[0]; sl.Rebuilds != 0 {
+		t.Errorf("slice 0 swapped past a refusing target: %+v", sl)
 	}
 }

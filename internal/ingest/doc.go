@@ -46,5 +46,6 @@
 // POST /ingest at a configurable rate and exercise the whole pipeline;
 // Status reports every counter both in aggregate and per slice: the
 // per-slice table is the subsystem's state, the aggregates are its
-// sums and maxima.
+// sums and maxima. Each counter is kept once, as a series the ingestor
+// registers in Config.Metrics: /metrics renders it and Status reads it.
 package ingest

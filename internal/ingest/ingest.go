@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,11 +68,14 @@ type Config struct {
 	// receives the same folds, and takes over when a fold would pass the
 	// bound; pending trajectories past it alone keep their newest half.
 	MaxTrajectories int
-	// Metrics, when set, receives the subsystem's telemetry: fold and
+	// Metrics is the registry the subsystem's series live in: fold and
 	// validation counters, per-slice drift scores and events, hot-swap
-	// counts and rebuild durations. Nil disables recording (the /stats
-	// counters are unaffected either way).
-	Metrics *obs.IngestMetrics
+	// counts and rebuild durations. Status reads those same series, so
+	// /stats and /metrics count every event once. Nil makes the ingestor
+	// create its own. Give each ingestor its own registry (or share it
+	// with the server it feeds, as cmd/serve does): two ingestors on one
+	// registry would share, and so add up, every count.
+	Metrics *obs.Registry
 	// Tracer, when set, gives the write path span trees: sampled
 	// /ingest requests get validate/fold/drift-score child spans, and
 	// every background rebuild records an always-sampled trace
@@ -101,12 +105,14 @@ type SliceStatus struct {
 	Trajectories int `json:"trajectories"`
 	// SinceRebuild counts accepted trajectories in this slice since
 	// its last rebuild trigger.
-	SinceRebuild int    `json:"since_rebuild"`
-	Rebuilding   bool   `json:"rebuilding"`
-	Rebuilds     uint64 `json:"rebuilds"`
-	DriftEvents  uint64 `json:"drift_events"`
+	SinceRebuild int  `json:"since_rebuild"`
+	Rebuilding   bool `json:"rebuilding"`
+	// Rebuilds and DriftEvents are the slice's swap_total and
+	// ingest_drift_events_total series.
+	Rebuilds    uint64 `json:"rebuilds"`
+	DriftEvents uint64 `json:"drift_events"`
 	// LastDriftScore is the drifted-edge fraction of this slice's most
-	// recently evaluated window.
+	// recently evaluated window: its ingest_drift_score gauge.
 	LastDriftScore float64 `json:"last_drift_score"`
 	// LastSwapUnixMS is the wall-clock time of this slice's last
 	// successful model swap (0 = never).
@@ -120,7 +126,8 @@ type SliceStatus struct {
 
 // Status is a point-in-time snapshot of the subsystem, surfaced by the
 // server's /stats endpoint. The scalar counters aggregate across all
-// time-of-day slices; Slices breaks them down per slice.
+// time-of-day slices; Slices breaks them down per slice. Every counter
+// is read from the series the registry renders on /metrics.
 type Status struct {
 	// Accepted and Rejected count live ingestion only; Seeded counts
 	// baseline trajectories preloaded with Seed.
@@ -174,19 +181,26 @@ type Ingestor struct {
 	aggs  []sliceAggregate // the aggregate, one per slice
 	drift []*DriftMonitor  // one window per slice
 	// slices is the per-slice status: triggers read it, Status copies
-	// it and derives the totals. Its Trajectories field is filled in by
-	// Status from aggs.
-	slices    []SliceStatus
+	// it and derives the totals. Status fills in its Trajectories from
+	// aggs and its Rebuilds, DriftEvents and LastDriftScore from series.
+	slices []SliceStatus
+	// series is each slice's telemetry. Its swaps, driftEvents and
+	// driftScore move under mu, with the slices entry they belong to.
+	series    []sliceSeries
 	rebuildWG sync.WaitGroup
 
-	metrics *obs.IngestMetrics // nil = recording disabled
+	// The lifetime counters, registered in Config.Metrics and read back
+	// by Status.
+	accepted, rejected, seeded, prunes, rebuildErrors *obs.Counter
 
-	accepted       atomic.Uint64
-	rejected       atomic.Uint64
-	seeded         atomic.Uint64
-	prunes         atomic.Uint64
-	rebuildErrors  atomic.Uint64
 	lastDriftScore atomic.Uint64 // math.Float64bits
+}
+
+// sliceSeries is one slice's series in Config.Metrics.
+type sliceSeries struct {
+	folded, driftEvents, swaps *obs.Counter
+	driftScore                 *obs.Gauge
+	rebuildSecs                *obs.Histogram
 }
 
 // New assembles an ingestor over target. Progress lines go to logW
@@ -201,6 +215,10 @@ func New(target Target, cfg Config, logW io.Writer) *Ingestor {
 	if k < 1 {
 		k = 1
 	}
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	in := &Ingestor{
 		target: target,
 		cfg:    cfg,
@@ -210,14 +228,38 @@ func New(target Target, cfg Config, logW io.Writer) *Ingestor {
 			store:  traj.NewObservationStore(target.Graph(), cfg.Hybrid.Width),
 			sample: reservoir{r: *rng.New(cfg.Hybrid.Seed).Split("prefix sample")},
 		},
-		aggs:    make([]sliceAggregate, k),
-		drift:   make([]*DriftMonitor, k),
-		slices:  make([]SliceStatus, k),
-		metrics: cfg.Metrics,
+		aggs:   make([]sliceAggregate, k),
+		drift:  make([]*DriftMonitor, k),
+		slices: make([]SliceStatus, k),
+		series: make([]sliceSeries, k),
+		accepted: reg.Counter("ingest_accepted_total",
+			"Live trajectories accepted into the ingestion aggregates."),
+		rejected: reg.Counter("ingest_rejected_total",
+			"Trajectories rejected by ingestion validation."),
+		seeded: reg.Counter("ingest_seeded_total",
+			"Trajectories seeded at startup (not counted as live)."),
+		prunes: reg.Counter("ingest_aggregate_prunes_total",
+			"Aggregate prunes (oldest trajectories dropped at the cap)."),
+		rebuildErrors: reg.Counter("ingest_rebuild_errors_total",
+			"Background model rebuilds that failed."),
 	}
+	secs := obs.ExponentialBuckets(0.01, 4, 10) // 10ms .. ~45min
 	for s := range in.drift {
 		in.aggs[s].counted = in.empty
 		in.drift[s] = NewDriftMonitor(cfg.Drift, cfg.Hybrid.Width)
+		l := obs.L("slice", strconv.Itoa(s))
+		in.series[s] = sliceSeries{
+			folded: reg.Counter("ingest_folded_total",
+				"Trajectories folded into each slice's aggregate.", l),
+			driftEvents: reg.Counter("ingest_drift_events_total",
+				"Drift-monitor firings per slice.", l),
+			swaps: reg.Counter("swap_total",
+				"Successful model hot swaps per slice.", l),
+			driftScore: reg.Gauge("ingest_drift_score",
+				"Latest drift score (JS divergence) per slice.", l),
+			rebuildSecs: reg.Histogram("ingest_rebuild_seconds",
+				"Background rebuild duration per slice, in seconds.", secs, l),
+		}
 	}
 	return in
 }
@@ -347,11 +389,8 @@ func (in *Ingestor) fold(ctx context.Context, trs []traj.Trajectory, live bool) 
 	if live {
 		in.accepted.Add(uint64(accepted))
 		in.rejected.Add(uint64(rejected))
-		in.metrics.Accepted(uint64(accepted))
-		in.metrics.Rejected(uint64(rejected))
 	} else {
 		in.seeded.Add(uint64(accepted))
-		in.metrics.Seeded(uint64(accepted))
 	}
 	if accepted == 0 {
 		return
@@ -364,7 +403,7 @@ func (in *Ingestor) fold(ctx context.Context, trs []traj.Trajectory, live bool) 
 		if len(bucket) == 0 {
 			continue
 		}
-		in.metrics.Folded(s, uint64(len(bucket)))
+		in.series[s].folded.Add(uint64(len(bucket)))
 		a := &in.aggs[s]
 		a.pending = append(a.pending, bucket...)
 		a.uncounted = a.uncounted.plus(tallyOf(bucket))
@@ -408,8 +447,7 @@ func (in *Ingestor) fold(ctx context.Context, trs []traj.Trajectory, live bool) 
 
 // agedOut counts and logs one age-out of slice s.
 func (in *Ingestor) agedOut(s, dropped, kept int) {
-	in.prunes.Add(1)
-	in.metrics.Pruned(1)
+	in.prunes.Inc()
 	in.logf("ingest: slice %d aggregate pruned: dropped %d oldest trajectories, retained %d", s, dropped, kept)
 }
 
@@ -430,11 +468,9 @@ func (in *Ingestor) checkTriggersLocked(ctx context.Context, s int) (bool, strin
 			dsp.End()
 		}
 		in.lastDriftScore.Store(math.Float64bits(rep.Score))
-		in.slices[s].LastDriftScore = rep.Score
-		in.metrics.DriftScore(s, rep.Score)
+		in.series[s].driftScore.Set(rep.Score)
 		if rep.Fired {
-			in.slices[s].DriftEvents++
-			in.metrics.DriftEvent(s)
+			in.series[s].driftEvents.Inc()
 			// The slice is now knowingly stale: degraded until a rebuild
 			// swaps a fresh generation in (even if one is already in
 			// flight — it predates this evidence).
@@ -534,13 +570,12 @@ func (in *Ingestor) rebuild(p sliceRebuild) {
 		wsp.End()
 		in.mu.Lock()
 		in.slices[p.slice].LastSwapUnixMS = time.Now().UnixMilli()
-		in.slices[p.slice].Rebuilds++
+		in.series[p.slice].swaps.Inc()
 		// A fresh generation is serving: whatever drift evidence was
 		// pending for this slice has been answered.
 		in.slices[p.slice].DriftPending = false
 		in.mu.Unlock()
-		in.metrics.Swap(p.slice)
-		in.metrics.RebuildDuration(p.slice, time.Since(start))
+		in.series[p.slice].rebuildSecs.Observe(time.Since(start).Seconds())
 		in.logf("ingest: slice %d rebuild (%s): trained on %d trajectories in %s (KL hybrid %.4f vs conv %.4f); slice serving epoch %d",
 			p.slice, p.reason, next.trajs, time.Since(start).Round(time.Millisecond),
 			report.MeanKLHybrid, report.MeanKLConv, epoch)
@@ -549,8 +584,7 @@ func (in *Ingestor) rebuild(p sliceRebuild) {
 	root.SetError(err)
 	in.cfg.Tracer.Finish(root)
 	if err != nil {
-		in.rebuildErrors.Add(1)
-		in.metrics.RebuildError()
+		in.rebuildErrors.Inc()
 		in.logf("ingest: slice %d rebuild (%s) failed after %s: %v",
 			p.slice, p.reason, time.Since(start).Round(time.Millisecond), err)
 	}
@@ -566,18 +600,21 @@ func (in *Ingestor) WaitRebuilds() { in.rebuildWG.Wait() }
 // maximum or disjunction.
 func (in *Ingestor) Status() Status {
 	st := Status{
-		Accepted:        in.accepted.Load(),
-		Rejected:        in.rejected.Load(),
-		Seeded:          in.seeded.Load(),
-		AggregatePrunes: in.prunes.Load(),
-		RebuildErrors:   in.rebuildErrors.Load(),
+		Accepted:        in.accepted.Value(),
+		Rejected:        in.rejected.Value(),
+		Seeded:          in.seeded.Value(),
+		AggregatePrunes: in.prunes.Value(),
+		RebuildErrors:   in.rebuildErrors.Value(),
 		LastDriftScore:  math.Float64frombits(in.lastDriftScore.Load()),
 	}
 	in.mu.Lock()
 	st.Slices = append([]SliceStatus(nil), in.slices...)
 	for s, a := range in.aggs {
 		t := a.counted.plus(a.uncounted)
-		st.Slices[s].Trajectories = t.trajs
+		sl, ser := &st.Slices[s], in.series[s]
+		sl.Trajectories = t.trajs
+		sl.Rebuilds, sl.DriftEvents = ser.swaps.Value(), ser.driftEvents.Value()
+		sl.LastDriftScore = ser.driftScore.Value()
 		st.EdgeObservations += t.edges
 	}
 	in.mu.Unlock()

@@ -27,6 +27,8 @@ type fakeTarget struct {
 	swapped    *hybrid.Model
 	swappedObs *traj.ObservationStore // the store the last swapped model was trained on
 	swapSlices []int                  // slice of every SwapSliceModel call, in order
+	// refuse, when it names a slice, fails that slice's swaps.
+	refuse map[int]error
 	// beforeGraph, when set, runs at the top of every Graph call — a
 	// rebuild's first call into the target, so a test can hold one
 	// there.
@@ -68,6 +70,9 @@ func (t *fakeTarget) ModelEpoch() uint64 {
 func (t *fakeTarget) SwapSliceModel(slice int, m *hybrid.Model, obs *traj.ObservationStore) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if err := t.refuse[slice]; err != nil {
+		return 0, err
+	}
 	if t.kb == nil {
 		t.kb = make(map[int]*hybrid.KnowledgeBase)
 	}

@@ -2,10 +2,14 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
-	"time"
+
+	"stochroute/internal/israce"
 )
 
 // TestExpositionGolden locks the exposition format byte for byte:
@@ -108,13 +112,108 @@ func TestLabelEscaping(t *testing.T) {
 	if !strings.Contains(buf.String(), want) {
 		t.Errorf("escaped exposition missing %q:\n%s", want, buf.String())
 	}
-	// And the parser must invert it.
-	samples, err := ParseText(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
+	// And the parser must invert it, for any value: one that looks like
+	// an exemplar marker, braces, or bytes that are not UTF-8 beside a
+	// byte that needs escaping too.
+	for _, v := range []string{`a"b\c` + "\n", `x # {trace_id="y"} 1`, `}`, `{a="b"}`, "\xff\"\xfe", ``} {
+		r := NewRegistry()
+		r.Counter("esc_total", "Esc.", L("path", v)).Inc()
+		requireRoundTrip(t, r, "esc_total", v, 1)
 	}
-	if len(samples) != 1 || samples[0].Label("path") != `a"b\c`+"\n" {
-		t.Errorf("parser did not invert escaping: %+v", samples)
+}
+
+// identifier is a metric or label name the registry could have
+// rendered.
+var identifier = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+
+// FuzzParseText: whatever the bytes, ParseText does not panic and
+// allocates in proportion to the input; the samples it accepts under
+// names the registry could render parse back the same from their
+// rendering; and the input used as a label value and as an exemplar's
+// trace ID comes back byte for byte from both expositions. The seed
+// corpus is in testdata/fuzz/FuzzParseText.
+func FuzzParseText(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		var samples []Sample
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		samples, err = ParseText(strings.NewReader(text))
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; !israce.Enabled && alloc > 64*uint64(len(text))+64<<10 {
+			t.Fatalf("%d input bytes allocated %d bytes", len(text), alloc)
+		}
+		if err == nil {
+			var b strings.Builder
+			var kept []Sample
+		samples:
+			for _, s := range samples {
+				if !identifier.MatchString(s.Name) {
+					continue
+				}
+				labels := make([]Label, 0, len(s.Labels))
+				for k, v := range s.Labels {
+					if !identifier.MatchString(k) {
+						continue samples
+					}
+					labels = append(labels, L(k, v))
+				}
+				b.WriteString(s.Name + renderLabels(labels) + " " + formatFloat(s.Value) + "\n")
+				kept = append(kept, s)
+			}
+			back, err := ParseText(strings.NewReader(b.String()))
+			if err != nil || len(back) != len(kept) {
+				t.Fatalf("rendering of %+v parses as %+v, %v:\n%s", kept, back, err, b.String())
+			}
+			for i := range kept {
+				if !sameSample(back[i], kept[i]) {
+					t.Fatalf("sample %+v parses back as %+v", kept[i], back[i])
+				}
+			}
+		}
+
+		r := NewRegistry()
+		r.Counter("fuzz_total", "Fuzz.", L("path", text)).Add(3)
+		r.Histogram("fuzz_seconds", "Fuzz.", []float64{1}).ObserveWithExemplar(0.5, text)
+		requireRoundTrip(t, r, "fuzz_total", text, 3)
+	})
+}
+
+// sameSample compares two samples, NaN values equal to each other.
+func sameSample(a, b Sample) bool {
+	if a.Name != b.Name || len(a.Labels) != len(b.Labels) {
+		return false
+	}
+	for k, v := range a.Labels {
+		if w, ok := b.Labels[k]; !ok || w != v {
+			return false
+		}
+	}
+	return a.Value == b.Value || math.IsNaN(a.Value) && math.IsNaN(b.Value)
+}
+
+// requireRoundTrip: both expositions of r parse back to a sample of
+// name whose "path" label is v and whose value is want.
+func requireRoundTrip(t *testing.T, r *Registry, name, v string, want float64) {
+	t.Helper()
+	for _, write := range []func(io.Writer) error{r.WriteText, r.WriteOpenMetrics} {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := ParseText(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("label value %q: %v in\n%s", v, err, buf.String())
+		}
+		found := false
+		for _, s := range samples {
+			if s.Name == name && s.Label("path") == v && s.Value == want {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("label value %q: no %s sample of %v in %+v\n%s", v, name, want, samples, buf.String())
+		}
 	}
 }
 
@@ -228,46 +327,4 @@ func TestNewRequestID(t *testing.T) {
 	if !strings.Contains(a, "-") {
 		t.Fatalf("request ID %q missing prefix separator", a)
 	}
-}
-
-func TestIngestMetricsRecorders(t *testing.T) {
-	r := NewRegistry()
-	m := NewIngestMetrics(r, 2)
-	m.Accepted(5)
-	m.Rejected(1)
-	m.Seeded(100)
-	m.Folded(1, 5)
-	m.DriftScore(1, 0.42)
-	m.DriftEvent(1)
-	m.Swap(1)
-	m.RebuildDuration(1, 1500*time.Millisecond)
-	m.RebuildError()
-	m.Pruned(3)
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"ingest_accepted_total 5",
-		"ingest_rejected_total 1",
-		"ingest_seeded_total 100",
-		`ingest_folded_total{slice="1"} 5`,
-		`ingest_drift_score{slice="1"} 0.42`,
-		`ingest_drift_events_total{slice="1"} 1`,
-		`swap_total{slice="1"} 1`,
-		`swap_total{slice="0"} 0`,
-		`ingest_rebuild_seconds_count{slice="1"} 1`,
-		"ingest_rebuild_errors_total 1",
-		"ingest_aggregate_prunes_total 3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-	// Nil recorder is a no-op, not a panic.
-	var nilM *IngestMetrics
-	nilM.Accepted(1)
-	nilM.Swap(0)
-	nilM.RebuildDuration(0, time.Second)
 }

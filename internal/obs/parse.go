@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -23,14 +24,16 @@ type Sample struct {
 func (s Sample) Label(name string) string { return s.Labels[name] }
 
 // ParseText parses a Prometheus text exposition (the format WriteText
-// emits) into samples, skipping comment and blank lines. It understands
-// the subset this package produces — plain `name{labels} value` lines
-// with escaped label values — which is also the subset cmd/loadgen
-// needs to diff two scrapes.
+// emits, or WriteOpenMetrics with its exemplars) into samples, skipping
+// comment and blank lines. It understands the subset this package
+// produces — plain `name{labels} value` lines with escaped label
+// values — which is also the subset cmd/loadgen needs to diff two
+// scrapes. It reads back every label value the registry renders.
 func ParseText(r io.Reader) ([]Sample, error) {
 	var out []Sample
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	// The buffer starts small and grows to the longest line, up to 1 MiB.
+	sc.Buffer(nil, 1<<20)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -53,35 +56,28 @@ func ParseText(r io.Reader) ([]Sample, error) {
 func parseSampleLine(line string) (Sample, error) {
 	var s Sample
 	rest := line
-	// OpenMetrics bucket lines may carry an exemplar annotation after
-	// the value (` # {trace_id="..."} value ts`); strip it before
-	// parsing so ParseText accepts either exposition. The marker cannot
-	// occur inside a label value this registry renders (values escape
-	// nothing that would produce ` # {`).
-	if i := strings.Index(rest, " # {"); i >= 0 {
-		rest = rest[:i]
-	}
 	if i := strings.IndexByte(rest, '{'); i >= 0 {
 		s.Name = rest[:i]
-		end := strings.LastIndexByte(rest, '}')
-		if end < i {
-			return s, fmt.Errorf("unterminated label set in %q", line)
-		}
-		labels, err := parseLabels(rest[i+1 : end])
+		labels, after, err := parseLabels(rest[i+1:])
 		if err != nil {
 			return s, err
 		}
-		s.Labels = labels
-		rest = strings.TrimSpace(rest[end+1:])
-	} else {
-		fields := strings.Fields(rest)
-		if len(fields) != 2 {
-			return s, fmt.Errorf("malformed sample %q", line)
-		}
-		s.Name = fields[0]
-		rest = fields[1]
+		s.Labels, rest = labels, after
+	} else if i := strings.IndexAny(rest, " \t"); i > 0 {
+		s.Name, rest = rest[:i], rest[i:]
 	}
-	v, err := parseValue(strings.TrimSpace(rest))
+	if s.Name == "" {
+		return s, fmt.Errorf("malformed sample %q", line)
+	}
+	// The value is the first field. OpenMetrics bucket lines may carry
+	// an exemplar annotation after it (` # {trace_id="..."} value ts`),
+	// so ParseText accepts either exposition; anything else after the
+	// value is malformed.
+	fields := strings.Fields(rest)
+	if len(fields) == 0 || len(fields) > 1 && fields[1] != "#" {
+		return s, fmt.Errorf("malformed sample %q", line)
+	}
+	v, err := parseValue(fields[0])
 	if err != nil {
 		return s, fmt.Errorf("bad value in %q: %w", line, err)
 	}
@@ -101,44 +97,46 @@ func parseValue(v string) (float64, error) {
 	return strconv.ParseFloat(v, 64)
 }
 
-func parseLabels(s string) (map[string]string, error) {
+// parseLabels parses a label set that starts after its opening brace
+// and returns the labels and the rest of the line after the closing
+// brace. Values are read quote to quote, honouring backslash escapes,
+// so a value may hold any byte — braces and ` # ` included.
+func parseLabels(s string) (map[string]string, string, error) {
 	out := make(map[string]string)
-	for len(s) > 0 {
+	for {
+		s = strings.TrimSpace(s)
+		if s == "" {
+			return nil, "", errors.New("unterminated label set")
+		}
+		if s[0] == '}' {
+			return out, s[1:], nil
+		}
 		eq := strings.IndexByte(s, '=')
 		if eq < 0 || eq+1 >= len(s) || s[eq+1] != '"' {
-			return nil, fmt.Errorf("malformed labels %q", s)
+			return nil, "", fmt.Errorf("malformed labels %q", s)
 		}
 		name := strings.TrimSpace(s[:eq])
-		// Find the closing quote, honouring backslash escapes.
 		i := eq + 2
 		var val strings.Builder
-		for i < len(s) {
-			c := s[i]
-			if c == '\\' && i+1 < len(s) {
-				switch s[i+1] {
-				case 'n':
+		for ; i < len(s) && s[i] != '"'; i++ {
+			if s[i] == '\\' && i+1 < len(s) {
+				i++
+				if s[i] == 'n' {
 					val.WriteByte('\n')
-				default:
-					val.WriteByte(s[i+1])
+					continue
 				}
-				i += 2
-				continue
 			}
-			if c == '"' {
-				break
-			}
-			val.WriteByte(c)
-			i++
+			val.WriteByte(s[i])
 		}
 		if i >= len(s) {
-			return nil, fmt.Errorf("unterminated label value in %q", s)
+			return nil, "", fmt.Errorf("unterminated label value in %q", s)
 		}
 		out[name] = val.String()
-		s = s[i+1:]
-		s = strings.TrimPrefix(strings.TrimSpace(s), ",")
-		s = strings.TrimSpace(s)
+		s = strings.TrimSpace(s[i+1:])
+		if s != "" && s[0] == ',' {
+			s = s[1:]
+		}
 	}
-	return out, nil
 }
 
 // HistogramDelta aggregates, across two scrapes, every _bucket series

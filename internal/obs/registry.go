@@ -133,9 +133,12 @@ func escapeLabelValue(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
+	// Byte by byte, so the bytes of a value that is not valid UTF-8
+	// render unchanged, as on the fast path above, rather than as
+	// replacement characters ParseText could not undo.
 	var b strings.Builder
-	for _, r := range v {
-		switch r {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
 		case '\\':
 			b.WriteString(`\\`)
 		case '"':
@@ -143,7 +146,7 @@ func escapeLabelValue(v string) string {
 		case '\n':
 			b.WriteString(`\n`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"strconv"
-	"time"
-)
+import "strconv"
 
 // sliceLabels pre-renders the slice="i" label for each of n slices, so
 // per-slice children can be registered once and indexed by slice on the
@@ -120,143 +117,5 @@ func (m *SearchMetrics) Observe(s SearchSample) {
 	m.arenaBytes[i].Observe(float64(s.ArenaBytes))
 	if s.TimeExpanded {
 		m.timeExpanded.Inc()
-	}
-}
-
-// IngestMetrics holds the ingestion subsystem's telemetry: lifetime
-// fold/validation counters, per-slice drift gauges and event counters,
-// hot-swap counters and rebuild-duration histograms. All children are
-// pre-registered; every record call is pure atomics.
-//
-// A nil *IngestMetrics records nothing.
-type IngestMetrics struct {
-	accepted      *Counter
-	rejected      *Counter
-	seeded        *Counter
-	rebuildErrors *Counter
-	prunes        *Counter
-
-	folded      []*Counter
-	driftEvents []*Counter
-	swaps       []*Counter
-	driftScore  []*Gauge
-	rebuildSecs []*Histogram
-}
-
-// NewIngestMetrics registers the ingestion telemetry families on r for
-// slices time-of-day slices and returns the recorder.
-func NewIngestMetrics(r *Registry, slices int) *IngestMetrics {
-	labels := sliceLabels(slices)
-	m := &IngestMetrics{
-		accepted: r.Counter("ingest_accepted_total",
-			"Live trajectories accepted into the ingestion aggregates."),
-		rejected: r.Counter("ingest_rejected_total",
-			"Trajectories rejected by ingestion validation."),
-		seeded: r.Counter("ingest_seeded_total",
-			"Trajectories seeded at startup (not counted as live)."),
-		rebuildErrors: r.Counter("ingest_rebuild_errors_total",
-			"Background model rebuilds that failed."),
-		prunes: r.Counter("ingest_aggregate_prunes_total",
-			"Aggregate prunes (oldest trajectories dropped at the cap)."),
-	}
-	m.folded = make([]*Counter, len(labels))
-	m.driftEvents = make([]*Counter, len(labels))
-	m.swaps = make([]*Counter, len(labels))
-	m.driftScore = make([]*Gauge, len(labels))
-	m.rebuildSecs = make([]*Histogram, len(labels))
-	secs := ExponentialBuckets(0.01, 4, 10) // 10ms .. ~45min
-	for i, l := range labels {
-		m.folded[i] = r.Counter("ingest_folded_total",
-			"Trajectories folded into each slice's aggregate.", l)
-		m.driftEvents[i] = r.Counter("ingest_drift_events_total",
-			"Drift-monitor firings per slice.", l)
-		m.swaps[i] = r.Counter("swap_total",
-			"Successful model hot swaps per slice.", l)
-		m.driftScore[i] = r.Gauge("ingest_drift_score",
-			"Latest drift score (JS divergence) per slice.", l)
-		m.rebuildSecs[i] = r.Histogram("ingest_rebuild_seconds",
-			"Background rebuild duration per slice, in seconds.", secs, l)
-	}
-	return m
-}
-
-// clampSlice maps an out-of-range slice index onto [0, n).
-func clampSlice(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
-}
-
-// Accepted adds n live accepted trajectories.
-func (m *IngestMetrics) Accepted(n uint64) {
-	if m != nil {
-		m.accepted.Add(n)
-	}
-}
-
-// Rejected adds n validation rejections.
-func (m *IngestMetrics) Rejected(n uint64) {
-	if m != nil {
-		m.rejected.Add(n)
-	}
-}
-
-// Seeded adds n seed trajectories.
-func (m *IngestMetrics) Seeded(n uint64) {
-	if m != nil {
-		m.seeded.Add(n)
-	}
-}
-
-// Folded adds n trajectories folded into the slice's aggregate.
-func (m *IngestMetrics) Folded(slice int, n uint64) {
-	if m != nil {
-		m.folded[clampSlice(slice, len(m.folded))].Add(n)
-	}
-}
-
-// DriftScore sets the slice's latest drift score.
-func (m *IngestMetrics) DriftScore(slice int, score float64) {
-	if m != nil {
-		m.driftScore[clampSlice(slice, len(m.driftScore))].Set(score)
-	}
-}
-
-// DriftEvent counts one drift-monitor firing on the slice.
-func (m *IngestMetrics) DriftEvent(slice int) {
-	if m != nil {
-		m.driftEvents[clampSlice(slice, len(m.driftEvents))].Inc()
-	}
-}
-
-// Swap counts one successful hot swap of the slice's model.
-func (m *IngestMetrics) Swap(slice int) {
-	if m != nil {
-		m.swaps[clampSlice(slice, len(m.swaps))].Inc()
-	}
-}
-
-// RebuildDuration records one successful rebuild's wall-clock duration.
-func (m *IngestMetrics) RebuildDuration(slice int, d time.Duration) {
-	if m != nil {
-		m.rebuildSecs[clampSlice(slice, len(m.rebuildSecs))].Observe(d.Seconds())
-	}
-}
-
-// RebuildError counts one failed rebuild.
-func (m *IngestMetrics) RebuildError() {
-	if m != nil {
-		m.rebuildErrors.Inc()
-	}
-}
-
-// Pruned adds n trajectories dropped by the aggregate-size cap.
-func (m *IngestMetrics) Pruned(n uint64) {
-	if m != nil {
-		m.prunes.Add(n)
 	}
 }

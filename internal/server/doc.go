@@ -184,7 +184,10 @@
 // "/route/batch", ...); slice is the time-of-day slice index as a
 // decimal string; cache is "hit"|"miss" on route_latency_seconds and
 // the cache family ("route", the only one) on cache_* series;
-// time_expanded is "true"|"false". Metric catalogue:
+// time_expanded is "true"|"false". Each bullet of the catalogue names
+// its families before the dash, and TestMetricCataloguesMatchRegistries
+// (package stochroute) holds the list to what cmd/serve's wiring
+// registers. Metric catalogue:
 //
 //   - http_requests_total, http_request_errors_total,
 //     http_request_duration_seconds {endpoint} — every endpoint,
@@ -198,26 +201,31 @@
 //     cache_invalidations_total, cache_entries {cache, slice} — the
 //     per-slice LRU caches; invalidations count the hot-swap
 //     footprint.
-//   - model_epoch, slice_epoch {slice} — the two-level epochs;
-//     swap_total {slice} (from internal/obs.IngestMetrics) counts each
-//     slice's hot swaps, so swap N is visible as swap_total moving
-//     with slice_epoch in lockstep.
+//   - model_epoch, slice_epoch {slice}, swap_total {slice} — the
+//     two-level epochs and each slice's hot swaps (the ingestor's
+//     series), so swap N is visible as swap_total moving with
+//     slice_epoch in lockstep.
 //   - search_expansions, search_generated_labels,
 //     search_pruned_potential, search_pruned_pivot,
 //     search_pruned_dominance, search_convolved, search_estimated,
-//     search_arena_bytes {slice} (histograms) and
-//     search_time_expanded_total — the engine's per-query search
-//     telemetry (Engine.SetSearchMetrics). search_convolved and
-//     search_estimated are extensions built per query: the pruned_*
-//     histograms include children ruled out from the parent label
-//     alone, which were never costed and are in neither.
+//     search_arena_bytes {slice}, search_time_expanded_total — the
+//     engine's per-query search telemetry (Engine.SetSearchMetrics):
+//     per-slice histograms and a counter of time-expanded queries.
+//     search_convolved and search_estimated are extensions built per
+//     query: the pruned_* histograms include children ruled out from
+//     the parent label alone, which were never costed and are in
+//     neither.
 //   - ingest_accepted_total, ingest_rejected_total,
 //     ingest_seeded_total, ingest_folded_total {slice},
 //     ingest_drift_score {slice}, ingest_drift_events_total {slice},
 //     ingest_rebuild_seconds {slice}, ingest_rebuild_errors_total,
-//     ingest_pruned_total — the write path.
+//     ingest_aggregate_prunes_total — the write path, registered by
+//     the ingestor; its /stats block reads these same series.
 //   - uptime_seconds, inflight_requests, degraded, arena_bytes_inuse
 //     — scrape-time gauges; degraded mirrors /healthz.
+//   - go_goroutines, go_heap_inuse_bytes, go_gomaxprocs,
+//     go_gc_pause_seconds_total, go_gc_cycles_total — the Go runtime
+//     sampler, which /stats's runtime block reads too.
 //
 // Slow-query logging: a /route or /route/anytime request that takes
 // Config.SlowQueryThreshold or longer emits one structured slog line
