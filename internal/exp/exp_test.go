@@ -113,13 +113,9 @@ func TestRunQualityShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quality experiment is slow")
 	}
-	s := smallSetup(t)
-	rows, err := RunQuality(s, DefaultQualityConfig(), io.Discard)
-	if err != nil {
-		t.Fatalf("RunQuality: %v", err)
-	}
-	if len(rows) != len(Categories(s.Scale)) {
-		t.Fatalf("got %d rows, want %d", len(rows), len(Categories(s.Scale)))
+	rows := smallTables(t).quality
+	if len(rows) != len(Categories(Small)) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(Categories(Small)))
 	}
 	for _, row := range rows {
 		// PBR optimises the model's on-time probability and is seeded
@@ -149,11 +145,7 @@ func TestRunEfficiencyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("efficiency experiment is slow")
 	}
-	s := smallSetup(t)
-	rows, err := RunEfficiency(s, io.Discard)
-	if err != nil {
-		t.Fatalf("RunEfficiency: %v", err)
-	}
+	rows := smallTables(t).efficiency
 	if len(rows) < 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -168,11 +160,7 @@ func TestRunAnytimeCurveShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("anytime curve is slow")
 	}
-	s := smallSetup(t)
-	points, err := RunAnytimeCurve(s, io.Discard)
-	if err != nil {
-		t.Fatalf("RunAnytimeCurve: %v", err)
-	}
+	points := smallTables(t).anytime
 	if len(points) < 3 {
 		t.Fatalf("got %d points", len(points))
 	}
@@ -191,11 +179,7 @@ func TestRunAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation experiment is slow")
 	}
-	s := smallSetup(t)
-	rows, err := RunAblation(s, io.Discard)
-	if err != nil {
-		t.Fatalf("RunAblation: %v", err)
-	}
+	rows := smallTables(t).ablation
 	byName := map[string]AblationRow{}
 	for _, r := range rows {
 		byName[r.Variant] = r
