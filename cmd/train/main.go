@@ -14,14 +14,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"slices"
 	"time"
 
-	"stochroute/internal/graph"
+	"stochroute"
 	"stochroute/internal/hybrid"
 	"stochroute/internal/routing"
 	"stochroute/internal/traj"
@@ -30,40 +32,46 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("train: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
-	netPath := flag.String("net", "net.srg", "input network file (SRG1)")
-	trajPath := flag.String("traj", "trips.srt", "input trajectory file (SRT2)")
-	out := flag.String("out", "model.srhm", "output model file")
-	trainPairs := flag.Int("train-pairs", 4000, "training edge pairs (paper: 4000)")
-	testPairs := flag.Int("test-pairs", 1000, "held-out test edge pairs (paper: 1000)")
-	minObs := flag.Int("min-obs", 20, "minimum joint observations for a pair to count as having data")
-	width := flag.Float64("width", 2, "histogram grid width in seconds")
-	epochs := flag.Int("epochs", 120, "estimator training epochs")
-	numSlices := flag.Int("slices", 1, "time-of-day slices: train one model per slice (1 = single time-homogeneous model)")
-	landmarks := flag.Int("landmarks", 0, "dry-run ALT landmark preprocessing after training and report its cost (what cmd/serve -landmarks=N will pay per model generation; 0 skips)")
-	verbose := flag.Bool("v", false, "log training progress")
-	flag.Parse()
+// run trains the model the arguments describe through
+// stochroute.NewEngineFromObservations, prints its evaluation to stdout
+// and writes it with Engine.SaveModel.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("train", flag.ContinueOnError)
+	netPath := fs.String("net", "net.srg", "input network file (SRG1)")
+	trajPath := fs.String("traj", "trips.srt", "input trajectory file (SRT2)")
+	out := fs.String("out", "model.srhm", "output model file")
+	trainPairs := fs.Int("train-pairs", 4000, "training edge pairs (paper: 4000)")
+	testPairs := fs.Int("test-pairs", 1000, "held-out test edge pairs (paper: 1000)")
+	minObs := fs.Int("min-obs", 20, "minimum joint observations for a pair to count as having data")
+	width := fs.Float64("width", 2, "histogram grid width in seconds")
+	epochs := fs.Int("epochs", 120, "estimator training epochs")
+	numSlices := fs.Int("slices", 1, "time-of-day slices: train one model per slice (1 = single time-homogeneous model)")
+	landmarks := fs.Int("landmarks", 0, "dry-run ALT landmark preprocessing after training and report its cost (what cmd/serve -landmarks=N will pay per model generation; 0 skips)")
+	verbose := fs.Bool("v", false, "log training progress")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if err := traj.CheckWidth(*width); err != nil {
-		log.Fatalf("-width: %v", err)
+		return fmt.Errorf("-width: %w", err)
 	}
 
-	f, err := os.Open(*netPath)
+	g, err := stochroute.LoadGraph(*netPath)
 	if err != nil {
-		log.Fatal(err)
-	}
-	g, err := graph.Read(f)
-	f.Close()
-	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tf, err := os.Open(*trajPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	trs, err := traj.ReadTrajectoryStream(tf, g)
 	tf.Close()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg := hybrid.DefaultConfig()
 	cfg.Width = *width
@@ -77,28 +85,30 @@ func main() {
 		cfg.Estimator.Train.Logf = log.Printf
 	}
 
-	k := traj.NumSlices(*numSlices)
-	obs := traj.CollectSlices(g, *width, k, trs)
-	bySlice := traj.SplitBySlice(trs, k)
-
-	set, reports, err := hybrid.TrainSlices(g, obs, bySlice, nil, cfg)
+	eng, err := stochroute.NewEngineFromObservations(g, trs, cfg, io.Discard)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	for s, report := range reports {
+	k := eng.NumSlices()
+	perSlice := make([]int, k)
+	for i := range trs {
+		perSlice[eng.SliceOf(trs[i].Departure)]++
+	}
+	for s, report := range eng.Reports {
+		kb := eng.SliceKnowledgeBase(s)
 		if k > 1 {
-			fmt.Printf("slice %d: %d trajectories, %d pairs with >= %d observations\n",
-				s, len(bySlice[s]), set.At(s).KB.NumPairs(), cfg.MinPairObs)
+			fmt.Fprintf(stdout, "slice %d: %d trajectories, %d pairs with >= %d observations\n",
+				s, perSlice[s], kb.NumPairs(), cfg.MinPairObs)
 		} else {
-			fmt.Printf("knowledge base: %d pairs with >= %d observations\n", set.At(s).KB.NumPairs(), cfg.MinPairObs)
+			fmt.Fprintf(stdout, "knowledge base: %d pairs with >= %d observations\n", kb.NumPairs(), cfg.MinPairObs)
 		}
-		observed, edges, distinct := set.At(s).KB.EdgeCoverage()
-		fmt.Printf("observed %d of %d edges, %d distinct marginals\n", observed, edges, distinct)
-		fmt.Printf("evaluation on %d held-out pairs (ground truth: empirical joint distributions):\n", report.TestPairs)
-		fmt.Printf("  KL(hybrid)        = %.4f\n", report.MeanKLHybrid)
-		fmt.Printf("  KL(convolution)   = %.4f\n", report.MeanKLConv)
-		fmt.Printf("  KL(estimate-only) = %.4f\n", report.MeanKLEstimate)
-		fmt.Printf("  classifier accuracy %.3f, F1 %.3f, AUC %.3f\n",
+		observed, edges, distinct := kb.EdgeCoverage()
+		fmt.Fprintf(stdout, "observed %d of %d edges, %d distinct marginals\n", observed, edges, distinct)
+		fmt.Fprintf(stdout, "evaluation on %d held-out pairs (ground truth: empirical joint distributions):\n", report.TestPairs)
+		fmt.Fprintf(stdout, "  KL(hybrid)        = %.4f\n", report.MeanKLHybrid)
+		fmt.Fprintf(stdout, "  KL(convolution)   = %.4f\n", report.MeanKLConv)
+		fmt.Fprintf(stdout, "  KL(estimate-only) = %.4f\n", report.MeanKLEstimate)
+		fmt.Fprintf(stdout, "  classifier accuracy %.3f, F1 %.3f, AUC %.3f\n",
 			report.ClassifierConfusion.Accuracy(), report.ClassifierConfusion.F1(), report.ClassifierAUC)
 	}
 
@@ -111,9 +121,9 @@ func main() {
 	// model file.
 	if *landmarks > 0 {
 		t0 := time.Now()
-		alt, err := routing.NewALTSet(g, set, *landmarks)
+		alt, err := routing.NewALTSet(g, eng.ModelSet(), *landmarks)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		d := time.Since(t0)
 		tables := alt.Tables()
@@ -121,26 +131,19 @@ func main() {
 		for _, t := range tables {
 			bytes += t.TableBytes()
 		}
-		tableOf := make([]int, set.K())
+		tableOf := make([]int, k)
 		for s := range tableOf {
 			tableOf[s] = slices.Index(tables, alt.Slice(s))
 		}
-		fmt.Printf("alt: %d landmarks, table by slice %v, min-across-slices table %d\n",
+		fmt.Fprintf(stdout, "alt: %d landmarks, table by slice %v, min-across-slices table %d\n",
 			len(alt.Landmarks()), tableOf, slices.Index(tables, alt.Min()))
-		fmt.Printf("alt: %d distinct table(s) built in %v, %.1f MB resident (float32) — paid once per model generation at serve time\n",
+		fmt.Fprintf(stdout, "alt: %d distinct table(s) built in %v, %.1f MB resident (float32) — paid once per model generation at serve time\n",
 			len(tables), d.Round(time.Millisecond), float64(bytes)/(1<<20))
 	}
 
-	of, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
+	if err := eng.SaveModel(*out); err != nil {
+		return err
 	}
-	if err := hybrid.WriteModelSet(of, set); err != nil {
-		of.Close()
-		log.Fatal(err)
-	}
-	if err := of.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %s (%d slice(s))\n", *out, set.K())
+	fmt.Fprintf(stdout, "wrote %s (%d slice(s))\n", *out, k)
+	return nil
 }

@@ -42,7 +42,9 @@
 //     to a pending batch; a rebuild folds only that batch onto the
 //     slice's counts, which carry a seeded prefix sample
 //   - internal/exp — the harness that regenerates every table of the
-//     paper's evaluation
+//     paper's evaluation on the engine BuildEngine builds, so a change
+//     to the served pipeline shows in them (internal/exp/testdata/
+//     small.golden freezes the Small tables)
 //
 // # The allocation-free cost kernel
 //

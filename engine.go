@@ -124,7 +124,10 @@ type Engine struct {
 
 // BuildEngine generates a synthetic network, simulates trajectories,
 // and trains the hybrid model — the full pipeline of the paper on the
-// synthetic substrate. Progress lines go to logW (io.Discard to
+// synthetic substrate. The engine keeps the world it simulated, and
+// that world's analytic truth judges the training report: slice s's
+// report reads the pair sums under slice s's mode prior
+// (hybrid.WorldOracle). Progress lines go to logW (io.Discard to
 // silence; nil defaults to io.Discard).
 func BuildEngine(cfg Config, logW io.Writer) (*Engine, error) {
 	if logW == nil {
@@ -148,20 +151,22 @@ func BuildEngine(cfg Config, logW io.Writer) (*Engine, error) {
 	}
 	logf("stochroute: simulated %d trajectories", len(trajs))
 
-	eng, err := NewEngineFromObservations(g, trajs, cfg.Hybrid, logW)
-	if err != nil {
-		return nil, err
-	}
-	eng.world = world
-	return eng, nil
+	return trainEngine(g, trajs, world, cfg.Hybrid, logW)
 }
 
 // NewEngineFromObservations builds an engine over an existing graph and
 // trajectory set (e.g. a parsed OSM network with map-matched GPS
-// trajectories). Ground truth for the training evaluation is then the
-// held-out empirical pair distributions, as in the paper. A trajectory
-// that fails Trajectory.Validate against g fails the build.
+// trajectories). There is no world, so each slice's training report is
+// judged by its held-out empirical pair sums and chi-square labels, as
+// in the paper. A trajectory that fails Trajectory.Validate against g
+// fails the build.
 func NewEngineFromObservations(g *Graph, trajs []Trajectory, cfg hybrid.Config, logW io.Writer) (*Engine, error) {
+	return trainEngine(g, trajs, nil, cfg, logW)
+}
+
+// trainEngine trains one model per slice of cfg over trajs and
+// assembles the engine; a non-nil world is kept and judges the reports.
+func trainEngine(g *Graph, trajs []Trajectory, world *World, cfg hybrid.Config, logW io.Writer) (*Engine, error) {
 	if logW == nil {
 		logW = io.Discard
 	}
@@ -177,7 +182,7 @@ func NewEngineFromObservations(g *Graph, trajs []Trajectory, cfg hybrid.Config, 
 	if k > 1 {
 		fmt.Fprintf(logW, "stochroute: training %d time-of-day slice models\n", k)
 	}
-	set, reports, err := hybrid.TrainSlices(g, obs, bySlice, nil, cfg)
+	set, reports, err := hybrid.TrainSlices(g, obs, bySlice, world, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("stochroute: training: %w", err)
 	}
@@ -194,6 +199,7 @@ func NewEngineFromObservations(g *Graph, trajs []Trajectory, cfg hybrid.Config, 
 	eng := &Engine{
 		graph:   g,
 		index:   graph.NewGridIndex(g, 500),
+		world:   world,
 		Report:  reports[0],
 		Reports: reports,
 	}

@@ -1,11 +1,12 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
 
-	"stochroute/internal/routing"
+	"stochroute"
 )
 
 // E8 — the anytime quality curve (the figure implied by the paper's
@@ -37,11 +38,11 @@ func RunAnytimeCurve(s *Setup, out io.Writer) ([]AnytimePoint, error) {
 			if err != nil {
 				continue
 			}
-			basePath, _, err := routing.MeanCostPath(s.Graph, s.KB, q.Source, q.Dest)
+			basePath, _, err := s.Engine.MeanRoute(q.Source, q.Dest)
 			if err != nil {
 				continue
 			}
-			res, err := routing.PBR(s.Graph, s.Model, q.Source, q.Dest, routing.Options{
+			res, err := s.Engine.RouteCtx(context.Background(), q.Source, q.Dest, stochroute.RouteOptions{
 				Budget:        budget,
 				MaxExpansions: limit,
 				SeedPath:      basePath,
@@ -53,7 +54,7 @@ func RunAnytimeCurve(s *Setup, out io.Writer) ([]AnytimePoint, error) {
 			if !res.Found || len(res.Path) == 0 {
 				continue
 			}
-			truth, err := s.World.PathTruth(res.Path)
+			truth, err := s.Engine.TrueDistribution(res.Path)
 			if err != nil {
 				return nil, err
 			}

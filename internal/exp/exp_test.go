@@ -15,7 +15,7 @@ var (
 	setupErr  error
 )
 
-func smallSetup(t *testing.T) *Setup {
+func smallSetup(t testing.TB) *Setup {
 	t.Helper()
 	setupOnce.Do(func() {
 		w := io.Writer(io.Discard)
@@ -32,26 +32,27 @@ func smallSetup(t *testing.T) *Setup {
 
 func TestBuildSmallEndToEnd(t *testing.T) {
 	s := smallSetup(t)
-	if s.Graph.NumVertices() == 0 || s.Graph.NumEdges() == 0 {
-		t.Fatalf("degenerate graph: %d vertices, %d edges", s.Graph.NumVertices(), s.Graph.NumEdges())
+	g, rep := s.Engine.Graph(), s.Engine.Report
+	if g.NumVertices() == 0 || g.NumEdges() == 0 {
+		t.Fatalf("degenerate graph: %d vertices, %d edges", g.NumVertices(), g.NumEdges())
 	}
-	if s.Report.TestPairs == 0 {
+	if rep.TestPairs == 0 {
 		t.Fatal("no test pairs evaluated")
 	}
 	t.Logf("KL hybrid=%.4f conv=%.4f estimate=%.4f (dependent: hybrid=%.4f conv=%.4f)",
-		s.Report.MeanKLHybrid, s.Report.MeanKLConv, s.Report.MeanKLEstimate,
-		s.Report.MeanKLHybridDep, s.Report.MeanKLConvDep)
+		rep.MeanKLHybrid, rep.MeanKLConv, rep.MeanKLEstimate,
+		rep.MeanKLHybridDep, rep.MeanKLConvDep)
 	// The headline claim: the hybrid model beats convolution on KL to
 	// ground truth, decisively so on dependent pairs.
-	if s.Report.MeanKLHybrid >= s.Report.MeanKLConv {
+	if rep.MeanKLHybrid >= rep.MeanKLConv {
 		t.Errorf("hybrid KL %.4f should beat convolution KL %.4f",
-			s.Report.MeanKLHybrid, s.Report.MeanKLConv)
+			rep.MeanKLHybrid, rep.MeanKLConv)
 	}
-	if s.Report.MeanKLHybridDep >= s.Report.MeanKLConvDep {
+	if rep.MeanKLHybridDep >= rep.MeanKLConvDep {
 		t.Errorf("on dependent pairs hybrid KL %.4f should beat convolution KL %.4f",
-			s.Report.MeanKLHybridDep, s.Report.MeanKLConvDep)
+			rep.MeanKLHybridDep, rep.MeanKLConvDep)
 	}
-	if acc := s.Report.ClassifierConfusion.Accuracy(); acc < 0.7 {
+	if acc := rep.ClassifierConfusion.Accuracy(); acc < 0.7 {
 		t.Errorf("classifier accuracy %.3f below 0.7", acc)
 	}
 }

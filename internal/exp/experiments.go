@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
 
+	"stochroute"
 	"stochroute/internal/graph"
 	"stochroute/internal/hist"
 	"stochroute/internal/hybrid"
@@ -109,11 +111,12 @@ func RunConvVsTruth(s *Setup, out io.Writer) (*ConvVsTruthResult, error) {
 	fmt.Fprintf(out, "  H1 (x) H2      = %v   <- convolution invents mass at 35\n", conv)
 	fmt.Fprintf(out, "  ground truth   = %v\n", truth)
 	fmt.Fprintf(out, "  KL(truth || convolution) = %.4f\n", kl)
-	if s != nil && s.Report != nil {
-		r.MeanKLConvDependent = s.Report.MeanKLConvDep
-		r.MeanKLHybridDependent = s.Report.MeanKLHybridDep
+	if s != nil && s.Engine.Report != nil {
+		rep := s.Engine.Report
+		r.MeanKLConvDependent = rep.MeanKLConvDep
+		r.MeanKLHybridDependent = rep.MeanKLHybridDep
 		fmt.Fprintf(out, "  over %d generated test pairs (dependent only): KL(conv)=%.4f  KL(hybrid)=%.4f\n",
-			s.Report.TestPairs, r.MeanKLConvDependent, r.MeanKLHybridDependent)
+			rep.TestPairs, r.MeanKLConvDependent, r.MeanKLHybridDependent)
 	}
 	fmt.Fprintln(out)
 	return r, nil
@@ -136,14 +139,15 @@ type DependenceResult struct {
 // pairs with data are dependent" statistic by chi-square testing every
 // pair with enough observations.
 func RunDependence(s *Setup, alpha float64, out io.Writer) (*DependenceResult, error) {
-	pairs := s.Obs.PairsWithSupport(20)
+	obs, world := s.Engine.Observations(), s.Engine.World()
+	pairs := obs.PairsWithSupport(20)
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("exp: no pairs with enough observations")
 	}
-	oracle := &WorldOracle{World: s.World}
+	oracle := hybrid.WorldOracle{World: world}
 	dep, correct := 0, 0
 	for _, k := range pairs {
-		res, err := s.Obs.DependenceTest(k, 3, alpha)
+		res, err := obs.DependenceTest(k, 3, alpha)
 		isDep := err == nil && res.Dependent(alpha)
 		if isDep {
 			dep++
@@ -155,7 +159,7 @@ func RunDependence(s *Setup, alpha float64, out io.Writer) (*DependenceResult, e
 	r := &DependenceResult{
 		PairsTested:   len(pairs),
 		DependentFrac: float64(dep) / float64(len(pairs)),
-		WorldTrueFrac: s.World.DependentPairFraction(),
+		WorldTrueFrac: world.DependentPairFraction(),
 		TestAccuracy:  float64(correct) / float64(len(pairs)),
 		Alpha:         alpha,
 	}
@@ -171,7 +175,7 @@ func RunDependence(s *Setup, alpha float64, out io.Writer) (*DependenceResult, e
 
 // RunKLEval prints the model-quality report captured during setup.
 func RunKLEval(s *Setup, out io.Writer) error {
-	rep := s.Report
+	rep := s.Engine.Report
 	if rep == nil {
 		return fmt.Errorf("exp: setup has no evaluation report")
 	}
@@ -258,11 +262,12 @@ func switchMarginFor(baseEdges int) float64 {
 
 // RunQuality reproduces the paper's Quality table. For every query the
 // deadline is the BudgetQuantile of the baseline path's convolution
-// distribution; PBR runs with the hybrid model under each anytime limit;
-// returned paths are scored by their *true* on-time probability (world
-// oracle), and the row reports the mean improvement over the mean-cost
-// baseline path in percentage points.
+// distribution; the engine's search runs under each anytime limit;
+// returned paths are scored by their *true* on-time probability (the
+// engine's world), and the row reports the mean improvement over the
+// mean-cost baseline path in percentage points.
 func RunQuality(s *Setup, cfg QualityConfig, out io.Writer) ([]QualityRow, error) {
+	eng := s.Engine
 	limits := append([]int{0}, AnytimeExpansions(s.Scale)...) // P∞ first
 	var rows []QualityRow
 	for _, cat := range Categories(s.Scale) {
@@ -276,11 +281,11 @@ func RunQuality(s *Setup, cfg QualityConfig, out io.Writer) ([]QualityRow, error
 		catName := cat.String()
 		err := par.For(len(qs), func(i int) error {
 			q := qs[i]
-			basePath, _, err := routing.MeanCostPath(s.Graph, s.KB, q.Source, q.Dest)
+			basePath, _, err := eng.MeanRoute(q.Source, q.Dest)
 			if err != nil {
 				return nil // skip query
 			}
-			baseTrue, err := s.World.PathTruth(basePath)
+			baseTrue, err := eng.TrueDistribution(basePath)
 			if err != nil {
 				return err
 			}
@@ -293,14 +298,14 @@ func RunQuality(s *Setup, cfg QualityConfig, out io.Writer) ([]QualityRow, error
 				baseProb: baseTrue.ProbWithinBudget(budget),
 				probs:    make([]float64, len(limits)),
 			}
-			conv := &hybrid.ConvolutionCoster{KB: s.KB, MaxBuckets: 1024}
+			conv := convolutionCoster(s)
 			baseConv, err := hybrid.PathCost(conv, basePath)
 			if err != nil {
 				return err
 			}
 			baseConvProb := baseConv.ProbWithinBudget(budget)
 			for li, limit := range limits {
-				res, err := routing.PBR(s.Graph, s.Model, q.Source, q.Dest, routing.Options{
+				res, err := eng.RouteCtx(context.Background(), q.Source, q.Dest, stochroute.RouteOptions{
 					Budget:        budget,
 					MaxExpansions: limit,
 					SeedPath:      basePath,
@@ -327,7 +332,7 @@ func RunQuality(s *Setup, cfg QualityConfig, out io.Writer) ([]QualityRow, error
 				}
 				prob := 0.0
 				if res.Found && len(path) > 0 {
-					pbrTrue, err := s.World.PathTruth(path)
+					pbrTrue, err := eng.TrueDistribution(path)
 					if err != nil {
 						return err
 					}
@@ -408,7 +413,7 @@ type EfficiencyRow struct {
 }
 
 // RunEfficiency reproduces the paper's Efficiency table: mean wall-clock
-// time of the full (non-anytime) PBR search per distance category.
+// time of the engine's full (non-anytime) search per distance category.
 func RunEfficiency(s *Setup, out io.Writer) ([]EfficiencyRow, error) {
 	var rows []EfficiencyRow
 	for _, cat := range Categories(s.Scale) {
@@ -419,7 +424,7 @@ func RunEfficiency(s *Setup, out io.Writer) ([]EfficiencyRow, error) {
 			if err != nil {
 				continue
 			}
-			res, err := routing.PBR(s.Graph, s.Model, q.Source, q.Dest, routing.Options{Budget: budget})
+			res, err := s.Engine.RouteCtx(context.Background(), q.Source, q.Dest, stochroute.RouteOptions{Budget: budget})
 			if err != nil {
 				return nil, err
 			}
@@ -465,16 +470,23 @@ func samePath(a, b []graph.EdgeID) bool {
 // the baseline and PBR are judged against the same deadline, and no
 // oracle information leaks into it.
 func queryBudget(s *Setup, q netgen.Query, quantile float64) (float64, error) {
-	basePath, _, err := routing.MeanCostPath(s.Graph, s.KB, q.Source, q.Dest)
+	basePath, _, err := s.Engine.MeanRoute(q.Source, q.Dest)
 	if err != nil {
 		return 0, err
 	}
-	coster := &hybrid.ConvolutionCoster{KB: s.KB, MaxBuckets: 1024}
-	baseDist, err := hybrid.PathCost(coster, basePath)
+	baseDist, err := hybrid.PathCost(convolutionCoster(s), basePath)
 	if err != nil {
 		return 0, err
 	}
 	return baseDist.Quantile(quantile), nil
+}
+
+// convolutionCoster is the independence model the deadlines and E5's
+// veto read: slice 0's knowledge base with 1024 buckets of support,
+// twice the serving model's cap, so Engine.ConvolutionDistribution
+// would not do.
+func convolutionCoster(s *Setup) *hybrid.ConvolutionCoster {
+	return &hybrid.ConvolutionCoster{KB: s.Engine.SliceKnowledgeBase(0), MaxBuckets: 1024}
 }
 
 // ---------------------------------------------------------------------------
@@ -492,7 +504,10 @@ type AblationRow struct {
 }
 
 // RunAblation measures the contribution of each pruning (and of the
-// classifier) on the middle distance category.
+// classifier) on the middle distance category. It is the one table that
+// calls the search kernel directly: a variant's classifier mode is set
+// on a copy of the engine's slice-0 model, which the facade does not
+// offer.
 func RunAblation(s *Setup, out io.Writer) ([]AblationRow, error) {
 	cats := Categories(s.Scale)
 	cat := cats[len(cats)/2]
@@ -513,8 +528,8 @@ func RunAblation(s *Setup, out io.Writer) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, v := range variants {
 		row := AblationRow{Variant: v.name}
-		prevMode := s.Model.Mode
-		s.Model.Mode = v.mode
+		model := *s.Engine.SliceModel(0)
+		model.Mode = v.mode
 		for _, q := range qs {
 			budget, err := queryBudget(s, q, 0.75)
 			if err != nil {
@@ -526,7 +541,7 @@ func RunAblation(s *Setup, out io.Writer) ([]AblationRow, error) {
 			// so the row reports the (capped) effort instead of erroring.
 			opts.MaxExpansions = 150000
 			opts.MaxLabels = 8_000_000
-			res, err := routing.PBR(s.Graph, s.Model, q.Source, q.Dest, opts)
+			res, err := routing.PBR(s.Engine.Graph(), &model, q.Source, q.Dest, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -535,14 +550,13 @@ func RunAblation(s *Setup, out io.Writer) ([]AblationRow, error) {
 			row.MeanLabels += float64(res.GeneratedLabels)
 			row.MeanSeconds += res.Runtime.Seconds()
 			if res.Found && len(res.Path) > 0 {
-				pbrTrue, err := s.World.PathTruth(res.Path)
+				pbrTrue, err := s.Engine.TrueDistribution(res.Path)
 				if err != nil {
 					return nil, err
 				}
 				row.MeanProb += pbrTrue.ProbWithinBudget(budget)
 			}
 		}
-		s.Model.Mode = prevMode
 		if row.Queries > 0 {
 			row.MeanExpansions /= float64(row.Queries)
 			row.MeanLabels /= float64(row.Queries)

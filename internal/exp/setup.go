@@ -1,18 +1,16 @@
 // Package exp is the experiment harness: it regenerates every table of
-// the paper's empirical study on top of the synthetic substrate; the
-// E1–E8 section banners in experiments.go and anytime.go are the
-// experiment index.
+// the paper's empirical study on the engine stochroute.BuildEngine
+// builds, so the tables measure the pipeline that serves; the E1–E8
+// section banners in experiments.go and anytime.go are the experiment
+// index.
 package exp
 
 import (
 	"fmt"
 	"io"
 
-	"stochroute/internal/graph"
-	"stochroute/internal/hist"
-	"stochroute/internal/hybrid"
+	"stochroute"
 	"stochroute/internal/netgen"
-	"stochroute/internal/traj"
 )
 
 // Scale selects how big the substrate is; experiments share the shapes
@@ -56,36 +54,21 @@ func ParseScale(s string) (Scale, error) {
 	}
 }
 
-// Setup bundles one fully built experiment substrate: network, traffic
-// world, observations, knowledge base, trained hybrid model, and the
-// model-quality report from training.
+// Setup is one experiment substrate: the engine BuildEngine built at a
+// scale (network, world, observations, trained model and its report)
+// and the query workload per distance category.
 type Setup struct {
 	Scale   Scale
-	Graph   *graph.Graph
-	World   *traj.World
-	Obs     *traj.ObservationStore
-	KB      *hybrid.KnowledgeBase
-	Model   *hybrid.Model
-	Report  *hybrid.EvalReport
+	Engine  *stochroute.Engine
 	Queries map[string][]netgen.Query
 }
 
-// Params returns the generation parameters for a scale.
-func Params(scale Scale) (netgen.Config, traj.WorldConfig, traj.WalkConfig, hybrid.Config, int) {
-	net := netgen.DefaultConfig()
-	world := traj.DefaultWorldConfig()
-	world.BucketWidth = 2
-	// The experiment world is noise-free: travel times take exactly the
-	// latent mode values, as in the paper's worked example. (±1-bucket
-	// observation noise is supported and unit-tested, but it blurs the
-	// mode gaps on short edges and weakens every dependence detector —
-	// ours and the paper's alike.)
-	world.NoiseProb = 0
-	walk := traj.DefaultWalkConfig()
-	hyb := hybrid.DefaultConfig()
-	hyb.Width = world.BucketWidth
-	queriesPerCat := 20
-
+// engineConfig returns a scale's engine configuration, DefaultConfig
+// with the scale's network, walk and training sizes, and its queries
+// per distance category.
+func engineConfig(scale Scale) (stochroute.Config, int) {
+	cfg := stochroute.DefaultConfig()
+	net, walk, hyb := &cfg.Network, &cfg.Walk, &cfg.Hybrid
 	switch scale {
 	case Small:
 		net.Rows, net.Cols, net.CellMeters = 24, 24, 120
@@ -95,7 +78,7 @@ func Params(scale Scale) (netgen.Config, traj.WorldConfig, traj.WalkConfig, hybr
 		hyb.MinPairObs = 12
 		hyb.Estimator.Train.Epochs = 40
 		hyb.Estimator.Train.Patience = 6
-		queriesPerCat = 6
+		return cfg, 6
 	case Medium:
 		net.Rows, net.Cols, net.CellMeters = 80, 80, 110
 		// ~65k observable pairs need deep coverage for the paper's
@@ -106,8 +89,8 @@ func Params(scale Scale) (netgen.Config, traj.WorldConfig, traj.WalkConfig, hybr
 		walk.NumRoutes = 4000
 		hyb.TrainPairs, hyb.TestPairs = 4000, 1000
 		hyb.PrefixRows = 20000
-		queriesPerCat = 12
-	case Large:
+		return cfg, 12
+	default:
 		net.Rows, net.Cols, net.CellMeters = 140, 140, 100
 		walk.NumTrajectories = 600000
 		walk.RouteFraction = 0.6
@@ -115,9 +98,8 @@ func Params(scale Scale) (netgen.Config, traj.WorldConfig, traj.WalkConfig, hybr
 		walk.MaxEdges = 40
 		hyb.TrainPairs, hyb.TestPairs = 4000, 1000
 		hyb.PrefixRows = 24000
-		queriesPerCat = 20
+		return cfg, 20
 	}
-	return net, world, walk, hyb, queriesPerCat
 }
 
 // Categories returns the query distance bands that actually fit on the
@@ -132,76 +114,19 @@ func Categories(scale Scale) []netgen.DistanceCategory {
 	}
 }
 
-// WorldOracle adapts the traffic world model to the hybrid.Oracle
-// interface: analytic ground-truth pair distributions and dependence
-// labels.
-type WorldOracle struct {
-	World *traj.World
-}
-
-// PairTruth implements hybrid.Oracle.
-func (o *WorldOracle) PairTruth(k traj.PairKey) (*hist.Hist, error) {
-	g := o.World.Graph()
-	via := g.Edge(k.Second).From
-	return o.World.PairJointSum(k.First, k.Second, via), nil
-}
-
-// PairDependent implements hybrid.Oracle.
-func (o *WorldOracle) PairDependent(k traj.PairKey) bool {
-	g := o.World.Graph()
-	return o.World.PairIsDependent(g.Edge(k.Second).From)
-}
-
-// Build constructs the full substrate at the given scale. Progress is
-// logged to w (pass io.Discard to silence).
+// Build builds the engine of a scale with stochroute.BuildEngine and
+// draws its query workload: one generator, seeded 2024, across the
+// scale's categories in order. Progress is logged to logW (pass
+// io.Discard to silence).
 func Build(scale Scale, logW io.Writer) (*Setup, error) {
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(logW, format+"\n", args...)
-	}
-	netCfg, worldCfg, walkCfg, hybCfg, queriesPerCat := Params(scale)
-
-	logf("exp: generating %s network (%dx%d grid)...", scale, netCfg.Rows, netCfg.Cols)
-	g, err := netgen.Generate(netCfg)
+	cfg, queriesPerCat := engineConfig(scale)
+	fmt.Fprintf(logW, "exp: building the %s engine (%dx%d grid, %d trajectories)...\n",
+		scale, cfg.Network.Rows, cfg.Network.Cols, cfg.Walk.NumTrajectories)
+	eng, err := stochroute.BuildEngine(cfg, logW)
 	if err != nil {
-		return nil, fmt.Errorf("exp: network generation: %w", err)
+		return nil, fmt.Errorf("exp: %w", err)
 	}
-	logf("exp: network has %d vertices, %d edges, %.1f km diagonal",
-		g.NumVertices(), g.NumEdges(), g.BBox().DiagonalMeters()/1000)
-
-	world, err := traj.NewWorld(g, worldCfg)
-	if err != nil {
-		return nil, fmt.Errorf("exp: world model: %w", err)
-	}
-	logf("exp: world has %.1f%% dependent edge pairs (target %.0f%%)",
-		100*world.DependentPairFraction(), 100*worldCfg.DependentVertexProb)
-
-	logf("exp: simulating %d trajectories...", walkCfg.NumTrajectories)
-	trajs, err := traj.GenerateTrajectories(world, walkCfg)
-	if err != nil {
-		return nil, fmt.Errorf("exp: trajectory generation: %w", err)
-	}
-	obs := traj.NewObservationStore(g, worldCfg.BucketWidth)
-	obs.Collect(trajs)
-
-	kb, err := hybrid.BuildKnowledgeBase(g, obs, hybCfg.Width, hybCfg.MinPairObs)
-	if err != nil {
-		return nil, fmt.Errorf("exp: knowledge base: %w", err)
-	}
-	observed, _, _ := kb.EdgeCoverage()
-	logf("exp: %d edge observations over %d edges, %d pairs observed",
-		obs.NumEdgeObservations(), observed, len(obs.PairsWithSupport(1)))
-	logf("exp: knowledge base has %d pairs with >= %d observations", kb.NumPairs(), hybCfg.MinPairObs)
-
-	logf("exp: training hybrid model (%d/%d protocol)...", hybCfg.TrainPairs, hybCfg.TestPairs)
-	oracle := &WorldOracle{World: world}
-	model, report, err := hybrid.Train(kb, obs, trajs, oracle, hybCfg)
-	if err != nil {
-		return nil, fmt.Errorf("exp: hybrid training: %w", err)
-	}
-	logf("exp: KL(hybrid)=%.4f KL(conv)=%.4f over %d test pairs",
-		report.MeanKLHybrid, report.MeanKLConv, report.TestPairs)
-
-	wg := netgen.NewWorkloadGen(g, 2024)
+	wg := netgen.NewWorkloadGen(eng.Graph(), 2024)
 	queries := make(map[string][]netgen.Query)
 	for _, cat := range Categories(scale) {
 		qs, err := wg.SampleCategory(cat, queriesPerCat)
@@ -210,15 +135,5 @@ func Build(scale Scale, logW io.Writer) (*Setup, error) {
 		}
 		queries[cat.String()] = qs
 	}
-
-	return &Setup{
-		Scale:   scale,
-		Graph:   g,
-		World:   world,
-		Obs:     obs,
-		KB:      kb,
-		Model:   model,
-		Report:  report,
-		Queries: queries,
-	}, nil
+	return &Setup{Scale: scale, Engine: eng, Queries: queries}, nil
 }

@@ -79,18 +79,6 @@ func smallTrainConfig() Config {
 	return cfg
 }
 
-type worldOracle struct{ w *traj.World }
-
-func (o *worldOracle) PairTruth(k traj.PairKey) (*hist.Hist, error) {
-	g := o.w.Graph()
-	return o.w.PairJointSum(k.First, k.Second, g.Edge(k.Second).From), nil
-}
-
-func (o *worldOracle) PairDependent(k traj.PairKey) bool {
-	g := o.w.Graph()
-	return o.w.PairIsDependent(g.Edge(k.Second).From)
-}
-
 var (
 	modelOnce sync.Once
 	model     *Model
@@ -102,7 +90,7 @@ func getModel(t *testing.T) (*Model, *EvalReport) {
 	t.Helper()
 	e := getEnv(t)
 	modelOnce.Do(func() {
-		model, report, modelErr = Train(e.kb, e.obs, e.trajs, &worldOracle{e.world}, smallTrainConfig())
+		model, report, modelErr = Train(e.kb, e.obs, e.trajs, WorldOracle{World: e.world}, smallTrainConfig())
 	})
 	if modelErr != nil {
 		t.Fatalf("Train: %v", modelErr)

@@ -127,9 +127,13 @@ func (ms *ModelSet) MinEdgeTimeAcrossSlices(e graph.EdgeID) float64 {
 // that slice's observations and trajectories, g and cfg — every run
 // seeds its own generator from cfg.Seed — so the set is the same bits on
 // any number of cores, and when slices fail the error is the lowest
-// failing slice's. A non-nil oracle is consulted from several goroutines
-// at once and must be safe for that.
-func TrainSlices(g *graph.Graph, stores []*traj.ObservationStore, trajsBySlice [][]traj.Trajectory, oracle Oracle, cfg Config) (*ModelSet, []*EvalReport, error) {
+// failing slice's.
+//
+// world picks the truth each report is judged by: with a world, slice
+// s's report reads WorldOracle{world, s}, that slice's analytic truth;
+// with nil, each slice's held-out empirical pair sums. The model bits
+// do not depend on it.
+func TrainSlices(g *graph.Graph, stores []*traj.ObservationStore, trajsBySlice [][]traj.Trajectory, world *traj.World, cfg Config) (*ModelSet, []*EvalReport, error) {
 	k := traj.NumSlices(cfg.Slices)
 	if len(stores) != k {
 		return nil, nil, fmt.Errorf("hybrid: %d-slice observations for %d-slice training", len(stores), k)
@@ -143,6 +147,10 @@ func TrainSlices(g *graph.Graph, stores []*traj.ObservationStore, trajsBySlice [
 		kb, err := BuildKnowledgeBase(g, stores[s], cfg.Width, cfg.MinPairObs)
 		if err != nil {
 			return fmt.Errorf("hybrid: slice %d knowledge base: %w", s, err)
+		}
+		var oracle Oracle
+		if world != nil {
+			oracle = WorldOracle{World: world, Slice: s}
 		}
 		models[s], reports[s], err = Train(kb, stores[s], trajsBySlice[s], oracle, cfg)
 		if err != nil {

@@ -86,13 +86,35 @@ type EvalReport struct {
 	EstimatorTrain ml.TrainResult
 }
 
-// Oracle supplies ground-truth pair-sum distributions and dependence
-// labels; the experiment harness backs it with the traffic world model,
-// mirroring how the paper's ground truth comes from held-out
-// trajectories.
+// Oracle supplies the truth a training report is judged by: the
+// ground-truth pair-sum distributions and dependence labels. A nil
+// Oracle judges by the held-out empirical pair sums and chi-square
+// labels, as the paper does with its held-out trajectories; WorldOracle
+// judges by a synthetic world's analytic truth.
 type Oracle interface {
 	PairTruth(k traj.PairKey) (*hist.Hist, error)
 	PairDependent(k traj.PairKey) bool
+}
+
+// WorldOracle is the Oracle of a synthetic world for one time-of-day
+// slice: the pair sum is World.PairJointSumAt under that slice's mode
+// prior (slice 0 is World.PairJointSum) and the label is
+// World.PairIsDependent. A World is read-only, so one WorldOracle may
+// serve any number of goroutines.
+type WorldOracle struct {
+	World *traj.World
+	Slice int
+}
+
+// PairTruth implements Oracle.
+func (o WorldOracle) PairTruth(k traj.PairKey) (*hist.Hist, error) {
+	via := o.World.Graph().Edge(k.Second).From
+	return o.World.PairJointSumAt(k.First, k.Second, via, o.Slice), nil
+}
+
+// PairDependent implements Oracle.
+func (o WorldOracle) PairDependent(k traj.PairKey) bool {
+	return o.World.PairIsDependent(o.World.Graph().Edge(k.Second).From)
 }
 
 // Train runs the full pipeline: split pairs 4000/1000 (or 80/20), train

@@ -103,6 +103,10 @@ type Config struct {
 // protocol.
 func DefaultConfig() Config {
 	world := traj.DefaultWorldConfig()
+	// Noise-free: travel times take exactly the latent mode values, as
+	// in the paper's worked example. ±1-bucket observation noise blurs
+	// the mode gaps on short edges and weakens every dependence
+	// detector, the paper's included.
 	world.NoiseProb = 0
 	hyb := hybrid.DefaultConfig()
 	hyb.Width = world.BucketWidth
