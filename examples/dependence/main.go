@@ -67,7 +67,7 @@ func main() {
 	shown := 0
 	obs := engine.Observations()
 	for _, k := range obs.PairsWithSupport(40) {
-		res, err := obs.DependenceTest(k, 3, 0.05)
+		res, err := obs.DependenceTest(k)
 		if err != nil || !res.Dependent(0.05) {
 			continue
 		}

@@ -49,7 +49,7 @@ func BenchmarkE3DependenceScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := pairs[i%len(pairs)]
-		_, _ = store.DependenceTest(k, 3, 0.05) // constant sides may error; that is part of the scan
+		_, _ = store.DependenceTest(k) // constant sides may error; that is part of the scan
 	}
 }
 

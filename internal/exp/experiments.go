@@ -147,7 +147,7 @@ func RunDependence(s *Setup, alpha float64, out io.Writer) (*DependenceResult, e
 	oracle := hybrid.WorldOracle{World: world}
 	dep, correct := 0, 0
 	for _, k := range pairs {
-		res, err := obs.DependenceTest(k, 3, alpha)
+		res, err := obs.DependenceTest(k)
 		isDep := err == nil && res.Dependent(alpha)
 		if isDep {
 			dep++

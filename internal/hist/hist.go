@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -733,18 +734,29 @@ func (h *Hist) String() string {
 // onto the width of the first component. Weights are normalised. All
 // components must share the same width.
 func Mixture(hs []*Hist, w []float64) (*Hist, error) {
+	out := &Hist{}
+	if err := MixtureInto(out, hs, w); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// MixtureInto computes Mixture(hs, w) into dst, reusing dst.P's backing
+// array when its capacity suffices. dst must not alias a component. The
+// arithmetic is Mixture's, so results are bit-equal.
+func MixtureInto(dst *Hist, hs []*Hist, w []float64) error {
 	if len(hs) == 0 || len(hs) != len(w) {
-		return nil, errors.New("hist: Mixture with mismatched inputs")
+		return errors.New("hist: Mixture with mismatched inputs")
 	}
 	width := hs[0].Width
 	lo, hi := math.Inf(1), math.Inf(-1)
 	totalW := 0.0
 	for k, h := range hs {
 		if math.Abs(h.Width-width) > 1e-12 {
-			return nil, fmt.Errorf("hist: Mixture width mismatch at component %d", k)
+			return fmt.Errorf("hist: Mixture width mismatch at component %d", k)
 		}
 		if w[k] < 0 {
-			return nil, fmt.Errorf("hist: Mixture negative weight at component %d", k)
+			return fmt.Errorf("hist: Mixture negative weight at component %d", k)
 		}
 		totalW += w[k]
 		if h.Min < lo {
@@ -755,15 +767,17 @@ func Mixture(hs []*Hist, w []float64) (*Hist, error) {
 		}
 	}
 	if totalW <= 0 {
-		return nil, errors.New("hist: Mixture with zero total weight")
+		return errors.New("hist: Mixture with zero total weight")
 	}
 	n := int(math.Round((hi-lo)/width)) + 1
-	p := make([]float64, n)
+	dst.P = slices.Grow(dst.P[:0], n)[:n]
+	clear(dst.P)
 	for k, h := range hs {
 		off := int(math.Round((h.Min - lo) / width))
 		for i, m := range h.P {
-			p[off+i] += m * w[k] / totalW
+			dst.P[off+i] += m * w[k] / totalW
 		}
 	}
-	return &Hist{Min: lo, Width: width, P: p}, nil
+	dst.Min, dst.Width = lo, width
+	return nil
 }

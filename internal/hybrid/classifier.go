@@ -51,9 +51,10 @@ func (c *Classifier) PredictDependent(ps PairStats) bool {
 }
 
 // TrainClassifier fits the classifier from chi-square dependence labels
-// over the given pairs. It returns the classifier plus its training-set
-// confusion for reporting.
-func TrainClassifier(kb *KnowledgeBase, obs *traj.ObservationStore, pairs []traj.PairKey, alpha float64, cfg ml.LogRegConfig) (*Classifier, ml.Confusion, error) {
+// over the given pairs: a pair is dependent when its table entry's
+// PValue is below alpha, and pairs without an entry are skipped. It
+// returns the classifier plus its training-set confusion for reporting.
+func TrainClassifier(kb *KnowledgeBase, pairs []traj.PairKey, alpha float64, cfg ml.LogRegConfig) (*Classifier, ml.Confusion, error) {
 	var zero ml.Confusion
 	if len(pairs) == 0 {
 		return nil, zero, errors.New("hybrid: no pairs to train classifier on")
@@ -65,17 +66,8 @@ func TrainClassifier(kb *KnowledgeBase, obs *traj.ObservationStore, pairs []traj
 		if !ok {
 			continue
 		}
-		res, err := obs.DependenceTest(k, 3, alpha)
-		if err != nil {
-			// Constant sides etc.: trivially independent.
-			res.PValue = 1
-		}
-		label := 0.0
-		if res.Dependent(alpha) {
-			label = 1
-		}
 		rows = append(rows, ClassifierFeatures(ps))
-		labels = append(labels, label)
+		labels = append(labels, boolTo01(ps.PValue < alpha))
 	}
 	if len(rows) == 0 {
 		return nil, zero, errors.New("hybrid: classifier training produced no usable pairs")

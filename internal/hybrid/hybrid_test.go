@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
 	"stochroute/internal/graph"
 	"stochroute/internal/hist"
+	"stochroute/internal/ml"
 	"stochroute/internal/netgen"
+	"stochroute/internal/rng"
 	"stochroute/internal/traj"
 )
 
@@ -444,10 +447,15 @@ func TestPairIndexMatchesPairMap(t *testing.T) {
 	const minPairObs = 12 // as getEnv builds the knowledge base
 	want := make(map[traj.PairKey]PairStats)
 	for _, k := range e.obs.PairsWithSupport(minPairObs) {
-		ps := PairStats{Count: e.obs.Joint(k).Total(), MI: e.obs.PairMutualInformation(k, 3)}
+		ps := PairStats{Count: e.obs.Joint(k).Total(), PValue: 1}
 		if corr, err := e.obs.PairCorrelation(k); err == nil {
 			ps.Corr = corr
 		}
+		res, err := e.obs.DependenceTest(k)
+		if err == nil {
+			ps.PValue = res.PValue
+		}
+		_, ps.MI = e.obs.PairDependence(k)
 		want[k] = ps
 	}
 	if len(want) == 0 || e.kb.NumPairs() != len(want) {
@@ -654,6 +662,85 @@ func TestEvaluateEmpiricalGroundTruth(t *testing.T) {
 	}
 	if rep.MeanKLHybrid < 0 || rep.MeanKLConv < 0 {
 		t.Error("negative KL")
+	}
+}
+
+// TestTrainLabelsMatchDependenceTest: the dependence labels read from
+// the knowledge base's PValue are the labels DependenceTest gives. The
+// classifier TrainClassifier fits, and its confusion, equal those fitted
+// on DependenceTest's labels; Train's DependentFrac and ClassifierAUC
+// (no oracle) equal the ones computed from DependenceTest's labels on
+// its test split.
+func TestTrainLabelsMatchDependenceTest(t *testing.T) {
+	e := getEnv(t)
+	cfg := smallTrainConfig()
+	cfg.Estimator.Train.Epochs, cfg.PrefixRows = 2, 0
+	label := func(k traj.PairKey) float64 {
+		res, err := e.obs.DependenceTest(k)
+		return boolTo01(err == nil && res.Dependent(cfg.Alpha))
+	}
+	pairs := e.obs.PairsWithSupport(cfg.MinPairObs)
+
+	clf, conf, err := TrainClassifier(e.kb, pairs, cfg.Alpha, cfg.Classifier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]float64
+	var labels []float64
+	for _, k := range pairs {
+		rows = append(rows, ClassifierFeatures(mustPair(t, e.kb, k)))
+		labels = append(labels, label(k))
+	}
+	x, err := ml.FromRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaler, err := ml.FitScaler(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := scaler.Transform(x)
+	lr, err := ml.FitLogReg(xs, labels, cfg.Classifier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probs := make([]float64, xs.Rows)
+	for i := range probs {
+		probs[i] = lr.PredictProb(xs.Row(i))
+	}
+	wantConf, err := ml.EvaluateBinary(probs, labels, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(clf.LR, lr) || !reflect.DeepEqual(clf.Scaler, scaler) || conf != wantConf {
+		t.Fatalf("classifier on table labels: confusion %+v, on DependenceTest labels %+v (or the fitted weights differ)", conf, wantConf)
+	}
+
+	model, rep, err := Train(e.kb, e.obs, nil, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Train's split, as Train draws it.
+	rng.New(cfg.Seed).Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+	test := pairs[cfg.TrainPairs : cfg.TrainPairs+cfg.TestPairs]
+	if cfg.TrainPairs+cfg.TestPairs > len(pairs) {
+		test = pairs[len(pairs)*4/5:]
+	}
+	dependent := 0.0
+	probs, labels = probs[:0], labels[:0]
+	for _, k := range test {
+		dependent += label(k)
+		row := ClassifierFeatures(mustPair(t, e.kb, k))
+		model.Classifier.Scaler.TransformRow(row)
+		probs = append(probs, model.Classifier.LR.PredictProb(row))
+		labels = append(labels, label(k))
+	}
+	auc, err := ml.AUC(probs, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := dependent / float64(len(test)); rep.DependentFrac != want || rep.ClassifierAUC != auc {
+		t.Errorf("DependentFrac %v, ClassifierAUC %v; DependenceTest's labels give %v, %v", rep.DependentFrac, rep.ClassifierAUC, want, auc)
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"stochroute/internal/graph"
 	"stochroute/internal/hist"
@@ -56,6 +57,11 @@ type PairStats struct {
 	Count int
 	Corr  float64 // Pearson correlation of (T1, T2)
 	MI    float64 // mutual information estimate, nats
+	// PValue is the p-value of the chi-square dependence test over three
+	// mode clusters a side (traj.ObservationStore.DependenceTest), or 1
+	// when the pair cannot be tested. The pair's training label is
+	// PValue < alpha.
+	PValue float64
 }
 
 // KnowledgeBase aggregates per-edge and per-pair statistics extracted
@@ -67,7 +73,10 @@ type KnowledgeBase struct {
 	// Edge e's statistics are stats[statOf[e]]. stats holds exactly the
 	// entries some edge refers to, in order of first reference: one per
 	// observed edge, plus each interned prior an unobserved edge uses —
-	// a few hundred for a hundred thousand edges without data.
+	// a few hundred for a hundred thousand edges without data. The
+	// observed edges' marginals are two slabs, one of headers and one of
+	// masses, each header's masses capped at their own length; like every
+	// marginal, they are read-only.
 	stats    []EdgeStats
 	statOf   []int32 // indexed by EdgeID
 	observed int     // edges with an observation
@@ -123,19 +132,39 @@ func BuildKnowledgeBase(g *graph.Graph, obs *traj.ObservationStore, width float6
 		ed := g.Edge(graph.EdgeID(e))
 		kb.statOf[e] = priors.project(profileFor(ed.Category), ed.FreeFlowSeconds())
 	}
-	kb.stats = priors.stats
+	// An observed edge's marginal is built in scratch, then appended to
+	// two slabs: its masses to one, its header to the other.
+	for range obs.Edges() {
+		kb.observed++
+	}
+	first := len(priors.stats)
+	kb.stats = slices.Grow(priors.stats, kb.observed)
+	marginals, masses := make([]hist.Hist, 0, kb.observed), []float64(nil)
+	var empirical, mixed hist.Hist
 	for e, counts := range obs.Edges() {
 		n := float64(counts.Total())
-		marginal, err := hist.Mixture(
-			[]*hist.Hist{counts.Hist(width), kb.stats[kb.statOf[e]].Marginal},
+		counts.HistInto(&empirical, width)
+		err := hist.MixtureInto(&mixed,
+			[]*hist.Hist{&empirical, kb.stats[kb.statOf[e]].Marginal},
 			[]float64{n / (n + ShrinkageK), ShrinkageK / (n + ShrinkageK)},
 		)
 		if err != nil {
 			return nil, err
 		}
+		mixed.TrimInPlace()
+		masses = append(masses, mixed.P...)
+		marginals = append(marginals, hist.Hist{Min: mixed.Min, Width: width, P: masses[len(masses)-len(mixed.P):]})
 		kb.statOf[e] = int32(len(kb.stats))
-		kb.stats = append(kb.stats, statsOf(marginal.Trim(), counts.Total()))
-		kb.observed++
+		kb.stats = append(kb.stats, statsOf(&mixed, counts.Total()))
+	}
+	// The masses grew by appending: keep them at their exact size, and
+	// point each header, and its edge's entry, into that copy.
+	masses, at := slices.Clone(masses), 0
+	for j := range marginals {
+		n := len(marginals[j].P)
+		marginals[j].P = masses[at : at+n : at+n]
+		kb.stats[first+j].Marginal = &marginals[j]
+		at += n
 	}
 	// Drop the priors only observed edges had, and renumber the rest in
 	// order of first reference.
@@ -161,7 +190,8 @@ func BuildKnowledgeBase(g *graph.Graph, obs *traj.ObservationStore, width float6
 	kb.pairSecond = make([]graph.EdgeID, len(pairs))
 	kb.pairStats = make([]PairStats, len(pairs))
 	for i, k := range pairs {
-		ps := PairStats{Count: obs.Joint(k).Total(), MI: obs.PairMutualInformation(k, 3)}
+		ps := PairStats{Count: obs.Joint(k).Total()}
+		ps.PValue, ps.MI = obs.PairDependence(k)
 		if corr, err := obs.PairCorrelation(k); err == nil {
 			ps.Corr = corr
 		}

@@ -156,7 +156,7 @@ func Train(kb *KnowledgeBase, obs *traj.ObservationStore, trajs []traj.Trajector
 	if err != nil {
 		return nil, nil, fmt.Errorf("hybrid: estimator training: %w", err)
 	}
-	clf, conf, err := TrainClassifier(kb, obs, trainPairs, cfg.Alpha, cfg.Classifier)
+	clf, conf, err := TrainClassifier(kb, trainPairs, cfg.Alpha, cfg.Classifier)
 	if err != nil {
 		return nil, nil, fmt.Errorf("hybrid: classifier training: %w", err)
 	}
@@ -207,7 +207,7 @@ func Train(kb *KnowledgeBase, obs *traj.ObservationStore, trajs []traj.Trajector
 		row := ClassifierFeatures(ps)
 		clf.Scaler.TransformRow(row)
 		probs = append(probs, clf.LR.PredictProb(row))
-		labels = append(labels, boolTo01(pairLabel(obs, oracle, k, cfg.Alpha)))
+		labels = append(labels, boolTo01(pairLabel(kb, oracle, k, cfg.Alpha)))
 	}
 	if auc, err := ml.AUC(probs, labels); err == nil {
 		report.ClassifierAUC = auc
@@ -222,15 +222,15 @@ func boolTo01(b bool) float64 {
 	return 0
 }
 
-func pairLabel(obs *traj.ObservationStore, oracle Oracle, k traj.PairKey, alpha float64) bool {
+// pairLabel is the truth a report reads a pair's dependence from: the
+// oracle's, or without one the knowledge base's chi-square label (a
+// pair outside the table is independent, as the classifier treats it).
+func pairLabel(kb *KnowledgeBase, oracle Oracle, k traj.PairKey, alpha float64) bool {
 	if oracle != nil {
 		return oracle.PairDependent(k)
 	}
-	res, err := obs.DependenceTest(k, 3, alpha)
-	if err != nil {
-		return false
-	}
-	return res.Dependent(alpha)
+	ps, ok := kb.Pair(k.First, k.Second)
+	return ok && ps.PValue < alpha
 }
 
 // Evaluate measures mean KL divergence to ground truth over the given
@@ -285,7 +285,7 @@ func Evaluate(model *Model, obs *traj.ObservationStore, oracle Oracle, testPairs
 		sumC += klC
 		sumE += klE
 
-		if pairLabel(obs, oracle, k, alpha) {
+		if pairLabel(kb, oracle, k, alpha) {
 			nDep++
 			sumHDep += klH
 			sumCDep += klC

@@ -28,7 +28,9 @@
 //     fires exactly the rush-hour monitor.
 //
 //   - A trigger hands the pending batch to a background rebuild (at
-//     most one in flight per slice). It folds only that batch onto a
+//     most one in flight per slice; a trigger that fires meanwhile is
+//     latched, and that rebuild starts the next one on everything
+//     pending as it finishes). It folds only that batch onto a
 //     copy of the slice's counts, off the lock, and publishes the result
 //     as the slice's aggregate even if training then fails. From that
 //     one object it re-derives the slice's knowledge base, retrains the

@@ -268,11 +268,14 @@ func New(target Target, cfg Config, logW io.Writer) *Ingestor {
 // last rebuild folded, the batch a rebuild is folding onto them, and the
 // trajectories accepted since (pending, which with that batch is what
 // uncounted sizes). young, from the first fold after counted passes
-// half of MaxTrajectories, receives the same folds.
+// half of MaxTrajectories, receives the same folds. latched is the
+// reason of a trigger that fired while a rebuild was in flight, for that
+// rebuild to act on as it finishes ("" for none).
 type sliceAggregate struct {
 	counted, young *folded
 	pending        []traj.Trajectory
 	uncounted      tally
+	latched        string
 }
 
 // folded is a run of trajectories as a rebuild keeps it: the store the
@@ -341,9 +344,9 @@ func (in *Ingestor) Seed(trs []traj.Trajectory) (accepted, rejected int) {
 
 // Ingest validates a batch of trajectories and appends them to their
 // departure slices' aggregates, feeds the per-slice drift monitors,
-// and — when a slice's drift or trajectory-count trigger fires and no
-// rebuild of that slice is in flight — kicks off a background rebuild
-// of that slice's model. Invalid trajectories (discontinuous, unknown
+// and — when a slice's drift or trajectory-count trigger fires — kicks
+// off a background rebuild of that slice's model, or latches the trigger
+// for the rebuild in flight. Invalid trajectories (discontinuous, unknown
 // edges, non-finite or negative times or departures) are counted and
 // skipped, never fatal. Returns how many were accepted and rejected.
 func (in *Ingestor) Ingest(trs []traj.Trajectory) (accepted, rejected int) {
@@ -424,12 +427,10 @@ func (in *Ingestor) fold(ctx context.Context, trs []traj.Trajectory, live bool) 
 		for i := range bucket {
 			in.drift[s].Observe(&bucket[i])
 		}
-		trigger, reason := in.checkTriggersLocked(ctx, s)
-		if trigger && !st.Rebuilding && a.counted.trajs+a.uncounted.trajs >= in.cfg.MinRebuildTrajectories {
-			st.Rebuilding = true
-			st.SinceRebuild = 0
-			pending = append(pending, sliceRebuild{slice: s, reason: reason, counted: a.counted, young: a.young, batch: a.pending})
-			a.pending = nil
+		if trigger, reason := in.checkTriggersLocked(ctx, s); trigger {
+			if p, ok := in.startLocked(s, reason); ok {
+				pending = append(pending, p)
+			}
 		}
 	}
 	in.mu.Unlock()
@@ -443,6 +444,26 @@ func (in *Ingestor) fold(ctx context.Context, trs []traj.Trajectory, live bool) 
 		go in.rebuild(p)
 	}
 	return
+}
+
+// startLocked acts on a trigger of slice s: it latches the trigger
+// while a rebuild of the slice is in flight, drops it below
+// MinRebuildTrajectories, and otherwise takes the pending batch for a
+// rebuild the caller launches once it releases in.mu, which it holds.
+func (in *Ingestor) startLocked(s int, reason string) (sliceRebuild, bool) {
+	st, a := &in.slices[s], &in.aggs[s]
+	if st.Rebuilding {
+		a.latched = reason
+		return sliceRebuild{}, false
+	}
+	if a.counted.trajs+a.uncounted.trajs < in.cfg.MinRebuildTrajectories {
+		return sliceRebuild{}, false
+	}
+	st.Rebuilding = true
+	st.SinceRebuild = 0
+	p := sliceRebuild{slice: s, reason: reason, counted: a.counted, young: a.young, batch: a.pending}
+	a.pending = nil
+	return p, true
 }
 
 // agedOut counts and logs one age-out of slice s.
@@ -524,12 +545,23 @@ func (in *Ingestor) foldBatch(p sliceRebuild) *folded {
 // on the result, then hot-swaps model and store into the target — only
 // that slice's epoch advances. Runs in its own goroutine; at most one
 // rebuild per slice is in flight (different slices may rebuild
-// concurrently).
+// concurrently). A trigger latched meanwhile starts the slice's next
+// rebuild, on what has accumulated, as it finishes; it joins rebuildWG
+// before this one leaves it, so WaitRebuilds waits for the chain.
 func (in *Ingestor) rebuild(p sliceRebuild) {
 	defer func() {
 		in.mu.Lock()
 		in.slices[p.slice].Rebuilding = false
+		next, chained := sliceRebuild{}, false
+		if a := &in.aggs[p.slice]; a.latched != "" {
+			next, chained = in.startLocked(p.slice, a.latched)
+			a.latched = ""
+		}
 		in.mu.Unlock()
+		if chained {
+			in.rebuildWG.Add(1)
+			go in.rebuild(next)
+		}
 		in.rebuildWG.Done()
 	}()
 	start := time.Now()

@@ -529,6 +529,59 @@ func TestRebuildTrainsOnTheAggregateAtItsTrigger(t *testing.T) {
 	}
 }
 
+// TestTriggerDuringRebuildIsLatched: batches that arrive back to back
+// while a rebuild is in flight fire the count trigger then; the trigger
+// is kept, and the rebuild starts the next one on everything pending as
+// it finishes. So once the last batch is in and WaitRebuilds returns,
+// the store swapped in last holds every trajectory, and nothing counts
+// as accepted since a rebuild.
+func TestTriggerDuringRebuildIsLatched(t *testing.T) {
+	fx := testFixture(t)
+	tgt := &fakeTarget{g: fx.g, kb: map[int]*hybrid.KnowledgeBase{0: fx.kb}, epoch: 1}
+	in := New(tgt, Config{
+		Hybrid:                 lightHybridConfig(fx.width),
+		Drift:                  DriftConfig{Window: -1, RebuildEvery: 100},
+		MinRebuildTrajectories: 100,
+	}, nil)
+	in.Seed(fx.trajs[:300])
+	in.Ingest(fx.trajs[300:350])
+
+	// Hold the first rebuild at its first call into the target: the
+	// second Graph call from here (the first is the triggering Ingest's
+	// own), so every later batch arrives while it is in flight.
+	held, release := make(chan struct{}), make(chan struct{})
+	calls := 0
+	tgt.beforeGraph = func() {
+		tgt.mu.Lock()
+		calls++
+		second := calls == 2
+		tgt.mu.Unlock()
+		if second {
+			close(held)
+			<-release
+		}
+	}
+	in.Ingest(fx.trajs[350:400])
+	<-held
+	for lo := 400; lo < len(fx.trajs); lo += 50 {
+		in.Ingest(fx.trajs[lo:min(lo+50, len(fx.trajs))])
+	}
+	if st := in.Status(); st.Rebuilds != 0 || !st.Rebuilding || st.SinceRebuild != len(fx.trajs)-400 {
+		t.Fatalf("while the first rebuild is held: %+v", st)
+	}
+	close(release)
+	in.WaitRebuilds()
+
+	st := in.Status()
+	if st.Rebuilds != 2 || st.RebuildErrors != 0 || st.Rebuilding || st.SinceRebuild != 0 {
+		t.Fatalf("after the last batch and WaitRebuilds: %+v", st)
+	}
+	if !reflect.DeepEqual(tgt.swappedObs, collectAll(fx, fx.trajs)) {
+		t.Errorf("the last store swapped in holds %d edge observations, the %d trajectories accepted %d",
+			tgt.swappedObs.NumEdgeObservations(), len(fx.trajs), edgeCount(fx.trajs))
+	}
+}
+
 // TestPerSliceDriftRebuild: on a 4-slice target, a congested stream
 // departing exclusively in one slice must fire drift, rebuild and
 // hot-swap THAT slice only — the other slices' monitors stay quiet and

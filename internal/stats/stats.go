@@ -62,20 +62,6 @@ func (t *ContingencyTable) Add(i, j int, n float64) {
 // At returns the count in cell (i, j).
 func (t *ContingencyTable) At(i, j int) float64 { return t.Counts[i*t.Cols+j] }
 
-// marginals returns row and column sums.
-func (t *ContingencyTable) marginals() (rows, cols []float64) {
-	rows = make([]float64, t.Rows)
-	cols = make([]float64, t.Cols)
-	for i := 0; i < t.Rows; i++ {
-		for j := 0; j < t.Cols; j++ {
-			c := t.At(i, j)
-			rows[i] += c
-			cols[j] += c
-		}
-	}
-	return rows, cols
-}
-
 // ChiSquareResult is the outcome of an independence test.
 type ChiSquareResult struct {
 	Statistic float64
@@ -86,15 +72,53 @@ type ChiSquareResult struct {
 // Dependent reports whether independence is rejected at level alpha.
 func (r ChiSquareResult) Dependent(alpha float64) bool { return r.PValue < alpha }
 
-// ChiSquareIndependence runs Pearson's chi-square test of independence on
-// the table. Rows/columns with zero marginal count are dropped. It
-// returns an error if fewer than two non-empty rows or columns remain or
-// the table has no observations.
-func ChiSquareIndependence(t *ContingencyTable) (ChiSquareResult, error) {
+var (
+	errEmptyTable = errors.New("stats: chi-square on empty table")
+	errOneLevel   = errors.New("stats: chi-square needs >= 2 non-empty rows and columns")
+)
+
+// Independence runs Pearson's chi-square test of independence on the
+// table and returns it with the table's mutual information in nats,
+// computing the marginals once. The test drops rows and columns with
+// zero marginal count, and errors when fewer than two of either remain
+// or the table is empty; the mutual information, to which zero cells
+// contribute nothing, is returned either way (0 for an empty table). A
+// table with at most eight rows and columns together allocates nothing.
+func Independence(t *ContingencyTable) (ChiSquareResult, float64, error) {
 	if t.Total == 0 {
-		return ChiSquareResult{}, errors.New("stats: chi-square on empty table")
+		return ChiSquareResult{}, 0, errEmptyTable
 	}
-	rowSum, colSum := t.marginals()
+	var buf [8]float64
+	sums := buf[:]
+	if t.Rows+t.Cols > len(buf) {
+		sums = make([]float64, t.Rows+t.Cols)
+	}
+	rowSum, colSum := sums[:t.Rows], sums[t.Rows:t.Rows+t.Cols]
+	for i := 0; i < t.Rows; i++ {
+		for j := 0; j < t.Cols; j++ {
+			c := t.At(i, j)
+			rowSum[i] += c
+			colSum[j] += c
+		}
+	}
+
+	mi := 0.0
+	for i := 0; i < t.Rows; i++ {
+		for j := 0; j < t.Cols; j++ {
+			c := t.At(i, j)
+			if c == 0 {
+				continue
+			}
+			pxy := c / t.Total
+			px := rowSum[i] / t.Total
+			py := colSum[j] / t.Total
+			mi += pxy * math.Log(pxy/(px*py))
+		}
+	}
+	if mi < 0 {
+		mi = 0
+	}
+
 	liveRows, liveCols := 0, 0
 	for _, r := range rowSum {
 		if r > 0 {
@@ -107,7 +131,7 @@ func ChiSquareIndependence(t *ContingencyTable) (ChiSquareResult, error) {
 		}
 	}
 	if liveRows < 2 || liveCols < 2 {
-		return ChiSquareResult{}, errors.New("stats: chi-square needs >= 2 non-empty rows and columns")
+		return ChiSquareResult{}, mi, errOneLevel
 	}
 	stat := 0.0
 	for i := 0; i < t.Rows; i++ {
@@ -125,33 +149,7 @@ func ChiSquareIndependence(t *ContingencyTable) (ChiSquareResult, error) {
 	}
 	df := (liveRows - 1) * (liveCols - 1)
 	p := ChiSquareSurvival(stat, float64(df))
-	return ChiSquareResult{Statistic: stat, DF: df, PValue: p}, nil
-}
-
-// MutualInformation returns the empirical mutual information of the table
-// in nats. Zero cells contribute nothing.
-func MutualInformation(t *ContingencyTable) float64 {
-	if t.Total == 0 {
-		return 0
-	}
-	rowSum, colSum := t.marginals()
-	mi := 0.0
-	for i := 0; i < t.Rows; i++ {
-		for j := 0; j < t.Cols; j++ {
-			c := t.At(i, j)
-			if c == 0 {
-				continue
-			}
-			pxy := c / t.Total
-			px := rowSum[i] / t.Total
-			py := colSum[j] / t.Total
-			mi += pxy * math.Log(pxy/(px*py))
-		}
-	}
-	if mi < 0 {
-		mi = 0
-	}
-	return mi
+	return ChiSquareResult{Statistic: stat, DF: df, PValue: p}, mi, nil
 }
 
 // ChiSquareSurvival returns P(X > x) for X ~ chi-square with df degrees

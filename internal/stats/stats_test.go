@@ -86,7 +86,7 @@ func TestChiSquareIndependenceDetectsDependence(t *testing.T) {
 			tab.Add(i, i, 1)
 		}
 	}
-	res, err := ChiSquareIndependence(tab)
+	res, _, err := Independence(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestChiSquareIndependenceAcceptsIndependence(t *testing.T) {
 		for n := 0; n < 200; n++ {
 			tab.Add(r.Intn(3), r.Intn(3), 1)
 		}
-		res, err := ChiSquareIndependence(tab)
+		res, _, err := Independence(tab)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,14 +122,14 @@ func TestChiSquareIndependenceAcceptsIndependence(t *testing.T) {
 }
 
 func TestChiSquareIndependenceErrors(t *testing.T) {
-	if _, err := ChiSquareIndependence(NewContingencyTable(3, 3)); err == nil {
+	if _, _, err := Independence(NewContingencyTable(3, 3)); err == nil {
 		t.Error("empty table should error")
 	}
 	tab := NewContingencyTable(3, 3)
 	for n := 0; n < 10; n++ {
 		tab.Add(0, 0, 1) // single cell: 1 live row, 1 live col
 	}
-	if _, err := ChiSquareIndependence(tab); err == nil {
+	if _, _, err := Independence(tab); err == nil {
 		t.Error("degenerate table should error")
 	}
 }
@@ -143,7 +143,7 @@ func TestChiSquareDropsEmptyRows(t *testing.T) {
 		tab.Add(0, 4, 1)
 		tab.Add(4, 0, 1)
 	}
-	res, err := ChiSquareIndependence(tab)
+	res, _, err := Independence(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestMutualInformation(t *testing.T) {
 		tab.Add(0, 0, 1)
 		tab.Add(1, 1, 1)
 	}
-	if mi := MutualInformation(tab); !almostEqual(mi, math.Ln2, 1e-9) {
+	if _, mi, _ := Independence(tab); !almostEqual(mi, math.Ln2, 1e-9) {
 		t.Errorf("MI = %v, want ln 2", mi)
 	}
 	// Independence: MI = 0.
@@ -173,10 +173,10 @@ func TestMutualInformation(t *testing.T) {
 		ind.Add(1, 0, 1)
 		ind.Add(1, 1, 1)
 	}
-	if mi := MutualInformation(ind); !almostEqual(mi, 0, 1e-9) {
+	if _, mi, _ := Independence(ind); !almostEqual(mi, 0, 1e-9) {
 		t.Errorf("independent MI = %v", mi)
 	}
-	if mi := MutualInformation(NewContingencyTable(2, 2)); mi != 0 {
+	if _, mi, _ := Independence(NewContingencyTable(2, 2)); mi != 0 {
 		t.Errorf("empty MI = %v", mi)
 	}
 }

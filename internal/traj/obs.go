@@ -2,11 +2,11 @@ package traj
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"iter"
 	"math"
 	"slices"
-	"sort"
 
 	"stochroute/internal/graph"
 	"stochroute/internal/hist"
@@ -40,14 +40,23 @@ func (c GridCounts) Total() int {
 // exactly as hist.FromSamples adds it per sample, so counts of samples
 // that lie on the grid give FromSamples' bits.
 func (c GridCounts) Hist(width float64) *hist.Hist {
+	h := &hist.Hist{}
+	c.HistInto(h, width)
+	return h
+}
+
+// HistInto computes c.Hist(width) into dst, reusing dst.P's backing
+// array when its capacity suffices.
+func (c GridCounts) HistInto(dst *hist.Hist, width float64) {
 	inc := 1 / float64(c.Total())
-	p := make([]float64, len(c.Counts))
+	dst.P = slices.Grow(dst.P[:0], len(c.Counts))[:len(c.Counts)]
+	clear(dst.P)
 	for i, k := range c.Counts {
 		for ; k > 0; k-- {
-			p[i] += inc
+			dst.P[i] += inc
 		}
 	}
-	return hist.New(float64(c.Lo)*width, width, p)
+	dst.Min, dst.Width = float64(c.Lo)*width, width
 }
 
 // Cell is one entry of a pair's joint counts: N observations took grid
@@ -328,105 +337,126 @@ func (s *ObservationStore) PairsWithSupport(minObs int) []PairKey {
 }
 
 // DependenceTest runs a chi-square independence test on the pair's joint
-// observations, bucketing each side into up to `buckets` *mode clusters*
+// observations, bucketing each side into up to three *mode clusters*
 // (groups of nearby values separated by gaps, which recovers latent
 // congestion modes far more powerfully than quantile bins on discrete
 // travel times). It errors when the pair lacks observations or either
 // side has a single cluster (in which case the pair is trivially
 // independent).
-func (s *ObservationStore) DependenceTest(k PairKey, buckets int, alpha float64) (stats.ChiSquareResult, error) {
-	table, err := s.clusterTable(k, buckets)
+func (s *ObservationStore) DependenceTest(k PairKey) (stats.ChiSquareResult, error) {
+	res, _, err := clusterTest(s.Joint(k))
+	return res, err
+}
+
+// PairDependence returns DependenceTest's p-value, or 1 where it errors,
+// and the mutual information (nats) of the same cluster table, 0 without
+// observations.
+func (s *ObservationStore) PairDependence(k PairKey) (p, mi float64) {
+	res, mi, err := clusterTest(s.Joint(k))
 	if err != nil {
-		return stats.ChiSquareResult{}, err
+		return 1, mi
 	}
-	return stats.ChiSquareIndependence(table)
+	return res.PValue, mi
 }
 
-// PairMutualInformation estimates the mutual information (nats) of the
-// pair's joint observations over the mode clusters DependenceTest uses,
-// or 0 without observations.
-func (s *ObservationStore) PairMutualInformation(k PairKey, buckets int) float64 {
-	table, err := s.clusterTable(k, buckets)
-	if err != nil {
-		return 0
-	}
-	return stats.MutualInformation(table)
-}
+// maxClusters is the most mode clusters a side of a dependence table has.
+const maxClusters = 3
 
-// clusterTable is the contingency table of the pair's joint counts over
-// up to `buckets` mode clusters of each side.
-func (s *ObservationStore) clusterTable(k PairKey, buckets int) (*stats.ContingencyTable, error) {
-	cells := s.Joint(k)
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("traj: pair (%d,%d) has no observations", k.First, k.Second)
-	}
-	buckets = max(buckets, 2)
-	first, second := make([]int32, len(cells)), make([]int32, len(cells))
-	for i, c := range cells {
-		first[i], second[i] = c.I1, c.I2
-	}
-	// The cells ascend in I1 already.
-	slices.Sort(second)
-	b1, n1 := clusterBucketer(slices.Compact(first), buckets)
-	b2, n2 := clusterBucketer(slices.Compact(second), buckets)
-	table := stats.NewContingencyTable(n1, n2)
-	for _, c := range cells {
-		table.Add(b1(c.I1), b2(c.I2), float64(c.N))
-	}
-	return table, nil
-}
-
-// PairCorrelation returns the Pearson correlation of the pair's joint
-// observations in seconds: stats.Pearson over the observations expanded
-// in cell order, so it is within rounding of Pearson over the samples in
-// any order. It errors with fewer than two observations or a constant
-// side.
-func (s *ObservationStore) PairCorrelation(k PairKey) (float64, error) {
-	cells := s.Joint(k)
-	t1 := make([]float64, 0, cells.Total())
-	t2 := make([]float64, 0, cells.Total())
-	for _, c := range cells {
-		for r := c.N; r > 0; r-- {
-			t1 = append(t1, float64(c.I1)*s.Width)
-			t2 = append(t2, float64(c.I2)*s.Width)
+// clusterTest returns the chi-square test and mutual information
+// (stats.Independence) of the cells' table over up to maxClusters mode
+// clusters a side; no cells give an error and MI 0. The table, the cuts
+// and the steps of a pair with up to 256 cells live on the stack.
+func clusterTest(cells JointCounts) (stats.ChiSquareResult, float64, error) {
+	var buf [256]int32
+	steps := buf[:0]
+	for i, c := range cells { // the cells ascend in I1 already
+		if i == 0 || c.I1 != cells[i-1].I1 {
+			steps = append(steps, c.I1)
 		}
 	}
-	return stats.Pearson(t1, t2)
+	cuts1, n1 := clusterCuts(steps, maxClusters)
+	steps = steps[:0]
+	for _, c := range cells {
+		steps = append(steps, c.I2)
+	}
+	slices.Sort(steps)
+	cuts2, n2 := clusterCuts(slices.Compact(steps), maxClusters)
+	var counts [maxClusters * maxClusters]float64
+	table := stats.ContingencyTable{Rows: n1, Cols: n2, Counts: counts[:n1*n2]}
+	for _, c := range cells {
+		// A step equal to a cut belongs to the cluster below it.
+		i, _ := slices.BinarySearch(cuts1[:n1-1], c.I1)
+		j, _ := slices.BinarySearch(cuts2[:n2-1], c.I2)
+		table.Add(i, j, float64(c.N))
+	}
+	return stats.Independence(&table)
 }
 
-// clusterBucketer groups ascending distinct grid steps into up to
-// maxClusters clusters separated by at least one empty step, and returns
-// the assignment function plus the number of clusters found. Travel
-// times concentrate around latent congestion-mode values with at most
-// ±1 grid step of observation noise, so gap clustering recovers the
+// gap is a run of empty grid steps between two distinct steps: a
+// cluster boundary placed after step after, size steps wide.
+type gap struct{ after, size int32 }
+
+// clusterCuts groups ascending distinct grid steps into up to most
+// clusters (most <= maxClusters) separated by at least one empty step,
+// and returns the boundaries, ascending, with the number of clusters.
+// Travel times concentrate around latent congestion-mode values with at
+// most ±1 grid step of observation noise, so gap clustering recovers the
 // modes; quantile bins would cut *inside* a mode and dilute the
-// dependence signal with independent noise. When there are more gaps
-// than boundaries to place, the widest win.
-func clusterBucketer(distinct []int32, maxClusters int) (func(int32) int, int) {
-	type gap struct {
-		after int32 // boundary placed after this step
-		size  int32
-	}
-	var gaps []gap
+// dependence signal with independent noise. The widest gaps win; among
+// equal ones, the order sort.Slice's pdqsort leaves them in, which
+// slices.SortFunc repeats comparison for comparison.
+func clusterCuts(distinct []int32, most int) (cuts [maxClusters - 1]int32, clusters int) {
+	var buf [256]gap
+	gaps := buf[:0]
 	for i := 1; i < len(distinct); i++ {
 		if d := distinct[i] - distinct[i-1]; d > 1 {
 			gaps = append(gaps, gap{after: distinct[i-1], size: d})
 		}
 	}
-	if len(gaps) == 0 {
-		return func(int32) int { return 0 }, 1
-	}
-	// Keep only the largest maxClusters-1 boundaries.
-	sort.Slice(gaps, func(i, j int) bool { return gaps[i].size > gaps[j].size })
-	if len(gaps) > maxClusters-1 {
-		gaps = gaps[:maxClusters-1]
-	}
-	cuts := make([]int32, len(gaps))
-	for i, g := range gaps {
+	slices.SortFunc(gaps, func(a, b gap) int { return cmp.Compare(b.size, a.size) })
+	n := min(len(gaps), most-1)
+	for i, g := range gaps[:n] {
 		cuts[i] = g.after
 	}
-	slices.Sort(cuts)
-	// BinarySearch finds the first cut >= x, so a step equal to a
-	// boundary belongs to the cluster below it.
-	return func(x int32) int { i, _ := slices.BinarySearch(cuts, x); return i }, len(cuts) + 1
+	slices.Sort(cuts[:n])
+	return cuts, n + 1
 }
+
+// PairCorrelation returns the Pearson correlation of the pair's joint
+// observations in seconds: stats.Pearson over the observations expanded
+// in cell order, so it is within rounding of Pearson over the samples in
+// any order. Each sum adds a cell's term once per observation, in
+// Pearson's order, without expanding them, so the result has Pearson's
+// bits. It errors with fewer than two observations or a constant side.
+func (s *ObservationStore) PairCorrelation(k PairKey) (float64, error) {
+	cells := s.Joint(k)
+	n := cells.Total()
+	if n < 2 {
+		return 0, errNoCorrelation
+	}
+	var mx, my float64
+	for _, c := range cells {
+		x, y := float64(c.I1)*s.Width, float64(c.I2)*s.Width
+		for r := c.N; r > 0; r-- {
+			mx += x
+			my += y
+		}
+	}
+	mx /= float64(n)
+	my /= float64(n)
+	var sxy, sxx, syy float64
+	for _, c := range cells {
+		dx, dy := float64(c.I1)*s.Width-mx, float64(c.I2)*s.Width-my
+		for r := c.N; r > 0; r-- {
+			sxy += dx * dy
+			sxx += dx * dx
+			syy += dy * dy
+		}
+	}
+	if sxx == 0 || syy == 0 {
+		return 0, errNoCorrelation
+	}
+	return sxy / math.Sqrt(sxx*syy), nil
+}
+
+var errNoCorrelation = errors.New("traj: correlation needs two joint observations and no constant side")

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sort"
 	"testing"
 
 	"stochroute/internal/graph"
@@ -83,7 +84,7 @@ func TestDependenceTestPower(t *testing.T) {
 	detectedDep, falsePos := 0, 0
 	for _, k := range obs.PairsWithSupport(30) {
 		via := w.Graph().Edge(k.Second).From
-		res, err := obs.DependenceTest(k, 3, 0.05)
+		res, err := obs.DependenceTest(k)
 		isDep := err == nil && res.Dependent(0.05)
 		if w.PairIsDependent(via) {
 			oracleDep++
@@ -140,7 +141,8 @@ func TestPairMutualInformation(t *testing.T) {
 
 	miDep, nDep := 0.0, 0
 	for _, k := range obsDep.PairsWithSupport(50) {
-		miDep += obsDep.PairMutualInformation(k, 3)
+		_, mi := obsDep.PairDependence(k)
+		miDep += mi
 		nDep++
 		if nDep >= 30 {
 			break
@@ -148,7 +150,8 @@ func TestPairMutualInformation(t *testing.T) {
 	}
 	miInd, nInd := 0.0, 0
 	for _, k := range obsInd.PairsWithSupport(50) {
-		miInd += obsInd.PairMutualInformation(k, 3)
+		_, mi := obsInd.PairDependence(k)
+		miInd += mi
 		nInd++
 		if nInd >= 30 {
 			break
@@ -478,6 +481,10 @@ func TestCollectAllocationCeiling(t *testing.T) {
 // cluster below it, anything above lands in the next, and a single
 // distinct step is one cluster.
 func TestClusterBucketerBoundaries(t *testing.T) {
+	clusterBucketer := func(distinct []int32, most int) (func(int32) int, int) {
+		cuts, n := clusterCuts(distinct, most)
+		return func(x int32) int { i, _ := slices.BinarySearch(cuts[:n-1], x); return i }, n
+	}
 	// Gaps of two or more steps split, so {5, 6} | {10, 11} | {20}; the
 	// cuts sit after 6 and after 11.
 	bucket, n := clusterBucketer([]int32{5, 6, 10, 11, 20}, 3)
@@ -499,5 +506,44 @@ func TestClusterBucketerBoundaries(t *testing.T) {
 	bucket, n = clusterBucketer([]int32{7}, 3)
 	if n != 1 || bucket(7) != 0 {
 		t.Errorf("single distinct step: %d clusters, bucket(7) = %d; want 1, 0", n, bucket(7))
+	}
+}
+
+// TestClusterCutsMatchSortSlice: the sort that picks the widest gaps is
+// not stable, so which of several equally wide gaps become cuts is the
+// order the sort leaves them in. On step sets with more gaps than
+// insertion sort handles (12) and only a few distinct widths, the cuts
+// are those of the sort.Slice grouping the dependence labels were
+// defined with.
+func TestClusterCutsMatchSortSlice(t *testing.T) {
+	reference := func(distinct []int32, most int) []int32 {
+		type gap struct{ after, size int32 }
+		var gaps []gap
+		for i := 1; i < len(distinct); i++ {
+			if d := distinct[i] - distinct[i-1]; d > 1 {
+				gaps = append(gaps, gap{after: distinct[i-1], size: d})
+			}
+		}
+		sort.Slice(gaps, func(i, j int) bool { return gaps[i].size > gaps[j].size })
+		cuts := []int32{}
+		for _, g := range gaps[:min(len(gaps), most-1)] {
+			cuts = append(cuts, g.after)
+		}
+		slices.Sort(cuts)
+		return cuts
+	}
+	r := rng.New(37)
+	for trial := 0; trial < 2000; trial++ {
+		distinct := []int32{int32(r.Intn(10))}
+		for len(distinct) < 14+r.Intn(60) {
+			// Steps 1 (no gap) to 4 apart: many gaps of widths 2, 3, 4.
+			distinct = append(distinct, distinct[len(distinct)-1]+1+int32(r.Intn(4)))
+		}
+		for most := 1; most <= maxClusters; most++ {
+			cuts, n := clusterCuts(distinct, most)
+			if want := reference(distinct, most); n != len(want)+1 || !slices.Equal(cuts[:n-1], want) {
+				t.Fatalf("steps %v, %d clusters at most: cuts %v, sort.Slice gives %v", distinct, most, cuts[:n-1], want)
+			}
+		}
 	}
 }
