@@ -96,7 +96,7 @@ func main() {
 	}
 
 	if all || want["quality"] {
-		rows, err := exp.RunQuality(s, exp.DefaultQualityConfig(), out)
+		rows, err := exp.RunQuality(s, out)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -140,6 +140,9 @@ func newFleetReplica(t *testing.T, id string, withIngest bool) *fleetReplica {
 			MinRebuildTrajectories: 300,
 			Metrics:                reg,
 		}, io.Discard)
+		// A rebuild still training after the test would allocate inside
+		// a later test's allocation count.
+		t.Cleanup(ing.WaitRebuilds)
 	}
 	srv := server.New(eng, server.Config{Metrics: reg, Ingestor: ing, ReplicaID: id})
 	ks := &killSwitch{next: srv.Handler()}

@@ -83,6 +83,9 @@ func TestOnlineIngestDriftRebuildSwapE2E(t *testing.T) {
 		MinRebuildTrajectories: 300,
 		Metrics:                reg,
 	}, io.Discard)
+	// A rebuild still training after the test would allocate inside a
+	// later test's allocation count.
+	defer ing.WaitRebuilds()
 
 	srv := server.New(eng, server.Config{Ingestor: ing, Metrics: reg})
 	ts := httptest.NewServer(srv.Handler())

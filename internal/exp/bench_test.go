@@ -66,7 +66,7 @@ func BenchmarkE4TrainEval(b *testing.B) {
 	oracle := hybrid.WorldOracle{World: s.Engine.World()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hybrid.Evaluate(model, store, oracle, pairs, 0.05); err != nil {
+		if _, err := hybrid.Evaluate(model, store, oracle, pairs); err != nil {
 			b.Fatal(err)
 		}
 	}

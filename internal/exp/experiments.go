@@ -231,22 +231,15 @@ type QualityRow struct {
 	MeanPBRProb  float64 // at P∞
 }
 
-// QualityConfig tunes the E5 protocol.
-type QualityConfig struct {
-	// BudgetQuantile sets each query's deadline to this quantile of the
-	// mean-cost baseline path's *convolution-model* distribution. A
-	// moderately generous deadline (default 0.75) is the regime the
-	// paper's introduction describes: heavy congestion tails are what
-	// make a nominally fast route miss it, and only a dependence-aware
-	// model can see which routes carry that tail risk. The quantile is
-	// computed model-side (no oracle leak) and scales correctly with
-	// query length, unlike a fixed multiple of the optimistic time.
-	BudgetQuantile float64
-}
-
-// DefaultQualityConfig is the protocol cmd/experiments runs: deadlines
-// at the 0.6 quantile.
-func DefaultQualityConfig() QualityConfig { return QualityConfig{BudgetQuantile: 0.6} }
+// budgetQuantile sets each E5 query's deadline to this quantile of the
+// mean-cost baseline path's *convolution-model* distribution. A
+// moderately generous deadline is the regime the paper's introduction
+// describes: heavy congestion tails are what make a nominally fast
+// route miss it, and only a dependence-aware model can see which routes
+// carry that tail risk. The quantile is computed model-side (no oracle
+// leak) and scales correctly with query length, unlike a fixed multiple
+// of the optimistic time.
+const budgetQuantile = 0.6
 
 // switchMarginFor returns the decisive-switch margin for a query whose
 // baseline path has the given edge count. The hybrid model's path-level
@@ -261,12 +254,12 @@ func switchMarginFor(baseEdges int) float64 {
 }
 
 // RunQuality reproduces the paper's Quality table. For every query the
-// deadline is the BudgetQuantile of the baseline path's convolution
+// deadline is the budgetQuantile of the baseline path's convolution
 // distribution; the engine's search runs under each anytime limit;
 // returned paths are scored by their *true* on-time probability (the
 // engine's world), and the row reports the mean improvement over the
 // mean-cost baseline path in percentage points.
-func RunQuality(s *Setup, cfg QualityConfig, out io.Writer) ([]QualityRow, error) {
+func RunQuality(s *Setup, out io.Writer) ([]QualityRow, error) {
 	eng := s.Engine
 	limits := append([]int{0}, AnytimeExpansions(s.Scale)...) // P∞ first
 	var rows []QualityRow
@@ -289,7 +282,7 @@ func RunQuality(s *Setup, cfg QualityConfig, out io.Writer) ([]QualityRow, error
 			if err != nil {
 				return err
 			}
-			budget, err := queryBudget(s, q, cfg.BudgetQuantile)
+			budget, err := queryBudget(s, q, budgetQuantile)
 			if err != nil {
 				return nil // skip query
 			}

@@ -60,7 +60,7 @@ func runAllTables(s *Setup) (*smallRun, error) {
 		return nil, err
 	}
 	var err error
-	if r.quality, err = RunQuality(s, DefaultQualityConfig(), &out); err != nil {
+	if r.quality, err = RunQuality(s, &out); err != nil {
 		return nil, err
 	}
 	if r.efficiency, err = RunEfficiency(s, &out); err != nil {

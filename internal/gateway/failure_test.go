@@ -229,13 +229,13 @@ func TestIdentityMismatchSurfacesInHealth(t *testing.T) {
 
 // TestIngestQueueByteBound: enqueueing stops at IngestQueueBytes even
 // with depth to spare, so a down replica's backlog cannot hold
-// IngestQueue×MaxIngestBytes of raw bodies. Workers are never started,
+// IngestQueue × the body cap of raw bodies. Workers are never started,
 // so nothing drains between posts.
 func TestIngestQueueByteBound(t *testing.T) {
 	r1 := fakeReplica(t, "r1", 0)
 	gw, err := New(Config{
 		Replicas:         []Replica{{ID: "r1", URL: r1.URL}},
-		MaxIngestBytes:   4096,
+		maxIngestBytes:   4096,
 		IngestQueueBytes: 8192,
 		IngestQueue:      100,
 	})

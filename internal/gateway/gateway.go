@@ -42,16 +42,14 @@ type Config struct {
 	DownAfter int
 	// RequestTimeout caps one proxied dispatch (default 15s).
 	RequestTimeout time.Duration
-	// MaxIngestBytes caps one /ingest request body (default 8 MiB).
-	MaxIngestBytes int64
 	// IngestQueue is each replica's fan-out queue depth in batches
 	// (default 256). A full queue drops the batch for that replica only
 	// — one slow replica never stalls ingestion for the fleet.
 	IngestQueue int
 	// IngestQueueBytes caps the total raw-body bytes waiting in one
-	// replica's queue (default 64 MiB, raised to MaxIngestBytes if set
-	// lower so a single maximal batch always fits). This, not
-	// IngestQueue×MaxIngestBytes, is the per-replica ingest memory
+	// replica's queue (default 64 MiB, raised to the /ingest body cap
+	// if set lower so a single maximal batch always fits). This, not
+	// IngestQueue × the body cap, is the per-replica ingest memory
 	// budget while a replica is down and the stream keeps flowing.
 	IngestQueueBytes int64
 	// IngestAttempts bounds delivery attempts per batch (default 10);
@@ -73,6 +71,8 @@ type Config struct {
 	// LogW receives state-transition and delivery-failure lines (nil
 	// silences them).
 	LogW io.Writer
+
+	maxIngestBytes int64 // one /ingest body's cap (default 8 MiB); the package's tests lower it
 }
 
 func (c Config) withDefaults() Config {
@@ -88,8 +88,8 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 15 * time.Second
 	}
-	if c.MaxIngestBytes <= 0 {
-		c.MaxIngestBytes = 8 << 20
+	if c.maxIngestBytes <= 0 {
+		c.maxIngestBytes = 8 << 20
 	}
 	if c.IngestQueue <= 0 {
 		c.IngestQueue = 256
@@ -97,8 +97,8 @@ func (c Config) withDefaults() Config {
 	if c.IngestQueueBytes <= 0 {
 		c.IngestQueueBytes = 64 << 20
 	}
-	if c.IngestQueueBytes < c.MaxIngestBytes {
-		c.IngestQueueBytes = c.MaxIngestBytes
+	if c.IngestQueueBytes < c.maxIngestBytes {
+		c.IngestQueueBytes = c.maxIngestBytes
 	}
 	if c.IngestAttempts <= 0 {
 		c.IngestAttempts = 10

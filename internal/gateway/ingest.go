@@ -46,11 +46,11 @@ type ingestProbe struct {
 // authoritative accept/reject split now happens asynchronously on N
 // replicas. 503 only when every queue refused.
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxIngestBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.maxIngestBytes+1))
 	if err != nil {
 		return httpsvc.BadRequest("read body: %v", err)
 	}
-	if int64(len(body)) > g.cfg.MaxIngestBytes {
+	if int64(len(body)) > g.cfg.maxIngestBytes {
 		return &httpsvc.Error{Code: http.StatusRequestEntityTooLarge, Msg: "request body too large"}
 	}
 	var probe ingestProbe
@@ -87,7 +87,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) error {
 // enqueueIngest admits one raw body into rep's delivery queue if both
 // bounds allow: queue depth (IngestQueue batches) and queued bytes
 // (IngestQueueBytes) — the byte cap keeps a down replica's backlog
-// from holding IngestQueue×MaxIngestBytes of raw bodies in memory.
+// from holding IngestQueue × the body cap of raw bodies in memory.
 // The byte budget is reserved optimistically and rolled back on a
 // full queue, so concurrent handlers never over-admit.
 func (g *Gateway) enqueueIngest(rep *replica, body []byte) bool {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -61,23 +62,29 @@ func WriteJSONBytes(w http.ResponseWriter, doc []byte) error {
 // JSON endpoint gets: the body is wrapped in http.MaxBytesReader so an
 // oversized payload fails fast instead of ballooning memory, and
 // unknown fields are rejected so malformed clients hear about their
-// mistake instead of being silently half-ignored.
+// mistake instead of being silently half-ignored. Only whitespace may
+// follow the value, and a body past the cap is a 413 wherever the value
+// ends.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return &Error{Code: http.StatusRequestEntityTooLarge,
-				Msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+	err := dec.Decode(v)
+	if err == nil {
+		// The body must end with the value; dec.More would also stop at
+		// a stray closing bracket, or at the cap.
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		} else if !errors.As(err, new(*http.MaxBytesError)) {
+			return BadRequest("trailing data after JSON body")
 		}
-		return BadRequest("invalid JSON body: %v", err)
 	}
-	if dec.More() {
-		return BadRequest("trailing data after JSON body")
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &Error{Code: http.StatusRequestEntityTooLarge,
+			Msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
 	}
-	return nil
+	return BadRequest("invalid JSON body: %v", err)
 }
 
 // FloatParam parses an optional finite float query parameter.

@@ -54,7 +54,7 @@ func (c *Classifier) PredictDependent(ps PairStats) bool {
 // over the given pairs: a pair is dependent when its table entry's
 // PValue is below alpha, and pairs without an entry are skipped. It
 // returns the classifier plus its training-set confusion for reporting.
-func TrainClassifier(kb *KnowledgeBase, pairs []traj.PairKey, alpha float64, cfg ml.LogRegConfig) (*Classifier, ml.Confusion, error) {
+func TrainClassifier(kb *KnowledgeBase, pairs []traj.PairKey) (*Classifier, ml.Confusion, error) {
 	var zero ml.Confusion
 	if len(pairs) == 0 {
 		return nil, zero, errors.New("hybrid: no pairs to train classifier on")
@@ -81,7 +81,7 @@ func TrainClassifier(kb *KnowledgeBase, pairs []traj.PairKey, alpha float64, cfg
 		return nil, zero, err
 	}
 	xs := scaler.Transform(x)
-	lr, err := ml.FitLogReg(xs, labels, cfg)
+	lr, err := ml.FitLogReg(xs, labels)
 	if err != nil {
 		return nil, zero, err
 	}

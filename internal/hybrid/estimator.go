@@ -181,6 +181,8 @@ func buildEstimatorDataset(kb *KnowledgeBase, obs *traj.ObservationStore, pairs 
 	return x, y, nil
 }
 
+const netInitSeed = 1 ^ 0x5eed // a fresh network's weights: ml.DefaultTrainConfig's seed, salted
+
 // trainEstimatorOn fits a fresh estimator on an assembled dataset; x
 // and y are read, never written.
 func trainEstimatorOn(kb *KnowledgeBase, x, y *ml.Matrix, cfg EstimatorConfig) (*Estimator, ml.TrainResult, error) {
@@ -193,7 +195,7 @@ func trainEstimatorOn(kb *KnowledgeBase, x, y *ml.Matrix, cfg EstimatorConfig) (
 
 	sizes := append([]int{NumFeatures}, cfg.Hidden...)
 	sizes = append(sizes, cfg.Bands*cfg.CondBuckets)
-	net, err := ml.NewMLP(sizes, rng.New(cfg.Train.Seed^0x5eed))
+	net, err := ml.NewMLP(sizes, rng.New(netInitSeed))
 	if err != nil {
 		return nil, zero, err
 	}

@@ -653,7 +653,7 @@ func TestEvaluateEmpiricalGroundTruth(t *testing.T) {
 	if len(pairs) < 10 {
 		t.Skip("not enough pairs")
 	}
-	rep, err := Evaluate(m, e.obs, nil, pairs[:10], 0.05)
+	rep, err := Evaluate(m, e.obs, nil, pairs[:10])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,11 +677,11 @@ func TestTrainLabelsMatchDependenceTest(t *testing.T) {
 	cfg.Estimator.Train.Epochs, cfg.PrefixRows = 2, 0
 	label := func(k traj.PairKey) float64 {
 		res, err := e.obs.DependenceTest(k)
-		return boolTo01(err == nil && res.Dependent(cfg.Alpha))
+		return boolTo01(err == nil && res.Dependent(alpha))
 	}
 	pairs := e.obs.PairsWithSupport(cfg.MinPairObs)
 
-	clf, conf, err := TrainClassifier(e.kb, pairs, cfg.Alpha, cfg.Classifier)
+	clf, conf, err := TrainClassifier(e.kb, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -700,7 +700,7 @@ func TestTrainLabelsMatchDependenceTest(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := scaler.Transform(x)
-	lr, err := ml.FitLogReg(xs, labels, cfg.Classifier)
+	lr, err := ml.FitLogReg(xs, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -721,7 +721,7 @@ func TestTrainLabelsMatchDependenceTest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Train's split, as Train draws it.
-	rng.New(cfg.Seed).Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+	rng.New(Seed).Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
 	test := pairs[cfg.TrainPairs : cfg.TrainPairs+cfg.TestPairs]
 	if cfg.TrainPairs+cfg.TestPairs > len(pairs) {
 		test = pairs[len(pairs)*4/5:]

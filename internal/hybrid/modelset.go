@@ -125,7 +125,7 @@ func (ms *ModelSet) MinEdgeTimeAcrossSlices(e graph.EdgeID) float64 {
 // The slices train concurrently (par.For: GOMAXPROCS workers at most),
 // each run single-threaded. A slice's model and report depend only on
 // that slice's observations and trajectories, g and cfg — every run
-// seeds its own generator from cfg.Seed — so the set is the same bits on
+// seeds its own generator from Seed — so the set is the same bits on
 // any number of cores, and when slices fail the error is the lowest
 // failing slice's.
 //

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
 	"stochroute/internal/hist"
+	"stochroute/internal/israce"
+	"stochroute/internal/ml"
 )
 
 func TestSingleModelSetDelegates(t *testing.T) {
@@ -163,6 +166,115 @@ func TestModelSetPersistBounds(t *testing.T) {
 	if _, err := ReadModelSet(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "implausible estimator shape") {
 		t.Errorf("65 bands: err = %v, want implausible estimator shape", err)
 	}
+}
+
+// TestModelSetPersistRejectsContradictoryShape: a file whose parts do
+// not fit one another fails to load instead of routing on a misread
+// estimator. Bands and CondBuckets of the first body sit at bytes 21
+// and 25; any value within their bounds but the network's is a
+// contradiction. Parts that disagree among themselves are written
+// through the writer, which does not check them.
+func TestModelSetPersistRejectsContradictoryShape(t *testing.T) {
+	m, _ := getModel(t)
+	var buf bytes.Buffer
+	if err := WriteModelSet(&buf, SingleModelSet(m)); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	if got := binary.LittleEndian.Uint32(full[21:]); got != uint32(m.Estimator.Cfg.Bands) {
+		t.Fatalf("byte 21 holds %d, not the %d bands", got, m.Estimator.Cfg.Bands)
+	}
+	for _, patch := range []struct {
+		at int
+		v  uint32
+	}{{21, 8}, {21, 2}, {25, 12}, {25, 48}} {
+		img := append([]byte{}, full...)
+		binary.LittleEndian.PutUint32(img[patch.at:], patch.v)
+		if _, err := ReadModelSet(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "outputs") {
+			t.Errorf("%d at byte %d: err = %v, want the network's outputs named", patch.v, patch.at, err)
+		}
+	}
+
+	narrow := func(s *ml.StandardScaler) *ml.StandardScaler {
+		return &ml.StandardScaler{Mean: s.Mean[1:], Std: s.Std[1:]}
+	}
+	layers := m.Estimator.Net.Layers
+	for name, tc := range map[string]struct {
+		edit func(e *Estimator, c *Classifier)
+		want string
+	}{
+		"estimator scaler narrower than the network": {func(e *Estimator, c *Classifier) { e.Scaler = narrow(e.Scaler) }, "estimator scaler"},
+		"dense layers that do not chain": {func(e *Estimator, c *Classifier) {
+			odd := append([]ml.Layer{}, layers...)
+			odd[2] = &ml.Dense{W: ml.NewMatrix(m.Estimator.Cfg.Hidden[0], 7), B: ml.NewMatrix(1, 7)}
+			e.Net = &ml.Network{Layers: odd}
+		}, "takes"},
+		"a network of activations only": {func(e *Estimator, c *Classifier) { e.Net = &ml.Network{Layers: []ml.Layer{&ml.ReLU{}}} }, "outputs"},
+		"a network of the wrong input width": {func(e *Estimator, c *Classifier) {
+			e.Net = &ml.Network{Layers: []ml.Layer{&ml.Dense{W: ml.NewMatrix(NumFeatures+1, 96), B: ml.NewMatrix(1, 96)}}}
+		}, "takes"},
+		"classifier scaler narrower than the classifier": {func(e *Estimator, c *Classifier) { c.Scaler = narrow(c.Scaler) }, "classifier"},
+		"classifier and scaler both narrower than the features": {func(e *Estimator, c *Classifier) {
+			c.Scaler = narrow(c.Scaler)
+			c.LR = &ml.LogisticRegression{W: c.LR.W[1:], B: c.LR.B}
+		}, "classifier"},
+	} {
+		est, clf := *m.Estimator, *m.Classifier
+		tc.edit(&est, &clf)
+		odd := &Model{Estimator: &est, Classifier: &clf, Mode: m.Mode, MaxBuckets: m.MaxBuckets}
+		var b bytes.Buffer
+		if err := WriteModelSet(&b, SingleModelSet(odd)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadModelSet(bytes.NewReader(b.Bytes())); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", name, err, tc.want)
+		}
+	}
+}
+
+func bytesAllocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzReadModelSet: whatever the bytes, the SRH2 reader does not panic,
+// allocates in proportion to the input — not to the counts and widths
+// its headers claim —, and reads back what WriteModelSet makes of any
+// set it returns, to the same encoding. The seed corpus is in
+// testdata/fuzz/FuzzReadModelSet; its valid seeds are a tiny trained
+// 2-slice set (a 33-2-8 estimator, 2 bands × 4 buckets).
+func FuzzReadModelSet(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var set *ModelSet
+		var err error
+		alloc := bytesAllocated(func() { set, err = ReadModelSet(bytes.NewReader(data)) })
+		if !israce.Enabled && alloc > 64*uint64(len(data))+64<<10 {
+			t.Fatalf("%d input bytes allocated %d bytes", len(data), alloc)
+		}
+		if err != nil {
+			if set != nil {
+				t.Fatalf("a set beside the error %v", err)
+			}
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteModelSet(&first, set); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadModelSet(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("reading back a written set: %v", err)
+		}
+		if err := WriteModelSet(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("write→read→write changed the encoding")
+		}
+	})
 }
 
 // TestModelSetPersistV2RoundTrip: a multi-slice set survives the SRH2

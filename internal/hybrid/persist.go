@@ -99,12 +99,41 @@ func readModelBody(br *bufio.Reader) (*Model, error) {
 		return nil, fmt.Errorf("hybrid: classifier scaler: %w", err)
 	}
 	cfg := EstimatorConfig{Bands: int(bands), CondBuckets: int(condBuckets)}
+	if err := checkShape(cfg, net, estScaler, lr, clfScaler); err != nil {
+		return nil, err
+	}
 	return &Model{
 		Estimator:  &Estimator{Cfg: cfg, Net: net, Scaler: estScaler, Width: width},
 		Classifier: &Classifier{LR: lr, Scaler: clfScaler, Threshold: threshold},
 		Mode:       ClassifierMode(mode),
 		MaxBuckets: int(maxBuckets),
 	}, nil
+}
+
+// checkShape reports whether a read model's parts fit one another and
+// this package's features: dense layers that chain NumFeatures inputs
+// to the header's Bands×CondBuckets outputs, an estimator scaler as wide
+// as the input, and a classifier and scaler NumClassifierFeatures wide.
+// A file that fails it would route on a misread estimator, or panic.
+func checkShape(cfg EstimatorConfig, net *ml.Network, est *ml.StandardScaler, lr *ml.LogisticRegression, clf *ml.StandardScaler) error {
+	width := NumFeatures
+	for i, l := range net.Layers {
+		if d, ok := l.(*ml.Dense); ok {
+			if d.W.Rows != width {
+				return fmt.Errorf("hybrid: estimator layer %d takes %d inputs, not the %d before it", i, d.W.Rows, width)
+			}
+			width = d.W.Cols
+		}
+	}
+	switch {
+	case width != cfg.Bands*cfg.CondBuckets:
+		return fmt.Errorf("hybrid: estimator network has %d outputs, not the header's %dx%d", width, cfg.Bands, cfg.CondBuckets)
+	case len(est.Mean) != NumFeatures:
+		return fmt.Errorf("hybrid: estimator scaler of width %d, want %d", len(est.Mean), NumFeatures)
+	case len(lr.W) != NumClassifierFeatures || len(clf.Mean) != NumClassifierFeatures:
+		return fmt.Errorf("hybrid: classifier of width %d with a scaler of width %d, want %d", len(lr.W), len(clf.Mean), NumClassifierFeatures)
+	}
+	return nil
 }
 
 // WriteModelSet serialises a model set in the SRH2 format.

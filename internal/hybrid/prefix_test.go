@@ -83,8 +83,8 @@ func TestPrefixDatasetMatchesPathCostHarvest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s, model := range set.Models() {
-		x, y := buildPrefixDataset(model, bySlice[s], cfg.Estimator, cfg.PrefixRows, cfg.PrefixPerTrajectory, rng.New(cfg.Seed^0xf00d))
-		wantX, wantY := pathCostPrefixDataset(model, bySlice[s], cfg.Estimator, cfg.PrefixRows, cfg.PrefixPerTrajectory, rng.New(cfg.Seed^0xf00d))
+		x, y := buildPrefixDataset(model, bySlice[s], cfg.Estimator, cfg.PrefixRows, prefixPerTrajectory, rng.New(Seed^0xf00d))
+		wantX, wantY := pathCostPrefixDataset(model, bySlice[s], cfg.Estimator, cfg.PrefixRows, prefixPerTrajectory, rng.New(Seed^0xf00d))
 		if wantX == nil || wantX.Rows < cfg.PrefixRows/2 {
 			t.Fatalf("slice %d: the reference harvest found under %d rows; the case exercises too little", s, cfg.PrefixRows/2)
 		}

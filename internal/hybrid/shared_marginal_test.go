@@ -153,7 +153,7 @@ func TestKnowledgeBaseMarginalsAreNeverMutated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := routing.ParetoRoutes(g, set.At(0), q.Source, q.Dest, routing.ParetoOptions{Horizon: 1.5 * meanTime, MaxExpansions: 20000}); err != nil {
+		if _, err := routing.ParetoRoutes(g, set.At(0), q.Source, q.Dest, routing.ParetoOptions{Horizon: 1.5 * meanTime}); err != nil {
 			t.Fatal(err)
 		}
 	}

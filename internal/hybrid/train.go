@@ -21,11 +21,8 @@ type Config struct {
 	// 1000). When fewer pairs exist, an 80/20 split is used instead.
 	TrainPairs int
 	TestPairs  int
-	// Alpha is the chi-square significance level for dependence labels.
-	Alpha float64
-	// Estimator and Classifier configure the two learners.
-	Estimator  EstimatorConfig
-	Classifier ml.LogRegConfig
+	// Estimator configures the distribution-estimation learner.
+	Estimator EstimatorConfig
 	// MaxBuckets caps routing-time distribution supports.
 	MaxBuckets int
 	// PrefixRows enables virtual-edge (second-phase) training: up to
@@ -33,10 +30,6 @@ type Config struct {
 	// the estimator is calibrated on long pre-paths, not only edge
 	// pairs (see prefix.go). 0 disables the phase.
 	PrefixRows int
-	// PrefixPerTrajectory caps prefix examples per trajectory.
-	PrefixPerTrajectory int
-	// Seed drives the train/test split.
-	Seed uint64
 	// Slices partitions the day into this many time-of-day slices and
 	// trains one model per slice on that slice's observations (see
 	// TrainSlices / ModelSet). 0 or 1 trains the classic single
@@ -44,20 +37,25 @@ type Config struct {
 	Slices int
 }
 
+// The protocol's fixed settings.
+const (
+	alpha               = 0.05 // χ² significance level of the dependence labels
+	prefixPerTrajectory = 3    // prefix examples harvested per trajectory at most
+	// Seed drives a training run's split and prefix harvest; an
+	// ingestor's prefix reservoir draws from it too.
+	Seed = 1234
+)
+
 // DefaultConfig mirrors the paper's protocol.
 func DefaultConfig() Config {
 	return Config{
-		Width:               2,
-		MinPairObs:          20,
-		TrainPairs:          4000,
-		TestPairs:           1000,
-		Alpha:               0.05,
-		Estimator:           DefaultEstimatorConfig(),
-		Classifier:          ml.DefaultLogRegConfig(),
-		MaxBuckets:          512,
-		PrefixRows:          12000,
-		PrefixPerTrajectory: 3,
-		Seed:                1234,
+		Width:      2,
+		MinPairObs: 20,
+		TrainPairs: 4000,
+		TestPairs:  1000,
+		Estimator:  DefaultEstimatorConfig(),
+		MaxBuckets: 512,
+		PrefixRows: 12000,
 	}
 }
 
@@ -132,7 +130,7 @@ func Train(kb *KnowledgeBase, obs *traj.ObservationStore, trajs []traj.Trajector
 	}
 
 	// Deterministic split.
-	r := rng.New(cfg.Seed)
+	r := rng.New(Seed)
 	r.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
 	nTrain, nTest := cfg.TrainPairs, cfg.TestPairs
 	if nTrain+nTest > len(pairs) {
@@ -156,7 +154,7 @@ func Train(kb *KnowledgeBase, obs *traj.ObservationStore, trajs []traj.Trajector
 	if err != nil {
 		return nil, nil, fmt.Errorf("hybrid: estimator training: %w", err)
 	}
-	clf, conf, err := TrainClassifier(kb, trainPairs, cfg.Alpha, cfg.Classifier)
+	clf, conf, err := TrainClassifier(kb, trainPairs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("hybrid: classifier training: %w", err)
 	}
@@ -173,12 +171,8 @@ func Train(kb *KnowledgeBase, obs *traj.ObservationStore, trajs []traj.Trajector
 	// prefix-harvested examples computed under the phase-1 model, then
 	// retrain the estimator from scratch on the union.
 	if cfg.PrefixRows > 0 && len(trajs) > 0 {
-		perTraj := cfg.PrefixPerTrajectory
-		if perTraj <= 0 {
-			perTraj = 3
-		}
 		px, py := buildPrefixDataset(model, trajs, cfg.Estimator,
-			cfg.PrefixRows, perTraj, rng.New(cfg.Seed^0xf00d))
+			cfg.PrefixRows, prefixPerTrajectory, rng.New(Seed^0xf00d))
 		if px != nil {
 			est2, res2, err := trainEstimatorOn(kb, concatRows(pairX, px), concatRows(pairY, py), cfg.Estimator)
 			if err != nil {
@@ -189,7 +183,7 @@ func Train(kb *KnowledgeBase, obs *traj.ObservationStore, trajs []traj.Trajector
 		}
 	}
 
-	report, err := Evaluate(model, obs, oracle, testPairs, cfg.Alpha)
+	report, err := Evaluate(model, obs, oracle, testPairs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("hybrid: evaluation: %w", err)
 	}
@@ -207,7 +201,7 @@ func Train(kb *KnowledgeBase, obs *traj.ObservationStore, trajs []traj.Trajector
 		row := ClassifierFeatures(ps)
 		clf.Scaler.TransformRow(row)
 		probs = append(probs, clf.LR.PredictProb(row))
-		labels = append(labels, boolTo01(pairLabel(kb, oracle, k, cfg.Alpha)))
+		labels = append(labels, boolTo01(pairLabel(kb, oracle, k)))
 	}
 	if auc, err := ml.AUC(probs, labels); err == nil {
 		report.ClassifierAUC = auc
@@ -225,7 +219,7 @@ func boolTo01(b bool) float64 {
 // pairLabel is the truth a report reads a pair's dependence from: the
 // oracle's, or without one the knowledge base's chi-square label (a
 // pair outside the table is independent, as the classifier treats it).
-func pairLabel(kb *KnowledgeBase, oracle Oracle, k traj.PairKey, alpha float64) bool {
+func pairLabel(kb *KnowledgeBase, oracle Oracle, k traj.PairKey) bool {
 	if oracle != nil {
 		return oracle.PairDependent(k)
 	}
@@ -238,7 +232,7 @@ func pairLabel(kb *KnowledgeBase, oracle Oracle, k traj.PairKey, alpha float64) 
 // variants. Ground truth comes from the oracle, or from the empirical
 // pair-sum histograms when oracle is nil (the paper's "ground truth
 // trajectories").
-func Evaluate(model *Model, obs *traj.ObservationStore, oracle Oracle, testPairs []traj.PairKey, alpha float64) (*EvalReport, error) {
+func Evaluate(model *Model, obs *traj.ObservationStore, oracle Oracle, testPairs []traj.PairKey) (*EvalReport, error) {
 	if len(testPairs) == 0 {
 		return nil, errors.New("hybrid: Evaluate with no test pairs")
 	}
@@ -285,7 +279,7 @@ func Evaluate(model *Model, obs *traj.ObservationStore, oracle Oracle, testPairs
 		sumC += klC
 		sumE += klE
 
-		if pairLabel(kb, oracle, k, alpha) {
+		if pairLabel(kb, oracle, k) {
 			nDep++
 			sumHDep += klH
 			sumCDep += klC

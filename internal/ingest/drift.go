@@ -17,10 +17,6 @@ type DriftConfig struct {
 	// MinEdgeObs is the number of fresh samples an edge needs within
 	// the window before its histogram is compared (default 8).
 	MinEdgeObs int
-	// MinEdges is the number of comparable edges a window needs before
-	// a drift score may fire a rebuild (default 5) — a handful of busy
-	// edges must not retrain the whole network.
-	MinEdges int
 	// EdgeThreshold is the Jensen–Shannon divergence (nats, max ln 2)
 	// between an edge's fresh histogram and its serving marginal above
 	// which the edge counts as drifted (default 0.12).
@@ -34,15 +30,17 @@ type DriftConfig struct {
 	RebuildEvery int
 }
 
+// minDriftEdges is the number of comparable edges a window needs before
+// a drift score may fire a rebuild — a handful of busy edges must not
+// retrain the whole network.
+const minDriftEdges = 5
+
 func (c DriftConfig) withDefaults() DriftConfig {
 	if c.Window == 0 {
 		c.Window = 400
 	}
 	if c.MinEdgeObs <= 0 {
 		c.MinEdgeObs = 8
-	}
-	if c.MinEdges <= 0 {
-		c.MinEdges = 5
 	}
 	if c.EdgeThreshold == 0 {
 		c.EdgeThreshold = 0.12
@@ -129,6 +127,6 @@ func (m *DriftMonitor) Evaluate(kb *hybrid.KnowledgeBase) DriftReport {
 		rep.Score = float64(rep.Drifted) / float64(rep.Checked)
 		rep.MeanDivergence = sum / float64(rep.Checked)
 	}
-	rep.Fired = rep.Checked >= m.cfg.MinEdges && rep.Score >= m.cfg.DriftedFrac
+	rep.Fired = rep.Checked >= minDriftEdges && rep.Score >= m.cfg.DriftedFrac
 	return rep
 }

@@ -47,7 +47,7 @@ type Target interface {
 // Config tunes the ingestion subsystem.
 type Config struct {
 	// Hybrid parameterises background retraining: grid width, minimum
-	// pair support, estimator and classifier settings. Width must
+	// pair support, protocol sizes and estimator settings. Width must
 	// match the serving model's grid width. (Hybrid.Slices is ignored —
 	// the slice count comes from the Target.)
 	Hybrid hybrid.Config
@@ -226,7 +226,7 @@ func New(target Target, cfg Config, logW io.Writer) *Ingestor {
 		k:      k,
 		empty: &folded{
 			store:  traj.NewObservationStore(target.Graph(), cfg.Hybrid.Width),
-			sample: reservoir{r: *rng.New(cfg.Hybrid.Seed).Split("prefix sample")},
+			sample: reservoir{r: *rng.New(hybrid.Seed).Split("prefix sample")},
 		},
 		aggs:   make([]sliceAggregate, k),
 		drift:  make([]*DriftMonitor, k),

@@ -14,18 +14,6 @@ type LogisticRegression struct {
 	B float64
 }
 
-// LogRegConfig parameterises logistic-regression training.
-type LogRegConfig struct {
-	Epochs       int
-	LearningRate float64
-	L2           float64
-}
-
-// DefaultLogRegConfig returns conventional defaults.
-func DefaultLogRegConfig() LogRegConfig {
-	return LogRegConfig{Epochs: 400, LearningRate: 0.3, L2: 1e-4}
-}
-
 func sigmoid(z float64) float64 {
 	if z >= 0 {
 		return 1 / (1 + math.Exp(-z))
@@ -35,8 +23,13 @@ func sigmoid(z float64) float64 {
 }
 
 // FitLogReg trains a logistic regression on x (rows = samples) with
-// binary labels y (0 or 1).
-func FitLogReg(x *Matrix, y []float64, cfg LogRegConfig) (*LogisticRegression, error) {
+// binary labels y (0 or 1): 400 full-batch epochs at learning rate 0.3
+// with L2 weight 1e-4.
+func FitLogReg(x *Matrix, y []float64) (*LogisticRegression, error) {
+	return fitLogReg(x, y, 400, 0.3, 1e-4)
+}
+
+func fitLogReg(x *Matrix, y []float64, epochs int, rate, l2 float64) (*LogisticRegression, error) {
 	if x.Rows != len(y) {
 		return nil, fmt.Errorf("ml: FitLogReg with %d samples but %d labels", x.Rows, len(y))
 	}
@@ -48,16 +41,10 @@ func FitLogReg(x *Matrix, y []float64, cfg LogRegConfig) (*LogisticRegression, e
 			return nil, fmt.Errorf("ml: FitLogReg label %v at row %d not in {0,1}", label, i)
 		}
 	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 200
-	}
-	if cfg.LearningRate <= 0 {
-		cfg.LearningRate = 0.1
-	}
 	m := &LogisticRegression{W: make([]float64, x.Cols)}
 	n := float64(x.Rows)
 	gw := make([]float64, x.Cols)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		for j := range gw {
 			gw[j] = 0
 		}
@@ -72,9 +59,9 @@ func FitLogReg(x *Matrix, y []float64, cfg LogRegConfig) (*LogisticRegression, e
 			gb += d
 		}
 		for j := range m.W {
-			m.W[j] -= cfg.LearningRate * (gw[j]/n + cfg.L2*m.W[j])
+			m.W[j] -= rate * (gw[j]/n + l2*m.W[j])
 		}
-		m.B -= cfg.LearningRate * gb / n
+		m.B -= rate * gb / n
 	}
 	return m, nil
 }

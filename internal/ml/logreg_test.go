@@ -21,7 +21,7 @@ func TestLogRegSeparable(t *testing.T) {
 		}
 	}
 	x, _ := FromRows(rows)
-	m, err := FitLogReg(x, labels, DefaultLogRegConfig())
+	m, err := FitLogReg(x, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,7 @@ func TestLogRegProbabilisticCalibration(t *testing.T) {
 		}
 	}
 	x, _ := FromRows(rows)
-	cfg := LogRegConfig{Epochs: 2000, LearningRate: 0.5, L2: 0}
-	m, err := FitLogReg(x, labels, cfg)
+	m, err := fitLogReg(x, labels, 2000, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +65,13 @@ func TestLogRegProbabilisticCalibration(t *testing.T) {
 
 func TestLogRegErrors(t *testing.T) {
 	x := NewMatrix(2, 1)
-	if _, err := FitLogReg(x, []float64{1}, DefaultLogRegConfig()); err == nil {
+	if _, err := FitLogReg(x, []float64{1}); err == nil {
 		t.Error("label mismatch should error")
 	}
-	if _, err := FitLogReg(NewMatrix(0, 1), nil, DefaultLogRegConfig()); err == nil {
+	if _, err := FitLogReg(NewMatrix(0, 1), nil); err == nil {
 		t.Error("empty data should error")
 	}
-	if _, err := FitLogReg(x, []float64{0, 0.5}, DefaultLogRegConfig()); err == nil {
+	if _, err := FitLogReg(x, []float64{0, 0.5}); err == nil {
 		t.Error("non-binary label should error")
 	}
 }

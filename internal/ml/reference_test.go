@@ -260,9 +260,9 @@ func (n *refNetwork) grads() (out []*Matrix) {
 
 func refFit(net *refNetwork, x, y *Matrix, loss refLoss, cfg TrainConfig) (TrainResult, error) {
 	var res TrainResult
-	r := rng.New(cfg.Seed)
+	r := rng.New(cfg.seed)
 	perm := r.Perm(x.Rows)
-	nVal := int(float64(x.Rows) * cfg.ValFraction)
+	nVal := int(float64(x.Rows) * cfg.valFraction)
 	if nVal > 0 && x.Rows-nVal < 1 {
 		nVal = 0
 	}
@@ -272,8 +272,8 @@ func refFit(net *refNetwork, x, y *Matrix, loss refLoss, cfg TrainConfig) (Train
 	if nVal > 0 {
 		xv, yv = x.SubRows(valIdx), y.SubRows(valIdx)
 	}
-	opt := NewAdam(cfg.LearningRate)
-	opt.WeightDecay = cfg.WeightDecay
+	opt := NewAdam(cfg.learningRate)
+	opt.WeightDecay = cfg.weightDecay
 	snap := func() (out [][]float64) {
 		for _, p := range net.params() {
 			out = append(out, append([]float64(nil), p.Data...))
@@ -291,8 +291,8 @@ func refFit(net *refNetwork, x, y *Matrix, loss refLoss, cfg TrainConfig) (Train
 		r.ShuffleInts(order)
 		trainLoss := 0.0
 		batches := 0
-		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := min(start+cfg.BatchSize, len(order))
+		for start := 0; start < len(order); start += cfg.batchSize {
+			end := min(start+cfg.batchSize, len(order))
 			bx, by := xt.SubRows(order[start:end]), yt.SubRows(order[start:end])
 			for _, g := range net.grads() {
 				g.Zero()
@@ -447,7 +447,7 @@ func TestFitMatchesParentReference(t *testing.T) {
 		}
 		// 250 rows: 25 held out, 225 = 3 × 64 + a batch of 33.
 		x, y := estimatorLikeData(r, 250)
-		cfg := TrainConfig{Epochs: 80, BatchSize: 64, LearningRate: 1e-2, ValFraction: 0.1, Patience: 3, Seed: 6}
+		cfg := TrainConfig{Epochs: 80, batchSize: 64, learningRate: 1e-2, valFraction: 0.1, Patience: 3, seed: 6}
 		check(t, net, x, y, 4, cfg, true)
 	})
 	t.Run("tanh", func(t *testing.T) {
@@ -458,7 +458,7 @@ func TestFitMatchesParentReference(t *testing.T) {
 		for i := 0; i < y.Rows; i++ {
 			y.Row(i)[r.Intn(3)] = 1
 		}
-		cfg := TrainConfig{Epochs: 15, BatchSize: 16, LearningRate: 5e-3, WeightDecay: 1e-3, ValFraction: 0.2, Seed: 8}
+		cfg := TrainConfig{Epochs: 15, batchSize: 16, learningRate: 5e-3, weightDecay: 1e-3, valFraction: 0.2, seed: 8}
 		check(t, net, x, y, 1, cfg, false)
 	})
 }

@@ -13,30 +13,32 @@ import (
 // keeps no state between calls, so concurrent Fits may share one.
 type LossFunc func(output, target, grad *Matrix) float64
 
-// TrainConfig parameterises Fit.
+// TrainConfig parameterises Fit. Start from DefaultTrainConfig, which
+// fixes the batch size, learning rate, validation split and seed.
 type TrainConfig struct {
-	Epochs       int
-	BatchSize    int
-	LearningRate float64
-	WeightDecay  float64
-	ValFraction  float64 // fraction of rows held out for early stopping
-	Patience     int     // epochs without val improvement before stopping (0 = no early stop)
-	Seed         uint64
-	Verbose      bool
-	LogEvery     int                  // epochs between progress logs when Verbose
-	Logf         func(string, ...any) // defaults to no-op
+	Epochs   int
+	Patience int // epochs without val improvement before stopping (0 = no early stop)
+	Verbose  bool
+	Logf     func(string, ...any) // defaults to no-op
+
+	batchSize    int
+	learningRate float64
+	weightDecay  float64
+	valFraction  float64 // fraction of rows held out for early stopping
+	seed         uint64
 }
+
+const logEvery = 10 // epochs between progress logs when Verbose
 
 // DefaultTrainConfig returns sensible defaults for the estimation model.
 func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{
 		Epochs:       120,
-		BatchSize:    64,
-		LearningRate: 1e-3,
-		ValFraction:  0.1,
 		Patience:     12,
-		Seed:         1,
-		LogEvery:     10,
+		batchSize:    64,
+		learningRate: 1e-3,
+		valFraction:  0.1,
+		seed:         1,
 	}
 }
 
@@ -141,18 +143,18 @@ func Fit(net *Network, x, y *Matrix, loss LossFunc, cfg TrainConfig) (TrainResul
 	if cfg.Epochs <= 0 {
 		return res, errors.New("ml: Fit with non-positive epochs")
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 32
+	if cfg.batchSize <= 0 {
+		cfg.batchSize = 32
 	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	r := rng.New(cfg.Seed)
+	r := rng.New(cfg.seed)
 
 	// Split train/validation.
 	perm := r.Perm(x.Rows)
-	nVal := int(float64(x.Rows) * cfg.ValFraction)
+	nVal := int(float64(x.Rows) * cfg.valFraction)
 	if nVal > 0 && x.Rows-nVal < 1 {
 		nVal = 0
 	}
@@ -163,8 +165,8 @@ func Fit(net *Network, x, y *Matrix, loss LossFunc, cfg TrainConfig) (TrainResul
 		xv, yv = x.SubRows(valIdx), y.SubRows(valIdx)
 	}
 
-	opt := NewAdam(cfg.LearningRate)
-	opt.WeightDecay = cfg.WeightDecay
+	opt := NewAdam(cfg.learningRate)
+	opt.WeightDecay = cfg.weightDecay
 	step := newTrainStep(net, loss, opt)
 	best := math.Inf(1)
 	bestParams := snapshot(step.params)
@@ -178,8 +180,8 @@ func Fit(net *Network, x, y *Matrix, loss LossFunc, cfg TrainConfig) (TrainResul
 		r.ShuffleInts(order)
 		trainLoss := 0.0
 		batches := 0
-		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
+		for start := 0; start < len(order); start += cfg.batchSize {
+			end := start + cfg.batchSize
 			if end > len(order) {
 				end = len(order)
 			}
@@ -205,7 +207,7 @@ func Fit(net *Network, x, y *Matrix, loss LossFunc, cfg TrainConfig) (TrainResul
 		} else {
 			sinceBest++
 		}
-		if cfg.Verbose && (cfg.LogEvery <= 1 || epoch%cfg.LogEvery == 0) {
+		if cfg.Verbose && epoch%logEvery == 0 {
 			logf("ml: epoch %d train=%.5f val=%.5f best=%.5f", epoch, trainLoss, valLoss, best)
 		}
 		if cfg.Patience > 0 && sinceBest >= cfg.Patience {

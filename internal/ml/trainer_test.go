@@ -53,7 +53,7 @@ func TestFitLearnsXOR(t *testing.T) {
 	}
 	xm, _ := FromRows(xs)
 	ym, _ := FromRows(ys)
-	cfg := TrainConfig{Epochs: 200, BatchSize: 16, LearningRate: 5e-3, ValFraction: 0.1, Patience: 50, Seed: 3}
+	cfg := TrainConfig{Epochs: 200, batchSize: 16, learningRate: 5e-3, valFraction: 0.1, Patience: 50, seed: 3}
 	res, err := Fit(net, xm, ym, softmaxCE, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestFitRegression(t *testing.T) {
 	// cross-entropy must come down to the targets' own entropy.
 	x, y, entropy := logisticDataset(rng.New(11), 400, 2, func(x []float64, _ float64) float64 { return 2*x[0] - x[1] + 1 })
 	net, _ := NewMLP([]int{2, 16, 2}, rng.New(5))
-	cfg := TrainConfig{Epochs: 150, BatchSize: 32, LearningRate: 3e-3, ValFraction: 0.15, Patience: 25, Seed: 1}
+	cfg := TrainConfig{Epochs: 150, batchSize: 32, learningRate: 3e-3, valFraction: 0.15, Patience: 25, seed: 1}
 	res, err := Fit(net, x, y, softmaxCE, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestFitDivergenceDetected(t *testing.T) {
 		x.Row(i)[0] = math.Inf(1)
 		y.Row(i)[i%2] = 1
 	}
-	cfg := TrainConfig{Epochs: 5, BatchSize: 2, LearningRate: 1e-3, Seed: 1}
+	cfg := TrainConfig{Epochs: 5, batchSize: 2, learningRate: 1e-3, seed: 1}
 	if _, err := Fit(net, x, y, softmaxCE, cfg); err == nil {
 		t.Error("exploding training should be reported")
 	}
@@ -132,7 +132,7 @@ func TestFitDivergenceDetected(t *testing.T) {
 func TestFitEarlyStoppingRestoresBest(t *testing.T) {
 	x, y, _ := logisticDataset(rng.New(13), 120, 3, func(x []float64, noise float64) float64 { return x[0] + 0.1*noise })
 	net, _ := NewMLP([]int{3, 8, 2}, rng.New(2))
-	cfg := TrainConfig{Epochs: 400, BatchSize: 16, LearningRate: 5e-3, ValFraction: 0.25, Patience: 10, Seed: 4}
+	cfg := TrainConfig{Epochs: 400, batchSize: 16, learningRate: 5e-3, valFraction: 0.25, Patience: 10, seed: 4}
 	res, err := Fit(net, x, y, softmaxCE, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -24,40 +24,36 @@ import (
 // Config parameterises network generation. The zero value is invalid;
 // start from DefaultConfig.
 type Config struct {
-	Rows       int       // grid rows (intersections)
-	Cols       int       // grid columns
-	CellMeters float64   // spacing between adjacent intersections
-	Origin     geo.Point // southwest corner of the grid
+	Rows       int     // grid rows (intersections)
+	Cols       int     // grid columns
+	CellMeters float64 // spacing between adjacent intersections
 
-	JitterFrac    float64 // vertex position jitter as a fraction of CellMeters
 	ArterialEvery int     // every k-th row/column is a Secondary arterial (0 = none)
-	PrimaryEvery  int     // every k-th arterial is upgraded to Primary (0 = none)
 	MotorwayRing  bool    // add a Motorway ring around the perimeter
 	DropFrac      float64 // fraction of residential edges removed for irregularity
 
-	// Speeds sets the signed speed per category (km/h); categories not
-	// present use graph.RoadCategory.DefaultSpeedKmh. Urban networks
-	// have much flatter effective speeds than the legal hierarchy
-	// suggests, and the reliability contrast between road classes —
-	// not raw speed — is what drives stochastic routing, so the default
-	// config uses UrbanSpeeds.
-	Speeds map[graph.RoadCategory]float64
-
 	Seed uint64
+
+	primaryEvery int // every k-th arterial is upgraded to Primary (0 = none)
 }
 
-// UrbanSpeeds returns realistic *effective* urban speeds: road classes
-// are close in nominal speed; they differ mostly in reliability.
-func UrbanSpeeds() map[graph.RoadCategory]float64 {
-	return map[graph.RoadCategory]float64{
-		graph.Motorway:    90,
-		graph.Trunk:       70,
-		graph.Primary:     58,
-		graph.Secondary:   52,
-		graph.Tertiary:    48,
-		graph.Residential: 45,
-		graph.Service:     25,
-	}
+const jitterFrac = 0.2 // vertex position jitter as a fraction of CellMeters
+
+var origin = geo.Point{Lat: 57.0, Lon: 9.9} // southwest corner of the grid
+
+// urbanSpeeds are the signed speeds per category (km/h): realistic
+// *effective* urban speeds. Urban networks have much flatter effective
+// speeds than the legal hierarchy suggests; road classes differ mostly
+// in reliability, and that contrast — not raw speed — is what drives
+// stochastic routing.
+var urbanSpeeds = map[graph.RoadCategory]float64{
+	graph.Motorway:    90,
+	graph.Trunk:       70,
+	graph.Primary:     58,
+	graph.Secondary:   52,
+	graph.Tertiary:    48,
+	graph.Residential: 45,
+	graph.Service:     25,
 }
 
 // DefaultConfig returns a mid-sized city: ~10k vertices, ~38k directed
@@ -67,14 +63,11 @@ func DefaultConfig() Config {
 		Rows:          100,
 		Cols:          100,
 		CellMeters:    70,
-		Origin:        geo.Point{Lat: 57.0, Lon: 9.9},
-		JitterFrac:    0.2,
 		ArterialEvery: 5,
-		PrimaryEvery:  4,
 		MotorwayRing:  true,
 		DropFrac:      0.08,
-		Speeds:        UrbanSpeeds(),
 		Seed:          42,
+		primaryEvery:  4,
 	}
 }
 
@@ -86,14 +79,8 @@ func (c Config) Validate() error {
 	if c.CellMeters <= 0 {
 		return fmt.Errorf("netgen: CellMeters must be positive, got %v", c.CellMeters)
 	}
-	if c.JitterFrac < 0 || c.JitterFrac >= 0.5 {
-		return fmt.Errorf("netgen: JitterFrac must be in [0, 0.5), got %v", c.JitterFrac)
-	}
 	if c.DropFrac < 0 || c.DropFrac > 0.5 {
 		return fmt.Errorf("netgen: DropFrac must be in [0, 0.5], got %v", c.DropFrac)
-	}
-	if !c.Origin.Valid() {
-		return errors.New("netgen: invalid origin")
 	}
 	return nil
 }
@@ -109,17 +96,17 @@ func Generate(cfg Config) (*graph.Graph, error) {
 	dropRng := r.Split("drops")
 
 	metersPerDegLat := 111132.0
-	metersPerDegLon := 111320.0 * math.Cos(cfg.Origin.Lat*math.Pi/180)
+	metersPerDegLon := 111320.0 * math.Cos(origin.Lat*math.Pi/180)
 
 	b := graph.NewBuilder(cfg.Rows*cfg.Cols, cfg.Rows*cfg.Cols*4)
 	ids := make([]graph.VertexID, cfg.Rows*cfg.Cols)
 	for row := 0; row < cfg.Rows; row++ {
 		for col := 0; col < cfg.Cols; col++ {
-			jLat := posRng.Range(-cfg.JitterFrac, cfg.JitterFrac) * cfg.CellMeters
-			jLon := posRng.Range(-cfg.JitterFrac, cfg.JitterFrac) * cfg.CellMeters
+			jLat := posRng.Range(-jitterFrac, jitterFrac) * cfg.CellMeters
+			jLon := posRng.Range(-jitterFrac, jitterFrac) * cfg.CellMeters
 			p := geo.Point{
-				Lat: cfg.Origin.Lat + (float64(row)*cfg.CellMeters+jLat)/metersPerDegLat,
-				Lon: cfg.Origin.Lon + (float64(col)*cfg.CellMeters+jLon)/metersPerDegLon,
+				Lat: origin.Lat + (float64(row)*cfg.CellMeters+jLat)/metersPerDegLat,
+				Lon: origin.Lon + (float64(col)*cfg.CellMeters+jLon)/metersPerDegLon,
 			}
 			ids[row*cfg.Cols+col] = b.AddVertex(p)
 		}
@@ -131,7 +118,7 @@ func Generate(cfg Config) (*graph.Graph, error) {
 	}
 	lineCategory := func(index int) graph.RoadCategory {
 		if cfg.ArterialEvery > 0 && index%cfg.ArterialEvery == 0 {
-			if cfg.PrimaryEvery > 0 && (index/cfg.ArterialEvery)%cfg.PrimaryEvery == 0 {
+			if cfg.primaryEvery > 0 && (index/cfg.ArterialEvery)%cfg.primaryEvery == 0 {
 				return graph.Primary
 			}
 			return graph.Secondary
@@ -141,7 +128,7 @@ func Generate(cfg Config) (*graph.Graph, error) {
 
 	addBoth := func(a, c graph.VertexID, cat graph.RoadCategory) error {
 		_, _, err := b.AddBidirectional(graph.Edge{
-			From: a, To: c, Category: cat, SpeedKmh: cfg.Speeds[cat],
+			From: a, To: c, Category: cat, SpeedKmh: urbanSpeeds[cat],
 		})
 		return err
 	}

@@ -3,7 +3,6 @@ package netgen
 import (
 	"testing"
 
-	"stochroute/internal/geo"
 	"stochroute/internal/graph"
 )
 
@@ -11,10 +10,10 @@ func smallConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Rows, cfg.Cols = 20, 20
 	cfg.CellMeters = 100
-	// On a 20-row grid the default PrimaryEvery=4 would place the only
+	// On a 20-row grid the default primaryEvery=4 would place the only
 	// primary line on the ring border; every 2nd arterial keeps one in
 	// the interior.
-	cfg.PrimaryEvery = 2
+	cfg.primaryEvery = 2
 	return cfg
 }
 
@@ -118,7 +117,7 @@ func TestGenerateUsesConfiguredSpeeds(t *testing.T) {
 	}
 	for e := 0; e < g.NumEdges(); e++ {
 		ed := g.Edge(graph.EdgeID(e))
-		if want, ok := cfg.Speeds[ed.Category]; ok && ed.SpeedKmh != want {
+		if want, ok := urbanSpeeds[ed.Category]; ok && ed.SpeedKmh != want {
 			t.Fatalf("edge %d category %v has speed %v, want %v", e, ed.Category, ed.SpeedKmh, want)
 		}
 	}
@@ -129,10 +128,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Rows = 1 },
 		func(c *Config) { c.Cols = 0 },
 		func(c *Config) { c.CellMeters = 0 },
-		func(c *Config) { c.JitterFrac = 0.6 },
-		func(c *Config) { c.JitterFrac = -0.1 },
 		func(c *Config) { c.DropFrac = 0.9 },
-		func(c *Config) { c.Origin = geo.Point{Lat: 200} },
 	}
 	for i, mutate := range bad {
 		cfg := smallConfig()

@@ -302,11 +302,11 @@ func TestPBRALTBitIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		budget := 1.3 * optimistic
-		exact, err := PBR(g, coster, q.Source, q.Dest, Options{Budget: budget, MaxFrontier: 128})
+		exact, err := PBR(g, coster, q.Source, q.Dest, Options{Budget: budget, maxFrontier: 128})
 		if err != nil {
 			t.Fatal(err)
 		}
-		withALT, err := PBR(g, coster, q.Source, q.Dest, Options{Budget: budget, MaxFrontier: 128, Potentials: alt})
+		withALT, err := PBR(g, coster, q.Source, q.Dest, Options{Budget: budget, maxFrontier: 128, Potentials: alt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +383,7 @@ func TestPBRALTTimeExpandedBitIdentity(t *testing.T) {
 			Budget:       1.3 * optimistic,
 			Departure:    depart,
 			TimeExpanded: true,
-			MaxFrontier:  128,
+			maxFrontier:  128,
 		}
 		exact, err := PBR(g, set.TimeExpandedCoster(depart, nil), q.Source, q.Dest, opts)
 		if err != nil {

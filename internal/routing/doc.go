@@ -72,8 +72,8 @@
 //     first-order stochastically dominates it, and kills existing
 //     labels it dominates. Dominance comparisons are only sound
 //     between labels whose FUTURE extensions are priced identically —
-//     see the time-expanded rules below. Frontiers are capped at
-//     MaxFrontier entries (weakest upper bound evicted), which bounds
+//     see the time-expanded rules below. Frontiers are capped at 8
+//     entries (weakest upper bound evicted), which bounds
 //     memory but is another source of heuristic incompleteness. Until
 //     some entry dominates the new label, one hist.CompareCDF pass per
 //     frontier pair decides both directions. After that only a kill is

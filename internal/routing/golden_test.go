@@ -142,14 +142,14 @@ func goldenConfigs() []goldenConfig {
 	shapes := []goldenConfig{
 		{name: "default"},
 		{name: "alt", alt: true},
-		{name: "frontier1", tune: func(o *Options) { o.MaxFrontier = 1 }},
-		{name: "frontier2", tune: func(o *Options) { o.MaxFrontier = 2 }},
-		{name: "frontier8-alt", alt: true, tune: func(o *Options) { o.MaxFrontier = 8 }},
+		{name: "frontier1", tune: func(o *Options) { o.maxFrontier = 1 }},
+		{name: "frontier2", tune: func(o *Options) { o.maxFrontier = 2 }},
+		{name: "frontier8-alt", alt: true, tune: func(o *Options) { o.maxFrontier = 8 }},
 		{name: "no-potential", tune: func(o *Options) { o.DisablePotentialPruning = true; o.MaxExpansions = goldenAblationCap }},
 		{name: "no-pivot", tune: func(o *Options) { o.DisablePivotPruning = true; o.MaxExpansions = goldenAblationCap }},
 		{name: "no-dominance", tune: func(o *Options) { o.DisableDominancePruning = true; o.MaxExpansions = goldenAblationCap }},
 		{name: "seeded", seed: true},
-		{name: "seeded-alt-frontier2", seed: true, alt: true, tune: func(o *Options) { o.MaxFrontier = 2 }},
+		{name: "seeded-alt-frontier2", seed: true, alt: true, tune: func(o *Options) { o.maxFrontier = 2 }},
 	}
 	var out []goldenConfig
 	for _, expanded := range []bool{false, true} {
@@ -489,7 +489,7 @@ func (f *goldenFixture) skyline(qi int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	routes, err := ParetoRoutes(f.g, m, q.Source, q.Dest, ParetoOptions{Horizon: 1.3 * meanTime, MaxRoutes: 4, MaxExpansions: 300})
+	routes, err := ParetoRoutes(f.g, m, q.Source, q.Dest, ParetoOptions{Horizon: 1.3 * meanTime, MaxRoutes: 4, maxExpansions: 300})
 	if err != nil {
 		return "", err
 	}

@@ -69,7 +69,7 @@ func TestBudgetLadderMetamorphic(t *testing.T) {
 					Budget:       optimistic * (1 + 0.1*float64(rung)),
 					Departure:    depart,
 					TimeExpanded: kind.expanded,
-					MaxFrontier:  1 << 16,
+					maxFrontier:  1 << 16,
 				}
 				exact, err := PBR(g, kind.coster(), q.Source, q.Dest, opts)
 				if err != nil {

@@ -26,12 +26,11 @@ type ParetoOptions struct {
 	// MaxRoutes caps the returned skyline (0 = 16). Routes are kept in
 	// increasing-mean order when trimming.
 	MaxRoutes int
-	// MaxFrontier caps per-(vertex, incoming edge) label frontiers
-	// (0 = 8).
-	MaxFrontier int
-	// MaxExpansions bounds search effort (0 = 200000).
-	MaxExpansions int
+
+	maxExpansions int // bounds search effort (0 = 200000); the package's tests lower it
 }
+
+const paretoMaxFrontier = 8 // caps per-(vertex, incoming edge) label frontiers
 
 // ParetoRoutes enumerates the stochastic skyline between source and
 // dest: the set of routes whose travel-time distributions are mutually
@@ -53,11 +52,7 @@ func ParetoRoutes(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, 
 	if maxRoutes <= 0 {
 		maxRoutes = 16
 	}
-	maxFrontier := opts.MaxFrontier
-	if maxFrontier <= 0 {
-		maxFrontier = 8
-	}
-	maxExpansions := opts.MaxExpansions
+	maxExpansions := opts.maxExpansions
 	if maxExpansions <= 0 {
 		maxExpansions = 200000
 	}
@@ -112,7 +107,7 @@ func ParetoRoutes(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, 
 				ws.scratch.Arena.Recycle(nd)
 				continue
 			}
-			fs := ws.frontiers.slot(next, 0, maxFrontier)
+			fs := ws.frontiers.slot(next, 0, paretoMaxFrontier)
 			entries := ws.frontiers.entries(fs)
 			dominated := false
 			keep := entries[:0]
@@ -129,12 +124,12 @@ func ParetoRoutes(g *graph.Graph, c hybrid.Coster, source, dest graph.VertexID, 
 				keep = append(keep, fe)
 			}
 			fs.n = int32(len(keep))
-			if dominated || len(keep) >= maxFrontier {
+			if dominated || len(keep) >= paretoMaxFrontier {
 				ws.scratch.Arena.Recycle(nd)
 				continue
 			}
 			push(ne.To, next, nd, idx)
-			ws.frontiers.push(fs, frontierEntry{labelIdx: int32(len(ws.labels) - 1)}, maxFrontier)
+			ws.frontiers.push(fs, frontierEntry{labelIdx: int32(len(ws.labels) - 1)}, paretoMaxFrontier)
 		}
 	}
 

@@ -66,10 +66,6 @@ type Options struct {
 	DisablePivotPruning     bool // (b)+(c) pivot path with cost shifting
 	DisableDominancePruning bool // (d) stochastic dominance
 
-	// MaxFrontier caps the per-(vertex, incoming edge) Pareto frontier;
-	// 0 uses the default of 8.
-	MaxFrontier int
-
 	// MaxLabels aborts a pathological search; 0 uses the default of 2M.
 	MaxLabels int
 
@@ -100,6 +96,8 @@ type Options struct {
 	// exact potentials per query — bit-identical to the historical
 	// behaviour.
 	Potentials PotentialSource
+
+	maxFrontier int // caps each (vertex, incoming edge) frontier (0 = 8); the package's tests set others
 }
 
 // Result is the outcome of a PBR query.
@@ -249,7 +247,7 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 		res.Runtime = time.Since(start)
 		return res, nil
 	}
-	maxFrontier := opts.MaxFrontier
+	maxFrontier := opts.maxFrontier
 	if maxFrontier <= 0 {
 		maxFrontier = 8
 	}

@@ -265,13 +265,13 @@ func TestPBRPruningsPreserveOptimality(t *testing.T) {
 			t.Fatal(err)
 		}
 		budget := 1.3 * optimistic
-		full, err := PBR(g, coster, q.Source, q.Dest, Options{Budget: budget, MaxFrontier: 128})
+		full, err := PBR(g, coster, q.Source, q.Dest, Options{Budget: budget, maxFrontier: 128})
 		if err != nil {
 			t.Fatal(err)
 		}
 		bare, err := PBR(g, coster, q.Source, q.Dest, Options{
 			Budget:                  budget,
-			MaxFrontier:             128,
+			maxFrontier:             128,
 			DisablePotentialPruning: true,
 			DisablePivotPruning:     true,
 			DisableDominancePruning: true,

@@ -91,8 +91,8 @@ type frontierStore struct {
 const (
 	frontierMinSlots = 256
 	// frontierBlock is the entry capacity a frontier starts with. The
-	// default MaxFrontier fits, so blocks only ever move (doubling, up
-	// to MaxFrontier) under a larger cap — which keeps a huge cap from
+	// default cap of 8 fits, so blocks only ever move (doubling, up to
+	// the cap) under a larger one — which keeps a huge cap from
 	// reserving a huge block per frontier.
 	frontierBlock = 8
 )

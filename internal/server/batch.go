@@ -31,6 +31,9 @@ type batchRequest struct {
 	Queries []batchQueryRequest `json:"queries"`
 }
 
+// maxBatchBytes caps one /route/batch request body.
+const maxBatchBytes = 1 << 20
+
 // batchItemResponse is one per-query answer: the same shape as /route
 // plus an error string for queries that individually failed (the batch
 // as a whole still succeeds).
@@ -68,7 +71,7 @@ type batchResponse struct {
 func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) error {
 	start := time.Now()
 	var req batchRequest
-	if err := httpsvc.DecodeJSON(w, r, s.cfg.MaxBatchBytes, &req); err != nil {
+	if err := httpsvc.DecodeJSON(w, r, maxBatchBytes, &req); err != nil {
 		return err
 	}
 	if len(req.Queries) == 0 {

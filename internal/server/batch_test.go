@@ -176,9 +176,9 @@ func TestRouteBatchValidation(t *testing.T) {
 	}
 
 	// Oversized body → 413.
-	big := New(fb, Config{MaxBatchBytes: 64})
-	huge := `{"queries":[` + strings.Repeat(`{"source":1,"dest":2,"budget_s":9},`, 20) + `{"source":1,"dest":2,"budget_s":9}]}`
-	rec2, _ := postBatch(t, big.Handler(), huge)
+	item := `{"source":1,"dest":2,"budget_s":9}`
+	huge := `{"queries":[` + strings.Repeat(item+`,`, maxBatchBytes/len(item)) + item + `]}`
+	rec2, _ := postBatch(t, h, huge)
 	if rec2.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: status %d", rec2.Code)
 	}

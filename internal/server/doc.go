@@ -102,10 +102,11 @@
 //     below); disable with Config.DisableMetrics.
 //
 // JSON request bodies are hardened: they are read through
-// http.MaxBytesReader (Config.MaxIngestBytes for /ingest,
-// Config.MaxBatchBytes for /route/batch; 413 past the cap) and
-// unknown fields are rejected, so an oversized or malformed payload
-// can neither balloon memory nor be silently half-parsed.
+// http.MaxBytesReader (Config.MaxIngestBytes for /ingest, a fixed 1 MiB
+// for /route/batch; 413 past the cap, wherever the value ends) and
+// unknown fields and trailing data are rejected, so an oversized or
+// malformed payload can neither balloon memory nor be silently
+// half-parsed.
 //
 // # Concurrency and the cost kernel
 //

@@ -82,8 +82,6 @@ type Config struct {
 	// BatchWorkers bounds the worker pool answering one batch
 	// (default 0: the backend picks, typically GOMAXPROCS).
 	BatchWorkers int
-	// MaxBatchBytes caps one /route/batch request body (default 1 MiB).
-	MaxBatchBytes int64
 	// Ingestor, when set, enables the POST /ingest endpoint: the write
 	// path that folds streamed trajectories into the model (see
 	// internal/ingest). Nil leaves the endpoint unregistered.
@@ -135,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 256
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 1 << 20
 	}
 	if c.MaxIngestBytes <= 0 {
 		c.MaxIngestBytes = 8 << 20

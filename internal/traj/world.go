@@ -61,15 +61,16 @@ type WorldConfig struct {
 	// NoiseProb is the probability that an individual traversal deviates
 	// by ±1 bucket from its mode's travel time.
 	NoiseProb float64
-	// EdgeBiasFrac perturbs each edge's mode times by a per-edge factor
-	// in [1-f, 1+f] so no two edges are exactly alike.
-	EdgeBiasFrac float64
 	// BucketWidth is the global histogram grid width in seconds; every
 	// travel time in the world lies on this grid.
 	BucketWidth float64
 	// Seed drives all world randomness (mode times, dependence flags).
 	Seed uint64
 }
+
+// edgeBiasFrac perturbs each edge's mode times by a per-edge factor in
+// [1-f, 1+f] so no two edges are exactly alike.
+const edgeBiasFrac = 0.06
 
 // DefaultCategoryFactors returns per-category congestion multipliers:
 // high-grade roads are reliable (tight spread around nominal), low-grade
@@ -99,7 +100,6 @@ func DefaultWorldConfig() WorldConfig {
 		Stickiness:          0.85,
 		DependentVertexProb: 0.75,
 		NoiseProb:           0.3,
-		EdgeBiasFrac:        0.06,
 		BucketWidth:         2.0,
 		Seed:                7,
 	}
@@ -207,7 +207,7 @@ func NewWorld(g *graph.Graph, cfg WorldConfig) (*World, error) {
 	for e := 0; e < g.NumEdges(); e++ {
 		ed := g.Edge(graph.EdgeID(e))
 		ff := ed.FreeFlowSeconds()
-		bias := 1 + edgeRng.Range(-cfg.EdgeBiasFrac, cfg.EdgeBiasFrac)
+		bias := 1 + edgeRng.Range(-edgeBiasFrac, edgeBiasFrac)
 		factors := cfg.ModeFactors
 		if f, ok := cfg.CategoryFactors[ed.Category]; ok {
 			factors = f

@@ -96,6 +96,255 @@ func TestInternalReachable(t *testing.T) {
 	}
 }
 
+// knobAllow is the knob gate's allowlist: exported configuration fields
+// that stay settable although no writer the rule counts sets them.
+var knobAllow = []struct{ pkg, field, reason string }{
+	{"internal/hybrid", "EstimatorConfig.Bands", "read from the SRH2 header: the reader sets it inside its own package, from the file"},
+	{"internal/hybrid", "EstimatorConfig.CondBuckets", "read from the SRH2 header: the reader sets it inside its own package, from the file"},
+}
+
+// knobDeferred is the knob gate's backlog, not an allowlist: fields that
+// only other packages' tests set. Each is still a knob those tests turn
+// (a short backoff, a small network, a private registry); folding one
+// means rewriting those tests. An entry whose field is gone, or that
+// gains a writer the rule counts, fails the gate until it leaves the
+// list; the list only shrinks.
+var knobDeferred = map[string][]string{
+	"internal/gateway": {"Config.IngestBackoff", "Config.IngestBackoffCap", "Config.Metrics"},
+	"internal/hybrid":  {"Config.MaxBuckets", "EstimatorConfig.Hidden"},
+	"internal/ingest":  {"Config.MinRebuildTrajectories", "DriftConfig.MinEdgeObs"},
+	"internal/traj":    {"WalkConfig.RouteJitter", "WorldConfig.ModePrior"},
+}
+
+// TestConfigFieldsHaveWriters is the rule that every knob has a caller:
+// an exported field of a struct type named …Config or …Options under the
+// module must be written by non-test code outside its package (cmd/*,
+// examples/*, the facade, another internal package) or by the bench/
+// harness. A write is a composite-literal key, an assignment or inc/dec,
+// or taking the field's address (a flag binding); in a chain a.B.C = v
+// both B and C are written. Writes in tests do not count: a field only
+// tests set is a constant that keeps its default value, or an unexported
+// field its own package's tests may set.
+func TestConfigFieldsHaveWriters(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("type-checks the standard library from source; the race build only makes that slower, not different")
+	}
+	if testing.Short() {
+		t.Skip("type-checks the standard library from source (a few seconds)")
+	}
+	r := newReach(t)
+	r.loadModule()
+	written := make(map[*types.Var]bool)
+	for _, p := range r.pkgs {
+		foreign := func(v *types.Var) bool { return v.Pkg().Path() != p.importPath }
+		for _, f := range p.files {
+			markFieldWrites(r.info, f, foreign, written)
+		}
+	}
+	benchFiles, benchInfo := r.checkBench()
+	for _, f := range benchFiles {
+		markFieldWrites(benchInfo, f, nil, written)
+	}
+
+	allowed := make(map[string]bool)
+	for _, a := range knobAllow {
+		allowed[a.pkg+" "+a.field] = true
+	}
+	deferred := make(map[string]bool)
+	for pkg, fields := range knobDeferred {
+		for _, field := range fields {
+			deferred[pkg+" "+field] = true
+		}
+	}
+	backlog := len(deferred)
+	fields := r.configFields()
+	var findings []string
+	for _, f := range fields {
+		switch {
+		case allowed[f.key]:
+			if written[f.v] {
+				t.Errorf("knobAllow lists %q, which a caller the rule counts writes; remove the entry", f.key)
+			}
+			delete(allowed, f.key)
+		case deferred[f.key]:
+			if written[f.v] {
+				t.Errorf("knobDeferred lists %q, which a caller the rule counts writes; remove the entry", f.key)
+			}
+			delete(deferred, f.key)
+		case !written[f.v]:
+			at := r.fset.Position(f.v.Pos())
+			file, _ := filepath.Rel(r.root, at.Filename)
+			findings = append(findings, fmt.Sprintf("%s %s:%d", f.key, file, at.Line))
+		}
+	}
+	t.Logf("exported config fields: %d; knobAllow: %d entries; knobDeferred backlog: %d fields", len(fields), len(knobAllow), backlog)
+	if len(findings) > 0 {
+		t.Errorf("%d exported config fields have no writer outside their package's tests — make each a constant that keeps its default value, or an unexported field its own package's tests set:\n%s",
+			len(findings), strings.Join(findings, "\n"))
+	}
+	for key := range allowed {
+		t.Errorf("knobAllow lists %q, which is not an exported config field; remove the entry", key)
+	}
+	for key := range deferred {
+		t.Errorf("knobDeferred lists %q, which is not an exported config field; remove the entry", key)
+	}
+}
+
+// TestMarkFieldWrites holds each kind of write the knob gate counts,
+// and a read it does not, on a snippet of its own.
+func TestMarkFieldWrites(t *testing.T) {
+	const src = `package p
+
+type Inner struct{ Lit, Chained, Indexed, Inc, Addr, Ranged, Read int }
+
+type Pair struct{ A, B int }
+
+type Config struct {
+	In   Inner
+	List []Inner
+	Tail int
+}
+
+func f(c *Config, xs []int) int {
+	_ = Config{In: Inner{Lit: 1}}
+	_ = Pair{1, 2}
+	c.In.Chained = 2
+	c.List[0].Indexed = 3
+	c.In.Inc++
+	_ = &c.In.Addr
+	for _, c.In.Ranged = range xs {
+	}
+	return c.In.Read + c.Tail
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{Uses: make(map[*ast.Ident]types.Object), Types: make(map[ast.Expr]types.TypeAndValue)}
+	pkg, err := new(types.Config).Check("p", fset, []*ast.File{f}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := make(map[*types.Var]bool)
+	markFieldWrites(info, f, nil, written)
+	var got []string
+	for _, typ := range []string{"Config", "Inner", "Pair"} {
+		st := pkg.Scope().Lookup(typ).Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if written[st.Field(i)] {
+				got = append(got, typ+"."+st.Field(i).Name())
+			}
+		}
+	}
+	// Read and Tail are only read.
+	want := "Config.In Config.List Inner.Lit Inner.Chained Inner.Indexed Inner.Inc Inner.Addr Inner.Ranged Pair.A Pair.B"
+	if strings.Join(got, " ") != want {
+		t.Errorf("written fields:\n got %s\nwant %s", strings.Join(got, " "), want)
+	}
+}
+
+type configField struct {
+	key string // package directory, then Type.Field
+	v   *types.Var
+}
+
+// configFields lists the exported fields of the module's struct types
+// named …Config or …Options, in package and declaration order. An alias
+// is not a type of its own, so its fields are counted once.
+func (r *reach) configFields() []configField {
+	paths := make([]string, 0, len(r.pkgs))
+	for path := range r.pkgs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	var out []configField
+	for _, path := range paths {
+		p := r.pkgs[path]
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if v := st.Field(i); v.Exported() {
+					out = append(out, configField{key: p.rel + " " + name + "." + v.Name(), v: v})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// markFieldWrites records in written every struct field the code under
+// node writes and keep admits (nil admits all).
+func markFieldWrites(info *types.Info, node ast.Node, keep func(*types.Var) bool, written map[*types.Var]bool) {
+	credit := func(obj types.Object) {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && (keep == nil || keep(v)) {
+			written[v.Origin()] = true
+		}
+	}
+	// chain credits every field along a.B[i].C, through parentheses,
+	// indirections and indexing.
+	chain := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				credit(info.Uses[x.Sel])
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(node, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok {
+						credit(info.Uses[key])
+					}
+				} else {
+					credit(st.Field(i))
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				chain(lhs)
+			}
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				chain(n.Key)
+				chain(n.Value)
+			}
+		case *ast.IncDecStmt:
+			chain(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				chain(n.X)
+			}
+		}
+		return true
+	})
+}
+
 const reachModule = "stochroute"
 
 // reachDecl is one top-level declaration: a func, a method, a type, a
@@ -456,19 +705,26 @@ func (r *reach) rootTestsOfOtherPackages() {
 // bench/ is a module of its own; its files are parsed and checked here
 // against this tree's packages, not built.
 func (r *reach) rootBench() {
+	all, info := r.checkBench()
+	for _, f := range all {
+		r.markUses(info, f, nil)
+	}
+}
+
+// checkBench parses and type-checks every Go file of bench/, tests
+// included.
+func (r *reach) checkBench() ([]*ast.File, *types.Info) {
 	files, tests, xtests, _ := r.parseDir(filepath.Join(r.root, "bench"))
 	all := append(append(files, tests...), xtests...)
 	if len(all) == 0 {
 		r.t.Fatal("bench/ has no Go files; the harness is one of the rule's roots")
 	}
-	info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+	info := &types.Info{Uses: make(map[*ast.Ident]types.Object), Types: make(map[ast.Expr]types.TypeAndValue)}
 	conf := types.Config{Importer: r}
 	if _, err := conf.Check(reachModule+"/bench", r.fset, all, info); err != nil {
 		r.t.Fatalf("type-check bench/: %v", err)
 	}
-	for _, f := range all {
-		r.markUses(info, f, nil)
-	}
+	return all, info
 }
 
 func (r *reach) rootAllowlist() {
