@@ -2,11 +2,9 @@ package stochroute
 
 import (
 	"context"
-	"math"
 	"slices"
 	"testing"
 
-	"stochroute/internal/graph"
 	"stochroute/internal/hybrid"
 	"stochroute/internal/netgen"
 	"stochroute/internal/routing"
@@ -196,13 +194,6 @@ func TestEngineSliceSwapKeepsAndSharesALTTables(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bitsOf := func(w routing.WeightFunc) []uint64 {
-		out := make([]uint64, g.NumEdges())
-		for e := range out {
-			out[e] = math.Float64bits(w(graph.EdgeID(e)))
-		}
-		return out
-	}
 	swapSlice2 := func(stage string, kb *KnowledgeBase) *routing.ALTSet {
 		t.Helper()
 		before := e.current.Load().alt
@@ -224,7 +215,7 @@ func TestEngineSliceSwapKeepsAndSharesALTTables(t *testing.T) {
 		}
 		bits := make([][]uint64, len(metrics))
 		for i, m := range metrics {
-			bits[i] = bitsOf(m)
+			bits[i] = bitsOfMetric(g, m)
 		}
 		for i := range tables {
 			for j := range i {
@@ -239,9 +230,9 @@ func TestEngineSliceSwapKeepsAndSharesALTTables(t *testing.T) {
 	if after := swapSlice2("slice 0's knowledge base", e.SliceKnowledgeBase(0)); after.Slice(2) != after.Slice(0) {
 		t.Fatal("slice 2 over slice 0's knowledge base has a table of its own")
 	}
-	jammed := bitsOf(jammedKB.MinEdgeTime)
+	jammed := bitsOfMetric(g, jammedKB.MinEdgeTime)
 	for s := range k {
-		if slices.Equal(jammed, bitsOf(e.SliceKnowledgeBase(s).MinEdgeTime)) {
+		if slices.Equal(jammed, bitsOfMetric(g, e.SliceKnowledgeBase(s).MinEdgeTime)) {
 			t.Fatalf("the congested knowledge base has slice %d's metric; the test needs one no slice has", s)
 		}
 	}

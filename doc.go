@@ -105,11 +105,12 @@
 // faster queries at the million-edge scale (BenchmarkRoutingPBROSM).
 //
 // The tables are model-derived state, so they live in the epoch-tagged
-// snapshot and follow its lifecycle: every swap path — SwapSliceModel
-// (only the affected slice's tables plus the min-across-slices tables
-// rebuild), LoadModel — rebuilds what the
-// incoming models invalidate before publishing, on the swap
-// path rather than the query path. The sweeps of one table run on every
+// snapshot and follow its lifecycle: the engine's one publish point,
+// which every constructor, SwapSliceModel, LoadModel and SetLandmarks
+// call, rebuilds what the incoming models invalidate before it stores
+// the generation (after SwapSliceModel only the affected slice's
+// tables plus the min-across-slices tables rebuild), on the swap path
+// rather than the query path. The sweeps of one table run on every
 // core (internal/par), as do the route pool of the trajectory simulator
 // (BuildEngine) and the per-slice observation stores, knowledge bases
 // and training runs of a generation built from trajectories
@@ -144,10 +145,13 @@
 //
 // The serving model itself lives behind an epoch-tagged atomic
 // pointer: Engine.SwapSliceModel (used by internal/ingest after a
-// background rebuild) and LoadModel publish a new model
+// background rebuild), LoadModel and SetLandmarks publish a new
 // generation without pausing queries and without writing to the model
-// it is handed. In-flight queries finish on the snapshot they started
-// with, new queries see the new generation, and every RouteResult
+// they are handed, all through one unexported publish that checks the
+// changed slices — a knowledge base attached, over the engine's graph,
+// on the set's grid width — before any query can see them. In-flight
+// queries finish on the snapshot they started with, new queries see
+// the new generation, and every RouteResult
 // carries the ModelEpoch that answered it so callers and caches can
 // tell generations apart.
 //
@@ -224,7 +228,8 @@
 // the unit internal/ingest publishes through when one slice's drift
 // monitor fires — advances only that slice's epoch, so an AM-peak
 // rebuild leaves the night model, its epoch and its caches untouched;
-// LoadModel advances every slice at once. Every RouteResult is stamped
+// LoadModel and SetLandmarks advance every slice at once (each through
+// the engine's one publish point). Every RouteResult is stamped
 // with the epoch that answered it: the slice's epoch for
 // departure-slice queries, the global epoch for time-expanded ones.
 //

@@ -28,7 +28,8 @@ import (
 // per-slice observation stores they were derived from, and the epoch
 // bookkeeping. Queries load the snapshot once and use it consistently
 // throughout, so a concurrent swap can never hand half a query the old
-// model and half the new one.
+// model and half the new one. publish is the only place a generation
+// is made and stored.
 //
 // Epochs are two-level: epoch is the global generation counter — it
 // bumps on *every* swap, of any slice, and is what result caches key
@@ -43,16 +44,15 @@ type modelSnapshot struct {
 	obs         []*traj.ObservationStore // by slice
 	epoch       uint64
 	sliceEpochs []uint64
-	swappedAt   time.Time
 
 	// alt holds the generation's ALT landmark preprocessing (nil when
 	// disabled, the default): a table per slice model and one on the
 	// min-across-slices metric, one per distinct metric (see
 	// routing.ALTSet). Tables are derived from the snapshot's models, so
-	// they live and die with the snapshot: every swap path rebuilds the
-	// affected tables *before* publishing — preprocessing cost lands on
-	// the swap, never on the query path — and in-flight queries keep
-	// using the tables that match the models they started on.
+	// they live and die with the snapshot: publish rebuilds the tables a
+	// new model set invalidates *before* storing it — preprocessing cost
+	// lands on the swap, never on the query path — and in-flight queries
+	// keep using the tables that match the models they started on.
 	alt *routing.ALTSet
 }
 
@@ -61,23 +61,74 @@ type modelSnapshot struct {
 // the public accessors that predate time slicing).
 func (s *modelSnapshot) model0() *hybrid.Model      { return s.set.At(0) }
 func (s *modelSnapshot) kb0() *hybrid.KnowledgeBase { return s.set.At(0).KB }
-func newSliceEpochs(k int, epoch uint64) []uint64 {
-	out := make([]uint64, k)
-	for i := range out {
-		out[i] = epoch
-	}
-	return out
+
+// change is what a new generation replaces in the serving one: either
+// the model set, with the slices it changes and optionally their
+// observation stores, or — when set is nil — the ALT tables. Everything
+// it does not replace carries over.
+type change struct {
+	set    *hybrid.ModelSet
+	slices []int                    // the slices set changes; nil means every slice
+	obs    []*traj.ObservationStore // the next stores by slice; nil keeps the serving ones
+	alt    *routing.ALTSet          // with a nil set: the next tables (nil turns ALT off)
 }
 
-// successor starts the next generation: a copy of s one epoch on, with
-// a fresh swap time and slice epochs of its own to advance. A publisher
-// then states only what it replaces; everything else carries over.
-func (s *modelSnapshot) successor() *modelSnapshot {
-	next := *s
-	next.epoch = s.epoch + 1
-	next.swappedAt = time.Now()
-	next.sliceEpochs = slices.Clone(s.sliceEpochs)
-	return &next
+// publish makes the generation that c derives from cur (nil for
+// generation 1) the serving one and returns its epoch. It is the only
+// writer of e.current: callers hold e.swapMu, or own an engine no other
+// goroutine sees yet. It alone
+//   - checks every changed slice: a knowledge base is attached, built
+//     over the engine's graph and on the set's grid width;
+//   - advances the global epoch and exactly the changed slices' epochs
+//     (every slice's when the ALT tables change);
+//   - rebuilds the ALT tables a new model set invalidates (same
+//     landmarks — selection depends only on the graph), so no query
+//     ever sees new models with stale potentials;
+//   - stores the snapshot.
+func (e *Engine) publish(cur *modelSnapshot, c change) (uint64, error) {
+	next := &modelSnapshot{epoch: 1}
+	if cur != nil {
+		*next = *cur
+		next.epoch++
+		next.sliceEpochs = slices.Clone(cur.sliceEpochs)
+	}
+	if c.set != nil {
+		next.set = c.set
+	}
+	if c.obs != nil {
+		next.obs = c.obs
+	}
+	if next.sliceEpochs == nil {
+		next.sliceEpochs = make([]uint64, next.set.K())
+	}
+	for s := range next.set.K() {
+		if c.slices != nil && !slices.Contains(c.slices, s) {
+			continue // checked when it was published
+		}
+		kb := next.set.At(s).KB
+		if kb == nil {
+			return 0, fmt.Errorf("stochroute: slice %d has no knowledge base attached", s)
+		}
+		if g := kb.Graph(); g == nil || g.NumVertices() != e.graph.NumVertices() || g.NumEdges() != e.graph.NumEdges() {
+			return 0, fmt.Errorf("stochroute: slice %d knowledge base built over a different graph", s)
+		}
+		// Slice 0 is checked first or was checked when it was published.
+		if w := next.set.At(0).KB.Width; kb.Width != w {
+			return 0, fmt.Errorf("stochroute: slice %d knowledge base width %v != the set's width %v", s, kb.Width, w)
+		}
+		next.sliceEpochs[s] = next.epoch
+	}
+	switch {
+	case c.set == nil:
+		next.alt = c.alt
+	case next.alt != nil:
+		var err error
+		if next.alt, err = next.alt.Rebuild(c.set); err != nil {
+			return 0, err
+		}
+	}
+	e.current.Store(next)
+	return next.epoch, nil
 }
 
 // Engine is the assembled system: a road network, the trained Hybrid
@@ -170,14 +221,11 @@ func trainEngine(g *Graph, trajs []Trajectory, world *World, cfg hybrid.Config, 
 	if logW == nil {
 		logW = io.Discard
 	}
-	if g == nil || g.NumVertices() == 0 {
-		return nil, errors.New("stochroute: nil or empty graph")
-	}
-	if err := checkObservations(g, trajs, cfg.Width); err != nil {
+	k := traj.NumSlices(cfg.Slices)
+	obs, err := collectSlices(g, trajs, cfg.Width, k)
+	if err != nil {
 		return nil, err
 	}
-	k := traj.NumSlices(cfg.Slices)
-	obs := traj.CollectSlices(g, cfg.Width, k, trajs)
 	bySlice := traj.SplitBySlice(trajs, k)
 	if k > 1 {
 		fmt.Fprintf(logW, "stochroute: training %d time-of-day slice models\n", k)
@@ -196,17 +244,11 @@ func trainEngine(g *Graph, trajs []Trajectory, world *World, cfg hybrid.Config, 
 				observed, edges, distinct, report.MeanKLHybrid, report.MeanKLConv, report.TestPairs)
 		}
 	}
-	eng := &Engine{
-		graph:   g,
-		index:   graph.NewGridIndex(g, 500),
-		world:   world,
-		Report:  reports[0],
-		Reports: reports,
+	eng, err := newEngine(g, set, obs)
+	if err != nil {
+		return nil, err
 	}
-	eng.current.Store(&modelSnapshot{
-		set: set, obs: obs, epoch: 1,
-		sliceEpochs: newSliceEpochs(k, 1), swappedAt: time.Now(),
-	})
+	eng.world, eng.Report, eng.Reports = world, reports[0], reports
 	return eng, nil
 }
 
@@ -219,20 +261,17 @@ func trainEngine(g *Graph, trajs []Trajectory, world *World, cfg hybrid.Config, 
 // match width, and every trajectory must pass Trajectory.Validate
 // against g.
 func NewEngineWithModelSet(g *Graph, trajs []Trajectory, width float64, minPairObs int, set *hybrid.ModelSet) (*Engine, error) {
-	if g == nil || g.NumVertices() == 0 {
-		return nil, errors.New("stochroute: nil or empty graph")
-	}
 	if set == nil || set.K() == 0 {
 		return nil, errors.New("stochroute: nil or empty model set")
 	}
-	if err := checkObservations(g, trajs, width); err != nil {
+	k := set.K()
+	obs, err := collectSlices(g, trajs, width, k)
+	if err != nil {
 		return nil, err
 	}
-	k := set.K()
-	obs := traj.CollectSlices(g, width, k, trajs)
 	// The slices' knowledge bases are independent of one another and each
 	// attaches to its own model, so they build concurrently.
-	err := par.For(k, func(s int) error {
+	err = par.For(k, func(s int) error {
 		kb, err := hybrid.BuildKnowledgeBase(g, obs[s], width, minPairObs)
 		if err != nil {
 			return fmt.Errorf("stochroute: slice %d knowledge base: %w", s, err)
@@ -245,29 +284,35 @@ func NewEngineWithModelSet(g *Graph, trajs []Trajectory, width float64, minPairO
 	if err != nil {
 		return nil, err
 	}
-	eng := &Engine{
-		graph: g,
-		index: graph.NewGridIndex(g, 500),
-	}
-	eng.current.Store(&modelSnapshot{
-		set: set, obs: obs, epoch: 1,
-		sliceEpochs: newSliceEpochs(k, 1), swappedAt: time.Now(),
-	})
-	return eng, nil
+	return newEngine(g, set, obs)
 }
 
-// checkObservations checks the grid width and every trajectory before
-// the observation stores bin them on that grid.
-func checkObservations(g *Graph, trajs []Trajectory, width float64) error {
+// collectSlices checks the graph, the grid width and every trajectory,
+// then bins the trajectories into k per-slice observation stores on
+// that grid: the constructors' shared first step.
+func collectSlices(g *Graph, trajs []Trajectory, width float64, k int) ([]*traj.ObservationStore, error) {
+	if g == nil || g.NumVertices() == 0 {
+		return nil, errors.New("stochroute: nil or empty graph")
+	}
 	if err := traj.CheckWidth(width); err != nil {
-		return fmt.Errorf("stochroute: %w", err)
+		return nil, fmt.Errorf("stochroute: %w", err)
 	}
 	for i := range trajs {
 		if err := trajs[i].Validate(g); err != nil {
-			return fmt.Errorf("stochroute: trajectory %d: %w", i, err)
+			return nil, fmt.Errorf("stochroute: trajectory %d: %w", i, err)
 		}
 	}
-	return nil
+	return traj.CollectSlices(g, width, k, trajs), nil
+}
+
+// newEngine assembles an engine over g and publishes set, built from
+// the stores obs, as its generation 1.
+func newEngine(g *Graph, set *hybrid.ModelSet, obs []*traj.ObservationStore) (*Engine, error) {
+	eng := &Engine{graph: g, index: graph.NewGridIndex(g, 500)}
+	if _, err := eng.publish(nil, change{set: set, obs: obs}); err != nil {
+		return nil, err
+	}
+	return eng, nil
 }
 
 // Graph returns the engine's road network.
@@ -322,13 +367,6 @@ func (e *Engine) SliceEpochs() []uint64 {
 	return append([]uint64(nil), cur.sliceEpochs...)
 }
 
-// LastSwap returns the serving global epoch and the time it was
-// published.
-func (e *Engine) LastSwap() (epoch uint64, at time.Time) {
-	cur := e.current.Load()
-	return cur.epoch, cur.swappedAt
-}
-
 // SwapSliceModel atomically publishes model (with its attached
 // knowledge base) as the next serving generation of one time-of-day
 // slice, leaving every other slice's model — and epoch — untouched;
@@ -338,81 +376,28 @@ func (e *Engine) LastSwap() (epoch uint64, at time.Time) {
 // slice keeps serving its generation. Returns the new global epoch
 // (which is also the swapped slice's new SliceEpoch). obs optionally
 // records the slice's rebuilt observation store (nil keeps the previous
-// one). In-flight queries finish on the snapshot they started with;
+// one). The model's knowledge base must be built over the engine's
+// graph on the serving set's grid width. In-flight queries finish on
+// the snapshot they started with;
 // queries that start after SwapSliceModel returns see the new model and
 // carry the new epoch in their RouteResult. Safe to call while any
 // number of queries run.
 func (e *Engine) SwapSliceModel(slice int, model *Model, obs *ObservationStore) (uint64, error) {
 	e.swapMu.Lock()
 	defer e.swapMu.Unlock()
-	return e.swapSliceLocked(slice, model, obs)
-}
-
-// swapSliceLocked publishes model as slice's next generation. Callers
-// hold e.swapMu.
-func (e *Engine) swapSliceLocked(slice int, model *Model, obs *ObservationStore) (uint64, error) {
-	if model == nil {
-		return 0, errors.New("stochroute: SwapSliceModel with nil model")
-	}
-	kb := model.KB
-	if kb == nil {
-		return 0, errors.New("stochroute: SwapSliceModel with no knowledge base attached")
-	}
-	if g := kb.Graph(); g == nil || g.NumVertices() != e.graph.NumVertices() || g.NumEdges() != e.graph.NumEdges() {
-		return 0, errors.New("stochroute: SwapSliceModel knowledge base built over a different graph")
-	}
-	prev := e.current.Load()
-	if slice < 0 || slice >= prev.set.K() {
-		return 0, fmt.Errorf("stochroute: SwapSliceModel slice %d outside [0, %d)", slice, prev.set.K())
-	}
-	set, err := prev.set.WithSlice(slice, model)
+	cur := e.current.Load()
+	set, err := cur.set.WithSlice(slice, model)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("stochroute: SwapSliceModel: %w", err)
 	}
-	next := prev.successor()
-	next.set = set
+	c := change{set: set, slices: []int{slice}}
 	if obs != nil {
 		// Published generations are immutable: the untouched slices'
-		// stores are shared with the previous snapshot.
-		next.obs = slices.Clone(prev.obs)
-		next.obs[slice] = obs
+		// stores are shared with the serving snapshot.
+		c.obs = slices.Clone(cur.obs)
+		c.obs[slice] = obs
 	}
-	next.sliceEpochs[slice] = next.epoch
-	// With ALT enabled, rebuild only the swapped slice's tables (plus
-	// the min-metric table, which depends on every slice) against the
-	// incoming model — before the publish below, so no query ever sees
-	// new models with stale potentials. Untouched slices keep their
-	// tables.
-	if prev.alt != nil {
-		if next.alt, err = prev.alt.Rebuild(set); err != nil {
-			return 0, err
-		}
-	}
-	e.current.Store(next)
-	return next.epoch, nil
-}
-
-// swapSetLocked publishes a whole new model set as the next generation,
-// bumping the global epoch and every slice's epoch to it. The caller
-// (LoadModel) holds e.swapMu, has checked that the set's slice count
-// matches the serving set's and has attached the serving knowledge
-// bases to it; the observation aggregate carries over.
-func (e *Engine) swapSetLocked(set *hybrid.ModelSet) error {
-	prev := e.current.Load()
-	next := prev.successor()
-	next.set = set
-	next.sliceEpochs = newSliceEpochs(set.K(), next.epoch)
-	// A whole-set swap invalidates every slice's tables: rebuild them
-	// (same landmarks — selection depends only on the graph) before
-	// publishing.
-	if prev.alt != nil {
-		var err error
-		if next.alt, err = prev.alt.Rebuild(set); err != nil {
-			return err
-		}
-	}
-	e.current.Store(next)
-	return nil
+	return e.publish(cur, c)
 }
 
 // SetLandmarks enables ALT landmark potentials for every subsequent
@@ -422,9 +407,9 @@ func (e *Engine) swapSetLocked(set *hybrid.ModelSet) error {
 // optimistic edge times and their min across slices gets one table of
 // 2·count Dijkstras (routing.NewALTSet, the helper cmd/train -landmarks
 // measures with); slices whose metrics are equal bit for bit share it.
-// From then on every swap path rebuilds the affected tables before
-// publishing (routing.ALTSet.Rebuild), keeping potentials admissible
-// against whatever models are serving. count 0 disables ALT and returns
+// From then on publish rebuilds the tables each new model set
+// invalidates before storing it (routing.ALTSet.Rebuild), keeping
+// potentials admissible against whatever models are serving. count 0 disables ALT and returns
 // queries to exact per-query backward-Dijkstra potentials.
 //
 // Preprocessing runs under the swap lock — queries in flight keep
@@ -437,19 +422,16 @@ func (e *Engine) SetLandmarks(count int) error {
 	}
 	e.swapMu.Lock()
 	defer e.swapMu.Unlock()
-	prev := e.current.Load()
+	cur := e.current.Load()
 	var alt *routing.ALTSet
 	if count > 0 {
 		var err error
-		if alt, err = routing.NewALTSet(e.graph, prev.set, count); err != nil {
+		if alt, err = routing.NewALTSet(e.graph, cur.set, count); err != nil {
 			return fmt.Errorf("stochroute: SetLandmarks: %w", err)
 		}
 	}
-	next := prev.successor()
-	next.sliceEpochs = newSliceEpochs(prev.set.K(), next.epoch)
-	next.alt = alt
-	e.current.Store(next)
-	return nil
+	_, err := e.publish(cur, change{alt: alt})
+	return err
 }
 
 // Landmarks reports the ALT landmark count of the serving generation
@@ -879,7 +861,8 @@ func (e *Engine) LoadModel(path string) error {
 			m.MaxBuckets = cur.set.At(s).MaxBuckets
 		}
 	}
-	return e.swapSetLocked(set)
+	_, err = e.publish(cur, change{set: set})
+	return err
 }
 
 // AlternativeRoute is one member of the stochastic skyline.

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"stochroute/internal/hybrid"
+	"stochroute/internal/netgen"
 	"stochroute/internal/routing"
 	"stochroute/internal/traj"
 )
@@ -613,9 +614,6 @@ func TestEngineHotSwapDuringQueries(t *testing.T) {
 	if e.ModelEpoch() != epoch {
 		t.Errorf("ModelEpoch = %d, want %d", e.ModelEpoch(), epoch)
 	}
-	if gotEpoch, at := e.LastSwap(); gotEpoch != epoch || at.IsZero() {
-		t.Errorf("LastSwap = (%d, %v)", gotEpoch, at)
-	}
 	res, err := e.Route(qs[0].Source, qs[0].Dest, budgets[0])
 	if err != nil {
 		t.Fatal(err)
@@ -633,46 +631,178 @@ func TestEngineHotSwapDuringQueries(t *testing.T) {
 	}
 }
 
-// TestSnapshotSuccessorCarriesEveryField: a modelSnapshot field is
-// either carried into the next generation by successor() or on the
-// short list of what a new generation resets. A field added to the
-// struct and forgotten by one publisher — the bug hand-copied literals
-// invite — fails here.
-func TestSnapshotSuccessorCarriesEveryField(t *testing.T) {
-	prev := &modelSnapshot{
-		set:         &hybrid.ModelSet{},
-		obs:         []*traj.ObservationStore{{}},
-		epoch:       7,
-		sliceEpochs: []uint64{3, 7},
-		swappedAt:   time.Unix(1, 0),
-		alt:         &routing.ALTSet{},
+// twoSliceEngine builds a fresh, lightly trained 2-slice engine for a
+// test that publishes generations of its own.
+func twoSliceEngine(t *testing.T) *Engine {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Network.Rows, cfg.Network.Cols = 8, 8
+	cfg.Network.CellMeters = 130
+	cfg.Walk.NumTrajectories = 1200
+	cfg.Walk.Slices, cfg.Hybrid.Slices = 2, 2
+	cfg.Hybrid.TrainPairs, cfg.Hybrid.TestPairs = 120, 30
+	cfg.Hybrid.MinPairObs = 6
+	cfg.Hybrid.Estimator.Train.Epochs = 3
+	cfg.Hybrid.PrefixRows = 0
+	e, err := BuildEngine(cfg, io.Discard)
+	if err != nil {
+		t.Fatalf("BuildEngine: %v", err)
 	}
-	next := prev.successor()
-	reset := map[string]bool{"epoch": true, "swappedAt": true, "sliceEpochs": true}
+	return e
+}
+
+// TestSnapshotSuccessorCarriesEveryField drives publish through each of
+// its callers on a 2-slice engine with landmarks on. After each call
+// the epoch is one higher, exactly the stated slices' epochs advanced,
+// every modelSnapshot field the call does not replace is carried over
+// and every field it replaces is new — a field added to the struct and
+// dropped by publish fails here — and ALT tables exist only while
+// landmarks are on, with the potentials routing.NewALTSet gives over
+// the published set.
+func TestSnapshotSuccessorCarriesEveryField(t *testing.T) {
+	e := twoSliceEngine(t)
+	const landmarks = 2
+	if err := e.SetLandmarks(landmarks); err != nil {
+		t.Fatal(err)
+	}
+	saved := filepath.Join(t.TempDir(), "model.srhm")
+	if err := e.SaveModel(saved); err != nil {
+		t.Fatal(err)
+	}
+	// Slice 1 swaps to a model of jammed traffic and back, so its ALT
+	// metric moves and stale tables would give other potentials.
+	g, width := e.Graph(), e.Observations().Width
+	wcfg := DefaultConfig().World
+	wcfg.ModePrior = []float64{0, 0.5, 0.5}
+	jammedWorld, err := traj.NewWorld(g, wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jammedTrips, err := traj.GenerateTrajectories(jammedWorld, traj.WalkConfig{NumTrajectories: 600, MinEdges: 4, MaxEdges: 12, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jammedKB, err := hybrid.BuildKnowledgeBase(g, traj.CollectSlices(g, width, 1, jammedTrips)[0], width, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model1 := e.SliceModel(1)
+	if slices.Equal(bitsOfMetric(g, jammedKB.MinEdgeTime), bitsOfMetric(g, model1.MinEdgeTime)) {
+		t.Fatal("the jammed model keeps slice 1's metric; a stale table could not be told from a rebuilt one")
+	}
+	store := traj.NewObservationStore(g, width)
+	swap := func(m *Model, obs *ObservationStore) func() error {
+		return func() error {
+			_, err := e.SwapSliceModel(1, m, obs)
+			return err
+		}
+	}
 	carried := func(a, b reflect.Value) bool {
 		if a.Kind() == reflect.Slice { // the same backing array
 			return a.Pointer() == b.Pointer() && a.Len() == b.Len()
 		}
 		return a.Equal(b)
 	}
-	pv, nv := reflect.ValueOf(prev).Elem(), reflect.ValueOf(next).Elem()
-	for i := 0; i < pv.NumField(); i++ {
-		name := pv.Type().Field(i).Name
-		if pv.Field(i).IsZero() {
-			t.Fatalf("the fixture leaves %s zero; set it, so the test can tell carried from dropped", name)
+	for _, step := range []struct {
+		name      string
+		call      func() error
+		replaced  []string // the fields the call replaces, besides the epochs
+		advanced  []int    // the slices whose epochs advance
+		landmarks int      // the landmark count after the call
+	}{
+		{"SwapSliceModel(1, m, store)", swap(&Model{KB: jammedKB}, store), []string{"set", "obs", "alt"}, []int{1}, landmarks},
+		{"SwapSliceModel(1, m, nil)", swap(sameWeightsModel(model1), nil), []string{"set", "alt"}, []int{1}, landmarks},
+		{"LoadModel", func() error { return e.LoadModel(saved) }, []string{"set", "alt"}, []int{0, 1}, landmarks},
+		{"SetLandmarks(n)", func() error { return e.SetLandmarks(landmarks + 1) }, []string{"alt"}, []int{0, 1}, landmarks + 1},
+		{"SetLandmarks(0)", func() error { return e.SetLandmarks(0) }, []string{"alt"}, []int{0, 1}, 0},
+	} {
+		prev := e.current.Load()
+		if err := step.call(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
 		}
-		if !reset[name] && !carried(nv.Field(i), pv.Field(i)) {
-			t.Errorf("successor() does not carry %s, and it is not on the reset list", name)
+		next := e.current.Load()
+		if next.epoch != prev.epoch+1 {
+			t.Errorf("%s: epoch %d, want %d", step.name, next.epoch, prev.epoch+1)
 		}
+		for s := range prev.sliceEpochs {
+			want := prev.sliceEpochs[s]
+			if slices.Contains(step.advanced, s) {
+				want = next.epoch
+			}
+			if next.sliceEpochs[s] != want {
+				t.Errorf("%s: slice %d epoch %d, want %d", step.name, s, next.sliceEpochs[s], want)
+			}
+		}
+		if &next.sliceEpochs[0] == &prev.sliceEpochs[0] {
+			t.Errorf("%s: the new generation advanced the serving one's slice epochs in place", step.name)
+		}
+		pv, nv := reflect.ValueOf(prev).Elem(), reflect.ValueOf(next).Elem()
+		for i := 0; i < pv.NumField(); i++ {
+			name := pv.Type().Field(i).Name
+			if name == "epoch" || name == "sliceEpochs" {
+				continue
+			}
+			if pv.Field(i).IsZero() {
+				t.Fatalf("%s: the fixture leaves %s zero; set it, so the test can tell carried from dropped", step.name, name)
+			}
+			switch replaced := slices.Contains(step.replaced, name); {
+			case !replaced && !carried(nv.Field(i), pv.Field(i)):
+				t.Errorf("%s: publish does not carry %s over", step.name, name)
+			case replaced && carried(nv.Field(i), pv.Field(i)):
+				t.Errorf("%s: publish does not replace %s", step.name, name)
+			}
+		}
+		if step.name == "SwapSliceModel(1, m, store)" && (next.obs[1] != store || next.obs[0] != prev.obs[0]) {
+			t.Errorf("%s: stores %v, want slice 0's kept and slice 1's replaced", step.name, next.obs)
+		}
+		if slices.Equal(step.advanced, []int{1}) && (next.set.At(0) != prev.set.At(0) || next.set.At(1) == prev.set.At(1)) {
+			t.Errorf("%s: want slice 0's model kept and slice 1's replaced", step.name)
+		}
+		if e.Landmarks() != step.landmarks {
+			t.Errorf("%s: %d landmarks, want %d", step.name, e.Landmarks(), step.landmarks)
+		}
+		if step.landmarks == 0 {
+			if next.alt != nil {
+				t.Errorf("%s: ALT tables with landmarks off", step.name)
+			}
+			continue
+		}
+		want, err := routing.NewALTSet(g, next.set, step.landmarks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := range next.set.K() {
+			samePotentials(t, fmt.Sprintf("%s: slice %d", step.name, s), g, next.alt.Slice(s), want.Slice(s))
+		}
+		samePotentials(t, step.name+": min-across", g, next.alt.Min(), want.Min())
 	}
-	if next.epoch != prev.epoch+1 {
-		t.Errorf("epoch %d, want %d", next.epoch, prev.epoch+1)
+}
+
+// bitsOfMetric reads an edge metric's bits, edge by edge.
+func bitsOfMetric(g *Graph, w routing.WeightFunc) []uint64 {
+	out := make([]uint64, g.NumEdges())
+	for e := range out {
+		out[e] = math.Float64bits(w(EdgeID(e)))
 	}
-	if !next.swappedAt.After(prev.swappedAt) {
-		t.Errorf("swappedAt %v is not fresh", next.swappedAt)
-	}
-	if !slices.Equal(next.sliceEpochs, prev.sliceEpochs) || &next.sliceEpochs[0] == &prev.sliceEpochs[0] {
-		t.Errorf("sliceEpochs %v: want a copy of %v the successor can advance", next.sliceEpochs, prev.sliceEpochs)
+	return out
+}
+
+// samePotentials fails unless two ALT tables give every vertex the same
+// potential bits towards three destinations.
+func samePotentials(t *testing.T, label string, g *Graph, got, want *routing.ALT) {
+	t.Helper()
+	n := g.NumVertices()
+	for _, dest := range []VertexID{0, VertexID(n / 2), VertexID(n - 1)} {
+		pg, releaseGot := got.Potentials(dest)
+		pw, releaseWant := want.Potentials(dest)
+		for v := range n {
+			if a, b := pg(VertexID(v)), pw(VertexID(v)); math.Float64bits(a) != math.Float64bits(b) {
+				t.Errorf("%s: potential of %d towards %d is %v, NewALTSet gives %v", label, v, dest, a, b)
+				break
+			}
+		}
+		releaseGot()
+		releaseWant()
 	}
 }
 
@@ -692,4 +822,63 @@ func TestEngineSwapModelValidation(t *testing.T) {
 	if _, err := e.SwapSliceModel(0, orphan, nil); err == nil {
 		t.Error("model without knowledge base accepted")
 	}
+
+	// On a 2-slice engine, a slice on another grid width would reach a
+	// time-expanded search's convolutions; knowledge bases over another
+	// graph and slices out of range are refused too. publish checks each
+	// changed slice of whatever set it is handed, not only the sets
+	// WithSlice makes: a model without an estimator can be rebound to
+	// any knowledge base (AttachKB) after its set was made.
+	e2 := twoSliceEngine(t)
+	cur := e2.current.Load()
+	kbs := misfitKBs(t, e2)
+	for name, kb := range kbs {
+		if got, err := e2.SwapSliceModel(1, &Model{KB: kb}, nil); err == nil {
+			t.Errorf("2-slice engine: a knowledge base %s accepted at epoch %d", name, got)
+		}
+	}
+	if got, err := e2.SwapSliceModel(2, sameWeightsModel(e2.SliceModel(1)), nil); err == nil {
+		t.Errorf("2-slice engine: slice 2 accepted at epoch %d", got)
+	}
+	kbs["missing"] = nil
+	for name, kb := range kbs {
+		m := &Model{KB: cur.set.At(1).KB}
+		set, err := cur.set.WithSlice(1, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.KB = kb
+		e2.swapMu.Lock()
+		got, err := e2.publish(cur, change{set: set, slices: []int{1}})
+		e2.swapMu.Unlock()
+		if err == nil {
+			t.Errorf("publish: a knowledge base %s published at epoch %d", name, got)
+		}
+	}
+	if e2.current.Load() != cur {
+		t.Error("a refused swap published a generation")
+	}
+}
+
+// misfitKBs returns knowledge bases no slice of e may serve: one on
+// twice e's grid width and one over another graph.
+func misfitKBs(t *testing.T, e *Engine) map[string]*KnowledgeBase {
+	t.Helper()
+	ocfg := netgen.DefaultConfig()
+	ocfg.Rows, ocfg.Cols = 3, 3
+	other, err := netgen.Generate(ocfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	width := e.Observations().Width
+	out := map[string]*KnowledgeBase{}
+	for name, at := range map[string]struct {
+		g     *Graph
+		width float64
+	}{"on twice the grid width": {e.Graph(), 2 * width}, "over another graph": {other, width}} {
+		if out[name], err = hybrid.BuildKnowledgeBase(at.g, traj.NewObservationStore(at.g, at.width), at.width, 6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }

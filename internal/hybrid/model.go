@@ -81,7 +81,10 @@ func (c *ConvolutionCoster) ExtendInto(s *Scratch, virtual *hist.Hist, _, next g
 func convolveIntoArena(s *Scratch, a, b *hist.Hist) *hist.Hist {
 	out := s.Arena.NewHist(0, 0, len(a.P)+len(b.P)-1)
 	if err := hist.ConvolveInto(out, a, b); err != nil {
-		panic(err) // widths are guaranteed equal on the routing grid
+		// NewModelSet owns the width invariant: it (and WithSlice, which
+		// runs it) refuses a set of mixed widths, and the engine's
+		// publish refuses a slice off its set's grid.
+		panic(err)
 	}
 	return out
 }

@@ -83,17 +83,15 @@ func (ms *ModelSet) Models() []*Model { return ms.models }
 
 // WithSlice returns a copy of the set with slice i's model replaced —
 // the hot-swap unit of per-slice online rebuilds. The other slices
-// keep serving their generation.
+// keep serving their generation. The copy passes NewModelSet's checks,
+// so a model on another grid width is refused.
 func (ms *ModelSet) WithSlice(i int, m *Model) (*ModelSet, error) {
 	if i < 0 || i >= len(ms.models) {
 		return nil, fmt.Errorf("hybrid: slice %d outside [0, %d)", i, len(ms.models))
 	}
-	if m == nil {
-		return nil, errors.New("hybrid: WithSlice with nil model")
-	}
 	models := append([]*Model(nil), ms.models...)
 	models[i] = m
-	return &ModelSet{models: models}, nil
+	return NewModelSet(models)
 }
 
 // MinEdgeTimeAcrossSlices returns the minimum optimistic time of edge e

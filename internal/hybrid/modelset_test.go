@@ -52,6 +52,12 @@ func TestModelSetValidation(t *testing.T) {
 	if set.At(1) == clone {
 		t.Error("WithSlice must not mutate the original set")
 	}
+	if _, err := set.WithSlice(1, &Model{KB: &KnowledgeBase{Width: 2 * m.KB.Width}}); err == nil {
+		t.Error("WithSlice accepted a model on another grid width")
+	}
+	if _, err := set.WithSlice(0, nil); err == nil {
+		t.Error("WithSlice accepted a nil model")
+	}
 }
 
 // ms2 builds a 2-slice set from the shared trained model (both slices
