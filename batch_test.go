@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"stochroute/internal/graph"
+	"stochroute/internal/routing"
 	"stochroute/internal/server"
 )
 
@@ -210,5 +212,77 @@ func TestEngineRouteBatchWorkerBounds(t *testing.T) {
 		if it.Epoch != e.ModelEpoch() {
 			t.Errorf("cancelled item %d: epoch %d", i, it.Epoch)
 		}
+	}
+}
+
+// panicPotentials is a potential source that panics when asked for one
+// destination's bounds: a stand-in for any defect deep in one query's
+// search.
+type panicPotentials struct{ dest graph.VertexID }
+
+func (p panicPotentials) Potentials(dest graph.VertexID) (routing.PotentialFunc, func()) {
+	if dest == p.dest {
+		panic(fmt.Sprintf("poisoned destination %d", dest))
+	}
+	return func(graph.VertexID) float64 { return 0 }, nil
+}
+
+// TestRouteBatchPanickingItemIsItsError: a panic in one item's search
+// is that item's error. The other items are answered as sequential
+// RouteCtx calls answer them, every item carries the snapshot's epoch,
+// and the engine answers the next batch normally.
+func TestRouteBatchPanickingItemIsItsError(t *testing.T) {
+	e := testEngine(t)
+	qs, err := e.SampleQueries(0.4, 1.2, 6, 94)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queries []BatchQuery
+	for _, q := range qs {
+		optimistic, err := e.OptimisticTime(q.Source, q.Dest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, BatchQuery{Source: q.Source, Dest: q.Dest, Opts: RouteOptions{Budget: 1.3 * optimistic}})
+	}
+	want := make([]*RouteResult, len(queries))
+	for i, q := range queries {
+		if want[i], err = e.RouteCtx(context.Background(), q.Source, q.Dest, q.Opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	poisoned := len(queries) / 2
+	bad := append([]BatchQuery(nil), queries...)
+	bad[poisoned].Opts.Potentials = panicPotentials{dest: bad[poisoned].Dest}
+	check := func(t *testing.T, items []routing.BatchItem, poisoned int) {
+		t.Helper()
+		if len(items) != len(queries) {
+			t.Fatalf("%d items for %d queries", len(items), len(queries))
+		}
+		for i, it := range items {
+			if it.Epoch != e.ModelEpoch() {
+				t.Errorf("item %d: epoch %d, snapshot's is %d", i, it.Epoch, e.ModelEpoch())
+			}
+			if i == poisoned {
+				if it.Err == nil || it.Result != nil || !strings.Contains(it.Err.Error(), "poisoned destination") {
+					t.Errorf("poisoned item %d: result %v, err %v; want an error naming the panic", i, it.Result, it.Err)
+				}
+				continue
+			}
+			if it.Err != nil {
+				t.Fatalf("item %d: %v", i, it.Err)
+			}
+			got, w := it.Result, want[i]
+			if got.Found != w.Found || got.Prob != w.Prob || fmt.Sprint(got.Path) != fmt.Sprint(w.Path) || got.ModelEpoch != w.ModelEpoch {
+				t.Errorf("item %d: found %v prob %v path %v epoch %d; sequential %v %v %v %d",
+					i, got.Found, got.Prob, got.Path, got.ModelEpoch, w.Found, w.Prob, w.Path, w.ModelEpoch)
+			}
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			check(t, e.RouteBatch(context.Background(), bad, workers), poisoned)
+			check(t, e.RouteBatch(context.Background(), queries, workers), -1)
+		})
 	}
 }

@@ -77,17 +77,16 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"stochroute/internal/httpsvc"
 	"stochroute/internal/obs"
+	"stochroute/internal/par"
+	"stochroute/internal/rng"
 )
 
 type sampleQuery struct {
@@ -199,66 +198,56 @@ func main() {
 	}
 	before, scrapeErr := scrapeMetrics(client, scrapeBase)
 
+	// Request i draws its queries from its own stream, so what is sent
+	// does not depend on which worker sends it.
 	results := make([]outcome, *n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < *c; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(*seed + int64(w)))
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= *n {
-					return
-				}
-				// Departure sweep: requests cycle round-robin over the
-				// listed departures so every slice sees equal load.
-				departIdx := -1
-				depart := 0.0
-				if len(departs) > 0 {
-					departIdx = i % len(departs)
-					depart = departs[departIdx]
-				}
-				// Every request carries a unique X-Request-ID, echoed by
-				// the server and stamped on its slow-query log lines, so a
-				// slow request seen here joins to the server's trace. It
-				// also carries a client-minted traceparent; the sampled
-				// flag on 1 in -traces requests forces a server span tree.
-				rid := fmt.Sprintf("loadgen-%d", i)
-				sampled := *traces > 0 && i%*traces == 0
-				tp := obs.FormatTraceparent(obs.NewTraceID(), fmt.Sprintf("%016x", uint64(i)+1), sampled)
-				if *batch > 0 {
-					t0 := time.Now()
-					items, itemHits, reps, err := fireBatch(client, *addr, queries, rng, *batch, *factor, depart, *expand, rid, tp)
-					results[i] = outcome{latency: time.Since(t0), items: items, itemHits: itemHits, departIdx: departIdx, replicas: reps, err: err}
-					continue
-				}
-				q := queries[rng.Intn(len(queries))]
-				budget := q.OptimisticS * *factor
-				url := fmt.Sprintf("%s/route?source=%d&dest=%d&budget=%.3f", *addr, q.Source, q.Dest, budget)
-				if *anytimeMS > 0 {
-					url = fmt.Sprintf("%s/route/anytime?source=%d&dest=%d&budget=%.3f&limit_ms=%d",
-						*addr, q.Source, q.Dest, budget, *anytimeMS)
-				}
-				if departIdx >= 0 {
-					url += fmt.Sprintf("&depart=%.0f", depart)
-				}
-				if *expand {
-					url += "&time_expanded=true"
-				}
-				t0 := time.Now()
-				hit, replica, err := fire(client, url, rid, tp)
-				var reps map[string]int
-				if replica != "" {
-					reps = map[string]int{replica: 1}
-				}
-				results[i] = outcome{latency: time.Since(t0), hit: hit, items: 1, departIdx: departIdx, replicas: reps, err: err}
-			}
-		}(w)
-	}
-	wg.Wait()
+	_ = par.For(*n, *c, func(i int) error {
+		src := rng.New(uint64(*seed + int64(i)))
+		// Departure sweep: requests cycle round-robin over the
+		// listed departures so every slice sees equal load.
+		departIdx := -1
+		depart := 0.0
+		if len(departs) > 0 {
+			departIdx = i % len(departs)
+			depart = departs[departIdx]
+		}
+		// Every request carries a unique X-Request-ID, echoed by
+		// the server and stamped on its slow-query log lines, so a
+		// slow request seen here joins to the server's trace. It
+		// also carries a client-minted traceparent; the sampled
+		// flag on 1 in -traces requests forces a server span tree.
+		rid := fmt.Sprintf("loadgen-%d", i)
+		sampled := *traces > 0 && i%*traces == 0
+		tp := obs.FormatTraceparent(obs.NewTraceID(), fmt.Sprintf("%016x", uint64(i)+1), sampled)
+		if *batch > 0 {
+			t0 := time.Now()
+			items, itemHits, reps, err := fireBatch(client, *addr, queries, src, *batch, *factor, depart, *expand, rid, tp)
+			results[i] = outcome{latency: time.Since(t0), items: items, itemHits: itemHits, departIdx: departIdx, replicas: reps, err: err}
+			return nil
+		}
+		q := queries[src.Intn(len(queries))]
+		budget := q.OptimisticS * *factor
+		url := fmt.Sprintf("%s/route?source=%d&dest=%d&budget=%.3f", *addr, q.Source, q.Dest, budget)
+		if *anytimeMS > 0 {
+			url = fmt.Sprintf("%s/route/anytime?source=%d&dest=%d&budget=%.3f&limit_ms=%d",
+				*addr, q.Source, q.Dest, budget, *anytimeMS)
+		}
+		if departIdx >= 0 {
+			url += fmt.Sprintf("&depart=%.0f", depart)
+		}
+		if *expand {
+			url += "&time_expanded=true"
+		}
+		t0 := time.Now()
+		hit, replica, err := fire(client, url, rid, tp)
+		var reps map[string]int
+		if replica != "" {
+			reps = map[string]int{replica: 1}
+		}
+		results[i] = outcome{latency: time.Since(t0), hit: hit, items: 1, departIdx: departIdx, replicas: reps, err: err}
+		return nil
+	})
 	elapsed := time.Since(start)
 
 	var latencies []time.Duration
@@ -542,12 +531,12 @@ type batchQuery struct {
 // the item count, per-item cache hits and the per-replica attribution
 // of the items (gateway answers carry it; a plain serve instance's
 // items have none).
-func fireBatch(client *http.Client, addr string, queries []sampleQuery, rng *rand.Rand, k int, factor, depart float64, expand bool, rid, tp string) (items, itemHits int, replicas map[string]int, err error) {
+func fireBatch(client *http.Client, addr string, queries []sampleQuery, src *rng.RNG, k int, factor, depart float64, expand bool, rid, tp string) (items, itemHits int, replicas map[string]int, err error) {
 	req := struct {
 		Queries []batchQuery `json:"queries"`
 	}{Queries: make([]batchQuery, k)}
 	for i := range req.Queries {
-		q := queries[rng.Intn(len(queries))]
+		q := queries[src.Intn(len(queries))]
 		req.Queries[i] = batchQuery{Source: q.Source, Dest: q.Dest, Budget: q.OptimisticS * factor, Depart: depart, TimeExpanded: expand}
 	}
 	body, err := json.Marshal(req)

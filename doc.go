@@ -139,9 +139,10 @@
 //
 // Engine.RouteBatch answers many queries as one unit: all of them run
 // against a single epoch snapshot (a concurrent hot swap never splits
-// a batch across model generations) on a bounded worker pool, each
-// worker reusing the pooled kernel scratch. The serving layer exposes
-// it as POST /route/batch with per-item cache reuse.
+// a batch across model generations) on internal/par's bounded pool,
+// each worker reusing the pooled kernel scratch; a panic in one item's
+// search is that item's error. The serving layer exposes it as POST
+// /route/batch with per-item cache reuse.
 //
 // The serving model itself lives behind an epoch-tagged atomic
 // pointer: Engine.SwapSliceModel (used by internal/ingest after a

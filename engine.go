@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -271,7 +270,7 @@ func NewEngineWithModelSet(g *Graph, trajs []Trajectory, width float64, minPairO
 	}
 	// The slices' knowledge bases are independent of one another and each
 	// attaches to its own model, so they build concurrently.
-	err = par.For(k, func(s int) error {
+	err = par.For(k, 0, func(s int) error {
 		kb, err := hybrid.BuildKnowledgeBase(g, obs[s], width, minPairObs)
 		if err != nil {
 			return fmt.Errorf("stochroute: slice %d knowledge base: %w", s, err)
@@ -573,12 +572,12 @@ func (s *modelSnapshot) epochFor(slice int, opts RouteOptions) uint64 {
 
 // RouteBatch answers many budget-routing queries as one unit: every
 // query runs against the same model snapshot (one epoch, loaded once —
-// a hot swap mid-batch never splits the batch across generations) on a
-// bounded worker pool. workers <= 0 uses GOMAXPROCS. Item i of the
-// answer corresponds to queries[i]; per-query failures (invalid
-// budget, unreachable destination) land in that item's Err without
-// affecting the rest of the batch, and every item carries the
-// snapshot's epoch.
+// a hot swap mid-batch never splits the batch across generations) on
+// par.For's pool of min(workers, len(queries)) workers; workers <= 0
+// uses GOMAXPROCS. Item i of the answer corresponds to queries[i];
+// per-query failures (invalid budget, unreachable destination, a panic
+// in that query's search) land in that item's Err without affecting
+// the rest of the batch, and every item carries the snapshot's epoch.
 //
 // Cancelling ctx stops the batch between queries: items not yet
 // started fail with the context error, while searches already running
@@ -590,50 +589,39 @@ func (s *modelSnapshot) epochFor(slice int, opts RouteOptions) uint64 {
 // so a batch of n queries costs far less than n cold Route calls.
 func (e *Engine) RouteBatch(ctx context.Context, queries []routing.BatchQuery, workers int) []routing.BatchItem {
 	out := make([]routing.BatchItem, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
 	cur := e.current.Load()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				q := queries[i]
-				epoch := cur.epochFor(cur.set.SliceOf(q.Opts.Departure), q.Opts)
-				if err := ctx.Err(); err != nil {
-					out[i] = routing.BatchItem{Err: err, Epoch: epoch}
-					continue
-				}
-				// Each item gets its own child span under the batch's
-				// request scope, so one slow item is visible inside the
-				// batch's trace instead of vanishing into the aggregate.
-				t0 := time.Now()
-				ictx, isp := obs.StartSpan(ctx, "batch-item")
-				isp.SetInt("index", int64(i))
-				isp.SetInt("source", int64(q.Source))
-				isp.SetInt("dest", int64(q.Dest))
-				res, err := e.routeOnSnapshot(ictx, cur, q.Source, q.Dest, q.Opts)
-				isp.SetError(err)
-				isp.End()
-				out[i] = routing.BatchItem{Result: res, Err: err, Epoch: epoch, Elapsed: time.Since(t0)}
-			}
-		}()
-	}
-	wg.Wait()
+	_ = par.For(len(queries), workers, func(i int) error {
+		out[i] = e.batchItem(ctx, cur, i, queries[i])
+		return nil
+	})
 	return out
+}
+
+// batchItem answers item i of a batch on snapshot cur; a panic in its
+// search is the item's Err, not the end of the batch or the process.
+func (e *Engine) batchItem(ctx context.Context, cur *modelSnapshot, i int, q routing.BatchQuery) (item routing.BatchItem) {
+	item.Epoch = cur.epochFor(cur.set.SliceOf(q.Opts.Departure), q.Opts)
+	if item.Err = ctx.Err(); item.Err != nil {
+		return item
+	}
+	// Each item gets its own child span under the batch's request
+	// scope, so one slow item is visible inside the batch's trace
+	// instead of vanishing into the aggregate.
+	t0 := time.Now()
+	ictx, isp := obs.StartSpan(ctx, "batch-item")
+	isp.SetInt("index", int64(i))
+	isp.SetInt("source", int64(q.Source))
+	isp.SetInt("dest", int64(q.Dest))
+	defer func() {
+		if p := recover(); p != nil {
+			item.Result, item.Err = nil, fmt.Errorf("stochroute: batch item %d panicked: %v", i, p)
+		}
+		isp.SetError(item.Err)
+		isp.End()
+		item.Elapsed = time.Since(t0)
+	}()
+	item.Result, item.Err = e.routeOnSnapshot(ictx, cur, q.Source, q.Dest, q.Opts)
+	return item
 }
 
 // DecisionCounts returns the engine's lifetime convolve/estimate

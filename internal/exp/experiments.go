@@ -272,7 +272,7 @@ func RunQuality(s *Setup, out io.Writer) ([]QualityRow, error) {
 		}
 		outcomes := make([]queryOutcome, len(qs))
 		catName := cat.String()
-		err := par.For(len(qs), func(i int) error {
+		err := par.For(len(qs), 0, func(i int) error {
 			q := qs[i]
 			basePath, _, err := eng.MeanRoute(q.Source, q.Dest)
 			if err != nil {

@@ -9,12 +9,13 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"stochroute/internal/httpsvc"
 	"stochroute/internal/obs"
+	"stochroute/internal/par"
 )
 
 // gwBatchQuery is the subset of a batch item the gateway interprets:
@@ -52,8 +53,10 @@ type gwBatchResponse struct {
 // batchGroup is one replica's share of a scattered batch.
 type batchGroup struct {
 	rep     *replica
-	orig    []int             // original item positions, ascending
-	queries []json.RawMessage // item bytes, same order as orig
+	orig    []int                 // original item positions, ascending
+	queries []json.RawMessage     // item bytes, same order as orig
+	sub     *replicaBatchResponse // the replica's answer, once dispatched
+	err     error                 // why there is no answer
 }
 
 // maxBatchBytes caps one /route/batch request body.
@@ -117,77 +120,71 @@ func (g *Gateway) handleRouteBatch(w http.ResponseWriter, r *http.Request) error
 	}
 
 	// Each round scatters the still-pending items by current owner and
-	// dispatches the groups concurrently; transport failures return
-	// their items to pending for the next round against the shrunken
-	// live set. len(reps) rounds bound the loop: each failed round
-	// marks at least one replica down.
+	// dispatches the groups concurrently, one worker per group, since
+	// each waits on its replica; transport failures return their items
+	// to pending for the next round against the shrunken live set.
+	// len(reps) rounds bound the loop: each failed round marks at least
+	// one replica down.
 	for round := 0; round < len(g.reps) && len(pending) > 0; round++ {
-		groups := make(map[int]*batchGroup)
+		byOwner := make([]*batchGroup, len(g.reps))
 		for _, i := range pending {
 			owner := g.ring.OwnerAlive(keys[i], g.routable)
 			if owner < 0 {
 				return &httpsvc.Error{Code: http.StatusServiceUnavailable, Msg: "no live replicas"}
 			}
-			grp := groups[owner]
+			grp := byOwner[owner]
 			if grp == nil {
 				grp = &batchGroup{rep: g.reps[owner]}
-				groups[owner] = grp
+				byOwner[owner] = grp
 			}
 			grp.orig = append(grp.orig, i)
 			grp.queries = append(grp.queries, req.Queries[i])
 		}
+		groups := slices.DeleteFunc(byOwner, func(grp *batchGroup) bool { return grp == nil })
+		_ = par.For(len(groups), len(groups), func(k int) error {
+			groups[k].sub, groups[k].err = g.dispatchBatch(r.Context(), groups[k])
+			return nil
+		})
 
+		// One pass in owner order gathers the round: every transport
+		// failure marks its replica, and the request fails with the
+		// lowest owner's error when any group failed otherwise.
 		var (
-			mu      sync.Mutex
-			retry   []int
-			httpErr error
-			wg      sync.WaitGroup
+			retry  []int
+			reqErr error
 		)
 		for _, grp := range groups {
-			wg.Add(1)
-			go func(grp *batchGroup) {
-				defer wg.Done()
-				sub, err := g.dispatchBatch(r.Context(), grp)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					var he *httpsvc.Error
-					if errors.As(err, &he) {
-						if httpErr == nil {
-							httpErr = he
-						}
-						return
-					}
-					// A client-caused or timed-out sub-batch fails the
-					// request without touching replica state (see
-					// clientCaused): retrying with a dead context would
-					// cascade down marks across the fleet.
-					if clientCaused(r.Context(), err) {
-						if httpErr == nil {
-							httpErr = &httpsvc.Error{Code: statusClientClosedRequest, Msg: "client closed request"}
-						}
-						return
-					}
-					if isTimeout(err) {
-						if httpErr == nil {
-							httpErr = &httpsvc.Error{Code: http.StatusGatewayTimeout, Msg: fmt.Sprintf("replica %s: %v", grp.rep.id, err)}
-						}
-						return
-					}
-					g.markFailed(grp.rep, err)
-					retry = append(retry, grp.orig...)
-					return
-				}
+			if grp.err == nil {
 				grp.rep.batchItems.Add(uint64(len(grp.orig)))
-				cacheHits += sub.CacheHits
+				cacheHits += grp.sub.CacheHits
 				for k, pos := range grp.orig {
-					results[pos] = attributeReplica(sub.Results[k], grp.rep.id)
+					results[pos] = attributeReplica(grp.sub.Results[k], grp.rep.id)
 				}
-			}(grp)
+				continue
+			}
+			// A client-caused or timed-out sub-batch fails the request
+			// without touching replica state (see clientCaused):
+			// retrying with a dead context would cascade down marks
+			// across the fleet.
+			var fail error
+			var he *httpsvc.Error
+			switch {
+			case errors.As(grp.err, &he):
+				fail = he
+			case clientCaused(r.Context(), grp.err):
+				fail = &httpsvc.Error{Code: statusClientClosedRequest, Msg: "client closed request"}
+			case isTimeout(grp.err):
+				fail = &httpsvc.Error{Code: http.StatusGatewayTimeout, Msg: fmt.Sprintf("replica %s: %v", grp.rep.id, grp.err)}
+			default:
+				g.markFailed(grp.rep, grp.err)
+				retry = append(retry, grp.orig...)
+			}
+			if reqErr == nil {
+				reqErr = fail
+			}
 		}
-		wg.Wait()
-		if httpErr != nil {
-			return httpErr
+		if reqErr != nil {
+			return reqErr
 		}
 		pending = retry
 	}

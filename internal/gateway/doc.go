@@ -48,11 +48,12 @@
 // # Batching
 //
 // POST /route/batch is scatter/gather: items split by hash owner,
-// sub-batches dispatch concurrently, per-item results reassemble at
-// their original positions with the owning replica injected as a
+// sub-batches dispatch concurrently (par.For, one worker per owner),
+// and one pass in owner order gathers them. Per-item results reassemble
+// at their original positions with the owning replica injected as a
 // "replica" field — every byte the replica computed is preserved, so a
 // gateway batch answer is bit-identical to the same batch against a
-// single replica.
+// single replica. A failure other than transport is the lowest owner's.
 //
 // # Transport
 //

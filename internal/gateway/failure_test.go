@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"stochroute/internal/httpsvc"
 	"stochroute/internal/obs"
 )
 
@@ -164,6 +165,58 @@ func TestClientCancelDoesNotDownReplicas(t *testing.T) {
 		if failovers[id] != 0 {
 			t.Errorf("replica %s recorded %d failovers off a client cancel", id, failovers[id])
 		}
+	}
+}
+
+// TestPanickingQueryKeepsFleetHealthy: a query whose handler panics on
+// every replica is one failed request, not a dead fleet. The replica's
+// chassis answers it 500 like any handler error, so the gateway relays
+// that answer instead of reading a dropped connection as a dead replica
+// and failing the query over until no replica is left.
+func TestPanickingQueryKeepsFleetHealthy(t *testing.T) {
+	const poisoned = 13
+	var replicas []Replica
+	for _, id := range []string{"r1", "r2", "r3"} {
+		svc := httpsvc.New(httpsvc.Options{Name: "server", Metrics: obs.NewRegistry(),
+			FallbackStatus: http.StatusInternalServerError, ReplicaID: id})
+		svc.Handle("/healthz", http.MethodGet, func(w http.ResponseWriter, r *http.Request) error {
+			return httpsvc.WriteJSON(w, map[string]any{"status": "ok", "model_epoch": 1, "replica": id})
+		})
+		svc.Handle("/route", http.MethodGet, func(w http.ResponseWriter, r *http.Request) error {
+			if httpsvc.QueryParam(r, "dest") == fmt.Sprint(poisoned) {
+				panic("poisoned query")
+			}
+			return httpsvc.WriteJSON(w, map[string]bool{"found": true})
+		})
+		ts := httptest.NewServer(svc.Handler())
+		t.Cleanup(ts.Close)
+		replicas = append(replicas, Replica{ID: id, URL: ts.URL})
+	}
+	_, base := startGateway(t, Config{Replicas: replicas})
+
+	get := func(dest int) *http.Response {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("%s/route?source=1&dest=%d&budget=5", base, dest))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	if resp := get(poisoned); resp.StatusCode != http.StatusInternalServerError || resp.Header.Get("X-Request-ID") == "" {
+		t.Errorf("poisoned query answered %d with request ID %q, want 500 with one", resp.StatusCode, resp.Header.Get("X-Request-ID"))
+	}
+	status, states, failovers := fleetStates(t, base)
+	if status != "ok" {
+		t.Errorf("fleet status %q after a panicking query, want ok", status)
+	}
+	for id, st := range states {
+		if st != "healthy" || failovers[id] != 0 {
+			t.Errorf("replica %s is %q with %d failovers after a panicking query, want healthy with 0", id, st, failovers[id])
+		}
+	}
+	if resp := get(poisoned + 1); resp.StatusCode != http.StatusOK {
+		t.Errorf("healthy query after the panicking one answered %d, want 200", resp.StatusCode)
 	}
 }
 

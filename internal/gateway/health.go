@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"stochroute/internal/obs"
+	"stochroute/internal/par"
 )
 
 // ReplicaState is the balancer's three-state view of one replica.
@@ -262,17 +262,12 @@ func (g *Gateway) probeFailed(rep *replica, err error) {
 	}
 }
 
-// probeAll probes every replica concurrently and waits for the round
+// probeAll probes every replica concurrently, one worker each, and waits for the round
 // to finish — used for the synchronous round at Start so the gateway
 // never begins routing on an unverified fleet view.
 func (g *Gateway) probeAll(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, rep := range g.reps {
-		wg.Add(1)
-		go func(rep *replica) {
-			defer wg.Done()
-			g.probe(ctx, rep)
-		}(rep)
-	}
-	wg.Wait()
+	_ = par.For(len(g.reps), len(g.reps), func(i int) error {
+		g.probe(ctx, g.reps[i])
+		return nil
+	})
 }

@@ -36,7 +36,8 @@
 //     the status line and part of the body are already on the wire;
 //     any other error is written with the service's fallback status
 //     (500 on a replica, 502 on the gateway, whose untyped failures are
-//     its backends').
+//     its backends'). A panic, except http.ErrAbortHandler, is logged
+//     with its stack and answered as an *Error 500 "internal error".
 //
 // # Parameters and header keys
 //

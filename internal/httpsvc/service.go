@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -187,7 +188,7 @@ func (e *endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	e.requests.Inc()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	err := e.h(w, r)
+	err := e.serve(w, r)
 	e.latency.Observe(time.Since(start).Seconds())
 	if err != nil {
 		e.errors.Inc()
@@ -201,6 +202,20 @@ func (e *endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.opts.Tracer.Finish(root)
+}
+
+// serve runs the handler and answers its panic 500: a dropped
+// connection would read, to a gateway, as a dead replica.
+func (e *endpoint) serve(w http.ResponseWriter, r *http.Request) (err error) {
+	defer func() {
+		if p := recover(); p == http.ErrAbortHandler {
+			panic(p)
+		} else if p != nil {
+			e.svc.Logf("%s: request %s panicked: %v\n%s", e.pattern, HeaderValue(w.Header(), HeaderRequestID), p, debug.Stack())
+			err = &Error{Code: http.StatusInternalServerError, Msg: "internal error"}
+		}
+	}()
+	return e.h(w, r)
 }
 
 // Serve runs handler on addr until ctx is cancelled, then shuts down

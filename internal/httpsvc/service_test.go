@@ -98,3 +98,48 @@ func TestServeGracefulShutdown(t *testing.T) {
 		t.Errorf("unlistenable address: err = %v, want the listen error", err)
 	}
 }
+
+// TestHandlerPanicAnswers500: a panicking handler is answered 500
+// {"error":"internal error"} under the request's ID, counted as an
+// error, finishes its trace with the error and logs the panic with its
+// stack; http.ErrAbortHandler still aborts the response.
+func TestHandlerPanicAnswers500(t *testing.T) {
+	var logbuf bytes.Buffer
+	tracer := obs.NewTracer(obs.NewSpanStore(4, 0), 1)
+	s := New(Options{Name: "svc", Metrics: obs.NewRegistry(), FallbackStatus: http.StatusBadGateway, Tracer: tracer, LogW: &logbuf})
+	s.Handle("/boom", http.MethodGet, func(http.ResponseWriter, *http.Request) error { panic("boom") })
+	s.Handle("/abort", http.MethodGet, func(http.ResponseWriter, *http.Request) error { panic(http.ErrAbortHandler) })
+
+	req := httptest.NewRequest(http.MethodGet, "/boom", nil)
+	req.Header.Set("X-Request-ID", "req-7")
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if body := strings.TrimSpace(rec.Body.String()); rec.Code != http.StatusInternalServerError || body != `{"error":"internal error"}` {
+		t.Errorf("panicking handler answered %d %s, want 500 {\"error\":\"internal error\"}", rec.Code, body)
+	}
+	if id := rec.Header().Get("X-Request-ID"); id != "req-7" {
+		t.Errorf("X-Request-ID = %q, want the request's own", id)
+	}
+	if st := s.EndpointStats()["/boom"]; st.Requests != 1 || st.Errors != 1 {
+		t.Errorf("endpoint stats = %+v, want 1 request, 1 error", st)
+	}
+	metrics := httptest.NewRecorder()
+	s.Handler().ServeHTTP(metrics, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if !strings.Contains(metrics.Body.String(), `http_request_errors_total{endpoint="/boom"} 1`) {
+		t.Errorf("/metrics does not count the panic as an error:\n%s", metrics.Body.String())
+	}
+	if traces := tracer.Store().Snapshot(); len(traces) != 1 || traces[0].RequestID != "req-7" || traces[0].Tree().Span.Err() != "internal error" {
+		t.Errorf("want one trace for req-7 whose root carries the error, got %d traces", len(traces))
+	}
+	if log := logbuf.String(); !strings.HasPrefix(log, "svc: /boom: request req-7 panicked: boom\n") || !strings.Contains(log, "goroutine ") {
+		t.Errorf("log = %q, want the panic value under the request ID, then the stack", log)
+	}
+
+	defer func() {
+		if p := recover(); p != http.ErrAbortHandler {
+			t.Errorf("recovered %v, want http.ErrAbortHandler raised again", p)
+		}
+	}()
+	s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/abort", nil))
+	t.Error("a handler panicking with http.ErrAbortHandler returned normally")
+}

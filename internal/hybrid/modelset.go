@@ -141,7 +141,7 @@ func TrainSlices(g *graph.Graph, stores []*traj.ObservationStore, trajsBySlice [
 	}
 	models := make([]*Model, k)
 	reports := make([]*EvalReport, k)
-	err := par.For(k, func(s int) error {
+	err := par.For(k, 0, func(s int) error {
 		kb, err := BuildKnowledgeBase(g, stores[s], cfg.Width, cfg.MinPairObs)
 		if err != nil {
 			return fmt.Errorf("hybrid: slice %d knowledge base: %w", s, err)

@@ -572,7 +572,13 @@ func (in *Ingestor) rebuild(p sliceRebuild) {
 	rctx, root := in.cfg.Tracer.StartBackground("rebuild", obs.NewRequestID())
 	root.SetInt("slice", int64(p.slice))
 	root.SetStr("reason", p.reason)
-	err := func() error {
+	err := func() (err error) {
+		// A panic is this rebuild's error; the replica lives on.
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
 		_, ksp := obs.StartSpan(rctx, "build-kb")
 		g := in.target.Graph()
 		next := in.foldBatch(p)

@@ -29,6 +29,9 @@ type fakeTarget struct {
 	swapSlices []int                  // slice of every SwapSliceModel call, in order
 	// refuse, when it names a slice, fails that slice's swaps.
 	refuse map[int]error
+	// panicSwaps is the number of swaps still to panic instead of
+	// swapping.
+	panicSwaps int
 	// beforeGraph, when set, runs at the top of every Graph call — a
 	// rebuild's first call into the target, so a test can hold one
 	// there.
@@ -72,6 +75,10 @@ func (t *fakeTarget) SwapSliceModel(slice int, m *hybrid.Model, obs *traj.Observ
 	defer t.mu.Unlock()
 	if err := t.refuse[slice]; err != nil {
 		return 0, err
+	}
+	if t.panicSwaps > 0 {
+		t.panicSwaps--
+		panic("swap exploded")
 	}
 	if t.kb == nil {
 		t.kb = make(map[int]*hybrid.KnowledgeBase)

@@ -105,3 +105,43 @@ func TestIngestRequestSpans(t *testing.T) {
 		t.Errorf("ingest spans = %v, want ingest-validate and ingest-fold", names)
 	}
 }
+
+// TestPanickingRebuildKeepsServing: a panic inside a rebuild is that
+// rebuild's error. It is counted and recorded on the rebuild's trace,
+// the serving generation stays, the slice is no longer rebuilding,
+// WaitRebuilds returns, and the next trigger rebuilds and swaps.
+func TestPanickingRebuildKeepsServing(t *testing.T) {
+	fx := testFixture(t)
+	tgt := &fakeTarget{g: fx.g, kb: map[int]*hybrid.KnowledgeBase{0: fx.kb}, epoch: 1, panicSwaps: 1}
+	tracer := obs.NewTracer(obs.NewSpanStore(16, time.Hour), 1000000)
+	in := New(tgt, Config{
+		Hybrid:                 lightHybridConfig(fx.width),
+		Drift:                  DriftConfig{Window: -1, RebuildEvery: 100},
+		MinRebuildTrajectories: 100,
+		Tracer:                 tracer,
+	}, nil)
+
+	in.Ingest(fx.trajs[:150])
+	in.WaitRebuilds()
+	if st := in.Status(); st.RebuildErrors != 1 || st.Rebuilds != 0 || st.Rebuilding {
+		t.Fatalf("after the panicking rebuild: %d errors, %d rebuilds, rebuilding %v; want 1, 0, false",
+			st.RebuildErrors, st.Rebuilds, st.Rebuilding)
+	}
+	if e := tgt.ModelEpoch(); e != 1 {
+		t.Errorf("serving epoch %d after a panicking rebuild, want 1", e)
+	}
+	traces := tracer.Store().Snapshot()
+	if len(traces) != 1 || traces[0].Tree().Span.Err() != "panic: swap exploded" {
+		t.Errorf("want one rebuild trace whose root carries the panic, got %d traces", len(traces))
+	}
+
+	in.Ingest(fx.trajs[150:300])
+	in.WaitRebuilds()
+	if st := in.Status(); st.RebuildErrors != 1 || st.Rebuilds != 1 || st.Rebuilding {
+		t.Fatalf("after the next trigger: %d errors, %d rebuilds, rebuilding %v; want 1, 1, false",
+			st.RebuildErrors, st.Rebuilds, st.Rebuilding)
+	}
+	if e := tgt.ModelEpoch(); e != 2 {
+		t.Errorf("serving epoch %d after the next rebuild, want 2", e)
+	}
+}

@@ -1,8 +1,8 @@
-// Package par is the one worker pool of the build path: the independent
-// units of a model generation — route-pool attempts of the trajectory
-// simulator, per-slice observation stores, knowledge bases and training
-// runs, per-landmark distance sweeps — run through For, so what a build
-// produces never depends on how many cores built it.
+// Package par is the program's one fork-join pool. A model generation's
+// units (route-pool attempts, per-slice stores, knowledge bases and
+// training runs, landmark sweeps) run through For, so a build does not
+// depend on how many cores ran it; so do a routing batch's items, the
+// gateway's sub-batches and probes, and loadgen's requests.
 package par
 
 import (
@@ -11,9 +11,9 @@ import (
 	"sync/atomic"
 )
 
-// For calls fn(i) once for every i in [0, n) on min(GOMAXPROCS, n)
-// workers and returns when all of them have. With one worker (n ≤ 1, or
-// GOMAXPROCS 1) it is a plain loop on the caller's goroutine.
+// For calls fn(i) once for every i in [0, n) on min(workers, n) workers
+// and returns when all of them have; workers ≤ 0 means GOMAXPROCS. With
+// one worker it is a plain loop on the caller's goroutine.
 //
 // fn must confine its writes to what index i owns (element i of a
 // pre-sized slice, column i of a table); For orders every such write
@@ -26,9 +26,11 @@ import (
 // plain loop skips them. A panic in fn stops the claiming the same way
 // and is raised again on the caller's goroutine once the workers are
 // done.
-func For(n int, fn func(i int) error) error {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if workers <= 1 {
+func For(n, workers int, fn func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers = min(workers, n); workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err

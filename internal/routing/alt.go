@@ -199,7 +199,7 @@ func buildALT(g *graph.Graph, weights []float64, landmarks []graph.VertexID) (*A
 	// with the weights already checked a sweep fails only on a distance
 	// float32 cannot hold.
 	slack := make([]float64, 2*l) // per job
-	err := par.For(2*l, func(job int) error {
+	err := par.For(2*l, 0, func(job int) error {
 		i, backward, table := job/2, job%2 == 1, t.fromLm
 		if backward {
 			table = t.toLm

@@ -50,12 +50,12 @@
 //     peak, off-peak and time-expanded items). The whole batch is
 //     validated up front — a malformed query fails the request with a
 //     400 naming its index AND field, e.g. "queries[3].depart_s" —
-//     then answered against ONE model snapshot on a bounded worker
-//     pool (Config.BatchWorkers) and returned as {"results": [...],
+//     then answered against ONE model snapshot on par.For's pool of
+//     Config.BatchWorkers workers and returned as {"results": [...],
 //     "cache_hits": n, "runtime_ms": t} with results[i] answering
 //     queries[i] in the same shape as /route (plus a per-item "error"
 //     for queries that individually failed, e.g. an exhausted label
-//     budget). Each classic item first consults the shared route cache
+//     budget or a panic in that item's search). Each classic item first consults the shared route cache
 //     under the same epoch-validated key /route uses, so hot batches
 //     are answered without searching and batch-warmed entries serve
 //     later /route calls; time-expanded items always search.

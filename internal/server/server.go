@@ -40,8 +40,9 @@ type Backend interface {
 	// snapshot: a hot swap mid-batch must never split a batch across
 	// model generations, and every item (error items included) carries
 	// the epoch of the slice that served it under that snapshot.
-	// Cancelling ctx stops the batch between queries. workers <= 0
-	// picks a sensible default.
+	// Cancelling ctx stops the batch between queries. A panic in one
+	// query's search is that item's Err; the other items are still
+	// answered. workers <= 0 picks a sensible default.
 	RouteBatch(ctx context.Context, queries []routing.BatchQuery, workers int) []routing.BatchItem
 	AlternativeRoutes(source, dest graph.VertexID, horizon float64, maxRoutes int) ([]routing.ParetoRoute, error)
 	// PairSumAt answers under the given time-of-day slice's serving

@@ -15,7 +15,7 @@ func CollectSlices(g *graph.Graph, width float64, k int, trs []Trajectory) []*Ob
 	buckets := SplitBySlice(trs, k)
 	stores := make([]*ObservationStore, len(buckets))
 	// Collecting cannot fail.
-	_ = par.For(len(stores), func(s int) error {
+	_ = par.For(len(stores), 0, func(s int) error {
 		stores[s] = NewObservationStore(g, width)
 		stores[s].Collect(buckets[s])
 		return nil

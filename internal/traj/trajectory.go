@@ -315,7 +315,7 @@ func buildRoutePool(w *World, r *rng.RNG, cfg WalkConfig) [][]graph.EdgeID {
 		}
 		routes := make([][]graph.EdgeID, n)
 		// A route search cannot fail.
-		_ = par.For(n, func(i int) error {
+		_ = par.For(n, 0, func(i int) error {
 			a := &batch[i]
 			if a.src == a.dst {
 				return nil
