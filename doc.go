@@ -80,11 +80,12 @@
 //     the workspace's arena, and labels killed by pruning recycle their
 //     buffers immediately.
 //
-// A warmed search therefore allocates only what escapes it: the
-// Result, the per-request coster view, and — at each pivot
-// improvement — a clone of the pivot's distribution and its edge path.
-// TestRouteSteadyStateAllocs holds a routed query to 64 allocations at
-// steady state (typically one or two dozen), which is what lets one
+// A warmed search therefore allocates only what escapes it, once, on
+// the way out: the Result with its distribution, edge path and slice
+// sequence, and the per-request QueryStats that holds the coster view.
+// The pivot lives in the workspace until then. TestRouteSteadyStateAllocs
+// holds a routed query to 8 allocations at steady state (11 with a
+// SeedPath, whose seed keeps a copy of its own), which is what lets one
 // engine serve batch traffic at scale.
 //
 // # The preprocessing layer: ALT landmark potentials

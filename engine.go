@@ -485,6 +485,7 @@ func (e *Engine) RouteCtx(ctx context.Context, source, dest VertexID, opts Route
 func (e *Engine) routeOnSnapshot(ctx context.Context, cur *modelSnapshot, source, dest VertexID, opts RouteOptions) (*RouteResult, error) {
 	sctx, sp := obs.StartSpan(ctx, "search")
 	slice := cur.set.SliceOf(opts.Departure)
+	// qs holds the coster view bound to it: one allocation per query.
 	var qs hybrid.QueryStats
 	var coster hybrid.Coster
 	if opts.TimeExpanded {

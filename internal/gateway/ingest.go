@@ -30,8 +30,17 @@ type ingestAck struct {
 // the edge with the same 400 a replica would return, without decoding
 // trajectory payloads it never interprets.
 type ingestProbe struct {
-	Trajectories []json.RawMessage `json:"trajectories"`
+	Trajectories []counted `json:"trajectories"`
 }
+
+// counted is a JSON value the gateway counts and never reads. It
+// accepts whatever json.RawMessage accepts — any value, the decoder
+// having checked its syntax — without copying it, and takes no memory
+// in the slice.
+type counted struct{}
+
+// UnmarshalJSON implements json.Unmarshaler: there is nothing to keep.
+func (*counted) UnmarshalJSON([]byte) error { return nil }
 
 // handleIngest accepts one trajectory batch and fans the raw body out
 // to every replica's delivery queue, so each replica's drift monitor

@@ -59,23 +59,22 @@ func TrainClassifier(kb *KnowledgeBase, pairs []traj.PairKey) (*Classifier, ml.C
 	if len(pairs) == 0 {
 		return nil, zero, errors.New("hybrid: no pairs to train classifier on")
 	}
-	rows := make([][]float64, 0, len(pairs))
+	// The feature matrix is filled row by row in one slab.
+	data := make([]float64, 0, len(pairs)*NumClassifierFeatures)
 	labels := make([]float64, 0, len(pairs))
 	for _, k := range pairs {
 		ps, ok := kb.Pair(k.First, k.Second)
 		if !ok {
 			continue
 		}
-		rows = append(rows, ClassifierFeatures(ps))
+		row := classifierRow(ps)
+		data = append(data, row[:]...)
 		labels = append(labels, boolTo01(ps.PValue < alpha))
 	}
-	if len(rows) == 0 {
+	if len(labels) == 0 {
 		return nil, zero, errors.New("hybrid: classifier training produced no usable pairs")
 	}
-	x, err := ml.FromRows(rows)
-	if err != nil {
-		return nil, zero, err
-	}
+	x := &ml.Matrix{Rows: len(labels), Cols: NumClassifierFeatures, Data: data}
 	scaler, err := ml.FitScaler(x)
 	if err != nil {
 		return nil, zero, err

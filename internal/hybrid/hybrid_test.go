@@ -241,8 +241,22 @@ func TestWithStatsCountsPerRequest(t *testing.T) {
 	if _, err := PathCost(m.WithStats(&other), []graph.EdgeID{k.First, k.Second}); err != nil {
 		t.Fatal(err)
 	}
-	if other != qs {
-		t.Errorf("a second request over the same path counted %+v, the first %+v", other, qs)
+	if counts(other) != counts(qs) {
+		t.Errorf("a second request over the same path counted %+v, the first %+v", counts(other), counts(qs))
+	}
+	// A second view bound to the same stats is a view of its own model,
+	// not the first view re-pointed.
+	conv, est := *m, *m
+	conv.Mode, est.Mode = AlwaysConvolve, AlwaysEstimate
+	var both QueryStats
+	convView, estView := conv.WithStats(&both), est.WithStats(&both)
+	for _, c := range []Coster{convView, estView} {
+		if _, err := PathCost(c, []graph.EdgeID{k.First, k.Second}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := (QueryStats{Convolved: 1, Estimated: 1}); counts(both) != want {
+		t.Errorf("two views on one QueryStats counted %+v, want %+v", counts(both), want)
 	}
 	if got := m.WithStats(nil); got != Coster(m) {
 		t.Error("WithStats(nil) should return the model itself")
@@ -337,9 +351,6 @@ func TestFeaturesShapeAndTranslationInvariance(t *testing.T) {
 			t.Errorf("virtual feature %d not translation invariant: %v vs %v", i, f1[i], f2[i])
 		}
 	}
-	if len(ClassifierFeatures(ps)) != NumClassifierFeatures {
-		t.Error("classifier feature length mismatch")
-	}
 }
 
 func TestTrainedModelBeatsConvolution(t *testing.T) {
@@ -411,7 +422,7 @@ func TestModelModes(t *testing.T) {
 		if _, err := PathCost(m.WithStats(&qs), []graph.EdgeID{k.First, k.Second}); err != nil {
 			t.Fatal(err)
 		}
-		return qs
+		return counts(qs)
 	}
 	m.Mode = AlwaysConvolve
 	if qs := decide(); qs != (QueryStats{Convolved: 1}) {
@@ -688,7 +699,8 @@ func TestTrainLabelsMatchDependenceTest(t *testing.T) {
 	var rows [][]float64
 	var labels []float64
 	for _, k := range pairs {
-		rows = append(rows, ClassifierFeatures(mustPair(t, e.kb, k)))
+		row := classifierRow(mustPair(t, e.kb, k))
+		rows = append(rows, row[:])
 		labels = append(labels, label(k))
 	}
 	x, err := ml.FromRows(rows)
@@ -730,9 +742,9 @@ func TestTrainLabelsMatchDependenceTest(t *testing.T) {
 	probs, labels = probs[:0], labels[:0]
 	for _, k := range test {
 		dependent += label(k)
-		row := ClassifierFeatures(mustPair(t, e.kb, k))
-		model.Classifier.Scaler.TransformRow(row)
-		probs = append(probs, model.Classifier.LR.PredictProb(row))
+		row := classifierRow(mustPair(t, e.kb, k))
+		model.Classifier.Scaler.TransformRow(row[:])
+		probs = append(probs, model.Classifier.LR.PredictProb(row[:]))
 		labels = append(labels, label(k))
 	}
 	auc, err := ml.AUC(probs, labels)

@@ -119,9 +119,16 @@ type Model struct {
 // extensions convolved versus estimated while answering one query. A
 // QueryStats must not be shared across concurrently executing queries
 // (each request gets its own).
+//
+// It also stores the first coster view of each kind bound to it
+// (WithStats, ModelSet.TimeExpandedCoster), so a request's stats and
+// view are one allocation; compare two QueryStats by their counts.
 type QueryStats struct {
 	Convolved int
 	Estimated int
+
+	counting countingCoster
+	temporal timeExpandedCoster
 }
 
 // tally records one extension decision; a nil QueryStats counts
@@ -202,11 +209,18 @@ func (m *Model) extendInto(s *Scratch, virtual *hist.Hist, lastEdge, next graph.
 // request: hand each routing query its own QueryStats and the queries
 // can run concurrently while still reporting per-request convolve vs.
 // estimate counts. Nothing else counts them: the model keeps no totals.
+// The first view bound to qs lives inside it; a later one is allocated,
+// so every view stays over the model it was made for.
 func (m *Model) WithStats(qs *QueryStats) Coster {
 	if qs == nil {
 		return m
 	}
-	return &countingCoster{m: m, qs: qs}
+	v := &qs.counting
+	if v.qs != nil {
+		v = new(countingCoster)
+	}
+	*v = countingCoster{m: m, qs: qs}
+	return v
 }
 
 // countingCoster decorates a Model with per-request decision counting.

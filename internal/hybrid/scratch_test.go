@@ -170,8 +170,8 @@ func TestExtendElapsedIntoMatchesExtendElapsed(t *testing.T) {
 			}
 			last, next = next, out[0]
 		}
-		if refStats != arenaStats {
-			t.Fatalf("decisions tallied differently: reference %+v, arena %+v", refStats, arenaStats)
+		if counts(refStats) != counts(arenaStats) {
+			t.Fatalf("decisions tallied differently: reference %+v, arena %+v", counts(refStats), counts(arenaStats))
 		}
 		if seen[0] && seen[1] {
 			crossed++
@@ -259,4 +259,10 @@ func TestMinEdgeTimeWithinMatchesSweep(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("MinEdgeTimeWithin allocates %v per pair of calls", allocs)
 	}
+}
+
+// counts is qs without the coster views it stores: the decision counts
+// two requests are compared by.
+func counts(qs QueryStats) QueryStats {
+	return QueryStats{Convolved: qs.Convolved, Estimated: qs.Estimated}
 }

@@ -74,9 +74,17 @@ type TemporalScratchCoster interface {
 // Model.WithStats (nil disables). The returned coster memoises
 // admissible-bound state per horizon and tallies into qs, so it serves
 // ONE query at a time — hand each query its own (the set itself stays
-// shared and read-only).
+// shared and read-only). Like WithStats, the first such coster bound to
+// a non-nil qs lives inside it.
 func (ms *ModelSet) TimeExpandedCoster(depart float64, qs *QueryStats) TemporalScratchCoster {
-	return &timeExpandedCoster{set: ms, depart: depart, qs: qs}
+	var tc *timeExpandedCoster
+	if qs != nil && qs.temporal.qs == nil {
+		tc = &qs.temporal
+	} else {
+		tc = new(timeExpandedCoster)
+	}
+	*tc = timeExpandedCoster{set: ms, depart: depart, qs: qs}
+	return tc
 }
 
 // timeExpandedCoster is the ModelSet's TemporalScratchCoster: slice

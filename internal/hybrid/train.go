@@ -198,9 +198,9 @@ func Train(kb *KnowledgeBase, obs *traj.ObservationStore, trajs []traj.Trajector
 		if !ok {
 			continue
 		}
-		row := ClassifierFeatures(ps)
-		clf.Scaler.TransformRow(row)
-		probs = append(probs, clf.LR.PredictProb(row))
+		row := classifierRow(ps)
+		clf.Scaler.TransformRow(row[:])
+		probs = append(probs, clf.LR.PredictProb(row[:]))
 		labels = append(labels, boolTo01(pairLabel(kb, oracle, k)))
 	}
 	if auc, err := ml.AUC(probs, labels); err == nil {

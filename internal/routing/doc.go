@@ -28,9 +28,10 @@
 //     The floats live in the workspace's hist.Arena; a label's buffer
 //     is recycled ONLY when the label is provably dead (killed by
 //     dominance, evicted from a full frontier, or pruned before ever
-//     being pushed) and nothing else references it. The pivot
-//     distribution escapes the search as Result.Dist, so it is cloned
-//     out of the arena at every pivot improvement.
+//     being pushed) and nothing else references it. The pivot label
+//     can die too, so each pivot improvement copies its masses into a
+//     buffer the workspace owns; Result.Dist is cloned from that copy
+//     once, when the search returns.
 //   - Labels are truncated above the horizon budget*1.3. Truncation
 //     aggregates tail mass at the first support point above the
 //     horizon; it preserves CDF(v) for every v <= horizon, so the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"stochroute/internal/graph"
@@ -193,9 +194,10 @@ type label struct {
 // priority heap, its dominance frontiers and, in its hist.Arena, every
 // label distribution — labels proven dead recycle their buffers and
 // pivot pruning reads shifted CDFs without cloning — so a warmed search
-// allocates only what escapes it: the Result, a clone of the pivot's
-// distribution and its path at each pivot improvement. The coster
-// extends straight into the arena (the hybrid.Coster contract).
+// allocates only what escapes it: the Result with its distribution,
+// path and slice sequence, built once on the way out, and under
+// opts.SeedPath the seed's own distribution and slice sequence. The
+// coster extends straight into the arena (the hybrid.Coster contract).
 //
 // When opts.TimeExpanded is set and c implements
 // hybrid.TemporalScratchCoster (the time-sliced ModelSet façade does),
@@ -343,14 +345,16 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 	// must only recycle distributions nothing else references.
 	recycle := scratch.Arena.Recycle
 
-	// Pivot: the most promising complete path found so far (b). Its
-	// distribution escapes the search (Result.Dist), so it is cloned
-	// out of the arena at every improvement.
+	// Pivot: the most promising complete path found so far (b) — the
+	// seed path while pivotIdx is -1, else the label pivotIdx, whose
+	// masses ws.pivot holds: a later label that kills the pivot label
+	// recycles its arena buffer. Pruning reads only pivotProb; the
+	// answer is built from the pivot once, on the way out.
 	havePivot := false
-	var pivotPath []graph.EdgeID
-	var pivotDist *hist.Hist
-	var pivotSlices []int // time-expanded: slice per pivot edge
+	pivotIdx := int32(-1)
 	pivotProb := -1.0
+	var seedDist *hist.Hist
+	var seedSlices []int // time-expanded: slice per seed edge
 
 	// Warm-start the pivot from the seed path, if any. Under
 	// time-expanded lookup the seed is costed exactly like a search
@@ -363,7 +367,6 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 			ssp.End()
 			return nil, fmt.Errorf("routing: PBR seed path: %w", err)
 		}
-		var seedSlices []int
 		if useTemporal {
 			seedSlices = make([]int, len(opts.SeedPath))
 			seedSlices[0] = sliceAt(0)
@@ -379,17 +382,17 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 			recycle(sd)
 			sd = nd
 		}
+		// The seed may be the answer (the SwitchMargin fall-back), so
+		// its distribution is a clone of its own, never ws.pivot.
 		havePivot = true
-		pivotPath = append([]graph.EdgeID(nil), opts.SeedPath...)
-		pivotDist = sd.Clone()
+		seedDist = sd.Clone()
 		recycle(sd)
-		pivotSlices = seedSlices
-		pivotProb = pivotDist.CDF(opts.Budget)
+		pivotProb = seedDist.CDF(opts.Budget)
 		ssp.SetInt("edges", int64(len(opts.SeedPath)))
 		ssp.SetFloat("prob", pivotProb)
 		ssp.End()
 	}
-	seedProb, seedDist, seedSliceSeq := pivotProb, pivotDist, pivotSlices
+	seedProb := pivotProb
 
 	// push appends a label; costSlice is the slice whose model costed
 	// last (the label's Result.SliceSeq entry), elapsed the accumulated
@@ -464,11 +467,8 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 			if p > pivotProb {
 				havePivot = true
 				pivotProb = p
-				// Clone out of the arena: the label may be killed (and
-				// its buffer recycled) later, and the pivot outlives
-				// the search as Result.Dist.
-				pivotDist = lb.dist.Clone()
-				pivotPath, pivotSlices = reconstruct(ws.labels, idx, useTemporal)
+				pivotIdx = idx
+				ws.keepPivot(lb.dist)
 			}
 			// Positive edge times mean re-leaving the destination can
 			// never improve the arrival distribution; do not expand.
@@ -625,15 +625,6 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 		res.Complete = true
 	}
 
-	// Decisive-switch rule: fall back to the seed unless the search's
-	// best is better by more than the margin.
-	if len(opts.SeedPath) > 0 && opts.SwitchMargin > 0 && pivotProb < seedProb+opts.SwitchMargin {
-		pivotPath = append([]graph.EdgeID(nil), opts.SeedPath...)
-		pivotDist = seedDist
-		pivotProb = seedProb
-		pivotSlices = seedSliceSeq
-	}
-
 	res.Runtime = time.Since(start)
 	if !havePivot {
 		// A complete search that never reached dest proves dest is not
@@ -651,10 +642,18 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 		return res, nil
 	}
 	res.Found = true
+	// Decisive-switch rule: fall back to the seed unless the search's
+	// best is better by more than the margin.
+	if pivotIdx < 0 || len(opts.SeedPath) > 0 && opts.SwitchMargin > 0 && pivotProb < seedProb+opts.SwitchMargin {
+		res.Prob = seedProb
+		res.Dist = seedDist
+		res.Path = slices.Clone(opts.SeedPath)
+		res.SliceSeq = seedSlices
+		return res, nil
+	}
 	res.Prob = pivotProb
-	res.Dist = pivotDist
-	res.Path = pivotPath
-	res.SliceSeq = pivotSlices
+	res.Dist = ws.pivot.Clone()
+	res.Path, res.SliceSeq = reconstruct(ws.labels, pivotIdx, useTemporal)
 	return res, nil
 }
 

@@ -6,21 +6,24 @@ import (
 	"sync/atomic"
 
 	"stochroute/internal/graph"
+	"stochroute/internal/hist"
 	"stochroute/internal/hybrid"
 	"stochroute/internal/pqueue"
 )
 
 // workspace is everything one PBR search owns besides its Result: the
 // cost-kernel scratch (histogram arena + estimator buffers), the label
-// slice, the priority heap and the dominance frontiers. Workspaces are
-// pooled, so a warmed one runs the whole label loop without allocating.
-// A workspace serves one search at a time; its memory is proportional
-// to the largest search it has run, never to the graph.
+// slice, the priority heap, the dominance frontiers and a copy of the
+// pivot's masses. Workspaces are pooled, so a warmed one runs the whole
+// label loop without allocating. A workspace serves one search at a
+// time; its memory is proportional to the largest search it has run,
+// never to the graph.
 type workspace struct {
 	scratch   hybrid.Scratch
 	labels    []label
 	pq        pqueue.Heap[int32]
 	frontiers frontierStore
+	pivot     hist.Hist
 }
 
 // scratchPool recycles workspaces across queries. Each PBR or
@@ -40,6 +43,13 @@ func (ws *workspace) release() {
 	ws.labels = ws.labels[:0]
 	ws.pq.Reset()
 	ws.frontiers.reset()
+}
+
+// keepPivot copies d, a new pivot label's distribution, into ws.pivot,
+// reusing its mass buffer. The copy outlives the label's arena buffer,
+// which a later label that kills the pivot label recycles.
+func (ws *workspace) keepPivot(d *hist.Hist) {
+	ws.pivot = hist.Hist{Min: d.Min, Width: d.Width, P: append(ws.pivot.P[:0], d.P...)}
 }
 
 // arenaInUse tracks the retained bytes of every scratch arena currently
