@@ -21,6 +21,7 @@ import (
 	"stochroute/internal/netgen"
 	"stochroute/internal/obs"
 	"stochroute/internal/replay"
+	"stochroute/internal/routing"
 	"stochroute/internal/server"
 	"stochroute/internal/traj"
 )
@@ -611,6 +612,156 @@ func TestGatewayScatterGatherBitIdentity(t *testing.T) {
 				it.Source, it.Dest, rep, out.Results)
 		}
 	}
+}
+
+// poisonedBackend is a replica engine with one (source, dest) pair
+// poisoned: a batch item for the pair gets a potential source that
+// panics, so the engine's per-item recover is what answers it.
+type poisonedBackend struct {
+	*Engine
+	source, dest VertexID
+}
+
+func (b poisonedBackend) RouteBatch(ctx context.Context, queries []BatchQuery, workers int) []routing.BatchItem {
+	for i := range queries {
+		if queries[i].Source == b.source && queries[i].Dest == b.dest {
+			queries[i].Opts.Potentials = panicPotentials{dest: b.dest}
+		}
+	}
+	return b.Engine.RouteBatch(ctx, queries, workers)
+}
+
+// TestGatewayBatchPanickingItemE2E sends /route/batch through the
+// gateway to a real replica whose engine panics on one item. The
+// answer is a 200; every item, the panicking one's "error" included,
+// is the replica's own bytes with "replica" spliced in; and every other
+// item equals a healthy solo replica's answer once "replica" is
+// stripped.
+func TestGatewayBatchPanickingItemE2E(t *testing.T) {
+	cfg, g, trajs, setBytes := fleetSubstrate(t)
+	set, err := hybrid.ReadModelSet(bytes.NewReader(setBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngineWithModelSet(g, trajs, cfg.Hybrid.Width, cfg.Hybrid.MinPairObs, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo := newFleetReplica(t, "solo", false)
+
+	qs, err := solo.eng.SampleQueries(0.4, 1.4, 12, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type bq struct {
+		Source int     `json:"source"`
+		Dest   int     `json:"dest"`
+		Budget float64 `json:"budget_s"`
+	}
+	var items []bq
+	seen := map[[2]int]bool{}
+	for _, q := range qs {
+		pair := [2]int{int(q.Source), int(q.Dest)}
+		if seen[pair] {
+			continue
+		}
+		seen[pair] = true
+		opt, err := solo.eng.OptimisticTime(q.Source, q.Dest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, bq{Source: pair[0], Dest: pair[1], Budget: 1.5 * opt})
+	}
+	if len(items) < 4 {
+		t.Fatalf("only %d distinct pairs sampled", len(items))
+	}
+	poisoned := len(items) / 2
+	bad := items[poisoned]
+
+	// The replica behind the gateway records its own /route/batch answer.
+	srv := server.New(poisonedBackend{Engine: eng, source: VertexID(bad.Source), dest: VertexID(bad.Dest)},
+		server.Config{ReplicaID: "r1"})
+	var own atomic.Value
+	rep := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, r)
+		if r.URL.Path == "/route/batch" {
+			own.Store(rec.Body.Bytes())
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	defer rep.Close()
+	gw, err := gateway.New(gateway.Config{Replicas: []gateway.Replica{{ID: "r1", URL: rep.URL}}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	gw.Start(ctx)
+	front := httptest.NewServer(gw.Handler())
+	defer front.Close()
+
+	body, err := json.Marshal(map[string]any{"queries": items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := func(base string) []json.RawMessage {
+		t.Helper()
+		resp, err := http.Post(base+"/route/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s/route/batch: status %d: %s", base, resp.StatusCode, raw)
+		}
+		return resultsOf(t, raw, len(items))
+	}
+	got := results(front.URL)
+	want := results(solo.ts.URL)
+	ownBytes, _ := own.Load().([]byte)
+	mine := resultsOf(t, ownBytes, len(items))
+
+	wantErr, err := json.Marshal(fmt.Sprintf("stochroute: batch item %d panicked: poisoned destination %d", poisoned, bad.Dest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		stripped := bytes.Replace(got[i], []byte(`"replica":"r1",`), nil, 1)
+		if !bytes.Equal(stripped, mine[i]) {
+			t.Errorf("item %d is not the replica's bytes:\n gateway: %s\n replica: %s", i, got[i], mine[i])
+		}
+		hasErr := bytes.Contains(got[i], []byte(`"error":`))
+		if i == poisoned {
+			if !bytes.HasSuffix(got[i], append(append([]byte(`,"error":`), wantErr...), '}')) {
+				t.Errorf("panicking item %d: %s, want its error %s", i, got[i], wantErr)
+			}
+			continue
+		}
+		if hasErr || !bytes.Equal(stripped, want[i]) {
+			t.Errorf("item %d differs from the solo replica's answer:\n gateway: %s\n    solo: %s", i, got[i], want[i])
+		}
+	}
+}
+
+// resultsOf splits a /route/batch answer into its n results' bytes.
+func resultsOf(t *testing.T, doc []byte, n int) []json.RawMessage {
+	t.Helper()
+	var out struct {
+		Results []json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(doc, &out); err != nil || len(out.Results) != n {
+		t.Fatalf("answer with %d results wanted, got %v: %.300s", n, err, doc)
+	}
+	return out.Results
 }
 
 // --- ingest fan-out ---------------------------------------------------

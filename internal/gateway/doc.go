@@ -55,6 +55,22 @@
 // gateway batch answer is bit-identical to the same batch against a
 // single replica. A failure other than transport is the lowest owner's.
 //
+// Nothing on the way is decoded into values. One walk over the client's
+// body, after json.Valid, yields each item's span (a sub-slice of the
+// body) and its (source, dest), with encoding/json's rules for the
+// shape (FuzzScanBatchRequest holds the walk to them). A sub-batch is
+// {"queries":[…]} around its items' spans joined by commas, so an
+// item's bytes, whitespace included, reach the replica as the client
+// sent them. A replica's answer is read into one buffer, checked with
+// json.Valid (data after its JSON value is a transport-level decode
+// failure) and split into result spans, whose count must match the
+// sub-batch's. The client's answer is those spans, each with
+// "replica":"<id>" spliced in after its opening brace, then the summed
+// cache_hits and the gateway's runtime_ms, appended into a pooled
+// buffer. A sub-batch carries the client's identity headers
+// (X-Request-ID, Accept, traceparent), as a proxied GET does, under its
+// own Content-Type.
+//
 // # Transport
 //
 // Everything the gateway sends to its fleet — proxied queries,
@@ -72,10 +88,11 @@
 // When the context given to Start ends, the parked connections are
 // closed.
 //
-// A proxied GET is derived, not rebuilt: the replica's base URL is
-// parsed once in New, each dispatch copies it and attaches the inbound
-// path and raw query, forwards the identity headers (X-Request-ID,
-// Accept, Content-Type, traceparent) and relays the answer's
+// A proxied GET and a sub-batch are derived, not rebuilt: the
+// replica's base URL is parsed once in New, each dispatch copies it and
+// attaches its path and raw query, forwards the identity headers
+// (X-Request-ID, Accept, Content-Type, traceparent) and, for a GET,
+// relays the answer's
 // Content-Type, X-Cache and X-Replica through the value slices they
 // arrived in (see internal/httpsvc on header keys), and the ring key
 // is hashed straight out of the raw query.

@@ -351,33 +351,50 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, rep *replica) (f
 	return false, nil
 }
 
-// forwardedHeaders are the identity headers a replica should see; the
-// inbound traceparent passes through unless the gateway's own sampling
-// replaces it in dispatch.
+// forwardedHeaders are the identity headers a replica should see, on a
+// proxied GET and on a sub-batch alike; the inbound traceparent passes
+// through unless the gateway's own sampling replaces it in send.
 var forwardedHeaders = [...]string{httpsvc.HeaderRequestID, httpsvc.HeaderAccept, httpsvc.HeaderContentType, httpsvc.HeaderTraceparent}
 
-// dispatch forwards one GET to rep, carrying the request identity
-// (forwardedHeaders) and the trace context: when the gateway sampled
-// this request, the replica receives a traceparent naming the
-// gateway's trace with a fresh proxy span as parent, so the replica's
-// span tree joins the gateway's waterfall in /debug/traces. The
-// outbound request is the replica's template under ctx with the
-// inbound path and query on a copy of its parsed base URL; nothing is
-// formatted or re-parsed, and the header values are the inbound
-// request's own slices.
+// dispatch forwards one GET to rep: the inbound path and raw query on
+// the replica's base URL, under the inbound request's identity.
 func (g *Gateway) dispatch(ctx context.Context, rep *replica, r *http.Request) (*http.Response, error) {
+	req := rep.request(ctx, r, http.MethodGet, r.URL.Path, r.URL.RawQuery)
+	return g.send(rep, req, "proxy", 0)
+}
+
+// request derives a request to the replica from its template under
+// ctx: the method, and the path and raw query on a copy of its parsed
+// base URL, carrying the request identity of r (forwardedHeaders).
+// Nothing is formatted or re-parsed, and the header values are r's own
+// slices.
+func (rep *replica) request(ctx context.Context, r *http.Request, method, path, rawQuery string) *http.Request {
 	u := *rep.get.URL
-	u.Path += r.URL.Path
-	u.RawQuery = r.URL.RawQuery
+	u.Path += path
+	u.RawQuery = rawQuery
 	req := rep.get.WithContext(ctx)
+	req.Method = method
 	req.URL = &u
 	req.Header = make(http.Header, len(forwardedHeaders))
 	for _, key := range forwardedHeaders {
 		httpsvc.ShareHeader(req.Header, r.Header, key)
 	}
-	_, psp := obs.StartSpan(ctx, "proxy")
+	return req
+}
+
+// send round-trips req to rep and counts the dispatch. When the gateway
+// sampled the request (req's context carries the span), the send is a
+// span of its own, named span, and the replica receives a traceparent
+// naming the gateway's trace with that span as parent, so the replica's
+// span tree joins the gateway's waterfall in /debug/traces. items, when
+// positive, is the size of the sub-batch req carries.
+func (g *Gateway) send(rep *replica, req *http.Request, span string, items int) (*http.Response, error) {
+	_, psp := obs.StartSpan(req.Context(), span)
 	if psp != nil {
 		psp.SetStr("replica", rep.id)
+		if items > 0 {
+			psp.SetInt("items", int64(items))
+		}
 		req.Header[httpsvc.HeaderTraceparent] = []string{obs.FormatTraceparent(psp.TraceID(), psp.WireID(), true)}
 	}
 	t0 := time.Now()

@@ -55,6 +55,9 @@ type replica struct {
 	// idHeader is the X-Replica value slice relayed for a replica that
 	// does not name itself; nothing may write through it.
 	idHeader []string
+	// idJSON is the ID as a JSON string, spliced into each batch result
+	// the replica answers.
+	idJSON []byte
 
 	state atomic.Int32  // ReplicaState
 	fails atomic.Int32  // consecutive probe failures
@@ -94,12 +97,17 @@ func newReplica(rc Replica, ingestQueue int, reg *obs.Registry) (*replica, error
 	if get.URL.Host == "" {
 		return nil, fmt.Errorf("URL %q names no host", rc.URL)
 	}
+	idJSON, err := json.Marshal(rc.ID)
+	if err != nil {
+		return nil, err
+	}
 	l := obs.L("replica", rc.ID)
 	r := &replica{
 		id:       rc.ID,
 		url:      base,
 		get:      get,
 		idHeader: []string{rc.ID},
+		idJSON:   idJSON,
 		queue:    make(chan []byte, ingestQueue),
 		requests: reg.Counter("gateway_replica_requests_total",
 			"Requests the gateway dispatched to the replica.", l),

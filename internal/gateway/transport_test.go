@@ -114,15 +114,21 @@ func (s *stubFleet) RoundTrip(*http.Request) (*http.Response, error) {
 var stubAnswer = []byte(`{"source":1,"dest":2,"budget_s":100,"found":true,"complete":true,"prob":0.5,"model_epoch":1,"runtime_ms":0.01,"cached":true}` + "\n")
 
 // discardWriter keeps its header map across requests and drops the
-// body, so what AllocsPerRun counts is the gateway, not a recorder.
+// body, so what AllocsPerRun counts is the gateway, not a recorder. A
+// Write before any WriteHeader is a 200, as on a real connection.
 type discardWriter struct {
 	h      http.Header
 	status int
 }
 
-func (w *discardWriter) Header() http.Header         { return w.h }
-func (w *discardWriter) WriteHeader(status int)      { w.status = status }
-func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) Header() http.Header    { return w.h }
+func (w *discardWriter) WriteHeader(status int) { w.status = status }
+func (w *discardWriter) Write(b []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	return len(b), nil
+}
 
 // TestProxiedGETAllocs is the gateway's own allocation budget for one
 // proxied GET: everything Handler() does around the transport's

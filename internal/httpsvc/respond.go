@@ -58,6 +58,24 @@ func WriteJSONBytes(w http.ResponseWriter, doc []byte) error {
 	return err
 }
 
+// AppendFloat appends a finite float64 the way encoding/json does: the
+// shortest digits that round-trip, in ES6 number-to-string form —
+// exponent notation only below 1e-6 and from 1e21 up, and a negative
+// exponent without its padding zero. Both services' hand-appended
+// answers format their floats through it.
+func AppendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
 // DecodeJSON reads a request body into v with the two hardenings every
 // JSON endpoint gets: the body is wrapped in http.MaxBytesReader so an
 // oversized payload fails fast instead of ballooning memory, and

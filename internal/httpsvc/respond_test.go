@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -126,6 +127,28 @@ func TestDecodeJSONEndsAtTheBody(t *testing.T) {
 			t.Errorf("%q: %v, want accepted", tc.body, err)
 		case tc.want != 0 && (!errors.As(err, &e) || e.Code != tc.want):
 			t.Errorf("%q: %v, want status %d", tc.body, err, tc.want)
+		}
+	}
+}
+
+// TestAppendFloatMatchesEncodingJSON: AppendFloat spells every finite
+// float64 as json.Marshal does, at the format's switch points, at both
+// signs and at random bit patterns.
+func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
+	fs := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1.5, 1e-6, 9.99e-7, 1e-7, 1e20, 1e21, 123456789e13,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, 5e-324, 1e-10, 2.5e-8, 33.333333333333336}
+	for bits := uint64(0x9e3779b97f4a7c15); len(fs) < 2000; bits = bits*6364136223846793005 + 1442695040888963407 {
+		if f := math.Float64frombits(bits); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			fs = append(fs, f, -f)
+		}
+	}
+	for _, f := range fs {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendFloat(nil, f); !bytes.Equal(got, want) {
+			t.Errorf("AppendFloat(%v) = %s, json.Marshal %s", f, got, want)
 		}
 	}
 }

@@ -29,10 +29,10 @@ func (resp *routeResponse) appendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `,"dest":`...)
 	dst = strconv.AppendInt(dst, int64(resp.Dest), 10)
 	dst = append(dst, `,"budget_s":`...)
-	dst = appendFloat(dst, resp.Budget)
+	dst = httpsvc.AppendFloat(dst, resp.Budget)
 	if resp.Depart != 0 {
 		dst = append(dst, `,"depart_s":`...)
-		dst = appendFloat(dst, resp.Depart)
+		dst = httpsvc.AppendFloat(dst, resp.Depart)
 	}
 	dst = appendIntField(dst, `,"slice":`, resp.Slice)
 	if resp.TimeExpanded {
@@ -44,10 +44,10 @@ func (resp *routeResponse) appendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `,"complete":`...)
 	dst = strconv.AppendBool(dst, resp.Complete)
 	dst = append(dst, `,"prob":`...)
-	dst = appendFloat(dst, resp.Prob)
+	dst = httpsvc.AppendFloat(dst, resp.Prob)
 	if resp.MeanSeconds != 0 {
 		dst = append(dst, `,"mean_s":`...)
-		dst = appendFloat(dst, resp.MeanSeconds)
+		dst = httpsvc.AppendFloat(dst, resp.MeanSeconds)
 	}
 	dst = appendIntsField(dst, `,"path":`, resp.Path)
 	dst = appendIntField(dst, `,"expansions":`, resp.Expansions)
@@ -57,7 +57,7 @@ func (resp *routeResponse) appendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `,"model_epoch":`...)
 	dst = strconv.AppendUint(dst, resp.ModelEpoch, 10)
 	dst = append(dst, `,"runtime_ms":`...)
-	dst = appendFloat(dst, resp.RuntimeMS)
+	dst = httpsvc.AppendFloat(dst, resp.RuntimeMS)
 	dst = append(dst, `,"cached":`...)
 	dst = strconv.AppendBool(dst, resp.Cached)
 	return append(dst, '}'), nil
@@ -105,7 +105,7 @@ func (out *batchResponse) appendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `,"cache_hits":`...)
 	dst = strconv.AppendInt(dst, int64(out.CacheHits), 10)
 	dst = append(dst, `,"runtime_ms":`...)
-	dst = appendFloat(dst, out.RuntimeMS)
+	dst = httpsvc.AppendFloat(dst, out.RuntimeMS)
 	return append(dst, '}'), nil
 }
 
@@ -118,23 +118,6 @@ func finite(fs ...float64) error {
 		}
 	}
 	return nil
-}
-
-// appendFloat appends a finite float64 the way encoding/json does: the
-// shortest digits that round-trip, in ES6 number-to-string form —
-// exponent notation only below 1e-6 and from 1e21 up, and a negative
-// exponent without its padding zero.
-func appendFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst
 }
 
 // appendIntField appends an omitempty integer field.
