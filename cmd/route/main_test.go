@@ -66,7 +66,14 @@ func writeArtifacts(t *testing.T, dir string, k int) (eng *stochroute.Engine, ar
 	}
 
 	net, trips, model := filepath.Join(dir, "net.srg"), filepath.Join(dir, "trips.srt"), filepath.Join(dir, "model.srhm")
-	if err := eng.SaveGraph(net); err != nil {
+	nf, err := os.Create(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Graph().WriteTo(nf); err != nil {
+		t.Fatal(err)
+	}
+	if err := nf.Close(); err != nil {
 		t.Fatal(err)
 	}
 	tf, err := os.Create(trips)

@@ -68,17 +68,16 @@
 //     WithStats counting view and the time-expanded coster implement
 //     it. Callers that cost a path outside a search — PathCost,
 //     PathCostElapsed, PairSumEstimate, and through them
-//     PathDistributionAt, ConvolutionDistribution, PairSumAt and
-//     training's evaluation — run on a pooled Scratch and clone out the
-//     one histogram they return; the tests pin the kernel to an
-//     independent heap copy of the step, bit for bit.
-//   - internal/routing runs every PBR search, and the skyline
-//     (ParetoRoutes), on a pooled workspace that owns the scratch, the
-//     label slice, the priority heap and the dominance frontiers (a
-//     generation-stamped table over a flat entry slab — no map,
-//     nothing to sweep between searches). Label distributions live in
-//     the workspace's arena, and labels killed by pruning recycle their
-//     buffers immediately.
+//     PathDistributionAt, PairSumAt and training's evaluation — run on
+//     a pooled Scratch and clone out the one histogram they return;
+//     the tests pin the kernel to an independent heap copy of the step,
+//     bit for bit.
+//   - internal/routing runs every PBR search on a pooled workspace
+//     that owns the scratch, the label slice, the priority heap and the
+//     dominance frontiers (a generation-stamped table over a flat entry
+//     slab — no map, nothing to sweep between searches). Label
+//     distributions live in the workspace's arena, and labels killed by
+//     pruning recycle their buffers immediately.
 //
 // A warmed search therefore allocates only what escapes it, once, on
 // the way out: the Result with its distribution, edge path and slice
@@ -107,11 +106,11 @@
 //
 // The tables are model-derived state, so they live in the epoch-tagged
 // snapshot and follow its lifecycle: the engine's one publish point,
-// which every constructor, SwapSliceModel, LoadModel and SetLandmarks
-// call, rebuilds what the incoming models invalidate before it stores
-// the generation (after SwapSliceModel only the affected slice's
-// tables plus the min-across-slices tables rebuild), on the swap path
-// rather than the query path. The sweeps of one table run on every
+// which every constructor, SwapSliceModel and SetLandmarks call,
+// rebuilds what the incoming models invalidate before it stores the
+// generation (after SwapSliceModel only the affected slice's tables
+// plus the min-across-slices tables rebuild), on the swap path rather
+// than the query path. The sweeps of one table run on every
 // core (internal/par), as do the route pool of the trajectory simulator
 // (BuildEngine) and the per-slice observation stores, knowledge bases
 // and training runs of a generation built from trajectories
@@ -147,9 +146,9 @@
 //
 // The serving model itself lives behind an epoch-tagged atomic
 // pointer: Engine.SwapSliceModel (used by internal/ingest after a
-// background rebuild), LoadModel and SetLandmarks publish a new
-// generation without pausing queries and without writing to the model
-// they are handed, all through one unexported publish that checks the
+// background rebuild) and SetLandmarks publish a new generation
+// without pausing queries and without writing to the model they are
+// handed, all through one unexported publish that checks the
 // changed slices — a knowledge base attached, over the engine's graph,
 // on the set's grid width — before any query can see them. In-flight
 // queries finish on the snapshot they started with, new queries see
@@ -218,9 +217,8 @@
 //     truth (traj.World.PathTruthExpanded) on boundary-crossing trips.
 //   - A time-expanded result carries the GLOBAL model epoch rather
 //     than one slice's (any reachable slice's model may have shaped
-//     it), and Engine.PathDistributionExpanded /
-//     TrueDistributionExpanded expose the same semantics for explicit
-//     paths.
+//     it), and Engine.PathDistributionExpanded exposes the same
+//     semantics for explicit paths.
 //
 // # Two-level epochs and per-slice caches
 //
@@ -230,9 +228,9 @@
 // the unit internal/ingest publishes through when one slice's drift
 // monitor fires — advances only that slice's epoch, so an AM-peak
 // rebuild leaves the night model, its epoch and its caches untouched;
-// LoadModel and SetLandmarks advance every slice at once (each through
-// the engine's one publish point). Every RouteResult is stamped
-// with the epoch that answered it: the slice's epoch for
+// SetLandmarks advances every slice at once (each through the engine's
+// one publish point). Every RouteResult is stamped with the epoch that
+// answered it: the slice's epoch for
 // departure-slice queries, the global epoch for time-expanded ones.
 //
 // The serving layer (internal/server) leans on exactly that split: it

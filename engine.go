@@ -132,14 +132,14 @@ func (e *Engine) publish(cur *modelSnapshot, c change) (uint64, error) {
 
 // Engine is the assembled system: a road network, the trained Hybrid
 // Model over it, and the query algorithms. The whole query surface —
-// Route, RouteCtx, RouteBatch, AlternativeRoutes, PathDistributionAt,
-// PairSumAt and friends — is read-only and safe for any number of
-// concurrent goroutines on one shared Engine; decision telemetry is
-// kept per request and added to the engine's lifetime totals once per
-// answered query.
+// Route, RouteCtx, RouteBatch, PathDistributionAt, PairSumAt and
+// friends — is read-only and safe for any number of concurrent
+// goroutines on one shared Engine; decision telemetry is kept per
+// request and added to the engine's lifetime totals once per answered
+// query.
 //
 // The serving model lives behind an epoch-tagged atomic pointer:
-// SwapSliceModel and LoadModel atomically publish a new model
+// SwapSliceModel and SetLandmarks atomically publish a new model
 // generation while queries are in flight. In-flight queries finish on
 // the snapshot they started with; new queries see the new epoch. Every
 // RouteResult is stamped with the epoch that answered it so callers
@@ -700,16 +700,6 @@ func (e *Engine) PathDistributionExpanded(depart float64, edges []EdgeID) (*Hist
 	return hybrid.PathCostElapsed(e.current.Load().set.TimeExpandedCoster(depart, nil), edges)
 }
 
-// ConvolutionDistribution computes the same path's distribution under
-// the independence assumption — the baseline the paper improves on.
-func (e *Engine) ConvolutionDistribution(edges []EdgeID) (*Hist, error) {
-	if err := e.checkPath(edges); err != nil {
-		return nil, err
-	}
-	cur := e.current.Load()
-	return hybrid.PathCost(&hybrid.ConvolutionCoster{KB: cur.kb0(), MaxBuckets: cur.model0().MaxBuckets}, edges)
-}
-
 // TrueDistribution returns the oracle distribution of a path under the
 // synthetic world, or an error for engines without a world.
 func (e *Engine) TrueDistribution(edges []EdgeID) (*Hist, error) {
@@ -722,21 +712,6 @@ func (e *Engine) TrueDistribution(edges []EdgeID) (*Hist, error) {
 	return e.world.PathTruth(edges)
 }
 
-// TrueDistributionExpanded returns the oracle distribution of a path
-// whose trip crosses time-of-day slice boundaries: the world's
-// time-expanded path truth for a departure at depart seconds since
-// midnight (see traj.World.PathTruthExpanded), plus the per-edge slice
-// sequence the oracle traversed. Errors for engines without a world.
-func (e *Engine) TrueDistributionExpanded(depart float64, edges []EdgeID) (*Hist, []int, error) {
-	if err := e.checkPath(edges); err != nil {
-		return nil, nil, err
-	}
-	if e.world == nil {
-		return nil, nil, errors.New("stochroute: engine has no ground-truth world")
-	}
-	return e.world.PathTruthExpanded(depart, edges)
-}
-
 // SampleQueries draws n routing queries whose straight-line distance
 // falls within [loKm, hiKm).
 func (e *Engine) SampleQueries(loKm, hiKm float64, n int, seed uint64) ([]Query, error) {
@@ -744,20 +719,7 @@ func (e *Engine) SampleQueries(loKm, hiKm float64, n int, seed uint64) ([]Query,
 	return wg.SampleCategory(netgen.DistanceCategory{LoKm: loKm, HiKm: hiKm}, n)
 }
 
-// SaveGraph writes the network to path in the SRG1 binary format.
-func (e *Engine) SaveGraph(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := e.graph.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadGraph reads a network written by SaveGraph (or cmd/gennet).
+// LoadGraph reads a network written by Graph.WriteTo (cmd/gennet).
 func LoadGraph(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -768,7 +730,7 @@ func LoadGraph(path string) (*Graph, error) {
 }
 
 // OpenEngine assembles an engine from saved artifacts: the network
-// (SaveGraph, cmd/gennet), the trajectories (cmd/gentraj; one file or
+// (cmd/gennet), the trajectories (cmd/gentraj; one file or
 // several concatenated) and the trained model set (SaveModel,
 // cmd/train), whose slice count the engine adopts. The per-slice
 // knowledge bases the models bind to are rebuilt from the trajectories;
@@ -813,59 +775,6 @@ func (e *Engine) SaveModel(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// LoadModel hot-swaps in a model (set) written by SaveModel, attaching
-// each slice's model to that slice's currently serving knowledge base
-// and bumping the model epoch. The file's slice count must match the
-// engine's. A loaded model with MaxBuckets == 0 (unlimited support)
-// inherits the previous model's cap. Safe to call while queries are in
-// flight.
-func (e *Engine) LoadModel(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	set, err := hybrid.ReadModelSet(f)
-	if err != nil {
-		return err
-	}
-	// Attach under the swap lock so a concurrent swap (e.g. an ingest
-	// rebuild finishing) cannot slip between reading the current
-	// knowledge bases and publishing: the loaded models always bind to
-	// the knowledge bases they will actually serve with.
-	e.swapMu.Lock()
-	defer e.swapMu.Unlock()
-	cur := e.current.Load()
-	if set.K() != cur.set.K() {
-		return fmt.Errorf("stochroute: loaded model has %d slices, engine serves %d", set.K(), cur.set.K())
-	}
-	for s := 0; s < set.K(); s++ {
-		m := set.At(s)
-		if err := m.AttachKB(cur.set.At(s).KB); err != nil {
-			return fmt.Errorf("stochroute: slice %d: %w", s, err)
-		}
-		if m.MaxBuckets == 0 {
-			m.MaxBuckets = cur.set.At(s).MaxBuckets
-		}
-	}
-	_, err = e.publish(cur, change{set: set})
-	return err
-}
-
-// AlternativeRoute is one member of the stochastic skyline.
-type AlternativeRoute = routing.ParetoRoute
-
-// AlternativeRoutes enumerates mutually non-dominated routes between the
-// endpoints within the given time horizon: the route set a user with an
-// unknown deadline would choose from. The budget-routing answer for any
-// budget within the horizon is (up to search caps) a member of this set.
-func (e *Engine) AlternativeRoutes(source, dest VertexID, horizon float64, maxRoutes int) ([]AlternativeRoute, error) {
-	return routing.ParetoRoutes(e.graph, e.current.Load().model0(), source, dest, routing.ParetoOptions{
-		Horizon:   horizon,
-		MaxRoutes: maxRoutes,
-	})
 }
 
 // PairExample returns the hybrid, convolution and (when a world is

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -25,18 +26,23 @@ var (
 	engErr  error
 )
 
+// testEngineConfig is the configuration testEngine builds from.
+func testEngineConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Network.Rows, cfg.Network.Cols = 20, 20
+	cfg.Network.CellMeters = 130
+	cfg.Walk.NumTrajectories = 3000
+	cfg.Hybrid.TrainPairs, cfg.Hybrid.TestPairs = 400, 100
+	cfg.Hybrid.MinPairObs = 12
+	cfg.Hybrid.Estimator.Train.Epochs = 30
+	cfg.Hybrid.PrefixRows = 2000
+	return cfg
+}
+
 func testEngine(t testing.TB) *Engine {
 	t.Helper()
 	engOnce.Do(func() {
-		cfg := DefaultConfig()
-		cfg.Network.Rows, cfg.Network.Cols = 20, 20
-		cfg.Network.CellMeters = 130
-		cfg.Walk.NumTrajectories = 3000
-		cfg.Hybrid.TrainPairs, cfg.Hybrid.TestPairs = 400, 100
-		cfg.Hybrid.MinPairObs = 12
-		cfg.Hybrid.Estimator.Train.Epochs = 30
-		cfg.Hybrid.PrefixRows = 2000
-		eng, engErr = BuildEngine(cfg, io.Discard)
+		eng, engErr = BuildEngine(testEngineConfig(), io.Discard)
 	})
 	if engErr != nil {
 		t.Fatalf("BuildEngine: %v", engErr)
@@ -130,7 +136,7 @@ func TestEnginePathDistributions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv, err := e.ConvolutionDistribution(path)
+	conv, err := hybrid.PathCost(&hybrid.ConvolutionCoster{KB: e.SliceKnowledgeBase(0), MaxBuckets: e.SliceModel(0).MaxBuckets}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +181,7 @@ func TestEnginePathFacadeRejectsNonPaths(t *testing.T) {
 			h, _, err := e.PathDistributionExpanded(0, p)
 			return h, err
 		},
-		"ConvolutionDistribution": e.ConvolutionDistribution,
-		"TrueDistribution":        e.TrueDistribution,
-		"TrueDistributionExpanded": func(p []EdgeID) (*Hist, error) {
-			h, _, err := e.TrueDistributionExpanded(0, p)
-			return h, err
-		},
+		"TrueDistribution": e.TrueDistribution,
 	}
 	bad := map[string][]EdgeID{
 		"nil":               nil,
@@ -212,13 +213,7 @@ func TestEnginePathFacadeRejectsNonPaths(t *testing.T) {
 	if want["PathDistributionExpanded"], _, err = hybrid.PathCostElapsed(e.ModelSet().TimeExpandedCoster(0, nil), path); err != nil {
 		t.Fatal(err)
 	}
-	if want["ConvolutionDistribution"], err = hybrid.PathCost(&hybrid.ConvolutionCoster{KB: e.SliceKnowledgeBase(0), MaxBuckets: e.SliceModel(0).MaxBuckets}, path); err != nil {
-		t.Fatal(err)
-	}
 	if want["TrueDistribution"], err = e.World().PathTruth(path); err != nil {
-		t.Fatal(err)
-	}
-	if want["TrueDistributionExpanded"], _, err = e.World().PathTruthExpanded(0, path); err != nil {
 		t.Fatal(err)
 	}
 	for name, dist := range dists {
@@ -367,6 +362,10 @@ func TestEngineNearestVertex(t *testing.T) {
 	}
 }
 
+// TestEngineSaveLoadModel round-trips the serving model set the way
+// OpenEngine does: SaveModel, hybrid.ReadModelSet, then an engine
+// rebuilt over the same graph and trajectories. The answer keeps its
+// bits.
 func TestEngineSaveLoadModel(t *testing.T) {
 	e := testEngine(t)
 	qs, err := e.SampleQueries(0.5, 1.5, 1, 45)
@@ -387,52 +386,44 @@ func TestEngineSaveLoadModel(t *testing.T) {
 	if err := e.SaveModel(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LoadModel(path); err != nil {
-		t.Fatal(err)
-	}
-	after, err := e.Route(q.Source, q.Dest, budget)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(before.Prob-after.Prob) > 1e-12 {
+	set, err := hybrid.ReadModelSet(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testEngineConfig()
+	trs, err := traj.GenerateTrajectories(e.World(), cfg.Walk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := NewEngineWithModelSet(e.Graph(), trs, cfg.Hybrid.Width, cfg.Hybrid.MinPairObs, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := loaded.Route(q.Source, q.Dest, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(before.Prob) != math.Float64bits(after.Prob) {
 		t.Errorf("model round trip changed answer: %v vs %v", before.Prob, after.Prob)
-	}
-}
-
-func TestEngineAlternativeRoutes(t *testing.T) {
-	e := testEngine(t)
-	qs, err := e.SampleQueries(0.8, 1.8, 1, 46)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := qs[0]
-	optimistic, err := e.OptimisticTime(q.Source, q.Dest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	routes, err := e.AlternativeRoutes(q.Source, q.Dest, 2.5*optimistic, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(routes) == 0 {
-		t.Fatal("no alternative routes")
-	}
-	for i, r := range routes {
-		if err := r.Dist.Validate(); err != nil {
-			t.Errorf("route %d dist invalid: %v", i, err)
-		}
-		for j := i + 1; j < len(routes); j++ {
-			if routes[i].Dist.Dominates(routes[j].Dist) || routes[j].Dist.Dominates(routes[i].Dist) {
-				t.Errorf("skyline members %d and %d dominate each other", i, j)
-			}
-		}
 	}
 }
 
 func TestEngineSaveLoadGraph(t *testing.T) {
 	e := testEngine(t)
 	path := filepath.Join(t.TempDir(), "net.srg")
-	if err := e.SaveGraph(path); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Graph().WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	g, err := LoadGraph(path)
@@ -523,12 +514,12 @@ func TestEngineConstructorsRejectBadTrajectories(t *testing.T) {
 	}
 }
 
-// TestEngineHotSwapDuringQueries exercises the epoch-tagged model swaps
-// while queries run (the -race gate for SwapSliceModel and LoadModel):
-// answers must stay correct throughout, and post-swap results must
-// carry the new epoch. The swapped-in and the loaded model share the
-// serving model's weights, so every answer — whichever generation gave
-// it — must equal the serial baseline. The engine's lifetime decision
+// TestEngineHotSwapDuringQueries exercises the epoch-tagged model swap
+// while queries run (the -race gate for SwapSliceModel): answers must
+// stay correct throughout, and post-swap results must carry the new
+// epoch. The swapped-in model shares the serving model's weights, so
+// every answer — whichever generation gave it — must equal the serial
+// baseline. The engine's lifetime decision
 // totals must grow by exactly what the answered queries report,
 // in-flight queries on a retiring generation included.
 func TestEngineHotSwapDuringQueries(t *testing.T) {
@@ -561,10 +552,6 @@ func TestEngineHotSwapDuringQueries(t *testing.T) {
 
 	startEpoch := e.ModelEpoch()
 	clone := sameWeightsModel(e.SliceModel(0))
-	saved := filepath.Join(t.TempDir(), "model.srhm")
-	if err := e.SaveModel(saved); err != nil {
-		t.Fatal(err)
-	}
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -585,7 +572,7 @@ func TestEngineHotSwapDuringQueries(t *testing.T) {
 					errs[w] = fmt.Errorf("worker %d: prob %v != serial %v (epoch %d)", w, res.Prob, want[k], res.ModelEpoch)
 					return
 				}
-				if res.ModelEpoch < startEpoch || res.ModelEpoch > startEpoch+2 {
+				if res.ModelEpoch < startEpoch || res.ModelEpoch > startEpoch+1 {
 					errs[w] = fmt.Errorf("worker %d: unexpected epoch %d", w, res.ModelEpoch)
 					return
 				}
@@ -600,10 +587,6 @@ func TestEngineHotSwapDuringQueries(t *testing.T) {
 	if epoch != startEpoch+1 {
 		t.Errorf("swap returned epoch %d, want %d", epoch, startEpoch+1)
 	}
-	if err := e.LoadModel(saved); err != nil {
-		t.Fatal(err)
-	}
-	epoch++
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -626,7 +609,7 @@ func TestEngineHotSwapDuringQueries(t *testing.T) {
 		t.Fatalf("the queries report %d convolved, %d estimated: nothing to count", conv.Load(), est.Load())
 	}
 	if c, s := e.DecisionCounts(); c-conv0 != conv.Load() || s-est0 != est.Load() {
-		t.Errorf("DecisionCounts grew by (%d, %d) across two swaps; the answered queries report (%d, %d)",
+		t.Errorf("DecisionCounts grew by (%d, %d) across the swap; the answered queries report (%d, %d)",
 			c-conv0, s-est0, conv.Load(), est.Load())
 	}
 }
@@ -663,10 +646,6 @@ func TestSnapshotSuccessorCarriesEveryField(t *testing.T) {
 	e := twoSliceEngine(t)
 	const landmarks = 2
 	if err := e.SetLandmarks(landmarks); err != nil {
-		t.Fatal(err)
-	}
-	saved := filepath.Join(t.TempDir(), "model.srhm")
-	if err := e.SaveModel(saved); err != nil {
 		t.Fatal(err)
 	}
 	// Slice 1 swaps to a model of jammed traffic and back, so its ALT
@@ -712,7 +691,6 @@ func TestSnapshotSuccessorCarriesEveryField(t *testing.T) {
 	}{
 		{"SwapSliceModel(1, m, store)", swap(&Model{KB: jammedKB}, store), []string{"set", "obs", "alt"}, []int{1}, landmarks},
 		{"SwapSliceModel(1, m, nil)", swap(sameWeightsModel(model1), nil), []string{"set", "alt"}, []int{1}, landmarks},
-		{"LoadModel", func() error { return e.LoadModel(saved) }, []string{"set", "alt"}, []int{0, 1}, landmarks},
 		{"SetLandmarks(n)", func() error { return e.SetLandmarks(landmarks + 1) }, []string{"alt"}, []int{0, 1}, landmarks + 1},
 		{"SetLandmarks(0)", func() error { return e.SetLandmarks(0) }, []string{"alt"}, []int{0, 1}, 0},
 	} {

@@ -27,14 +27,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Snap two coordinates to the network and query.
+	// Snap two coordinates to the network.
 	src := engine.NearestVertex(57.005, 9.905)
 	dst := engine.NearestVertex(57.028, 9.940)
-	optimistic, err := engine.OptimisticTime(src, dst)
+
+	// The classical mean-cost route sets the deadline: the budget is the
+	// 80th percentile of its modelled travel time, the rule the paper's
+	// tables use, so the baseline is on time at least 80% of the time.
+	basePath, baseMean, err := engine.MeanRoute(src, dst)
 	if err != nil {
 		log.Fatal(err)
 	}
-	budget := 1.35 * optimistic // a deadline 35% above the ideal drive
+	baseDist, err := engine.PathDistributionAt(0, basePath)
+	if err != nil {
+		log.Fatal(err)
+	}
+	budget := baseDist.Quantile(0.8)
 
 	res, err := engine.Route(src, dst, budget)
 	if err != nil {
@@ -45,16 +53,6 @@ func main() {
 	}
 	fmt.Printf("\nbudget %.0fs: best path has %d edges\n", budget, len(res.Path))
 	fmt.Printf("P(arrive on time) = %.3f, expected time = %.0fs\n", res.Prob, res.Dist.Mean())
-
-	// Contrast with the classical mean-cost route.
-	basePath, baseMean, err := engine.MeanRoute(src, dst)
-	if err != nil {
-		log.Fatal(err)
-	}
-	baseDist, err := engine.PathDistributionAt(0, basePath)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("mean-cost baseline: P(on time) = %.3f, expected time = %.0fs\n",
 		baseDist.ProbWithinBudget(budget), baseMean)
 }

@@ -281,22 +281,6 @@ func BenchmarkRoutingPBRTimeExpanded(b *testing.B) {
 	}
 }
 
-// BenchmarkParetoRoutes measures stochastic-skyline enumeration.
-func BenchmarkParetoRoutes(b *testing.B) {
-	s := smallSetup(b)
-	g, model := s.Engine.Graph(), s.Engine.SliceModel(0)
-	cats := Categories(s.Scale)
-	q, budget := benchQuery(b, s, cats[0])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := routing.ParetoRoutes(g, model, q.Source, q.Dest, routing.ParetoOptions{
-			Horizon: budget * 1.5,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkHybridExtend measures the core cost-model step: one hybrid
 // extension (classifier + estimation or convolution).
 func BenchmarkHybridExtend(b *testing.B) {

@@ -476,8 +476,7 @@ func queryBudget(s *Setup, q netgen.Query, quantile float64) (float64, error) {
 
 // convolutionCoster is the independence model the deadlines and E5's
 // veto read: slice 0's knowledge base with 1024 buckets of support,
-// twice the serving model's cap, so Engine.ConvolutionDistribution
-// would not do.
+// twice the serving model's cap.
 func convolutionCoster(s *Setup) *hybrid.ConvolutionCoster {
 	return &hybrid.ConvolutionCoster{KB: s.Engine.SliceKnowledgeBase(0), MaxBuckets: 1024}
 }

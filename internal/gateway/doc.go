@@ -5,11 +5,11 @@
 //
 // # Routing
 //
-// Query endpoints (/route, /route/anytime, /alternatives, /pairsum,
-// /sample) are routed on a consistent-hash ring keyed by the request's
-// (source, dest) identity, so every repetition of a query lands on the
-// same replica and that replica's epoch-validated route cache stays
-// hot for its key range. The ring is immutable — virtual nodes hash
+// Query endpoints (/route, /route/anytime, /pairsum, /sample) are
+// routed on a consistent-hash ring keyed by the request's (source,
+// dest) identity, so every repetition of a query lands on the same
+// replica and that replica's epoch-validated route cache stays hot for
+// its key range. The ring is immutable — virtual nodes hash
 // replica IDs, not addresses — and health enters as a lookup predicate:
 // a down replica's points are skipped (its range spreads across the
 // survivors vnode by vnode) and consulted again the moment it

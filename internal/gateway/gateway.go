@@ -181,7 +181,6 @@ func New(cfg Config) (*Gateway, error) {
 
 	g.svc.Handle("/route", http.MethodGet, g.handleKeyed)
 	g.svc.Handle("/route/anytime", http.MethodGet, g.handleKeyed)
-	g.svc.Handle("/alternatives", http.MethodGet, g.handleKeyed)
 	g.svc.Handle("/pairsum", http.MethodGet, g.handleKeyed)
 	g.svc.Handle("/sample", http.MethodGet, g.handleKeyed)
 	g.svc.Handle("/route/batch", http.MethodPost, g.handleRouteBatch)

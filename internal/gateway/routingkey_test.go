@@ -38,7 +38,6 @@ func TestRoutingKeyMatchesReference(t *testing.T) {
 		"/route?dest=2&source=1&budget=100",
 		"/route?source=85&dest=0&budget=90&depart=3600&time_expanded=true",
 		"/route/anytime?source=2047&dest=13&budget=55.5&limit_ms=20",
-		"/alternatives?source=7&dest=9&horizon=200&max=3",
 		// Coordinates, plain and escaped: the key is the decoded value.
 		"/route?from=57.01,9.99&to=57.05,9.93&budget=600",
 		"/route?from=57.01%2C9.99&to=57.05%2C9.93&budget=600",

@@ -8,7 +8,7 @@ import (
 // divergence support: the paper evaluates the hybrid model by the
 // KL-divergence between the estimated distribution and the ground-truth
 // trajectory distribution, so KL is the primary metric here; JS and
-// 1-Wasserstein are provided for diagnostics.
+// total variation are provided for diagnostics.
 
 // alignPair places both histograms on a common grid (the shared width,
 // starting at the smaller Min) and returns the two aligned mass vectors.
@@ -86,22 +86,6 @@ func JS(p, q *Hist) (float64, error) {
 	}
 	if d < 0 {
 		d = 0
-	}
-	return d, nil
-}
-
-// Wasserstein1 returns the 1-Wasserstein (earth mover's) distance between
-// p and q in seconds.
-func Wasserstein1(p, q *Hist) (float64, error) {
-	pa, pb, err := alignPair(p, q)
-	if err != nil {
-		return 0, err
-	}
-	d := 0.0
-	carry := 0.0
-	for i := range pa {
-		carry += pa[i] - pb[i]
-		d += math.Abs(carry) * p.Width
 	}
 	return d, nil
 }

@@ -609,21 +609,14 @@ func addUp(c float64, p []float64) float64 {
 	return c
 }
 
-// Dominates reports whether h first-order stochastically dominates other
-// in the travel-time sense: h is at least as likely to have arrived by
-// every deadline, i.e. CDF_h(x) >= CDF_other(x) for all x, with strict
-// inequality somewhere. CompareCDF's precondition applies.
-func (h *Hist) Dominates(other *Hist) bool {
-	aGE, bGE := CompareCDF(h, other)
-	return aGE && !bGE
-}
-
-// DominatesOrEqual is Dominates without the strictness requirement; it
-// also holds when the two distributions are CDF-identical. Its verdict
-// is exactly CompareCDF(h, other)'s aGE — the same running sums, the
-// same test, the same precondition — but the walk is one-sided: it
-// returns at the first grid point where h's CDF falls below other's,
-// which, when other starts earlier, is usually other's first bucket.
+// DominatesOrEqual reports whether h weakly first-order stochastically
+// dominates other in the travel-time sense: h is at least as likely to
+// have arrived by every deadline, i.e. CDF_h(x) >= CDF_other(x) for all
+// x, CDF-identical distributions included. Its verdict is exactly
+// CompareCDF(h, other)'s aGE — the same running sums, the same test,
+// the same precondition — but the walk is one-sided: it returns at the
+// first grid point where h's CDF falls below other's, which, when other
+// starts earlier, is usually other's first bucket.
 func (h *Hist) DominatesOrEqual(other *Hist) bool {
 	pa, pb := h.P, other.P
 	ca, cb := 0.0, 0.0

@@ -148,17 +148,6 @@ func TestKnowledgeBaseMarginalsAreNeverMutated(t *testing.T) {
 	}
 	unchanged("PathCost and PathCostElapsed")
 
-	for _, q := range queries[:4] {
-		_, meanTime, err := routing.MeanCostPath(g, set.At(0).KB, q.Source, q.Dest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := routing.ParetoRoutes(g, set.At(0), q.Source, q.Dest, routing.ParetoOptions{Horizon: 1.5 * meanTime}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	unchanged("ParetoRoutes")
-
 	if _, _, err := hybrid.Train(set.At(0).KB, stores[0], bySlice[0], nil, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func TestALTAdmissibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dest := range []graph.VertexID{0, graph.VertexID(g.NumVertices() / 2), graph.VertexID(g.NumVertices() - 1)} {
-		exact := ReversePotentials(g, kb.MinEdgeTime, dest)
+		exact := exactPotentials(g, kb.MinEdgeTime, dest)
 		fn, release := alt.Potentials(dest)
 		if fn(dest) != 0 {
 			t.Errorf("dest %d: h(dest) = %v, want 0", dest, fn(dest))
@@ -221,7 +221,7 @@ func TestALTAdmissibilityTimeExpanded(t *testing.T) {
 		tc := set.TimeExpandedCoster(43150, nil)
 		within := func(e graph.EdgeID) float64 { return tc.MinEdgeTimeWithin(e, horizon) }
 		dest := graph.VertexID(g.NumVertices() / 3)
-		exact := ReversePotentials(g, within, dest)
+		exact := exactPotentials(g, within, dest)
 		fn, release := alt.Potentials(dest)
 		for v := 0; v < g.NumVertices(); v++ {
 			h := fn(graph.VertexID(v))
@@ -542,7 +542,7 @@ func TestALTFloat32Admissible(t *testing.T) {
 					rounded++
 				}
 				for dest := range g.NumVertices() {
-					exact := ReversePotentials(g, w, graph.VertexID(dest))
+					exact := exactPotentials(g, w, graph.VertexID(dest))
 					fn, release := alt.Potentials(graph.VertexID(dest))
 					for v := range g.NumVertices() {
 						h := fn(graph.VertexID(v))

@@ -91,22 +91,14 @@ func dijkstraForward(g *graph.Graph, w WeightFunc, source, dest graph.VertexID) 
 	return dist, via, nil
 }
 
-// ReversePotentials computes, for every vertex v, the minimum possible
-// cost h(v) of reaching dest from v under the optimistic edge weights w
-// (a backward Dijkstra over reversed edges). h is admissible for any
-// cost model whose edge times are bounded below by w, which is the
-// paper's pruning (a).
-func ReversePotentials(g *graph.Graph, w WeightFunc, dest graph.VertexID) []float64 {
-	h := make([]float64, g.NumVertices())
-	reversePotentialsInto(g, w, dest, h, &pqueue.IndexedHeap{})
-	return h
-}
-
-// reversePotentialsInto is ReversePotentials on caller-owned scratch: h
-// must have length NumVertices and is overwritten; pq is Reset and
-// reused. PBR routes every query through this via a sync.Pool so the
-// per-query |V| slice and heap allocations of the public function never
-// hit the hot path.
+// reversePotentialsInto computes, for every vertex v, the minimum
+// possible cost h(v) of reaching dest from v under the optimistic edge
+// weights w (a backward Dijkstra over reversed edges). h is admissible
+// for any cost model whose edge times are bounded below by w, which is
+// the paper's pruning (a). It runs on caller-owned scratch: h must have
+// length NumVertices and is overwritten; pq is Reset and reused. PBR
+// routes every query through this via a sync.Pool so the per-query |V|
+// slice and heap allocations never hit the hot path.
 func reversePotentialsInto(g *graph.Graph, w WeightFunc, dest graph.VertexID, h []float64, pq *pqueue.IndexedHeap) {
 	for i := range h {
 		h[i] = math.Inf(1)

@@ -6,6 +6,7 @@ import (
 
 	"stochroute/internal/geo"
 	"stochroute/internal/graph"
+	"stochroute/internal/pqueue"
 )
 
 // buildWeightedDiamond: 0→1→3 costs 1+1=2, 0→2→3 costs 5+5=10, plus a
@@ -81,10 +82,17 @@ func TestDijkstraNegativeWeightRejected(t *testing.T) {
 	}
 }
 
+// exactPotentials runs reversePotentialsInto on fresh scratch.
+func exactPotentials(g *graph.Graph, w WeightFunc, dest graph.VertexID) []float64 {
+	h := make([]float64, g.NumVertices())
+	reversePotentialsInto(g, w, dest, h, &pqueue.IndexedHeap{})
+	return h
+}
+
 func TestReversePotentialsAdmissibleAndExact(t *testing.T) {
 	g, w := buildWeightedDiamond(t)
 	weight := func(e graph.EdgeID) float64 { return w[e] }
-	h := ReversePotentials(g, weight, 3)
+	h := exactPotentials(g, weight, 3)
 	// h equals the true minimum cost to 3 under the same weights.
 	want := map[graph.VertexID]float64{0: 2, 1: 1, 2: 5, 3: 0}
 	for v, expect := range want {
@@ -102,7 +110,7 @@ func TestReversePotentialsUnreachableIsInf(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := b.Build()
-	h := ReversePotentials(g, func(graph.EdgeID) float64 { return 1 }, 0)
+	h := exactPotentials(g, func(graph.EdgeID) float64 { return 1 }, 0)
 	if !math.IsInf(h[1], 1) {
 		t.Errorf("h[1] = %v, want +Inf (cannot reach 0 from 1)", h[1])
 	}

@@ -1,7 +1,7 @@
 // Package routing implements the query algorithms of the paper:
 // Probabilistic Budget Routing (PBR) with the paper's four prunings
 // and the anytime extension, plus the classical baseline (Dijkstra
-// mean-cost routing) and the stochastic skyline (ParetoRoutes).
+// mean-cost routing).
 //
 // # The label search
 //
@@ -16,8 +16,7 @@
 // per-search workspace (workspace.go), so the loop itself allocates
 // nothing once the workspace has grown to the search's size. There is
 // one search path, on hybrid.Coster: every extension is written straight
-// into the workspace's arena. ParetoRoutes runs on the same pooled
-// workspace and clones its skyline's distributions out before release.
+// into the workspace's arena.
 //
 // The kernel relies on the following invariants; anything touching
 // pbr.go must preserve them:

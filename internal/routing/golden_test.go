@@ -439,69 +439,24 @@ func TestWorkspaceReuseAcrossSearchShapes(t *testing.T) {
 // TestPBRConcurrentSearchesMatchGoldens has several goroutines route
 // at once through PBR, so pooled workspaces change hands between
 // searches of different shapes while the cost models are shared. Every
-// answer must still be the frozen one; run with -race -count=10. The
-// workers also enumerate skylines, which run on the same pooled
-// workspaces, and each must equal the serial one.
+// answer must still be the frozen one; run with -race -count=10.
 func TestPBRConcurrentSearchesMatchGoldens(t *testing.T) {
 	gt := loadGolden(t)
-	const skylines = 8
-	serial := make([]string, skylines)
-	for qi := range serial {
-		var err error
-		if serial[qi], err = gt.skyline(qi); err != nil || serial[qi] == "" {
-			t.Fatalf("skyline of query %d: %q, %v", qi, serial[qi], err)
-		}
-	}
 	const workers = 6
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Worker w takes every workers-th cell of a thinned table, and
-			// a skyline after every fourth.
-			for i, cell := 0, w; cell < len(gt.want); i, cell = i+1, cell+workers*7 {
+			// Worker w takes every workers-th cell of a thinned table.
+			for cell := w; cell < len(gt.want); cell += workers * 7 {
 				ci, qi := cell/len(gt.queries), cell%len(gt.queries)
 				if err := gt.check(ci, qi, PBR); err != nil {
 					t.Error(err)
-					return
-				}
-				if i%4 != 0 {
-					continue
-				}
-				sq := (w + i) % skylines
-				if got, err := gt.skyline(sq); err != nil || got != serial[sq] {
-					t.Errorf("skyline of query %d under concurrency: %v\n got  %s\n want %s", sq, err, got, serial[sq])
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-}
-
-// skyline renders ParetoRoutes' answer to query qi under the classic
-// cells' model: every route's path and distribution bits.
-func (f *goldenFixture) skyline(qi int) (string, error) {
-	q := f.queries[qi]
-	m := f.set.At(1)
-	_, meanTime, err := MeanCostPath(f.g, m.KB, q.Source, q.Dest)
-	if err != nil {
-		return "", err
-	}
-	routes, err := ParetoRoutes(f.g, m, q.Source, q.Dest, ParetoOptions{Horizon: 1.3 * meanTime, MaxRoutes: 4, maxExpansions: 300})
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	for _, r := range routes {
-		h := fnv.New64a()
-		var buf [8]byte
-		for _, p := range append([]float64{r.Dist.Min}, r.Dist.P...) {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
-			h.Write(buf[:])
-		}
-		fmt.Fprintf(&b, "%v %016x; ", r.Path, h.Sum64())
-	}
-	return b.String(), nil
 }

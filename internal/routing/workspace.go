@@ -26,12 +26,11 @@ type workspace struct {
 	pivot     hist.Hist
 }
 
-// scratchPool recycles workspaces across queries. Each PBR or
-// ParetoRoutes call takes one for its duration and releases it on the
-// way out, so a pooled workspace never serves two searches at once;
-// being a sync.Pool, idle workspaces are dropped by the garbage
-// collector, so the pool adds nothing to the resident heap of a quiet
-// process.
+// scratchPool recycles workspaces across queries. Each PBR call takes
+// one for its duration and releases it on the way out, so a pooled
+// workspace never serves two searches at once; being a sync.Pool, idle
+// workspaces are dropped by the garbage collector, so the pool adds
+// nothing to the resident heap of a quiet process.
 var scratchPool = sync.Pool{New: func() any { return new(workspace) }}
 
 // release readies the workspace for the next search. Clearing the

@@ -59,9 +59,6 @@
 //     under the same epoch-validated key /route uses, so hot batches
 //     are answered without searching and batch-warmed entries serve
 //     later /route calls; time-expanded items always search.
-//   - /alternatives?source=&dest=&horizon=&max=[&budget=] — the
-//     stochastic skyline of mutually non-dominated routes within the
-//     time horizon.
 //   - /pairsum?first=&second= — the hybrid model's travel-time
 //     distribution for one adjacent edge pair, computed per request
 //     (one initial histogram, one extension).
@@ -89,9 +86,9 @@
 //     children pruned before costing are in neither): the sum of the
 //     per-answer convolved / estimated fields over every routing query
 //     answered so far — /route, /route/anytime and /route/batch items,
-//     cache misses only — exact across model swaps. /pairsum,
-//     /alternatives and background retraining build extensions too but
-//     are not routing queries and do not count. And — when
+//     cache misses only — exact across model swaps. /pairsum and
+//     background retraining build extensions too but are not routing
+//     queries and do not count. And — when
 //     ingestion is enabled — the write path's counters: accepted/rejected,
 //     aggregate size, drift events, last drift score, rebuilds and
 //     the last-swap timestamp, each also broken down per slice (so a
@@ -121,9 +118,9 @@
 //
 // Under the handlers, every search runs on the allocation-free cost
 // kernel: the model implements hybrid.Coster, whose one form of an
-// extension writes into caller-owned storage, so PBR — and the
-// /alternatives skyline — keep their label histograms in a pooled
-// per-search arena instead of allocating per extension; /pairsum costs
+// extension writes into caller-owned storage, so PBR keeps its label
+// histograms in a pooled per-search arena instead of allocating per
+// extension; /pairsum costs
 // its pair on a pooled scratch too. /route/batch additionally amortises
 // snapshot loading and scheduling across its items via
 // Engine.RouteBatch, whose single-snapshot guarantee is what makes

@@ -1,86 +1,11 @@
 package server
 
 import (
-	"errors"
 	"net/http"
-	"time"
 
 	"stochroute/internal/graph"
 	"stochroute/internal/httpsvc"
-	"stochroute/internal/routing"
 )
-
-type alternativeResponse struct {
-	Path        []graph.EdgeID `json:"path"`
-	MeanSeconds float64        `json:"mean_s"`
-	MinSeconds  float64        `json:"min_s"`
-	Prob        float64        `json:"prob,omitempty"`
-}
-
-type alternativesResponse struct {
-	Source    graph.VertexID        `json:"source"`
-	Dest      graph.VertexID        `json:"dest"`
-	Horizon   float64               `json:"horizon_s"`
-	Routes    []alternativeResponse `json:"routes"`
-	RuntimeMS float64               `json:"runtime_ms"`
-}
-
-func (s *Server) handleAlternatives(w http.ResponseWriter, r *http.Request) error {
-	start := time.Now()
-	src, dst, err := s.endpointsParam(r)
-	if err != nil {
-		return err
-	}
-	horizon, err := httpsvc.FloatParam(r, "horizon", 0)
-	if err != nil {
-		return err
-	}
-	if horizon <= 0 {
-		return httpsvc.BadRequest("horizon: must be a positive number of seconds")
-	}
-	maxRoutes, err := httpsvc.IntParam(r, "max", 8)
-	if err != nil {
-		return err
-	}
-	if maxRoutes <= 0 || maxRoutes > maxAlternatives {
-		return httpsvc.BadRequest("max: must be in [1, %d]", maxAlternatives)
-	}
-	// budget is optional: when present each skyline member also reports
-	// its on-time probability at that budget.
-	budget, err := httpsvc.FloatParam(r, "budget", 0)
-	if err != nil {
-		return err
-	}
-	routes, err := s.backend.AlternativeRoutes(src, dst, horizon, maxRoutes)
-	if errors.Is(err, routing.ErrUnreachable) {
-		return httpsvc.WriteJSON(w, &alternativesResponse{
-			Source: src, Dest: dst, Horizon: horizon,
-			Routes: []alternativeResponse{}, RuntimeMS: msSince(start),
-		})
-	}
-	if err != nil {
-		return err
-	}
-	out := &alternativesResponse{
-		Source:  src,
-		Dest:    dst,
-		Horizon: horizon,
-		Routes:  make([]alternativeResponse, 0, len(routes)),
-	}
-	for _, rt := range routes {
-		ar := alternativeResponse{
-			Path:        rt.Path,
-			MeanSeconds: rt.Dist.Mean(),
-			MinSeconds:  rt.Dist.Min,
-		}
-		if budget > 0 {
-			ar.Prob = rt.Dist.CDF(budget)
-		}
-		out.Routes = append(out.Routes, ar)
-	}
-	out.RuntimeMS = msSince(start)
-	return httpsvc.WriteJSON(w, out)
-}
 
 type pairSumResponse struct {
 	First       graph.EdgeID `json:"first"`

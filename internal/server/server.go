@@ -44,7 +44,6 @@ type Backend interface {
 	// query's search is that item's Err; the other items are still
 	// answered. workers <= 0 picks a sensible default.
 	RouteBatch(ctx context.Context, queries []routing.BatchQuery, workers int) []routing.BatchItem
-	AlternativeRoutes(source, dest graph.VertexID, horizon float64, maxRoutes int) ([]routing.ParetoRoute, error)
 	// PairSumAt answers under the given time-of-day slice's serving
 	// model (slice 0 = the classic time-homogeneous answer).
 	PairSumAt(slice int, first, second graph.EdgeID) (*hist.Hist, error)
@@ -176,8 +175,6 @@ type Server struct {
 const (
 	// cacheShards is the lock-shard count of every result cache.
 	cacheShards = 16
-	// maxAlternatives caps the skyline size a client may request.
-	maxAlternatives = 16
 	// maxSample caps the query count of one /sample call.
 	maxSample = 512
 )
@@ -228,7 +225,6 @@ func New(backend Backend, cfg Config) *Server {
 	if cfg.MaxBatch > 0 {
 		s.svc.Handle("/route/batch", http.MethodPost, s.handleRouteBatch)
 	}
-	s.svc.Handle("/alternatives", http.MethodGet, s.handleAlternatives)
 	s.svc.Handle("/pairsum", http.MethodGet, s.handlePairSum)
 	s.svc.Handle("/sample", http.MethodGet, s.handleSample)
 	s.svc.Handle("/healthz", http.MethodGet, s.handleHealthz)

@@ -181,12 +181,6 @@ func (f *fakeBackend) RouteBatch(ctx context.Context, queries []routing.BatchQue
 	return out
 }
 
-func (f *fakeBackend) AlternativeRoutes(src, dst graph.VertexID, horizon float64, maxRoutes int) ([]routing.ParetoRoute, error) {
-	return []routing.ParetoRoute{
-		{Path: []graph.EdgeID{0, 1}, Dist: f.distFor(src, dst, f.epoch.Load(), 0)},
-	}, nil
-}
-
 func (f *fakeBackend) PairSumAt(slice int, first, second graph.EdgeID) (*hist.Hist, error) {
 	f.pairCalls.Add(1)
 	if f.g.Edge(first).To != f.g.Edge(second).From {
@@ -276,8 +270,6 @@ func TestRouteValidation(t *testing.T) {
 		"/route?source=1&dest=2&budget=abc",                    // unparsable budget
 		"/route?source=999999&dest=2&budget=100",               // out of range
 		"/route?from=91,0&to=0,0&budget=100",                   // invalid latitude
-		"/alternatives?source=1&dest=2",                        // missing horizon
-		"/alternatives?source=1&dest=2&horizon=100&max=9999",   // max too large
 		"/pairsum?first=0",                                     // missing second
 		"/pairsum?first=0&second=999999",                       // out of range
 		"/sample?n=100000",                                     // n too large
@@ -370,22 +362,6 @@ func TestPairSumEndpoint(t *testing.T) {
 	rec, _ = get(t, h, "/pairsum?first=0&second=0")
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("non-adjacent pair: status %d, want 400", rec.Code)
-	}
-}
-
-func TestAlternativesEndpoint(t *testing.T) {
-	s := New(newFakeBackend(t), Config{})
-	rec, body := get(t, s.Handler(), "/alternatives?source=1&dest=2&horizon=500&max=4&budget=120")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %v", rec.Code, body)
-	}
-	routes := body["routes"].([]any)
-	if len(routes) != 1 {
-		t.Fatalf("routes = %v", routes)
-	}
-	r0 := routes[0].(map[string]any)
-	if r0["prob"].(float64) <= 0 {
-		t.Errorf("budget given, want positive prob: %v", r0)
 	}
 }
 

@@ -69,10 +69,6 @@ const (
 // ErrUnreachable is returned when no path connects the query endpoints.
 var ErrUnreachable = routing.ErrUnreachable
 
-// NewHist builds a travel-time distribution on the grid
-// min, min+width, … with the given (unnormalised) mass vector.
-func NewHist(min, width float64, p []float64) *Hist { return hist.New(min, width, p) }
-
 // NewHistFromPairs builds a normalised distribution from explicit
 // (value, weight) pairs on a common grid, like the tables in the paper.
 // Bad input — a width, value or weight that is not finite, a negative

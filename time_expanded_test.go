@@ -321,7 +321,7 @@ func TestTimeExpandedCrossesBoundaryAccuracy(t *testing.T) {
 
 	// Accuracy on the chosen path, against the world's time-expanded
 	// oracle.
-	truth, truthSlices, err := e.TrueDistributionExpanded(depart, path)
+	truth, truthSlices, err := e.World().PathTruthExpanded(depart, path)
 	if err != nil {
 		t.Fatal(err)
 	}
