@@ -4,13 +4,14 @@
 //
 // Queries are drawn from the server's own workload generator
 // (/sample), so loadgen needs no local copy of the network; each
-// query's budget is its optimistic travel time scaled by
-// -budget-factor, mirroring the paper's query protocol.
+// query's budget is the budget_s /sample answers with it, the 0.8
+// quantile of the mean-cost route's travel time under the
+// independence model — the paper's query protocol.
 //
 // Usage:
 //
 //	loadgen -addr http://localhost:8080 -n 2000 -c 16 \
-//	        -queries 64 -lo-km 0.5 -hi-km 2 -budget-factor 1.35
+//	        -queries 64 -lo-km 0.5 -hi-km 2
 //
 // With -batch k > 0 each request POSTs k randomly drawn queries to
 // /route/batch instead of issuing single GET /route calls; n then
@@ -90,10 +91,9 @@ import (
 )
 
 type sampleQuery struct {
-	Source      int     `json:"source"`
-	Dest        int     `json:"dest"`
-	DistKm      float64 `json:"dist_km"`
-	OptimisticS float64 `json:"optimistic_s"`
+	Source  int     `json:"source"`
+	Dest    int     `json:"dest"`
+	BudgetS float64 `json:"budget_s"`
 }
 
 type sampleResponse struct {
@@ -153,7 +153,6 @@ func main() {
 	numQueries := flag.Int("queries", 64, "distinct queries to sample (reuse drives cache hits)")
 	loKm := flag.Float64("lo-km", 0.5, "minimum query distance, km")
 	hiKm := flag.Float64("hi-km", 2.0, "maximum query distance, km")
-	factor := flag.Float64("budget-factor", 1.35, "budget = factor x optimistic travel time")
 	anytimeMS := flag.Int("anytime-ms", 0, "use /route/anytime with this wall-clock limit (0 = full /route)")
 	batch := flag.Int("batch", 0, "POST this many queries per request to /route/batch (0 = single GET /route calls)")
 	departsFlag := flag.String("departs", "", "comma-separated departure sweep (seconds since midnight); reports per-departure p50/p99 and hit rate")
@@ -222,16 +221,15 @@ func main() {
 		tp := obs.FormatTraceparent(obs.NewTraceID(), fmt.Sprintf("%016x", uint64(i)+1), sampled)
 		if *batch > 0 {
 			t0 := time.Now()
-			items, itemHits, reps, err := fireBatch(client, *addr, queries, src, *batch, *factor, depart, *expand, rid, tp)
+			items, itemHits, reps, err := fireBatch(client, *addr, queries, src, *batch, depart, *expand, rid, tp)
 			results[i] = outcome{latency: time.Since(t0), items: items, itemHits: itemHits, departIdx: departIdx, replicas: reps, err: err}
 			return nil
 		}
 		q := queries[src.Intn(len(queries))]
-		budget := q.OptimisticS * *factor
-		url := fmt.Sprintf("%s/route?source=%d&dest=%d&budget=%.3f", *addr, q.Source, q.Dest, budget)
+		url := fmt.Sprintf("%s/route?source=%d&dest=%d&budget=%.3f", *addr, q.Source, q.Dest, q.BudgetS)
 		if *anytimeMS > 0 {
 			url = fmt.Sprintf("%s/route/anytime?source=%d&dest=%d&budget=%.3f&limit_ms=%d",
-				*addr, q.Source, q.Dest, budget, *anytimeMS)
+				*addr, q.Source, q.Dest, q.BudgetS, *anytimeMS)
 		}
 		if departIdx >= 0 {
 			url += fmt.Sprintf("&depart=%.0f", depart)
@@ -531,13 +529,13 @@ type batchQuery struct {
 // the item count, per-item cache hits and the per-replica attribution
 // of the items (gateway answers carry it; a plain serve instance's
 // items have none).
-func fireBatch(client *http.Client, addr string, queries []sampleQuery, src *rng.RNG, k int, factor, depart float64, expand bool, rid, tp string) (items, itemHits int, replicas map[string]int, err error) {
+func fireBatch(client *http.Client, addr string, queries []sampleQuery, src *rng.RNG, k int, depart float64, expand bool, rid, tp string) (items, itemHits int, replicas map[string]int, err error) {
 	req := struct {
 		Queries []batchQuery `json:"queries"`
 	}{Queries: make([]batchQuery, k)}
 	for i := range req.Queries {
 		q := queries[src.Intn(len(queries))]
-		req.Queries[i] = batchQuery{Source: q.Source, Dest: q.Dest, Budget: q.OptimisticS * factor, Depart: depart, TimeExpanded: expand}
+		req.Queries[i] = batchQuery{Source: q.Source, Dest: q.Dest, Budget: q.BudgetS, Depart: depart, TimeExpanded: expand}
 	}
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -655,6 +655,28 @@ func (e *Engine) OptimisticTime(source, dest VertexID) (float64, error) {
 	return t, err
 }
 
+// QuantileBudget is the program's one default deadline for a query: the
+// q-quantile of the mean-cost route's travel time under the independence
+// (convolution) model with 1024 buckets of support, where the route and
+// its distribution both read the knowledge base of the slice depart
+// falls in. It is the paper's query
+// protocol: the deadline comes from the baseline route and leaks no
+// oracle information, so the baseline and a budget-routed path are
+// judged against the same deadline.
+func (e *Engine) QuantileBudget(depart float64, source, dest VertexID, q float64) (float64, error) {
+	cur := e.current.Load()
+	kb := cur.set.At(cur.set.SliceOf(depart)).KB
+	path, _, err := routing.MeanCostPath(e.graph, kb, source, dest)
+	if err != nil {
+		return 0, err
+	}
+	dist, err := hybrid.PathCost(&hybrid.ConvolutionCoster{KB: kb, MaxBuckets: 1024}, path)
+	if err != nil {
+		return 0, err
+	}
+	return dist.Quantile(q), nil
+}
+
 // checkPath reports why edges is not a path of the engine's graph: it
 // is empty, names an edge outside [0, NumEdges), or has two consecutive
 // edges that do not meet.

@@ -1,7 +1,8 @@
 // Airport: the paper's motivating example. An autonomous taxi must reach
 // the airport within a 60-minute deadline. Two candidate paths have the
 // travel-time distributions from the paper's introduction; mean-cost
-// routing picks the riskier one.
+// routing picks the riskier one. (The same table is E1 of
+// cmd/experiments.)
 package main
 
 import (
@@ -37,52 +38,5 @@ func main() {
 	if p1.ProbWithinBudget(deadline) > p2.ProbWithinBudget(deadline) {
 		fmt.Println("...but P1 makes the 60-minute deadline with probability 0.9 vs 0.8:")
 		fmt.Println("a taxi routed by averages has a higher risk of being late.")
-	}
-
-	// The same effect, end to end, on a synthetic city: compare the
-	// budget-routed path with the mean-cost path at a tight deadline.
-	fmt.Println("\n--- same effect on a generated network ---")
-	cfg := stochroute.DefaultConfig()
-	cfg.Network.Rows, cfg.Network.Cols = 24, 24
-	cfg.Walk.NumTrajectories = 4000
-	cfg.Hybrid.TrainPairs, cfg.Hybrid.TestPairs = 600, 150
-	cfg.Hybrid.MinPairObs = 12
-	cfg.Hybrid.Estimator.Train.Epochs = 40
-
-	engine, err := stochroute.BuildEngine(cfg, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	queries, err := engine.SampleQueries(1.0, 2.5, 12, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, q := range queries {
-		optimistic, err := engine.OptimisticTime(q.Source, q.Dest)
-		if err != nil {
-			continue
-		}
-		deadline := 1.35 * optimistic
-		res, err := engine.Route(q.Source, q.Dest, deadline)
-		if err != nil || !res.Found {
-			continue
-		}
-		basePath, _, err := engine.MeanRoute(q.Source, q.Dest)
-		if err != nil {
-			continue
-		}
-		baseTrue, err := engine.TrueDistribution(basePath)
-		if err != nil {
-			continue
-		}
-		pbrTrue, err := engine.TrueDistribution(res.Path)
-		if err != nil {
-			continue
-		}
-		pb, pp := baseTrue.ProbWithinBudget(deadline), pbrTrue.ProbWithinBudget(deadline)
-		if pp > pb+0.01 {
-			fmt.Printf("query %.1f km, deadline %.0fs: mean-cost path P(on time)=%.2f, budget-routed path P=%.2f (+%.0fpp)\n",
-				q.DistKm, deadline, pb, pp, 100*(pp-pb))
-		}
 	}
 }

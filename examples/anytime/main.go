@@ -35,11 +35,12 @@ func main() {
 		log.Fatal(err)
 	}
 	q := queries[0]
-	optimistic, err := engine.OptimisticTime(q.Source, q.Dest)
+	// The deadline is the 80th percentile of the mean-cost route's
+	// travel time under the independence model.
+	budget, err := engine.QuantileBudget(0, q.Source, q.Dest, 0.8)
 	if err != nil {
 		log.Fatal(err)
 	}
-	budget := 1.35 * optimistic
 	fmt.Printf("\nquery: %.1f km straight line, budget %.0fs\n\n", q.DistKm, budget)
 
 	ctx := context.Background()

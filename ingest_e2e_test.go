@@ -176,6 +176,11 @@ func TestOnlineIngestDriftRebuildSwapE2E(t *testing.T) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
+	// A drift trigger that fired during that rebuild is latched and
+	// starts the next one: wait out the chain, then read every view of
+	// the quiet fleet.
+	ing.WaitRebuilds()
+	st = getStats(t, ts.URL+"/stats")
 	if st.Ingest == nil {
 		t.Fatal("/stats has no ingest block")
 	}

@@ -34,7 +34,7 @@ func RunAnytimeCurve(s *Setup, out io.Writer) ([]AnytimePoint, error) {
 		pt := AnytimePoint{Expansions: limit}
 		used := 0
 		for _, q := range qs {
-			budget, err := queryBudget(s, q, 0.75)
+			budget, err := s.Engine.QuantileBudget(0, q.Source, q.Dest, 0.75)
 			if err != nil {
 				continue
 			}

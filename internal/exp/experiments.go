@@ -10,7 +10,6 @@ import (
 	"stochroute/internal/graph"
 	"stochroute/internal/hist"
 	"stochroute/internal/hybrid"
-	"stochroute/internal/netgen"
 	"stochroute/internal/par"
 	"stochroute/internal/routing"
 )
@@ -282,7 +281,7 @@ func RunQuality(s *Setup, out io.Writer) ([]QualityRow, error) {
 			if err != nil {
 				return err
 			}
-			budget, err := queryBudget(s, q, budgetQuantile)
+			budget, err := s.Engine.QuantileBudget(0, q.Source, q.Dest, budgetQuantile)
 			if err != nil {
 				return nil // skip query
 			}
@@ -413,7 +412,7 @@ func RunEfficiency(s *Setup, out io.Writer) ([]EfficiencyRow, error) {
 		qs := s.Queries[cat.String()]
 		row := EfficiencyRow{Category: cat.String()}
 		for _, q := range qs {
-			budget, err := queryBudget(s, q, 0.75)
+			budget, err := s.Engine.QuantileBudget(0, q.Source, q.Dest, 0.75)
 			if err != nil {
 				continue
 			}
@@ -458,25 +457,9 @@ func samePath(a, b []graph.EdgeID) bool {
 	return true
 }
 
-// queryBudget returns the deadline for a query: the given quantile of
-// the mean-cost baseline path's convolution-model distribution. Both
-// the baseline and PBR are judged against the same deadline, and no
-// oracle information leaks into it.
-func queryBudget(s *Setup, q netgen.Query, quantile float64) (float64, error) {
-	basePath, _, err := s.Engine.MeanRoute(q.Source, q.Dest)
-	if err != nil {
-		return 0, err
-	}
-	baseDist, err := hybrid.PathCost(convolutionCoster(s), basePath)
-	if err != nil {
-		return 0, err
-	}
-	return baseDist.Quantile(quantile), nil
-}
-
-// convolutionCoster is the independence model the deadlines and E5's
-// veto read: slice 0's knowledge base with 1024 buckets of support,
-// twice the serving model's cap.
+// convolutionCoster is the independence model E5's veto reads: slice
+// 0's knowledge base with 1024 buckets of support, twice the serving
+// model's cap — the model Engine.QuantileBudget sets deadlines by.
 func convolutionCoster(s *Setup) *hybrid.ConvolutionCoster {
 	return &hybrid.ConvolutionCoster{KB: s.Engine.SliceKnowledgeBase(0), MaxBuckets: 1024}
 }
@@ -523,7 +506,7 @@ func RunAblation(s *Setup, out io.Writer) ([]AblationRow, error) {
 		model := *s.Engine.SliceModel(0)
 		model.Mode = v.mode
 		for _, q := range qs {
-			budget, err := queryBudget(s, q, 0.75)
+			budget, err := s.Engine.QuantileBudget(0, q.Source, q.Dest, 0.75)
 			if err != nil {
 				continue
 			}

@@ -63,8 +63,9 @@
 //     distribution for one adjacent edge pair, computed per request
 //     (one initial histogram, one extension).
 //   - /sample?n=&lo_km=&hi_km=&seed= — routing queries drawn from the
-//     workload generator, annotated with optimistic travel times (the
-//     input cmd/loadgen replays).
+//     workload generator, each with budget_s: its default deadline at
+//     the request's depart, the 0.8-quantile of Backend.QuantileBudget
+//     (the input cmd/loadgen replays). An unreachable pair is skipped.
 //   - /ingest (POST, enabled by Config.Ingestor) — the write path:
 //     {"trajectories": [{"edges": [...], "times": [...], "depart":
 //     28920}, ...]} (depart optional, default 0). Trajectories are

@@ -55,10 +55,10 @@ func (s *Server) handlePairSum(w http.ResponseWriter, r *http.Request) error {
 }
 
 type sampleQuery struct {
-	Source      graph.VertexID `json:"source"`
-	Dest        graph.VertexID `json:"dest"`
-	DistKm      float64        `json:"dist_km"`
-	OptimisticS float64        `json:"optimistic_s"`
+	Source  graph.VertexID `json:"source"`
+	Dest    graph.VertexID `json:"dest"`
+	DistKm  float64        `json:"dist_km"`
+	BudgetS float64        `json:"budget_s"`
 	// Depart echoes the request's depart parameter (with its slice), so
 	// a load generator can sample one workload per time-of-day slice
 	// and replay the queries against the matching slice.
@@ -70,9 +70,14 @@ type sampleResponse struct {
 	Queries []sampleQuery `json:"queries"`
 }
 
+// sampleBudgetQuantile is the quantile of the mean-cost route's travel
+// time that /sample's budget_s reads (Backend.QuantileBudget).
+const sampleBudgetQuantile = 0.8
+
 // handleSample draws routing queries from the backend's workload
-// generator, annotated with their optimistic travel time so clients
-// (cmd/loadgen) can derive realistic budgets without the graph.
+// generator, each with its default deadline at the request's departure
+// (budget_s, the sampleBudgetQuantile of Backend.QuantileBudget), so
+// clients (cmd/loadgen) can send realistic budgets without the graph.
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) error {
 	n, err := httpsvc.IntParam(r, "n", 32)
 	if err != nil {
@@ -106,17 +111,17 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) error {
 	}
 	out := &sampleResponse{Queries: make([]sampleQuery, 0, len(qs))}
 	for _, q := range qs {
-		opt, err := s.backend.OptimisticTime(q.Source, q.Dest)
+		budget, err := s.backend.QuantileBudget(depart, q.Source, q.Dest, sampleBudgetQuantile)
 		if err != nil {
 			continue // unreachable pair; not a useful load query
 		}
 		out.Queries = append(out.Queries, sampleQuery{
-			Source:      q.Source,
-			Dest:        q.Dest,
-			DistKm:      q.DistKm,
-			OptimisticS: opt,
-			Depart:      depart,
-			Slice:       s.backend.SliceOf(depart),
+			Source:  q.Source,
+			Dest:    q.Dest,
+			DistKm:  q.DistKm,
+			BudgetS: budget,
+			Depart:  depart,
+			Slice:   s.backend.SliceOf(depart),
 		})
 	}
 	return httpsvc.WriteJSON(w, out)

@@ -47,7 +47,10 @@ type Backend interface {
 	// PairSumAt answers under the given time-of-day slice's serving
 	// model (slice 0 = the classic time-homogeneous answer).
 	PairSumAt(slice int, first, second graph.EdgeID) (*hist.Hist, error)
-	OptimisticTime(source, dest graph.VertexID) (float64, error)
+	// QuantileBudget is the default deadline of a query departing at
+	// depart: the q-quantile of its mean-cost route's travel time under
+	// the independence model. /sample answers it as budget_s.
+	QuantileBudget(depart float64, source, dest graph.VertexID, q float64) (float64, error)
 	SampleQueries(loKm, hiKm float64, n int, seed uint64) ([]netgen.Query, error)
 	DecisionCounts() (convolved, estimated uint64)
 	ModelEpoch() uint64

@@ -189,8 +189,8 @@ func (f *fakeBackend) PairSumAt(slice int, first, second graph.EdgeID) (*hist.Hi
 	return hist.Uniform(float64(first+second)+4+1000*float64(slice), 2, 3), nil
 }
 
-func (f *fakeBackend) OptimisticTime(src, dst graph.VertexID) (float64, error) {
-	return float64(src+dst) + 10, nil
+func (f *fakeBackend) QuantileBudget(depart float64, src, dst graph.VertexID, q float64) (float64, error) {
+	return float64(src+dst) + 100*q + depart/1000, nil
 }
 
 func (f *fakeBackend) SampleQueries(loKm, hiKm float64, n int, seed uint64) ([]netgen.Query, error) {
@@ -366,7 +366,8 @@ func TestPairSumEndpoint(t *testing.T) {
 }
 
 func TestSampleEndpoint(t *testing.T) {
-	s := New(newFakeBackend(t), Config{})
+	fb := newFakeBackend(t)
+	s := New(fb, Config{})
 	rec, body := get(t, s.Handler(), "/sample?n=5&lo_km=0.5&hi_km=2")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %v", rec.Code, body)
@@ -376,8 +377,9 @@ func TestSampleEndpoint(t *testing.T) {
 		t.Fatalf("queries = %d, want 5", len(qs))
 	}
 	q0 := qs[0].(map[string]any)
-	if q0["optimistic_s"].(float64) <= 0 {
-		t.Errorf("missing optimistic time: %v", q0)
+	want, _ := fb.QuantileBudget(0, graph.VertexID(q0["source"].(float64)), graph.VertexID(q0["dest"].(float64)), sampleBudgetQuantile)
+	if got, ok := q0["budget_s"].(float64); !ok || got != want {
+		t.Errorf("budget_s = %v, want %v: %v", q0["budget_s"], want, q0)
 	}
 }
 

@@ -192,6 +192,11 @@ func TestTemporalSliceDriftE2E(t *testing.T) {
 	for err := range qerrs {
 		t.Error(err)
 	}
+	// A drift trigger that fired during that rebuild is latched and
+	// starts the next one: wait out the chain, then read every view of
+	// the quiet fleet.
+	ing.WaitRebuilds()
+	st = getSliceStats(t, ts.URL+"/stats")
 
 	// Drift fired in exactly the congested slice; only its epoch moved.
 	if st.Ingest == nil || len(st.Ingest.Slices) != K {
