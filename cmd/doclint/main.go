@@ -1,11 +1,11 @@
 // Command doclint is the repository's documentation gate: it fails
 // (exit 1) when any exported identifier in the given packages lacks a
 // doc comment, listing every offender as file:line. CI runs it over
-// the packages whose exported surface is a contract for contributors
-// (internal/traj, internal/routing, internal/hybrid, internal/httpsvc);
-// run it locally the same way:
+// every package of the module: the facade, the commands, the examples
+// and every internal package (bench/ is a module of its own). Run it
+// locally the same way:
 //
-//	go run ./cmd/doclint internal/traj internal/routing internal/hybrid internal/httpsvc
+//	go run ./cmd/doclint . cmd/* examples/* internal/*
 //
 // The rules mirror `revive`'s exported check, without the dependency:
 //

@@ -74,11 +74,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -145,45 +147,53 @@ func firstError(results []outcome) error {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("loadgen: ")
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
-	addr := flag.String("addr", "http://localhost:8080", "server base URL")
-	scrapeURL := flag.String("scrape-url", "", "base URL for the before/after /metrics scrape (default -addr); behind cmd/gateway point this at one replica, whose exposition carries route_latency_seconds")
-	n := flag.Int("n", 1000, "total requests to send")
-	c := flag.Int("c", 16, "concurrent workers")
-	numQueries := flag.Int("queries", 64, "distinct queries to sample (reuse drives cache hits)")
-	loKm := flag.Float64("lo-km", 0.5, "minimum query distance, km")
-	hiKm := flag.Float64("hi-km", 2.0, "maximum query distance, km")
-	anytimeMS := flag.Int("anytime-ms", 0, "use /route/anytime with this wall-clock limit (0 = full /route)")
-	batch := flag.Int("batch", 0, "POST this many queries per request to /route/batch (0 = single GET /route calls)")
-	departsFlag := flag.String("departs", "", "comma-separated departure sweep (seconds since midnight); reports per-departure p50/p99 and hit rate")
-	expand := flag.Bool("expand", false, "request time-expanded routing (per-edge slice selection; bypasses the route cache)")
-	traces := flag.Int("traces", 0, "force-trace 1 in N requests (sampled traceparent) and print the slowest span trees from /debug/traces after the run (0 disables); against a gateway the trees show the proxy hop, and each replica's tree for the same request shares its trace_id")
-	seed := flag.Int64("seed", 1, "workload seed")
-	flag.Parse()
+// run replays the workload the arguments describe and prints the report.
+func run(args []string) error {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	addr := fs.String("addr", "http://localhost:8080", "server base URL")
+	scrapeURL := fs.String("scrape-url", "", "base URL for the before/after /metrics scrape (default -addr); behind cmd/gateway point this at one replica, whose exposition carries route_latency_seconds")
+	n := fs.Int("n", 1000, "total requests to send")
+	c := fs.Int("c", 16, "concurrent workers")
+	numQueries := fs.Int("queries", 64, "distinct queries to sample (reuse drives cache hits)")
+	loKm := fs.Float64("lo-km", 0.5, "minimum query distance, km")
+	hiKm := fs.Float64("hi-km", 2.0, "maximum query distance, km")
+	anytimeMS := fs.Int("anytime-ms", 0, "use /route/anytime with this wall-clock limit (0 = full /route)")
+	batch := fs.Int("batch", 0, "POST this many queries per request to /route/batch (0 = single GET /route calls)")
+	departsFlag := fs.String("departs", "", "comma-separated departure sweep (seconds since midnight); reports per-departure p50/p99 and hit rate")
+	expand := fs.Bool("expand", false, "request time-expanded routing (per-edge slice selection; bypasses the route cache)")
+	traces := fs.Int("traces", 0, "force-trace 1 in N requests (sampled traceparent) and print the slowest span trees from /debug/traces after the run (0 disables); against a gateway the trees show the proxy hop, and each replica's tree for the same request shares its trace_id")
+	seed := fs.Int64("seed", 1, "workload seed")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *n <= 0 || *c <= 0 || *numQueries <= 0 {
-		log.Fatal("-n, -c and -queries must be positive")
+		return errors.New("-n, -c and -queries must be positive")
 	}
 	if *batch > 0 && *anytimeMS > 0 {
-		log.Fatal("-batch and -anytime-ms are mutually exclusive")
+		return errors.New("-batch and -anytime-ms are mutually exclusive")
 	}
 	departs, err := parseDeparts(*departsFlag)
 	if err != nil {
-		log.Fatalf("-departs: %v", err)
+		return fmt.Errorf("-departs: %w", err)
 	}
 
+	// One query list per departure: a query's budget_s is its deadline
+	// at that departure, so a request departing at d draws from d's list.
 	client := &http.Client{Timeout: 60 * time.Second}
-	queries, err := fetchQueries(client, *addr, *numQueries, *loKm, *hiKm, *seed)
+	queries, err := fetchQueries(client, *addr, *numQueries, *loKm, *hiKm, *seed, departs)
 	if err != nil {
-		log.Fatal(err)
-	}
-	if len(queries) == 0 {
-		log.Fatal("server returned no usable queries")
+		return err
 	}
 	if *batch > 0 {
 		log.Printf("replaying %d batch requests x %d queries over %d distinct queries with %d workers",
-			*n, *batch, len(queries), *c)
+			*n, *batch, len(queries[0]), *c)
 	} else {
-		log.Printf("replaying %d requests over %d distinct queries with %d workers", *n, len(queries), *c)
+		log.Printf("replaying %d requests over %d distinct queries with %d workers", *n, len(queries[0]), *c)
 	}
 
 	// Scrape the server's own latency histogram around the run: the
@@ -207,9 +217,10 @@ func main() {
 		// listed departures so every slice sees equal load.
 		departIdx := -1
 		depart := 0.0
+		pool := queries[0]
 		if len(departs) > 0 {
 			departIdx = i % len(departs)
-			depart = departs[departIdx]
+			depart, pool = departs[departIdx], queries[departIdx]
 		}
 		// Every request carries a unique X-Request-ID, echoed by
 		// the server and stamped on its slow-query log lines, so a
@@ -221,11 +232,11 @@ func main() {
 		tp := obs.FormatTraceparent(obs.NewTraceID(), fmt.Sprintf("%016x", uint64(i)+1), sampled)
 		if *batch > 0 {
 			t0 := time.Now()
-			items, itemHits, reps, err := fireBatch(client, *addr, queries, src, *batch, depart, *expand, rid, tp)
+			items, itemHits, reps, err := fireBatch(client, *addr, pool, src, *batch, depart, *expand, rid, tp)
 			results[i] = outcome{latency: time.Since(t0), items: items, itemHits: itemHits, departIdx: departIdx, replicas: reps, err: err}
 			return nil
 		}
-		q := queries[src.Intn(len(queries))]
+		q := pool[src.Intn(len(pool))]
 		url := fmt.Sprintf("%s/route?source=%d&dest=%d&budget=%.3f", *addr, q.Source, q.Dest, q.BudgetS)
 		if *anytimeMS > 0 {
 			url = fmt.Sprintf("%s/route/anytime?source=%d&dest=%d&budget=%.3f&limit_ms=%d",
@@ -263,7 +274,7 @@ func main() {
 		}
 	}
 	if len(latencies) == 0 {
-		log.Fatalf("all %d requests failed; first error: %v", errs, firstError(results))
+		return fmt.Errorf("all %d requests failed; first error: %w", errs, firstError(results))
 	}
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 
@@ -294,6 +305,7 @@ func main() {
 	if errs > 0 {
 		log.Printf("first error: %v", firstError(results))
 	}
+	return nil
 }
 
 // reportTraces fetches the span trees the server recorded for this run
@@ -581,25 +593,36 @@ func fireBatch(client *http.Client, addr string, queries []sampleQuery, src *rng
 	return len(br.Results), br.CacheHits, replicas, nil
 }
 
-func fetchQueries(client *http.Client, addr string, n int, loKm, hiKm float64, seed int64) ([]sampleQuery, error) {
-	url := fmt.Sprintf("%s/sample?n=%d&lo_km=%g&hi_km=%g&seed=%d", addr, n, loKm, hiKm, seed)
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
+// fetchQueries asks /sample for n queries once per departure (0 when
+// there is no sweep), so each list carries that departure's budget_s.
+func fetchQueries(client *http.Client, addr string, n int, loKm, hiKm float64, seed int64, departs []float64) ([][]sampleQuery, error) {
+	if len(departs) == 0 {
+		departs = []float64{0}
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
+	lists := make([][]sampleQuery, len(departs))
+	for i, d := range departs {
+		resp, err := client.Get(fmt.Sprintf("%s/sample?n=%d&lo_km=%g&hi_km=%g&seed=%d&depart=%g", addr, n, loKm, hiKm, seed, d))
+		if err != nil {
+			return nil, err
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("sample: %s: %s", resp.Status, body)
+		}
+		var sr sampleResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			return nil, fmt.Errorf("sample: %w", err)
+		}
+		if len(sr.Queries) == 0 {
+			return nil, errors.New("server returned no usable queries")
+		}
+		lists[i] = sr.Queries
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("sample: %s: %s", resp.Status, body)
-	}
-	var sr sampleResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		return nil, fmt.Errorf("sample: %w", err)
-	}
-	return sr.Queries, nil
+	return lists, nil
 }
 
 // fire issues one request, fully draining the body so connections are

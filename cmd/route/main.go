@@ -78,15 +78,13 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("route", flag.ContinueOnError)
 	netPath := fs.String("net", "net.srg", "network file (SRG1)")
 	trajPath := fs.String("traj", "trips.srt", "trajectory file (SRT2), used to rebuild edge statistics")
-	modelPath := fs.String("model", "model.srhm", "trained model file (SRH2)")
+	modelPath := fs.String("model", "model.srhm", "trained model file (SRH3; its recipe sets the grid width and pair threshold)")
 	from := fs.String("from", "", "source as lat,lon")
 	to := fs.String("to", "", "destination as lat,lon")
 	budget := fs.Float64("budget", 600, "time budget in seconds")
 	depart := fs.Float64("depart", 0, "departure time in seconds since midnight (selects the time-of-day slice of a sliced model)")
 	expand := fs.Bool("expand", false, "time-expanded routing: re-select the slice model per edge from departure + accumulated mean cost (long trips cross slice boundaries mid-search)")
 	limit := fs.Duration("limit", 0, "anytime wall-clock limit (0 = run to optimality)")
-	width := fs.Float64("width", 2, "histogram grid width in seconds")
-	minObs := fs.Int("min-obs", 20, "minimum pair observations")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -103,7 +101,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-to: %w", err)
 	}
 
-	eng, _, err := stochroute.OpenEngine(*netPath, *trajPath, *modelPath, *width, *minObs)
+	eng, _, err := stochroute.OpenEngine(*netPath, *trajPath, *modelPath)
 	if err != nil {
 		return err
 	}

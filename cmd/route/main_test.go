@@ -89,8 +89,7 @@ func writeArtifacts(t *testing.T, dir string, k int) (eng *stochroute.Engine, ar
 	if err := eng.SaveModel(model); err != nil {
 		t.Fatal(err)
 	}
-	return eng, []string{"-net", net, "-traj", trips, "-model", model,
-		"-width", fmt.Sprint(testWidth), "-min-obs", fmt.Sprint(testMinObs)}
+	return eng, []string{"-net", net, "-traj", trips, "-model", model}
 }
 
 func latLon(p stochroute.Point) string {

@@ -12,12 +12,16 @@
 //
 //	serve -synthetic -rows 20 -cols 20 -addr :8080
 //
+// In artifact mode the grid width and the pair threshold the knowledge
+// bases are rebuilt with come from the model file's training recipe.
+//
 // Unless -ingest=false, the service also accepts live trajectories on
 // POST /ingest (stream them with cmd/replay), monitors them for
 // distribution drift against the serving model, and retrains +
 // hot-swaps the model in the background when drift fires (or every
-// -rebuild-every trajectories). /stats reports the model epoch and the
-// write path's counters.
+// -rebuild-every trajectories). A rebuild trains on the serving set's
+// recipe: the model file's, or the synthetic build's. /stats reports
+// the model epoch and the write path's counters.
 //
 // Observability: GET /metrics serves the Prometheus text exposition
 // (disable with -metrics=false); -slow-query-ms logs a structured
@@ -60,7 +64,6 @@ import (
 	"time"
 
 	"stochroute"
-	"stochroute/internal/hybrid"
 	"stochroute/internal/ingest"
 	"stochroute/internal/obs"
 	"stochroute/internal/server"
@@ -81,9 +84,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	netPath := flag.String("net", "net.srg", "network file (SRG1)")
 	trajPath := flag.String("traj", "trips.srt", "trajectory file (SRT2), used to rebuild edge statistics")
-	modelPath := flag.String("model", "model.srhm", "trained model file (SRH2)")
-	width := flag.Float64("width", 2, "histogram grid width in seconds")
-	minObs := flag.Int("min-obs", 20, "minimum pair observations")
+	modelPath := flag.String("model", "model.srhm", "trained model file (SRH3; its recipe sets the grid width, the pair threshold and how a rebuild trains)")
 	landmarks := flag.Int("landmarks", 0, "ALT landmarks: precompute this many landmark distance tables per model generation so queries skip the per-query backward Dijkstra (0 disables; 16 is a good OSM-scale default)")
 
 	synthetic := flag.Bool("synthetic", false, "generate a synthetic city and train in-process instead of loading artifacts")
@@ -103,10 +104,6 @@ func main() {
 	driftThreshold := flag.Float64("drift-threshold", 0.12, "per-edge JS divergence counting as drifted")
 	driftFrac := flag.Float64("drift-frac", 0.25, "fraction of drifted edges that triggers a rebuild")
 	rebuildEvery := flag.Int("rebuild-every", 0, "unconditionally rebuild after this many ingested trajectories (0 = drift only)")
-	rebuildEpochs := flag.Int("rebuild-epochs", 0, "estimator epochs per background rebuild (0 = match cmd/train's default; align with the -epochs you trained with)")
-	rebuildTrainPairs := flag.Int("rebuild-train-pairs", 0, "training pairs per background rebuild (0 = default)")
-	rebuildTestPairs := flag.Int("rebuild-test-pairs", 0, "held-out pairs per background rebuild (0 = default)")
-	rebuildPrefixRows := flag.Int("rebuild-prefix-rows", -1, "virtual-edge phase-2 rows per rebuild (-1 = default, 0 disables the phase)")
 	maxTrajectories := flag.Int("max-trajectories", 50000, "per-slice aggregate bound in trajectories: past half of it a second count store starts, and past all of it that store takes over, so the older half ages out (negative = unbounded)")
 	maxIngestBytes := flag.Int64("max-ingest-bytes", 8<<20, "largest accepted /ingest body")
 	maxBatch := flag.Int("max-batch", 256, "largest accepted /route/batch query count (negative disables the endpoint)")
@@ -118,9 +115,6 @@ func main() {
 	traceStore := flag.Int("trace-store", 256, "completed traces retained for /debug/traces (plus a slow/error annex)")
 	replicaID := flag.String("replica-id", "", "fleet identity: stamp every response with this X-Replica header and report it in /healthz, so cmd/gateway can attribute and verify this replica (empty = standalone)")
 	flag.Parse()
-	if err := traj.CheckWidth(*width); err != nil {
-		log.Fatalf("-width: %v", err)
-	}
 
 	if *pprofAddr != "" {
 		startPprof(*pprofAddr)
@@ -129,7 +123,6 @@ func main() {
 	var (
 		eng       *stochroute.Engine
 		seedTrajs []traj.Trajectory
-		hybridCfg hybrid.Config
 		err       error
 	)
 	if *synthetic {
@@ -145,15 +138,11 @@ func main() {
 			}
 			cfg.World.SlicePriors = priors
 		}
-		hybridCfg = cfg.Hybrid
 		log.Printf("building synthetic %dx%d engine with %d time slice(s) (this trains %d model(s); use artifact flags in production)",
 			*rows, *cols, traj.NumSlices(*slices), traj.NumSlices(*slices))
 		eng, err = stochroute.BuildEngine(cfg, os.Stderr)
 	} else {
-		hybridCfg = hybrid.DefaultConfig()
-		hybridCfg.Width = *width
-		hybridCfg.MinPairObs = *minObs
-		eng, seedTrajs, err = stochroute.OpenEngine(*netPath, *trajPath, *modelPath, *width, *minObs)
+		eng, seedTrajs, err = stochroute.OpenEngine(*netPath, *trajPath, *modelPath)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -188,25 +177,15 @@ func main() {
 
 	var ing *ingest.Ingestor
 	if *ingestOn {
-		// The rebuild trains with the same hyperparameters the serving
-		// model was built with (the synthetic build config, or
-		// width/min-obs in artifact mode) unless overridden: an operator
-		// who validated a light offline training run should not get
-		// default-heavy retraining behind their back.
-		if *rebuildEpochs > 0 {
-			hybridCfg.Estimator.Train.Epochs = *rebuildEpochs
-		}
-		if *rebuildTrainPairs > 0 {
-			hybridCfg.TrainPairs = *rebuildTrainPairs
-		}
-		if *rebuildTestPairs > 0 {
-			hybridCfg.TestPairs = *rebuildTestPairs
-		}
-		if *rebuildPrefixRows >= 0 {
-			hybridCfg.PrefixRows = *rebuildPrefixRows
+		// A rebuild trains the way the serving set was trained: on the
+		// recipe it carries (the synthetic build's config, or the one
+		// the model file records).
+		recipe, err := eng.ModelSet().Recipe()
+		if err != nil {
+			log.Fatal(err)
 		}
 		ing = ingest.New(eng, ingest.Config{
-			Hybrid: hybridCfg,
+			Hybrid: recipe,
 			Drift: ingest.DriftConfig{
 				Window:        *driftWindow,
 				EdgeThreshold: *driftThreshold,

@@ -1,7 +1,11 @@
 // Command train fits the Hybrid Model (distribution estimator +
 // convolve-vs-estimate classifier) from a network and trajectory file,
 // reports the paper's KL-divergence evaluation on held-out pairs, and
-// writes the model set in the SRH2 binary format.
+// writes the model set in the SRH3 binary format. The file records the
+// training recipe (-width, -min-obs, -train-pairs, -test-pairs,
+// -epochs), so cmd/serve and cmd/route rebuild the knowledge bases the
+// model was trained on, and cmd/serve's background rebuilds train the
+// same way, with no flags of their own.
 //
 // Usage:
 //
@@ -55,9 +59,6 @@ func run(args []string, stdout io.Writer) error {
 	verbose := fs.Bool("v", false, "log training progress")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if err := traj.CheckWidth(*width); err != nil {
-		return fmt.Errorf("-width: %w", err)
 	}
 
 	g, err := stochroute.LoadGraph(*netPath)

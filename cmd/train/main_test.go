@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -138,6 +141,84 @@ func TestRunWritesEngineModel(t *testing.T) {
 		}
 		if last := fmt.Sprintf("wrote %s (%d slice(s))\n", out, k); !strings.HasSuffix(text, last) {
 			t.Errorf("slices=%d: stdout does not end with %q:\n%s", k, last, text)
+		}
+	}
+}
+
+// TestRunRecipeServes trains through the command with a recipe that is
+// not the default one, opens the file with stochroute.OpenEngine — as
+// cmd/serve and cmd/route do, with no recipe flag of their own — and
+// checks that the served engine is the trained one: the same knowledge
+// base, 64 of 64 sampled q0.8 queries answered bit-identically, and the
+// set's Recipe, which cmd/serve hands its ingestor's rebuilds, equal to
+// the training config field by field. A caller that names a grid or a
+// pair threshold the set was not trained on is refused.
+func TestRunRecipeServes(t *testing.T) {
+	dir := t.TempDir()
+	net, trips := writeInputs(t, dir, 1)
+	out := filepath.Join(dir, "model.srhm")
+	if err := run([]string{"-net", net, "-traj", trips, "-out", out,
+		"-min-obs", "6", "-train-pairs", "150", "-test-pairs", "40", "-epochs", "4"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	opened, trs, err := stochroute.OpenEngine(net, trips, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := hybrid.DefaultConfig()
+	cfg.TrainPairs, cfg.TestPairs, cfg.MinPairObs, cfg.Slices = 150, 40, 6, 1
+	cfg.Estimator.Train.Epochs = 4
+	trained, err := stochroute.NewEngineFromObservations(opened.Graph(), trs, cfg, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if got, want := opened.SliceKnowledgeBase(0).NumPairs(), trained.SliceKnowledgeBase(0).NumPairs(); got != want {
+		t.Errorf("the opened engine's knowledge base has %d pairs, the trained one's %d", got, want)
+	}
+	qs, err := trained.SampleQueries(0.3, 1.0, 64, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := 0
+	for _, q := range qs {
+		budget, err := trained.QuantileBudget(0, q.Source, q.Dest, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := trained.Route(q.Source, q.Dest, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := opened.Route(q.Source, q.Dest, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.Prob) == math.Float64bits(want.Prob) && slices.Equal(got.Path, want.Path) {
+			same++
+		}
+	}
+	if same != len(qs) || len(qs) != 64 {
+		t.Errorf("%d of %d q0.8 queries answered bit-identically, want 64 of 64", same, len(qs))
+	}
+
+	recipe, err := opened.ModelSet().Recipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv, cv := reflect.ValueOf(recipe), reflect.ValueOf(cfg)
+	for i := 0; i < rv.NumField(); i++ {
+		if name := rv.Type().Field(i).Name; !reflect.DeepEqual(rv.Field(i).Interface(), cv.Field(i).Interface()) {
+			t.Errorf("recipe %s = %+v, trained with %+v", name, rv.Field(i).Interface(), cv.Field(i).Interface())
+		}
+	}
+
+	for _, bad := range []struct {
+		width  float64
+		minObs int
+	}{{cfg.Width, 20}, {2 * cfg.Width, cfg.MinPairObs}} {
+		if _, err := stochroute.NewEngineWithModelSet(opened.Graph(), trs, bad.width, bad.minObs, opened.ModelSet()); err == nil {
+			t.Errorf("NewEngineWithModelSet served the set at width %v, min obs %d", bad.width, bad.minObs)
 		}
 	}
 }

@@ -131,9 +131,10 @@
 // per-request structs (hybrid.QueryStats, surfaced as
 // RouteResult.NumConvolved/NumEstimated — extensions built, which
 // excludes children the search pruned from the parent label before
-// costing them), which the engine adds to its lifetime totals
-// (Engine.DecisionCounts) once per answered routing query; a model
-// holds no mutable state on the query path.
+// costing them), which an attached obs.SearchMetrics records once per
+// answered routing query (the search_convolved and search_estimated
+// histograms of /metrics); a model holds no mutable state on the query
+// path.
 // Earlier versions required serialising Route calls or cloning models
 // per goroutine; that caveat is gone.
 //
@@ -178,8 +179,11 @@
 //     store — and every model built from it — is the same whatever the
 //     order the trajectories arrived in.
 //   - One hybrid model is trained per slice on that slice's data
-//     (hybrid.TrainSlices) and the set persists as one SRH2 file; the
-//     classic time-homogeneous model is the set with K = 1.
+//     (hybrid.TrainSlices) and the set persists as one SRH3 file; the
+//     classic time-homogeneous model is the set with K = 1. The file
+//     records each model's training recipe (hybrid.Model.Recipe): the
+//     grid width and pair threshold OpenEngine rebuilds the knowledge
+//     bases with, and the protocol a background rebuild trains with.
 //   - A query's RouteOptions.Departure selects the slice exactly once,
 //     before the (unchanged, allocation-free) PBR kernel runs; results
 //     are stamped with the slice and the slice's epoch. Concatenated

@@ -135,8 +135,7 @@ func (e *Engine) publish(cur *modelSnapshot, c change) (uint64, error) {
 // Route, RouteCtx, RouteBatch, PathDistributionAt, PairSumAt and
 // friends — is read-only and safe for any number of concurrent
 // goroutines on one shared Engine; decision telemetry is kept per
-// request and added to the engine's lifetime totals once per answered
-// query.
+// request and recorded once per answered query (SetSearchMetrics).
 //
 // The serving model lives behind an epoch-tagged atomic pointer:
 // SwapSliceModel and SetLandmarks atomically publish a new model
@@ -158,11 +157,6 @@ type Engine struct {
 	// behind an atomic pointer so attaching or detaching the recorder
 	// never races the query path.
 	searchMetrics atomic.Pointer[obs.SearchMetrics]
-
-	// convolved and estimated are the lifetime decision totals: each
-	// answered routing query adds its own counts once (routeOnSnapshot).
-	convolved atomic.Uint64
-	estimated atomic.Uint64
 
 	// Report is the KL-divergence evaluation captured during training
 	// (slice 0's report for a time-sliced engine).
@@ -257,11 +251,18 @@ func trainEngine(g *Graph, trajs []Trajectory, world *World, cfg hybrid.Config, 
 // are bucketed by departure slice, one knowledge base is rebuilt per
 // slice, and each slice's model is attached to its own, with no
 // training and no evaluation (Report is nil). The set's grid width must
-// match width, and every trajectory must pass Trajectory.Validate
-// against g.
+// match width, a slice that carries a training recipe (Model.Recipe)
+// must have been trained on width and minPairObs, and every trajectory
+// must pass Trajectory.Validate against g.
 func NewEngineWithModelSet(g *Graph, trajs []Trajectory, width float64, minPairObs int, set *hybrid.ModelSet) (*Engine, error) {
 	if set == nil || set.K() == 0 {
 		return nil, errors.New("stochroute: nil or empty model set")
+	}
+	for s, m := range set.Models() {
+		if r, err := m.Recipe(); err == nil && (r.Width != width || r.MinPairObs != minPairObs) {
+			return nil, fmt.Errorf("stochroute: slice %d was trained on a %v s grid with pairs of >= %d observations, not on %v s and %d",
+				s, r.Width, r.MinPairObs, width, minPairObs)
+		}
 	}
 	k := set.K()
 	obs, err := collectSlices(g, trajs, width, k)
@@ -515,8 +516,6 @@ func (e *Engine) routeOnSnapshot(ctx context.Context, cur *modelSnapshot, source
 	}
 	res.NumConvolved = qs.Convolved
 	res.NumEstimated = qs.Estimated
-	e.convolved.Add(uint64(qs.Convolved))
-	e.estimated.Add(uint64(qs.Estimated))
 	res.ModelEpoch = cur.epochFor(slice, opts)
 	res.Slice = slice
 	if sp != nil {
@@ -623,15 +622,6 @@ func (e *Engine) batchItem(ctx context.Context, cur *modelSnapshot, i int, q rou
 	}()
 	item.Result, item.Err = e.routeOnSnapshot(ictx, cur, q.Source, q.Dest, q.Opts)
 	return item
-}
-
-// DecisionCounts returns the engine's lifetime convolve/estimate
-// totals: the sum of NumConvolved / NumEstimated over every routing
-// query answered so far (single, batched or time-expanded), whichever
-// model generation answered it. PairSumAt and PathDistributionAt are
-// not routing queries and do not count.
-func (e *Engine) DecisionCounts() (convolved, estimated uint64) {
-	return e.convolved.Load(), e.estimated.Load()
 }
 
 // PairSumAt returns the distribution for traversing the adjacent edge
@@ -755,10 +745,12 @@ func LoadGraph(path string) (*Graph, error) {
 // (cmd/gennet), the trajectories (cmd/gentraj; one file or
 // several concatenated) and the trained model set (SaveModel,
 // cmd/train), whose slice count the engine adopts. The per-slice
-// knowledge bases the models bind to are rebuilt from the trajectories;
-// nothing is retrained. The trajectories are returned as well, for a
-// caller that seeds an ingestion aggregate with them.
-func OpenEngine(netPath, trajPath, modelPath string, width float64, minPairObs int) (*Engine, []Trajectory, error) {
+// knowledge bases the models bind to are rebuilt from the trajectories
+// on the grid and pair threshold the file's recipe records
+// (ModelSet.Recipe); nothing is retrained. The trajectories are
+// returned as well, for a caller that seeds an ingestion aggregate with
+// them.
+func OpenEngine(netPath, trajPath, modelPath string) (*Engine, []Trajectory, error) {
 	g, err := LoadGraph(netPath)
 	if err != nil {
 		return nil, nil, fmt.Errorf("stochroute: %s: %w", netPath, err)
@@ -781,12 +773,14 @@ func OpenEngine(netPath, trajPath, modelPath string, width float64, minPairObs i
 	if err != nil {
 		return nil, nil, fmt.Errorf("stochroute: %s: %w", modelPath, err)
 	}
-	eng, err := NewEngineWithModelSet(g, trs, width, minPairObs, set)
+	recipe, _ := set.Recipe() // ReadModelSet refuses a set without a valid one
+	eng, err := NewEngineWithModelSet(g, trs, recipe.Width, recipe.MinPairObs, set)
 	return eng, trs, err
 }
 
-// SaveModel writes the currently serving model set to path in the SRH2
-// binary format (a time-homogeneous engine is the set with one slice).
+// SaveModel writes the currently serving model set to path in the SRH3
+// binary format (a time-homogeneous engine is the set with one slice),
+// each slice with its training recipe.
 func (e *Engine) SaveModel(path string) error {
 	f, err := os.Create(path)
 	if err != nil {

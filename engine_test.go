@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"stochroute/internal/hybrid"
 	"stochroute/internal/netgen"
+	"stochroute/internal/obs"
 	"stochroute/internal/routing"
 	"stochroute/internal/traj"
 )
@@ -233,6 +235,7 @@ func TestEnginePathFacadeRejectsNonPaths(t *testing.T) {
 // bit-identical to serial execution. Run with -race.
 func TestEngineConcurrentQueriesMatchSerial(t *testing.T) {
 	e := testEngine(t)
+	totals := decisionTotals(t, e)
 	qs, err := e.SampleQueries(0.4, 1.5, 6, 47)
 	if err != nil {
 		t.Fatal(err)
@@ -303,9 +306,28 @@ func TestEngineConcurrentQueriesMatchSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	conv, est := e.DecisionCounts()
+	conv, est := totals()
 	if conv+est == 0 {
-		t.Error("lifetime decision counters should have accumulated")
+		t.Error("the decision totals should have accumulated")
+	}
+}
+
+// decisionTotals attaches a fresh search recorder to e for the rest of
+// the test and returns a reader of its convolved and estimated totals
+// over every slice: the search_convolved_sum and search_estimated_sum
+// series of /metrics.
+func decisionTotals(t *testing.T, e *Engine) func() (conv, est uint64) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	e.SetSearchMetrics(obs.NewSearchMetrics(reg, e.NumSlices()))
+	t.Cleanup(func() { e.SetSearchMetrics(nil) })
+	return func() (conv, est uint64) {
+		for s := 0; s < e.NumSlices(); s++ {
+			slice := obs.L("slice", strconv.Itoa(s))
+			conv += uint64(reg.Histogram("search_convolved", "", nil, slice).Sum())
+			est += uint64(reg.Histogram("search_estimated", "", nil, slice).Sum())
+		}
+		return conv, est
 	}
 }
 
@@ -508,7 +530,8 @@ func TestEngineConstructorsRejectBadTrajectories(t *testing.T) {
 				t.Errorf("%s: NewEngineFromObservations with %d slices accepted it", name, k)
 			}
 		}
-		if _, err := NewEngineWithModelSet(g, trs, cfg.Width, cfg.MinPairObs, e.ModelSet()); err == nil {
+		recipe, _ := e.ModelSet().Recipe()
+		if _, err := NewEngineWithModelSet(g, trs, recipe.Width, recipe.MinPairObs, e.ModelSet()); err == nil {
 			t.Errorf("%s: NewEngineWithModelSet accepted it", name)
 		}
 	}
@@ -519,12 +542,14 @@ func TestEngineConstructorsRejectBadTrajectories(t *testing.T) {
 // stay correct throughout, and post-swap results must carry the new
 // epoch. The swapped-in model shares the serving model's weights, so
 // every answer — whichever generation gave it — must equal the serial
-// baseline. The engine's lifetime decision
-// totals must grow by exactly what the answered queries report,
-// in-flight queries on a retiring generation included.
+// baseline. The decision totals of an attached search recorder (the
+// /metrics search_convolved and search_estimated sums) must grow by
+// exactly what the answered queries report, in-flight queries on a
+// retiring generation included.
 func TestEngineHotSwapDuringQueries(t *testing.T) {
 	e := testEngine(t)
-	conv0, est0 := e.DecisionCounts()
+	totals := decisionTotals(t, e)
+	conv0, est0 := totals()
 	var conv, est atomic.Uint64
 	answered := func(res *RouteResult) {
 		conv.Add(uint64(res.NumConvolved))
@@ -608,8 +633,8 @@ func TestEngineHotSwapDuringQueries(t *testing.T) {
 	if conv.Load() == 0 || est.Load() == 0 {
 		t.Fatalf("the queries report %d convolved, %d estimated: nothing to count", conv.Load(), est.Load())
 	}
-	if c, s := e.DecisionCounts(); c-conv0 != conv.Load() || s-est0 != est.Load() {
-		t.Errorf("DecisionCounts grew by (%d, %d) across the swap; the answered queries report (%d, %d)",
+	if c, s := totals(); c-conv0 != conv.Load() || s-est0 != est.Load() {
+		t.Errorf("the decision totals grew by (%d, %d) across the swap; the answered queries report (%d, %d)",
 			c-conv0, s-est0, conv.Load(), est.Load())
 	}
 }
@@ -788,7 +813,8 @@ func samePotentials(t *testing.T, label string, g *Graph, got, want *routing.ALT
 // learned weights: a distinct generation to swap in that answers the
 // same bits.
 func sameWeightsModel(m *Model) *Model {
-	return &Model{KB: m.KB, Estimator: m.Estimator, Classifier: m.Classifier, Mode: m.Mode, MaxBuckets: m.MaxBuckets}
+	clone := *m
+	return &clone
 }
 
 func TestEngineSwapModelValidation(t *testing.T) {

@@ -230,7 +230,12 @@ func (v gwStatsView) of(id string) (int, bool) {
 	return 0, false
 }
 
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+// waitFor polls cond every 25 ms until it holds, failing the test after
+// d. Then it waits out the rebuild chain of every ingestor in ings — a
+// drift trigger that fires during a rebuild is latched and starts the
+// next one — so that the caller reads each view it checks once, from a
+// server that is no longer swapping.
+func waitFor(t *testing.T, d time.Duration, what string, cond func() bool, ings ...*ingest.Ingestor) {
 	t.Helper()
 	deadline := time.Now().Add(d)
 	for !cond() {
@@ -238,6 +243,9 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 			t.Fatalf("timed out after %v waiting for %s", d, what)
 		}
 		time.Sleep(25 * time.Millisecond)
+	}
+	for _, ing := range ings {
+		ing.WaitRebuilds()
 	}
 }
 

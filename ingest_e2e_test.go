@@ -163,24 +163,12 @@ func TestOnlineIngestDriftRebuildSwapE2E(t *testing.T) {
 	}
 
 	// The rebuild runs in the background: watch /stats until the model
-	// epoch advances.
-	deadline := time.Now().Add(120 * time.Second)
-	var st statsView
-	for {
-		st = getStats(t, ts.URL+"/stats")
-		if st.ModelEpoch >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("model epoch never advanced: %+v", st)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	// A drift trigger that fired during that rebuild is latched and
-	// starts the next one: wait out the chain, then read every view of
-	// the quiet fleet.
-	ing.WaitRebuilds()
-	st = getStats(t, ts.URL+"/stats")
+	// epoch advances, wait out the rebuild chain, then read every view of
+	// the quiet server.
+	waitFor(t, 120*time.Second, "the model epoch to advance", func() bool {
+		return getStats(t, ts.URL+"/stats").ModelEpoch >= 2
+	}, ing)
+	st := getStats(t, ts.URL+"/stats")
 	if st.Ingest == nil {
 		t.Fatal("/stats has no ingest block")
 	}

@@ -41,9 +41,6 @@ func (b *stubBackend) SliceOf(float64) int   { return 0 }
 func (b *stubBackend) SliceEpoch(int) uint64 { return 1 }
 func (b *stubBackend) SliceEpochs() []uint64 { return []uint64{1} }
 func (b *stubBackend) ModelEpoch() uint64    { return 1 }
-func (b *stubBackend) DecisionCounts() (convolved, estimated uint64) {
-	return 0, 0
-}
 func (b *stubBackend) RouteCtx(ctx context.Context, src, dst graph.VertexID, opts routing.Options) (*routing.Result, error) {
 	d := hist.Uniform(10, 5, 4)
 	return &routing.Result{Path: []graph.EdgeID{0}, Dist: d, Prob: d.CDF(opts.Budget), Found: true, Complete: true, ModelEpoch: 1}, nil

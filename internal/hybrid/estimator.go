@@ -50,6 +50,9 @@ func (c EstimatorConfig) Validate() error {
 			return fmt.Errorf("hybrid: Hidden[%d] = %d must be positive", i, h)
 		}
 	}
+	if c.Train.Epochs < 1 || c.Train.Patience < 0 {
+		return fmt.Errorf("hybrid: %d epochs with patience %d, want >= 1 and >= 0", c.Train.Epochs, c.Train.Patience)
+	}
 	return nil
 }
 

@@ -113,6 +113,8 @@ type Model struct {
 	// MaxBuckets caps per-distribution support during routing
 	// (0 = unlimited).
 	MaxBuckets int
+
+	protocol protocol // how Train split the pairs; see Recipe
 }
 
 // QueryStats accumulates per-request decision counts: how many hybrid

@@ -81,10 +81,21 @@ func (ms *ModelSet) At(i int) *Model {
 // slice is shared; callers must not mutate it.
 func (ms *ModelSet) Models() []*Model { return ms.models }
 
+// Recipe is slice 0's Model.Recipe with Slices set to the set's count:
+// TrainSlices trains every slice on one Config, so a rebuild handed it
+// trains a slice the way the set was trained.
+func (ms *ModelSet) Recipe() (Config, error) {
+	cfg, err := ms.models[0].Recipe()
+	cfg.Slices = len(ms.models)
+	return cfg, err
+}
+
 // WithSlice returns a copy of the set with slice i's model replaced —
 // the hot-swap unit of per-slice online rebuilds. The other slices
-// keep serving their generation. The copy passes NewModelSet's checks,
-// so a model on another grid width is refused.
+// keep serving their generation, and the new model brings its own
+// Recipe (a rebuild trained on the set's keeps the set's). The copy
+// passes NewModelSet's checks, so a model on another grid width is
+// refused.
 func (ms *ModelSet) WithSlice(i int, m *Model) (*ModelSet, error) {
 	if i < 0 || i >= len(ms.models) {
 		return nil, fmt.Errorf("hybrid: slice %d outside [0, %d)", i, len(ms.models))

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -74,17 +77,18 @@ func ms2(t *testing.T) *ModelSet {
 }
 
 // TestModelSetPersistSingleSlice: a classic time-homogeneous model is
-// the SRH2 set with K = 1, and it survives the write/read cycle
-// bit-identically — hyper-parameters, classifier threshold and mode,
-// and every learned weight (a second write reproduces the bytes).
+// the SRH3 set with K = 1, and it survives the write/read cycle
+// bit-identically — hyper-parameters, training recipe, classifier
+// threshold and mode, and every learned weight (a second write
+// reproduces the bytes).
 func TestModelSetPersistSingleSlice(t *testing.T) {
 	m, _ := getModel(t)
 	var first bytes.Buffer
 	if err := WriteModelSet(&first, SingleModelSet(m)); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(first.Bytes(), []byte("SRH2\x01\x00\x00\x00")) {
-		t.Fatalf("1-slice set must be written as SRH2 with K = 1, got header %q", first.Bytes()[:8])
+	if !bytes.HasPrefix(first.Bytes(), []byte("SRH3\x01\x00\x00\x00")) {
+		t.Fatalf("1-slice set must be written as SRH3 with K = 1, got header %q", first.Bytes()[:8])
 	}
 	set, err := ReadModelSet(bytes.NewReader(first.Bytes()))
 	if err != nil {
@@ -103,6 +107,14 @@ func TestModelSetPersistSingleSlice(t *testing.T) {
 	if got.Estimator.Width != m.Estimator.Width || got.Estimator.Cfg.Bands != m.Estimator.Cfg.Bands ||
 		got.Estimator.Cfg.CondBuckets != m.Estimator.Cfg.CondBuckets {
 		t.Errorf("estimator shape = %v %+v, want %v %+v", got.Estimator.Width, got.Estimator.Cfg, m.Estimator.Width, m.Estimator.Cfg)
+	}
+	want, err := m.Recipe()
+	if recipe, _ := got.Recipe(); err != nil || !reflect.DeepEqual(recipe, want) {
+		t.Errorf("recipe read back as %+v, want %+v", recipe, want)
+	}
+	if trained := smallTrainConfig(); want.MinPairObs != trained.MinPairObs || want.PrefixRows != trained.PrefixRows ||
+		want.Estimator.Train.Epochs != trained.Estimator.Train.Epochs || !reflect.DeepEqual(want.Estimator.Hidden, trained.Estimator.Hidden) {
+		t.Errorf("Train recorded %+v, not the config it trained on %+v", want, trained)
 	}
 	var second bytes.Buffer
 	if err := WriteModelSet(&second, set); err != nil {
@@ -130,10 +142,76 @@ func TestModelSetPersistRejectsSRHM(t *testing.T) {
 			t.Errorf("%s: ReadModelSet = %v, %v; want nil, ErrSRHMRetired", name, set, err)
 		}
 	}
-	for _, want := range []string{"SRHM", "cmd/train", "SRH2"} {
+	for _, want := range []string{"SRHM", "cmd/train", "SRH3"} {
 		if !strings.Contains(ErrSRHMRetired.Error(), want) {
 			t.Errorf("retirement error %q does not mention %s", ErrSRHMRetired, want)
 		}
+	}
+}
+
+// TestModelSetPersistRejectsSRH2: a file of the recipe-less SRH2 format
+// fails with the error that names it and the command that regenerates
+// the file, and never parses as a body.
+func TestModelSetPersistRejectsSRH2(t *testing.T) {
+	m, _ := getModel(t)
+	var cur bytes.Buffer
+	if err := WriteModelSet(&cur, SingleModelSet(m)); err != nil {
+		t.Fatal(err)
+	}
+	// What the SRH2 writer emitted: the magic, K, and a body without the
+	// recipe's 24 bytes after the 29-byte hyper-parameter head.
+	img := cur.Bytes()
+	retired := append(append([]byte("SRH2"), img[4:8+29]...), img[8+29+24:]...)
+	for name, img := range map[string][]byte{"whole file": retired, "magic only": []byte("SRH2")} {
+		set, err := ReadModelSet(bytes.NewReader(img))
+		if !errors.Is(err, ErrSRH2Retired) || set != nil {
+			t.Errorf("%s: ReadModelSet = %v, %v; want nil, ErrSRH2Retired", name, set, err)
+		}
+	}
+	for _, want := range []string{"SRH2", "cmd/train", "SRH3"} {
+		if !strings.Contains(ErrSRH2Retired.Error(), want) {
+			t.Errorf("retirement error %q does not mention %s", ErrSRH2Retired, want)
+		}
+	}
+}
+
+// TestModelSetPersistRejectsBadRecipe: a body whose recipe fails
+// Config.Validate — a grid width that is not positive and finite, a
+// zero pair threshold, protocol size or epoch count — fails to load,
+// and a model without a recipe is not written at all.
+func TestModelSetPersistRejectsBadRecipe(t *testing.T) {
+	m, _ := getModel(t)
+	var buf bytes.Buffer
+	if err := WriteModelSet(&buf, SingleModelSet(m)); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	// The first body's head: width at byte 8, then (after max buckets,
+	// mode, bands, cond buckets and threshold) min pair obs at 37, train
+	// and test pairs at 41 and 45, prefix rows at 49, epochs at 53.
+	if got := binary.LittleEndian.Uint32(full[37:]); int(got) != smallTrainConfig().MinPairObs {
+		t.Fatalf("byte 37 holds %d, not the min pair obs %d", got, smallTrainConfig().MinPairObs)
+	}
+	for name, patch := range map[string]func(img []byte){
+		"width 0":       func(img []byte) { binary.LittleEndian.PutUint64(img[8:], math.Float64bits(0)) },
+		"width -2":      func(img []byte) { binary.LittleEndian.PutUint64(img[8:], math.Float64bits(-2)) },
+		"width NaN":     func(img []byte) { binary.LittleEndian.PutUint64(img[8:], math.Float64bits(math.NaN())) },
+		"width +Inf":    func(img []byte) { binary.LittleEndian.PutUint64(img[8:], math.Float64bits(math.Inf(1))) },
+		"min obs 0":     func(img []byte) { binary.LittleEndian.PutUint32(img[37:], 0) },
+		"train pairs 0": func(img []byte) { binary.LittleEndian.PutUint32(img[41:], 0) },
+		"test pairs 0":  func(img []byte) { binary.LittleEndian.PutUint32(img[45:], 0) },
+		"epochs 0":      func(img []byte) { binary.LittleEndian.PutUint32(img[53:], 0) },
+		"no recipe":     func(img []byte) { clear(img[37:53]) },
+	} {
+		img := append([]byte{}, full...)
+		patch(img)
+		if set, err := ReadModelSet(bytes.NewReader(img)); err == nil || set != nil {
+			t.Errorf("%s: ReadModelSet = %v, %v; want a refusal", name, set, err)
+		}
+	}
+	bare := &Model{Estimator: m.Estimator, Classifier: m.Classifier, Mode: m.Mode, MaxBuckets: m.MaxBuckets}
+	if err := WriteModelSet(io.Discard, SingleModelSet(bare)); !errors.Is(err, errNoRecipe) {
+		t.Errorf("writing a model without a recipe: err = %v, want errNoRecipe", err)
 	}
 }
 
@@ -227,7 +305,7 @@ func TestModelSetPersistRejectsContradictoryShape(t *testing.T) {
 	} {
 		est, clf := *m.Estimator, *m.Classifier
 		tc.edit(&est, &clf)
-		odd := &Model{Estimator: &est, Classifier: &clf, Mode: m.Mode, MaxBuckets: m.MaxBuckets}
+		odd := &Model{Estimator: &est, Classifier: &clf, Mode: m.Mode, MaxBuckets: m.MaxBuckets, protocol: m.protocol}
 		var b bytes.Buffer
 		if err := WriteModelSet(&b, SingleModelSet(odd)); err != nil {
 			t.Fatal(err)
@@ -246,7 +324,7 @@ func bytesAllocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// FuzzReadModelSet: whatever the bytes, the SRH2 reader does not panic,
+// FuzzReadModelSet: whatever the bytes, the SRH3 reader does not panic,
 // allocates in proportion to the input — not to the counts and widths
 // its headers claim —, and reads back what WriteModelSet makes of any
 // set it returns, to the same encoding. The seed corpus is in
@@ -283,7 +361,7 @@ func FuzzReadModelSet(f *testing.F) {
 	})
 }
 
-// TestModelSetPersistV2RoundTrip: a multi-slice set survives the SRH2
+// TestModelSetPersistV2RoundTrip: a multi-slice set survives the SRH3
 // write/read cycle with every slice reproducing its original
 // distributions.
 func TestModelSetPersistV2RoundTrip(t *testing.T) {
@@ -293,8 +371,8 @@ func TestModelSetPersistV2RoundTrip(t *testing.T) {
 	if err := WriteModelSet(&buf, set); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte("SRH2")) {
-		t.Fatal("multi-slice set must use the SRH2 format")
+	if !bytes.HasPrefix(buf.Bytes(), []byte("SRH3")) {
+		t.Fatal("multi-slice set must use the SRH3 format")
 	}
 	got, err := ReadModelSet(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -302,6 +380,10 @@ func TestModelSetPersistV2RoundTrip(t *testing.T) {
 	}
 	if got.K() != 2 {
 		t.Fatalf("round trip K = %d, want 2", got.K())
+	}
+	want, _ := set.Recipe()
+	if recipe, err := got.Recipe(); err != nil || recipe.Slices != 2 || !reflect.DeepEqual(recipe, want) {
+		t.Errorf("set recipe read back as %+v, want %+v with 2 slices", recipe, want)
 	}
 	pairs := e.obs.PairsWithSupport(20)
 	if len(pairs) == 0 {

@@ -59,6 +59,61 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate reports whether cfg can train a model and be recorded in its
+// file: a grid width traj.CheckWidth accepts, a positive pair threshold
+// and protocol sizes, no negative prefix rows or bucket cap, and a valid
+// estimator.
+func (c Config) Validate() error {
+	if err := traj.CheckWidth(c.Width); err != nil {
+		return fmt.Errorf("hybrid: %w", err)
+	}
+	switch {
+	case c.MinPairObs < 1:
+		return fmt.Errorf("hybrid: MinPairObs %d must be >= 1", c.MinPairObs)
+	case c.TrainPairs < 1 || c.TestPairs < 1:
+		return fmt.Errorf("hybrid: TrainPairs %d and TestPairs %d must be >= 1", c.TrainPairs, c.TestPairs)
+	case c.PrefixRows < 0 || c.MaxBuckets < 0:
+		return fmt.Errorf("hybrid: PrefixRows %d and MaxBuckets %d must be >= 0", c.PrefixRows, c.MaxBuckets)
+	}
+	return c.Estimator.Validate()
+}
+
+// protocol is the part of a model's training Config that its estimator
+// does not hold: which pairs have data, how many trained and tested it,
+// and how many prefix rows. Train records it; the model file carries it.
+type protocol struct {
+	minPairObs, trainPairs, testPairs, prefixRows int
+}
+
+// errNoRecipe is what Recipe reports for a model that neither Train nor
+// a model file made, such as a bare &Model{KB: kb}.
+var errNoRecipe = errors.New("hybrid: model carries no training recipe")
+
+// Recipe returns the training Config m was built with, as its model
+// file records it: grid width, pair threshold, protocol sizes, prefix
+// rows, bucket cap, and the estimator's shape (Hidden as its network
+// has it), epochs and patience; the fitting loop's other settings are
+// ml.DefaultTrainConfig's, and Slices is 0 (ModelSet.Recipe sets it).
+// A recipe that fails Validate is an error.
+func (m *Model) Recipe() (Config, error) {
+	if m.Estimator == nil || m.protocol == (protocol{}) {
+		return Config{}, errNoRecipe
+	}
+	est := m.Estimator.Cfg
+	est.Train = ml.DefaultTrainConfig()
+	est.Train.Epochs, est.Train.Patience = m.Estimator.Cfg.Train.Epochs, m.Estimator.Cfg.Train.Patience
+	cfg := Config{
+		Width:      m.Estimator.Width,
+		MinPairObs: m.protocol.minPairObs,
+		TrainPairs: m.protocol.trainPairs,
+		TestPairs:  m.protocol.testPairs,
+		Estimator:  est,
+		MaxBuckets: m.MaxBuckets,
+		PrefixRows: m.protocol.prefixRows,
+	}
+	return cfg, cfg.Validate()
+}
+
 // EvalReport is the paper's model-quality evaluation (E4 in internal/exp):
 // mean KL divergence to ground truth over the held-out test pairs, for
 // the hybrid model, convolution, and always-estimate.
@@ -143,8 +198,8 @@ func Train(kb *KnowledgeBase, obs *traj.ObservationStore, trajs []traj.Trajector
 	trainPairs := pairs[:nTrain]
 	testPairs := pairs[nTrain : nTrain+nTest]
 
-	if err := cfg.Estimator.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("hybrid: estimator training: %w", err)
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
 	}
 	pairX, pairY, err := buildEstimatorDataset(kb, obs, trainPairs, cfg.Estimator)
 	if err != nil {
@@ -165,6 +220,7 @@ func Train(kb *KnowledgeBase, obs *traj.ObservationStore, trajs []traj.Trajector
 		Classifier: clf,
 		Mode:       Auto,
 		MaxBuckets: cfg.MaxBuckets,
+		protocol:   protocol{cfg.MinPairObs, cfg.TrainPairs, cfg.TestPairs, cfg.PrefixRows},
 	}
 
 	// Virtual-edge second phase: augment phase 1's pair rows with

@@ -48,7 +48,8 @@ type Target interface {
 type Config struct {
 	// Hybrid parameterises background retraining: grid width, minimum
 	// pair support, protocol sizes and estimator settings. Width must
-	// match the serving model's grid width. (Hybrid.Slices is ignored —
+	// match the serving model's grid width; cmd/serve passes the serving
+	// set's hybrid.ModelSet.Recipe. (Hybrid.Slices is ignored —
 	// the slice count comes from the Target.)
 	Hybrid hybrid.Config
 	// Drift tunes drift detection and the trajectory-count rebuild

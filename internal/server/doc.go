@@ -82,14 +82,7 @@
 //     but knowingly on a stale model.
 //   - /stats — request counts, cache effectiveness (aggregate plus
 //     per-slice breakdowns including epoch invalidations), in-flight
-//     gauge, global and per-slice model epochs, the engine's lifetime
-//     convolved_total / estimated_total (extensions built, by kind;
-//     children pruned before costing are in neither): the sum of the
-//     per-answer convolved / estimated fields over every routing query
-//     answered so far — /route, /route/anytime and /route/batch items,
-//     cache misses only — exact across model swaps. /pairsum and
-//     background retraining build extensions too but are not routing
-//     queries and do not count. And — when
+//     gauge, global and per-slice model epochs, and — when
 //     ingestion is enabled — the write path's counters: accepted/rejected,
 //     aggregate size, drift events, last drift score, rebuilds and
 //     the last-swap timestamp, each also broken down per slice (so a
@@ -110,10 +103,10 @@
 //
 // The whole query path is read-only: the hybrid model's estimator runs
 // the network's pure inference pass, and decision telemetry is kept in
-// per-request structs (hybrid.QueryStats) that the engine adds to its
-// lifetime totals once per answered query — the model itself is never
-// written — so one engine serves any number of concurrent requests with no
-// locking and identical answers to serial execution. (Earlier versions
+// per-request structs (hybrid.QueryStats) that the engine records once
+// per answered query — the model itself is never written — so one
+// engine serves any number of concurrent requests with no locking and
+// identical answers to serial execution. (Earlier versions
 // required serialising Route calls or cloning models per goroutine;
 // that caveat is gone.)
 //
@@ -213,7 +206,11 @@
 //     search_convolved and search_estimated are extensions built per
 //     query: the pruned_* histograms include children ruled out from
 //     the parent label alone, which were never costed and are in
-//     neither.
+//     neither. Their _sum series are the decision totals: the sum of
+//     the per-answer convolved / estimated fields over every routing
+//     query answered (/route, /route/anytime and /route/batch items,
+//     cache misses only), exact across model swaps; /pairsum and
+//     background retraining are not routing queries and do not count.
 //   - ingest_accepted_total, ingest_rejected_total,
 //     ingest_seeded_total, ingest_folded_total {slice},
 //     ingest_drift_score {slice}, ingest_drift_events_total {slice},

@@ -56,8 +56,6 @@ type statsResponse struct {
 	// shows which slice's cache a swap invalidated.
 	RouteCache       CacheStats   `json:"route_cache"`
 	RouteCacheSlices []CacheStats `json:"route_cache_slices,omitempty"`
-	Convolved        uint64       `json:"convolved_total"`
-	Estimated        uint64       `json:"estimated_total"`
 	// ArenaBytesInUse is the retained footprint of search arenas
 	// currently checked out by in-flight queries (the same value
 	// /metrics exports as arena_bytes_inuse).
@@ -101,7 +99,6 @@ func sumCacheStats(caches []*ShardedLRU[routeKey, routeEntry]) (total CacheStats
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
-	conv, est := s.backend.DecisionCounts()
 	routeStats, routeSlices := sumCacheStats(s.routes)
 	out := &statsResponse{
 		UptimeS:         s.svc.Uptime().Seconds(),
@@ -111,8 +108,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 		SliceEpochs:     s.backend.SliceEpochs(),
 		Endpoints:       s.svc.EndpointStats(),
 		RouteCache:      routeStats,
-		Convolved:       conv,
-		Estimated:       est,
 		ArenaBytesInUse: routing.ArenaBytesInUse(),
 	}
 	if s.backend.NumSlices() > 1 {

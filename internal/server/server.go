@@ -52,7 +52,6 @@ type Backend interface {
 	// the independence model. /sample answers it as budget_s.
 	QuantileBudget(depart float64, source, dest graph.VertexID, q float64) (float64, error)
 	SampleQueries(loKm, hiKm float64, n int, seed uint64) ([]netgen.Query, error)
-	DecisionCounts() (convolved, estimated uint64)
 	ModelEpoch() uint64
 	// NumSlices is the slice count of the serving cost model (1 =
 	// time-homogeneous); SliceOf maps a departure timestamp to its

@@ -201,8 +201,6 @@ func (f *fakeBackend) SampleQueries(loKm, hiKm float64, n int, seed uint64) ([]n
 	return qs, nil
 }
 
-func (f *fakeBackend) DecisionCounts() (uint64, uint64) { return 5, 3 }
-
 func get(t *testing.T, h http.Handler, url string) (*httptest.ResponseRecorder, map[string]any) {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, url, nil)
@@ -407,9 +405,6 @@ func TestHealthzAndStats(t *testing.T) {
 	rc := body["route_cache"].(map[string]any)
 	if rc["hits"].(float64) != 1 || rc["misses"].(float64) != 1 {
 		t.Errorf("route cache stats = %v", rc)
-	}
-	if body["convolved_total"].(float64) != 5 || body["estimated_total"].(float64) != 3 {
-		t.Errorf("decision totals = %v", body)
 	}
 }
 

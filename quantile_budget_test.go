@@ -7,7 +7,9 @@ import (
 
 	"stochroute/internal/geo"
 	"stochroute/internal/graph"
+	"stochroute/internal/hist"
 	"stochroute/internal/hybrid"
+	"stochroute/internal/rng"
 	"stochroute/internal/routing"
 	"stochroute/internal/traj"
 )
@@ -74,5 +76,79 @@ func TestQuantileBudget(t *testing.T) {
 	}
 	if budget, err := one.QuantileBudget(0, to, from, 0.8); !errors.Is(err, routing.ErrUnreachable) {
 		t.Errorf("unreachable pair: budget %v, err %v; want routing.ErrUnreachable", budget, err)
+	}
+}
+
+// TestQuantileBudgetReachesItsCap: on a corridor whose mean-cost
+// route's convolution spreads more than 512 buckets above its minimum
+// and still fits in 1024, QuantileBudget is the q-quantile of the
+// uncapped hist.Convolve chain over the route's marginals. The test
+// engine's routes are narrower than 512 buckets, so only this corridor
+// tells the 1024-bucket cap from a smaller one.
+func TestQuantileBudgetReachesItsCap(t *testing.T) {
+	const (
+		edges = 20
+		width = 2.0
+	)
+	b := graph.NewBuilder(edges+1, edges)
+	for v := 0; v <= edges; v++ {
+		b.AddVertex(geo.Point{Lat: 57 + 0.001*float64(v), Lon: 9.9})
+	}
+	corridor := make([]EdgeID, edges)
+	for i := range corridor {
+		id, err := b.AddEdge(graph.Edge{From: VertexID(i), To: VertexID(i + 1), LengthMeters: 111, Category: graph.Residential})
+		if err != nil {
+			t.Fatal(err)
+		}
+		corridor[i] = id
+	}
+	g := b.Build()
+	// Each trip takes every edge in 10 s, or in 70 s four times in five:
+	// 30 buckets of spread per edge, 600 over the route.
+	r := rng.New(47)
+	trs := make([]Trajectory, 400)
+	for i := range trs {
+		times := make([]float64, edges)
+		for j := range times {
+			times[j] = 10
+			if r.Float64() < 0.8 {
+				times[j] = 70
+			}
+		}
+		trs[i] = Trajectory{Edges: corridor, Times: times}
+	}
+	kb, err := hybrid.BuildKnowledgeBase(g, traj.CollectSlices(g, width, 1, trs)[0], width, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngineWithModelSet(g, trs, width, 10, hybrid.SingleModelSet(&Model{KB: kb}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, _, err := e.MeanRoute(0, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := kb.Edge(path[0]).Marginal
+	for _, id := range path[1:] {
+		if chain, err = hist.Convolve(chain, kb.Edge(id).Marginal); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(chain.P); n <= 512 || n > 1024 {
+		t.Fatalf("the corridor's convolution spans %d buckets, want (512, 1024]", n)
+	}
+	if above := (chain.Quantile(0.8) - chain.Min) / width; above <= 512 {
+		t.Fatalf("the q0.8 quantile is %v buckets above the minimum, want more than 512", above)
+	}
+	for _, q := range []float64{0.5, 0.8, 0.95} {
+		want := chain.Quantile(q)
+		got, err := e.QuantileBudget(0, 0, edges, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("q%v: budget %v, the uncapped convolution's quantile %v", q, got, want)
+		}
 	}
 }

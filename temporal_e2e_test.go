@@ -173,30 +173,19 @@ func TestTemporalSliceDriftE2E(t *testing.T) {
 	}
 
 	// The rebuild runs in the background: watch /stats until the peak
-	// slice's epoch advances.
-	deadline := time.Now().Add(120 * time.Second)
-	var st sliceStatsView
-	for {
-		st = getSliceStats(t, ts.URL+"/stats")
-		if len(st.SliceEpochs) == K && st.SliceEpochs[peak] >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("peak slice epoch never advanced: %+v", st)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+	// slice's epoch advances, wait out the rebuild chain, then read every
+	// view of the quiet server.
+	waitFor(t, 120*time.Second, "the peak slice's epoch to advance", func() bool {
+		st := getSliceStats(t, ts.URL+"/stats")
+		return len(st.SliceEpochs) == K && st.SliceEpochs[peak] >= 2
+	}, ing)
 	close(stop)
 	wg.Wait()
 	close(qerrs)
 	for err := range qerrs {
 		t.Error(err)
 	}
-	// A drift trigger that fired during that rebuild is latched and
-	// starts the next one: wait out the chain, then read every view of
-	// the quiet fleet.
-	ing.WaitRebuilds()
-	st = getSliceStats(t, ts.URL+"/stats")
+	st := getSliceStats(t, ts.URL+"/stats")
 
 	// Drift fired in exactly the congested slice; only its epoch moved.
 	if st.Ingest == nil || len(st.Ingest.Slices) != K {
