@@ -60,6 +60,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := traj.CheckWidth(*width); err != nil {
+		return fmt.Errorf("-width: %w", err)
+	}
 
 	g, err := stochroute.LoadGraph(*netPath)
 	if err != nil {
