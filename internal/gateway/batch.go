@@ -56,7 +56,7 @@ var bufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 // handleRouteBatch scatters a batch across the fleet by hash owner and
 // gathers the answers back into client order. No document is decoded
 // into values: the client's body and every replica's answer are walked
-// in place (see scan.go), sub-batches are the client's item bytes
+// in place (see httpsvc.Cursor), sub-batches are the client's item bytes
 // joined, and the answer is the replicas' result bytes, appended.
 //
 // Scatter: each item's (source, dest) pair is hashed with the same key
@@ -83,7 +83,7 @@ func (g *Gateway) handleRouteBatch(w http.ResponseWriter, r *http.Request) error
 	var answers []*[]byte // every round's replica answers, recycled on return
 	defer recycle(&answers)
 
-	doc, err := readAll((*body)[:0], r.Body, maxBatchBytes)
+	doc, err := httpsvc.AppendAll((*body)[:0], r.Body, maxBatchBytes)
 	*body = doc
 	if err != nil {
 		return httpsvc.BadRequest("read body: %v", err)
@@ -258,7 +258,7 @@ func (g *Gateway) dispatchBatch(r *http.Request, grp *batchGroup, items []batchI
 		return &httpsvc.Error{Code: resp.StatusCode, Msg: fmt.Sprintf("replica %s: %s", grp.rep.id, msg)}
 	}
 	grp.answer = bufs.Get().(*[]byte)
-	doc, err := readAll((*grp.answer)[:0], resp.Body, math.MaxInt)
+	doc, err := httpsvc.AppendAll((*grp.answer)[:0], resp.Body, math.MaxInt)
 	*grp.answer = doc
 	var n int
 	if err == nil {
@@ -282,10 +282,10 @@ func (g *Gateway) dispatchBatch(r *http.Request, grp *batchGroup, items []batchI
 // body, "queries[i]…" for an item.
 func scanBatchRequest(body []byte) ([]batchItem, error) {
 	if !json.Valid(body) {
-		return nil, httpsvc.BadRequest("parse body: %v", syntaxError(body))
+		return nil, httpsvc.BadRequest("parse body: %v", httpsvc.SyntaxError(body))
 	}
-	c := cursor{doc: body}
-	isObject, err := c.open('{')
+	c := httpsvc.NewCursor(body)
+	isObject, err := c.Open('{')
 	if err != nil {
 		return nil, httpsvc.BadRequest("parse body: %v", err)
 	}
@@ -293,20 +293,20 @@ func scanBatchRequest(body []byte) ([]batchItem, error) {
 		items   []batchItem
 		itemErr error // the first bad item of the last queries array
 	)
-	for isObject && c.more() {
-		if !keyIs(c.key(), "queries") {
-			c.value()
+	for isObject && c.More() {
+		if !httpsvc.KeyIs(c.Key(), "queries") {
+			c.Value()
 			continue
 		}
 		// A repeated "queries" replaces the items before it, as
 		// json.Unmarshal overwrites a slice.
 		items, itemErr = items[:0], nil
-		isArray, err := c.open('[')
+		isArray, err := c.Open('[')
 		if err != nil {
 			return nil, httpsvc.BadRequest("parse body: queries: %v", err)
 		}
-		for isArray && c.more() {
-			q := c.value()
+		for isArray && c.More() {
+			q := c.Value()
 			source, dest, err := batchPair(q)
 			if err != nil && itemErr == nil {
 				itemErr = httpsvc.BadRequest("queries[%d]%v", len(items), err)
@@ -322,20 +322,20 @@ func scanBatchRequest(body []byte) ([]batchItem, error) {
 // are integers or null. Other members are not looked at. The error
 // begins with what follows "queries[i]" in the client's message.
 func batchPair(q []byte) (source, dest int, err error) {
-	c := cursor{doc: q}
-	isObject, err := c.open('{')
+	c := httpsvc.NewCursor(q)
+	isObject, err := c.Open('{')
 	if err != nil {
 		return 0, 0, fmt.Errorf(": %v", err)
 	}
-	for isObject && c.more() {
-		k := c.key()
-		v := c.value()
+	for isObject && c.More() {
+		k := c.Key()
+		v := c.Value()
 		var field *int
 		var name string
 		switch {
-		case keyIs(k, "source"):
+		case httpsvc.KeyIs(k, "source"):
 			field, name = &source, "source"
-		case keyIs(k, "dest"):
+		case httpsvc.KeyIs(k, "dest"):
 			field, name = &dest, "dest"
 		default:
 			continue
@@ -343,10 +343,10 @@ func batchPair(q []byte) (source, dest int, err error) {
 		if v[0] == 'n' {
 			continue
 		}
-		if n, ok := integer(v); ok {
+		if n, ok := httpsvc.Integer(v); ok {
 			*field = n
 		} else if err == nil {
-			err = fmt.Errorf(".%s: want an integer, got %s", name, describe(v))
+			err = fmt.Errorf(".%s: want an integer, got %s", name, httpsvc.Describe(v))
 		}
 	}
 	return source, dest, err
@@ -359,41 +359,41 @@ func batchPair(q []byte) (source, dest int, err error) {
 // document.
 func scanBatchAnswer(doc []byte, orig []int, items []batchItem) (n, hits int, err error) {
 	if !json.Valid(doc) {
-		return 0, 0, syntaxError(doc)
+		return 0, 0, httpsvc.SyntaxError(doc)
 	}
-	c := cursor{doc: doc}
-	isObject, err := c.open('{')
+	c := httpsvc.NewCursor(doc)
+	isObject, err := c.Open('{')
 	if err != nil {
 		return 0, 0, err
 	}
-	for isObject && c.more() {
-		k := c.key()
+	for isObject && c.More() {
+		k := c.Key()
 		switch {
-		case keyIs(k, "results"):
-			isArray, err := c.open('[')
+		case httpsvc.KeyIs(k, "results"):
+			isArray, err := c.Open('[')
 			if err != nil {
 				return 0, 0, fmt.Errorf("results: %v", err)
 			}
-			for n = 0; isArray && c.more(); n++ {
-				if v := c.value(); n < len(orig) {
+			for n = 0; isArray && c.More(); n++ {
+				if v := c.Value(); n < len(orig) {
 					items[orig[n]].result = v
 				}
 			}
-		case keyIs(k, "cache_hits"):
-			if v := c.value(); v[0] != 'n' {
+		case httpsvc.KeyIs(k, "cache_hits"):
+			if v := c.Value(); v[0] != 'n' {
 				var ok bool
-				if hits, ok = integer(v); !ok {
-					return 0, 0, fmt.Errorf("cache_hits: want an integer, got %s", describe(v))
+				if hits, ok = httpsvc.Integer(v); !ok {
+					return 0, 0, fmt.Errorf("cache_hits: want an integer, got %s", httpsvc.Describe(v))
 				}
 			}
-		case keyIs(k, "runtime_ms"):
-			if v := c.value(); v[0] != 'n' {
+		case httpsvc.KeyIs(k, "runtime_ms"):
+			if v := c.Value(); v[0] != 'n' {
 				if _, err := strconv.ParseFloat(string(v), 64); err != nil {
-					return 0, 0, fmt.Errorf("runtime_ms: want a float64, got %s", describe(v))
+					return 0, 0, fmt.Errorf("runtime_ms: want a float64, got %s", httpsvc.Describe(v))
 				}
 			}
 		default:
-			c.value()
+			c.Value()
 		}
 	}
 	return n, hits, nil
@@ -416,28 +416,6 @@ func appendAttributed(dst, result, idJSON []byte) []byte {
 		dst = append(dst, ',')
 	}
 	return append(dst, rest...)
-}
-
-// readAll appends what r yields to dst until EOF or until more than
-// limit bytes are in, so a caller can tell a body past its cap.
-func readAll(dst []byte, r io.Reader, limit int) ([]byte, error) {
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		room := dst[len(dst):cap(dst)]
-		if left := limit - len(dst); left < len(room) {
-			room = room[:left+1]
-		}
-		n, err := r.Read(room)
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil || len(dst) > limit {
-			return dst, err
-		}
-	}
 }
 
 // recycle returns a batch's replica answers to bufs.

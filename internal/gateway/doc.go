@@ -43,7 +43,11 @@
 // replica is down); per-replica workers deliver in order with
 // capped-exponential-backoff retry. One slow or briefly down replica
 // never stalls ingestion — it catches up from its queue — and a full
-// queue drops batches for that replica alone.
+// queue drops batches for that replica alone. The body is read once,
+// into a buffer sized from its Content-Length, and the trajectories it
+// acknowledges are counted by a walk of it (a body json.Valid refuses,
+// trailing data included, is a 400 here, as on every replica); no trip
+// is decoded.
 //
 // # Batching
 //
@@ -58,7 +62,8 @@
 // Nothing on the way is decoded into values. One walk over the client's
 // body, after json.Valid, yields each item's span (a sub-slice of the
 // body) and its (source, dest), with encoding/json's rules for the
-// shape (FuzzScanBatchRequest holds the walk to them). A sub-batch is
+// shape (FuzzScanBatchRequest holds the walk to them). The walker is
+// httpsvc.Cursor, the one a replica walks an /ingest body with. A sub-batch is
 // {"queries":[…]} around its items' spans joined by commas, so an
 // item's bytes, whitespace included, reach the replica as the client
 // sent them. A replica's answer is read into one buffer, checked with

@@ -25,23 +25,6 @@ type ingestAck struct {
 	Dropped  int `json:"dropped"`
 }
 
-// ingestProbe is the subset of the ingest body the gateway validates
-// before fanning out: enough to reject an empty or malformed batch at
-// the edge with the same 400 a replica would return, without decoding
-// trajectory payloads it never interprets.
-type ingestProbe struct {
-	Trajectories []counted `json:"trajectories"`
-}
-
-// counted is a JSON value the gateway counts and never reads. It
-// accepts whatever json.RawMessage accepts — any value, the decoder
-// having checked its syntax — without copying it, and takes no memory
-// in the slice.
-type counted struct{}
-
-// UnmarshalJSON implements json.Unmarshaler: there is nothing to keep.
-func (*counted) UnmarshalJSON([]byte) error { return nil }
-
 // handleIngest accepts one trajectory batch and fans the raw body out
 // to every replica's delivery queue, so each replica's drift monitor
 // observes the full stream. Delivery is asynchronous: the handler only
@@ -55,23 +38,19 @@ func (*counted) UnmarshalJSON([]byte) error { return nil }
 // authoritative accept/reject split now happens asynchronously on N
 // replicas. 503 only when every queue refused.
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.maxIngestBytes+1))
+	body, err := httpsvc.ReadBody(r, g.cfg.maxIngestBytes)
 	if err != nil {
-		return httpsvc.BadRequest("read body: %v", err)
+		return err
 	}
-	if int64(len(body)) > g.cfg.maxIngestBytes {
-		return &httpsvc.Error{Code: http.StatusRequestEntityTooLarge, Msg: "request body too large"}
+	n, err := countTrajectories(body)
+	if err != nil {
+		return err
 	}
-	var probe ingestProbe
-	dec := json.NewDecoder(bytes.NewReader(body))
-	if err := dec.Decode(&probe); err != nil {
-		return httpsvc.BadRequest("parse body: %v", err)
-	}
-	if len(probe.Trajectories) == 0 {
+	if n == 0 {
 		return httpsvc.BadRequest("trajectories: empty batch")
 	}
 
-	ack := ingestAck{Accepted: len(probe.Trajectories)}
+	ack := ingestAck{Accepted: n}
 	var maxEpoch uint64
 	for _, rep := range g.reps {
 		if e := rep.epoch.Load(); e > maxEpoch {
@@ -91,6 +70,37 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) error {
 		return &httpsvc.Error{Code: http.StatusServiceUnavailable, Msg: "all replica ingest queues full"}
 	}
 	return httpsvc.WriteJSON(w, &ack)
+}
+
+// countTrajectories walks an ingest body in place and counts the
+// elements of its last "trajectories" array, as a replica will read
+// them, without looking inside one: enough to refuse a malformed or
+// empty batch at the edge with the 400 a replica would answer. The
+// other members are the replicas' to judge.
+func countTrajectories(body []byte) (int, error) {
+	if !json.Valid(body) {
+		return 0, httpsvc.BadRequest("parse body: %v", httpsvc.SyntaxError(body))
+	}
+	c := httpsvc.NewCursor(body)
+	isObject, err := c.Open('{')
+	if err != nil {
+		return 0, httpsvc.BadRequest("parse body: %v", err)
+	}
+	n := 0
+	for isObject && c.More() {
+		if !httpsvc.KeyIs(c.Key(), "trajectories") {
+			c.Value()
+			continue
+		}
+		isArray, err := c.Open('[')
+		if err != nil {
+			return 0, httpsvc.BadRequest("parse body: trajectories: %v", err)
+		}
+		for n = 0; isArray && c.More(); n++ {
+			c.Value()
+		}
+	}
+	return n, nil
 }
 
 // enqueueIngest admits one raw body into rep's delivery queue if both

@@ -65,6 +65,19 @@
 // never written through. Header names in prose keep their familiar
 // spelling: header keys are case-insensitive to every peer.
 //
+// # Request bodies
+//
+// DecodeJSON decodes a small body into a value through encoding/json
+// (/route/batch on a replica). A body a handler reads in bulk — an
+// /ingest batch, a gateway's /route/batch and a replica's answer to it
+// — is read once with ReadBody (one buffer sized from Content-Length,
+// 413 past the cap) or AppendAll (into a pooled buffer) and walked in
+// place with a Cursor once json.Valid has accepted it: the cursor
+// yields each value's span, never a copy, and KeyIs, Integer, Kind,
+// Describe and SyntaxError apply encoding/json's rules and wording, so
+// a walk accepts what a decode into the same shape accepts. There is
+// one walker; the gateway and the replica share it.
+//
 // # Mounted endpoints
 //
 // GET /metrics serves obs.Registry.Handler: the Prometheus 0.0.4 text

@@ -97,12 +97,60 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) e
 			return BadRequest("trailing data after JSON body")
 		}
 	}
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return &Error{Code: http.StatusRequestEntityTooLarge,
-			Msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+	var past *http.MaxBytesError
+	if errors.As(err, &past) {
+		return tooLarge(past.Limit)
 	}
 	return BadRequest("invalid JSON body: %v", err)
+}
+
+// ReadBody reads a request body whole, for a handler that walks it in
+// place: into one buffer sized from Content-Length (grown as it fills
+// when the length is not declared), never past maxBytes. A body past
+// the cap is a 413, a declared one before a byte of it is read.
+func ReadBody(r *http.Request, maxBytes int64) ([]byte, error) {
+	if r.ContentLength > maxBytes {
+		return nil, tooLarge(maxBytes)
+	}
+	size := r.ContentLength
+	if size < 0 {
+		size = min(maxBytes, 4096)
+	}
+	body, err := AppendAll(make([]byte, 0, size+1), r.Body, int(maxBytes))
+	if err != nil {
+		return nil, BadRequest("read body: %v", err)
+	}
+	if int64(len(body)) > maxBytes {
+		return nil, tooLarge(maxBytes)
+	}
+	return body, nil
+}
+
+func tooLarge(maxBytes int64) error {
+	return &Error{Code: http.StatusRequestEntityTooLarge, Msg: fmt.Sprintf("request body exceeds %d bytes", maxBytes)}
+}
+
+// AppendAll appends what r yields to dst until EOF or until more than
+// limit bytes are in, so a caller can tell a body past its cap. It
+// grows dst only when it is full.
+func AppendAll(dst []byte, r io.Reader, limit int) ([]byte, error) {
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		room := dst[len(dst):cap(dst)]
+		if left := limit - len(dst); left < len(room) {
+			room = room[:left+1]
+		}
+		n, err := r.Read(room)
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil || len(dst) > limit {
+			return dst, err
+		}
+	}
 }
 
 // FloatParam parses an optional finite float query parameter.

@@ -68,13 +68,21 @@
 //     (the input cmd/loadgen replays). An unreachable pair is skipped.
 //   - /ingest (POST, enabled by Config.Ingestor) — the write path:
 //     {"trajectories": [{"edges": [...], "times": [...], "depart":
-//     28920}, ...]} (depart optional, default 0). Trajectories are
-//     validated against the graph (invalid ones are counted and
-//     skipped, never fatal) and folded into the ingestion subsystem's
-//     per-slice aggregates (internal/ingest); the acknowledgement
-//     reports the accepted/rejected split and the current model epoch.
-//     Stream a recorded SRT2 file through this endpoint with
-//     cmd/replay.
+//     28920}, ...]} (depart optional, default 0). The body is read once
+//     and walked in place into trips (httpsvc.Cursor, after json.Valid):
+//     each trip's edges and times are one allocation each, sized by
+//     counting first, with encoding/json's rules for the shape —
+//     unknown fields refused, keys case-folded, the last repeated key
+//     winning, null leaving a field as it was (a null trip is an empty
+//     one, rejected), edge IDs integer literals in int32 range, times
+//     and departures finite (FuzzScanIngest holds the walk to
+//     encoding/json, TestIngestWireContract pins the answers).
+//     Trajectories are validated against the graph (invalid ones are
+//     counted and skipped, never fatal) and folded into the ingestion
+//     subsystem's per-slice aggregates (internal/ingest); the
+//     acknowledgement reports the accepted/rejected split and the
+//     current model epoch. Stream a recorded SRT2 file through this
+//     endpoint with cmd/replay.
 //   - /healthz — liveness, graph size, the global model epoch, the
 //     slice count, every slice's serving epoch, uptime, and a degraded
 //     flag: true while any slice's drift monitor has fired without a
@@ -92,12 +100,13 @@
 //   - /metrics — the Prometheus text exposition (see Observability
 //     below); disable with Config.DisableMetrics.
 //
-// JSON request bodies are hardened: they are read through
-// http.MaxBytesReader (Config.MaxIngestBytes for /ingest, a fixed 1 MiB
-// for /route/batch; 413 past the cap, wherever the value ends) and
-// unknown fields and trailing data are rejected, so an oversized or
-// malformed payload can neither balloon memory nor be silently
-// half-parsed.
+// JSON request bodies are hardened: they are capped (Config.MaxIngestBytes
+// for /ingest, read whole by httpsvc.ReadBody into one buffer sized from
+// Content-Length, and a fixed 1 MiB for /route/batch, read through
+// http.MaxBytesReader; 413 past the cap, wherever the value ends, and
+// for /ingest whatever the body holds) and unknown fields and trailing
+// data are rejected, so an oversized or malformed payload can neither
+// balloon memory nor be silently half-parsed.
 //
 // # Concurrency and the cost kernel
 //
