@@ -126,12 +126,13 @@ func (c *Cursor) Open(bracket byte) (bool, error) {
 
 // Len returns the number of elements of the array at the cursor, which
 // does not move.
-func (c Cursor) Len() int {
-	c.space()
-	c.i++
+func (c *Cursor) Len() int {
+	d := *c
+	d.space()
+	d.i++
 	n := 0
-	for ; c.More(); n++ {
-		c.Value()
+	for ; d.More(); n++ {
+		d.Value()
 	}
 	return n
 }

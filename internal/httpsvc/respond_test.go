@@ -15,8 +15,8 @@ import (
 	"stochroute/internal/israce"
 )
 
-// fuzzBody has the shapes of the bodies DecodeJSON serves: the batch's
-// queries and the ingest's trajectories.
+// fuzzBody has the shapes DecodeJSON is fuzzed on: the batch's queries,
+// the body it serves, and nested number arrays like an ingest trip's.
 type fuzzBody struct {
 	Queries []struct {
 		Source int     `json:"source"`

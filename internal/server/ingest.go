@@ -161,10 +161,7 @@ func scanEdge(c *httpsvc.Cursor, id *graph.EdgeID) error {
 	if v[0] == 'n' {
 		return nil
 	}
-	n, ok := 0, httpsvc.Kind(v) == "number"
-	if ok {
-		n, ok = httpsvc.Integer(v)
-	}
+	n, ok := httpsvc.Integer(v)
 	if !ok || n < math.MinInt32 || n > math.MaxInt32 {
 		return fmt.Errorf(": want an int32 edge ID, got %s", httpsvc.Describe(v))
 	}
@@ -180,11 +177,10 @@ func scanFloat(c *httpsvc.Cursor, f *float64) error {
 	if v[0] == 'n' {
 		return nil
 	}
-	if httpsvc.Kind(v) == "number" {
-		if x, err := strconv.ParseFloat(string(v), 64); err == nil {
-			*f = x
-			return nil
-		}
+	x, err := strconv.ParseFloat(string(v), 64)
+	if err != nil {
+		return fmt.Errorf(": want a finite float64, got %s", httpsvc.Describe(v))
 	}
-	return fmt.Errorf(": want a finite float64, got %s", httpsvc.Describe(v))
+	*f = x
+	return nil
 }
