@@ -44,7 +44,7 @@
 // capped-exponential-backoff retry. One slow or briefly down replica
 // never stalls ingestion — it catches up from its queue — and a full
 // queue drops batches for that replica alone. The body is read once,
-// into a buffer sized from its Content-Length, and the trajectories it
+// with httpsvc.ReadBody, and the trajectories it
 // acknowledges are counted by a walk of it (a body json.Valid refuses,
 // trailing data included, is a 400 here, as on every replica); no trip
 // is decoded.

@@ -70,8 +70,10 @@
 // DecodeJSON decodes a small body into a value through encoding/json
 // (/route/batch on a replica). A body a handler reads in bulk — an
 // /ingest batch, a gateway's /route/batch and a replica's answer to it
-// — is read once with ReadBody (one buffer sized from Content-Length,
-// 413 past the cap) or AppendAll (into a pooled buffer) and walked in
+// — is read once with ReadBody (one buffer that starts at the declared
+// Content-Length, 64 KiB at most, and doubles as the bytes arrive, so a
+// declared length a client does not send costs it nothing; 413 past the
+// cap) or AppendAll (into a pooled buffer) and walked in
 // place with a Cursor once json.Valid has accepted it: the cursor
 // yields each value's span, never a copy, and KeyIs, Integer, Kind,
 // Describe and SyntaxError apply encoding/json's rules and wording, so

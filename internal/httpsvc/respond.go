@@ -105,26 +105,47 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) e
 }
 
 // ReadBody reads a request body whole, for a handler that walks it in
-// place: into one buffer sized from Content-Length (grown as it fills
-// when the length is not declared), never past maxBytes. A body past
-// the cap is a 413, a declared one before a byte of it is read.
+// place, never past maxBytes. A body past the cap is a 413, a declared
+// one before a byte of it is read. A declared Content-Length sizes the
+// buffer only as far as the bytes that arrive bear it out: the buffer
+// starts at one chunk (bodyChunk at most) and doubles each time it
+// fills, up to the declared length, so a client that declares a large
+// body and sends little of it holds little memory.
 func ReadBody(r *http.Request, maxBytes int64) ([]byte, error) {
 	if r.ContentLength > maxBytes {
 		return nil, tooLarge(maxBytes)
 	}
-	size := r.ContentLength
-	if size < 0 {
-		size = min(maxBytes, 4096)
+	declared := maxBytes
+	if r.ContentLength >= 0 {
+		declared = r.ContentLength
 	}
-	body, err := AppendAll(make([]byte, 0, size+1), r.Body, int(maxBytes))
-	if err != nil {
-		return nil, BadRequest("read body: %v", err)
+	// The byte past the declared length (or the cap) is room to tell a
+	// longer body.
+	body := make([]byte, 0, min(declared, bodyChunk)+1)
+	for {
+		var err error
+		if body, err = AppendAll(body, r.Body, cap(body)-1); err != nil {
+			return nil, BadRequest("read body: %v", err)
+		}
+		if len(body) < cap(body) {
+			return body, nil
+		}
+		if int64(len(body)) > maxBytes {
+			return nil, tooLarge(maxBytes)
+		}
+		next := min(2*int64(cap(body)), maxBytes+1)
+		if int64(len(body)) <= declared {
+			next = min(next, declared+1)
+		}
+		grown := make([]byte, len(body), next)
+		copy(grown, body)
+		body = grown
 	}
-	if int64(len(body)) > maxBytes {
-		return nil, tooLarge(maxBytes)
-	}
-	return body, nil
 }
+
+// bodyChunk is the most of a declared Content-Length ReadBody allocates
+// before any of the body has arrived.
+const bodyChunk = 64 << 10
 
 func tooLarge(maxBytes int64) error {
 	return &Error{Code: http.StatusRequestEntityTooLarge, Msg: fmt.Sprintf("request body exceeds %d bytes", maxBytes)}

@@ -101,12 +101,13 @@
 //     below); disable with Config.DisableMetrics.
 //
 // JSON request bodies are hardened: they are capped (Config.MaxIngestBytes
-// for /ingest, read whole by httpsvc.ReadBody into one buffer sized from
-// Content-Length, and a fixed 1 MiB for /route/batch, read through
-// http.MaxBytesReader; 413 past the cap, wherever the value ends, and
-// for /ingest whatever the body holds) and unknown fields and trailing
-// data are rejected, so an oversized or malformed payload can neither
-// balloon memory nor be silently half-parsed.
+// for /ingest, read whole by httpsvc.ReadBody into a buffer that grows
+// as the body arrives, up to its declared Content-Length, and a fixed
+// 1 MiB for /route/batch, read through http.MaxBytesReader; 413 past
+// the cap, wherever the value ends, and for /ingest whatever the body
+// holds) and unknown fields and trailing data are rejected, so an
+// oversized or malformed payload can neither balloon memory nor be
+// silently half-parsed.
 //
 // # Concurrency and the cost kernel
 //
