@@ -3,12 +3,12 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"time"
 
 	"stochroute/internal/httpsvc"
+	"stochroute/internal/ingestwire"
 )
 
 // ingestAck mirrors the replica /ingest response shape so streaming
@@ -33,16 +33,20 @@ type ingestAck struct {
 // workers deliver in order with retry and backoff, so a briefly-down
 // replica catches up from its queue when it returns.
 //
-// The acknowledgement is optimistic — accepted reports the batch's
+// The body is judged first by the replicas' own walk (ingestwire.Count,
+// which keeps no trip), so a body every replica would refuse is refused
+// here with the replica's 400, and nothing is enqueued. The
+// acknowledgement is optimistic — accepted reports the batch's
 // trajectory count once at least one queue accepted it — because the
-// authoritative accept/reject split now happens asynchronously on N
-// replicas. 503 only when every queue refused.
+// per-trip accept/reject split (a trip off the graph, times that do not
+// match its edges) happens asynchronously on N replicas. 503 only when
+// every queue refused.
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	body, err := httpsvc.ReadBody(r, g.cfg.maxIngestBytes)
 	if err != nil {
 		return err
 	}
-	n, err := countTrajectories(body)
+	n, err := ingestwire.Count(body)
 	if err != nil {
 		return err
 	}
@@ -70,37 +74,6 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) error {
 		return &httpsvc.Error{Code: http.StatusServiceUnavailable, Msg: "all replica ingest queues full"}
 	}
 	return httpsvc.WriteJSON(w, &ack)
-}
-
-// countTrajectories walks an ingest body in place and counts the
-// elements of its last "trajectories" array, as a replica will read
-// them, without looking inside one: enough to refuse a malformed or
-// empty batch at the edge with the 400 a replica would answer. The
-// other members are the replicas' to judge.
-func countTrajectories(body []byte) (int, error) {
-	if !json.Valid(body) {
-		return 0, httpsvc.BadRequest("parse body: %v", httpsvc.SyntaxError(body))
-	}
-	c := httpsvc.NewCursor(body)
-	isObject, err := c.Open('{')
-	if err != nil {
-		return 0, httpsvc.BadRequest("parse body: %v", err)
-	}
-	n := 0
-	for isObject && c.More() {
-		if !httpsvc.KeyIs(c.Key(), "trajectories") {
-			c.Value()
-			continue
-		}
-		isArray, err := c.Open('[')
-		if err != nil {
-			return 0, httpsvc.BadRequest("parse body: trajectories: %v", err)
-		}
-		for n = 0; isArray && c.More(); n++ {
-			c.Value()
-		}
-	}
-	return n, nil
 }
 
 // enqueueIngest admits one raw body into rep's delivery queue if both

@@ -3,8 +3,10 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 )
@@ -14,9 +16,8 @@ import (
 // "trajectories" array, and refuses at the edge what every replica
 // would refuse as a whole: a body that is not one JSON document,
 // trailing data included, a trajectories member that is not an array,
-// an empty batch and a body past the cap. (Bodies a replica refuses
-// for what lies inside the array or beside it, such as an unknown
-// field, are left out: the gateway still acknowledges those.)
+// a trip that is not an object, an unknown member beside the array, an
+// empty batch and a body past the cap.
 func TestIngestAckCountsTrajectories(t *testing.T) {
 	r1 := fakeReplica(t, "r1", 0)
 	gw, err := New(Config{Replicas: []Replica{{ID: "r1", URL: r1.URL}}, maxIngestBytes: 256})
@@ -32,6 +33,8 @@ func TestIngestAckCountsTrajectories(t *testing.T) {
 		accepted int
 	}{
 		{`{"trajectories":[{"edges":[1],"times":[2]},null,{}]}`, 200, 3},
+		{`{"trajectories":[{"edges":[1],"times":[2]},null,3]}`, 400, 0},
+		{`{"trajectories":[{}],"extra":{"x":[1]}}`, 400, 0},
 		{`{"trajectories":[{},{}],"trajectories":[{}]}`, 200, 1},
 		{`{"TRAJECTORIES":[{}]} ` + "\n", 200, 1},
 		{`{"trajectories":[{}],"trajectories":null}`, 400, 0},
@@ -57,6 +60,74 @@ func TestIngestAckCountsTrajectories(t *testing.T) {
 		}
 		if resp.StatusCode != tc.code || (tc.code == 200 && ack.Accepted != tc.accepted) {
 			t.Errorf("%q: status %d, accepted %d; want %d, %d", tc.body, resp.StatusCode, ack.Accepted, tc.code, tc.accepted)
+		}
+	}
+}
+
+// TestIngestGatewayAnswersAsTheReplica: the gateway answers every body
+// of the replica's wire contract (the table TestIngestWireContract in
+// internal/server holds a replica to) with the replica's status, and
+// acknowledges each batch a replica takes with all of its trips,
+// accepted and rejected alike; at the cap and one byte past it too.
+func TestIngestGatewayAnswersAsTheReplica(t *testing.T) {
+	const maxBytes = 4096
+	r1 := fakeReplica(t, "r1", 0)
+	gw, err := New(Config{Replicas: []Replica{{ID: "r1", URL: r1.URL}}, maxIngestBytes: maxBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	t.Cleanup(ts.Close)
+
+	data, err := os.ReadFile("../ingestwire/testdata/contract.tsv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := `{"edges":[3,4],"times":[10,12]}`
+	fill := strings.NewReplacer("$VALID", valid, "$INVALID", `{"edges":[0],"times":[-3]}`, "$EDGES", `[3,4]`, "$FIRST", `3`)
+	type wireCase struct {
+		name     string
+		body     string
+		code     int
+		accepted int
+	}
+	doc := `{"trajectories":[` + valid + `]}`
+	cases := []wireCase{
+		{"body at the cap", doc + strings.Repeat(" ", maxBytes-len(doc)), 200, 1},
+		{"body one byte past the cap", doc + strings.Repeat(" ", maxBytes+1-len(doc)), 413, 0},
+	}
+	for line := range strings.Lines(string(data)) {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Split(strings.TrimSuffix(line, "\n"), "\t")
+		if len(f) != 5 {
+			t.Fatalf("contract line %q: want 5 tab-separated fields", line)
+		}
+		var code, accepted, rejected int
+		if _, err := fmt.Sscan(f[1]+" "+f[2]+" "+f[3], &code, &accepted, &rejected); err != nil {
+			t.Fatalf("contract line %q: %v", line, err)
+		}
+		cases = append(cases, wireCase{f[0], fill.Replace(f[4]), code, accepted + rejected})
+	}
+	if len(cases) < 30 {
+		t.Fatalf("%d cases, want the contract's 30", len(cases))
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(ts.URL+"/ingest", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ack struct {
+			Accepted int `json:"accepted"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&ack)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if resp.StatusCode != tc.code || (tc.code == 200 && ack.Accepted != tc.accepted) {
+			t.Errorf("%s: status %d, accepted %d; the replica answers %d with %d trips", tc.name, resp.StatusCode, ack.Accepted, tc.code, tc.accepted)
 		}
 	}
 }

@@ -288,11 +288,29 @@ func pairLabel(kb *KnowledgeBase, oracle Oracle, k traj.PairKey) bool {
 // variants. Ground truth comes from the oracle, or from the empirical
 // pair-sum histograms when oracle is nil (the paper's "ground truth
 // trajectories").
+//
+// Evaluate only reads model, so it may run beside searches on a
+// published model. It borrows one scratch for the whole call and reuses
+// one truth histogram, one convolution and one pair-sum count vector,
+// so without an oracle it allocates nothing per test pair once they
+// have grown; the answers are the bits PairSumEstimate and Convolve
+// give.
 func Evaluate(model *Model, obs *traj.ObservationStore, oracle Oracle, testPairs []traj.PairKey) (*EvalReport, error) {
 	if len(testPairs) == 0 {
 		return nil, errors.New("hybrid: Evaluate with no test pairs")
 	}
 	kb := model.KB
+	g := kb.Graph()
+	auto, estimateOnly := *model, *model
+	auto.Mode, estimateOnly.Mode = Auto, AlwaysEstimate
+	s := scratchPool.Get().(*Scratch)
+	defer func() {
+		s.Reset()
+		scratchPool.Put(s)
+	}()
+	var empirical, conv hist.Hist
+	var sums []int32
+
 	report := &EvalReport{TestPairs: len(testPairs)}
 	var sumH, sumC, sumE float64
 	var sumHDep, sumCDep, sumHInd, sumCInd float64
@@ -300,30 +318,34 @@ func Evaluate(model *Model, obs *traj.ObservationStore, oracle Oracle, testPairs
 	const eps = 1e-6
 
 	for _, k := range testPairs {
-		truth, err := pairTruth(obs, oracle, k)
-		if err != nil {
+		truth := &empirical
+		if oracle != nil {
+			var err error
+			if truth, err = oracle.PairTruth(k); err != nil {
+				return nil, err
+			}
+		} else {
+			counts, err := obs.PairSumCounts(k, sums)
+			if err != nil {
+				return nil, err
+			}
+			sums = counts.Counts
+			counts.HistInto(truth, obs.Width)
+		}
+		if err := hist.ConvolveInto(&conv, kb.Edge(k.First).Marginal, kb.Edge(k.Second).Marginal); err != nil {
 			return nil, err
 		}
-		conv := hist.MustConvolve(kb.Edge(k.First).Marginal, kb.Edge(k.Second).Marginal)
-
-		prevMode := model.Mode
-		model.Mode = Auto
-		hyb, err := model.PairSumEstimate(k.First, k.Second)
-		if err != nil {
-			return nil, err
+		if g.Edge(k.First).To != g.Edge(k.Second).From {
+			return nil, fmt.Errorf("hybrid: edges %d and %d are not adjacent", k.First, k.Second)
 		}
-		model.Mode = AlwaysEstimate
-		estOnly, err := model.PairSumEstimate(k.First, k.Second)
-		if err != nil {
-			return nil, err
-		}
-		model.Mode = prevMode
+		hyb := auto.ExtendInto(s, auto.InitialHistInto(s, k.First), k.First, k.Second)
+		estOnly := estimateOnly.ExtendInto(s, estimateOnly.InitialHistInto(s, k.First), k.First, k.Second)
 
 		klH, err := hist.KL(truth, hyb, eps)
 		if err != nil {
 			return nil, err
 		}
-		klC, err := hist.KL(truth, conv, eps)
+		klC, err := hist.KL(truth, &conv, eps)
 		if err != nil {
 			return nil, err
 		}
@@ -331,6 +353,7 @@ func Evaluate(model *Model, obs *traj.ObservationStore, oracle Oracle, testPairs
 		if err != nil {
 			return nil, err
 		}
+		s.Reset()
 		sumH += klH
 		sumC += klC
 		sumE += klE
@@ -359,11 +382,4 @@ func Evaluate(model *Model, obs *traj.ObservationStore, oracle Oracle, testPairs
 		report.MeanKLConvInd = sumCInd / float64(nInd)
 	}
 	return report, nil
-}
-
-func pairTruth(obs *traj.ObservationStore, oracle Oracle, k traj.PairKey) (*hist.Hist, error) {
-	if oracle != nil {
-		return oracle.PairTruth(k)
-	}
-	return obs.PairSumHist(k)
 }

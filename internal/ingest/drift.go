@@ -99,18 +99,21 @@ func (m *DriftMonitor) Ready() bool { return m.Enabled() && len(m.window) >= m.c
 // against kb's per-edge marginals edge by edge in ID order — so one
 // window always gets one report — and resets the window. Edges with
 // fewer than MinEdgeObs traversals, or whose histogram cannot be
-// compared (grid mismatch), are skipped.
+// compared (grid mismatch), are skipped. Each edge's counts are read
+// into one reused histogram.
 func (m *DriftMonitor) Evaluate(kb *hybrid.KnowledgeBase) DriftReport {
 	fresh := traj.NewObservationStore(kb.Graph(), m.width)
 	fresh.Collect(m.window)
 	m.window = nil
 	var rep DriftReport
+	var h hist.Hist
 	sum := 0.0
 	for e, counts := range fresh.Edges() {
 		if counts.Total() < m.cfg.MinEdgeObs {
 			continue
 		}
-		js, err := hist.JS(counts.Hist(m.width), kb.Edge(e).Marginal)
+		counts.HistInto(&h, m.width)
+		js, err := hist.JS(&h, kb.Edge(e).Marginal)
 		if err != nil {
 			continue
 		}

@@ -13,6 +13,7 @@ import (
 
 	"stochroute/internal/graph"
 	"stochroute/internal/httpsvc"
+	"stochroute/internal/ingestwire"
 	"stochroute/internal/israce"
 	"stochroute/internal/rng"
 	"stochroute/internal/traj"
@@ -64,10 +65,11 @@ func bytesAllocated(f func()) uint64 {
 }
 
 // FuzzScanIngest holds the /ingest walk to encoding/json on arbitrary
-// bytes: scanIngest accepts exactly the bodies decodeWire accepts, its
-// trips are reflect.DeepEqual to the oracle's — nil and empty slices
-// told apart, repeated keys and nulls included — and it allocates in
-// proportion to the body.
+// bytes: ingestwire.Scan accepts exactly the bodies decodeWire accepts,
+// its trips are reflect.DeepEqual to the oracle's — nil and empty
+// slices told apart, repeated keys and nulls included — and it
+// allocates in proportion to the body. The gateway's ingestwire.Count
+// gives Scan's error, or its number of trips.
 func FuzzScanIngest(f *testing.F) {
 	for _, seed := range []string{
 		`{"trajectories":[{"edges":[0,1],"times":[5,6.5],"depart":28920}]}`,
@@ -106,13 +108,16 @@ func FuzzScanIngest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var trs []traj.Trajectory
 		var err error
-		alloc := bytesAllocated(func() { trs, err = scanIngest(body) })
+		alloc := bytesAllocated(func() { trs, err = ingestwire.Scan(body) })
 		if !israce.Enabled && alloc > 64*uint64(len(body))+64<<10 {
 			t.Fatalf("%d body bytes allocated %d bytes", len(body), alloc)
 		}
 		want, werr := decodeWire(body)
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("body %q: walk error %v, encoding/json error %v", body, err, werr)
+		}
+		if n, cerr := ingestwire.Count(body); n != len(trs) || !reflect.DeepEqual(cerr, err) {
+			t.Fatalf("body %q: Count %d (%v), Scan %d trips (%v)", body, n, cerr, len(trs), err)
 		}
 		if err != nil {
 			if e, ok := err.(*httpsvc.Error); !ok || e.Code != http.StatusBadRequest {

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 )
@@ -15,6 +16,8 @@ import (
 // null trip is an empty one the ingestor rejects; edge IDs are integer
 // literals in int32 range and times finite float64 values; only
 // whitespace may follow the document; a body past the cap is a 413.
+// The bodies live in internal/ingestwire/testdata/contract.tsv, which
+// the gateway's test shares, so the gateway is held to the same table.
 func TestIngestWireContract(t *testing.T) {
 	fb := newFakeBackend(t)
 	const maxBytes = 4096
@@ -22,49 +25,17 @@ func TestIngestWireContract(t *testing.T) {
 	first, second := adjacentPair(t, fb.g)
 	edges := fmt.Sprintf(`[%d,%d]`, first, second)
 	valid := `{"edges":` + edges + `,"times":[10,12]}`
-	invalid := `{"edges":[0],"times":[-3]}`
 	atCap := func(n int) string {
 		doc := `{"trajectories":[` + valid + `]}`
 		return doc + strings.Repeat(" ", n-len(doc))
 	}
+	cases := readWireContract(t, strings.NewReplacer(
+		"$VALID", valid, "$INVALID", `{"edges":[0],"times":[-3]}`, "$EDGES", edges, "$FIRST", fmt.Sprint(first)))
+	cases = append(cases,
+		wireCase{"body at the cap", atCap(maxBytes), 200, 1, 0},
+		wireCase{"body one byte past the cap", atCap(maxBytes + 1), 413, 0, 0})
 
-	for _, tc := range []struct {
-		name               string
-		body               string
-		code               int
-		accepted, rejected int
-	}{
-		{"valid", `{"trajectories":[` + valid + `]}`, 200, 1, 0},
-		{"unknown top-level field", `{"trajectories":[` + valid + `],"extra":1}`, 400, 0, 0},
-		{"unknown nested field", `{"trajectories":[{"edges":` + edges + `,"times":[10,12],"speed":3}]}`, 400, 0, 0},
-		{"case-folded keys", `{"TRAJECTORIES":[{"Edges":` + edges + `,"TIMES":[10,12],"DePart":60}]}`, 200, 1, 0},
-		{"escaped keys", `{"traj\u0065ctories":[{"\u0065dges":` + edges + `,"t\u0069mes":[10,12]}]}`, 200, 1, 0},
-		{"duplicate top-level key", `{"trajectories":[` + invalid + `,` + invalid + `],"trajectories":[` + valid + `]}`, 200, 1, 0},
-		{"duplicate nested key", `{"trajectories":[{"edges":[0],"times":[10,12],"edges":` + edges + `}]}`, 200, 1, 0},
-		{"null trajectory", `{"trajectories":[null,` + valid + `]}`, 200, 1, 1},
-		{"null edges", `{"trajectories":[{"edges":null,"times":[10,12]}]}`, 200, 0, 1},
-		{"null times after times", `{"trajectories":[{"edges":` + edges + `,"times":[10,12],"times":null}]}`, 200, 0, 1},
-		{"null depart", `{"trajectories":[{"edges":` + edges + `,"times":[10,12],"depart":null}]}`, 200, 1, 0},
-		{"null element keeps zero", `{"trajectories":[{"edges":[` + fmt.Sprint(first) + `,null],"times":[10,12]}]}`, 200, 0, 1},
-		{"edge ID past int32", `{"trajectories":[{"edges":[2147483648],"times":[10]}]}`, 400, 0, 0},
-		{"edge ID as a fraction", `{"trajectories":[{"edges":[1.0],"times":[10]}]}`, 400, 0, 0},
-		{"edge ID with an exponent", `{"trajectories":[{"edges":[1e2],"times":[10]}]}`, 400, 0, 0},
-		{"edge ID as a string", `{"trajectories":[{"edges":["1"],"times":[10]}]}`, 400, 0, 0},
-		{"time past float64", `{"trajectories":[{"edges":` + edges + `,"times":[10,1e400]}]}`, 400, 0, 0},
-		{"string departure", `{"trajectories":[{"edges":` + edges + `,"times":[10,12],"depart":"60"}]}`, 400, 0, 0},
-		{"trajectory as an array", `{"trajectories":[[1,2]]}`, 400, 0, 0},
-		{"trajectories as an object", `{"trajectories":{"edges":[1]}}`, 400, 0, 0},
-		{"trailing data", `{"trajectories":[` + valid + `]} {}`, 400, 0, 0},
-		{"stray closing bracket", `{"trajectories":[` + valid + `]}]`, 400, 0, 0},
-		{"syntax error", `{"trajectories":[` + valid + `,]}`, 400, 0, 0},
-		{"top-level null", `null`, 400, 0, 0},
-		{"top-level array", `[` + valid + `]`, 400, 0, 0},
-		{"empty body", ``, 400, 0, 0},
-		{"empty batch", `{"trajectories":[]}`, 400, 0, 0},
-		{"no trajectories", `{}`, 400, 0, 0},
-		{"body at the cap", atCap(maxBytes), 200, 1, 0},
-		{"body one byte past the cap", atCap(maxBytes + 1), 413, 0, 0},
-	} {
+	for _, tc := range cases {
 		rec, body := postJSON(t, h, "/ingest", tc.body)
 		if rec.Code != tc.code {
 			t.Errorf("%s: status %d, want %d (%v)", tc.name, rec.Code, tc.code, body)
@@ -77,4 +48,40 @@ func TestIngestWireContract(t *testing.T) {
 			t.Errorf("%s: accepted/rejected %v/%v, want %d/%d", tc.name, body["accepted"], body["rejected"], tc.accepted, tc.rejected)
 		}
 	}
+}
+
+// wireCase is one body of the /ingest wire contract and what a replica
+// answers to it.
+type wireCase struct {
+	name               string
+	body               string
+	code               int
+	accepted, rejected int
+}
+
+// readWireContract reads the contract table the gateway's test shares,
+// its bodies' placeholders replaced by r.
+func readWireContract(t *testing.T, r *strings.Replacer) []wireCase {
+	t.Helper()
+	data, err := os.ReadFile("../ingestwire/testdata/contract.tsv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []wireCase
+	for line := range strings.Lines(string(data)) {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		var tc wireCase
+		f := strings.Split(strings.TrimSuffix(line, "\n"), "\t")
+		if len(f) != 5 {
+			t.Fatalf("contract line %q: want 5 tab-separated fields", line)
+		}
+		if _, err := fmt.Sscan(f[1]+" "+f[2]+" "+f[3], &tc.code, &tc.accepted, &tc.rejected); err != nil {
+			t.Fatalf("contract line %q: %v", line, err)
+		}
+		tc.name, tc.body = f[0], r.Replace(f[4])
+		cases = append(cases, tc)
+	}
+	return cases
 }

@@ -309,19 +309,31 @@ func (s *ObservationStore) Joint(k PairKey) JointCounts {
 // the joint counts summed along anti-diagonals — or an error without
 // observations.
 func (s *ObservationStore) PairSumHist(k PairKey) (*hist.Hist, error) {
+	sums, err := s.PairSumCounts(k, nil)
+	if err != nil {
+		return nil, err
+	}
+	return sums.Hist(s.Width), nil
+}
+
+// PairSumCounts returns the pair's T1+T2 counts on the grid, the joint
+// counts summed along anti-diagonals, in buf's storage when its
+// capacity suffices; an error without observations.
+func (s *ObservationStore) PairSumCounts(k PairKey, buf []int32) (GridCounts, error) {
 	cells := s.Joint(k)
 	if len(cells) == 0 {
-		return nil, fmt.Errorf("traj: pair (%d,%d) has no observations", k.First, k.Second)
+		return GridCounts{}, fmt.Errorf("traj: pair (%d,%d) has no observations", k.First, k.Second)
 	}
 	lo, hi := math.MaxInt, math.MinInt
 	for _, c := range cells {
 		lo, hi = min(lo, int(c.I1)+int(c.I2)), max(hi, int(c.I1)+int(c.I2))
 	}
-	sums := GridCounts{Lo: lo, Counts: make([]int32, hi-lo+1)}
+	sums := GridCounts{Lo: lo, Counts: slices.Grow(buf[:0], hi-lo+1)[:hi-lo+1]}
+	clear(sums.Counts)
 	for _, c := range cells {
 		sums.Counts[int(c.I1)+int(c.I2)-lo] += c.N
 	}
-	return sums.Hist(s.Width), nil
+	return sums, nil
 }
 
 // PairsWithSupport returns the pair keys with at least minObs joint
