@@ -44,10 +44,12 @@
 // capped-exponential-backoff retry. One slow or briefly down replica
 // never stalls ingestion — it catches up from its queue — and a full
 // queue drops batches for that replica alone. The body is read once,
-// with httpsvc.ReadBody, and the trajectories it
-// acknowledges are counted by a walk of it (a body json.Valid refuses,
-// trailing data included, is a 400 here, as on every replica); no trip
-// is decoded.
+// with httpsvc.ReadBody, and judged by the replicas' own walk
+// (ingestwire.Count, which decodes each trip into one scratch trip and
+// keeps none): every body a replica would refuse as a whole — an
+// unknown field, an edge ID that is not an int32, trailing data — is
+// refused here with the replica's 400 and enqueued nowhere, and the
+// acknowledgement counts the trips a replica will read.
 //
 // # Batching
 //
@@ -63,7 +65,7 @@
 // body, after json.Valid, yields each item's span (a sub-slice of the
 // body) and its (source, dest), with encoding/json's rules for the
 // shape (FuzzScanBatchRequest holds the walk to them). The walker is
-// httpsvc.Cursor, the one a replica walks an /ingest body with. A sub-batch is
+// httpsvc.Cursor, the one the /ingest walk runs on. A sub-batch is
 // {"queries":[…]} around its items' spans joined by commas, so an
 // item's bytes, whitespace included, reach the replica as the client
 // sent them. A replica's answer is read into one buffer, checked with

@@ -4,7 +4,9 @@
 // matching the tabular distributions in the paper (e.g. H1 = {10: 0.5,
 // 15: 0.5}). All routing-side operations — convolution, shifting,
 // probability-within-budget, stochastic dominance, divergences — are
-// histogram-native.
+// histogram-native. The divergences (KL, the paper's evaluation
+// metric, JS and TotalVariation) walk two histograms' common grid in
+// place and allocate nothing.
 package hist
 
 import (

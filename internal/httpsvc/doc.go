@@ -78,7 +78,8 @@
 // yields each value's span, never a copy, and KeyIs, Integer, Kind,
 // Describe and SyntaxError apply encoding/json's rules and wording, so
 // a walk accepts what a decode into the same shape accepts. There is
-// one walker; the gateway and the replica share it.
+// one walker; the gateway and the replica share it, and they share the
+// /ingest walk built on it too (internal/ingestwire).
 //
 // # Mounted endpoints
 //

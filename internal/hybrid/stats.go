@@ -21,6 +21,13 @@
 // marginal. Priors are interned per BuildKnowledgeBase call: edges whose
 // priors have the same content share one EdgeStats entry, marginal
 // included, so every entry the knowledge base hands out is read-only.
+//
+// Train judges what it trained as the paper does (Evaluate): mean KL
+// divergence to the truth over held-out edge pairs, for the hybrid,
+// convolution-only and always-estimate answers. Evaluate only reads the
+// model, so it may judge one that is serving searches, and it runs on
+// one scratch and a few reused buffers: judged by the empirical pair
+// sums, as every ingest rebuild is, it allocates nothing per test pair.
 package hybrid
 
 import (

@@ -49,9 +49,10 @@ func Scan(body []byte) ([]traj.Trajectory, error) {
 	return trs, nil
 }
 
-// Count walks body as Scan does and returns len of what Scan would
-// return, or Scan's error, without keeping a trip: every element is
-// decoded into one scratch trip, whose arrays grow to the longest seen.
+// Count walks body as Scan does and returns the number of trips Scan
+// would return, or Scan's error, without keeping a trip: every element
+// is decoded into one scratch trip, whose arrays grow to the longest
+// seen.
 func Count(body []byte) (int, error) {
 	var scratch traj.Trajectory
 	n := 0

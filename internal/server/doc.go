@@ -69,14 +69,17 @@
 //   - /ingest (POST, enabled by Config.Ingestor) — the write path:
 //     {"trajectories": [{"edges": [...], "times": [...], "depart":
 //     28920}, ...]} (depart optional, default 0). The body is read once
-//     and walked in place into trips (httpsvc.Cursor, after json.Valid):
+//     and walked in place into trips (ingestwire.Scan, the walk the
+//     gateway judges a body by, on httpsvc.Cursor after json.Valid):
 //     each trip's edges and times are one allocation each, sized by
 //     counting first, with encoding/json's rules for the shape —
 //     unknown fields refused, keys case-folded, the last repeated key
 //     winning, null leaving a field as it was (a null trip is an empty
 //     one, rejected), edge IDs integer literals in int32 range, times
 //     and departures finite (FuzzScanIngest holds the walk to
-//     encoding/json, TestIngestWireContract pins the answers).
+//     encoding/json, TestIngestWireContract pins the answers to the
+//     table internal/ingestwire/testdata/contract.tsv, which the
+//     gateway's test holds it to as well).
 //     Trajectories are validated against the graph (invalid ones are
 //     counted and skipped, never fatal) and folded into the ingestion
 //     subsystem's per-slice aggregates (internal/ingest); the
