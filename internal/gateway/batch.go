@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -44,10 +43,6 @@ const maxBatchBytes = 1 << 20
 // batch validation errors, so the gateway can remap sub-batch positions
 // back to the client's original indices.
 var queryIndexRE = regexp.MustCompile(`queries\[(\d+)\]`)
-
-// jsonContentType is the Content-Type value slice of every body the
-// gateway builds; nothing may write through it.
-var jsonContentType = []string{"application/json"}
 
 // bufs recycles a batch's documents: the client's body, each replica's
 // answer and the gateway's own answer.
@@ -227,38 +222,31 @@ func (g *Gateway) scatter(items []batchItem, pending []int) ([]batchGroup, error
 // original positions; any other error is a transport failure the
 // caller fails over.
 func (g *Gateway) dispatchBatch(r *http.Request, grp *batchGroup, items []batchItem) error {
-	size := len(`{"queries":[]}`) + len(grp.orig) - 1
-	for _, pos := range grp.orig {
-		size += len(items[pos].query)
-	}
-	payload := append(make([]byte, 0, size), `{"queries":[`...)
+	payload := bufs.Get().(*[]byte)
+	defer bufs.Put(payload)
+	body := append((*payload)[:0], `{"queries":[`...)
 	for k, pos := range grp.orig {
 		if k > 0 {
-			payload = append(payload, ',')
+			body = append(body, ',')
 		}
-		payload = append(payload, items[pos].query...)
+		body = append(body, items[pos].query...)
 	}
-	payload = append(payload, "]}"...)
+	body = append(body, "]}"...)
+	*payload = body
 
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
-	defer cancel()
-	req := grp.rep.request(ctx, r, http.MethodPost, "/route/batch", "")
-	req.Header[httpsvc.HeaderContentType] = jsonContentType
-	req.ContentLength = int64(len(payload))
-	req.Body = io.NopCloser(bytes.NewReader(payload))
-	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(payload)), nil }
-	resp, err := g.send(grp.rep, req, "proxy/batch", len(grp.orig))
+	req := fleetRequest{method: http.MethodPost, path: "/route/batch", from: r, body: body}
+	resp, err := g.send(r.Context(), grp.rep, &req, "proxy/batch", len(grp.orig))
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg := readErrorMessage(resp.Body)
+	defer resp.close()
+	if resp.status != http.StatusOK {
+		msg := readErrorMessage(resp.body)
 		msg = remapQueryIndices(msg, grp.orig)
-		return &httpsvc.Error{Code: resp.StatusCode, Msg: fmt.Sprintf("replica %s: %s", grp.rep.id, msg)}
+		return &httpsvc.Error{Code: resp.status, Msg: fmt.Sprintf("replica %s: %s", grp.rep.id, msg)}
 	}
 	grp.answer = bufs.Get().(*[]byte)
-	doc, err := httpsvc.AppendAll((*grp.answer)[:0], resp.Body, math.MaxInt)
+	doc, err := httpsvc.AppendAll((*grp.answer)[:0], resp.body, math.MaxInt)
 	*grp.answer = doc
 	var n int
 	if err == nil {

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -100,22 +101,6 @@ func TestRoutingKeyShapes(t *testing.T) {
 	}
 }
 
-// cannedBatch answers every sub-batch sent to the "stub" scheme with
-// answer, after reading the request body as a replica would; like
-// stubFleet it allocates nothing itself.
-type cannedBatch struct {
-	stubFleet
-	answer []byte
-}
-
-func (c *cannedBatch) RoundTrip(req *http.Request) (*http.Response, error) {
-	_, _ = io.Copy(io.Discard, req.Body)
-	req.Body.Close()
-	c.body.Reset(c.answer)
-	c.resp.Body = &c.body
-	return &c.resp, nil
-}
-
 // batchBody is a client batch of n distinct queries, and cannedAnswer
 // a replica's answer to it.
 func batchBody(n int) []byte {
@@ -140,40 +125,35 @@ func cannedAnswer(n int) []byte {
 	return append(b, `],"cache_hits":0,"runtime_ms":1.5}`+"\n"...)
 }
 
-// TestGatewayBatchAllocs is the allocation gate of /route/batch on the
-// gateway's side of RoundTrip: the handler runs in-process against one
-// replica that answers canned bytes, at 16 and 64 items, and the count
-// per added item must stay at most 1. The client's body, the replica's
+// TestGatewayBatchAllocs is the allocation gate of /route/batch, the
+// gateway's client included: the handler runs in-process against one
+// replica connection, reached through the dial hook, that replays a
+// canned answer, at 16 and 64 items, and the count per added item must
+// stay at most 1. The client's body, each sub-batch, the replica's
 // answer and the gateway's answer live in pooled buffers and each item
 // is spans of them, so only the items slice grows with the batch, by
-// doubling (5 allocations at 16 items, 7 at 64). The rest, 22 a
-// request whatever its size: the deadline context and its timer (5);
-// the scatter's count, group and position slices, the pending list and
-// the fork-join's closure (5); the sub-batch body, its reader, its
-// io.NopCloser and GetBody (4); the outbound Request, URL and header
-// map (3); the transport's rewind wrapper (2); the chassis's request ID
-// and wrapper (2); and this test's one. Measured: 27 at 16 items, 30
-// at 64. Before the batch was walked in place (a RawMessage and a
-// decode per item, a re-encoded sub-batch and a re-compacted answer)
-// the same test read 198 and 595, 8.3 per item.
+// doubling. The rest is a request whatever its size: the scatter's
+// count, group and position slices, the pending list and the
+// fork-join's closure; the chassis's request ID and wrapper; the
+// context.AfterFunc that ends the exchange if the client leaves; and
+// this test's one. With net/http's Transport the same test read 27 at
+// 16 items and 30 at 64 around RoundTrip, which a stub stood in for;
+// before the batch was walked in place (a RawMessage and a decode per
+// item, a re-encoded sub-batch and a re-compacted answer) it read 198
+// and 595, 8.3 per item.
 func TestGatewayBatchAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	gw, err := New(Config{Replicas: []Replica{{ID: "r1", URL: "stub://r1"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stub := &cannedBatch{stubFleet: stubFleet{resp: http.Response{
-		StatusCode: http.StatusOK,
-		Header:     http.Header{"Content-Type": {"application/json"}},
-	}}}
-	gw.transport.RegisterProtocol("stub", stub)
+	conn := &replayConn{}
+	gw := replayFleet(t, conn)
 	h := gw.Handler()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 
 	measure := func(n int) float64 {
 		body := batchBody(n)
-		stub.answer = cannedAnswer(n)
+		conn.answer, conn.off = replayAnswer("", cannedAnswer(n)), 0
 		// One answer is checked in full: the canned results, attributed.
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/route/batch", bytes.NewReader(body)))
@@ -193,7 +173,7 @@ func TestGatewayBatchAllocs(t *testing.T) {
 		}
 
 		var rd bytes.Reader
-		req := httptest.NewRequest(http.MethodPost, "/route/batch", nil)
+		req := httptest.NewRequestWithContext(ctx, http.MethodPost, "/route/batch", nil)
 		req.Body = io.NopCloser(&rd)
 		w := &discardWriter{h: make(http.Header)}
 		allocs := testing.AllocsPerRun(300, func() {
@@ -207,6 +187,9 @@ func TestGatewayBatchAllocs(t *testing.T) {
 		return allocs
 	}
 	small, large := measure(16), measure(64)
+	if small > 30 {
+		t.Errorf("a 16-item /route/batch costs %.1f allocations on the gateway, its client included, want <= 30", small)
+	}
 	if slope := (large - small) / (64 - 16); slope > 1 {
 		t.Errorf("/route/batch costs %.2f allocations per added item on the gateway (%.1f at 16 items, %.1f at 64), want <= 1", slope, small, large)
 	}

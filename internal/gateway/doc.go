@@ -32,7 +32,9 @@
 // would let a single canceled context cascade down marks across the
 // fleet. A replica answering under the wrong identity (mis-wired
 // fleet config) is held degraded with the reported identity surfaced
-// in /healthz.
+// in /healthz. A probe round, or an ingest delivery, that panics is
+// logged to Config.LogW and the loop goes on: a dead prober would hold
+// every down replica down for good.
 //
 // # Ingest
 //
@@ -49,7 +51,10 @@
 // keeps none): every body a replica would refuse as a whole — an
 // unknown field, an edge ID that is not an int32, trailing data — is
 // refused here with the replica's 400 and enqueued nowhere, and the
-// acknowledgement counts the trips a replica will read.
+// acknowledgement splits the trips a replica will read into accepted
+// and rejected by every check that needs no road graph. Only a trip
+// with an edge off the graph or a break between its edges is counted
+// accepted here and rejected by the replicas.
 //
 // # Batching
 //
@@ -76,33 +81,65 @@
 // cache_hits and the gateway's runtime_ms, appended into a pooled
 // buffer. A sub-batch carries the client's identity headers
 // (X-Request-ID, Accept, traceparent), as a proxied GET does, under its
-// own Content-Type.
+// own Content-Type. Its body is written from a pooled buffer.
 //
 // # Transport
 //
 // Everything the gateway sends to its fleet — proxied queries,
 // sub-batches, ingest deliveries, health probes — goes through one
-// http.Transport the gateway owns (newTransport), by RoundTrip rather
-// than through net/http's client type: a replica never redirects and
-// the gateway keeps no cookies, so the client layer added only
-// per-request bookkeeping. The pool parks up to 64 keep-alive connections per
-// replica (http.DefaultTransport's 2 made a fleet under three
-// concurrent requests per replica re-dial continuously), shares
-// nothing with other HTTP users in the process, looks up no proxy and
-// does not advertise gzip, which no replica sends. Time limits are
-// context deadlines, set per request: RequestTimeout spans a dispatch
-// from dial to the last relayed body byte, ProbeTimeout one probe.
-// When the context given to Start ends, the parked connections are
-// closed.
+// small HTTP/1.1 client of its own (client.go), one per replica, not
+// net/http's Transport: a replica is a known peer answering small
+// uncompressed JSON, so the client keeps only what that needs.
 //
-// A proxied GET and a sub-batch are derived, not rebuilt: the
-// replica's base URL is parsed once in New, each dispatch copies it and
-// attaches its path and raw query, forwards the identity headers
-// (X-Request-ID, Accept, Content-Type, traceparent) and, for a GET,
-// relays the answer's
-// Content-Type, X-Cache and X-Replica through the value slices they
-// arrived in (see internal/httpsvc on header keys), and the ring key
-// is hashed straight out of the raw query.
+//   - The pool. Each replica keeps a LIFO stack of at most 64 parked
+//     keep-alive connections (net/http's default of 2 made a fleet
+//     under three concurrent requests per replica re-dial
+//     continuously); a request takes the most recently parked one or
+//     dials. Each connection has one 4 KiB reader and one 4 KiB writer
+//     and its own answer and body readers, all reused by every request
+//     it carries; a head scratch that an unusual answer grew past 8 KiB
+//     is dropped. A connection goes back on the stack only once its
+//     body was read to the end and the answer did not close it; one
+//     parked for 90 s is closed. When the context given to Start ends,
+//     the parked connections are closed.
+//   - The request. The request line (the replica's base path, then the
+//     inbound path and raw query), Host, a POST's Content-Length and the
+//     identity headers (Accept, Content-Type, traceparent, X-Request-ID,
+//     first values, the inbound request's own strings) are written
+//     straight into the connection's writer: no http.Request, no URL,
+//     no header map, and no User-Agent. A sub-batch and an ingest
+//     delivery are application/json. A value with a control byte is not
+//     sent on.
+//   - The answer. The status line and header block are read on the
+//     caller's goroutine, by net/http's rules (1xx heads skipped, obs-fold
+//     lines joined, malformed lines refused, a 64 KiB cap), keeping only
+//     Content-Length, Transfer-Encoding: chunked, Connection and the
+//     three relayed headers, Content-Type, X-Cache and X-Replica, whose
+//     common values (application/json, hit, miss, the replica's own ID)
+//     are shared slices. The body is read through the connection's
+//     length-limited or chunked reader, which relays straight out of the
+//     4 KiB reader (io.WriterTo). FuzzReadReplicaResponse holds the
+//     reader to net/http.ReadResponse.
+//   - Time limits. RequestTimeout and ProbeTimeout are connection
+//     deadlines, set when the request is written: RequestTimeout spans a
+//     dispatch from dial to the last relayed body byte, ProbeTimeout one
+//     probe. A deadline that passes reads as context.DeadlineExceeded,
+//     a 504. When the inbound request's context ends, one
+//     context.AfterFunc moves the deadline into the past, so the
+//     dispatch ends at once with that context's error (a 499), and the
+//     connection is closed.
+//   - Stale connections. A request written on a parked connection that
+//     fails before the first byte of an answer arrives, other than by a
+//     deadline or the context, is sent once more on a fresh dial, as
+//     net/http retries a replayable request: a replica that dropped its
+//     idle connections (a restart, its own idle timeout) is not marked
+//     down for it. An ingest delivery retried this way is still
+//     at-least-once, as its backoff retries are.
+//
+// A failure is wrapped as net/http's client wraps one, method and URL
+// in front, so a 504 body or a down-mark log line names the replica
+// address that failed. The ring key is hashed straight out of the raw
+// query.
 //
 // # HTTP chassis and telemetry
 //

@@ -8,8 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/url"
-	"strings"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -125,11 +124,11 @@ type Gateway struct {
 	// protocol, request accounting, /metrics and /debug/traces.
 	svc *httpsvc.Service
 
-	// transport carries every request the gateway sends to its fleet
-	// (see newTransport).
-	transport *http.Transport
-
 	startOnce sync.Once
+
+	// beforeProbeRound, when set, runs at the start of each background
+	// probe round; the package's tests use it to fault one.
+	beforeProbeRound func()
 }
 
 // New assembles a Gateway over the configured fleet. Background work
@@ -175,7 +174,6 @@ func New(cfg Config) (*Gateway, error) {
 		g.reps = append(g.reps, rep)
 	}
 	g.ring = NewRing(ids, DefaultVNodes)
-	g.transport = newTransport()
 	cfg.Metrics.GaugeFunc("gateway_replicas",
 		"Configured fleet size.", func() float64 { return float64(len(g.reps)) })
 
@@ -193,7 +191,7 @@ func New(cfg Config) (*Gateway, error) {
 // Start runs one synchronous probe round (so routing never begins on
 // an unverified fleet view) and launches the background prober and the
 // per-replica ingest delivery workers. All of them stop when ctx is
-// cancelled, and the gateway's idle connections to the fleet are
+// cancelled, and the gateway's parked connections to the fleet are
 // closed. Start is idempotent.
 func (g *Gateway) Start(ctx context.Context) {
 	g.startOnce.Do(func() {
@@ -202,7 +200,9 @@ func (g *Gateway) Start(ctx context.Context) {
 			g.probeLoop(ctx)
 			// Nothing more will be sent: release the parked connections
 			// rather than leaving them to the idle timeout.
-			g.transport.CloseIdleConnections()
+			for _, rep := range g.reps {
+				rep.client.closeIdle()
+			}
 		}()
 		for _, rep := range g.reps {
 			go g.ingestWorker(ctx, rep)
@@ -210,7 +210,9 @@ func (g *Gateway) Start(ctx context.Context) {
 	})
 }
 
-// probeLoop re-probes the fleet every ProbeInterval until ctx ends.
+// probeLoop re-probes the fleet every ProbeInterval until ctx ends. A
+// round that panics is logged and the next one runs on time: a prober
+// that died would leave every down replica down for good.
 func (g *Gateway) probeLoop(ctx context.Context) {
 	t := time.NewTicker(g.cfg.ProbeInterval)
 	defer t.Stop()
@@ -219,9 +221,25 @@ func (g *Gateway) probeLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			g.probeAll(ctx)
+			g.survive("probe round", func() {
+				if g.beforeProbeRound != nil {
+					g.beforeProbeRound()
+				}
+				g.probeAll(ctx)
+			})
 		}
 	}
+}
+
+// survive runs f and turns a panic in it into a logged error, so a
+// background loop outlives one bad iteration.
+func (g *Gateway) survive(what string, f func()) {
+	defer func() {
+		if p := recover(); p != nil {
+			g.svc.Logf("%s panicked: %v\n%s", what, p, debug.Stack())
+		}
+	}()
+	f()
 }
 
 // Handler returns the HTTP handler serving the gateway API.
@@ -324,9 +342,7 @@ func (g *Gateway) handleKeyed(w http.ResponseWriter, r *http.Request) error {
 // the request without touching replica state.
 func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, rep *replica) (failover bool, err error) {
 	ctx := r.Context()
-	dctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
-	defer cancel()
-	resp, err := g.dispatch(dctx, rep, r)
+	resp, err := g.send(ctx, rep, &fleetRequest{method: http.MethodGet, path: r.URL.Path, rawQuery: r.URL.RawQuery, from: r}, "proxy", 0)
 	if err != nil {
 		if clientCaused(ctx, err) {
 			return false, &httpsvc.Error{Code: statusClientClosedRequest, Msg: "client closed request"}
@@ -350,54 +366,24 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, rep *replica) (f
 	return false, nil
 }
 
-// forwardedHeaders are the identity headers a replica should see, on a
-// proxied GET and on a sub-batch alike; the inbound traceparent passes
-// through unless the gateway's own sampling replaces it in send.
-var forwardedHeaders = [...]string{httpsvc.HeaderRequestID, httpsvc.HeaderAccept, httpsvc.HeaderContentType, httpsvc.HeaderTraceparent}
-
-// dispatch forwards one GET to rep: the inbound path and raw query on
-// the replica's base URL, under the inbound request's identity.
-func (g *Gateway) dispatch(ctx context.Context, rep *replica, r *http.Request) (*http.Response, error) {
-	req := rep.request(ctx, r, http.MethodGet, r.URL.Path, r.URL.RawQuery)
-	return g.send(rep, req, "proxy", 0)
-}
-
-// request derives a request to the replica from its template under
-// ctx: the method, and the path and raw query on a copy of its parsed
-// base URL, carrying the request identity of r (forwardedHeaders).
-// Nothing is formatted or re-parsed, and the header values are r's own
-// slices.
-func (rep *replica) request(ctx context.Context, r *http.Request, method, path, rawQuery string) *http.Request {
-	u := *rep.get.URL
-	u.Path += path
-	u.RawQuery = rawQuery
-	req := rep.get.WithContext(ctx)
-	req.Method = method
-	req.URL = &u
-	req.Header = make(http.Header, len(forwardedHeaders))
-	for _, key := range forwardedHeaders {
-		httpsvc.ShareHeader(req.Header, r.Header, key)
-	}
-	return req
-}
-
-// send round-trips req to rep and counts the dispatch. When the gateway
-// sampled the request (req's context carries the span), the send is a
-// span of its own, named span, and the replica receives a traceparent
-// naming the gateway's trace with that span as parent, so the replica's
-// span tree joins the gateway's waterfall in /debug/traces. items, when
-// positive, is the size of the sub-batch req carries.
-func (g *Gateway) send(rep *replica, req *http.Request, span string, items int) (*http.Response, error) {
-	_, psp := obs.StartSpan(req.Context(), span)
+// send dispatches req to rep under ctx and RequestTimeout, and counts
+// the dispatch. When the gateway sampled the request (ctx carries the
+// span), the send is a span of its own, named span, and the replica
+// receives a traceparent naming the gateway's trace with that span as
+// parent, so the replica's span tree joins the gateway's waterfall in
+// /debug/traces. items, when positive, is the size of the sub-batch req
+// carries.
+func (g *Gateway) send(ctx context.Context, rep *replica, req *fleetRequest, span string, items int) (*response, error) {
+	_, psp := obs.StartSpan(ctx, span)
 	if psp != nil {
 		psp.SetStr("replica", rep.id)
 		if items > 0 {
 			psp.SetInt("items", int64(items))
 		}
-		req.Header[httpsvc.HeaderTraceparent] = []string{obs.FormatTraceparent(psp.TraceID(), psp.WireID(), true)}
+		req.traceparent = obs.FormatTraceparent(psp.TraceID(), psp.WireID(), true)
 	}
 	t0 := time.Now()
-	resp, err := g.roundTrip(req)
+	resp, err := rep.client.do(ctx, t0.Add(g.cfg.RequestTimeout), req)
 	rep.dispatched(time.Since(t0), err)
 	if psp != nil {
 		psp.SetError(err)
@@ -406,57 +392,23 @@ func (g *Gateway) send(rep *replica, req *http.Request, span string, items int) 
 	return resp, err
 }
 
-// idleConnsPerReplica is how many keep-alive connections the gateway
-// parks per replica between requests. The gateway bounds neither its
-// own concurrency nor its clients', and a request that finds no parked
-// connection dials: at net/http's default of 2, a fleet under a third
-// concurrent request per replica closes and re-dials continuously. 64
-// parked sockets per replica is small next to the dials it saves.
-const idleConnsPerReplica = 64
-
-// newTransport builds the connection pool the gateway sends everything
-// through: dispatches, sub-batches, ingest deliveries and probes. It is
-// the gateway's own, not http.DefaultTransport, so no other HTTP user
-// in the process competes for its connections or inherits its
-// settings. Replicas are peers addressed directly (no proxy lookup)
-// and answer small uncompressed JSON, so the transport does not
-// advertise gzip it would only have to undo. It sets no timeouts of its
-// own: every request carries a context deadline (RequestTimeout,
-// ProbeTimeout) that also bounds its dial.
-func newTransport() *http.Transport {
-	return &http.Transport{
-		MaxIdleConnsPerHost: idleConnsPerReplica,
-		IdleConnTimeout:     90 * time.Second,
-		DisableCompression:  true,
-	}
-}
-
-// roundTrip sends one request to a replica. A failure is wrapped the
-// way net/http's client wraps one — method and URL in front — so a 504
-// body or a markFailed log line names the replica address that failed.
-func (g *Gateway) roundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := g.transport.RoundTrip(req)
-	if err != nil {
-		op := req.Method[:1] + strings.ToLower(req.Method[1:])
-		return nil, &url.Error{Op: op, URL: req.URL.String(), Err: err}
-	}
-	return resp, nil
-}
-
 // relay copies a replica response to the client: status, body, and the
-// Content-Type, X-Cache and X-Replica headers through the upstream
-// response's own value slices. A replica that did not identify itself
-// is named by the gateway.
-func relay(w http.ResponseWriter, resp *http.Response, rep *replica) error {
-	defer resp.Body.Close()
+// Content-Type, X-Cache and X-Replica headers. A replica that did not
+// identify itself is named by the gateway.
+func relay(w http.ResponseWriter, resp *response, rep *replica) error {
+	defer resp.close()
 	h := w.Header()
-	httpsvc.ShareHeader(h, resp.Header, httpsvc.HeaderContentType)
-	httpsvc.ShareHeader(h, resp.Header, httpsvc.HeaderCache)
-	if !httpsvc.ShareHeader(h, resp.Header, httpsvc.HeaderReplica) {
+	if resp.contentType != nil {
+		h[httpsvc.HeaderContentType] = resp.contentType
+	}
+	if resp.cache != nil {
+		h[httpsvc.HeaderCache] = resp.cache
+	}
+	if h[httpsvc.HeaderReplica] = resp.replica; resp.replica == nil {
 		h[httpsvc.HeaderReplica] = rep.idHeader
 	}
-	w.WriteHeader(resp.StatusCode)
-	_, err := io.Copy(w, resp.Body)
+	w.WriteHeader(resp.status)
+	_, err := io.Copy(w, resp.body)
 	return err
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -48,10 +49,8 @@ func (s ReplicaState) String() string {
 type replica struct {
 	id  string
 	url string // normalized base URL, no trailing slash
-	// get is the template of every proxied GET: method, host and
-	// protocol fields filled in once, URL the parsed base. dispatch
-	// derives each request from it and never writes to it.
-	get *http.Request
+	// client carries everything the gateway sends the replica.
+	client *connPool
 	// idHeader is the X-Replica value slice relayed for a replica that
 	// does not name itself; nothing may write through it.
 	idHeader []string
@@ -89,13 +88,11 @@ type replica struct {
 // registers its series in reg. The health gauges and the queue gauges
 // read the record at scrape time.
 func newReplica(rc Replica, ingestQueue int, reg *obs.Registry) (*replica, error) {
+	idHeader := []string{rc.ID}
 	base := strings.TrimRight(rc.URL, "/")
-	get, err := http.NewRequest(http.MethodGet, base, nil)
+	client, err := newConnPool(base, idHeader)
 	if err != nil {
 		return nil, err
-	}
-	if get.URL.Host == "" {
-		return nil, fmt.Errorf("URL %q names no host", rc.URL)
 	}
 	idJSON, err := json.Marshal(rc.ID)
 	if err != nil {
@@ -105,8 +102,8 @@ func newReplica(rc Replica, ingestQueue int, reg *obs.Registry) (*replica, error
 	r := &replica{
 		id:       rc.ID,
 		url:      base,
-		get:      get,
-		idHeader: []string{rc.ID},
+		client:   client,
+		idHeader: idHeader,
 		idJSON:   idJSON,
 		queue:    make(chan []byte, ingestQueue),
 		requests: reg.Counter("gateway_replica_requests_total",
@@ -215,25 +212,23 @@ type healthzView struct {
 // probe performs one health check of rep and applies the outcome to
 // the three-state view.
 func (g *Gateway) probe(ctx context.Context, rep *replica) {
-	pctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, rep.url+"/healthz", nil)
-	if err != nil {
-		g.probeFailed(rep, err)
-		return
-	}
-	resp, err := g.roundTrip(req)
+	resp, err := rep.client.do(ctx, time.Now().Add(g.cfg.ProbeTimeout), &fleetRequest{method: http.MethodGet, path: "/healthz"})
 	if err != nil {
 		if ctx.Err() == nil { // a probe cut short by shutdown says nothing about the replica
 			g.probeFailed(rep, err)
 		}
 		return
 	}
-	defer resp.Body.Close()
 	var hv healthzView
-	if derr := json.NewDecoder(resp.Body).Decode(&hv); derr != nil || resp.StatusCode != http.StatusOK {
+	derr := json.NewDecoder(resp.body).Decode(&hv)
+	if derr == nil {
+		_, derr = io.Copy(io.Discard, resp.body)
+	}
+	status := resp.status
+	resp.close()
+	if derr != nil || status != http.StatusOK {
 		if derr == nil {
-			derr = fmt.Errorf("status %d", resp.StatusCode)
+			derr = fmt.Errorf("status %d", status)
 		}
 		g.probeFailed(rep, derr)
 		return

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"net/http"
@@ -36,25 +35,27 @@ type ingestAck struct {
 // The body is judged first by the replicas' own walk (ingestwire.Count,
 // which keeps no trip), so a body every replica would refuse is refused
 // here with the replica's 400, and nothing is enqueued. The
-// acknowledgement is optimistic — accepted reports the batch's
-// trajectory count once at least one queue accepted it — because the
-// per-trip accept/reject split (a trip off the graph, times that do not
-// match its edges) happens asynchronously on N replicas. 503 only when
-// every queue refused.
+// acknowledgement splits the batch as a replica would, accepted and
+// rejected, by every check a trip can fail without the road graph: a
+// trip with no edge, edges and times of different lengths, a bad
+// departure or a bad time. Only a trip with an edge off the graph or a
+// break between its edges is still acknowledged optimistically, as
+// accepted: that verdict needs the graph, and it happens asynchronously
+// on N replicas. 503 only when every queue refused.
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	body, err := httpsvc.ReadBody(r, g.cfg.maxIngestBytes)
 	if err != nil {
 		return err
 	}
-	n, err := ingestwire.Count(body)
+	accepted, rejected, err := ingestwire.Count(body)
 	if err != nil {
 		return err
 	}
-	if n == 0 {
+	if accepted+rejected == 0 {
 		return httpsvc.BadRequest("trajectories: empty batch")
 	}
 
-	ack := ingestAck{Accepted: n}
+	ack := ingestAck{Accepted: accepted, Rejected: rejected}
 	var maxEpoch uint64
 	for _, rep := range g.reps {
 		if e := rep.epoch.Load(); e > maxEpoch {
@@ -141,25 +142,24 @@ func (g *Gateway) ingestWorker(ctx context.Context, rep *replica) {
 // deliverIngest posts one batch to rep. Only transport failures and
 // 5xx answers are retryable; a 4xx means the batch itself is bad and
 // would fail identically forever, so it counts as delivered-and-done.
-func (g *Gateway) deliverIngest(ctx context.Context, rep *replica, body []byte) bool {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.url+"/ingest", bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	req.Header.Set(httpsvc.HeaderContentType, "application/json")
-	resp, err := g.roundTrip(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode >= 500 {
-		return false
-	}
-	if resp.StatusCode >= 400 {
-		g.svc.Logf("replica %s: ingest batch rejected with status %d (not retryable)", rep.id, resp.StatusCode)
-	}
-	return true
+// A delivery that panics is logged and retried like a failed one.
+func (g *Gateway) deliverIngest(ctx context.Context, rep *replica, body []byte) (delivered bool) {
+	g.survive("replica "+rep.id+": ingest delivery", func() {
+		req := fleetRequest{method: http.MethodPost, path: "/ingest", body: body}
+		resp, err := rep.client.do(ctx, time.Now().Add(g.cfg.RequestTimeout), &req)
+		if err != nil {
+			return
+		}
+		io.Copy(io.Discard, resp.body)
+		status := resp.status
+		resp.close()
+		if status >= 500 {
+			return
+		}
+		if status >= 400 {
+			g.svc.Logf("replica %s: ingest batch rejected with status %d (not retryable)", rep.id, status)
+		}
+		delivered = true
+	})
+	return delivered
 }

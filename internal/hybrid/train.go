@@ -145,7 +145,9 @@ type EvalReport struct {
 // labels, as the paper does with its held-out trajectories; WorldOracle
 // judges by a synthetic world's analytic truth.
 type Oracle interface {
-	PairTruth(k traj.PairKey) (*hist.Hist, error)
+	// PairTruthInto computes the pair's true pair-sum distribution into
+	// dst, reusing dst.P's backing array when its capacity suffices.
+	PairTruthInto(dst *hist.Hist, k traj.PairKey) error
 	PairDependent(k traj.PairKey) bool
 }
 
@@ -159,10 +161,11 @@ type WorldOracle struct {
 	Slice int
 }
 
-// PairTruth implements Oracle.
-func (o WorldOracle) PairTruth(k traj.PairKey) (*hist.Hist, error) {
+// PairTruthInto implements Oracle.
+func (o WorldOracle) PairTruthInto(dst *hist.Hist, k traj.PairKey) error {
 	via := o.World.Graph().Edge(k.Second).From
-	return o.World.PairJointSumAt(k.First, k.Second, via, o.Slice), nil
+	o.World.PairJointSumInto(dst, k.First, k.Second, via, o.Slice)
+	return nil
 }
 
 // PairDependent implements Oracle.
@@ -320,8 +323,7 @@ func Evaluate(model *Model, obs *traj.ObservationStore, oracle Oracle, testPairs
 	for _, k := range testPairs {
 		truth := &empirical
 		if oracle != nil {
-			var err error
-			if truth, err = oracle.PairTruth(k); err != nil {
+			if err := oracle.PairTruthInto(truth, k); err != nil {
 				return nil, err
 			}
 		} else {

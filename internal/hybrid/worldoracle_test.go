@@ -60,8 +60,8 @@ func TestWorldOracleReadsItsSlice(t *testing.T) {
 			k := traj.PairKey{First: graph.EdgeID(e1), Second: e2}
 			truth := make([]*hist.Hist, 3)
 			for s := range truth {
-				var err error
-				if truth[s], err = (WorldOracle{World: w, Slice: s}).PairTruth(k); err != nil {
+				truth[s] = new(hist.Hist)
+				if err := (WorldOracle{World: w, Slice: s}).PairTruthInto(truth[s], k); err != nil {
 					t.Fatal(err)
 				}
 				if want := w.PairJointSumAt(k.First, k.Second, via, s); !sameBits(truth[s], want) {

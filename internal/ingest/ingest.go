@@ -378,7 +378,7 @@ func (in *Ingestor) fold(ctx context.Context, trs []traj.Trajectory, live bool) 
 	for i := range trs {
 		// An empty trip, or one Validate rejects, would corrupt the
 		// aggregate.
-		if len(trs[i].Edges) == 0 || trs[i].Validate(g) != nil {
+		if !trs[i].Acceptable(g) {
 			rejected++
 			continue
 		}

@@ -4,9 +4,10 @@
 //
 // with one in-place walk shared by the two services that read it: a
 // replica keeps the trips it decodes (Scan), the gateway only learns
-// how many there are (Count). Both judge a body by the same rules, so
-// the gateway refuses at the edge exactly the bodies every replica
-// would refuse, with the same 400.
+// how many there are and how many of them a replica would reject
+// without looking at its graph (Count). Both judge a body by the same
+// rules, so the gateway refuses at the edge exactly the bodies every
+// replica would refuse, with the same 400.
 package ingestwire
 
 import (
@@ -40,7 +41,7 @@ import (
 func Scan(body []byte) ([]traj.Trajectory, error) {
 	var trs []traj.Trajectory
 	err := walk(body, func(c *httpsvc.Cursor) (err error) {
-		trs, err = scanArray(c, trs, scanTrip)
+		trs, err = scanArray(c, trs, func(c *httpsvc.Cursor, t *traj.Trajectory) error { return scanTrip(c, t, nil) })
 		return err
 	})
 	if err != nil {
@@ -49,30 +50,60 @@ func Scan(body []byte) ([]traj.Trajectory, error) {
 	return trs, nil
 }
 
-// Count walks body as Scan does and returns the number of trips Scan
-// would return, or Scan's error, without keeping a trip: every element
-// is decoded into one scratch trip, whose arrays grow to the longest
-// seen.
-func Count(body []byte) (int, error) {
+// Count walks body as Scan does and returns Scan's error, or how many
+// of the trips Scan would return pass the checks a replica makes of a
+// trip without its graph (traj.Trajectory.Acceptable with a nil graph)
+// and how many fail them. It keeps no trip: every element is decoded
+// into one scratch trip, whose arrays grow to the longest seen and are
+// cleared, as far as the last trip wrote them, before the next, so a
+// null time reads as in Scan's fresh trip. A body that repeats its
+// trajectories member, whose later arrays are decoded into the trips
+// of the one before, is counted from Scan's trips.
+func Count(body []byte) (accepted, rejected int, err error) {
 	var scratch traj.Trajectory
-	n := 0
-	err := walk(body, func(c *httpsvc.Cursor) error {
-		n = 0
+	members := 0
+	err = walk(body, func(c *httpsvc.Cursor) error {
+		if members++; members > 1 {
+			c.Value() // counted from Scan's trips below
+			return nil
+		}
 		isArray, err := c.Open('[')
 		if err != nil {
 			return fmt.Errorf(": %v", err)
 		}
-		for ; isArray && c.More(); n++ {
-			if err := scanTrip(c, &scratch); err != nil {
+		for n := 0; isArray && c.More(); n++ {
+			written := 0
+			if err := scanTrip(c, &scratch, &written); err != nil {
 				return fmt.Errorf("[%d]%v", n, err)
 			}
+			if scratch.Acceptable(nil) {
+				accepted++
+			} else {
+				rejected++
+			}
+			clear(scratch.Times[:min(written, cap(scratch.Times))])
+			scratch = traj.Trajectory{Edges: scratch.Edges[:0], Times: scratch.Times[:0]}
 		}
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return n, nil
+	if members > 1 {
+		trs, err := Scan(body)
+		if err != nil {
+			return 0, 0, err
+		}
+		accepted, rejected = 0, 0
+		for i := range trs {
+			if trs[i].Acceptable(nil) {
+				accepted++
+			} else {
+				rejected++
+			}
+		}
+	}
+	return accepted, rejected, nil
 }
 
 // walk checks body's syntax and walks its top-level object, handing
@@ -99,8 +130,9 @@ func walk(body []byte, trips func(*httpsvc.Cursor) error) error {
 	return nil
 }
 
-// scanTrip walks one element of the trajectories array into t.
-func scanTrip(c *httpsvc.Cursor, t *traj.Trajectory) error {
+// scanTrip walks one element of the trajectories array into t. A
+// non-nil written is raised to the length of every times array decoded.
+func scanTrip(c *httpsvc.Cursor, t *traj.Trajectory, written *int) error {
 	isObject, err := c.Open('{')
 	if err != nil {
 		return fmt.Errorf(": %v", err)
@@ -115,6 +147,9 @@ func scanTrip(c *httpsvc.Cursor, t *traj.Trajectory) error {
 		case httpsvc.KeyIs(k, "times"):
 			if t.Times, err = scanArray(c, t.Times, scanFloat); err != nil {
 				return fmt.Errorf(".times%v", err)
+			}
+			if written != nil {
+				*written = max(*written, len(t.Times))
 			}
 		case httpsvc.KeyIs(k, "depart"):
 			if err = scanFloat(c, &t.Departure); err != nil {

@@ -69,7 +69,8 @@ func bytesAllocated(f func()) uint64 {
 // its trips are reflect.DeepEqual to the oracle's — nil and empty
 // slices told apart, repeated keys and nulls included — and it
 // allocates in proportion to the body. The gateway's ingestwire.Count
-// gives Scan's error, or its number of trips.
+// gives Scan's error, or its number of trips split by
+// Trajectory.Acceptable without a graph.
 func FuzzScanIngest(f *testing.F) {
 	for _, seed := range []string{
 		`{"trajectories":[{"edges":[0,1],"times":[5,6.5],"depart":28920}]}`,
@@ -116,8 +117,14 @@ func FuzzScanIngest(f *testing.F) {
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("body %q: walk error %v, encoding/json error %v", body, err, werr)
 		}
-		if n, cerr := ingestwire.Count(body); n != len(trs) || !reflect.DeepEqual(cerr, err) {
-			t.Fatalf("body %q: Count %d (%v), Scan %d trips (%v)", body, n, cerr, len(trs), err)
+		acceptable := 0
+		for i := range trs {
+			if trs[i].Acceptable(nil) {
+				acceptable++
+			}
+		}
+		if acc, rej, cerr := ingestwire.Count(body); acc != acceptable || acc+rej != len(trs) || !reflect.DeepEqual(cerr, err) {
+			t.Fatalf("body %q: Count %d accepted, %d rejected (%v); Scan %d trips, %d acceptable (%v)", body, acc, rej, cerr, len(trs), acceptable, err)
 		}
 		if err != nil {
 			if e, ok := err.(*httpsvc.Error); !ok || e.Code != http.StatusBadRequest {

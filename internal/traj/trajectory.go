@@ -65,6 +65,14 @@ func (t *Trajectory) Validate(g *graph.Graph) error {
 	return nil
 }
 
+// Acceptable reports whether t may be folded into the observations of
+// g: it has an edge and Validate(g) passes. With a nil g only the
+// checks that need no graph are made, which is what the gateway can
+// judge of a trip before any replica sees it.
+func (t *Trajectory) Acceptable(g *graph.Graph) bool {
+	return len(t.Edges) > 0 && t.Validate(g) == nil
+}
+
 // SampleTraversalAt draws the observed travel time of edge e given the
 // previous edge's latent mode (-1 for the first edge of a trip) under
 // the mode prior of the given time-of-day slice (the trip's departure

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"stochroute/internal/graph"
 	"stochroute/internal/hist"
@@ -358,38 +359,53 @@ func (w *World) PairJointSum(e1, e2 graph.EdgeID, via graph.VertexID) *hist.Hist
 // PairJointSumAt is PairJointSum under the mode prior of the given
 // time-of-day slice.
 func (w *World) PairJointSumAt(e1, e2 graph.EdgeID, via graph.VertexID, slice int) *hist.Hist {
+	h := new(hist.Hist)
+	w.PairJointSumInto(h, e1, e2, via, slice)
+	return h
+}
+
+// PairJointSumInto computes PairJointSumAt(e1, e2, via, slice) into
+// dst, reusing dst.P's backing array when its capacity suffices. Every
+// support point's mass is summed in the same order, mode pair by mode
+// pair and noise offset by noise offset, so the bits are the same.
+func (w *World) PairJointSumInto(dst *hist.Hist, e1, e2 graph.EdgeID, via graph.VertexID, slice int) {
 	width := w.cfg.BucketWidth
 	offs, noiseP := w.noisePMF()
-	joint := w.PairModeJointAt(via, slice)
-	masses := make(map[int]float64)
+	prior := w.ModePriorAt(slice)
+	m := w.NumModes()
+	// The support spans every mode pair with mass and every pair of
+	// noise offsets (ascending, so the extremes are the first and last).
 	loIdx, hiIdx := math.MaxInt32, math.MinInt32
-	for m1 := 0; m1 < w.NumModes(); m1++ {
+	for m1 := 0; m1 < m; m1++ {
 		b1 := int(math.Round(w.ModeTime(e1, m1) / width))
-		for m2 := 0; m2 < w.NumModes(); m2++ {
-			jm := joint[m1][m2]
+		for m2 := 0; m2 < m; m2++ {
+			if prior[m1]*w.transition(via, m1, m2, prior) == 0 {
+				continue
+			}
+			b := b1 + int(math.Round(w.ModeTime(e2, m2)/width))
+			loIdx = min(loIdx, b+2*offs[0])
+			hiIdx = max(hiIdx, b+2*offs[len(offs)-1])
+		}
+	}
+	n := hiIdx - loIdx + 1
+	dst.P = slices.Grow(dst.P[:0], n)[:n]
+	clear(dst.P)
+	for m1 := 0; m1 < m; m1++ {
+		b1 := int(math.Round(w.ModeTime(e1, m1) / width))
+		for m2 := 0; m2 < m; m2++ {
+			jm := prior[m1] * w.transition(via, m1, m2, prior)
 			if jm == 0 {
 				continue
 			}
 			b2 := int(math.Round(w.ModeTime(e2, m2) / width))
 			for k1, o1 := range offs {
 				for k2, o2 := range offs {
-					idx := b1 + b2 + o1 + o2
-					masses[idx] += jm * noiseP[k1] * noiseP[k2]
-					if idx < loIdx {
-						loIdx = idx
-					}
-					if idx > hiIdx {
-						hiIdx = idx
-					}
+					dst.P[b1+b2+o1+o2-loIdx] += jm * noiseP[k1] * noiseP[k2]
 				}
 			}
 		}
 	}
-	p := make([]float64, hiIdx-loIdx+1)
-	for idx, m := range masses {
-		p[idx-loIdx] = m
-	}
-	return hist.New(float64(loIdx)*width, width, p)
+	dst.Min, dst.Width = float64(loIdx)*width, width
 }
 
 // PairIsDependent reports whether the pair through via is dependent in

@@ -2,6 +2,7 @@ package traj
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"stochroute/internal/graph"
@@ -333,4 +334,69 @@ func findPath(t *testing.T, g *graph.Graph, n int) []graph.EdgeID {
 	}
 	t.Fatal("could not build a test path")
 	return nil
+}
+
+// mapPairJointSum is PairJointSumAt as it was before it summed into a
+// dense support: the masses in a map keyed by support index, each
+// summed in the same order. TestPairJointSumIntoMatchesMapSums holds
+// the dense form to it.
+func mapPairJointSum(w *World, e1, e2 graph.EdgeID, via graph.VertexID, slice int) *hist.Hist {
+	width := w.cfg.BucketWidth
+	offs, noiseP := w.noisePMF()
+	joint := w.PairModeJointAt(via, slice)
+	masses := make(map[int]float64)
+	loIdx, hiIdx := math.MaxInt32, math.MinInt32
+	for m1 := 0; m1 < w.NumModes(); m1++ {
+		b1 := int(math.Round(w.ModeTime(e1, m1) / width))
+		for m2 := 0; m2 < w.NumModes(); m2++ {
+			jm := joint[m1][m2]
+			if jm == 0 {
+				continue
+			}
+			b2 := int(math.Round(w.ModeTime(e2, m2) / width))
+			for k1, o1 := range offs {
+				for k2, o2 := range offs {
+					idx := b1 + b2 + o1 + o2
+					masses[idx] += jm * noiseP[k1] * noiseP[k2]
+					loIdx, hiIdx = min(loIdx, idx), max(hiIdx, idx)
+				}
+			}
+		}
+	}
+	p := make([]float64, hiIdx-loIdx+1)
+	for idx, m := range masses {
+		p[idx-loIdx] = m
+	}
+	return hist.New(float64(loIdx)*width, width, p)
+}
+
+// TestPairJointSumIntoMatchesMapSums: over adjacent pairs of a sliced
+// world, noisy and noiseless, the dense pair sum, written into one
+// reused histogram, is the map-summed one to the bit in every slice.
+func TestPairJointSumIntoMatchesMapSums(t *testing.T) {
+	for _, noise := range []float64{-1, 0} {
+		w := testWorld(t, func(c *WorldConfig) {
+			if noise >= 0 {
+				c.NoiseProb = noise
+			}
+			reversed := slices.Clone(c.ModePrior)
+			slices.Reverse(reversed)
+			c.SlicePriors = [][]float64{c.ModePrior, reversed}
+		})
+		var dst hist.Hist
+		for _, pair := range w.Graph().EdgePairs(true)[:300] {
+			for slice := 0; slice < w.NumSlices(); slice++ {
+				w.PairJointSumInto(&dst, pair.First, pair.Second, pair.Via, slice)
+				want := mapPairJointSum(w, pair.First, pair.Second, pair.Via, slice)
+				if dst.Min != want.Min || dst.Width != want.Width || len(dst.P) != len(want.P) {
+					t.Fatalf("pair %v slice %d: support %v+%v×%d, want %v+%v×%d", pair, slice, dst.Min, dst.Width, len(dst.P), want.Min, want.Width, len(want.P))
+				}
+				for i := range want.P {
+					if math.Float64bits(dst.P[i]) != math.Float64bits(want.P[i]) {
+						t.Fatalf("pair %v slice %d: mass %d is %v, want %v", pair, slice, i, dst.P[i], want.P[i])
+					}
+				}
+			}
+		}
+	}
 }
