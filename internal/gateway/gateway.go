@@ -404,9 +404,11 @@ func relay(w http.ResponseWriter, resp *response, rep *replica) error {
 	if resp.cache != nil {
 		h[httpsvc.HeaderCache] = resp.cache
 	}
-	if h[httpsvc.HeaderReplica] = resp.replica; resp.replica == nil {
-		h[httpsvc.HeaderReplica] = rep.idHeader
+	replica := resp.replica
+	if replica == nil {
+		replica = rep.idHeader
 	}
+	h[httpsvc.HeaderReplica] = replica
 	w.WriteHeader(resp.status)
 	_, err := io.Copy(w, resp.body)
 	return err
