@@ -20,15 +20,6 @@ import (
 	"stochroute/internal/israce"
 )
 
-// countConns counts the connections a test replica accepts.
-func countConns(ts *httptest.Server, opened *atomic.Int64) {
-	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
-		if st == http.StateNew {
-			opened.Add(1)
-		}
-	}
-}
-
 // TestStaleConnectionIsRedialled: a replica that closed its idle
 // connections (a restart, an idle timeout) is answered on a fresh
 // connection; the request parked on a dead one is sent again, so the
@@ -124,24 +115,12 @@ func TestChunkedAnswersRelayed(t *testing.T) {
 }
 
 // TestConnectionCloseIsNotReused: an answer that carries
-// "Connection: close" ends its connection, so every request opens one.
+// "Connection: close" ends its connection, so every request opens one,
+// even from a replica that leaves the connection open.
 func TestConnectionCloseIsNotReused(t *testing.T) {
-	var opened atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Connection", "close")
-		fmt.Fprint(w, `{"status":"ok","model_epoch":1,"replica":"r1"}`)
-	})
-	mux.HandleFunc("/route", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Connection", "close")
-		fmt.Fprint(w, `{"found":true}`)
-	})
-	rep := httptest.NewUnstartedServer(mux)
-	countConns(rep, &opened)
-	rep.Start()
-	defer rep.Close()
-	_, base := startGateway(t, Config{Replicas: []Replica{{ID: "r1", URL: rep.URL}}})
-	before := opened.Load() // the probe's, closed too
+	url, requests, conns := rawReplica(t, "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Type: application/json\r\nContent-Length: 14\r\n\r\n"+`{"found":true}`)
+	_, base := startGateway(t, Config{Replicas: []Replica{{ID: "r1", URL: url}}})
+	<-requests // the first probe's
 	const n = 4
 	for i := 0; i < n; i++ {
 		resp, err := http.Get(base + "/route?source=1&dest=2&budget=5")
@@ -152,13 +131,10 @@ func TestConnectionCloseIsNotReused(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d", resp.StatusCode)
 		}
+		<-requests
 	}
-	if got := opened.Load() - before; got != n {
-		t.Errorf("%d requests answered with Connection: close opened %d connections, want %d", n, got, n)
-	}
-	_, states, failovers := fleetStates(t, base)
-	if states["r1"] != "healthy" || failovers["r1"] != 0 {
-		t.Errorf("replica %q with %d failovers, want healthy with 0", states["r1"], failovers["r1"])
+	if got := conns.Load(); got != n+1 {
+		t.Errorf("a probe and %d requests answered with Connection: close came on %d connections, want %d", n, got, n+1)
 	}
 }
 
@@ -385,8 +361,9 @@ func FuzzReadReplicaResponse(f *testing.F) {
 
 // rawReplica is a replica that is only a TCP listener: it records each
 // request it reads, head and Content-Length body as they arrived on the
-// wire, and answers every one with answer.
-func rawReplica(t *testing.T, answer string) (url string, requests <-chan string) {
+// wire, answers every one with answer and never closes a connection
+// first. conns counts the connections it accepted.
+func rawReplica(t *testing.T, answer string) (url string, requests <-chan string, conns *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -394,12 +371,14 @@ func rawReplica(t *testing.T, answer string) (url string, requests <-chan string
 	}
 	t.Cleanup(func() { ln.Close() })
 	seen := make(chan string, 16)
+	conns = new(atomic.Int64)
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			conns.Add(1)
 			go func() {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
@@ -430,7 +409,7 @@ func rawReplica(t *testing.T, answer string) (url string, requests <-chan string
 			}()
 		}
 	}()
-	return "http://" + ln.Addr().String(), seen
+	return "http://" + ln.Addr().String(), seen, conns
 }
 
 // TestRequestBytesMatchNetHTTP: a replica receives from the fleet
@@ -439,8 +418,8 @@ func rawReplica(t *testing.T, answer string) (url string, requests <-chan string
 // sub-batch under its own Content-Type.
 func TestRequestBytesMatchNetHTTP(t *testing.T) {
 	answer := `{"results":[{"found":true}],"cache_hits":1}`
-	url, requests := rawReplica(t, fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(answer), answer))
-	gw, err := New(Config{Replicas: []Replica{{ID: "r1", URL: url}}, ProbeInterval: time.Hour})
+	url, requests, _ := rawReplica(t, fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(answer), answer))
+	gw, err := New(Config{Replicas: []Replica{{ID: "r1", URL: url}}})
 	if err != nil {
 		t.Fatal(err)
 	}
