@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,10 +39,6 @@ const connBufSize = 4 << 10
 // maxHeadBytes caps one response head, status line and header lines
 // together.
 const maxHeadBytes = 64 << 10
-
-// max1xx bounds the informational heads skipped before an answer, as
-// net/http bounds them.
-const max1xx = 5
 
 // connPool is the gateway's HTTP/1.1 client of one replica: where the
 // replica is, and its parked keep-alive connections, most recently
@@ -170,6 +167,7 @@ func (p *connPool) connect(ctx context.Context, deadline time.Time) (*fleetConn,
 	c := &fleetConn{pool: p, nc: nc, br: bufio.NewReaderSize(nc, connBufSize), bw: bufio.NewWriterSize(nc, connBufSize)}
 	c.abort = c.abortNow
 	c.fixed.c, c.chunked.c = c, c
+	c.idle.bind(nc)
 	return c, nil
 }
 
@@ -227,6 +225,7 @@ type fleetConn struct {
 	fixed   fixedBody
 	chunked chunkedBody
 	idleAt  time.Time // when the connection was parked
+	idle    idleCheck
 
 	// ctx is the exchange's context; abort, made once per connection,
 	// is what context.AfterFunc runs when ctx ends mid-exchange, and
@@ -249,11 +248,18 @@ func (c *fleetConn) abortNow() {
 
 // exchange writes req and reads the answer's head. stale reports a
 // failure on a parked connection before any byte of an answer came
-// back, which a fresh connection may retry; c is closed then.
+// back, which a fresh connection may retry; c is closed then. A parked
+// connection on which bytes or the replica's close arrived while it
+// sat idle is stale before anything is written: those bytes answer no
+// request this exchange could send.
 func (c *fleetConn) exchange(ctx context.Context, deadline time.Time, req *fleetRequest) (resp *response, stale bool, err error) {
 	reused := !c.idleAt.IsZero()
-	c.ctx = ctx
 	c.nc.SetDeadline(deadline)
+	if reused && c.idle.unsolicited() {
+		c.nc.Close()
+		return nil, true, errors.New("replica wrote to or closed an idle connection")
+	}
+	c.ctx = ctx
 	if ctx.Done() != nil {
 		c.stop = context.AfterFunc(ctx, c.abort)
 	}
@@ -274,8 +280,9 @@ func (c *fleetConn) exchange(ctx context.Context, deadline time.Time, req *fleet
 	return &c.resp, false, nil
 }
 
-// finish ends the exchange: the connection is parked when keep holds
-// and the context did not abort it, and closed otherwise.
+// finish ends the exchange: the connection is parked when keep holds,
+// the context did not abort it and its reader holds nothing past the
+// answer, and closed otherwise.
 func (c *fleetConn) finish(keep bool) {
 	if c.stop != nil {
 		if !c.stop() {
@@ -284,7 +291,7 @@ func (c *fleetConn) finish(keep bool) {
 		c.stop = nil
 	}
 	c.ctx = nil
-	if keep && !c.aborted.Load() {
+	if keep && !c.aborted.Load() && c.br.Buffered() == 0 {
 		c.pool.put(c)
 		return
 	}
@@ -406,26 +413,6 @@ var (
 	cacheMiss       = []string{"miss"}
 )
 
-// readAnswer reads the answer's head into c.resp, skipping
-// informational (1xx) heads, and sets up its body reader.
-func (c *fleetConn) readAnswer() error {
-	for skipped := 0; ; skipped++ {
-		if err := c.readHead(); err != nil {
-			return err
-		}
-		st := c.resp.status
-		if st < 100 || st == http.StatusSwitchingProtocols {
-			return fmt.Errorf("replica answered status %d", st)
-		}
-		if st >= 200 {
-			return nil
-		}
-		if skipped == max1xx {
-			return errors.New("too many 1xx informational responses")
-		}
-	}
-}
-
 // headLines reads one head, status line to blank line, into c.head as
 // lines without their line ends, each followed by '\n'. A line ends at
 // '\n', and a '\r' before it is dropped, as bufio.Reader.ReadLine
@@ -462,14 +449,13 @@ func (c *fleetConn) headLines() error {
 	}
 }
 
-// readHead reads one answer head into c.resp: the status line as
-// net/http.ReadResponse parses it, the header lines as
-// net/textproto.Reader.ReadMIMEHeader reads them (obs-fold
-// continuations joined by one space, keys matched by their canonical
-// form, the same bytes refused), and the framing as net/http decides
-// it for a GET's answer. FuzzReadReplicaResponse holds it to
+// readAnswer reads the answer's head into c.resp and sets up its body
+// reader. It reads only the dialect a replica's net/http server writes
+// to the gateway's requests (see the package documentation,
+// "Transport") and refuses anything else as a replica fault.
+// FuzzReadReplicaResponse holds whatever it accepts to
 // net/http.ReadResponse.
-func (c *fleetConn) readHead() error {
+func (c *fleetConn) readAnswer() error {
 	// The scratch is the connection's for as long as it is parked: one
 	// that an unusual head grew is not kept.
 	defer func() {
@@ -484,138 +470,70 @@ func (c *fleetConn) readHead() error {
 	nl := bytes.IndexByte(head, '\n')
 	line := head[:nl]
 	head = head[nl+1:]
-
-	// The status line.
-	sp := bytes.IndexByte(line, ' ')
-	if sp < 0 {
-		return errors.New("malformed HTTP response")
+	// "HTTP/1.1 ddd", then a reason phrase or nothing. The gateway sends
+	// no Expect, so a status below 200 is a fault too.
+	if len(line) < 12 || string(line[:9]) != "HTTP/1.1 " || len(line) > 12 && line[12] != ' ' ||
+		!isDigit(line[9]) || !isDigit(line[10]) || !isDigit(line[11]) {
+		return errors.New("malformed HTTP status line")
 	}
-	proto, status := line[:sp], line[sp+1:]
-	for len(status) > 0 && status[0] == ' ' {
-		status = status[1:]
-	}
-	code := status
-	if i := bytes.IndexByte(code, ' '); i >= 0 {
-		code = code[:i]
-	}
-	if len(code) != 3 {
-		return errors.New("malformed HTTP status code")
-	}
-	st, ok := statusCode(code)
-	if !ok {
-		return errors.New("malformed HTTP status code")
-	}
-	major, minor, ok := httpVersion(proto)
-	if !ok {
-		return errors.New("malformed HTTP version")
+	st := int(line[9]-'0')*100 + int(line[10]-'0')*10 + int(line[11]-'0')
+	if st < 200 {
+		return fmt.Errorf("replica answered status %d", st)
 	}
 
 	r := &c.resp
 	*r = response{status: st, c: c}
-	var (
-		contentLength []byte // the first Content-Length value
-		haveLength    bool
-		te            []byte // the first Transfer-Encoding value
-		teCount       int
-		hasClose      bool
-		keepAlive     bool
-	)
-	if len(head) > 0 && (head[0] == ' ' || head[0] == '\t') {
-		return errors.New("malformed MIME header initial line")
-	}
-	for len(head) > 0 {
+	length := int64(-1)
+	var chunked, closing bool
+	for len(head) > 1 { // the last line is the blank one
 		nl := bytes.IndexByte(head, '\n')
-		if nl == 0 {
-			break // the blank line
-		}
-		if bytes.IndexByte(head[:nl], ':') < 0 {
-			return errors.New("malformed MIME header: missing colon")
-		}
-		kv := trimSpaceTab(head[:nl])
+		line := head[:nl]
 		head = head[nl+1:]
-		if len(head) > 0 && (head[0] == ' ' || head[0] == '\t') {
-			// obs-fold: continuation lines join the field with one
-			// space each, as textproto joins them.
-			kv = append([]byte(nil), kv...)
-			for len(head) > 0 && (head[0] == ' ' || head[0] == '\t') {
-				nl := bytes.IndexByte(head, '\n')
-				kv = append(kv, ' ')
-				kv = append(kv, trimSpaceTab(head[:nl])...)
-				head = head[nl+1:]
-			}
-		}
-		colon := bytes.IndexByte(kv, ':')
-		key, value := kv[:colon], kv[colon+1:]
-		canonical, ok := headerKey(key)
-		if !ok {
+		colon := bytes.IndexByte(line, ':')
+		if colon < 0 || !isToken(line[:colon]) {
 			return errors.New("malformed MIME header line")
 		}
+		key, value := line[:colon], trimSpaceTab(line[colon+1:])
 		for _, b := range value {
 			if !validHeaderValueByte(b) {
 				return errors.New("malformed MIME header line")
 			}
 		}
-		for len(value) > 0 && (value[0] == ' ' || value[0] == '\t') {
-			value = value[1:]
-		}
-		if !canonical {
-			continue
-		}
+		var err error
 		switch {
 		case equalFold(key, "Content-Length"):
-			if !haveLength {
-				contentLength, haveLength = value, true
-			} else if string(trimASCIISpace(value)) != string(trimASCIISpace(contentLength)) {
+			if length >= 0 {
 				return errors.New("multiple Content-Length headers")
 			}
+			if length = parseContentLength(value); length < 0 {
+				return fmt.Errorf("bad Content-Length %q", value)
+			}
 		case equalFold(key, "Transfer-Encoding"):
-			if teCount == 0 {
-				te = value
+			if chunked || string(value) != "chunked" {
+				return fmt.Errorf("unsupported transfer encoding %q", value)
 			}
-			teCount++
+			chunked = true
 		case equalFold(key, "Connection"):
-			hasClose = hasClose || hasToken(value, "close")
-			keepAlive = keepAlive || hasToken(value, "keep-alive")
+			if closing || string(value) != "close" {
+				return fmt.Errorf("unsupported Connection %q", value)
+			}
+			closing = true
 		case equalFold(key, httpsvc.HeaderContentType):
-			if r.contentType == nil && len(value) > 0 {
-				r.contentType = shared(value, jsonContentType)
-			}
+			err = relayed(&r.contentType, value, jsonContentType)
 		case equalFold(key, httpsvc.HeaderCache):
-			if r.cache == nil && len(value) > 0 {
-				switch string(value) {
-				case "hit":
-					r.cache = cacheHit
-				case "miss":
-					r.cache = cacheMiss
-				default:
-					r.cache = []string{string(value)}
-				}
-			}
+			err = relayed(&r.cache, value, cacheHit, cacheMiss)
 		case equalFold(key, httpsvc.HeaderReplica):
-			if r.replica == nil && len(value) > 0 {
-				r.replica = shared(value, c.pool.replica)
-			}
+			err = relayed(&r.replica, value, c.pool.replica)
+		}
+		if err != nil {
+			return err
 		}
 	}
 
-	// The framing, as net/http's readTransfer decides it.
-	closing := major < 1 || hasClose || (major == 1 && minor == 0 && !keepAlive)
-	atLeast11 := major > 1 || major == 1 && minor >= 1 || major == 0 && minor == 0
-	chunked := false
-	if teCount > 0 && atLeast11 {
-		if teCount != 1 || !equalFold(te, "chunked") {
-			return fmt.Errorf("unsupported transfer encoding %q", te)
-		}
-		chunked = true
-	}
-	length := int64(-1)
-	if haveLength {
-		if length, ok = parseContentLength(contentLength); !ok {
-			return fmt.Errorf("bad Content-Length %q", contentLength)
-		}
-	}
 	switch {
-	case st < 200 || st == http.StatusNoContent || st == http.StatusNotModified:
+	case chunked && length >= 0:
+		return errors.New("both Content-Length and chunked")
+	case st == http.StatusNoContent || st == http.StatusNotModified:
 		r.body = http.NoBody
 	case chunked:
 		c.chunked.n, c.chunked.crlf, c.chunked.done = 0, false, false
@@ -626,7 +544,9 @@ func (c *fleetConn) readHead() error {
 		c.fixed.n = length
 		r.body = &c.fixed
 	default:
-		// Neither framing: the body runs to the connection's end.
+		// Neither framing: net/http's server writes the errors it
+		// answers before a handler runs (431, 400, 501) this way, the
+		// body running to the connection's end.
 		closing = true
 		c.fixed.n = 1<<63 - 1
 		r.body = &c.fixed
@@ -635,13 +555,21 @@ func (c *fleetConn) readHead() error {
 	return nil
 }
 
-// shared returns common when value is its one value, else a fresh
-// one-element slice holding value.
-func shared(value []byte, common []string) []string {
-	if string(value) == common[0] {
-		return common
+// relayed sets a relayed header's value slice: one of commons when
+// value is its one value, else a fresh one. A header the answer
+// repeats, or sends empty, is refused.
+func relayed(dst *[]string, value []byte, commons ...[]string) error {
+	if *dst != nil || len(value) == 0 {
+		return errors.New("repeated or empty relayed header")
 	}
-	return []string{string(value)}
+	for _, common := range commons {
+		if string(value) == common[0] {
+			*dst = common
+			return nil
+		}
+	}
+	*dst = []string{string(value)}
+	return nil
 }
 
 // forward writes up to max body bytes to w straight out of the
@@ -715,8 +643,10 @@ func (b *fixedBody) err(err error) error {
 	return b.c.cause(err)
 }
 
-// chunkedBody reads a chunked body: chunk-size lines as net/http
-// reads them, the trailer read and dropped.
+// chunkedBody reads a chunked body as a replica's net/http server
+// writes one: each chunk-size line is hex digits and CRLF, and the last
+// chunk, "0", is followed by the body's closing CRLF alone, with no
+// extension and no trailer.
 type chunkedBody struct {
 	c    *fleetConn
 	n    int64 // bytes left in the current chunk
@@ -728,57 +658,45 @@ type chunkedBody struct {
 func (b *chunkedBody) next() error {
 	br := b.c.br
 	if b.crlf {
-		p, err := br.Peek(2)
-		if err != nil {
+		if err := readCRLF(br); err != nil {
 			return err
 		}
-		if p[0] != '\r' || p[1] != '\n' {
-			return errors.New("malformed chunked encoding")
-		}
-		br.Discard(2)
 		b.crlf = false
 	}
 	line, err := br.ReadSlice('\n')
-	if err != nil {
-		if err == bufio.ErrBufferFull {
-			err = errors.New("chunk header line too long")
-		}
+	if err == bufio.ErrBufferFull {
+		return errMalformedChunked
+	} else if err != nil {
 		return err
 	}
-	if len(line) >= connBufSize {
-		return errors.New("chunk header line too long")
-	}
-	for len(line) > 0 && isASCIISpace(line[len(line)-1]) {
-		line = line[:len(line)-1]
-	}
-	if i := bytes.IndexByte(line, ';'); i >= 0 {
-		line = line[:i]
-	}
-	n, err := parseHexUint(line)
-	if err != nil {
-		return err
-	}
-	if n >= 1<<63 {
-		return errors.New("http chunk length too large")
+	n, ok := parseChunkSize(line)
+	if !ok {
+		return errMalformedChunked
 	}
 	if n > 0 {
-		b.n = int64(n)
+		b.n = n
 		return nil
 	}
-	// The last chunk: the trailer runs to a blank line.
-	for {
-		line, err := br.ReadSlice('\n')
-		if err != nil {
-			if err == bufio.ErrBufferFull {
-				err = errors.New("trailer line too long")
-			}
-			return err
-		}
-		if len(line) == 1 || len(line) == 2 && line[0] == '\r' {
-			b.done = true
-			return io.EOF
-		}
+	if err := readCRLF(br); err != nil {
+		return err
 	}
+	b.done = true
+	return io.EOF
+}
+
+var errMalformedChunked = errors.New("malformed chunked encoding")
+
+// readCRLF consumes the CRLF that ends a chunk's data or the body.
+func readCRLF(br *bufio.Reader) error {
+	p, err := br.Peek(2)
+	if err != nil {
+		return err
+	}
+	if p[0] != '\r' || p[1] != '\n' {
+		return errMalformedChunked
+	}
+	br.Discard(2)
+	return nil
 }
 
 // advance moves to the next chunk's data, mapping the read errors.
@@ -843,13 +761,15 @@ func (b *chunkedBody) WriteTo(w io.Writer) (written int64, err error) {
 	}
 }
 
-// parseHexUint reads a chunk size as net/http does: 1 to 16 hex digits.
-func parseHexUint(v []byte) (uint64, error) {
-	if len(v) == 0 {
-		return 0, errors.New("empty hex number for chunk length")
+// parseChunkSize reads a chunk-size line: 1 to 15 hex digits, then
+// CRLF.
+func parseChunkSize(line []byte) (int64, bool) {
+	digits, ok := bytes.CutSuffix(line, []byte("\r\n"))
+	if !ok || len(digits) == 0 || len(digits) > 15 {
+		return 0, false
 	}
-	var n uint64
-	for i, b := range v {
+	var n int64
+	for _, b := range digits {
 		switch {
 		case '0' <= b && b <= '9':
 			b -= '0'
@@ -858,68 +778,41 @@ func parseHexUint(v []byte) (uint64, error) {
 		case 'A' <= b && b <= 'F':
 			b = b - 'A' + 10
 		default:
-			return 0, errors.New("invalid byte in chunk length")
+			return 0, false
 		}
-		if i == 16 {
-			return 0, errors.New("http chunk length too large")
-		}
-		n = n<<4 | uint64(b)
+		n = n<<4 | int64(b)
 	}
-	return n, nil
+	return n, true
 }
 
-// parseContentLength reads a Content-Length value as net/http does:
-// decimal digits, below 2^63, surrounding white space ignored.
-func parseContentLength(v []byte) (int64, bool) {
-	v = trimASCIISpace(v)
+// parseContentLength reads a Content-Length value: decimal digits,
+// below 2^63; -1 when it is not one.
+func parseContentLength(v []byte) int64 {
 	if len(v) == 0 {
-		return 0, false
+		return -1
 	}
-	var n uint64
+	var n int64
 	for _, b := range v {
-		if b < '0' || b > '9' {
-			return 0, false
+		if !isDigit(b) || n > (1<<63-1-int64(b-'0'))/10 {
+			return -1
 		}
-		if n > (1<<63-1-uint64(b-'0'))/10 {
-			return 0, false
-		}
-		n = n*10 + uint64(b-'0')
+		n = n*10 + int64(b-'0')
 	}
-	return int64(n), true
+	return n
 }
 
-// headerKey checks a header key as textproto does: ok when every byte
-// is a token byte or a space, canonical (matchable by name) when none
-// is a space.
-func headerKey(k []byte) (canonical, ok bool) {
-	if len(k) == 0 {
-		return false, false
-	}
-	canonical = true
+// isToken reports whether k is a header key: one or more RFC 9110
+// tchars.
+func isToken(k []byte) bool {
 	for _, b := range k {
 		switch {
-		case validHeaderFieldByte(b):
-		case b == ' ':
-			canonical = false
+		case 'a' <= b && b <= 'z', 'A' <= b && b <= 'Z', isDigit(b):
+		case strings.IndexByte("!#$%&'*+-.^_`|~", b) >= 0:
 		default:
-			return false, false
+			return false
 		}
 	}
-	return canonical, true
-}
-
-// validHeaderFieldByte reports whether b may appear in a header key: an
-// RFC 7230 tchar.
-func validHeaderFieldByte(b byte) bool {
-	switch {
-	case 'a' <= b && b <= 'z', 'A' <= b && b <= 'Z', '0' <= b && b <= '9':
-		return true
-	}
-	switch b {
-	case '!', '#', '$', '%', '&', '\'', '*', '+', '-', '.', '^', '_', '`', '|', '~':
-		return true
-	}
-	return false
+	return len(k) > 0
 }
 
 // validHeaderValueByte reports whether b may appear in a header value:
@@ -948,25 +841,8 @@ func equalFold(b []byte, s string) bool {
 	return true
 }
 
-// hasToken reports whether a comma-separated header value lists token,
-// ignoring ASCII case.
-func hasToken(v []byte, token string) bool {
-	for len(v) > 0 {
-		elem := v
-		if i := bytes.IndexByte(v, ','); i >= 0 {
-			elem, v = v[:i], v[i+1:]
-		} else {
-			v = nil
-		}
-		if equalFold(trimSpaceTab(elem), token) {
-			return true
-		}
-	}
-	return false
-}
-
 // trimSpaceTab trims spaces and tabs from both ends, as textproto trims
-// a header line.
+// a header value.
 func trimSpaceTab(s []byte) []byte {
 	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
 		s = s[1:]
@@ -975,44 +851,6 @@ func trimSpaceTab(s []byte) []byte {
 		s = s[:len(s)-1]
 	}
 	return s
-}
-
-// trimASCIISpace trims spaces, tabs, CRs and LFs from both ends.
-func trimASCIISpace(s []byte) []byte {
-	for len(s) > 0 && isASCIISpace(s[0]) {
-		s = s[1:]
-	}
-	for len(s) > 0 && isASCIISpace(s[len(s)-1]) {
-		s = s[:len(s)-1]
-	}
-	return s
-}
-
-func isASCIISpace(b byte) bool { return b == ' ' || b == '\t' || b == '\r' || b == '\n' }
-
-// statusCode reads a 3-byte status code as strconv.Atoi reads it, a
-// negative one refused, as net/http.ReadResponse reads one.
-func statusCode(b []byte) (int, bool) {
-	neg := b[0] == '-'
-	if neg || b[0] == '+' {
-		b = b[1:]
-	}
-	n := 0
-	for _, d := range b {
-		if d < '0' || d > '9' {
-			return 0, false
-		}
-		n = n*10 + int(d-'0')
-	}
-	return n, !neg || n == 0
-}
-
-// httpVersion reads an HTTP-version as net/http.ParseHTTPVersion does.
-func httpVersion(v []byte) (major, minor int, ok bool) {
-	if len(v) != len("HTTP/X.Y") || string(v[:5]) != "HTTP/" || v[6] != '.' || !isDigit(v[5]) || !isDigit(v[7]) {
-		return 0, 0, false
-	}
-	return int(v[5] - '0'), int(v[7] - '0'), true
 }
 
 func isDigit(b byte) bool { return '0' <= b && b <= '9' }

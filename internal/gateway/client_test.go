@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -17,7 +18,9 @@ import (
 	"testing"
 	"time"
 
+	"stochroute/internal/httpsvc"
 	"stochroute/internal/israce"
+	"stochroute/internal/obs"
 )
 
 // TestStaleConnectionIsRedialled: a replica that closed its idle
@@ -111,6 +114,113 @@ func TestChunkedAnswersRelayed(t *testing.T) {
 				t.Fatalf("batch %d result %d = %s, want %s", i, k, res, want)
 			}
 		}
+	}
+}
+
+// TestFleetAnswersAccepted holds the fleet client to every answer shape
+// a replica writes to the gateway's requests: an httpsvc chassis on
+// net/http's server answers with a length, chunked (over net/http's
+// 2 KiB buffer), empty, with the chassis's 400, 404, 405 and 500, with
+// Connection: close, and with the 431 net/http's server writes before
+// any handler runs, its body running to the connection's end. Each
+// reaches the gateway's client as the replica wrote it to net/http's
+// own client (status, Content-Type, X-Cache, X-Replica, which the
+// gateway fills in where the replica wrote none, and the body byte for
+// byte), and none marks the replica down.
+func TestFleetAnswersAccepted(t *testing.T) {
+	large := `{"found":true,"path":[` + strings.Repeat("12345,", 600) + `6]}`
+	svc := httpsvc.New(httpsvc.Options{Name: "server", Metrics: obs.NewRegistry(), FallbackStatus: http.StatusInternalServerError, ReplicaID: "r1"})
+	svc.Handle("/healthz", http.MethodGet, func(w http.ResponseWriter, r *http.Request) error {
+		return httpsvc.WriteJSONBytes(w, []byte(`{"status":"ok","model_epoch":1,"replica":"r1"}`))
+	})
+	svc.Handle("/route", http.MethodGet, func(w http.ResponseWriter, r *http.Request) error {
+		switch httpsvc.QueryParam(r, "shape") {
+		case "small":
+			w.Header().Set("X-Cache", "hit")
+			return httpsvc.WriteJSONBytes(w, []byte(`{"found":true}`))
+		case "large":
+			w.Header().Set("X-Cache", "miss")
+			return httpsvc.WriteJSONBytes(w, []byte(large))
+		case "close":
+			w.Header().Set("Connection", "close")
+			return httpsvc.WriteJSONBytes(w, []byte(`{"found":false}`))
+		case "400":
+			return httpsvc.BadRequest("budget must be positive")
+		case "500":
+			return errors.New("the replica failed")
+		}
+		return nil // empty
+	})
+	svc.Handle("/sample", http.MethodPost, func(http.ResponseWriter, *http.Request) error { return nil })
+	rep := httptest.NewUnstartedServer(svc.Handler()) // /pairsum is not mounted: the mux's 404
+	rep.Config.MaxHeaderBytes = 1                     // net/http allows 4 KiB more
+	rep.Start()
+	defer rep.Close()
+	_, base := startGateway(t, Config{Replicas: []Replica{{ID: "r1", URL: rep.URL}}})
+
+	longID := strings.Repeat("i", 8<<10)
+	for _, tc := range []struct {
+		target, requestID, framing string
+		status                     int
+	}{
+		{"/route?source=1&dest=2&shape=small", "", "length", 200},
+		{"/route?source=1&dest=2&shape=large", "", "chunked", 200},
+		{"/route?source=1&dest=2&shape=empty", "", "length", 200},
+		{"/route?source=1&dest=2&shape=400", "", "length", 400},
+		{"/pairsum?first=1&second=2", "", "length", 404},
+		{"/sample?n=1", "", "length", 405},
+		{"/route?source=1&dest=2&shape=500", "", "length", 500},
+		{"/route?source=1&dest=2&shape=close", "", "close", 200},
+		{"/route?source=1&dest=2&shape=small", longID, "eof", 431},
+	} {
+		get := func(url string) (*http.Response, []byte) {
+			t.Helper()
+			req, err := http.NewRequest(http.MethodGet, url, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.requestID != "" {
+				req.Header.Set("X-Request-ID", tc.requestID)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp, body
+		}
+		direct, want := get(rep.URL + tc.target)
+		framing := "length"
+		switch {
+		case len(direct.TransferEncoding) > 0:
+			framing = "chunked"
+		case direct.ContentLength < 0:
+			framing = "eof"
+		case direct.Close:
+			framing = "close"
+		}
+		if direct.StatusCode != tc.status || framing != tc.framing {
+			t.Fatalf("%s: the replica answered %d framed by %s, want %d by %s", tc.target, direct.StatusCode, framing, tc.status, tc.framing)
+		}
+		if direct.Header.Get("X-Replica") == "" {
+			direct.Header.Set("X-Replica", "r1") // the gateway names a replica that did not
+		}
+		via, got := get(base + tc.target)
+		for _, key := range []string{"Content-Type", "X-Cache", "X-Replica"} {
+			if via.Header.Get(key) != direct.Header.Get(key) {
+				t.Errorf("%s: %s %q through the gateway, %q from the replica", tc.target, key, via.Header.Get(key), direct.Header.Get(key))
+			}
+		}
+		if via.StatusCode != direct.StatusCode || !bytes.Equal(got, want) {
+			t.Errorf("%s: %d %q through the gateway, %d %q from the replica", tc.target, via.StatusCode, got, direct.StatusCode, want)
+		}
+	}
+	if status, states, failovers := fleetStates(t, base); status != "ok" || states["r1"] != "healthy" || failovers["r1"] != 0 {
+		t.Errorf("after every answer shape: fleet %q, replica %q with %d failovers; want ok, healthy, 0", status, states["r1"], failovers["r1"])
 	}
 }
 
@@ -241,24 +351,6 @@ func viewOf(resp *response) replicaView {
 	return v
 }
 
-// stdReadAnswer reads an answer as net/http's Transport does:
-// http.ReadResponse, skipping up to five informational heads.
-func stdReadAnswer(data []byte) (*http.Response, error) {
-	br := bufio.NewReader(bytes.NewReader(data))
-	for n1xx := 0; ; n1xx++ {
-		resp, err := http.ReadResponse(br, nil)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode < 100 || resp.StatusCode > 199 || resp.StatusCode == http.StatusSwitchingProtocols {
-			return resp, nil
-		}
-		if n1xx == max1xx {
-			return nil, fmt.Errorf("too many 1xx")
-		}
-	}
-}
-
 // fleetReadAnswer reads an answer with the fleet client's reader, off a
 // connection that is only its bytes.
 func fleetReadAnswer(data []byte) (*response, error) {
@@ -278,31 +370,74 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// FuzzReadReplicaResponse holds the fleet client's answer reader to
-// net/http on arbitrary bytes. For any input the head and body readers
-// never panic and allocate in proportion to the input at most, and the
-// body reads the same through Read as through WriteTo. For every input
-// net/http.ReadResponse accepts (its Transport's 1xx skipping included)
-// whose head fits maxHeadBytes and whose status a server can relay
-// (100-999, not 101), the client accepts it too, and both agree on the
-// status, the relayed Content-Type, X-Cache and X-Replica values, the
-// framing (chunked, a length, or to the connection's end), whether the
-// connection closes after it, and, where net/http reads the body
-// through, the body bytes.
+// refusedAnswers are answers net/http reads but a replica's net/http
+// server never writes to the gateway's requests: the fleet client
+// refuses each as a replica fault.
+var refusedAnswers = []string{
+	"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\nHTTP/1.1 204 No Content\r\nX-Cache: miss\r\n\r\n",
+	"HTTP/1.1 404 Not Found\r\nX-Cache: hit\r\n  folded\r\nContent-Type: text/plain;\r\n\tcharset=utf-8\r\nContent-Length: 3\r\n\r\nnot",
+	"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok",
+	"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5 \r\nx-replica: r2\r\n\r\nhello",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: CHUNKED\r\n\r\n0\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok",
+	"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nBad Key: 1\r\nContent-Length: 2\r\n\r\nok",
+	"HTTP/1.1 200 OK\r\nX-Cache: hit\r\nX-Cache: miss\r\nContent-Length: 2\r\n\r\nok",
+}
+
+// refusedBodies are chunked bodies net/http reads but a replica's
+// net/http server never writes: a chunk extension and a trailer.
+var refusedBodies = []string{
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2;ext=1\r\nok\r\n0\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTrailer: X-Sum\r\n\r\n2\r\nok\r\n0\r\nX-Sum: 7\r\n\r\n",
+}
+
+// TestOutOfDialectAnswersRefused: every answer outside the dialect a
+// replica writes is refused, its head or its body, though net/http
+// reads it.
+func TestOutOfDialectAnswersRefused(t *testing.T) {
+	for _, data := range refusedAnswers {
+		if _, err := http.ReadResponse(bufio.NewReader(strings.NewReader(data)), nil); err != nil {
+			t.Errorf("%q: net/http refuses it too (%v); it shows nothing", data, err)
+		}
+		if resp, err := fleetReadAnswer([]byte(data)); err == nil {
+			t.Errorf("%q: the fleet client accepted status %d", data, resp.status)
+		}
+	}
+	for _, data := range refusedBodies {
+		resp, err := fleetReadAnswer([]byte(data))
+		if err != nil {
+			t.Fatalf("%q: head refused: %v", data, err)
+		}
+		if body, err := io.ReadAll(resp.body); err == nil {
+			t.Errorf("%q: the fleet client read the body %q", data, body)
+		}
+	}
+}
+
+// FuzzReadReplicaResponse holds what the fleet client's answer reader
+// accepts to net/http on arbitrary bytes. For any input the head and
+// body readers never panic and allocate in proportion to the input at
+// most, and the body reads the same through Read as through WriteTo.
+// For every input the client accepts, net/http.ReadResponse accepts it
+// too, and both agree on the status, the relayed Content-Type, X-Cache
+// and X-Replica values, the framing (chunked, a length, or to the
+// connection's end) and whether the connection closes after it; where
+// the client reads the body through, net/http reads the same bytes.
+// The converse does not hold: the client refuses much that net/http
+// reads (TestOutOfDialectAnswersRefused), and TestFleetAnswersAccepted
+// holds it to every answer a replica writes.
 func FuzzReadReplicaResponse(f *testing.F) {
-	for _, seed := range []string{
+	for _, seed := range append([]string{
 		"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nX-Cache: hit\r\nX-Replica: r1\r\nContent-Length: 14\r\n\r\n{\"found\":true}",
-		"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\nTrailer: X-Sum\r\n\r\n" +
-			"d\r\n{\"results\":[]\r\n13;ext=1\r\n,\"cache_hits\":0}\n\r\n0\r\nX-Sum: 7\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n" +
+			"d\r\n{\"results\":[]\r\n13\r\n,\"cache_hits\":0}\n\r\n0\r\n\r\n",
 		"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nuntil the end",
-		"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok",
-		"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\nHTTP/1.1 204 No Content\r\nX-Cache: miss\r\n\r\n",
-		"HTTP/1.1 404 Not Found\r\nX-Cache: hit\r\n  folded\r\nContent-Type: text/plain;\r\n\tcharset=utf-8\r\nContent-Length: 3\r\n\r\nnot",
+		"HTTP/1.1 431 Request Header Fields Too Large\r\nContent-Type: text/plain; charset=utf-8\r\nConnection: close\r\n\r\n431 Request Header Fields Too Large",
+		"HTTP/1.1 204 No Content\r\nX-Cache: miss\r\n\r\n",
 		"HTTP/1.1 200 OK\r\nX-Replica: " + strings.Repeat("r", maxHeadBytes) + "\r\nContent-Length: 0\r\n\r\n",
-		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5 \r\nx-replica: r2\r\n\r\nhello",
-		"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n",
 		"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 10\r\n\r\nshort",
-	} {
+	}, append(refusedAnswers, refusedBodies...)...) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -325,18 +460,18 @@ func FuzzReadReplicaResponse(f *testing.F) {
 		if !israce.Enabled && alloc > 16*uint64(len(data))+64<<10 {
 			t.Fatalf("%d input bytes allocated %d bytes", len(data), alloc)
 		}
-		if err == nil && ((readErr == nil) != (writeToErr == nil) || !bytes.Equal(viaRead.Bytes(), viaWriteTo.Bytes())) {
+		if err != nil {
+			return
+		}
+		if (readErr == nil) != (writeToErr == nil) || !bytes.Equal(viaRead.Bytes(), viaWriteTo.Bytes()) {
 			t.Fatalf("%q: Read gives %q (%v), WriteTo %q (%v)", data, viaRead.Bytes(), readErr, viaWriteTo.Bytes(), writeToErr)
 		}
 
-		std, serr := stdReadAnswer(data)
-		if serr != nil || std.StatusCode < 100 || std.StatusCode > 999 || std.StatusCode == http.StatusSwitchingProtocols || len(data) > maxHeadBytes {
-			return
+		std, serr := http.ReadResponse(bufio.NewReader(bytes.NewReader(data)), nil)
+		if serr != nil {
+			t.Fatalf("%q: the fleet client reads status %d, net/http fails: %v", data, got.status, serr)
 		}
-		if err != nil {
-			t.Fatalf("%q: net/http reads status %d, the fleet client fails: %v", data, std.StatusCode, err)
-		}
-		bodyless := std.StatusCode < 200 || std.StatusCode == http.StatusNoContent || std.StatusCode == http.StatusNotModified
+		bodyless := std.StatusCode == http.StatusNoContent || std.StatusCode == http.StatusNotModified
 		want := replicaView{
 			status:      std.StatusCode,
 			contentType: firstValue(std.Header, "Content-Type"),
@@ -353,8 +488,8 @@ func FuzzReadReplicaResponse(f *testing.F) {
 			t.Fatalf("%q: the fleet client reads %+v, net/http %+v", data, got, want)
 		}
 		stdBody, berr := io.ReadAll(std.Body)
-		if berr == nil && (readErr != nil || !bytes.Equal(stdBody, viaRead.Bytes())) {
-			t.Fatalf("%q: net/http reads body %q, the fleet client %q (%v)", data, stdBody, viaRead.Bytes(), readErr)
+		if readErr == nil && (berr != nil || !bytes.Equal(stdBody, viaRead.Bytes())) {
+			t.Fatalf("%q: the fleet client reads body %q, net/http %q (%v)", data, viaRead.Bytes(), stdBody, berr)
 		}
 	})
 }
@@ -364,6 +499,12 @@ func FuzzReadReplicaResponse(f *testing.F) {
 // wire, answers every one with answer and never closes a connection
 // first. conns counts the connections it accepted.
 func rawReplica(t *testing.T, answer string) (url string, requests <-chan string, conns *atomic.Int64) {
+	return rawReplicaFunc(t, func(w io.Writer, _ string) { io.WriteString(w, answer) })
+}
+
+// rawReplicaFunc is rawReplica answering each request with what answer
+// writes, given the request as it arrived.
+func rawReplicaFunc(t *testing.T, answer func(w io.Writer, request string)) (url string, requests <-chan string, conns *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -404,12 +545,74 @@ func rawReplica(t *testing.T, answer string) (url string, requests <-chan string
 					}
 					raw.Write(body)
 					seen <- raw.String()
-					io.WriteString(conn, answer)
+					answer(conn, raw.String())
 				}
 			}()
 		}
 	}()
 	return "http://" + ln.Addr().String(), seen, conns
+}
+
+// TestUnsolicitedAnswerIsNotRelayed: a replica that writes one answer
+// more than it was asked for cannot hand that answer to a later
+// request. Each answer names the request line it answers, and the
+// replica writes an unsolicited one after it, in the same write or a
+// moment later; every GET through the gateway still gets the answer to
+// its own request line, and the replica reads every GET. A connection
+// whose reader holds bytes past an answer is not parked, and a parked
+// one on which bytes arrived is not reused.
+func TestUnsolicitedAnswerIsNotRelayed(t *testing.T) {
+	frame := func(body string) string {
+		return fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	}
+	within := func(t *testing.T, what string, ch <-chan string) string {
+		t.Helper()
+		select {
+		case v := <-ch:
+			return v
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no %s in 5s", what)
+			return ""
+		}
+	}
+	for _, delay := range []time.Duration{0, 20 * time.Millisecond} {
+		t.Run(fmt.Sprintf("after %v", delay), func(t *testing.T) {
+			written := make(chan string, 16)
+			url, requests, _ := rawReplicaFunc(t, func(w io.Writer, request string) {
+				line, _, _ := strings.Cut(request, "\r\n")
+				answer := frame(fmt.Sprintf(`{"status":"ok","model_epoch":1,"replica":"r1","answers":%q}`, line))
+				extra := frame(`{"unsolicited":true}`)
+				if delay == 0 {
+					io.WriteString(w, answer+extra)
+				} else {
+					io.WriteString(w, answer)
+					time.Sleep(delay)
+					io.WriteString(w, extra)
+				}
+				written <- line
+			})
+			_, base := startGateway(t, Config{Replicas: []Replica{{ID: "r1", URL: url}}})
+			within(t, "probe", requests)
+			within(t, "unsolicited answer to the probe", written)
+			for i := 0; i < 4; i++ {
+				target := fmt.Sprintf("/route?source=%d&dest=2&budget=5", i)
+				resp, err := http.Get(base + target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				want := fmt.Sprintf(`"answers":"GET %s HTTP/1.1"`, target)
+				if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+					t.Fatalf("GET %s: status %d body %s, want the answer to its own request", target, resp.StatusCode, body)
+				}
+				if got := within(t, "GET at the replica", requests); !strings.HasPrefix(got, "GET "+target+" ") {
+					t.Fatalf("the replica read %q, want GET %s", got, target)
+				}
+				within(t, "unsolicited answer", written)
+			}
+		})
+	}
 }
 
 // TestRequestBytesMatchNetHTTP: a replica receives from the fleet

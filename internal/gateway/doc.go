@@ -99,9 +99,10 @@
 //     and its own answer and body readers, all reused by every request
 //     it carries; a head scratch that an unusual answer grew past 8 KiB
 //     is dropped. A connection goes back on the stack only once its
-//     body was read to the end and the answer did not close it; one
-//     parked for 90 s is closed. When the context given to Start ends,
-//     the parked connections are closed.
+//     body was read to the end, the answer did not close it and its
+//     reader holds no byte past the answer; one parked for 90 s is
+//     closed. When the context given to Start ends, the parked
+//     connections are closed.
 //   - The request. The request line (the replica's base path, then the
 //     inbound path and raw query), Host, a POST's Content-Length and the
 //     identity headers (Accept, Content-Type, traceparent, X-Request-ID,
@@ -111,15 +112,30 @@
 //     delivery are application/json. A value with a control byte is not
 //     sent on.
 //   - The answer. The status line and header block are read on the
-//     caller's goroutine, by net/http's rules (1xx heads skipped, obs-fold
-//     lines joined, malformed lines refused, a 64 KiB cap), keeping only
-//     Content-Length, Transfer-Encoding: chunked, Connection and the
-//     three relayed headers, Content-Type, X-Cache and X-Replica, whose
-//     common values (application/json, hit, miss, the replica's own ID)
-//     are shared slices. The body is read through the connection's
-//     length-limited or chunked reader, which relays straight out of the
-//     4 KiB reader (io.WriterTo). FuzzReadReplicaResponse holds the
-//     reader to net/http.ReadResponse.
+//     caller's goroutine, and only in the dialect a replica's net/http
+//     server writes to the gateway's requests; anything else is
+//     refused as a replica fault. The status line is "HTTP/1.1 ddd"
+//     with a status of at least 200 (the gateway sends no Expect, so
+//     no 1xx comes back); a header key is a token, so an obs-fold
+//     line is refused; Content-Length comes at most once,
+//     Transfer-Encoding only as "chunked", Connection only as "close";
+//     the head is capped at 64 KiB. Only those and the three relayed
+//     headers, Content-Type, X-Cache and X-Replica, are kept, and the
+//     relayed headers' common values (application/json, hit, miss,
+//     the replica's own ID) are shared slices. Two framings besides a
+//     length stay because real replica traffic uses them. A chunked
+//     body, hex sizes with no extension and no trailer, is what
+//     net/http writes for any answer over its 2 KiB buffer, a metro
+//     batch answer for one, and framing those by length instead would
+//     cost the replica a header string per answer. A body that runs to
+//     the connection's end is how net/http's server answers before a
+//     handler runs (431, 400, 501, with Connection: close); refusing it
+//     would mark a replica down for a client's oversized header. The
+//     body is read through the connection's length-limited or chunked
+//     reader, which relays straight out of the 4 KiB reader
+//     (io.WriterTo). FuzzReadReplicaResponse holds what the reader
+//     accepts to net/http.ReadResponse, and TestFleetAnswersAccepted
+//     holds it to every answer shape a replica writes.
 //   - Time limits. RequestTimeout and ProbeTimeout are connection
 //     deadlines, set when the request is written: RequestTimeout spans a
 //     dispatch from dial to the last relayed body byte, ProbeTimeout one
@@ -128,13 +144,18 @@
 //     context.AfterFunc moves the deadline into the past, so the
 //     dispatch ends at once with that context's error (a 499), and the
 //     connection is closed.
-//   - Stale connections. A request written on a parked connection that
-//     fails before the first byte of an answer arrives, other than by a
-//     deadline or the context, is sent once more on a fresh dial, as
-//     net/http retries a replayable request: a replica that dropped its
-//     idle connections (a restart, its own idle timeout) is not marked
-//     down for it. An ingest delivery retried this way is still
-//     at-least-once, as its backoff retries are.
+//   - Stale connections. A parked connection on which bytes or the
+//     replica's close arrived while it sat idle is closed, not reused
+//     (one non-blocking MSG_PEEK read of its socket, on unix): an
+//     answer no request asked for never reaches the next request, the
+//     failure class of request smuggling. A request written on a
+//     parked connection that fails before the first byte of an answer
+//     arrives, other than by a deadline or the context, is sent once
+//     more on a fresh dial, as net/http retries a replayable request: a
+//     replica that dropped its idle connections (a restart, its own
+//     idle timeout) is not marked down for it. An ingest delivery
+//     retried this way is still at-least-once, as its backoff retries
+//     are.
 //
 // A failure is wrapped as net/http's client wraps one, method and URL
 // in front, so a 504 body or a down-mark log line names the replica

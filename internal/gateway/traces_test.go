@@ -3,6 +3,7 @@ package gateway
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"stochroute/internal/httpsvc"
@@ -68,5 +69,50 @@ func TestDebugTracesProxySpanNamesReplica(t *testing.T) {
 	}
 	if failed := fetch("?errors=true"); len(failed.Traces) != 0 {
 		t.Errorf("errors=true returned %d traces of a clean request", len(failed.Traces))
+	}
+}
+
+// TestMintedRequestIDReachesReplica: a request sent without an
+// X-Request-ID carries the one the gateway mints for it to the replica,
+// so both hops log and trace it under the ID the client was answered
+// with: /debug/traces?request_id= finds the request on the gateway and
+// on the replica.
+func TestMintedRequestIDReachesReplica(t *testing.T) {
+	seen := make(chan string, 1)
+	svc := httpsvc.New(httpsvc.Options{Name: "server", Metrics: obs.NewRegistry(), FallbackStatus: http.StatusInternalServerError,
+		Tracer: obs.NewTracer(obs.NewSpanStore(8, 0), 0), ReplicaID: "r1"})
+	svc.Handle("/healthz", http.MethodGet, func(w http.ResponseWriter, r *http.Request) error {
+		return httpsvc.WriteJSONBytes(w, []byte(`{"status":"ok","model_epoch":1,"replica":"r1"}`))
+	})
+	svc.Handle("/route", http.MethodGet, func(w http.ResponseWriter, r *http.Request) error {
+		seen <- r.Header.Get("X-Request-ID")
+		return httpsvc.WriteJSONBytes(w, []byte(`{"found":true}`))
+	})
+	rep := httptest.NewServer(svc.Handler())
+	defer rep.Close()
+	_, base := startGateway(t, Config{
+		Replicas: []Replica{{ID: "r1", URL: rep.URL}},
+		Tracer:   obs.NewTracer(obs.NewSpanStore(8, 0), 1),
+	})
+	resp, err := http.Get(base + "/route?source=1&dest=2&budget=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	id := resp.Header.Get("X-Request-ID")
+	if got := <-seen; id == "" || got != id {
+		t.Fatalf("the gateway answered with request ID %q, the replica read %q", id, got)
+	}
+	for _, hop := range []struct{ name, base string }{{"gateway", base}, {"replica", rep.URL}} {
+		resp, err := http.Get(hop.base + "/debug/traces?request_id=" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out httpsvc.TracesResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || len(out.Traces) != 1 || out.Traces[0].Endpoint != "/route" {
+			t.Errorf("%s /debug/traces?request_id=%s: %+v (%v), want its one /route trace", hop.name, id, out.Traces, err)
+		}
 	}
 }

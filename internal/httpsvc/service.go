@@ -170,7 +170,11 @@ func (e *endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	h := w.Header()
 	if !ShareHeader(h, r.Header, HeaderRequestID) {
-		h[HeaderRequestID] = []string{obs.NewRequestID()}
+		// The minted ID is the request's own from here on, so a
+		// gateway's dispatch forwards it and the replica logs and
+		// traces the request under the same ID.
+		id := []string{obs.NewRequestID()}
+		h[HeaderRequestID], r.Header[HeaderRequestID] = id, id
 	}
 	if s.replicaHeader != nil {
 		h[HeaderReplica] = s.replicaHeader

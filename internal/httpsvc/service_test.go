@@ -43,7 +43,8 @@ func TestAbortedWritesNothing(t *testing.T) {
 // firing. Headers are read and stamped under their canonical keys, so
 // nothing is canonicalised, and the client's request ID is echoed
 // through its own value slice: zero allocations. A request without an
-// ID pays for the minted string and its slice. A context wrap, a
+// ID pays for the minted string and its slice, which the request then
+// carries as its own X-Request-ID too. A context wrap, a
 // per-request closure, a ResponseWriter wrapper or a non-canonical
 // header key would show as one more.
 func TestUnsampledRequestAllocs(t *testing.T) {
@@ -67,8 +68,14 @@ func TestUnsampledRequestAllocs(t *testing.T) {
 	}
 
 	anonymous := httptest.NewRequest(http.MethodGet, "/noop", nil)
-	if allocs := testing.AllocsPerRun(200, func() { e.ServeHTTP(w, anonymous) }); allocs > 2 {
+	if allocs := testing.AllocsPerRun(200, func() {
+		delete(anonymous.Header, HeaderRequestID) // each run mints
+		e.ServeHTTP(w, anonymous)
+	}); allocs > 2 {
 		t.Errorf("unsampled request without an ID costs %v allocs in the wrapper, want <= 2", allocs)
+	}
+	if id := anonymous.Header.Get("X-Request-ID"); id == "" || w.h.Get("X-Request-ID") != id {
+		t.Errorf("minted ID %q on the response, %q on the request; want the same one on both", w.h.Get("X-Request-ID"), id)
 	}
 }
 

@@ -22,7 +22,12 @@ var (
 )
 
 // NewRequestID mints a process-unique request ID of the form
-// "prefix-seq". Used when a request arrives without an X-Request-ID.
+// "prefix-seq", seq in hex. Used when a request arrives without an
+// X-Request-ID. The ID is built on the stack and converted once, so it
+// costs one allocation at any sequence.
 func NewRequestID() string {
-	return ridPrefix + "-" + strconv.FormatUint(ridSeq.Add(1), 16)
+	var b [32]byte
+	id := append(b[:0], ridPrefix...)
+	id = append(id, '-')
+	return string(strconv.AppendUint(id, ridSeq.Add(1), 16))
 }

@@ -127,8 +127,8 @@ func TestInternalReachable(t *testing.T) {
 // knobAllow is the knob gate's allowlist: exported configuration fields
 // that stay settable although no writer the rule counts sets them.
 var knobAllow = []struct{ pkg, field, reason string }{
-	{"internal/hybrid", "EstimatorConfig.Bands", "read from the SRH2 header: the reader sets it inside its own package, from the file"},
-	{"internal/hybrid", "EstimatorConfig.CondBuckets", "read from the SRH2 header: the reader sets it inside its own package, from the file"},
+	{"internal/hybrid", "EstimatorConfig.Bands", "read from the SRH3 header: the reader sets it inside its own package, from the file"},
+	{"internal/hybrid", "EstimatorConfig.CondBuckets", "read from the SRH3 header: the reader sets it inside its own package, from the file"},
 }
 
 // knobDeferred is the knob gate's backlog, not an allowlist: fields that
