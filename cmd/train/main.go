@@ -83,7 +83,6 @@ func run(args []string, stdout io.Writer) error {
 	cfg.TestPairs = *testPairs
 	cfg.MinPairObs = *minObs
 	cfg.Estimator.Train.Epochs = *epochs
-	cfg.Estimator.Train.Verbose = *verbose
 	cfg.Slices = *numSlices
 	if *verbose {
 		cfg.Estimator.Train.Logf = log.Printf

@@ -27,7 +27,10 @@
 //     standing in for GPS fleet data, including the time-of-day
 //     machinery: departure timestamps (SRT2 codec), per-slice world
 //     mode priors and the sliced observation aggregate
-//   - internal/ml — from-scratch neural networks and logistic regression
+//   - internal/ml — the two learners, from scratch: the estimator's
+//     network, one MLP shape (dense layers with a ReLU between each
+//     two, linear logits under a grouped softmax), and logistic
+//     regression
 //   - internal/hybrid — the paper's contribution: the hybrid cost model
 //   - internal/routing — Dijkstra baselines and Probabilistic Budget
 //     Routing with the paper's four prunings and the anytime extension

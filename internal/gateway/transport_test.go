@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"stochroute/internal/httpsvc"
 	"stochroute/internal/israce"
 )
 
@@ -170,14 +171,16 @@ func (w *discardWriter) Write(b []byte) (int, error) {
 // proxied GET, its client included: Handler() runs in-process against
 // one replica connection, reached through the dial hook, that replays
 // a canned answer. The request carries a cancellable context, as one
-// from a live connection does. What remains is the request ID minted
-// for a client that sent none (2-3) and the context.AfterFunc that
-// ends the exchange if the client leaves (3): writing the request,
-// reading the answer's head and relaying its body reuse the
-// connection's buffers and the shared header values. The same request
-// through net/http's Transport cost 10 around RoundTrip and about 50
-// inside it, and through http.Client.Do, a formatted-and-reparsed URL,
-// Set/Get header copies and a query map 47 around it.
+// from a live connection does, and no X-Request-ID: each run deletes
+// the one the chassis wrote into it on the run before. What remains is
+// the request ID minted for a client that sent none (2: the ID and its
+// header slice) and the context.AfterFunc that ends the exchange if the
+// client leaves (2), 4 in all: writing the request, reading the
+// answer's head and relaying its body reuse the connection's buffers
+// and the shared header values. The same request through net/http's
+// Transport cost 10 around RoundTrip and about 50 inside it, and
+// through http.Client.Do, a formatted-and-reparsed URL, Set/Get header
+// copies and a query map 47 around it.
 func TestProxiedGETAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -188,7 +191,10 @@ func TestProxiedGETAllocs(t *testing.T) {
 	defer cancel()
 	req := httptest.NewRequestWithContext(ctx, http.MethodGet, "/route?source=1&dest=2&budget=100", nil)
 	w := &discardWriter{h: make(http.Header)}
-	allocs := testing.AllocsPerRun(500, func() { h.ServeHTTP(w, req) })
+	allocs := testing.AllocsPerRun(500, func() {
+		delete(req.Header, httpsvc.HeaderRequestID) // each run mints
+		h.ServeHTTP(w, req)
+	})
 	if w.status != http.StatusOK || w.h.Get("X-Cache") != "hit" || w.h.Get("X-Replica") != "r1" || w.h.Get("Content-Type") != "application/json" {
 		t.Fatalf("proxied answer: status %d headers %v", w.status, w.h)
 	}

@@ -257,7 +257,8 @@ func TestModelSetPersistBounds(t *testing.T) {
 // estimator. Bands and CondBuckets of the first body sit at bytes 21
 // and 25; any value within their bounds but the network's is a
 // contradiction. Parts that disagree among themselves are written
-// through the writer, which does not check them.
+// through the writer, which does not check them; a network without
+// layers it refuses, as the SRML reader would.
 func TestModelSetPersistRejectsContradictoryShape(t *testing.T) {
 	m, _ := getModel(t)
 	var buf bytes.Buffer
@@ -289,13 +290,12 @@ func TestModelSetPersistRejectsContradictoryShape(t *testing.T) {
 	}{
 		"estimator scaler narrower than the network": {func(e *Estimator, c *Classifier) { e.Scaler = narrow(e.Scaler) }, "estimator scaler"},
 		"dense layers that do not chain": {func(e *Estimator, c *Classifier) {
-			odd := append([]ml.Layer{}, layers...)
-			odd[2] = &ml.Dense{W: ml.NewMatrix(m.Estimator.Cfg.Hidden[0], 7), B: ml.NewMatrix(1, 7)}
+			odd := append([]*ml.Dense{}, layers...)
+			odd[1] = &ml.Dense{W: ml.NewMatrix(m.Estimator.Cfg.Hidden[0], 7), B: ml.NewMatrix(1, 7)}
 			e.Net = &ml.Network{Layers: odd}
 		}, "takes"},
-		"a network of activations only": {func(e *Estimator, c *Classifier) { e.Net = &ml.Network{Layers: []ml.Layer{&ml.ReLU{}}} }, "outputs"},
 		"a network of the wrong input width": {func(e *Estimator, c *Classifier) {
-			e.Net = &ml.Network{Layers: []ml.Layer{&ml.Dense{W: ml.NewMatrix(NumFeatures+1, 96), B: ml.NewMatrix(1, 96)}}}
+			e.Net = &ml.Network{Layers: []*ml.Dense{{W: ml.NewMatrix(NumFeatures+1, 96), B: ml.NewMatrix(1, 96)}}}
 		}, "takes"},
 		"classifier scaler narrower than the classifier": {func(e *Estimator, c *Classifier) { c.Scaler = narrow(c.Scaler) }, "classifier"},
 		"classifier and scaler both narrower than the features": {func(e *Estimator, c *Classifier) {
@@ -313,6 +313,13 @@ func TestModelSetPersistRejectsContradictoryShape(t *testing.T) {
 		if _, err := ReadModelSet(bytes.NewReader(b.Bytes())); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one naming %q", name, err, tc.want)
 		}
+	}
+
+	est := *m.Estimator
+	est.Net = &ml.Network{}
+	empty := &Model{Estimator: &est, Classifier: m.Classifier, Mode: m.Mode, MaxBuckets: m.MaxBuckets, protocol: m.protocol}
+	if err := WriteModelSet(io.Discard, SingleModelSet(empty)); err == nil {
+		t.Error("a model whose network has no layers was written")
 	}
 }
 

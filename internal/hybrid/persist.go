@@ -130,17 +130,15 @@ func readModelBody(br *bufio.Reader) (*Model, error) {
 // A file that fails it would route on a misread estimator, or panic.
 // It returns the hidden layer widths: every dense layer's but the last.
 func checkShape(cfg EstimatorConfig, net *ml.Network, est *ml.StandardScaler, lr *ml.LogisticRegression, clf *ml.StandardScaler) (hidden []int, err error) {
-	width, dense := NumFeatures, 0
-	for i, l := range net.Layers {
-		if d, ok := l.(*ml.Dense); ok {
-			if d.W.Rows != width {
-				return nil, fmt.Errorf("hybrid: estimator layer %d takes %d inputs, not the %d before it", i, d.W.Rows, width)
-			}
-			if dense > 0 {
-				hidden = append(hidden, width)
-			}
-			width, dense = d.W.Cols, dense+1
+	width := NumFeatures
+	for i, d := range net.Layers {
+		if d.W.Rows != width {
+			return nil, fmt.Errorf("hybrid: estimator layer %d takes %d inputs, not the %d before it", i, d.W.Rows, width)
 		}
+		if i > 0 {
+			hidden = append(hidden, width)
+		}
+		width = d.W.Cols
 	}
 	switch {
 	case width != cfg.Bands*cfg.CondBuckets:

@@ -20,8 +20,9 @@ func growRow(buf []float64, n int) []float64 {
 // InferRow runs one input row through the network and returns the
 // output activations, allocating nothing once the scratch is warm. It
 // computes exactly what Infer computes for a 1-row batch — both run the
-// same kernel, mulAddRows — so the two paths are bit-identical; the
-// per-request serving path uses InferRow, training runs Forward.
+// same kernel, mulAddRows, and the same relu — so the two paths are
+// bit-identical; the per-request serving path uses InferRow, training
+// runs its own step (trainer.go).
 //
 // The returned slice is owned by the scratch and valid only until the
 // next InferRow call with the same scratch.
@@ -29,39 +30,18 @@ func (n *Network) InferRow(s *InferScratch, row []float64) []float64 {
 	s.a = growRow(s.a, len(row))
 	copy(s.a, row)
 	cur := s.a
-	for _, l := range n.Layers {
-		switch layer := l.(type) {
-		case *Dense:
-			outCols := layer.W.Cols
-			out := growRow(s.b, outCols)
-			for j := range out {
-				out[j] = 0
-			}
-			mulAddRows(out, cur, layer.W.Data)
-			for j, bv := range layer.B.Data {
-				out[j] += bv
-			}
-			s.a, s.b = out, cur[:0]
-			cur = out
-		case *ReLU:
-			for i, v := range cur {
-				if v <= 0 {
-					cur[i] = 0
-				}
-			}
-		case *Tanh:
-			for i, v := range cur {
-				cur[i] = math.Tanh(v)
-			}
-		default:
-			// Unknown layer type: fall back to the matrix path for this
-			// stage (allocates, but stays correct).
-			x := &Matrix{Rows: 1, Cols: len(cur), Data: cur}
-			y := l.Infer(x)
-			s.a = growRow(s.a[:0], len(y.Data))
-			copy(s.a, y.Data)
-			cur = s.a
+	for i, d := range n.Layers {
+		out := growRow(s.b, d.W.Cols)
+		clear(out)
+		mulAddRows(out, cur, d.W.Data)
+		for j, bv := range d.B.Data {
+			out[j] += bv
 		}
+		if n.hidden(i) {
+			relu(out)
+		}
+		s.a, s.b = out, cur[:0]
+		cur = out
 	}
 	return cur
 }

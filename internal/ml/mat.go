@@ -2,8 +2,9 @@
 // for the paper's two learners: the distribution-estimation network (a
 // feed-forward net with a softmax head trained against target histograms
 // with a cross-entropy/KL objective) and the convolve-vs-estimate binary
-// classifier (logistic regression). It provides dense matrices,
-// layers, a loss, an optimiser, a mini-batch trainer with early stopping,
+// classifier (logistic regression). It provides dense matrices, the
+// network's one shape (Network: dense layers with a ReLU between each
+// two), a loss, an optimiser, a mini-batch trainer with early stopping,
 // feature scaling, metrics, and binary model serialisation.
 //
 // Every matrix product goes through one kernel, mulAddRows (infer.go):
@@ -133,14 +134,6 @@ func (m *Matrix) AddColSums(dst []float64) {
 			dst[j] += v
 		}
 	}
-}
-
-// Apply replaces every element x with f(x) in place and returns m.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-	return m
 }
 
 // SubRows returns the sub-matrix consisting of the given row indices.

@@ -73,24 +73,6 @@ func TestGradientCheckGroupedSoftmax(t *testing.T) {
 	gradCheck(t, net, x, y, GroupedSoftmaxCrossEntropy(groups))
 }
 
-func TestGradientCheckTanh(t *testing.T) {
-	r := rng.New(4)
-	net := &Network{Layers: []Layer{
-		NewDense(3, 5, r), &Tanh{}, NewDense(5, 2, r),
-	}}
-	x := NewMatrix(4, 3)
-	for i := range x.Data {
-		x.Data[i] = r.Normal(0, 1)
-	}
-	// Soft two-class targets.
-	y := NewMatrix(4, 2)
-	for i := 0; i < y.Rows; i++ {
-		p := r.Float64()
-		y.Row(i)[0], y.Row(i)[1] = p, 1-p
-	}
-	gradCheck(t, net, x, y, GroupedSoftmaxCrossEntropy(1))
-}
-
 func TestNewMLPValidation(t *testing.T) {
 	r := rng.New(1)
 	if _, err := NewMLP([]int{3}, r); err == nil {
@@ -142,17 +124,29 @@ func TestGroupedSoftmaxEachGroupNormalised(t *testing.T) {
 	}
 }
 
+// TestReLUMasksNegative: a training step rectifies a hidden layer's
+// output — a value <= 0 becomes 0 — and passes the gradient back only
+// where that output is positive.
 func TestReLUMasksNegative(t *testing.T) {
-	relu := &ReLU{}
-	var s TrainScratch
+	eye, _ := FromRows([][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}})
+	ones, _ := FromRows([][]float64{{1}, {1}, {1}})
+	net := &Network{Layers: []*Dense{{W: eye, B: NewMatrix(1, 3)}, {W: ones, B: NewMatrix(1, 1)}}}
+	step := newTrainStep(net, nil, nil)
 	x, _ := FromRows([][]float64{{-1, 0, 2}})
-	out := relu.Forward(&s, x)
-	if out.Row(0)[0] != 0 || out.Row(0)[1] != 0 || out.Row(0)[2] != 2 {
-		t.Errorf("ReLU forward = %v", out.Data)
+	if out := step.forward(x); out.Data[0] != 2 {
+		t.Errorf("output %v, want [2]: the sum of the rectified hidden layer", out.Data)
 	}
-	grad, _ := FromRows([][]float64{{1, 1, 1}})
-	back := relu.Backward(&s, grad, nil, true)
-	if back.Row(0)[0] != 0 || back.Row(0)[2] != 1 {
-		t.Errorf("ReLU backward = %v", back.Data)
+	if h := step.scratch[0].out.Data; h[0] != 0 || h[1] != 0 || h[2] != 2 {
+		t.Errorf("hidden layer %v, want [0 0 2]", h)
+	}
+	grad, _ := FromRows([][]float64{{1}})
+	step.backward(grad)
+	// The hidden gradient [1 1 1] is masked to [0 0 1], so the first
+	// layer's weight gradient xᵀ·[0 0 1] is x in its last column.
+	want := []float64{0, 0, -1, 0, 0, 0, 0, 0, 2}
+	for i, g := range step.grads[0].Data {
+		if g != want[i] {
+			t.Fatalf("first layer's weight gradient %v, want %v", step.grads[0].Data, want)
+		}
 	}
 }

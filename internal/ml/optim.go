@@ -2,13 +2,12 @@ package ml
 
 import "math"
 
-// Adam is the Adam optimiser (Kingma & Ba) with optional weight decay.
+// Adam is the Adam optimiser (Kingma & Ba).
 type Adam struct {
-	LR          float64
-	Beta1       float64
-	Beta2       float64
-	Eps         float64
-	WeightDecay float64
+	LR    float64
+	Beta1 float64
+	Beta2 float64
+	Eps   float64
 
 	t int
 	m [][]float64
@@ -37,7 +36,7 @@ func (o *Adam) Step(params, grads []*Matrix) {
 	for i, p := range params {
 		g := grads[i]
 		for j := range p.Data {
-			gj := g.Data[j] + o.WeightDecay*p.Data[j]
+			gj := g.Data[j]
 			o.m[i][j] = o.Beta1*o.m[i][j] + (1-o.Beta1)*gj
 			o.v[i][j] = o.Beta2*o.v[i][j] + (1-o.Beta2)*gj*gj
 			mHat := o.m[i][j] / c1

@@ -190,43 +190,20 @@ func (a *refReLU) Backward(gradOut *Matrix) *Matrix {
 func (a *refReLU) Params() []*Matrix { return nil }
 func (a *refReLU) Grads() []*Matrix  { return nil }
 
-type refTanh struct{ lastOut *Matrix }
-
-func (a *refTanh) Forward(x *Matrix) *Matrix {
-	a.lastOut = x.Clone().Apply(math.Tanh)
-	return a.lastOut
-}
-
-func (a *refTanh) Backward(gradOut *Matrix) *Matrix {
-	out := gradOut.Clone()
-	for i := range out.Data {
-		y := a.lastOut.Data[i]
-		out.Data[i] *= 1 - y*y
-	}
-	return out
-}
-
-func (a *refTanh) Params() []*Matrix { return nil }
-func (a *refTanh) Grads() []*Matrix  { return nil }
-
 type refNetwork struct{ layers []refLayer }
 
 // refCopy builds the reference twin of net, holding copies of its
-// parameters.
+// parameters: its dense layers with a ReLU between each two.
 func refCopy(net *Network) *refNetwork {
 	ref := &refNetwork{}
-	for _, l := range net.Layers {
-		switch layer := l.(type) {
-		case *Dense:
-			ref.layers = append(ref.layers, &refDense{
-				W: layer.W.Clone(), B: layer.B.Clone(),
-				gW: NewMatrix(layer.W.Rows, layer.W.Cols), gB: NewMatrix(1, layer.B.Cols),
-			})
-		case *ReLU:
+	for i, d := range net.Layers {
+		if i > 0 {
 			ref.layers = append(ref.layers, &refReLU{})
-		case *Tanh:
-			ref.layers = append(ref.layers, &refTanh{})
 		}
+		ref.layers = append(ref.layers, &refDense{
+			W: d.W.Clone(), B: d.B.Clone(),
+			gW: NewMatrix(d.W.Rows, d.W.Cols), gB: NewMatrix(1, d.B.Cols),
+		})
 	}
 	return ref
 }
@@ -273,7 +250,6 @@ func refFit(net *refNetwork, x, y *Matrix, loss refLoss, cfg TrainConfig) (Train
 		xv, yv = x.SubRows(valIdx), y.SubRows(valIdx)
 	}
 	opt := NewAdam(cfg.learningRate)
-	opt.WeightDecay = cfg.weightDecay
 	snap := func() (out [][]float64) {
 		for _, p := range net.params() {
 			out = append(out, append([]float64(nil), p.Data...))
@@ -412,8 +388,8 @@ func estimatorLikeData(r *rng.RNG, n int) (x, y *Matrix) {
 
 // TestFitMatchesParentReference: Fit leaves every parameter and the
 // TrainResult with the reference Fit's bits, on the estimator's shape
-// (a partial last batch, early stopping) and on a Tanh net (weight
-// decay, one softmax group).
+// (a partial last batch, early stopping) and on a small MLP (one softmax
+// group, partial batches, no early stop).
 func TestFitMatchesParentReference(t *testing.T) {
 	check := func(t *testing.T, net *Network, x, y *Matrix, groups int, cfg TrainConfig, wantEarly bool) {
 		t.Helper()
@@ -450,15 +426,19 @@ func TestFitMatchesParentReference(t *testing.T) {
 		cfg := TrainConfig{Epochs: 80, batchSize: 64, learningRate: 1e-2, valFraction: 0.1, Patience: 3, seed: 6}
 		check(t, net, x, y, 4, cfg, true)
 	})
-	t.Run("tanh", func(t *testing.T) {
+	t.Run("mlp", func(t *testing.T) {
 		r := rng.New(7)
-		net := &Network{Layers: []Layer{NewDense(5, 12, r), &Tanh{}, NewDense(12, 7, r), &Tanh{}, NewDense(7, 3, r)}}
+		net, err := NewMLP([]int{5, 12, 7, 3}, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 90 rows: 18 held out, 72 = 4 × 16 + a batch of 8.
 		x := randomSparse(r, 90, 5)
 		y := NewMatrix(90, 3)
 		for i := 0; i < y.Rows; i++ {
 			y.Row(i)[r.Intn(3)] = 1
 		}
-		cfg := TrainConfig{Epochs: 15, batchSize: 16, learningRate: 5e-3, weightDecay: 1e-3, valFraction: 0.2, seed: 8}
+		cfg := TrainConfig{Epochs: 15, batchSize: 16, learningRate: 5e-3, valFraction: 0.2, seed: 8}
 		check(t, net, x, y, 1, cfg, false)
 	})
 }

@@ -14,47 +14,55 @@ import (
 //
 //	magic    [4]byte "SRML"
 //	nLayers  uint32
-//	per layer: kind uint8 (0 dense, 1 relu, 2 tanh);
+//	per layer: kind uint8 (0 dense, 1 relu);
 //	           dense: in uint32, out uint32, W (in*out f64), B (out f64)
+//
+// The layers alternate dense, relu, dense, …, dense: a relu between each
+// two dense layers, none first or last, so nLayers is odd. That is
+// Network's one shape, and the only sequence the reader accepts; any
+// other kind byte, two dense layers or two relus in a row, and an even
+// count are refused.
 var mlMagic = [4]byte{'S', 'R', 'M', 'L'}
 
-// WriteNetwork serialises net.
+// The layer kind bytes.
+const (
+	kindDense = 0
+	kindReLU  = 1
+)
+
+// WriteNetwork serialises net. A network without layers is refused: the
+// format has no encoding for it that the reader accepts.
 func WriteNetwork(w io.Writer, net *Network) error {
+	if len(net.Layers) == 0 {
+		return errors.New("ml: WriteNetwork on a network without layers")
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(mlMagic[:]); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(net.Layers))); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, uint32(2*len(net.Layers)-1)); err != nil {
 		return err
 	}
-	for _, l := range net.Layers {
-		switch layer := l.(type) {
-		case *Dense:
-			if err := bw.WriteByte(0); err != nil {
+	for i, d := range net.Layers {
+		if i > 0 {
+			if err := bw.WriteByte(kindReLU); err != nil {
 				return err
 			}
-			if err := binary.Write(bw, binary.LittleEndian, uint32(layer.W.Rows)); err != nil {
-				return err
-			}
-			if err := binary.Write(bw, binary.LittleEndian, uint32(layer.W.Cols)); err != nil {
-				return err
-			}
-			if err := writeFloats(bw, layer.W.Data); err != nil {
-				return err
-			}
-			if err := writeFloats(bw, layer.B.Data); err != nil {
-				return err
-			}
-		case *ReLU:
-			if err := bw.WriteByte(1); err != nil {
-				return err
-			}
-		case *Tanh:
-			if err := bw.WriteByte(2); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("ml: WriteNetwork cannot serialise layer %T", l)
+		}
+		if err := bw.WriteByte(kindDense); err != nil {
+			return err
+		}
+		if err := binary.Write(bw, binary.LittleEndian, uint32(d.W.Rows)); err != nil {
+			return err
+		}
+		if err := binary.Write(bw, binary.LittleEndian, uint32(d.W.Cols)); err != nil {
+			return err
+		}
+		if err := writeFloats(bw, d.W.Data); err != nil {
+			return err
+		}
+		if err := writeFloats(bw, d.B.Data); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
@@ -74,11 +82,13 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 	if err := binary.Read(br, binary.LittleEndian, &nLayers); err != nil {
 		return nil, err
 	}
-	// A network here has a handful of layers. The bound keeps a file of
-	// one-byte activation layers from allocating more than in proportion
-	// to its size: each costs a layer value and a slot in Layers.
+	// A network here has a handful of layers: a larger count is refused
+	// before any layer is read.
 	if nLayers > 1<<10 {
 		return nil, fmt.Errorf("ml: implausible layer count %d", nLayers)
+	}
+	if nLayers%2 == 0 {
+		return nil, fmt.Errorf("ml: %d layers: want dense layers with a relu between each two, an odd count", nLayers)
 	}
 	net := &Network{}
 	for i := uint32(0); i < nLayers; i++ {
@@ -86,36 +96,37 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ml: read layer %d kind: %w", i, err)
 		}
-		switch kind {
-		case 0:
-			var in, out uint32
-			if err := binary.Read(br, binary.LittleEndian, &in); err != nil {
-				return nil, err
-			}
-			if err := binary.Read(br, binary.LittleEndian, &out); err != nil {
-				return nil, err
-			}
-			if in == 0 || out == 0 || uint64(in)*uint64(out) > 1<<24 {
-				return nil, fmt.Errorf("ml: implausible dense dims %dx%d", in, out)
-			}
-			w, err := readFloats(br, int(in*out))
-			if err != nil {
-				return nil, err
-			}
-			b, err := readFloats(br, int(out))
-			if err != nil {
-				return nil, err
-			}
-			net.Layers = append(net.Layers, &Dense{
-				W: &Matrix{Rows: int(in), Cols: int(out), Data: w}, B: &Matrix{Rows: 1, Cols: int(out), Data: b},
-			})
-		case 1:
-			net.Layers = append(net.Layers, &ReLU{})
-		case 2:
-			net.Layers = append(net.Layers, &Tanh{})
-		default:
-			return nil, fmt.Errorf("ml: unknown layer kind %d", kind)
+		want := byte(kindDense)
+		if i%2 == 1 {
+			want = kindReLU
 		}
+		if kind != want {
+			return nil, fmt.Errorf("ml: layer %d has kind %d, want %d (dense layers with a relu between each two)", i, kind, want)
+		}
+		if kind == kindReLU {
+			continue
+		}
+		var in, out uint32
+		if err := binary.Read(br, binary.LittleEndian, &in); err != nil {
+			return nil, err
+		}
+		if err := binary.Read(br, binary.LittleEndian, &out); err != nil {
+			return nil, err
+		}
+		if in == 0 || out == 0 || uint64(in)*uint64(out) > 1<<24 {
+			return nil, fmt.Errorf("ml: implausible dense dims %dx%d", in, out)
+		}
+		w, err := readFloats(br, int(in*out))
+		if err != nil {
+			return nil, err
+		}
+		b, err := readFloats(br, int(out))
+		if err != nil {
+			return nil, err
+		}
+		net.Layers = append(net.Layers, &Dense{
+			W: &Matrix{Rows: int(in), Cols: int(out), Data: w}, B: &Matrix{Rows: 1, Cols: int(out), Data: b},
+		})
 	}
 	return net, nil
 }

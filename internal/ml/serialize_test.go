@@ -3,6 +3,7 @@ package ml
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 
 	"stochroute/internal/israce"
@@ -11,9 +12,10 @@ import (
 
 func TestNetworkRoundTrip(t *testing.T) {
 	r := rng.New(1)
-	net := &Network{Layers: []Layer{
-		NewDense(4, 8, r), &ReLU{}, NewDense(8, 3, r), &Tanh{},
-	}}
+	net, err := NewMLP([]int{4, 8, 5, 3}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := WriteNetwork(&buf, net); err != nil {
 		t.Fatal(err)
@@ -47,13 +49,33 @@ func TestNetworkReadErrors(t *testing.T) {
 		t.Error("bad magic should error")
 	}
 	var buf bytes.Buffer
-	net := &Network{Layers: []Layer{NewDense(2, 2, rng.New(1))}}
+	net := &Network{Layers: []*Dense{NewDense(2, 2, rng.New(1))}}
 	if err := WriteNetwork(&buf, net); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 	if _, err := ReadNetwork(bytes.NewReader(data[:len(data)-3])); err == nil {
 		t.Error("truncated weights should error")
+	}
+	if err := WriteNetwork(new(bytes.Buffer), &Network{}); err == nil {
+		t.Error("a network without layers was written")
+	}
+
+	// The reader accepts dense layers with a relu between each two and
+	// nothing else.
+	dense := "\x00\x01\x00\x00\x00\x01\x00\x00\x00" + strings.Repeat("\x00", 16) // 1×1
+	if _, err := ReadNetwork(strings.NewReader("SRML\x03\x00\x00\x00" + dense + "\x01" + dense)); err != nil {
+		t.Fatalf("dense, relu, dense: %v", err)
+	}
+	for name, data := range map[string]string{
+		"a tanh layer":              "SRML\x03\x00\x00\x00" + dense + "\x02" + dense,
+		"a leading relu":            "SRML\x03\x00\x00\x00\x01" + dense + "\x01",
+		"two dense layers in a row": "SRML\x03\x00\x00\x00" + dense + dense + dense,
+		"an even layer count":       "SRML\x02\x00\x00\x00" + dense + "\x01",
+	} {
+		if _, err := ReadNetwork(strings.NewReader(data)); err == nil {
+			t.Errorf("%s was read", name)
+		}
 	}
 }
 
@@ -91,7 +113,10 @@ func bytesAllocated(f func()) uint64 {
 // allocates in proportion to the input — not to the dimensions its
 // headers claim —, and reads back what WriteNetwork makes of any network
 // it returns, to the same encoding. The seed corpus is in
-// testdata/fuzz/FuzzReadNetwork.
+// testdata/fuzz/FuzzReadNetwork; the reader refuses every seed but
+// valid — activations, layers of unknown kind, a trailing tanh — as it
+// refuses any sequence other than dense layers with a relu between each
+// two.
 func FuzzReadNetwork(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var net *Network

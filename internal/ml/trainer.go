@@ -17,18 +17,16 @@ type LossFunc func(output, target, grad *Matrix) float64
 // fixes the batch size, learning rate, validation split and seed.
 type TrainConfig struct {
 	Epochs   int
-	Patience int // epochs without val improvement before stopping (0 = no early stop)
-	Verbose  bool
-	Logf     func(string, ...any) // defaults to no-op
+	Patience int                  // epochs without val improvement before stopping (0 = no early stop)
+	Logf     func(string, ...any) // progress every logEvery epochs; nil logs nothing
 
 	batchSize    int
 	learningRate float64
-	weightDecay  float64
 	valFraction  float64 // fraction of rows held out for early stopping
 	seed         uint64
 }
 
-const logEvery = 10 // epochs between progress logs when Verbose
+const logEvery = 10 // epochs between progress logs
 
 // DefaultTrainConfig returns sensible defaults for the estimation model.
 func DefaultTrainConfig() TrainConfig {
@@ -51,36 +49,38 @@ type TrainResult struct {
 }
 
 // trainStep is one training run's working memory and its mini-batch
-// step: a TrainScratch per layer, a gradient tensor per parameter, the
+// step: a layerScratch per layer, a gradient tensor per parameter, the
 // gathered batch and the loss gradient. The network holds none of it,
 // so once the run drops its trainStep the network is what a freshly
 // read one would be. Every buffer is the step's own, so once each has
 // grown to the batch size a step allocates nothing.
 type trainStep struct {
-	layers        []Layer
-	scratch       []TrainScratch
-	layerGrads    [][]*Matrix // per layer, parallel to its Params
-	params, grads []*Matrix   // parallel to Network.Params
+	net           *Network
+	scratch       []layerScratch
+	params, grads []*Matrix // parallel: layer i's W and B are 2i and 2i+1
 	opt           *Adam
 	loss          LossFunc
 	bx, by, grad  Matrix
 }
 
+// layerScratch is one layer's buffers in a training step.
+type layerScratch struct {
+	in     *Matrix // the layer's input: the batch, or the layer before's out
+	out    Matrix  // x·W + b, rectified in place on a hidden layer
+	gradIn Matrix  // the gradient wrt in
+	tr     Matrix  // a transposed operand of backward's products
+}
+
 func newTrainStep(net *Network, loss LossFunc, opt *Adam) *trainStep {
 	s := &trainStep{
-		layers:     net.Layers,
-		scratch:    make([]TrainScratch, len(net.Layers)),
-		layerGrads: make([][]*Matrix, len(net.Layers)),
-		params:     net.Params(),
-		opt:        opt,
-		loss:       loss,
+		net:     net,
+		scratch: make([]layerScratch, len(net.Layers)),
+		params:  net.Params(),
+		opt:     opt,
+		loss:    loss,
 	}
-	for i, l := range net.Layers {
-		for _, p := range l.Params() {
-			g := NewMatrix(p.Rows, p.Cols)
-			s.layerGrads[i] = append(s.layerGrads[i], g)
-			s.grads = append(s.grads, g)
-		}
+	for _, p := range s.params {
+		s.grads = append(s.grads, NewMatrix(p.Rows, p.Cols))
 	}
 	return s
 }
@@ -89,18 +89,37 @@ func newTrainStep(net *Network, loss LossFunc, opt *Adam) *trainStep {
 // step's buffers and is valid until the next forward; x must not change
 // until the matching backward has returned.
 func (s *trainStep) forward(x *Matrix) *Matrix {
-	for i, l := range s.layers {
-		x = l.Forward(&s.scratch[i], x)
+	for i, d := range s.net.Layers {
+		ls := &s.scratch[i]
+		ls.in = x
+		x = d.forwardInto(&ls.out, x)
+		if s.net.hidden(i) {
+			relu(x.Data)
+		}
 	}
 	return x
 }
 
 // backward propagates the output gradient of the last forward's batch
-// through every layer, adding the parameter gradients into s.grads.
-// Nothing reads the first layer's input gradient, so it is not computed.
+// through every layer, adding the parameter gradients into s.grads: W's
+// is inᵀ·gradOut, B's the column sums of gradOut. The gradient wrt a
+// hidden layer's output is gradOut·Wᵀ of the layer after it, masked
+// where the rectified output is zero. Nothing reads the first layer's
+// input gradient, so it is not computed.
 func (s *trainStep) backward(gradOut *Matrix) {
-	for i := len(s.layers) - 1; i >= 0; i-- {
-		gradOut = s.layers[i].Backward(&s.scratch[i], gradOut, s.layerGrads[i], i > 0)
+	for i := len(s.net.Layers) - 1; i >= 0; i-- {
+		d, ls := s.net.Layers[i], &s.scratch[i]
+		matMulAdd(s.grads[2*i], transposeInto(&ls.tr, ls.in), gradOut)
+		gradOut.AddColSums(s.grads[2*i+1].Data)
+		if i == 0 {
+			return
+		}
+		gradOut = matMulInto(&ls.gradIn, gradOut, transposeInto(&ls.tr, d.W))
+		for j, v := range ls.in.Data {
+			if v == 0 {
+				gradOut.Data[j] = 0
+			}
+		}
 	}
 }
 
@@ -146,10 +165,6 @@ func Fit(net *Network, x, y *Matrix, loss LossFunc, cfg TrainConfig) (TrainResul
 	if cfg.batchSize <= 0 {
 		cfg.batchSize = 32
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	r := rng.New(cfg.seed)
 
 	// Split train/validation.
@@ -165,9 +180,7 @@ func Fit(net *Network, x, y *Matrix, loss LossFunc, cfg TrainConfig) (TrainResul
 		xv, yv = x.SubRows(valIdx), y.SubRows(valIdx)
 	}
 
-	opt := NewAdam(cfg.learningRate)
-	opt.WeightDecay = cfg.weightDecay
-	step := newTrainStep(net, loss, opt)
+	step := newTrainStep(net, loss, NewAdam(cfg.learningRate))
 	best := math.Inf(1)
 	bestParams := snapshot(step.params)
 	sinceBest := 0
@@ -207,8 +220,8 @@ func Fit(net *Network, x, y *Matrix, loss LossFunc, cfg TrainConfig) (TrainResul
 		} else {
 			sinceBest++
 		}
-		if cfg.Verbose && epoch%logEvery == 0 {
-			logf("ml: epoch %d train=%.5f val=%.5f best=%.5f", epoch, trainLoss, valLoss, best)
+		if cfg.Logf != nil && epoch%logEvery == 0 {
+			cfg.Logf("ml: epoch %d train=%.5f val=%.5f best=%.5f", epoch, trainLoss, valLoss, best)
 		}
 		if cfg.Patience > 0 && sinceBest >= cfg.Patience {
 			res.StoppedEarly = true
