@@ -62,10 +62,17 @@ func TestNetworkReadErrors(t *testing.T) {
 	}
 
 	// The reader accepts dense layers with a relu between each two and
-	// nothing else.
+	// nothing else, and the writer writes that sequence back byte for
+	// byte.
 	dense := "\x00\x01\x00\x00\x00\x01\x00\x00\x00" + strings.Repeat("\x00", 16) // 1×1
-	if _, err := ReadNetwork(strings.NewReader("SRML\x03\x00\x00\x00" + dense + "\x01" + dense)); err != nil {
+	mlp := "SRML\x03\x00\x00\x00" + dense + "\x01" + dense
+	two, err := ReadNetwork(strings.NewReader(mlp))
+	if err != nil {
 		t.Fatalf("dense, relu, dense: %v", err)
+	}
+	var back bytes.Buffer
+	if err := WriteNetwork(&back, two); err != nil || back.String() != mlp {
+		t.Fatalf("dense, relu, dense written back as %q (%v)", back.String(), err)
 	}
 	for name, data := range map[string]string{
 		"a tanh layer":              "SRML\x03\x00\x00\x00" + dense + "\x02" + dense,
