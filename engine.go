@@ -486,16 +486,18 @@ func (e *Engine) RouteCtx(ctx context.Context, source, dest VertexID, opts Route
 func (e *Engine) routeOnSnapshot(ctx context.Context, cur *modelSnapshot, source, dest VertexID, opts RouteOptions) (*RouteResult, error) {
 	sctx, sp := obs.StartSpan(ctx, "search")
 	slice := cur.set.SliceOf(opts.Departure)
-	// qs holds the coster view bound to it: one allocation per query.
-	var qs hybrid.QueryStats
+	// qs holds the coster view bound to it. It is pooled: its counts are
+	// copied onto the result and nothing keeps the view past the search.
+	qs := queryStatsPool.Get().(*hybrid.QueryStats)
+	defer releaseQueryStats(qs)
 	var coster hybrid.Coster
 	if opts.TimeExpanded {
 		// The temporal coster re-selects the slice model per extension;
 		// on a 1-slice set (or a trip that never leaves its departure
 		// slice) it is bit-identical to the departure-slice coster.
-		coster = cur.set.TimeExpandedCoster(opts.Departure, &qs)
+		coster = cur.set.TimeExpandedCoster(opts.Departure, qs)
 	} else {
-		coster = cur.set.At(slice).WithStats(&qs)
+		coster = cur.set.At(slice).WithStats(qs)
 	}
 	// ALT injection: a departure-slice query prunes with its slice's
 	// tables, a time-expanded query with the min-across-slices tables
@@ -547,6 +549,18 @@ func (e *Engine) routeOnSnapshot(ctx context.Context, cur *modelSnapshot, source
 		})
 	}
 	return res, nil
+}
+
+// queryStatsPool recycles routeOnSnapshot's per-query decision counts
+// and the coster view bound to them.
+var queryStatsPool = sync.Pool{New: func() any { return new(hybrid.QueryStats) }}
+
+// releaseQueryStats zeroes qs before it goes back to the pool: a view
+// still bound to it would make WithStats and TimeExpandedCoster allocate
+// a second one, and it would keep its model alive.
+func releaseQueryStats(qs *hybrid.QueryStats) {
+	*qs = hybrid.QueryStats{}
+	queryStatsPool.Put(qs)
 }
 
 // SetSearchMetrics attaches (or, with nil, detaches) the per-slice

@@ -839,6 +839,14 @@ func TestGatewayIngestFanoutE2E(t *testing.T) {
 		t.Fatalf("gateway replay accepted %d / rejected %d of %d", rep.Accepted, rep.Rejected, len(decoded))
 	}
 
+	// Revive the victim only once its worker has retried a batch, so
+	// the catch-up below starts from the retry queue: replay can return
+	// before the worker's first attempt has failed.
+	waitFor(t, 30*time.Second, "the dead replica's worker to retry a batch", func() bool {
+		st := gwStats(t, f.ts.URL)
+		i, ok := st.of(victim.id)
+		return ok && st.Replicas[i].IngestRetries > 0
+	})
 	// Revive the victim: its worker drains the queued batches in order.
 	victim.kill.down.Store(false)
 

@@ -289,6 +289,11 @@ func scanBatchRequest(body []byte) ([]batchItem, error) {
 		// A repeated "queries" replaces the items before it, as
 		// json.Unmarshal overwrites a slice.
 		items, itemErr = items[:0], nil
+		if c.Peek() == '[' {
+			if n := c.Len(); n > cap(items) {
+				items = make([]batchItem, 0, n)
+			}
+		}
 		isArray, err := c.Open('[')
 		if err != nil {
 			return nil, httpsvc.BadRequest("parse body: queries: %v", err)

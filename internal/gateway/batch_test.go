@@ -131,16 +131,17 @@ func cannedAnswer(n int) []byte {
 // canned answer, at 16 and 64 items, and the count per added item must
 // stay at most 1. The client's body, each sub-batch, the replica's
 // answer and the gateway's answer live in pooled buffers and each item
-// is spans of them, so only the items slice grows with the batch, by
-// doubling. The rest is a request whatever its size: the scatter's
-// count, group and position slices, the pending list and the
+// is spans of them, and the items slice is sized once by counting the
+// array, so nothing grows with the batch: the test reads 9 at 16 items
+// and at 64. That is a request whatever its size: the items, the
+// scatter's count, group and position slices, the pending list and the
 // fork-join's closure; the chassis's request ID and wrapper; the
 // context.AfterFunc that ends the exchange if the client leaves; and
-// this test's one. With net/http's Transport the same test read 27 at
-// 16 items and 30 at 64 around RoundTrip, which a stub stood in for;
-// before the batch was walked in place (a RawMessage and a decode per
-// item, a re-encoded sub-batch and a re-compacted answer) it read 198
-// and 595, 8.3 per item.
+// this test's one. While the items grew by doubling it read 13 and 15;
+// with net/http's Transport it read 27 at 16 items and 30 at 64 around
+// RoundTrip, which a stub stood in for; before the batch was walked in
+// place (a RawMessage and a decode per item, a re-encoded sub-batch and
+// a re-compacted answer) it read 198 and 595, 8.3 per item.
 func TestGatewayBatchAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -187,11 +188,11 @@ func TestGatewayBatchAllocs(t *testing.T) {
 		return allocs
 	}
 	small, large := measure(16), measure(64)
-	if small > 30 {
-		t.Errorf("a 16-item /route/batch costs %.1f allocations on the gateway, its client included, want <= 30", small)
+	if small > 12 {
+		t.Errorf("a 16-item /route/batch costs %.1f allocations on the gateway, its client included, want <= 12", small)
 	}
-	if slope := (large - small) / (64 - 16); slope > 1 {
-		t.Errorf("/route/batch costs %.2f allocations per added item on the gateway (%.1f at 16 items, %.1f at 64), want <= 1", slope, small, large)
+	if slope := (large - small) / (64 - 16); slope > 0.25 {
+		t.Errorf("/route/batch costs %.2f allocations per added item on the gateway (%.1f at 16 items, %.1f at 64), want <= 0.25", slope, small, large)
 	}
 }
 

@@ -15,10 +15,12 @@ import (
 // applies encoding/json's rules for the shape its document decodes
 // into: an object key names a field when the two are equal under
 // Unicode case folding once unescaped (KeyIs), a repeated key's last
-// value wins, null leaves a field as it was, and an int field takes an
-// integer literal in range only (Integer). FuzzScanBatchRequest in
-// internal/gateway and FuzzScanIngest in internal/server hold the walks
-// to encoding/json.
+// value wins, null leaves a field as it was, an int field takes an
+// integer literal in range only (Integer), a float64 field a finite
+// number (Float), and an array fills a slice as encoding/json fills one
+// (ScanArray). FuzzScanBatchRequest in internal/gateway, and
+// FuzzScanRouteBatch and FuzzScanIngest in internal/server, hold the
+// walks to encoding/json.
 
 // Cursor walks a document json.Valid has accepted; it never checks
 // syntax itself.
@@ -171,6 +173,49 @@ func KeyIs(quoted []byte, name string) bool {
 func Integer(v []byte) (int, bool) {
 	n, err := strconv.ParseInt(string(v), 10, 64)
 	return int(n), err == nil
+}
+
+// Float parses a value the way encoding/json fills a float64 field:
+// with strconv.ParseFloat, so a number literal whose value is a finite
+// float64. Any other kind of value is refused.
+func Float(v []byte) (float64, bool) {
+	f, err := strconv.ParseFloat(string(v), 64)
+	return f, err == nil
+}
+
+// ScanArray walks the array at the cursor into dst as encoding/json
+// decodes an array into a slice that already holds dst: element i into
+// dst[i], reusing dst's array when the elements fit in its capacity and
+// otherwise one array of exactly their number, which starts as a copy
+// of all of dst's; an empty array is an empty slice and null a nil one.
+// An error begins with the failing element's index.
+func ScanArray[T any](c *Cursor, dst []T, elem func(*Cursor, *T) error) ([]T, error) {
+	switch c.Peek() {
+	case 'n':
+		c.Value()
+		return nil, nil
+	case '[':
+	default:
+		return nil, fmt.Errorf(": want an array, got %s", Kind(c.Value()))
+	}
+	n := c.Len()
+	switch {
+	case n == 0:
+		dst = []T{}
+	case n > cap(dst):
+		grown := make([]T, n)
+		copy(grown, dst[:cap(dst)])
+		dst = grown
+	default:
+		dst = dst[:n]
+	}
+	c.Open('[')
+	for i := 0; c.More(); i++ {
+		if err := elem(c, &dst[i]); err != nil {
+			return nil, fmt.Errorf("[%d]%v", i, err)
+		}
+	}
+	return dst, nil
 }
 
 // Kind names a value's JSON type for an error message.

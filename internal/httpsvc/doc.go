@@ -67,19 +67,20 @@
 //
 // # Request bodies
 //
-// DecodeJSON decodes a small body into a value through encoding/json
-// (/route/batch on a replica). A body a handler reads in bulk — an
-// /ingest batch, a gateway's /route/batch and a replica's answer to it
-// — is read once with ReadBody (one buffer that starts at the declared
-// Content-Length, 64 KiB at most, and doubles as the bytes arrive, so a
-// declared length a client does not send costs it nothing; 413 past the
-// cap) or AppendAll (into a pooled buffer) and walked in
-// place with a Cursor once json.Valid has accepted it: the cursor
-// yields each value's span, never a copy, and KeyIs, Integer, Kind,
-// Describe and SyntaxError apply encoding/json's rules and wording, so
-// a walk accepts what a decode into the same shape accepts. There is
-// one walker; the gateway and the replica share it, and they share the
-// /ingest walk built on it too (internal/ingestwire).
+// No request body is decoded through encoding/json. A JSON body a handler
+// reads — an /ingest batch, a /route/batch on the gateway and on a
+// replica, and a replica's answer to the gateway — is read once with
+// ReadBody (one buffer that starts at the declared Content-Length,
+// 64 KiB at most, and doubles as the bytes arrive, so a declared length
+// a client does not send costs it nothing; 413 past the cap) or
+// AppendAll (into a pooled buffer, under a cap the handler checks), and
+// walked in place with a Cursor once json.Valid has accepted it: the
+// cursor yields each value's span, never a copy, and KeyIs, Integer,
+// Float, ScanArray, Kind, Describe and SyntaxError apply encoding/json's
+// rules and wording, so a walk accepts what a decode into the same
+// shape accepts. There is one walker; the gateway and the replica share
+// it, and they share the /ingest walk built on it too
+// (internal/ingestwire).
 //
 // # Mounted endpoints
 //

@@ -2,7 +2,6 @@ package httpsvc
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -76,34 +75,6 @@ func AppendFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// DecodeJSON reads a request body into v with the two hardenings every
-// JSON endpoint gets: the body is wrapped in http.MaxBytesReader so an
-// oversized payload fails fast instead of ballooning memory, and
-// unknown fields are rejected so malformed clients hear about their
-// mistake instead of being silently half-ignored. Only whitespace may
-// follow the value, and a body past the cap is a 413 wherever the value
-// ends.
-func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		// The body must end with the value; dec.More would also stop at
-		// a stray closing bracket, or at the cap.
-		if _, err = dec.Token(); err == io.EOF {
-			return nil
-		} else if !errors.As(err, new(*http.MaxBytesError)) {
-			return BadRequest("trailing data after JSON body")
-		}
-	}
-	var past *http.MaxBytesError
-	if errors.As(err, &past) {
-		return tooLarge(past.Limit)
-	}
-	return BadRequest("invalid JSON body: %v", err)
-}
-
 // ReadBody reads a request body whole, for a handler that walks it in
 // place, never past maxBytes. A body past the cap is a 413, a declared
 // one before a byte of it is read. A declared Content-Length sizes the
@@ -113,7 +84,7 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) e
 // body and sends little of it holds little memory.
 func ReadBody(r *http.Request, maxBytes int64) ([]byte, error) {
 	if r.ContentLength > maxBytes {
-		return nil, tooLarge(maxBytes)
+		return nil, TooLarge(maxBytes)
 	}
 	declared := maxBytes
 	if r.ContentLength >= 0 {
@@ -131,7 +102,7 @@ func ReadBody(r *http.Request, maxBytes int64) ([]byte, error) {
 			return body, nil
 		}
 		if int64(len(body)) > maxBytes {
-			return nil, tooLarge(maxBytes)
+			return nil, TooLarge(maxBytes)
 		}
 		next := min(2*int64(cap(body)), maxBytes+1)
 		if int64(len(body)) <= declared {
@@ -147,7 +118,8 @@ func ReadBody(r *http.Request, maxBytes int64) ([]byte, error) {
 // before any of the body has arrived.
 const bodyChunk = 64 << 10
 
-func tooLarge(maxBytes int64) error {
+// TooLarge is the 413 *Error for a body past maxBytes.
+func TooLarge(maxBytes int64) error {
 	return &Error{Code: http.StatusRequestEntityTooLarge, Msg: fmt.Sprintf("request body exceeds %d bytes", maxBytes)}
 }
 

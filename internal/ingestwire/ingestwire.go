@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"strconv"
 
 	"stochroute/internal/graph"
 	"stochroute/internal/httpsvc"
@@ -41,7 +40,7 @@ import (
 func Scan(body []byte) ([]traj.Trajectory, error) {
 	var trs []traj.Trajectory
 	err := walk(body, func(c *httpsvc.Cursor) (err error) {
-		trs, err = scanArray(c, trs, func(c *httpsvc.Cursor, t *traj.Trajectory) error { return scanTrip(c, t, nil) })
+		trs, err = httpsvc.ScanArray(c, trs, func(c *httpsvc.Cursor, t *traj.Trajectory) error { return scanTrip(c, t, nil) })
 		return err
 	})
 	if err != nil {
@@ -141,11 +140,11 @@ func scanTrip(c *httpsvc.Cursor, t *traj.Trajectory, written *int) error {
 		k := c.Key()
 		switch {
 		case httpsvc.KeyIs(k, "edges"):
-			if t.Edges, err = scanArray(c, t.Edges, scanEdge); err != nil {
+			if t.Edges, err = httpsvc.ScanArray(c, t.Edges, scanEdge); err != nil {
 				return fmt.Errorf(".edges%v", err)
 			}
 		case httpsvc.KeyIs(k, "times"):
-			if t.Times, err = scanArray(c, t.Times, scanFloat); err != nil {
+			if t.Times, err = httpsvc.ScanArray(c, t.Times, scanFloat); err != nil {
 				return fmt.Errorf(".times%v", err)
 			}
 			if written != nil {
@@ -160,41 +159,6 @@ func scanTrip(c *httpsvc.Cursor, t *traj.Trajectory, written *int) error {
 		}
 	}
 	return nil
-}
-
-// scanArray walks the array at the cursor into dst as encoding/json
-// decodes an array into a slice that already holds dst: element i into
-// dst[i], reusing dst's array when the elements fit in its capacity and
-// otherwise one array of exactly their number, which starts as a copy
-// of all of dst's; an empty array is an empty slice and null a nil one.
-// An error begins with the failing element's index.
-func scanArray[T any](c *httpsvc.Cursor, dst []T, elem func(*httpsvc.Cursor, *T) error) ([]T, error) {
-	switch c.Peek() {
-	case 'n':
-		c.Value()
-		return nil, nil
-	case '[':
-	default:
-		return nil, fmt.Errorf(": want an array, got %s", httpsvc.Kind(c.Value()))
-	}
-	n := c.Len()
-	switch {
-	case n == 0:
-		dst = []T{}
-	case n > cap(dst):
-		grown := make([]T, n)
-		copy(grown, dst[:cap(dst)])
-		dst = grown
-	default:
-		dst = dst[:n]
-	}
-	c.Open('[')
-	for i := 0; c.More(); i++ {
-		if err := elem(c, &dst[i]); err != nil {
-			return nil, fmt.Errorf("[%d]%v", i, err)
-		}
-	}
-	return dst, nil
 }
 
 // scanEdge reads an edge ID: null keeps *id, an integer literal in
@@ -220,8 +184,8 @@ func scanFloat(c *httpsvc.Cursor, f *float64) error {
 	if v[0] == 'n' {
 		return nil
 	}
-	x, err := strconv.ParseFloat(string(v), 64)
-	if err != nil {
+	x, ok := httpsvc.Float(v)
+	if !ok {
 		return fmt.Errorf(": want a finite float64, got %s", httpsvc.Describe(v))
 	}
 	*f = x

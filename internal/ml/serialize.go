@@ -116,6 +116,9 @@ func ReadNetwork(r io.Reader) (*Network, error) {
 		if in == 0 || out == 0 || uint64(in)*uint64(out) > 1<<24 {
 			return nil, fmt.Errorf("ml: implausible dense dims %dx%d", in, out)
 		}
+		if k := len(net.Layers); k > 0 && int(in) != net.Layers[k-1].W.Cols {
+			return nil, fmt.Errorf("ml: layer %d takes %d inputs, but the layer before it has %d outputs", i, in, net.Layers[k-1].W.Cols)
+		}
 		w, err := readFloats(br, int(in*out))
 		if err != nil {
 			return nil, err

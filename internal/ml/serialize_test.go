@@ -65,6 +65,10 @@ func TestNetworkReadErrors(t *testing.T) {
 	// nothing else, and the writer writes that sequence back byte for
 	// byte.
 	dense := "\x00\x01\x00\x00\x00\x01\x00\x00\x00" + strings.Repeat("\x00", 16) // 1×1
+	// A 2×3 dense layer, a relu, then a 5×1 one: 3 outputs feed 5 inputs.
+	unchained := "SRML\x03\x00\x00\x00" +
+		"\x00\x02\x00\x00\x00\x03\x00\x00\x00" + strings.Repeat("\x00", 8*(2*3+3)) + "\x01" +
+		"\x00\x05\x00\x00\x00\x01\x00\x00\x00" + strings.Repeat("\x00", 8*(5*1+1))
 	mlp := "SRML\x03\x00\x00\x00" + dense + "\x01" + dense
 	two, err := ReadNetwork(strings.NewReader(mlp))
 	if err != nil {
@@ -79,6 +83,7 @@ func TestNetworkReadErrors(t *testing.T) {
 		"a leading relu":            "SRML\x03\x00\x00\x00\x01" + dense + "\x01",
 		"two dense layers in a row": "SRML\x03\x00\x00\x00" + dense + dense + dense,
 		"an even layer count":       "SRML\x02\x00\x00\x00" + dense + "\x01",
+		"layers that do not chain":  unchained,
 	} {
 		if _, err := ReadNetwork(strings.NewReader(data)); err == nil {
 			t.Errorf("%s was read", name)

@@ -12,8 +12,10 @@ import (
 )
 
 // For calls fn(i) once for every i in [0, n) on min(workers, n) workers
-// and returns when all of them have; workers ≤ 0 means GOMAXPROCS. With
-// one worker it is a plain loop on the caller's goroutine.
+// and returns when all of them have; workers ≤ 0 means GOMAXPROCS. The
+// calling goroutine is one of the workers, so For starts one goroutine
+// fewer than it has workers; with one worker it is a plain loop on the
+// caller's goroutine.
 //
 // fn must confine its writes to what index i owns (element i of a
 // pre-sized slice, column i of a table); For orders every such write
@@ -38,48 +40,65 @@ func For(n, workers int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	var (
-		next     atomic.Int64 // the next unclaimed index; n once anything failed
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		failed   = n // lowest failing index so far
-		firstErr error
-		panicked any
-	)
-	work := func() {
-		defer wg.Done()
-		defer func() {
-			if p := recover(); p != nil {
-				next.Store(int64(n))
-				mu.Lock()
-				if panicked == nil {
-					panicked = p
-				}
-				mu.Unlock()
+	p := &pool{fn: fn, n: n, failed: n}
+	p.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go p.spawned()
+	}
+	p.work()
+	p.wg.Wait()
+	if p.panicked != nil {
+		panic(p.panicked)
+	}
+	return p.firstErr
+}
+
+// pool is one For call's shared state, a single allocation.
+type pool struct {
+	fn       func(i int) error
+	n        int
+	next     atomic.Int64 // the next unclaimed index; n once anything failed
+	wg       sync.WaitGroup
+	mu       sync.Mutex
+	failed   int // lowest failing index so far
+	firstErr error
+	panicked any
+}
+
+// spawned is the body of a worker For started.
+func (p *pool) spawned() {
+	defer p.wg.Done()
+	p.work()
+}
+
+// work claims and runs indices until none is left or one has failed.
+func (p *pool) work() {
+	defer p.recoverPanic()
+	for {
+		i := int(p.next.Add(1)) - 1
+		if i >= p.n {
+			return
+		}
+		if err := p.fn(i); err != nil {
+			p.next.Store(int64(p.n))
+			p.mu.Lock()
+			if i < p.failed {
+				p.failed, p.firstErr = i, err
 			}
-		}()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if err := fn(i); err != nil {
-				next.Store(int64(n))
-				mu.Lock()
-				if i < failed {
-					failed, firstErr = i, err
-				}
-				mu.Unlock()
-			}
+			p.mu.Unlock()
 		}
 	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go work()
+}
+
+// recoverPanic stops the claiming on a panic in fn and keeps the first
+// one for For to raise.
+func (p *pool) recoverPanic() {
+	if v := recover(); v != nil {
+		p.next.Store(int64(p.n))
+		p.mu.Lock()
+		if p.panicked == nil {
+			p.panicked = v
+		}
+		p.mu.Unlock()
 	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-	return firstErr
 }

@@ -107,7 +107,10 @@ type Result struct {
 	// was cut off by an anytime limit). Empty iff Found is false or
 	// source == dest.
 	Path []graph.EdgeID
-	// Dist is the model's travel-time distribution of Path.
+	// Dist is the model's travel-time distribution of Path. A search
+	// that builds its answer points it at the Result's own header, so a
+	// Result and that header are one allocation: keep *Dist, not Dist,
+	// to hold the distribution without the Result.
 	Dist *hist.Hist
 	// Prob is P(travel time <= Budget) under Dist.
 	Prob float64
@@ -161,6 +164,8 @@ type Result struct {
 	// the per-query memory telemetry behind the search_arena_bytes
 	// histogram.
 	ArenaBytes int64
+
+	dist hist.Hist // Dist's header when the search built the answer
 }
 
 // label is a partial path in the search.
@@ -245,7 +250,8 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 		res.Found = true
 		res.Complete = true
 		res.Prob = 1
-		res.Dist = hist.Delta(0, c.Width())
+		res.dist = hist.Hist{Min: 0, Width: c.Width(), P: []float64{1}}
+		res.Dist = &res.dist
 		res.Runtime = time.Since(start)
 		return res, nil
 	}
@@ -652,7 +658,8 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 		return res, nil
 	}
 	res.Prob = pivotProb
-	res.Dist = ws.pivot.Clone()
+	res.dist = hist.Hist{Min: ws.pivot.Min, Width: ws.pivot.Width, P: slices.Clone(ws.pivot.P)}
+	res.Dist = &res.dist
 	res.Path, res.SliceSeq = reconstruct(ws.labels, pivotIdx, useTemporal)
 	return res, nil
 }

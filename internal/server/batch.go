@@ -1,9 +1,12 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
+	"sync"
 	"time"
 
 	"stochroute/internal/graph"
@@ -27,12 +30,13 @@ type batchQueryRequest struct {
 	TimeExpanded bool    `json:"time_expanded"`
 }
 
-type batchRequest struct {
-	Queries []batchQueryRequest `json:"queries"`
-}
-
 // maxBatchBytes caps one /route/batch request body.
 const maxBatchBytes = 1 << 20
+
+// batchBufs recycles /route/batch request bodies. A body is walked into
+// values before its batch runs and goes back at once: nothing an answer
+// or the cache keeps points into it.
+var batchBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // batchItemResponse is one per-query answer: the same shape as /route
 // plus an error string for queries that individually failed (the batch
@@ -70,22 +74,22 @@ type batchResponse struct {
 // query boundary.
 func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) error {
 	start := time.Now()
-	var req batchRequest
-	if err := httpsvc.DecodeJSON(w, r, maxBatchBytes, &req); err != nil {
+	queries, err := readBatch(r, maxBatchBytes)
+	if err != nil {
 		return err
 	}
-	if len(req.Queries) == 0 {
+	if len(queries) == 0 {
 		return httpsvc.BadRequest("queries: empty batch")
 	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		return httpsvc.BadRequest("queries: batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch)
+	if len(queries) > s.cfg.MaxBatch {
+		return httpsvc.BadRequest("queries: batch of %d exceeds limit %d", len(queries), s.cfg.MaxBatch)
 	}
 	// Whole-batch validation: a malformed query 400s the entire batch,
 	// so the error names BOTH the offending index and the offending
 	// field (queries[i].<field>) — a client replaying thousands of
 	// items must be able to find the bad value without bisecting.
 	g := s.backend.Graph()
-	for i, q := range req.Queries {
+	for i, q := range queries {
 		if q.Source < 0 || q.Source >= g.NumVertices() {
 			return httpsvc.BadRequest("queries[%d].source: vertex %d out of range [0, %d)", i, q.Source, g.NumVertices())
 		}
@@ -103,7 +107,7 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) error 
 	// Advance every slice cache touched by the batch to its slice's
 	// serving epoch once, up front.
 	touched := make(map[int]bool)
-	for _, q := range req.Queries {
+	for _, q := range queries {
 		touched[s.backend.SliceOf(q.Depart)] = true
 	}
 	for slice := range touched {
@@ -118,10 +122,10 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) error 
 	ctx := r.Context()
 	traceID := obs.SpanFromContext(ctx).TraceID()
 
-	out := &batchResponse{Results: make([]batchItemResponse, len(req.Queries))}
-	var misses []routing.BatchQuery
-	var missIdx []int
-	for i, q := range req.Queries {
+	out := &batchResponse{Results: make([]batchItemResponse, len(queries))}
+	misses := make([]routing.BatchQuery, 0, len(queries))
+	missIdx := make([]int, 0, len(queries))
+	for i, q := range queries {
 		itemStart := time.Now()
 		src, dst := graph.VertexID(q.Source), graph.VertexID(q.Dest)
 		slice := s.backend.SliceOf(q.Depart)
@@ -186,4 +190,129 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) error 
 	}
 	out.RuntimeMS = msSince(start)
 	return writeAppended(w, out.appendJSON)
+}
+
+// readBatch reads a /route/batch body, capped at maxBytes, into a pooled
+// buffer and walks it into its queries (scanBatch). A body past the cap
+// is a 413, a declared one before a byte of it is read.
+func readBatch(r *http.Request, maxBytes int64) ([]batchQueryRequest, error) {
+	if r.ContentLength > maxBytes {
+		return nil, httpsvc.TooLarge(maxBytes)
+	}
+	buf := batchBufs.Get().(*[]byte)
+	defer batchBufs.Put(buf)
+	body, err := httpsvc.AppendAll((*buf)[:0], r.Body, int(maxBytes))
+	*buf = body
+	if err != nil {
+		return nil, httpsvc.BadRequest("read body: %v", err)
+	}
+	if int64(len(body)) > maxBytes {
+		return nil, httpsvc.TooLarge(maxBytes)
+	}
+	return scanBatch(body)
+}
+
+// scanBatch walks a /route/batch body in place, once json.Valid has
+// accepted it, into its queries, one allocation sized by counting the
+// array first.
+//
+// It accepts exactly what a json.Decoder with DisallowUnknownFields
+// accepts of the body as {queries: []batchQueryRequest}, and returns
+// the queries that decode leaves (FuzzScanRouteBatch holds it to that
+// decode): unknown fields are refused at both levels, keys match under
+// case folding and the last repeated key wins, a null field or query
+// keeps what it held, and a repeated queries array is decoded into the
+// one before it. Numbers are parsed as encoding/json fills the fields:
+// source and dest take an integer literal in int range, budget_s and
+// depart_s a finite float64, time_expanded a boolean. Every error is a
+// 400 *httpsvc.Error.
+func scanBatch(body []byte) ([]batchQueryRequest, error) {
+	if !json.Valid(body) {
+		return nil, httpsvc.BadRequest("invalid JSON body: %v", httpsvc.SyntaxError(body))
+	}
+	c := httpsvc.NewCursor(body)
+	isObject, err := c.Open('{')
+	if err != nil {
+		return nil, httpsvc.BadRequest("invalid JSON body: %v", err)
+	}
+	var queries []batchQueryRequest
+	for isObject && c.More() {
+		k := c.Key()
+		if !httpsvc.KeyIs(k, "queries") {
+			return nil, httpsvc.BadRequest("invalid JSON body: unknown field %s", k)
+		}
+		if queries, err = httpsvc.ScanArray(&c, queries, scanQuery); err != nil {
+			return nil, httpsvc.BadRequest("invalid JSON body: queries%v", err)
+		}
+	}
+	return queries, nil
+}
+
+// scanQuery walks one element of the queries array into q. The error
+// begins with what follows "queries[i]" in the client's message.
+func scanQuery(c *httpsvc.Cursor, q *batchQueryRequest) error {
+	isObject, err := c.Open('{')
+	if err != nil {
+		return fmt.Errorf(": %v", err)
+	}
+	for isObject && c.More() {
+		k := c.Key()
+		v := c.Value()
+		var name, want string
+		var ok bool
+		switch {
+		case httpsvc.KeyIs(k, "source"):
+			name, want, ok = "source", "an integer", setInt(&q.Source, v)
+		case httpsvc.KeyIs(k, "dest"):
+			name, want, ok = "dest", "an integer", setInt(&q.Dest, v)
+		case httpsvc.KeyIs(k, "budget_s"):
+			name, want, ok = "budget_s", "a finite float64", setFloat(&q.Budget, v)
+		case httpsvc.KeyIs(k, "depart_s"):
+			name, want, ok = "depart_s", "a finite float64", setFloat(&q.Depart, v)
+		case httpsvc.KeyIs(k, "time_expanded"):
+			name, want, ok = "time_expanded", "a boolean", setBool(&q.TimeExpanded, v)
+		default:
+			return fmt.Errorf(": unknown field %s", k)
+		}
+		if !ok {
+			return fmt.Errorf(".%s: want %s, got %s", name, want, httpsvc.Describe(v))
+		}
+	}
+	return nil
+}
+
+// setInt, setFloat and setBool store a field's value as encoding/json
+// does: null keeps the field, a value of the field's type replaces it,
+// and anything else reports false.
+func setInt(f *int, v []byte) bool {
+	if v[0] == 'n' {
+		return true
+	}
+	n, ok := httpsvc.Integer(v)
+	if ok {
+		*f = n
+	}
+	return ok
+}
+
+func setFloat(f *float64, v []byte) bool {
+	if v[0] == 'n' {
+		return true
+	}
+	x, ok := httpsvc.Float(v)
+	if ok {
+		*f = x
+	}
+	return ok
+}
+
+func setBool(f *bool, v []byte) bool {
+	switch v[0] {
+	case 'n':
+	case 't', 'f':
+		*f = v[0] == 't'
+	default:
+		return false
+	}
+	return true
 }

@@ -106,11 +106,12 @@
 // JSON request bodies are hardened: they are capped (Config.MaxIngestBytes
 // for /ingest, read whole by httpsvc.ReadBody into a buffer that grows
 // as the body arrives, up to its declared Content-Length, and a fixed
-// 1 MiB for /route/batch, read through http.MaxBytesReader; 413 past
-// the cap, wherever the value ends, and for /ingest whatever the body
-// holds) and unknown fields and trailing data are rejected, so an
-// oversized or malformed payload can neither balloon memory nor be
-// silently half-parsed.
+// 1 MiB for /route/batch, read into a pooled buffer; 413 past the cap
+// whatever the body holds) and walked in place with encoding/json's
+// rules (ingestwire.Scan, scanBatch), unknown fields and trailing data
+// rejected, so an oversized or malformed payload can neither balloon
+// memory nor be silently half-parsed. A /route/batch body becomes one
+// slice of queries and goes back to its pool before the batch runs.
 //
 // # Concurrency and the cost kernel
 //

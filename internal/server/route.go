@@ -40,9 +40,11 @@ func markCache(w http.ResponseWriter, hit bool) {
 // travel-time distribution, from which any budget in the key's bucket
 // recomputes its exact on-time probability, plus the model epoch that
 // computed it (also the entry's cache-validity tag).
+// The distribution's header is held by value, so an entry pins its
+// path and masses and nothing else of the search's Result.
 type routeEntry struct {
 	path  []graph.EdgeID
-	dist  *hist.Hist
+	dist  hist.Hist
 	epoch uint64
 }
 
@@ -117,7 +119,7 @@ func (s *Server) routeKeyOf(src, dst graph.VertexID, budget float64) routeKey {
 func (s *Server) storeResult(src, dst graph.VertexID, opts routing.Options, res *routing.Result) {
 	if !opts.TimeExpanded && res.Found && res.Complete {
 		s.routes[res.Slice].PutAt(s.routeKeyOf(src, dst, opts.Budget),
-			routeEntry{path: res.Path, dist: res.Dist, epoch: res.ModelEpoch}, res.ModelEpoch)
+			routeEntry{path: res.Path, dist: *res.Dist, epoch: res.ModelEpoch}, res.ModelEpoch)
 	}
 }
 
