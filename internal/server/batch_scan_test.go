@@ -146,6 +146,40 @@ func FuzzScanRouteBatch(f *testing.F) {
 	})
 }
 
+// TestScanRouteBatchEndsAtTheBody: only whitespace may follow the
+// batch, and a body past the cap is a 413 even when its value ends
+// inside it, whether or not the body declares its length.
+func TestScanRouteBatchEndsAtTheBody(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		want int // 0 = accepted
+	}{
+		{`{"queries":[]}`, 0},
+		{"{\"queries\":[]} \n\t", 0},
+		{`{"queries":[]}]`, http.StatusBadRequest},
+		{`{"queries":[]}}`, http.StatusBadRequest},
+		{`{"queries":[]} {}`, http.StatusBadRequest},
+		{`{"queries":[]}x`, http.StatusBadRequest},
+		{`{"queries":[]}` + strings.Repeat(" ", 64), http.StatusRequestEntityTooLarge},
+		{`{"queries":[{"source":` + strings.Repeat("1", 64) + `}]}`, http.StatusRequestEntityTooLarge},
+	} {
+		for _, declared := range []bool{true, false} {
+			r := httptest.NewRequest(http.MethodPost, "/route/batch", strings.NewReader(tc.body))
+			if !declared {
+				r.ContentLength = -1
+			}
+			_, err := readBatch(r, 32)
+			var e *httpsvc.Error
+			switch {
+			case tc.want == 0 && err != nil:
+				t.Errorf("%q (declared %v): %v, want accepted", tc.body, declared, err)
+			case tc.want != 0 && (!errors.As(err, &e) || e.Code != tc.want):
+				t.Errorf("%q (declared %v): %v, want status %d", tc.body, declared, err, tc.want)
+			}
+		}
+	}
+}
+
 // cannedBackend answers every batch item with one prebuilt result into
 // one reused item slice, so what a batch allocates is the handler's.
 type cannedBackend struct {
