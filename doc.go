@@ -85,10 +85,11 @@
 // A warmed search therefore allocates only what escapes it, once, on
 // the way out: the Result with its distribution, edge path and slice
 // sequence, and the per-request QueryStats that holds the coster view.
-// The pivot lives in the workspace until then. TestRouteSteadyStateAllocs
-// holds a routed query to 8 allocations at steady state (11 with a
-// SeedPath, whose seed keeps a copy of its own), which is what lets one
-// engine serve batch traffic at scale.
+// The pivot lives in the workspace until then; a SeedPath is only the
+// search's first pivot, so a seeded query's answer is built the same
+// way. TestRouteSteadyStateAllocs holds a routed query, seeded or not,
+// to 6 allocations at steady state, which is what lets one engine serve
+// batch traffic at scale.
 //
 // # The preprocessing layer: ALT landmark potentials
 //

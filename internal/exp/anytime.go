@@ -46,7 +46,6 @@ func RunAnytimeCurve(s *Setup, out io.Writer) ([]AnytimePoint, error) {
 				Budget:        budget,
 				MaxExpansions: limit,
 				SeedPath:      basePath,
-				SwitchMargin:  switchMarginFor(len(basePath)),
 			})
 			if err != nil {
 				return nil, err

@@ -15,6 +15,7 @@ func QualityCSV(w io.Writer, rows []QualityRow) error {
 	cw := csv.NewWriter(w)
 	header := []string{"dist_km", "queries", "base_p", "pbr_p",
 		"improved_frac_pinf", "improved_frac_p1", "improved_frac_p5", "improved_frac_p10",
+		"worse_frac_pinf", "worse_frac_p1", "worse_frac_p5", "worse_frac_p10",
 		"mean_pp_pinf", "mean_pp_p1", "mean_pp_p5", "mean_pp_p10"}
 	if err := cw.Write(header); err != nil {
 		return err
@@ -26,6 +27,9 @@ func QualityCSV(w io.Writer, rows []QualityRow) error {
 			f(r.MeanBaseProb), f(r.MeanPBRProb),
 		}
 		for _, v := range r.ImprovedFrac {
+			rec = append(rec, f(v))
+		}
+		for _, v := range r.WorseFrac {
 			rec = append(rec, f(v))
 		}
 		for _, v := range r.Improvement {

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/csv"
+	"slices"
 	"testing"
 )
 
@@ -11,6 +12,7 @@ func TestQualityCSV(t *testing.T) {
 		Category:     "[1, 5)",
 		Queries:      12,
 		ImprovedFrac: []float64{0.5, 0.25, 0.4, 0.5},
+		WorseFrac:    []float64{0.25, 0, 0.1, 0.25},
 		Improvement:  []float64{3.2, 1.1, 2.0, 3.0},
 		MeanBaseProb: 0.6,
 		MeanPBRProb:  0.66,
@@ -31,6 +33,9 @@ func TestQualityCSV(t *testing.T) {
 	}
 	if recs[1][0] != "[1, 5)" || recs[1][1] != "12" {
 		t.Errorf("row = %v", recs[1])
+	}
+	if i := slices.Index(recs[0], "worse_frac_pinf"); i < 0 || recs[1][i] != "0.25" {
+		t.Errorf("worse_frac_pinf: column %d of header %v, row %v", i, recs[0], recs[1])
 	}
 }
 

@@ -125,6 +125,11 @@ func TestRunQualityShape(t *testing.T) {
 		if row.Improvement[0] < -2 {
 			t.Errorf("category %s: P∞ mean improvement %.1fpp too negative", row.Category, row.Improvement[0])
 		}
+		for i := range row.ImprovedFrac {
+			if row.ImprovedFrac[i]+row.WorseFrac[i] > 1 {
+				t.Errorf("category %s, limit %d: %.2f improved and %.2f worse add up past 1", row.Category, i, row.ImprovedFrac[i], row.WorseFrac[i])
+			}
+		}
 		// Anytime quality is monotone within noise: P1 <= P10 <= P∞.
 		const slack = 0.2 // fraction slack for small query counts
 		if row.ImprovedFrac[1] > row.ImprovedFrac[3]+slack {

@@ -7,7 +7,6 @@ import (
 	"text/tabwriter"
 
 	"stochroute"
-	"stochroute/internal/graph"
 	"stochroute/internal/hist"
 	"stochroute/internal/hybrid"
 	"stochroute/internal/par"
@@ -219,12 +218,14 @@ func AnytimeExpansions(scale Scale) []int {
 // QualityRow is one row of the paper's Quality table. The headline
 // numbers (matching the paper's 13%/53%/60% reading) are the fractions
 // of queries in which PBR's path strictly beats the mean-cost baseline
-// on true on-time probability; the mean improvement in percentage
-// points is reported alongside. Column order: P∞, P1, P5, P10.
+// on true on-time probability; the fractions it loses to the baseline
+// and the mean improvement in percentage points are reported
+// alongside. Column order: P∞, P1, P5, P10.
 type QualityRow struct {
 	Category     string
 	Queries      int
 	ImprovedFrac []float64 // fraction of queries improved, [P∞, P1, P5, P10]
+	WorseFrac    []float64 // fraction of queries worse, [P∞, P1, P5, P10]
 	Improvement  []float64 // mean percentage points, [P∞, P1, P5, P10]
 	MeanBaseProb float64
 	MeanPBRProb  float64 // at P∞
@@ -239,18 +240,6 @@ type QualityRow struct {
 // leak) and scales correctly with query length, unlike a fixed multiple
 // of the optimistic time.
 const budgetQuantile = 0.6
-
-// switchMarginFor returns the decisive-switch margin for a query whose
-// baseline path has the given edge count. The hybrid model's path-level
-// ranking noise compounds with length, so leaving a known-good baseline
-// requires a proportionally stronger modelled advantage.
-func switchMarginFor(baseEdges int) float64 {
-	m := 0.015 + 0.0012*float64(baseEdges)
-	if m > 0.2 {
-		m = 0.2
-	}
-	return m
-}
 
 // RunQuality reproduces the paper's Quality table. For every query the
 // deadline is the budgetQuantile of the baseline path's convolution
@@ -290,41 +279,18 @@ func RunQuality(s *Setup, out io.Writer) ([]QualityRow, error) {
 				baseProb: baseTrue.ProbWithinBudget(budget),
 				probs:    make([]float64, len(limits)),
 			}
-			conv := convolutionCoster(s)
-			baseConv, err := hybrid.PathCost(conv, basePath)
-			if err != nil {
-				return err
-			}
-			baseConvProb := baseConv.ProbWithinBudget(budget)
 			for li, limit := range limits {
 				res, err := eng.RouteCtx(context.Background(), q.Source, q.Dest, stochroute.RouteOptions{
 					Budget:        budget,
 					MaxExpansions: limit,
 					SeedPath:      basePath,
-					SwitchMargin:  switchMarginFor(len(basePath)),
 				})
 				if err != nil {
 					return fmt.Errorf("exp: PBR %s query: %w", catName, err)
 				}
-				path := res.Path
-				// Second-opinion veto: accept a switch away from the
-				// baseline only if the convolution model does not
-				// clearly contradict it. The two models err differently
-				// (independence bias vs learned-drift noise); a path
-				// only one of them likes is usually a fantasy of that
-				// model.
-				if res.Found && len(path) > 0 && !samePath(path, basePath) {
-					altConv, err := hybrid.PathCost(conv, path)
-					if err != nil {
-						return err
-					}
-					if altConv.ProbWithinBudget(budget) < baseConvProb-0.02 {
-						path = basePath
-					}
-				}
 				prob := 0.0
-				if res.Found && len(path) > 0 {
-					pbrTrue, err := eng.TrueDistribution(path)
+				if res.Found && len(res.Path) > 0 {
+					pbrTrue, err := eng.TrueDistribution(res.Path)
 					if err != nil {
 						return err
 					}
@@ -344,6 +310,7 @@ func RunQuality(s *Setup, out io.Writer) ([]QualityRow, error) {
 		row := QualityRow{
 			Category:     catName,
 			ImprovedFrac: make([]float64, len(limits)),
+			WorseFrac:    make([]float64, len(limits)),
 			Improvement:  make([]float64, len(limits)),
 		}
 		var sumBase, sumPBR float64
@@ -358,6 +325,8 @@ func RunQuality(s *Setup, out io.Writer) ([]QualityRow, error) {
 				row.Improvement[li] += 100 * (prob - out.baseProb)
 				if prob > out.baseProb+0.005 {
 					row.ImprovedFrac[li]++
+				} else if prob < out.baseProb-0.005 {
+					row.WorseFrac[li]++
 				}
 				if li == 0 {
 					sumPBR += prob
@@ -370,6 +339,7 @@ func RunQuality(s *Setup, out io.Writer) ([]QualityRow, error) {
 		for li := range row.Improvement {
 			row.Improvement[li] /= float64(used)
 			row.ImprovedFrac[li] /= float64(used)
+			row.WorseFrac[li] /= float64(used)
 		}
 		row.Queries = used
 		row.MeanBaseProb = sumBase / float64(used)
@@ -380,10 +350,10 @@ func RunQuality(s *Setup, out io.Writer) ([]QualityRow, error) {
 	fmt.Fprintln(out, "E5  Quality: % of queries where PBR's path beats the mean-cost baseline")
 	fmt.Fprintf(out, "     (true on-time probability; anytime expansion budgets %v stand in for 1/5/10 s)\n", AnytimeExpansions(s.Scale))
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Dist (km)\tP∞\tP1\tP5\tP10\tmean Δ at P∞\tqueries\tbase P\tPBR P")
+	fmt.Fprintln(tw, "Dist (km)\tP∞\tworse at P∞\tP1\tP5\tP10\tmean Δ at P∞\tqueries\tbase P\tPBR P")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.0f%%\t%.0f%%\t%.0f%%\t%.0f%%\t%+.1fpp\t%d\t%.2f\t%.2f\n",
-			r.Category, 100*r.ImprovedFrac[0], 100*r.ImprovedFrac[1], 100*r.ImprovedFrac[2], 100*r.ImprovedFrac[3],
+		fmt.Fprintf(tw, "%s\t%.0f%%\t%.0f%%\t%.0f%%\t%.0f%%\t%.0f%%\t%+.1fpp\t%d\t%.2f\t%.2f\n",
+			r.Category, 100*r.ImprovedFrac[0], 100*r.WorseFrac[0], 100*r.ImprovedFrac[1], 100*r.ImprovedFrac[2], 100*r.ImprovedFrac[3],
 			r.Improvement[0], r.Queries, r.MeanBaseProb, r.MeanPBRProb)
 	}
 	tw.Flush()
@@ -443,25 +413,6 @@ func RunEfficiency(s *Setup, out io.Writer) ([]EfficiencyRow, error) {
 	tw.Flush()
 	fmt.Fprintln(out)
 	return rows, nil
-}
-
-func samePath(a, b []graph.EdgeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// convolutionCoster is the independence model E5's veto reads: slice
-// 0's knowledge base with 1024 buckets of support, twice the serving
-// model's cap — the model Engine.QuantileBudget sets deadlines by.
-func convolutionCoster(s *Setup) *hybrid.ConvolutionCoster {
-	return &hybrid.ConvolutionCoster{KB: s.Engine.SliceKnowledgeBase(0), MaxBuckets: 1024}
 }
 
 // ---------------------------------------------------------------------------

@@ -188,8 +188,11 @@ func Float(v []byte) (float64, bool) {
 // dst[i], reusing dst's array when the elements fit in its capacity and
 // otherwise one array of exactly their number, which starts as a copy
 // of all of dst's; an empty array is an empty slice and null a nil one.
-// An error begins with the failing element's index.
-func ScanArray[T any](c *Cursor, dst []T, elem func(*Cursor, *T) error) ([]T, error) {
+// elem reads one element, at c, into its argument; it is handed no
+// cursor, so a caller's cursor can stay on its stack (a closure that
+// captures it does not escape). An error begins with the failing
+// element's index.
+func ScanArray[T any](c *Cursor, dst []T, elem func(*T) error) ([]T, error) {
 	switch c.Peek() {
 	case 'n':
 		c.Value()
@@ -211,7 +214,7 @@ func ScanArray[T any](c *Cursor, dst []T, elem func(*Cursor, *T) error) ([]T, er
 	}
 	c.Open('[')
 	for i := 0; c.More(); i++ {
-		if err := elem(c, &dst[i]); err != nil {
+		if err := elem(&dst[i]); err != nil {
 			return nil, fmt.Errorf("[%d]%v", i, err)
 		}
 	}

@@ -39,8 +39,9 @@ import (
 // nothing else. Every error is a 400 *httpsvc.Error.
 func Scan(body []byte) ([]traj.Trajectory, error) {
 	var trs []traj.Trajectory
-	err := walk(body, func(c *httpsvc.Cursor) (err error) {
-		trs, err = httpsvc.ScanArray(c, trs, func(c *httpsvc.Cursor, t *traj.Trajectory) error { return scanTrip(c, t, nil) })
+	var c httpsvc.Cursor
+	err := walk(body, &c, func() (err error) {
+		trs, err = httpsvc.ScanArray(&c, trs, func(t *traj.Trajectory) error { return scanTrip(&c, t, nil) })
 		return err
 	})
 	if err != nil {
@@ -60,8 +61,9 @@ func Scan(body []byte) ([]traj.Trajectory, error) {
 // of the one before, is counted from Scan's trips.
 func Count(body []byte) (accepted, rejected int, err error) {
 	var scratch traj.Trajectory
+	var c httpsvc.Cursor
 	members := 0
-	err = walk(body, func(c *httpsvc.Cursor) error {
+	err = walk(body, &c, func() error {
 		if members++; members > 1 {
 			c.Value() // counted from Scan's trips below
 			return nil
@@ -72,7 +74,7 @@ func Count(body []byte) (accepted, rejected int, err error) {
 		}
 		for n := 0; isArray && c.More(); n++ {
 			written := 0
-			if err := scanTrip(c, &scratch, &written); err != nil {
+			if err := scanTrip(&c, &scratch, &written); err != nil {
 				return fmt.Errorf("[%d]%v", n, err)
 			}
 			if scratch.Acceptable(nil) {
@@ -105,14 +107,16 @@ func Count(body []byte) (accepted, rejected int, err error) {
 	return accepted, rejected, nil
 }
 
-// walk checks body's syntax and walks its top-level object, handing
-// the cursor to trips at each "trajectories" value. An unknown member,
-// or an error from trips, is a 400.
-func walk(body []byte, trips func(*httpsvc.Cursor) error) error {
+// walk checks body's syntax, puts c at its start and walks its
+// top-level object, calling trips with c at each "trajectories" value.
+// An unknown member, or an error from trips, is a 400. trips reads the
+// caller's cursor, not an argument, so the cursor stays on the
+// caller's stack.
+func walk(body []byte, c *httpsvc.Cursor, trips func() error) error {
 	if !json.Valid(body) {
 		return httpsvc.BadRequest("invalid JSON body: %v", httpsvc.SyntaxError(body))
 	}
-	c := httpsvc.NewCursor(body)
+	*c = httpsvc.NewCursor(body)
 	isObject, err := c.Open('{')
 	if err != nil {
 		return httpsvc.BadRequest("invalid JSON body: %v", err)
@@ -122,7 +126,7 @@ func walk(body []byte, trips func(*httpsvc.Cursor) error) error {
 		if !httpsvc.KeyIs(k, "trajectories") {
 			return httpsvc.BadRequest("invalid JSON body: unknown field %s", k)
 		}
-		if err := trips(&c); err != nil {
+		if err := trips(); err != nil {
 			return httpsvc.BadRequest("invalid JSON body: trajectories%v", err)
 		}
 	}
@@ -140,11 +144,11 @@ func scanTrip(c *httpsvc.Cursor, t *traj.Trajectory, written *int) error {
 		k := c.Key()
 		switch {
 		case httpsvc.KeyIs(k, "edges"):
-			if t.Edges, err = httpsvc.ScanArray(c, t.Edges, scanEdge); err != nil {
+			if t.Edges, err = httpsvc.ScanArray(c, t.Edges, func(id *graph.EdgeID) error { return scanEdge(c, id) }); err != nil {
 				return fmt.Errorf(".edges%v", err)
 			}
 		case httpsvc.KeyIs(k, "times"):
-			if t.Times, err = httpsvc.ScanArray(c, t.Times, scanFloat); err != nil {
+			if t.Times, err = httpsvc.ScanArray(c, t.Times, func(f *float64) error { return scanFloat(c, f) }); err != nil {
 				return fmt.Errorf(".times%v", err)
 			}
 			if written != nil {

@@ -46,7 +46,9 @@
 //     pivot. Both are exact for convolution models; with a learned,
 //     non-monotone estimator they are heuristic (the estimate of an
 //     extension can fall below the bound), which is why Options
-//     supports SeedPath warm starts and ablation switches.
+//     supports SeedPath warm starts and ablation switches. A seed is
+//     the search's first pivot and nothing more: the answer is the
+//     best pivot found, whichever path it is.
 //   - Both tests run twice per out-edge e = (v, w) of the label being
 //     expanded: first on the parent, shifted by m = MinEdgeTime(e) —
 //     parent.Min + m + h(w) > budget, then

@@ -130,7 +130,7 @@ type goldenConfig struct {
 	name     string
 	expanded bool
 	alt      bool
-	seed     bool // SeedPath = mean-cost path, SwitchMargin 0.02
+	seed     bool // SeedPath = mean-cost path
 	tune     func(*Options)
 }
 
@@ -193,7 +193,6 @@ func (f *goldenFixture) goldenQuery(cfg goldenConfig, qi int, qs *hybrid.QuerySt
 	}
 	if cfg.seed {
 		opts.SeedPath = meanPath
-		opts.SwitchMargin = 0.02
 	}
 	if cfg.tune != nil {
 		cfg.tune(&opts)

@@ -18,9 +18,9 @@ import (
 //   - the best on-time probability never falls as the budget grows;
 //   - ALT potentials from float32 tables with 1, 4 and 8 landmarks return
 //     the path and Prob bits of exact potentials at every rung;
-//   - a search seeded with the query's mean-cost path (SwitchMargin 0)
-//     answers a Prob at least the unseeded one and at least the seed's
-//     own on-time probability.
+//   - a search seeded with the query's mean-cost path answers a Prob
+//     at least the unseeded one and at least the seed's own on-time
+//     probability.
 //
 // All hold for classic queries and for time-expanded ones departing
 // just before the slice boundary. The frontier is large enough never to

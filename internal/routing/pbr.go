@@ -71,19 +71,13 @@ type Options struct {
 	MaxLabels int
 
 	// SeedPath optionally warm-starts the pivot (b) with a known
-	// source→dest path, typically the mean-cost route. The search then
-	// returns a path at least as good as the seed under the cost model —
-	// valuable both for anytime cutoffs (a pivot exists immediately)
-	// and because pruning with a learned, non-monotone cost model is
-	// heuristic and could otherwise discard the seed's prefix.
+	// source→dest path, typically the mean-cost route: the seed is the
+	// search's first pivot, so the search returns a path at least as
+	// good as the seed under the cost model — valuable both for anytime
+	// cutoffs (a pivot exists immediately) and because pruning with a
+	// learned, non-monotone cost model is heuristic and could otherwise
+	// discard the seed's prefix.
 	SeedPath []graph.EdgeID
-
-	// SwitchMargin keeps the seed path unless the best found path beats
-	// it by more than this much model probability. A learned cost model
-	// ranks long paths with noise; switching on a hair-thin modelled
-	// advantage trades a reliable known answer for noise. 0 (the pure
-	// paper behaviour) switches on any improvement.
-	SwitchMargin float64
 
 	// Potentials optionally supplies precomputed admissible potentials
 	// (e.g. ALT landmark tables, see BuildALT) in place of the exact
@@ -200,9 +194,9 @@ type label struct {
 // label distribution — labels proven dead recycle their buffers and
 // pivot pruning reads shifted CDFs without cloning — so a warmed search
 // allocates only what escapes it: the Result with its distribution,
-// path and slice sequence, built once on the way out, and under
-// opts.SeedPath the seed's own distribution and slice sequence. The
-// coster extends straight into the arena (the hybrid.Coster contract).
+// path and slice sequence, built once on the way out, and under a
+// time-expanded opts.SeedPath the seed's slice sequence. The coster
+// extends straight into the arena (the hybrid.Coster contract).
 //
 // When opts.TimeExpanded is set and c implements
 // hybrid.TemporalScratchCoster (the time-sliced ModelSet façade does),
@@ -352,14 +346,13 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 	recycle := scratch.Arena.Recycle
 
 	// Pivot: the most promising complete path found so far (b) — the
-	// seed path while pivotIdx is -1, else the label pivotIdx, whose
-	// masses ws.pivot holds: a later label that kills the pivot label
+	// seed path while pivotIdx is -1, else the label pivotIdx. Its
+	// masses live in ws.pivot: a later label that kills the pivot label
 	// recycles its arena buffer. Pruning reads only pivotProb; the
 	// answer is built from the pivot once, on the way out.
 	havePivot := false
 	pivotIdx := int32(-1)
 	pivotProb := -1.0
-	var seedDist *hist.Hist
 	var seedSlices []int // time-expanded: slice per seed edge
 
 	// Warm-start the pivot from the seed path, if any. Under
@@ -388,17 +381,14 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 			recycle(sd)
 			sd = nd
 		}
-		// The seed may be the answer (the SwitchMargin fall-back), so
-		// its distribution is a clone of its own, never ws.pivot.
 		havePivot = true
-		seedDist = sd.Clone()
+		pivotProb = sd.CDF(opts.Budget)
+		ws.keepPivot(sd)
 		recycle(sd)
-		pivotProb = seedDist.CDF(opts.Budget)
 		ssp.SetInt("edges", int64(len(opts.SeedPath)))
 		ssp.SetFloat("prob", pivotProb)
 		ssp.End()
 	}
-	seedProb := pivotProb
 
 	// push appends a label; costSlice is the slice whose model costed
 	// last (the label's Result.SliceSeq entry), elapsed the accumulated
@@ -648,19 +638,14 @@ func (ws *workspace) search(ctx context.Context, g *graph.Graph, c hybrid.Coster
 		return res, nil
 	}
 	res.Found = true
-	// Decisive-switch rule: fall back to the seed unless the search's
-	// best is better by more than the margin.
-	if pivotIdx < 0 || len(opts.SeedPath) > 0 && opts.SwitchMargin > 0 && pivotProb < seedProb+opts.SwitchMargin {
-		res.Prob = seedProb
-		res.Dist = seedDist
-		res.Path = slices.Clone(opts.SeedPath)
-		res.SliceSeq = seedSlices
-		return res, nil
-	}
 	res.Prob = pivotProb
 	res.dist = hist.Hist{Min: ws.pivot.Min, Width: ws.pivot.Width, P: slices.Clone(ws.pivot.P)}
 	res.Dist = &res.dist
-	res.Path, res.SliceSeq = reconstruct(ws.labels, pivotIdx, useTemporal)
+	if pivotIdx < 0 {
+		res.Path, res.SliceSeq = slices.Clone(opts.SeedPath), seedSlices
+	} else {
+		res.Path, res.SliceSeq = reconstruct(ws.labels, pivotIdx, useTemporal)
+	}
 	return res, nil
 }
 

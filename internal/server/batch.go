@@ -241,7 +241,7 @@ func scanBatch(body []byte) ([]batchQueryRequest, error) {
 		if !httpsvc.KeyIs(k, "queries") {
 			return nil, httpsvc.BadRequest("invalid JSON body: unknown field %s", k)
 		}
-		if queries, err = httpsvc.ScanArray(&c, queries, scanQuery); err != nil {
+		if queries, err = httpsvc.ScanArray(&c, queries, func(q *batchQueryRequest) error { return scanQuery(&c, q) }); err != nil {
 			return nil, httpsvc.BadRequest("invalid JSON body: queries%v", err)
 		}
 	}

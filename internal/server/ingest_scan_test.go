@@ -141,7 +141,8 @@ func FuzzScanIngest(f *testing.F) {
 // TestIngestDecodeAllocs gates what reading an /ingest body costs: a
 // 200-trip body is read in one buffer and walked into trips whose Edges
 // and Times are one allocation each, so the whole decode stays within 2
-// allocations per trip plus a few for the body and the trip array.
+// allocations per trip plus a few for the body and the trip array (the
+// walk's cursor stays on the stack).
 func TestIngestDecodeAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -181,7 +182,7 @@ func TestIngestDecodeAllocs(t *testing.T) {
 		t.Fatal("the walk's trips differ from encoding/json's")
 	}
 	t.Logf("/ingest decode: %.2f allocs per trajectory (%d trips, %d-byte body, %.0f allocs)", allocs/trips, trips, len(body), allocs)
-	if limit := 2*trips + 8; allocs > float64(limit) {
+	if limit := 2*trips + 7; allocs > float64(limit) {
 		t.Errorf("decoding %d trips costs %.0f allocs, want <= %d", trips, allocs, limit)
 	}
 }

@@ -21,13 +21,10 @@ import (
 // time-expanded, its slice sequence. The request's QueryStats, which
 // holds its coster view, comes from a pool. A complete search and an
 // anytime cut-off allocate the same: 3 classic, 4 time-expanded on the
-// test engine.
+// test engine. A SeedPath query's seed is its first pivot, so it adds
+// at most the seed's slice sequence, time-expanded.
 const (
 	maxRouteAllocs = 6
-	// A SeedPath query also costs its seed: the seed's own clone
-	// (header and masses) and, time-expanded, its slice sequence. Its
-	// answer is either that clone or the pivot's, never both.
-	maxSeededRouteAllocs = 9
 	// A sampled trace through routing.PBRCtx — the level the retired
 	// BenchmarkRoutingPBRTraced gate measured — may add the trace, its
 	// root, the potentials/expand phase spans and their attributes.
@@ -60,7 +57,7 @@ func TestRouteSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			seeded := opts
-			seeded.SeedPath, seeded.SwitchMargin = seed, 0.02
+			seeded.SeedPath = seed
 			// The latest cut-off that leaves the search incomplete with
 			// a pivot found.
 			cutOff := opts
@@ -82,7 +79,7 @@ func TestRouteSteadyStateAllocs(t *testing.T) {
 				ceiling float64
 			}{
 				{"plain", opts, maxRouteAllocs},
-				{"seeded", seeded, maxSeededRouteAllocs},
+				{"seeded", seeded, maxRouteAllocs},
 				{"cut-off", cutOff, maxRouteAllocs},
 			} {
 				route := func() {
@@ -149,9 +146,9 @@ func (a answerCopy) equal(b answerCopy) bool {
 
 // TestRouteResultOwnsItsAnswer holds that an answer is the caller's: the
 // searches that run after it on the same pooled workspace — one larger
-// and time-expanded, one falling back to its seed path under
-// SwitchMargin — leave its path, slice sequence and distribution
-// untouched, and the seed's answer is the seed's own distribution.
+// and time-expanded, one cut off after its first expansion so that its
+// seed path is the answer — leave its path, slice sequence and
+// distribution untouched.
 func TestRouteResultOwnsItsAnswer(t *testing.T) {
 	e := testEngine(t)
 	route := func(q Query, opts RouteOptions) *RouteResult {
@@ -193,9 +190,9 @@ func TestRouteResultOwnsItsAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := route(short[1], RouteOptions{SeedPath: seed, SwitchMargin: 1})
-	if !slices.Equal(c.Path, seed) {
-		t.Fatalf("C: path %v, want the fall-back to the seed %v", c.Path, seed)
+	c := route(short[1], RouteOptions{SeedPath: seed, MaxExpansions: 1})
+	if c.Complete || !slices.Equal(c.Path, seed) {
+		t.Fatalf("C: complete=%t path %v, want a cut-off answering the seed %v", c.Complete, c.Path, seed)
 	}
 	wantC := copyAnswer(c)
 
